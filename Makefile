@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test lint lint-alloc verify bench bench-smoke chaos fuzz
+.PHONY: build test lint lint-alloc verify bench bench-smoke bench-e2e bench-e2e-trace chaos fuzz
 
 build:
 	$(GO) build ./...
@@ -52,13 +52,18 @@ shard:
 	$(GO) test -race -count=1 -run 'TestManagerRemoteShardExecution|TestHealthzAndMetrics' ./internal/runsvc
 	$(GO) test -race -count=1 -v -run 'TestShardWorkerChaos' ./internal/faultkit
 
-# Wire-format fuzz smoke: the differential pair-codec target (binary vs
-# JSON round trip, plus decoder totality over arbitrary bytes) and the
-# K-way merge vs its reference. `go test -fuzz` accepts one target per
-# invocation, hence two runs. Also part of `make verify` and CI.
+# Differential fuzz smoke. Wire format: the pair codec (binary vs JSON
+# round trip, plus decoder totality over arbitrary bytes) and the K-way
+# merge vs its reference. Pair kernels: bit-parallel Jaro vs the greedy
+# matcher, and the integer-coded set measures vs the string merges, both
+# to Float64bits equality (DESIGN.md "Pair kernels"). `go test -fuzz`
+# accepts one target per invocation, hence one run each. Also part of
+# `make verify` and CI.
 fuzz:
 	$(GO) test -count=1 -run '^$$' -fuzz 'FuzzPairCodec' -fuzztime 10s ./internal/shard
 	$(GO) test -count=1 -run '^$$' -fuzz 'FuzzMergePairs' -fuzztime 10s ./internal/shard
+	$(GO) test -count=1 -run '^$$' -fuzz 'FuzzJaroBitParallel' -fuzztime 10s ./internal/similarity
+	$(GO) test -count=1 -run '^$$' -fuzz 'FuzzSetKernels' -fuzztime 10s ./internal/similarity
 
 # Hot-path benchmarks -> BENCH_PR8.json (ns/op, allocs, speedup pairs,
 # a memory section contrasting the streaming umbrella set with full
@@ -75,3 +80,17 @@ bench:
 
 bench-smoke:
 	sh scripts/bench.sh smoke
+
+# The end-to-end benchmark (bench/README.md, BENCHMARK.json): pairs/s,
+# job latency, bytes and allocations per pair, F1 and crowd cost on five
+# workloads, with output checks. `bench-e2e` is the timed run of every
+# workload (or WORKLOAD=name); `bench-e2e-trace WORKLOAD=name` is the
+# separate traced run that attributes the time to layers. To judge a
+# change, alternate runs of both commits as README "Measuring a change"
+# describes — one run per side is inside the box's noise.
+WORKLOAD ?=
+bench-e2e:
+	$(GO) run ./bench $(if $(WORKLOAD),--workload $(WORKLOAD)) --trace 0
+
+bench-e2e-trace:
+	$(GO) run ./bench --workload $(or $(WORKLOAD),cit-scan) --trace 1

@@ -9,7 +9,9 @@
 // attribute) cell of both tables at construction: tokenization, rune
 // decoding, q-gram counting, TF/IDF weighing, and numeric parsing happen
 // once per record instead of once per comparison, so the pair-scan inner
-// loop — the O(|A|·|B|) hot path — is arithmetic over prebuilt structures.
+// loop — the O(|A|·|B|) hot path — is arithmetic over prebuilt structures:
+// bit masks for the character measures, sorted integer codes (vocabulary
+// ranks, packed 3-grams) for the set measures (DESIGN.md "Pair kernels").
 // The string-based path is retained as the reference implementation; the
 // profile path is bit-identical to it (enforced by tests).
 package feature
@@ -113,6 +115,8 @@ func NewExtractor(ds *record.Dataset) *Extractor {
 	e.scratch.New = func() any { return similarity.NewScratch() }
 	for idx, attr := range ds.A.Schema {
 		var ms []measure
+		// The attribute's token dictionary; it is built from the column's
+		// profiles, below, after the measures that close over it.
 		var corpus *similarity.Corpus
 		switch attr.Type {
 		case record.AttrString:
@@ -130,14 +134,13 @@ func NewExtractor(ds *record.Dataset) *Extractor {
 					normWrapP(similarity.MongeElkanProfiles), similarity.FieldTokenRunes},
 			}
 		case record.AttrText:
-			corpus = buildCorpus(ds, idx)
 			ms = []measure{
 				{"jaccard_w", 3, normWrap(similarity.JaccardWords),
 					normWrapP(noScratch(similarity.JaccardWordsProfiles)), similarity.FieldWordSet},
 				{"overlap_w", 3, normWrap(similarity.OverlapWords),
 					normWrapP(noScratch(similarity.OverlapWordsProfiles)), similarity.FieldWordSet},
-				{"tfidf_cos", 4, normWrap(corpus.Cosine),
-					normWrapP(noScratch(corpus.CosineProfiles)), similarity.FieldWordSet},
+				{"tfidf_cos", 4, normWrap(func(a, b string) float64 { return corpus.Cosine(a, b) }),
+					normWrapP(noScratch(similarity.CosineProfiles)), similarity.FieldTFIDF},
 			}
 		case record.AttrNumeric:
 			ms = []measure{
@@ -172,26 +175,34 @@ func NewExtractor(ds *record.Dataset) *Extractor {
 				pfn:     m.pfn,
 			})
 		}
-		e.profA[idx] = buildProfiles(ds.A, idx, fields, corpus)
-		e.profB[idx] = buildProfiles(ds.B, idx, fields, corpus)
+		profA := buildProfiles(ds.A, idx, fields)
+		profB := buildProfiles(ds.B, idx, fields)
+		if fields&(similarity.FieldWordSet|similarity.FieldTFIDF) != 0 {
+			corpus = similarity.ProfileCorpus(profA, profB)
+			attach := corpus.RankProfile
+			if fields&similarity.FieldTFIDF != 0 {
+				attach = corpus.WeighProfile
+			}
+			for _, col := range [][]*similarity.Profile{profA, profB} {
+				par.For(len(col), func(lo, hi int) {
+					for _, p := range col[lo:hi] {
+						attach(p)
+					}
+				})
+			}
+		}
+		e.profA[idx], e.profB[idx] = profA, profB
 	}
 	return e
 }
 
-// buildProfiles precomputes the profiles of one attribute column, fanned
-// out across rows; corpus (non-nil for text attributes) attaches the
-// TF/IDF-weighted vector.
-func buildProfiles(t *record.Table, attrIdx int, fields similarity.Fields,
-	corpus *similarity.Corpus) []*similarity.Profile {
-
+// buildProfiles precomputes the corpus-independent views of one attribute
+// column, fanned out across rows.
+func buildProfiles(t *record.Table, attrIdx int, fields similarity.Fields) []*similarity.Profile {
 	out := make([]*similarity.Profile, t.Len())
 	par.For(t.Len(), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			p := similarity.NewProfile(t.Rows[i][attrIdx], fields)
-			if corpus != nil {
-				corpus.WeighProfile(p)
-			}
-			out[i] = p
+			out[i] = similarity.NewProfile(t.Rows[i][attrIdx], fields)
 		}
 	})
 	return out
@@ -231,17 +242,6 @@ func normWrapP(f profileFn) profileFn {
 		}
 		return f(a, b, s)
 	}
-}
-
-func buildCorpus(ds *record.Dataset, attrIdx int) *similarity.Corpus {
-	docs := make([]string, 0, ds.A.Len()+ds.B.Len())
-	for _, row := range ds.A.Rows {
-		docs = append(docs, row[attrIdx])
-	}
-	for _, row := range ds.B.Rows {
-		docs = append(docs, row[attrIdx])
-	}
-	return similarity.NewCorpus(docs)
 }
 
 // NumFeatures returns the width of the feature vector.

@@ -28,14 +28,18 @@ import (
 
 // AllocPackages lists the module-relative hot-path packages the gate
 // guards: the scoring, similarity, and transport kernels where a stray
-// allocation shows up directly in probe throughput.
+// allocation shows up directly in probe throughput, and the extractor
+// build (feature, strutil) whose per-record allocations lead the profile
+// once blocking goes through the index.
 var AllocPackages = []string{
 	"internal/active",
+	"internal/feature",
 	"internal/forest",
 	"internal/shard",
 	"internal/simindex",
 	"internal/similarity",
 	"internal/stats",
+	"internal/strutil",
 }
 
 // FuncAlloc is the compiler's verdict for one function: every escape

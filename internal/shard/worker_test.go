@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -111,6 +112,14 @@ func TestWorkerHTTPRoundTrip(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("pair %d: remote %v, local %v", i, got[i], want[i])
 		}
+	}
+	// The worker rebuilt dataset and extractor from the recipe. Index keys
+	// are vocabulary ranks, so its profiles — ranks included — must be the
+	// coordinator's, row for row, not merely yield the same survivors.
+	remA, remB := w.jobs[spec.Job].ex.Profiles(spec.Feature)
+	_, profB := ex.Profiles(spec.Feature)
+	if !reflect.DeepEqual(remA, profA) || !reflect.DeepEqual(remB, profB) {
+		t.Error("worker-side profiles (word ranks) differ from the coordinator's")
 	}
 	if w.Stats().JobsLoaded.Load() != 1 {
 		t.Errorf("worker loaded %d jobs, want 1 (lazy-load once)", w.Stats().JobsLoaded.Load())

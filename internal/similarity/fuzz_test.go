@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"unicode/utf8"
+
+	"github.com/corleone-em/corleone/internal/strutil"
 )
 
 func FuzzLevenshteinMetricProperties(f *testing.F) {
@@ -106,6 +108,81 @@ func FuzzStringMeasuresStayInRange(f *testing.F) {
 			s := fn(a, b)
 			if s < 0 || s > 1 || math.IsNaN(s) {
 				t.Fatalf("%s(%q,%q) = %v outside [0,1]", name, a, b, s)
+			}
+		}
+	})
+}
+
+// FuzzJaroBitParallel differentially fuzzes the bit-parallel Jaro kernels
+// against the retained greedy matcher, demanding Float64bits equality in
+// both argument orders (the matcher is not symmetric, so each order is its
+// own case) on one shared Scratch, so a mask left behind by one call
+// corrupts the next. The seed corpus is jaroCases: both sides at 0, 1, 63,
+// 64, 65 and 129 runes, repeated characters, transposed near-duplicates,
+// and runes beyond the ASCII table.
+func FuzzJaroBitParallel(f *testing.F) {
+	for _, c := range jaroCases {
+		f.Add(c[0], c[1])
+	}
+	s := NewScratch()
+	f.Fuzz(func(t *testing.T, a, b string) {
+		if len(a) > 600 || len(b) > 600 {
+			return // keep the quadratic referee bounded
+		}
+		ra, rb := []rune(a), []rune(b)
+		for _, p := range [][2][]rune{{ra, rb}, {rb, ra}} {
+			want := jaroGreedyRunes(p[0], p[1])
+			if got := jaroRunes(p[0], p[1], s); !bitsEqual(got, want) {
+				t.Fatalf("jaroRunes(%q, %q) = %v, greedy = %v", string(p[0]), string(p[1]), got, want)
+			}
+		}
+		if got, want := JaroWinkler(a, b), jaroWinklerGreedy(a, b); !bitsEqual(got, want) {
+			t.Fatalf("JaroWinkler(%q, %q) = %v, greedy = %v", a, b, got, want)
+		}
+	})
+}
+
+// FuzzSetKernels differentially fuzzes the integer-coded set measures —
+// word ranks for Jaccard / overlap / TF-IDF cosine, packed 3-grams for
+// q-gram Jaccard / cosine — against the retained string merges, demanding
+// Float64bits equality. A third document joins the vocabulary so ranks are
+// not simply the two inputs' tokens and IDFs vary. Seeds carry runes at the
+// top of the 21-bit gram field (U+10FFFF), U+FFFD, the pad rune itself,
+// repeated tokens, and empty / punctuation-only values.
+func FuzzSetKernels(f *testing.F) {
+	f.Add("kingston hyperx 4gb kit", "kingston 4gb kit hyperx", "memory kit")
+	f.Add("the the the kit kit", "the kit", "the")
+	f.Add("", "", "")
+	f.Add("!!!", "a", "")
+	f.Add("## #a#", "#a ##", "#")
+	f.Add("a\U0010FFFFb \U0010FFFF\U0010FFFF", "a\U0010FFFEb \U0010FFFF", "� \xff")
+	f.Add("日本語 テキスト", "テキスト 日本語 日本語", "语 日本語")
+	f.Add("naïve café", "NAÏVE  CAFÉ", "cafe")
+	f.Fuzz(func(t *testing.T, a, b, extra string) {
+		if len(a) > 300 || len(b) > 300 || len(extra) > 300 {
+			return
+		}
+		pa, pb := NewProfile(a, AllFields), NewProfile(b, AllFields)
+		c := ProfileCorpus([]*Profile{pa, pb, NewProfile(extra, FieldWordSet)})
+		c.WeighProfile(pa)
+		c.WeighProfile(pb)
+		wa, wb := sortedSetStrings(pa.Tokens), sortedSetStrings(pb.Tokens)
+		ga, gb := strutil.QGrams(pa.Norm, 3), strutil.QGrams(pb.Norm, 3)
+		for _, k := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"jaccard_w", JaccardWordsProfiles(pa, pb), jaccardSortedStrings(wa, wb)},
+			{"overlap_w", OverlapWordsProfiles(pa, pb), overlapSortedStrings(wa, wb)},
+			{"jaccard_3g", JaccardQGramsProfiles(pa, pb),
+				jaccardSortedStrings(sortedSetStrings(ga), sortedSetStrings(gb))},
+			{"cosine_3g", CosineQGramsProfiles(pa, pb), cosineQGramsStrings(pa.Norm, pb.Norm)},
+			{"tfidf_cos", CosineProfiles(pa, pb),
+				cosineStringVectors(weighStrings(c, pa.Tokens), weighStrings(c, pb.Tokens))},
+			{"tfidf_cos/string", CosineProfiles(pa, pb), c.Cosine(pa.Norm, pb.Norm)},
+		} {
+			if !bitsEqual(k.got, k.want) {
+				t.Fatalf("%s(%q, %q | %q) = %v, string merge = %v", k.name, a, b, extra, k.got, k.want)
 			}
 		}
 	})

@@ -1,0 +1,166 @@
+package similarity
+
+import "math/bits"
+
+// Bit-parallel Jaro. The textbook matcher walks a in order and, for each
+// a[i], takes the first still-unmatched j inside the window
+// [i-window, i+window] with b[j] == a[i] — an O(|a|·window) loop. Here the
+// positions of every rune of b are bit masks (bit j set where b[j] is that
+// rune), so the same choice is three word operations:
+//
+//	cand = mask[a[i]] & window(i) &^ matchedB
+//
+// holds exactly the j the loop would test and accept, and its lowest set
+// bit is the first of them. The matched set after step i is therefore the
+// loop's matched set after step i, by induction, and the transposition
+// count — the k-th matched rune of a against the k-th matched position of
+// b — reads off the same bits. The masks must index b: the matcher scans a
+// in order and b by first fit, which is not symmetric in its arguments.
+//
+// b of up to 64 runes fits one word (jaroSingle); longer b uses ⌈|b|/64⌉
+// words per rune (jaroBlocks), touching only the words the window covers.
+
+// Jaro returns the Jaro similarity of a and b.
+func Jaro(a, b string) float64 {
+	return jaroRunes([]rune(a), []rune(b), nil)
+}
+
+func jaroRunes(ra, rb []rune, s *Scratch) float64 {
+	la, lb := len(ra), len(rb)
+	if la == 0 && lb == 0 {
+		return 1
+	}
+	if la == 0 || lb == 0 {
+		return 0
+	}
+	window := la
+	if lb > window {
+		window = lb
+	}
+	window = window/2 - 1
+	if window < 0 {
+		window = 0
+	}
+	if s == nil {
+		s = new(Scratch)
+	}
+	var matches, trans int
+	if lb <= 64 {
+		matches, trans = jaroSingle(ra, rb, window, s)
+	} else {
+		matches, trans = jaroBlocks(ra, rb, window, s)
+	}
+	if matches == 0 {
+		return 0
+	}
+	m := float64(matches)
+	return (m/float64(la) + m/float64(lb) + (m-float64(trans)/2)/m) / 3
+}
+
+// jaroSingle matches a against a b of 1..64 runes and returns the match and
+// transposition counts. The window is two masks that slide with i: inside
+// holds the positions up to i+window, below those before i-window; both
+// saturate at all-ones (Go shifts of 64 or more yield 0), and mask bits at
+// or above len(rb) are never set, so neither edge needs a clamp to |b|.
+func jaroSingle(ra, rb []rune, window int, s *Scratch) (matches, trans int) {
+	peq, over := s.buildMasks(rb)
+	var matchedB uint64
+	var order [64]uint8 // order[k] is the position in b the k-th match took
+	inside := uint64(1)<<uint(window+1) - 1
+	var below uint64
+	for i, c := range ra {
+		if i > window {
+			below = below<<1 | 1
+		}
+		var cand uint64
+		if c < asciiTableSize {
+			cand = peq[c]
+		} else if over != nil {
+			cand = over[c]
+		}
+		if cand &= inside &^ (below | matchedB); cand != 0 {
+			matchedB |= cand & -cand
+			order[matches] = uint8(bits.TrailingZeros64(cand))
+			matches++
+		}
+		inside = inside<<1 | 1
+	}
+	s.wipeMasks(rb, over)
+	// The k-th matched rune of a is rb[order[k]]; its counterpart is the
+	// k-th matched position of b in ascending order.
+	for k := 0; matchedB != 0; k, matchedB = k+1, matchedB&(matchedB-1) {
+		if j := bits.TrailingZeros64(matchedB); int(order[k]) != j && rb[order[k]] != rb[j] {
+			trans++
+		}
+	}
+	return matches, trans
+}
+
+// jaroBlocks is jaroSingle for b longer than 64 runes: mask rows of
+// ⌈|b|/64⌉ words, and matched-position bitsets for both sides carved from
+// the same arena. Per rune of a only the words its window overlaps are
+// read, lowest first, so the first non-zero candidate word holds the
+// lowest candidate position.
+func jaroBlocks(ra, rb []rune, window int, s *Scratch) (matches, trans int) {
+	la, lb := len(ra), len(rb)
+	w := (lb + 63) / 64
+	peq, over := s.buildRows(rb, w)
+	matchedA, matchedB := s.carveRow((la+63)/64), s.carveRow(w)
+	arena := s.peqArena
+	for i, c := range ra {
+		var off uint64
+		if c < asciiTableSize {
+			off = peq[c]
+		} else if over != nil {
+			off = over[c]
+		}
+		if off == 0 {
+			continue
+		}
+		lo, hi := i-window, i+window+1
+		if lo < 0 {
+			lo = 0
+		}
+		if hi > lb {
+			hi = lb
+		}
+		if lo >= hi {
+			break // windows only move right: the rest of a is out of reach
+		}
+		row := arena[off : off+uint64(w)]
+		first, last := lo>>6, (hi-1)>>6
+		for k := first; k <= last; k++ {
+			cand := row[k] &^ matchedB[k]
+			if k == first {
+				cand &^= uint64(1)<<uint(lo&63) - 1
+			}
+			if k == last && hi&63 != 0 {
+				cand &= uint64(1)<<uint(hi&63) - 1
+			}
+			if cand != 0 {
+				matchedB[k] |= cand & -cand
+				matchedA[i>>6] |= uint64(1) << uint(i&63)
+				matches++
+				break
+			}
+		}
+	}
+	s.wipeMasks(rb, over)
+	// Pair the k-th set bit of matchedA with the k-th set bit of matchedB.
+	kb, wordB := 0, matchedB[0]
+	for ka, wordA := range matchedA {
+		for ; wordA != 0; wordA &= wordA - 1 {
+			for wordB == 0 {
+				kb++
+				wordB = matchedB[kb]
+			}
+			i := ka<<6 + bits.TrailingZeros64(wordA)
+			j := kb<<6 + bits.TrailingZeros64(wordB)
+			if ra[i] != rb[j] {
+				trans++
+			}
+			wordB &= wordB - 1
+		}
+	}
+	return matches, trans
+}

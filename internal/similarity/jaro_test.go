@@ -1,0 +1,120 @@
+package similarity
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+)
+
+// jaroCases are the shapes the bit-parallel matcher could get wrong: every
+// word boundary of the b side (the masks' side), repeated characters
+// competing for one position, transposed near-duplicates, runes beyond the
+// ASCII table, and an a side far longer than a one-word b.
+var jaroCases = [][2]string{
+	{"", ""}, {"a", ""}, {"", "a"}, {"a", "a"}, {"a", "b"},
+	{"martha", "marhta"}, {"dixon", "dicksonx"}, {"dwayne", "duane"},
+	{"aaaa", "aa"}, {"aa", "aaaa"}, {"abab", "baba"}, {"aabb", "bbaa"},
+	{"crate", "trace"}, {"κόσμε", "κόμσε"}, {"日本語テキスト", "日本テキスト語"},
+	{"naïve café", "naive cafe"},
+	{strings.Repeat("ab", 31) + "c", strings.Repeat("ba", 31) + "c"}, // 63
+	{strings.Repeat("ab", 32), strings.Repeat("ba", 32)},             // 64
+	{strings.Repeat("ab", 32) + "c", strings.Repeat("ba", 32) + "c"}, // 65
+	{strings.Repeat("abc", 43), strings.Repeat("acb", 43)},           // 129
+	{strings.Repeat("x", 64), strings.Repeat("x", 65)},               // one word vs two
+	{strings.Repeat("x", 65), strings.Repeat("x", 64)},               // two words vs one
+	{strings.Repeat("xy", 100), "yx"},                                // long a, tiny b
+	{"yx", strings.Repeat("xy", 100)},                                // tiny a, long b
+	{strings.Repeat("αβγδ", 40), strings.Repeat("αβδγ", 41)},         // non-ASCII rows
+	{strings.Repeat("z", 128) + "q", "q" + strings.Repeat("z", 128)}, // window edge
+	{"the quick brown fox " + strings.Repeat("jumps ", 12), "quick the fox brown " + strings.Repeat("jumsp ", 12)},
+}
+
+func bitsEqual(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestJaroBitParallelMatchesGreedy pins jaroRunes to the retained greedy
+// matcher bit for bit on the boundary table and on random rune strings
+// spanning both kernels, reusing one Scratch throughout so a table entry
+// left behind by one call would corrupt the next.
+func TestJaroBitParallelMatchesGreedy(t *testing.T) {
+	s := NewScratch()
+	check := func(a, b string) {
+		t.Helper()
+		ra, rb := []rune(a), []rune(b)
+		want := jaroGreedyRunes(ra, rb)
+		if got := jaroRunes(ra, rb, s); !bitsEqual(got, want) {
+			t.Fatalf("jaroRunes(%q, %q) = %v, greedy = %v", a, b, got, want)
+		}
+		if got := Jaro(a, b); !bitsEqual(got, want) {
+			t.Fatalf("Jaro(%q, %q) = %v, greedy = %v", a, b, got, want)
+		}
+	}
+	for _, c := range jaroCases {
+		check(c[0], c[1])
+		check(c[1], c[0])
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 2000; i++ {
+		a := randRunes(rng, rng.Intn(201))
+		b := randRunes(rng, rng.Intn(201))
+		if i%3 == 0 { // near-duplicates: swap two adjacent runes of a
+			rb := []rune(a)
+			if k := len(rb) - 1; k > 0 {
+				j := rng.Intn(k)
+				rb[j], rb[j+1] = rb[j+1], rb[j]
+			}
+			b = string(rb)
+		}
+		check(a, b)
+	}
+}
+
+// TestBitKernelsZeroAllocSteadyState pins the satellite fix to
+// Scratch.carveRow (the arena used to be clamped to its length, so every
+// carve reallocated): on a warm scratch the multi-block Myers core and both
+// Jaro kernels allocate nothing.
+func TestBitKernelsZeroAllocSteadyState(t *testing.T) {
+	short := []rune("kingston hyperx 4gb kit 2 x 2gb ddr3 memory module")
+	other := []rune("kingston 4 gb hyperx ddr3 kit high performance módulo")
+	long := []rune(strings.Repeat("efficient scalable entity matching ü ", 4))
+	long2 := []rune(strings.Repeat("scalable efficient entity resolution ö ", 4))
+	s := NewScratch()
+	cases := []struct {
+		name string
+		fn   func()
+	}{
+		{"myersBlocks", func() { sinkF = float64(myersBlocks(long, long2, s)) }},
+		{"jaroSingle", func() { sinkF = jaroRunes(short, other, s) }},
+		{"jaroBlocks", func() { sinkF = jaroRunes(long, long2, s) }},
+	}
+	for _, c := range cases {
+		c.fn() // warm the scratch
+		if allocs := testing.AllocsPerRun(200, c.fn); allocs != 0 {
+			t.Errorf("%s steady state allocates %.1f per op, want 0", c.name, allocs)
+		}
+	}
+}
+
+// BenchmarkJaro compares the shipped kernel with the retained greedy loop
+// at the lengths the datasets produce: a token, a name, a title.
+func BenchmarkJaro(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{4, 12, 30, 64, 90} {
+		x, y := make([]rune, n), make([]rune, n)
+		for i := range x { // normalized attribute values: lowercase ASCII and spaces
+			x[i], y[i] = rune("abcdefghijklmnopqrst "[rng.Intn(21)]), rune("abcdefghijklmnopqrst "[rng.Intn(21)])
+		}
+		s := NewScratch()
+		b.Run(fmt.Sprintf("bits/%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sinkF = jaroRunes(x, y, s)
+			}
+		})
+		b.Run(fmt.Sprintf("greedy/%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sinkF = jaroGreedyRunes(x, y)
+			}
+		})
+	}
+}

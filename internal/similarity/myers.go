@@ -14,25 +14,12 @@ package similarity
 // block count (and the per-character work) is minimal.
 
 // myersSingle computes Levenshtein distance for patterns of 1..64 runes.
-// The pattern-match bitmasks live in a 128-entry ASCII table (the common
+// The pattern-match bitmasks live in the scratch's ASCII table (the common
 // case after normalization) with a map spillover for wider runes; both are
-// scratch-reused and wiped after the run, so steady state is zero-alloc.
+// wiped after the run, so steady state is zero-alloc.
 func myersSingle(pattern, text []rune, s *Scratch) int {
 	m := len(pattern)
-	peq, over := s.myersSingleTables()
-	overUsed := false
-	for i, c := range pattern {
-		bit := uint64(1) << uint(i)
-		if c < asciiTableSize {
-			peq[c] |= bit
-		} else {
-			if over == nil {
-				over = make(map[rune]uint64, 4)
-			}
-			over[c] |= bit
-			overUsed = true
-		}
-	}
+	peq, over := s.buildMasks(pattern)
 
 	vp := ^uint64(0)
 	vn := uint64(0)
@@ -42,7 +29,7 @@ func myersSingle(pattern, text []rune, s *Scratch) int {
 		var eq uint64
 		if c < asciiTableSize {
 			eq = peq[c]
-		} else if overUsed {
+		} else if over != nil {
 			eq = over[c]
 		}
 		d0 := (((eq & vp) + vp) ^ vp) | eq | vn
@@ -58,18 +45,7 @@ func myersSingle(pattern, text []rune, s *Scratch) int {
 		vp = hn | ^(d0 | hp)
 		vn = hp & d0
 	}
-
-	// Wipe only the entries this pattern set; the table stays clean for the
-	// next call without a 1 KiB memclr.
-	for _, c := range pattern {
-		if c < asciiTableSize {
-			peq[c] = 0
-		}
-	}
-	if overUsed {
-		clear(over)
-	}
-	s.retainMyersOverflow(over)
+	s.wipeMasks(pattern, over)
 	return score
 }
 
@@ -82,32 +58,27 @@ func myersSingle(pattern, text []rune, s *Scratch) int {
 func myersBlocks(pattern, text []rune, s *Scratch) int {
 	m := len(pattern)
 	w := (m + 63) / 64
-	vp, vn, peq := s.myersBlockState(w)
-	for i, c := range pattern {
-		row := peq[c]
-		if row == nil {
-			row = s.carveRow(w)
-			peq[c] = row
-		}
-		row[i>>6] |= uint64(1) << uint(i&63)
-	}
+	peq, over := s.buildRows(pattern, w)
+	vp, vn := s.carveRow(w), s.carveRow(w)
+	arena := s.peqArena
 	for j := range vp {
 		vp[j] = ^uint64(0)
-		vn[j] = 0
 	}
 
 	score := m
 	last := w - 1
 	lastTop := uint64(1) << uint((m-1)&63)
 	for _, c := range text {
-		row := peq[c]
+		var off uint64
+		if c < asciiTableSize {
+			off = peq[c]
+		} else if over != nil {
+			off = over[c]
+		}
+		row := arena[off : off+uint64(w)]
 		hin := 1
 		for j := 0; j <= last; j++ {
-			var eq uint64
-			if row != nil {
-				eq = row[j]
-			}
-			x := eq
+			x := row[j]
 			if hin < 0 {
 				x |= 1
 			}
@@ -138,6 +109,6 @@ func myersBlocks(pattern, text []rune, s *Scratch) int {
 		}
 		score += hin
 	}
-	clear(peq)
+	s.wipeMasks(pattern, over)
 	return score
 }

@@ -1,8 +1,7 @@
 package similarity
 
 import (
-	"math"
-	"sort"
+	"slices"
 
 	"github.com/corleone-em/corleone/internal/strutil"
 )
@@ -22,10 +21,14 @@ const (
 	FieldRunes Fields = 1 << iota
 	// FieldTokenRunes decodes each word token into runes (Monge-Elkan).
 	FieldTokenRunes
-	// FieldWordSet materializes the sorted distinct word tokens
-	// (word Jaccard, overlap, TF/IDF weighing).
+	// FieldWordSet tokenizes for the sorted distinct word-rank view (word
+	// Jaccard, overlap). Ranks are relative to a vocabulary, so NewProfile
+	// only tokenizes; Corpus.RankProfile attaches the view.
 	FieldWordSet
-	// FieldQGrams materializes the sorted padded 3-gram count vector
+	// FieldTFIDF adds the corpus-weighted vector over the word ranks
+	// (TF/IDF cosine); Corpus.WeighProfile attaches it.
+	FieldTFIDF
+	// FieldQGrams materializes the sorted packed 3-gram count vector
 	// (q-gram Jaccard and cosine).
 	FieldQGrams
 	// FieldNumeric parses the raw value as a number (numeric diffs).
@@ -35,8 +38,8 @@ const (
 )
 
 // AllFields builds every view; equivalence tests and generic callers use it.
-const AllFields = FieldRunes | FieldTokenRunes | FieldWordSet | FieldQGrams |
-	FieldNumeric | FieldSoundex
+const AllFields = FieldRunes | FieldTokenRunes | FieldWordSet | FieldTFIDF |
+	FieldQGrams | FieldNumeric | FieldSoundex
 
 // Profile is the precomputed view of one attribute value. The profile fast
 // paths below consume pairs of profiles and return results bit-identical to
@@ -53,33 +56,37 @@ type Profile struct {
 	Tokens []string
 	// TokenRunes holds each token decoded to runes (FieldTokenRunes).
 	TokenRunes [][]rune
-	// SortedTokens is the sorted distinct Tokens (FieldWordSet).
-	SortedTokens []string
-	// SortedGrams / GramCounts are the sorted distinct padded 3-grams of
-	// Norm with multiplicities; GramNorm is Σ count² accumulated in sorted
-	// order (FieldQGrams).
-	SortedGrams []string
-	GramCounts  []int
-	GramNorm    float64
+	// WordIDs is the distinct Tokens as ascending ranks in the attribute's
+	// sorted vocabulary, set by Corpus.RankProfile (FieldWordSet). Rank
+	// order is string order, so merging WordIDs visits tokens exactly as
+	// merging the sorted strings would.
+	WordIDs []uint64
+	// Grams / GramCounts are the sorted distinct padded 3-grams of Norm,
+	// packed by strutil.Trigrams, with multiplicities; GramNorm is
+	// Σ count² accumulated in sorted order (FieldQGrams).
+	Grams      []uint64
+	GramCounts []int
+	GramNorm   float64
 	// Numeric / NumericOK are strutil.ParseNumeric(Raw) (FieldNumeric).
 	Numeric   float64
 	NumericOK bool
-	// SoundexCodes holds Soundex(token) aligned with Tokens; SortedCodes is
-	// their sorted distinct set (FieldSoundex).
-	SoundexCodes []string
-	SortedCodes  []string
-	// TFIDF is the corpus-weighted vector, set by Corpus.WeighProfile for
-	// attributes that carry a TF/IDF feature.
+	// SortedCodes is the sorted distinct set of the tokens' Soundex codes,
+	// each code's bytes packed big-endian into a word (FieldSoundex).
+	SortedCodes []uint64
+	// TFIDF is the corpus-weighted vector aligned with WordIDs, set by
+	// Corpus.WeighProfile (FieldTFIDF).
 	TFIDF *WeightedVector
 }
 
-// NewProfile precomputes the requested views of one attribute value.
+// NewProfile precomputes the requested views of one attribute value, except
+// the vocabulary-relative ones (WordIDs, TFIDF), which a Corpus built over
+// the whole column attaches afterwards.
 func NewProfile(raw string, fields Fields) *Profile {
 	p := &Profile{Raw: raw, Norm: strutil.Normalize(raw)}
 	if fields&FieldRunes != 0 {
 		p.Runes = []rune(p.Norm)
 	}
-	if fields&(FieldTokenRunes|FieldWordSet|FieldSoundex) != 0 {
+	if fields&(FieldTokenRunes|FieldWordSet|FieldTFIDF|FieldSoundex) != 0 {
 		p.Tokens = strutil.Words(p.Norm)
 	}
 	if fields&FieldTokenRunes != 0 {
@@ -88,11 +95,8 @@ func NewProfile(raw string, fields Fields) *Profile {
 			p.TokenRunes[i] = []rune(t)
 		}
 	}
-	if fields&FieldWordSet != 0 {
-		p.SortedTokens = strutil.SortedSet(p.Tokens)
-	}
 	if fields&FieldQGrams != 0 {
-		p.SortedGrams, p.GramCounts = strutil.SortedCounts(strutil.QGrams(p.Norm, 3))
+		p.Grams, p.GramCounts = strutil.SortedCounts(strutil.Trigrams(p.Norm))
 		for _, c := range p.GramCounts {
 			f := float64(c)
 			p.GramNorm += f * f
@@ -102,11 +106,14 @@ func NewProfile(raw string, fields Fields) *Profile {
 		p.Numeric, p.NumericOK = strutil.ParseNumeric(raw)
 	}
 	if fields&FieldSoundex != 0 {
-		p.SoundexCodes = make([]string, len(p.Tokens))
+		codes := make([]uint64, len(p.Tokens))
 		for i, t := range p.Tokens {
-			p.SoundexCodes[i] = Soundex(t)
+			for _, c := range []byte(Soundex(t)) {
+				codes[i] = codes[i]<<8 | uint64(c)
+			}
 		}
-		p.SortedCodes = strutil.SortedSet(p.SoundexCodes)
+		slices.Sort(codes)
+		p.SortedCodes = slices.Compact(codes)
 	}
 	return p
 }
@@ -139,21 +146,21 @@ func JaroWinklerProfiles(a, b *Profile, s *Scratch) float64 {
 }
 
 // JaccardWordsProfiles is the profile fast path of JaccardWords (requires
-// FieldWordSet).
+// FieldWordSet, both profiles ranked under one corpus).
 func JaccardWordsProfiles(a, b *Profile) float64 {
-	return jaccardSorted(a.SortedTokens, b.SortedTokens)
+	return jaccardSorted(a.WordIDs, b.WordIDs)
 }
 
 // JaccardQGramsProfiles is the profile fast path of JaccardQGrams (requires
 // FieldQGrams).
 func JaccardQGramsProfiles(a, b *Profile) float64 {
-	return jaccardSorted(a.SortedGrams, b.SortedGrams)
+	return jaccardSorted(a.Grams, b.Grams)
 }
 
-// jaccardSorted mirrors jaccard over sorted distinct slices: the
-// intersection is a linear merge instead of map probes, and the result is
-// the same integer-derived ratio.
-func jaccardSorted(sa, sb []string) float64 {
+// jaccardSorted mirrors jaccard over sorted distinct integer codes: the
+// intersection is a linear merge of machine words instead of map probes,
+// and the result is the same integer-derived ratio.
+func jaccardSorted(sa, sb []uint64) float64 {
 	if len(sa) == 0 && len(sb) == 0 {
 		return 1
 	}
@@ -165,27 +172,38 @@ func jaccardSorted(sa, sb []string) float64 {
 }
 
 // intersectSorted counts common elements of two sorted distinct slices.
-func intersectSorted(sa, sb []string) int {
+// Which side advances is data, not control flow: a scan compares a fresh
+// pair of sets every call, so a compare-and-branch merge mispredicts about
+// every other step, while flag arithmetic (the compiler emits SETcc for
+// b2i) keeps the loop at its load-compare-add latency.
+func intersectSorted(sa, sb []uint64) int {
 	inter := 0
 	for i, j := 0, 0; i < len(sa) && j < len(sb); {
-		switch {
-		case sa[i] < sb[j]:
-			i++
-		case sa[i] > sb[j]:
-			j++
-		default:
-			inter++
-			i++
-			j++
-		}
+		x, y := sa[i], sb[j]
+		inter += b2i(x == y)
+		i += b2i(x <= y)
+		j += b2i(y <= x)
 	}
 	return inter
 }
 
+func b2i(b bool) int {
+	var v int
+	if b {
+		v = 1
+	}
+	return v
+}
+
 // OverlapWordsProfiles is the profile fast path of OverlapWords (requires
-// FieldWordSet).
+// FieldWordSet, both profiles ranked under one corpus).
 func OverlapWordsProfiles(a, b *Profile) float64 {
-	sa, sb := a.SortedTokens, b.SortedTokens
+	return overlapSorted(a.WordIDs, b.WordIDs)
+}
+
+// overlapSorted is the overlap coefficient |A∩B| / min(|A|, |B|) of two
+// sorted distinct code sets.
+func overlapSorted(sa, sb []uint64) float64 {
 	if len(sa) == 0 && len(sb) == 0 {
 		return 1
 	}
@@ -230,18 +248,18 @@ func mongeElkanDirRunes(ta, tb [][]rune, s *Scratch) float64 {
 // FieldQGrams). Norms are precomputed; the dot product merges the sorted
 // gram vectors in the string path's summation order.
 func CosineQGramsProfiles(a, b *Profile) float64 {
-	if len(a.SortedGrams) == 0 && len(b.SortedGrams) == 0 {
+	if len(a.Grams) == 0 && len(b.Grams) == 0 {
 		return 1
 	}
-	if len(a.SortedGrams) == 0 || len(b.SortedGrams) == 0 {
+	if len(a.Grams) == 0 || len(b.Grams) == 0 {
 		return 0
 	}
 	var dot float64
-	for i, j := 0, 0; i < len(a.SortedGrams) && j < len(b.SortedGrams); {
+	for i, j := 0, 0; i < len(a.Grams) && j < len(b.Grams); {
 		switch {
-		case a.SortedGrams[i] < b.SortedGrams[j]:
+		case a.Grams[i] < b.Grams[j]:
 			i++
-		case a.SortedGrams[i] > b.SortedGrams[j]:
+		case a.Grams[i] > b.Grams[j]:
 			j++
 		default:
 			dot += float64(a.GramCounts[i]) * float64(b.GramCounts[j])
@@ -249,14 +267,7 @@ func CosineQGramsProfiles(a, b *Profile) float64 {
 			j++
 		}
 	}
-	if a.GramNorm == 0 || b.GramNorm == 0 {
-		return 0
-	}
-	s := dot / (math.Sqrt(a.GramNorm) * math.Sqrt(b.GramNorm))
-	if s > 1 {
-		s = 1
-	}
-	return s
+	return cosine(dot, a.GramNorm, b.GramNorm)
 }
 
 // NeedlemanWunschProfiles is the profile fast path of NeedlemanWunsch
@@ -280,21 +291,5 @@ func LongestCommonSubstringProfiles(a, b *Profile, s *Scratch) float64 {
 // SoundexSimProfiles is the profile fast path of SoundexSim (requires
 // FieldSoundex).
 func SoundexSimProfiles(a, b *Profile) float64 {
-	if len(a.Tokens) == 0 && len(b.Tokens) == 0 {
-		return 1
-	}
-	if len(a.Tokens) == 0 || len(b.Tokens) == 0 {
-		return 0
-	}
-	short, long := a, b
-	if len(b.Tokens) < len(a.Tokens) {
-		short, long = b, a
-	}
-	hit := 0
-	for _, c := range short.SoundexCodes {
-		if i := sort.SearchStrings(long.SortedCodes, c); i < len(long.SortedCodes) && long.SortedCodes[i] == c {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(short.Tokens))
+	return overlapSorted(a.SortedCodes, b.SortedCodes)
 }

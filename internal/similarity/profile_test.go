@@ -53,7 +53,7 @@ func TestProfileEquivalence(t *testing.T) {
 		for i, s := range corpus {
 			profiles[i] = NewProfile(s, AllFields)
 		}
-		c := NewCorpus(corpus)
+		c := ProfileCorpus(profiles)
 		for _, p := range profiles {
 			c.WeighProfile(p)
 		}
@@ -65,34 +65,46 @@ func TestProfileEquivalence(t *testing.T) {
 			prof func(a, b *Profile) float64
 		}
 		checks := []check{
-			{"ExactMatch", ExactMatch,
-				func(a, b *Profile) float64 { return ExactMatchProfiles(a, b) }},
+			{"ExactMatch", ExactMatch, ExactMatchProfiles},
 			{"EditSim", EditSim,
 				func(a, b *Profile) float64 { return EditSimProfiles(a, b, scratch) }},
 			{"Jaro", Jaro,
 				func(a, b *Profile) float64 { return JaroProfiles(a, b, scratch) }},
 			{"JaroWinkler", JaroWinkler,
 				func(a, b *Profile) float64 { return JaroWinklerProfiles(a, b, scratch) }},
-			{"JaccardWords", JaccardWords,
-				func(a, b *Profile) float64 { return JaccardWordsProfiles(a, b) }},
-			{"JaccardQGrams", JaccardQGrams,
-				func(a, b *Profile) float64 { return JaccardQGramsProfiles(a, b) }},
-			{"OverlapWords", OverlapWords,
-				func(a, b *Profile) float64 { return OverlapWordsProfiles(a, b) }},
+			{"JaccardWords", JaccardWords, JaccardWordsProfiles},
+			{"JaccardQGrams", JaccardQGrams, JaccardQGramsProfiles},
+			{"OverlapWords", OverlapWords, OverlapWordsProfiles},
 			{"MongeElkan", MongeElkan,
 				func(a, b *Profile) float64 { return MongeElkanProfiles(a, b, scratch) }},
-			{"CosineQGrams", CosineQGrams,
-				func(a, b *Profile) float64 { return CosineQGramsProfiles(a, b) }},
+			{"CosineQGrams", CosineQGrams, CosineQGramsProfiles},
 			{"NeedlemanWunsch", NeedlemanWunsch,
 				func(a, b *Profile) float64 { return NeedlemanWunschProfiles(a, b, scratch) }},
 			{"SmithWaterman", SmithWaterman,
 				func(a, b *Profile) float64 { return SmithWatermanProfiles(a, b, scratch) }},
 			{"LongestCommonSubstring", LongestCommonSubstring,
 				func(a, b *Profile) float64 { return LongestCommonSubstringProfiles(a, b, scratch) }},
-			{"SoundexSim", SoundexSim,
-				func(a, b *Profile) float64 { return SoundexSimProfiles(a, b) }},
-			{"TFIDFCosine", c.Cosine,
-				func(a, b *Profile) float64 { return c.CosineProfiles(a, b) }},
+			{"SoundexSim", SoundexSim, SoundexSimProfiles},
+			{"TFIDFCosine", c.Cosine, CosineProfiles},
+			// The retained pre-kernel hot paths (reference_test.go) referee
+			// the same fast paths a second time.
+			{"JaroGreedy", func(a, b string) float64 { return jaroGreedyRunes([]rune(a), []rune(b)) },
+				func(a, b *Profile) float64 { return JaroProfiles(a, b, scratch) }},
+			{"JaroWinklerGreedy", jaroWinklerGreedy,
+				func(a, b *Profile) float64 { return JaroWinklerProfiles(a, b, scratch) }},
+			{"JaccardWordsMerge", func(a, b string) float64 {
+				return jaccardSortedStrings(sortedSetStrings(strutil.Words(a)), sortedSetStrings(strutil.Words(b)))
+			}, JaccardWordsProfiles},
+			{"JaccardQGramsMerge", func(a, b string) float64 {
+				return jaccardSortedStrings(sortedSetStrings(strutil.QGrams(a, 3)), sortedSetStrings(strutil.QGrams(b, 3)))
+			}, JaccardQGramsProfiles},
+			{"OverlapWordsMerge", func(a, b string) float64 {
+				return overlapSortedStrings(sortedSetStrings(strutil.Words(a)), sortedSetStrings(strutil.Words(b)))
+			}, OverlapWordsProfiles},
+			{"CosineQGramsMerge", cosineQGramsStrings, CosineQGramsProfiles},
+			{"TFIDFCosineMerge", func(a, b string) float64 {
+				return cosineStringVectors(weighStrings(c, strutil.Words(a)), weighStrings(c, strutil.Words(b)))
+			}, CosineProfiles},
 		}
 
 		for i, pa := range profiles {
@@ -160,6 +172,50 @@ func TestScratchReuseAcrossSizes(t *testing.T) {
 			}
 			if got, want := jaroRunes(ra, rb, s), Jaro(a, b); got != want {
 				t.Errorf("Jaro(%q,%q) scratch=%v fresh=%v", a, b, got, want)
+			}
+		}
+	}
+}
+
+// TestProfileCorpusMatchesNewCorpus pins the two dictionary builders to
+// each other — ProfileCorpus over tokenized profiles (normalized values)
+// and NewCorpus over the raw documents give every token the same IDF, upper
+// case and odd spacing included — and pins the rank contract the integer
+// set views rest on: ranks order tokens as their strings do, and a
+// profile's WordIDs are exactly its sorted distinct tokens' ranks.
+func TestProfileCorpusMatchesNewCorpus(t *testing.T) {
+	docs := fuzzCorpus(5, 60)
+	profiles := make([]*Profile, len(docs))
+	for i, d := range docs {
+		profiles[i] = NewProfile(d, FieldWordSet)
+	}
+	// Split across two columns and out of order: neither may matter.
+	pc := ProfileCorpus(profiles[30:], profiles[:30])
+	nc := NewCorpus(docs)
+	if len(pc.rank) != len(nc.rank) || pc.docs != nc.docs {
+		t.Fatalf("vocabulary %d tokens / %d docs, NewCorpus has %d / %d",
+			len(pc.rank), pc.docs, len(nc.rank), nc.docs)
+	}
+	for a, ra := range pc.rank {
+		if !bitsEqual(pc.IDF(a), nc.IDF(a)) || ra != nc.rank[a] {
+			t.Fatalf("token %q: rank %d IDF %v, NewCorpus rank %d IDF %v",
+				a, ra, pc.IDF(a), nc.rank[a], nc.IDF(a))
+		}
+		for b, rb := range pc.rank {
+			if (a < b) != (ra < rb) {
+				t.Fatalf("ranks %d, %d do not order %q, %q as strings", ra, rb, a, b)
+			}
+		}
+	}
+	for _, p := range profiles {
+		pc.RankProfile(p)
+		want := sortedSetStrings(p.Tokens)
+		if len(p.WordIDs) != len(want) {
+			t.Fatalf("%q: %d word ids for %d distinct tokens", p.Raw, len(p.WordIDs), len(want))
+		}
+		for i, tok := range want {
+			if p.WordIDs[i] != pc.rank[tok] {
+				t.Fatalf("%q: WordIDs[%d] = %d, rank of %q is %d", p.Raw, i, p.WordIDs[i], tok, pc.rank[tok])
 			}
 		}
 	}

@@ -1,33 +1,32 @@
 package similarity
 
 // Scratch holds the reusable working buffers of the dynamic-programming and
-// character-matching measures: the DP rows of Needleman-Wunsch /
-// Smith-Waterman / LCS, the matched-flag arrays of Jaro, and the
-// pattern-mask tables and block state of the Myers bit-parallel edit
-// distance. A pair scan evaluates millions of similarity calls; without
-// scratch every call allocates its working set anew, and that allocation —
-// not the arithmetic — dominates the profile. One Scratch serves one
-// goroutine; callers fanning out keep one per worker. A nil *Scratch is
-// valid everywhere and falls back to per-call allocation.
+// bit-parallel measures: the DP rows of Needleman-Wunsch / Smith-Waterman /
+// LCS, and the position-mask tables Myers edit distance and Jaro share. A
+// pair scan evaluates millions of similarity calls; without scratch every
+// call allocates its working set anew, and that allocation — not the
+// arithmetic — dominates the profile. One Scratch serves one goroutine;
+// callers fanning out keep one per worker. A nil *Scratch is valid
+// everywhere and falls back to per-call allocation.
 type Scratch struct {
-	rowA, rowB   []int
-	flagA, flagB []bool
+	rowA, rowB []int
 
-	// Myers single-block state: ASCII pattern-mask table plus a spillover
-	// map for runes >= 128. The table is wiped entry-by-entry after each
-	// call (only the pattern's runes), so it is always clean on entry.
+	// Position masks of the indexed side (Myers' pattern, Jaro's b): a
+	// direct-indexed ASCII table plus a spillover map for runes >= 128.
+	// Single-word kernels store the mask itself (bit i set where the rune
+	// occurs at position i); multi-word kernels store the arena offset of
+	// the rune's w-word mask row. Both wipe exactly the entries they set
+	// before returning, so the tables are always clean on entry.
 	peqASCII [asciiTableSize]uint64
 	peqOver  map[rune]uint64
 
-	// Myers multi-block state: per-block vertical deltas, the rune -> mask
-	// rows map, and the arena the rows are carved from.
-	blockVP, blockVN []uint64
-	peqBlocks        map[rune][]uint64
-	peqArena         []uint64
+	// peqArena backs the multi-word kernels: the mask rows, then the
+	// per-call state rows (Myers' VP/VN, Jaro's matched bits).
+	peqArena []uint64
 }
 
-// asciiTableSize bounds the direct-indexed pattern-mask table; runes at or
-// above it go through the spillover map.
+// asciiTableSize bounds the direct-indexed mask table; runes at or above it
+// go through the spillover map.
 const asciiTableSize = 128
 
 // NewScratch returns an empty scratch; buffers grow on demand and are
@@ -60,83 +59,90 @@ func (s *Scratch) zeroIntRows(n int) (ra, rb []int) {
 	return ra, rb
 }
 
-// myersSingleTables returns the single-block pattern-mask tables: the
-// ASCII-indexed array and the (possibly nil) spillover map. Both are clean:
-// myersSingle wipes exactly the entries it set before returning. A nil
-// scratch gets fresh per-call storage.
-func (s *Scratch) myersSingleTables() (*[asciiTableSize]uint64, map[rune]uint64) {
-	if s == nil {
-		return new([asciiTableSize]uint64), nil
+// overflow returns the (clean, retained) spillover map.
+func (s *Scratch) overflow() map[rune]uint64 {
+	if s.peqOver == nil {
+		s.peqOver = make(map[rune]uint64, 4)
 	}
-	return &s.peqASCII, s.peqOver
+	return s.peqOver
 }
 
-// retainMyersOverflow keeps a spillover map allocated inside myersSingle so
-// later non-ASCII patterns reuse it.
-func (s *Scratch) retainMyersOverflow(over map[rune]uint64) {
-	if s != nil && over != nil {
-		s.peqOver = over
+// buildMasks sets bit i of the table entry of side[i] for a side of at most
+// 64 runes. The returned map is nil when side is pure ASCII, so lookups of
+// wider runes can skip it.
+func (s *Scratch) buildMasks(side []rune) (*[asciiTableSize]uint64, map[rune]uint64) {
+	var over map[rune]uint64
+	for i, c := range side {
+		bit := uint64(1) << uint(i)
+		if c < asciiTableSize {
+			s.peqASCII[c] |= bit
+			continue
+		}
+		if over == nil {
+			over = s.overflow()
+		}
+		over[c] |= bit
 	}
+	return &s.peqASCII, over
 }
 
-// myersBlockState returns the multi-block working set for w blocks: the
-// VP/VN vectors (contents unspecified; the caller initializes them), the
-// rune -> mask-rows map (clean), and resets the row arena.
-func (s *Scratch) myersBlockState(w int) (vp, vn []uint64, peq map[rune][]uint64) {
-	if s == nil {
-		return make([]uint64, w), make([]uint64, w), make(map[rune][]uint64, 32)
-	}
-	if cap(s.blockVP) < w {
-		s.blockVP = make([]uint64, w)
-		s.blockVN = make([]uint64, w)
-	}
-	if s.peqBlocks == nil {
-		s.peqBlocks = make(map[rune][]uint64, 32)
-	}
+// buildRows is buildMasks for sides longer than 64 runes: each distinct
+// rune gets a w-word mask row in the arena and its table entry holds the
+// row's offset. Offset 0 is an all-zero row, so a clean table entry — a
+// rune absent from side — reads as "occurs nowhere" without a branch. The
+// arena may move while rows are carved: read s.peqArena only after the
+// last carveRow of a call.
+func (s *Scratch) buildRows(side []rune, w int) (*[asciiTableSize]uint64, map[rune]uint64) {
 	s.peqArena = s.peqArena[:0]
-	return s.blockVP[:w], s.blockVN[:w], s.peqBlocks
+	s.carveRow(w)
+	var over map[rune]uint64
+	for i, c := range side {
+		var off uint64
+		if c < asciiTableSize {
+			if off = s.peqASCII[c]; off == 0 {
+				s.carveRow(w)
+				off = uint64(len(s.peqArena) - w)
+				s.peqASCII[c] = off
+			}
+		} else {
+			if over == nil {
+				over = s.overflow()
+			}
+			if off = over[c]; off == 0 {
+				s.carveRow(w)
+				off = uint64(len(s.peqArena) - w)
+				over[c] = off
+			}
+		}
+		s.peqArena[int(off)+i>>6] |= uint64(1) << uint(i&63)
+	}
+	return &s.peqASCII, over
 }
 
-// carveRow hands out a zeroed w-word mask row, from the arena when a
-// scratch is present (growing it as needed) so steady state allocates
-// nothing.
-func (s *Scratch) carveRow(w int) []uint64 {
-	if s == nil {
-		return make([]uint64, w)
+// wipeMasks clears the table entries buildMasks / buildRows set for side.
+func (s *Scratch) wipeMasks(side []rune, over map[rune]uint64) {
+	for _, c := range side {
+		if c < asciiTableSize {
+			s.peqASCII[c] = 0
+		}
 	}
-	if cap(s.peqArena)-len(s.peqArena) < w {
-		grow := cap(s.peqArena)*2 + 16*w
-		next := make([]uint64, len(s.peqArena), grow)
+	if over != nil {
+		clear(over)
+	}
+}
+
+// carveRow appends a zeroed w-word row to the arena and returns it. The
+// arena keeps its capacity across calls (the row is capped, not the
+// arena), so a warm scratch carves without allocating.
+func (s *Scratch) carveRow(w int) []uint64 {
+	n := len(s.peqArena)
+	if cap(s.peqArena)-n < w {
+		next := make([]uint64, n, cap(s.peqArena)*2+16*w)
 		copy(next, s.peqArena)
 		s.peqArena = next
 	}
-	n := len(s.peqArena)
-	s.peqArena = s.peqArena[: n+w : n+w]
-	row := s.peqArena[n : n+w]
-	for i := range row {
-		row[i] = 0
-	}
+	s.peqArena = s.peqArena[:n+w]
+	row := s.peqArena[n : n+w : n+w]
+	clear(row)
 	return row
-}
-
-// boolRows returns two zeroed bool rows of lengths na and nb (Jaro's
-// matched-character flags).
-func (s *Scratch) boolRows(na, nb int) (fa, fb []bool) {
-	if s == nil {
-		return make([]bool, na), make([]bool, nb)
-	}
-	if cap(s.flagA) < na {
-		s.flagA = make([]bool, na)
-	}
-	if cap(s.flagB) < nb {
-		s.flagB = make([]bool, nb)
-	}
-	fa, fb = s.flagA[:na], s.flagB[:nb]
-	for i := range fa {
-		fa[i] = false
-	}
-	for i := range fb {
-		fb[i] = false
-	}
-	return fa, fb
 }

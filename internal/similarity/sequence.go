@@ -1,7 +1,6 @@
 package similarity
 
 import (
-	"math"
 	"strings"
 
 	"github.com/corleone-em/corleone/internal/strutil"
@@ -198,31 +197,39 @@ func Soundex(word string) string {
 	return string(out)
 }
 
-// SoundexSim compares two strings token-wise by Soundex code: the fraction
-// of tokens of the shorter string whose code appears in the other. Phonetic
-// matching catches spelling-by-ear variants ("Shavlik" / "Shavlick").
+// SoundexSim compares two strings by the Soundex codes of their tokens: the
+// overlap coefficient of the two distinct-code sets, |A∩B| / min(|A|, |B|).
+// Phonetic matching catches spelling-by-ear variants ("Shavlik" /
+// "Shavlick"). Counting distinct codes on both sides keeps the measure
+// symmetric: "every code of a occurs in b" says nothing about the reverse
+// when a repeats a code.
 func SoundexSim(a, b string) float64 {
-	ta, tb := strutil.Words(a), strutil.Words(b)
-	if len(ta) == 0 && len(tb) == 0 {
+	ca, cb := soundexSet(a), soundexSet(b)
+	if len(ca) == 0 && len(cb) == 0 {
 		return 1
 	}
-	if len(ta) == 0 || len(tb) == 0 {
+	if len(ca) == 0 || len(cb) == 0 {
 		return 0
 	}
-	if len(tb) < len(ta) {
-		ta, tb = tb, ta
-	}
-	codes := make(map[string]bool, len(tb))
-	for _, t := range tb {
-		codes[Soundex(t)] = true
+	if len(cb) < len(ca) {
+		ca, cb = cb, ca
 	}
 	hit := 0
-	for _, t := range ta {
-		if codes[Soundex(t)] {
+	for c := range ca {
+		if cb[c] {
 			hit++
 		}
 	}
-	return float64(hit) / float64(len(ta))
+	return float64(hit) / float64(len(ca))
+}
+
+// soundexSet returns the distinct Soundex codes of s's word tokens.
+func soundexSet(s string) map[string]bool {
+	codes := make(map[string]bool)
+	for _, t := range strutil.Words(s) {
+		codes[Soundex(t)] = true
+	}
+	return codes
 }
 
 // CosineQGrams is the cosine similarity over padded 3-gram count vectors,
@@ -248,12 +255,5 @@ func CosineQGrams(a, b string) float64 {
 		fb := float64(cb[t])
 		nb += fb * fb
 	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	s := dot / (math.Sqrt(na) * math.Sqrt(nb))
-	if s > 1 {
-		s = 1
-	}
-	return s
+	return cosine(dot, na, nb)
 }

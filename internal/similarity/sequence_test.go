@@ -84,6 +84,13 @@ func TestSoundexSim(t *testing.T) {
 	if SoundexSim("", "") != 1 {
 		t.Error("two empties should be 1")
 	}
+	// Equal token counts, one side repeating a code: "every code of a is in
+	// b" held one way only (1 vs 0.5) while tokens, not distinct codes,
+	// were counted.
+	a, b := "robert rupert", "robert alpha"
+	if ab, ba := SoundexSim(a, b), SoundexSim(b, a); ab != 1 || ba != 1 {
+		t.Errorf("SoundexSim(%q, %q) = %v, reversed = %v, want 1 both ways", a, b, ab, ba)
+	}
 }
 
 func TestCosineQGrams(t *testing.T) {
@@ -118,7 +125,7 @@ func TestSequenceMeasureRanges(t *testing.T) {
 
 func TestSoundexDeterministic(t *testing.T) {
 	f := func(s string) bool { return Soundex(s) == Soundex(s) }
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, quickConfig(0)); err != nil {
 		t.Error(err)
 	}
 }

@@ -32,8 +32,8 @@ func Levenshtein(a, b string) int {
 // in O(len) this way. What remains runs through Myers' bit-parallel
 // algorithm (myers.go) with the shorter side as the pattern: one 64-bit
 // word per ≤64-rune column instead of the classic quadratic DP, which is
-// retained as levenshteinTwoRowRunes (reference.go) and pinned equal by
-// the equivalence tests and the differential fuzz target.
+// retained as levenshteinTwoRowRunes (reference_test.go) and pinned equal
+// by the equivalence tests and the differential fuzz target.
 func levenshteinRunes(ra, rb []rune, s *Scratch) int {
 	for len(ra) > 0 && len(rb) > 0 && ra[0] == rb[0] {
 		ra, rb = ra[1:], rb[1:]
@@ -49,6 +49,9 @@ func levenshteinRunes(ra, rb []rune, s *Scratch) int {
 	}
 	if len(ra) > len(rb) {
 		ra, rb = rb, ra
+	}
+	if s == nil {
+		s = new(Scratch)
 	}
 	if len(ra) <= 64 {
 		return myersSingle(ra, rb, s)
@@ -72,70 +75,6 @@ func editSimRunes(ra, rb []rune, s *Scratch) float64 {
 		m = lb
 	}
 	return 1 - float64(levenshteinRunes(ra, rb, s))/float64(m)
-}
-
-// Jaro returns the Jaro similarity of a and b.
-func Jaro(a, b string) float64 {
-	return jaroRunes([]rune(a), []rune(b), nil)
-}
-
-func jaroRunes(ra, rb []rune, s *Scratch) float64 {
-	la, lb := len(ra), len(rb)
-	if la == 0 && lb == 0 {
-		return 1
-	}
-	if la == 0 || lb == 0 {
-		return 0
-	}
-	window := la
-	if lb > window {
-		window = lb
-	}
-	window = window/2 - 1
-	if window < 0 {
-		window = 0
-	}
-	matchedA, matchedB := s.boolRows(la, lb)
-	matches := 0
-	for i := 0; i < la; i++ {
-		lo := i - window
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + window + 1
-		if hi > lb {
-			hi = lb
-		}
-		for j := lo; j < hi; j++ {
-			if matchedB[j] || ra[i] != rb[j] {
-				continue
-			}
-			matchedA[i] = true
-			matchedB[j] = true
-			matches++
-			break
-		}
-	}
-	if matches == 0 {
-		return 0
-	}
-	// Count transpositions among the matched characters.
-	trans := 0
-	j := 0
-	for i := 0; i < la; i++ {
-		if !matchedA[i] {
-			continue
-		}
-		for !matchedB[j] {
-			j++
-		}
-		if ra[i] != rb[j] {
-			trans++
-		}
-		j++
-	}
-	m := float64(matches)
-	return (m/float64(la) + m/float64(lb) + (m-float64(trans)/2)/m) / 3
 }
 
 // JaroWinkler boosts Jaro similarity for strings sharing a common prefix of

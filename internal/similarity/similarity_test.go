@@ -2,9 +2,18 @@ package similarity
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// quickConfig gives every property test of the package a fixed generator:
+// quick.Check seeds from the clock by default, which made a rare
+// counterexample (the SoundexSim asymmetry) a tier-1 flake instead of a
+// failure. maxCount 0 keeps quick's default.
+func quickConfig(maxCount int) *quick.Config {
+	return &quick.Config{MaxCount: maxCount, Rand: rand.New(rand.NewSource(1))}
+}
 
 func TestLevenshtein(t *testing.T) {
 	cases := []struct {
@@ -28,11 +37,11 @@ func TestLevenshtein(t *testing.T) {
 
 func TestLevenshteinProperties(t *testing.T) {
 	symmetric := func(a, b string) bool { return Levenshtein(a, b) == Levenshtein(b, a) }
-	if err := quick.Check(symmetric, nil); err != nil {
+	if err := quick.Check(symmetric, quickConfig(0)); err != nil {
 		t.Error("symmetry:", err)
 	}
 	identity := func(a string) bool { return Levenshtein(a, a) == 0 }
-	if err := quick.Check(identity, nil); err != nil {
+	if err := quick.Check(identity, quickConfig(0)); err != nil {
 		t.Error("identity:", err)
 	}
 	bounded := func(a, b string) bool {
@@ -48,7 +57,7 @@ func TestLevenshteinProperties(t *testing.T) {
 		}
 		return d >= min && d <= max
 	}
-	if err := quick.Check(bounded, nil); err != nil {
+	if err := quick.Check(bounded, quickConfig(0)); err != nil {
 		t.Error("bounds:", err)
 	}
 }
@@ -57,7 +66,7 @@ func TestLevenshteinTriangle(t *testing.T) {
 	f := func(a, b, c string) bool {
 		return Levenshtein(a, c) <= Levenshtein(a, b)+Levenshtein(b, c)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, quickConfig(200)); err != nil {
 		t.Error(err)
 	}
 }
@@ -76,7 +85,7 @@ func unitRange(t *testing.T, name string, f func(a, b string) float64) {
 		}
 		return f(a, a) > 0.999
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(prop, quickConfig(300)); err != nil {
 		t.Errorf("%s: %v", name, err)
 	}
 }
@@ -199,7 +208,7 @@ func TestRelativeDiffRange(t *testing.T) {
 		s := RelativeDiff(a, b)
 		return s >= 0 && s <= 1 && RelativeDiff(b, a) == s
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, quickConfig(0)); err != nil {
 		t.Error(err)
 	}
 }
@@ -245,7 +254,7 @@ func TestTFIDFCosineRange(t *testing.T) {
 		s := corpus.Cosine(a, b)
 		return s >= 0 && s <= 1 && !math.IsNaN(s)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, quickConfig(300)); err != nil {
 		t.Error(err)
 	}
 }
@@ -303,7 +312,7 @@ func TestLevenshteinTrimExact(t *testing.T) {
 		}
 	}
 	f := func(a, b string) bool { return Levenshtein(a, b) == levenshteinRef(a, b) }
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(f, quickConfig(500)); err != nil {
 		t.Error("reference equivalence:", err)
 	}
 }

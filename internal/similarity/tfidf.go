@@ -2,6 +2,7 @@ package similarity
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/corleone-em/corleone/internal/strutil"
@@ -17,103 +18,177 @@ func sortedKeys(m map[string]int) []string {
 	return ks
 }
 
-// Corpus holds inverse document frequencies learned from a collection of
-// documents (attribute values across both tables). TF/IDF cosine similarity
-// weights rare tokens (model numbers, distinctive words) more heavily than
-// ubiquitous ones ("the", "kit").
+// Corpus is the token dictionary of a collection of documents (one
+// attribute's values across both tables): every distinct word token's rank
+// in the sorted vocabulary, and its inverse document frequency. The ranks
+// give the set measures an integer view of a record's tokens whose order is
+// the tokens' string order; TF/IDF cosine similarity weights rare tokens
+// (model numbers, distinctive words) more heavily than ubiquitous ones
+// ("the", "kit").
 type Corpus struct {
-	idf  map[string]float64
+	rank map[string]uint64
+	idf  []float64 // by rank
 	docs int
 }
 
-// NewCorpus builds IDF statistics from the given documents. Tokens absent
-// from the corpus at query time receive the maximum IDF (they are rarer than
-// anything seen).
+// NewCorpus builds the dictionary from the given documents.
 func NewCorpus(docs []string) *Corpus {
-	df := make(map[string]int)
+	var b corpusBuilder
 	for _, d := range docs {
-		for t := range strutil.TokenSet(strutil.Words(d)) {
-			df[t]++
+		b.add(strutil.Words(d))
+	}
+	return b.corpus()
+}
+
+// ProfileCorpus builds the dictionary from already tokenized profile
+// columns (FieldWordSet), sparing a second tokenization pass.
+func ProfileCorpus(cols ...[]*Profile) *Corpus {
+	var b corpusBuilder
+	for _, col := range cols {
+		for _, p := range col {
+			b.add(p.Tokens)
 		}
 	}
-	c := &Corpus{idf: make(map[string]float64, len(df)), docs: len(docs)}
-	for t, n := range df {
-		c.idf[t] = math.Log(float64(c.docs+1) / float64(n+1))
+	return b.corpus()
+}
+
+// corpusBuilder counts document frequencies one document at a time, under
+// provisional first-seen ids; corpus() then ranks the vocabulary by sorting
+// it, so ranks depend on the set of tokens alone — never on document order
+// or on how callers fan out.
+type corpusBuilder struct {
+	id    map[string]uint64
+	vocab []string
+	df    []int
+	last  []int // 1 + the last document counted, per id
+	docs  int
+}
+
+func (b *corpusBuilder) add(tokens []string) {
+	if b.id == nil {
+		b.id = make(map[string]uint64)
+	}
+	b.docs++
+	for _, t := range tokens {
+		id, ok := b.id[t]
+		if !ok {
+			id = uint64(len(b.vocab))
+			b.id[t] = id
+			b.vocab = append(b.vocab, t)
+			b.df = append(b.df, 0)
+			b.last = append(b.last, 0)
+		}
+		if b.last[id] != b.docs {
+			b.last[id] = b.docs
+			b.df[id]++
+		}
+	}
+}
+
+func (b *corpusBuilder) corpus() *Corpus {
+	c := &Corpus{rank: b.id, idf: make([]float64, len(b.vocab)), docs: b.docs}
+	slices.Sort(b.vocab)
+	for r, t := range b.vocab {
+		c.idf[r] = math.Log(float64(b.docs+1) / float64(b.df[c.rank[t]]+1))
+		c.rank[t] = uint64(r)
 	}
 	return c
 }
 
-// IDF returns the inverse document frequency of token t.
+// IDF returns the inverse document frequency of token t. Tokens absent from
+// the corpus receive the maximum IDF (they are rarer than anything seen).
 func (c *Corpus) IDF(t string) float64 {
-	if v, ok := c.idf[t]; ok {
-		return v
+	if r, ok := c.rank[t]; ok {
+		return c.idf[r]
 	}
 	return math.Log(float64(c.docs + 1))
 }
 
-// WeightedVector is a record's TF/IDF view under one corpus: the distinct
-// tokens in sorted order with their term frequencies, IDFs, precomputed
-// weights W[i] = TF[i]·IDF[i], and the squared norm Σ W[i]² accumulated in
-// sorted token order. Precomputing it once per record removes the
-// per-comparison tokenization, key sorting, and IDF map probes — including
-// the old Cosine's duplicated IDF lookup, which weighed tokens common to
-// both strings twice across its two sortedKeys passes.
-type WeightedVector struct {
-	Tokens []string
-	TF     []int
-	IDF    []float64
-	W      []float64
-	Norm   float64
+// ranks maps p's tokens to their vocabulary ranks. Every token of a ranked
+// profile must be in the corpus: the extractor builds the corpus from the
+// very columns it ranks.
+func (c *Corpus) ranks(p *Profile) []uint64 {
+	ids := make([]uint64, len(p.Tokens))
+	for i, t := range p.Tokens {
+		r, ok := c.rank[t]
+		if !ok {
+			panic("similarity: token " + t + " is not in the corpus")
+		}
+		ids[i] = r
+	}
+	return ids
 }
 
-// Weigh builds the corpus-weighted vector of a token multiset. Token order
-// in the input is irrelevant; the vector is sorted.
-func (c *Corpus) Weigh(tokens []string) *WeightedVector {
-	keys, counts := strutil.SortedCounts(tokens)
-	v := &WeightedVector{
-		Tokens: keys,
-		TF:     counts,
-		IDF:    make([]float64, len(keys)),
-		W:      make([]float64, len(keys)),
-	}
-	for i, t := range keys {
-		idf := c.IDF(t)
-		w := float64(counts[i]) * idf
+// RankProfile attaches p's sorted distinct word ranks (Profile.WordIDs),
+// enabling the word-set measures against profiles ranked by this corpus.
+func (c *Corpus) RankProfile(p *Profile) {
+	ids := c.ranks(p)
+	slices.Sort(ids)
+	p.WordIDs = slices.Compact(ids)
+}
+
+// WeightedVector is a record's TF/IDF view under one corpus, aligned with
+// the record's Profile.WordIDs: term frequencies, IDFs, precomputed weights
+// W[i] = TF[i]·IDF[i], and the squared norm Σ W[i]² accumulated in rank
+// (= sorted token) order. Precomputing it once per record removes the
+// per-comparison tokenization, key sorting, and IDF map probes.
+type WeightedVector struct {
+	TF   []int
+	IDF  []float64
+	W    []float64
+	Norm float64
+}
+
+// WeighProfile attaches p's word ranks and their corpus-weighted vector,
+// enabling CosineProfiles (and the word-set measures) on it.
+func (c *Corpus) WeighProfile(p *Profile) {
+	ids, tf := strutil.SortedCounts(c.ranks(p))
+	v := &WeightedVector{TF: tf, IDF: make([]float64, len(ids)), W: make([]float64, len(ids))}
+	for i, id := range ids {
+		idf := c.idf[id]
+		w := float64(tf[i]) * idf
 		v.IDF[i] = idf
 		v.W[i] = w
 		v.Norm += w * w
 	}
-	return v
+	p.WordIDs, p.TFIDF = ids, v
 }
 
-// CosineVectors is the cosine of two corpus-weighted vectors (which must
-// come from the same corpus). The dot product merges the sorted token lists,
-// visiting common tokens in ascending order — the same floating-point
-// summation order as the string path, so scores are bit-identical.
-func CosineVectors(a, b *WeightedVector) float64 {
-	if len(a.Tokens) == 0 && len(b.Tokens) == 0 {
+// CosineProfiles is the profile fast path of Corpus.Cosine: both profiles
+// must have been weighed under one corpus (WeighProfile). The dot product
+// merges the rank lists, visiting common tokens in ascending rank — which is
+// ascending token order, the string path's floating-point summation order,
+// so scores are bit-identical.
+func CosineProfiles(a, b *Profile) float64 {
+	if len(a.WordIDs) == 0 && len(b.WordIDs) == 0 {
 		return 0.5
 	}
-	if len(a.Tokens) == 0 || len(b.Tokens) == 0 {
+	if len(a.WordIDs) == 0 || len(b.WordIDs) == 0 {
 		return 0
 	}
+	va, vb := a.TFIDF, b.TFIDF
 	var dot float64
-	for i, j := 0, 0; i < len(a.Tokens) && j < len(b.Tokens); {
-		switch {
-		case a.Tokens[i] < b.Tokens[j]:
+	for i, j := 0, 0; i < len(a.WordIDs) && j < len(b.WordIDs); {
+		switch x, y := a.WordIDs[i], b.WordIDs[j]; {
+		case x < y:
 			i++
-		case a.Tokens[i] > b.Tokens[j]:
+		case x > y:
 			j++
 		default:
-			dot += a.W[i] * float64(b.TF[j]) * b.IDF[j]
+			dot += va.W[i] * float64(vb.TF[j]) * vb.IDF[j]
 			i++
 			j++
 		}
 	}
-	if a.Norm == 0 || b.Norm == 0 {
+	return cosine(dot, va.Norm, vb.Norm)
+}
+
+// cosine finishes a cosine from the dot product and the squared norms.
+func cosine(dot, na, nb float64) float64 {
+	if na == 0 || nb == 0 {
 		return 0
 	}
-	s := dot / (math.Sqrt(a.Norm) * math.Sqrt(b.Norm))
+	s := dot / (math.Sqrt(na) * math.Sqrt(nb))
 	if s > 1 {
 		s = 1 // guard against fp drift
 	}
@@ -121,19 +196,29 @@ func CosineVectors(a, b *WeightedVector) float64 {
 }
 
 // Cosine returns the TF/IDF-weighted cosine similarity of a and b in [0,1].
-// Two empty strings are treated as unknown (0.5), one empty as 0.
+// Two empty strings are treated as unknown (0.5), one empty as 0. Weights
+// accumulate in sorted token order, each token's IDF looked up once.
 func (c *Corpus) Cosine(a, b string) float64 {
-	return CosineVectors(c.Weigh(strutil.Words(a)), c.Weigh(strutil.Words(b)))
-}
-
-// WeighProfile attaches the corpus-weighted vector for p's tokens to p,
-// enabling CosineProfiles on it.
-func (c *Corpus) WeighProfile(p *Profile) {
-	p.TFIDF = c.Weigh(p.Tokens)
-}
-
-// CosineProfiles is the profile fast path of Cosine: both profiles must
-// have been weighed under this corpus (WeighProfile).
-func (c *Corpus) CosineProfiles(a, b *Profile) float64 {
-	return CosineVectors(a.TFIDF, b.TFIDF)
+	ca := strutil.TokenCounts(strutil.Words(a))
+	cb := strutil.TokenCounts(strutil.Words(b))
+	if len(ca) == 0 && len(cb) == 0 {
+		return 0.5
+	}
+	if len(ca) == 0 || len(cb) == 0 {
+		return 0
+	}
+	var dot, na, nb float64
+	for _, t := range sortedKeys(cb) {
+		w := float64(cb[t]) * c.IDF(t)
+		nb += w * w
+	}
+	for _, t := range sortedKeys(ca) {
+		idf := c.IDF(t)
+		w := float64(ca[t]) * idf
+		na += w * w
+		if fb, ok := cb[t]; ok {
+			dot += w * float64(fb) * idf
+		}
+	}
+	return cosine(dot, na, nb)
 }

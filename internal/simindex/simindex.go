@@ -35,10 +35,10 @@ type Kind int
 
 const (
 	// JaccardWords is the Jaccard coefficient over distinct word tokens
-	// (feature kind "jaccard_w", profile field SortedTokens).
+	// (feature kind "jaccard_w", profile field WordIDs).
 	JaccardWords Kind = iota
 	// JaccardQGrams is the Jaccard coefficient over distinct padded 3-grams
-	// (feature kind "jaccard_3g", profile field SortedGrams).
+	// (feature kind "jaccard_3g", profile field Grams).
 	JaccardQGrams
 	// OverlapWords is the overlap coefficient over distinct word tokens
 	// (feature kind "overlap_w").
@@ -73,7 +73,8 @@ func KindOf(measure string) (Kind, bool) {
 const eps = 1e-9
 
 // Index is an inverted index over one attribute column of the indexed
-// table: token → ascending row ids, plus per-row set sizes for length
+// table: token code (vocabulary rank or packed 3-gram, as the profiles
+// carry them) → ascending row ids, plus per-row set sizes for length
 // filtering. Build it once per (feature, table); it is read-only afterwards
 // and safe for concurrent probes.
 type Index struct {
@@ -82,7 +83,7 @@ type Index struct {
 	// set contains it. For CosineTFIDF, zero-weight tokens (IDF 0) are not
 	// indexed: they contribute nothing to any dot product, so a pair whose
 	// only shared tokens are zero-weight scores 0 and cannot exceed θ ≥ 0.
-	postings map[string][]int32
+	postings map[uint64][]int32
 	// size[r] is the distinct-token (or distinct-gram) set size of row r;
 	// 0 for rows with a missing value or an empty set.
 	size []int32
@@ -93,22 +94,19 @@ type Index struct {
 	emptySet []int32
 }
 
-// keys returns the distinct-token view of p that kind compares on, or nil
+// keys returns the distinct-token codes of p that kind compares on, or nil
 // when the value is missing. The bool reports whether the value is present.
-func keys(kind Kind, p *similarity.Profile) ([]string, bool) {
+func keys(kind Kind, p *similarity.Profile) ([]uint64, bool) {
 	if p == nil || p.Norm == "" {
 		return nil, false
 	}
 	switch kind {
 	case JaccardWords, OverlapWords:
-		return p.SortedTokens, true
+		return p.WordIDs, true
 	case JaccardQGrams:
-		return p.SortedGrams, true
+		return p.Grams, true
 	case CosineTFIDF:
-		if p.TFIDF == nil {
-			return nil, false
-		}
-		return p.TFIDF.Tokens, true
+		return p.WordIDs, p.TFIDF != nil
 	}
 	return nil, false
 }
@@ -120,7 +118,7 @@ func keys(kind Kind, p *similarity.Profile) ([]string, bool) {
 func Build(kind Kind, profs []*similarity.Profile) *Index {
 	ix := &Index{
 		kind:     kind,
-		postings: make(map[string][]int32),
+		postings: make(map[uint64][]int32),
 		size:     make([]int32, len(profs)),
 	}
 	for r, p := range profs {
@@ -149,20 +147,20 @@ func Build(kind Kind, profs []*similarity.Profile) *Index {
 func (ix *Index) Tokens() int { return len(ix.postings) }
 
 // mapEntryOverhead approximates Go map bookkeeping per postings entry:
-// bucket slot, string header, and slice header. The constant only needs to
+// bucket slot, key word, and slice header. The constant only needs to
 // be stable and order-of-magnitude right — Footprint feeds capacity
 // planning and the sharded-execution benchmarks, not an allocator.
-const mapEntryOverhead = 64
+const mapEntryOverhead = 56
 
-// Footprint estimates the index's resident bytes: token keys, postings ids
-// (4 bytes each), per-token map overhead, and the size array. It is the
-// quantity sharded execution bounds per worker — at billions of candidate
-// pairs the postings lists are the dominant memory term of the blocking
-// scan.
+// Footprint estimates the index's resident bytes: postings ids (4 bytes
+// each), per-token map overhead (key included), and the size array. It is
+// the quantity sharded execution bounds per worker — at billions of
+// candidate pairs the postings lists are the dominant memory term of the
+// blocking scan.
 func (ix *Index) Footprint() int64 {
 	var n int64
-	for t, ps := range ix.postings {
-		n += int64(len(t)) + mapEntryOverhead + int64(len(ps))*4
+	for _, ps := range ix.postings {
+		n += mapEntryOverhead + int64(len(ps))*4
 	}
 	n += int64(len(ix.size))*4 + int64(len(ix.emptySet))*4
 	return n

@@ -42,12 +42,21 @@ func genValues(rng *rand.Rand, n int) []string {
 	return out
 }
 
-func buildProfiles(vals []string, corpus *similarity.Corpus) []*similarity.Profile {
-	out := make([]*similarity.Profile, len(vals))
-	for i, v := range vals {
-		out[i] = similarity.NewProfile(v, similarity.AllFields)
-		if corpus != nil {
-			corpus.WeighProfile(out[i])
+// buildProfiles profiles each column of values and weighs them all under
+// one corpus — the word ranks the index keys on only compare within one
+// vocabulary, so probes are built together with the rows they probe.
+func buildProfiles(cols ...[]string) [][]*similarity.Profile {
+	out := make([][]*similarity.Profile, len(cols))
+	for c, vals := range cols {
+		out[c] = make([]*similarity.Profile, len(vals))
+		for i, v := range vals {
+			out[c][i] = similarity.NewProfile(v, similarity.AllFields)
+		}
+	}
+	corpus := similarity.ProfileCorpus(out...)
+	for _, col := range out {
+		for _, p := range col {
+			corpus.WeighProfile(p)
 		}
 	}
 	return out
@@ -55,7 +64,7 @@ func buildProfiles(vals []string, corpus *similarity.Corpus) []*similarity.Profi
 
 // exact computes the measure the index accelerates, mirroring the feature
 // layer's missing-value gate (Norm == "" on either side → Missing = −1).
-func exact(kind Kind, corpus *similarity.Corpus, a, b *similarity.Profile) float64 {
+func exact(kind Kind, a, b *similarity.Profile) float64 {
 	if a.Norm == "" || b.Norm == "" {
 		return -1
 	}
@@ -67,7 +76,7 @@ func exact(kind Kind, corpus *similarity.Corpus, a, b *similarity.Profile) float
 	case OverlapWords:
 		return similarity.OverlapWordsProfiles(a, b)
 	case CosineTFIDF:
-		return corpus.CosineProfiles(a, b)
+		return similarity.CosineProfiles(a, b)
 	}
 	panic("unknown kind")
 }
@@ -79,9 +88,8 @@ func TestCandidatesComplete(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	valsA := genValues(rng, 60)
 	valsB := genValues(rng, 80)
-	corpus := similarity.NewCorpus(append(append([]string{}, valsA...), valsB...))
-	profA := buildProfiles(valsA, corpus)
-	profB := buildProfiles(valsB, corpus)
+	profs := buildProfiles(valsA, valsB)
+	profA, profB := profs[0], profs[1]
 
 	thetas := []float64{0, 0.1, 0.25, 1.0 / 3, 0.5, 0.6, 2.0 / 3, 0.75, 0.9, 0.999, 1}
 	for _, kind := range []Kind{JaccardWords, JaccardQGrams, OverlapWords, CosineTFIDF} {
@@ -95,7 +103,7 @@ func TestCandidatesComplete(t *testing.T) {
 					inCand[r] = true
 				}
 				for bi, pb := range profB {
-					if sim := exact(kind, corpus, pa, pb); sim > theta && !inCand[int32(bi)] {
+					if sim := exact(kind, pa, pb); sim > theta && !inCand[int32(bi)] {
 						t.Fatalf("kind=%d θ=%g: probe %d (%q) misses row %d (%q) with sim %g",
 							kind, theta, ai, valsA[ai], bi, valsB[bi], sim)
 					}
@@ -110,10 +118,10 @@ func TestCandidatesComplete(t *testing.T) {
 func TestCandidatesSortedAndDeduped(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	valsB := genValues(rng, 100)
-	profB := buildProfiles(valsB, nil)
-	ix := Build(JaccardWords, profB)
+	profs := buildProfiles(valsB, []string{"kingston hyperx memory kit ddr3"})
+	ix := Build(JaccardWords, profs[0])
 	s := NewScratch()
-	probe := similarity.NewProfile("kingston hyperx memory kit ddr3", similarity.AllFields)
+	probe := profs[1][0]
 	cands := ix.Candidates(probe, 0, s)
 	for i := 1; i < len(cands); i++ {
 		if cands[i] <= cands[i-1] {
@@ -128,10 +136,10 @@ func TestCandidatesSortedAndDeduped(t *testing.T) {
 func TestCandidatesPrune(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	valsB := genValues(rng, 400)
-	profB := buildProfiles(valsB, nil)
-	ix := Build(JaccardWords, profB)
+	profs := buildProfiles(valsB, []string{"kingston hyperx"})
+	ix := Build(JaccardWords, profs[0])
 	s := NewScratch()
-	probe := similarity.NewProfile("kingston hyperx", similarity.AllFields)
+	probe := profs[1][0]
 
 	loose := len(ix.Candidates(probe, 0, s))
 	tight := len(ix.Candidates(probe, 0.9, s))
@@ -148,7 +156,7 @@ func TestCandidatesPrune(t *testing.T) {
 // with each other.
 func TestMissingAndEmptyValues(t *testing.T) {
 	vals := []string{"kingston kit", "", "!!!", "hyperx kit"}
-	profs := buildProfiles(vals, nil)
+	profs := buildProfiles(vals)[0]
 	ix := Build(JaccardWords, profs)
 	s := NewScratch()
 
@@ -189,10 +197,10 @@ func TestKindOf(t *testing.T) {
 
 // TestScratchEpochWrap exercises the epoch-wrap clearing path.
 func TestScratchEpochWrap(t *testing.T) {
-	profs := buildProfiles([]string{"kingston kit", "kingston drive"}, nil)
-	ix := Build(JaccardWords, profs)
+	profs := buildProfiles([]string{"kingston kit", "kingston drive"}, []string{"kingston"})
+	ix := Build(JaccardWords, profs[0])
 	s := NewScratch()
-	probe := similarity.NewProfile("kingston", similarity.AllFields)
+	probe := profs[1][0]
 	_ = ix.Candidates(probe, 0, s)
 	s.epoch = 1<<31 - 2 // next reset wraps
 	got := ix.Candidates(probe, 0, s)
@@ -202,12 +210,17 @@ func TestScratchEpochWrap(t *testing.T) {
 }
 
 func Example() {
-	profs := []*similarity.Profile{
-		similarity.NewProfile("kingston hyperx 4gb kit", similarity.AllFields),
-		similarity.NewProfile("seagate barracuda drive", similarity.AllFields),
+	rows := []*similarity.Profile{
+		similarity.NewProfile("kingston hyperx 4gb kit", similarity.FieldWordSet),
+		similarity.NewProfile("seagate barracuda drive", similarity.FieldWordSet),
 	}
-	ix := Build(JaccardWords, profs)
-	probe := similarity.NewProfile("kingston hyperx kit 8gb", similarity.AllFields)
+	probe := similarity.NewProfile("kingston hyperx kit 8gb", similarity.FieldWordSet)
+	// Word sets compare as ranks in one vocabulary over rows and probes.
+	corpus := similarity.ProfileCorpus(rows, []*similarity.Profile{probe})
+	for _, p := range append(rows, probe) {
+		corpus.RankProfile(p)
+	}
+	ix := Build(JaccardWords, rows)
 	fmt.Println(ix.Candidates(probe, 0.4, NewScratch()))
 	// Output: [0]
 }

@@ -57,6 +57,9 @@ func FuzzQGrams(f *testing.F) {
 				t.Fatalf("got %d grams, want %d", len(grams), want)
 			}
 		}
+		if q == 3 && len(s) <= 64 {
+			checkTrigrams(t, s)
+		}
 	})
 }
 

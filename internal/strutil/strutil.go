@@ -3,7 +3,7 @@
 package strutil
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
@@ -96,42 +96,52 @@ func TokenCounts(toks []string) map[string]int {
 	return counts
 }
 
-// SortedSet returns the distinct tokens in sorted order. It is the sorted
-// materialization of TokenSet, used by profile-based set measures that
-// intersect by merging instead of probing a map.
-func SortedSet(toks []string) []string {
-	if len(toks) == 0 {
+// Trigrams returns the padded 3-grams of s — the grams of QGrams(s, 3), in
+// the same order — each packed into one word: three runes of 21 bits (a
+// rune is at most 0x10FFFF), first rune highest. Numeric order of the
+// packed grams equals the string order of the grams they stand for, and no
+// per-gram string is built.
+func Trigrams(s string) []uint64 {
+	if s == "" {
 		return nil
 	}
-	out := make([]string, len(toks))
-	copy(out, toks)
-	sort.Strings(out)
-	w := 1
-	for i := 1; i < len(out); i++ {
-		if out[i] != out[w-1] {
-			out[w] = out[i]
-			w++
-		}
+	const mask = 1<<63 - 1 // drops the rune that leaves the 3-gram window
+	out := make([]uint64, 0, len(s)+2)
+	g := uint64('#')<<21 | '#'
+	for _, r := range s {
+		g = (g<<21 | uint64(unicode.ToLower(r))) & mask
+		out = append(out, g)
 	}
-	return out[:w]
+	for i := 0; i < 2; i++ {
+		g = (g<<21 | '#') & mask
+		out = append(out, g)
+	}
+	return out
 }
 
-// SortedCounts returns the distinct tokens in sorted order alongside their
-// multiplicities — the sorted materialization of TokenCounts. Iterating the
+// SortedCounts sorts xs in place and returns its distinct values in
+// ascending order (aliasing xs) alongside their multiplicities. For
+// order-preserving codes — Trigrams, vocabulary ranks — iterating the
 // result reproduces the summation order of a sortedKeys(TokenCounts(...))
-// loop exactly, which keeps profile-based cosine measures bit-identical to
-// their string-based counterparts.
-func SortedCounts(toks []string) ([]string, []int) {
-	keys := SortedSet(toks)
-	if keys == nil {
+// loop over the strings exactly, which keeps profile-based cosine measures
+// bit-identical to their string-based counterparts.
+func SortedCounts(xs []uint64) ([]uint64, []int) {
+	if len(xs) == 0 {
 		return nil, nil
 	}
-	counts := make([]int, len(keys))
-	for _, t := range toks {
-		i := sort.SearchStrings(keys, t)
-		counts[i]++
+	slices.Sort(xs)
+	counts := make([]int, 0, len(xs))
+	w := 0
+	for i, x := range xs {
+		if i > 0 && x == xs[w-1] {
+			counts[w-1]++
+			continue
+		}
+		xs[w] = x
+		counts = append(counts, 1)
+		w++
 	}
-	return keys, counts
+	return xs[:w], counts
 }
 
 // ParseNumeric parses s as a float after trimming spaces, a leading '$',

@@ -1,6 +1,7 @@
 package strutil
 
 import (
+	"cmp"
 	"reflect"
 	"strings"
 	"testing"
@@ -85,6 +86,52 @@ func TestQGramsCount(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// checkTrigrams asserts Trigrams(s) is QGrams(s, 3) gram for gram — each
+// word unpacks to the gram's three runes — and that comparing two packed
+// grams orders them as comparing the gram strings does.
+func checkTrigrams(t *testing.T, s string) {
+	t.Helper()
+	grams, packed := QGrams(s, 3), Trigrams(s)
+	if len(packed) != len(grams) {
+		t.Fatalf("Trigrams(%q) has %d grams, QGrams has %d", s, len(packed), len(grams))
+	}
+	for i, g := range packed {
+		if g>>63 != 0 {
+			t.Fatalf("Trigrams(%q)[%d] = %#x uses the 64th bit", s, i, g)
+		}
+		runes := []rune{rune(g >> 42), rune(g >> 21 & (1<<21 - 1)), rune(g & (1<<21 - 1))}
+		if string(runes) != grams[i] {
+			t.Fatalf("Trigrams(%q)[%d] unpacks to %q, QGrams gives %q", s, i, string(runes), grams[i])
+		}
+		for j, h := range packed {
+			if cmp.Compare(g, h) != strings.Compare(grams[i], grams[j]) {
+				t.Fatalf("packed order of %q vs %q differs from string order", grams[i], grams[j])
+			}
+		}
+	}
+}
+
+func TestTrigramsMirrorQGrams(t *testing.T) {
+	for _, s := range []string{
+		"", "a", "ab", "abc", "hello world", "MiXeD Case", "##", "#a#",
+		"日本語テキスト", "naïve café", "\u007f\u0080\u07ff\u0800\uffff\U00010000",
+		"a\U0010FFFFb", "\U0010FFFF\U0010FFFF\U0010FFFF", // the top of the 21-bit field
+		"bad\xffutf8\xc0", "\ufffd",
+	} {
+		checkTrigrams(t, s)
+	}
+}
+
+func TestSortedCounts(t *testing.T) {
+	if keys, counts := SortedCounts(nil); keys != nil || counts != nil {
+		t.Errorf("SortedCounts(nil) = %v, %v", keys, counts)
+	}
+	keys, counts := SortedCounts([]uint64{7, 3, 7, 1 << 62, 3, 7})
+	if !reflect.DeepEqual(keys, []uint64{3, 7, 1 << 62}) || !reflect.DeepEqual(counts, []int{2, 3, 1}) {
+		t.Errorf("SortedCounts = %v, %v", keys, counts)
 	}
 }
 

@@ -50,6 +50,12 @@ go test -race ./...
 go test -count=1 -run '^$' -fuzz 'FuzzPairCodec' -fuzztime 5s ./internal/shard
 go test -count=1 -run '^$' -fuzz 'FuzzMergePairs' -fuzztime 5s ./internal/shard
 
+# Pair-kernel fuzz smoke: the bit-parallel Jaro and the integer-coded set
+# measures against the retained greedy / string-merge oracles, Float64bits
+# equality.
+go test -count=1 -run '^$' -fuzz 'FuzzJaroBitParallel' -fuzztime 5s ./internal/similarity
+go test -count=1 -run '^$' -fuzz 'FuzzSetKernels' -fuzztime 5s ./internal/similarity
+
 # Bench-smoke sanity: every benchmark must still run (one iteration) and
 # the harness must emit parseable JSON. Numbers are not checked — smoke
 # mode only proves the measurement path works. Writes to a temp file so a
