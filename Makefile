@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test lint lint-alloc verify bench bench-smoke bench-e2e bench-e2e-trace chaos fuzz
+.PHONY: build test lint lint-alloc verify bench-e2e bench-e2e-trace chaos shard fuzz
 
 build:
 	$(GO) build ./...
@@ -52,9 +52,9 @@ shard:
 	$(GO) test -race -count=1 -run 'TestManagerRemoteShardExecution|TestHealthzAndMetrics' ./internal/runsvc
 	$(GO) test -race -count=1 -v -run 'TestShardWorkerChaos' ./internal/faultkit
 
-# Differential fuzz smoke. Wire format: the pair codec (binary vs JSON
-# round trip, plus decoder totality over arbitrary bytes) and the K-way
-# merge vs its reference. Pair kernels: bit-parallel Jaro vs the greedy
+# Differential fuzz smoke. Wire format: the pair codec (exact round trip,
+# canonical re-encoding, decoder totality over arbitrary bytes) and the
+# K-way merge vs its reference. Pair kernels: bit-parallel Jaro vs the greedy
 # matcher, and the integer-coded set measures vs the string merges, both
 # to Float64bits equality (DESIGN.md "Pair kernels"). `go test -fuzz`
 # accepts one target per invocation, hence one run each. Also part of
@@ -64,22 +64,6 @@ fuzz:
 	$(GO) test -count=1 -run '^$$' -fuzz 'FuzzMergePairs' -fuzztime 10s ./internal/shard
 	$(GO) test -count=1 -run '^$$' -fuzz 'FuzzJaroBitParallel' -fuzztime 10s ./internal/similarity
 	$(GO) test -count=1 -run '^$$' -fuzz 'FuzzSetKernels' -fuzztime 10s ./internal/similarity
-
-# Hot-path benchmarks -> BENCH_PR8.json (ns/op, allocs, speedup pairs,
-# a memory section contrasting the streaming umbrella set with full
-# materialization, the sharded-blocking worker sweep, and the shard
-# transport section: PR 6 JSON-per-task wire protocol vs the binary
-# batched path).
-# `bench` takes minutes, gives stable numbers, and enforces the speedup
-# floors (edit_similarity, forest_score, forest_train, plus the PR 8
-# shard_probe_throughput and shard_wire_bytes transport floors) recorded
-# in BENCH_PR8.json; `bench-smoke` runs every benchmark once so CI can
-# prove the harness works in seconds, floors not enforced.
-bench:
-	sh scripts/bench.sh full
-
-bench-smoke:
-	sh scripts/bench.sh smoke
 
 # The end-to-end benchmark (bench/README.md, BENCHMARK.json): pairs/s,
 # job latency, bytes and allocations per pair, F1 and crowd cost on five

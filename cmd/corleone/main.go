@@ -44,7 +44,7 @@ func main() {
 	budget := flag.Float64("budget", 0, "stop after spending this many dollars (0 = no budget)")
 	out := flag.String("out", "", "write matches to this CSV (default stdout)")
 	seed := flag.Int64("seed", 1, "random seed")
-	shards := flag.Int("shards", 0, "blocking shards: 0 = auto by table size, 1 = single index, >1 = that many shards")
+	shards := flag.Int("shards", 0, "blocking shards: 0 = auto by table size, n >= 1 = that many shards")
 	shardWorkers := flag.Int("shard-workers", 0, "concurrent shard workers during blocking (0 = GOMAXPROCS)")
 	verbose := flag.Bool("v", false, "print pipeline progress")
 	flag.Parse()

@@ -11,10 +11,6 @@
 //	corlint -rules                print the rule tables
 //	corlint -alloc                compiler-backed allocation/escape gate
 //	corlint -allocupdate          regenerate the alloc baseline
-//	corlint -jsoncheck FILE       validate FILE is well-formed JSON
-//
-// The -jsoncheck mode exists so scripts/verify.sh can validate bench
-// harness output without a Python interpreter on the machine.
 package main
 
 import (
@@ -36,7 +32,6 @@ func main() {
 func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("corlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonFile := fs.String("jsoncheck", "", "validate `file` as JSON and exit (no linting)")
 	rules := fs.Bool("rules", false, "print the rule tables and exit")
 	format := fs.String("format", "text", "findings output: text, json, or github (Actions annotations)")
 	alloc := fs.Bool("alloc", false, "run the compiler-backed allocation gate instead of the rule pipeline")
@@ -44,13 +39,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	allocBaseline := fs.String("allocbaseline", "lint/allocbaseline.json", "alloc baseline `path`, relative to the module root")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *jsonFile != "" {
-		if err := jsonCheck(*jsonFile); err != nil {
-			fmt.Fprintf(stderr, "corlint: jsoncheck: %v\n", err)
-			return 1
-		}
-		return 0
 	}
 	if *rules {
 		for _, r := range lint.Rules() {
@@ -260,34 +248,4 @@ func findModuleRoot() (string, error) {
 		}
 		dir = parent
 	}
-}
-
-// jsonCheck validates that path holds exactly one well-formed JSON value.
-func jsonCheck(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var v any
-	if err := json.Unmarshal(data, &v); err != nil {
-		if syn, ok := err.(*json.SyntaxError); ok {
-			line, col := offsetToLineCol(data, syn.Offset)
-			return fmt.Errorf("%s:%d:%d: %v", path, line, col, err)
-		}
-		return fmt.Errorf("%s: %v", path, err)
-	}
-	return nil
-}
-
-func offsetToLineCol(data []byte, off int64) (int, int) {
-	line, col := 1, 1
-	for i := int64(0); i < off && i < int64(len(data)); i++ {
-		if data[i] == '\n' {
-			line++
-			col = 1
-		} else {
-			col++
-		}
-	}
-	return line, col
 }

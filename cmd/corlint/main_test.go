@@ -4,78 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"go/token"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"github.com/corleone-em/corleone/internal/lint"
 )
-
-func writeTemp(t *testing.T, content string) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestJSONCheck(t *testing.T) {
-	if err := jsonCheck(writeTemp(t, `{"benchmarks": [{"name": "x", "ns_op": 1.5}]}`)); err != nil {
-		t.Errorf("valid JSON rejected: %v", err)
-	}
-	if err := jsonCheck(writeTemp(t, `[1, 2, 3]`)); err != nil {
-		t.Errorf("valid JSON array rejected: %v", err)
-	}
-
-	err := jsonCheck(writeTemp(t, "{\n  \"a\": 1,\n  \"b\": ,\n}"))
-	if err == nil {
-		t.Fatal("malformed JSON accepted")
-	}
-	// The syntax error is on line 3 (the dangling comma value); the
-	// message must carry a file:line:col prefix usable from a CI log.
-	if !strings.Contains(err.Error(), ":3:") {
-		t.Errorf("error %q does not locate the syntax error on line 3", err)
-	}
-
-	if err := jsonCheck(filepath.Join(t.TempDir(), "absent.json")); err == nil {
-		t.Error("missing file accepted")
-	}
-}
-
-func TestOffsetToLineCol(t *testing.T) {
-	data := []byte("ab\ncde\nf")
-	cases := []struct {
-		off       int64
-		line, col int
-	}{
-		{0, 1, 1}, {1, 1, 2}, {2, 1, 3}, // "ab" then the newline itself
-		{3, 2, 1}, {5, 2, 3},
-		{7, 3, 1},
-		{99, 3, 2}, // past EOF clamps to the last position
-	}
-	for _, tc := range cases {
-		line, col := offsetToLineCol(data, tc.off)
-		if line != tc.line || col != tc.col {
-			t.Errorf("offsetToLineCol(%d) = %d:%d, want %d:%d", tc.off, line, col, tc.line, tc.col)
-		}
-	}
-}
-
-func TestRunJSONCheckExitCodes(t *testing.T) {
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer devnull.Close()
-	if code := run([]string{"-jsoncheck", writeTemp(t, `{}`)}, devnull, devnull); code != 0 {
-		t.Errorf("valid JSON: exit %d, want 0", code)
-	}
-	if code := run([]string{"-jsoncheck", writeTemp(t, `{`)}, devnull, devnull); code != 1 {
-		t.Errorf("truncated JSON: exit %d, want 1", code)
-	}
-}
 
 func sampleFindings() []lint.Finding {
 	return []lint.Finding{

@@ -16,10 +16,9 @@
 //	GET  /metrics     worker counters (jobs loaded, probes, batches)
 //	POST /shard/load  make a job spec probeable (idempotent)
 //	POST /shard/probe one shard task or a [task, ...] batch; 412 until the
-//	                  job is loaded. Responses are content-negotiated: the
-//	                  compact binary pair codec (or a length-prefixed frame
-//	                  stream for batches) when the client Accepts it, the
-//	                  JSON envelope otherwise.
+//	                  job is loaded. Responses are the compact binary pair
+//	                  codec: one block for a task, a length-prefixed frame
+//	                  stream for a batch.
 //
 // SIGINT/SIGTERM drain in-flight requests before exiting.
 package main

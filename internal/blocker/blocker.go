@@ -39,11 +39,13 @@ type Config struct {
 	// instead of a materialized Result.Candidates slice, which is then left
 	// nil. See Sink's contract for chunk-reuse rules.
 	Sink Sink
-	// Shards selects the rule-application execution strategy: 1 (or
-	// negative) forces the single-index path, >1 forces that many shards,
-	// and 0 — the default — chooses automatically by indexed-table size
-	// (shard.Choose). The emitted umbrella set is bit-identical at every
-	// setting.
+	// Shards is how many shards of table B an indexable rule set is probed
+	// through: n >= 1 means n shards (1 is one shard through the same
+	// coordinator; negative counts as 1), and 0 — the default — chooses by
+	// indexed-table size (shard.Choose). A rule set with no indexable
+	// anchor runs the exhaustive scan whatever the value. The emitted
+	// umbrella set is bit-identical at every setting, and ShardStats counts
+	// tasks at every setting, K=1 included.
 	Shards int
 	// ShardWorkers bounds the shard coordinator's fan-out width (<=0 means
 	// GOMAXPROCS locally; for remote execution, set it to the worker
@@ -202,10 +204,9 @@ func Run(ds *record.Dataset, ex *feature.Extractor, runner *crowd.Runner, cfg Co
 	kept = dropContradicted(kept, verifiedPos, 0.1)
 	res.Selected = greedySelect(kept, X, len(ds.A.Rows), len(ds.B.Rows), cfg.TB, ex.Cost)
 
-	// Apply the selected rules to A×B: the planner drives candidate
-	// generation through the sharded coordinator or the single
-	// similarity-join index when a selected rule can anchor it, and through
-	// the parallel exhaustive scan otherwise.
+	// Apply the selected rules to A×B: the planner generates candidates
+	// through shard probes when a selected rule can anchor an index, and
+	// through the parallel exhaustive scan otherwise.
 	ec := execConfig{
 		shards:  cfg.Shards,
 		workers: cfg.ShardWorkers,

@@ -1,8 +1,6 @@
 package blocker
 
 import (
-	"runtime"
-	"sync"
 	"testing"
 
 	"github.com/corleone-em/corleone/internal/datagen"
@@ -36,24 +34,9 @@ func benchRules(b *testing.B, ex *feature.Extractor) []tree.Rule {
 
 var sinkPairs []record.Pair
 
-// BenchmarkApplyRulesString measures the blocking scan on the
-// pre-optimization feature path: every rule predicate re-normalizes and
-// re-tokenizes both attribute strings per pair.
-func BenchmarkApplyRulesString(b *testing.B) {
-	ds := datagen.Generate(datagen.Scaled(datagen.CitationsPaper, 0.015))
-	ex := feature.NewExtractor(ds)
-	rules := benchRules(b, ex)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkPairs = applyRulesString(ds, ex, rules)
-	}
-	b.ReportMetric(float64(ds.CartesianSize()), "pairs/op")
-}
-
 // BenchmarkApplyRules measures the exhaustive scan: profile-backed features
 // with per-worker scratch buffers, every A×B cell visited. It is pinned to
-// applyRulesScanTo (not the planner) so it stays the baseline the indexed
+// applyRulesScanTo (not the planner) so it stays the baseline the probe
 // path is compared against.
 func BenchmarkApplyRules(b *testing.B) {
 	ds := datagen.Generate(datagen.Scaled(datagen.CitationsPaper, 0.015))
@@ -68,9 +51,9 @@ func BenchmarkApplyRules(b *testing.B) {
 	b.ReportMetric(float64(ds.CartesianSize()), "pairs/op")
 }
 
-// BenchmarkApplyRulesIndexed measures the planner's similarity-join path on
-// the same dataset and rules: candidates come from the inverted index over
-// the title_jaccard_w anchor (θ = 0.2) instead of the full scan, then
+// BenchmarkApplyRulesIndexed measures the planner's probe path (one shard)
+// on the same dataset and rules: candidates come from the inverted index
+// over the title_jaccard_w anchor (θ = 0.2) instead of the full scan, then
 // verify against all rules. Output is bit-identical to BenchmarkApplyRules
 // (pinned by TestApplyRulesEquivalence); only the visited-pair count drops.
 func BenchmarkApplyRulesIndexed(b *testing.B) {
@@ -135,67 +118,4 @@ func BenchmarkUmbrellaStreaming(b *testing.B) {
 		sinkInt = n
 	}
 	b.ReportMetric(float64(ds.CartesianSize()), "pairs/op")
-}
-
-// applyRulesString is applyRules with the feature computation forced through
-// the retained string reference path; it exists only as the benchmark
-// baseline for the profile routing.
-func applyRulesString(ds *record.Dataset, ex *feature.Extractor, rules []tree.Rule) []record.Pair {
-	na, nb := ds.A.Len(), ds.B.Len()
-	workers := runtime.GOMAXPROCS(0)
-	if workers > na {
-		workers = na
-	}
-	parts := make([][]record.Pair, workers)
-	var wg sync.WaitGroup
-	chunk := (na + workers - 1) / workers
-	nf := ex.NumFeatures()
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > na {
-			hi = na
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			vals := make([]float64, nf)
-			have := make([]bool, nf)
-			var out []record.Pair
-			for a := lo; a < hi; a++ {
-				for b := 0; b < nb; b++ {
-					p := record.P(a, b)
-					for i := range have {
-						have[i] = false
-					}
-					get := func(f int) float64 {
-						if !have[f] {
-							vals[f] = ex.ComputeString(f, p)
-							have[f] = true
-						}
-						return vals[f]
-					}
-					blocked := false
-					for _, r := range rules {
-						if r.MatchesFunc(get) {
-							blocked = true
-							break
-						}
-					}
-					if !blocked {
-						out = append(out, p)
-					}
-				}
-			}
-			parts[w] = out
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var out []record.Pair
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
 }

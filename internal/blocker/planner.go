@@ -78,15 +78,6 @@ func planRules(ex *feature.Extractor, rules []tree.Rule) plan {
 	return best
 }
 
-// newVerifier evaluates the full rule set on one pair with lazily
-// computed, memoized features — the exact §4.3 semantics every candidate-
-// generation strategy shares, which is why their outputs are bit-identical.
-// The evaluator itself lives in the shard package so in-process scans and
-// shard workers (local or remote) provably run the same code.
-func newVerifier(ex *feature.Extractor, rules []tree.Rule) *shard.Verifier {
-	return shard.NewVerifier(ex, rules)
-}
-
 // execConfig carries the execution-strategy knobs from Config into the
 // planner: shard count (0 = automatic), fan-out width, an optional
 // executor override (the remote worker path), the job id shard tasks carry,
@@ -101,15 +92,15 @@ type execConfig struct {
 }
 
 // applyRulesTo streams the survivors of the selected rules over A×B to
-// sink, in (a, b)-lexicographic order: the planner routes candidate
-// generation through the sharded coordinator when the anchor index is
-// large enough (or sharding is forced), through the single similarity-join
-// index when a rule is index-friendly, and through the parallel exhaustive
-// scan otherwise. The emitted pair stream is identical in all cases (every
-// candidate is verified against all rules by the same evaluator); only the
-// number of pairs visited and where the work runs differ. The returned
-// error is always nil for in-process strategies; only a remote executor
-// can fail.
+// sink, in (a, b)-lexicographic order. There are two strategies: when a
+// selected rule can anchor an inverted index, candidates come from shard
+// probes driven by the coordinator (one shard for a small table, more when
+// the table is large or the count is configured; in-process or on remote
+// workers); otherwise every cell is visited by the parallel exhaustive
+// scan. The emitted pair stream is identical either way (every candidate is
+// verified against all rules by the same evaluator); only the number of
+// pairs visited and where the work runs differ. The returned error is
+// always nil for in-process execution; only a remote executor can fail.
 func applyRulesTo(ds *record.Dataset, ex *feature.Extractor, rules []tree.Rule, ec execConfig, sink Sink) error {
 	if len(rules) == 0 {
 		emitAllPairs(ds, sink)
@@ -117,27 +108,10 @@ func applyRulesTo(ds *record.Dataset, ex *feature.Extractor, rules []tree.Rule, 
 	}
 	p := planRules(ex, rules)
 	if !p.indexed {
-		// Sharding partitions an inverted index; a rule set with no
-		// indexable anchor always runs the in-process exhaustive scan.
 		applyRulesScanTo(ds, ex, rules, sink)
 		return nil
 	}
-	k := shard.Choose(ec.shards, ds.B.Len())
-	if k > 1 || ec.exec != nil {
-		return applyRulesShardedTo(ds, ex, rules, p, k, ec, sink)
-	}
-	applyRulesIndexedTo(ds, ex, rules, p, sink)
-	return nil
-}
-
-// applyRules materializes the survivor stream — the historical signature
-// Run and the tests use. In-process strategies cannot fail, so no error.
-func applyRules(ds *record.Dataset, ex *feature.Extractor, rules []tree.Rule) []record.Pair {
-	var out []record.Pair
-	if err := applyRulesTo(ds, ex, rules, execConfig{shards: 1}, collectSink(&out)); err != nil {
-		panic("blocker: in-process applyRules failed: " + err.Error())
-	}
-	return out
+	return applyRulesShardedTo(ds, ex, rules, p, shard.Choose(ec.shards, ds.B.Len()), ec, sink)
 }
 
 // applyRulesScanTo is the exhaustive §4.3 scan: every cell of A×B is
@@ -163,7 +137,7 @@ func applyRulesScanTo(ds *record.Dataset, ex *feature.Extractor, rules []tree.Ru
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v := newVerifier(ex, rules)
+			v := shard.NewVerifier(ex, rules)
 			for {
 				block, buf, ok := q.claim()
 				if !ok {
@@ -187,86 +161,31 @@ func applyRulesScanTo(ds *record.Dataset, ex *feature.Extractor, rules []tree.Ru
 	wg.Wait()
 }
 
-// indexBlockRows is how many probe (table A) rows one indexed-scan block
-// covers; small enough to load-balance skewed postings, large enough to
-// amortize the sequencer handoff.
-const indexBlockRows = 64
-
-// applyRulesIndexedTo generates candidates through the similarity-join
-// index instead of scanning A×B: for each A row it probes the anchor
-// feature's postings over table B, then verifies every candidate against
+// applyRulesShardedTo generates candidates through k independent shard
+// indexes driven by the shard coordinator: the probe space is cut into
+// (A-row-block × shard) tasks, executed in-process (goroutine workers over a
+// prebuilt shard group) or on remote worker processes when an executor
+// override is configured. For each A row a task probes the anchor feature's
+// postings over its shard of table B, then verifies every candidate against
 // the full rule set with the same evaluator the scan uses. Index
 // completeness (see simindex.Candidates) guarantees the candidates are a
 // superset of the anchor rule's survivors, which contain the full rule
-// set's survivors; exact verification then yields the identical stream.
-// Probes run in parallel over A-row blocks with re-sequenced emission, so
-// ordering matches the scan at every GOMAXPROCS.
-func applyRulesIndexedTo(ds *record.Dataset, ex *feature.Extractor, rules []tree.Rule, p plan, sink Sink) {
-	profA, profB := ex.Profiles(p.feature)
-	ix := simindex.Build(p.kind, profB)
-	na := int64(ds.A.Len())
-	if na <= 0 || ds.B.Len() <= 0 {
-		return
-	}
-	blocks := (na + indexBlockRows - 1) / indexBlockRows
-	workers := runtime.GOMAXPROCS(0)
-	if int64(workers) > blocks {
-		workers = int(blocks)
-	}
-	q := newSequencer(blocks, workers, sink)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v := newVerifier(ex, rules)
-			is := simindex.NewScratch()
-			for {
-				block, buf, ok := q.claim()
-				if !ok {
-					return
-				}
-				lo := block * indexBlockRows
-				hi := lo + indexBlockRows
-				if hi > na {
-					hi = na
-				}
-				for a := lo; a < hi; a++ {
-					for _, b := range ix.Candidates(profA[a], p.theta, is) {
-						pair := record.Pair{A: int32(a), B: b}
-						if v.Survives(pair) {
-							buf = append(buf, pair)
-						}
-					}
-				}
-				q.complete(block, buf)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// applyRulesShardedTo generates candidates through K independent shard
-// indexes driven by the shard coordinator: the probe space is cut into
-// (A-row-block × shard) tasks, executed in-process (k goroutine workers
-// over a prebuilt shard group) or on remote worker processes when an
-// executor override is configured. The coordinator delivers results in
-// task order — block-major, shard-minor — so the K consecutive survivor
-// lists of one probe block are K-way merged by (a, b) and emitted; the
-// resulting stream is byte-identical to applyRulesIndexedTo's at every K,
-// worker count, and completion order. Per-shard candidate SUPERSETS do
-// differ from the single index's (prefix-filter token order depends on
-// per-index postings lengths), but supersets only decide which pairs get
-// verified; the shared exact Verifier decides who survives.
+// set's survivors; exact verification then yields the scan's stream.
+//
+// The coordinator delivers results in task order — block-major,
+// shard-minor — so the k consecutive survivor lists of one probe block are
+// k-way merged by (a, b) and emitted; at k == 1 a task's list already is
+// the block's chunk. The stream is byte-identical at every k, worker count,
+// and completion order. Per-shard candidate SUPERSETS do differ with k
+// (prefix-filter token order depends on per-index postings lengths), but
+// supersets only decide which pairs get verified; the shared exact Verifier
+// decides who survives.
 func applyRulesShardedTo(ds *record.Dataset, ex *feature.Extractor, rules []tree.Rule,
 	p plan, k int, ec execConfig, sink Sink) error {
 
 	na := ds.A.Len()
 	if na <= 0 || ds.B.Len() <= 0 {
 		return nil
-	}
-	if k < 1 {
-		k = 1
 	}
 	exec := ec.exec
 	c := &shard.Coordinator{Workers: ec.workers, Stats: ec.stats, Batch: ec.batch}
@@ -300,21 +219,27 @@ func applyRulesShardedTo(ds *record.Dataset, ex *feature.Extractor, rules []tree
 	}
 	tasks := shard.BlockTasks(job, na, k)
 
-	// Results arrive in Seq order: the k per-shard lists of each probe
-	// block are consecutive. Collect k, merge by (a, b), emit. The emit
-	// callback is serialized by the coordinator, so no locking here.
+	// Results arrive in Seq order, and the emit callback is serialized by
+	// the coordinator, so no locking here. At k > 1 the k per-shard lists of
+	// each probe block are consecutive: collect k, merge by (a, b), emit. At
+	// k == 1 a task's list is the block's chunk as is — freshly allocated
+	// and never reused, which satisfies the Sink contract without a copy.
 	per := make([][]record.Pair, k)
 	var merged []record.Pair
 	filled := 0
 	return c.Run(tasks, exec, func(_ int, pairs []record.Pair) {
-		per[filled] = pairs
-		filled++
-		if filled == k {
-			merged = shard.MergePairs(merged, per)
-			if len(merged) > 0 {
-				sink(merged)
+		if k > 1 {
+			per[filled] = pairs
+			filled++
+			if filled < k {
+				return
 			}
 			filled = 0
+			merged = shard.MergePairs(merged, per)
+			pairs = merged
+		}
+		if len(pairs) > 0 {
+			sink(pairs)
 		}
 	})
 }

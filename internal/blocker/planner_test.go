@@ -8,6 +8,7 @@ import (
 	"github.com/corleone-em/corleone/internal/datagen"
 	"github.com/corleone-em/corleone/internal/feature"
 	"github.com/corleone-em/corleone/internal/record"
+	"github.com/corleone-em/corleone/internal/shard"
 	"github.com/corleone-em/corleone/internal/tree"
 )
 
@@ -15,13 +16,23 @@ import (
 // ground truth both candidate-generation strategies must reproduce exactly.
 func applyRulesRef(ds *record.Dataset, ex *feature.Extractor, rules []tree.Rule) []record.Pair {
 	var out []record.Pair
-	v := newVerifier(ex, rules)
+	v := shard.NewVerifier(ex, rules)
 	for a := 0; a < ds.A.Len(); a++ {
 		for b := 0; b < ds.B.Len(); b++ {
 			if p := record.P(a, b); v.Survives(p) {
 				out = append(out, p)
 			}
 		}
+	}
+	return out
+}
+
+// applyRules materializes the planner's survivor stream at one in-process
+// shard, where nothing can fail.
+func applyRules(ds *record.Dataset, ex *feature.Extractor, rules []tree.Rule) []record.Pair {
+	var out []record.Pair
+	if err := applyRulesTo(ds, ex, rules, execConfig{shards: 1}, collectSink(&out)); err != nil {
+		panic("blocker: in-process applyRules failed: " + err.Error())
 	}
 	return out
 }

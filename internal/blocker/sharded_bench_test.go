@@ -1,13 +1,11 @@
 package blocker
 
-// Sharded-blocking benchmarks: the K=4 sharded strategy under 1/2/4/8
-// coordinator workers against the single-index path on the same dataset
-// and rules. Besides ns/op, each sharded run reports the largest per-shard
-// index footprint ("shard-peak-B") — the bytes one worker process must
-// hold, the number that shrinks as K grows and makes scale-out viable.
-// On a 1-CPU box the worker sweep measures coordination overhead, not
-// parallel speedup; BENCH_PR6.json records gomaxprocs/num_cpu so consumers
-// read the speedup column in that light (the PR2/PR3 precedent).
+// Sharded-blocking benchmarks: the K=4 probe strategy under 1/2/4/8
+// coordinator workers against K=1 on the same dataset and rules. Besides
+// ns/op, each run reports the largest per-shard index footprint
+// ("shard-peak-B") — the bytes one worker process must hold, the number
+// that shrinks as K grows and makes scale-out viable. On a 1-CPU box the
+// worker sweep measures coordination overhead, not parallel speedup.
 
 import (
 	"testing"
@@ -41,8 +39,9 @@ func benchSharded(b *testing.B, k, workers int) {
 }
 
 // BenchmarkShardedBlockingK1 is the scale-out baseline: the same planner
-// invocation forced to the K=1 single-index path.
-func BenchmarkShardedBlockingK1(b *testing.B) { benchSharded(b, 1, 1) }
+// invocation at one shard, coordinator width left at GOMAXPROCS (workers 1
+// would serialise the probes the K=4 sweep is compared against).
+func BenchmarkShardedBlockingK1(b *testing.B) { benchSharded(b, 1, 0) }
 
 func BenchmarkShardedBlockingW1(b *testing.B) { benchSharded(b, 4, 1) }
 func BenchmarkShardedBlockingW2(b *testing.B) { benchSharded(b, 4, 2) }

@@ -14,11 +14,12 @@ import (
 	"github.com/corleone-em/corleone/internal/tree"
 )
 
-// TestShardedBlockingEquivalence pins the tentpole invariant: the sharded
-// execution strategy emits a byte-identical umbrella stream to the
-// single-index planner — same survivors, same (a, b) order, same chunk
-// accounting discipline — across K ∈ {1, 2, 3, 8} and GOMAXPROCS ∈ {1, 4},
-// on two datasets and two rule shapes.
+// TestShardedBlockingEquivalence pins the tentpole invariant: the shard-probe
+// strategy emits a byte-identical umbrella stream to the sequential
+// exhaustive scan — same survivors, same (a, b) order — across
+// K ∈ {1, 2, 3, 8} (K=1 runs through the same coordinator as every other
+// K) and GOMAXPROCS ∈ {1, 4}, on two datasets and two rule shapes, with
+// exactly the task grid dispatched and nothing retried.
 func TestShardedBlockingEquivalence(t *testing.T) {
 	datasets := []struct {
 		name string
@@ -55,14 +56,8 @@ func TestShardedBlockingEquivalence(t *testing.T) {
 					}
 					samePairs(t, fmt.Sprintf("%s/rules%d/k=%d/procs=%d", d.name, ri, k, procs),
 						got, want)
-					// Accounting: k=1 runs the single-index path (no shard
-					// tasks); k>1 dispatches exactly the task grid, with no
-					// retries for an in-process executor.
-					wantTasks := int64(0)
-					if k > 1 {
-						blocks := (d.ds.A.Len() + shard.TaskBlockRows - 1) / shard.TaskBlockRows
-						wantTasks = int64(blocks * k)
-					}
+					blocks := (d.ds.A.Len() + shard.TaskBlockRows - 1) / shard.TaskBlockRows
+					wantTasks := int64(blocks * k)
 					if got := stats.Dispatched.Load(); got != wantTasks {
 						t.Errorf("%s/rules%d/k=%d/procs=%d: dispatched %d tasks, want %d",
 							d.name, ri, k, procs, got, wantTasks)
@@ -78,10 +73,8 @@ func TestShardedBlockingEquivalence(t *testing.T) {
 
 // TestShardedRemoteTransportEquivalence extends the tentpole invariant
 // over the wire-protocol axes: against real shard-worker HTTP servers, the
-// emitted stream stays byte-identical across codec (binary vs. forced
-// JSON), batch size (singleton, small, default), K, and worker count —
-// and the binary codec moves strictly fewer response bytes than JSON for
-// the identical task plan.
+// emitted stream stays byte-identical across batch size (singleton, small,
+// default), K (1 included), and worker count.
 func TestShardedRemoteTransportEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("remote transport matrix in -short mode")
@@ -105,42 +98,31 @@ func TestShardedRemoteTransportEquivalence(t *testing.T) {
 	endpoints := []string{srv1.URL, srv2.URL}
 	spec := shard.JobSpec{Dataset: "citations", Scale: scale}
 
-	received := map[bool]int64{} // forceJSON -> response bytes at batch=4, k=2
 	run := 0
-	for _, k := range []int{2, 3} {
+	for _, k := range []int{1, 2, 3} {
 		for _, batch := range []int{1, 4, 0} {
-			for _, forceJSON := range []bool{false, true} {
-				run++
-				exec := shard.NewRemoteExecutor(endpoints, spec, nil)
-				exec.ForceJSON = forceJSON
-				var stats shard.Stats
-				var got []record.Pair
-				err := applyRulesShardedTo(ds, ex, rules, p, k, execConfig{
-					workers: 2, batch: batch, exec: exec,
-					job:   fmt.Sprintf("transport-eq-%d", run),
-					stats: &stats,
-				}, collectSink(&got))
-				name := fmt.Sprintf("k=%d/batch=%d/json=%v", k, batch, forceJSON)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				samePairs(t, name, got, want)
-				if stats.Retried.Load() != 0 {
-					t.Errorf("%s: %d retries against healthy workers", name, stats.Retried.Load())
-				}
-				if stats.BytesSent.Load() == 0 || stats.BytesReceived.Load() == 0 {
-					t.Errorf("%s: transport byte counters empty (sent %d, received %d)",
-						name, stats.BytesSent.Load(), stats.BytesReceived.Load())
-				}
-				if k == 2 && batch == 4 {
-					received[forceJSON] = stats.BytesReceived.Load()
-				}
+			run++
+			exec := shard.NewRemoteExecutor(endpoints, spec, nil)
+			var stats shard.Stats
+			var got []record.Pair
+			err := applyRulesShardedTo(ds, ex, rules, p, k, execConfig{
+				workers: 2, batch: batch, exec: exec,
+				job:   fmt.Sprintf("transport-eq-%d", run),
+				stats: &stats,
+			}, collectSink(&got))
+			name := fmt.Sprintf("k=%d/batch=%d", k, batch)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			samePairs(t, name, got, want)
+			if stats.Retried.Load() != 0 {
+				t.Errorf("%s: %d retries against healthy workers", name, stats.Retried.Load())
+			}
+			if stats.BytesSent.Load() == 0 || stats.BytesReceived.Load() == 0 {
+				t.Errorf("%s: transport byte counters empty (sent %d, received %d)",
+					name, stats.BytesSent.Load(), stats.BytesReceived.Load())
 			}
 		}
-	}
-	if received[false] >= received[true] {
-		t.Errorf("binary codec received %d bytes, JSON %d — binary should be strictly smaller",
-			received[false], received[true])
 	}
 }
 

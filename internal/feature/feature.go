@@ -12,8 +12,8 @@
 // loop — the O(|A|·|B|) hot path — is arithmetic over prebuilt structures:
 // bit masks for the character measures, sorted integer codes (vocabulary
 // ranks, packed 3-grams) for the set measures (DESIGN.md "Pair kernels").
-// The string-based path is retained as the reference implementation; the
-// profile path is bit-identical to it (enforced by tests).
+// Profiles are the only path; the tests pin every feature bit for bit to the
+// string measures of package similarity applied to the raw attribute values.
 package feature
 
 import (
@@ -23,7 +23,6 @@ import (
 	"github.com/corleone-em/corleone/internal/par"
 	"github.com/corleone-em/corleone/internal/record"
 	"github.com/corleone-em/corleone/internal/similarity"
-	"github.com/corleone-em/corleone/internal/strutil"
 )
 
 // Missing is the sentinel vector value for a feature whose inputs are
@@ -50,7 +49,6 @@ type Feature struct {
 	// the Blocker prefers cheap rules all else equal (§4.3).
 	Cost float64
 
-	fn  func(a, b string) float64
 	pfn profileFn
 }
 
@@ -68,29 +66,18 @@ type Extractor struct {
 	scratch sync.Pool
 }
 
-// measure couples a similarity function with its name, cost, profile fast
-// path, and the profile fields that fast path needs.
+// measure couples a similarity measure over profiles with its name, cost,
+// and the profile fields it needs.
 type measure struct {
 	kind   string
 	cost   float64
-	fn     func(a, b string) float64
 	pfn    profileFn
 	fields similarity.Fields
 }
 
-func numericWrap(f func(x, y float64) float64) func(a, b string) float64 {
-	return func(a, b string) float64 {
-		x, okx := strutil.ParseNumeric(a)
-		y, oky := strutil.ParseNumeric(b)
-		if !okx || !oky {
-			return Missing
-		}
-		return f(x, y)
-	}
-}
-
-// numericWrapP mirrors numericWrap over profiles: the parse happened at
-// profile-build time.
+// numericWrapP maps unparseable values to the Missing sentinel before
+// delegating to the numeric measure; the parse happened at profile-build
+// time.
 func numericWrapP(f func(x, y float64) float64) profileFn {
 	return func(a, b *similarity.Profile, _ *similarity.Scratch) float64 {
 		if !a.NumericOK || !b.NumericOK {
@@ -115,48 +102,33 @@ func NewExtractor(ds *record.Dataset) *Extractor {
 	e.scratch.New = func() any { return similarity.NewScratch() }
 	for idx, attr := range ds.A.Schema {
 		var ms []measure
-		// The attribute's token dictionary; it is built from the column's
-		// profiles, below, after the measures that close over it.
-		var corpus *similarity.Corpus
 		switch attr.Type {
 		case record.AttrString:
 			ms = []measure{
-				{"exact", 1, similarity.ExactMatch, exactP, 0},
-				{"jaro_winkler", 2, normWrap(similarity.JaroWinkler),
-					normWrapP(similarity.JaroWinklerProfiles), similarity.FieldRunes},
-				{"edit", 5, normWrap(similarity.EditSim),
-					normWrapP(similarity.EditSimProfiles), similarity.FieldRunes},
-				{"jaccard_w", 3, normWrap(similarity.JaccardWords),
-					normWrapP(noScratch(similarity.JaccardWordsProfiles)), similarity.FieldWordSet},
-				{"jaccard_3g", 4, normWrap(similarity.JaccardQGrams),
-					normWrapP(noScratch(similarity.JaccardQGramsProfiles)), similarity.FieldQGrams},
-				{"monge_elkan", 8, normWrap(similarity.MongeElkan),
-					normWrapP(similarity.MongeElkanProfiles), similarity.FieldTokenRunes},
+				{"exact", 1, exactP, 0},
+				{"jaro_winkler", 2, normWrapP(similarity.JaroWinklerProfiles), similarity.FieldRunes},
+				{"edit", 5, normWrapP(similarity.EditSimProfiles), similarity.FieldRunes},
+				{"jaccard_w", 3, normWrapP(noScratch(similarity.JaccardWordsProfiles)), similarity.FieldWordSet},
+				{"jaccard_3g", 4, normWrapP(noScratch(similarity.JaccardQGramsProfiles)), similarity.FieldQGrams},
+				{"monge_elkan", 8, normWrapP(similarity.MongeElkanProfiles), similarity.FieldTokenRunes},
 			}
 		case record.AttrText:
 			ms = []measure{
-				{"jaccard_w", 3, normWrap(similarity.JaccardWords),
-					normWrapP(noScratch(similarity.JaccardWordsProfiles)), similarity.FieldWordSet},
-				{"overlap_w", 3, normWrap(similarity.OverlapWords),
-					normWrapP(noScratch(similarity.OverlapWordsProfiles)), similarity.FieldWordSet},
-				{"tfidf_cos", 4, normWrap(func(a, b string) float64 { return corpus.Cosine(a, b) }),
-					normWrapP(noScratch(similarity.CosineProfiles)), similarity.FieldTFIDF},
+				{"jaccard_w", 3, normWrapP(noScratch(similarity.JaccardWordsProfiles)), similarity.FieldWordSet},
+				{"overlap_w", 3, normWrapP(noScratch(similarity.OverlapWordsProfiles)), similarity.FieldWordSet},
+				{"tfidf_cos", 4, normWrapP(noScratch(similarity.CosineProfiles)), similarity.FieldTFIDF},
 			}
 		case record.AttrNumeric:
 			ms = []measure{
-				{"exact", 1, similarity.ExactMatch, exactP, 0},
-				{"rel_diff", 1, numericWrap(similarity.RelativeDiff),
-					numericWrapP(similarity.RelativeDiff), similarity.FieldNumeric},
-				{"abs_diff", 1, numericWrap(similarity.AbsDiff),
-					numericWrapP(similarity.AbsDiff), similarity.FieldNumeric},
+				{"exact", 1, exactP, 0},
+				{"rel_diff", 1, numericWrapP(similarity.RelativeDiff), similarity.FieldNumeric},
+				{"abs_diff", 1, numericWrapP(similarity.AbsDiff), similarity.FieldNumeric},
 			}
 		case record.AttrCategorical:
 			ms = []measure{
-				{"exact", 1, similarity.ExactMatch, exactP, 0},
-				{"jaccard_3g", 4, normWrap(similarity.JaccardQGrams),
-					normWrapP(noScratch(similarity.JaccardQGramsProfiles)), similarity.FieldQGrams},
-				{"jaro_winkler", 2, normWrap(similarity.JaroWinkler),
-					normWrapP(similarity.JaroWinklerProfiles), similarity.FieldRunes},
+				{"exact", 1, exactP, 0},
+				{"jaccard_3g", 4, normWrapP(noScratch(similarity.JaccardQGramsProfiles)), similarity.FieldQGrams},
+				{"jaro_winkler", 2, normWrapP(similarity.JaroWinklerProfiles), similarity.FieldRunes},
 			}
 		}
 		if len(ms) == 0 {
@@ -171,14 +143,15 @@ func NewExtractor(ds *record.Dataset) *Extractor {
 				AttrIdx: idx,
 				Kind:    m.kind,
 				Cost:    m.cost,
-				fn:      m.fn,
 				pfn:     m.pfn,
 			})
 		}
 		profA := buildProfiles(ds.A, idx, fields)
 		profB := buildProfiles(ds.B, idx, fields)
 		if fields&(similarity.FieldWordSet|similarity.FieldTFIDF) != 0 {
-			corpus = similarity.ProfileCorpus(profA, profB)
+			// The attribute's token dictionary, built from the column's
+			// already tokenized profiles.
+			corpus := similarity.ProfileCorpus(profA, profB)
 			attach := corpus.RankProfile
 			if fields&similarity.FieldTFIDF != 0 {
 				attach = corpus.WeighProfile
@@ -209,7 +182,7 @@ func buildProfiles(t *record.Table, attrIdx int, fields similarity.Fields) []*si
 }
 
 // exactP adapts ExactMatchProfiles to the profileFn shape (no scratch, no
-// normWrap: exact match defines its own missing-value semantics).
+// normWrapP: exact match defines its own missing-value semantics).
 func exactP(a, b *similarity.Profile, _ *similarity.Scratch) float64 {
 	return similarity.ExactMatchProfiles(a, b)
 }
@@ -221,20 +194,9 @@ func noScratch(f func(a, b *similarity.Profile) float64) profileFn {
 	}
 }
 
-// normWrap normalizes inputs and maps missing values to the Missing
-// sentinel before delegating to the measure.
-func normWrap(f func(a, b string) float64) func(a, b string) float64 {
-	return func(a, b string) float64 {
-		na, nb := strutil.Normalize(a), strutil.Normalize(b)
-		if na == "" || nb == "" {
-			return Missing
-		}
-		return f(na, nb)
-	}
-}
-
-// normWrapP mirrors normWrap over profiles: normalization happened at
-// profile-build time, so only the missing-value gate remains.
+// normWrapP maps missing values (empty after normalization, which happened
+// at profile-build time) to the Missing sentinel before delegating to the
+// measure.
 func normWrapP(f profileFn) profileFn {
 	return func(a, b *similarity.Profile, s *similarity.Scratch) float64 {
 		if a.Norm == "" || b.Norm == "" {
@@ -274,8 +236,7 @@ func (e *Extractor) Profiles(i int) (a, b []*similarity.Profile) {
 	return e.profA[f.AttrIdx], e.profB[f.AttrIdx]
 }
 
-// Compute evaluates a single feature for pair p via the profile fast path.
-// This is the lazy path the Blocker uses when applying rules to A×B: only
+// Compute evaluates a single feature for pair p. This is the lazy path the Blocker uses when applying rules to A×B: only
 // the features a rule actually references are computed.
 func (e *Extractor) Compute(i int, p record.Pair) float64 {
 	s := e.scratch.Get().(*similarity.Scratch)
@@ -289,14 +250,6 @@ func (e *Extractor) Compute(i int, p record.Pair) float64 {
 func (e *Extractor) ComputeScratch(i int, p record.Pair, s *similarity.Scratch) float64 {
 	f := &e.features[i]
 	return f.pfn(e.profA[f.AttrIdx][p.A], e.profB[f.AttrIdx][p.B], s)
-}
-
-// ComputeString evaluates a single feature from the raw strings — the
-// reference path the profile fast path is verified against (and the
-// before/after baseline for the benchmarks).
-func (e *Extractor) ComputeString(i int, p record.Pair) float64 {
-	f := &e.features[i]
-	return f.fn(e.A.Rows[p.A][f.AttrIdx], e.B.Rows[p.B][f.AttrIdx])
 }
 
 // Vector computes the full feature vector for pair p.
@@ -313,16 +266,6 @@ func (e *Extractor) VectorScratch(p record.Pair, s *similarity.Scratch) []float6
 	v := make([]float64, len(e.features))
 	for i := range e.features {
 		v[i] = e.ComputeScratch(i, p, s)
-	}
-	return v
-}
-
-// VectorString computes the full feature vector via the string-based
-// reference path.
-func (e *Extractor) VectorString(p record.Pair) []float64 {
-	v := make([]float64, len(e.features))
-	for i := range e.features {
-		v[i] = e.ComputeString(i, p)
 	}
 	return v
 }

@@ -19,26 +19,7 @@ func benchPairs(ds *record.Dataset, n int) []record.Pair {
 
 var sinkRows [][]float64
 
-// BenchmarkVectorsString measures the pre-optimization hot path: every
-// feature re-normalizes, re-tokenizes, and re-allocates per pair, serially.
-func BenchmarkVectorsString(b *testing.B) {
-	ds := datagen.Generate(datagen.Scaled(datagen.ProductsPaper, 0.02))
-	ex := NewExtractor(ds)
-	pairs := benchPairs(ds, 2000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows := make([][]float64, len(pairs))
-		for j, p := range pairs {
-			rows[j] = ex.VectorString(p)
-		}
-		sinkRows = rows
-	}
-	b.ReportMetric(float64(len(pairs)), "pairs/op")
-}
-
-// BenchmarkVectors measures the profile-routed parallel path over the same
-// pair batch.
+// BenchmarkVectors measures the parallel vectorisation of a 2000-pair batch.
 func BenchmarkVectors(b *testing.B) {
 	ds := datagen.Generate(datagen.Scaled(datagen.ProductsPaper, 0.02))
 	ex := NewExtractor(ds)
@@ -52,7 +33,7 @@ func BenchmarkVectors(b *testing.B) {
 }
 
 // BenchmarkNewExtractor measures the one-time profile construction cost that
-// the per-pair wins above are paid for with.
+// the per-pair arithmetic is paid for with.
 func BenchmarkNewExtractor(b *testing.B) {
 	ds := datagen.Generate(datagen.Scaled(datagen.ProductsPaper, 0.02))
 	b.ReportAllocs()

@@ -10,7 +10,86 @@ import (
 	"github.com/corleone-em/corleone/internal/datagen"
 	"github.com/corleone-em/corleone/internal/record"
 	"github.com/corleone-em/corleone/internal/similarity"
+	"github.com/corleone-em/corleone/internal/strutil"
 )
+
+// stringOracle is the string reference for the extractor: every feature
+// recomputed from the raw attribute values with the string measures of
+// package similarity, sharing nothing with the profiles — each call
+// normalizes, tokenizes, and parses afresh, and the TF/IDF dictionaries are
+// rebuilt from the normalized column strings.
+type stringOracle struct {
+	ex      *Extractor
+	corpora map[int]*similarity.Corpus // by attribute index
+}
+
+func newStringOracle(ex *Extractor) *stringOracle {
+	o := &stringOracle{ex: ex, corpora: map[int]*similarity.Corpus{}}
+	for _, f := range ex.Features() {
+		if f.Kind != "tfidf_cos" {
+			continue
+		}
+		var docs []string
+		for _, t := range []*record.Table{ex.A, ex.B} {
+			for _, row := range t.Rows {
+				docs = append(docs, strutil.Normalize(row[f.AttrIdx]))
+			}
+		}
+		o.corpora[f.AttrIdx] = similarity.NewCorpus(docs)
+	}
+	return o
+}
+
+// compute evaluates feature i of pair p, keyed on the feature's Kind.
+func (o *stringOracle) compute(t *testing.T, i int, p record.Pair) float64 {
+	f := o.ex.Features()[i]
+	a, b := o.ex.A.Rows[p.A][f.AttrIdx], o.ex.B.Rows[p.B][f.AttrIdx]
+	switch f.Kind {
+	case "exact":
+		return similarity.ExactMatch(a, b)
+	case "rel_diff", "abs_diff":
+		x, okx := strutil.ParseNumeric(a)
+		y, oky := strutil.ParseNumeric(b)
+		if !okx || !oky {
+			return Missing
+		}
+		if f.Kind == "rel_diff" {
+			return similarity.RelativeDiff(x, y)
+		}
+		return similarity.AbsDiff(x, y)
+	}
+	na, nb := strutil.Normalize(a), strutil.Normalize(b)
+	if na == "" || nb == "" {
+		return Missing
+	}
+	switch f.Kind {
+	case "jaro_winkler":
+		return similarity.JaroWinkler(na, nb)
+	case "edit":
+		return similarity.EditSim(na, nb)
+	case "jaccard_w":
+		return similarity.JaccardWords(na, nb)
+	case "jaccard_3g":
+		return similarity.JaccardQGrams(na, nb)
+	case "monge_elkan":
+		return similarity.MongeElkan(na, nb)
+	case "overlap_w":
+		return similarity.OverlapWords(na, nb)
+	case "tfidf_cos":
+		return o.corpora[f.AttrIdx].Cosine(na, nb)
+	}
+	t.Fatalf("string oracle has no measure for kind %q (feature %s)", f.Kind, f.Name)
+	return 0
+}
+
+// vector evaluates every feature of pair p.
+func (o *stringOracle) vector(t *testing.T, p record.Pair) []float64 {
+	v := make([]float64, o.ex.NumFeatures())
+	for i := range v {
+		v[i] = o.compute(t, i, p)
+	}
+	return v
+}
 
 // edgeDataset holds the values the integer views could mishandle: non-ASCII
 // tokens and grams (ranks and packed grams must order as the strings do),
@@ -41,11 +120,10 @@ func edgeDataset() *record.Dataset {
 	return &record.Dataset{Name: "edge", A: a, B: b, Truth: record.NewGroundTruth(nil)}
 }
 
-// TestProfilePathMatchesStringPath verifies that the profile-routed hot path
+// TestProfilePathMatchesStringPath verifies that the extractor
 // (Compute/ComputeScratch/Vector/Vectors) produces vectors bit-identical to
-// the retained string reference path (VectorString) — on the handcrafted
-// edge-case datasets and on realistic generated data from every synthetic
-// dataset family.
+// the string oracle — on the handcrafted edge-case datasets and on
+// realistic generated data from every synthetic dataset family.
 func TestProfilePathMatchesStringPath(t *testing.T) {
 	datasets := []*record.Dataset{
 		testDataset(),
@@ -56,6 +134,7 @@ func TestProfilePathMatchesStringPath(t *testing.T) {
 	}
 	for _, ds := range datasets {
 		ex := NewExtractor(ds)
+		oracle := newStringOracle(ex)
 		rng := rand.New(rand.NewSource(3))
 		var pairs []record.Pair
 		if n := ds.A.Len() * ds.B.Len(); n <= 200 {
@@ -69,31 +148,31 @@ func TestProfilePathMatchesStringPath(t *testing.T) {
 		scratch := similarity.NewScratch()
 		rows := ex.Vectors(pairs)
 		for i, p := range pairs {
-			want := ex.VectorString(p)
+			want := oracle.vector(t, p)
 			got := ex.Vector(p)
 			gotScratch := ex.VectorScratch(p, scratch)
 			for j := range want {
 				if got[j] != want[j] {
-					t.Fatalf("%s: Vector(%v)[%s] = %v, string path = %v",
+					t.Fatalf("%s: Vector(%v)[%s] = %v, string oracle = %v",
 						ds.Name, p, ex.Name(j), got[j], want[j])
 				}
 				if gotScratch[j] != want[j] {
-					t.Fatalf("%s: VectorScratch(%v)[%s] = %v, string path = %v",
+					t.Fatalf("%s: VectorScratch(%v)[%s] = %v, string oracle = %v",
 						ds.Name, p, ex.Name(j), gotScratch[j], want[j])
 				}
 				if rows[i][j] != want[j] {
-					t.Fatalf("%s: Vectors row %d [%s] = %v, string path = %v",
+					t.Fatalf("%s: Vectors row %d [%s] = %v, string oracle = %v",
 						ds.Name, i, ex.Name(j), rows[i][j], want[j])
 				}
 			}
 			for j := range want {
 				if c := ex.Compute(j, p); c != want[j] {
-					t.Fatalf("%s: Compute(%s, %v) = %v, string path = %v",
+					t.Fatalf("%s: Compute(%s, %v) = %v, string oracle = %v",
 						ds.Name, ex.Name(j), p, c, want[j])
 				}
-				c, s := ex.ComputeScratch(j, p, scratch), ex.ComputeString(j, p)
+				c, s := ex.ComputeScratch(j, p, scratch), want[j]
 				if math.Float64bits(c) != math.Float64bits(s) {
-					t.Fatalf("%s: ComputeScratch(%s, %v) = %v, ComputeString = %v",
+					t.Fatalf("%s: ComputeScratch(%s, %v) = %v, string oracle = %v",
 						ds.Name, ex.Name(j), p, c, s)
 				}
 			}

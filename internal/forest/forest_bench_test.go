@@ -8,18 +8,6 @@ import (
 
 var sinkForest *Forest
 
-// BenchmarkTrainSerial measures the pre-parallelization reference: trees
-// grown one after another.
-func BenchmarkTrainSerial(b *testing.B) {
-	X, y := randomTraining(3, 2000, 15)
-	cfg := Defaults()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkForest = trainSerial(X, y, cfg)
-	}
-}
-
 // BenchmarkTrain measures the shipping path: per-tree seeds drawn up front,
 // trees grown concurrently.
 func BenchmarkTrain(b *testing.B) {

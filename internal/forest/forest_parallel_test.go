@@ -14,7 +14,7 @@ import (
 
 // trainSerialTrees is the pre-parallelization, pre-SoA reference
 // implementation: one RNG, pointer trees grown one after another through
-// tree.Grow, each consuming the forest RNG directly. Train must produce
+// growReference, each consuming the forest RNG directly. Train must produce
 // exactly this forest for every seed.
 func trainSerialTrees(X [][]float64, y []bool, cfg Config) []*tree.Tree {
 	cfg = cfg.withDefaults()
@@ -35,7 +35,7 @@ func trainSerialTrees(X [][]float64, y []bool, cfg Config) []*tree.Tree {
 	for t := 0; t < cfg.NumTrees; t++ {
 		treeRng := rand.New(rand.NewSource(rng.Int63()))
 		idx := stats.SampleIndices(treeRng, len(X), bag)
-		trees = append(trees, tree.Grow(X, y, idx, tree.Config{
+		trees = append(trees, growReference(X, y, idx, refConfig{
 			MaxDepth:         cfg.MaxDepth,
 			MinLeaf:          cfg.MinLeaf,
 			FeaturesPerSplit: m,

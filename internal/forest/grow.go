@@ -9,14 +9,14 @@ import (
 // grower grows one tree at a time directly into the SoA layout. All of its
 // scratch — bootstrap indices, feature marks, split-candidate list, sort
 // buffer, partition buffer — is allocated once per par.For chunk and reused
-// across trees and nodes, where the retained pointer-tree path (tree.Grow)
-// allocated fresh index slices, value buffers, and sort closures at every
-// node. That per-node garbage is what kept concurrent tree growth
-// serialized on the allocator; with it gone, goroutines share nothing but
-// the read-only training data.
+// across trees and nodes, where the classic pointer-tree grower (retained
+// as the test oracle growReference) allocated fresh index slices, value
+// buffers, and sort closures at every node. That per-node garbage is what
+// kept concurrent tree growth serialized on the allocator; with it gone,
+// goroutines share nothing but the read-only training data.
 //
 // For a given RNG the grower consumes exactly the same draw sequence and
-// produces exactly the same tree as tree.Grow; the equivalence tests pin
+// produces exactly the same tree as growReference; the equivalence tests pin
 // this for every seed they try.
 type grower struct {
 	X        [][]float64

@@ -222,7 +222,8 @@ type Metrics struct {
 	JobsDone     int `json:"jobs_done"`
 	JobsCanceled int `json:"jobs_canceled"`
 	JobsFailed   int `json:"jobs_failed"`
-	// Shard task counters, accumulated across every job's blocking run.
+	// Shard task counters, accumulated across every job whose blocking
+	// rules anchored an index probe — one-shard (K=1) jobs included.
 	ShardTasksDispatched int64 `json:"shard_tasks_dispatched"`
 	ShardTasksRetried    int64 `json:"shard_tasks_retried"`
 	// Shard transport payload bytes (HTTP bodies, not headers) across every

@@ -76,9 +76,9 @@ type Meta struct {
 	// TB overrides the blocking trigger threshold t_B when > 0 (scaled-down
 	// runs lower it so blocking still engages on small tables).
 	TB int `json:"tb,omitempty"`
-	// Shards selects the blocking execution strategy (blocker.Config.Shards
-	// semantics: 0 = choose by table size, 1 = single index, >1 = that many
-	// shards); ShardWorkers bounds the shard coordinator's fan-out width.
+	// Shards is the blocking shard count (blocker.Config.Shards semantics:
+	// 0 = choose by table size, n >= 1 = that many shards); ShardWorkers
+	// bounds the shard coordinator's fan-out width.
 	// The umbrella set is bit-identical at every setting.
 	Shards       int `json:"shards,omitempty"`
 	ShardWorkers int `json:"shard_workers,omitempty"`

@@ -28,15 +28,12 @@ import (
 //	  else:       varint dB = b − prevB (prevB starts at 0, resets on new A)
 //
 // Signed deltas make the codec total: any []record.Pair — sorted or not —
-// round-trips exactly, which is what lets the differential fuzz target
-// compare it against the JSON round trip on arbitrary inputs. Sorted
-// inputs merely encode smallest.
+// round-trips exactly, which is what lets the fuzz target feed it arbitrary
+// inputs. Sorted inputs merely encode smallest.
 //
-// Negotiation rides on standard HTTP content types (see PairsContentType
-// and PairStreamContentType): a client advertises the binary codec in
-// Accept, the worker answers with it or falls back to the PR 6 JSON
-// envelope, and either side can be downgraded independently — the decoded
-// pair stream is byte-identical in all four combinations.
+// It is the only representation of a probe result on the wire: the worker
+// labels a response PairsContentType or PairStreamContentType and the
+// executor rejects anything else.
 
 const (
 	// PairsContentType is the media type of one binary-encoded pair block
@@ -46,13 +43,9 @@ const (
 	// one uvarint length-prefixed binary pair block per task, in task
 	// order, streamed as each probe completes.
 	PairStreamContentType = "application/x-corleone-pair-stream"
-	// JSONContentType is the fallback envelope both endpoints must keep
-	// speaking: {"pairs": [...]} for single probes, NDJSON lines of the
-	// same envelope for batches.
+	// JSONContentType is the media type of every request body (Task, Task
+	// array, JobSpec) and of the /shard/load and /metrics responses.
 	JSONContentType = "application/json"
-	// JSONStreamContentType frames the JSON fallback for batched probes:
-	// one {"pairs": [...]} line per task, in task order.
-	JSONStreamContentType = "application/x-ndjson"
 )
 
 // ErrCorruptPairs reports a binary pair block that cannot be decoded:

@@ -51,8 +51,8 @@ func TestPairCodecRoundTrip(t *testing.T) {
 }
 
 // TestPairCodecCompression pins the point of the codec: a typical sorted
-// survivor run must encode well under half its JSON size (the acceptance
-// floor is 5x; assert a conservative 4x here so unit tests stay robust).
+// survivor run must encode well under half the size of its plain JSON
+// rendering (assert a conservative 4x so unit tests stay robust).
 func TestPairCodecCompression(t *testing.T) {
 	var pairs []record.Pair
 	for a := int32(100); a < 150; a++ {
@@ -61,7 +61,7 @@ func TestPairCodecCompression(t *testing.T) {
 		}
 	}
 	bin := AppendPairs(nil, pairs)
-	jso, err := json.Marshal(probeResponse{Pairs: pairs})
+	jso, err := json.Marshal(pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +142,8 @@ func pairsFromBytes(data []byte) []record.Pair {
 // FuzzPairCodec is the differential fuzz target: (1) DecodePairs must be
 // total over arbitrary bytes — no panics, no allocation blowups — and any
 // successfully decoded list must re-encode canonically and round-trip;
-// (2) a pair list derived from the input must round-trip through the
-// binary codec to exactly the same list the JSON envelope round-trips to.
+// (2) a pair list derived from the input — sorted or not — must round-trip
+// through the codec exactly.
 func FuzzPairCodec(f *testing.F) {
 	for _, pairs := range codecCases() {
 		f.Add(AppendPairs(nil, pairs))
@@ -170,27 +170,18 @@ func FuzzPairCodec(f *testing.F) {
 			}
 		}
 
-		// Axis 2: differential against the JSON round trip.
+		// Axis 2: arbitrary pair lists through encode → decode.
 		pairs := pairsFromBytes(data)
 		bin, err := DecodePairs(AppendPairs(nil, pairs), nil)
 		if err != nil {
-			t.Fatalf("binary round trip of valid pairs failed: %v", err)
+			t.Fatalf("round trip of valid pairs failed: %v", err)
 		}
-		raw, err := json.Marshal(probeResponse{Pairs: pairs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var pr probeResponse
-		if err := json.Unmarshal(raw, &pr); err != nil {
-			t.Fatal(err)
-		}
-		if len(bin) != len(pr.Pairs) || len(bin) != len(pairs) {
-			t.Fatalf("codec disagreement: binary %d, JSON %d, input %d pairs",
-				len(bin), len(pr.Pairs), len(pairs))
+		if len(bin) != len(pairs) {
+			t.Fatalf("round trip changed length %d -> %d", len(pairs), len(bin))
 		}
 		for i := range pairs {
-			if bin[i] != pairs[i] || pr.Pairs[i] != pairs[i] {
-				t.Fatalf("pair %d: binary %v, JSON %v, input %v", i, bin[i], pr.Pairs[i], pairs[i])
+			if bin[i] != pairs[i] {
+				t.Fatalf("pair %d: decoded %v, input %v", i, bin[i], pairs[i])
 			}
 		}
 	})

@@ -13,9 +13,9 @@ import (
 	"github.com/corleone-em/corleone/internal/tree"
 )
 
-// TaskBlockRows is how many probe (table A) rows one shard task covers —
-// the same granularity as the single-index planner's scan blocks, so the
-// two paths load-balance skewed postings identically.
+// TaskBlockRows is how many probe (table A) rows one shard task covers:
+// small enough to load-balance skewed postings, large enough to amortize
+// the coordinator handoff.
 const TaskBlockRows = 64
 
 // Task is one unit of shard work: probe the anchor feature's index on one
@@ -145,8 +145,12 @@ type Coordinator struct {
 // failures retry, other 4xx cannot improve — except that an open circuit
 // IS retryable here: the next attempt rotates to a different endpoint, so
 // failing fast on one breaker should trigger failover, not abort the job.
+// So is a 412: the remote executor already answers a worker's first "unknown
+// job" by loading the spec and probing again, so one that reaches here means
+// the worker forgot the job a second time — it restarted between the load
+// and the retried probe — and the next attempt simply loads again.
 func taskRetryable(err error) bool {
-	if errors.Is(err, platform.ErrCircuitOpen) {
+	if errors.Is(err, platform.ErrCircuitOpen) || isUnloaded(err) {
 		return true
 	}
 	return platform.Retryable(err)

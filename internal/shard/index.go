@@ -36,7 +36,7 @@ func (x *Index) Footprint() int64 {
 
 // Candidates appends to dst the ascending GLOBAL row ids of the shard's
 // rows whose similarity to probe could exceed theta — the shard-local
-// slice of the single index's candidate superset. The simindex scratch is
+// slice of the whole table's candidate superset. The simindex scratch is
 // reusable across shards of any size.
 func (x *Index) Candidates(probe *similarity.Profile, theta float64, s *simindex.Scratch, dst []int32) []int32 {
 	for _, lr := range x.ix.Candidates(probe, theta, s) {

@@ -10,10 +10,10 @@ func pairLess(x, y record.Pair) bool {
 
 // MergePairs merges k (a, b)-ascending pair lists into dst (cleared
 // first), preserving (a, b) order — the per-probe-block merge that
-// stitches the K shards' survivor lists back into the single-index
-// planner's emission order. Ties across lists (impossible for disjoint
-// shard output, but the contract is total) resolve to the lower list
-// index, matching mergePairsRef.
+// stitches the K shards' survivor lists back into the scan's emission
+// order. Ties across lists (impossible for disjoint shard output, but the
+// contract is total) resolve to the lower list index, matching the
+// linear-scan reference merge it is fuzzed against (merge_test.go).
 //
 // The hot shapes get dedicated paths: K ≤ 2 covers the small shard counts
 // the planner picks automatically (a two-pointer merge with bulk tail
@@ -122,31 +122,5 @@ func mergeLoserTree(dst []record.Pair, lists [][]record.Pair) []record.Pair {
 			}
 		}
 		tree[0] = w
-	}
-}
-
-// mergePairsRef is the retained PR 6 reference merge: an O(K) linear head
-// scan per emitted pair. It is the semantic oracle MergePairs is fuzzed
-// and unit-tested against — slow, but obviously correct.
-func mergePairsRef(dst []record.Pair, lists [][]record.Pair) []record.Pair {
-	dst = dst[:0]
-	heads := make([]int, len(lists))
-	for {
-		bestList := -1
-		var best record.Pair
-		for i, l := range lists {
-			if heads[i] >= len(l) {
-				continue
-			}
-			v := l[heads[i]]
-			if bestList < 0 || v.A < best.A || (v.A == best.A && v.B < best.B) {
-				best, bestList = v, i
-			}
-		}
-		if bestList < 0 {
-			return dst
-		}
-		heads[bestList]++
-		dst = append(dst, best)
 	}
 }

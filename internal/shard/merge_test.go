@@ -8,6 +8,32 @@ import (
 	"github.com/corleone-em/corleone/internal/record"
 )
 
+// mergePairsRef is the reference merge: an O(K) linear head scan per
+// emitted pair. It is the semantic oracle MergePairs is fuzzed and
+// unit-tested against — slow, but obviously correct.
+func mergePairsRef(dst []record.Pair, lists [][]record.Pair) []record.Pair {
+	dst = dst[:0]
+	heads := make([]int, len(lists))
+	for {
+		bestList := -1
+		var best record.Pair
+		for i, l := range lists {
+			if heads[i] >= len(l) {
+				continue
+			}
+			v := l[heads[i]]
+			if bestList < 0 || v.A < best.A || (v.A == best.A && v.B < best.B) {
+				best, bestList = v, i
+			}
+		}
+		if bestList < 0 {
+			return dst
+		}
+		heads[bestList]++
+		dst = append(dst, best)
+	}
+}
+
 // randLists builds k sorted pair lists from a seeded source — the shapes
 // MergePairs actually sees (disjoint-ish ascending runs) plus overlapping
 // ranges and exact cross-list duplicates to exercise the tie-break.

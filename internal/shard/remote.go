@@ -41,43 +41,34 @@ func (e *httpStatusError) HTTPStatus() int { return e.status }
 // double-emit or diverge; the idempotency key header makes the retry
 // visible to logging middleware the same way platform's HIT creation is.
 //
-// Transport fast paths (both negotiated, both falling back to the PR 6
-// JSON envelope against an older worker):
-//
-//   - single probes advertise the binary pair codec in Accept and decode
-//     whichever representation the worker answers with;
-//   - ProbeBatch ships a whole run of same-shard tasks in one request and
-//     consumes the response as a per-task stream — length-prefixed binary
-//     pair blocks or NDJSON lines — completing each task as its frame
-//     arrives. A stream torn mid-batch returns the delivered prefix plus
-//     a retryable error; the coordinator re-runs only the tail.
+// Requests are JSON (a lean Task, a Task array, or the JobSpec); probe
+// responses are always the binary pair codec (codec.go). A single probe
+// answers with one pair block; ProbeBatch ships a whole run of same-shard
+// tasks in one request and consumes the response as a stream of
+// length-prefixed pair blocks, completing each task as its frame arrives.
+// A stream torn mid-batch returns the delivered prefix plus a retryable
+// error; the coordinator re-runs only the tail.
 type RemoteExecutor struct {
 	endpoints []string
 	client    *http.Client
 	breakers  []platform.Breaker
-
-	// ForceJSON disables the binary codec: Accept advertises only the JSON
-	// envelope (and NDJSON for batches). It exists for the equivalence
-	// tests and the transport benchmark — outputs are byte-identical either
-	// way, JSON just costs more wire.
-	ForceJSON bool
-	// MaxBatchTasks caps how many tasks one wire request carries (<=0
-	// means 64). ProbeBatch splits longer runs into sequential requests —
-	// the byte budget per request stays bounded no matter how large a run
-	// the coordinator claims.
-	MaxBatchTasks int
 
 	mu    sync.Mutex
 	spec  JobSpec
 	stats *Stats
 }
 
+// maxBatchTasks caps how many tasks one wire request carries. ProbeBatch
+// splits longer runs into sequential requests — the byte budget per request
+// stays bounded no matter how large a run the coordinator claims.
+const maxBatchTasks = 64
+
 // NewRemoteExecutor targets the given worker base URLs (e.g.
 // "http://127.0.0.1:9301"). spec seeds the lazy-load handshake: only the
 // dataset recipe (Dataset, Scale, Noise) must be filled in — the job id,
 // shard count, anchor feature, threshold, and rules arrive via BindJob
 // once the planner has chosen them. client nil means a default with a
-// generous per-call timeout (a batch covers at most MaxBatchTasks probes).
+// generous per-call timeout (a batch covers at most maxBatchTasks probes).
 func NewRemoteExecutor(endpoints []string, spec JobSpec, client *http.Client) *RemoteExecutor {
 	if client == nil {
 		client = &http.Client{Timeout: 120 * time.Second}
@@ -140,7 +131,10 @@ func (e *RemoteExecutor) route(shard, attempt int) (string, *platform.Breaker, e
 }
 
 // Probe implements Executor: route, gate on the endpoint's breaker, probe,
-// lazily load the job on 412, and feed the outcome back to the breaker.
+// lazily load the job on 412, and feed the outcome back to the breaker. A
+// 412 that survives the reload (the worker restarted again between the load
+// and the retried probe) is returned as is; the coordinator counts it
+// retryable, so its bounded attempt loop loads once more.
 func (e *RemoteExecutor) Probe(t Task, attempt int) ([]record.Pair, error) {
 	ep, br, err := e.route(t.Shard, attempt)
 	if err != nil {
@@ -167,7 +161,7 @@ func (e *RemoteExecutor) Probe(t Task, attempt int) ([]record.Pair, error) {
 	return pairs, err
 }
 
-// ProbeBatch implements BatchExecutor: one request per MaxBatchTasks-sized
+// ProbeBatch implements BatchExecutor: one request per maxBatchTasks-sized
 // chunk of the run, each consumed as a per-task result stream. All tasks
 // in a batch share a shard (the coordinator groups them), so the whole
 // batch routes like a single task would. On any failure the completed
@@ -180,15 +174,11 @@ func (e *RemoteExecutor) ProbeBatch(tasks []Task, attempt int) ([][]record.Pair,
 	if err != nil {
 		return nil, err
 	}
-	limit := e.MaxBatchTasks
-	if limit <= 0 {
-		limit = 64
-	}
 	results := make([][]record.Pair, 0, len(tasks))
 	for len(tasks) > 0 {
 		chunk := tasks
-		if len(chunk) > limit {
-			chunk = chunk[:limit]
+		if len(chunk) > maxBatchTasks {
+			chunk = chunk[:maxBatchTasks]
 		}
 		tasks = tasks[len(chunk):]
 		if err := br.Allow(); err != nil { //corlint:allow det-time — breaker wall clock steers failover pacing, never probe results
@@ -233,8 +223,9 @@ func (e *RemoteExecutor) newRequest(url, idemKey, accept string, body []byte) (*
 	return req, nil
 }
 
-// post sends v as JSON and returns the response body on 2xx, or an
-// httpStatusError carrying the status and (truncated) body otherwise.
+// post sends v as JSON and returns the response body and content type on
+// 2xx, or an httpStatusError carrying the status and (truncated) body
+// otherwise.
 func (e *RemoteExecutor) post(url, idemKey, accept string, v any) ([]byte, string, error) {
 	body, err := json.Marshal(v)
 	if err != nil {
@@ -265,38 +256,19 @@ func (e *RemoteExecutor) post(url, idemKey, accept string, v any) ([]byte, strin
 	return data, resp.Header.Get("Content-Type"), nil
 }
 
-// acceptFor returns the Accept header for single (stream=false) or batched
-// probes, honoring ForceJSON.
-func (e *RemoteExecutor) acceptFor(stream bool) string {
-	if stream {
-		if e.ForceJSON {
-			return JSONStreamContentType
-		}
-		return PairStreamContentType + ", " + JSONStreamContentType
-	}
-	if e.ForceJSON {
-		return JSONContentType
-	}
-	return PairsContentType + ", " + JSONContentType
-}
-
 func (e *RemoteExecutor) probeOnce(ep string, t Task) ([]record.Pair, error) {
-	data, ctype, err := e.post(ep+"/shard/probe", fmt.Sprintf("%s-%d", t.Job, t.Seq), e.acceptFor(false), t)
+	data, ctype, err := e.post(ep+"/shard/probe", fmt.Sprintf("%s-%d", t.Job, t.Seq), PairsContentType, t)
 	if err != nil {
 		return nil, err
 	}
-	if ctype == PairsContentType {
-		pairs, err := DecodePairs(data, nil)
-		if err != nil {
-			return nil, fmt.Errorf("shard: bad binary probe response from %s: %w", ep, err)
-		}
-		return pairs, nil
+	if ctype != PairsContentType {
+		return nil, fmt.Errorf("shard: unexpected probe content type %q from %s", ctype, ep)
 	}
-	var pr probeResponse
-	if err := json.Unmarshal(data, &pr); err != nil {
+	pairs, err := DecodePairs(data, nil)
+	if err != nil {
 		return nil, fmt.Errorf("shard: bad probe response from %s: %w", ep, err)
 	}
-	return pr.Pairs, nil
+	return pairs, nil
 }
 
 // countingReader counts bytes as the stream consumes them, so a torn batch
@@ -321,7 +293,7 @@ func (e *RemoteExecutor) batchOnce(ep string, tasks []Task) ([][]record.Pair, er
 		return nil, err
 	}
 	idem := fmt.Sprintf("%s-%d-%d", tasks[0].Job, tasks[0].Seq, tasks[len(tasks)-1].Seq)
-	req, err := e.newRequest(ep+"/shard/probe", idem, e.acceptFor(true), body)
+	req, err := e.newRequest(ep+"/shard/probe", idem, PairStreamContentType, body)
 	if err != nil {
 		return nil, err
 	}
@@ -341,14 +313,10 @@ func (e *RemoteExecutor) batchOnce(ep string, tasks []Task) ([][]record.Pair, er
 		}
 		return nil, &httpStatusError{status: resp.StatusCode, msg: msg}
 	}
-	switch ct := resp.Header.Get("Content-Type"); ct {
-	case PairStreamContentType:
-		return readBinaryStream(cr, len(tasks), ep)
-	case JSONStreamContentType:
-		return readJSONStream(cr, len(tasks), ep)
-	default:
+	if ct := resp.Header.Get("Content-Type"); ct != PairStreamContentType {
 		return nil, fmt.Errorf("shard: unexpected batch content type %q from %s", ct, ep)
 	}
+	return readBinaryStream(cr, len(tasks), ep)
 }
 
 // readBinaryStream consumes length-prefixed binary pair blocks.
@@ -371,21 +339,6 @@ func readBinaryStream(r io.Reader, want int, ep string) ([][]record.Pair, error)
 			return results, fmt.Errorf("shard: bad batch frame from %s: %w", ep, err)
 		}
 		results = append(results, pairs)
-	}
-	return results, nil
-}
-
-// readJSONStream consumes NDJSON probe envelopes — the batch fallback.
-func readJSONStream(r io.Reader, want int, ep string) ([][]record.Pair, error) {
-	dec := json.NewDecoder(r)
-	results := make([][]record.Pair, 0, want)
-	for len(results) < want {
-		var pr probeResponse
-		if err := dec.Decode(&pr); err != nil {
-			return results, fmt.Errorf("shard: batch stream from %s ended after %d of %d tasks: %w",
-				ep, len(results), want, err)
-		}
-		results = append(results, pr.Pairs)
 	}
 	return results, nil
 }

@@ -9,7 +9,7 @@
 //
 // The design invariant is bit-identical output: a sharded run, at any K,
 // any worker count, and any task completion order, emits exactly the pair
-// stream the single-index planner emits. Three properties compose to give
+// stream the exhaustive A×B scan emits. Three properties compose to give
 // that:
 //
 //  1. Partitioning is a pure function of the record id (Assign), so the
@@ -68,9 +68,8 @@ func Partition(n, k int) [][]int32 {
 }
 
 // AutoThresholdRows is the indexed-table size above which the planner
-// picks sharded execution when the shard count is left on automatic: below
-// it a single index fits comfortably and the per-task overhead would be
-// pure loss.
+// splits the index when the shard count is left on automatic: below it one
+// shard's index fits comfortably and the K-way merge would be pure loss.
 const AutoThresholdRows = 200_000
 
 // targetRowsPerShard sizes automatic shard counts: each shard's inverted
@@ -83,14 +82,15 @@ const targetRowsPerShard = 100_000
 const maxAutoShards = 64
 
 // Choose resolves a configured shard count against the indexed table's
-// size: 1 (or negative) forces the single-index path, >1 is honored
-// verbatim, and 0 means automatic — shard only past AutoThresholdRows, at
-// about targetRowsPerShard rows per shard.
+// size: n >= 1 is honored verbatim (1 is one shard through the same
+// coordinator, not a separate path; negative counts as 1), and 0 means
+// automatic — one shard up to AutoThresholdRows, then about
+// targetRowsPerShard rows per shard.
 func Choose(configured, indexedRows int) int {
 	switch {
-	case configured > 1:
+	case configured >= 1:
 		return configured
-	case configured != 0: // 1 or negative: explicitly single-index
+	case configured < 0:
 		return 1
 	case indexedRows < AutoThresholdRows:
 		return 1

@@ -1,21 +1,14 @@
 package shard
 
-// Transport benchmarks: the PR 6 wire protocol — one fat JSON task per
-// HTTP round trip, rules and feature constants repeated in every request,
-// JSON envelope responses — against this round's lean path: constants
-// hoisted into /shard/load, batched task arrays, and delta-encoded binary
-// pair frames. Both clients hit the same pre-loaded worker over loopback
-// HTTP and produce identical survivor streams, so the deltas are pure
-// transport. Each benchmark reports the wire bytes it moved per task as
-// the custom metric "wire-B/task"; scripts/bench.sh turns the legacy/
-// batched ratio into the shard_transport section of BENCH_PR8.json.
+// Transport benchmarks: the shard wire path — per-job constants in
+// /shard/load, lean JSON tasks, delta-encoded binary pair frames — one
+// task per round trip against whole per-shard runs per round trip. Both
+// hit the same pre-loaded worker over loopback HTTP and produce identical
+// survivor streams, so the delta is pure transport. Each benchmark reports
+// the wire bytes it moved per task as the custom metric "wire-B/task".
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -25,17 +18,6 @@ import (
 	"github.com/corleone-em/corleone/internal/tree"
 )
 
-// fatTask reproduces the PR 6 probe request: the task plus every per-job
-// constant inlined. The worker ignores the extra fields (the job it loaded
-// holds the same values), so responses are byte-identical to the lean path
-// — the benchmark measures wire format, not behavior.
-type fatTask struct {
-	Task
-	Feature int         `json:"feature"`
-	Theta   float64     `json:"theta"`
-	Rules   []tree.Rule `json:"rules"`
-}
-
 // transportFixture is the shared bench harness: one worker process
 // (httptest), its job pre-loaded so no 412 handshake pollutes timing, the
 // full task grid, and the per-shard runs the coordinator would claim.
@@ -44,7 +26,6 @@ type transportFixture struct {
 	srv  *httptest.Server
 	grid []Task
 	runs [][]Task // grid grouped by shard, each run Seq-ascending
-	fat  [][]byte // pre-marshaled PR 6 request bodies, one per grid task
 }
 
 var (
@@ -89,21 +70,14 @@ func benchTransportFixture(b *testing.B) *transportFixture {
 		profA, _ := ex.Profiles(f)
 		grid := BlockTasks(spec.Job, len(profA), k)
 		runs := make([][]Task, k)
-		fat := make([][]byte, len(grid))
-		for i, t := range grid {
+		for _, t := range grid {
 			runs[t.Shard] = append(runs[t.Shard], t)
-			fat[i], err = json.Marshal(fatTask{Task: t, Feature: f, Theta: theta, Rules: spec.Rules})
-			if err != nil {
-				transportErr = err
-				return
-			}
 		}
 		transportFix = &transportFixture{
 			spec: spec,
 			srv:  httptest.NewServer(w.Handler()),
 			grid: grid,
 			runs: runs,
-			fat:  fat,
 		}
 	})
 	if transportErr != nil {
@@ -112,46 +86,8 @@ func benchTransportFixture(b *testing.B) *transportFixture {
 	return transportFix
 }
 
-// BenchmarkTransportJSONLegacy is the PR 6 baseline, reproduced exactly:
-// every task is its own POST carrying the fat JSON body, every response a
-// JSON pair envelope. One op = one task.
-func BenchmarkTransportJSONLegacy(b *testing.B) {
-	fx := benchTransportFixture(b)
-	client := fx.srv.Client()
-	var wire int64
-	sink := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		body := fx.fat[i%len(fx.fat)]
-		resp, err := client.Post(fx.srv.URL+"/shard/probe", JSONContentType, bytes.NewReader(body))
-		if err != nil {
-			b.Fatal(err)
-		}
-		data, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			b.Fatalf("probe: HTTP %d: %s", resp.StatusCode, data)
-		}
-		var pr probeResponse
-		if err := json.Unmarshal(data, &pr); err != nil {
-			b.Fatal(err)
-		}
-		sink += len(pr.Pairs)
-		wire += int64(len(body) + len(data))
-	}
-	b.StopTimer()
-	if sink == 0 {
-		b.Fatal("legacy path decoded zero pairs — the workload is empty")
-	}
-	b.ReportMetric(float64(wire)/float64(b.N), "wire-B/task")
-}
-
-// BenchmarkTransportBinarySingle isolates the codec axis: still one POST
-// per task, but lean task bodies and binary pair-block responses. One op =
-// one task.
+// BenchmarkTransportBinarySingle is the unbatched path: one POST per task,
+// one binary pair block per response. One op = one task.
 func BenchmarkTransportBinarySingle(b *testing.B) {
 	fx := benchTransportFixture(b)
 	exec, stats := benchExecutor(fx)

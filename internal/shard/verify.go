@@ -9,11 +9,11 @@ import (
 
 // Verifier evaluates a full blocking-rule set on one pair with lazily
 // computed, memoized features — the exact §4.3 semantics every candidate-
-// generation strategy shares. The single-index planner, the exhaustive
-// scan, in-process shard workers, and remote shard workers all verify
-// through this one evaluator, which is why their outputs are bit-identical:
-// candidate generation only ever decides which pairs get *checked*, never
-// which pairs *survive*. One Verifier serves one goroutine.
+// generation strategy shares. The exhaustive scan, in-process shard
+// workers, and remote shard workers all verify through this one evaluator,
+// which is why their outputs are bit-identical: candidate generation only
+// ever decides which pairs get *checked*, never which pairs *survive*. One
+// Verifier serves one goroutine.
 type Verifier struct {
 	ex      *feature.Extractor
 	rules   []tree.Rule

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -229,17 +228,6 @@ func (w *Worker) probeLoaded(job *workerJob, t Task) ([]record.Pair, error) {
 	return out, nil
 }
 
-// probeResponse is the /shard/probe JSON wire envelope (single probes and
-// NDJSON batch lines alike).
-type probeResponse struct {
-	Pairs []record.Pair `json:"pairs"`
-}
-
-// accepts reports whether the request's Accept header lists the media type.
-func accepts(r *http.Request, contentType string) bool {
-	return strings.Contains(r.Header.Get("Accept"), contentType)
-}
-
 // Handler serves the worker over HTTP:
 //
 //	GET  /healthz     → 200 "ok" once the process accepts work
@@ -248,10 +236,10 @@ func accepts(r *http.Request, contentType string) bool {
 //	POST /shard/probe → body Task or [Task, ...]; 412 when the job is not
 //	                    loaded (client should load + retry)
 //
-// Probe responses are content-negotiated via Accept. A single task answers
-// with one binary pair block (application/x-corleone-pairs) or the JSON
-// envelope. A batch answers with a stream — one length-prefixed binary
-// block (application/x-corleone-pair-stream) or one NDJSON envelope line
+// Probe responses are always the binary pair codec, whatever the request's
+// Accept says. A single task answers with one pair block
+// (application/x-corleone-pairs). A batch answers with a stream
+// (application/x-corleone-pair-stream) — one length-prefixed pair block
 // per task, in task order, flushed per task so a client can consume (and,
 // after a mid-stream kill, keep) every completed prefix.
 func (w *Worker) Handler() http.Handler {
@@ -298,17 +286,16 @@ func (w *Worker) Handler() http.Handler {
 			return
 		}
 		if t := bytes.TrimLeft(body, " \t\r\n"); len(t) > 0 && t[0] == '[' {
-			w.serveBatch(rw, r, body)
+			w.serveBatch(rw, body)
 			return
 		}
-		w.serveSingle(rw, r, body)
+		w.serveSingle(rw, body)
 	})
 	return mux
 }
 
-// serveSingle answers one task, negotiating the binary pair block against
-// the JSON envelope.
-func (w *Worker) serveSingle(rw http.ResponseWriter, r *http.Request, body []byte) {
+// serveSingle answers one task with one binary pair block.
+func (w *Worker) serveSingle(rw http.ResponseWriter, body []byte) {
 	var t Task
 	if err := json.Unmarshal(body, &t); err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
@@ -320,13 +307,11 @@ func (w *Worker) serveSingle(rw http.ResponseWriter, r *http.Request, body []byt
 		http.Error(rw, err.Error(), http.StatusPreconditionFailed)
 	case err != nil:
 		http.Error(rw, err.Error(), http.StatusBadRequest)
-	case accepts(r, PairsContentType):
+	default:
 		rw.Header().Set("Content-Type", PairsContentType)
 		rw.WriteHeader(http.StatusOK)
 		//corlint:allow dur-ignored-write — status line already committed; a torn pipe surfaces as the client's read error, and no server-side state depends on the write
 		rw.Write(AppendPairs(nil, pairs))
-	default:
-		writeWorkerJSON(rw, http.StatusOK, probeResponse{Pairs: pairs})
 	}
 }
 
@@ -337,7 +322,7 @@ func (w *Worker) serveSingle(rw http.ResponseWriter, r *http.Request, body []byt
 // Past that point the stream writes one frame per task in order, flushing
 // each, so a client that loses the connection mid-batch keeps the
 // delivered prefix and re-pays only the tail.
-func (w *Worker) serveBatch(rw http.ResponseWriter, r *http.Request, body []byte) {
+func (w *Worker) serveBatch(rw http.ResponseWriter, body []byte) {
 	var tasks []Task
 	if err := json.Unmarshal(body, &tasks); err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
@@ -360,12 +345,7 @@ func (w *Worker) serveBatch(rw http.ResponseWriter, r *http.Request, body []byte
 		}
 		jobs[i] = job
 	}
-	binary := accepts(r, PairStreamContentType)
-	if binary {
-		rw.Header().Set("Content-Type", PairStreamContentType)
-	} else {
-		rw.Header().Set("Content-Type", JSONStreamContentType)
-	}
+	rw.Header().Set("Content-Type", PairStreamContentType)
 	rw.WriteHeader(http.StatusOK)
 	flusher, _ := rw.(http.Flusher)
 	w.stats.Batches.Add(1)
@@ -379,19 +359,9 @@ func (w *Worker) serveBatch(rw http.ResponseWriter, r *http.Request, body []byte
 			// error gets a proper status.
 			return
 		}
-		if binary {
-			buf = AppendPairs(buf[:0], pairs)
-			if err := WriteFrame(rw, buf); err != nil {
-				return // client gone; it keeps what it already read
-			}
-		} else {
-			line, err := json.Marshal(probeResponse{Pairs: pairs})
-			if err != nil {
-				return
-			}
-			if _, err := rw.Write(append(line, '\n')); err != nil {
-				return
-			}
+		buf = AppendPairs(buf[:0], pairs)
+		if err := WriteFrame(rw, buf); err != nil {
+			return // client gone; it keeps what it already read
 		}
 		if flusher != nil {
 			flusher.Flush()

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -49,22 +50,29 @@ func localBaseline(t *testing.T, spec JobSpec, ex *feature.Extractor, rules []tr
 	group := BuildGroup(mustKind(t, ex, spec.Feature), profB, spec.Shards)
 	exec := NewLocalExecutor(ex, group, profA, rules, spec.Theta)
 	tasks := BlockTasks(spec.Job, len(profA), spec.Shards)
-	var out []record.Pair
-	per := make([][]record.Pair, spec.Shards)
-	filled := 0
-	c := &Coordinator{Workers: 2}
-	err := c.Run(tasks, exec, func(_ int, pairs []record.Pair) {
-		per[filled] = pairs
-		filled++
-		if filled == spec.Shards {
-			out = append(out, MergePairs(nil, per)...)
-			filled = 0
-		}
-	})
+	out, err := runMerged(&Coordinator{Workers: 2}, tasks, exec, spec.Shards)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// runMerged drives a k-shard task grid through the coordinator and stitches
+// each probe block's k consecutive survivor lists back into (a, b) order —
+// what the blocker's planner does with the stream.
+func runMerged(c *Coordinator, tasks []Task, exec Executor, k int) ([]record.Pair, error) {
+	var out []record.Pair
+	per := make([][]record.Pair, k)
+	filled := 0
+	err := c.Run(tasks, exec, func(_ int, pairs []record.Pair) {
+		per[filled] = pairs
+		filled++
+		if filled == k {
+			out = append(out, MergePairs(nil, per)...)
+			filled = 0
+		}
+	})
+	return out, err
 }
 
 func mustKind(t *testing.T, ex *feature.Extractor, f int) simindex.Kind {
@@ -90,18 +98,7 @@ func TestWorkerHTTPRoundTrip(t *testing.T) {
 	rexec := NewRemoteExecutor([]string{srv.URL}, spec, srv.Client())
 	profA, _ := ex.Profiles(spec.Feature)
 	tasks := BlockTasks(spec.Job, len(profA), spec.Shards)
-	var got []record.Pair
-	per := make([][]record.Pair, spec.Shards)
-	filled := 0
-	c := &Coordinator{Workers: 3}
-	err := c.Run(tasks, rexec, func(_ int, pairs []record.Pair) {
-		per[filled] = pairs
-		filled++
-		if filled == spec.Shards {
-			got = append(got, MergePairs(nil, per)...)
-			filled = 0
-		}
-	})
+	got, err := runMerged(&Coordinator{Workers: 3}, tasks, rexec, spec.Shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,18 +188,8 @@ func TestRemoteExecutorFailover(t *testing.T) {
 	rexec := NewRemoteExecutor([]string{dead.URL, live.URL}, spec, live.Client())
 	profA, _ := ex.Profiles(spec.Feature)
 	tasks := BlockTasks(spec.Job, len(profA), spec.Shards)
-	var got []record.Pair
-	per := make([][]record.Pair, spec.Shards)
-	filled := 0
 	c := &Coordinator{Workers: 2, MaxAttempts: 3, Stats: &stats}
-	err := c.Run(tasks, rexec, func(_ int, pairs []record.Pair) {
-		per[filled] = pairs
-		filled++
-		if filled == spec.Shards {
-			got = append(got, MergePairs(nil, per)...)
-			filled = 0
-		}
-	})
+	got, err := runMerged(c, tasks, rexec, spec.Shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,5 +206,104 @@ func TestRemoteExecutorFailover(t *testing.T) {
 	}
 	if stats.Retried.Load() == 0 {
 		t.Error("no retries counted despite a dead endpoint")
+	}
+}
+
+// TestWorkerProbeAlwaysBinary pins the one wire format: a probe with no
+// Accept header, or one naming only a foreign type, still gets the binary
+// pair codec — a single block for a task, a frame stream for a batch.
+func TestWorkerProbeAlwaysBinary(t *testing.T) {
+	spec, _, _ := testJob(t, 2)
+	w := NewWorker()
+	if err := w.Load(spec); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(w.Handler())
+	defer srv.Close()
+
+	task := `{"job":"test-job","a_lo":0,"a_hi":8,"shard":0,"shards":2}`
+	for _, accept := range []string{"", "application/json", "application/x-ndjson, text/plain"} {
+		for body, want := range map[string]string{
+			task:             PairsContentType,
+			"[" + task + "]": PairStreamContentType,
+		} {
+			req, err := http.NewRequest(http.MethodPost, srv.URL+"/shard/probe", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if accept != "" {
+				req.Header.Set("Accept", accept)
+			}
+			resp, err := srv.Client().Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if got := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || got != want {
+				t.Errorf("Accept %q: status %d, content type %q, want 200 %q",
+					accept, resp.StatusCode, got, want)
+			}
+		}
+	}
+}
+
+// forgetfulWorker serves a shard worker that loses its state once, right
+// after its first successful /shard/load — a process restart landing
+// between the executor's 412 re-load and its retried probe.
+type forgetfulWorker struct {
+	mu     sync.Mutex
+	w      *Worker
+	forgot bool
+}
+
+func (f *forgetfulWorker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
+	f.mu.Lock()
+	w := f.w
+	f.mu.Unlock()
+	w.Handler().ServeHTTP(rw, r)
+	if r.URL.Path != "/shard/load" {
+		return
+	}
+	f.mu.Lock()
+	if !f.forgot {
+		f.forgot = true
+		f.w = NewWorker()
+	}
+	f.mu.Unlock()
+}
+
+// TestRemoteSecond412Retries is the regression test for a run-ending
+// flake: the executor reloads once on 412, and a second 412 straight after
+// the reload used to count as a terminal 4xx. The coordinator must treat it
+// as retryable, load again on the next attempt, and emit the baseline
+// stream — through single probes and through batches.
+func TestRemoteSecond412Retries(t *testing.T) {
+	spec, ex, rules := testJob(t, 2)
+	want := localBaseline(t, spec, ex, rules)
+	profA, _ := ex.Profiles(spec.Feature)
+	tasks := BlockTasks(spec.Job, len(profA), spec.Shards)
+
+	for _, batch := range []int{1, 8} {
+		fw := &forgetfulWorker{w: NewWorker()}
+		srv := httptest.NewServer(fw)
+		var stats Stats
+		rexec := NewRemoteExecutor([]string{srv.URL}, spec, srv.Client())
+		// One coordinator worker: the first probe alone meets both 412s.
+		c := &Coordinator{Workers: 1, Batch: batch, Stats: &stats}
+		got, err := runMerged(c, tasks, rexec, spec.Shards)
+		srv.Close()
+		if err != nil {
+			t.Fatalf("batch=%d: a second 412 after reload ended the run: %v", batch, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("batch=%d: emitted %d pairs, local baseline %d (or order differs)",
+				batch, len(got), len(want))
+		}
+		if !fw.forgot {
+			t.Fatalf("batch=%d: the worker never forgot the job; the test exercised nothing", batch)
+		}
+		if stats.Retried.Load() == 0 {
+			t.Errorf("batch=%d: no coordinator retry counted for the post-reload 412", batch)
+		}
 	}
 }

@@ -68,7 +68,7 @@ func FuzzMyersMatchesMatrixDP(f *testing.F) {
 		if got := Levenshtein(a, b); got != want {
 			t.Fatalf("Levenshtein(%q,%q) = %d, matrix reference = %d", a, b, got, want)
 		}
-		if got := levenshteinTwoRowRunes([]rune(a), []rune(b), nil); got != want {
+		if got := levenshteinTwoRowRunes([]rune(a), []rune(b)); got != want {
 			t.Fatalf("two-row reference disagrees with matrix on %q/%q: %d vs %d", a, b, got, want)
 		}
 		// Scratch reuse across calls (and argument order) must not change
@@ -99,11 +99,6 @@ func FuzzStringMeasuresStayInRange(f *testing.F) {
 			"JaccardQGrams": JaccardQGrams,
 			"OverlapWords":  OverlapWords,
 			"MongeElkan":    MongeElkan,
-			"NW":            NeedlemanWunsch,
-			"SW":            SmithWaterman,
-			"LCS":           LongestCommonSubstring,
-			"SoundexSim":    SoundexSim,
-			"CosineQGrams":  CosineQGrams,
 		} {
 			s := fn(a, b)
 			if s < 0 || s > 1 || math.IsNaN(s) {
@@ -144,7 +139,7 @@ func FuzzJaroBitParallel(f *testing.F) {
 
 // FuzzSetKernels differentially fuzzes the integer-coded set measures —
 // word ranks for Jaccard / overlap / TF-IDF cosine, packed 3-grams for
-// q-gram Jaccard / cosine — against the retained string merges, demanding
+// q-gram Jaccard — against the retained string merges, demanding
 // Float64bits equality. A third document joins the vocabulary so ranks are
 // not simply the two inputs' tokens and IDFs vary. Seeds carry runes at the
 // top of the 21-bit gram field (U+10FFFF), U+FFFD, the pad rune itself,
@@ -176,7 +171,6 @@ func FuzzSetKernels(f *testing.F) {
 			{"overlap_w", OverlapWordsProfiles(pa, pb), overlapSortedStrings(wa, wb)},
 			{"jaccard_3g", JaccardQGramsProfiles(pa, pb),
 				jaccardSortedStrings(sortedSetStrings(ga), sortedSetStrings(gb))},
-			{"cosine_3g", CosineQGramsProfiles(pa, pb), cosineQGramsStrings(pa.Norm, pb.Norm)},
 			{"tfidf_cos", CosineProfiles(pa, pb),
 				cosineStringVectors(weighStrings(c, pa.Tokens), weighStrings(c, pb.Tokens))},
 			{"tfidf_cos/string", CosineProfiles(pa, pb), c.Cosine(pa.Norm, pb.Norm)},

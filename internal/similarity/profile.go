@@ -1,23 +1,18 @@
 package similarity
 
-import (
-	"slices"
-
-	"github.com/corleone-em/corleone/internal/strutil"
-)
+import "github.com/corleone-em/corleone/internal/strutil"
 
 // Fields selects which precomputed views a Profile carries. A record is
 // compared against thousands of counterparts during a pair scan, so
 // everything a measure would re-derive from the string on every call —
 // normalization, rune decoding, tokenization, q-grams, sorted count
-// vectors, parsed numerics, Soundex codes — is computed once per record
-// instead. Callers request only the fields their measures need; the
+// vectors, parsed numerics — is computed once per record instead. Callers request only the fields their measures need; the
 // feature extractor picks them per attribute type.
 type Fields uint
 
 const (
 	// FieldRunes decodes the normalized string into runes (edit distance,
-	// Jaro, Jaro-Winkler, the alignment measures).
+	// Jaro, Jaro-Winkler).
 	FieldRunes Fields = 1 << iota
 	// FieldTokenRunes decodes each word token into runes (Monge-Elkan).
 	FieldTokenRunes
@@ -29,17 +24,15 @@ const (
 	// (TF/IDF cosine); Corpus.WeighProfile attaches it.
 	FieldTFIDF
 	// FieldQGrams materializes the sorted packed 3-gram count vector
-	// (q-gram Jaccard and cosine).
+	// (q-gram Jaccard).
 	FieldQGrams
 	// FieldNumeric parses the raw value as a number (numeric diffs).
 	FieldNumeric
-	// FieldSoundex encodes each word token with Soundex (phonetic match).
-	FieldSoundex
 )
 
 // AllFields builds every view; equivalence tests and generic callers use it.
 const AllFields = FieldRunes | FieldTokenRunes | FieldWordSet | FieldTFIDF |
-	FieldQGrams | FieldNumeric | FieldSoundex
+	FieldQGrams | FieldNumeric
 
 // Profile is the precomputed view of one attribute value. The profile fast
 // paths below consume pairs of profiles and return results bit-identical to
@@ -70,9 +63,6 @@ type Profile struct {
 	// Numeric / NumericOK are strutil.ParseNumeric(Raw) (FieldNumeric).
 	Numeric   float64
 	NumericOK bool
-	// SortedCodes is the sorted distinct set of the tokens' Soundex codes,
-	// each code's bytes packed big-endian into a word (FieldSoundex).
-	SortedCodes []uint64
 	// TFIDF is the corpus-weighted vector aligned with WordIDs, set by
 	// Corpus.WeighProfile (FieldTFIDF).
 	TFIDF *WeightedVector
@@ -86,7 +76,7 @@ func NewProfile(raw string, fields Fields) *Profile {
 	if fields&FieldRunes != 0 {
 		p.Runes = []rune(p.Norm)
 	}
-	if fields&(FieldTokenRunes|FieldWordSet|FieldTFIDF|FieldSoundex) != 0 {
+	if fields&(FieldTokenRunes|FieldWordSet|FieldTFIDF) != 0 {
 		p.Tokens = strutil.Words(p.Norm)
 	}
 	if fields&FieldTokenRunes != 0 {
@@ -104,16 +94,6 @@ func NewProfile(raw string, fields Fields) *Profile {
 	}
 	if fields&FieldNumeric != 0 {
 		p.Numeric, p.NumericOK = strutil.ParseNumeric(raw)
-	}
-	if fields&FieldSoundex != 0 {
-		codes := make([]uint64, len(p.Tokens))
-		for i, t := range p.Tokens {
-			for _, c := range []byte(Soundex(t)) {
-				codes[i] = codes[i]<<8 | uint64(c)
-			}
-		}
-		slices.Sort(codes)
-		p.SortedCodes = slices.Compact(codes)
 	}
 	return p
 }
@@ -242,54 +222,4 @@ func mongeElkanDirRunes(ta, tb [][]rune, s *Scratch) float64 {
 		sum += best
 	}
 	return sum / float64(len(ta))
-}
-
-// CosineQGramsProfiles is the profile fast path of CosineQGrams (requires
-// FieldQGrams). Norms are precomputed; the dot product merges the sorted
-// gram vectors in the string path's summation order.
-func CosineQGramsProfiles(a, b *Profile) float64 {
-	if len(a.Grams) == 0 && len(b.Grams) == 0 {
-		return 1
-	}
-	if len(a.Grams) == 0 || len(b.Grams) == 0 {
-		return 0
-	}
-	var dot float64
-	for i, j := 0, 0; i < len(a.Grams) && j < len(b.Grams); {
-		switch {
-		case a.Grams[i] < b.Grams[j]:
-			i++
-		case a.Grams[i] > b.Grams[j]:
-			j++
-		default:
-			dot += float64(a.GramCounts[i]) * float64(b.GramCounts[j])
-			i++
-			j++
-		}
-	}
-	return cosine(dot, a.GramNorm, b.GramNorm)
-}
-
-// NeedlemanWunschProfiles is the profile fast path of NeedlemanWunsch
-// (requires FieldRunes).
-func NeedlemanWunschProfiles(a, b *Profile, s *Scratch) float64 {
-	return needlemanWunschRunes(a.Runes, b.Runes, s)
-}
-
-// SmithWatermanProfiles is the profile fast path of SmithWaterman (requires
-// FieldRunes).
-func SmithWatermanProfiles(a, b *Profile, s *Scratch) float64 {
-	return smithWatermanRunes(a.Runes, b.Runes, s)
-}
-
-// LongestCommonSubstringProfiles is the profile fast path of
-// LongestCommonSubstring (requires FieldRunes).
-func LongestCommonSubstringProfiles(a, b *Profile, s *Scratch) float64 {
-	return longestCommonSubstringRunes(a.Runes, b.Runes, s)
-}
-
-// SoundexSimProfiles is the profile fast path of SoundexSim (requires
-// FieldSoundex).
-func SoundexSimProfiles(a, b *Profile) float64 {
-	return overlapSorted(a.SortedCodes, b.SortedCodes)
 }

@@ -20,16 +20,6 @@ var benchDocs = []string{
 
 var sinkF float64
 
-// BenchmarkCosineString measures the per-call string path: tokenize, sort,
-// look the IDF up, normalize — all repeated on every comparison.
-func BenchmarkCosineString(b *testing.B) {
-	c := NewCorpus(benchDocs)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sinkF = c.Cosine(benchDocs[i%len(benchDocs)], benchDocs[(i+3)%len(benchDocs)])
-	}
-}
-
 // BenchmarkCosineProfile measures the profile path: weighted vectors built
 // once, each comparison is a linear merge over presorted tokens.
 func BenchmarkCosineProfile(b *testing.B) {
@@ -43,18 +33,6 @@ func BenchmarkCosineProfile(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkF = CosineProfiles(profs[i%len(profs)], profs[(i+3)%len(profs)])
-	}
-}
-
-// BenchmarkEditSimString measures the retained pre-Myers reference path —
-// per-call rune decode plus the classic two-row DP with fresh row
-// allocations — the same baseline role BenchmarkTrainSerial plays for
-// forest training. The shipping string path (EditSim) now runs the Myers
-// core too; benchmark it via BenchmarkEditSimStringMyers.
-func BenchmarkEditSimString(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sinkF = editSimTwoRow(benchDocs[i%len(benchDocs)], benchDocs[(i+3)%len(benchDocs)])
 	}
 }
 

@@ -3,8 +3,6 @@ package similarity
 import (
 	"math"
 	"sort"
-
-	"github.com/corleone-em/corleone/internal/strutil"
 )
 
 // Oracles. Every function in this file is, verbatim, a hot path that
@@ -17,9 +15,8 @@ import (
 
 // levenshteinTwoRowRunes computes the unit-cost edit distance with the
 // classic two-row DP over runes, after prefix/suffix trimming and the
-// one-empty-side early exit — the exact pre-Myers hot path. s supplies the
-// two DP rows (nil allocates).
-func levenshteinTwoRowRunes(ra, rb []rune, s *Scratch) int {
+// one-empty-side early exit — the exact pre-Myers hot path.
+func levenshteinTwoRowRunes(ra, rb []rune) int {
 	for len(ra) > 0 && len(rb) > 0 && ra[0] == rb[0] {
 		ra, rb = ra[1:], rb[1:]
 	}
@@ -32,7 +29,7 @@ func levenshteinTwoRowRunes(ra, rb []rune, s *Scratch) int {
 	if len(rb) == 0 {
 		return len(ra)
 	}
-	prev, cur := s.intRows(len(rb) + 1)
+	prev, cur := make([]int, len(rb)+1), make([]int, len(rb)+1)
 	for j := range prev {
 		prev[j] = j
 	}
@@ -58,22 +55,6 @@ func min3(a, b, c int) int {
 		a = c
 	}
 	return a
-}
-
-// editSimTwoRow is the retained pre-Myers EditSim string path: per-call
-// rune decode plus the two-row DP. The bench harness measures it as the
-// edit_similarity baseline.
-func editSimTwoRow(a, b string) float64 {
-	ra, rb := []rune(a), []rune(b)
-	la, lb := len(ra), len(rb)
-	if la == 0 && lb == 0 {
-		return 1
-	}
-	m := la
-	if lb > m {
-		m = lb
-	}
-	return 1 - float64(levenshteinTwoRowRunes(ra, rb, nil))/float64(m)
 }
 
 // jaroGreedyRunes is the retained O(|a|·window) Jaro matcher over bool
@@ -221,46 +202,6 @@ func overlapSortedStrings(sa, sb []string) float64 {
 		small = len(sb)
 	}
 	return float64(intersectSortedStrings(sa, sb)) / float64(small)
-}
-
-// cosineQGramsStrings is the retained string-merge q-gram cosine over
-// sorted gram strings and their counts.
-func cosineQGramsStrings(a, b string) float64 {
-	ga, ca := sortedCountsStrings(strutil.QGrams(a, 3))
-	gb, cb := sortedCountsStrings(strutil.QGrams(b, 3))
-	if len(ga) == 0 && len(gb) == 0 {
-		return 1
-	}
-	if len(ga) == 0 || len(gb) == 0 {
-		return 0
-	}
-	var dot, na, nb float64
-	for _, c := range ca {
-		na += float64(c) * float64(c)
-	}
-	for _, c := range cb {
-		nb += float64(c) * float64(c)
-	}
-	for i, j := 0, 0; i < len(ga) && j < len(gb); {
-		switch {
-		case ga[i] < gb[j]:
-			i++
-		case ga[i] > gb[j]:
-			j++
-		default:
-			dot += float64(ca[i]) * float64(cb[j])
-			i++
-			j++
-		}
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	s := dot / (math.Sqrt(na) * math.Sqrt(nb))
-	if s > 1 {
-		s = 1
-	}
-	return s
 }
 
 // stringVector is the retained string-keyed TF/IDF vector: distinct tokens

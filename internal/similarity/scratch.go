@@ -1,16 +1,13 @@
 package similarity
 
-// Scratch holds the reusable working buffers of the dynamic-programming and
-// bit-parallel measures: the DP rows of Needleman-Wunsch / Smith-Waterman /
-// LCS, and the position-mask tables Myers edit distance and Jaro share. A
+// Scratch holds the reusable working buffers of the bit-parallel measures:
+// the position-mask tables Myers edit distance and Jaro share. A
 // pair scan evaluates millions of similarity calls; without scratch every
 // call allocates its working set anew, and that allocation — not the
 // arithmetic — dominates the profile. One Scratch serves one goroutine;
 // callers fanning out keep one per worker. A nil *Scratch is valid
 // everywhere and falls back to per-call allocation.
 type Scratch struct {
-	rowA, rowB []int
-
 	// Position masks of the indexed side (Myers' pattern, Jaro's b): a
 	// direct-indexed ASCII table plus a spillover map for runes >= 128.
 	// Single-word kernels store the mask itself (bit i set where the rune
@@ -32,32 +29,6 @@ const asciiTableSize = 128
 // NewScratch returns an empty scratch; buffers grow on demand and are
 // retained across calls.
 func NewScratch() *Scratch { return &Scratch{} }
-
-// intRows returns two int rows of length n. Contents are unspecified;
-// every DP core initializes its rows before reading them (Smith-Waterman
-// and LCS zero them explicitly).
-func (s *Scratch) intRows(n int) (ra, rb []int) {
-	if s == nil {
-		return make([]int, n), make([]int, n)
-	}
-	if cap(s.rowA) < n {
-		s.rowA = make([]int, n)
-		s.rowB = make([]int, n)
-	}
-	return s.rowA[:n], s.rowB[:n]
-}
-
-// zeroIntRows returns two zeroed int rows of length n.
-func (s *Scratch) zeroIntRows(n int) (ra, rb []int) {
-	ra, rb = s.intRows(n)
-	for i := range ra {
-		ra[i] = 0
-	}
-	for i := range rb {
-		rb[i] = 0
-	}
-	return ra, rb
-}
 
 // overflow returns the (clean, retained) spillover map.
 func (s *Scratch) overflow() map[rune]uint64 {

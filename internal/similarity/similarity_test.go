@@ -8,9 +8,9 @@ import (
 )
 
 // quickConfig gives every property test of the package a fixed generator:
-// quick.Check seeds from the clock by default, which made a rare
-// counterexample (the SoundexSim asymmetry) a tier-1 flake instead of a
-// failure. maxCount 0 keeps quick's default.
+// quick.Check seeds from the clock by default, which makes a rare
+// counterexample a tier-1 flake instead of a failure. maxCount 0 keeps
+// quick's default.
 func quickConfig(maxCount int) *quick.Config {
 	return &quick.Config{MaxCount: maxCount, Rand: rand.New(rand.NewSource(1))}
 }

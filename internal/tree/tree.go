@@ -3,32 +3,15 @@
 // root-to-leaf paths — that powers blocking (§4.1 step 4), reduction (§6.2),
 // and difficult-pair location (§7).
 //
-// Trees split on "feature <= threshold" with Gini impurity, choosing each
-// split from a random subset of features (the random-forest m parameter).
+// Trees split on "feature <= threshold". They are grown by package forest,
+// directly into its packed layout; this package holds the pointer form
+// (deserialization, rendering) and the rule algebra.
 package tree
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
-	"sort"
 	"strings"
 )
-
-// Config controls tree growth.
-type Config struct {
-	// MaxDepth bounds tree depth; 0 means unbounded.
-	MaxDepth int
-	// MinLeaf is the minimum number of training examples per leaf
-	// (default 1).
-	MinLeaf int
-	// FeaturesPerSplit is the paper's m = log2(n)+1 random features
-	// considered at each node; 0 means all features.
-	FeaturesPerSplit int
-	// Rand drives the per-node feature subsampling. Must be non-nil when
-	// FeaturesPerSplit > 0.
-	Rand *rand.Rand
-}
 
 // Node is one tree node. Leaves have Feature == -1.
 type Node struct {
@@ -47,156 +30,9 @@ type Node struct {
 // IsLeaf reports whether n is a leaf.
 func (n *Node) IsLeaf() bool { return n.Feature < 0 }
 
-// Tree is a grown decision tree.
+// Tree is a decision tree in pointer form.
 type Tree struct {
 	Root *Node
-}
-
-// Grow trains a tree on the rows of X selected by idx (labels in y). X rows
-// are feature vectors; idx lets the forest pass bootstrap samples without
-// copying. If idx is nil, all rows are used.
-func Grow(X [][]float64, y []bool, idx []int, cfg Config) *Tree {
-	if cfg.MinLeaf < 1 {
-		cfg.MinLeaf = 1
-	}
-	if idx == nil {
-		idx = make([]int, len(X))
-		for i := range idx {
-			idx[i] = i
-		}
-	}
-	own := make([]int, len(idx))
-	copy(own, idx)
-	g := &grower{X: X, y: y, cfg: cfg}
-	return &Tree{Root: g.grow(own, 0)}
-}
-
-type grower struct {
-	X   [][]float64
-	y   []bool
-	cfg Config
-}
-
-func (g *grower) counts(idx []int) (pos, neg int) {
-	for _, i := range idx {
-		if g.y[i] {
-			pos++
-		} else {
-			neg++
-		}
-	}
-	return
-}
-
-func (g *grower) grow(idx []int, depth int) *Node {
-	pos, neg := g.counts(idx)
-	leaf := func() *Node {
-		return &Node{Feature: -1, Label: pos > neg, Pos: pos, Neg: neg}
-	}
-	if pos == 0 || neg == 0 || len(idx) < 2*g.cfg.MinLeaf ||
-		(g.cfg.MaxDepth > 0 && depth >= g.cfg.MaxDepth) {
-		return leaf()
-	}
-	feat, thr, ok := g.bestSplit(idx, pos, neg)
-	if !ok {
-		return leaf()
-	}
-	var left, right []int
-	for _, i := range idx {
-		if g.X[i][feat] <= thr {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
-		}
-	}
-	if len(left) < g.cfg.MinLeaf || len(right) < g.cfg.MinLeaf {
-		return leaf()
-	}
-	return &Node{
-		Feature:   feat,
-		Threshold: thr,
-		Left:      g.grow(left, depth+1),
-		Right:     g.grow(right, depth+1),
-		Pos:       pos,
-		Neg:       neg,
-	}
-}
-
-// bestSplit searches a random subset of features for the split with the
-// lowest weighted Gini impurity. Returns ok=false when no split separates
-// the examples.
-func (g *grower) bestSplit(idx []int, pos, neg int) (feat int, thr float64, ok bool) {
-	nf := len(g.X[0])
-	var candidates []int
-	if g.cfg.FeaturesPerSplit > 0 && g.cfg.FeaturesPerSplit < nf {
-		seen := make(map[int]bool, g.cfg.FeaturesPerSplit)
-		for len(seen) < g.cfg.FeaturesPerSplit {
-			seen[g.cfg.Rand.Intn(nf)] = true
-		}
-		for f := range seen {
-			candidates = append(candidates, f)
-		}
-		sort.Ints(candidates)
-	} else {
-		candidates = make([]int, nf)
-		for f := range candidates {
-			candidates[f] = f
-		}
-	}
-
-	type vl struct {
-		v   float64
-		pos bool
-	}
-	bestGini := math.Inf(1)
-	total := float64(len(idx))
-	vals := make([]vl, 0, len(idx))
-	for _, f := range candidates {
-		vals = vals[:0]
-		for _, i := range idx {
-			vals = append(vals, vl{v: g.X[i][f], pos: g.y[i]})
-		}
-		sort.Slice(vals, func(a, b int) bool { return vals[a].v < vals[b].v })
-		//corlint:allow float-eq — constant-feature detection over sorted values: an ε-comparison would merge genuinely distinct split points and change the trained tree
-		if vals[0].v == vals[len(vals)-1].v {
-			continue // constant feature
-		}
-		lp, ln := 0, 0
-		for k := 0; k < len(vals)-1; k++ {
-			if vals[k].pos {
-				lp++
-			} else {
-				ln++
-			}
-			//corlint:allow float-eq — split candidates only exist between runs of exactly equal sorted values; the Gini tie-break depends on this being bitwise
-			if vals[k].v == vals[k+1].v {
-				continue
-			}
-			rp, rn := pos-lp, neg-ln
-			nl, nr := float64(lp+ln), float64(rp+rn)
-			gini := nl/total*giniOf(lp, ln) + nr/total*giniOf(rp, rn)
-			if gini < bestGini {
-				bestGini = gini
-				feat = f
-				thr = (vals[k].v + vals[k+1].v) / 2
-				ok = true
-			}
-		}
-	}
-	// Reject splits that do not improve on the parent impurity.
-	if ok && bestGini >= giniOf(pos, neg)-1e-12 {
-		return 0, 0, false
-	}
-	return feat, thr, ok
-}
-
-func giniOf(pos, neg int) float64 {
-	n := float64(pos + neg)
-	if n == 0 {
-		return 0
-	}
-	p := float64(pos) / n
-	return 2 * p * (1 - p)
 }
 
 // Predict routes v down the tree and returns the leaf label.
