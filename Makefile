@@ -38,8 +38,12 @@ verify:
 # baseline with no double-pay. The runsvc snapshot tests ride along: the
 # corruption fallback ladder, the bounded-replay cost assertion, and
 # compaction retention. -count=1 forces a fresh run past the test cache.
+# The boundary sweep is the exhaustive counterpart of the sampled
+# schedules: one kill at every durability boundary the job crosses
+# (tier-1 runs it at every 8th).
 chaos:
 	$(GO) test -race -count=1 -v -run 'TestChaosSchedules' ./internal/faultkit
+	CORLEONE_SWEEP_FULL=1 $(GO) test -race -count=1 -v -run 'TestDurabilityBoundarySweep' ./internal/faultkit
 	$(GO) test -race -count=1 -run 'TestSnapshot' ./internal/runsvc
 
 # Sharded-execution gate under the race detector: the blocker-level
