@@ -31,20 +31,21 @@ verify:
 	sh scripts/verify.sh
 
 # Chaos suite under the race detector: every seeded fault schedule
-# (transport 5xx bursts/drops/latency, torn journal writes, kill-points,
-# snapshot kill-points mid-write/mid-rotate and corrupt snapshot
-# generations) drives a full engine run through the HTTP marketplace and
-# the resume journal, and must converge bit-identically to the unfaulted
-# baseline with no double-pay. The runsvc snapshot tests ride along: the
-# corruption fallback ladder, the bounded-replay cost assertion, and
-# compaction retention. -count=1 forces a fresh run past the test cache.
-# The boundary sweep is the exhaustive counterpart of the sampled
-# schedules: one kill at every durability boundary the job crosses
-# (tier-1 runs it at every 8th).
+# (transport 5xx bursts/drops/latency, torn journal appends, kills at any
+# journal durability boundary, kills inside the compaction lifecycle and
+# bit-flipped snapshot generations) drives a full engine run through the
+# HTTP marketplace and the resume journal, and must converge
+# bit-identically to the unfaulted baseline with no double-pay. The
+# boundary sweep is the exhaustive counterpart of the sampled schedules:
+# one kill at every durability boundary the job crosses, plus a tear
+# inside every append (tier-1 runs every 8th). The runsvc journal tests
+# ride along: torn-tail repair at every byte offset, the corruption
+# fallback ladder, the bounded-replay cost assertion, and compaction
+# retention. -count=1 forces a fresh run past the test cache.
 chaos:
 	$(GO) test -race -count=1 -v -run 'TestChaosSchedules' ./internal/faultkit
 	CORLEONE_SWEEP_FULL=1 $(GO) test -race -count=1 -v -run 'TestDurabilityBoundarySweep' ./internal/faultkit
-	$(GO) test -race -count=1 -run 'TestSnapshot' ./internal/runsvc
+	$(GO) test -race -count=1 -run 'TestSnapshot|TestStoreOpen|TestKillAndResume' ./internal/runsvc
 
 # Sharded-execution gate under the race detector: the blocker-level
 # equivalence/determinism tests, the shard runtime's own suite, the
@@ -60,14 +61,19 @@ shard:
 # canonical re-encoding, decoder totality over arbitrary bytes) and the
 # K-way merge vs its reference. Pair kernels: bit-parallel Jaro vs the greedy
 # matcher, and the integer-coded set measures vs the string merges, both
-# to Float64bits equality (DESIGN.md "Pair kernels"). `go test -fuzz`
-# accepts one target per invocation, hence one run each. Also part of
-# `make verify` and CI.
+# to Float64bits equality (DESIGN.md "Pair kernels"). Journal: arbitrary
+# bytes as a log and as a snapshot never restore more than their longest
+# valid frame prefix, and one altered byte never goes unnoticed (DESIGN.md
+# "The journal"); its inputs are whole journal files, so minimizing each
+# interesting one would eat the run — hence -fuzzminimizetime 0. `go test
+# -fuzz` accepts one target per invocation, hence one run each. Also part
+# of `make verify` and CI.
 fuzz:
 	$(GO) test -count=1 -run '^$$' -fuzz 'FuzzPairCodec' -fuzztime 10s ./internal/shard
 	$(GO) test -count=1 -run '^$$' -fuzz 'FuzzMergePairs' -fuzztime 10s ./internal/shard
 	$(GO) test -count=1 -run '^$$' -fuzz 'FuzzJaroBitParallel' -fuzztime 10s ./internal/similarity
 	$(GO) test -count=1 -run '^$$' -fuzz 'FuzzSetKernels' -fuzztime 10s ./internal/similarity
+	$(GO) test -count=1 -run '^$$' -fuzz 'FuzzJournalReplay' -fuzztime 10s -fuzzminimizetime 0 ./internal/runsvc
 
 # The end-to-end benchmark (bench/README.md, BENCHMARK.json): pairs/s,
 # job latency, bytes and allocations per pair, F1 and crowd cost on five

@@ -29,10 +29,9 @@
 // With -snapshot-every N > 0, each job's journal is compacted every Nth
 // checkpoint: a checksummed snapshot generation replaces the log prefix,
 // so resume cost is bounded by records since the last snapshot rather
-// than the run's whole history. Snapshots from a newer configuration are
-// ignored by older binaries only in the sense that journals without
-// snapshots stay fully replayable; a corrupt newest generation falls back
-// to the previous one automatically.
+// than the run's whole history. A corrupt newest generation falls back to
+// the previous one automatically; with 0 the whole history stays in one
+// log, read by the same replay (DESIGN.md §3d).
 //
 // With -shard-endpoints set, each job's sharded blocking tasks fan out to
 // those shardworker processes over HTTP. On startup the service lists any

@@ -587,7 +587,7 @@ func (r *Runner) finishBatch(out []record.Labeled) {
 
 // QueueReplayBatches loads recorded training-batch compositions (oldest
 // first) to be served by the next LabelTrainingBatch calls in order. Used on
-// resume together with LoadLabelLog: labels make replayed questions free,
+// resume together with LoadLabelEntry: labels make replayed questions free,
 // the batch log makes replayed packing exact, so a resumed run retraces the
 // journaled trajectory deterministically before going live.
 func (r *Runner) QueueReplayBatches(batches [][]record.Pair) {

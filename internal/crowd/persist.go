@@ -1,7 +1,6 @@
 package crowd
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -34,6 +33,39 @@ func voteState(e *entry) int {
 	return int(e.settled)
 }
 
+// saved is the serialized form of one cache entry — the one entry codec
+// behind SaveLabels, the journal's incremental flush (AppendLabels) and
+// its compaction dump (DumpLabelLog).
+func saved(p record.Pair, e *entry) savedEntry {
+	return savedEntry{
+		A:       p.A,
+		B:       p.B,
+		Answers: e.answers,
+		Label:   e.label,
+		Settled: voteState(e),
+		Seed:    e.hasSeed,
+	}
+}
+
+// entry decodes the serialized form, rejecting vote states no writer
+// produces.
+func (s savedEntry) entry() (*entry, error) {
+	if s.Settled < voteStateUnsettled || s.Settled > int(PolicyHybrid) {
+		return nil, fmt.Errorf("crowd: entry %d:%d has invalid vote state %d", s.A, s.B, s.Settled)
+	}
+	settled := Policy(s.Settled)
+	if s.Settled == voteStateUnsettled {
+		settled = Policy21
+	}
+	return &entry{
+		answers: s.Answers,
+		label:   s.Label,
+		settled: settled,
+		voted:   s.Settled != voteStateUnsettled,
+		hasSeed: s.Seed,
+	}, nil
+}
+
 // SaveLabels serializes the runner's label cache (every answer collected,
 // vote states, seeds) as JSON. Crowd labels are paid for; persisting them
 // lets a resumed or re-configured run reuse them at zero cost — the §8.3
@@ -41,93 +73,69 @@ func voteState(e *entry) int {
 func (r *Runner) SaveLabels(w io.Writer) error {
 	var out []savedEntry
 	for _, l := range r.AllLabeled() {
-		e := r.cache[l.Pair]
-		out = append(out, savedEntry{
-			A:       l.Pair.A,
-			B:       l.Pair.B,
-			Answers: e.answers,
-			Label:   e.label,
-			Settled: voteState(e),
-			Seed:    e.hasSeed,
-		})
+		out = append(out, saved(l.Pair, r.cache[l.Pair]))
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(out)
 }
 
-// AppendLabels writes every cache entry mutated since the last call as one
-// JSON object per line — the incremental form of SaveLabels for append-only
-// journals. Unsettled in-flight entries (answers solicited but the policy's
-// stopping rule not yet met) are written too, so a resumed run tops up their
-// votes instead of re-paying from scratch. Entries are written in pair order
-// for determinism; the dirty set is cleared only for entries successfully
-// encoded. Returns the number of entries written.
-func (r *Runner) AppendLabels(w io.Writer) (int, error) {
-	r.sinceFlush = 0
-	if len(r.dirty) == 0 {
-		return 0, nil
+// emitEntries hands emit the encoding of each listed pair's cache entry,
+// one JSON object per call; the bytes are only valid during the call.
+// Callers pass the pairs sorted, so the output is deterministic.
+func (r *Runner) emitEntries(pairs []record.Pair, emit func(entry []byte)) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, p := range pairs {
+		buf.Reset()
+		// savedEntry holds only integers, booleans and a bool slice, and a
+		// bytes.Buffer never fails a write, so Encode cannot fail here.
+		if err := enc.Encode(saved(p, r.cache[p])); err != nil {
+			panic(fmt.Sprintf("crowd: encode cache entry %v: %v", p, err))
+		}
+		emit(buf.Bytes()[:buf.Len()-1]) // without Encode's trailing newline
 	}
+}
+
+// AppendLabels emits every cache entry mutated since the last call — the
+// incremental form of SaveLabels for append-only journals — and clears
+// the dirty set. Unsettled in-flight entries (answers solicited but the
+// policy's stopping rule not yet met) are emitted too, so a resumed run
+// tops up their votes instead of re-paying from scratch. Returns the
+// number of entries emitted.
+func (r *Runner) AppendLabels(emit func(entry []byte)) int {
+	r.sinceFlush = 0
 	pairs := make([]record.Pair, 0, len(r.dirty))
 	for p := range r.dirty {
 		pairs = append(pairs, p)
 	}
 	record.SortPairs(pairs)
-	enc := json.NewEncoder(w)
-	n := 0
-	for _, p := range pairs {
-		e := r.cache[p]
-		if err := enc.Encode(savedEntry{
-			A:       p.A,
-			B:       p.B,
-			Answers: e.answers,
-			Label:   e.label,
-			Settled: voteState(e),
-			Seed:    e.hasSeed,
-		}); err != nil {
-			return n, fmt.Errorf("crowd: append labels: %w", err)
-		}
-		delete(r.dirty, p)
-		n++
-	}
-	return n, nil
+	r.emitEntries(pairs, emit)
+	clear(r.dirty)
+	return len(pairs)
 }
 
-// DumpLabelLog writes the runner's entire label cache — every entry, not
-// just the dirty set — in the AppendLabels line format, sorted by pair for
-// determinism. It is the compaction form of the label log: feeding the
-// dump back through LoadLabelLog restores the full cache and the full
-// accounting (answers, pairs, cost) bit-identically, so a snapshot built
-// from it can replace an arbitrarily long log prefix. The dirty set is
-// left untouched: dumping is not flushing, and entries mutated since the
-// last append still belong to the next incremental flush. Returns the
-// number of entries written.
-func (r *Runner) DumpLabelLog(w io.Writer) (int, error) {
+// DumpLabelLog emits the runner's entire label cache — every entry, not
+// just the dirty set — in the AppendLabels encoding. It is the compaction
+// form of the label log: feeding the dump back through LoadLabelEntry
+// restores the full cache and the full accounting (answers, pairs, cost)
+// bit-identically, so a snapshot built from it can replace an arbitrarily
+// long log prefix. The dirty set is left untouched: dumping is not
+// flushing, and entries mutated since the last append still belong to the
+// next incremental flush. Returns the number of entries emitted.
+func (r *Runner) DumpLabelLog(emit func(entry []byte)) int {
 	pairs := make([]record.Pair, 0, len(r.cache))
 	for p := range r.cache {
 		pairs = append(pairs, p)
 	}
 	record.SortPairs(pairs)
-	enc := json.NewEncoder(w)
-	for _, p := range pairs {
-		e := r.cache[p]
-		if err := enc.Encode(savedEntry{
-			A:       p.A,
-			B:       p.B,
-			Answers: e.answers,
-			Label:   e.label,
-			Settled: voteState(e),
-			Seed:    e.hasSeed,
-		}); err != nil {
-			return 0, fmt.Errorf("crowd: dump label log: %w", err)
-		}
-	}
-	return len(pairs), nil
+	r.emitEntries(pairs, emit)
+	return len(pairs)
 }
 
-// LoadLabelLog replays a label journal written by AppendLabels: one JSON
-// entry per line, later lines superseding earlier ones for the same pair
-// (an entry is re-appended whenever it gains answers or settles harder).
+// LoadLabelEntry replays one entry emitted by AppendLabels or
+// DumpLabelLog. A later entry supersedes an earlier one for the same pair
+// (an entry is re-emitted whenever it gains answers or settles harder).
 // Loaded entries do not count as dirty — they are already durable.
 //
 // Replay restores the full accounting, not just the cache: every journaled
@@ -137,88 +145,46 @@ func (r *Runner) DumpLabelLog(w io.Writer) (int, error) {
 // per-process spend. (Cross-job label reuse goes through LoadLabels, which
 // deliberately adds no cost.)
 //
-// Replay is monotonic per pair: a line carrying strictly fewer answers
+// Replay is monotonic per pair: an entry carrying strictly fewer answers
 // than the cache already holds for its pair is skipped outright. Genuine
-// histories only ever grow a pair's answer set, so such a line is a stale
-// overlap — compaction replay feeds the snapshot first and then log lines
-// the snapshot already covers (a crash between snapshot rename and log
-// rotation leaves that window). Applying it would regress the cache and
-// let the pair's next cumulative line re-charge answers the snapshot
-// restore already paid; skipping makes every delta non-negative, so
-// over-replay of covered history charges exactly zero.
-//
-// A malformed final line is tolerated and skipped: a hard kill can tear
-// the trailing entry mid-write, and losing the in-flight tail is exactly
-// the journal's durability contract. A malformed line followed by more
-// data is corruption and fails the load. Returns the number of log lines
-// applied.
-func (r *Runner) LoadLabelLog(rd io.Reader) (int, error) {
-	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
-	n := 0
-	var torn error
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		if torn != nil {
-			return n, fmt.Errorf("crowd: load label log: malformed line followed by more data: %w", torn)
-		}
-		var e savedEntry
-		if err := json.Unmarshal(line, &e); err != nil {
-			torn = err
-			continue
-		}
-		if e.Settled < voteStateUnsettled || e.Settled > int(PolicyHybrid) {
-			return n, fmt.Errorf("crowd: log entry %d:%d has invalid vote state %d",
-				e.A, e.B, e.Settled)
-		}
-		p := record.Pair{A: e.A, B: e.B}
-		prev, exists := r.cache[p]
-		if exists && len(e.Answers) < len(prev.answers) {
-			// Stale overlap line (see the monotonicity doc above): the cache
-			// already restored a strictly larger answer set for this pair, so
-			// this line predates covered history. Skipped entirely — no state
-			// change, no accounting.
-			continue
-		}
-		if !exists && !e.Seed {
-			// Seeds are excluded: a live run never counts them either.
+// histories only ever grow a pair's answer set, so such an entry is stale
+// history replayed on top of state that already covers it; applying it
+// would regress the cache and let the pair's next cumulative entry
+// re-charge answers already restored. Skipping keeps every delta
+// non-negative, so over-replay of covered history charges exactly zero.
+func (r *Runner) LoadLabelEntry(buf []byte) error {
+	var s savedEntry
+	if err := json.Unmarshal(buf, &s); err != nil {
+		return fmt.Errorf("crowd: load label entry: %w", err)
+	}
+	e, err := s.entry()
+	if err != nil {
+		return err
+	}
+	p := record.Pair{A: s.A, B: s.B}
+	prev, exists := r.cache[p]
+	paid := len(e.answers)
+	switch {
+	case !exists:
+		// Seeds are excluded: a live run never counts them either.
+		if !e.hasSeed {
 			r.acct.Pairs++
 		}
-		paid := len(e.Answers)
-		if exists {
-			// A superseding line carries the pair's cumulative answers; only
-			// the delta beyond what is already restored is newly paid spend.
-			// The stale-line skip above keeps the delta non-negative.
-			paid -= len(prev.answers)
-		}
-		if paid > 0 {
-			r.acct.Answers += paid
-			// Accumulate per answer, exactly as solicit does, so a resumed
-			// run's Cost is bit-identical to the uninterrupted run's.
-			for i := 0; i < paid; i++ {
-				r.acct.Cost += r.price
-			}
-		}
-		settled := Policy(e.Settled)
-		if e.Settled == voteStateUnsettled {
-			settled = Policy21
-		}
-		r.cache[p] = &entry{
-			answers: e.Answers,
-			label:   e.Label,
-			settled: settled,
-			voted:   e.Settled != voteStateUnsettled,
-			hasSeed: e.Seed,
-		}
-		n++
+	case paid < len(prev.answers):
+		return nil // stale: see the monotonicity note above
+	default:
+		// A superseding entry carries the pair's cumulative answers; only
+		// the delta beyond what is already restored is newly paid spend.
+		paid -= len(prev.answers)
 	}
-	if err := sc.Err(); err != nil {
-		return n, fmt.Errorf("crowd: load label log: %w", err)
+	r.acct.Answers += paid
+	// Accumulate per answer, exactly as solicit does, so a resumed run's
+	// Cost is bit-identical to the uninterrupted run's.
+	for i := 0; i < paid; i++ {
+		r.acct.Cost += r.price
 	}
-	return n, nil
+	r.cache[p] = e
+	return nil
 }
 
 // RestoreHITs raises the HIT counter to n, a journaled cumulative count.
@@ -240,25 +206,16 @@ func (r *Runner) LoadLabels(rd io.Reader) (int, error) {
 		return 0, fmt.Errorf("crowd: load labels: %w", err)
 	}
 	n := 0
-	for _, e := range in {
-		p := record.Pair{A: e.A, B: e.B}
+	for _, s := range in {
+		p := record.Pair{A: s.A, B: s.B}
 		if _, exists := r.cache[p]; exists {
 			continue
 		}
-		if e.Settled < voteStateUnsettled || e.Settled > int(PolicyHybrid) {
-			return n, fmt.Errorf("crowd: entry %v has invalid vote state %d", p, e.Settled)
+		e, err := s.entry()
+		if err != nil {
+			return n, err
 		}
-		settled := Policy(e.Settled)
-		if e.Settled == voteStateUnsettled {
-			settled = Policy21
-		}
-		r.cache[p] = &entry{
-			answers: e.Answers,
-			label:   e.Label,
-			settled: settled,
-			voted:   e.Settled != voteStateUnsettled,
-			hasSeed: e.Seed,
-		}
+		r.cache[p] = e
 		// Loaded labels were paid for in an earlier session; they count as
 		// labeled pairs for reporting but add no new cost.
 		r.acct.Pairs++

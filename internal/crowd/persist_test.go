@@ -3,11 +3,27 @@ package crowd
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/corleone-em/corleone/internal/record"
 )
+
+// entryLog collects emitted cache entries in order, the way a journal
+// frames them, and replays them through LoadLabelEntry.
+type entryLog [][]byte
+
+func (l *entryLog) emit(e []byte) { *l = append(*l, bytes.Clone(e)) }
+
+func (l entryLog) load(t *testing.T, r *Runner) {
+	t.Helper()
+	for _, e := range l {
+		if err := r.LoadLabelEntry(e); err != nil {
+			t.Fatalf("LoadLabelEntry(%s): %v", e, err)
+		}
+	}
+}
 
 func TestSaveLoadLabels(t *testing.T) {
 	truth := truth2()
@@ -82,24 +98,17 @@ func TestAppendLabelsRoundTripInFlight(t *testing.T) {
 	r1.cache[record.P(1, 2)] = &entry{answers: []bool{false}}
 	r1.markDirty(record.P(1, 2))
 
-	var buf bytes.Buffer
-	n, err := r1.AppendLabels(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 4 {
-		t.Fatalf("appended %d entries, want 4", n)
+	var log entryLog
+	if n := r1.AppendLabels(log.emit); n != 4 || len(log) != 4 {
+		t.Fatalf("appended %d entries (%d emitted), want 4", n, len(log))
 	}
 	// A second append with nothing new is empty — the dirty set cleared.
-	var buf2 bytes.Buffer
-	if n, err := r1.AppendLabels(&buf2); err != nil || n != 0 {
-		t.Fatalf("re-append wrote %d entries (err %v), want 0", n, err)
+	if n := r1.AppendLabels(func([]byte) { t.Error("re-append emitted an entry") }); n != 0 {
+		t.Fatalf("re-append wrote %d entries, want 0", n)
 	}
 
 	r2 := NewRunner(&Oracle{Truth: truth}, 0.01)
-	if n, err := r2.LoadLabelLog(bytes.NewReader(buf.Bytes())); err != nil || n != 4 {
-		t.Fatalf("loaded %d entries (err %v), want 4", n, err)
-	}
+	log.load(t, r2)
 	// Settled entries serve without re-soliciting, and replay restores the
 	// journaled spend (every logged answer was paid for by the same job):
 	// 6 answers across the three crowd-voted entries, none for the seed.
@@ -137,27 +146,21 @@ func TestAppendLabelsRoundTripInFlight(t *testing.T) {
 func TestAppendLabelsSupersede(t *testing.T) {
 	truth := truth2()
 	r1 := NewRunner(&Oracle{Truth: truth}, 0.01)
-	var log bytes.Buffer
+	var log entryLog
 	r1.Label(record.P(0, 1), Policy21) // negative at 2+1
-	if _, err := r1.AppendLabels(&log); err != nil {
-		t.Fatal(err)
-	}
+	r1.AppendLabels(log.emit)
 	r1.Label(record.P(0, 1), PolicyStrong) // upgraded: more answers
-	if _, err := r1.AppendLabels(&log); err != nil {
-		t.Fatal(err)
-	}
+	r1.AppendLabels(log.emit)
 
 	r2 := NewRunner(&Oracle{Truth: truth}, 0.01)
-	if _, err := r2.LoadLabelLog(bytes.NewReader(log.Bytes())); err != nil {
-		t.Fatal(err)
-	}
+	log.load(t, r2)
 	if _, ok := r2.Cached(record.P(0, 1), PolicyStrong); !ok {
-		t.Error("superseding log line lost: strong settle not restored")
+		t.Error("superseding log entry lost: strong settle not restored")
 	}
 	if r2.Stats().Pairs != 1 {
-		t.Errorf("two log lines for one pair counted as %d pairs", r2.Stats().Pairs)
+		t.Errorf("two log entries for one pair counted as %d pairs", r2.Stats().Pairs)
 	}
-	// Accounting restore is delta-based: the superseding line repeats the
+	// Accounting restore is delta-based: the superseding entry repeats the
 	// pair's cumulative answers, which must not be double-counted.
 	if r2.Stats().Answers != r1.Stats().Answers {
 		t.Errorf("restored %d answers, original paid %d", r2.Stats().Answers, r1.Stats().Answers)
@@ -167,45 +170,36 @@ func TestAppendLabelsSupersede(t *testing.T) {
 	}
 }
 
-// TestLoadLabelLogOverlapMonotonic reproduces the crash window between a
-// compaction snapshot's rename and the label-log rotation: replay loads
-// the snapshot (the pair restored at its full answer count) and then the
-// whole un-rotated live log, which still holds the pair's earlier
-// cumulative lines. A stale line must neither regress the cache nor set up
-// the pair's later line to re-charge answers the snapshot restore already
-// paid — the over-replay must converge at exactly zero extra cost.
+// TestLoadLabelLogOverlapMonotonic replays history a restored state
+// already covers: the full dump (the pair restored at its final answer
+// count) followed by the incremental log that led up to it, which still
+// holds the pair's earlier cumulative entries. The journal's layout no
+// longer produces this overlap, but LoadLabelEntry stays monotone per
+// pair regardless: a stale entry must neither regress the cache nor set up
+// the pair's later entry to re-charge answers already restored — the
+// over-replay must converge at exactly zero extra cost.
 func TestLoadLabelLogOverlapMonotonic(t *testing.T) {
 	truth := truth2()
 	r1 := NewRunner(&Oracle{Truth: truth}, 0.01)
-	var live bytes.Buffer
+	var live entryLog
 	r1.Label(record.P(0, 1), Policy21) // two answers, 2+1-settled
-	if _, err := r1.AppendLabels(&live); err != nil {
-		t.Fatal(err)
-	}
+	r1.AppendLabels(live.emit)
 	r1.Label(record.P(0, 1), PolicyStrong) // topped up: more answers
-	if _, err := r1.AppendLabels(&live); err != nil {
-		t.Fatal(err)
-	}
+	r1.AppendLabels(live.emit)
 	// The snapshot a checkpoint would write right after those flushes.
-	var snap bytes.Buffer
-	if _, err := r1.DumpLabelLog(&snap); err != nil {
-		t.Fatal(err)
-	}
+	var snap entryLog
+	r1.DumpLabelLog(snap.emit)
 
 	r2 := NewRunner(&Oracle{Truth: truth}, 0.01)
-	if _, err := r2.LoadLabelLog(bytes.NewReader(snap.Bytes())); err != nil {
-		t.Fatal(err)
-	}
+	snap.load(t, r2)
 	afterSnap := r2.Stats()
 	if afterSnap.Answers != r1.Stats().Answers {
 		t.Fatalf("snapshot restore = %d answers, original paid %d",
 			afterSnap.Answers, r1.Stats().Answers)
 	}
-	// Replay the overlapping live log on top: both cumulative lines,
-	// including the stale first one.
-	if _, err := r2.LoadLabelLog(bytes.NewReader(live.Bytes())); err != nil {
-		t.Fatal(err)
-	}
+	// Replay the overlapping log on top: both cumulative entries, including
+	// the stale first one.
+	live.load(t, r2)
 	if got := r2.Stats(); got != afterSnap {
 		t.Errorf("overlap replay changed accounting: %+v, want %+v (zero extra cost)",
 			got, afterSnap)
@@ -215,44 +209,19 @@ func TestLoadLabelLogOverlapMonotonic(t *testing.T) {
 	}
 }
 
+// TestLoadLabelLogRejectsGarbage: an entry that does not decode, or that
+// carries a vote state no writer produces, fails the load. (Torn tails
+// never reach LoadLabelEntry: the journal's frame decoder drops them.)
 func TestLoadLabelLogRejectsGarbage(t *testing.T) {
 	r := NewRunner(&Oracle{Truth: truth2()}, 0.01)
-	// A malformed line with more data after it is corruption, not a torn
-	// tail, and must fail the load.
-	bad := "not json\n" + `{"a":0,"b":0,"label":true,"settled":0,"answers":[true,true]}` + "\n"
-	if _, err := r.LoadLabelLog(strings.NewReader(bad)); err == nil {
-		t.Error("garbage mid-log accepted")
+	if err := r.LoadLabelEntry([]byte("not json")); err == nil {
+		t.Error("garbage entry accepted")
 	}
-	if _, err := r.LoadLabelLog(strings.NewReader(`{"a":0,"b":0,"settled":99}`)); err == nil {
+	if err := r.LoadLabelEntry([]byte(`{"a":0,"b":0,"settled":99}`)); err == nil {
 		t.Error("invalid vote state accepted")
 	}
-}
-
-// TestLoadLabelLogToleratesTornTail verifies crash durability: a hard kill
-// can tear the final journal line mid-write, and replay must recover every
-// complete line instead of failing the resume.
-func TestLoadLabelLogToleratesTornTail(t *testing.T) {
-	truth := truth2()
-	r1 := NewRunner(&Oracle{Truth: truth}, 0.01)
-	r1.Label(record.P(0, 0), PolicyHybrid)
-	r1.Label(record.P(0, 1), Policy21)
-	var log bytes.Buffer
-	if _, err := r1.AppendLabels(&log); err != nil {
-		t.Fatal(err)
-	}
-	full := log.String()
-	torn := full[:len(full)-7] // cut mid-way through the last line
-
-	r2 := NewRunner(&Oracle{Truth: truth}, 0.01)
-	n, err := r2.LoadLabelLog(strings.NewReader(torn))
-	if err != nil {
-		t.Fatalf("torn tail failed the load: %v", err)
-	}
-	if n != 1 {
-		t.Fatalf("loaded %d entries from torn log, want 1", n)
-	}
-	if _, ok := r2.Cached(record.P(0, 0), PolicyHybrid); !ok {
-		t.Error("intact line before the torn tail was lost")
+	if st := r.Stats(); st.Answers != 0 || st.Pairs != 0 {
+		t.Errorf("rejected entries changed accounting: %+v", st)
 	}
 }
 
@@ -267,8 +236,8 @@ func TestLoadLabelsRejectsGarbage(t *testing.T) {
 }
 
 // TestDumpLabelLogSnapshot pins the snapshot writer's contract: DumpLabelLog
-// emits the whole cache (settled, in-flight, seed) in the AppendLabels line
-// format, LoadLabelLog of the dump alone restores labels and accounting
+// emits the whole cache (settled, in-flight, seed) in the AppendLabels entry
+// encoding, LoadLabelEntry over the dump alone restores labels and accounting
 // bit-identically, and the dirty set is untouched — a snapshot is a read,
 // not a flush.
 func TestDumpLabelLogSnapshot(t *testing.T) {
@@ -280,25 +249,18 @@ func TestDumpLabelLogSnapshot(t *testing.T) {
 	r1.cache[record.P(1, 2)] = &entry{answers: []bool{false}} // in-flight
 	r1.markDirty(record.P(1, 2))
 
-	var snap bytes.Buffer
-	n, err := r1.DumpLabelLog(&snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 4 {
-		t.Fatalf("dumped %d entries, want 4 (3 crowd + 1 seed)", n)
+	var snap entryLog
+	if n := r1.DumpLabelLog(snap.emit); n != 4 || len(snap) != 4 {
+		t.Fatalf("dumped %d entries (%d emitted), want 4 (3 crowd + 1 seed)", n, len(snap))
 	}
 	// The dump is a snapshot, not a flush: the dirty in-flight entry still
 	// lands in the next incremental append.
-	var incr bytes.Buffer
-	if n, err := r1.AppendLabels(&incr); err != nil || n == 0 {
-		t.Fatalf("append after dump wrote %d entries (err %v), want the dirty set intact", n, err)
+	if n := r1.AppendLabels(func([]byte) {}); n == 0 {
+		t.Fatal("append after dump wrote nothing, want the dirty set intact")
 	}
 
 	r2 := NewRunner(&Oracle{Truth: truth}, 0.01)
-	if n, err := r2.LoadLabelLog(bytes.NewReader(snap.Bytes())); err != nil || n != 4 {
-		t.Fatalf("loaded %d entries (err %v), want 4", n, err)
-	}
+	snap.load(t, r2)
 	// Replay pays for every logged answer: 6 across the three crowd-voted
 	// entries (the hand-injected in-flight vote included), seed free.
 	got := r2.Stats()
@@ -317,19 +279,15 @@ func TestDumpLabelLogSnapshot(t *testing.T) {
 	// Dumping the restored runner reproduces the identical bytes: the
 	// format is canonical (sorted by pair), so snapshot-of-snapshot is a
 	// fixed point.
-	var snap2 bytes.Buffer
-	if _, err := r2.DumpLabelLog(&snap2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(snap.Bytes(), snap2.Bytes()) {
+	var snap2 entryLog
+	r2.DumpLabelLog(snap2.emit)
+	if !reflect.DeepEqual(snap, snap2) {
 		t.Error("dump of restored runner differs from original dump")
 	}
 	// And a second restore lands on bit-identical accounting — the
-	// property the runsvc snapshot header cross-check relies on.
+	// property the runsvc snapshot end-frame cross-check relies on.
 	r3 := NewRunner(&Oracle{Truth: truth}, 0.01)
-	if _, err := r3.LoadLabelLog(bytes.NewReader(snap2.Bytes())); err != nil {
-		t.Fatal(err)
-	}
+	snap2.load(t, r3)
 	st2, st3 := r2.Stats(), r3.Stats()
 	if st3.Answers != st2.Answers || st3.Pairs != st2.Pairs ||
 		math.Float64bits(st3.Cost) != math.Float64bits(st2.Cost) {

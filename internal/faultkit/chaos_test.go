@@ -15,6 +15,7 @@ package faultkit
 import (
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -105,7 +106,7 @@ func settledPairs(t *testing.T, dir, jobID string) map[record.Pair]bool {
 	}
 	defer jl.Close()
 	scratch := crowd.NewRunner(nil, 0.01)
-	if _, _, err := jl.Replay(scratch); err != nil {
+	if _, err := jl.Replay(scratch); err != nil {
 		t.Fatalf("replay journal %s: %v", jobID, err)
 	}
 	out := make(map[record.Pair]bool)
@@ -121,9 +122,9 @@ type chaosCase struct {
 	name      string
 	transport *Schedule
 	journal   *JournalSchedule
-	// snapshot enables compaction (SnapshotEvery 1) and injects faults at
-	// the snapshot durability boundaries.
-	snapshot *SnapshotSchedule
+	// snapshotEvery is the job's Options.SnapshotEvery: 1 for the
+	// compaction cases, so every checkpoint exercises snapshot + prune.
+	snapshotEvery int
 }
 
 func TestChaosSchedules(t *testing.T) {
@@ -154,30 +155,36 @@ func TestChaosSchedules(t *testing.T) {
 		{name: "mixed-transport", transport: &Schedule{
 			Seed: 105, P5xx: 0.03, PDrop: 0.02, PDropAfter: 0.02, PLatency: 0.05,
 			Burst: 2, Latency: 5 * time.Millisecond, Limit: 40}},
-		{name: "torn-journal", journal: &JournalSchedule{Seed: 106, PTear: 0.02, Limit: 3}},
-		{name: "kill-points", journal: &JournalSchedule{Seed: 107, PKill: 0.02, Limit: 3}},
+		{name: "torn-journal", journal: &JournalSchedule{Seed: 106, PTear: 0.08, Limit: 3}},
+		{name: "kill-points", journal: &JournalSchedule{Seed: 107, PKill: 0.05, Limit: 3}},
 		{name: "journal-plus-transport",
 			transport: &Schedule{Seed: 108, P5xx: 0.03, PDrop: 0.02, Burst: 2, Limit: 25},
-			journal:   &JournalSchedule{Seed: 108, PTear: 0.02, PKill: 0.02, Limit: 2}},
+			journal:   &JournalSchedule{Seed: 108, PTear: 0.05, PKill: 0.05, Limit: 2}},
 		{name: "kitchen-sink",
 			transport: &Schedule{
 				Seed: 109, P5xx: 0.02, PDrop: 0.02, PDropAfter: 0.02, PLatency: 0.04,
 				Burst: 3, Latency: 5 * time.Millisecond, Limit: 30},
-			journal: &JournalSchedule{Seed: 109, PTear: 0.015, PKill: 0.015, Limit: 3}},
-		// Compaction chaos: kills at snapshot durability boundaries and
-		// CRC-detectable corruption, with SnapshotEvery 1 so every
-		// checkpoint exercises the snapshot/rotate/prune path.
-		{name: "snap-kill-points",
-			snapshot: &SnapshotSchedule{Seed: 110, PKill: 0.3, Limit: 3}},
-		{name: "snap-kill-mid-rotate",
-			snapshot: &SnapshotSchedule{Seed: 111, PKill: 1,
-				Points: []string{runsvc.SnapPointRotatedLabels}, Limit: 2}},
-		{name: "snap-corrupt-fallback",
-			snapshot: &SnapshotSchedule{Seed: 112, PCorrupt: 0.6, PKill: 0.25,
-				CorruptMinGen: 2, Limit: 4}},
-		{name: "snapshot-plus-journal",
-			journal:  &JournalSchedule{Seed: 113, PTear: 0.015, PKill: 0.015, Limit: 2},
-			snapshot: &SnapshotSchedule{Seed: 113, PKill: 0.25, Limit: 2}},
+			journal: &JournalSchedule{Seed: 109, PTear: 0.04, PKill: 0.04, Limit: 3}},
+		// Compaction chaos: kills restricted to the snapshot lifecycle's
+		// boundaries (tmp written, installed, directory synced, pruned) and
+		// CRC-detectable bit rot, with SnapshotEvery 1 so every checkpoint
+		// exercises the snapshot/prune path.
+		{name: "snap-kill-points", snapshotEvery: 1,
+			journal: &JournalSchedule{Seed: 110, PKill: 0.3, Only: SnapshotOps, Limit: 3}},
+		// Every kill lands right after a generation's rename, before its
+		// log exists: the next epoch must restore from snap.gN alone.
+		{name: "snap-kill-installed", snapshotEvery: 1,
+			journal: &JournalSchedule{Seed: 111, PKill: 1, Limit: 2, Only: func(op runsvc.Op) bool {
+				return op.Kind == runsvc.OpRename && SnapshotOps(op)
+			}}},
+		// Generation 1 is spared: rot there leaves no older generation to
+		// fall back to, and replay refuses outright (runsvc pins that).
+		{name: "snap-corrupt-fallback", snapshotEvery: 1,
+			journal: &JournalSchedule{Seed: 116, PFlip: 0.35, PKill: 0.25, Limit: 4, Only: func(op runsvc.Op) bool {
+				return SnapshotOps(op) && !strings.HasSuffix(op.File, "snap.g000001")
+			}}},
+		{name: "snapshot-plus-journal", snapshotEvery: 1,
+			journal: &JournalSchedule{Seed: 113, PTear: 0.015, PKill: 0.03, Limit: 4}},
 	}
 	for i, tc := range cases {
 		tc, caseSeed := tc, int64(i+1)
@@ -210,25 +217,20 @@ func runChaos(t *testing.T, tc chaosCase, meta runsvc.Meta, base *engine.Result,
 
 	dir := t.TempDir()
 	var jobID string
+	var fallbacks int64
 	for epoch := 0; ; epoch++ {
 		if epoch > 30 {
 			t.Fatalf("job not done after %d resumes; schedule never went quiet?", epoch)
 		}
 		settled := settledPairs(t, dir, jobID)
 
-		opts := runsvc.Options{Workers: 1, JournalDir: dir}
-		if tc.snapshot != nil {
-			opts.SnapshotEvery = 1
-		}
+		opts := runsvc.Options{Workers: 1, JournalDir: dir, SnapshotEvery: tc.snapshotEvery}
 		mgr, err := runsvc.NewManager(opts) //corlint:allow det-time — the journaling service stamps operator-facing submission times; replay correctness never reads them back
 		if err != nil {
 			t.Fatalf("NewManager: %v", err)
 		}
 		if tc.journal != nil {
 			mgr.Store().Faults = tc.journal.FaultFunc()
-		}
-		if tc.snapshot != nil {
-			mgr.Store().SnapFaults = tc.snapshot.FaultFunc()
 		}
 
 		// A fresh client per epoch mirrors a fresh process: new idempotency
@@ -265,6 +267,7 @@ func runChaos(t *testing.T, tc chaosCase, meta runsvc.Meta, base *engine.Result,
 		jobID = job.ID
 		res, runErr := job.Wait()
 		state := job.State()
+		fallbacks += mgr.Store().SnapshotFallbacks()
 		mgr.Close()
 
 		// No double-pay: pairs the journal had settled before this epoch
@@ -286,8 +289,8 @@ func runChaos(t *testing.T, tc chaosCase, meta runsvc.Meta, base *engine.Result,
 			if tc.journal != nil && tc.journal.Injected() == 0 {
 				t.Error("journal schedule injected no faults; case proved nothing")
 			}
-			if tc.snapshot != nil && tc.snapshot.Injected() == 0 {
-				t.Error("snapshot schedule injected no faults; case proved nothing")
+			if tc.journal != nil && tc.journal.PFlip > 0 && fallbacks == 0 {
+				t.Error("no resume fell back past a flipped generation; case proved nothing")
 			}
 			assertChaosResult(t, res, base)
 			return

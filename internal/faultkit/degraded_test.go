@@ -181,7 +181,7 @@ func TestDegradedPairSettledOnResume(t *testing.T) {
 	}
 	defer jl2.Close()
 	r2 := crowd.NewRunner(&crowd.Oracle{Truth: truth}, 0.01)
-	if _, _, err := jl2.Replay(r2); err != nil {
+	if _, err := jl2.Replay(r2); err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
 	if _, ok := r2.Cached(pair, crowd.Policy21); ok {

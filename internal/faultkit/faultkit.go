@@ -5,11 +5,10 @@
 //   - Schedule: an HTTP middleware for the platform marketplace injecting
 //     5xx bursts, connection drops (before and after the server processed
 //     the request), and latency spikes.
-//   - JournalSchedule: a runsvc.FaultFunc injecting torn journal writes
-//     and process kill-points between journal records.
-//   - SnapshotSchedule: a runsvc.SnapFaultFunc injecting kill-points at
-//     snapshot durability boundaries (tmp written, renamed, logs rotated)
-//     and CRC-detectable payload corruption into compaction snapshots.
+//   - JournalSchedule: a runsvc.FaultFunc over the journal's one fault
+//     seam, injecting torn appends, process kills at any durability
+//     boundary (append, fsync, rename, prune) and CRC-detectable bit rot
+//     in compaction snapshots.
 //   - FlakyCrowd: a crowd.CrowdErr wrapper injecting per-ask failures and
 //     outage windows without a marketplace in the loop.
 //

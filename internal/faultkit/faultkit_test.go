@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/corleone-em/corleone/internal/crowd"
+	"github.com/corleone-em/corleone/internal/engine"
 	"github.com/corleone-em/corleone/internal/record"
 	"github.com/corleone-em/corleone/internal/runsvc"
 )
@@ -221,12 +222,12 @@ func TestJournalScheduleTear(t *testing.T) {
 	}
 	defer jl2.Close()
 	scratch := crowd.NewRunner(nil, 0.01)
-	labels, _, err := jl2.Replay(scratch)
+	got, err := jl2.Replay(scratch)
 	if err != nil {
 		t.Fatalf("replay after tear: %v", err)
 	}
-	if labels != 0 {
-		t.Errorf("replayed %d labels from a torn journal, want 0", labels)
+	if got.Labels != 0 {
+		t.Errorf("replayed %d labels from a torn journal, want 0", got.Labels)
 	}
 }
 
@@ -249,7 +250,7 @@ func TestJournalScheduleKillAfterWrite(t *testing.T) {
 	r.Label(pair, crowd.Policy21)
 	expectCrash(t, func() { _ = jl.FlushLabels(r) })
 
-	// The kill fired after the full line: a resumed process must recover
+	// The kill fired after the full append: a resumed process must recover
 	// the settled label and owe nothing for it.
 	store2, err := runsvc.NewStore(dir)
 	if err != nil {
@@ -261,11 +262,11 @@ func TestJournalScheduleKillAfterWrite(t *testing.T) {
 	}
 	defer jl2.Close()
 	scratch := crowd.NewRunner(nil, 0.01)
-	labels, _, err := jl2.Replay(scratch)
+	got, err := jl2.Replay(scratch)
 	if err != nil {
 		t.Fatalf("replay after kill: %v", err)
 	}
-	if labels == 0 {
+	if got.Labels == 0 {
 		t.Fatal("kill-after-write lost the durable label")
 	}
 	if _, ok := scratch.Cached(pair, crowd.Policy21); !ok {
@@ -281,7 +282,7 @@ func TestJournalScheduleFileFilter(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
 	}
-	js := &JournalSchedule{Seed: 1, PKill: 1, Files: []string{"batches.jsonl"}, Limit: 1}
+	js := &JournalSchedule{Seed: 1, PKill: 1, Only: SnapshotOps, Limit: 1}
 	store.Faults = js.FaultFunc()
 	jl, err := store.Open("job-filter")
 	if err != nil {
@@ -290,12 +291,55 @@ func TestJournalScheduleFileFilter(t *testing.T) {
 	defer jl.Close()
 	r := crowd.NewRunner(&crowd.Oracle{Truth: truth}, 0.01)
 	r.Label(pair, crowd.Policy21)
-	// labels.jsonl is outside the schedule's file set: no crash, no fault.
+	// A log append and its fsync are outside the compaction lifecycle the
+	// schedule is restricted to: no crash, no fault.
 	if err := jl.FlushLabels(r); err != nil {
 		t.Fatalf("FlushLabels: %v", err)
 	}
 	if js.Injected() != 0 {
-		t.Errorf("Injected() = %d, want 0 (labels.jsonl is filtered out)", js.Injected())
+		t.Errorf("Injected() = %d, want 0 (log operations are filtered out)", js.Injected())
+	}
+	// The first checkpoint compacts, and the first compaction boundary — the
+	// snapshot tmp's append — is inside the filter.
+	store.SnapshotEvery = 1
+	expectCrash(t, func() { _, _ = jl.Checkpoint(r, engine.Checkpoint{}) })
+	if js.Injected() != 1 {
+		t.Errorf("Injected() = %d after a compaction, want 1", js.Injected())
+	}
+}
+
+// TestJournalScheduleFlip: a flipped snapshot body is written whole, and
+// the next replay rejects the generation instead of restoring from it.
+func TestJournalScheduleFlip(t *testing.T) {
+	pair := record.Pair{A: 0, B: 1}
+	truth := record.NewGroundTruth([]record.Pair{pair})
+
+	store, err := runsvc.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatalf("NewStore: %v", err)
+	}
+	store.SnapshotEvery = 1
+	js := &JournalSchedule{Seed: 1, PFlip: 1, Limit: 1}
+	store.Faults = js.FaultFunc()
+	jl, err := store.Open("job-flip")
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer jl.Close()
+	r := crowd.NewRunner(&crowd.Oracle{Truth: truth}, 0.01)
+	r.Label(pair, crowd.Policy21)
+	info, err := jl.Checkpoint(r, engine.Checkpoint{})
+	if err != nil || info.Gen != 1 {
+		t.Fatalf("Checkpoint = %+v, %v; want generation 1 written without error", info, err)
+	}
+	if js.Injected() != 1 {
+		t.Fatalf("Injected() = %d, want 1 (the snapshot body)", js.Injected())
+	}
+	if _, err := jl.Replay(crowd.NewRunner(nil, 0.01)); err == nil {
+		t.Error("replay restored from the only, bit-flipped generation")
+	}
+	if store.SnapshotFallbacks() != 1 {
+		t.Errorf("SnapshotFallbacks() = %d, want 1", store.SnapshotFallbacks())
 	}
 }
 

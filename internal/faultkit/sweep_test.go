@@ -28,11 +28,11 @@ const (
 	sweepStride  = 8
 )
 
-// sweepSeam drives the store's fault hooks as one ordered boundary
-// counter: every hook consultation is one boundary. In recording mode
+// sweepSeam drives the store's fault seam as one ordered boundary
+// counter: every consultation is one boundary. In recording mode
 // (target < 0) it only logs them; otherwise it kills at boundary target —
 // after the operation completes, or, with tear set, part-way through the
-// append. One job on one executor crosses the hooks from a single
+// append. One job on one executor crosses the seam from a single
 // goroutine, so the numbering is deterministic.
 type sweepSeam struct {
 	target int
@@ -43,29 +43,19 @@ type sweepSeam struct {
 	names   []string
 }
 
-func (s *sweepSeam) cross(name string, isAppend bool) (hit bool) {
-	i := s.n
-	s.n++
-	s.appends = append(s.appends, isAppend)
-	s.names = append(s.names, name)
-	return i == s.target
-}
-
 func (s *sweepSeam) install(store *runsvc.Store) {
-	store.Faults = func(file string, line []byte) *runsvc.WriteFault {
-		if !s.cross("append "+file, true) {
-			return nil
+	store.Faults = func(op runsvc.Op) runsvc.Fault {
+		i := s.n
+		s.n++
+		s.appends = append(s.appends, op.Kind == runsvc.OpAppend)
+		s.names = append(s.names, op.Kind+" "+op.File)
+		switch {
+		case i != s.target:
+			return runsvc.Fault{}
+		case s.tear:
+			return runsvc.Fault{Tear: len(op.Data) / 2}
 		}
-		if s.tear {
-			return &runsvc.WriteFault{Torn: len(line) / 2}
-		}
-		return &runsvc.WriteFault{Torn: -1, Crash: true}
-	}
-	store.SnapFaults = func(point string, gen uint64) *runsvc.SnapFault {
-		if !s.cross(fmt.Sprintf("snapshot g%d %s", gen, point), false) {
-			return nil
-		}
-		return &runsvc.SnapFault{Crash: true}
+		return runsvc.Fault{Crash: true}
 	}
 }
 

@@ -1,0 +1,166 @@
+package runsvc
+
+import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"github.com/corleone-em/corleone/internal/crowd"
+)
+
+// refValidPrefix is the fuzz oracle for the frame format: the length of
+// buf's longest prefix of whole, CRC-valid frames and the kind of the last
+// one, written against the format description rather than decodeFrames.
+func refValidPrefix(buf []byte) (valid, lastStart int, lastKind byte) {
+	for len(buf)-valid >= 9 {
+		n := int(binary.LittleEndian.Uint32(buf[valid:]))
+		if n > maxFramePayload || n > len(buf)-valid-9 {
+			break
+		}
+		sum := crc32.NewIEEE()
+		sum.Write(buf[valid : valid+4])
+		sum.Write(buf[valid+8 : valid+9+n])
+		if sum.Sum32() != binary.LittleEndian.Uint32(buf[valid+4:]) {
+			break
+		}
+		lastStart, lastKind = valid, buf[valid+8]
+		valid += 9 + n
+	}
+	return valid, lastStart, lastKind
+}
+
+// replayState is everything a replay restores, in comparable form: the
+// accounting with Cost by bit pattern, the canonical dump of the label
+// cache, and the number of queued replay batches.
+type replayState struct {
+	acct    crowd.Accounting
+	cost    uint64
+	labels  [][]byte
+	batches int
+}
+
+// replayFile opens and replays a job directory holding one journal file.
+func replayFile(t *testing.T, name string, content []byte) (replayState, error) {
+	t.Helper()
+	root := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(root, "job"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "job", name), content, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store, err := NewStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jl, err := store.Open("job")
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer jl.Close()
+	r := crowd.NewRunner(nil, 0.01)
+	_, err = jl.Replay(r)
+	st := replayState{acct: r.Stats(), batches: r.ReplayPending()}
+	st.cost, st.acct.Cost = math.Float64bits(st.acct.Cost), 0
+	r.DumpLabelLog(func(e []byte) { st.labels = append(st.labels, bytes.Clone(e)) })
+	return st, err
+}
+
+// checkLog replays data as a job's only log and holds the outcome to the
+// replay of data's longest valid frame prefix: the same verdict, and on
+// success the same state — whatever follows the prefix restores nothing.
+// Returns the prefix length and whether the replay succeeded.
+func checkLog(t *testing.T, data []byte) (valid int, ok bool) {
+	t.Helper()
+	valid, _, _ = refValidPrefix(data)
+	got, gotErr := replayFile(t, logName(0), data)
+	want, wantErr := replayFile(t, logName(0), data[:valid])
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("replay of %d bytes: err %v; of their %d-byte valid prefix: err %v", len(data), gotErr, valid, wantErr)
+	}
+	if gotErr == nil && !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay of %d bytes restored %+v; their %d-byte valid prefix restores %+v", len(data), got.acct, valid, want.acct)
+	}
+	return valid, gotErr == nil
+}
+
+// FuzzJournalReplay feeds arbitrary bytes to the one decoder and the one
+// replay loop, as a log and as a snapshot. Neither may panic or restore
+// more than the input's longest valid frame prefix holds; a snapshot is
+// all or nothing; and a valid log with one byte altered is rejected or
+// cut back to a strict prefix, never replayed as something else.
+func FuzzJournalReplay(f *testing.F) {
+	// Seed corpus: the logs and snapshots of a real job, compacting and not.
+	for _, every := range []int{0, 1} {
+		dir := f.TempDir()
+		m, err := NewManager(Options{Workers: 1, JournalDir: dir, SnapshotEvery: every})
+		if err != nil {
+			f.Fatal(err)
+		}
+		meta := testMeta(3, 0.1, 0)
+		j, err := m.Submit(Spec{Meta: &meta})
+		if err != nil {
+			f.Fatal(err)
+		}
+		_, err = j.Wait()
+		m.Close()
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds, _ := filepath.Glob(filepath.Join(dir, j.ID, "*.g*"))
+		if len(seeds) == 0 {
+			f.Fatal("seed job left no journal files")
+		}
+		for i, path := range seeds {
+			buf, err := os.ReadFile(path)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(buf, uint(i*37), byte(1<<(i%8)))
+		}
+	}
+	f.Add([]byte{}, uint(0), byte(1))
+	f.Add(appendFrame(nil, kindEnd, []byte(`{}`)), uint(3), byte(0x80))
+
+	f.Fuzz(func(t *testing.T, data []byte, pos uint, mask byte) {
+		valid, ok := checkLog(t, data)
+
+		// One altered byte in a wholly valid log.
+		if ok && valid == len(data) && valid > 0 && mask != 0 {
+			flipped := bytes.Clone(data)
+			flipped[pos%uint(len(data))] ^= mask
+			if v, _ := checkLog(t, flipped); v >= len(data) {
+				t.Fatalf("byte %d ^ %#x left all %d bytes valid: silently altered", pos%uint(len(data)), mask, v)
+			}
+		}
+
+		// As a snapshot: it restores only if every byte is a valid frame and
+		// the last is the end frame, and then exactly what the frames before
+		// the end frame restore as a log (HITs aside, which the end frame
+		// may only raise).
+		got, err := replayFile(t, snapName(1), data)
+		if err != nil {
+			return
+		}
+		valid, endStart, lastKind := refValidPrefix(data)
+		if valid != len(data) || lastKind != kindEnd {
+			t.Fatalf("snapshot restored from %d bytes with valid prefix %d ending in frame kind %q", len(data), valid, lastKind)
+		}
+		want, err := replayFile(t, logName(0), data[:endStart])
+		if err != nil {
+			t.Fatalf("snapshot restored, but its frames fail as a log: %v", err)
+		}
+		if got.acct.HITs < want.acct.HITs {
+			t.Fatalf("snapshot restored %d HITs, its batch frames alone %d", got.acct.HITs, want.acct.HITs)
+		}
+		got.acct.HITs = want.acct.HITs
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("snapshot restored %+v; its frames as a log restore %+v", got.acct, want.acct)
+		}
+	})
+}

@@ -1,80 +1,193 @@
 package runsvc
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/corleone-em/corleone/internal/crowd"
 	"github.com/corleone-em/corleone/internal/engine"
+	"github.com/corleone-em/corleone/internal/record"
 )
 
-// Journal layout, one directory per job under the store root:
+// The journal (DESIGN.md §3d is its one full description). One directory
+// per job under the store root:
 //
-//	spec.json          serializable job description (Meta), written at submit
-//	labels.jsonl       append-only crowd label log (crowd.AppendLabels)
-//	batches.jsonl      append-only training-batch records (pairs + HIT count)
-//	checkpoints.jsonl  append-only phase/cost records
-//	model_iterNN.json  per-iteration matcher snapshot (forest.Save)
-//	status.json        terminal status record, written atomically at the end
-//	snap-gNNNNNN.snap  checksummed compaction snapshot (see snapshot.go)
-//	labels.gNNNNNN.jsonl, batches.gNNNNNN.jsonl
-//	                   log segments rotated out when generation N was written
+//	spec.json          job description (Meta), written once at submit
+//	status.json        terminal status, written once at the end
+//	model_iterNN.json  per-iteration matcher (forest.Save), two newest kept
+//	log.gNNNNNN        append-only frames written after generation N
+//	snap.gNNNNNN       compacted state as of generation N, two newest kept
 //
-// labels.jsonl and batches.jsonl are the resume-critical pair: labels make
-// settled questions free (and restore their paid accounting), batches make
-// replayed HIT packing exact. Both are flushed (written + synced) at crowd
-// batch boundaries, so a hard kill loses at most the in-flight batch; a
-// torn trailing line such a kill may leave is truncated away on Open.
-// With compaction enabled (Store.SnapshotEvery > 0) checkpoint boundaries
-// fold the logs into generation snapshots and rotate the live files, so
-// replay reads O(records since the last snapshot) log bytes instead of the
-// job's whole history; checkpoints.jsonl is never rotated — it is small
-// and its full history backs Checkpoints().
+// The JSON files are atomic write-once side files read without a replay;
+// everything resume depends on is frames:
+//
+//	len uint32 LE | crc uint32 LE | kind byte | payload [len]byte
+//
+// with the CRC-32 (IEEE) over len, kind and payload. A snapshot is the
+// same frames, compacted — every label entry, every batch so far — closed
+// by an end frame carrying the accounting those frames must restore. A log
+// is named by the generation it follows and never renamed, so a job's
+// state is always "newest valid snap.gN, then every log.g>=N in order",
+// and no record is ever covered twice. Every write, fsync, rename and
+// removal crosses Store.Faults, which is how the boundary sweep kills the
+// job at each of them.
+
+// Frame kinds.
+const (
+	kindLabel      = 'L'
+	kindBatch      = 'B'
+	kindCheckpoint = 'C'
+	kindEnd        = 'E' // snapshots only, always last
+)
+
+const (
+	frameHeader = 9 // len, crc, kind
+	// maxFramePayload rejects hostile or corrupt lengths before they are
+	// used; the largest real payload is one training batch's pair list.
+	maxFramePayload = 64 << 20
+
+	logPrefix   = "log.g"
+	snapPrefix  = "snap.g"
+	modelPrefix = "model_iter"
+	tmpPrefix   = ".tmp-"
+)
+
+func logName(gen uint64) string  { return fmt.Sprintf("%s%06d", logPrefix, gen) }
+func snapName(gen uint64) string { return fmt.Sprintf("%s%06d", snapPrefix, gen) }
+
+// ErrOldFormat is returned by Store.Open for a job directory written by
+// the line-log journal that preceded the frame format. No release shipped
+// that format and no journal outlives its job, so it is refused, not
+// migrated.
+var ErrOldFormat = errors.New("runsvc: job directory holds pre-frame-format journal files")
+
+type frame struct {
+	kind    byte
+	payload []byte
+}
+
+// frameCRC checksums one encoded frame: everything but its crc field.
+func frameCRC(f []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(f[:4]), crc32.IEEETable, f[frameHeader-1:])
+}
+
+// appendFrame appends one encoded frame to dst.
+func appendFrame(dst []byte, kind byte, payload []byte) []byte {
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = append(dst, 0, 0, 0, 0, kind)
+	dst = append(dst, payload...)
+	binary.LittleEndian.PutUint32(dst[start+4:], frameCRC(dst[start:]))
+	return dst
+}
+
+// decodeFrames is the one frame decoder: it returns the frames of buf's
+// longest valid prefix and that prefix's length. It is total — whatever
+// follows the last frame whose length fits and whose CRC matches is left
+// undecoded, be it a torn append or garbage. Payloads alias buf.
+func decodeFrames(buf []byte) (frames []frame, valid int) {
+	for len(buf)-valid >= frameHeader {
+		h := buf[valid:]
+		n := binary.LittleEndian.Uint32(h)
+		if n > maxFramePayload || int(n) > len(h)-frameHeader {
+			break
+		}
+		h = h[:frameHeader+int(n)]
+		if frameCRC(h) != binary.LittleEndian.Uint32(h[4:]) {
+			break
+		}
+		frames = append(frames, frame{kind: h[frameHeader-1], payload: h[frameHeader:]})
+		valid += len(h)
+	}
+	return frames, valid
+}
+
+// Operation kinds crossing the fault seam.
+const (
+	OpAppend = "append" // one write of whole frames (or a model body) to File
+	OpSync   = "sync"   // fsync of File ("." is the job directory)
+	OpRename = "rename" // a tmp file renamed to File
+	OpRemove = "remove" // File pruned
+)
+
+// Op is one durability boundary: the operation about to run and the base
+// name of the file it acts on.
+type Op struct {
+	Kind string
+	File string
+	// Data is the bytes an OpAppend is about to write.
+	Data []byte
+}
+
+// Fault is what a FaultFunc injects at one boundary; the zero value lets
+// the operation through.
+type Fault struct {
+	// Crash panics with the crash sentinel right after the operation
+	// completes — a process kill at the boundary. Completed writes survive
+	// it synced or not, as the page cache outlives a killed process.
+	Crash bool
+	// Tear, when positive and shorter than an OpAppend's Data, lets only
+	// that many bytes reach the file and then crashes: the torn write of a
+	// kill mid-append. It never returns to the caller — a torn write the
+	// process survived would fuse with the next append, which no real kill
+	// can produce.
+	Tear int
+	// Flip inverts one bit in the middle of an OpAppend's Data before it is
+	// written: bit rot the write itself does not notice, for the frame CRCs
+	// to catch on the next replay.
+	Flip bool
+}
+
+// FaultFunc decides the fault for one boundary. Implementations must be
+// deterministic (faultkit derives them from seeds) so every chaos failure
+// replays from its seed.
+type FaultFunc func(op Op) Fault
+
+// crashSentinel is the panic value used by crash injection.
+type crashSentinel struct{}
 
 // Store manages the journal root directory.
 type Store struct {
 	root string
 
-	// Faults, when non-nil, intercepts every journal line append for fault
-	// injection (torn writes, kill-points — see FaultFunc). Chaos/test use
-	// only; production stores leave it nil. Set it before Open: each
-	// journal copies the hook at open time.
+	// Faults, when non-nil, is consulted at every durability boundary of
+	// every journal (see Op) for fault injection. Chaos/test use only;
+	// production stores leave it nil. Set it before jobs run.
 	Faults FaultFunc
 
-	// SnapFaults, when non-nil, intercepts the snapshot write path at its
-	// kill/corruption points (see SnapFaultFunc in snapshot.go). Chaos/test
-	// use only. Set it before Open, like Faults.
-	SnapFaults SnapFaultFunc
-
-	// SnapshotEvery enables log compaction: every Nth checkpoint the
-	// journal writes a generation snapshot and rotates the live logs
-	// (snapshot.go). 0 disables compaction — the journal behaves as an
-	// unbounded append-only log, the pre-snapshot format. Set before Open.
+	// SnapshotEvery enables compaction: every Nth checkpoint a journal
+	// writes a snapshot generation and starts a new log. 0 never compacts —
+	// the job's whole history stays in log.g000000, read by the same
+	// replay. Set before Open.
 	SnapshotEvery int
 
-	// bytes counts bytes successfully appended to journal line files
-	// across all jobs since the store was opened (served by /metrics).
-	bytes atomic.Int64
+	// bytes counts log bytes appended across all jobs since the store was
+	// opened (served by /metrics); snaps and snapBytes count snapshot
+	// generations and their bytes.
+	bytes     atomic.Int64
+	snaps     atomic.Int64
+	snapBytes atomic.Int64
 
 	// Replay-cost instrumentation: bytesRead counts every journal byte
-	// Replay consumed (snapshots + logs); logBytesRead counts only the
-	// line-log share — the quantity compaction bounds to O(records since
-	// the last snapshot).
-	bytesRead    atomic.Int64
-	logBytesRead atomic.Int64
-
-	// Snapshot counters: generations written, their total size, and how
-	// often Replay had to fall back past an invalid generation.
-	snaps         atomic.Int64
-	snapBytes     atomic.Int64
+	// Replay consumed (snapshots + logs), logBytesRead only the log share —
+	// the quantity compaction bounds to O(records since the last snapshot);
+	// snapFallbacks counts invalid generations Replay skipped past.
+	bytesRead     atomic.Int64
+	logBytesRead  atomic.Int64
 	snapFallbacks atomic.Int64
 
 	// Cached DiskUsage state: usageWalk holds the last full-tree WalkDir
@@ -92,35 +205,31 @@ type Store struct {
 	usageValid bool
 }
 
-// BytesWritten reports bytes appended to journal line files (labels,
-// batches, checkpoints) across all of the store's journals this process.
+// BytesWritten reports log bytes appended across all of the store's
+// journals this process.
 func (s *Store) BytesWritten() int64 { return s.bytes.Load() }
 
 // BytesRead reports journal bytes consumed by Replay across all of the
-// store's journals this process — snapshot files plus log suffixes.
+// store's journals this process — snapshots plus log suffixes.
 func (s *Store) BytesRead() int64 { return s.bytesRead.Load() }
 
-// LogBytesRead reports only the line-log bytes consumed by Replay. With
-// compaction enabled this is the O(records since last snapshot) quantity;
-// the remainder of BytesRead is snapshot payload — O(live state) label
-// and model sections plus an O(training batches so far) batch section,
-// which exact HIT-packing replay requires in full (see snapshot.go's
-// sizing note).
+// LogBytesRead reports only the log bytes consumed by Replay: with
+// compaction enabled, O(records since the last snapshot).
 func (s *Store) LogBytesRead() int64 { return s.logBytesRead.Load() }
 
-// SnapshotsWritten reports generation snapshots written this process.
+// SnapshotsWritten reports snapshot generations written this process.
 func (s *Store) SnapshotsWritten() int64 { return s.snaps.Load() }
 
 // SnapshotBytes reports total snapshot bytes written this process.
 func (s *Store) SnapshotBytes() int64 { return s.snapBytes.Load() }
 
 // SnapshotFallbacks reports how many invalid snapshot generations Replay
-// skipped past (checksum mismatch, torn file) this process.
+// skipped past (CRC mismatch, torn file) this process.
 func (s *Store) SnapshotFallbacks() int64 { return s.snapFallbacks.Load() }
 
 // diskUsageRefreshEvery bounds how many DiskUsage lookups may be served
 // from the cached walk before the tree is re-scanned. Between walks,
-// growth through the store's own writers (line appends, snapshots) is
+// growth through the store's own writers (log appends, snapshots) is
 // tracked exactly by the byte counters; what the cache lags on is
 // deletions (pruned generations, removed journals), which only make it
 // overestimate — admission sheds marginally early, never late — and the
@@ -180,82 +289,6 @@ func (s *Store) walkUsage() (int64, error) {
 	return total, err
 }
 
-// WriteFault describes one injected journal-append fault, the disk-side
-// half of the faultkit chaos harness.
-type WriteFault struct {
-	// Torn, when >= 0, truncates the append to that many prefix bytes —
-	// the torn line a hard kill mid-write leaves — and then crashes
-	// unconditionally: a torn write the process survived would fuse with
-	// the next append and corrupt the journal, which no real kill can
-	// produce. Negative means the full line is written.
-	Torn int
-	// Crash, when true, panics with the crash sentinel after the full line
-	// reaches the file — the kill-point between journal records. The
-	// written line survives (the page cache persists within the process
-	// lifetime), matching a kill that lands after write but before sync.
-	Crash bool
-	// Err, when non-nil, fails the append without touching the file — a
-	// full disk or I/O error surfaced to the journaling path.
-	Err error
-}
-
-// FaultFunc decides the fault for one journal line append: file is the
-// journal file's base name ("labels.jsonl", "batches.jsonl",
-// "checkpoints.jsonl"), line the complete encoded line including the
-// trailing newline. Returning nil performs a normal write. Implementations
-// must be deterministic (faultkit derives them from seeds) so every chaos
-// failure replays from its seed.
-type FaultFunc func(file string, line []byte) *WriteFault
-
-// faultWriter routes one journal file's appends through the store's fault
-// hook. Each Write call carries one complete encoded line —
-// json.Encoder.Encode writes its buffer in a single call, as does each
-// AppendLabels entry — which is what makes per-line tear and kill-point
-// injection exact.
-type faultWriter struct {
-	f      *os.File
-	name   string
-	faults FaultFunc
-	bytes  *atomic.Int64
-}
-
-// write appends to the file and feeds the store's bytes-journaled counter.
-func (w *faultWriter) write(p []byte) (int, error) {
-	n, err := w.f.Write(p)
-	if w.bytes != nil && n > 0 {
-		w.bytes.Add(int64(n))
-	}
-	return n, err
-}
-
-func (w *faultWriter) Write(p []byte) (int, error) {
-	if w.faults == nil {
-		return w.write(p)
-	}
-	fault := w.faults(w.name, p)
-	if fault == nil {
-		return w.write(p)
-	}
-	if fault.Err != nil {
-		return 0, fault.Err
-	}
-	if fault.Torn >= 0 && fault.Torn < len(p) {
-		// Injected crash: the torn prefix deliberately goes unchecked and
-		// unsynced, simulating a kill mid-write; Store.Open repairs the
-		// tail on resume.
-		w.write(p[:fault.Torn])
-		panic(crashSentinel{})
-	}
-	n, err := w.write(p)
-	if err != nil {
-		return n, err
-	}
-	if fault.Crash {
-		panic(crashSentinel{})
-	}
-	return n, nil
-}
-
 // NewStore opens (creating if needed) a journal store rooted at dir.
 func NewStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -295,182 +328,602 @@ func (s *Store) List() []string {
 	return out
 }
 
-// Open opens (creating if needed) the journal for one job, with its
-// append-only files positioned at the end. A partial trailing line left in
-// an append-only file by a hard kill is truncated away first, so replay
-// sees only complete lines and future appends never fuse with a torn tail.
-func (s *Store) Open(id string) (*Journal, error) {
-	dir := filepath.Join(s.root, id)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("runsvc: journal %s: %w", id, err)
+// jobFiles is a job directory's journal content by kind: snapshot and log
+// generations ascending, matcher files in iteration order.
+type jobFiles struct {
+	snaps, logs []uint64
+	models      []string
+	tmps        []string
+	old         string // a pre-frame-format file, if any
+}
+
+// gen is the newest generation any file references: the generation the
+// open log belongs to, and the floor the next snapshot numbers above, so a
+// corrupt or superseded generation's number is never reused.
+func (f jobFiles) gen() uint64 {
+	var g uint64
+	if n := len(f.snaps); n > 0 {
+		g = f.snaps[n-1]
 	}
-	for _, name := range []string{"labels.jsonl", "batches.jsonl", "checkpoints.jsonl"} {
-		if err := truncateTornLine(filepath.Join(dir, name)); err != nil {
-			return nil, fmt.Errorf("runsvc: journal %s: repair %s: %w", id, name, err)
+	if n := len(f.logs); n > 0 && f.logs[n-1] > g {
+		g = f.logs[n-1]
+	}
+	return g
+}
+
+func scanJob(dir string) (jobFiles, error) {
+	var out jobFiles
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return out, err
+	}
+	parseGen := func(name, prefix string) (uint64, bool) {
+		g, err := strconv.ParseUint(strings.TrimPrefix(name, prefix), 10, 64)
+		return g, err == nil && strings.HasPrefix(name, prefix)
+	}
+	// ReadDir sorts by name and generations are zero-padded, so each list
+	// comes out ascending.
+	for _, e := range entries {
+		name := e.Name()
+		if g, ok := parseGen(name, snapPrefix); ok {
+			out.snaps = append(out.snaps, g)
+		} else if g, ok := parseGen(name, logPrefix); ok {
+			out.logs = append(out.logs, g)
+		} else if strings.HasPrefix(name, modelPrefix) {
+			out.models = append(out.models, name)
+		} else if strings.HasPrefix(name, tmpPrefix) {
+			out.tmps = append(out.tmps, name)
+		} else if strings.HasSuffix(name, ".jsonl") || strings.HasSuffix(name, ".snap") {
+			out.old = name
 		}
 	}
-	// A crash between snapshot tmp-write and rename leaves an orphaned tmp
-	// file; it was never referenced, so it is garbage, not state.
-	if err := removeStaleSnapTmps(dir); err != nil {
-		return nil, fmt.Errorf("runsvc: journal %s: sweep snapshot tmps: %w", id, err)
+	return out, nil
+}
+
+// Open opens (creating if needed) the journal for one job, positioned to
+// append to its newest log. Two kinds of crash debris are cleared first:
+// tmp files a kill left before their rename (never referenced, so garbage,
+// not state), and a torn final append in the newest log, truncated back to
+// the longest valid frame prefix so replay sees only whole frames and new
+// appends never fuse with a torn tail. Older logs cannot be torn: a torn
+// append kills the process, and the next Open repairs it before any newer
+// log exists.
+func (s *Store) Open(id string) (*Journal, error) {
+	dir := filepath.Join(s.root, id)
+	fail := func(err error) (*Journal, error) {
+		return nil, fmt.Errorf("runsvc: journal %s: %w", id, err)
 	}
-	// The generation floor: snapshot numbering continues above every
-	// generation any file on disk references, so a superseded or corrupt
-	// generation's number is never reused.
-	_, maxGen, err := scanGenerations(dir)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fail(err)
+	}
+	files, err := scanJob(dir)
 	if err != nil {
-		return nil, fmt.Errorf("runsvc: journal %s: scan generations: %w", id, err)
+		return fail(err)
 	}
-	j := &Journal{
-		dir:        dir,
-		store:      s,
-		snapGen:    maxGen,
-		snapEvery:  s.SnapshotEvery,
-		snapFaults: s.SnapFaults,
+	if files.old != "" {
+		return fail(fmt.Errorf("%w (%s)", ErrOldFormat, files.old))
 	}
-	appendFlags := os.O_CREATE | os.O_WRONLY | os.O_APPEND
-	if j.labels, err = os.OpenFile(filepath.Join(dir, "labels.jsonl"), appendFlags, 0o644); err != nil {
-		return nil, err
+	for _, name := range files.tmps {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			return fail(err)
+		}
 	}
-	if j.batches, err = os.OpenFile(filepath.Join(dir, "batches.jsonl"), appendFlags, 0o644); err != nil {
-		//corlint:allow dur-ignored-write — cleanup of just-opened, never-written fds while the open error propagates
-		j.Close()
-		return nil, err
+	gen := files.gen()
+	log, err := os.OpenFile(filepath.Join(dir, logName(gen)), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return fail(err)
 	}
-	if j.checks, err = os.OpenFile(filepath.Join(dir, "checkpoints.jsonl"), appendFlags, 0o644); err != nil {
-		//corlint:allow dur-ignored-write — cleanup of just-opened, never-written fds while the open error propagates
-		j.Close()
-		return nil, err
+	buf, err := io.ReadAll(log)
+	if _, valid := decodeFrames(buf); err == nil && valid < len(buf) {
+		if err = log.Truncate(int64(valid)); err == nil {
+			err = log.Sync()
+		}
 	}
-	// All appends route through the store's fault hook (a nil hook is a
-	// plain passthrough), so chaos schedules can tear or kill any line.
-	j.labelsW = &faultWriter{f: j.labels, name: "labels.jsonl", faults: s.Faults, bytes: &s.bytes}
-	j.batchesW = &faultWriter{f: j.batches, name: "batches.jsonl", faults: s.Faults, bytes: &s.bytes}
-	j.checksW = &faultWriter{f: j.checks, name: "checkpoints.jsonl", faults: s.Faults, bytes: &s.bytes}
-	return j, nil
+	if err != nil {
+		//corlint:allow dur-ignored-write — cleanup of a handle nothing was appended through while the repair error propagates
+		log.Close()
+		return fail(fmt.Errorf("repair %s: %w", logName(gen), err))
+	}
+	return &Journal{dir: dir, store: s, log: log, gen: gen}, nil
 }
 
 // Journal is one job's durable state. Methods are called from the single
 // executor goroutine running the job; no locking needed.
 type Journal struct {
-	dir     string
-	store   *Store // counters + fault hooks; nil only in direct-construction tests
-	labels  *os.File
-	batches *os.File
-	checks  *os.File
+	dir   string
+	store *Store
+	log   *os.File // log.g<gen>, the only file appended to
+	gen   uint64
 
-	// labelsW/batchesW/checksW wrap the files with the store's fault hook;
-	// every line append goes through them (Sync still hits the files).
-	// Rotation swaps the underlying *os.File in place, so fault injection
-	// and byte accounting survive compaction.
-	labelsW  *faultWriter
-	batchesW *faultWriter
-	checksW  *faultWriter
+	// buf collects encoded frames until the next write; err is the first
+	// append or fsync failure, after which the log's tail is in doubt and
+	// every further append is refused rather than risk burying a torn
+	// region under frames replay would then silently drop.
+	buf []byte
+	err error
 
-	// batchesWritten counts appendBatch calls; failAfterBatches, when
-	// positive, makes the journal panic after that many batch appends —
-	// test-only crash injection simulating a process kill right after a
-	// flush boundary.
-	batchesWritten   int
-	failAfterBatches int
-
-	// Compaction state (snapshot.go). snapGen is the numbering floor from
-	// Open's directory scan, advanced by each snapshot written; batchLog
-	// mirrors every batch record of the job's history in memory (snapshot +
-	// suffix on resume, appends live) so a snapshot can embed it; batchSeq
-	// is the newest batch sequence number; appendedSinceSnap gates
-	// snapshotting so an idle checkpoint doesn't rewrite identical state.
-	snapGen           uint64
-	snapEvery         int
-	snapFaults        SnapFaultFunc
-	batchLog          []batchRecord
-	batchSeq          int
-	appendedSinceSnap bool
-	checkpointsSeen   int
-	lastSnap          SnapshotInfo
+	// batchLog mirrors every batch record of the job's history in memory
+	// (replayed on resume, appended live) so each snapshot can embed it;
+	// dirty records that labels or batches were appended since the last
+	// snapshot, so an idle checkpoint doesn't rewrite identical state.
+	batchLog    []batchRecord
+	dirty       bool
+	checkpoints int
 }
 
-// crashSentinel is the panic value used by crash injection.
-type crashSentinel struct{}
+// Close closes the journal's log. Every append is synced at its batch
+// boundary, so a close error cannot lose journaled state — but a caller on
+// a write path should still surface it.
+func (j *Journal) Close() error { return j.log.Close() }
 
-// truncateTornLine removes a partial trailing line — one without a
-// terminating newline, as left by a hard kill or power loss mid-write —
-// from an append-only journal file. Writes are sequential, so a torn write
-// is always a prefix of a complete "line\n"; truncating back to the last
-// newline loses at most the in-flight entry, which is the journal's stated
-// durability bound. A missing file is fine.
-func truncateTornLine(path string) (err error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
+// Dir returns the journal directory.
+func (j *Journal) Dir() string { return j.dir }
+
+// cross runs one durability operation through the store's fault seam.
+// run receives op.Data (nil for everything but appends).
+func (j *Journal) cross(op Op, run func(data []byte) error) error {
+	var f Fault
+	if j.store.Faults != nil {
+		f = j.store.Faults(op)
+	}
+	if f.Flip && len(op.Data) > 0 {
+		op.Data[len(op.Data)/2] ^= 0x01
+	}
+	if f.Tear > 0 && f.Tear < len(op.Data) {
+		// Injected kill mid-write: the torn prefix goes unchecked and
+		// unsynced; Store.Open repairs the tail on resume.
+		run(op.Data[:f.Tear])
+		panic(crashSentinel{})
+	}
+	if err := run(op.Data); err != nil {
 		return err
 	}
-	// The handle is opened for writing (Truncate), so a close failure is
-	// a real signal; fold it in unless an earlier error already won.
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	st, err := f.Stat()
-	if err != nil {
-		return err
+	if f.Crash {
+		panic(crashSentinel{})
 	}
-	size := st.Size()
-	if size == 0 {
-		return nil
-	}
-	last := make([]byte, 1)
-	if _, err := f.ReadAt(last, size-1); err != nil {
-		return err
-	}
-	if last[0] == '\n' {
-		return nil
-	}
-	// Scan backwards for the last intact line end.
-	keep := int64(0)
-	buf := make([]byte, 4096)
-	for off := size; off > 0 && keep == 0; {
-		n := int64(len(buf))
-		if off < n {
-			n = off
-		}
-		off -= n
-		if _, err := f.ReadAt(buf[:n], off); err != nil {
-			return err
-		}
-		for i := n - 1; i >= 0; i-- {
-			if buf[i] == '\n' {
-				keep = off + i + 1
-				break
-			}
-		}
-	}
-	if err := f.Truncate(keep); err != nil {
-		return err
-	}
-	return f.Sync()
+	return nil
 }
 
-// Close closes the journal's files and reports the first failure. Every
-// append is Synced at its batch boundary, so a close error cannot lose
-// journaled state — but a caller on a write path should still surface it.
-func (j *Journal) Close() error {
+// write appends data to f in one write, returning the bytes that reached
+// the file.
+func (j *Journal) write(f *os.File, name string, data []byte) (n int, err error) {
+	err = j.cross(Op{Kind: OpAppend, File: name, Data: data}, func(p []byte) error {
+		var werr error
+		n, werr = f.Write(p)
+		return werr
+	})
+	return n, err
+}
+
+func (j *Journal) sync(f *os.File, name string) error {
+	return j.cross(Op{Kind: OpSync, File: name}, func([]byte) error { return f.Sync() })
+}
+
+// install writes data to a tmp file, fsyncs it and renames it to name, so
+// name only ever holds a complete file.
+func (j *Journal) install(name string, data []byte) (int, error) {
+	tmpName := tmpPrefix + name
+	tmpPath := filepath.Join(j.dir, tmpName)
+	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return 0, err
+	}
+	n, err := j.write(tmp, tmpName, data)
+	if err == nil {
+		err = j.sync(tmp, tmpName)
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = j.cross(Op{Kind: OpRename, File: name}, func([]byte) error {
+			return os.Rename(tmpPath, filepath.Join(j.dir, name))
+		})
+	}
+	if err != nil {
+		os.Remove(tmpPath)
+	}
+	return n, err
+}
+
+func (j *Journal) frame(kind byte, payload []byte) {
+	j.buf = appendFrame(j.buf, kind, payload)
+}
+
+func (j *Journal) frameJSON(kind byte, v interface{}) error {
+	payload, err := json.Marshal(v)
+	if err == nil {
+		j.frame(kind, payload)
+	}
+	return err
+}
+
+// flush appends the buffered frames to the log in one write, fsyncs it
+// and empties the buffer.
+func (j *Journal) flush() error {
+	data := j.buf
+	j.buf = j.buf[:0]
+	if j.err != nil || len(data) == 0 {
+		return j.err
+	}
+	name := logName(j.gen)
+	n, err := j.write(j.log, name, data)
+	j.store.bytes.Add(int64(n))
+	if err == nil {
+		err = j.sync(j.log, name)
+	}
+	if err != nil {
+		j.err = fmt.Errorf("runsvc: append to %s: %w", name, err)
+	}
+	return j.err
+}
+
+// frameLabels buffers the runner's dirty label entries.
+func (j *Journal) frameLabels(r *crowd.Runner) {
+	if r.AppendLabels(func(e []byte) { j.frame(kindLabel, e) }) > 0 {
+		j.dirty = true
+	}
+}
+
+// FlushLabels appends the runner's dirty label entries and syncs.
+func (j *Journal) FlushLabels(r *crowd.Runner) error {
+	j.frameLabels(r)
+	return j.flush()
+}
+
+// batchRecord is a batch frame's payload: a training batch's exact pair
+// composition plus the runner's cumulative HIT count at record time. The
+// HIT count lets Replay restore Accounting.HITs — replayed batches serve
+// from cache and never re-post HITs, so the counter cannot be recounted.
+type batchRecord struct {
+	Pairs [][2]int32 `json:"p"`
+	HITs  int        `json:"hits,omitempty"`
+}
+
+// AppendBatch records one training batch's composition followed by the
+// batch's labels, in one append and one fsync. A kill that tears the
+// append can keep the batch frame and lose labels, which replays
+// harmlessly — the batch is served by the replay queue and its lost
+// answers are re-solicited live — but never the inverse.
+func (j *Journal) AppendBatch(r *crowd.Runner, batch []crowd.Labeled) error {
+	rec := batchRecord{Pairs: make([][2]int32, len(batch)), HITs: r.Stats().HITs}
+	for i, l := range batch {
+		rec.Pairs[i] = [2]int32{l.Pair.A, l.Pair.B}
+	}
+	if err := j.frameJSON(kindBatch, rec); err != nil {
+		return err
+	}
+	j.frameLabels(r)
+	if err := j.flush(); err != nil {
+		return err
+	}
+	j.batchLog = append(j.batchLog, rec)
+	j.dirty = true
+	return nil
+}
+
+// checkpointRecord is a checkpoint frame's payload: where the run stood
+// and what it had spent, for whoever reads the log after the fact. It
+// carries no wall-clock time, so a job's log bytes are a function of its
+// seed alone.
+type checkpointRecord struct {
+	Phase     string  `json:"phase"`
+	Iteration int     `json:"iteration"`
+	Answers   int     `json:"answers"`
+	Pairs     int     `json:"pairs"`
+	Cost      float64 `json:"cost"`
+	HITs      int     `json:"hits"`
+}
+
+// SnapshotInfo describes one written snapshot generation.
+type SnapshotInfo struct {
+	Gen     uint64
+	Bytes   int64
+	Labels  int
+	Batches int
+}
+
+// Checkpoint flushes labels with a phase/cost record; on iteration
+// boundaries it also saves the matcher with forest serialization, so the
+// best model so far survives a crash in a directly loadable form. Every
+// Store.SnapshotEvery-th checkpoint additionally compacts the journal
+// into the next snapshot generation, returned with a non-zero Gen.
+func (j *Journal) Checkpoint(r *crowd.Runner, cp engine.Checkpoint) (SnapshotInfo, error) {
+	j.frameLabels(r)
+	if err := j.frameJSON(kindCheckpoint, checkpointRecord{
+		Phase:     cp.Phase,
+		Iteration: cp.Iteration,
+		Answers:   cp.Accounting.Answers,
+		Pairs:     cp.Accounting.Pairs,
+		Cost:      cp.Accounting.Cost,
+		HITs:      cp.Accounting.HITs,
+	}); err != nil {
+		return SnapshotInfo{}, err
+	}
+	if err := j.flush(); err != nil {
+		return SnapshotInfo{}, err
+	}
+	if cp.Forest != nil {
+		var model bytes.Buffer
+		if err := cp.Forest.Save(&model, cp.FeatureNames); err != nil {
+			return SnapshotInfo{}, err
+		}
+		if _, err := j.install(fmt.Sprintf("%s%02d.json", modelPrefix, cp.Iteration), model.Bytes()); err != nil {
+			return SnapshotInfo{}, err
+		}
+	}
+	j.checkpoints++
+	if every := j.store.SnapshotEvery; every > 0 && j.checkpoints%every == 0 && j.dirty {
+		return j.compact(r)
+	}
+	return SnapshotInfo{}, nil
+}
+
+// endRecord is the end frame's payload: what the snapshot's frames must
+// add up to. The CRCs rule out disk corruption, so a mismatch on load is
+// a writer/loader divergence, failed loudly instead of resuming with
+// silently wrong spend.
+type endRecord struct {
+	Gen     uint64  `json:"gen"`
+	Labels  int     `json:"labels"`
+	Batches int     `json:"batches"`
+	Answers int     `json:"answers"`
+	Pairs   int     `json:"pairs"`
+	Cost    float64 `json:"cost"`
+	HITs    int     `json:"hits"`
+}
+
+// compact writes the next snapshot generation — the runner's full label
+// cache and the batch history, closed by the end frame — installs it
+// atomically, starts the generation's log and prunes what the two-deep
+// fallback ladder no longer needs.
+func (j *Journal) compact(r *crowd.Runner) (SnapshotInfo, error) {
+	gen := j.gen + 1
+	// The snapshot is framed in the (empty, just flushed) log buffer and
+	// must be out of it again before anything returns.
+	defer func() { j.buf = j.buf[:0] }()
+	fail := func(err error) (SnapshotInfo, error) {
+		return SnapshotInfo{}, fmt.Errorf("runsvc: snapshot g%d: %w", gen, err)
+	}
+	st := r.Stats()
+	end := endRecord{Gen: gen, Batches: len(j.batchLog),
+		Answers: st.Answers, Pairs: st.Pairs, Cost: st.Cost, HITs: st.HITs}
+	end.Labels = r.DumpLabelLog(func(e []byte) { j.frame(kindLabel, e) })
+	for _, b := range j.batchLog {
+		if err := j.frameJSON(kindBatch, b); err != nil {
+			return fail(err)
+		}
+	}
+	if err := j.frameJSON(kindEnd, end); err != nil {
+		return fail(err)
+	}
+	n, err := j.install(snapName(gen), j.buf)
+	j.store.snapBytes.Add(int64(n))
+	if err != nil {
+		return fail(err)
+	}
+	j.store.snaps.Add(1)
+
+	// The snapshot covers every record so far; what follows belongs to its
+	// log. One directory fsync makes the rename and the new log's entry
+	// durable together — either alone is a state Open and Replay handle.
+	log, err := os.OpenFile(filepath.Join(j.dir, logName(gen)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return fail(err)
+	}
+	old := j.log
+	j.log, j.gen, j.dirty = log, gen, false
+	if err := old.Close(); err != nil {
+		return fail(err)
+	}
+	if err := j.syncDir(); err != nil {
+		return fail(err)
+	}
+	info := SnapshotInfo{Gen: gen, Bytes: int64(n), Labels: end.Labels, Batches: end.Batches}
+	return info, j.prune()
+}
+
+// syncDir fsyncs the job directory so renamed and created entries are
+// durable before pruning removes what they supersede.
+func (j *Journal) syncDir() error {
+	d, err := os.Open(j.dir)
+	if err != nil {
+		return err
+	}
+	err = j.sync(d, ".")
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// prune enforces retention after generation j.gen is installed: snapshots
+// and logs older than gen-1 go (log.g(gen-1) is exactly the suffix
+// snap.g(gen-1) needs should snap.g(gen) prove invalid), and all but the
+// two newest matcher files.
+func (j *Journal) prune() error {
+	files, err := scanJob(j.dir)
+	if err != nil {
+		return err
+	}
+	var doomed []string
+	for _, g := range files.snaps {
+		if g+1 < j.gen {
+			doomed = append(doomed, snapName(g))
+		}
+	}
+	for _, g := range files.logs {
+		if g+1 < j.gen {
+			doomed = append(doomed, logName(g))
+		}
+	}
+	if n := len(files.models); n > 2 {
+		doomed = append(doomed, files.models[:n-2]...)
+	}
 	var errs []error
-	for _, f := range []*os.File{j.labels, j.batches, j.checks} {
-		if f != nil {
-			if err := f.Close(); err != nil {
-				errs = append(errs, err)
-			}
-		}
+	for _, name := range doomed {
+		errs = append(errs, j.cross(Op{Kind: OpRemove, File: name}, func([]byte) error {
+			return os.Remove(filepath.Join(j.dir, name))
+		}))
 	}
 	return errors.Join(errs...)
 }
 
-// Dir returns the journal directory.
-func (j *Journal) Dir() string { return j.dir }
+// Replayed counts what Replay restored: label and batch frames applied,
+// and the checkpoint frames seen in the replayed logs.
+type Replayed struct {
+	Labels, Batches, Checkpoints int
+}
+
+// read loads one journal file, feeding the replay-cost counters.
+func (j *Journal) read(name string, isLog bool) ([]byte, error) {
+	buf, err := os.ReadFile(filepath.Join(j.dir, name))
+	j.store.bytesRead.Add(int64(len(buf)))
+	if isLog {
+		j.store.logBytesRead.Add(int64(len(buf)))
+	}
+	return buf, err
+}
+
+// readSnapshot loads and structurally validates one generation without
+// touching any runner: every byte must decode as frames, the last frame
+// must be the end frame, and its generation and section counts must match
+// the file. That is what lets Replay fall back safely.
+func (j *Journal) readSnapshot(gen uint64) ([]frame, endRecord, error) {
+	var end endRecord
+	buf, err := j.read(snapName(gen), false)
+	if err != nil {
+		return nil, end, err
+	}
+	frames, valid := decodeFrames(buf)
+	n := len(frames) - 1
+	if valid != len(buf) || n < 0 || frames[n].kind != kindEnd {
+		return nil, end, fmt.Errorf("snapshot g%d: invalid frame at byte %d of %d", gen, valid, len(buf))
+	}
+	if err := json.Unmarshal(frames[n].payload, &end); err != nil {
+		return nil, end, fmt.Errorf("snapshot g%d: end frame: %w", gen, err)
+	}
+	labels := 0
+	for _, f := range frames[:n] {
+		if f.kind == kindLabel {
+			labels++
+		}
+	}
+	if end.Gen != gen || end.Labels != labels || end.Batches != n-labels {
+		return nil, end, fmt.Errorf("snapshot g%d: end frame %+v does not describe its %d label / %d other frames",
+			gen, end, labels, n-labels)
+	}
+	return frames[:n], end, nil
+}
+
+// apply is the one replay loop: it feeds decoded frames, snapshot or log
+// alike, into the runner and the in-memory batch history.
+func (j *Journal) apply(r *crowd.Runner, frames []frame, out *Replayed) error {
+	for _, f := range frames {
+		switch f.kind {
+		case kindLabel:
+			if err := r.LoadLabelEntry(f.payload); err != nil {
+				return err
+			}
+			out.Labels++
+		case kindBatch:
+			var b batchRecord
+			if err := json.Unmarshal(f.payload, &b); err != nil {
+				return fmt.Errorf("batch frame: %w", err)
+			}
+			j.batchLog = append(j.batchLog, b)
+			out.Batches++
+		case kindCheckpoint:
+			out.Checkpoints++
+		default:
+			return fmt.Errorf("unexpected frame kind %q", f.kind)
+		}
+	}
+	return nil
+}
+
+// Replay loads the journal into a fresh runner: the newest snapshot
+// generation that validates through its end frame, then every log of that
+// generation or later, ascending — with no snapshot, every log from
+// record zero. When the newest snapshot fails validation the previous one
+// is tried, its longer log suffix making up the difference. If snapshots
+// exist but none validates, Replay refuses rather than replay the logs
+// alone: older logs were pruned, so that could under-restore paid state.
+// It never writes.
+func (j *Journal) Replay(r *crowd.Runner) (Replayed, error) {
+	var out Replayed
+	fail := func(err error) (Replayed, error) {
+		return out, fmt.Errorf("runsvc: replay %s: %w", filepath.Base(j.dir), err)
+	}
+	files, err := scanJob(j.dir)
+	if err != nil {
+		return fail(err)
+	}
+	j.batchLog = nil
+
+	var from uint64
+	var hits int // newest journaled cumulative HIT count
+	var newestErr error
+	restored := len(files.snaps) == 0
+	for i := len(files.snaps) - 1; i >= 0 && !restored; i-- {
+		frames, end, err := j.readSnapshot(files.snaps[i])
+		if err != nil {
+			j.store.snapFallbacks.Add(1)
+			if newestErr == nil {
+				newestErr = err
+			}
+			continue
+		}
+		if err := j.apply(r, frames, &out); err != nil {
+			return fail(fmt.Errorf("snapshot g%d: %w", end.Gen, err))
+		}
+		// Cost compares by bit pattern — bit-identical restore is the
+		// contract.
+		if st := r.Stats(); st.Answers != end.Answers || st.Pairs != end.Pairs ||
+			math.Float64bits(st.Cost) != math.Float64bits(end.Cost) {
+			return fail(fmt.Errorf("snapshot g%d restored %d answers/%d pairs/%v cost, end frame says %d/%d/%v",
+				end.Gen, st.Answers, st.Pairs, st.Cost, end.Answers, end.Pairs, end.Cost))
+		}
+		from, hits, restored = end.Gen, end.HITs, true
+	}
+	if !restored {
+		return fail(fmt.Errorf("no valid snapshot generation (newest failure: %w); "+
+			"older logs were pruned, refusing a partial replay", newestErr))
+	}
+
+	for i, g := range files.logs {
+		if g < from {
+			continue
+		}
+		buf, err := j.read(logName(g), true)
+		if err != nil {
+			return fail(err)
+		}
+		frames, valid := decodeFrames(buf)
+		if valid < len(buf) && i < len(files.logs)-1 {
+			return fail(fmt.Errorf("%s: invalid frame at byte %d of %d with newer logs after it",
+				logName(g), valid, len(buf)))
+		}
+		if err := j.apply(r, frames, &out); err != nil {
+			return fail(fmt.Errorf("%s: %w", logName(g), err))
+		}
+	}
+
+	recs := make([][]record.Pair, len(j.batchLog))
+	for i, b := range j.batchLog {
+		ps := make([]record.Pair, len(b.Pairs))
+		for k, ab := range b.Pairs {
+			ps[k] = record.Pair{A: ab[0], B: ab[1]}
+		}
+		recs[i] = ps
+		if b.HITs > hits {
+			hits = b.HITs
+		}
+	}
+	r.QueueReplayBatches(recs)
+	r.RestoreHITs(hits)
+	return out, nil
+}
 
 // specRecord is the stored form of a job's description.
 type specRecord struct {
@@ -501,154 +954,6 @@ func (j *Journal) ReadSpec() (specRecord, error) {
 		return rec, fmt.Errorf("runsvc: decode spec: %w", err)
 	}
 	return rec, nil
-}
-
-// FlushLabels appends the runner's dirty label entries and syncs.
-func (j *Journal) FlushLabels(r *crowd.Runner) error {
-	n, err := r.AppendLabels(j.labelsW)
-	if err != nil {
-		return err
-	}
-	if n == 0 {
-		return nil
-	}
-	j.appendedSinceSnap = true
-	return j.labels.Sync()
-}
-
-// batchRecord is one line of batches.jsonl: a training batch's exact pair
-// composition plus the runner's cumulative HIT count at record time. The
-// HIT count lets Replay restore Accounting.HITs — replayed batches serve
-// from cache and never re-post HITs, so the counter cannot be recounted.
-// Seq is the batch's position in the job's whole history (1-based); a
-// snapshot records the highest sequence it covers, so replay can skip log
-// lines the snapshot already holds when a crash lands between the
-// snapshot rename and the log rotation. Lines written before compaction
-// existed carry no Seq and are assigned synthetic ones in file order.
-type batchRecord struct {
-	Pairs [][2]int32 `json:"p"`
-	HITs  int        `json:"hits,omitempty"`
-	Seq   int        `json:"s,omitempty"`
-}
-
-// AppendBatch records one training batch's composition, then flushes the
-// batch's labels. The batch record goes first: a crash between the two
-// leaves a journaled batch with missing labels, which replays harmlessly —
-// the batch is served by the replay queue and its unjournaled answers are
-// re-solicited live. The inverse order would leave durable labels with no
-// batch record, and a resumed run would find those pairs cached and pack
-// HITs differently than the journaled history.
-func (j *Journal) AppendBatch(r *crowd.Runner, batch []crowd.Labeled) error {
-	line := batchRecord{
-		Pairs: make([][2]int32, len(batch)),
-		HITs:  r.Stats().HITs,
-		Seq:   j.batchSeq + 1,
-	}
-	for i, l := range batch {
-		line.Pairs[i] = [2]int32{l.Pair.A, l.Pair.B}
-	}
-	if err := json.NewEncoder(j.batchesW).Encode(line); err != nil {
-		return err
-	}
-	if err := j.batches.Sync(); err != nil {
-		return err
-	}
-	// The line is durable; mirror it in the in-memory batch log the next
-	// snapshot will embed.
-	j.batchSeq++
-	j.batchLog = append(j.batchLog, line)
-	j.appendedSinceSnap = true
-	if err := j.FlushLabels(r); err != nil {
-		return err
-	}
-	j.batchesWritten++
-	if j.failAfterBatches > 0 && j.batchesWritten >= j.failAfterBatches {
-		panic(crashSentinel{})
-	}
-	return nil
-}
-
-// checkpointRecord is one phase/cost line in checkpoints.jsonl.
-type checkpointRecord struct {
-	Phase     string  `json:"phase"`
-	Iteration int     `json:"iteration"`
-	Answers   int     `json:"answers"`
-	Pairs     int     `json:"pairs"`
-	Cost      float64 `json:"cost"`
-	HITs      int     `json:"hits"`
-	Time      string  `json:"time"`
-}
-
-// Checkpoint flushes labels and appends a phase/cost record; on iteration
-// boundaries it also snapshots the matcher with forest serialization, so
-// the best model so far survives a crash in a directly loadable form.
-// With compaction enabled (Store.SnapshotEvery > 0) every Nth checkpoint
-// additionally folds the logs into a generation snapshot and rotates them
-// (snapshot.go), keeping replay cost and directory size bounded.
-func (j *Journal) Checkpoint(r *crowd.Runner, cp engine.Checkpoint) error {
-	if err := j.FlushLabels(r); err != nil {
-		return err
-	}
-	rec := checkpointRecord{
-		Phase:     cp.Phase,
-		Iteration: cp.Iteration,
-		Answers:   cp.Accounting.Answers,
-		Pairs:     cp.Accounting.Pairs,
-		Cost:      cp.Accounting.Cost,
-		HITs:      cp.Accounting.HITs,
-		Time:      time.Now().UTC().Format(time.RFC3339),
-	}
-	if err := json.NewEncoder(j.checksW).Encode(rec); err != nil {
-		return err
-	}
-	if err := j.checks.Sync(); err != nil {
-		return err
-	}
-	if cp.Forest != nil {
-		path := filepath.Join(j.dir, fmt.Sprintf("model_iter%02d.json", cp.Iteration))
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := cp.Forest.Save(f, cp.FeatureNames); err != nil {
-			//corlint:allow dur-ignored-write — cleanup while the snapshot-save error propagates; the partial file is superseded by the next checkpoint
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	j.checkpointsSeen++
-	if j.snapEvery > 0 && j.checkpointsSeen%j.snapEvery == 0 && j.appendedSinceSnap {
-		if _, err := j.Snapshot(r, cp); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Checkpoints reads the phase/cost records journaled so far.
-func (j *Journal) Checkpoints() ([]checkpointRecord, error) {
-	f, err := os.Open(filepath.Join(j.dir, "checkpoints.jsonl"))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	//corlint:allow dur-ignored-write — read-only handle; nothing buffered to lose
-	defer f.Close()
-	var out []checkpointRecord
-	dec := json.NewDecoder(f)
-	for dec.More() {
-		var rec checkpointRecord
-		if err := dec.Decode(&rec); err != nil {
-			return out, err
-		}
-		out = append(out, rec)
-	}
-	return out, nil
 }
 
 // StatusRecord is the terminal state written to status.json.
@@ -683,42 +988,28 @@ func (j *Journal) ReadStatus() (StatusRecord, bool) {
 }
 
 // writeFileAtomic writes v as indented JSON via a temp file + rename, so
-// readers never observe a torn file.
+// readers never observe a torn file. It serves the write-once side files
+// (spec, status), which are written outside the executor's crash recovery
+// and therefore outside the fault seam.
 func writeFileAtomic(path string, v interface{}) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), tmpPrefix+"*")
 	if err != nil {
 		return err
 	}
 	enc := json.NewEncoder(tmp)
 	enc.SetIndent("", " ")
-	if err := enc.Encode(v); err != nil {
-		//corlint:allow dur-ignored-write — cleanup of a temp file that is removed on the next line; the encode error propagates
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	err = enc.Encode(v)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		//corlint:allow dur-ignored-write — cleanup of a temp file that is removed on the next line; the sync error propagates
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// copyJournalFile is a small helper for tests and tooling: it copies one
-// journal file to w (e.g. to inspect labels without mutating the journal).
-func (j *Journal) copyJournalFile(name string, w io.Writer) error {
-	f, err := os.Open(filepath.Join(j.dir, name))
 	if err != nil {
-		return err
+		os.Remove(tmp.Name())
 	}
-	//corlint:allow dur-ignored-write — read-only handle; nothing buffered to lose
-	defer f.Close()
-	_, err = io.Copy(w, f)
 	return err
 }

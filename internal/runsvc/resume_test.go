@@ -2,9 +2,10 @@ package runsvc
 
 import (
 	"bytes"
-	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -51,32 +52,18 @@ func (c *countingCrowd) Answer(p record.Pair) bool {
 	return c.inner.Answer(p)
 }
 
-// journalEntry mirrors the crowd label-log line format for inspection.
-type journalEntry struct {
-	A       int32  `json:"a"`
-	B       int32  `json:"b"`
-	Answers []bool `json:"answers"`
-	Seed    bool   `json:"seed"`
-}
-
-// readLabelJournal decodes labels.jsonl with its supersede semantics:
-// the last line per pair wins.
-func readLabelJournal(t *testing.T, jl *Journal) map[record.Pair]journalEntry {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := jl.copyJournalFile("labels.jsonl", &buf); err != nil {
-		t.Fatalf("read label journal: %v", err)
-	}
-	out := make(map[record.Pair]journalEntry)
-	dec := json.NewDecoder(&buf)
-	for dec.More() {
-		var e journalEntry
-		if err := dec.Decode(&e); err != nil {
-			t.Fatalf("decode label journal: %v", err)
+// crashAfterBatches is the seam schedule for "the process dies right
+// after its nth training batch is durable": it counts log appends that
+// open with a batch frame and kills at the fsync following the nth.
+func crashAfterBatches(n int) FaultFunc {
+	seen := 0
+	return func(op Op) Fault {
+		if op.Kind == OpAppend && strings.HasPrefix(op.File, logPrefix) &&
+			len(op.Data) > frameHeader && op.Data[frameHeader-1] == kindBatch {
+			seen++
 		}
-		out[record.Pair{A: e.A, B: e.B}] = e
+		return Fault{Crash: op.Kind == OpSync && seen >= n}
 	}
-	return out
 }
 
 // TestKillAndResume is the crash-recovery acceptance test: a job is
@@ -112,13 +99,13 @@ func TestKillAndResume(t *testing.T) {
 			baseBatches, crashAfter)
 	}
 
-	// Phase 1: run with crash injection — the journal panics (simulating a
-	// kill) right after the 3rd training batch is flushed.
+	// Phase 1: run with crash injection — the fault seam panics (simulating
+	// a kill) right after the 3rd training batch is flushed.
 	m1, err := NewManager(Options{Workers: 1, JournalDir: dir})
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
-	m1.testCrashAfterBatches = crashAfter
+	m1.Store().Faults = crashAfterBatches(crashAfter)
 	j1, err := m1.Submit(Spec{Meta: &meta})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -144,11 +131,20 @@ func TestKillAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open journal: %v", err)
 	}
-	entries := readLabelJournal(t, jl)
-	journalAnswers := 0
-	for _, e := range entries {
-		journalAnswers += len(e.Answers)
+	if st, ok := jl.ReadStatus(); !ok || st.State != StateCrashed {
+		t.Fatalf("journal status = %+v, %v; want crashed", st, ok)
 	}
+	// Replay it into a scratch runner: the paid answers it holds, and the
+	// settled set at crash time — pairs whose journaled votes satisfy the
+	// hybrid stopping rule (strong positives, 2+1 negatives). These must
+	// cost zero on resume.
+	scratch := crowd.NewRunner(nil, 0.01)
+	replayed, err := jl.Replay(scratch)
+	jl.Close()
+	if err != nil {
+		t.Fatalf("replay into scratch runner: %v", err)
+	}
+	journalAnswers := scratch.Stats().Answers
 	if journalAnswers == 0 {
 		t.Fatal("crash journal holds no paid answers; crash fired too early")
 	}
@@ -156,26 +152,13 @@ func TestKillAndResume(t *testing.T) {
 		t.Fatalf("crash journal holds %d answers, baseline total is %d; crash fired too late",
 			journalAnswers, base.Accounting.Answers)
 	}
-	cps, err := jl.Checkpoints()
-	if err != nil || len(cps) == 0 {
-		t.Fatalf("journal checkpoints = %v, %v; want some", cps, err)
+	if replayed.Batches != crashAfter || replayed.Checkpoints == 0 {
+		t.Fatalf("crash journal replayed %+v; want %d batches and some checkpoints", replayed, crashAfter)
 	}
-	if st, ok := jl.ReadStatus(); !ok || st.State != StateCrashed {
-		t.Fatalf("journal status = %+v, %v; want crashed", st, ok)
-	}
-
-	// The settled set at crash time: pairs whose journaled votes satisfy
-	// the hybrid stopping rule (strong positives, 2+1 negatives). These
-	// must cost zero on resume.
-	scratch := crowd.NewRunner(nil, 0.01)
-	if _, _, err := jl.Replay(scratch); err != nil {
-		t.Fatalf("replay into scratch runner: %v", err)
-	}
-	jl.Close()
 	settled := make(map[record.Pair]bool)
-	for p := range entries {
-		if _, ok := scratch.Cached(p, crowd.PolicyHybrid); ok {
-			settled[p] = true
+	for _, l := range scratch.AllLabeled() {
+		if _, ok := scratch.Cached(l.Pair, crowd.PolicyHybrid); ok {
+			settled[l.Pair] = true
 		}
 	}
 	if len(settled) == 0 {
@@ -277,7 +260,7 @@ func TestResumeFromSpecJSON(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
-	m1.testCrashAfterBatches = 2
+	m1.Store().Faults = crashAfterBatches(2)
 	j1, _ := m1.Submit(Spec{Meta: &meta})
 	j1.Wait()
 	m1.Close()
@@ -361,7 +344,7 @@ func TestBudgetEnforcedAcrossResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
-	m1.testCrashAfterBatches = crashAfter
+	m1.Store().Faults = crashAfterBatches(crashAfter)
 	j1, err := m1.Submit(Spec{Meta: &meta})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -464,59 +447,77 @@ func TestSpecJournaledAtSubmit(t *testing.T) {
 	}
 }
 
-// TestStoreOpenRepairsTornTail corrupts journal files the way a hard kill
-// does — a partial trailing line — and verifies Store.Open truncates the
-// tear so replay succeeds on every intact line.
+// TestStoreOpenRepairsTornTail cuts a log's final frame at every byte
+// offset — every torn append a hard kill can leave — and verifies
+// Store.Open truncates back to the last whole frame so replay restores
+// exactly the intact prefix, and the whole log when nothing is missing.
 func TestStoreOpenRepairsTornTail(t *testing.T) {
 	dir := t.TempDir()
 	store, err := NewStore(dir)
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
 	}
-	jl, err := store.Open("torn")
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	jl.Close()
+	full := appendFrame(nil, kindBatch, []byte(`{"p":[[0,0]],"hits":1}`))
+	full = appendFrame(full, kindLabel, []byte(`{"a":0,"b":0,"answers":[true,true],"label":true,"settled":1}`))
+	intact := len(full)
+	full = appendFrame(full, kindLabel, []byte(`{"a":1,"b":1,"answers":[false,false],"label":false,"settled":0}`))
 
-	labels := `{"a":0,"b":0,"answers":[true,true],"label":true,"settled":1}` + "\n" +
-		`{"a":1,"b":1,"answers":[tru` // torn mid-write
-	batches := `{"p":[[0,0]],"hits":1}` + "\n" + `{"p":[[1,` // torn mid-write
-	jdir := filepath.Join(dir, "torn")
-	if err := os.WriteFile(filepath.Join(jdir, "labels.jsonl"), []byte(labels), 0o644); err != nil {
+	logPath := filepath.Join(dir, "torn", logName(0))
+	if err := os.MkdirAll(filepath.Dir(logPath), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(jdir, "batches.jsonl"), []byte(batches), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	jl, err = store.Open("torn")
-	if err != nil {
-		t.Fatalf("reopen with torn tails: %v", err)
-	}
-	defer jl.Close()
-	for _, name := range []string{"labels.jsonl", "batches.jsonl"} {
-		buf, err := os.ReadFile(filepath.Join(jdir, name))
-		if err != nil {
+	for cut := intact; cut <= len(full); cut++ {
+		if err := os.WriteFile(logPath, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if len(buf) == 0 || buf[len(buf)-1] != '\n' {
-			t.Errorf("%s still ends mid-line after Open: %q", name, buf)
+		jl, err := store.Open("torn")
+		if err != nil {
+			t.Fatalf("cut %d: open: %v", cut, err)
+		}
+		wantSize, wantLabels, wantAnswers := intact, 1, 2
+		if cut == len(full) {
+			wantSize, wantLabels, wantAnswers = len(full), 2, 4
+		}
+		if buf, _ := os.ReadFile(logPath); len(buf) != wantSize || !bytes.Equal(buf, full[:wantSize]) {
+			t.Fatalf("cut %d: log is %d bytes after Open, want the %d-byte frame prefix", cut, len(buf), wantSize)
+		}
+		r := crowd.NewRunner(nil, 0.01)
+		got, err := jl.Replay(r)
+		jl.Close()
+		if err != nil {
+			t.Fatalf("cut %d: replay after repair: %v", cut, err)
+		}
+		if got.Labels != wantLabels || got.Batches != 1 {
+			t.Errorf("cut %d: replayed %+v; want %d labels and 1 batch", cut, got, wantLabels)
+		}
+		if _, ok := r.Cached(record.P(0, 0), crowd.PolicyStrong); !ok {
+			t.Errorf("cut %d: intact label before the tear was lost", cut)
+		}
+		if st := r.Stats(); st.Answers != wantAnswers || st.HITs != 1 {
+			t.Errorf("cut %d: restored accounting %+v, want %d answers and 1 HIT", cut, st, wantAnswers)
 		}
 	}
-	r := crowd.NewRunner(nil, 0.01)
-	nl, nb, err := jl.Replay(r)
-	if err != nil {
-		t.Fatalf("replay after repair: %v", err)
-	}
-	if nl != 1 || nb != 1 {
-		t.Errorf("replayed %d labels, %d batches; want 1 and 1", nl, nb)
-	}
-	if _, ok := r.Cached(record.P(0, 0), crowd.PolicyStrong); !ok {
-		t.Error("intact label before the tear was lost")
-	}
-	if st := r.Stats(); st.Answers != 2 || st.HITs != 1 {
-		t.Errorf("restored accounting %+v, want 2 answers and 1 HIT", st)
+}
+
+// TestStoreOpenRefusesOldFormat: a job directory holding files of the
+// line-log journal that preceded the frame format is refused by name, not
+// migrated and not silently replayed as empty.
+func TestStoreOpenRefusesOldFormat(t *testing.T) {
+	for _, name := range []string{"labels.jsonl", "batches.g000001.jsonl", "snap-g000001.snap"} {
+		dir := t.TempDir()
+		store, err := NewStore(dir)
+		if err != nil {
+			t.Fatalf("NewStore: %v", err)
+		}
+		if err := os.MkdirAll(filepath.Join(dir, "old"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "old", name), []byte("{}\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.Open("old"); !errors.Is(err, ErrOldFormat) {
+			t.Errorf("%s: Open err = %v, want ErrOldFormat", name, err)
+		}
 	}
 }
 

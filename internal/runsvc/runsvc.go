@@ -77,9 +77,8 @@ type Options struct {
 	// behavior). Output is bit-identical at every setting.
 	ShardBatch int
 	// SnapshotEvery enables journal compaction: every Nth checkpoint each
-	// job's journal is folded into a generation snapshot and its live logs
-	// are rotated, bounding replay cost and directory size. 0 disables
-	// compaction (the pre-snapshot append-only behavior).
+	// job's journal is folded into a snapshot generation and a new log is
+	// started, bounding replay cost and directory size. 0 never compacts.
 	SnapshotEvery int
 	// MaxJournalBytes, when positive, sheds new submissions (ErrDiskBudget)
 	// once the journal store's on-disk size reaches this budget. Resumes
@@ -118,10 +117,6 @@ type Manager struct {
 	shardEndpoints []string
 	shardBatch     int
 	shardStats     shard.Stats
-
-	// testCrashAfterBatches, when positive, is copied into each job's
-	// journal to simulate a process kill right after the Nth batch flush.
-	testCrashAfterBatches int
 }
 
 // NewManager starts a manager and its executor pool.
@@ -522,9 +517,8 @@ func (m *Manager) execute(j *Job) {
 			j.finish(StateFailed, nil, err, nil)
 			return
 		}
-		jl.failAfterBatches = m.testCrashAfterBatches
 		if j.resume {
-			labels, batches, err := jl.Replay(runner)
+			replayed, err := jl.Replay(runner)
 			if err != nil {
 				//corlint:allow dur-ignored-write — replay failure cleanup; the replay error propagates and nothing was written
 				jl.Close()
@@ -532,7 +526,7 @@ func (m *Manager) execute(j *Job) {
 				return
 			}
 			j.publishProgress("resume", fmt.Sprintf(
-				"replayed %d journaled labels, %d batches", labels, batches), runner)
+				"replayed %d journaled labels, %d batches", replayed.Labels, replayed.Batches), runner)
 		}
 		runner.AfterBatch = func() {
 			if err := jl.FlushLabels(runner); err != nil {
@@ -574,16 +568,15 @@ func (m *Manager) execute(j *Job) {
 			userListener(e)
 		}
 	}
-	var lastSnapGen uint64
 	cfg.Checkpoint = func(cp engine.Checkpoint) {
 		if jl != nil {
-			if err := jl.Checkpoint(runner, cp); err != nil {
+			info, err := jl.Checkpoint(runner, cp)
+			if err != nil {
 				j.journalFail(err)
 			}
 			// Compaction is observable: each new snapshot generation
 			// publishes a "compact" progress event with its shape.
-			if info := jl.LastSnapshot(); info.Gen > lastSnapGen {
-				lastSnapGen = info.Gen
+			if info.Gen > 0 {
 				j.publishProgress("compact", fmt.Sprintf(
 					"snapshot g%06d: %d labels, %d batches, %d bytes",
 					info.Gen, info.Labels, info.Batches, info.Bytes), runner)

@@ -7,54 +7,46 @@ import (
 	"testing"
 
 	"github.com/corleone-em/corleone/internal/crowd"
-	"github.com/corleone-em/corleone/internal/engine"
 	"github.com/corleone-em/corleone/internal/record"
 )
 
-// snapFiles lists the snapshot generation files in a journal dir.
-func snapFiles(t *testing.T, dir string) []string {
+// journalFiles lists the files in a journal dir whose names start with
+// prefix (snapPrefix, logPrefix, ...), ascending.
+func journalFiles(t *testing.T, dir, prefix string) []string {
 	t.Helper()
-	entries, err := os.ReadDir(dir)
+	paths, err := filepath.Glob(filepath.Join(dir, prefix+"*"))
 	if err != nil {
-		t.Fatalf("read journal dir: %v", err)
+		t.Fatalf("list %s*: %v", prefix, err)
 	}
-	var out []string
-	for _, e := range entries {
-		if _, ok := parseSnapGen(e.Name()); ok {
-			out = append(out, e.Name())
-		}
-	}
-	return out
+	return paths
 }
 
-// logBytesOnDisk totals the label/batch log files (live + rotated
-// segments) currently in a journal dir — the exact byte count a replay's
-// log-suffix pass must consume.
+// logBytesOnDisk totals the log generations currently in a journal dir —
+// the most a replay's log pass may consume.
 func logBytesOnDisk(t *testing.T, dir string) int64 {
 	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("read journal dir: %v", err)
-	}
 	var total int64
-	for _, e := range entries {
-		name := e.Name()
-		isLog := name == "labels.jsonl" || name == "batches.jsonl"
-		for _, base := range []string{"labels", "batches"} {
-			if _, ok := parseSegGen(name, base); ok {
-				isLog = true
-			}
-		}
-		if !isLog {
-			continue
-		}
-		fi, err := e.Info()
+	for _, path := range journalFiles(t, dir, logPrefix) {
+		fi, err := os.Stat(path)
 		if err != nil {
-			t.Fatalf("stat %s: %v", name, err)
+			t.Fatalf("stat %s: %v", path, err)
 		}
 		total += fi.Size()
 	}
 	return total
+}
+
+// flipMiddleByte rots one bit in the middle of a file.
+func flipMiddleByte(t *testing.T, path string) {
+	t.Helper()
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read %s: %v", path, err)
+	}
+	buf[len(buf)/2] ^= 0x01
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatalf("corrupt %s: %v", path, err)
+	}
 }
 
 // crashWithSnapshots runs a job with compaction enabled and a kill
@@ -69,7 +61,7 @@ func crashWithSnapshots(t *testing.T, meta Meta, crashAfter int) (dir, id string
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
-	m.testCrashAfterBatches = crashAfter
+	m.Store().Faults = crashAfterBatches(crashAfter)
 	j, err := m.Submit(Spec{Meta: &meta})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -119,7 +111,7 @@ func resumeAndWait(t *testing.T, dir, id string, meta Meta) (*Manager, *Job, *co
 }
 
 // TestSnapshotResumeBitIdentical is the compaction acceptance test: a job
-// crashed after snapshots + rotations have discarded its log prefix must
+// crashed after snapshots + pruning have discarded its log prefix must
 // resume from the newest generation to the exact result and accounting of
 // an uninterrupted run — the snapshot replaces the log history losslessly.
 func TestSnapshotResumeBitIdentical(t *testing.T) {
@@ -159,7 +151,7 @@ func TestSnapshotResumeBitIdentical(t *testing.T) {
 
 // TestSnapshotBoundedReplay pins the tentpole's cost bound: with
 // compaction enabled, resuming after many checkpoints reads only the log
-// records written since the last snapshot (plus the fallback segment),
+// records written since the last snapshot,
 // not the job's whole append history.
 func TestSnapshotBoundedReplay(t *testing.T) {
 	if testing.Short() {
@@ -168,9 +160,9 @@ func TestSnapshotBoundedReplay(t *testing.T) {
 	meta := testMeta(7, 0.2, 0)
 	dir, id := crashWithSnapshots(t, meta, 5)
 
-	// What the crash left on disk: the live logs plus the retained
-	// fallback segments — by construction O(records since last snapshot),
-	// already compacted down from the full history.
+	// What the crash left on disk: the open log plus the one older log the
+	// fallback ladder retains — by construction O(records since the last
+	// snapshot), already compacted down from the full history.
 	jdir := filepath.Join(dir, id)
 	suffix := logBytesOnDisk(t, jdir)
 
@@ -187,8 +179,13 @@ func TestSnapshotBoundedReplay(t *testing.T) {
 	if logRead > suffix {
 		t.Errorf("replay read %d log bytes, but only %d log bytes existed on disk at resume", logRead, suffix)
 	}
-	// The bound must be a real saving: the journal appended strictly more
-	// than the suffix over its lifetime (rotated-away prefix > 0).
+	// The newest generation validated, so replay read only its own log, not
+	// the retained fallback log too.
+	if newest := journalFiles(t, jdir, logPrefix); len(newest) > 1 && logRead >= suffix {
+		t.Errorf("replay read all %d log bytes on disk; the log below the restored generation was not skipped", suffix)
+	}
+	// The bound must be a real saving: a snapshot was read in place of the
+	// pruned log prefix.
 	if total := m.Store().BytesRead(); total <= logRead {
 		t.Errorf("total replay bytes %d not above log share %d; no snapshot was read", total, logRead)
 	}
@@ -222,19 +219,11 @@ func TestSnapshotCorruptionFallback(t *testing.T) {
 	m1.Close()
 
 	jdir := filepath.Join(dir, j1.ID)
-	snaps := snapFiles(t, jdir)
+	snaps := journalFiles(t, jdir, snapPrefix)
 	if len(snaps) != 2 {
 		t.Fatalf("retention kept %d snapshot generations %v, want 2", len(snaps), snaps)
 	}
-	newest := filepath.Join(jdir, snaps[len(snaps)-1])
-	buf, err := os.ReadFile(newest)
-	if err != nil {
-		t.Fatalf("read snapshot: %v", err)
-	}
-	buf[len(buf)/2] ^= 0x01 // bit rot in the payload
-	if err := os.WriteFile(newest, buf, 0o644); err != nil {
-		t.Fatalf("corrupt snapshot: %v", err)
-	}
+	flipMiddleByte(t, snaps[len(snaps)-1])
 
 	m2, j2, counting := resumeAndWait(t, dir, j1.ID, meta)
 	defer m2.Close()
@@ -257,8 +246,7 @@ func TestSnapshotCorruptionFallback(t *testing.T) {
 }
 
 // TestSnapshotAllGenerationsCorrupt: when every retained generation fails
-// validation, Replay must refuse to run — older log segments were
-// compacted away, so a log-only replay would silently under-restore paid
+// validation, Replay must refuse to run — older logs were pruned, so a log-only replay would silently under-restore paid
 // state. A loud failure is the contract.
 func TestSnapshotAllGenerationsCorrupt(t *testing.T) {
 	if testing.Short() {
@@ -268,16 +256,8 @@ func TestSnapshotAllGenerationsCorrupt(t *testing.T) {
 	dir, id := crashWithSnapshots(t, meta, 5)
 
 	jdir := filepath.Join(dir, id)
-	for _, name := range snapFiles(t, jdir) {
-		path := filepath.Join(jdir, name)
-		buf, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("read %s: %v", name, err)
-		}
-		buf[len(buf)/2] ^= 0x01
-		if err := os.WriteFile(path, buf, 0o644); err != nil {
-			t.Fatalf("corrupt %s: %v", name, err)
-		}
+	for _, path := range journalFiles(t, jdir, snapPrefix) {
+		flipMiddleByte(t, path)
 	}
 
 	m, err := NewManager(Options{Workers: 1, JournalDir: dir, SnapshotEvery: 1})
@@ -307,43 +287,37 @@ func TestSnapshotTornTmpSweep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
 	}
+	jdir := filepath.Join(dir, "torn")
+	if err := os.MkdirAll(jdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	log := appendFrame(nil, kindBatch, []byte(`{"p":[[0,0]],"hits":1}`))
+	log = appendFrame(log, kindLabel, []byte(`{"a":0,"b":0,"answers":[true,true],"label":true,"settled":1}`))
+	if err := os.WriteFile(filepath.Join(jdir, logName(0)), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The torn tmp a kill mid-snapshot-write leaves: the first frames of
+	// generation 1, cut mid-frame, never renamed.
+	torn := filepath.Join(jdir, tmpPrefix+snapName(1))
+	if err := os.WriteFile(torn, log[:len(log)-7], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	jl, err := store.Open("torn")
 	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	jl.Close()
-
-	jdir := filepath.Join(dir, "torn")
-	labels := `{"a":0,"b":0,"answers":[true,true],"label":true,"settled":1}` + "\n"
-	batches := `{"p":[[0,0]],"hits":1,"s":1}` + "\n"
-	if err := os.WriteFile(filepath.Join(jdir, "labels.jsonl"), []byte(labels), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(jdir, "batches.jsonl"), []byte(batches), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// The torn tmp a kill mid-snapshot-write leaves: half a header, no
-	// newline, never renamed.
-	torn := filepath.Join(jdir, snapTmpPrefix+"123456")
-	if err := os.WriteFile(torn, []byte(`{"gen":1,"labels":9`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	jl, err = store.Open("torn")
-	if err != nil {
-		t.Fatalf("reopen with torn tmp: %v", err)
+		t.Fatalf("open with torn tmp: %v", err)
 	}
 	defer jl.Close()
 	if _, err := os.Stat(torn); !os.IsNotExist(err) {
 		t.Errorf("torn snapshot tmp survived Open (stat err %v)", err)
 	}
 	r := crowd.NewRunner(nil, 0.01)
-	nl, nb, err := jl.Replay(r)
+	got, err := jl.Replay(r)
 	if err != nil {
 		t.Fatalf("replay after sweep: %v", err)
 	}
-	if nl != 1 || nb != 1 {
-		t.Errorf("replayed %d labels, %d batches; want 1 and 1", nl, nb)
+	if got.Labels != 1 || got.Batches != 1 {
+		t.Errorf("replayed %+v; want 1 label and 1 batch", got)
 	}
 	if st := r.Stats(); st.Answers != 2 || st.HITs != 1 {
 		t.Errorf("restored accounting %+v, want 2 answers and 1 HIT", st)
@@ -353,100 +327,10 @@ func TestSnapshotTornTmpSweep(t *testing.T) {
 	}
 }
 
-// TestSnapshotRenameWindowNoDoublePay pins the rename-to-rotation crash
-// window against the shape that used to double-count paid accounting: a
-// pair with TWO answer-gaining cumulative lines in the un-rotated live log
-// (an entry appended at 2+1 and later topped up to a strong settle, as a
-// resume leaves behind). Replay loads the snapshot — the pair restored at
-// its full answer count — and then the overlapping live log; the stale
-// first line must not regress the cache and set the second line up to
-// re-charge the delta. Resume must land on bit-identical accounting.
-func TestSnapshotRenameWindowNoDoublePay(t *testing.T) {
-	dir := t.TempDir()
-	store, err := NewStore(dir)
-	if err != nil {
-		t.Fatalf("NewStore: %v", err)
-	}
-	jl, err := store.Open("overlap")
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	jl.Close()
-
-	jdir := filepath.Join(dir, "overlap")
-	labels := `{"a":0,"b":0,"answers":[true,true],"label":true,"settled":0}` + "\n" +
-		`{"a":0,"b":0,"answers":[true,true,true],"label":true,"settled":1}` + "\n"
-	batches := `{"p":[[0,0]],"hits":1,"s":1}` + "\n"
-	if err := os.WriteFile(filepath.Join(jdir, "labels.jsonl"), []byte(labels), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(jdir, "batches.jsonl"), []byte(batches), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Restore the pre-crash session and kill it between the snapshot
-	// rename and the log rotation: the generation is installed, the live
-	// logs still hold every line it covers.
-	store.SnapFaults = func(point string, gen uint64) *SnapFault {
-		if point == SnapPointRenamed {
-			return &SnapFault{Crash: true}
-		}
-		return nil
-	}
-	jl, err = store.Open("overlap")
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	r1 := crowd.NewRunner(nil, 0.01)
-	if _, _, err := jl.Replay(r1); err != nil {
-		t.Fatalf("pre-crash replay: %v", err)
-	}
-	want := r1.Stats()
-	if want.Answers != 3 || want.Pairs != 1 {
-		t.Fatalf("pre-crash accounting %+v, want 3 answers over 1 pair", want)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("no crash injected at SnapPointRenamed")
-			}
-		}()
-		jl.Snapshot(r1, engine.Checkpoint{})
-	}()
-	jl.Close()
-	if snaps := snapFiles(t, jdir); len(snaps) != 1 {
-		t.Fatalf("snapshot generations on disk = %v, want exactly one", snaps)
-	}
-	if _, err := os.Stat(filepath.Join(jdir, "labels.jsonl")); err != nil {
-		t.Fatalf("live label log missing; crash landed after rotation: %v", err)
-	}
-
-	store.SnapFaults = nil
-	jl, err = store.Open("overlap")
-	if err != nil {
-		t.Fatalf("post-crash open: %v", err)
-	}
-	defer jl.Close()
-	r2 := crowd.NewRunner(nil, 0.01)
-	_, nb, err := jl.Replay(r2)
-	if err != nil {
-		t.Fatalf("post-crash replay: %v", err)
-	}
-	if got := r2.Stats(); got != want {
-		t.Errorf("overlap resume accounting %+v, want bit-identical %+v", got, want)
-	}
-	if nb != 1 {
-		t.Errorf("overlap resume replayed %d batches, want 1 (seq dedup)", nb)
-	}
-	if _, ok := r2.Cached(record.P(0, 0), crowd.PolicyStrong); !ok {
-		t.Error("overlap resume regressed the entry below its strong settle")
-	}
-}
-
 // TestSnapshotDirBounded pins the compaction retention bound: across three
-// or more generations, the journal directory holds at most the two newest
-// snapshots, one rotated segment pair, and two matcher model files — the
-// prefix history is gone.
+// or more generations, the journal directory holds the spec, the status,
+// at most the two newest snapshots with their two logs, and two matcher
+// model files — the prefix history is gone and nothing else is left behind.
 func TestSnapshotDirBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compaction retention integration test in -short mode")
@@ -474,34 +358,25 @@ func TestSnapshotDirBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snapCount, segCount, modelCount, tmpCount int
+	// Only the documented file kinds, each within its retention bound.
+	counts := map[string]int{}
 	for _, e := range entries {
 		name := e.Name()
-		if _, ok := parseSnapGen(name); ok {
-			snapCount++
-		}
-		for _, base := range []string{"labels", "batches"} {
-			if _, ok := parseSegGen(name, base); ok {
-				segCount++
-			}
-		}
-		if strings.HasPrefix(name, "model_iter") {
-			modelCount++
-		}
-		if strings.HasPrefix(name, snapTmpPrefix) {
-			tmpCount++
+		switch {
+		case name == "spec.json" || name == "status.json":
+		case strings.HasPrefix(name, snapPrefix):
+			counts[snapPrefix]++
+		case strings.HasPrefix(name, logPrefix):
+			counts[logPrefix]++
+		case strings.HasPrefix(name, modelPrefix):
+			counts[modelPrefix]++
+		default:
+			t.Errorf("unexpected file %s in the job directory", name)
 		}
 	}
-	if snapCount > 2 {
-		t.Errorf("%d snapshot generations on disk, retention promises <= 2", snapCount)
-	}
-	if segCount > 2 {
-		t.Errorf("%d rotated log segments on disk, retention promises <= 2 (one pair)", segCount)
-	}
-	if modelCount > 2 {
-		t.Errorf("%d matcher model files on disk, retention promises <= 2", modelCount)
-	}
-	if tmpCount != 0 {
-		t.Errorf("%d stale snapshot tmp files on disk, want 0", tmpCount)
+	for _, prefix := range []string{snapPrefix, logPrefix, modelPrefix} {
+		if n := counts[prefix]; n == 0 || n > 2 {
+			t.Errorf("%d %s* files on disk, retention promises 1..2", n, prefix)
+		}
 	}
 }

@@ -32,9 +32,11 @@ go run ./cmd/corlint -alloc
 # covers the full schedule matrix (chaos suite included).
 go test -count=1 -run 'TestChaosSchedules/(5xx-burst|kill-points|snap-kill-points)' ./internal/faultkit
 
-# Snapshot/compaction smoke: the corruption fallback ladder and the
-# bounded-replay cost bound, without -race for fast signal.
-go test -count=1 -run 'TestSnapshotCorruptionFallback|TestSnapshotBoundedReplay' ./internal/runsvc
+# Journal smoke: the strided boundary sweep, torn-tail repair, the
+# corruption fallback ladder and the bounded-replay cost bound, without
+# -race for fast signal.
+go test -count=1 -run 'TestDurabilityBoundarySweep' ./internal/faultkit
+go test -count=1 -run 'TestStoreOpen|TestSnapshotCorruptionFallback|TestSnapshotBoundedReplay' ./internal/runsvc
 
 # Sharded smoke: the bit-identical equivalence sweep (K x GOMAXPROCS) and
 # one shard-worker failover schedule, again without -race for fast signal.
@@ -55,3 +57,9 @@ go test -count=1 -run '^$' -fuzz 'FuzzMergePairs' -fuzztime 5s ./internal/shard
 # equality.
 go test -count=1 -run '^$' -fuzz 'FuzzJaroBitParallel' -fuzztime 5s ./internal/similarity
 go test -count=1 -run '^$' -fuzz 'FuzzSetKernels' -fuzztime 5s ./internal/similarity
+
+# Journal fuzz smoke: arbitrary bytes as a log and as a snapshot restore
+# at most their longest valid frame prefix; one altered byte is rejected
+# or cut back to a strict prefix. Inputs are whole journal files, so
+# minimization is off (it would spend the budget on one input).
+go test -count=1 -run '^$' -fuzz 'FuzzJournalReplay' -fuzztime 5s -fuzzminimizetime 0 ./internal/runsvc
