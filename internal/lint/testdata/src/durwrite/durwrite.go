@@ -42,13 +42,13 @@ func Buffered(w io.Writer) {
 // log; both are flagged — a lost rename keeps replay on a stale
 // generation with no visible failure.
 func Rotate(f *os.File) {
-	os.Rename("labels.jsonl", "labels.g000001.jsonl") // want dur-ignored-write
-	f.Truncate(0)                                     // want dur-ignored-write
+	os.Rename(".tmp-snap.g000001", "snap.g000001") // want dur-ignored-write
+	f.Truncate(0)                                  // want dur-ignored-write
 }
 
 // RotateChecked is the legal shape for the same operations.
 func RotateChecked(f *os.File) error {
-	if err := os.Rename("labels.jsonl", "labels.g000001.jsonl"); err != nil {
+	if err := os.Rename(".tmp-snap.g000001", "snap.g000001"); err != nil {
 		return err
 	}
 	return f.Truncate(0)
