@@ -57,23 +57,30 @@ shard:
 	$(GO) test -race -count=1 -run 'TestManagerRemoteShardExecution|TestHealthzAndMetrics' ./internal/runsvc
 	$(GO) test -race -count=1 -v -run 'TestShardWorkerChaos' ./internal/faultkit
 
-# Differential fuzz smoke. Wire format: the pair codec (exact round trip,
+# Differential fuzz smoke — the one list of fuzz targets (`make verify`
+# and CI call this). Wire format: the pair codec (exact round trip,
 # canonical re-encoding, decoder totality over arbitrary bytes) and the
 # K-way merge vs its reference. Pair kernels: bit-parallel Jaro vs the greedy
 # matcher, and the integer-coded set measures vs the string merges, both
 # to Float64bits equality (DESIGN.md "Pair kernels"). Journal: arbitrary
 # bytes as a log and as a snapshot never restore more than their longest
 # valid frame prefix, and one altered byte never goes unnoticed (DESIGN.md
-# "The journal"); its inputs are whole journal files, so minimizing each
-# interesting one would eat the run — hence -fuzzminimizetime 0. `go test
-# -fuzz` accepts one target per invocation, hence one run each. Also part
-# of `make verify` and CI.
+# "The journal"). Job directory: the two remaining disk decoders are total
+# — a model file that loads re-saves to an identical scorer, a spec.json
+# that decodes builds or fails with an error. The job-directory targets
+# take whole files as inputs, so minimizing each interesting one would eat
+# the run — hence -fuzzminimizetime 0. `go test -fuzz` accepts one target
+# per invocation, hence one run each, FUZZTIME apiece.
+FUZZTIME ?= 10s
+FUZZ = $(GO) test -count=1 -run '^$$' -fuzztime $(FUZZTIME)
 fuzz:
-	$(GO) test -count=1 -run '^$$' -fuzz 'FuzzPairCodec' -fuzztime 10s ./internal/shard
-	$(GO) test -count=1 -run '^$$' -fuzz 'FuzzMergePairs' -fuzztime 10s ./internal/shard
-	$(GO) test -count=1 -run '^$$' -fuzz 'FuzzJaroBitParallel' -fuzztime 10s ./internal/similarity
-	$(GO) test -count=1 -run '^$$' -fuzz 'FuzzSetKernels' -fuzztime 10s ./internal/similarity
-	$(GO) test -count=1 -run '^$$' -fuzz 'FuzzJournalReplay' -fuzztime 10s -fuzzminimizetime 0 ./internal/runsvc
+	$(FUZZ) -fuzz 'FuzzPairCodec' ./internal/shard
+	$(FUZZ) -fuzz 'FuzzMergePairs' ./internal/shard
+	$(FUZZ) -fuzz 'FuzzJaroBitParallel' ./internal/similarity
+	$(FUZZ) -fuzz 'FuzzSetKernels' ./internal/similarity
+	$(FUZZ) -fuzz 'FuzzJournalReplay' -fuzzminimizetime 0 ./internal/runsvc
+	$(FUZZ) -fuzz 'FuzzForestLoad' -fuzzminimizetime 0 ./internal/runsvc
+	$(FUZZ) -fuzz 'FuzzSpecRecord' -fuzzminimizetime 0 ./internal/runsvc
 
 # The end-to-end benchmark (bench/README.md, BENCHMARK.json): pairs/s,
 # job latency, bytes and allocations per pair, F1 and crowd cost on five

@@ -164,20 +164,8 @@ func Run(ds *record.Dataset, ex *feature.Extractor, runner *crowd.Runner, cfg Co
 
 	// §4.2 step 1: select the top k rules by the upper bound on precision,
 	// where T is the set of S-examples the crowd labeled positive.
-	sIdx := make(map[record.Pair]int, len(S))
-	for i, p := range S {
-		sIdx[p] = i
-	}
-	contradicting := map[int]bool{}
-	for _, l := range learned.Training {
-		if l.Match {
-			if i, ok := sIdx[l.Pair]; ok {
-				contradicting[i] = true
-			}
-		}
-	}
 	cands := ruleeval.MakeCandidates(negRules, X)
-	top := ruleeval.SelectTopK(cands, contradicting, cfg.TopK)
+	top := ruleeval.SelectTopK(cands, ruleeval.Contradicting(S, learned.Training, true), cfg.TopK)
 
 	// §4.2 step 2: evaluate the selected rules jointly with the crowd.
 	res.Evaluated = ruleeval.EvaluateJoint(rng, runner, S, top, cfg.RuleEval)
@@ -189,19 +177,14 @@ func Run(ds *record.Dataset, ex *feature.Extractor, runner *crowd.Runner, cfg Co
 	// label would otherwise veto a perfect rule, each contradicting
 	// positive is first re-verified under the strong-majority scheme
 	// (§8.2's false-positive analysis).
-	verifiedPos := map[int]bool{}
+	var verified []record.Labeled
 	for _, l := range runner.AllLabeled() {
-		if !l.Match {
-			continue
-		}
-		if i, ok := sIdx[l.Pair]; ok {
-			if runner.Label(l.Pair, crowd.PolicyStrong) {
-				verifiedPos[i] = true
-			}
+		if l.Match && inS.Has(l.Pair) && runner.Label(l.Pair, crowd.PolicyStrong) {
+			verified = append(verified, l)
 		}
 	}
 	kept := keptResults(res.Evaluated)
-	kept = dropContradicted(kept, verifiedPos, 0.1)
+	kept = dropContradicted(kept, ruleeval.Contradicting(S, verified, true), 0.1)
 	res.Selected = greedySelect(kept, X, len(ds.A.Rows), len(ds.B.Rows), cfg.TB, ex.Cost)
 
 	// Apply the selected rules to A×B: the planner generates candidates

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/corleone-em/corleone/internal/feature"
+	"github.com/corleone-em/corleone/internal/par"
 	"github.com/corleone-em/corleone/internal/record"
 	"github.com/corleone-em/corleone/internal/shard"
 	"github.com/corleone-em/corleone/internal/simindex"
@@ -131,7 +132,20 @@ func applyRulesScanTo(ds *record.Dataset, ex *feature.Extractor, rules []tree.Ru
 	if int64(workers) > blocks {
 		workers = int(blocks)
 	}
-	q := newSequencer(blocks, workers, sink)
+	// Chunk buffers cycle between the workers and the emit callback: a
+	// delivered chunk's buffer goes back on free, a claimer takes one from
+	// there or allocates. Every buffer belongs to a claimed, undelivered
+	// block or sits on free, and a claimer allocates only on finding free
+	// empty, so at most window buffers ever exist and the send in emit
+	// (which runs under the fan-out's lock) cannot block.
+	window := workers * seqWindowPerWorker
+	free := make(chan []record.Pair, window)
+	q := par.NewOrdered(int(blocks), window, func(_ int, chunk []record.Pair) {
+		if len(chunk) > 0 {
+			sink(chunk)
+		}
+		free <- chunk
+	})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -139,11 +153,18 @@ func applyRulesScanTo(ds *record.Dataset, ex *feature.Extractor, rules []tree.Ru
 			defer wg.Done()
 			v := shard.NewVerifier(ex, rules)
 			for {
-				block, buf, ok := q.claim()
+				block, _, ok := q.Claim(1)
 				if !ok {
 					return
 				}
-				lo := block * blockPairs
+				var buf []record.Pair
+				select {
+				case buf = <-free:
+					buf = buf[:0]
+				default:
+					buf = make([]record.Pair, 0, blockPairs)
+				}
+				lo := int64(block) * blockPairs
 				hi := lo + blockPairs
 				if hi > total {
 					hi = total
@@ -154,7 +175,7 @@ func applyRulesScanTo(ds *record.Dataset, ex *feature.Extractor, rules []tree.Ru
 						buf = append(buf, p)
 					}
 				}
-				q.complete(block, buf)
+				q.Complete(block, buf)
 			}
 		}()
 	}
@@ -200,7 +221,7 @@ func applyRulesShardedTo(ds *record.Dataset, ex *feature.Extractor, rules []tree
 			// Batched pipelined probes are the remote path's default: one
 			// round trip per run of same-shard tasks instead of one per
 			// task. Local execution pays no per-task transport, so it keeps
-			// single-task claims.
+			// claims of one.
 			c.Batch = 16 * k
 		}
 	}

@@ -45,7 +45,10 @@ func TestScale1MSharded(t *testing.T) {
 	const k = 8
 	_, profB := ex.Profiles(p.feature)
 	group := shard.BuildGroup(p.kind, profB, k)
-	maxFp, totalFp := group.MaxShardFootprint(), group.TotalFootprint()
+	maxFp, totalFp := group.MaxShardFootprint(), int64(0)
+	for s := 0; s < group.K(); s++ {
+		totalFp += group.Shard(s).Footprint()
+	}
 	t.Logf("K=%d: per-shard peak %d bytes, total %d bytes", k, maxFp, totalFp)
 	if maxFp > 2*totalFp/int64(k) {
 		t.Errorf("per-shard peak %d bytes exceeds 2x the even split of %d", maxFp, totalFp/int64(k))

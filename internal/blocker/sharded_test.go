@@ -130,9 +130,9 @@ func TestShardedRemoteTransportEquivalence(t *testing.T) {
 // completion order is adversarial while remaining deterministic.
 type delayExecutor struct{ inner shard.Executor }
 
-func (e delayExecutor) Probe(t shard.Task, attempt int) ([]record.Pair, error) {
-	time.Sleep(time.Duration((uint64(t.Seq)*2654435761)%5) * time.Millisecond)
-	return e.inner.Probe(t, attempt)
+func (e delayExecutor) Probe(tasks []shard.Task, attempt int) ([][]record.Pair, error) {
+	time.Sleep(time.Duration((uint64(tasks[0].Seq)*2654435761)%5) * time.Millisecond)
+	return e.inner.Probe(tasks, attempt)
 }
 
 // TestShardedMergeDeterminism pins the coordinator-facing half of the

@@ -2,7 +2,6 @@ package blocker
 
 import (
 	"math"
-	"sync"
 
 	"github.com/corleone-em/corleone/internal/record"
 )
@@ -21,82 +20,9 @@ type Sink func(chunk []record.Pair)
 const blockPairs = 4096
 
 // seqWindowPerWorker bounds how far ahead of the emission frontier workers
-// may claim blocks. The reorder buffer therefore holds at most
-// workers × seqWindowPerWorker completed chunks.
+// may claim blocks (par.Ordered's window). The reorder buffer therefore
+// holds at most workers × seqWindowPerWorker completed chunks.
 const seqWindowPerWorker = 4
-
-// sequencer hands out work blocks to concurrent workers and delivers their
-// completed chunks to the sink in block order. Workers may run ahead of the
-// slowest block only by the window, which bounds both the reorder buffer
-// and the pool of chunk buffers; buffers are recycled once their chunk has
-// been delivered.
-type sequencer struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	next   int64 // next block index to hand out
-	emit   int64 // next block index to deliver
-	blocks int64
-	window int64
-	done   map[int64][]record.Pair
-	free   [][]record.Pair
-	sink   Sink
-}
-
-func newSequencer(blocks int64, workers int, sink Sink) *sequencer {
-	q := &sequencer{
-		blocks: blocks,
-		window: int64(workers) * seqWindowPerWorker,
-		done:   make(map[int64][]record.Pair),
-		sink:   sink,
-	}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-// claim returns the next block index and a reusable output buffer, or
-// ok=false when all blocks are handed out. It blocks while the caller is a
-// full window ahead of the emission frontier.
-func (q *sequencer) claim() (block int64, buf []record.Pair, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.next < q.blocks && q.next-q.emit >= q.window {
-		q.cond.Wait()
-	}
-	if q.next >= q.blocks {
-		return 0, nil, false
-	}
-	block = q.next
-	q.next++
-	if n := len(q.free); n > 0 {
-		buf = q.free[n-1][:0]
-		q.free = q.free[:n-1]
-	} else {
-		buf = make([]record.Pair, 0, blockPairs)
-	}
-	return block, buf, true
-}
-
-// complete records a block's survivors and delivers every ready chunk, in
-// order, to the sink. Delivery happens under the lock, so sink calls are
-// serialized and ordered; delivered buffers return to the free pool.
-func (q *sequencer) complete(block int64, out []record.Pair) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.done[block] = out
-	for {
-		buf, ok := q.done[q.emit]
-		if !ok {
-			break
-		}
-		delete(q.done, q.emit)
-		q.emit++
-		if len(buf) > 0 {
-			q.sink(buf)
-		}
-		q.free = append(q.free, buf)
-	}
-	q.cond.Broadcast()
-}
 
 // emitAllPairs streams the full Cartesian product A×B through sink in
 // (a, b) order, in bounded chunks. All index arithmetic is int64, so the

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/corleone-em/corleone/internal/record"
+	"github.com/corleone-em/corleone/internal/retry"
 )
 
 // Crowd produces one worker's answer to "does pair p match?". Each call
@@ -44,20 +45,6 @@ var (
 	// flight. Never retried.
 	ErrCanceled = errors.New("crowd: canceled")
 )
-
-// RetryConfig bounds the Runner's re-solicitation of a failing CrowdErr
-// adapter. Zero values select the defaults; a plain Crowd cannot fail and
-// is never retried.
-type RetryConfig struct {
-	// Attempts is the maximum number of AnswerErr calls per answer
-	// (default 3).
-	Attempts int
-	// Base is the backoff before the second attempt, doubling per retry
-	// (default 50ms).
-	Base time.Duration
-	// Max caps the backoff (default 1s).
-	Max time.Duration
-}
 
 // Oracle is a perfect crowd: every answer equals the ground truth. It is
 // the 0%-error point of the paper's sensitivity analysis and the reference
@@ -185,7 +172,9 @@ type Runner struct {
 	inBatch bool
 
 	// Retry bounds re-solicitation when the crowd implements CrowdErr.
-	Retry RetryConfig
+	// Unset fields select the defaults: 3 attempts, 50ms base wait, 1s cap
+	// (DESIGN.md §8.2). A plain Crowd cannot fail and is never retried.
+	Retry retry.Policy
 
 	// AfterBatch, when non-nil, is called at crowd batch boundaries — after
 	// each training batch, after each LabelAll, and after every HITSize
@@ -231,9 +220,14 @@ func (r *Runner) Stats() Accounting { return r.acct }
 
 // SeedLabels installs the user-supplied labeled examples (§3's two positive
 // and two negative seeds) into the cache as authoritative labels that never
-// hit the crowd.
+// hit the crowd. A pair already cached as that seed — installed by an
+// earlier call, or replayed from a journal — is left alone, so re-seeding
+// dirties nothing and a resumed run does not re-journal its seeds.
 func (r *Runner) SeedLabels(seeds []record.Labeled) {
 	for _, s := range seeds {
+		if e, ok := r.cache[s.Pair]; ok && e.hasSeed && e.label == s.Match {
+			continue
+		}
 		r.cache[s.Pair] = &entry{label: s.Match, settled: PolicyStrong, voted: true, hasSeed: true}
 		r.markDirty(s.Pair)
 	}
@@ -324,55 +318,31 @@ func (r *Runner) canceled() bool {
 	}
 }
 
-// askCrowd obtains one answer, re-soliciting transient failures with
-// capped exponential backoff when the crowd implements CrowdErr. A plain
-// Crowd cannot fail and is asked exactly once. Returns ErrCanceled as soon
-// as the runner is canceled (including mid-backoff); ErrUnavailable or
-// ErrTimeout only after the retry budget is exhausted.
+// askCrowd obtains one answer, re-soliciting transient failures through
+// the retry policy when the crowd implements CrowdErr. A plain Crowd cannot
+// fail and is asked exactly once. Returns ErrCanceled as soon as the runner
+// is canceled (including mid-backoff); ErrUnavailable or ErrTimeout only
+// after the retry budget is exhausted.
 func (r *Runner) askCrowd(p record.Pair) (bool, error) {
 	ce, ok := r.crowd.(CrowdErr)
 	if !ok {
 		return r.crowd.Answer(p), nil
 	}
-	attempts := r.Retry.Attempts
-	if attempts <= 0 {
-		attempts = 3
-	}
-	backoff := r.Retry.Base
-	if backoff <= 0 {
-		backoff = 50 * time.Millisecond
-	}
-	maxBackoff := r.Retry.Max
-	if maxBackoff <= 0 {
-		maxBackoff = time.Second
-	}
-	var err error
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			// Back off before retrying; a close of Cancel abandons the wait
-			// immediately (a nil Cancel blocks that arm forever, which is
-			// exactly the no-cancellation behavior).
-			select {
-			case <-r.Cancel:
-				return false, ErrCanceled
-			case <-time.After(backoff):
-			}
-			backoff *= 2
-			if backoff > maxBackoff {
-				backoff = maxBackoff
-			}
-		}
+	policy := r.Retry.Or(retry.Policy{Attempts: 3, Base: 50 * time.Millisecond, Max: time.Second})
+	notCanceled := func(err error) bool { return !errors.Is(err, ErrCanceled) }
+	var a bool
+	err := policy.Do(retry.Call{Cancel: r.Cancel, Retryable: notCanceled}, func(int) (err error) {
 		if r.canceled() {
-			return false, ErrCanceled
+			return ErrCanceled
 		}
-		var a bool
 		a, err = ce.AnswerErr(p)
-		if err == nil {
-			return a, nil
-		}
-		if errors.Is(err, ErrCanceled) {
-			return false, ErrCanceled
-		}
+		return err
+	})
+	switch {
+	case err == nil:
+		return a, nil
+	case errors.Is(err, ErrCanceled), errors.Is(err, retry.ErrCanceled):
+		return false, ErrCanceled
 	}
 	return false, err
 }

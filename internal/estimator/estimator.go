@@ -27,8 +27,8 @@ type Config struct {
 	EpsMax float64
 	// Confidence is the interval confidence (paper: 0.95).
 	Confidence float64
-	// ProbeBatch is b, the examples labeled per probe (paper: 50).
-	ProbeBatch int
+	// LabelBatch is b, the examples labeled per probe (paper: 50).
+	LabelBatch int
 	// TopK is the number of candidate reduction rules considered
 	// (paper: 20, as in blocking).
 	TopK int
@@ -52,7 +52,7 @@ func Defaults() Config {
 	return Config{
 		EpsMax:     0.05,
 		Confidence: 0.95,
-		ProbeBatch: 50,
+		LabelBatch: 50,
 		TopK:       20,
 		RuleEval:   ruleeval.Defaults(),
 		Policy:     crowd.PolicyHybrid,
@@ -68,8 +68,8 @@ func (c Config) withDefaults() Config {
 	if c.Confidence <= 0 {
 		c.Confidence = d.Confidence
 	}
-	if c.ProbeBatch <= 0 {
-		c.ProbeBatch = d.ProbeBatch
+	if c.LabelBatch <= 0 {
+		c.LabelBatch = d.LabelBatch
 	}
 	if c.TopK <= 0 {
 		c.TopK = d.TopK
@@ -144,10 +144,10 @@ func EstimateBaseline(rng *rand.Rand, runner *crowd.Runner, pairs []record.Pair,
 		if cfg.MaxLabels > 0 && res.LabelsUsed >= cfg.MaxLabels {
 			break
 		}
-		if cfg.StopEarly != nil && n%cfg.ProbeBatch == 0 && cfg.StopEarly() {
+		if cfg.StopEarly != nil && n%cfg.LabelBatch == 0 && cfg.StopEarly() {
 			break
 		}
-		if n%cfg.ProbeBatch != 0 {
+		if n%cfg.LabelBatch != 0 {
 			continue
 		}
 		p, ep := prf(nTP, nPP, totalPP, cfg.Confidence)
@@ -207,18 +207,7 @@ func Estimate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 	// ranked by the §4.2 precision upper bound (contradicted by known
 	// positives), top k kept — but NOT yet crowd-evaluated (§6.2 step 1).
 	negRules, _ := f.Rules()
-	pairIdx := make(map[record.Pair]int, len(pairs))
-	for i, p := range pairs {
-		pairIdx[p] = i
-	}
-	contradicting := map[int]bool{}
-	for _, l := range known {
-		if l.Match {
-			if i, ok := pairIdx[l.Pair]; ok {
-				contradicting[i] = true
-			}
-		}
-	}
+	contradicting := ruleeval.Contradicting(pairs, known, true)
 	// Rank ALL candidate rules by the §4.2 upper bound; the search below
 	// considers them in rank order, at most TopK at a time, pulling deeper
 	// into the ranking only when the earlier rules are used up and
@@ -382,7 +371,7 @@ func Estimate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 				ppPool = append(ppPool, i)
 			}
 		}
-		bS := cfg.ProbeBatch / 2
+		bS := cfg.LabelBatch / 2
 		if bS > len(ppPool) {
 			bS = len(ppPool)
 		}
@@ -402,7 +391,7 @@ func Estimate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 		if len(pool) == 0 && bS == 0 {
 			return finish(estimate())
 		}
-		for _, j := range stats.SampleIndices(rng, len(pool), cfg.ProbeBatch-bS) {
+		for _, j := range stats.SampleIndices(rng, len(pool), cfg.LabelBatch-bS) {
 			idx := pool[j]
 			sampled[idx] = true
 			match := runner.Label(pairs[idx], cfg.Policy)

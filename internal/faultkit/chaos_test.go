@@ -24,6 +24,7 @@ import (
 	"github.com/corleone-em/corleone/internal/engine"
 	"github.com/corleone-em/corleone/internal/platform"
 	"github.com/corleone-em/corleone/internal/record"
+	"github.com/corleone-em/corleone/internal/retry"
 	"github.com/corleone-em/corleone/internal/runsvc"
 )
 
@@ -79,7 +80,7 @@ func samePairs(a, b []record.Pair) bool {
 func chaosClient(url string, seed int64) *platform.Client {
 	c := platform.NewClient(url) //corlint:allow det-time — chaos harness drives the live-platform client on purpose; determinism is pinned by the seeded fault schedules, not the clock
 	rp := platform.NewRetryPolicy(seed)
-	rp.MaxAttempts = 4
+	rp.Attempts = 4
 	rp.Base = 2 * time.Millisecond
 	rp.Max = 20 * time.Millisecond
 	rp.Budget = 2 * time.Second
@@ -252,7 +253,7 @@ func runChaos(t *testing.T, tc chaosCase, meta runsvc.Meta, base *engine.Result,
 			Crowd:   counter,
 			Config:  spec.Config,
 			Meta:    &meta,
-			Retry:   crowd.RetryConfig{Attempts: 8, Base: 2 * time.Millisecond, Max: 25 * time.Millisecond},
+			Retry:   retry.Policy{Attempts: 8, Base: 2 * time.Millisecond, Max: 25 * time.Millisecond},
 		}
 		var job *runsvc.Job
 		if jobID == "" {

@@ -12,11 +12,12 @@ import (
 
 	"github.com/corleone-em/corleone/internal/crowd"
 	"github.com/corleone-em/corleone/internal/record"
+	"github.com/corleone-em/corleone/internal/retry"
 	"github.com/corleone-em/corleone/internal/runsvc"
 )
 
-func fastRetry(attempts int) crowd.RetryConfig {
-	return crowd.RetryConfig{Attempts: attempts, Base: time.Millisecond, Max: 2 * time.Millisecond}
+func fastRetry(attempts int) retry.Policy {
+	return retry.Policy{Attempts: attempts, Base: time.Millisecond, Max: 2 * time.Millisecond}
 }
 
 func TestRunnerRetriesThroughTransientFaults(t *testing.T) {

@@ -200,8 +200,8 @@ func TestShardWorkerChaos(t *testing.T) {
 	// a batch response — some per-task frames flushed, the rest lost with
 	// the connection. The executor must keep the delivered prefix (no
 	// completed task is re-paid: dispatched stays at the baseline count) and
-	// re-run only the undelivered tail at single-task granularity, where
-	// failover routes it to worker 1. Runs at the default batch size — the
+	// re-run only the undelivered tail as groups of one, where failover
+	// routes it to worker 1. Runs at the default batch size — the
 	// production wire path.
 	t.Run("mid-batch-stream-kill", func(t *testing.T) {
 		mk := newMidStreamKiller(shard.NewWorker().Handler(), 2)
@@ -233,8 +233,8 @@ func TestShardWorkerChaos(t *testing.T) {
 // midStreamKiller severs the first batched /shard/probe response after a
 // fixed number of per-task frames have flushed — the connection dies with
 // frames on the wire, exactly like a worker process killed mid-stream.
-// Single-task probes never flush per frame, so only a batch can trip it;
-// it fires once and serves cleanly afterwards.
+// A run of one task flushes a single frame, below the threshold, so only a
+// batch can trip it; it fires once and serves cleanly afterwards.
 type midStreamKiller struct {
 	inner       http.Handler
 	afterFrames int

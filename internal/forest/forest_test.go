@@ -302,4 +302,17 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		`{"trees":[{"nodes":[{"f":0,"l":0,"r":0}]}]}`), nil); err == nil {
 		t.Error("self-referential node accepted")
 	}
+	leaf := `{"f":-1,"l":-1,"r":-1}`
+	if _, err := Load(strings.NewReader(
+		`{"trees":[{"nodes":[{"f":0,"l":1,"r":1},`+leaf+`]}]}`), nil); err == nil {
+		t.Error("node with one child on both sides accepted")
+	}
+	if _, err := Load(strings.NewReader(
+		`{"trees":[{"nodes":[{"f":0,"l":1,"r":2},{"f":0,"l":2,"r":3},`+leaf+`,`+leaf+`]}]}`), nil); err == nil {
+		t.Error("subtree shared by two parents accepted")
+	}
+	if _, err := Load(strings.NewReader(
+		`{"feature_names":["a"],"trees":[{"nodes":[{"f":1,"l":1,"r":2},`+leaf+`,`+leaf+`]}]}`), nil); err == nil {
+		t.Error("node testing a feature beyond the model's own names accepted")
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"github.com/corleone-em/corleone/internal/tree"
 )
@@ -103,6 +104,10 @@ func Load(r io.Reader, featureNames []string) (*Forest, error) {
 			}
 		}
 	}
+	if len(in.Trees) > math.MaxInt16 {
+		// Scoring tallies a vector's positive votes in an int16.
+		return nil, fmt.Errorf("forest: model has %d trees, at most %d are supported", len(in.Trees), math.MaxInt16)
+	}
 	trees := make([]*tree.Tree, 0, len(in.Trees))
 	for ti, st := range in.Trees {
 		if len(st.Nodes) == 0 {
@@ -110,6 +115,11 @@ func Load(r io.Reader, featureNames []string) (*Forest, error) {
 		}
 		nodes := make([]*tree.Node, len(st.Nodes))
 		for i, sn := range st.Nodes {
+			// A model that names its features cannot test one beyond them:
+			// scoring would index past the end of every vector.
+			if n := len(in.FeatureNames); n > 0 && sn.Feature >= n {
+				return nil, fmt.Errorf("forest: tree %d node %d tests feature %d of %d", ti, i, sn.Feature, n)
+			}
 			nodes[i] = &tree.Node{
 				Feature:   sn.Feature,
 				Threshold: sn.Threshold,
@@ -118,18 +128,22 @@ func Load(r io.Reader, featureNames []string) (*Forest, error) {
 				Neg:       sn.Neg,
 			}
 		}
-		// A child index must point forward in the array: Save emits
-		// pre-order, where children always follow their parent. This also
-		// rules out cycles and shared subtrees, which the flattener below
-		// would otherwise chase forever or duplicate.
+		// A child index must point forward in the array — Save emits
+		// pre-order, where children always follow their parent — and no
+		// node may be the child of two. That rules out cycles and shared
+		// subtrees, which the flattener below would otherwise chase forever
+		// or duplicate (exponentially, for a chain of shared children).
+		isChild := make([]bool, len(nodes))
 		for i, sn := range st.Nodes {
 			if sn.Feature < 0 {
 				continue // leaf
 			}
 			if sn.Left <= i || sn.Left >= len(nodes) ||
-				sn.Right <= i || sn.Right >= len(nodes) {
+				sn.Right <= i || sn.Right >= len(nodes) ||
+				sn.Left == sn.Right || isChild[sn.Left] || isChild[sn.Right] {
 				return nil, fmt.Errorf("forest: tree %d node %d has invalid children", ti, i)
 			}
+			isChild[sn.Left], isChild[sn.Right] = true, true
 			nodes[i].Left = nodes[sn.Left]
 			nodes[i].Right = nodes[sn.Right]
 		}

@@ -10,8 +10,8 @@ import (
 // ---- conc-loopcapture: a goroutine literal that reads an enclosing
 // loop's index or range variable by closure. Go ≥1.22 gives each
 // iteration its own variable, so the classic last-value bug cannot bite
-// here — but the repo's parallel sections (internal/par, the blocker
-// sequencer workers) pass loop state as arguments so every reader can see
+// here — but the repo's parallel sections (internal/par, the blocker scan
+// workers) pass loop state as arguments so every reader can see
 // the data flow without knowing the language version, and so a backport
 // or copy into an older module never silently changes meaning. The rule
 // makes that explicit style mandatory.

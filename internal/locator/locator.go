@@ -85,21 +85,8 @@ func Locate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 	res := &Result{}
 
 	negRules, posRules := f.Rules()
-	pairIdx := make(map[record.Pair]int, len(pairs))
-	for i, p := range pairs {
-		pairIdx[p] = i
-	}
-	knownPos := map[int]bool{}
-	knownNeg := map[int]bool{}
-	for _, l := range known {
-		if i, ok := pairIdx[l.Pair]; ok {
-			if l.Match {
-				knownPos[i] = true
-			} else {
-				knownNeg[i] = true
-			}
-		}
-	}
+	knownPos := ruleeval.Contradicting(pairs, known, true)
+	knownNeg := ruleeval.Contradicting(pairs, known, false)
 
 	// §7 step 1: certify top-k negative rules (contradicted by known
 	// positives) and top-k positive rules (contradicted by known

@@ -1,9 +1,12 @@
-// Package par provides the one parallelism primitive the compute layers
-// share: a chunked parallel for. Corleone's hot loops (feature vectors,
-// blocking-rule scans, forest training, entropy ranking) are all
-// embarrassingly parallel over an index range; centralizing the fan-out
-// keeps the chunking policy — and the guarantee that results land at their
-// own index, preserving deterministic output order — in one place.
+// Package par provides the two parallelism primitives the compute layers
+// share. For is a chunked parallel for: Corleone's hot loops (feature
+// vectors, forest training, entropy ranking) are embarrassingly parallel
+// over an index range whose results land at their own index. Ordered is the
+// ordered fan-out for work whose results stream out instead: workers claim
+// indexes a bounded window ahead and results are delivered in index order
+// (the blocker's A×B scan, the shard coordinator). Centralizing both keeps
+// the chunking policy, the reorder window, and the guarantee of a
+// deterministic output order in one place.
 package par
 
 import (

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sync"
 	"time"
+
+	"github.com/corleone-em/corleone/internal/retry"
 )
 
 // httpError is a non-2xx marketplace response. The status code classifies
@@ -48,21 +50,17 @@ func retryable(err error) bool {
 // and must agree with it on which failures are worth another attempt.
 func Retryable(err error) bool { return retryable(err) }
 
-// RetryPolicy retries idempotent marketplace calls with capped exponential
-// backoff and seeded deterministic jitter. Only calls that are idempotent
-// — GETs, idempotency-keyed HIT creation, assignment-id-deduped submits —
-// may pass through a policy; Claim never does (a retried claim could hand
-// the same worker two assignments). Safe for concurrent use.
+// RetryPolicy retries idempotent marketplace calls through the shared
+// backoff loop (retry.Policy, DESIGN.md §8.2), adding what is the
+// transport's own: seeded deterministic jitter and a cancel channel. Only
+// calls that are idempotent — GETs, idempotency-keyed HIT creation,
+// assignment-id-deduped submits — may pass through a policy; Claim never
+// does (a retried claim could hand the same worker two assignments). Safe
+// for concurrent use.
 type RetryPolicy struct {
-	// MaxAttempts bounds total tries, first call included (<=0 means 1).
-	MaxAttempts int
-	// Base is the backoff before the second attempt, doubling per retry.
-	Base time.Duration
-	// Max caps a single backoff sleep (0 = uncapped).
-	Max time.Duration
-	// Budget, when > 0, caps the summed backoff per Do call, so a failure
-	// burst cannot stall a caller unboundedly.
-	Budget time.Duration
+	// Policy holds the bounds: Attempts (first call included, <=0 means
+	// 1), Base doubling to Max, and the per-Do backoff Budget.
+	retry.Policy
 	// Cancel, when non-nil, abandons backoff waits as soon as it closes.
 	Cancel <-chan struct{}
 
@@ -75,11 +73,13 @@ type RetryPolicy struct {
 // seed so every retry trace is replayable.
 func NewRetryPolicy(seed int64) *RetryPolicy {
 	return &RetryPolicy{
-		MaxAttempts: 4,
-		Base:        50 * time.Millisecond,
-		Max:         2 * time.Second,
-		Budget:      5 * time.Second,
-		rng:         rand.New(rand.NewSource(seed)),
+		Policy: retry.Policy{
+			Attempts: 4,
+			Base:     50 * time.Millisecond,
+			Max:      2 * time.Second,
+			Budget:   5 * time.Second,
+		},
+		rng: rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -98,38 +98,11 @@ func (rp *RetryPolicy) jitter(d time.Duration) time.Duration {
 }
 
 // Do runs fn until it succeeds, fails terminally (non-retryable), or the
-// attempt/budget bounds run out; the last error is returned.
+// attempt/budget bounds run out; the last error is returned (wrapped in
+// retry.ErrCanceled when Cancel cut a backoff short).
 func (rp *RetryPolicy) Do(fn func() error) error {
-	attempts := rp.MaxAttempts
-	if attempts <= 0 {
-		attempts = 1
-	}
-	backoff := rp.Base
-	var spent time.Duration
-	var err error
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			d := rp.jitter(backoff)
-			if rp.Budget > 0 && spent+d > rp.Budget {
-				return err
-			}
-			select {
-			case <-rp.Cancel:
-				return err
-			case <-time.After(d):
-			}
-			spent += d
-			backoff *= 2
-			if rp.Max > 0 && backoff > rp.Max {
-				backoff = rp.Max
-			}
-		}
-		err = fn()
-		if !retryable(err) {
-			return err
-		}
-	}
-	return err
+	return rp.Policy.Do(retry.Call{Cancel: rp.Cancel, Retryable: retryable, Jitter: rp.jitter},
+		func(int) error { return fn() })
 }
 
 // ErrCircuitOpen is returned without a wire attempt while the breaker is

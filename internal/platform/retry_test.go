@@ -12,12 +12,13 @@ import (
 	"github.com/corleone-em/corleone/internal/crowd"
 	"github.com/corleone-em/corleone/internal/datagen"
 	"github.com/corleone-em/corleone/internal/record"
+	"github.com/corleone-em/corleone/internal/retry"
 )
 
 // fastRetry is a test policy with negligible backoff and seeded jitter.
 func fastRetry(attempts int) *RetryPolicy {
-	return &RetryPolicy{MaxAttempts: attempts, Base: time.Millisecond,
-		Max: 4 * time.Millisecond}
+	return &RetryPolicy{Policy: retry.Policy{Attempts: attempts, Base: time.Millisecond,
+		Max: 4 * time.Millisecond}}
 }
 
 func TestRetryPolicyDo(t *testing.T) {

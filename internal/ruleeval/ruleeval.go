@@ -52,6 +52,35 @@ func MakeCandidates(rules []tree.Rule, X [][]float64) []Candidate {
 	return out
 }
 
+// Contradicting builds §4.2's set T for rules that conclude !match: the
+// indexes into pairs of the known examples labeled match (positives
+// contradict a negative rule, negatives a positive one). Known examples
+// outside pairs are ignored; a pair listed twice counts at its last index.
+// Only the known labels are hashed, so the cost is one lookup per pair.
+func Contradicting(pairs []record.Pair, known []record.Labeled, match bool) map[int]bool {
+	at := make(map[record.Pair]int, len(known))
+	for _, l := range known {
+		if l.Match == match {
+			at[l.Pair] = -1
+		}
+	}
+	out := map[int]bool{}
+	if len(at) == 0 {
+		return out
+	}
+	for i, p := range pairs {
+		if _, ok := at[p]; ok {
+			at[p] = i
+		}
+	}
+	for _, i := range at {
+		if i >= 0 {
+			out[i] = true
+		}
+	}
+	return out
+}
+
 // SelectTopK implements §4.2 step 1: rank candidates by the upper bound on
 // precision |cov(R,S) − T| / |cov(R,S)|, where T is the set of examples
 // already labeled by the crowd in a way that contradicts the rule's

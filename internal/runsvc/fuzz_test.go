@@ -3,14 +3,18 @@ package runsvc
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"hash/crc32"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"github.com/corleone-em/corleone/internal/crowd"
+	"github.com/corleone-em/corleone/internal/datagen"
+	"github.com/corleone-em/corleone/internal/forest"
 )
 
 // refValidPrefix is the fuzz oracle for the frame format: the length of
@@ -89,6 +93,28 @@ func checkLog(t *testing.T, data []byte) (valid int, ok bool) {
 	return valid, gotErr == nil
 }
 
+// seedJobDir runs one small journaled job to completion and returns its
+// directory — the real files the fuzz corpora are seeded from.
+func seedJobDir(f *testing.F, errRate float64, snapshotEvery int) string {
+	f.Helper()
+	dir := f.TempDir()
+	m, err := NewManager(Options{Workers: 1, JournalDir: dir, SnapshotEvery: snapshotEvery})
+	if err != nil {
+		f.Fatal(err)
+	}
+	meta := testMeta(3, 0.1, errRate)
+	j, err := m.Submit(Spec{Meta: &meta})
+	if err != nil {
+		f.Fatal(err)
+	}
+	_, err = j.Wait()
+	m.Close()
+	if err != nil {
+		f.Fatal(err)
+	}
+	return filepath.Join(dir, j.ID)
+}
+
 // FuzzJournalReplay feeds arbitrary bytes to the one decoder and the one
 // replay loop, as a log and as a snapshot. Neither may panic or restore
 // more than the input's longest valid frame prefix holds; a snapshot is
@@ -97,22 +123,7 @@ func checkLog(t *testing.T, data []byte) (valid int, ok bool) {
 func FuzzJournalReplay(f *testing.F) {
 	// Seed corpus: the logs and snapshots of a real job, compacting and not.
 	for _, every := range []int{0, 1} {
-		dir := f.TempDir()
-		m, err := NewManager(Options{Workers: 1, JournalDir: dir, SnapshotEvery: every})
-		if err != nil {
-			f.Fatal(err)
-		}
-		meta := testMeta(3, 0.1, 0)
-		j, err := m.Submit(Spec{Meta: &meta})
-		if err != nil {
-			f.Fatal(err)
-		}
-		_, err = j.Wait()
-		m.Close()
-		if err != nil {
-			f.Fatal(err)
-		}
-		seeds, _ := filepath.Glob(filepath.Join(dir, j.ID, "*.g*"))
+		seeds, _ := filepath.Glob(filepath.Join(seedJobDir(f, 0, every), "*.g*"))
 		if len(seeds) == 0 {
 			f.Fatal("seed job left no journal files")
 		}
@@ -161,6 +172,135 @@ func FuzzJournalReplay(f *testing.F) {
 		got.acct.HITs = want.acct.HITs
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("snapshot restored %+v; its frames as a log restore %+v", got.acct, want.acct)
+		}
+	})
+}
+
+// FuzzSpecRecord feeds arbitrary bytes to the spec.json reader. ReadSpec is
+// total — it decodes or returns an error — and a Meta it decodes either
+// fails BuildSpec with an error or builds a runnable spec, never a panic.
+// The corpus is seeded with the spec.json a real journaled job left behind.
+func FuzzSpecRecord(f *testing.F) {
+	seed, err := os.ReadFile(filepath.Join(seedJobDir(f, 0.05, 0), "spec.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(`{"name":"lib-job","meta":null}`))
+	f.Add([]byte(`{"meta":{"profile":"nope","scale":-1,"shards":-3,"tb":1}}`))
+	f.Add([]byte(`{"meta":{"profile":"Citations","scale":1e-9,"noise":1e9,"error_rate":2,"seed":-9223372036854775808}}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		root := t.TempDir()
+		if err := os.MkdirAll(filepath.Join(root, "job"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(root, "job", "spec.json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		store, err := NewStore(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jl, err := store.Open("job")
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		defer jl.Close()
+		rec, err := jl.ReadSpec()
+		if err != nil || rec.Meta == nil {
+			return
+		}
+		// Building generates the dataset, so only descriptions of small
+		// tables are built: a fuzzer that finds "scale":1 has found nothing.
+		if p, ok := datagen.ProfileByName(rec.Meta.Profile); ok {
+			if rec.Meta.Scale <= 0 || datagen.Scaled(p, rec.Meta.Scale).SizeA+datagen.Scaled(p, rec.Meta.Scale).SizeB > 1500 {
+				return
+			}
+		}
+		spec, err := BuildSpec(*rec.Meta)
+		if err != nil {
+			return
+		}
+		if err := spec.normalize(); err != nil {
+			t.Fatalf("a built spec does not normalize: %v", err)
+		}
+		if spec.Dataset == nil || spec.Crowd == nil || spec.Meta == nil || *spec.Meta != *rec.Meta {
+			t.Fatalf("BuildSpec(%+v) returned an incomplete spec", *rec.Meta)
+		}
+	})
+}
+
+// FuzzForestLoad feeds arbitrary bytes to the model decoder behind the
+// job directory's model_iterNN.json files. forest.Load must never panic; a
+// model it accepts under the job's feature names must score a matrix of
+// that width without panicking, and must re-Save to bytes that Load to an
+// identical scorer — the same confidence, bit for bit, on every row. The
+// corpus is seeded with the model files a real journaled job left behind.
+func FuzzForestLoad(f *testing.F) {
+	models, _ := filepath.Glob(filepath.Join(seedJobDir(f, 0, 0), modelPrefix+"*.json"))
+	if len(models) == 0 {
+		f.Fatal("seed job left no model files")
+	}
+	var names []string
+	for _, path := range models {
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var head struct {
+			FeatureNames []string `json:"feature_names"`
+		}
+		if err := json.Unmarshal(buf, &head); err != nil || len(head.FeatureNames) == 0 {
+			f.Fatalf("seed model %s names no features (err %v)", path, err)
+		}
+		names = head.FeatureNames
+		f.Add(buf)
+	}
+	f.Add([]byte(`{"trees":[]}`))
+	f.Add([]byte(`{"feature_names":["a"],"trees":[{"nodes":[{"f":0,"t":0.5,"l":1,"r":1},{"f":-1,"l":-1,"r":-1}]}]}`))
+
+	// The fixed matrix: one row per vector, as wide as the job's
+	// featurization, similarity-like values with the exact ends included.
+	rng := rand.New(rand.NewSource(1))
+	V := make([][]float64, 64)
+	for i := range V {
+		V[i] = make([]float64, len(names))
+		for c := range V[i] {
+			switch rng.Intn(8) {
+			case 0:
+				V[i][c] = 0
+			case 1:
+				V[i][c] = 1
+			default:
+				V[i][c] = rng.Float64()
+			}
+		}
+	}
+	score := func(g *forest.Forest) []float64 {
+		return forest.NewScorer().ConfidencesInto(g, V, make([]float64, len(V)))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Without names to hold the model to, only the decode is in scope.
+		forest.Load(bytes.NewReader(data), nil)
+		g, err := forest.Load(bytes.NewReader(data), names)
+		if err != nil {
+			return
+		}
+		want := score(g)
+		var buf bytes.Buffer
+		if err := g.Save(&buf, names); err != nil {
+			t.Fatalf("re-save of a loaded model: %v", err)
+		}
+		h, err := forest.Load(bytes.NewReader(buf.Bytes()), names)
+		if err != nil {
+			t.Fatalf("a loaded model's own re-save does not load: %v", err)
+		}
+		for i, c := range score(h) {
+			if math.Float64bits(c) != math.Float64bits(want[i]) {
+				t.Fatalf("row %d: confidence %v before the round trip, %v after", i, want[i], c)
+			}
 		}
 	})
 }

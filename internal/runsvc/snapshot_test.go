@@ -1,6 +1,7 @@
 package runsvc
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -377,6 +378,98 @@ func TestSnapshotDirBounded(t *testing.T) {
 	for _, prefix := range []string{snapPrefix, logPrefix, modelPrefix} {
 		if n := counts[prefix]; n == 0 || n > 2 {
 			t.Errorf("%d %s* files on disk, retention promises 1..2", n, prefix)
+		}
+	}
+}
+
+// TestResumeFinishedJobWritesNothing pins the seed fix: resuming a job that
+// already finished replays everything from the journal and settles nothing
+// new, so it must not write another snapshot generation (re-installed seed
+// labels used to mark the journal dirty) and may append only the resumed
+// run's checkpoint frames to the current log.
+func TestResumeFinishedJobWritesNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("resume integration test in -short mode")
+	}
+	dir := t.TempDir()
+	meta := testMeta(7, 0.2, 0) // oracle crowd: resume of a finished job is exact
+	m1, err := NewManager(Options{Workers: 1, JournalDir: dir, SnapshotEvery: 1})
+	if err != nil {
+		t.Fatalf("NewManager: %v", err)
+	}
+	j1, err := m1.Submit(Spec{Meta: &meta})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	res1, err := j1.Wait()
+	m1.Close()
+	if err != nil || j1.State() != StateDone {
+		t.Fatalf("first run: state %s, err %v", j1.State(), err)
+	}
+	jobDir := filepath.Join(dir, j1.ID)
+	snapsBefore := journalFiles(t, jobDir, snapPrefix)
+	if len(snapsBefore) == 0 {
+		t.Fatal("the finished job wrote no snapshot; the test exercises nothing")
+	}
+	logsBefore := make(map[string][]byte)
+	for _, path := range journalFiles(t, jobDir, logPrefix) {
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logsBefore[path] = buf
+	}
+
+	m2, err := NewManager(Options{Workers: 1, JournalDir: dir, SnapshotEvery: 1})
+	if err != nil {
+		t.Fatalf("NewManager: %v", err)
+	}
+	defer m2.Close()
+	j2, err := m2.Resume(j1.ID)
+	if err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	res2, err := j2.Wait()
+	if err != nil || j2.State() != StateDone {
+		t.Fatalf("resumed run: state %s, err %v", j2.State(), err)
+	}
+	if res2.Accounting != res1.Accounting {
+		t.Errorf("resumed accounting %+v != finished run's %+v", res2.Accounting, res1.Accounting)
+	}
+	if res2.True != res1.True || res2.StopReason != res1.StopReason || res2.Iterations != res1.Iterations ||
+		!samePairs(res2.Matches, res1.Matches) {
+		t.Errorf("resumed result %v/%q/%d (%d matches) differs from the finished run's %v/%q/%d (%d matches)",
+			res2.True, res2.StopReason, res2.Iterations, len(res2.Matches),
+			res1.True, res1.StopReason, res1.Iterations, len(res1.Matches))
+	}
+	if n := m2.Store().SnapshotsWritten(); n != 0 {
+		t.Errorf("resume of a finished job wrote %d snapshot generations, want 0", n)
+	}
+	if after := journalFiles(t, jobDir, snapPrefix); strings.Join(after, " ") != strings.Join(snapsBefore, " ") {
+		t.Errorf("snapshot files changed: %v, were %v", after, snapsBefore)
+	}
+	logsAfter := journalFiles(t, jobDir, logPrefix)
+	if len(logsAfter) != len(logsBefore) {
+		t.Errorf("log files changed: %v, were %d", logsAfter, len(logsBefore))
+	}
+	for _, path := range logsAfter {
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, ok := logsBefore[path]
+		if !ok || !bytes.HasPrefix(buf, before) {
+			t.Errorf("%s is not its pre-resume content plus appends", filepath.Base(path))
+			continue
+		}
+		frames, valid := decodeFrames(buf[len(before):])
+		if valid != len(buf)-len(before) {
+			t.Errorf("%s: appended bytes are not whole frames", filepath.Base(path))
+		}
+		for _, f := range frames {
+			if f.kind != kindCheckpoint {
+				t.Errorf("%s: resume appended a %q frame; only checkpoint frames may be written", filepath.Base(path), f.kind)
+			}
 		}
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"github.com/corleone-em/corleone/internal/datagen"
 	"github.com/corleone-em/corleone/internal/engine"
 	"github.com/corleone-em/corleone/internal/record"
+	"github.com/corleone-em/corleone/internal/retry"
 )
 
 // Spec describes one job. Library callers may fill Dataset/Crowd/Config
@@ -48,7 +49,7 @@ type Spec struct {
 	// Retry bounds the runner's re-solicitation when Crowd implements
 	// crowd.CrowdErr (zero values = the crowd package defaults). Tests and
 	// chaos runs shrink it to keep wall clock down.
-	Retry crowd.RetryConfig
+	Retry retry.Policy
 }
 
 // Meta is the serializable job description: everything needed to

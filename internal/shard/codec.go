@@ -32,19 +32,16 @@ import (
 // inputs. Sorted inputs merely encode smallest.
 //
 // It is the only representation of a probe result on the wire: the worker
-// labels a response PairsContentType or PairStreamContentType and the
-// executor rejects anything else.
+// labels every probe response PairStreamContentType and the executor
+// rejects anything else.
 
 const (
-	// PairsContentType is the media type of one binary-encoded pair block
-	// (a single probe's survivors).
-	PairsContentType = "application/x-corleone-pairs"
-	// PairStreamContentType is the media type of a batched probe response:
-	// one uvarint length-prefixed binary pair block per task, in task
-	// order, streamed as each probe completes.
+	// PairStreamContentType is the media type of a probe response: one
+	// uvarint length-prefixed binary pair block per task, in task order,
+	// streamed as each probe completes.
 	PairStreamContentType = "application/x-corleone-pair-stream"
-	// JSONContentType is the media type of every request body (Task, Task
-	// array, JobSpec) and of the /shard/load and /metrics responses.
+	// JSONContentType is the media type of every request body (Task array,
+	// JobSpec) and of the /shard/load and /metrics responses.
 	JSONContentType = "application/json"
 )
 
@@ -146,7 +143,7 @@ func WriteFrame(w io.Writer, payload []byte) error {
 // ReadFrame reads one length-prefixed frame into buf (reused when large
 // enough), returning io.EOF cleanly at a frame boundary and an error for
 // a torn prefix or truncated payload — the mid-stream-kill signal the
-// batch client turns into single-task retries.
+// coordinator turns into retries of the undelivered tail.
 func ReadFrame(r io.ByteReader, buf []byte) ([]byte, error) {
 	size, err := binary.ReadUvarint(r)
 	if err != nil {

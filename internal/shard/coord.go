@@ -8,8 +8,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/corleone-em/corleone/internal/par"
 	"github.com/corleone-em/corleone/internal/platform"
 	"github.com/corleone-em/corleone/internal/record"
+	"github.com/corleone-em/corleone/internal/retry"
 	"github.com/corleone-em/corleone/internal/tree"
 )
 
@@ -76,25 +78,18 @@ type JobBinder interface {
 	BindJob(p JobParams)
 }
 
-// Executor runs one task and returns its surviving pairs in (a, b) order.
-// attempt is 0 for the first try and increments on coordinator retries —
-// remote executors use it to rotate endpoints (failover) and to count
-// dispatches vs. retries. The returned slice must be freshly allocated or
-// otherwise safe for the coordinator to retain until emission.
+// Executor probes a run of tasks that share a shard (and so an endpoint)
+// and returns one survivor list per task, each in (a, b) order: results[i]
+// belongs to tasks[i]. A single task is a run of one. attempt is 0 for the
+// first try and increments on coordinator retries — remote executors use it
+// to rotate endpoints (failover). A non-nil error means the run ended early
+// and results holds only the completed prefix; the coordinator re-runs just
+// the remainder, so work that already came back is never re-paid. A nil
+// error guarantees len(results) == len(tasks). The returned lists must be
+// freshly allocated or otherwise safe for the coordinator to retain until
+// emission.
 type Executor interface {
-	Probe(t Task, attempt int) ([]record.Pair, error)
-}
-
-// BatchExecutor is the pipelined fast path: ProbeBatch runs a run of
-// same-shard tasks against one endpoint in a single round trip, with the
-// per-task results streamed back as they complete. results[i] corresponds
-// to tasks[i]; a non-nil error means the stream ended early and results
-// holds only the completed prefix — the coordinator re-runs the remainder
-// at single-task granularity (Probe), so work that already streamed back
-// is never re-paid. A nil error guarantees len(results) == len(tasks).
-type BatchExecutor interface {
-	Executor
-	ProbeBatch(tasks []Task, attempt int) (results [][]record.Pair, err error)
+	Probe(tasks []Task, attempt int) (results [][]record.Pair, err error)
 }
 
 // Stats counts shard task and transport activity; all fields are atomics,
@@ -102,8 +97,8 @@ type BatchExecutor interface {
 type Stats struct {
 	// Dispatched counts first attempts; Retried counts re-attempts after a
 	// retryable failure. A task carried by a batch counts exactly once in
-	// Dispatched (the batch attempt is its first), and each single-task
-	// re-run after a torn batch counts in Retried.
+	// Dispatched (the batch attempt is its first), and each re-run of a
+	// task a torn batch left undelivered counts in Retried.
 	Dispatched atomic.Int64
 	Retried    atomic.Int64
 	// BytesSent and BytesReceived count request and response payload bytes
@@ -127,14 +122,14 @@ type Coordinator struct {
 	// buffer's size cap.
 	Window int
 	// Batch is the largest run of consecutive tasks one worker claims per
-	// iteration (<=0 means 1). It only matters when the executor is a
-	// BatchExecutor: the run is split by shard into same-endpoint batches
-	// probed in one round trip each. Emission order and retry semantics
-	// are identical at every batch size.
+	// iteration (<=0 means 1). The run is split by shard into same-endpoint
+	// groups probed in one Executor call each. Emission order and retry
+	// semantics are identical at every batch size.
 	Batch int
-	// Backoff, when > 0, is slept between a task's attempts, scaled by the
-	// attempt number. Local executors leave it 0; the remote path sets it
-	// so a crashed worker's restart window isn't busy-spun through.
+	// Backoff, when > 0, is the retry policy's base wait between a task's
+	// attempts (doubling, capped at maxBackoff; DESIGN.md §8.2). Local
+	// executors leave it 0; the remote path sets it so a crashed worker's
+	// restart window isn't busy-spun through.
 	Backoff time.Duration
 	// Stats, when non-nil, receives dispatch/retry counts.
 	Stats *Stats
@@ -156,96 +151,29 @@ func taskRetryable(err error) bool {
 	return platform.Retryable(err)
 }
 
-// coordRun is one Run's shared state: a claim/complete sequencer in the
-// mold of the blocker's, plus first-error capture.
-type coordRun struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	next   int
-	emit   int
-	n      int
-	window int
-	failed bool
-	err    error
-	done   map[int][]record.Pair
-}
+// maxBackoff caps one wait between a task's attempts.
+const maxBackoff = 2 * time.Second
 
-// claimRun hands out the next run of up to max consecutive task indexes,
-// blocking while the caller is a full window ahead of emission; ok=false
-// when tasks are exhausted or the run has failed. The run never extends
-// past the window: a claim of max tasks can start only when the reorder
-// buffer has room for at least one, and is truncated to the room left —
-// so the backpressure bound ("never more than Window tasks beyond the
-// frontier") holds at every batch size.
-func (s *coordRun) claimRun(max int) (lo, n int, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for !s.failed && s.next < s.n && s.next-s.emit >= s.window {
-		s.cond.Wait()
-	}
-	if s.failed || s.next >= s.n {
-		return 0, 0, false
-	}
-	n = max
-	if room := s.window - (s.next - s.emit); n > room {
-		n = room
-	}
-	if rem := s.n - s.next; n > rem {
-		n = rem
-	}
-	lo = s.next
-	s.next += n
-	return lo, n, true
-}
-
-// fail records the run's first terminal error and wakes blocked claimers.
-func (s *coordRun) fail(err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.failed {
-		s.failed = true
-		s.err = err
-	}
-	s.cond.Broadcast()
-}
-
-// complete records a task's result and drains every ready result, in task
-// order, to emit. Drain runs under the lock, so emit calls are serialized
-// and ordered.
-func (s *coordRun) complete(i int, pairs []record.Pair, emit func(int, []record.Pair)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.failed {
-		return
-	}
-	s.done[i] = pairs
-	for {
-		out, ok := s.done[s.emit]
-		if !ok {
-			break
-		}
-		delete(s.done, s.emit)
-		emit(s.emit, out)
-		s.emit++
-	}
-	s.cond.Broadcast()
-}
+// errShortRun marks a probe that reported success but answered fewer tasks
+// than it was given; the missing tail is retried like a torn one.
+var errShortRun = errors.New("shard: executor delivered fewer results than tasks")
 
 // Run executes tasks over exec and calls emit(i, pairs) exactly once per
 // task, in ascending slice order, regardless of which worker finished
-// which task when. tasks must already be in Seq order (BlockTasks produces
-// such a slice). Each task is attempted up to MaxAttempts times while its
-// failures stay retryable; the first terminal failure aborts the run and
-// is returned. On error, emission stops at the last contiguous prefix of
-// completed tasks — no out-of-order or duplicated delivery ever occurs.
+// which task when (par.Ordered is the reorder window). tasks must already
+// be in Seq order (BlockTasks produces such a slice). Each task is
+// attempted up to MaxAttempts times while its failures stay retryable; the
+// first terminal failure aborts the run and is returned. On error, emission
+// stops at the last contiguous prefix of completed tasks — no out-of-order
+// or duplicated delivery ever occurs.
 //
-// When exec is a BatchExecutor and Batch > 1, workers claim runs of
-// consecutive tasks, split each run by shard (consecutive tasks of one
-// shard route to one endpoint), and probe each group in a single streamed
-// round trip. A batch that fails mid-stream completes its delivered
-// prefix normally; the remainder falls back to single-task attempts with
-// the usual retry/failover accounting, so a torn batch never re-pays
-// completed work and never changes the output stream.
+// Workers claim runs of up to Batch consecutive tasks, split each run by
+// shard (consecutive tasks of one shard route to one endpoint), and probe
+// each group in a single Executor call; a claim of one task is a group of
+// one. A group that fails mid-stream completes its delivered prefix
+// normally; the remainder falls back to groups of one with the usual
+// retry/failover accounting, so a torn batch never re-pays completed work
+// and never changes the output stream.
 func (c *Coordinator) Run(tasks []Task, exec Executor, emit func(i int, pairs []record.Pair)) error {
 	n := len(tasks)
 	if n == 0 {
@@ -259,8 +187,7 @@ func (c *Coordinator) Run(tasks []Task, exec Executor, emit func(i int, pairs []
 		workers = n
 	}
 	batch := c.Batch
-	be, batchable := exec.(BatchExecutor)
-	if batch < 1 || !batchable {
+	if batch < 1 {
 		batch = 1
 	}
 	window := c.Window
@@ -272,12 +199,14 @@ func (c *Coordinator) Run(tasks []Task, exec Executor, emit func(i int, pairs []
 		// claim; grow it so the configured batch size is reachable.
 		window = batch
 	}
-	maxAttempts := c.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = 3
+	r := &dispatch{
+		c:     c,
+		tasks: tasks,
+		exec:  exec,
+		out:   par.NewOrdered(n, window, emit),
+		policy: retry.Policy{Attempts: c.MaxAttempts, Base: c.Backoff, Max: maxBackoff}.
+			Or(retry.Policy{Attempts: 3}),
 	}
-	st := &coordRun{n: n, window: window, done: make(map[int][]record.Pair)}
-	st.cond = sync.NewCond(&st.mu)
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -287,15 +216,9 @@ func (c *Coordinator) Run(tasks []Task, exec Executor, emit func(i int, pairs []
 			var shardOrder []int
 			groups := make(map[int][]int)
 			for {
-				lo, cnt, ok := st.claimRun(batch)
+				lo, cnt, ok := r.out.Claim(batch)
 				if !ok {
 					return
-				}
-				if cnt == 1 {
-					if !c.runSingle(st, tasks, lo, 0, maxAttempts, exec, emit) {
-						return
-					}
-					continue
 				}
 				// Split the claimed run by shard: the shard-minor layout
 				// strides one shard's tasks k apart, and one shard routes
@@ -309,106 +232,81 @@ func (c *Coordinator) Run(tasks []Task, exec Executor, emit func(i int, pairs []
 					}
 					groups[s] = append(groups[s], i)
 				}
-				failed := false
 				for _, s := range shardOrder {
-					if !c.runBatch(st, tasks, groups[s], be, exec, maxAttempts, emit) {
-						failed = true
-						break
+					if !r.runGroup(groups[s], 0) {
+						return
 					}
-				}
-				for _, s := range shardOrder {
 					delete(groups, s)
-				}
-				if failed {
-					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	return st.err
+	return r.out.Err()
 }
 
-// runBatch probes one same-shard group in a single round trip, completes
-// the streamed prefix, and re-runs whatever the stream did not deliver at
-// single-task granularity. Returns false when the run has failed.
-func (c *Coordinator) runBatch(st *coordRun, tasks []Task, idx []int,
-	be BatchExecutor, exec Executor, maxAttempts int, emit func(int, []record.Pair)) bool {
+// dispatch is one Run's shared state.
+type dispatch struct {
+	c      *Coordinator
+	tasks  []Task
+	exec   Executor
+	out    *par.Ordered[[]record.Pair]
+	policy retry.Policy
+}
 
+// runGroup drives one same-shard group of task indexes, starting at
+// attempt first, until every task is completed or the run has failed
+// (false). A group of one retries in place through the policy. A longer
+// group gets exactly one try: what it did not deliver continues as groups
+// of one from the next attempt — the batch was their attempt first — so
+// failover routing engages immediately and the per-task attempt bound
+// still counts the batch try.
+func (r *dispatch) runGroup(idx []int, first int) bool {
 	group := make([]Task, len(idx))
 	for j, i := range idx {
-		group[j] = tasks[i]
+		group[j] = r.tasks[i]
 	}
-	if c.Stats != nil {
-		c.Stats.Dispatched.Add(int64(len(group)))
+	policy := r.policy
+	if len(idx) > 1 {
+		policy.Attempts = first + 1
 	}
-	results, err := be.ProbeBatch(group, 0)
-	if len(results) > len(group) {
-		results = results[:len(group)]
-	}
-	for j, pairs := range results {
-		st.complete(idx[j], pairs, emit)
-	}
-	if err == nil && len(results) == len(group) {
-		return true
-	}
-	if err != nil && !taskRetryable(err) {
-		t := group[len(results)]
-		st.fail(fmt.Errorf("shard: batch task %d (shard %d/%d, rows [%d,%d)): %w",
-			t.Seq, t.Shard, t.Shards, t.ALo, t.AHi, err))
-		return false
-	}
-	// The batch tore (or under-delivered): each undelivered task retries
-	// alone, starting at attempt 1 — the batch was its first attempt — so
-	// failover routing engages immediately and the per-task attempt bound
-	// still counts the batch try.
-	for j := len(results); j < len(idx); j++ {
-		if !c.runSingle(st, tasks, idx[j], 1, maxAttempts, exec, emit) {
-			return false
-		}
-	}
-	return true
-}
-
-// runSingle drives one task through the attempt loop, completing it or
-// failing the run. firstAttempt is 0 for a fresh dispatch and 1 when a
-// torn batch already consumed the task's first attempt. Returns false
-// when the run has failed.
-func (c *Coordinator) runSingle(st *coordRun, tasks []Task, i, firstAttempt, maxAttempts int,
-	exec Executor, emit func(int, []record.Pair)) bool {
-
-	t := tasks[i]
-	var pairs []record.Pair
-	var err error
-	attempted := false
-	for attempt := firstAttempt; attempt < maxAttempts; attempt++ {
-		attempted = true
-		if c.Stats != nil {
+	done := 0
+	err := policy.Do(retry.Call{From: first, Retryable: taskRetryable}, func(attempt int) error {
+		if st := r.c.Stats; st != nil {
 			if attempt == 0 {
-				c.Stats.Dispatched.Add(1)
+				st.Dispatched.Add(int64(len(group) - done))
 			} else {
-				c.Stats.Retried.Add(1)
+				st.Retried.Add(int64(len(group) - done))
 			}
 		}
-		if attempt > 0 && c.Backoff > 0 {
-			time.Sleep(time.Duration(attempt) * c.Backoff)
+		results, err := r.exec.Probe(group[done:], attempt)
+		if len(results) > len(group)-done {
+			results = results[:len(group)-done]
 		}
-		pairs, err = exec.Probe(t, attempt)
-		if err == nil || !taskRetryable(err) {
-			break
+		for _, pairs := range results {
+			r.out.Complete(idx[done], pairs)
+			done++
 		}
+		if err == nil && done < len(group) {
+			err = errShortRun
+		}
+		return err
+	})
+	if err == nil {
+		return true
 	}
-	if !attempted {
-		// MaxAttempts == 1 and the only attempt was the torn batch.
-		err = errors.New("attempt budget exhausted by a torn batch")
+	if len(idx) > 1 && taskRetryable(err) {
+		for _, i := range idx[done:] {
+			if !r.runGroup([]int{i}, first+1) {
+				return false
+			}
+		}
+		return true
 	}
-	if err != nil {
-		st.fail(fmt.Errorf("shard: task %d (shard %d/%d, rows [%d,%d)): %w",
-			t.Seq, t.Shard, t.Shards, t.ALo, t.AHi, err))
-		return false
-	}
-	st.complete(i, pairs, emit)
-	return true
+	t := group[done]
+	r.out.Fail(fmt.Errorf("shard: task %d (shard %d/%d, rows [%d,%d)): %w",
+		t.Seq, t.Shard, t.Shards, t.ALo, t.AHi, err))
+	return false
 }
 
 // BlockTasks lays out a blocking job's task list: block-major, shard-minor

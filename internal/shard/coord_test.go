@@ -19,16 +19,33 @@ type scrambleExecutor struct {
 	attempts map[int64]int
 }
 
-func (e *scrambleExecutor) Probe(t Task, attempt int) ([]record.Pair, error) {
-	e.mu.Lock()
-	if e.attempts == nil {
-		e.attempts = make(map[int64]int)
+func (e *scrambleExecutor) Probe(tasks []Task, attempt int) ([][]record.Pair, error) {
+	return eachTask(tasks, func(t Task) ([]record.Pair, error) {
+		e.mu.Lock()
+		if e.attempts == nil {
+			e.attempts = make(map[int64]int)
+		}
+		e.attempts[t.Seq]++
+		e.mu.Unlock()
+		delay := time.Duration((uint64(t.Seq)*2654435761)%7) * time.Millisecond
+		time.Sleep(delay)
+		return []record.Pair{{A: int32(t.Seq), B: int32(t.Shard)}}, nil
+	})
+}
+
+// eachTask adapts a per-task probe function to the Executor contract: the
+// run is probed in order and the first failure returns the delivered
+// prefix with the error.
+func eachTask(tasks []Task, probe func(Task) ([]record.Pair, error)) ([][]record.Pair, error) {
+	var out [][]record.Pair
+	for _, t := range tasks {
+		pairs, err := probe(t)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, pairs)
 	}
-	e.attempts[t.Seq]++
-	e.mu.Unlock()
-	delay := time.Duration((uint64(t.Seq)*2654435761)%7) * time.Millisecond
-	time.Sleep(delay)
-	return []record.Pair{{A: int32(t.Seq), B: int32(t.Shard)}}, nil
+	return out, nil
 }
 
 // TestCoordinatorInOrderEmission pins the reorder guarantee: at several
@@ -78,21 +95,23 @@ type flakyExecutor struct {
 	tries    map[int64]int
 }
 
-func (e *flakyExecutor) Probe(t Task, attempt int) ([]record.Pair, error) {
-	e.mu.Lock()
-	if e.tries == nil {
-		e.tries = make(map[int64]int)
-	}
-	e.tries[t.Seq]++
-	tries := e.tries[t.Seq]
-	e.mu.Unlock()
-	if e.failHard[t.Seq] {
-		return nil, &httpStatusError{status: 400, msg: "bad task"}
-	}
-	if tries <= e.failN {
-		return nil, &httpStatusError{status: 503, msg: "worker restarting"}
-	}
-	return []record.Pair{{A: int32(t.Seq)}}, nil
+func (e *flakyExecutor) Probe(tasks []Task, attempt int) ([][]record.Pair, error) {
+	return eachTask(tasks, func(t Task) ([]record.Pair, error) {
+		e.mu.Lock()
+		if e.tries == nil {
+			e.tries = make(map[int64]int)
+		}
+		e.tries[t.Seq]++
+		tries := e.tries[t.Seq]
+		e.mu.Unlock()
+		if e.failHard[t.Seq] {
+			return nil, &httpStatusError{status: 400, msg: "bad task"}
+		}
+		if tries <= e.failN {
+			return nil, &httpStatusError{status: 503, msg: "worker restarting"}
+		}
+		return []record.Pair{{A: int32(t.Seq)}}, nil
+	})
 }
 
 // TestCoordinatorRetriesTransient pins the retry loop: 5xx failures are
@@ -198,11 +217,13 @@ func (g *gatedExecutor) gate(seq int64) chan struct{} {
 	return ch
 }
 
-func (g *gatedExecutor) Probe(t Task, _ int) ([]record.Pair, error) {
-	ch := g.gate(t.Seq)
-	g.starts <- t.Seq
-	<-ch
-	return []record.Pair{{A: int32(t.Seq)}}, nil
+func (g *gatedExecutor) Probe(tasks []Task, _ int) ([][]record.Pair, error) {
+	return eachTask(tasks, func(t Task) ([]record.Pair, error) {
+		ch := g.gate(t.Seq)
+		g.starts <- t.Seq
+		<-ch
+		return []record.Pair{{A: int32(t.Seq)}}, nil
+	})
 }
 
 // drainStarts collects task starts until none arrive for a settle period.
@@ -259,10 +280,10 @@ func TestCoordinatorBackpressure(t *testing.T) {
 	}
 }
 
-// batchRecorder is a scripted BatchExecutor: it serves batches whole,
-// except that a batch containing tornAt delivers only the prefix before it
-// and reports a retryable failure. Single-task probes (the fallback path)
-// always succeed.
+// batchRecorder is a scripted Executor: it serves first-attempt runs
+// whole, except that one containing tornAt delivers only the prefix before
+// it and reports a retryable failure. Re-attempts (the torn tail, re-run as
+// groups of one) always succeed.
 type batchRecorder struct {
 	tornAt int64 // Seq of the first undelivered task; -1 = never tear
 
@@ -272,15 +293,16 @@ type batchRecorder struct {
 	singleAtmpts []int
 }
 
-func (b *batchRecorder) Probe(t Task, attempt int) ([]record.Pair, error) {
-	b.mu.Lock()
-	b.singles = append(b.singles, t.Seq)
-	b.singleAtmpts = append(b.singleAtmpts, attempt)
-	b.mu.Unlock()
-	return []record.Pair{{A: int32(t.Seq)}}, nil
-}
-
-func (b *batchRecorder) ProbeBatch(tasks []Task, _ int) ([][]record.Pair, error) {
+func (b *batchRecorder) Probe(tasks []Task, attempt int) ([][]record.Pair, error) {
+	if attempt > 0 {
+		return eachTask(tasks, func(t Task) ([]record.Pair, error) {
+			b.mu.Lock()
+			b.singles = append(b.singles, t.Seq)
+			b.singleAtmpts = append(b.singleAtmpts, attempt)
+			b.mu.Unlock()
+			return []record.Pair{{A: int32(t.Seq)}}, nil
+		})
+	}
 	seqs := make([]int64, len(tasks))
 	for i, t := range tasks {
 		seqs[i] = t.Seq
@@ -300,7 +322,7 @@ func (b *batchRecorder) ProbeBatch(tasks []Task, _ int) ([][]record.Pair, error)
 
 // TestCoordinatorBatchClaiming pins the batched path: runs are claimed and
 // split into same-shard batches, emission order is unchanged, every task
-// is dispatched exactly once, and single-task Probe is never used.
+// is dispatched exactly once, and nothing is re-attempted.
 func TestCoordinatorBatchClaiming(t *testing.T) {
 	tasks := BlockTasks("j", 64*6, 2) // 6 blocks × 2 shards = 12 tasks
 	var stats Stats
@@ -316,7 +338,7 @@ func TestCoordinatorBatchClaiming(t *testing.T) {
 		}
 	}
 	if len(b.singles) != 0 {
-		t.Errorf("%d single-task probes on a clean batched run, want 0", len(b.singles))
+		t.Errorf("%d re-attempts on a clean batched run, want 0", len(b.singles))
 	}
 	if d := stats.Dispatched.Load(); d != int64(len(tasks)) {
 		t.Errorf("dispatched %d, want %d", d, len(tasks))
@@ -336,8 +358,8 @@ func TestCoordinatorBatchClaiming(t *testing.T) {
 
 // TestCoordinatorTornBatch pins torn-batch accounting: the delivered
 // prefix is kept (never re-dispatched), each undelivered task is re-run
-// exactly once as a single-task retry at attempt 1, and the output stream
-// is unchanged.
+// exactly once as a group of one at attempt 1, and the output stream is
+// unchanged.
 func TestCoordinatorTornBatch(t *testing.T) {
 	tasks := BlockTasks("j", 64*8, 2) // 16 tasks
 	const torn = 6                    // tear shard-0's batch at Seq 6 (4th shard-0 task)

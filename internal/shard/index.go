@@ -81,61 +81,3 @@ func (g *Group) MaxShardFootprint() int64 {
 	}
 	return max
 }
-
-// TotalFootprint sums every shard's footprint.
-func (g *Group) TotalFootprint() int64 {
-	var sum int64
-	for _, sh := range g.shards {
-		sum += sh.Footprint()
-	}
-	return sum
-}
-
-// MergeInt32 merges k ascending, pairwise-disjoint id lists into dst
-// (cleared first), preserving ascending order. The linear head scan beats
-// a heap for the small k the planner chooses.
-func MergeInt32(dst []int32, lists [][]int32) []int32 {
-	dst = dst[:0]
-	heads := make([]int, len(lists))
-	for {
-		best, bestList := int32(0), -1
-		for i, l := range lists {
-			if heads[i] >= len(l) {
-				continue
-			}
-			if v := l[heads[i]]; bestList < 0 || v < best {
-				best, bestList = v, i
-			}
-		}
-		if bestList < 0 {
-			return dst
-		}
-		heads[bestList]++
-		dst = append(dst, best)
-	}
-}
-
-// GroupScratch carries one goroutine's probe state across a Group: the
-// shared simindex scratch, per-shard candidate buffers, and the merge
-// output buffer.
-type GroupScratch struct {
-	is     *simindex.Scratch
-	per    [][]int32
-	merged []int32
-}
-
-// NewGroupScratch returns an empty scratch for k shards.
-func NewGroupScratch(k int) *GroupScratch {
-	return &GroupScratch{is: simindex.NewScratch(), per: make([][]int32, k)}
-}
-
-// Candidates probes every shard and returns the merged ascending global
-// candidate ids. The returned slice aliases the scratch and is valid until
-// the next call.
-func (g *Group) Candidates(probe *similarity.Profile, theta float64, sc *GroupScratch) []int32 {
-	for s, sh := range g.shards {
-		sc.per[s] = sh.Candidates(probe, theta, sc.is, sc.per[s][:0])
-	}
-	sc.merged = MergeInt32(sc.merged, sc.per)
-	return sc.merged
-}

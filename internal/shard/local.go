@@ -43,20 +43,25 @@ func NewLocalExecutor(ex *feature.Extractor, group *Group, profA []*similarity.P
 	return e
 }
 
-// Probe implements Executor.
-func (e *LocalExecutor) Probe(t Task, _ int) ([]record.Pair, error) {
+// Probe implements Executor: the run's tasks are probed one after the
+// other on one goroutine's pooled state. It cannot fail.
+func (e *LocalExecutor) Probe(tasks []Task, _ int) ([][]record.Pair, error) {
 	st := e.pool.Get().(*localState)
 	defer e.pool.Put(st)
-	sh := e.group.Shard(t.Shard)
-	var out []record.Pair
-	for a := t.ALo; a < t.AHi; a++ {
-		st.cand = sh.Candidates(e.profA[a], e.theta, st.is, st.cand[:0])
-		for _, b := range st.cand {
-			p := record.Pair{A: a, B: b}
-			if st.v.Survives(p) {
-				out = append(out, p)
+	results := make([][]record.Pair, len(tasks))
+	for i, t := range tasks {
+		sh := e.group.Shard(t.Shard)
+		var out []record.Pair
+		for a := t.ALo; a < t.AHi; a++ {
+			st.cand = sh.Candidates(e.profA[a], e.theta, st.is, st.cand[:0])
+			for _, b := range st.cand {
+				p := record.Pair{A: a, B: b}
+				if st.v.Survives(p) {
+					out = append(out, p)
+				}
 			}
 		}
+		results[i] = out
 	}
-	return out, nil
+	return results, nil
 }

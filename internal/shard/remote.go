@@ -41,13 +41,12 @@ func (e *httpStatusError) HTTPStatus() int { return e.status }
 // double-emit or diverge; the idempotency key header makes the retry
 // visible to logging middleware the same way platform's HIT creation is.
 //
-// Requests are JSON (a lean Task, a Task array, or the JobSpec); probe
-// responses are always the binary pair codec (codec.go). A single probe
-// answers with one pair block; ProbeBatch ships a whole run of same-shard
-// tasks in one request and consumes the response as a stream of
-// length-prefixed pair blocks, completing each task as its frame arrives.
-// A stream torn mid-batch returns the delivered prefix plus a retryable
-// error; the coordinator re-runs only the tail.
+// Requests are JSON (a Task array or the JobSpec); probe responses are
+// always the binary pair codec (codec.go). Probe ships a whole run of
+// same-shard tasks — one task is a run of one — in one request and consumes
+// the response as a stream of length-prefixed pair blocks, completing each
+// task as its frame arrives. A stream torn mid-run returns the delivered
+// prefix plus a retryable error; the coordinator re-runs only the tail.
 type RemoteExecutor struct {
 	endpoints []string
 	client    *http.Client
@@ -58,7 +57,7 @@ type RemoteExecutor struct {
 	stats *Stats
 }
 
-// maxBatchTasks caps how many tasks one wire request carries. ProbeBatch
+// maxBatchTasks caps how many tasks one wire request carries. Probe
 // splits longer runs into sequential requests — the byte budget per request
 // stays bounded no matter how large a run the coordinator claims.
 const maxBatchTasks = 64
@@ -130,43 +129,18 @@ func (e *RemoteExecutor) route(shard, attempt int) (string, *platform.Breaker, e
 	return e.endpoints[i], &e.breakers[i], nil
 }
 
-// Probe implements Executor: route, gate on the endpoint's breaker, probe,
-// lazily load the job on 412, and feed the outcome back to the breaker. A
-// 412 that survives the reload (the worker restarted again between the load
-// and the retried probe) is returned as is; the coordinator counts it
-// retryable, so its bounded attempt loop loads once more.
-func (e *RemoteExecutor) Probe(t Task, attempt int) ([]record.Pair, error) {
-	ep, br, err := e.route(t.Shard, attempt)
-	if err != nil {
-		return nil, err
-	}
-	// The breaker's cooldown clock gates retry/failover timing only; which
-	// pairs a probe returns is pinned by the deterministic shard rebuild,
-	// and the chaos suite asserts bit-identical results under faults.
-	if err := br.Allow(); err != nil { //corlint:allow det-time — breaker wall clock steers failover pacing, never probe results
-		return nil, fmt.Errorf("%w (endpoint %s)", err, ep)
-	}
-	pairs, err := e.probeOnce(ep, t)
-	if isUnloaded(err) {
-		// The worker doesn't know the job — it is fresh or was restarted
-		// after a crash. Hand it the spec and retry on the same endpoint;
-		// the rebuild is deterministic, so the answer is unchanged.
-		if lerr := e.load(ep); lerr != nil {
-			br.Record(lerr) //corlint:allow det-time — breaker wall clock steers failover pacing, never probe results
-			return nil, lerr
-		}
-		pairs, err = e.probeOnce(ep, t)
-	}
-	br.Record(err) //corlint:allow det-time — breaker wall clock steers failover pacing, never probe results
-	return pairs, err
-}
-
-// ProbeBatch implements BatchExecutor: one request per maxBatchTasks-sized
-// chunk of the run, each consumed as a per-task result stream. All tasks
-// in a batch share a shard (the coordinator groups them), so the whole
-// batch routes like a single task would. On any failure the completed
-// prefix is returned with the error; the caller retries only the rest.
-func (e *RemoteExecutor) ProbeBatch(tasks []Task, attempt int) ([][]record.Pair, error) {
+// Probe implements Executor: one request per maxBatchTasks-sized chunk of
+// the run, each consumed as a per-task result stream. All tasks in a run
+// share a shard (the coordinator groups them), so the whole run routes to
+// one endpoint, gated by that endpoint's breaker. A worker that answers 412
+// — it is fresh, or was restarted after a crash — is handed the spec and
+// probed again on the spot; the rebuild is deterministic, so the answer is
+// unchanged. A 412 that survives the reload (the worker restarted again
+// between the load and the retried probe) is returned as is; the
+// coordinator counts it retryable, so its bounded attempt loop loads once
+// more. On any failure the completed prefix is returned with the error; the
+// caller retries only the rest.
+func (e *RemoteExecutor) Probe(tasks []Task, attempt int) ([][]record.Pair, error) {
 	if len(tasks) == 0 {
 		return nil, nil
 	}
@@ -181,6 +155,10 @@ func (e *RemoteExecutor) ProbeBatch(tasks []Task, attempt int) ([][]record.Pair,
 			chunk = chunk[:maxBatchTasks]
 		}
 		tasks = tasks[len(chunk):]
+		// The breaker's cooldown clock gates retry/failover timing only;
+		// which pairs a probe returns is pinned by the deterministic shard
+		// rebuild, and the chaos suite asserts bit-identical results under
+		// faults.
 		if err := br.Allow(); err != nil { //corlint:allow det-time — breaker wall clock steers failover pacing, never probe results
 			return results, fmt.Errorf("%w (endpoint %s)", err, ep)
 		}
@@ -207,72 +185,8 @@ func isUnloaded(err error) bool {
 	return errors.As(err, &he) && he.status == http.StatusPreconditionFailed
 }
 
-// newRequest builds a counted POST with the idempotency key and accept
-// header set.
-func (e *RemoteExecutor) newRequest(url, idemKey, accept string, body []byte) (*http.Request, error) {
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", JSONContentType)
-	req.Header.Set("Accept", accept)
-	if idemKey != "" {
-		req.Header.Set("Idempotency-Key", idemKey)
-	}
-	e.countSent(len(body))
-	return req, nil
-}
-
-// post sends v as JSON and returns the response body and content type on
-// 2xx, or an httpStatusError carrying the status and (truncated) body
-// otherwise.
-func (e *RemoteExecutor) post(url, idemKey, accept string, v any) ([]byte, string, error) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return nil, "", err
-	}
-	req, err := e.newRequest(url, idemKey, accept, body)
-	if err != nil {
-		return nil, "", err
-	}
-	resp, err := e.client.Do(req)
-	if err != nil {
-		return nil, "", err
-	}
-	//corlint:allow dur-ignored-write — response close on a fully read (or failed) body; the read outcome already decided the call
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	e.countReceived(len(data))
-	if err != nil {
-		return nil, "", err
-	}
-	if resp.StatusCode/100 != 2 {
-		msg := string(data)
-		if len(msg) > 256 {
-			msg = msg[:256]
-		}
-		return nil, "", &httpStatusError{status: resp.StatusCode, msg: msg}
-	}
-	return data, resp.Header.Get("Content-Type"), nil
-}
-
-func (e *RemoteExecutor) probeOnce(ep string, t Task) ([]record.Pair, error) {
-	data, ctype, err := e.post(ep+"/shard/probe", fmt.Sprintf("%s-%d", t.Job, t.Seq), PairsContentType, t)
-	if err != nil {
-		return nil, err
-	}
-	if ctype != PairsContentType {
-		return nil, fmt.Errorf("shard: unexpected probe content type %q from %s", ctype, ep)
-	}
-	pairs, err := DecodePairs(data, nil)
-	if err != nil {
-		return nil, fmt.Errorf("shard: bad probe response from %s: %w", ep, err)
-	}
-	return pairs, nil
-}
-
-// countingReader counts bytes as the stream consumes them, so a torn batch
-// still accounts exactly what arrived.
+// countingReader counts bytes as the response is consumed, so a torn
+// stream still accounts exactly what arrived.
 type countingReader struct {
 	r io.Reader
 	n int64
@@ -284,24 +198,28 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// batchOnce ships one wire batch and consumes its result stream. The
-// returned slice holds one entry per *delivered* task, in task order; err
-// is non-nil when the stream ended before every task answered.
-func (e *RemoteExecutor) batchOnce(ep string, tasks []Task) ([][]record.Pair, error) {
-	body, err := json.Marshal(tasks)
+// do POSTs v as JSON with the idempotency key and accept header set,
+// counting the bytes both ways. A non-2xx answer becomes an
+// httpStatusError carrying the status and (truncated) body; a 2xx body is
+// handed to read along with its content type.
+func (e *RemoteExecutor) do(url, idemKey, accept string, v any, read func(body io.Reader, ctype string) error) error {
+	body, err := json.Marshal(v)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	idem := fmt.Sprintf("%s-%d-%d", tasks[0].Job, tasks[0].Seq, tasks[len(tasks)-1].Seq)
-	req, err := e.newRequest(ep+"/shard/probe", idem, PairStreamContentType, body)
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		return nil, err
+		return err
 	}
+	req.Header.Set("Content-Type", JSONContentType)
+	req.Header.Set("Accept", accept)
+	req.Header.Set("Idempotency-Key", idemKey)
+	e.countSent(len(body))
 	resp, err := e.client.Do(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	//corlint:allow dur-ignored-write — response close after the stream was drained (or tore); the frame reads already decided the outcome
+	//corlint:allow dur-ignored-write — response close after the body was drained (or tore); the reads already decided the outcome
 	defer resp.Body.Close()
 	cr := &countingReader{r: io.LimitReader(resp.Body, 1<<30)}
 	defer func() { e.countReceived(int(cr.n)) }()
@@ -311,12 +229,24 @@ func (e *RemoteExecutor) batchOnce(ep string, tasks []Task) ([][]record.Pair, er
 		if len(msg) > 256 {
 			msg = msg[:256]
 		}
-		return nil, &httpStatusError{status: resp.StatusCode, msg: msg}
+		return &httpStatusError{status: resp.StatusCode, msg: msg}
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != PairStreamContentType {
-		return nil, fmt.Errorf("shard: unexpected batch content type %q from %s", ct, ep)
-	}
-	return readBinaryStream(cr, len(tasks), ep)
+	return read(cr, resp.Header.Get("Content-Type"))
+}
+
+// batchOnce ships one wire request and consumes its result stream. The
+// returned slice holds one entry per *delivered* task, in task order; err
+// is non-nil when the stream ended before every task answered.
+func (e *RemoteExecutor) batchOnce(ep string, tasks []Task) (results [][]record.Pair, err error) {
+	idem := fmt.Sprintf("%s-%d-%d", tasks[0].Job, tasks[0].Seq, tasks[len(tasks)-1].Seq)
+	err = e.do(ep+"/shard/probe", idem, PairStreamContentType, tasks, func(body io.Reader, ctype string) error {
+		if ctype != PairStreamContentType {
+			return fmt.Errorf("shard: unexpected probe content type %q from %s", ctype, ep)
+		}
+		results, err = readBinaryStream(body, len(tasks), ep)
+		return err
+	})
+	return results, err
 }
 
 // readBinaryStream consumes length-prefixed binary pair blocks.
@@ -353,7 +283,10 @@ func (e *RemoteExecutor) load(ep string) error {
 	if spec.Job == "" {
 		return errors.New("shard: remote executor used before BindJob")
 	}
-	_, _, err := e.post(ep+"/shard/load", "load-"+spec.Job, JSONContentType, spec)
+	err := e.do(ep+"/shard/load", "load-"+spec.Job, JSONContentType, spec, func(body io.Reader, _ string) error {
+		_, err := io.Copy(io.Discard, body)
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("shard: load job %q on %s: %w", spec.Job, ep, err)
 	}

@@ -76,19 +76,6 @@ func TestChoose(t *testing.T) {
 	}
 }
 
-func TestMergeInt32(t *testing.T) {
-	lists := [][]int32{{0, 3, 9}, {1, 4}, {}, {2, 5, 6, 7, 8}}
-	got := MergeInt32(nil, lists)
-	for i, v := range got {
-		if int32(i) != v {
-			t.Fatalf("merge[%d] = %d", i, v)
-		}
-	}
-	if len(got) != 10 {
-		t.Fatalf("merged %d ids, want 10", len(got))
-	}
-}
-
 func TestMergePairs(t *testing.T) {
 	lists := [][]record.Pair{
 		{record.P(0, 1), record.P(1, 0)},
@@ -119,10 +106,11 @@ func featureByKind(ex *feature.Extractor, kind string) int {
 }
 
 // TestGroupCandidatesCompleteness pins the sharded index against the
-// single index: for every probe, the merged per-shard candidate set must
-// contain every single-index candidate that can actually qualify (both are
-// supersets of the truth; they may differ in over-approximation, so the
-// check verifies the true survivors are covered, not raw equality).
+// truth: for every probe, the union of the per-shard candidate lists must
+// contain every row that can actually qualify (each list is a superset of
+// its shard's truth and may over-approximate, so the check verifies the
+// true survivors are covered, not raw equality), each list ascending in
+// global row ids and the lists pairwise disjoint.
 func TestGroupCandidatesCompleteness(t *testing.T) {
 	ds := datagen.Generate(datagen.Scaled(datagen.CitationsPaper, 0.01))
 	ex := feature.NewExtractor(ds)
@@ -137,21 +125,25 @@ func TestGroupCandidatesCompleteness(t *testing.T) {
 		if g.K() != k {
 			t.Fatalf("K() = %d, want %d", g.K(), k)
 		}
-		sc := NewGroupScratch(k)
+		is := simindex.NewScratch()
+		var cand []int32
 		for a := 0; a < len(profA); a++ {
-			cand := g.Candidates(profA[a], theta, sc)
-			// Ascending, no duplicates.
-			for i := 1; i < len(cand); i++ {
-				if cand[i] <= cand[i-1] {
-					t.Fatalf("k=%d probe %d: candidates not strictly ascending", k, a)
+			inCand := make(map[int32]bool)
+			for s := 0; s < k; s++ {
+				cand = g.Shard(s).Candidates(profA[a], theta, is, cand[:0])
+				// Ascending within the shard, no row in two shards.
+				for i, b := range cand {
+					if i > 0 && b <= cand[i-1] {
+						t.Fatalf("k=%d probe %d shard %d: candidates not strictly ascending", k, a, s)
+					}
+					if inCand[b] {
+						t.Fatalf("k=%d probe %d: row %d is a candidate of two shards", k, a, b)
+					}
+					inCand[b] = true
 				}
 			}
 			// Complete: every row whose similarity truly exceeds theta is
-			// in the candidate set.
-			inCand := make(map[int32]bool, len(cand))
-			for _, b := range cand {
-				inCand[b] = true
-			}
+			// in some shard's candidate list.
 			for b := 0; b < len(profB); b++ {
 				if ex.Compute(f, record.P(a, b)) > theta && !inCand[int32(b)] {
 					t.Fatalf("k=%d: true candidate (%d,%d) missing", k, a, b)
@@ -159,9 +151,13 @@ func TestGroupCandidatesCompleteness(t *testing.T) {
 			}
 		}
 		if k > 1 {
-			if g.MaxShardFootprint() >= g.TotalFootprint() {
+			var total int64
+			for s := 0; s < k; s++ {
+				total += g.Shard(s).Footprint()
+			}
+			if g.MaxShardFootprint() >= total {
 				t.Errorf("k=%d: max shard footprint %d not below total %d",
-					k, g.MaxShardFootprint(), g.TotalFootprint())
+					k, g.MaxShardFootprint(), total)
 			}
 		}
 	}

@@ -86,19 +86,20 @@ func benchTransportFixture(b *testing.B) *transportFixture {
 	return transportFix
 }
 
-// BenchmarkTransportBinarySingle is the unbatched path: one POST per task,
-// one binary pair block per response. One op = one task.
+// BenchmarkTransportBinarySingle is the unbatched schedule: one POST per
+// task, a one-frame stream per response. One op = one task.
 func BenchmarkTransportBinarySingle(b *testing.B) {
 	fx := benchTransportFixture(b)
 	exec, stats := benchExecutor(fx)
 	sink := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pairs, err := exec.Probe(fx.grid[i%len(fx.grid)], 0)
+		j := i % len(fx.grid)
+		results, err := exec.Probe(fx.grid[j:j+1], 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		sink += len(pairs)
+		sink += len(results[0])
 	}
 	b.StopTimer()
 	if sink == 0 {
@@ -124,7 +125,7 @@ func BenchmarkTransportBinaryBatched(b *testing.B) {
 			if rem := b.N - done; len(batch) > rem {
 				batch = batch[:rem]
 			}
-			results, err := exec.ProbeBatch(batch, 0)
+			results, err := exec.Probe(batch, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

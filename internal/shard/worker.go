@@ -56,10 +56,10 @@ func specEqual(a, b JobSpec) bool {
 	return errA == nil && errB == nil && bytes.Equal(ja, jb)
 }
 
-// ErrUnknownJob is returned by Probe for a job id the worker has not
-// loaded. Over HTTP it maps to 412 Precondition Failed, which tells the
-// client to POST the job's spec to /shard/load and retry — the lazy-load
-// handshake that lets a restarted worker rejoin mid-run.
+// ErrUnknownJob reports a probe for a job id the worker has not loaded.
+// Over HTTP it maps to 412 Precondition Failed, which tells the client to
+// POST the job's spec to /shard/load and retry — the lazy-load handshake
+// that lets a restarted worker rejoin mid-run.
 var ErrUnknownJob = errors.New("shard: unknown job")
 
 // workerJob is one loaded job: the rebuilt extractor plus lazily built
@@ -77,26 +77,24 @@ type workerJob struct {
 	shards map[int]*Index
 }
 
-// shardIndex returns shard s's index, building it on first use.
-func (j *workerJob) shardIndex(s int) (*Index, error) {
-	if s < 0 || s >= j.spec.Shards {
-		return nil, fmt.Errorf("shard: shard %d out of range [0,%d)", s, j.spec.Shards)
-	}
+// shardIndex returns shard s's index, building it on first use. s is in
+// range: validateTask checked it.
+func (j *workerJob) shardIndex(s int) *Index {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if ix, ok := j.shards[s]; ok {
-		return ix, nil
+		return ix
 	}
 	_, profB := j.ex.Profiles(j.spec.Feature)
 	ix := BuildIndex(j.kind, profB, j.parts[s])
 	j.shards[s] = ix
-	return ix, nil
+	return ix
 }
 
 // WorkerStats counts a worker's activity; read by its /metrics endpoint.
 type WorkerStats struct {
 	// JobsLoaded counts /shard/load builds (idempotent re-loads excluded);
-	// Probes counts tasks served; Batches counts batched /shard/probe
+	// Probes counts tasks served; Batches counts answered /shard/probe
 	// requests (each covering Probes/Batches tasks on average).
 	JobsLoaded atomic.Int64
 	Probes     atomic.Int64
@@ -104,8 +102,8 @@ type WorkerStats struct {
 }
 
 // Worker is a shard worker's in-process core: a registry of loaded jobs
-// and the probe evaluator. Serve it over HTTP with Handler, or call Load/
-// Probe directly in tests. Safe for concurrent use.
+// and the probe evaluator, served over HTTP by Handler. Safe for
+// concurrent use.
 type Worker struct {
 	mu    sync.Mutex
 	jobs  map[string]*workerJob
@@ -176,27 +174,15 @@ func (w *Worker) job(id string) (*workerJob, error) {
 	return job, nil
 }
 
-// Probe executes one task against a loaded job: probe the task's shard for
-// each row in [ALo, AHi), verify candidates against the job's rule set,
-// return survivors in (a, b) order — the same semantics as LocalExecutor,
-// recomputed from the worker's own deterministic rebuild of the dataset.
-func (w *Worker) Probe(t Task) ([]record.Pair, error) {
-	job, err := w.job(t.Job)
-	if err != nil {
-		return nil, err
-	}
-	if err := validateTask(job, t); err != nil {
-		return nil, err
-	}
-	return w.probeLoaded(job, t)
-}
-
 // validateTask checks a task's shape against its loaded job — the request-
-// level errors a batch handler must surface before committing a status.
+// level errors the probe handler must surface before committing a status.
 func validateTask(job *workerJob, t Task) error {
 	if t.Shards != job.spec.Shards {
 		return fmt.Errorf("shard: task wants %d shards, job %q has %d",
 			t.Shards, t.Job, job.spec.Shards)
+	}
+	if t.Shard < 0 || t.Shard >= job.spec.Shards {
+		return fmt.Errorf("shard: shard %d out of range [0,%d)", t.Shard, job.spec.Shards)
 	}
 	if t.ALo < 0 || int(t.AHi) > len(job.profA) || t.ALo > t.AHi {
 		return fmt.Errorf("shard: probe rows [%d,%d) out of range [0,%d)",
@@ -205,12 +191,12 @@ func validateTask(job *workerJob, t Task) error {
 	return nil
 }
 
-// probeLoaded runs one validated task.
-func (w *Worker) probeLoaded(job *workerJob, t Task) ([]record.Pair, error) {
-	ix, err := job.shardIndex(t.Shard)
-	if err != nil {
-		return nil, err
-	}
+// probeLoaded runs one validated task: probe the task's shard for each row
+// in [ALo, AHi), verify candidates against the job's rule set, return
+// survivors in (a, b) order — the same semantics as LocalExecutor,
+// recomputed from the worker's own deterministic rebuild of the dataset.
+func (w *Worker) probeLoaded(job *workerJob, t Task) []record.Pair {
+	ix := job.shardIndex(t.Shard)
 	v := NewVerifier(job.ex, job.spec.Rules)
 	is := simindex.NewScratch()
 	var out []record.Pair
@@ -225,7 +211,7 @@ func (w *Worker) probeLoaded(job *workerJob, t Task) ([]record.Pair, error) {
 		}
 	}
 	w.stats.Probes.Add(1)
-	return out, nil
+	return out
 }
 
 // Handler serves the worker over HTTP:
@@ -233,15 +219,15 @@ func (w *Worker) probeLoaded(job *workerJob, t Task) ([]record.Pair, error) {
 //	GET  /healthz     → 200 "ok" once the process accepts work
 //	GET  /metrics     → worker counters as JSON
 //	POST /shard/load  → body JobSpec; 200 when the job is probeable
-//	POST /shard/probe → body Task or [Task, ...]; 412 when the job is not
-//	                    loaded (client should load + retry)
+//	POST /shard/probe → body [Task, ...] (one task is an array of one);
+//	                    412 when the job is not loaded (client should
+//	                    load + retry)
 //
-// Probe responses are always the binary pair codec, whatever the request's
-// Accept says. A single task answers with one pair block
-// (application/x-corleone-pairs). A batch answers with a stream
-// (application/x-corleone-pair-stream) — one length-prefixed pair block
-// per task, in task order, flushed per task so a client can consume (and,
-// after a mid-stream kill, keep) every completed prefix.
+// A probe response is always a stream of the binary pair codec
+// (application/x-corleone-pair-stream), whatever the request's Accept says:
+// one length-prefixed pair block per task, in task order, flushed per task
+// so a client can consume (and, after a mid-stream kill, keep) every
+// completed prefix.
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(rw http.ResponseWriter, r *http.Request) {
@@ -275,54 +261,27 @@ func (w *Worker) Handler() http.Handler {
 		}
 		writeWorkerJSON(rw, http.StatusOK, map[string]string{"status": "loaded"})
 	})
-	mux.HandleFunc("/shard/probe", func(rw http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(rw, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
-		if err != nil {
-			http.Error(rw, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if t := bytes.TrimLeft(body, " \t\r\n"); len(t) > 0 && t[0] == '[' {
-			w.serveBatch(rw, body)
-			return
-		}
-		w.serveSingle(rw, body)
-	})
+	mux.HandleFunc("/shard/probe", w.serveProbe)
 	return mux
 }
 
-// serveSingle answers one task with one binary pair block.
-func (w *Worker) serveSingle(rw http.ResponseWriter, body []byte) {
-	var t Task
-	if err := json.Unmarshal(body, &t); err != nil {
+// serveProbe answers a run of tasks as a per-task result stream. Every task
+// is validated against its loaded job BEFORE the status line is committed —
+// an unknown job surfaces as the 412 lazy-load handshake, and a malformed
+// body or task (a bare task object included) as a 400. Past that point the
+// stream writes one frame per task in order, flushing each, so a client
+// that loses the connection mid-run keeps the delivered prefix and re-pays
+// only the tail.
+func (w *Worker) serveProbe(rw http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		http.Error(rw, "POST only", http.StatusMethodNotAllowed)
+		return
+	}
+	body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+	if err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
 	}
-	pairs, err := w.Probe(t)
-	switch {
-	case errors.Is(err, ErrUnknownJob):
-		http.Error(rw, err.Error(), http.StatusPreconditionFailed)
-	case err != nil:
-		http.Error(rw, err.Error(), http.StatusBadRequest)
-	default:
-		rw.Header().Set("Content-Type", PairsContentType)
-		rw.WriteHeader(http.StatusOK)
-		//corlint:allow dur-ignored-write — status line already committed; a torn pipe surfaces as the client's read error, and no server-side state depends on the write
-		rw.Write(AppendPairs(nil, pairs))
-	}
-}
-
-// serveBatch answers a batch of tasks for this worker as a per-task result
-// stream. Every task is validated against its loaded job BEFORE the status
-// line is committed — an unknown job still surfaces as the 412 lazy-load
-// handshake, and a malformed task as a 400, exactly like the single path.
-// Past that point the stream writes one frame per task in order, flushing
-// each, so a client that loses the connection mid-batch keeps the
-// delivered prefix and re-pays only the tail.
-func (w *Worker) serveBatch(rw http.ResponseWriter, body []byte) {
 	var tasks []Task
 	if err := json.Unmarshal(body, &tasks); err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
@@ -351,15 +310,7 @@ func (w *Worker) serveBatch(rw http.ResponseWriter, body []byte) {
 	w.stats.Batches.Add(1)
 	var buf []byte
 	for i, t := range tasks {
-		pairs, err := w.probeLoaded(jobs[i], t)
-		if err != nil {
-			// The status is committed; truncating the stream is the only
-			// honest signal left. The client completes the delivered prefix
-			// and retries the rest at single-task granularity, where the
-			// error gets a proper status.
-			return
-		}
-		buf = AppendPairs(buf[:0], pairs)
+		buf = AppendPairs(buf[:0], w.probeLoaded(jobs[i], t))
 		if err := WriteFrame(rw, buf); err != nil {
 			return // client gone; it keeps what it already read
 		}

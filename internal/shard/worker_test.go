@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"bufio"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -147,17 +149,17 @@ func TestWorkerLoadIdempotent(t *testing.T) {
 	}
 }
 
-// TestWorkerUnknownJob pins the 412 protocol at both layers: Probe returns
-// ErrUnknownJob, and the HTTP handler maps it to 412.
+// TestWorkerUnknownJob pins the 412 protocol at both layers: the job
+// lookup returns ErrUnknownJob, and the HTTP handler maps it to 412.
 func TestWorkerUnknownJob(t *testing.T) {
 	w := NewWorker()
-	if _, err := w.Probe(Task{Job: "nope"}); !errors.Is(err, ErrUnknownJob) {
-		t.Fatalf("Probe of unknown job: %v, want ErrUnknownJob", err)
+	if _, err := w.job("nope"); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("lookup of unknown job: %v, want ErrUnknownJob", err)
 	}
 	srv := httptest.NewServer(w.Handler())
 	defer srv.Close()
 	resp, err := srv.Client().Post(srv.URL+"/shard/probe", "application/json",
-		strings.NewReader(`{"job":"nope","shards":1}`))
+		strings.NewReader(`[{"job":"nope","shards":1}]`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +213,7 @@ func TestRemoteExecutorFailover(t *testing.T) {
 
 // TestWorkerProbeAlwaysBinary pins the one wire format: a probe with no
 // Accept header, or one naming only a foreign type, still gets the binary
-// pair codec — a single block for a task, a frame stream for a batch.
+// frame stream — for a run of one task as for a longer one.
 func TestWorkerProbeAlwaysBinary(t *testing.T) {
 	spec, _, _ := testJob(t, 2)
 	w := NewWorker()
@@ -223,10 +225,7 @@ func TestWorkerProbeAlwaysBinary(t *testing.T) {
 
 	task := `{"job":"test-job","a_lo":0,"a_hi":8,"shard":0,"shards":2}`
 	for _, accept := range []string{"", "application/json", "application/x-ndjson, text/plain"} {
-		for body, want := range map[string]string{
-			task:             PairsContentType,
-			"[" + task + "]": PairStreamContentType,
-		} {
+		for _, body := range []string{"[" + task + "]", "[" + task + "," + task + "]"} {
 			req, err := http.NewRequest(http.MethodPost, srv.URL+"/shard/probe", strings.NewReader(body))
 			if err != nil {
 				t.Fatal(err)
@@ -239,11 +238,69 @@ func TestWorkerProbeAlwaysBinary(t *testing.T) {
 				t.Fatal(err)
 			}
 			resp.Body.Close()
-			if got := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || got != want {
+			if got := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || got != PairStreamContentType {
 				t.Errorf("Accept %q: status %d, content type %q, want 200 %q",
-					accept, resp.StatusCode, got, want)
+					accept, resp.StatusCode, got, PairStreamContentType)
 			}
 		}
+	}
+}
+
+// TestWorkerRejectsBareTask pins the one request shape: a bare task object
+// is a 400 (not a second protocol), and the same task as an array of one
+// answers with a stream of exactly one frame holding the task's survivors.
+func TestWorkerRejectsBareTask(t *testing.T) {
+	spec, ex, rules := testJob(t, 2)
+	w := NewWorker()
+	if err := w.Load(spec); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(w.Handler())
+	defer srv.Close()
+	post := func(body string) *http.Response {
+		t.Helper()
+		resp, err := srv.Client().Post(srv.URL+"/shard/probe", JSONContentType, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	task := `{"job":"test-job","a_lo":0,"a_hi":8,"shard":0,"shards":2}`
+	resp := post(task)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bare task object: status %d, want 400", resp.StatusCode)
+	}
+	if n := w.Stats().Probes.Load(); n != 0 {
+		t.Fatalf("a rejected body still ran %d probes", n)
+	}
+
+	resp = post("[" + task + "]")
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != PairStreamContentType {
+		t.Fatalf("array of one: status %d, content type %q, want 200 %q", resp.StatusCode, ct, PairStreamContentType)
+	}
+	br := bufio.NewReader(resp.Body)
+	frame, err := ReadFrame(br, nil)
+	if err != nil {
+		t.Fatalf("first frame: %v", err)
+	}
+	got, err := DecodePairs(frame, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadFrame(br, nil); err != io.EOF {
+		t.Fatalf("after the one frame: %v, want io.EOF", err)
+	}
+	profA, profB := ex.Profiles(spec.Feature)
+	local := NewLocalExecutor(ex, BuildGroup(mustKind(t, ex, spec.Feature), profB, 2), profA, rules, spec.Theta)
+	want, err := local.Probe([]Task{{Job: spec.Job, ALo: 0, AHi: 8, Shard: 0, Shards: 2}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) == 0 || !reflect.DeepEqual(got, want[0]) {
+		t.Fatalf("frame decoded to %d pairs, local executor says %d (or they differ)", len(got), len(want[0]))
 	}
 }
 
@@ -276,7 +333,7 @@ func (f *forgetfulWorker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 // flake: the executor reloads once on 412, and a second 412 straight after
 // the reload used to count as a terminal 4xx. The coordinator must treat it
 // as retryable, load again on the next attempt, and emit the baseline
-// stream — through single probes and through batches.
+// stream — through groups of one and through batches.
 func TestRemoteSecond412Retries(t *testing.T) {
 	spec, ex, rules := testJob(t, 2)
 	want := localBaseline(t, spec, ex, rules)

@@ -45,21 +45,8 @@ go test -count=1 -run 'TestShardWorkerChaos/5xx-failover' ./internal/faultkit
 
 go test -race ./...
 
-# Wire-format fuzz smoke: a short run of the pair codec (exact round trip,
-# canonical re-encoding, decoder totality) and the K-way merge vs its
-# reference, so a codec change that breaks canonicality or totality fails
-# here in seconds instead of surfacing as a torn-stream mystery.
-go test -count=1 -run '^$' -fuzz 'FuzzPairCodec' -fuzztime 5s ./internal/shard
-go test -count=1 -run '^$' -fuzz 'FuzzMergePairs' -fuzztime 5s ./internal/shard
-
-# Pair-kernel fuzz smoke: the bit-parallel Jaro and the integer-coded set
-# measures against the retained greedy / string-merge oracles, Float64bits
-# equality.
-go test -count=1 -run '^$' -fuzz 'FuzzJaroBitParallel' -fuzztime 5s ./internal/similarity
-go test -count=1 -run '^$' -fuzz 'FuzzSetKernels' -fuzztime 5s ./internal/similarity
-
-# Journal fuzz smoke: arbitrary bytes as a log and as a snapshot restore
-# at most their longest valid frame prefix; one altered byte is rejected
-# or cut back to a strict prefix. Inputs are whole journal files, so
-# minimization is off (it would spend the budget on one input).
-go test -count=1 -run '^$' -fuzz 'FuzzJournalReplay' -fuzztime 5s -fuzzminimizetime 0 ./internal/runsvc
+# Fuzz smoke: every target `make fuzz` lists (pair codec and merge, pair
+# kernels, journal replay, model and spec decoders), 5 s each, so a change
+# that breaks a decoder's totality or a kernel's bit-identity fails here in
+# seconds. The Makefile holds the list.
+make fuzz FUZZTIME=5s
