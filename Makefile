@@ -65,9 +65,12 @@ shard:
 # to Float64bits equality (DESIGN.md "Pair kernels"). Journal: arbitrary
 # bytes as a log and as a snapshot never restore more than their longest
 # valid frame prefix, and one altered byte never goes unnoticed (DESIGN.md
-# "The journal"). Job directory: the two remaining disk decoders are total
-# — a model file that loads re-saves to an identical scorer, a spec.json
-# that decodes builds or fails with an error. The job-directory targets
+# "The journal"). Row sets: the bitset behind every post-blocking row set vs
+# a map[int]bool, including the two representation invariants that keep
+# reflect.DeepEqual on results meaningful (DESIGN.md "Row sets and the
+# post-blocking stages"). Job directory: the two remaining disk decoders
+# are total — a model file that loads re-saves to an identical scorer, a
+# spec.json that decodes builds or fails with an error. The job-directory targets
 # take whole files as inputs, so minimizing each interesting one would eat
 # the run — hence -fuzzminimizetime 0. `go test -fuzz` accepts one target
 # per invocation, hence one run each, FUZZTIME apiece.
@@ -78,6 +81,7 @@ fuzz:
 	$(FUZZ) -fuzz 'FuzzMergePairs' ./internal/shard
 	$(FUZZ) -fuzz 'FuzzJaroBitParallel' ./internal/similarity
 	$(FUZZ) -fuzz 'FuzzSetKernels' ./internal/similarity
+	$(FUZZ) -fuzz 'FuzzRowSet' ./internal/ruleeval
 	$(FUZZ) -fuzz 'FuzzJournalReplay' -fuzzminimizetime 0 ./internal/runsvc
 	$(FUZZ) -fuzz 'FuzzForestLoad' -fuzzminimizetime 0 ./internal/runsvc
 	$(FUZZ) -fuzz 'FuzzSpecRecord' -fuzzminimizetime 0 ./internal/runsvc

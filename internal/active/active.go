@@ -205,26 +205,44 @@ func Learn(runner *crowd.Runner, pairs []record.Pair, X [][]float64,
 		V = append(V, X[i])
 	}
 
-	// Training state. pairIdx maps a pool pair to its index so batch
-	// results can be marked consumed.
-	pairIdx := make(map[record.Pair]int, len(pairs))
-	for i, p := range pairs {
-		pairIdx[p] = i
-	}
+	// Training state. Seeds that belong to the pool are consumed from the
+	// start; only the seeds are hashed, so this costs one lookup per pool
+	// pair and no |C|-entry map.
 	trainX := make([][]float64, 0, len(seeds)+cfg.MaxIterations*cfg.BatchQ)
 	trainY := make([]bool, 0, cap(trainX))
 	training := make([]record.Labeled, 0, cap(trainX))
-	consumed := make([]bool, len(pairs))
 	addExample := func(l record.Labeled, v []float64) {
 		trainX = append(trainX, v)
 		trainY = append(trainY, l.Match)
 		training = append(training, l)
-		if i, ok := pairIdx[l.Pair]; ok {
+	}
+	seedPairs := make(record.PairSet, len(seeds))
+	for i, s := range seeds {
+		addExample(s, seedX[i])
+		seedPairs.Add(s.Pair)
+	}
+	consumed := make([]bool, len(pairs))
+	for i, p := range pairs {
+		if seedPairs.Has(p) {
 			consumed[i] = true
 		}
 	}
-	for i, s := range seeds {
-		addExample(s, seedX[i])
+	// rowOf finds the pool row of a pair the crowd just labeled: one of the
+	// rows asked (the crowd returns them reordered, cached answers first)
+	// or, for a replayed batch recorded by a run that asked differently,
+	// any row of the pool.
+	rowOf := func(p record.Pair, asked []int) int {
+		for _, i := range asked {
+			if pairs[i] == p {
+				return i
+			}
+		}
+		for i := len(pairs) - 1; i >= 0; i-- {
+			if pairs[i] == p {
+				return i
+			}
+		}
+		return -1
 	}
 
 	var (
@@ -272,7 +290,12 @@ func Learn(runner *crowd.Runner, pairs []record.Pair, X [][]float64,
 			break
 		}
 		for _, l := range labeled {
-			addExample(l, X[pairIdx[l.Pair]])
+			row := rowOf(l.Pair, batch)
+			if row < 0 {
+				return nil, fmt.Errorf("active: crowd labeled %v, which is not in the pool", l.Pair)
+			}
+			consumed[row] = true
+			addExample(l, X[row])
 			trace.LabelsAcquired++
 		}
 	}
@@ -299,20 +322,28 @@ type cand struct {
 	entropy float64
 }
 
+// before is the ranking order: entropy descending, pool index ascending.
+// Indexes are unique, so the order is strict and total, and the p best
+// candidates in rank order are one fixed sequence however they are found.
+func (c cand) before(d cand) bool {
+	//corlint:allow float-eq — deterministic tie-break: exactly equal entropies must fall through to the index comparison, identically on every run
+	return c.entropy > d.entropy || (c.entropy == d.entropy && c.idx < d.idx)
+}
+
 // ranker is the reusable workspace for example selection (§5.2) and
 // monitoring-set scoring (§5.3). Its buffers — the batched forest scorer,
 // the eligible-pool collections, the entropy scratch, and the weighted
-// sampler — grow to the pool size on the first iteration and are retained,
-// so ranking a candidate block is zero-alloc in steady state even though
-// the loop re-scores the entire pool after every retrain. The zero value
-// is ready to use.
+// sampler — are sized to the pool on the first call and retained, so
+// ranking a candidate block is zero-alloc in steady state even though the
+// loop re-scores the entire pool after every retrain. The zero value is
+// ready to use.
 type ranker struct {
 	sc      forest.Scorer
 	sampler stats.WeightedSampler
 	pool    []int       // eligible pool indices, rebuilt each call
 	vecs    [][]float64 // feature vectors aligned with pool
 	ents    []float64   // batched entropies aligned with pool
-	cands   []cand      // ranking records for the partial sort
+	top     []cand      // the p best candidates, best first
 	weights []float64   // top-p entropies for weighted sampling
 	perm    []int       // SampleIndicesInto scratch (random strategy)
 	out     []int       // selected pool indices, valid until next call
@@ -323,6 +354,9 @@ type ranker struct {
 func (r *ranker) selectBatch(rng *rand.Rand, f *forest.Forest, X [][]float64,
 	consumed, inMonitor []bool, cfg Config) []int {
 
+	if cap(r.pool) < len(X) {
+		r.pool = make([]int, 0, len(X))
+	}
 	pool := r.pool[:0]
 	if cfg.Strategy == StrategyRandom {
 		for i := range X {
@@ -347,6 +381,9 @@ func (r *ranker) selectBatch(rng *rand.Rand, f *forest.Forest, X [][]float64,
 	// own slots, so the ranking input is identical to the per-vector loop
 	// this replaced, at a fraction of the walk cost and without per-call
 	// slices.
+	if cap(r.vecs) < len(X) {
+		r.vecs = make([][]float64, 0, len(X))
+	}
 	vecs := r.vecs[:0]
 	for i := range X {
 		if consumed[i] || inMonitor[i] {
@@ -360,25 +397,15 @@ func (r *ranker) selectBatch(rng *rand.Rand, f *forest.Forest, X [][]float64,
 		return nil
 	}
 	if cap(r.ents) < len(pool) {
-		r.ents = make([]float64, len(pool))
+		r.ents = make([]float64, cap(r.pool))
 	}
 	ents := r.sc.EntropiesInto(f, vecs, r.ents[:len(pool)])
-	cands := r.cands[:0]
-	for j, i := range pool {
-		cands = append(cands, cand{idx: i, entropy: ents[j]})
+	r.top = topP(pool, ents, cfg.PoolP, r.top)
+	top := r.top
+	if cap(r.weights) < len(top) {
+		r.weights = make([]float64, len(top))
 	}
-	r.cands = cands
-	// Top p by entropy. Partial selection sort is fine at p=100.
-	p := cfg.PoolP
-	if p > len(cands) {
-		p = len(cands)
-	}
-	partialSortByEntropy(cands, p)
-	top := cands[:p]
-	if cap(r.weights) < p {
-		r.weights = make([]float64, p)
-	}
-	weights := r.weights[:p]
+	weights := r.weights[:len(top)]
 	for i, c := range top {
 		weights[i] = c.entropy
 	}
@@ -391,20 +418,51 @@ func (r *ranker) selectBatch(rng *rand.Rand, f *forest.Forest, X [][]float64,
 	return out
 }
 
-// partialSortByEntropy moves the k highest-entropy candidates to the front
-// (descending), leaving the rest unordered.
-func partialSortByEntropy(cs []cand, k int) {
-	for i := 0; i < k; i++ {
-		best := i
-		for j := i + 1; j < len(cs); j++ {
-			if cs[j].entropy > cs[best].entropy ||
-				//corlint:allow float-eq — deterministic tie-break: exactly equal entropies must fall through to the index comparison, identically on every run
-				(cs[j].entropy == cs[best].entropy && cs[j].idx < cs[best].idx) {
-				best = j
-			}
-		}
-		cs[i], cs[best] = cs[best], cs[i]
+// topP returns the p highest-ranked candidates of the pool (all of them if
+// there are fewer), best first, reusing buf. The first p candidates form a
+// heap whose root is the worst of them; every later one costs a single
+// comparison with the root unless it enters the top p; a final heap sort
+// puts the survivors in rank order.
+func topP(pool []int, ents []float64, p int, buf []cand) []cand {
+	k := min(p, len(pool))
+	if k <= 0 {
+		return buf[:0]
 	}
+	h := buf[:0]
+	for j := 0; j < k; j++ {
+		h = append(h, cand{idx: pool[j], entropy: ents[j]})
+	}
+	// down restores the heap order (every parent ranks after its children)
+	// below slot i within h[:n].
+	down := func(i, n int) {
+		for {
+			worst := i
+			for c := 2*i + 1; c <= 2*i+2 && c < n; c++ {
+				if h[worst].before(h[c]) {
+					worst = c
+				}
+			}
+			if worst == i {
+				return
+			}
+			h[i], h[worst] = h[worst], h[i]
+			i = worst
+		}
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		down(i, k)
+	}
+	for j := k; j < len(pool); j++ {
+		if c := (cand{idx: pool[j], entropy: ents[j]}); c.before(h[0]) {
+			h[0] = c
+			down(0, k)
+		}
+	}
+	for n := k - 1; n > 0; n-- {
+		h[0], h[n] = h[n], h[0]
+		down(0, n)
+	}
+	return h
 }
 
 // shouldStop checks the three §5.3 stopping patterns over the smoothed

@@ -1,6 +1,7 @@
 package active
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -25,6 +26,58 @@ func rankerFixture(n int) (f *forest.Forest, X [][]float64, consumed, inMonitor 
 		consumed[i] = true
 	}
 	return f, X, consumed, inMonitor
+}
+
+// partialSortByEntropy is the selection sort topP replaced, kept as its
+// oracle: it moves the k highest-ranked candidates to the front, best
+// first, in O(k·n).
+func partialSortByEntropy(cs []cand, k int) {
+	for i := 0; i < k; i++ {
+		best := i
+		for j := i + 1; j < len(cs); j++ {
+			if cs[j].entropy > cs[best].entropy ||
+				(cs[j].entropy == cs[best].entropy && cs[j].idx < cs[best].idx) {
+				best = j
+			}
+		}
+		cs[i], cs[best] = cs[best], cs[i]
+	}
+}
+
+// TestTopPMatchesSelectionSort compares the bounded heap with the
+// selection sort on pools full of entropy ties (a forest of T trees yields
+// at most T+1 distinct entropies), for p below, at and above the pool size,
+// p = 0, and pools of 0 and 1.
+func TestTopPMatchesSelectionSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var buf []cand
+	for trial := 0; trial < 400; trial++ {
+		n := []int{0, 1, 2, 7, 100, 101, 1000}[rng.Intn(7)]
+		p := []int{0, 1, 5, 100, 2000}[rng.Intn(5)]
+		levels := 1 + rng.Intn(6) // few distinct entropies: ties everywhere
+		pool := make([]int, n)
+		ents := make([]float64, n)
+		all := make([]cand, n)
+		for j := range pool {
+			pool[j] = 3*j + rng.Intn(3) // ascending, with gaps
+			ents[j] = float64(rng.Intn(levels)) / float64(levels)
+			all[j] = cand{idx: pool[j], entropy: ents[j]}
+		}
+		k := p
+		if k > n {
+			k = n
+		}
+		partialSortByEntropy(all, k)
+		buf = topP(pool, ents, p, buf)
+		if len(buf) != k {
+			t.Fatalf("n=%d p=%d: %d candidates, want %d", n, p, len(buf), k)
+		}
+		for i := range buf {
+			if buf[i] != all[i] {
+				t.Fatalf("n=%d p=%d: rank %d is %+v, selection sort has %+v", n, p, i, buf[i], all[i])
+			}
+		}
+	}
 }
 
 // TestRankerZeroAllocSteadyState pins the per-iteration ranking cost: once
@@ -75,19 +128,24 @@ func TestRankerMatchesPointwiseScoring(t *testing.T) {
 	}
 }
 
-// BenchmarkSelectBatch measures one iteration of §5.2 example selection
-// over a 5000-candidate pool — the ranking hot path Learn runs after every
-// retrain. Zero-alloc in steady state at GOMAXPROCS=1.
+// BenchmarkSelectBatch measures one iteration of §5.2 example selection —
+// the ranking hot path Learn runs after every retrain — over a
+// 5000-candidate pool and over one the size of Restaurants×1.0's candidate
+// set. Zero-alloc in steady state at GOMAXPROCS=1.
 func BenchmarkSelectBatch(b *testing.B) {
-	f, X, consumed, inMonitor := rankerFixture(5000)
-	rng := rand.New(rand.NewSource(3))
-	cfg := Defaults()
-	var r ranker
-	var batch []int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		batch = r.selectBatch(rng, f, X, consumed, inMonitor, cfg)
+	for _, n := range []int{5000, 176423} {
+		b.Run(fmt.Sprintf("pool=%d", n), func(b *testing.B) {
+			f, X, consumed, inMonitor := rankerFixture(n)
+			rng := rand.New(rand.NewSource(3))
+			cfg := Defaults()
+			var r ranker
+			var batch []int
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				batch = r.selectBatch(rng, f, X, consumed, inMonitor, cfg)
+			}
+			_ = batch
+		})
 	}
-	_ = batch
 }

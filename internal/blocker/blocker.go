@@ -128,12 +128,14 @@ func Run(ds *record.Dataset, ex *feature.Extractor, runner *crowd.Runner, cfg Co
 	// Step 2 (§4.1): take the sample S — the smaller table crossed with a
 	// random slice of the larger, sized so |S| ≈ t_B, plus the user seeds.
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	S := samplePairs(rng, ds, cfg.TB)
-	inS := record.NewPairSet(S...)
-	for _, s := range ds.Seeds {
-		if !inS.Has(s.Pair) {
+	S, drawn := samplePairs(rng, ds, cfg.TB)
+	// Membership in S needs no |S|-entry set: the drawn part is a cross
+	// product, so it is a test on the pair's sampled-side row, and the rest
+	// is the handful of user seeds.
+	inS := func(p record.Pair) bool { return drawn(p) || labeledHas(ds.Seeds, p) }
+	for i, s := range ds.Seeds {
+		if !drawn(s.Pair) && !labeledHas(ds.Seeds[:i], s.Pair) {
 			S = append(S, s.Pair)
-			inS.Add(s.Pair)
 		}
 	}
 	res.SampleSize = len(S)
@@ -179,7 +181,7 @@ func Run(ds *record.Dataset, ex *feature.Extractor, runner *crowd.Runner, cfg Co
 	// (§8.2's false-positive analysis).
 	var verified []record.Labeled
 	for _, l := range runner.AllLabeled() {
-		if l.Match && inS.Has(l.Pair) && runner.Label(l.Pair, crowd.PolicyStrong) {
+		if l.Match && inS(l.Pair) && runner.Label(l.Pair, crowd.PolicyStrong) {
 			verified = append(verified, l)
 		}
 	}
@@ -209,37 +211,31 @@ func Run(ds *record.Dataset, ex *feature.Extractor, runner *crowd.Runner, cfg Co
 }
 
 // samplePairs draws S: the smaller table crossed with ~t_B/|smaller| rows
-// sampled uniformly from the larger table (§4.1 step 2).
-func samplePairs(rng *rand.Rand, ds *record.Dataset, tb int) []record.Pair {
+// sampled uniformly from the larger table (§4.1 step 2), in (a, b) order.
+// The second result reports whether a pair of the dataset is in S.
+func samplePairs(rng *rand.Rand, ds *record.Dataset, tb int) ([]record.Pair, func(record.Pair) bool) {
 	na, nb := ds.A.Len(), ds.B.Len()
 	if na <= nb {
-		k := tb / na
-		if k < 1 {
-			k = 1
-		}
-		rows := sampleRows(rng, nb, k)
+		rows := sampleRows(rng, nb, max(tb/na, 1))
 		out := make([]record.Pair, 0, na*len(rows))
 		for a := 0; a < na; a++ {
 			for _, b := range rows {
 				out = append(out, record.P(a, b))
 			}
 		}
-		return out
+		return out, func(p record.Pair) bool { return hasRow(rows, int(p.B)) }
 	}
-	k := tb / nb
-	if k < 1 {
-		k = 1
-	}
-	rows := sampleRows(rng, na, k)
+	rows := sampleRows(rng, na, max(tb/nb, 1))
 	out := make([]record.Pair, 0, nb*len(rows))
 	for _, a := range rows {
 		for b := 0; b < nb; b++ {
 			out = append(out, record.P(a, b))
 		}
 	}
-	return out
+	return out, func(p record.Pair) bool { return hasRow(rows, int(p.A)) }
 }
 
+// sampleRows draws k of n rows uniformly, returned in ascending order.
 func sampleRows(rng *rand.Rand, n, k int) []int {
 	if k > n {
 		k = n
@@ -250,6 +246,20 @@ func sampleRows(rng *rand.Rand, n, k int) []int {
 	return rows
 }
 
+func labeledHas(ls []record.Labeled, p record.Pair) bool {
+	for _, l := range ls {
+		if l.Pair == p {
+			return true
+		}
+	}
+	return false
+}
+
+func hasRow(sorted []int, r int) bool {
+	i := sort.SearchInts(sorted, r)
+	return i < len(sorted) && sorted[i] == r
+}
+
 // dropContradicted removes kept rules that cover more than maxFrac of the
 // verified positive examples. Sequential sampling certifies a rule's
 // precision but, under extreme skew, cannot see the handful of true matches
@@ -257,20 +267,14 @@ func sampleRows(rng *rand.Rand, n, k int) []int {
 // signal. A rule clipping one borderline positive is tolerated (the paper
 // accepts ~8% blocking recall loss on Products); a rule swallowing a fifth
 // or more of all known matches is not.
-func dropContradicted(kept []ruleeval.Result, positives map[int]bool, maxFrac float64) []ruleeval.Result {
-	if len(positives) == 0 {
+func dropContradicted(kept []ruleeval.Result, positives *ruleeval.RowSet, maxFrac float64) []ruleeval.Result {
+	if positives.Len() == 0 {
 		return kept
 	}
-	limit := maxFrac * float64(len(positives))
+	limit := maxFrac * float64(positives.Len())
 	var out []ruleeval.Result
 	for _, r := range kept {
-		covered := 0
-		for _, idx := range r.Candidate.Coverage {
-			if positives[idx] {
-				covered++
-			}
-		}
-		if float64(covered) <= limit {
+		if float64(r.Candidate.Coverage.AndCount(positives)) <= limit {
 			out = append(out, r)
 		}
 	}
@@ -305,35 +309,18 @@ func greedySelect(kept []ruleeval.Result, X [][]float64, na, nb, tb int,
 	cartesian := float64(na) * float64(nb)
 	target := int(float64(len(X)) * (float64(tb) / cartesian))
 
-	alive := make([]bool, len(X))
-	aliveCount := len(X)
-	for i := range alive {
-		alive[i] = true
-	}
+	alive := ruleeval.FullRowSet(len(X))
 	used := make([]bool, len(kept))
 	var selected []tree.Rule
 
-	marginal := func(i int) int {
-		cov := 0
-		for _, idx := range kept[i].Candidate.Coverage {
-			if alive[idx] {
-				cov++
-			}
-		}
-		return cov
-	}
 	apply := func(i int) {
 		used[i] = true
 		selected = append(selected, kept[i].Candidate.Rule)
-		for _, idx := range kept[i].Candidate.Coverage {
-			if alive[idx] {
-				alive[idx] = false
-				aliveCount--
-			}
-		}
+		alive.AndNot(kept[i].Candidate.Coverage)
 	}
 
-	for aliveCount > target {
+	for alive.Len() > target {
+		aliveCount := alive.Len()
 		bestSafe, bestOver := -1, -1
 		var safeKey [3]float64 // precision, coverage-per-cost, coverage
 		overLanding := -1
@@ -342,7 +329,7 @@ func greedySelect(kept []ruleeval.Result, X [][]float64, na, nb, tb int,
 			if used[i] {
 				continue
 			}
-			cov := marginal(i)
+			cov := r.Candidate.Coverage.AndCount(alive)
 			if cov <= minUseful {
 				continue
 			}

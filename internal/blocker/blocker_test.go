@@ -98,7 +98,7 @@ func TestRunBlockingEndToEnd(t *testing.T) {
 func TestSamplePairsSmallerTableA(t *testing.T) {
 	ds := smallCitations(t) // |A| < |B|
 	rng := rand.New(rand.NewSource(1))
-	S := samplePairs(rng, ds, 5000)
+	S, _ := samplePairs(rng, ds, 5000)
 	if len(S) < 2500 || len(S) > 7500 {
 		t.Errorf("|S| = %d, want ~5000", len(S))
 	}
@@ -117,7 +117,7 @@ func TestSamplePairsSmallerTableB(t *testing.T) {
 	ds := smallCitations(t)
 	ds2 := &record.Dataset{Name: ds.Name, A: ds.B, B: ds.A, Truth: ds.Truth, Seeds: ds.Seeds}
 	rng := rand.New(rand.NewSource(2))
-	S := samplePairs(rng, ds2, 5000)
+	S, _ := samplePairs(rng, ds2, 5000)
 	rowsB := map[int32]bool{}
 	for _, p := range S {
 		rowsB[p.B] = true
@@ -138,7 +138,7 @@ func TestGreedySelectStopsAtTarget(t *testing.T) {
 	mkRule := func(thr float64) ruleeval.Result {
 		r := tree.Rule{Preds: []tree.Predicate{{Feature: 0, Op: tree.LE, Threshold: thr}}}
 		return ruleeval.Result{
-			Candidate: ruleeval.Candidate{Rule: r, Coverage: ruleeval.Cover(r, X)},
+			Candidate: ruleeval.MakeCandidates([]tree.Rule{r}, X)[0],
 			Precision: stats.Interval{Point: 1},
 			Kept:      true,
 		}
@@ -191,7 +191,7 @@ func greedyX(n int) [][]float64 {
 func greedyRule(thr float64, X [][]float64) ruleeval.Result {
 	r := tree.Rule{Preds: []tree.Predicate{{Feature: 0, Op: tree.LE, Threshold: thr}}}
 	return ruleeval.Result{
-		Candidate: ruleeval.Candidate{Rule: r, Coverage: ruleeval.Cover(r, X)},
+		Candidate: ruleeval.MakeCandidates([]tree.Rule{r}, X)[0],
 		Precision: stats.Interval{Point: 1},
 		Kept:      true,
 	}
@@ -241,16 +241,23 @@ func TestGreedySelectIgnoresUseless(t *testing.T) {
 }
 
 func TestDropContradicted(t *testing.T) {
-	mk := func(cov []int) ruleeval.Result {
+	rows := func(idx ...int) *ruleeval.RowSet {
+		s := ruleeval.NewRowSet(10)
+		for _, i := range idx {
+			s.Add(i)
+		}
+		return s
+	}
+	mk := func(cov *ruleeval.RowSet) ruleeval.Result {
 		return ruleeval.Result{Candidate: ruleeval.Candidate{Coverage: cov}, Kept: true}
 	}
 	kept := []ruleeval.Result{
-		mk([]int{0, 1, 2, 3, 4}), // covers 2 positives
-		mk([]int{5, 6}),          // covers none
+		mk(rows(0, 1, 2, 3, 4)), // covers 2 positives
+		mk(rows(5, 6)),          // covers none
 	}
-	pos := map[int]bool{0: true, 1: true, 9: true}
+	pos := rows(0, 1, 9)
 	out := dropContradicted(kept, pos, 0.2) // limit = 0.6 positives
-	if len(out) != 1 || len(out[0].Candidate.Coverage) != 2 {
+	if len(out) != 1 || out[0].Candidate.Coverage.Len() != 2 {
 		t.Errorf("dropContradicted kept %d rules", len(out))
 	}
 	// Tolerant threshold keeps both.
@@ -259,7 +266,7 @@ func TestDropContradicted(t *testing.T) {
 		t.Errorf("tolerant threshold dropped rules: %d", len(out))
 	}
 	// No positives -> keep all.
-	if got := dropContradicted(kept, nil, 0.2); len(got) != 2 {
+	if got := dropContradicted(kept, rows(), 0.2); len(got) != 2 {
 		t.Error("no-positive veto should keep everything")
 	}
 }

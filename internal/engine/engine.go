@@ -8,6 +8,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"github.com/corleone-em/corleone/internal/active"
 
@@ -319,19 +320,18 @@ func Run(ds *record.Dataset, c crowd.Crowd, cfg Config) (*Result, error) {
 	checkpoint("blocking", 0, nil)
 	X := ex.Vectors(C)
 
-	// All labeled examples accumulated so far, deduplicated by pair, with
-	// their vectors (§5.1 trains on "all labeled examples available").
-	vecOf := make(map[record.Pair][]float64, len(C))
-	for i, p := range C {
-		vecOf[p] = X[i]
-	}
+	// All labeled examples accumulated so far, deduplicated by pair (§5.1
+	// trains on "all labeled examples available"). Their vectors are looked
+	// up, not indexed: C arrives in (a, b) order (the Sink contract), so a
+	// training pair inside C is a binary search away, and one outside it —
+	// a seed or blocking-sample pair the rules removed — is computed afresh.
+	// A vector is a pure function of its pair, so a miss costs time only.
 	lookupVec := func(p record.Pair) []float64 {
-		if v, ok := vecOf[p]; ok {
-			return v
+		i := sort.Search(len(C), func(i int) bool { return !C[i].Less(p) })
+		if i < len(C) && C[i] == p {
+			return X[i]
 		}
-		v := ex.Vector(p)
-		vecOf[p] = v
-		return v
+		return ex.Vector(p)
 	}
 	var training []record.Labeled
 	seen := record.NewPairSet()
@@ -371,11 +371,14 @@ func Run(ds *record.Dataset, c crowd.Crowd, cfg Config) (*Result, error) {
 		}
 		// ---- Matcher (§5) ----
 		start := pairsBefore()
-		subPairs := make([]record.Pair, len(cur))
-		subX := make([][]float64, len(cur))
-		for i, ci := range cur {
-			subPairs[i] = C[ci]
-			subX[i] = X[ci]
+		subPairs, subX := C, X // iteration 1 runs over all of C
+		if iter > 1 {
+			subPairs = make([]record.Pair, len(cur))
+			subX = make([][]float64, len(cur))
+			for i, ci := range cur {
+				subPairs[i] = C[ci]
+				subX[i] = X[ci]
+			}
 		}
 		initX := make([][]float64, len(training))
 		for i, l := range training {

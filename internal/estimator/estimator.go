@@ -216,18 +216,14 @@ func Estimate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 	cands := ruleeval.SelectTopK(allCands, contradicting, len(allCands))
 
 	// State: alive examples (C'), accumulated uniform sample with labels.
-	alive := make([]bool, len(pairs))
-	for i := range alive {
-		alive[i] = true
-	}
-	aliveCount := len(pairs)
-	totalPP := 0
-	for _, p := range predictions {
-		if p {
-			totalPP++
+	n := len(pairs)
+	alive := ruleeval.FullRowSet(n)
+	pp := ruleeval.NewRowSet(n) // predicted positives
+	for i, pred := range predictions {
+		if pred {
+			pp.Add(i)
 		}
 	}
-	ppAlive := totalPP // predicted positives among alive
 
 	// Two disjoint sampling pools: a uniform sample of C' (drives the
 	// recall estimate and the density probe) and a stratified sample of
@@ -237,7 +233,7 @@ func Estimate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 	// uniform sample almost never hits one and the precision margin pins
 	// the label budget. Both pools draw without replacement, and uniform
 	// draws that happen to be predicted positives also feed precision.
-	sampled := make([]bool, len(pairs))
+	sampled := ruleeval.NewRowSet(n)
 	type obs struct {
 		idx   int
 		match bool
@@ -245,23 +241,10 @@ func Estimate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 	var sampleU []obs // uniform over C'
 	var sampleS []obs // stratified over predicted positives
 	ruleUsed := make([]bool, len(cands))
-	var ppIdx []int
-	for i, pred := range predictions {
-		if pred {
-			ppIdx = append(ppIdx, i)
-		}
-	}
 
 	// exhausted reports whether every alive example has been labeled, in
 	// which case both estimates are exact by enumeration.
-	exhausted := func() bool {
-		for i := range pairs {
-			if alive[i] && !sampled[i] {
-				return false
-			}
-		}
-		return true
-	}
+	exhausted := func() bool { return alive.AndCount(sampled) == alive.Len() }
 
 	// estimate computes the current P/R intervals. A uniform sample of an
 	// earlier C stays uniform when conditioned on the current alive set,
@@ -274,7 +257,7 @@ func Estimate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 			var ap, tp, pp int
 			count := func(os []obs) {
 				for _, o := range os {
-					if !alive[o.idx] {
+					if !alive.Has(o.idx) {
 						continue
 					}
 					if predictions[o.idx] {
@@ -301,7 +284,7 @@ func Estimate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 		}
 		var nAP, nTP int
 		for _, o := range sampleU {
-			if !alive[o.idx] {
+			if !alive.Has(o.idx) {
 				continue
 			}
 			if o.match {
@@ -314,13 +297,13 @@ func Estimate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 		// Precision among the predicted positives of the reduced set C':
 		// every sampled predicted positive (from either pool) is a uniform
 		// without-replacement draw from that stratum, so the §4.2 margin
-		// with finite-population correction over ppAlive applies. Under
+		// with finite-population correction over |pp ∩ C'| applies. Under
 		// the paper's working assumption that certified reduction rules
 		// are (near-)100% precise, eliminated examples carry no true
 		// positives and precision over C' tracks precision over C.
 		var pn, ptp int
 		for _, o := range sampleU {
-			if alive[o.idx] && predictions[o.idx] {
+			if alive.Has(o.idx) && predictions[o.idx] {
 				pn++
 				if o.match {
 					ptp++
@@ -328,14 +311,14 @@ func Estimate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 			}
 		}
 		for _, o := range sampleS {
-			if alive[o.idx] {
+			if alive.Has(o.idx) {
 				pn++
 				if o.match {
 					ptp++
 				}
 			}
 		}
-		pAlive, epAlive := prf(ptp, pn, ppAlive, cfg.Confidence)
+		pAlive, epAlive := prf(ptp, pn, alive.AndCount(pp), cfg.Confidence)
 		pIv = stats.Interval{Point: pAlive, Margin: epAlive}
 		// Recall: all actual positives are in C', so the uniform-sample
 		// ratio estimates it directly (Eq. 3, no FPC — the positive
@@ -353,7 +336,7 @@ func Estimate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 		res.Precision = pIv
 		res.Recall = rIv
 		res.F1 = 100 * stats.F1(pIv.Point, rIv.Point)
-		res.FinalSetSize = aliveCount
+		res.FinalSetSize = alive.Len()
 		return res
 	}
 
@@ -361,39 +344,32 @@ func Estimate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 	recfg.Policy = cfg.Policy
 	recfg.StopEarly = cfg.StopEarly
 
+	// Probe workspace, reused across probes: the unsampled alive rows and
+	// the sampler's buffers.
+	free := ruleeval.NewRowSet(n)
+	var sampler ruleeval.RowSampler
+
 	for {
 		// Probe (§6.2's limited sampling, b = 50): up to half the batch
 		// labels unsampled predicted positives (the precision stratum);
 		// the rest is a fresh uniform draw from C'.
-		var ppPool []int
-		for _, i := range ppIdx {
-			if alive[i] && !sampled[i] {
-				ppPool = append(ppPool, i)
-			}
-		}
-		bS := cfg.LabelBatch / 2
-		if bS > len(ppPool) {
-			bS = len(ppPool)
-		}
-		for _, j := range stats.SampleIndices(rng, len(ppPool), bS) {
-			idx := ppPool[j]
-			sampled[idx] = true
+		free.Set(alive)
+		free.AndNot(sampled)
+		free.And(pp)
+		bS := min(cfg.LabelBatch/2, free.Len())
+		for _, idx := range sampler.Draw(rng, free, bS) {
+			sampled.Add(idx)
 			match := runner.Label(pairs[idx], cfg.Policy)
 			res.LabelsUsed++
 			sampleS = append(sampleS, obs{idx: idx, match: match})
 		}
-		var pool []int
-		for i := range pairs {
-			if alive[i] && !sampled[i] {
-				pool = append(pool, i)
-			}
-		}
-		if len(pool) == 0 && bS == 0 {
+		free.Set(alive)
+		free.AndNot(sampled)
+		if free.Len() == 0 && bS == 0 {
 			return finish(estimate())
 		}
-		for _, j := range stats.SampleIndices(rng, len(pool), cfg.LabelBatch-bS) {
-			idx := pool[j]
-			sampled[idx] = true
+		for _, idx := range sampler.Draw(rng, free, cfg.LabelBatch-bS) {
+			sampled.Add(idx)
 			match := runner.Label(pairs[idx], cfg.Policy)
 			res.LabelsUsed++
 			sampleU = append(sampleU, obs{idx: idx, match: match})
@@ -414,7 +390,7 @@ func Estimate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 		// Density of positives in C' from the uniform sample.
 		nAlive, nPos := 0, 0
 		for _, o := range sampleU {
-			if alive[o.idx] {
+			if alive.Has(o.idx) {
 				nAlive++
 				if o.match {
 					nPos++
@@ -428,8 +404,8 @@ func Estimate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 
 		// Enumerate options (§6.2 step 2): prefixes of the remaining rules
 		// in greedy max-marginal-coverage order, plus the empty option.
-		choice := chooseOption(cands, ruleUsed, alive, aliveCount, density, rIv, cfg)
-		step := TraceStep{Alive: aliveCount, Density: density,
+		choice := chooseOption(cands, ruleUsed, alive, density, rIv, cfg)
+		step := TraceStep{Alive: alive.Len(), Density: density,
 			ChoseRules: len(choice), PMargin: pIv.Margin, RMargin: rIv.Margin}
 		if len(choice) == 0 {
 			res.Trace = append(res.Trace, step)
@@ -451,15 +427,7 @@ func Estimate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 			}
 			step.RulesKept++
 			res.RulesApplied = append(res.RulesApplied, ev.Candidate.Rule)
-			for _, idx := range ev.Candidate.Coverage {
-				if alive[idx] {
-					alive[idx] = false
-					aliveCount--
-					if predictions[idx] {
-						ppAlive--
-					}
-				}
-			}
+			alive.AndNot(ev.Candidate.Coverage)
 		}
 		res.Trace = append(res.Trace, step)
 		// Labels spent during rule evaluation also inform the estimates on
@@ -469,13 +437,9 @@ func Estimate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 }
 
 // restrict filters a candidate's coverage to the alive set.
-func restrict(c ruleeval.Candidate, alive []bool) ruleeval.Candidate {
-	var cov []int
-	for _, idx := range c.Coverage {
-		if alive[idx] {
-			cov = append(cov, idx)
-		}
-	}
+func restrict(c ruleeval.Candidate, alive *ruleeval.RowSet) ruleeval.Candidate {
+	cov := c.Coverage.Clone()
+	cov.And(alive)
 	return ruleeval.Candidate{Rule: c.Rule, Coverage: cov}
 }
 
@@ -485,24 +449,27 @@ func restrict(c ruleeval.Candidate, alive []bool) ruleeval.Candidate {
 // assuming the rules pass). Options are the prefixes of the greedy
 // max-marginal-coverage ordering of the unused rules, plus the empty
 // option; the cheapest is returned (empty slice = sample-only).
-func chooseOption(cands []ruleeval.Candidate, used []bool, alive []bool,
-	aliveCount int, density float64, rIv stats.Interval, cfg Config) []int {
+func chooseOption(cands []ruleeval.Candidate, used []bool, alive *ruleeval.RowSet,
+	density float64, rIv stats.Interval, cfg Config) []int {
 
-	// Greedy ordering by marginal coverage over alive examples.
+	// Greedy ordering by marginal coverage over alive examples. An entry's
+	// gain is fixed when it is picked: the alive rows it covers that no
+	// earlier pick does — a popcount against the still-uncovered set.
 	type entry struct {
-		ci  int
-		cov []int
+		ci   int
+		size int // alive rows covered
+		gain int // of those, new at its place in the order
 	}
 	var avail []entry
 	for ci, c := range cands {
 		if used[ci] {
 			continue
 		}
-		rc := restrict(c, alive)
-		if len(rc.Coverage) == 0 {
+		size := c.Coverage.AndCount(alive)
+		if size == 0 {
 			continue
 		}
-		avail = append(avail, entry{ci: ci, cov: rc.Coverage})
+		avail = append(avail, entry{ci: ci, size: size})
 		if len(avail) >= cfg.TopK {
 			break // per-round rule budget (§6.2's k)
 		}
@@ -510,18 +477,12 @@ func chooseOption(cands []ruleeval.Candidate, used []bool, alive []bool,
 	if len(avail) == 0 {
 		return nil
 	}
-	covered := make(map[int]bool)
+	uncovered := alive.Clone()
 	var order []entry
 	for len(avail) > 0 {
 		best, bestGain := -1, 0
 		for i, e := range avail {
-			gain := 0
-			for _, idx := range e.cov {
-				if !covered[idx] {
-					gain++
-				}
-			}
-			if gain > bestGain {
+			if gain := cands[e.ci].Coverage.AndCount(uncovered); gain > bestGain {
 				best, bestGain = i, gain
 			}
 		}
@@ -529,12 +490,12 @@ func chooseOption(cands []ruleeval.Candidate, used []bool, alive []bool,
 			break
 		}
 		e := avail[best]
+		e.gain = bestGain
 		avail = append(avail[:best], avail[best+1:]...)
 		order = append(order, e)
-		for _, idx := range e.cov {
-			covered[idx] = true
-		}
+		uncovered.AndNot(cands[e.ci].Coverage)
 	}
+	aliveCount := alive.Len()
 
 	// Recall estimate for sizing the needed positive count; unknown early
 	// on, so fall back to the conservative 0.5.
@@ -572,18 +533,10 @@ func chooseOption(cands []ruleeval.Candidate, used []bool, alive []bool,
 	var bestChoice []int
 	cum := 0
 	cumEval := 0.0
-	covered = make(map[int]bool)
 	prefix := make([]int, 0, len(order))
 	for _, e := range order {
-		gain := 0
-		for _, idx := range e.cov {
-			if !covered[idx] {
-				covered[idx] = true
-				gain++
-			}
-		}
-		cum += gain
-		cumEval += evalCost(len(e.cov))
+		cum += e.gain
+		cumEval += evalCost(e.size)
 		prefix = append(prefix, e.ci)
 		newSize := aliveCount - cum
 		// Positives survive reduction (rules assumed precise), so the

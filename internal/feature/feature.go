@@ -272,13 +272,22 @@ func (e *Extractor) VectorScratch(p record.Pair, s *similarity.Scratch) []float6
 
 // Vectors computes feature vectors for all pairs, fanning out across
 // GOMAXPROCS goroutines with one scratch per worker. Order matches the
-// input order.
+// input order. The rows are views into one len(pairs)×NumFeatures backing
+// array — one allocation instead of one per pair — each clipped to its own
+// capacity, so appending to a row reallocates instead of writing into the
+// next one.
 func (e *Extractor) Vectors(pairs []record.Pair) [][]float64 {
+	d := len(e.features)
+	flat := make([]float64, len(pairs)*d)
 	out := make([][]float64, len(pairs))
 	par.For(len(pairs), func(lo, hi int) {
 		s := similarity.NewScratch()
 		for i := lo; i < hi; i++ {
-			out[i] = e.VectorScratch(pairs[i], s)
+			row := flat[i*d : (i+1)*d : (i+1)*d]
+			for f := range row {
+				row[f] = e.ComputeScratch(f, pairs[i], s)
+			}
+			out[i] = row
 		}
 	})
 	return out

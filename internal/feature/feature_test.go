@@ -1,6 +1,7 @@
 package feature
 
 import (
+	"math"
 	"testing"
 
 	"github.com/corleone-em/corleone/internal/record"
@@ -135,6 +136,39 @@ func TestVectorsParallelMatchesSequential(t *testing.T) {
 			if got[i][j] != want[j] {
 				t.Fatalf("Vectors[%d][%d] = %v, want %v", i, j, got[i][j], want[j])
 			}
+		}
+	}
+}
+
+// TestVectorsRowsIndependent pins the flat-backing contract: every row of
+// Vectors is bit-for-bit the pair's own Vector, and is clipped to its own
+// capacity, so appending to one row cannot write into the next.
+func TestVectorsRowsIndependent(t *testing.T) {
+	ds := testDataset()
+	ex := NewExtractor(ds)
+	var pairs []record.Pair
+	for a := 0; a < ds.A.Len(); a++ {
+		for b := 0; b < ds.B.Len(); b++ {
+			pairs = append(pairs, record.P(a, b))
+		}
+	}
+	X := ex.Vectors(pairs)
+	for i, p := range pairs {
+		want := ex.Vector(p)
+		if len(X[i]) != len(want) || cap(X[i]) != len(X[i]) {
+			t.Fatalf("row %d: len %d cap %d, want len = cap = %d", i, len(X[i]), cap(X[i]), len(want))
+		}
+		for j := range want {
+			if math.Float64bits(X[i][j]) != math.Float64bits(want[j]) {
+				t.Fatalf("Vectors[%d][%d] = %v, Vector = %v", i, j, X[i][j], want[j])
+			}
+		}
+	}
+	next := append([]float64(nil), X[1]...)
+	_ = append(X[0], -7)
+	for j, v := range next {
+		if math.Float64bits(X[1][j]) != math.Float64bits(v) {
+			t.Fatalf("append to row 0 changed row 1 at %d", j)
 		}
 	}
 }

@@ -28,13 +28,19 @@ import (
 
 // AllocPackages lists the module-relative hot-path packages the gate
 // guards: the scoring, similarity, and transport kernels where a stray
-// allocation shows up directly in probe throughput, and the extractor
-// build (feature, strutil) whose per-record allocations lead the profile
-// once blocking goes through the index.
+// allocation shows up directly in probe throughput, the extractor build
+// (feature, strutil) whose per-record allocations lead the profile once
+// blocking goes through the index, and the row-set stages after blocking
+// (ruleeval, estimator, locator, blocker), whose loops run once per round
+// or probe over sets the size of the candidate set.
 var AllocPackages = []string{
 	"internal/active",
+	"internal/blocker",
+	"internal/estimator",
 	"internal/feature",
 	"internal/forest",
+	"internal/locator",
+	"internal/ruleeval",
 	"internal/shard",
 	"internal/simindex",
 	"internal/similarity",

@@ -98,32 +98,23 @@ func Locate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 	evalPos := ruleeval.EvaluateJoint(rng, runner, pairs, topPos, cfg.RuleEval)
 	res.Evaluated = append(append([]ruleeval.Result{}, evalNeg...), evalPos...)
 
-	covered := make([]bool, len(pairs))
+	// §7 step 2: the pairs no certified rule covers are the difficult set.
+	difficult := ruleeval.FullRowSet(len(pairs))
 	for _, ev := range evalNeg {
 		if !ev.Kept {
 			continue
 		}
 		res.NegativeRules = append(res.NegativeRules, ev.Candidate.Rule)
-		for _, idx := range ev.Candidate.Coverage {
-			covered[idx] = true
-		}
+		difficult.AndNot(ev.Candidate.Coverage)
 	}
 	for _, ev := range evalPos {
 		if !ev.Kept {
 			continue
 		}
 		res.PositiveRules = append(res.PositiveRules, ev.Candidate.Rule)
-		for _, idx := range ev.Candidate.Coverage {
-			covered[idx] = true
-		}
+		difficult.AndNot(ev.Candidate.Coverage)
 	}
-
-	// §7 step 2: the uncovered pairs are the difficult set.
-	for i := range pairs {
-		if !covered[i] {
-			res.DifficultIdx = append(res.DifficultIdx, i)
-		}
-	}
+	res.DifficultIdx = difficult.AppendTo(nil)
 
 	// §7 termination tests.
 	switch {

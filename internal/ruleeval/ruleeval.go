@@ -11,60 +11,74 @@
 package ruleeval
 
 import (
+	"math/bits"
 	"math/rand"
 	"sort"
 
 	"github.com/corleone-em/corleone/internal/crowd"
+	"github.com/corleone-em/corleone/internal/par"
 	"github.com/corleone-em/corleone/internal/record"
 	"github.com/corleone-em/corleone/internal/stats"
 	"github.com/corleone-em/corleone/internal/tree"
 )
 
 // Candidate is a rule together with its coverage over the evaluation
-// sample: the indices of covered examples (§4.2's cov(R, S)).
+// sample: the set of covered rows (§4.2's cov(R, S)).
 type Candidate struct {
 	Rule     tree.Rule
-	Coverage []int
-}
-
-// Cover computes a rule's coverage over a feature matrix.
-func Cover(r tree.Rule, X [][]float64) []int {
-	var out []int
-	for i, v := range X {
-		if r.Matches(v) {
-			out = append(out, i)
-		}
-	}
-	return out
+	Coverage *RowSet
 }
 
 // MakeCandidates computes coverages for all rules over X, dropping rules
-// with empty coverage (nothing to evaluate, nothing to gain).
+// with empty coverage (nothing to evaluate, nothing to gain). Coverage bits
+// are filled in parallel over 64-row blocks — one word of every rule per
+// block, so a block's rows are read once for all rules. Each bit is a pure
+// function of its own row, so the result is identical at every GOMAXPROCS.
 func MakeCandidates(rules []tree.Rule, X [][]float64) []Candidate {
-	var out []Candidate
-	for _, r := range rules {
-		cov := Cover(r, X)
-		if len(cov) == 0 {
-			continue
+	n := len(X)
+	covs := make([]*RowSet, len(rules))
+	for i := range covs {
+		covs[i] = NewRowSet(n)
+	}
+	par.For((n+63)/64, func(lo, hi int) {
+		for w := lo; w < hi; w++ {
+			rows := X[w*64 : min(w*64+64, n)]
+			for ri := range rules {
+				var word uint64
+				for b, v := range rows {
+					if rules[ri].Matches(v) {
+						word |= 1 << uint(b)
+					}
+				}
+				covs[ri].words[w] = word
+			}
 		}
-		out = append(out, Candidate{Rule: r, Coverage: cov})
+	})
+	var out []Candidate
+	for ri, cov := range covs {
+		for _, w := range cov.words {
+			cov.count += bits.OnesCount64(w)
+		}
+		if cov.count > 0 {
+			out = append(out, Candidate{Rule: rules[ri], Coverage: cov})
+		}
 	}
 	return out
 }
 
 // Contradicting builds §4.2's set T for rules that conclude !match: the
-// indexes into pairs of the known examples labeled match (positives
+// rows of pairs holding the known examples labeled match (positives
 // contradict a negative rule, negatives a positive one). Known examples
-// outside pairs are ignored; a pair listed twice counts at its last index.
+// outside pairs are ignored; a pair listed twice counts at its last row.
 // Only the known labels are hashed, so the cost is one lookup per pair.
-func Contradicting(pairs []record.Pair, known []record.Labeled, match bool) map[int]bool {
+func Contradicting(pairs []record.Pair, known []record.Labeled, match bool) *RowSet {
 	at := make(map[record.Pair]int, len(known))
 	for _, l := range known {
 		if l.Match == match {
 			at[l.Pair] = -1
 		}
 	}
-	out := map[int]bool{}
+	out := NewRowSet(len(pairs))
 	if len(at) == 0 {
 		return out
 	}
@@ -75,7 +89,7 @@ func Contradicting(pairs []record.Pair, known []record.Labeled, match bool) map[
 	}
 	for _, i := range at {
 		if i >= 0 {
-			out[i] = true
+			out.Add(i)
 		}
 	}
 	return out
@@ -86,27 +100,22 @@ func Contradicting(pairs []record.Pair, known []record.Labeled, match bool) map[
 // already labeled by the crowd in a way that contradicts the rule's
 // conclusion (labeled positive for a negative rule, and vice versa). Ties
 // break by larger coverage. Returns the top k (all, if fewer).
-func SelectTopK(cands []Candidate, contradicting map[int]bool, k int) []Candidate {
+func SelectTopK(cands []Candidate, contradicting *RowSet, k int) []Candidate {
 	type scored struct {
 		c  Candidate
 		ub float64
 	}
 	ss := make([]scored, len(cands))
 	for i, c := range cands {
-		bad := 0
-		for _, idx := range c.Coverage {
-			if contradicting[idx] {
-				bad++
-			}
-		}
-		ss[i] = scored{c: c, ub: float64(len(c.Coverage)-bad) / float64(len(c.Coverage))}
+		m := c.Coverage.Len()
+		ss[i] = scored{c: c, ub: float64(m-c.Coverage.AndCount(contradicting)) / float64(m)}
 	}
 	sort.SliceStable(ss, func(i, j int) bool {
 		//corlint:allow float-eq — deterministic sort comparator: exactly equal upper bounds fall through to the coverage tie-break
 		if ss[i].ub != ss[j].ub {
 			return ss[i].ub > ss[j].ub
 		}
-		return len(ss[i].c.Coverage) > len(ss[j].c.Coverage)
+		return ss[i].c.Coverage.Len() > ss[j].c.Coverage.Len()
 	})
 	if k > len(ss) {
 		k = len(ss)
@@ -184,21 +193,15 @@ func EvaluateJoint(rng *rand.Rand, runner *crowd.Runner, pairs []record.Pair,
 		done       bool // decided (kept or dropped)
 	}
 	states := make([]state, len(cands))
-	labeledSet := map[int]bool{} // sample indices already labeled
+	labeled := NewRowSet(len(pairs)) // rows already labeled
 
-	// covers[i] = candidate indices covering sample index i.
-	covers := map[int][]int{}
-	for ci, c := range cands {
-		for _, idx := range c.Coverage {
-			covers[idx] = append(covers[idx], ci)
-		}
-	}
-
-	// absorb feeds a labeled example into every covering rule's tally.
+	// absorb feeds a labeled example into every covering rule's tally. The
+	// tallies are independent counters, so visiting the rules in candidate
+	// order gives what any other order would.
 	absorb := func(idx int, match bool) {
-		labeledSet[idx] = true
-		for _, ci := range covers[idx] {
-			if states[ci].done {
+		labeled.Add(idx)
+		for ci := range cands {
+			if states[ci].done || !cands[ci].Coverage.Has(idx) {
 				continue
 			}
 			states[ci].n++
@@ -212,7 +215,7 @@ func EvaluateJoint(rng *rand.Rand, runner *crowd.Runner, pairs []record.Pair,
 	// if the rule's fate is settled.
 	decide := func(ci int) bool {
 		st := &states[ci]
-		m := len(cands[ci].Coverage)
+		m := cands[ci].Coverage.Len()
 		iv := stats.EstimateProportion(st.correct, st.n, m, cfg.Confidence)
 		results[ci].Precision = iv
 		results[ci].Sampled = st.n
@@ -237,31 +240,24 @@ func EvaluateJoint(rng *rand.Rand, runner *crowd.Runner, pairs []record.Pair,
 		results[ci].Candidate = cands[ci]
 	}
 
+	// The pool of a round is the unlabeled rows in the union of the active
+	// coverages; its ascending enumeration is the sorted base order the
+	// sampler draws from.
+	pool := NewRowSet(len(pairs))
+	var sampler RowSampler
 	for {
-		// Pool: unlabeled examples in the union of active coverages.
-		poolSet := map[int]bool{}
+		pool.Clear()
 		for ci, c := range cands {
-			if states[ci].done {
-				continue
-			}
-			for _, idx := range c.Coverage {
-				if !labeledSet[idx] {
-					poolSet[idx] = true
-				}
+			if !states[ci].done {
+				pool.Or(c.Coverage)
 			}
 		}
-		if len(poolSet) == 0 {
+		pool.AndNot(labeled)
+		if pool.Len() == 0 {
 			break
 		}
-		pool := make([]int, 0, len(poolSet))
-		for idx := range poolSet {
-			pool = append(pool, idx)
-		}
-		sort.Ints(pool) // deterministic base order before sampling
-		for _, j := range stats.SampleIndices(rng, len(pool), cfg.Batch) {
-			idx := pool[j]
-			match := runner.Label(pairs[idx], cfg.Policy)
-			absorb(idx, match)
+		for _, idx := range sampler.Draw(rng, pool, cfg.Batch) {
+			absorb(idx, runner.Label(pairs[idx], cfg.Policy))
 		}
 		active := 0
 		for ci := range cands {

@@ -2,6 +2,7 @@ package ruleeval
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/corleone-em/corleone/internal/crowd"
@@ -35,6 +36,15 @@ func makeFixture(n int, matchEvery int) fixture {
 	return f
 }
 
+// rowsOf builds the row set {rows...} over [0, n).
+func rowsOf(n int, rows ...int) *RowSet {
+	s := NewRowSet(n)
+	for _, i := range rows {
+		s.Add(i)
+	}
+	return s
+}
+
 func negRule(thr float64) tree.Rule {
 	return tree.Rule{Preds: []tree.Predicate{{Feature: 0, Op: tree.LE, Threshold: thr}}}
 }
@@ -48,14 +58,18 @@ func posRule(thr float64) tree.Rule {
 
 func TestCover(t *testing.T) {
 	f := makeFixture(10, 3)
-	cov := Cover(negRule(0.5), f.X)
-	for _, i := range cov {
+	cov := MakeCandidates([]tree.Rule{negRule(0.5)}, f.X)[0].Coverage
+	got := cov.AppendTo(nil)
+	for _, i := range got {
 		if f.X[i][0] > 0.5 {
 			t.Errorf("index %d should not be covered", i)
 		}
 	}
-	if len(cov) != 6 { // non-matches among 0..9 are 1,2,4,5,7,8
-		t.Errorf("coverage size = %d, want 6", len(cov))
+	if want := []int{1, 2, 4, 5, 7, 8}; !reflect.DeepEqual(got, want) { // the non-matches among 0..9
+		t.Errorf("coverage = %v, want %v", got, want)
+	}
+	if cov.Len() != 6 || cov.Universe() != 10 {
+		t.Errorf("coverage size %d over %d rows, want 6 over 10", cov.Len(), cov.Universe())
 	}
 }
 
@@ -71,27 +85,27 @@ func TestSelectTopKRanking(t *testing.T) {
 	// Rule A: coverage 4, one contradicted -> ub 0.75.
 	// Rule B: coverage 2, none contradicted -> ub 1.0.
 	cands := []Candidate{
-		{Rule: negRule(1), Coverage: []int{0, 1, 2, 3}},
-		{Rule: negRule(2), Coverage: []int{4, 5}},
+		{Rule: negRule(1), Coverage: rowsOf(6, 0, 1, 2, 3)},
+		{Rule: negRule(2), Coverage: rowsOf(6, 4, 5)},
 	}
-	top := SelectTopK(cands, map[int]bool{0: true}, 2)
+	top := SelectTopK(cands, rowsOf(6, 0), 2)
 	if len(top) != 2 {
 		t.Fatalf("topk = %d", len(top))
 	}
-	if len(top[0].Coverage) != 2 {
+	if top[0].Coverage.Len() != 2 {
 		t.Error("uncontradicted rule should rank first")
 	}
 	// k larger than candidates returns all.
-	if got := SelectTopK(cands, nil, 10); len(got) != 2 {
+	if got := SelectTopK(cands, rowsOf(6), 10); len(got) != 2 {
 		t.Errorf("overlarge k = %d results", len(got))
 	}
 	// Tie on upper bound breaks by larger coverage.
 	tie := []Candidate{
-		{Rule: negRule(1), Coverage: []int{0}},
-		{Rule: negRule(2), Coverage: []int{1, 2}},
+		{Rule: negRule(1), Coverage: rowsOf(3, 0)},
+		{Rule: negRule(2), Coverage: rowsOf(3, 1, 2)},
 	}
-	got := SelectTopK(tie, nil, 1)
-	if len(got[0].Coverage) != 2 {
+	got := SelectTopK(tie, rowsOf(3), 1)
+	if got[0].Coverage.Len() != 2 {
 		t.Error("coverage tiebreak failed")
 	}
 }
