@@ -61,8 +61,10 @@ shard:
 # and CI call this). Wire format: the pair codec (exact round trip,
 # canonical re-encoding, decoder totality over arbitrary bytes) and the
 # K-way merge vs its reference. Pair kernels: bit-parallel Jaro vs the greedy
-# matcher, and the integer-coded set measures vs the string merges, both
-# to Float64bits equality (DESIGN.md "Pair kernels"). Journal: arbitrary
+# matcher, the integer-coded set measures vs the string merges, and the
+# Monge-Elkan token-pair table (fill, read-back and both directions of every
+# cell) vs the string measure, all to Float64bits equality (DESIGN.md "Pair
+# kernels", "Operand dictionaries and write-once tables"). Journal: arbitrary
 # bytes as a log and as a snapshot never restore more than their longest
 # valid frame prefix, and one altered byte never goes unnoticed (DESIGN.md
 # "The journal"). Row sets: the bitset behind every post-blocking row set vs
@@ -81,6 +83,7 @@ fuzz:
 	$(FUZZ) -fuzz 'FuzzMergePairs' ./internal/shard
 	$(FUZZ) -fuzz 'FuzzJaroBitParallel' ./internal/similarity
 	$(FUZZ) -fuzz 'FuzzSetKernels' ./internal/similarity
+	$(FUZZ) -fuzz 'FuzzMongeElkanTable' ./internal/similarity
 	$(FUZZ) -fuzz 'FuzzRowSet' ./internal/ruleeval
 	$(FUZZ) -fuzz 'FuzzJournalReplay' -fuzzminimizetime 0 ./internal/runsvc
 	$(FUZZ) -fuzz 'FuzzForestLoad' -fuzzminimizetime 0 ./internal/runsvc

@@ -300,7 +300,13 @@ func Run(ds *record.Dataset, c crowd.Crowd, cfg Config) (*Result, error) {
 	// Consume the umbrella set as a stream: the blocker's planner emits
 	// bounded chunks in deterministic order, and the engine materializes C
 	// exactly once here (the matcher needs random access to it).
+	// Below t_B blocking passes all of A×B through, so C's size is known:
+	// one allocation instead of append's doubling. A triggered run's
+	// umbrella set is a small, unknown fraction and keeps growing by chunk.
 	var C []record.Pair
+	if n := ds.CartesianSize(); n <= int64(bcfg.TB) {
+		C = make([]record.Pair, 0, n)
+	}
 	bcfg.Sink = func(chunk []record.Pair) { C = append(C, chunk...) }
 	blk, err := blocker.Run(ds, ex, runner, bcfg)
 	if err != nil {

@@ -5,15 +5,21 @@
 // Blocker's greedy rule selection (§4.3), and supports lazy single-feature
 // evaluation so blocking rules can short-circuit over A×B.
 //
-// The extractor precomputes a similarity.Profile for every (record,
-// attribute) cell of both tables at construction: tokenization, rune
-// decoding, q-gram counting, TF/IDF weighing, and numeric parsing happen
-// once per record instead of once per comparison, so the pair-scan inner
-// loop — the O(|A|·|B|) hot path — is arithmetic over prebuilt structures:
-// bit masks for the character measures, sorted integer codes (vocabulary
-// ranks, packed 3-grams) for the set measures (DESIGN.md "Pair kernels").
-// Profiles are the only path; the tests pin every feature bit for bit to the
-// string measures of package similarity applied to the raw attribute values.
+// The extractor dictionary-encodes every attribute column of both tables at
+// construction and precomputes one similarity.Profile per distinct value:
+// tokenization, rune decoding, q-gram counting, TF/IDF weighing, and numeric
+// parsing happen once per value instead of once per comparison, so the
+// pair-scan inner loop — the O(|A|·|B|) hot path — is arithmetic over
+// prebuilt structures: bit masks for the character measures, sorted integer
+// codes (vocabulary ranks, packed 3-grams) for the set measures (DESIGN.md
+// "Pair kernels"). A feature is a pure function of its two raw values, and
+// Monge-Elkan's inner score of two tokens, so a column that repeats its
+// operands often enough also gets a write-once table per distinct operand
+// pair (DESIGN.md "Operand dictionaries and write-once tables").
+// ComputeScratch is the only place a feature value is produced — the table's
+// cell if it is filled, else the profile kernel, whose result fills it; the
+// tests pin every feature bit for bit, first touch and second, to the string
+// measures of package similarity applied to the raw attribute values.
 package feature
 
 import (
@@ -23,6 +29,7 @@ import (
 	"github.com/corleone-em/corleone/internal/par"
 	"github.com/corleone-em/corleone/internal/record"
 	"github.com/corleone-em/corleone/internal/similarity"
+	"github.com/corleone-em/corleone/internal/strutil"
 )
 
 // Missing is the sentinel vector value for a feature whose inputs are
@@ -50,20 +57,61 @@ type Feature struct {
 	Cost float64
 
 	pfn profileFn
+	// slot is the feature's position among its attribute's features: its
+	// offset inside a cell group of the column's value-pair table.
+	slot int
 }
 
 // Extractor binds a feature library to a dataset and computes vectors.
-// Construction precomputes per-record profiles for both tables; Compute,
-// Vector, and Vectors all route through them.
+// Construction precomputes the profiles of both tables' distinct values;
+// Compute, Vector, and Vectors all route through ComputeScratch.
 type Extractor struct {
 	A, B     *record.Table
 	features []Feature
-	// profA[attrIdx][row] / profB[attrIdx][row] are the precomputed
-	// profiles; entries are nil for attributes without features.
-	profA, profB [][]*similarity.Profile
+	// cols[attrIdx] is the attribute's encoded column; zero for attributes
+	// without features.
+	cols []column
 	// scratch pools per-goroutine DP buffers for callers that do not
 	// thread their own (single Compute/Vector calls).
 	scratch sync.Pool
+}
+
+// column is one attribute of both tables, dictionary-encoded.
+type column struct {
+	// profA[row] / profB[row] are the precomputed profiles: one per
+	// distinct raw value, shared by every row that holds the value.
+	profA, profB []*similarity.Profile
+	// tokens scores the column's Monge-Elkan feature over its token
+	// dictionaries; nil for columns without one.
+	tokens *similarity.TokenPairs
+
+	// The value-pair table, for columns worth one (worthTable): the cell of
+	// feature f on a pair of rows is
+	// cells[(valA[p.A]*nValB+valB[p.B])*width+f.slot], valA / valB being the
+	// rows' value ids and width the attribute's feature count. All nil
+	// and zero otherwise.
+	valA, valB   []uint32
+	nValB, width int
+	cells        []similarity.Cell
+}
+
+// minReuse is how often, on average, the full product A×B must come back to
+// one pair of operands — two distinct values of a column, or two distinct
+// tokens of a Monge-Elkan column — before those pairs get a table. Below it
+// a table's bytes buy too little: a job of a few thousand pairs revisits
+// its name tokens about three times and is better off computing.
+const minReuse = 4
+
+// maxTableCells caps one table at 32 MiB whatever its reuse: dictionaries
+// grow with the tables, and a table must never be what exhausts memory.
+const maxTableCells = 1 << 22
+
+// worthTable is the one rule both levels share: evals is how many times the
+// full product would run the kernel, operands how many distinct operand
+// pairs those runs are over, cells how many table cells an operand pair
+// takes.
+func worthTable(evals, operands, cells int) bool {
+	return operands > 0 && evals >= minReuse*operands && operands*cells <= maxTableCells
 }
 
 // measure couples a similarity measure over profiles with its name, cost,
@@ -88,19 +136,24 @@ func numericWrapP(f func(x, y float64) float64) profileFn {
 }
 
 // NewExtractor builds the feature library for the dataset's schema and
-// precomputes both tables' profiles (in parallel across rows). Text
-// attributes get TF/IDF features backed by a corpus built from the values of
-// that attribute across both tables, mirroring how EM systems fit IDF on the
-// data being matched.
+// precomputes both tables' profiles (in parallel across distinct values).
+// Text attributes get TF/IDF features backed by a corpus built from the
+// values of that attribute across both tables, mirroring how EM systems fit
+// IDF on the data being matched.
 func NewExtractor(ds *record.Dataset) *Extractor {
-	e := &Extractor{
-		A:     ds.A,
-		B:     ds.B,
-		profA: make([][]*similarity.Profile, len(ds.A.Schema)),
-		profB: make([][]*similarity.Profile, len(ds.A.Schema)),
-	}
+	e := &Extractor{A: ds.A, B: ds.B, cols: make([]column, len(ds.A.Schema))}
 	e.scratch.New = func() any { return similarity.NewScratch() }
+	pairs := int(ds.CartesianSize())
+	// One interner numbers every dictionary of the build in turn — each
+	// column's values, then its tokens — so its map grows once.
+	var in strutil.Interner
 	for idx, attr := range ds.A.Schema {
+		col := &e.cols[idx]
+		// The Monge-Elkan closure reads col.tokens on every call; it is bound
+		// below, once the column's profiles exist to build dictionaries from.
+		mongeElkan := func(a, b *similarity.Profile, s *similarity.Scratch) float64 {
+			return col.tokens.MongeElkan(a, b, s)
+		}
 		var ms []measure
 		switch attr.Type {
 		case record.AttrString:
@@ -110,7 +163,7 @@ func NewExtractor(ds *record.Dataset) *Extractor {
 				{"edit", 5, normWrapP(similarity.EditSimProfiles), similarity.FieldRunes},
 				{"jaccard_w", 3, normWrapP(noScratch(similarity.JaccardWordsProfiles)), similarity.FieldWordSet},
 				{"jaccard_3g", 4, normWrapP(noScratch(similarity.JaccardQGramsProfiles)), similarity.FieldQGrams},
-				{"monge_elkan", 8, normWrapP(similarity.MongeElkanProfiles), similarity.FieldTokenRunes},
+				{"monge_elkan", 8, normWrapP(mongeElkan), similarity.FieldTokenIDs},
 			}
 		case record.AttrText:
 			ms = []measure{
@@ -135,7 +188,7 @@ func NewExtractor(ds *record.Dataset) *Extractor {
 			continue
 		}
 		var fields similarity.Fields
-		for _, m := range ms {
+		for slot, m := range ms {
 			fields |= m.fields
 			e.features = append(e.features, Feature{
 				Name:    fmt.Sprintf("%s_%s", attr.Name, m.kind),
@@ -144,41 +197,83 @@ func NewExtractor(ds *record.Dataset) *Extractor {
 				Kind:    m.kind,
 				Cost:    m.cost,
 				pfn:     m.pfn,
+				slot:    slot,
 			})
 		}
-		profA := buildProfiles(ds.A, idx, fields)
-		profB := buildProfiles(ds.B, idx, fields)
+		ids := make([]uint32, ds.A.Len()+ds.B.Len())
+		valA, valB := ids[:ds.A.Len()], ids[ds.A.Len():]
+		var distA, distB []*similarity.Profile
+		col.profA, distA = buildProfiles(ds.A, idx, fields, valA, &in)
+		col.profB, distB = buildProfiles(ds.B, idx, fields, valB, &in)
 		if fields&(similarity.FieldWordSet|similarity.FieldTFIDF) != 0 {
-			// The attribute's token dictionary, built from the column's
-			// already tokenized profiles.
-			corpus := similarity.ProfileCorpus(profA, profB)
+			// The attribute's word dictionary, built from the column's already
+			// tokenized profiles. Document frequencies count rows — the
+			// per-row columns go in, a repeated value once per row holding
+			// it — while each distinct profile is ranked and weighed once.
+			corpus := similarity.ProfileCorpus(col.profA, col.profB)
 			attach := corpus.RankProfile
 			if fields&similarity.FieldTFIDF != 0 {
 				attach = corpus.WeighProfile
 			}
-			for _, col := range [][]*similarity.Profile{profA, profB} {
-				par.For(len(col), func(lo, hi int) {
-					for _, p := range col[lo:hi] {
+			for _, dist := range [][]*similarity.Profile{distA, distB} {
+				par.For(len(dist), func(lo, hi int) {
+					for _, p := range dist[lo:hi] {
 						attach(p)
 					}
 				})
 			}
 		}
-		e.profA[idx], e.profB[idx] = profA, profB
+		if worthTable(pairs, len(distA)*len(distB), len(ms)) {
+			col.valA, col.valB = valA, valB
+			col.nValB, col.width = len(distB), len(ms)
+			col.cells = make([]similarity.Cell, len(distA)*len(distB)*len(ms))
+		}
+		if fields&similarity.FieldTokenIDs != 0 {
+			// With a value table the kernel sees each distinct value pair
+			// once, so that — not the rows — is what its token pairs recur
+			// over.
+			opsA, opsB := col.profA, col.profB
+			if col.cells != nil {
+				opsA, opsB = distA, distB
+			}
+			dictA, dictB := similarity.NewTokenDict(distA, &in), similarity.NewTokenDict(distB, &in)
+			col.tokens = similarity.NewTokenPairs(dictA, dictB,
+				worthTable(countTokens(opsA)*countTokens(opsB), dictA.Len()*dictB.Len(), 2))
+		}
 	}
 	return e
 }
 
-// buildProfiles precomputes the corpus-independent views of one attribute
-// column, fanned out across rows.
-func buildProfiles(t *record.Table, attrIdx int, fields similarity.Fields) []*similarity.Profile {
-	out := make([]*similarity.Profile, t.Len())
-	par.For(t.Len(), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = similarity.NewProfile(t.Rows[i][attrIdx], fields)
+// buildProfiles dictionary-encodes one attribute column: ids[row] receives
+// the row's value id — ids count up in first-seen row order — and every
+// distinct value gets one profile (its corpus-independent views, fanned out
+// across values), which all the rows holding the value share. in is reset
+// first and holds the value → id map only for the duration of the call.
+func buildProfiles(t *record.Table, attrIdx int, fields similarity.Fields, ids []uint32, in *strutil.Interner) (rows, distinct []*similarity.Profile) {
+	in.Reset()
+	for i, row := range t.Rows {
+		ids[i] = in.ID(row[attrIdx])
+	}
+	distinct = make([]*similarity.Profile, len(in.Values))
+	par.For(len(distinct), func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			distinct[k] = similarity.NewProfile(in.Values[k], fields)
 		}
 	})
-	return out
+	rows = make([]*similarity.Profile, len(ids))
+	for i, k := range ids {
+		rows[i] = distinct[k]
+	}
+	return rows, distinct
+}
+
+// countTokens sums the token counts of the given profiles.
+func countTokens(ps []*similarity.Profile) int {
+	n := 0
+	for _, p := range ps {
+		n += len(p.Tokens)
+	}
+	return n
 }
 
 // exactP adapts ExactMatchProfiles to the profileFn shape (no scratch, no
@@ -232,8 +327,8 @@ func (e *Extractor) Cost(i int) float64 { return e.features[i].Cost }
 // blocker's similarity-join planner) consume them directly; callers must
 // treat both slices as read-only.
 func (e *Extractor) Profiles(i int) (a, b []*similarity.Profile) {
-	f := &e.features[i]
-	return e.profA[f.AttrIdx], e.profB[f.AttrIdx]
+	c := &e.cols[e.features[i].AttrIdx]
+	return c.profA, c.profB
 }
 
 // Compute evaluates a single feature for pair p. This is the lazy path the Blocker uses when applying rules to A×B: only
@@ -246,10 +341,27 @@ func (e *Extractor) Compute(i int, p record.Pair) float64 {
 }
 
 // ComputeScratch evaluates a single feature with a caller-owned scratch —
-// the form the parallel scan loops use, one scratch per worker.
+// the form the parallel scan loops use, one scratch per worker. Every
+// feature value in the system is produced here: the cell of the column's
+// value-pair table if it is filled, else the profile kernel, whose result
+// fills the cell. Workers racing on an empty cell compute and store the same
+// bits (similarity.Cell), so the output is the kernel's at every
+// GOMAXPROCS and in every call order.
 func (e *Extractor) ComputeScratch(i int, p record.Pair, s *similarity.Scratch) float64 {
 	f := &e.features[i]
-	return f.pfn(e.profA[f.AttrIdx][p.A], e.profB[f.AttrIdx][p.B], s)
+	c := &e.cols[f.AttrIdx]
+	var cell *similarity.Cell
+	if c.cells != nil {
+		cell = &c.cells[(int(c.valA[p.A])*c.nValB+int(c.valB[p.B]))*c.width+f.slot]
+		if v, ok := cell.Load(); ok {
+			return v
+		}
+	}
+	v := f.pfn(c.profA[p.A], c.profB[p.B], s)
+	if cell != nil {
+		cell.Store(v)
+	}
+	return v
 }
 
 // Vector computes the full feature vector for pair p.

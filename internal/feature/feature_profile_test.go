@@ -1,17 +1,26 @@
-package feature
+package feature_test
 
 import (
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"github.com/corleone-em/corleone/internal/datagen"
+	"github.com/corleone-em/corleone/internal/feature"
+	"github.com/corleone-em/corleone/internal/par"
 	"github.com/corleone-em/corleone/internal/record"
+	"github.com/corleone-em/corleone/internal/shard"
 	"github.com/corleone-em/corleone/internal/similarity"
 	"github.com/corleone-em/corleone/internal/strutil"
+	"github.com/corleone-em/corleone/internal/tree"
 )
+
+// These tests live outside package feature so they can drive the extractor
+// the way its clients do — shard.Verifier imports feature — and everything
+// they check is behind the exported API anyway.
 
 // stringOracle is the string reference for the extractor: every feature
 // recomputed from the raw attribute values with the string measures of
@@ -19,11 +28,11 @@ import (
 // normalizes, tokenizes, and parses afresh, and the TF/IDF dictionaries are
 // rebuilt from the normalized column strings.
 type stringOracle struct {
-	ex      *Extractor
+	ex      *feature.Extractor
 	corpora map[int]*similarity.Corpus // by attribute index
 }
 
-func newStringOracle(ex *Extractor) *stringOracle {
+func newStringOracle(ex *feature.Extractor) *stringOracle {
 	o := &stringOracle{ex: ex, corpora: map[int]*similarity.Corpus{}}
 	for _, f := range ex.Features() {
 		if f.Kind != "tfidf_cos" {
@@ -51,7 +60,7 @@ func (o *stringOracle) compute(t *testing.T, i int, p record.Pair) float64 {
 		x, okx := strutil.ParseNumeric(a)
 		y, oky := strutil.ParseNumeric(b)
 		if !okx || !oky {
-			return Missing
+			return feature.Missing
 		}
 		if f.Kind == "rel_diff" {
 			return similarity.RelativeDiff(x, y)
@@ -60,7 +69,7 @@ func (o *stringOracle) compute(t *testing.T, i int, p record.Pair) float64 {
 	}
 	na, nb := strutil.Normalize(a), strutil.Normalize(b)
 	if na == "" || nb == "" {
-		return Missing
+		return feature.Missing
 	}
 	switch f.Kind {
 	case "jaro_winkler":
@@ -133,7 +142,7 @@ func TestProfilePathMatchesStringPath(t *testing.T) {
 		datagen.Generate(datagen.Scaled(datagen.RestaurantsPaper, 0.2)),
 	}
 	for _, ds := range datasets {
-		ex := NewExtractor(ds)
+		ex := feature.NewExtractor(ds)
 		oracle := newStringOracle(ex)
 		rng := rand.New(rand.NewSource(3))
 		var pairs []record.Pair
@@ -188,13 +197,13 @@ func TestProfilePathMatchesStringPath(t *testing.T) {
 // every set measure compare these values across processes.
 func TestProfilesIndependentOfParallelism(t *testing.T) {
 	for _, name := range []string{"products", "citations", "restaurants"} {
-		build := func(procs int) *Extractor {
+		build := func(procs int) *feature.Extractor {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			ds, err := datagen.DatasetFor(name, 0.02, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return NewExtractor(ds)
+			return feature.NewExtractor(ds)
 		}
 		serial := build(1)
 		for _, procs := range []int{2, 4} {
@@ -207,6 +216,153 @@ func TestProfilesIndependentOfParallelism(t *testing.T) {
 						name, serial.Name(i), procs)
 				}
 			}
+		}
+	}
+}
+
+// TestDuplicateValuesKeepRowDocumentFrequencies pins what profile dedupe
+// must not change: a value held by three rows is three documents of the
+// attribute's corpus. tfidf_cos must equal the cosine under a corpus of
+// every row's value — and differ from the one a corpus of the distinct
+// values would give, or this table would not tell the two apart.
+func TestDuplicateValuesKeepRowDocumentFrequencies(t *testing.T) {
+	schema := record.Schema{{Name: "desc", Type: record.AttrText}}
+	a := record.NewTable("a", schema)
+	b := record.NewTable("b", schema)
+	for _, v := range []string{"memory kit", "memory kit", "memory kit", "zoom lens", "memory kit"} {
+		a.Append(record.Tuple{v})
+	}
+	for _, v := range []string{"kit", "zoom lens case", "kit", "memory"} {
+		b.Append(record.Tuple{v})
+	}
+	ds := &record.Dataset{Name: "dup", A: a, B: b, Truth: record.NewGroundTruth(nil)}
+	ex := feature.NewExtractor(ds)
+	profA, _ := ex.Profiles(0)
+	if profA[0] != profA[1] || profA[0] != profA[4] || profA[0] == profA[3] {
+		t.Fatal("rows holding one value do not share one profile")
+	}
+	var rows, distinct []string
+	seen := map[string]bool{}
+	for _, tab := range []*record.Table{a, b} {
+		clear(seen)
+		for _, row := range tab.Rows {
+			rows = append(rows, row[0])
+			if !seen[row[0]] {
+				seen[row[0]] = true
+				distinct = append(distinct, row[0])
+			}
+		}
+	}
+	byRows, byValues := similarity.NewCorpus(rows), similarity.NewCorpus(distinct)
+	tfidf := -1
+	for i, f := range ex.Features() {
+		if f.Kind == "tfidf_cos" {
+			tfidf = i
+		}
+	}
+	differs := false
+	for i := range a.Rows {
+		for j := range b.Rows {
+			got := ex.Compute(tfidf, record.P(i, j))
+			if want := byRows.Cosine(a.Rows[i][0], b.Rows[j][0]); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("tfidf_cos(%q, %q) = %v, row-counted corpus gives %v", a.Rows[i][0], b.Rows[j][0], got, want)
+			}
+			differs = differs || got != byValues.Cosine(a.Rows[i][0], b.Rows[j][0])
+		}
+	}
+	if !differs {
+		t.Error("row-counted and value-counted corpora agree on every pair; the table cannot catch a dedupe of document frequencies")
+	}
+}
+
+// TestMemoisedFeaturesMatchStringMeasures pins the write-once tables to the
+// string measures: on the three dataset families, at sizes where their
+// low-cardinality columns and Monge-Elkan token dictionaries get tables,
+// every feature of every pair of A×B is Float64bits-equal to the string
+// oracle — the first time it is asked for, while Vectors and a shard.Verifier
+// scan fill the same extractor's tables concurrently (the race detector
+// watches the cells), and the second time, when every tabled value is read
+// back. A cell filled under a wrong index, a token table serving one
+// direction for the other where they differ, or a racing store of different
+// bits would each show up as one wrong bit.
+func TestMemoisedFeaturesMatchStringMeasures(t *testing.T) {
+	cases := []struct {
+		name  string
+		scale float64
+	}{{"restaurants", 0.3}, {"citations", 0.03}, {"products", 0.05}}
+	if testing.Short() {
+		cases = cases[:1]
+	}
+	for _, c := range cases {
+		ds, err := datagen.DatasetFor(c.name, c.scale, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs := make([]record.Pair, 0, ds.A.Len()*ds.B.Len())
+		for a := 0; a < ds.A.Len(); a++ {
+			for b := 0; b < ds.B.Len(); b++ {
+				pairs = append(pairs, record.P(a, b))
+			}
+		}
+		oracle := newStringOracle(feature.NewExtractor(ds))
+		nf := oracle.ex.NumFeatures()
+		want := make([]float64, len(pairs)*nf)
+		oracle.vector(t, pairs[0]) // an unknown kind fails here, on the test's goroutine
+		par.For(len(pairs), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				copy(want[i*nf:], oracle.vector(t, pairs[i]))
+			}
+		})
+		// One rule per feature, firing on Missing only: the scan evaluates a
+		// pair's features in order until it meets a missing one — the lazy,
+		// short-circuiting access pattern that fills tables in a real run.
+		rules := make([]tree.Rule, nf)
+		for f := range rules {
+			rules[f] = tree.Rule{Preds: []tree.Predicate{{Feature: f, Op: tree.LE, Threshold: -0.5}}}
+		}
+
+		for _, procs := range []int{1, 2, 4} {
+			func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				ex := feature.NewExtractor(ds)
+				var rows [][]float64
+				survives := make([]bool, len(pairs))
+				var wg sync.WaitGroup
+				wg.Add(2)
+				go func() {
+					defer wg.Done()
+					rows = ex.Vectors(pairs)
+				}()
+				go func() {
+					defer wg.Done()
+					par.For(len(pairs), func(lo, hi int) {
+						v := shard.NewVerifier(ex, rules)
+						for i := lo; i < hi; i++ {
+							survives[i] = v.Survives(pairs[i])
+						}
+					})
+				}()
+				wg.Wait()
+				scratch := similarity.NewScratch()
+				for i, p := range pairs {
+					missing := false
+					for f, w := range want[i*nf : (i+1)*nf] {
+						missing = missing || w <= -0.5
+						if math.Float64bits(rows[i][f]) != math.Float64bits(w) {
+							t.Fatalf("%s GOMAXPROCS %d: first touch of %s on %v = %v, string measure = %v",
+								c.name, procs, ex.Name(f), p, rows[i][f], w)
+						}
+						if got := ex.ComputeScratch(f, p, scratch); math.Float64bits(got) != math.Float64bits(w) {
+							t.Fatalf("%s GOMAXPROCS %d: second touch of %s on %v = %v, string measure = %v",
+								c.name, procs, ex.Name(f), p, got, w)
+						}
+					}
+					if survives[i] == missing {
+						t.Fatalf("%s GOMAXPROCS %d: Verifier.Survives(%v) = %v, but a missing feature = %v",
+							c.name, procs, p, survives[i], missing)
+					}
+				}
+			}()
 		}
 	}
 }

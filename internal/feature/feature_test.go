@@ -1,9 +1,10 @@
-package feature
+package feature_test
 
 import (
 	"math"
 	"testing"
 
+	"github.com/corleone-em/corleone/internal/feature"
 	"github.com/corleone-em/corleone/internal/record"
 	"github.com/corleone-em/corleone/internal/strutil"
 )
@@ -32,7 +33,7 @@ func testDataset() *record.Dataset {
 }
 
 func TestNewExtractorFeatureSet(t *testing.T) {
-	ex := NewExtractor(testDataset())
+	ex := feature.NewExtractor(testDataset())
 	// string: 6 measures, text: 3, numeric: 3, categorical: 3.
 	if got := ex.NumFeatures(); got != 15 {
 		t.Errorf("NumFeatures = %d, want 15", got)
@@ -54,7 +55,7 @@ func TestNewExtractorFeatureSet(t *testing.T) {
 
 func TestVectorValues(t *testing.T) {
 	ds := testDataset()
-	ex := NewExtractor(ds)
+	ex := feature.NewExtractor(ds)
 	v := ex.Vector(record.P(0, 0)) // the matching pair
 	byName := map[string]float64{}
 	for i, n := range ex.Names() {
@@ -76,22 +77,22 @@ func TestVectorValues(t *testing.T) {
 
 func TestMissingValuesYieldSentinel(t *testing.T) {
 	ds := testDataset()
-	ex := NewExtractor(ds)
+	ex := feature.NewExtractor(ds)
 	v := ex.Vector(record.P(0, 1)) // B row has empty desc/price/code
 	byName := map[string]float64{}
 	for i, n := range ex.Names() {
 		byName[n] = v[i]
 	}
 	for _, f := range []string{"desc_jaccard_w", "price_rel_diff", "code_jaro_winkler"} {
-		if byName[f] != Missing {
-			t.Errorf("%s = %v, want Missing (%v)", f, byName[f], Missing)
+		if byName[f] != feature.Missing {
+			t.Errorf("%s = %v, want feature.Missing (%v)", f, byName[f], feature.Missing)
 		}
 	}
 }
 
 func TestSimilarityRangeOrMissing(t *testing.T) {
 	ds := testDataset()
-	ex := NewExtractor(ds)
+	ex := feature.NewExtractor(ds)
 	for a := 0; a < ds.A.Len(); a++ {
 		for b := 0; b < ds.B.Len(); b++ {
 			v := ex.Vector(record.P(a, b))
@@ -100,7 +101,7 @@ func TestSimilarityRangeOrMissing(t *testing.T) {
 				if name == "price_abs_diff" {
 					continue // unbounded by design
 				}
-				if x != Missing && (x < 0 || x > 1) {
+				if x != feature.Missing && (x < 0 || x > 1) {
 					t.Errorf("feature %s on (%d,%d) = %v outside [0,1]", name, a, b, x)
 				}
 			}
@@ -110,7 +111,7 @@ func TestSimilarityRangeOrMissing(t *testing.T) {
 
 func TestComputeMatchesVector(t *testing.T) {
 	ds := testDataset()
-	ex := NewExtractor(ds)
+	ex := feature.NewExtractor(ds)
 	p := record.P(1, 1)
 	v := ex.Vector(p)
 	for i := range v {
@@ -122,7 +123,7 @@ func TestComputeMatchesVector(t *testing.T) {
 
 func TestVectorsParallelMatchesSequential(t *testing.T) {
 	ds := testDataset()
-	ex := NewExtractor(ds)
+	ex := feature.NewExtractor(ds)
 	var pairs []record.Pair
 	for a := 0; a < ds.A.Len(); a++ {
 		for b := 0; b < ds.B.Len(); b++ {
@@ -145,7 +146,7 @@ func TestVectorsParallelMatchesSequential(t *testing.T) {
 // capacity, so appending to one row cannot write into the next.
 func TestVectorsRowsIndependent(t *testing.T) {
 	ds := testDataset()
-	ex := NewExtractor(ds)
+	ex := feature.NewExtractor(ds)
 	var pairs []record.Pair
 	for a := 0; a < ds.A.Len(); a++ {
 		for b := 0; b < ds.B.Len(); b++ {
@@ -174,7 +175,7 @@ func TestVectorsRowsIndependent(t *testing.T) {
 }
 
 func TestCostsPositive(t *testing.T) {
-	ex := NewExtractor(testDataset())
+	ex := feature.NewExtractor(testDataset())
 	for i := 0; i < ex.NumFeatures(); i++ {
 		if ex.Cost(i) <= 0 {
 			t.Errorf("feature %s has non-positive cost", ex.Name(i))
@@ -204,7 +205,7 @@ func TestParseNumeric(t *testing.T) {
 }
 
 func TestFeaturesAccessor(t *testing.T) {
-	ex := NewExtractor(testDataset())
+	ex := feature.NewExtractor(testDataset())
 	fs := ex.Features()
 	if len(fs) != ex.NumFeatures() {
 		t.Fatalf("Features() = %d entries", len(fs))
@@ -222,7 +223,7 @@ func TestFeaturesAccessor(t *testing.T) {
 func TestVectorsParallelLargeBatch(t *testing.T) {
 	// Enough pairs to exercise the multi-worker chunking path.
 	ds := testDataset()
-	ex := NewExtractor(ds)
+	ex := feature.NewExtractor(ds)
 	var pairs []record.Pair
 	for i := 0; i < 500; i++ {
 		pairs = append(pairs, record.P(i%ds.A.Len(), i%ds.B.Len()))

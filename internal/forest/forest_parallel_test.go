@@ -119,47 +119,114 @@ func referenceScores(trees []*tree.Tree, v []float64) (frac, ent, conf float64) 
 	return frac, ent, 1 - ent
 }
 
+// withSpecials overwrites about one value in five of X with the values the
+// raw-bits comparison of the batched walk cannot order, and must therefore
+// hand to the scalar walk: the feature.Missing sentinel -1 (in training
+// data it puts thresholds below zero), negative fractions, -0.0 and -Inf —
+// next to +0.0 and +Inf, which it can — plus, when nans is set, NaNs of
+// either sign.
+func withSpecials(seed int64, X [][]float64, nans bool) [][]float64 {
+	specials := []float64{-1, -1, -1, -0.25, math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1),
+		-math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64}
+	if nans {
+		specials = append(specials, math.NaN(), math.Float64frombits(^uint64(0)))
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for _, row := range X {
+		for j := range row {
+			if rng.Intn(5) == 0 {
+				row[j] = specials[rng.Intn(len(specials))]
+			}
+		}
+	}
+	return X
+}
+
+// thresholdStumps is a hand-built forest of one-split trees whose thresholds
+// training on similarities never produces — negative, -0.0, ±Inf, NaN — as
+// Load of an edited model file could.
+func thresholdStumps(nf int) []*tree.Tree {
+	var trees []*tree.Tree
+	for i, thr := range []float64{-1, -0.5, math.Copysign(0, -1), 0, math.Inf(-1), math.Inf(1),
+		math.NaN(), -math.SmallestNonzeroFloat64, 0.5} {
+		trees = append(trees, &tree.Tree{Root: &tree.Node{
+			Feature: i % nf, Threshold: thr, Pos: 1, Neg: 1,
+			Left:  &tree.Node{Feature: -1, Label: true, Pos: 1},
+			Right: &tree.Node{Feature: -1, Neg: 1},
+		}})
+	}
+	return trees
+}
+
 // TestScoringParallelMatchesSerial pins the batched SoA scoring path —
 // Confidences/Entropies/MeanConfidence and the Scorer it delegates to —
-// bit-identical to per-vector pointer-tree scoring, across GOMAXPROCS.
+// bit-identical to per-vector pointer-tree scoring, across GOMAXPROCS: on
+// similarity-like values in [0, 1), which take the batched walk; on vectors
+// and trained thresholds full of -1, -0.0, ±Inf and NaN, where the choice
+// between the batched and the scalar walk is made block by block and forest
+// by forest; and on hand-built negative, infinite and NaN thresholds.
 func TestScoringParallelMatchesSerial(t *testing.T) {
 	X, y := randomTraining(4, 200, 6)
-	cfg := Defaults()
-	refTrees := trainSerialTrees(X, y, cfg)
 	V, _ := randomTraining(8, 500, 6)
+	Xs, ys := randomTraining(5, 300, 6)
+	Vs, _ := randomTraining(9, 1500, 6)
+	withSpecials(1, Xs, false)
+	withSpecials(2, Vs[:600], false)
+	withSpecials(3, Vs[600:], true)
+	cfg := Defaults()
+	cases := []struct {
+		name     string
+		refTrees []*tree.Tree
+		train    func() *Forest
+		V        [][]float64
+	}{
+		{"unit-interval", trainSerialTrees(X, y, cfg), func() *Forest { return Train(X, y, cfg) }, V},
+		{"specials", trainSerialTrees(Xs, ys, cfg), func() *Forest { return Train(Xs, ys, cfg) }, Vs},
+		{"threshold-stumps", thresholdStumps(6), func() *Forest { return fromTrees(thresholdStumps(6), cfg) }, Vs},
+	}
+	negative := false
+	for _, thr := range Train(Xs, ys, cfg).threshold {
+		negative = negative || thr < 0
+	}
+	if !negative {
+		t.Fatal("training on vectors with -1 produced no negative threshold; the specials case is vacuous")
+	}
 
 	for _, procs := range []int{1, 4} {
 		atGOMAXPROCS(t, procs, func(t *testing.T) {
-			f := Train(X, y, cfg)
-			confs := f.Confidences(V)
-			ents := f.Entropies(V)
-			sc := NewScorer()
-			confs2 := sc.ConfidencesInto(f, V, make([]float64, len(V)))
-			ents2 := sc.EntropiesInto(f, V, make([]float64, len(V)))
-			sum := 0.0
-			for i, v := range V {
-				frac, ent, conf := referenceScores(refTrees, v)
-				if got := f.PosFraction(v); got != frac {
-					t.Fatalf("PosFraction[%d] = %v, reference = %v", i, got, frac)
+			for _, c := range cases {
+				refTrees, V := c.refTrees, c.V
+				f := c.train()
+				confs := f.Confidences(V)
+				ents := f.Entropies(V)
+				sc := NewScorer()
+				confs2 := sc.ConfidencesInto(f, V, make([]float64, len(V)))
+				ents2 := sc.EntropiesInto(f, V, make([]float64, len(V)))
+				sum := 0.0
+				for i, v := range V {
+					frac, ent, conf := referenceScores(refTrees, v)
+					if got := f.PosFraction(v); got != frac {
+						t.Fatalf("%s: PosFraction[%d] = %v, reference = %v", c.name, i, got, frac)
+					}
+					if confs[i] != conf || confs2[i] != conf || f.Confidence(v) != conf {
+						t.Fatalf("%s: confidence[%d] of %v: batched %v / scorer %v / single %v, reference %v",
+							c.name, i, v, confs[i], confs2[i], f.Confidence(v), conf)
+					}
+					if ents[i] != ent || ents2[i] != ent || f.Entropy(v) != ent {
+						t.Fatalf("%s: entropy[%d]: batched %v / scorer %v / single %v, reference %v",
+							c.name, i, ents[i], ents2[i], f.Entropy(v), ent)
+					}
+					sum += conf
 				}
-				if confs[i] != conf || confs2[i] != conf || f.Confidence(v) != conf {
-					t.Fatalf("confidence[%d]: batched %v / scorer %v / single %v, reference %v",
-						i, confs[i], confs2[i], f.Confidence(v), conf)
+				want := sum / float64(len(V))
+				if got := f.MeanConfidence(V); got != want {
+					t.Errorf("%s: MeanConfidence = %v, serial in-order sum = %v", c.name, got, want)
 				}
-				if ents[i] != ent || ents2[i] != ent || f.Entropy(v) != ent {
-					t.Fatalf("entropy[%d]: batched %v / scorer %v / single %v, reference %v",
-						i, ents[i], ents2[i], f.Entropy(v), ent)
+				if got := sc.MeanConfidence(f, V); got != want {
+					t.Errorf("%s: Scorer.MeanConfidence = %v, serial in-order sum = %v", c.name, got, want)
 				}
-				sum += conf
 			}
-			want := sum / float64(len(V))
-			if got := f.MeanConfidence(V); got != want {
-				t.Errorf("MeanConfidence = %v, serial in-order sum = %v", got, want)
-			}
-			if got := sc.MeanConfidence(f, V); got != want {
-				t.Errorf("Scorer.MeanConfidence = %v, serial in-order sum = %v", got, want)
-			}
-			if got := f.MeanConfidence(nil); got != 1 {
+			if got := Train(X, y, cfg).MeanConfidence(nil); got != 1 {
 				t.Errorf("MeanConfidence(nil) = %v, want 1", got)
 			}
 		})

@@ -314,6 +314,12 @@ func (f *Forest) countVotes(V [][]float64, votes []int16) {
 				sign |= b
 				row[j] = b
 			}
+			// Stop converting at the first row with a negative: a real
+			// candidate set has a Missing (-1) in nearly every row, and the
+			// rest of the block's conversion would be thrown away.
+			if sign>>63 != 0 {
+				break
+			}
 		}
 		if sign>>63 != 0 {
 			f.countVotesScalar(block, bv)

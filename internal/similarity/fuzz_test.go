@@ -181,3 +181,57 @@ func FuzzSetKernels(f *testing.F) {
 		}
 	})
 }
+
+// FuzzMongeElkanTable differentially fuzzes the token-pair table against the
+// string measure. The input decodes to lists of short tokens over a
+// four-letter alphabet — few distinct tokens, so the table's cells are hit
+// again and again — dealt alternately to the two sides of a column; every
+// a×b pair is scored through a tabled TokenPairs twice (the fill, then the
+// read-back) and through an untabled one, and all three must equal
+// MongeElkan on the strings bit for bit. Both directions of every token
+// pair are checked cell against kernel as well, so a table that kept one
+// direction and served it for the other would have to be right about
+// JW(y, x) = JW(x, y) for every pair the fuzzer finds.
+func FuzzMongeElkanTable(f *testing.F) {
+	f.Add([]byte("abca abd\nabd abca\ndcba\nabca"))
+	f.Add([]byte("a\nb\nab ba\nba ab\naabb bbaa abab\nbaba abba"))
+	f.Add([]byte("abcdabcd dcbadcba\nabdcabdc cdabcdab\n\n \nd"))
+	f.Add([]byte("abcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabc\nbcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabca"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 256 {
+			return
+		}
+		var sides [2][]*Profile
+		for i, line := range strings.Split(string(data), "\n") {
+			v := strings.Map(func(r rune) rune {
+				if r == ' ' {
+					return r
+				}
+				return rune("abcd"[r%4])
+			}, line)
+			sides[i%2] = append(sides[i%2], NewProfile(v, FieldTokenIDs))
+		}
+		var in strutil.Interner
+		da, db := NewTokenDict(sides[0], &in), NewTokenDict(sides[1], &in)
+		tabled, computed := NewTokenPairs(da, db, true), NewTokenPairs(da, db, false)
+		s := NewScratch()
+		for _, pa := range sides[0] {
+			for _, pb := range sides[1] {
+				want := MongeElkan(pa.Norm, pb.Norm)
+				for _, got := range []float64{tabled.MongeElkan(pa, pb, s), tabled.MongeElkan(pa, pb, s), computed.MongeElkan(pa, pb, s)} {
+					if !bitsEqual(got, want) {
+						t.Fatalf("MongeElkan(%q, %q): tables give %v, strings %v", pa.Norm, pb.Norm, got, want)
+					}
+				}
+			}
+		}
+		for x, rx := range da.runes {
+			for y, ry := range db.runes {
+				fwd, back := tabled.jaroWinkler(uint32(x), uint32(y), 0, s), tabled.jaroWinkler(uint32(x), uint32(y), 1, s)
+				if !bitsEqual(fwd, JaroWinkler(string(rx), string(ry))) || !bitsEqual(back, JaroWinkler(string(ry), string(rx))) {
+					t.Fatalf("cells of (%q, %q) hold %v / %v", string(rx), string(ry), fwd, back)
+				}
+			}
+		}
+	})
+}

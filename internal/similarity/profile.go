@@ -14,8 +14,10 @@ const (
 	// FieldRunes decodes the normalized string into runes (edit distance,
 	// Jaro, Jaro-Winkler).
 	FieldRunes Fields = 1 << iota
-	// FieldTokenRunes decodes each word token into runes (Monge-Elkan).
-	FieldTokenRunes
+	// FieldTokenIDs tokenizes for the token-id view (Monge-Elkan). Ids are
+	// relative to the column's token dictionary, so NewProfile only
+	// tokenizes; NewTokenDict attaches the view.
+	FieldTokenIDs
 	// FieldWordSet tokenizes for the sorted distinct word-rank view (word
 	// Jaccard, overlap). Ranks are relative to a vocabulary, so NewProfile
 	// only tokenizes; Corpus.RankProfile attaches the view.
@@ -31,7 +33,7 @@ const (
 )
 
 // AllFields builds every view; equivalence tests and generic callers use it.
-const AllFields = FieldRunes | FieldTokenRunes | FieldWordSet | FieldTFIDF |
+const AllFields = FieldRunes | FieldTokenIDs | FieldWordSet | FieldTFIDF |
 	FieldQGrams | FieldNumeric
 
 // Profile is the precomputed view of one attribute value. The profile fast
@@ -47,8 +49,10 @@ type Profile struct {
 	// Tokens is strutil.Words(Norm); populated whenever any token-derived
 	// field is requested.
 	Tokens []string
-	// TokenRunes holds each token decoded to runes (FieldTokenRunes).
-	TokenRunes [][]rune
+	// TokenIDs is Tokens as ids in the column's token dictionary, which
+	// holds each distinct token's runes once; set by NewTokenDict
+	// (FieldTokenIDs).
+	TokenIDs []uint32
 	// WordIDs is the distinct Tokens as ascending ranks in the attribute's
 	// sorted vocabulary, set by Corpus.RankProfile (FieldWordSet). Rank
 	// order is string order, so merging WordIDs visits tokens exactly as
@@ -69,21 +73,15 @@ type Profile struct {
 }
 
 // NewProfile precomputes the requested views of one attribute value, except
-// the vocabulary-relative ones (WordIDs, TFIDF), which a Corpus built over
-// the whole column attaches afterwards.
+// the dictionary-relative ones: WordIDs and TFIDF, which a Corpus built over
+// the whole column attaches afterwards, and TokenIDs, which a TokenDict does.
 func NewProfile(raw string, fields Fields) *Profile {
 	p := &Profile{Raw: raw, Norm: strutil.Normalize(raw)}
 	if fields&FieldRunes != 0 {
 		p.Runes = []rune(p.Norm)
 	}
-	if fields&(FieldTokenRunes|FieldWordSet|FieldTFIDF) != 0 {
+	if fields&(FieldTokenIDs|FieldWordSet|FieldTFIDF) != 0 {
 		p.Tokens = strutil.Words(p.Norm)
-	}
-	if fields&FieldTokenRunes != 0 {
-		p.TokenRunes = make([][]rune, len(p.Tokens))
-		for i, t := range p.Tokens {
-			p.TokenRunes[i] = []rune(t)
-		}
 	}
 	if fields&FieldQGrams != 0 {
 		p.Grams, p.GramCounts = strutil.SortedCounts(strutil.Trigrams(p.Norm))
@@ -195,31 +193,4 @@ func overlapSorted(sa, sb []uint64) float64 {
 		small = len(sb)
 	}
 	return float64(intersectSorted(sa, sb)) / float64(small)
-}
-
-// MongeElkanProfiles is the profile fast path of MongeElkan (requires
-// FieldTokenRunes).
-func MongeElkanProfiles(a, b *Profile, s *Scratch) float64 {
-	if len(a.Tokens) == 0 && len(b.Tokens) == 0 {
-		return 1
-	}
-	if len(a.Tokens) == 0 || len(b.Tokens) == 0 {
-		return 0
-	}
-	return (mongeElkanDirRunes(a.TokenRunes, b.TokenRunes, s) +
-		mongeElkanDirRunes(b.TokenRunes, a.TokenRunes, s)) / 2
-}
-
-func mongeElkanDirRunes(ta, tb [][]rune, s *Scratch) float64 {
-	sum := 0.0
-	for _, x := range ta {
-		best := 0.0
-		for _, y := range tb {
-			if v := jaroWinklerRunes(x, y, s); v > best {
-				best = v
-			}
-		}
-		sum += best
-	}
-	return sum / float64(len(ta))
 }

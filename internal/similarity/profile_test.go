@@ -58,6 +58,10 @@ func TestProfileEquivalence(t *testing.T) {
 			c.WeighProfile(p)
 		}
 		scratch := NewScratch()
+		// Every profile is both an a and a b below, so one dictionary sits on
+		// both sides; the second call of each check reads the table's cells.
+		dict := NewTokenDict(profiles, new(strutil.Interner))
+		computed, tabled := NewTokenPairs(dict, dict, false), NewTokenPairs(dict, dict, true)
 
 		type check struct {
 			name string
@@ -76,7 +80,9 @@ func TestProfileEquivalence(t *testing.T) {
 			{"JaccardQGrams", JaccardQGrams, JaccardQGramsProfiles},
 			{"OverlapWords", OverlapWords, OverlapWordsProfiles},
 			{"MongeElkan", MongeElkan,
-				func(a, b *Profile) float64 { return MongeElkanProfiles(a, b, scratch) }},
+				func(a, b *Profile) float64 { return computed.MongeElkan(a, b, scratch) }},
+			{"MongeElkanTable", MongeElkan,
+				func(a, b *Profile) float64 { return tabled.MongeElkan(a, b, scratch) }},
 			{"TFIDFCosine", c.Cosine, CosineProfiles},
 			// The retained pre-kernel hot paths (reference_test.go) referee
 			// the same fast paths a second time.

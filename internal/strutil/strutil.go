@@ -96,6 +96,37 @@ func TokenCounts(toks []string) map[string]int {
 	return counts
 }
 
+// Interner numbers distinct strings 0, 1, 2, … in the order they are first
+// seen, so the ids depend on the input sequence alone — never on map
+// iteration. Reset forgets the strings but keeps the storage: one Interner
+// serving many dictionaries in turn grows its map and list once. The zero
+// value is ready to use.
+type Interner struct {
+	id map[string]uint32
+	// Values holds the distinct strings by id; it is reused after Reset.
+	Values []string
+}
+
+// ID returns s's id, assigning the next free one on first sight.
+func (in *Interner) ID(s string) uint32 {
+	k, ok := in.id[s]
+	if !ok {
+		if in.id == nil {
+			in.id = make(map[string]uint32)
+		}
+		k = uint32(len(in.Values))
+		in.id[s] = k
+		in.Values = append(in.Values, s)
+	}
+	return k
+}
+
+// Reset empties the interner for the next dictionary.
+func (in *Interner) Reset() {
+	clear(in.id)
+	in.Values = in.Values[:0]
+}
+
 // Trigrams returns the padded 3-grams of s — the grams of QGrams(s, 3), in
 // the same order — each packed into one word: three runes of 21 bits (a
 // rune is at most 0x10FFFF), first rune highest. Numeric order of the

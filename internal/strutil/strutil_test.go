@@ -147,6 +147,24 @@ func TestTokenSetAndCounts(t *testing.T) {
 	}
 }
 
+func TestInterner(t *testing.T) {
+	var in Interner
+	var got []uint32
+	for _, s := range []string{"b", "a", "b", "", "a", "c"} {
+		got = append(got, in.ID(s))
+	}
+	if want := []uint32{0, 1, 0, 2, 1, 3}; !reflect.DeepEqual(got, want) {
+		t.Errorf("ids = %v, want first-seen order %v", got, want)
+	}
+	if want := []string{"b", "a", "", "c"}; !reflect.DeepEqual(in.Values, want) {
+		t.Errorf("Values = %q, want %q", in.Values, want)
+	}
+	in.Reset()
+	if id := in.ID("c"); id != 0 || len(in.Values) != 1 {
+		t.Errorf("after Reset: ID(c) = %d with %d values, want 0 with 1", id, len(in.Values))
+	}
+}
+
 func TestCommonPrefixLen(t *testing.T) {
 	cases := []struct {
 		a, b string
