@@ -60,8 +60,11 @@ shard:
 # Differential fuzz smoke — the one list of fuzz targets (`make verify`
 # and CI call this). Wire format: the pair codec (exact round trip,
 # canonical re-encoding, decoder totality over arbitrary bytes) and the
-# K-way merge vs its reference. Pair kernels: bit-parallel Jaro vs the greedy
-# matcher, the integer-coded set measures vs the string merges, and the
+# K-way merge vs its reference. Similarity-join index: the rel_diff band's
+# candidates hold every row the brute-force predicate keeps, ascending, no
+# row twice, on arbitrary float64 bit patterns (DESIGN.md §9.2). Pair
+# kernels: bit-parallel Jaro vs the greedy matcher, the integer-coded set
+# measures vs the string merges, and the
 # Monge-Elkan token-pair table (fill, read-back and both directions of every
 # cell) vs the string measure, all to Float64bits equality (DESIGN.md "Pair
 # kernels", "Operand dictionaries and write-once tables"). Journal: arbitrary
@@ -81,6 +84,7 @@ FUZZ = $(GO) test -count=1 -run '^$$' -fuzztime $(FUZZTIME)
 fuzz:
 	$(FUZZ) -fuzz 'FuzzPairCodec' ./internal/shard
 	$(FUZZ) -fuzz 'FuzzMergePairs' ./internal/shard
+	$(FUZZ) -fuzz 'FuzzBandCandidates' ./internal/simindex
 	$(FUZZ) -fuzz 'FuzzJaroBitParallel' ./internal/similarity
 	$(FUZZ) -fuzz 'FuzzSetKernels' ./internal/similarity
 	$(FUZZ) -fuzz 'FuzzMongeElkanTable' ./internal/similarity

@@ -42,10 +42,10 @@ type Config struct {
 	// Shards is how many shards of table B an indexable rule set is probed
 	// through: n >= 1 means n shards (1 is one shard through the same
 	// coordinator; negative counts as 1), and 0 — the default — chooses by
-	// indexed-table size (shard.Choose). A rule set with no indexable
-	// anchor runs the exhaustive scan whatever the value. The emitted
-	// umbrella set is bit-identical at every setting, and ShardStats counts
-	// tasks at every setting, K=1 included.
+	// indexed-table size (shard.Choose). A rule set the planner does not
+	// index (Result.Plan) runs the exhaustive scan whatever the value. The
+	// emitted umbrella set is bit-identical at every setting, and ShardStats
+	// counts tasks at every setting, K=1 included.
 	Shards int
 	// ShardWorkers bounds the shard coordinator's fan-out width (<=0 means
 	// GOMAXPROCS locally; for remote execution, set it to the worker
@@ -95,6 +95,9 @@ type Result struct {
 	Evaluated []ruleeval.Result
 	// Selected is the rule subset actually applied to A×B.
 	Selected []tree.Rule
+	// Plan explains how Selected was applied to A×B: index probes or the
+	// exhaustive scan, and why. Zero when blocking did not trigger.
+	Plan Plan
 	// Candidates is the umbrella set: the pairs surviving blocking.
 	Candidates []record.Pair
 	// Training is the labeled data acquired (or reused) while learning the
@@ -190,8 +193,8 @@ func Run(ds *record.Dataset, ex *feature.Extractor, runner *crowd.Runner, cfg Co
 	res.Selected = greedySelect(kept, X, len(ds.A.Rows), len(ds.B.Rows), cfg.TB, ex.Cost)
 
 	// Apply the selected rules to A×B: the planner generates candidates
-	// through shard probes when a selected rule can anchor an index, and
-	// through the parallel exhaustive scan otherwise.
+	// through shard probes when a selected rule can anchor indexes narrow
+	// enough to pay, and through the parallel exhaustive scan otherwise.
 	ec := execConfig{
 		shards:  cfg.Shards,
 		workers: cfg.ShardWorkers,
@@ -204,7 +207,8 @@ func Run(ds *record.Dataset, ex *feature.Extractor, runner *crowd.Runner, cfg Co
 	if sink == nil {
 		sink = collectSink(&res.Candidates)
 	}
-	if err := applyRulesTo(ds, ex, res.Selected, ec, sink); err != nil {
+	res.Plan, err = applyRulesTo(ds, ex, res.Selected, ec, sink)
+	if err != nil {
 		return nil, fmt.Errorf("blocker: applying rules: %w", err)
 	}
 	return res, nil

@@ -60,7 +60,7 @@ func BenchmarkApplyRulesIndexed(b *testing.B) {
 	ds := datagen.Generate(datagen.Scaled(datagen.CitationsPaper, 0.015))
 	ex := feature.NewExtractor(ds)
 	rules := benchRules(b, ex)
-	if !planRules(ex, rules).indexed {
+	if !planRules(ex, rules).Indexed {
 		b.Fatal("bench rules should be index-friendly")
 	}
 	b.ReportAllocs()
@@ -118,4 +118,52 @@ func BenchmarkUmbrellaStreaming(b *testing.B) {
 		sinkInt = n
 	}
 	b.ReportMetric(float64(ds.CartesianSize()), "pairs/op")
+}
+
+// BenchmarkApplyRulesUnion measures the planner end to end — anchor choice,
+// estimate, index build, union probes, verification — on rule sets the
+// default benchmark instances select (measuredRuleSets), at those instances'
+// scales. Every iteration plans and builds its indexes afresh, as a job does.
+// BenchmarkApplyRulesUnionScan is the same rule sets through the exhaustive
+// scan, the path they took before union anchors.
+func BenchmarkApplyRulesUnion(b *testing.B) { benchUnion(b, false) }
+
+func BenchmarkApplyRulesUnionScan(b *testing.B) { benchUnion(b, true) }
+
+func benchUnion(b *testing.B, scan bool) {
+	for _, c := range []struct {
+		name    string
+		profile datagen.Profile
+		scale   float64
+	}{
+		{"products-band", datagen.ProductsPaper, 0.2},
+		{"products-band+3g", datagen.ProductsPaper, 0.2},
+		{"citations-venue", datagen.CitationsPaper, 0.1},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ds := datagen.Generate(datagen.Scaled(c.profile, c.scale))
+			ex := feature.NewExtractor(ds)
+			rules := measuredRules(ex, c.name)
+			if !planRules(ex, rules).Indexed {
+				b.Fatal("measured rule set should plan index probes")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// A fresh extractor per iteration: its write-once value-pair
+				// tables would otherwise hand every later iteration the
+				// first one's similarities for free, which no job gets.
+				b.StopTimer()
+				ex = feature.NewExtractor(ds)
+				b.StartTimer()
+				sinkPairs = sinkPairs[:0]
+				if scan {
+					applyRulesScanTo(ds, ex, rules, collectSink(&sinkPairs))
+				} else if _, err := applyRulesTo(ds, ex, rules, execConfig{}, collectSink(&sinkPairs)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ds.CartesianSize()), "ns/pair")
+		})
+	}
 }

@@ -1,7 +1,10 @@
 package blocker
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -9,74 +12,194 @@ import (
 	"github.com/corleone-em/corleone/internal/par"
 	"github.com/corleone-em/corleone/internal/record"
 	"github.com/corleone-em/corleone/internal/shard"
+	"github.com/corleone-em/corleone/internal/similarity"
 	"github.com/corleone-em/corleone/internal/simindex"
 	"github.com/corleone-em/corleone/internal/tree"
 )
 
-// plan is the candidate-generation strategy for one rule set. The §4.3
-// scan visits all of A×B; when one selected rule is an indexable
-// high-similarity join complement — a conjunction of sim(f) ≤ θ predicates
-// on a single set-based feature — every survivor of the full rule set must
-// have sim(f) > θ, so an inverted index over f's tokens on table B can
-// enumerate a complete superset of the survivors directly.
+// Plan is the blocker's explain record: how the selected rules were applied
+// to A×B and why. It is a pure function of the dataset, the extractor and
+// the rules — the same at every GOMAXPROCS, shard count and transport — and
+// holds no clock, so a Result carrying it stays deterministic.
+type Plan struct {
+	// Indexed is true when candidates came from index probes, false when
+	// every cell of A×B was visited (Reason says why).
+	Indexed bool
+	// Rule is the anchor — the selected rule whose probes generated the
+	// candidates — rendered with feature names; Probes are its probes.
+	Rule   string
+	Probes []PlanProbe
+	// Estimated is how many candidate pairs the anchor was expected to
+	// generate, scaled up from a stride sample of table A. When the scan
+	// ran because every anchor looked too wide, it is the narrowest one's.
+	Estimated int64
+	// Survivors is how many pairs the full rule set kept: the umbrella set.
+	Survivors int64
+	// Reason is why the exhaustive scan ran; empty when Indexed.
+	Reason string
+}
+
+// PlanProbe is one term of the anchor's candidate union: the pairs with
+// Feature (a measure of kind Kind) above Theta.
+type PlanProbe struct {
+	Feature string
+	Kind    string
+	Theta   float64
+}
+
+// String renders the record on one line, for reports and job events.
+func (p Plan) String() string {
+	if !p.Indexed {
+		return "scan of A×B (" + p.Reason + ")"
+	}
+	parts := make([]string, len(p.Probes))
+	for i, pr := range p.Probes {
+		parts[i] = fmt.Sprintf("%s > %.4g", pr.Feature, pr.Theta)
+	}
+	return fmt.Sprintf("index probes %s for %s; ~%d candidates estimated, %d survive",
+		strings.Join(parts, " ∪ "), p.Rule, p.Estimated, p.Survivors)
+}
+
+// plan is the candidate-generation strategy for one rule set: the explain
+// record plus, when an anchor was chosen, what executing it needs.
+//
+// The §4.3 scan visits all of A×B. A selected rule of the shape
+// sim(f₁) ≤ θ₁ ∧ … ∧ sim(f_k) ≤ θ_k → No removes a pair unless some
+// sim(fᵢ) > θᵢ, so the survivors of the full rule set lie inside
+// ⋃ᵢ {sim(fᵢ) > θᵢ}; when every fᵢ has an index, probing each and uniting
+// the answers enumerates a complete superset of the survivors without
+// visiting the rest of the product.
 type plan struct {
-	// indexed reports whether an anchor was found; the remaining fields are
-	// meaningful only when it is true.
-	indexed bool
-	// feature is the anchor's feature index, kind its index kind, and theta
-	// the effective threshold (the minimum over the rule's ≤-thresholds).
-	feature int
-	kind    simindex.Kind
-	theta   float64
+	Plan
+	rule   tree.Rule
+	probes []shard.Probe
+	kinds  []simindex.Kind
+	// colsA[i] / colsB[i] are probe i's table A and table B profile columns,
+	// thetas[i] its threshold.
+	colsA, colsB [][]*similarity.Profile
+	thetas       []float64
+	// group is the one-shard index group the estimate ran through; a
+	// one-shard in-process run probes it as is.
+	group *shard.Group
 }
 
-// anchorOf inspects one rule: if every predicate tests the same set-based
-// feature with Op ≤ and a non-negative effective threshold, the rule's
-// survivors are exactly {pairs : sim(f) > θ} and it can anchor an index
-// probe. Negative thresholds are rejected because sim > θ then admits
-// pairs sharing no tokens at all, which no inverted index can enumerate.
-func anchorOf(ex *feature.Extractor, r tree.Rule) (plan, bool) {
-	if len(r.Preds) == 0 {
-		return plan{}, false
+// estimateRows is how many table A rows the planner probes to estimate an
+// anchor's candidate count: enough that a 4% anchor and a 40% one cannot be
+// confused, few enough to cost under a hundredth of the probes that follow.
+const estimateRows = 64
+
+// scanCutNum / scanCutDen is the fraction of |A×B| above which an anchor's
+// estimated candidates are not worth generating: the scan visits cells in
+// order with no index to build, no union to sort and no cache misses, so an
+// index that hands most of the product to the verifier anyway only adds
+// cost. DESIGN.md §9.2 has the per-instance measurements behind the value.
+const scanCutNum, scanCutDen = 1, 2
+
+// anchorOf reads one rule as a probe list: every predicate must be ≤ on an
+// indexable feature; several predicates on one feature fold to the smallest
+// threshold, which must be ≥ 0 (below 0 the probe keeps every pair with a
+// present value, which no index enumerates). The probes are in the order
+// the rule first names their features. A rule that has the all-≤ shape but
+// cannot anchor comes back with the reason; any other rule with nothing.
+func anchorOf(ex *feature.Extractor, r tree.Rule) (probes []shard.Probe, kinds []simindex.Kind, reason string) {
+	if len(r.Preds) == 0 || slices.ContainsFunc(r.Preds, func(p tree.Predicate) bool { return p.Op != tree.LE }) {
+		return nil, nil, ""
 	}
-	f := r.Preds[0].Feature
-	theta := r.Preds[0].Threshold
 	for _, p := range r.Preds {
-		if p.Op != tree.LE || p.Feature != f {
-			return plan{}, false
-		}
-		if p.Threshold < theta {
-			theta = p.Threshold
-		}
-	}
-	if theta < 0 {
-		return plan{}, false
-	}
-	kind, ok := simindex.KindOf(ex.Features()[f].Kind)
-	if !ok {
-		return plan{}, false
-	}
-	return plan{indexed: true, feature: f, kind: kind, theta: theta}, true
-}
-
-// planRules picks the most selective indexable anchor among the selected
-// rules: the highest effective threshold (a tighter join admits fewer
-// candidates), feature index breaking ties for determinism. When no rule
-// is index-friendly the plan falls back to the exhaustive scan.
-func planRules(ex *feature.Extractor, rules []tree.Rule) plan {
-	best := plan{}
-	for _, r := range rules {
-		p, ok := anchorOf(ex, r)
-		if !ok {
+		i := slices.IndexFunc(probes, func(q shard.Probe) bool { return q.Feature == p.Feature })
+		if i >= 0 {
+			probes[i].Theta = min(probes[i].Theta, p.Threshold)
 			continue
 		}
-		if !best.indexed || p.theta > best.theta ||
-			//corlint:allow float-eq — deterministic tie-break: equal thetas must resolve by feature id so the planner picks the same anchor at every GOMAXPROCS
-			(p.theta == best.theta && p.feature < best.feature) {
+		f := ex.Features()[p.Feature]
+		kind, ok := simindex.KindOf(f.Kind)
+		if !ok {
+			return nil, nil, fmt.Sprintf("predicate on %s (%s) not indexable", f.Name, f.Kind)
+		}
+		probes = append(probes, shard.Probe{Feature: p.Feature, Theta: p.Threshold})
+		kinds = append(kinds, kind)
+	}
+	if slices.ContainsFunc(probes, func(q shard.Probe) bool { return !(q.Theta >= 0) }) {
+		return nil, nil, "negative threshold"
+	}
+	return probes, kinds, ""
+}
+
+// planRules picks the anchor expected to generate the fewest candidates
+// among the selected rules that have the shape (rule order breaking ties),
+// or the scan when none has it or the best still covers more than the cut
+// fraction of A×B. The expectation is measured, not modelled: each
+// anchorable rule's indexes are built over all of table B — one shard, so
+// the number does not depend on the run's shard count — and probed for
+// estimateRows rows of table A at a fixed stride; the count scales by
+// |A|/rows. The winner's indexes are kept for the run.
+func planRules(ex *feature.Extractor, rules []tree.Rule) plan {
+	na, nb := ex.A.Len(), ex.B.Len()
+	if len(rules) == 0 || na <= 0 || nb <= 0 {
+		return plan{Plan: Plan{Reason: "no rules to apply"}}
+	}
+	var best plan
+	reason := ""
+	for _, r := range rules {
+		probes, kinds, why := anchorOf(ex, r)
+		if probes == nil {
+			if reason == "" {
+				reason = why
+			}
+			continue
+		}
+		if p := anchorPlan(ex, r, probes, kinds); best.group == nil || p.Estimated < best.Estimated {
 			best = p
 		}
 	}
+	cut := int64(na) * int64(nb) * scanCutNum / scanCutDen
+	switch {
+	case best.group != nil && best.Estimated <= cut:
+	case best.group != nil:
+		return plan{Plan: Plan{Estimated: best.Estimated,
+			Reason: fmt.Sprintf("estimate %d > cut %d", best.Estimated, cut)}}
+	case reason != "":
+		return plan{Plan: Plan{Reason: reason}}
+	default:
+		return plan{Plan: Plan{Reason: "no all-≤ rule"}}
+	}
+	best.Indexed = true
+	best.Rule = best.rule.Render(ex.Name)
+	for _, q := range best.probes {
+		f := ex.Features()[q.Feature]
+		best.Probes = append(best.Probes, PlanProbe{Feature: f.Name, Kind: f.Kind, Theta: q.Theta})
+	}
 	return best
+}
+
+// anchorPlan builds the plan that generates candidates from rule r's probes
+// (anchorOf's): its indexes over all of table B, as one shard, and the
+// candidate count they are expected to produce.
+func anchorPlan(ex *feature.Extractor, r tree.Rule, probes []shard.Probe, kinds []simindex.Kind) plan {
+	p := plan{rule: r, probes: probes, kinds: kinds}
+	p.colsA, p.colsB, p.thetas = shard.ProbeColumns(ex, probes)
+	p.group = shard.BuildUnionGroup(kinds, p.colsB, 1)
+	p.Estimated = estimateCandidates(p.group.Shard(0), p.colsA, p.thetas)
+	return p
+}
+
+// estimateCandidates runs the real candidate generation for at most
+// estimateRows rows of table A, spread evenly, and scales the count to all
+// of them.
+func estimateCandidates(ix *shard.Index, colsA [][]*similarity.Profile, thetas []float64) int64 {
+	na := len(colsA[0])
+	m := min(na, estimateRows)
+	scratch := simindex.NewScratch()
+	probes := make([]*similarity.Profile, len(colsA))
+	total := 0
+	for i := 0; i < m; i++ {
+		a := i * na / m
+		for c, col := range colsA {
+			probes[c] = col[a]
+		}
+		total += ix.CountCandidates(probes, thetas, scratch)
+	}
+	return int64(total) * int64(na) / int64(m)
 }
 
 // execConfig carries the execution-strategy knobs from Config into the
@@ -93,26 +216,32 @@ type execConfig struct {
 }
 
 // applyRulesTo streams the survivors of the selected rules over A×B to
-// sink, in (a, b)-lexicographic order. There are two strategies: when a
-// selected rule can anchor an inverted index, candidates come from shard
-// probes driven by the coordinator (one shard for a small table, more when
-// the table is large or the count is configured; in-process or on remote
-// workers); otherwise every cell is visited by the parallel exhaustive
-// scan. The emitted pair stream is identical either way (every candidate is
-// verified against all rules by the same evaluator); only the number of
-// pairs visited and where the work runs differ. The returned error is
-// always nil for in-process execution; only a remote executor can fail.
-func applyRulesTo(ds *record.Dataset, ex *feature.Extractor, rules []tree.Rule, ec execConfig, sink Sink) error {
-	if len(rules) == 0 {
-		emitAllPairs(ds, sink)
-		return nil
-	}
+// sink, in (a, b)-lexicographic order, and returns the plan it followed.
+// There are two strategies: when a selected rule can anchor index probes
+// narrow enough to pay, candidates come from shard probes driven by the
+// coordinator (one shard for a small table, more when the table is large or
+// the count is configured; in-process or on remote workers); otherwise every
+// cell is visited by the parallel exhaustive scan. The emitted pair stream
+// is identical either way (every candidate is verified against all rules by
+// the same evaluator); only the number of pairs visited and where the work
+// runs differ. The returned error is always nil for in-process execution;
+// only a remote executor can fail.
+func applyRulesTo(ds *record.Dataset, ex *feature.Extractor, rules []tree.Rule, ec execConfig, sink Sink) (Plan, error) {
 	p := planRules(ex, rules)
-	if !p.indexed {
-		applyRulesScanTo(ds, ex, rules, sink)
-		return nil
+	counted := func(chunk []record.Pair) {
+		p.Survivors += int64(len(chunk))
+		sink(chunk)
 	}
-	return applyRulesShardedTo(ds, ex, rules, p, shard.Choose(ec.shards, ds.B.Len()), ec, sink)
+	var err error
+	switch {
+	case len(rules) == 0:
+		emitAllPairs(ds, counted)
+	case !p.Indexed:
+		applyRulesScanTo(ds, ex, rules, counted)
+	default:
+		err = applyRulesShardedTo(ds, ex, rules, p, shard.Choose(ec.shards, ds.B.Len()), ec, counted)
+	}
+	return p.Plan, err
 }
 
 // applyRulesScanTo is the exhaustive §4.3 scan: every cell of A×B is
@@ -186,12 +315,12 @@ func applyRulesScanTo(ds *record.Dataset, ex *feature.Extractor, rules []tree.Ru
 // indexes driven by the shard coordinator: the probe space is cut into
 // (A-row-block × shard) tasks, executed in-process (goroutine workers over a
 // prebuilt shard group) or on remote worker processes when an executor
-// override is configured. For each A row a task probes the anchor feature's
-// postings over its shard of table B, then verifies every candidate against
-// the full rule set with the same evaluator the scan uses. Index
-// completeness (see simindex.Candidates) guarantees the candidates are a
-// superset of the anchor rule's survivors, which contain the full rule
-// set's survivors; exact verification then yields the scan's stream.
+// override is configured. For each A row a task unites the plan's probes
+// over its shard of table B, then verifies every candidate against the full
+// rule set with the same evaluator the scan uses. Index completeness (see
+// simindex.Candidates) guarantees the candidates are a superset of the
+// anchor rule's survivors, which contain the full rule set's survivors;
+// exact verification then yields the scan's stream.
 //
 // The coordinator delivers results in task order — block-major,
 // shard-minor — so the k consecutive survivor lists of one probe block are
@@ -210,9 +339,14 @@ func applyRulesShardedTo(ds *record.Dataset, ex *feature.Extractor, rules []tree
 	}
 	exec := ec.exec
 	c := &shard.Coordinator{Workers: ec.workers, Stats: ec.stats, Batch: ec.batch}
+	var local *shard.LocalExecutor
 	if exec == nil {
-		profA, profB := ex.Profiles(p.feature)
-		exec = shard.NewLocalExecutor(ex, shard.BuildGroup(p.kind, profB, k), profA, rules, p.theta)
+		group := p.group
+		if k != 1 {
+			group = shard.BuildUnionGroup(p.kinds, p.colsB, k)
+		}
+		local = shard.NewUnionExecutor(ex, group, p.colsA, rules, p.thetas)
+		exec = local
 	} else {
 		// Remote attempts pace retries so a restarting worker process gets
 		// a window to come back before its breaker trips again.
@@ -234,7 +368,7 @@ func applyRulesShardedTo(ds *record.Dataset, ex *feature.Extractor, rules []tree
 	// wires the byte counters), keeping every probe request lean.
 	if jb, ok := exec.(shard.JobBinder); ok {
 		jb.BindJob(shard.JobParams{
-			Job: job, Shards: k, Feature: p.feature, Theta: p.theta,
+			Job: job, Shards: k, Probes: p.probes,
 			Rules: rules, Stats: ec.stats,
 		})
 	}
@@ -248,7 +382,7 @@ func applyRulesShardedTo(ds *record.Dataset, ex *feature.Extractor, rules []tree
 	per := make([][]record.Pair, k)
 	var merged []record.Pair
 	filled := 0
-	return c.Run(tasks, exec, func(_ int, pairs []record.Pair) {
+	err := c.Run(tasks, exec, func(_ int, pairs []record.Pair) {
 		if k > 1 {
 			per[filled] = pairs
 			filled++
@@ -263,4 +397,8 @@ func applyRulesShardedTo(ds *record.Dataset, ex *feature.Extractor, rules []tree
 			sink(pairs)
 		}
 	})
+	if local != nil && ec.stats != nil {
+		ec.stats.Candidates.Add(local.Generated())
+	}
+	return err
 }

@@ -3,6 +3,8 @@ package blocker
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/corleone-em/corleone/internal/datagen"
@@ -31,7 +33,7 @@ func applyRulesRef(ds *record.Dataset, ex *feature.Extractor, rules []tree.Rule)
 // shard, where nothing can fail.
 func applyRules(ds *record.Dataset, ex *feature.Extractor, rules []tree.Rule) []record.Pair {
 	var out []record.Pair
-	if err := applyRulesTo(ds, ex, rules, execConfig{shards: 1}, collectSink(&out)); err != nil {
+	if _, err := applyRulesTo(ds, ex, rules, execConfig{shards: 1}, collectSink(&out)); err != nil {
 		panic("blocker: in-process applyRules failed: " + err.Error())
 	}
 	return out
@@ -65,11 +67,103 @@ func samePairs(t *testing.T, label string, got, want []record.Pair) {
 	}
 }
 
+// featureByName returns the index of the named feature, or -1.
+func featureByName(ex *feature.Extractor, name string) int {
+	return slices.Index(ex.Names(), name)
+}
+
+// mustRule parses "f <= x & g > y & …" into a negative rule over ex's
+// features, so the learned rule sets below read as the engine prints them.
+func mustRule(ex *feature.Extractor, text string) tree.Rule {
+	var r tree.Rule
+	for _, term := range strings.Split(text, "&") {
+		var name, op string
+		var theta float64
+		if _, err := fmt.Sscan(term, &name, &op, &theta); err != nil {
+			panic(fmt.Sprintf("rule term %q: %v", term, err))
+		}
+		p := tree.Predicate{Feature: featureByName(ex, name), Op: tree.LE, Threshold: theta}
+		if p.Feature < 0 || (op != "<=" && op != ">") {
+			panic(fmt.Sprintf("rule term %q: unknown feature or operator", term))
+		}
+		if op == ">" {
+			p.Op = tree.GT
+		}
+		r.Preds = append(r.Preds, p)
+	}
+	return r
+}
+
+// forcedPlan is the plan that indexes rule r whatever its estimate — the
+// probe path must be exact on anchors the planner would rather scan.
+func forcedPlan(t *testing.T, ex *feature.Extractor, r tree.Rule) plan {
+	t.Helper()
+	probes, kinds, why := anchorOf(ex, r)
+	if probes == nil {
+		t.Fatalf("rule %s does not anchor: %q", r.Render(ex.Name), why)
+	}
+	p := anchorPlan(ex, r, probes, kinds)
+	p.Indexed = true
+	return p
+}
+
+// measuredRuleSets are rule sets the default benchmark instances select
+// (DESIGN.md §9.2's table; rules in selection order, thresholds as the engine
+// prints them). anchor is the position of the rule the planner probes; the
+// rules around it — ones with a > predicate or a measure no index serves, or
+// unions too wide to win — are what every candidate must still be verified
+// against, and what makes the scan of the same set expensive.
+var measuredRuleSets = []struct {
+	name, dataset string
+	anchor        int
+	rules         []string
+}{
+	{"products-band", "Products", 3, []string{ // Products×0.2 seed 1
+		"category_exact <= 0.5 & category_jaro_winkler > 0.4511",
+		"name_overlap_w <= 0.9 & category_jaccard_3g <= 0.5385",
+		"modelno_exact <= 0.5 & name_overlap_w <= 0.9 & description_overlap_w > 0.6667 & category_jaccard_3g > 0.5385",
+		"price_rel_diff <= 0.9539",
+	}},
+	{"products-band+3g", "Products", 4, []string{ // Products×0.2 seed 2
+		"modelno_exact <= 0.5 & modelno_jaro_winkler > -0.3426",
+		"modelno_exact <= 0.5 & name_jaccard_w <= 0.8333 & description_jaccard_w <= -0.5",
+		"modelno_exact <= 0.5 & price_rel_diff > 0.984 & brand_jaro_winkler <= 0.7881 & description_jaccard_w > -0.5",
+		"modelno_jaro_winkler <= 0.9222 & description_jaccard_w <= 0.95 & brand_jaccard_3g > 0.5714 & name_tfidf_cos <= 0.8824",
+		"price_rel_diff <= 0.9677 & modelno_jaccard_3g <= 0.7857",
+	}},
+	{"citations-venue", "Citations", 0, []string{ // Citations×0.1 seed 1
+		"title_jaccard_w <= 0.4643 & venue_jaccard_3g <= 0.008929",
+		"authors_jaccard_w <= 0.2667 & venue_jaccard_w > 0.05",
+		"authors_jaro_winkler <= 0.759 & authors_jaccard_w <= 0.2667",
+	}},
+	{"citations-year+cos+3g", "Citations", 0, []string{ // Citations×0.1 seed 7
+		"year_rel_diff <= 0.9995 & title_tfidf_cos <= 0.923 & authors_jaccard_3g <= 0.4495",
+		"authors_jaro_winkler <= 0.7199 & title_jaccard_w <= 0.4143 & authors_jaccard_3g <= 0.4523",
+	}},
+}
+
+// measuredRules parses the named measured rule set against ex's features.
+func measuredRules(ex *feature.Extractor, name string) []tree.Rule {
+	for _, set := range measuredRuleSets {
+		if set.name == name {
+			rules := make([]tree.Rule, len(set.rules))
+			for i, text := range set.rules {
+				rules[i] = mustRule(ex, text)
+			}
+			return rules
+		}
+	}
+	panic("no measured rule set " + name)
+}
+
 // TestApplyRulesEquivalence pins the planner bit-for-bit against the
 // sequential exhaustive scan: same survivors, same (a, b)-lexicographic
-// order, across datasets, rule shapes (indexed anchors of every supported
-// measure at low and high thresholds, multi-predicate rules riding along,
-// and non-indexable fallbacks), and GOMAXPROCS ∈ {1, 4}.
+// order, across datasets, rule shapes (anchors of every supported measure
+// at low and high thresholds, the union shapes the default instances
+// learn, multi-predicate rules riding along, and non-indexable fallbacks),
+// and GOMAXPROCS ∈ {1, 2, 4}. Every anchorable case runs twice: as the
+// planner decides, and with its anchor's probes forced, so the probe path
+// is checked on wide anchors the estimate would hand to the scan.
 func TestApplyRulesEquivalence(t *testing.T) {
 	datasets := []struct {
 		name string
@@ -83,26 +177,30 @@ func TestApplyRulesEquivalence(t *testing.T) {
 		ex := feature.NewExtractor(d.ds)
 
 		type ruleCase struct {
-			name    string
-			rules   []tree.Rule
-			indexed bool // what planRules must decide
+			name   string
+			rules  []tree.Rule
+			anchor int // the rule whose probes are also forced; -1 for none
 		}
 		var cases []ruleCase
 
 		// One anchor per indexable measure the schema offers, at a loose and
 		// a tight threshold (tight is where the index must still be complete
 		// while pruning hardest).
-		for _, kind := range []string{"jaccard_w", "jaccard_3g", "overlap_w", "tfidf_cos"} {
+		for _, kind := range []string{"jaccard_w", "jaccard_3g", "overlap_w", "tfidf_cos", "rel_diff"} {
 			f := featureByKind(ex, kind)
 			if f < 0 {
 				continue
 			}
 			for _, theta := range []float64{0, 0.5, 0.9} {
 				cases = append(cases, ruleCase{
-					name:    fmt.Sprintf("%s≤%g", kind, theta),
-					rules:   []tree.Rule{le(f, theta)},
-					indexed: true,
+					name:  fmt.Sprintf("%s≤%g", kind, theta),
+					rules: []tree.Rule{le(f, theta)},
 				})
+			}
+		}
+		for _, set := range measuredRuleSets {
+			if set.dataset == d.name {
+				cases = append(cases, ruleCase{name: set.name, rules: measuredRules(ex, set.name), anchor: set.anchor})
 			}
 		}
 		if jw := featureByKind(ex, "jaccard_w"); jw >= 0 {
@@ -113,11 +211,11 @@ func TestApplyRulesEquivalence(t *testing.T) {
 					{Feature: jw, Op: tree.LE, Threshold: 0.6},
 					{Feature: jw, Op: tree.LE, Threshold: 0.3},
 				}}},
-				indexed: true,
 			})
 			if other := featureByKind(ex, "exact"); other >= 0 {
-				// A cross-feature conjunction cannot anchor, but the single-
-				// predicate rule alongside it can; all rules still verify.
+				// A conjunction with a non-indexable feature cannot anchor,
+				// but the single-predicate rule alongside it can; all rules
+				// still verify.
 				cases = append(cases, ruleCase{
 					name: "anchor-plus-conjunction",
 					rules: []tree.Rule{
@@ -127,42 +225,47 @@ func TestApplyRulesEquivalence(t *testing.T) {
 							{Feature: other, Op: tree.LE, Threshold: 0.5},
 						}},
 					},
-					indexed: true,
 				})
 			}
 		}
 		// Non-indexable shapes must fall back to the scan.
 		if e := featureByKind(ex, "edit"); e >= 0 {
-			cases = append(cases, ruleCase{
-				name:    "edit-fallback",
-				rules:   []tree.Rule{le(e, 0.3)},
-				indexed: false,
-			})
+			cases = append(cases, ruleCase{name: "edit-fallback", rules: []tree.Rule{le(e, 0.3)}, anchor: -1})
 		} else if e := featureByKind(ex, "exact"); e >= 0 {
-			cases = append(cases, ruleCase{
-				name:    "exact-fallback",
-				rules:   []tree.Rule{le(e, 0.5)},
-				indexed: false,
-			})
+			cases = append(cases, ruleCase{name: "exact-fallback", rules: []tree.Rule{le(e, 0.5)}, anchor: -1})
 		}
 
 		for _, c := range cases {
 			want := applyRulesRef(d.ds, ex, c.rules)
-			if got := planRules(ex, c.rules).indexed; got != c.indexed {
-				t.Errorf("%s/%s: planRules indexed = %v, want %v", d.name, c.name, got, c.indexed)
+			if c.anchor < 0 && planRules(ex, c.rules).Indexed {
+				t.Errorf("%s/%s: planRules indexed a rule set with no anchor", d.name, c.name)
 			}
-			for _, procs := range []int{1, 4} {
+			for _, procs := range []int{1, 2, 4} {
 				prev := runtime.GOMAXPROCS(procs)
 				got := applyRules(d.ds, ex, c.rules)
+				var forced []record.Pair
+				var err error
+				if c.anchor >= 0 {
+					err = applyRulesShardedTo(d.ds, ex, c.rules, forcedPlan(t, ex, c.rules[c.anchor]), 1,
+						execConfig{}, collectSink(&forced))
+				}
 				runtime.GOMAXPROCS(prev)
-				samePairs(t, fmt.Sprintf("%s/%s/GOMAXPROCS=%d", d.name, c.name, procs), got, want)
+				label := fmt.Sprintf("%s/%s/GOMAXPROCS=%d", d.name, c.name, procs)
+				samePairs(t, label, got, want)
+				if c.anchor >= 0 {
+					if err != nil {
+						t.Fatalf("%s: forced probes: %v", label, err)
+					}
+					samePairs(t, label+"/forced", forced, want)
+				}
 			}
 		}
 	}
 }
 
-// TestPlanRules pins the anchor-selection rules: which shapes index, and
-// which anchor wins when several could.
+// TestPlanRules pins the anchor-selection rules: which shapes index, with
+// which probes, which anchor wins when several could, and the reason given
+// when none does.
 func TestPlanRules(t *testing.T) {
 	ds := datagen.Generate(datagen.Scaled(datagen.CitationsPaper, 0.005))
 	ex := feature.NewExtractor(ds)
@@ -171,50 +274,94 @@ func TestPlanRules(t *testing.T) {
 	if jw < 0 || ow < 0 {
 		t.Fatal("Citations schema should offer jaccard_w and overlap_w")
 	}
+	probesOf := func(p plan) []shard.Probe { return p.probes }
 
-	if p := planRules(ex, nil); p.indexed {
+	if p := planRules(ex, nil); p.Indexed {
 		t.Error("no rules should not plan an index")
 	}
-	if p := planRules(ex, []tree.Rule{le(jw, 0.4)}); !p.indexed || p.feature != jw || p.theta != 0.4 {
-		t.Errorf("single LE anchor: got %+v", p)
+	p := planRules(ex, []tree.Rule{le(jw, 0.4)})
+	if !p.Indexed || !slices.Equal(probesOf(p), []shard.Probe{{Feature: jw, Theta: 0.4}}) {
+		t.Errorf("single LE anchor: got %+v", p.Plan)
 	}
-	// Highest effective threshold wins (most selective join).
-	p := planRules(ex, []tree.Rule{le(jw, 0.3), le(ow, 0.7)})
-	if !p.indexed || p.feature != ow || p.theta != 0.7 {
-		t.Errorf("selectivity choice: got %+v, want feature %d θ=0.7", p, ow)
+	if len(p.Probes) != 1 || p.Probes[0].Feature != ex.Name(jw) || p.Probes[0].Kind != "jaccard_w" || p.Rule == "" {
+		t.Errorf("single LE anchor: explain record %+v does not name the probe", p.Plan)
 	}
-	// Ties break toward the lower feature index, deterministically.
-	p = planRules(ex, []tree.Rule{le(ow, 0.5), le(jw, 0.5)})
-	lo := jw
-	if ow < lo {
-		lo = ow
+
+	// Fewest estimated candidates wins, whichever way the rules are listed.
+	a, b := le(jw, 0.3), le(ow, 0.7)
+	ea, eb := planRules(ex, []tree.Rule{a}).Estimated, planRules(ex, []tree.Rule{b}).Estimated
+	if ea == eb {
+		t.Fatalf("fixture: both anchors estimate %d candidates", ea)
 	}
-	if !p.indexed || p.feature != lo {
-		t.Errorf("tie-break: got feature %d, want %d", p.feature, lo)
+	wantF := jw
+	if eb < ea {
+		wantF = ow
 	}
-	// GT predicates, cross-feature conjunctions, and negative thresholds
-	// cannot anchor.
-	gt := tree.Rule{Preds: []tree.Predicate{{Feature: jw, Op: tree.GT, Threshold: 0.4}}}
-	if p := planRules(ex, []tree.Rule{gt}); p.indexed {
-		t.Error("GT rule should not anchor")
+	for _, rules := range [][]tree.Rule{{a, b}, {b, a}} {
+		if p := planRules(ex, rules); !p.Indexed || p.probes[0].Feature != wantF || p.Estimated != min(ea, eb) {
+			t.Errorf("selectivity choice: got %+v, want feature %d with estimate %d", p.Plan, wantF, min(ea, eb))
+		}
 	}
-	cross := tree.Rule{Preds: []tree.Predicate{
-		{Feature: jw, Op: tree.LE, Threshold: 0.4},
-		{Feature: ow, Op: tree.LE, Threshold: 0.4},
-	}}
-	if p := planRules(ex, []tree.Rule{cross}); p.indexed {
-		t.Error("cross-feature conjunction should not anchor")
-	}
-	if p := planRules(ex, []tree.Rule{le(jw, -0.5)}); p.indexed {
-		t.Error("negative threshold should not anchor")
-	}
-	// min over same-feature thresholds.
+	// Equal estimates resolve to the earlier rule: these two have the same
+	// probe and render differently.
 	same := tree.Rule{Preds: []tree.Predicate{
 		{Feature: jw, Op: tree.LE, Threshold: 0.6},
 		{Feature: jw, Op: tree.LE, Threshold: 0.2},
 	}}
-	if p := planRules(ex, []tree.Rule{same}); !p.indexed || p.theta != 0.2 {
-		t.Errorf("same-feature conjunction: got θ=%g, want 0.2", p.theta)
+	for _, rules := range [][]tree.Rule{{same, le(jw, 0.2)}, {le(jw, 0.2), same}} {
+		if p := planRules(ex, rules); !p.Indexed || p.Rule != rules[0].Render(ex.Name) {
+			t.Errorf("tie-break: anchored %q, want the first rule %q", p.Rule, rules[0].Render(ex.Name))
+		}
+	}
+	// Several predicates on one feature fold to the smallest threshold.
+	if p := planRules(ex, []tree.Rule{same}); !p.Indexed || !slices.Equal(probesOf(p), []shard.Probe{{Feature: jw, Theta: 0.2}}) {
+		t.Errorf("same-feature conjunction: got %+v, want one probe at θ=0.2", p.probes)
+	}
+	// A conjunction over several indexable features is a union of probes,
+	// in the order the rule names them.
+	cross := tree.Rule{Preds: []tree.Predicate{
+		{Feature: ow, Op: tree.LE, Threshold: 0.9},
+		{Feature: jw, Op: tree.LE, Threshold: 0.6},
+		{Feature: ow, Op: tree.LE, Threshold: 0.8},
+	}}
+	if p := planRules(ex, []tree.Rule{cross}); !p.Indexed ||
+		!slices.Equal(probesOf(p), []shard.Probe{{Feature: ow, Theta: 0.8}, {Feature: jw, Theta: 0.6}}) {
+		t.Errorf("cross-feature conjunction: got %+v (%s)", p.probes, p.Reason)
+	}
+
+	// What cannot anchor, and the reason recorded for it.
+	gt := tree.Rule{Preds: []tree.Predicate{{Feature: jw, Op: tree.GT, Threshold: 0.4}}}
+	edit := featureByKind(ex, "edit")
+	year := featureByName(ex, "year_rel_diff")
+	cut := ds.CartesianSize() / 2
+	wide := planRules(ex, []tree.Rule{le(year, 0.5)})
+	for _, c := range []struct {
+		name   string
+		rules  []tree.Rule
+		reason string
+	}{
+		{"GT rule", []tree.Rule{gt}, "no all-≤ rule"},
+		{"negative threshold", []tree.Rule{le(jw, -0.5)}, "negative threshold"},
+		{"non-indexable feature", []tree.Rule{gt, le(edit, 0.3)},
+			fmt.Sprintf("predicate on %s (edit) not indexable", ex.Name(edit))},
+		{"non-indexable conjunct", []tree.Rule{{Preds: []tree.Predicate{
+			{Feature: jw, Op: tree.LE, Threshold: 0.4},
+			{Feature: edit, Op: tree.LE, Threshold: 0.4},
+		}}}, fmt.Sprintf("predicate on %s (edit) not indexable", ex.Name(edit))},
+		{"estimate over the cut", []tree.Rule{le(year, 0.5)},
+			fmt.Sprintf("estimate %d > cut %d", wide.Estimated, cut)},
+	} {
+		if p := planRules(ex, c.rules); p.Indexed || p.Reason != c.reason || p.group != nil {
+			t.Errorf("%s: got indexed=%v reason %q, want a scan with reason %q", c.name, p.Indexed, p.Reason, c.reason)
+		}
+	}
+	if wide.Estimated <= cut {
+		t.Errorf("fixture: year_rel_diff ≤ 0.5 estimates %d candidates, not above the cut %d", wide.Estimated, cut)
+	}
+	// A scan for want of an anchor beats nothing: one narrow anchor among
+	// rules that cannot is still taken.
+	if p := planRules(ex, []tree.Rule{gt, le(edit, 0.3), le(year, 0.5), le(jw, 0.4)}); !p.Indexed || p.probes[0].Feature != jw {
+		t.Errorf("narrow anchor among non-anchors: got %+v", p.Plan)
 	}
 }
 
@@ -232,7 +379,7 @@ func TestApplyRulesToChunks(t *testing.T) {
 		prev := runtime.GOMAXPROCS(procs)
 		var got []record.Pair
 		chunks := 0
-		err := applyRulesTo(ds, ex, rules, execConfig{shards: 1}, func(chunk []record.Pair) {
+		_, err := applyRulesTo(ds, ex, rules, execConfig{shards: 1}, func(chunk []record.Pair) {
 			if len(chunk) == 0 {
 				t.Error("sink received an empty chunk")
 			}

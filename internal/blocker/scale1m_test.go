@@ -35,7 +35,7 @@ func TestScale1MSharded(t *testing.T) {
 	// looser would emit a survivor set no machine holds.
 	rules := []tree.Rule{le(jw, 0.8)}
 	p := planRules(ex, rules)
-	if !p.indexed {
+	if !p.Indexed {
 		t.Fatal("rule should anchor an index")
 	}
 
@@ -43,8 +43,8 @@ func TestScale1MSharded(t *testing.T) {
 	// largest shard index must stay close to an even 1/K split of the
 	// total. Factor 2 is a generous skew allowance.
 	const k = 8
-	_, profB := ex.Profiles(p.feature)
-	group := shard.BuildGroup(p.kind, profB, k)
+	_, profB := ex.Profiles(p.probes[0].Feature)
+	group := shard.BuildGroup(p.kinds[0], profB, k)
 	maxFp, totalFp := group.MaxShardFootprint(), int64(0)
 	for s := 0; s < group.K(); s++ {
 		totalFp += group.Shard(s).Footprint()
@@ -54,8 +54,8 @@ func TestScale1MSharded(t *testing.T) {
 		t.Errorf("per-shard peak %d bytes exceeds 2x the even split of %d", maxFp, totalFp/int64(k))
 	}
 
-	profA, _ := ex.Profiles(p.feature)
-	exec := shard.NewLocalExecutor(ex, group, profA, rules, p.theta)
+	profA, _ := ex.Profiles(p.probes[0].Feature)
+	exec := shard.NewLocalExecutor(ex, group, profA, rules, p.probes[0].Theta)
 	survivors := 0
 	err = applyRulesShardedTo(ds, ex, rules, p, k,
 		execConfig{workers: 4, exec: exec},

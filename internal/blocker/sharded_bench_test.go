@@ -20,16 +20,16 @@ func benchSharded(b *testing.B, k, workers int) {
 	ex := feature.NewExtractor(ds)
 	rules := benchRules(b, ex)
 	p := planRules(ex, rules)
-	if !p.indexed {
+	if !p.Indexed {
 		b.Fatal("bench rules should anchor an index")
 	}
-	_, profB := ex.Profiles(p.feature)
-	group := shard.BuildGroup(p.kind, profB, k)
+	_, profB := ex.Profiles(p.probes[0].Feature)
+	group := shard.BuildGroup(p.kinds[0], profB, k)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkPairs = sinkPairs[:0]
-		if err := applyRulesTo(ds, ex, rules,
+		if _, err := applyRulesTo(ds, ex, rules,
 			execConfig{shards: k, workers: workers}, collectSink(&sinkPairs)); err != nil {
 			b.Fatal(err)
 		}

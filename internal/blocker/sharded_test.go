@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,7 +20,8 @@ import (
 // exhaustive scan — same survivors, same (a, b) order — across
 // K ∈ {1, 2, 3, 8} (K=1 runs through the same coordinator as every other
 // K) and GOMAXPROCS ∈ {1, 4}, on two datasets and two rule shapes, with
-// exactly the task grid dispatched and nothing retried.
+// exactly the task grid dispatched and nothing retried; then for the union
+// anchors the benchmark instances learn, in-process and over the wire.
 func TestShardedBlockingEquivalence(t *testing.T) {
 	datasets := []struct {
 		name string
@@ -47,7 +49,7 @@ func TestShardedBlockingEquivalence(t *testing.T) {
 					prev := runtime.GOMAXPROCS(procs)
 					var stats shard.Stats
 					var got []record.Pair
-					err := applyRulesTo(d.ds, ex, rules,
+					_, err := applyRulesTo(d.ds, ex, rules,
 						execConfig{shards: k, workers: procs, stats: &stats},
 						collectSink(&got))
 					runtime.GOMAXPROCS(prev)
@@ -69,6 +71,51 @@ func TestShardedBlockingEquivalence(t *testing.T) {
 			}
 		}
 	}
+
+	// The same invariant for union anchors, on the rule sets the default
+	// benchmark instances select (measuredRuleSets): their probes forced —
+	// at this scale the estimate might prefer the scan — through K ∈ {1, 4}
+	// shards and GOMAXPROCS ∈ {1, 2, 4}, in-process and on shard workers
+	// behind httptest servers that rebuild the dataset from its recipe and
+	// receive the probe list in their /shard/load spec.
+	w1, w2 := shard.NewWorker(), shard.NewWorker()
+	srv1 := httptest.NewServer(w1.Handler())
+	defer srv1.Close()
+	srv2 := httptest.NewServer(w2.Handler())
+	defer srv2.Close()
+	endpoints := []string{srv1.URL, srv2.URL}
+
+	scales := map[string]float64{"Products": 0.02, "Citations": 0.01}
+	for _, set := range measuredRuleSets {
+		recipe := shard.JobSpec{Dataset: strings.ToLower(set.dataset), Scale: scales[set.dataset]}
+		ds, err := datagen.DatasetFor(recipe.Dataset, recipe.Scale, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := feature.NewExtractor(ds)
+		rules := measuredRules(ex, set.name)
+		want := applyRulesRef(ds, ex, rules)
+		p := forcedPlan(t, ex, rules[set.anchor])
+		for _, k := range []int{1, 4} {
+			for _, procs := range []int{1, 2, 4} {
+				name := fmt.Sprintf("%s/k=%d/procs=%d", set.name, k, procs)
+				prev := runtime.GOMAXPROCS(procs)
+				var local, remote []record.Pair
+				errLocal := applyRulesShardedTo(ds, ex, rules, p, k,
+					execConfig{workers: procs}, collectSink(&local))
+				errRemote := applyRulesShardedTo(ds, ex, rules, p, k, execConfig{
+					workers: procs, job: name,
+					exec: shard.NewRemoteExecutor(endpoints, recipe, nil),
+				}, collectSink(&remote))
+				runtime.GOMAXPROCS(prev)
+				if errLocal != nil || errRemote != nil {
+					t.Fatalf("%s: local %v, remote %v", name, errLocal, errRemote)
+				}
+				samePairs(t, name+"/local", local, want)
+				samePairs(t, name+"/remote", remote, want)
+			}
+		}
+	}
 }
 
 // TestShardedRemoteTransportEquivalence extends the tentpole invariant
@@ -86,7 +133,7 @@ func TestShardedRemoteTransportEquivalence(t *testing.T) {
 	rules := []tree.Rule{le(jw, 0.3)}
 	want := applyRulesRef(ds, ex, rules)
 	p := planRules(ex, rules)
-	if !p.indexed {
+	if !p.Indexed {
 		t.Fatal("rule should anchor an index")
 	}
 
@@ -148,13 +195,13 @@ func TestShardedMergeDeterminism(t *testing.T) {
 
 	const k = 3
 	p := planRules(ex, rules)
-	if !p.indexed {
+	if !p.Indexed {
 		t.Fatal("rule should anchor an index")
 	}
-	profA, profB := ex.Profiles(p.feature)
-	group := shard.BuildGroup(p.kind, profB, k)
+	profA, profB := ex.Profiles(p.probes[0].Feature)
+	group := shard.BuildGroup(p.kinds[0], profB, k)
 	for trial := 0; trial < 3; trial++ {
-		exec := delayExecutor{inner: shard.NewLocalExecutor(ex, group, profA, rules, p.theta)}
+		exec := delayExecutor{inner: shard.NewLocalExecutor(ex, group, profA, rules, p.probes[0].Theta)}
 		var got []record.Pair
 		err := applyRulesShardedTo(ds, ex, rules, p, k,
 			execConfig{workers: 4, exec: exec}, collectSink(&got))

@@ -318,8 +318,8 @@ func Run(ds *record.Dataset, c crowd.Crowd, cfg Config) (*Result, error) {
 	res.Blocking = blk
 	res.BlockingAccounting = runner.Stats()
 	if blk.Triggered {
-		emit("blocking", fmt.Sprintf("%d rules applied, umbrella set %d pairs",
-			len(blk.Selected), len(blk.Candidates)))
+		emit("blocking", fmt.Sprintf("%d rules applied by %s, umbrella set %d pairs",
+			len(blk.Selected), blk.Plan, len(blk.Candidates)))
 	} else {
 		emit("blocking", "skipped (Cartesian product below t_B)")
 	}

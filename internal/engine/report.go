@@ -17,6 +17,10 @@ func (r *Result) Summary() string {
 			fmt.Fprintf(&b, "  blocking: %d of %d pairs survive (%d rules, $%.2f, %d pairs labeled)\n",
 				len(blk.Candidates), blk.CartesianSize, len(blk.Selected),
 				r.BlockingAccounting.Cost, r.BlockingAccounting.Pairs)
+			for _, rule := range blk.Selected {
+				fmt.Fprintf(&b, "    rule: %s\n", rule.Render(r.featureName))
+			}
+			fmt.Fprintf(&b, "    plan: %s\n", blk.Plan)
 		} else {
 			fmt.Fprintf(&b, "  blocking: skipped (%d pairs fit below t_B)\n", blk.CartesianSize)
 		}
@@ -45,6 +49,15 @@ func (r *Result) Summary() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// featureName resolves a feature index against the run's feature contract,
+// which a run stopped before its first matcher iteration does not have.
+func (r *Result) featureName(i int) string {
+	if i < len(r.FeatureNames) {
+		return r.FeatureNames[i]
+	}
+	return fmt.Sprintf("feature#%d", i)
 }
 
 // SaveModel serializes the trained matcher (iteration 1's forest plus its

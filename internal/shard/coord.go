@@ -20,16 +20,16 @@ import (
 // the coordinator handoff.
 const TaskBlockRows = 64
 
-// Task is one unit of shard work: probe the anchor feature's index on one
-// shard of table B for a block of table A rows, and verify every candidate
-// against the job's rule set. A task is a pure function of its fields plus
+// Task is one unit of shard work: probe the job's indexes on one shard of
+// table B for a block of table A rows, and verify every candidate against
+// the job's rule set. A task is a pure function of its fields plus
 // the job's loaded parameters (JobSpec) and deterministic dataset, which
 // is what makes re-execution after a worker crash — on any process —
 // idempotent: the retried task returns byte-identical survivors.
 //
 // The struct is the wire format the remote executor POSTs to shard
 // workers, and it is deliberately lean: the per-job constants — the rule
-// set, anchor feature, and probe threshold — live in the job's /shard/load
+// set and the probe list — live in the job's /shard/load
 // spec (JobSpec), not here. A job at scale-1m dispatches ~(na/64)×K tasks;
 // re-marshaling the rule set into every one of them is what made the PR 6
 // wire format communication-bound. A probe request is now a few dozen
@@ -54,13 +54,16 @@ type Task struct {
 }
 
 // JobParams are the per-job constants every task of one blocking job
-// shares: the id tasks carry, the partition width, the anchor feature and
-// probe threshold, and the full rule set candidates are verified against.
-// The planner binds them to the executor once per run (see JobBinder);
-// tasks then stay lean on the wire.
+// shares: the id tasks carry, the partition width, the probe list whose
+// union generates the candidates, and the full rule set candidates are
+// verified against. The planner binds them to the executor once per run
+// (see JobBinder); tasks then stay lean on the wire.
 type JobParams struct {
-	Job     string
-	Shards  int
+	Job    string
+	Shards int
+	// Probes is the candidate union. Left empty, Feature and Theta name the
+	// single probe of a one-feature anchor.
+	Probes  []Probe
 	Feature int
 	Theta   float64
 	Rules   []tree.Rule
@@ -106,6 +109,12 @@ type Stats struct {
 	// moves no bytes and leaves them zero.
 	BytesSent     atomic.Int64
 	BytesReceived atomic.Int64
+	// Candidates counts the pairs in-process probes generated and handed
+	// to the verifier — the number a plan's estimate predicts. Remote
+	// workers return survivors only, so remote runs leave it zero. It moves
+	// with the shard count (Jaccard prefix filters order tokens by per-shard
+	// postings lengths), which is why it lives here and not in a Result.
+	Candidates atomic.Int64
 }
 
 // Coordinator fans tasks out to Workers goroutines over an Executor and

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"github.com/corleone-em/corleone/internal/feature"
 	"github.com/corleone-em/corleone/internal/record"
@@ -10,6 +11,51 @@ import (
 	"github.com/corleone-em/corleone/internal/tree"
 )
 
+// prober is one goroutine's reusable probe state and the one loop every
+// executor — in-process or a remote worker — runs a task through.
+type prober struct {
+	v      *Verifier
+	is     *simindex.Scratch
+	probes []*similarity.Profile
+	cand   []int32
+	out    []record.Pair
+}
+
+// newProber returns probe state for a job of n probes.
+func newProber(ex *feature.Extractor, rules []tree.Rule, n int) *prober {
+	return &prober{v: NewVerifier(ex, rules), is: simindex.NewScratch(), probes: make([]*similarity.Profile, n)}
+}
+
+// run executes one task against its shard: for each row in [ALo, AHi) the
+// union of the probes' candidates (profA[i] is table A's column for probe
+// i), every one of them verified against the full rule set. It returns the
+// survivors in (a, b) order as a fresh exact-size slice — the working
+// buffers stay with the prober — and how many candidates it verified.
+func (p *prober) run(ix *Index, profA [][]*similarity.Profile, thetas []float64, t Task) ([]record.Pair, int) {
+	p.out = p.out[:0]
+	if cap(p.cand) < ix.Rows() {
+		p.cand = make([]int32, 0, ix.Rows()) // a row's candidates never outnumber the shard
+	}
+	generated := 0
+	for a := t.ALo; a < t.AHi; a++ {
+		for i, col := range profA {
+			p.probes[i] = col[a]
+		}
+		p.cand = ix.Candidates(p.probes, thetas, p.is, p.cand[:0])
+		generated += len(p.cand)
+		for _, b := range p.cand {
+			pair := record.Pair{A: a, B: b}
+			if p.v.Survives(pair) {
+				p.out = append(p.out, pair)
+			}
+		}
+	}
+	if len(p.out) == 0 {
+		return nil, generated
+	}
+	return append(make([]record.Pair, 0, len(p.out)), p.out...), generated
+}
+
 // LocalExecutor runs shard tasks in-process against a prebuilt Group —
 // the executor the blocker uses when no worker endpoints are configured.
 // It is the reference implementation of the task semantics: probe the
@@ -17,51 +63,51 @@ import (
 // shared memoized evaluator, return survivors in (a, b) order. Safe for
 // concurrent Probe calls.
 type LocalExecutor struct {
-	group *Group
-	profA []*similarity.Profile
-	theta float64
-	pool  sync.Pool
+	group     *Group
+	profA     [][]*similarity.Profile
+	thetas    []float64
+	pool      sync.Pool
+	generated atomic.Int64
 }
 
-// localState is one goroutine's reusable probe state.
-type localState struct {
-	v    *Verifier
-	is   *simindex.Scratch
-	cand []int32
-}
-
-// NewLocalExecutor binds the executor to a shard group over table B's
-// anchor-feature profiles, the probe-side (table A) profiles, the rule
-// set, and the anchor probe threshold. The wire protocol moves the same
-// per-job constants through JobSpec; the local executor takes them at
-// construction instead — same values, no wire.
+// NewLocalExecutor binds the executor to a single-probe shard group over
+// table B's anchor-feature profiles, the probe-side (table A) profiles, the
+// rule set, and the anchor probe threshold: NewUnionExecutor for a union of
+// one.
 func NewLocalExecutor(ex *feature.Extractor, group *Group, profA []*similarity.Profile, rules []tree.Rule, theta float64) *LocalExecutor {
-	e := &LocalExecutor{group: group, profA: profA, theta: theta}
-	e.pool.New = func() any {
-		return &localState{v: NewVerifier(ex, rules), is: simindex.NewScratch()}
-	}
+	return NewUnionExecutor(ex, group, [][]*similarity.Profile{profA}, rules, []float64{theta})
+}
+
+// NewUnionExecutor binds the executor to a shard group built over the
+// probes' table B columns (BuildUnionGroup), the probes' table A columns
+// and thresholds in the same order, and the rule set every candidate is
+// verified against. The wire protocol moves the same per-job constants
+// through JobSpec; the local executor takes them at construction instead —
+// same values, no wire.
+func NewUnionExecutor(ex *feature.Extractor, group *Group, profA [][]*similarity.Profile, rules []tree.Rule, thetas []float64) *LocalExecutor {
+	e := &LocalExecutor{group: group, profA: profA, thetas: thetas}
+	e.pool.New = func() any { return newProber(ex, rules, len(profA)) }
 	return e
 }
 
 // Probe implements Executor: the run's tasks are probed one after the
 // other on one goroutine's pooled state. It cannot fail.
 func (e *LocalExecutor) Probe(tasks []Task, _ int) ([][]record.Pair, error) {
-	st := e.pool.Get().(*localState)
-	defer e.pool.Put(st)
+	p := e.pool.Get().(*prober)
+	defer e.pool.Put(p)
 	results := make([][]record.Pair, len(tasks))
+	generated := 0
 	for i, t := range tasks {
-		sh := e.group.Shard(t.Shard)
-		var out []record.Pair
-		for a := t.ALo; a < t.AHi; a++ {
-			st.cand = sh.Candidates(e.profA[a], e.theta, st.is, st.cand[:0])
-			for _, b := range st.cand {
-				p := record.Pair{A: a, B: b}
-				if st.v.Survives(p) {
-					out = append(out, p)
-				}
-			}
-		}
-		results[i] = out
+		var n int
+		results[i], n = p.run(e.group.Shard(t.Shard), e.profA, e.thetas, t)
+		generated += n
 	}
+	e.generated.Add(int64(generated))
 	return results, nil
 }
+
+// Generated returns how many candidate pairs the executor has verified so
+// far — what the plan's estimate predicted. It depends on the shard count
+// (Jaccard prefix filters order tokens by per-shard postings lengths), so it
+// is a diagnostic and never part of a Result.
+func (e *LocalExecutor) Generated() int64 { return e.generated.Load() }

@@ -65,8 +65,8 @@ const maxBatchTasks = 64
 // NewRemoteExecutor targets the given worker base URLs (e.g.
 // "http://127.0.0.1:9301"). spec seeds the lazy-load handshake: only the
 // dataset recipe (Dataset, Scale, Noise) must be filled in — the job id,
-// shard count, anchor feature, threshold, and rules arrive via BindJob
-// once the planner has chosen them. client nil means a default with a
+// shard count, probe list, and rules arrive via BindJob once the planner
+// has chosen them. client nil means a default with a
 // generous per-call timeout (a batch covers at most maxBatchTasks probes).
 func NewRemoteExecutor(endpoints []string, spec JobSpec, client *http.Client) *RemoteExecutor {
 	if client == nil {
@@ -88,8 +88,8 @@ func (e *RemoteExecutor) BindJob(p JobParams) {
 	defer e.mu.Unlock()
 	e.spec.Job = p.Job
 	e.spec.Shards = p.Shards
-	e.spec.Feature = p.Feature
-	e.spec.Theta = p.Theta
+	e.spec.Probes = oneProbe(p.Probes, p.Feature, p.Theta)
+	e.spec.Feature, e.spec.Theta = 0, 0
 	e.spec.Rules = p.Rules
 	e.stats = p.Stats
 }

@@ -59,7 +59,17 @@ func Partition(n, k int) [][]int32 {
 	if k < 1 {
 		k = 1
 	}
+	// Count first, then carve the k lists out of one array of n rows: two
+	// allocations whatever n and k are.
+	counts := make([]int, k)
+	for r := int32(0); r < int32(n); r++ {
+		counts[Assign(r, k)]++
+	}
+	all := make([]int32, n)
 	out := make([][]int32, k)
+	for s, c := range counts {
+		out[s], all = all[:0:c], all[c:]
+	}
 	for r := int32(0); r < int32(n); r++ {
 		s := Assign(r, k)
 		out[s] = append(out[s], r)

@@ -6,6 +6,7 @@ import (
 	"github.com/corleone-em/corleone/internal/datagen"
 	"github.com/corleone-em/corleone/internal/feature"
 	"github.com/corleone-em/corleone/internal/record"
+	"github.com/corleone-em/corleone/internal/similarity"
 	"github.com/corleone-em/corleone/internal/simindex"
 )
 
@@ -130,7 +131,7 @@ func TestGroupCandidatesCompleteness(t *testing.T) {
 		for a := 0; a < len(profA); a++ {
 			inCand := make(map[int32]bool)
 			for s := 0; s < k; s++ {
-				cand = g.Shard(s).Candidates(profA[a], theta, is, cand[:0])
+				cand = g.Shard(s).Candidates([]*similarity.Profile{profA[a]}, []float64{theta}, is, cand[:0])
 				// Ascending within the shard, no row in two shards.
 				for i, b := range cand {
 					if i > 0 && b <= cand[i-1] {

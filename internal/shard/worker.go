@@ -20,13 +20,13 @@ import (
 
 // JobSpec is everything a worker process needs to reconstruct a blocking
 // job's inputs from nothing: the deterministic dataset recipe plus the
-// anchor feature, shard count, probe threshold, and blocking rule set.
-// Workers rebuild rather than receive the data — same spec, any process,
-// byte-identical dataset — which is what makes a crash-restarted worker
-// able to serve retried tasks correctly with no state transfer.
+// shard count, probe list, and blocking rule set. Workers rebuild rather
+// than receive the data — same spec, any process, byte-identical dataset —
+// which is what makes a crash-restarted worker able to serve retried tasks
+// correctly with no state transfer.
 //
-// Rules and Theta live here, not on Task: they are per-job constants, and
-// hoisting them out of the ~(na/TaskBlockRows)×K probe requests is what
+// Rules and the probes live here, not on Task: they are per-job constants,
+// and hoisting them out of the ~(na/TaskBlockRows)×K probe requests is what
 // shrinks a probe to a few dozen wire bytes (the lean task format).
 type JobSpec struct {
 	// Job identifies the job; probes carry the same id.
@@ -36,13 +36,16 @@ type JobSpec struct {
 	Dataset string  `json:"dataset"`
 	Scale   float64 `json:"scale,omitempty"`
 	Noise   float64 `json:"noise,omitempty"`
-	// Shards is the job's partition width K; Feature the anchor feature's
-	// index in the job's extractor.
-	Shards  int `json:"shards"`
-	Feature int `json:"feature"`
-	// Theta is the anchor feature's probe threshold; Rules the blocking
-	// rule set every candidate is verified against.
-	Theta float64     `json:"theta"`
+	// Shards is the job's partition width K.
+	Shards int `json:"shards"`
+	// Probes is the candidate union: feature indexes in the job's extractor
+	// with their thresholds. A spec without it names a single probe through
+	// Feature and Theta — the form every spec had before probe lists; Load
+	// folds it into Probes, so the two spellings of one job are one spec.
+	Probes  []Probe `json:"probes,omitempty"`
+	Feature int     `json:"feature,omitempty"`
+	Theta   float64 `json:"theta,omitempty"`
+	// Rules is the blocking rule set every candidate is verified against.
 	Rules []tree.Rule `json:"rules"`
 }
 
@@ -68,10 +71,14 @@ var ErrUnknownJob = errors.New("shard: unknown job")
 // shards routed here, not the whole table.
 type workerJob struct {
 	spec  JobSpec
-	ex    *feature.Extractor
-	kind  simindex.Kind
-	profA []*similarity.Profile
-	parts [][]int32 // Partition(|B|, K), computed once at load
+	kinds []simindex.Kind
+	// profA[i] / profB[i] are probe i's table A and table B columns;
+	// thetas[i] its threshold.
+	profA, profB [][]*similarity.Profile
+	thetas       []float64
+	parts        [][]int32 // Partition(|B|, K), computed once at load
+	// probers pools per-goroutine probe state across the job's requests.
+	probers sync.Pool
 
 	mu     sync.Mutex
 	shards map[int]*Index
@@ -85,8 +92,7 @@ func (j *workerJob) shardIndex(s int) *Index {
 	if ix, ok := j.shards[s]; ok {
 		return ix
 	}
-	_, profB := j.ex.Profiles(j.spec.Feature)
-	ix := BuildIndex(j.kind, profB, j.parts[s])
+	ix := BuildIndex(j.kinds, j.profB, j.parts[s])
 	j.shards[s] = ix
 	return ix
 }
@@ -128,6 +134,11 @@ func (w *Worker) Load(spec JobSpec) error {
 	if spec.Shards < 1 {
 		return fmt.Errorf("shard: job %q: shards must be >= 1", spec.Job)
 	}
+	if len(spec.Probes) > 0 && (spec.Feature != 0 || spec.Theta != 0) {
+		return fmt.Errorf("shard: job %q: spec names both probes and a single feature/theta", spec.Job)
+	}
+	spec.Probes = oneProbe(spec.Probes, spec.Feature, spec.Theta)
+	spec.Feature, spec.Theta = 0, 0
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if prev, ok := w.jobs[spec.Job]; ok {
@@ -141,24 +152,19 @@ func (w *Worker) Load(spec JobSpec) error {
 		return err
 	}
 	ex := feature.NewExtractor(ds)
-	if spec.Feature < 0 || spec.Feature >= ex.NumFeatures() {
-		return fmt.Errorf("shard: job %q: feature %d out of range [0,%d)",
-			spec.Job, spec.Feature, ex.NumFeatures())
+	kinds, err := probeKinds(ex, spec.Probes)
+	if err != nil {
+		return fmt.Errorf("shard: job %q: %w", spec.Job, err)
 	}
-	kind, ok := simindex.KindOf(ex.Features()[spec.Feature].Kind)
-	if !ok {
-		return fmt.Errorf("shard: job %q: feature %d (%s) is not indexable",
-			spec.Job, spec.Feature, ex.Name(spec.Feature))
-	}
-	profA, profB := ex.Profiles(spec.Feature)
-	w.jobs[spec.Job] = &workerJob{
+	job := &workerJob{
 		spec:   spec,
-		ex:     ex,
-		kind:   kind,
-		profA:  profA,
-		parts:  Partition(len(profB), spec.Shards),
+		kinds:  kinds,
+		parts:  Partition(ds.B.Len(), spec.Shards),
 		shards: make(map[int]*Index),
 	}
+	job.profA, job.profB, job.thetas = ProbeColumns(ex, spec.Probes)
+	job.probers.New = func() any { return newProber(ex, spec.Rules, len(spec.Probes)) }
+	w.jobs[spec.Job] = job
 	w.stats.JobsLoaded.Add(1)
 	return nil
 }
@@ -184,32 +190,19 @@ func validateTask(job *workerJob, t Task) error {
 	if t.Shard < 0 || t.Shard >= job.spec.Shards {
 		return fmt.Errorf("shard: shard %d out of range [0,%d)", t.Shard, job.spec.Shards)
 	}
-	if t.ALo < 0 || int(t.AHi) > len(job.profA) || t.ALo > t.AHi {
-		return fmt.Errorf("shard: probe rows [%d,%d) out of range [0,%d)",
-			t.ALo, t.AHi, len(job.profA))
+	if na := len(job.profA[0]); t.ALo < 0 || int(t.AHi) > na || t.ALo > t.AHi {
+		return fmt.Errorf("shard: probe rows [%d,%d) out of range [0,%d)", t.ALo, t.AHi, na)
 	}
 	return nil
 }
 
-// probeLoaded runs one validated task: probe the task's shard for each row
-// in [ALo, AHi), verify candidates against the job's rule set, return
-// survivors in (a, b) order — the same semantics as LocalExecutor,
-// recomputed from the worker's own deterministic rebuild of the dataset.
+// probeLoaded runs one validated task through the shared probe loop
+// (prober.run) — the same semantics as LocalExecutor, recomputed from the
+// worker's own deterministic rebuild of the dataset.
 func (w *Worker) probeLoaded(job *workerJob, t Task) []record.Pair {
-	ix := job.shardIndex(t.Shard)
-	v := NewVerifier(job.ex, job.spec.Rules)
-	is := simindex.NewScratch()
-	var out []record.Pair
-	var cand []int32
-	for a := t.ALo; a < t.AHi; a++ {
-		cand = ix.Candidates(job.profA[a], job.spec.Theta, is, cand[:0])
-		for _, b := range cand {
-			p := record.Pair{A: a, B: b}
-			if v.Survives(p) {
-				out = append(out, p)
-			}
-		}
-	}
+	p := job.probers.Get().(*prober)
+	out, _ := p.run(job.shardIndex(t.Shard), job.profA, job.thetas, t)
+	job.probers.Put(p)
 	w.stats.Probes.Add(1)
 	return out
 }
@@ -218,7 +211,9 @@ func (w *Worker) probeLoaded(job *workerJob, t Task) []record.Pair {
 //
 //	GET  /healthz     → 200 "ok" once the process accepts work
 //	GET  /metrics     → worker counters as JSON
-//	POST /shard/load  → body JobSpec; 200 when the job is probeable
+//	POST /shard/load  → body JobSpec ("probes": [{feature, theta}, ...],
+//	                    or a lone "feature"/"theta" for one probe); 200
+//	                    when the job is probeable
 //	POST /shard/probe → body [Task, ...] (one task is an array of one);
 //	                    412 when the job is not loaded (client should
 //	                    load + retry)

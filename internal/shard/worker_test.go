@@ -2,7 +2,9 @@ package shard
 
 import (
 	"bufio"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -115,7 +117,7 @@ func TestWorkerHTTPRoundTrip(t *testing.T) {
 	// The worker rebuilt dataset and extractor from the recipe. Index keys
 	// are vocabulary ranks, so its profiles — ranks included — must be the
 	// coordinator's, row for row, not merely yield the same survivors.
-	remA, remB := w.jobs[spec.Job].ex.Profiles(spec.Feature)
+	remA, remB := w.jobs[spec.Job].profA[0], w.jobs[spec.Job].profB[0]
 	_, profB := ex.Profiles(spec.Feature)
 	if !reflect.DeepEqual(remA, profA) || !reflect.DeepEqual(remB, profB) {
 		t.Error("worker-side profiles (word ranks) differ from the coordinator's")
@@ -146,6 +148,69 @@ func TestWorkerLoadIdempotent(t *testing.T) {
 	conflict.Shards++
 	if err := w.Load(conflict); err == nil {
 		t.Error("conflicting spec for the same job id should be rejected")
+	}
+}
+
+// TestWorkerLoadSpecSpellings pins /shard/load's two spellings of a job's
+// probes over HTTP: a spec with only "feature"/"theta" — every spec before
+// probe lists — is the probe list of one, so the "probes" spelling of the
+// same job is a re-load, not a conflict; a spec with both, or with a probe
+// no index serves, is a 400.
+func TestWorkerLoadSpecSpellings(t *testing.T) {
+	spec, ex, rules := testJob(t, 2)
+	w := NewWorker()
+	srv := httptest.NewServer(w.Handler())
+	defer srv.Close()
+	load := func(body string) int {
+		t.Helper()
+		resp, err := srv.Client().Post(srv.URL+"/shard/load", JSONContentType, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	rulesJSON, err := json.Marshal(rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := fmt.Sprintf(`"dataset":"restaurants","scale":%v,"shards":2,"rules":%s`, spec.Scale, rulesJSON)
+	legacy := fmt.Sprintf(`{"job":"spell",%s,"feature":%d,"theta":0.3}`, head, spec.Feature)
+	listed := fmt.Sprintf(`{"job":"spell",%s,"probes":[{"feature":%d,"theta":0.3}]}`, head, spec.Feature)
+	if code := load(legacy); code != http.StatusOK {
+		t.Fatalf("legacy feature/theta spec: status %d", code)
+	}
+	if code := load(listed); code != http.StatusOK {
+		t.Errorf("probes spelling of the loaded job: status %d, want an idempotent 200", code)
+	}
+	if n := w.Stats().JobsLoaded.Load(); n != 1 {
+		t.Errorf("two spellings of one job counted %d loads, want 1", n)
+	}
+	both := fmt.Sprintf(`{"job":"both",%s,"feature":%d,"theta":0.3,"probes":[{"feature":%d,"theta":0.3}]}`,
+		head, spec.Feature, spec.Feature)
+	if code := load(both); code != http.StatusBadRequest {
+		t.Errorf("spec naming probes and feature/theta: status %d, want 400", code)
+	}
+	for name, probes := range map[string]string{
+		"unindexable": fmt.Sprintf(`[{"feature":%d,"theta":0.3}]`, featureByKind(ex, "edit")),
+		"negative":    fmt.Sprintf(`[{"feature":%d,"theta":-0.1}]`, spec.Feature),
+		"range":       `[{"feature":9999,"theta":0.3}]`,
+	} {
+		if code := load(fmt.Sprintf(`{"job":%q,%s,"probes":%s}`, name, head, probes)); code != http.StatusBadRequest {
+			t.Errorf("%s probe: status %d, want 400", name, code)
+		}
+	}
+
+	// The legacy-loaded job serves probes like any other.
+	legacySpec := spec
+	legacySpec.Job = "spell"
+	got, err := runMerged(&Coordinator{Workers: 2}, BlockTasks("spell", ex.A.Len(), 2),
+		NewRemoteExecutor([]string{srv.URL}, legacySpec, srv.Client()), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := localBaseline(t, spec, ex, rules); !reflect.DeepEqual(got, want) {
+		t.Errorf("legacy-spec job emitted %d pairs, local baseline %d", len(got), len(want))
 	}
 }
 

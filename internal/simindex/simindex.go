@@ -12,20 +12,27 @@
 // survivors are exactly the pairs with sim(f) > θ, which an inverted index
 // over tokens enumerates without ever visiting the rest of the product.
 //
-// Supported measures are the feature library's set-based similarities:
+// Supported measures are the feature library's set-based similarities —
 // word Jaccard, q-gram Jaccard, word overlap coefficient, and TF/IDF
-// cosine. For Jaccard the index additionally applies length filtering
+// cosine, answered from token postings — and the numeric relative
+// difference, answered from a sorted band (see appendBand). For Jaccard the index additionally applies length filtering
 // (|b| must lie in [θ·|a|, |a|/θ]) and prefix filtering (a qualifying pair
 // must share a token among the first |a| − ⌈θ·|a|⌉ + 1 probe tokens); both
 // filters only ever discard rows that cannot clear θ, so completeness is
 // preserved. All floating-point bounds are slackened by a small epsilon
 // toward inclusion: a borderline row costs one wasted verification, never
 // a lost candidate.
+//
+// A rule that conjoins several such predicates, sim(f₁) ≤ θ₁ ∧ … ∧
+// sim(f_k) ≤ θ_k → No, keeps exactly ⋃ᵢ {sim(fᵢ) > θᵢ}; Union answers
+// that from one index per feature over the same rows, and Candidates is
+// the union of one.
 package simindex
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/corleone-em/corleone/internal/similarity"
 )
@@ -46,6 +53,10 @@ const (
 	// CosineTFIDF is the corpus-weighted cosine (feature kind "tfidf_cos",
 	// profile field TFIDF).
 	CosineTFIDF
+	// BandRelDiff is the numeric relative difference 1 − |a−b|/max(|a|,|b|)
+	// (feature kind "rel_diff", profile field Numeric): not a token index
+	// but the rows sorted by value, probed with a value range.
+	BandRelDiff
 )
 
 // KindOf maps a feature-library measure name to its index kind. The second
@@ -60,6 +71,8 @@ func KindOf(measure string) (Kind, bool) {
 		return OverlapWords, true
 	case "tfidf_cos":
 		return CosineTFIDF, true
+	case "rel_diff":
+		return BandRelDiff, true
 	default:
 		return 0, false
 	}
@@ -72,26 +85,44 @@ func KindOf(measure string) (Kind, bool) {
 // candidate, never a missed one.
 const eps = 1e-9
 
-// Index is an inverted index over one attribute column of the indexed
-// table: token code (vocabulary rank or packed 3-gram, as the profiles
-// carry them) → ascending row ids, plus per-row set sizes for length
-// filtering. Build it once per (feature, table); it is read-only afterwards
-// and safe for concurrent probes.
+// Index is a similarity-join index over one attribute column of the indexed
+// table. Build it once per (feature, table); it is read-only afterwards and
+// safe for concurrent probes. Everything it holds is a flat slice — a
+// handful of allocations that outlive the build, whatever the vocabulary —
+// so Footprint is exact.
 type Index struct {
 	kind Kind
-	// postings maps a token (or q-gram) to the ascending list of rows whose
-	// set contains it. For CosineTFIDF, zero-weight tokens (IDF 0) are not
-	// indexed: they contribute nothing to any dot product, so a pair whose
-	// only shared tokens are zero-weight scores 0 and cannot exceed θ ≥ 0.
-	postings map[uint64][]int32
-	// size[r] is the distinct-token (or distinct-gram) set size of row r;
-	// 0 for rows with a missing value or an empty set.
+	// n is the number of rows indexed, present or not: the universe the
+	// candidate ids and a Scratch's marks range over.
+	n int
+
+	// The set kinds keep an inverted index in compressed-row layout: toks
+	// holds the distinct token codes (vocabulary rank or packed 3-gram, as
+	// the profiles carry them) ascending, and the rows whose set contains
+	// toks[s] are rows[off[s]:off[s+1]], ascending. For CosineTFIDF,
+	// zero-weight tokens (IDF 0) are not indexed: they contribute nothing to
+	// any dot product, so a pair whose only shared tokens are zero-weight
+	// scores 0 and cannot exceed θ ≥ 0.
+	toks []uint64
+	off  []int32
+	rows []int32
+	// size[r] is the indexed-token (or distinct-gram) set size of row r; 0
+	// for rows with a missing value or an empty set.
 	size []int32
 	// emptySet lists rows whose value is present (Norm != "") but whose
 	// token set is empty (e.g. pure punctuation). Set measures score such
 	// rows 1 (Jaccard, overlap) or 0.5 (cosine) against equally token-less
 	// probes, so they are candidates exactly for token-less probes.
 	emptySet []int32
+
+	// BandRelDiff keeps the rows with a finite parsed numeric sorted by
+	// value — vals[i] belongs to row valRows[i] — and, apart, the rows whose
+	// numeric is ±Inf or NaN: RelativeDiff against those is NaN for most
+	// probes, NaN fails the rule's "≤ θ" test, and so they survive whatever
+	// θ is and are candidates of every probe.
+	vals      []float64
+	valRows   []int32
+	nonFinite []int32
 }
 
 // keys returns the distinct-token codes of p that kind compares on, or nil
@@ -111,16 +142,37 @@ func keys(kind Kind, p *similarity.Profile) ([]uint64, bool) {
 	return nil, false
 }
 
+// weightless reports whether p's i-th token is a zero-weight cosine term:
+// it cannot contribute to any dot product, so it is neither indexed nor
+// probed.
+func weightless(kind Kind, p *similarity.Profile, i int) bool {
+	return kind == CosineTFIDF && p.TFIDF.W[i] == 0
+}
+
 // Build indexes the profile column of the table being probed against
-// (table B in the blocker). Rows with missing values (Norm == "") are not
-// indexed: the feature layer maps them to the Missing sentinel (−1), which
-// can never exceed a threshold θ ≥ 0.
+// (table B in the blocker). Rows with missing values (Norm == "", or an
+// unparseable numeric) are not indexed: the feature layer maps them to the
+// Missing sentinel (−1), which can never exceed a threshold θ ≥ 0.
 func Build(kind Kind, profs []*similarity.Profile) *Index {
-	ix := &Index{
-		kind:     kind,
-		postings: make(map[uint64][]int32),
-		size:     make([]int32, len(profs)),
+	ix := &Index{kind: kind, n: len(profs)}
+	if kind == BandRelDiff {
+		ix.buildBand(profs)
+	} else {
+		ix.buildPostings(profs)
 	}
+	return ix
+}
+
+// buildPostings fills the compressed-row inverted index in two passes over
+// the column. The first counts each token's rows in a map that lives only
+// for the build; its keys, sorted, are toks, and the counts in that order
+// are off. The second drops each row into its tokens' lists in row order,
+// so every list comes out ascending.
+func (ix *Index) buildPostings(profs []*similarity.Profile) {
+	kind := ix.kind
+	ix.size = make([]int32, len(profs))
+	slot := make(map[uint64]int32) // token → postings length, then → slot
+	total := 0
 	for r, p := range profs {
 		ks, ok := keys(kind, p)
 		if !ok {
@@ -130,51 +182,104 @@ func Build(kind Kind, profs []*similarity.Profile) *Index {
 			ix.emptySet = append(ix.emptySet, int32(r))
 			continue
 		}
-		n := 0
 		for i, t := range ks {
-			if kind == CosineTFIDF && p.TFIDF.W[i] == 0 {
-				continue // cannot contribute to any dot product
+			if weightless(kind, p, i) {
+				continue
 			}
-			ix.postings[t] = append(ix.postings[t], int32(r))
-			n++
+			slot[t]++
+			ix.size[r]++
 		}
-		ix.size[r] = int32(n)
+		total += int(ix.size[r])
 	}
-	return ix
+	ix.toks = make([]uint64, 0, len(slot))
+	for t := range slot {
+		ix.toks = append(ix.toks, t)
+	}
+	slices.Sort(ix.toks)
+	// off[s] starts as where token s's list begins; the fill below advances
+	// it to the list's end — the next token's start — and the shift after it
+	// puts every start back, one slot to the right of a leading 0.
+	ix.off = make([]int32, len(ix.toks), len(ix.toks)+1)
+	at := int32(0)
+	for s, t := range ix.toks {
+		ix.off[s], at = at, at+slot[t]
+		slot[t] = int32(s)
+	}
+	ix.rows = make([]int32, total)
+	for r, p := range profs {
+		if ix.size[r] == 0 {
+			continue
+		}
+		ks, _ := keys(kind, p)
+		for i, t := range ks {
+			if weightless(kind, p, i) {
+				continue
+			}
+			s := slot[t]
+			ix.rows[ix.off[s]] = int32(r)
+			ix.off[s]++
+		}
+	}
+	ix.off = append(ix.off, 0)
+	copy(ix.off[1:], ix.off)
+	ix.off[0] = 0
+}
+
+// buildBand sorts the rows holding a finite numeric by (value, row).
+func (ix *Index) buildBand(profs []*similarity.Profile) {
+	finite := 0
+	for _, p := range profs {
+		if p != nil && p.NumericOK && !math.IsNaN(p.Numeric) && !math.IsInf(p.Numeric, 0) {
+			finite++
+		}
+	}
+	ix.valRows = make([]int32, 0, finite)
+	for r, p := range profs {
+		switch {
+		case p == nil || !p.NumericOK:
+		case math.IsNaN(p.Numeric) || math.IsInf(p.Numeric, 0):
+			ix.nonFinite = append(ix.nonFinite, int32(r))
+		default:
+			ix.valRows = append(ix.valRows, int32(r))
+		}
+	}
+	slices.SortFunc(ix.valRows, func(x, y int32) int {
+		if c := cmp.Compare(profs[x].Numeric, profs[y].Numeric); c != 0 {
+			return c
+		}
+		return cmp.Compare(x, y)
+	})
+	ix.vals = make([]float64, len(ix.valRows))
+	for i, r := range ix.valRows {
+		ix.vals[i] = profs[r].Numeric
+	}
 }
 
 // Tokens returns the number of distinct indexed tokens (diagnostics).
-func (ix *Index) Tokens() int { return len(ix.postings) }
+func (ix *Index) Tokens() int { return len(ix.toks) }
 
-// mapEntryOverhead approximates Go map bookkeeping per postings entry:
-// bucket slot, key word, and slice header. The constant only needs to
-// be stable and order-of-magnitude right — Footprint feeds capacity
-// planning and the sharded-execution benchmarks, not an allocator.
-const mapEntryOverhead = 56
-
-// Footprint estimates the index's resident bytes: postings ids (4 bytes
-// each), per-token map overhead (key included), and the size array. It is
-// the quantity sharded execution bounds per worker — at billions of
-// candidate pairs the postings lists are the dominant memory term of the
-// blocking scan.
+// Footprint returns the index's resident bytes, exactly: every slice it
+// holds at its element width. It is the quantity sharded execution bounds
+// per worker — at billions of candidate pairs the postings lists are the
+// dominant memory term of the blocking scan.
 func (ix *Index) Footprint() int64 {
-	var n int64
-	for _, ps := range ix.postings {
-		n += mapEntryOverhead + int64(len(ps))*4
-	}
-	n += int64(len(ix.size))*4 + int64(len(ix.emptySet))*4
-	return n
+	return 8*int64(len(ix.toks)+len(ix.vals)) +
+		4*int64(len(ix.off)+len(ix.rows)+len(ix.size)+len(ix.emptySet)+len(ix.valRows)+len(ix.nonFinite))
 }
 
 // Scratch carries one probe's reusable working state: an epoch-stamped
 // seen-mark per indexed row (so candidate sets dedupe without clearing an
-// array per probe) and the candidate accumulator. One Scratch serves one
-// goroutine.
+// array per probe), the candidate accumulator, and the probe's tokens keyed
+// for ordering. One Scratch serves one goroutine.
 type Scratch struct {
 	mark  []int32
 	epoch int32
 	cand  []int32
-	order []int32
+	// order holds one key per probe token, postings length in the high word
+	// and the token's position in the low one; slot[position] is the token's
+	// index into toks, or −1.
+	order []uint64
+	slot  []int32
 }
 
 // NewScratch returns an empty scratch; it grows to the indexed table's size
@@ -183,7 +288,10 @@ func NewScratch() *Scratch { return &Scratch{} }
 
 func (s *Scratch) reset(n int) {
 	if len(s.mark) < n {
+		// A probe has at most n candidates: sized once with the marks, the
+		// accumulator never grows.
 		s.mark = make([]int32, n)
+		s.cand = make([]int32, 0, n)
 		s.epoch = 0
 	}
 	s.epoch++
@@ -196,12 +304,22 @@ func (s *Scratch) reset(n int) {
 	s.cand = s.cand[:0]
 }
 
+// add appends r to the candidates unless this probe already has it.
+func (s *Scratch) add(r int32) {
+	if s.mark[r] != s.epoch {
+		s.mark[r] = s.epoch
+		s.cand = append(s.cand, r)
+	}
+}
+
 // Candidates returns the ascending row ids of every indexed row whose
 // similarity to probe could strictly exceed theta (theta ≥ 0): a complete
-// superset of {r : sim(probe, r) > theta}. The returned slice aliases the
-// scratch and is valid until the next call with the same scratch.
+// superset of {r : sim(probe, r) > theta}, or more exactly of the rows the
+// rule predicate "sim ≤ theta" does not remove. The returned slice aliases
+// the scratch and is valid until the next call with the same scratch.
 //
-// Completeness argument, per filter:
+// Completeness argument for the set kinds, per filter (appendBand has the
+// band's):
 //
 //   - Postings. Every supported measure scores 0 when exactly one side's
 //     token set is empty, and sim > θ ≥ 0 requires either a shared token
@@ -224,21 +342,55 @@ func (s *Scratch) reset(n int) {
 //     its rarest tokens, maximizing pruning.)
 //
 // Rows whose value is missing are never returned (their feature value is
-// the Missing sentinel −1 ≤ θ); a probe with a missing value returns nil
+// the Missing sentinel −1 ≤ θ); a probe with a missing value returns none
 // for the same reason.
 func (ix *Index) Candidates(probe *similarity.Profile, theta float64, s *Scratch) []int32 {
+	s.reset(ix.n)
+	ix.appendTo(s, probe, theta)
+	slices.Sort(s.cand)
+	return s.cand
+}
+
+// Union returns the ascending, duplicate-free union of the candidates of
+// probes[i] at thetas[i] in ixs[i] — a complete superset of the rows that
+// survive the rule sim(f₁) ≤ θ₁ ∧ … ∧ sim(f_k) ≤ θ_k, one index per
+// conjunct. The indexes must cover the same rows (one Build per feature
+// over one table or shard). The rows are collected in one epoch-marked pass
+// and sorted once; the returned slice aliases the scratch like Candidates'.
+func Union(ixs []*Index, probes []*similarity.Profile, thetas []float64, s *Scratch) []int32 {
+	s.reset(ixs[0].n)
+	for i, ix := range ixs {
+		if ix.n != ixs[0].n {
+			panic("simindex: union over indexes of different row sets")
+		}
+		ix.appendTo(s, probes[i], thetas[i])
+	}
+	slices.Sort(s.cand)
+	return s.cand
+}
+
+// appendTo adds probe's candidates at theta to the scratch's accumulator,
+// unsorted, skipping rows an earlier term of the same union already added.
+func (ix *Index) appendTo(s *Scratch, probe *similarity.Profile, theta float64) {
 	if theta < 0 {
 		// Callers gate on θ ≥ 0; below 0 the survivor set is "any pair with
-		// a present value", which an inverted index cannot enumerate.
+		// a present value", which no index here enumerates.
 		panic("simindex: negative threshold")
+	}
+	if ix.kind == BandRelDiff {
+		ix.appendBand(s, probe, theta)
+		return
 	}
 	ks, ok := keys(ix.kind, probe)
 	if !ok {
-		return nil
+		return
 	}
 	if len(ks) == 0 {
 		// Token-less probe: only equally token-less rows score above 0.
-		return ix.emptySet
+		for _, r := range ix.emptySet {
+			s.add(r)
+		}
+		return
 	}
 	sa := len(ks)
 	prefix := sa
@@ -260,41 +412,95 @@ func (ix *Index) Candidates(probe *similarity.Profile, theta float64, s *Scratch
 
 	// The completeness argument holds for any fixed order of the probe's
 	// tokens, so when the prefix filter is active we probe the tokens with
-	// the shortest postings lists first: the prefix then consists of the
-	// rarest tokens, which shrinks the candidate set by orders of magnitude
-	// on skewed vocabularies without giving up a single qualifying row.
-	ord := s.order[:0]
-	for i := int32(0); i < int32(sa); i++ {
-		ord = append(ord, i)
+	// the shortest postings lists first (position breaking ties): the
+	// prefix then consists of the rarest tokens, which shrinks the
+	// candidate set by orders of magnitude on skewed vocabularies without
+	// giving up a single qualifying row.
+	ord, slot := s.order[:0], s.slot[:0]
+	for i, t := range ks {
+		sl, found := slices.BinarySearch(ix.toks, t)
+		var n int32
+		if found {
+			n = ix.off[sl+1] - ix.off[sl]
+		} else {
+			sl = -1
+		}
+		slot = append(slot, int32(sl))
+		ord = append(ord, uint64(n)<<32|uint64(i))
 	}
-	s.order = ord
+	s.order, s.slot = ord, slot
 	if prefix < sa {
-		sort.Slice(ord, func(i, j int) bool {
-			li, lj := len(ix.postings[ks[ord[i]]]), len(ix.postings[ks[ord[j]]])
-			if li != lj {
-				return li < lj
-			}
-			return ord[i] < ord[j]
-		})
+		slices.Sort(ord)
 	}
 
-	s.reset(len(ix.size))
-	for _, i := range ord[:prefix] {
-		if ix.kind == CosineTFIDF && probe.TFIDF.W[i] == 0 {
-			continue // zero-weight token cannot contribute to the dot product
+	for _, key := range ord[:prefix] {
+		i := uint32(key)
+		if slot[i] < 0 || weightless(ix.kind, probe, int(i)) {
+			continue // a token no row has, or one that adds nothing
 		}
-		for _, r := range ix.postings[ks[i]] {
+		for _, r := range ix.rows[ix.off[slot[i]]:ix.off[slot[i]+1]] {
 			if s.mark[r] == s.epoch {
 				continue
 			}
-			s.mark[r] = s.epoch
-			sb := float64(ix.size[r])
-			if sb < sbLo || sb > sbHi {
+			if sb := float64(ix.size[r]); sb < sbLo || sb > sbHi {
+				// Outside the length bound for this term. Not marked: a
+				// later term of the union may still want the row.
 				continue
 			}
+			s.mark[r] = s.epoch
 			s.cand = append(s.cand, r)
 		}
 	}
-	sort.Slice(s.cand, func(i, j int) bool { return s.cand[i] < s.cand[j] })
-	return s.cand
+}
+
+// appendBand adds the rows the predicate rel_diff ≤ theta does not remove
+// from probe's pairs. With a = probe's value and b a row's, RelativeDiff is
+// 1 for a == b, else max(0, 1 − |a−b|/max(|a|,|b|)).
+//
+// For finite a > 0: a row with b < 0 scores 0 (|a−b| exceeds both |a| and
+// |b|), as does b = 0, so neither can exceed θ ≥ 0. For 0 < b ≤ a the score
+// is b/a, and for b ≥ a it is a/b, so sim > θ is exactly θ·a < b < a/θ — a
+// contiguous run of the value-sorted rows, found by two binary searches.
+// The computed score differs from the exact ratio by at most three roundings
+// (the subtraction, the division, the final 1 − x: under 4e-16 absolute), so
+// the band is cut at θ − ε instead of θ: (θ−ε)·a ≤ b ≤ a/(θ−ε), whose own
+// two roundings are eight orders of magnitude inside the slack; for θ ≤ ε it
+// is every finite row. Overflow of a/(θ−ε) to +Inf and underflow of
+// (θ−ε)·a to 0 both widen the band.
+//
+// Every other present probe — zero, negative, ±Inf, NaN — conservatively
+// gets every present row: such values are rare where rel_diff rules are
+// learned (prices, years), and "all rows" is trivially complete. Rows with a
+// non-finite value join every probe's candidates (see Index.nonFinite).
+// Missing or unparseable values on either side give Missing (−1) ≤ θ and are
+// never candidates.
+func (ix *Index) appendBand(s *Scratch, probe *similarity.Profile, theta float64) {
+	if probe == nil || !probe.NumericOK {
+		return
+	}
+	lo, hi := 0, len(ix.vals)
+	if a, t := probe.Numeric, theta-eps; a > 0 && !math.IsInf(a, 1) && t > 0 {
+		lo, _ = slices.BinarySearch(ix.vals, t*a)
+		hi = lo + countLE(ix.vals[lo:], a/t)
+	}
+	for _, r := range ix.valRows[lo:hi] {
+		s.add(r)
+	}
+	for _, r := range ix.nonFinite {
+		s.add(r)
+	}
+}
+
+// countLE returns how many elements of the ascending vals are ≤ x.
+func countLE(vals []float64, x float64) int {
+	lo, hi := 0, len(vals)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if vals[mid] <= x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }

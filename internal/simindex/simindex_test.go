@@ -1,8 +1,11 @@
 package simindex
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/corleone-em/corleone/internal/similarity"
@@ -175,6 +178,236 @@ func TestMissingAndEmptyValues(t *testing.T) {
 	}
 }
 
+// numeric is a profile holding a parsed numeric, as the feature layer's
+// FieldNumeric view does; ok false is a missing or unparseable value.
+func numeric(v float64, ok bool) *similarity.Profile {
+	return &similarity.Profile{Numeric: v, NumericOK: ok}
+}
+
+// relDiffKept mirrors the feature layer's rel_diff (Missing = −1 when either
+// side has no numeric) and the rule predicate "rel_diff ≤ θ → No": a pair is
+// kept unless the predicate holds, which a NaN score never lets it.
+func relDiffKept(a, b *similarity.Profile, theta float64) bool {
+	sim := -1.0
+	if a.NumericOK && b.NumericOK {
+		sim = similarity.RelativeDiff(a.Numeric, b.Numeric)
+	}
+	return !(sim <= theta)
+}
+
+// checkBand asserts the band index's contract for every probe: candidates
+// ascending, duplicate-free, and holding every row the predicate keeps.
+func checkBand(t *testing.T, probes, rows []*similarity.Profile, theta float64) {
+	t.Helper()
+	ix := Build(BandRelDiff, rows)
+	s := NewScratch()
+	for ai, pa := range probes {
+		cands := ix.Candidates(pa, theta, s)
+		for i := 1; i < len(cands); i++ {
+			if cands[i] <= cands[i-1] {
+				t.Fatalf("θ=%g probe %d (%v): candidates not strictly ascending: %v", theta, ai, pa.Numeric, cands)
+			}
+		}
+		for bi, pb := range rows {
+			_, in := slices.BinarySearch(cands, int32(bi))
+			if relDiffKept(pa, pb, theta) && !in {
+				t.Fatalf("θ=%g: probe %d (%v, ok=%v) misses row %d (%v, ok=%v)",
+					theta, ai, pa.Numeric, pa.NumericOK, bi, pb.Numeric, pb.NumericOK)
+			}
+			if !pb.NumericOK && in {
+				t.Fatalf("θ=%g: probe %d: missing row %d returned as a candidate", theta, ai, bi)
+			}
+		}
+		if !pa.NumericOK && len(cands) != 0 {
+			t.Fatalf("θ=%g: missing probe %d returned candidates %v", theta, ai, cands)
+		}
+	}
+}
+
+// bandThetas are the thresholds the band is pinned at: the ends of [0, 1],
+// their immediate neighbours, the middle, and the two the Products
+// benchmark instances learn.
+var bandThetas = []float64{0, 1e-12, 0.5, 0.9539, 0.9677, 1 - 1e-12, 1}
+
+// TestBandCandidatesComplete is the band kind's completeness guarantee by
+// brute force against similarity.RelativeDiff, over every pair of a value
+// set chosen for its edges: negatives, both zeros, equal values, values a
+// rounding apart, the extremes of the exponent range, non-finite values,
+// strings that parse to nothing, and missing values.
+func TestBandCandidatesComplete(t *testing.T) {
+	var profs []*similarity.Profile
+	for _, raw := range []string{
+		"", "n/a", "NaN", "Inf", "-Inf", "1e999", "$", "12 apples",
+		"0", "-0", "1", "1", "1.0000000000000002", "2", "$19.99", "20.95", "21",
+		"-1", "-19.99", "-1e300", "1e-300", "2e-300", "1e300", "9e299", "5e-324",
+		"1,299.00", "1299", "1238.6", "1361.9", "0.5", "0.25",
+	} {
+		profs = append(profs, similarity.NewProfile(raw, similarity.FieldNumeric))
+	}
+	// ParseNumeric yields no NaN or infinity today; the index must not rely
+	// on that.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), math.MaxFloat64, math.SmallestNonzeroFloat64} {
+		profs = append(profs, numeric(v, true))
+	}
+	profs = append(profs, numeric(7, false))
+	for _, theta := range bandThetas {
+		checkBand(t, profs, profs, theta)
+	}
+}
+
+// TestBandBoundaryRounding aims at the one place the band could lose a row:
+// values within a few ulps of the band's ends, where the computed score and
+// the exact ratio can fall on different sides of θ.
+func TestBandBoundaryRounding(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 2000; trial++ {
+		a := math.Exp(rng.Float64()*40 - 20)
+		theta := rng.Float64()
+		if trial%4 == 0 {
+			theta = bandThetas[rng.Intn(len(bandThetas))]
+		}
+		rows := []*similarity.Profile{numeric(a, true)}
+		for _, edge := range []float64{theta * a, a / theta, a} {
+			lo, hi := edge, edge
+			for i := 0; i < 4; i++ {
+				lo, hi = math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1))
+				rows = append(rows, numeric(lo, true), numeric(hi, true))
+			}
+			rows = append(rows, numeric(edge, true))
+		}
+		checkBand(t, rows[:1], rows, theta)
+	}
+}
+
+// TestBandCandidatesPrune checks the band actually prunes: a tight
+// threshold on spread-out prices must keep a small share of the rows.
+func TestBandCandidatesPrune(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	rows := make([]*similarity.Profile, 1000)
+	for i := range rows {
+		rows[i] = numeric(math.Exp(rng.Float64()*7), true) // 1 … ~1100, log-uniform
+	}
+	ix := Build(BandRelDiff, rows)
+	s := NewScratch()
+	loose, tight := len(ix.Candidates(numeric(50, true), 0, s)), len(ix.Candidates(numeric(50, true), 0.95, s))
+	if loose != len(rows) {
+		t.Errorf("θ=0 kept %d of %d rows", loose, len(rows))
+	}
+	if tight == 0 || tight > len(rows)/20 {
+		t.Errorf("θ=0.95 kept %d of %d rows, want a few percent", tight, len(rows))
+	}
+}
+
+// bandFromBytes decodes fuzz input: 8 bytes of θ (folded into [0, 1]), then
+// one byte of flags and 8 bytes of value per profile, the first half of them
+// probes and the rest rows.
+func bandFromBytes(data []byte) (theta float64, probes, rows []*similarity.Profile) {
+	if len(data) < 8 {
+		return 0, nil, nil
+	}
+	theta = math.Abs(math.Float64frombits(binary.LittleEndian.Uint64(data)))
+	if !(theta <= 1) {
+		theta = 1 / theta // NaN stays NaN and is folded below
+	}
+	if math.IsNaN(theta) {
+		theta = 0.5
+	}
+	var profs []*similarity.Profile
+	for data = data[8:]; len(data) >= 9; data = data[9:] {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(data[1:]))
+		switch data[0] % 8 {
+		case 0:
+			profs = append(profs, numeric(v, false))
+		case 1:
+			profs = append(profs, numeric(float64(int8(data[1])), true)) // small integers collide
+		default:
+			profs = append(profs, numeric(v, true))
+		}
+	}
+	return theta, profs[:len(profs)/2], profs[len(profs)/2:]
+}
+
+// FuzzBandCandidates drives the band index with arbitrary float64 bit
+// patterns — subnormals, infinities, NaNs, both zeros — as values and as θ:
+// candidates must hold every row the predicate keeps, ascending, no row
+// twice.
+func FuzzBandCandidates(f *testing.F) {
+	seed := func(theta float64, vals ...float64) {
+		data := binary.LittleEndian.AppendUint64(nil, math.Float64bits(theta))
+		for i, v := range vals {
+			data = append(data, byte(2+i%3))
+			data = binary.LittleEndian.AppendUint64(data, math.Float64bits(v))
+		}
+		f.Add(data)
+	}
+	seed(0.9539, 19.99, 20.95, 1299, 1238.6, 0, -3)
+	seed(0, 1e300, 1e-300, math.Inf(1), math.NaN(), 5e-324, math.Copysign(0, -1))
+	seed(1, 2, 2, 2.0000000000000004, 1.9999999999999998)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		theta, probes, rows := bandFromBytes(data)
+		if len(rows) == 0 {
+			return
+		}
+		checkBand(t, probes, rows, theta)
+	})
+}
+
+// TestUnionCandidates pins Union against its definition: the ascending,
+// duplicate-free union of each term's own candidates — here a word-Jaccard
+// term, a q-gram term whose length filter rejects rows the first accepts
+// (and the other way round), and a band.
+func TestUnionCandidates(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const n = 120
+	valsA, valsB := genValues(rng, 40), genValues(rng, n)
+	profs := buildProfiles(valsA, valsB)
+	price := func() []*similarity.Profile {
+		out := make([]*similarity.Profile, 0, n)
+		for i := 0; i < n; i++ {
+			out = append(out, numeric(math.Exp(rng.Float64()*5), rng.Intn(10) > 0))
+		}
+		return out
+	}
+	priceA, priceB := price()[:40], price()
+	ixs := []*Index{Build(JaccardWords, profs[1]), Build(JaccardQGrams, profs[1]), Build(BandRelDiff, priceB)}
+	thetas := []float64{0.6, 0.4, 0.9}
+	s, one := NewScratch(), NewScratch()
+	for a := range valsA {
+		probes := []*similarity.Profile{profs[0][a], profs[0][a], priceA[a]}
+		var want []int32
+		for i, ix := range ixs {
+			want = append(want, ix.Candidates(probes[i], thetas[i], one)...)
+		}
+		slices.Sort(want)
+		want = slices.Compact(want)
+		if got := Union(ixs, probes, thetas, s); !slices.Equal(got, want) {
+			t.Fatalf("probe %d: union %v, want %v", a, got, want)
+		}
+		// A union of one is Candidates.
+		if got := Union(ixs[:1], probes[:1], thetas[:1], s); !slices.Equal(got, ixs[0].Candidates(probes[0], thetas[0], one)) {
+			t.Fatalf("probe %d: union of one differs from Candidates", a)
+		}
+	}
+}
+
+// TestFootprintExact pins Footprint to the bytes of the slices the index
+// holds: the compressed-row postings of a set kind and the sorted band.
+func TestFootprintExact(t *testing.T) {
+	profs := buildProfiles([]string{"kingston kit", "", "!!!", "hyperx kit", "kingston hyperx"})[0]
+	ix := Build(JaccardWords, profs)
+	// 3 distinct words over 6 occurrences, 5 rows, one token-less row.
+	if got, want := ix.Footprint(), int64(3*8+4*4+6*4+5*4+1*4); got != want {
+		t.Errorf("postings footprint = %d, want %d", got, want)
+	}
+	if ix.Tokens() != 3 {
+		t.Errorf("Tokens() = %d, want 3", ix.Tokens())
+	}
+	band := Build(BandRelDiff, []*similarity.Profile{numeric(2, true), numeric(0, false), numeric(1, true), numeric(math.NaN(), true)})
+	if got, want := band.Footprint(), int64(2*8+2*4+1*4); got != want {
+		t.Errorf("band footprint = %d, want %d", got, want)
+	}
+}
+
 // TestKindOf pins the measure-name mapping the blocker's planner uses.
 func TestKindOf(t *testing.T) {
 	for name, want := range map[string]Kind{
@@ -182,13 +415,14 @@ func TestKindOf(t *testing.T) {
 		"jaccard_3g": JaccardQGrams,
 		"overlap_w":  OverlapWords,
 		"tfidf_cos":  CosineTFIDF,
+		"rel_diff":   BandRelDiff,
 	} {
 		got, ok := KindOf(name)
 		if !ok || got != want {
 			t.Errorf("KindOf(%q) = %v, %v", name, got, ok)
 		}
 	}
-	for _, name := range []string{"edit", "jaro_winkler", "exact", "rel_diff", "monge_elkan", ""} {
+	for _, name := range []string{"edit", "jaro_winkler", "exact", "abs_diff", "monge_elkan", ""} {
 		if _, ok := KindOf(name); ok {
 			t.Errorf("KindOf(%q) should not be indexable", name)
 		}
