@@ -470,8 +470,9 @@ func (r *Runner) Label(p record.Pair, policy Policy) bool {
 }
 
 // LabelAll labels every pair under the policy and returns them in input
-// order. Used by rule evaluation and accuracy estimation, which need labels
-// for specific sampled pairs.
+// order, then closes a batch boundary (AfterBatch). No pipeline stage calls
+// it: rule evaluation and accuracy estimation label pair by pair through
+// Label.
 func (r *Runner) LabelAll(pairs []record.Pair, policy Policy) []record.Labeled {
 	out := make([]record.Labeled, len(pairs))
 	for i, p := range pairs {

@@ -71,16 +71,6 @@ func tbFor(name string, cartesian int64, matches int) int {
 	return tb
 }
 
-// DefaultSetups returns the three evaluation datasets at their default
-// scales with a mildly noisy simulated crowd.
-func DefaultSetups() []Setup {
-	return []Setup{
-		NewSetup("Restaurants", 1.0, DefaultErrorRate, 11),
-		NewSetup("Citations", DefaultScaleCitations, DefaultErrorRate, 12),
-		NewSetup("Products", DefaultScaleProducts, DefaultErrorRate, 13),
-	}
-}
-
 // NewSetup builds a setup for the named dataset at the given scale.
 func NewSetup(name string, scale, errorRate float64, seed int64) Setup {
 	var base datagen.Profile

@@ -8,10 +8,11 @@
 // The trained forest lives in a structure-of-arrays layout: every tree's
 // nodes are flat feature/threshold/left/right/label slices packed
 // contiguously across trees (soa.go), so scoring walks dense arrays
-// instead of chasing per-node heap pointers, and a batched evaluator
-// routes blocks of vectors through all trees cache-friendly. Training
-// grows trees directly into that layout with per-goroutine scratch
-// (grow.go), bit-identical to the retained pointer-tree reference.
+// instead of chasing per-node heap pointers; one walk (posCount) serves
+// every scoring entry point, and a Scorer fans it out over a pool of
+// vectors with reused buffers. Training grows trees directly into that
+// layout with per-goroutine scratch (grow.go), bit-identical to the
+// retained pointer-tree reference.
 package forest
 
 import (
@@ -182,29 +183,6 @@ func EntropyOf(pPos float64) float64 {
 // Confidence returns conf(e) = 1 - entropy(e) (§5.3).
 func (f *Forest) Confidence(v []float64) float64 {
 	return f.confTab[f.posCount(v)]
-}
-
-// Confidences returns conf(e) for every vector, computed in parallel (each
-// element is independent and lands at its own index). Callers scoring
-// repeatedly should hold a Scorer and use ConfidencesInto to reuse buffers.
-func (f *Forest) Confidences(V [][]float64) []float64 {
-	var sc Scorer
-	return sc.ConfidencesInto(f, V, make([]float64, len(V)))
-}
-
-// Entropies returns Entropy(e) for every vector, computed in parallel.
-// Active learning uses it to rank the unlabeled pool each iteration.
-func (f *Forest) Entropies(V [][]float64) []float64 {
-	var sc Scorer
-	return sc.EntropiesInto(f, V, make([]float64, len(V)))
-}
-
-// MeanConfidence returns conf(V) averaged over a monitoring set (§5.3).
-// Per-example confidences are computed in parallel, then summed serially in
-// index order so the floating-point result is identical to the serial loop.
-func (f *Forest) MeanConfidence(V [][]float64) float64 {
-	var sc Scorer
-	return sc.MeanConfidence(f, V)
 }
 
 // Rules extracts every decision rule from every tree, deduplicated by

@@ -8,6 +8,9 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/corleone-em/corleone/internal/datagen"
+	"github.com/corleone-em/corleone/internal/feature"
+	"github.com/corleone-em/corleone/internal/record"
 	"github.com/corleone-em/corleone/internal/stats"
 	"github.com/corleone-em/corleone/internal/tree"
 )
@@ -119,12 +122,11 @@ func referenceScores(trees []*tree.Tree, v []float64) (frac, ent, conf float64) 
 	return frac, ent, 1 - ent
 }
 
-// withSpecials overwrites about one value in five of X with the values the
-// raw-bits comparison of the batched walk cannot order, and must therefore
-// hand to the scalar walk: the feature.Missing sentinel -1 (in training
-// data it puts thresholds below zero), negative fractions, -0.0 and -Inf —
-// next to +0.0 and +Inf, which it can — plus, when nans is set, NaNs of
-// either sign.
+// withSpecials overwrites about one value in five of X with the values a
+// comparison that is not the plain float "v <= thr" gets wrong: the
+// feature.Missing sentinel -1 (in training data it puts thresholds below
+// zero), negative fractions, -0.0 and -Inf, next to +0.0 and +Inf, plus,
+// when nans is set, NaNs of either sign.
 func withSpecials(seed int64, X [][]float64, nans bool) [][]float64 {
 	specials := []float64{-1, -1, -1, -0.25, math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1),
 		-math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64}
@@ -142,9 +144,10 @@ func withSpecials(seed int64, X [][]float64, nans bool) [][]float64 {
 	return X
 }
 
-// thresholdStumps is a hand-built forest of one-split trees whose thresholds
-// training on similarities never produces — negative, -0.0, ±Inf, NaN — as
-// Load of an edited model file could.
+// thresholdStumps is a hand-built forest of one-split trees on the edge
+// thresholds: the negatives a column holding feature.Missing gives ordinary
+// training (-1, -0.5), and -0.0, ±Inf and NaN, which only Load of an edited
+// model file could bring.
 func thresholdStumps(nf int) []*tree.Tree {
 	var trees []*tree.Tree
 	for i, thr := range []float64{-1, -0.5, math.Copysign(0, -1), 0, math.Inf(-1), math.Inf(1),
@@ -158,13 +161,43 @@ func thresholdStumps(nf int) []*tree.Tree {
 	return trees
 }
 
-// TestScoringParallelMatchesSerial pins the batched SoA scoring path —
-// Confidences/Entropies/MeanConfidence and the Scorer it delegates to —
-// bit-identical to per-vector pointer-tree scoring, across GOMAXPROCS: on
-// similarity-like values in [0, 1), which take the batched walk; on vectors
-// and trained thresholds full of -1, -0.0, ±Inf and NaN, where the choice
-// between the batched and the scalar walk is made block by block and forest
-// by forest; and on hand-built negative, infinite and NaN thresholds.
+// realPool vectorises a datagen instance as a run does. The pool is every
+// true match plus a strided sample of at most 20,000 pairs of A×B; the
+// training set is the matches and every 20th row of the rest, labeled by
+// the ground truth with one answer in twenty flipped, as a noisy crowd
+// returns them. That gives feature.Missing at the density real candidates
+// carry it and — because noisy labels keep the trees splitting — the
+// negative midpoints it puts into trained forests.
+func realPool(name string, scale float64) (V, X [][]float64, y []bool) {
+	ds, err := datagen.DatasetFor(name, scale, 0)
+	if err != nil {
+		panic(err)
+	}
+	na, nb := ds.A.Len(), ds.B.Len()
+	stride := (na*nb + 19999) / 20000
+	pairs := ds.Truth.Matches()
+	matches := len(pairs)
+	for i := 0; i < na*nb; i += stride {
+		pairs = append(pairs, record.P(i/nb, i%nb))
+	}
+	V = feature.NewExtractor(ds).Vectors(pairs)
+	rng := rand.New(rand.NewSource(1))
+	for i, v := range V {
+		if i < matches || i%20 == 0 {
+			X = append(X, v)
+			y = append(y, ds.Truth.Match(pairs[i]) != (rng.Intn(20) == 0))
+		}
+	}
+	return V, X, y
+}
+
+// TestScoringParallelMatchesSerial pins every scoring entry point — the
+// per-vector PosFraction/Entropy/Confidence and the Scorer's
+// ConfidencesInto/EntropiesInto/MeanConfidence — bit-identical to
+// per-vector pointer-tree scoring, across GOMAXPROCS: on similarity-like
+// values in [0, 1); on vectors and trained thresholds full of -1, -0.0,
+// ±Inf and NaN; on hand-built negative, infinite and NaN thresholds; and on
+// a vectorised Restaurants instance, the traffic runs actually score.
 func TestScoringParallelMatchesSerial(t *testing.T) {
 	X, y := randomTraining(4, 200, 6)
 	V, _ := randomTraining(8, 500, 6)
@@ -173,6 +206,7 @@ func TestScoringParallelMatchesSerial(t *testing.T) {
 	withSpecials(1, Xs, false)
 	withSpecials(2, Vs[:600], false)
 	withSpecials(3, Vs[600:], true)
+	Vr, Xr, yr := realPool("restaurants", 0.3)
 	cfg := Defaults()
 	cases := []struct {
 		name     string
@@ -183,50 +217,49 @@ func TestScoringParallelMatchesSerial(t *testing.T) {
 		{"unit-interval", trainSerialTrees(X, y, cfg), func() *Forest { return Train(X, y, cfg) }, V},
 		{"specials", trainSerialTrees(Xs, ys, cfg), func() *Forest { return Train(Xs, ys, cfg) }, Vs},
 		{"threshold-stumps", thresholdStumps(6), func() *Forest { return fromTrees(thresholdStumps(6), cfg) }, Vs},
+		{"restaurants", trainSerialTrees(Xr, yr, cfg), func() *Forest { return Train(Xr, yr, cfg) }, Vr},
 	}
-	negative := false
-	for _, thr := range Train(Xs, ys, cfg).threshold {
-		negative = negative || thr < 0
-	}
-	if !negative {
-		t.Fatal("training on vectors with -1 produced no negative threshold; the specials case is vacuous")
+	// Every case but unit-interval is there for its negative thresholds.
+	for _, c := range cases[1:] {
+		negative := false
+		for _, thr := range c.train().threshold {
+			negative = negative || thr < 0
+		}
+		if !negative {
+			t.Fatalf("%s: no negative threshold in the forest; the case is vacuous", c.name)
+		}
 	}
 
 	for _, procs := range []int{1, 4} {
 		atGOMAXPROCS(t, procs, func(t *testing.T) {
+			sc := NewScorer()
 			for _, c := range cases {
 				refTrees, V := c.refTrees, c.V
 				f := c.train()
-				confs := f.Confidences(V)
-				ents := f.Entropies(V)
-				sc := NewScorer()
-				confs2 := sc.ConfidencesInto(f, V, make([]float64, len(V)))
-				ents2 := sc.EntropiesInto(f, V, make([]float64, len(V)))
+				confs := sc.ConfidencesInto(f, V, make([]float64, len(V)))
+				ents := sc.EntropiesInto(f, V, make([]float64, len(V)))
 				sum := 0.0
 				for i, v := range V {
 					frac, ent, conf := referenceScores(refTrees, v)
 					if got := f.PosFraction(v); got != frac {
 						t.Fatalf("%s: PosFraction[%d] = %v, reference = %v", c.name, i, got, frac)
 					}
-					if confs[i] != conf || confs2[i] != conf || f.Confidence(v) != conf {
-						t.Fatalf("%s: confidence[%d] of %v: batched %v / scorer %v / single %v, reference %v",
-							c.name, i, v, confs[i], confs2[i], f.Confidence(v), conf)
+					if confs[i] != conf || f.Confidence(v) != conf {
+						t.Fatalf("%s: confidence[%d] of %v: scorer %v / single %v, reference %v",
+							c.name, i, v, confs[i], f.Confidence(v), conf)
 					}
-					if ents[i] != ent || ents2[i] != ent || f.Entropy(v) != ent {
-						t.Fatalf("%s: entropy[%d]: batched %v / scorer %v / single %v, reference %v",
-							c.name, i, ents[i], ents2[i], f.Entropy(v), ent)
+					if ents[i] != ent || f.Entropy(v) != ent {
+						t.Fatalf("%s: entropy[%d]: scorer %v / single %v, reference %v",
+							c.name, i, ents[i], f.Entropy(v), ent)
 					}
 					sum += conf
 				}
 				want := sum / float64(len(V))
-				if got := f.MeanConfidence(V); got != want {
-					t.Errorf("%s: MeanConfidence = %v, serial in-order sum = %v", c.name, got, want)
-				}
 				if got := sc.MeanConfidence(f, V); got != want {
 					t.Errorf("%s: Scorer.MeanConfidence = %v, serial in-order sum = %v", c.name, got, want)
 				}
 			}
-			if got := Train(X, y, cfg).MeanConfidence(nil); got != 1 {
+			if got := sc.MeanConfidence(Train(X, y, cfg), nil); got != 1 {
 				t.Errorf("MeanConfidence(nil) = %v, want 1", got)
 			}
 		})

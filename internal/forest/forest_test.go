@@ -126,11 +126,12 @@ func TestConfidenceComplement(t *testing.T) {
 func TestMeanConfidence(t *testing.T) {
 	X, y := makeData(300, 5)
 	f := Train(X, y, Defaults())
-	mc := f.MeanConfidence(X[:50])
+	sc := NewScorer()
+	mc := sc.MeanConfidence(f, X[:50])
 	if mc < 1-math.Ln2 || mc > 1 {
 		t.Errorf("MeanConfidence = %v outside valid range", mc)
 	}
-	if f.MeanConfidence(nil) != 1 {
+	if sc.MeanConfidence(f, nil) != 1 {
 		t.Error("empty monitoring set should give confidence 1")
 	}
 }
@@ -197,42 +198,6 @@ func TestForestString(t *testing.T) {
 	s := f.String(func(i int) string { return "f" })
 	if len(s) == 0 {
 		t.Error("empty rendering")
-	}
-}
-
-func TestFeatureImportance(t *testing.T) {
-	// Label depends only on feature 0; importance must concentrate there.
-	rng := rand.New(rand.NewSource(21))
-	var X [][]float64
-	var y []bool
-	for i := 0; i < 400; i++ {
-		v := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-		X = append(X, v)
-		y = append(y, v[0] > 0.5)
-	}
-	f := Train(X, y, Defaults())
-	imp := f.FeatureImportance(3)
-	sum := imp[0] + imp[1] + imp[2]
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("importances sum to %v", sum)
-	}
-	if imp[0] < 0.7 {
-		t.Errorf("importance of the label feature = %v, want dominant", imp[0])
-	}
-	top := f.TopFeatures(3, 2)
-	if top[0] != 0 {
-		t.Errorf("TopFeatures = %v, want feature 0 first", top)
-	}
-}
-
-func TestFeatureImportanceDegenerate(t *testing.T) {
-	// A pure-label forest has no splits; importances are all zero.
-	X := [][]float64{{1}, {2}, {3}}
-	y := []bool{false, false, false}
-	f := Train(X, y, Defaults())
-	imp := f.FeatureImportance(1)
-	if imp[0] != 0 {
-		t.Errorf("degenerate importance = %v", imp)
 	}
 }
 

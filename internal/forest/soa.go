@@ -1,8 +1,6 @@
 package forest
 
 import (
-	"math"
-
 	"github.com/corleone-em/corleone/internal/par"
 	"github.com/corleone-em/corleone/internal/tree"
 )
@@ -11,11 +9,10 @@ import (
 // parallel slices instead of per-node heap structs, with every tree's
 // nodes stored contiguously in pre-order (root first, left subtree, then
 // right) and trees packed back to back. roots[t] is both tree t's root
-// index and the start of its span. Scoring walks dense arrays the
-// prefetcher can follow — no pointer chasing, one cache line carrying
+// index and the start of its span. Scoring (posCount) walks dense arrays
+// the prefetcher can follow — no pointer chasing, one cache line carrying
 // eight features or thresholds — and the whole forest typically fits in
-// L1/L2, so batched evaluation keeps it resident while streaming vectors
-// through.
+// L1/L2, so it stays resident while a pool of vectors streams through.
 type soa struct {
 	roots     []int32
 	feature   []int32 // split feature; -1 marks a leaf
@@ -30,53 +27,6 @@ type soa struct {
 	// table lookup. Built with the exact EntropyOf(p/k) expression, so the
 	// values are bit-identical to computing them per call.
 	entTab, confTab []float64
-
-	// eval is the scoring-path view of the same nodes, packed 16 bytes per
-	// node so one visit touches one cache line instead of four parallel
-	// arrays; voteTab holds each leaf's vote; depth[t] is tree t's maximum
-	// root-to-leaf depth, the iteration count of the fixed-depth batched
-	// walk. evalOK records whether every threshold is non-negative and
-	// non-NaN — the precondition of the raw-bits comparison eval uses; a
-	// forest violating it (only possible via Load of a hand-edited
-	// snapshot) scores through the scalar reference walk instead. All four
-	// are derived from the canonical slices by buildTables.
-	eval    []evalNode
-	voteTab []int16
-	depth   []int32
-	evalOK  bool
-}
-
-// evalNode is the packed per-node record batched scoring walks, shaped so
-// a walk step needs no branches and no floating-point compare at all.
-// Pre-order makes the left child implicit — it is always the next node —
-// so an internal node stores only its split and right-child index.
-//
-// thr holds the threshold's IEEE-754 bit pattern, not the float: for
-// non-negative doubles the bit patterns are order-isomorphic to the
-// values when compared as uint64 (+Inf sits above every finite value and
-// positive NaN above +Inf — and "NaN <= thr" is false, so routing a NaN
-// feature right at every node is exactly the reference semantics). That
-// turns the float compare into a one-cycle integer subtract whose sign
-// bit routes the walk. Negative inputs would break the unsigned order,
-// so buildTables clears evalOK for negative thresholds and countVotes
-// detects negative features per block; -0.0 is folded to +0.0 by adding
-// +0 before taking bits, which preserves "v <= thr" exactly.
-//
-// delta stores the right child relative to the implicit left one (right -
-// node - 1) rather than the index itself: the walk's update collapses to
-// n += 1 + delta&mask, two ALU ops fewer per step than re-deriving the
-// offset from an absolute index — real money in a loop that saturates
-// issue width rather than memory.
-//
-// A leaf is a self-loop: thr = ^0 exceeds every valid input's bits, so
-// the comparison always says "right", and delta = -1 points the step
-// back at the leaf itself — a walk that has finished parks there
-// harmlessly while the fixed-depth loop runs out; feat = 0 keeps the
-// unconditional v[feat] load in bounds.
-type evalNode struct {
-	thr   uint64
-	feat  int32
-	delta int32
 }
 
 // soaTree is one tree's slice of the layout, with tree-local child
@@ -184,42 +134,9 @@ func fromTrees(trees []*tree.Tree, cfg Config) *Forest {
 	return f
 }
 
-// buildTables derives the scoring-path state from the canonical arrays:
-// the packed eval nodes, leaf votes, per-tree depths, and the k+1
-// entropy/confidence values.
+// buildTables derives the k+1 entropy/confidence values from the tree
+// count.
 func (f *Forest) buildTables() {
-	f.eval = make([]evalNode, len(f.feature))
-	f.voteTab = make([]int16, len(f.feature))
-	f.evalOK = true
-	for n := range f.feature {
-		if f.feature[n] < 0 {
-			f.eval[n] = evalNode{thr: ^uint64(0), feat: 0, delta: -1}
-			if f.label[n] {
-				f.voteTab[n] = 1
-			}
-			continue
-		}
-		// Every construction path (grower, flattenTree) emits pre-order, so
-		// the left child must sit at n+1 — the invariant the implicit-left
-		// walk depends on.
-		if f.left[n] != int32(n)+1 {
-			panic("forest: node layout is not pre-order")
-		}
-		thr := f.threshold[n]
-		// A negative or NaN threshold breaks the unsigned-bits order the
-		// batched walk compares in (see evalNode); trained thresholds are
-		// midpoints of similarity values in [0, 1], so this only guards
-		// hand-edited snapshots. Adding +0 folds -0.0 to +0.0 — the same
-		// "v <= thr" predicate — before the sign check and the bit capture.
-		if math.IsNaN(thr) || math.Signbit(thr+0) {
-			f.evalOK = false
-		}
-		f.eval[n] = evalNode{thr: math.Float64bits(thr + 0), feat: f.feature[n], delta: f.right[n] - int32(n) - 1}
-	}
-	f.depth = make([]int32, len(f.roots))
-	for t := range f.roots {
-		f.depth[t] = f.nodeDepth(f.roots[t])
-	}
 	k := len(f.roots)
 	f.entTab = make([]float64, k+1)
 	f.confTab = make([]float64, k+1)
@@ -230,143 +147,11 @@ func (f *Forest) buildTables() {
 	}
 }
 
-// nodeDepth returns the maximum root-to-leaf depth below n (0 at a leaf).
-func (f *Forest) nodeDepth(n int32) int32 {
-	if f.feature[n] < 0 {
-		return 0
-	}
-	l := f.nodeDepth(f.left[n])
-	r := f.nodeDepth(f.right[n])
-	if r > l {
-		l = r
-	}
-	return l + 1
-}
-
-// scoreBlockSize is the number of vectors routed through the forest per
-// batch: small enough that the block's votes and converted bits stay in
-// L1/L2 across the per-tree passes, large enough to amortize re-walking
-// the tree arrays.
-const scoreBlockSize = 256
-
-// maxEvalFeatures bounds the per-block bits buffer countVotes keeps on
-// its stack (scoreBlockSize × maxEvalFeatures × 8 bytes = 128 KB). Wider
-// vectors — far beyond any featurizer this codebase produces — score
-// through the scalar reference walk instead.
-const maxEvalFeatures = 64
-
-// step advances one walk by one level without any branch or float
-// compare: v holds the vector's raw IEEE bits, thr - v[feat] as an
-// unsigned subtract goes negative exactly when the feature exceeds the
-// threshold (the order isomorphism documented on evalNode), and the
-// resulting sign mask picks the implicit left child n+1 or the stored
-// right child. Leaves self-loop, so stepping a finished walk is a no-op.
-func step(eval []evalNode, v []uint64, n int32) int32 {
-	d := eval[n]
-	right := int32(int64(d.thr-v[d.feat]) >> 63)
-	return n + 1 + d.delta&right
-}
-
-// countVotesScalar is the reference walk over the canonical arrays, kept
-// for inputs the bits comparison cannot order: negative features or
-// thresholds, or vectors wider than the stack buffer.
-func (f *Forest) countVotesScalar(V [][]float64, votes []int16) {
+// countVotes tallies each vector's positive votes into votes (len(V)
+// entries, overwritten).
+func (f *Forest) countVotes(V [][]float64, votes []int16) {
 	for i, v := range V {
 		votes[i] = int16(f.posCount(v))
-	}
-}
-
-// countVotes tallies each vector's positive votes into votes (len(V)
-// entries, overwritten). The traversal is tree-major within blocks — one
-// tree's nodes stay cache-hot while a whole block of vectors routes
-// through it. Each block's vectors are first converted once to raw IEEE
-// bits (folding -0.0 to +0.0), so every walk step is pure integer ALU
-// work; the conversion also OR-accumulates the values' sign bits, and a
-// block containing any negative feature — which the unsigned comparison
-// would mis-order — falls back to the scalar reference walk, keeping the
-// fast path exact rather than approximately right.
-func (f *Forest) countVotes(V [][]float64, votes []int16) {
-	for i := range votes {
-		votes[i] = 0
-	}
-	if len(V) == 0 {
-		return
-	}
-	if !f.evalOK || len(V[0]) > maxEvalFeatures {
-		f.countVotesScalar(V, votes)
-		return
-	}
-	eval, voteTab := f.eval, f.voteTab
-	nf := len(V[0])
-	var bits [scoreBlockSize * maxEvalFeatures]uint64
-	for blo := 0; blo < len(V); blo += scoreBlockSize {
-		bhi := blo + scoreBlockSize
-		if bhi > len(V) {
-			bhi = len(V)
-		}
-		block := V[blo:bhi]
-		bv := votes[blo:bhi]
-		sign := uint64(0)
-		for i, v := range block {
-			row := bits[i*nf : i*nf+nf]
-			for j, x := range v[:nf] {
-				b := math.Float64bits(x + 0)
-				sign |= b
-				row[j] = b
-			}
-			// Stop converting at the first row with a negative: a real
-			// candidate set has a Missing (-1) in nearly every row, and the
-			// rest of the block's conversion would be thrown away.
-			if sign>>63 != 0 {
-				break
-			}
-		}
-		if sign>>63 != 0 {
-			f.countVotesScalar(block, bv)
-			continue
-		}
-		for t, root := range f.roots {
-			steps := int(f.depth[t])
-			i := 0
-			// Eight walks advance in lockstep for the tree's full depth.
-			// Each branchless step is a longer dependency chain than the
-			// branchy walk, but with no 50/50 split branches there are no
-			// mispredict flushes, and eight independent chains keep the
-			// core busy through each chain's latency — finished walks just
-			// spin on their leaf until the loop runs out.
-			for ; i+8 <= len(block); i += 8 {
-				v0, v1, v2, v3 := bits[i*nf:(i+1)*nf], bits[(i+1)*nf:(i+2)*nf], bits[(i+2)*nf:(i+3)*nf], bits[(i+3)*nf:(i+4)*nf]
-				v4, v5, v6, v7 := bits[(i+4)*nf:(i+5)*nf], bits[(i+5)*nf:(i+6)*nf], bits[(i+6)*nf:(i+7)*nf], bits[(i+7)*nf:(i+8)*nf]
-				n0, n1, n2, n3 := root, root, root, root
-				n4, n5, n6, n7 := root, root, root, root
-				for s := 0; s < steps; s++ {
-					n0 = step(eval, v0, n0)
-					n1 = step(eval, v1, n1)
-					n2 = step(eval, v2, n2)
-					n3 = step(eval, v3, n3)
-					n4 = step(eval, v4, n4)
-					n5 = step(eval, v5, n5)
-					n6 = step(eval, v6, n6)
-					n7 = step(eval, v7, n7)
-				}
-				bv[i] += voteTab[n0]
-				bv[i+1] += voteTab[n1]
-				bv[i+2] += voteTab[n2]
-				bv[i+3] += voteTab[n3]
-				bv[i+4] += voteTab[n4]
-				bv[i+5] += voteTab[n5]
-				bv[i+6] += voteTab[n6]
-				bv[i+7] += voteTab[n7]
-			}
-			for ; i < len(block); i++ {
-				v := bits[i*nf : i*nf+nf]
-				n := root
-				for s := 0; s < steps; s++ {
-					n = step(eval, v, n)
-				}
-				bv[i] += voteTab[n]
-			}
-		}
 	}
 }
 

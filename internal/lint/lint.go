@@ -163,7 +163,6 @@ func Rules() []Rule {
 		detMapRange{},
 		floatEq{},
 		durIgnoredWrite{},
-		concLoopCapture{},
 		concNoJoin{},
 		concUnlockPath{},
 		ctxPropagate{},

@@ -62,7 +62,6 @@ func TestFixtures(t *testing.T) {
 		{name: "detmaprange", importPath: "fixture/detmaprange"},
 		{name: "floateq", importPath: "fixture/floateq"},
 		{name: "durwrite", importPath: "fixture/internal/runsvc/durwrite"},
-		{name: "concloop", importPath: "fixture/concloop"},
 		{name: "concjoin", importPath: "fixture/concjoin"},
 		{name: "allowok", importPath: "fixture/allowok"},
 		{name: "allowbad", importPath: "fixture/allowbad"},
@@ -138,8 +137,7 @@ func renderFindings(findings []Finding) string {
 func TestRuleIDsStable(t *testing.T) {
 	want := []string{
 		"det-rand", "det-time", "det-maprange", "float-eq",
-		"dur-ignored-write", "conc-loopcapture", "conc-nojoin",
-		"conc-unlockpath", "ctx-propagate",
+		"dur-ignored-write", "conc-nojoin", "conc-unlockpath", "ctx-propagate",
 	}
 	var got []string
 	for _, r := range Rules() {

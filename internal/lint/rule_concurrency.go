@@ -7,102 +7,6 @@ import (
 	"go/types"
 )
 
-// ---- conc-loopcapture: a goroutine literal that reads an enclosing
-// loop's index or range variable by closure. Go ≥1.22 gives each
-// iteration its own variable, so the classic last-value bug cannot bite
-// here — but the repo's parallel sections (internal/par, the blocker scan
-// workers) pass loop state as arguments so every reader can see
-// the data flow without knowing the language version, and so a backport
-// or copy into an older module never silently changes meaning. The rule
-// makes that explicit style mandatory.
-
-type concLoopCapture struct{}
-
-func (concLoopCapture) ID() string { return "conc-loopcapture" }
-func (concLoopCapture) Doc() string {
-	return "forbid goroutine literals that close over an enclosing loop's index/range variable"
-}
-
-func (concLoopCapture) Check(u *Unit, cfg *Config) []Finding {
-	var out []Finding
-	for _, f := range u.reportFiles() {
-		// Collect every loop's span and declared variables, then flag
-		// goroutine literals inside a span whose bodies use those
-		// objects. Object identity handles shadowing and parameters: an
-		// ident that resolves to a goroutine parameter is a different
-		// object from the loop variable.
-		type loop struct {
-			pos, end token.Pos
-			vars     map[types.Object]bool
-		}
-		var loops []loop
-		ast.Inspect(f, func(n ast.Node) bool {
-			vars := make(map[types.Object]bool)
-			switch x := n.(type) {
-			case *ast.RangeStmt:
-				for _, e := range []ast.Expr{x.Key, x.Value} {
-					if id, ok := e.(*ast.Ident); ok {
-						if obj := u.Info.Defs[id]; obj != nil {
-							vars[obj] = true
-						}
-					}
-				}
-			case *ast.ForStmt:
-				if init, ok := x.Init.(*ast.AssignStmt); ok && init.Tok == token.DEFINE {
-					for _, e := range init.Lhs {
-						if id, ok := e.(*ast.Ident); ok {
-							if obj := u.Info.Defs[id]; obj != nil {
-								vars[obj] = true
-							}
-						}
-					}
-				}
-			default:
-				return true
-			}
-			if len(vars) > 0 {
-				loops = append(loops, loop{n.Pos(), n.End(), vars})
-			}
-			return true
-		})
-		ast.Inspect(f, func(n ast.Node) bool {
-			g, ok := n.(*ast.GoStmt)
-			if !ok {
-				return true
-			}
-			lit, ok := g.Call.Fun.(*ast.FuncLit)
-			if !ok {
-				return true
-			}
-			captured := make(map[string]bool)
-			ast.Inspect(lit.Body, func(m ast.Node) bool {
-				id, ok := m.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				obj := u.Info.Uses[id]
-				if obj == nil {
-					return true
-				}
-				for _, lp := range loops {
-					if lp.vars[obj] && g.Pos() > lp.pos && g.Pos() < lp.end && !captured[obj.Name()] {
-						captured[obj.Name()] = true
-						out = append(out, Finding{
-							Pos:  u.position(id.Pos()),
-							Rule: "conc-loopcapture",
-							Msg:  fmt.Sprintf("goroutine closes over loop variable %q", obj.Name()),
-							Hint: "pass it as an argument: go func(" + obj.Name() + " ...) {...}(" + obj.Name() + ")",
-						})
-					}
-				}
-				return true
-			})
-			return true
-		})
-	}
-	return out
-}
-
 // ---- conc-nojoin: a bare `go` with no join in sight is how the run
 // service's shutdown races started — work outlives the function that
 // spawned it, and nothing observes its completion or its panic. The rule

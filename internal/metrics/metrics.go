@@ -59,12 +59,3 @@ func fromCounts(tp, predictedPos, actualPos int) PRF {
 	}
 	return PRF{P: 100 * p, R: 100 * r, F1: 100 * stats.F1(p, r)}
 }
-
-// BlockingRecall returns the percentage of true matches retained in the
-// umbrella set (Table 3's Recall column).
-func BlockingRecall(candidates []record.Pair, truth *record.GroundTruth) float64 {
-	if truth.NumMatches() == 0 {
-		return 100
-	}
-	return 100 * float64(truth.CountMatchesIn(candidates)) / float64(truth.NumMatches())
-}

@@ -51,16 +51,6 @@ func TestEvaluateOn(t *testing.T) {
 	}
 }
 
-func TestBlockingRecall(t *testing.T) {
-	truth := record.NewGroundTruth([]record.Pair{record.P(0, 0), record.P(1, 1)})
-	if got := BlockingRecall([]record.Pair{record.P(0, 0)}, truth); got != 50 {
-		t.Errorf("recall = %v, want 50", got)
-	}
-	if got := BlockingRecall(nil, record.NewGroundTruth(nil)); got != 100 {
-		t.Errorf("no matches: recall = %v, want 100", got)
-	}
-}
-
 func TestPRFString(t *testing.T) {
 	s := PRF{P: 97.03, R: 96.12, F1: 96.5}.String()
 	if !strings.Contains(s, "97.0") || !strings.Contains(s, "96.1") {

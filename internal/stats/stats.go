@@ -194,17 +194,6 @@ func SampleIndicesInto(rng *rand.Rand, n, k int, buf []int) []int {
 	return idx[:k]
 }
 
-// WeightedSampleWithoutReplacement draws k distinct indices from [0,
-// len(weights)) with probability proportional to the weights, using the
-// Efraimidis-Spirakis exponential-key method. Non-positive weights are
-// treated as a tiny epsilon so zero-entropy examples can still be drawn when
-// the pool is smaller than k (§5.2 needs q examples even if fewer than q
-// have positive entropy).
-func WeightedSampleWithoutReplacement(rng *rand.Rand, weights []float64, k int) []int {
-	var ws WeightedSampler
-	return ws.Sample(rng, weights, k)
-}
-
 type weightedKey struct {
 	key float64
 	idx int
@@ -220,18 +209,23 @@ func (s *weightedKeys) Len() int           { return len(*s) }
 func (s *weightedKeys) Less(i, j int) bool { return (*s)[i].key > (*s)[j].key }
 func (s *weightedKeys) Swap(i, j int)      { (*s)[i], (*s)[j] = (*s)[j], (*s)[i] }
 
-// WeightedSampler is a reusable workspace for WeightedSampleWithoutReplacement:
-// the key and output buffers grow once and are retained, so steady-state
-// sampling — active learning draws a batch from the ranked pool every
-// iteration — allocates nothing. The zero value is ready to use; results
-// alias the sampler's buffers and are valid until the next Sample call.
+// WeightedSampler is a reusable workspace for weighted sampling without
+// replacement: the key and output buffers grow once and are retained, so
+// steady-state sampling — active learning draws a batch from the ranked
+// pool every iteration — allocates nothing. The zero value is ready to use;
+// results alias the sampler's buffers and are valid until the next Sample
+// call.
 type WeightedSampler struct {
 	keys weightedKeys
 	out  []int
 }
 
-// Sample draws k distinct indices exactly as WeightedSampleWithoutReplacement
-// does — same RNG consumption, same result — into the sampler's buffers.
+// Sample draws k distinct indices from [0, len(weights)) with probability
+// proportional to the weights, using the Efraimidis-Spirakis exponential-key
+// method, into the sampler's buffers. Non-positive weights are treated as a
+// tiny epsilon so zero-entropy examples can still be drawn when the pool is
+// smaller than k (§5.2 needs q examples even if fewer than q have positive
+// entropy).
 func (ws *WeightedSampler) Sample(rng *rand.Rand, weights []float64, k int) []int {
 	n := len(weights)
 	if n == 0 || k <= 0 {

@@ -186,11 +186,12 @@ func TestSampleIndicesUniform(t *testing.T) {
 
 func TestWeightedSampleWithoutReplacement(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	var ws WeightedSampler
 	w := []float64{1, 1, 1000, 1}
 	hits := 0
 	const trials = 2000
 	for i := 0; i < trials; i++ {
-		got := WeightedSampleWithoutReplacement(rng, w, 1)
+		got := ws.Sample(rng, w, 1)
 		if len(got) != 1 {
 			t.Fatal("wrong sample size")
 		}
@@ -202,7 +203,7 @@ func TestWeightedSampleWithoutReplacement(t *testing.T) {
 		t.Errorf("heavy item sampled only %d/%d times", hits, trials)
 	}
 	// Distinctness and clamping.
-	got := WeightedSampleWithoutReplacement(rng, w, 10)
+	got := ws.Sample(rng, w, 10)
 	if len(got) != 4 {
 		t.Errorf("clamped sample size = %d, want 4", len(got))
 	}
@@ -214,7 +215,7 @@ func TestWeightedSampleWithoutReplacement(t *testing.T) {
 		seen[i] = true
 	}
 	// Zero weights are tolerated.
-	if got := WeightedSampleWithoutReplacement(rng, []float64{0, 0}, 2); len(got) != 2 {
+	if got := ws.Sample(rng, []float64{0, 0}, 2); len(got) != 2 {
 		t.Errorf("zero-weight sample = %v", got)
 	}
 }

@@ -192,21 +192,6 @@ func ParseNumeric(s string) (float64, bool) {
 	return f, true
 }
 
-// CommonPrefixLen returns the length (in runes) of the longest common prefix
-// of a and b, capped at max (pass a negative max for no cap). Used by
-// Jaro-Winkler.
-func CommonPrefixLen(a, b string, max int) int {
-	ra, rb := []rune(a), []rune(b)
-	n := 0
-	for n < len(ra) && n < len(rb) && ra[n] == rb[n] {
-		n++
-		if max >= 0 && n >= max {
-			return max
-		}
-	}
-	return n
-}
-
 // IsNumericString reports whether s looks like a number (optionally signed,
 // with at most one decimal point), after trimming spaces, '$' and ','.
 func IsNumericString(s string) bool {

@@ -165,26 +165,6 @@ func TestInterner(t *testing.T) {
 	}
 }
 
-func TestCommonPrefixLen(t *testing.T) {
-	cases := []struct {
-		a, b string
-		max  int
-		want int
-	}{
-		{"abcdef", "abcxyz", 4, 3},
-		{"same", "same", 4, 4},
-		{"same", "same", -1, 4},
-		{"longerprefix", "longerprefiy", 4, 4},
-		{"", "abc", 4, 0},
-		{"x", "y", 4, 0},
-	}
-	for _, c := range cases {
-		if got := CommonPrefixLen(c.a, c.b, c.max); got != c.want {
-			t.Errorf("CommonPrefixLen(%q,%q,%d) = %d, want %d", c.a, c.b, c.max, got, c.want)
-		}
-	}
-}
-
 func TestIsNumericString(t *testing.T) {
 	yes := []string{"12", "-3.5", "+7", "$19.99", "1,234", " 42 ", "0.5"}
 	no := []string{"", "abc", "1.2.3", "$", "-", "12a", "..", "1-2"}

@@ -48,21 +48,6 @@ func (t *Tree) Predict(v []float64) bool {
 	return n.Label
 }
 
-// PredictFunc routes using a feature accessor instead of a full vector,
-// computing only the features actually visited. The Blocker uses this to
-// apply rules cheaply over A×B.
-func (t *Tree) PredictFunc(get func(feature int) float64) bool {
-	n := t.Root
-	for !n.IsLeaf() {
-		if get(n.Feature) <= n.Threshold {
-			n = n.Left
-		} else {
-			n = n.Right
-		}
-	}
-	return n.Label
-}
-
 // NumLeaves counts the leaves.
 func (t *Tree) NumLeaves() int { return countLeaves(t.Root) }
 

@@ -96,22 +96,6 @@ func TestGrowDoesNotMutateIdx(t *testing.T) {
 	}
 }
 
-func TestPredictFuncLaziness(t *testing.T) {
-	X, y := andData()
-	tr := Grow(X, y, nil, Config{})
-	computed := map[int]bool{}
-	got := tr.PredictFunc(func(f int) float64 {
-		computed[f] = true
-		return 0 // all-low vector: should route negative quickly
-	})
-	if got {
-		t.Error("all-low vector predicted positive")
-	}
-	if len(computed) > tr.Depth() {
-		t.Errorf("computed %d features, expected at most depth %d", len(computed), tr.Depth())
-	}
-}
-
 func TestCountsRecorded(t *testing.T) {
 	X, y := andData()
 	tr := Grow(X, y, nil, Config{})
@@ -152,7 +136,9 @@ func TestGiniOf(t *testing.T) {
 }
 
 func TestPredictionConsistencyProperty(t *testing.T) {
-	// Predict and PredictFunc agree for random vectors on a random tree.
+	// Predict agrees, for random vectors on a random tree, with the
+	// conclusion of the one rule that covers the vector through
+	// MatchesFunc, the feature-accessor form the blocking verifier applies.
 	rng := rand.New(rand.NewSource(3))
 	var X [][]float64
 	var y []bool
@@ -162,9 +148,19 @@ func TestPredictionConsistencyProperty(t *testing.T) {
 		y = append(y, v[0] > 0.3 && v[2] < 0.7)
 	}
 	tr := Grow(X, y, nil, Config{})
+	rules := tr.Rules()
 	f := func(a, b, c, d float64) bool {
 		v := []float64{clamp01(a), clamp01(b), clamp01(c), clamp01(d)}
-		return tr.Predict(v) == tr.PredictFunc(func(i int) float64 { return v[i] })
+		covering := 0
+		for _, r := range rules {
+			if r.MatchesFunc(func(i int) float64 { return v[i] }) {
+				covering++
+				if r.Positive != tr.Predict(v) {
+					return false
+				}
+			}
+		}
+		return covering == 1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -1,8 +1,9 @@
 #!/bin/sh
-# Full verification: format gate, vet, corlint, build, and the complete
-# test suite under the race detector. Tier-1 (go build && go test) is a
-# subset; this is the bar for changes touching concurrency — the run
-# service executes many engine pipelines in parallel.
+# Full verification: format gate, vet, corlint, build, one iteration of
+# every in-package benchmark, and the complete test suite under the race
+# detector. Tier-1 (go build && go test) is a subset; this is the bar for
+# changes touching concurrency — the run service executes many engine
+# pipelines in parallel.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -19,6 +20,11 @@ fi
 go vet ./...
 go run ./cmd/corlint ./...
 go build ./...
+
+# Benchmark smoke: every in-package Benchmark* runs once, so one that
+# panics or no longer compiles against its fixtures fails here. No number
+# is read — timing a change is the end-to-end benchmark's job (bench/).
+go test -run '^$' -bench . -benchtime 1x ./internal/...
 
 # Allocation gate: compiler escape/inlining diagnostics for the hot-path
 # packages vs the checked-in baseline. Runs right after the build so it
