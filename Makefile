@@ -67,7 +67,9 @@ shard:
 # measures vs the string merges, and the
 # Monge-Elkan token-pair table (fill, read-back and both directions of every
 # cell) vs the string measure, all to Float64bits equality (DESIGN.md "Pair
-# kernels", "Operand dictionaries and write-once tables"). Journal: arbitrary
+# kernels", "Operand dictionaries and write-once tables"), and the column
+# kernels vs the pair kernels over random small token multisets (DESIGN.md
+# "Column kernels"). Journal: arbitrary
 # bytes as a log and as a snapshot never restore more than their longest
 # valid frame prefix, and one altered byte never goes unnoticed (DESIGN.md
 # "The journal"). Row sets: the bitset behind every post-blocking row set vs
@@ -88,6 +90,7 @@ fuzz:
 	$(FUZZ) -fuzz 'FuzzJaroBitParallel' ./internal/similarity
 	$(FUZZ) -fuzz 'FuzzSetKernels' ./internal/similarity
 	$(FUZZ) -fuzz 'FuzzMongeElkanTable' ./internal/similarity
+	$(FUZZ) -fuzz 'FuzzColumnKernel' ./internal/feature
 	$(FUZZ) -fuzz 'FuzzRowSet' ./internal/ruleeval
 	$(FUZZ) -fuzz 'FuzzJournalReplay' -fuzzminimizetime 0 ./internal/runsvc
 	$(FUZZ) -fuzz 'FuzzForestLoad' -fuzzminimizetime 0 ./internal/runsvc

@@ -245,35 +245,33 @@ func applyRulesTo(ds *record.Dataset, ex *feature.Extractor, rules []tree.Rule, 
 }
 
 // applyRulesScanTo is the exhaustive §4.3 scan: every cell of A×B is
-// visited, in parallel, with features computed lazily per pair and
-// memoized across rules. Work is handed out in fixed-size blocks of the
-// flattened (int64) pair space and chunks are re-sequenced before emission,
-// so the output order is (a, b)-lexicographic at every GOMAXPROCS and peak
-// memory stays bounded by the reorder window — not the survivor count.
+// visited, in parallel, with features computed lazily and memoized across
+// rules. The unit of work is one row of table A against all of table B — a
+// feature.Run, so the Verifier reads the rules' set measures from per-row
+// columns — and rows are re-sequenced before emission, so the output order
+// is (a, b)-lexicographic at every GOMAXPROCS. A row's survivors reach the
+// sink in chunks of at most blockPairs; peak memory is the reorder window's
+// rows of survivors, at most |B| pairs each, not the umbrella set.
 func applyRulesScanTo(ds *record.Dataset, ex *feature.Extractor, rules []tree.Rule, sink Sink) {
-	na, nb := int64(ds.A.Len()), int64(ds.B.Len())
-	total := na * nb
-	if total <= 0 {
+	na, nb := ds.A.Len(), ds.B.Len()
+	if na <= 0 || nb <= 0 {
 		return
 	}
-	blocks := (total + blockPairs - 1) / blockPairs
-	workers := runtime.GOMAXPROCS(0)
-	if int64(workers) > blocks {
-		workers = int(blocks)
-	}
-	// Chunk buffers cycle between the workers and the emit callback: a
-	// delivered chunk's buffer goes back on free, a claimer takes one from
+	workers := min(runtime.GOMAXPROCS(0), na)
+	run := ex.NewRun(nil) // all of table B
+	// Row buffers cycle between the workers and the emit callback: a
+	// delivered row's buffer goes back on free, a claimer takes one from
 	// there or allocates. Every buffer belongs to a claimed, undelivered
-	// block or sits on free, and a claimer allocates only on finding free
+	// row or sits on free, and a claimer allocates only on finding free
 	// empty, so at most window buffers ever exist and the send in emit
 	// (which runs under the fan-out's lock) cannot block.
 	window := workers * seqWindowPerWorker
 	free := make(chan []record.Pair, window)
-	q := par.NewOrdered(int(blocks), window, func(_ int, chunk []record.Pair) {
-		if len(chunk) > 0 {
-			sink(chunk)
+	q := par.NewOrdered(na, window, func(_ int, row []record.Pair) {
+		for lo := 0; lo < len(row); lo += blockPairs {
+			sink(row[lo:min(lo+blockPairs, len(row))])
 		}
-		free <- chunk
+		free <- row
 	})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -282,29 +280,16 @@ func applyRulesScanTo(ds *record.Dataset, ex *feature.Extractor, rules []tree.Ru
 			defer wg.Done()
 			v := shard.NewVerifier(ex, rules)
 			for {
-				block, _, ok := q.Claim(1)
+				a, _, ok := q.Claim(1)
 				if !ok {
 					return
 				}
 				var buf []record.Pair
 				select {
 				case buf = <-free:
-					buf = buf[:0]
 				default:
-					buf = make([]record.Pair, 0, blockPairs)
 				}
-				lo := int64(block) * blockPairs
-				hi := lo + blockPairs
-				if hi > total {
-					hi = total
-				}
-				for i := lo; i < hi; i++ {
-					p := record.Pair{A: int32(i / nb), B: int32(i % nb)}
-					if v.Survives(p) {
-						buf = append(buf, p)
-					}
-				}
-				q.Complete(block, buf)
+				q.Complete(a, v.RowSurvivors(buf[:0], int32(a), run))
 			}
 		}()
 	}

@@ -367,35 +367,52 @@ func TestPlanRules(t *testing.T) {
 
 // TestApplyRulesToChunks pins the streaming contract: chunks arrive in
 // order, never exceed the block size, and concatenate to exactly the
-// materialized result — at several GOMAXPROCS.
+// materialized result — at several GOMAXPROCS. The second case has a table B
+// longer than blockPairs and a rule that removes next to nothing, so every
+// row of A — the scan's unit of work — holds more survivors than one chunk
+// may carry and must reach the sink in pieces.
 func TestApplyRulesToChunks(t *testing.T) {
-	ds := datagen.Generate(datagen.Scaled(datagen.CitationsPaper, 0.01))
-	ex := feature.NewExtractor(ds)
-	jw := featureByKind(ex, "jaccard_w")
-	rules := []tree.Rule{le(jw, 0.3)}
-	want := applyRulesRef(ds, ex, rules)
-
-	for _, procs := range []int{1, 4} {
-		prev := runtime.GOMAXPROCS(procs)
-		var got []record.Pair
-		chunks := 0
-		_, err := applyRulesTo(ds, ex, rules, execConfig{shards: 1}, func(chunk []record.Pair) {
-			if len(chunk) == 0 {
-				t.Error("sink received an empty chunk")
-			}
-			if len(chunk) > blockPairs {
-				t.Errorf("chunk of %d pairs exceeds blockPairs=%d", len(chunk), blockPairs)
-			}
-			chunks++
-			got = append(got, chunk...)
-		})
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		scale, theta float64
+		split        bool
+	}{{0.01, 0.3, false}, {0.07, -0.5, true}} {
+		ds := datagen.Generate(datagen.Scaled(datagen.CitationsPaper, c.scale))
+		ex := feature.NewExtractor(ds)
+		jw := featureByKind(ex, "jaccard_w")
+		rules := []tree.Rule{le(jw, c.theta)}
+		want := applyRulesRef(ds, ex, rules)
+		if c.split && (ds.B.Len() <= blockPairs || len(want) < ds.A.Len()*blockPairs) {
+			t.Fatalf("|B| = %d, %d survivors: rows do not outgrow blockPairs = %d", ds.B.Len(), len(want), blockPairs)
 		}
-		runtime.GOMAXPROCS(prev)
-		samePairs(t, fmt.Sprintf("stream GOMAXPROCS=%d", procs), got, want)
-		if chunks == 0 && len(want) > 0 {
-			t.Error("no chunks delivered")
+
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			var got []record.Pair
+			chunks, full := 0, 0
+			_, err := applyRulesTo(ds, ex, rules, execConfig{shards: 1}, func(chunk []record.Pair) {
+				if len(chunk) == 0 {
+					t.Error("sink received an empty chunk")
+				}
+				if len(chunk) > blockPairs {
+					t.Errorf("chunk of %d pairs exceeds blockPairs=%d", len(chunk), blockPairs)
+				}
+				if len(chunk) == blockPairs {
+					full++
+				}
+				chunks++
+				got = append(got, chunk...)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.GOMAXPROCS(prev)
+			samePairs(t, fmt.Sprintf("stream |B|=%d GOMAXPROCS=%d", ds.B.Len(), procs), got, want)
+			if chunks == 0 && len(want) > 0 {
+				t.Error("no chunks delivered")
+			}
+			if c.split && full < ds.A.Len() {
+				t.Errorf("%d full chunks for %d rows that each outgrow one", full, ds.A.Len())
+			}
 		}
 	}
 }

@@ -13,15 +13,16 @@ import (
 // destination slice does). A nil Sink is never invoked.
 type Sink func(chunk []record.Pair)
 
-// blockPairs is the number of Cartesian-product cells one scan block
-// covers; a block's survivor chunk is at most this large, so the streaming
-// path's peak memory is bounded by blockPairs × (reorder window) pairs —
+// blockPairs is the largest chunk a Sink is handed. The scan's unit of work
+// is a row of table A: its survivors, at most |B| pairs, wait in the reorder
+// buffer and are delivered in slices of at most blockPairs, so the
+// streaming path's peak memory is bounded by |B| × (reorder window) pairs —
 // independent of the umbrella set's size.
 const blockPairs = 4096
 
 // seqWindowPerWorker bounds how far ahead of the emission frontier workers
-// may claim blocks (par.Ordered's window). The reorder buffer therefore
-// holds at most workers × seqWindowPerWorker completed chunks.
+// may claim rows (par.Ordered's window). The reorder buffer therefore holds
+// at most workers × seqWindowPerWorker completed rows.
 const seqWindowPerWorker = 4
 
 // emitAllPairs streams the full Cartesian product A×B through sink in

@@ -1,0 +1,367 @@
+package feature_test
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"strings"
+	"testing"
+
+	"github.com/corleone-em/corleone/internal/datagen"
+	"github.com/corleone-em/corleone/internal/feature"
+	"github.com/corleone-em/corleone/internal/par"
+	"github.com/corleone-em/corleone/internal/record"
+	"github.com/corleone-em/corleone/internal/similarity"
+)
+
+// withEdgeRows returns ds with rows appended to both tables that the column
+// kernels' case analysis must get right: a row of missing values, a row of
+// present values without word tokens, a row whose text repeats tokens
+// (tf > 1), and two copies of an existing row (duplicate values share one
+// profile and, in table B, sit at several positions of a run).
+func withEdgeRows(ds *record.Dataset) *record.Dataset {
+	for _, t := range []*record.Table{ds.A, ds.B} {
+		w := len(t.Schema)
+		missing, tokenless, repeats := make(record.Tuple, w), make(record.Tuple, w), make(record.Tuple, w)
+		for i := range t.Schema {
+			tokenless[i] = "?!"
+			repeats[i] = "kit the kit kit the " + t.Rows[1][i]
+		}
+		dup := append(record.Tuple(nil), t.Rows[0]...)
+		for _, row := range []record.Tuple{missing, tokenless, repeats, dup, dup, missing, tokenless} {
+			t.Append(append(record.Tuple(nil), row...))
+		}
+	}
+	return ds
+}
+
+// commonTokenDataset is a dataset whose "desc" column holds one token in
+// every row of both tables — document frequency equals the document count,
+// so its IDF is exactly 0 — among small-vocabulary text with repeats, and
+// whose "note" column mixes missing, token-less and ordinary values. The
+// "code" column is low-cardinality enough to get a value-pair table, the
+// case a column kernel must leave alone.
+func commonTokenDataset(seed int64, na, nb int) *record.Dataset {
+	schema := record.Schema{
+		{Name: "name", Type: record.AttrString},
+		{Name: "desc", Type: record.AttrText},
+		{Name: "note", Type: record.AttrText},
+		{Name: "code", Type: record.AttrCategorical},
+	}
+	rng := rand.New(rand.NewSource(seed))
+	words := func(n int) string {
+		ws := make([]string, n)
+		for i := range ws {
+			ws[i] = fmt.Sprintf("w%d", rng.Intn(12))
+		}
+		return strings.Join(ws, " ")
+	}
+	fill := func(t *record.Table, n int) {
+		for r := 0; r < n; r++ {
+			note := words(1 + rng.Intn(5))
+			switch rng.Intn(5) {
+			case 0:
+				note = ""
+			case 1:
+				note = "--"
+			}
+			t.Append(record.Tuple{words(1 + rng.Intn(3)), "common " + words(rng.Intn(6)), note, fmt.Sprintf("c%d", rng.Intn(3))})
+		}
+	}
+	a, b := record.NewTable("a", schema), record.NewTable("b", schema)
+	fill(a, na)
+	fill(b, nb)
+	return &record.Dataset{Name: "common", A: a, B: b, Truth: record.NewGroundTruth(nil)}
+}
+
+// columnFeatures returns the features run computes by walking postings.
+func columnFeatures(ex *feature.Extractor, run *feature.Run) []int {
+	var fs []int
+	for f := 0; f < ex.NumFeatures(); f++ {
+		if run.HasColumn(f) {
+			fs = append(fs, f)
+		}
+	}
+	return fs
+}
+
+// checkColumns compares every feature in fs over the run bs, for every row
+// of table A, with ComputeScratch, bit for bit; the rows of A are fanned out
+// over GOMAXPROCS goroutines sharing the run, so the lazy postings builds
+// race the way they do in a scan.
+func checkColumns(t *testing.T, label string, ex *feature.Extractor, bs []int32, fs []int, stride int) {
+	t.Helper()
+	run := ex.NewRun(bs)
+	par.For(ex.A.Len(), func(lo, hi int) {
+		s := similarity.NewScratch()
+		rs := feature.RunScratch{Pair: s}
+		dst := make([]float64, len(bs)*stride)
+		for a := lo; a < hi; a++ {
+			for _, f := range fs {
+				run.Column(f, int32(a), dst, stride, &rs)
+				for k, b := range bs {
+					want := ex.ComputeScratch(f, record.Pair{A: int32(a), B: b}, s)
+					if got := dst[k*stride]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("%s: %s(a=%d, b=%d at position %d) = %v (%#x), pair kernel %v (%#x)", label,
+							ex.Name(f), a, b, k, got, math.Float64bits(got), want, math.Float64bits(want))
+						return
+					}
+				}
+			}
+		}
+	})
+}
+
+func allRows(n int) []int32 {
+	bs := make([]int32, n)
+	for i := range bs {
+		bs[i] = int32(i)
+	}
+	return bs
+}
+
+// TestColumnMatchesPair is the column kernels' differential test: every
+// feature with a column, on the three generated dataset families plus the
+// edge rows and on the zero-IDF dataset, over all of table B and over a
+// sorted subset of it, at GOMAXPROCS 1 and 4, equals ComputeScratch to the
+// bit. A feature without a column (a tabled or non-set one) and a run too
+// short for one go through the same call and must agree as well.
+func TestColumnMatchesPair(t *testing.T) {
+	type tc struct {
+		name string
+		ds   *record.Dataset
+	}
+	var cases []tc
+	for _, c := range []struct {
+		name  string
+		scale float64
+	}{{"restaurants", 0.5}, {"citations", 0.03}, {"products", 0.05}} {
+		ds, err := datagen.DatasetFor(c.name, c.scale, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, tc{c.name, withEdgeRows(ds)})
+	}
+	cases = append(cases, tc{"common-token", commonTokenDataset(3, 30, 150)})
+	for _, c := range cases {
+		ex := feature.NewExtractor(c.ds)
+		nb := c.ds.B.Len()
+		var subset []int32
+		for b := 0; b < nb; b += 2 {
+			subset = append(subset, int32(b))
+		}
+		// The edge rows are the table's last seven; the subset keeps them.
+		subset = append(subset[:len(subset)-4], allRows(nb)[nb-7:]...)
+		full := ex.NewRun(allRows(nb))
+		fs := columnFeatures(ex, full)
+		if len(fs) == 0 {
+			t.Fatalf("%s: no feature has a column over %d rows", c.name, nb)
+		}
+		tabled := 0
+		for f, ft := range ex.Features() {
+			if (ft.Kind == "jaccard_3g" || ft.Kind == "jaccard_w") && !full.HasColumn(f) {
+				tabled++
+			}
+		}
+		if c.name == "common-token" && tabled == 0 {
+			t.Errorf("%s: expected the code column's value-pair table to keep its set measure off the column path", c.name)
+		}
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			label := fmt.Sprintf("%s GOMAXPROCS=%d", c.name, procs)
+			checkColumns(t, label+" all of B", ex, allRows(nb), fs, 1)
+			checkColumns(t, label+" subset", ex, subset, fs, 3)
+			runtime.GOMAXPROCS(prev)
+		}
+		// Everything else Column is asked for is the pair kernel's answer.
+		all := make([]int, ex.NumFeatures())
+		for i := range all {
+			all[i] = i
+		}
+		checkColumns(t, c.name+" short run", ex, subset[len(subset)-20:], all, 1)
+		if testing.Short() {
+			continue
+		}
+		checkColumns(t, c.name+" every feature", ex, subset, all, 2)
+	}
+}
+
+// TestColumnWalkCostRule drives the rule that sends a row of A back to the
+// pair kernel when its tokens' postings are longer than the merges they
+// replace: in a table of identical rows every token's list is the whole
+// run. The values must not care.
+func TestColumnWalkCostRule(t *testing.T) {
+	schema := record.Schema{{Name: "name", Type: record.AttrString}, {Name: "n", Type: record.AttrNumeric}}
+	a, b := record.NewTable("a", schema), record.NewTable("b", schema)
+	// The trailing number keeps the names distinct enough that the column
+	// gets no value-pair table, which would take it off the column path.
+	for r := 0; r < 8; r++ {
+		a.Append(record.Tuple{fmt.Sprintf("north south east west %d", r), fmt.Sprint(r)})
+	}
+	for r := 0; r < 200; r++ {
+		b.Append(record.Tuple{fmt.Sprintf("north south east west %d", r%97), fmt.Sprint(r)})
+	}
+	ex := feature.NewExtractor(&record.Dataset{Name: "same", A: a, B: b, Truth: record.NewGroundTruth(nil)})
+	bs := allRows(b.Len())
+	fs := columnFeatures(ex, ex.NewRun(bs))
+	if len(fs) == 0 {
+		t.Fatal("the name column has no column kernel; the test exercises nothing")
+	}
+	checkColumns(t, "identical rows", ex, bs, fs, 1)
+}
+
+// TestVectorsRunShapes feeds Vectors every arrangement of pairs its run
+// detection has to classify — a clean cross product, one with a pair
+// missing from one run, shuffled, with pairs repeated, with one-row runs,
+// with a sparse tail — at GOMAXPROCS 1 to 4, where par.For's chunk
+// boundaries cut runs at different places, and expects each row to be the
+// pair's own Vector.
+func TestVectorsRunShapes(t *testing.T) {
+	ds, err := datagen.DatasetFor("restaurants", 0.5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds = withEdgeRows(ds)
+	ex := feature.NewExtractor(ds)
+	na, nb := 23, ds.B.Len()
+	var cross []record.Pair
+	for a := 0; a < na; a++ {
+		for b := 0; b < nb; b += 2 {
+			cross = append(cross, record.P(a, b))
+		}
+	}
+	run := len(cross) / na
+	rng := rand.New(rand.NewSource(5))
+	shuffled := append([]record.Pair(nil), cross...)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	var doubled, oneRow []record.Pair
+	for _, p := range cross {
+		doubled = append(doubled, p, p)
+	}
+	for b := 0; b < nb; b++ {
+		for a := 0; a < na; a++ {
+			oneRow = append(oneRow, record.P(a, b))
+		}
+	}
+	shapes := []struct {
+		name  string
+		pairs []record.Pair
+	}{
+		{"cross product", cross},
+		{"one pair deleted", append(append([]record.Pair(nil), cross[:5*run+7]...), cross[5*run+8:]...)},
+		{"first run short", cross[3:]},
+		{"shuffled", shuffled},
+		{"pairs doubled", doubled},
+		{"runs repeated", append(append([]record.Pair(nil), cross...), cross[2*run:4*run]...)},
+		{"one-row runs", oneRow},
+		{"sparse tail", append(append([]record.Pair(nil), cross...), shuffled[:50]...)},
+		{"one run", cross[:run]},
+		{"empty", nil},
+	}
+	want := map[record.Pair][]float64{}
+	for _, p := range oneRow {
+		want[p] = ex.Vector(p)
+	}
+	for procs := 1; procs <= 4; procs++ {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, s := range shapes {
+			X := ex.Vectors(s.pairs)
+			if len(X) != len(s.pairs) {
+				t.Fatalf("%s: %d rows for %d pairs", s.name, len(X), len(s.pairs))
+			}
+			for i, p := range s.pairs {
+				if len(X[i]) != len(want[p]) || cap(X[i]) != len(X[i]) {
+					t.Fatalf("%s GOMAXPROCS=%d: row %d has len %d cap %d", s.name, procs, i, len(X[i]), cap(X[i]))
+				}
+				for f, w := range want[p] {
+					if math.Float64bits(X[i][f]) != math.Float64bits(w) {
+						t.Fatalf("%s GOMAXPROCS=%d: Vectors[%d][%s] of %v = %v, Vector gives %v",
+							s.name, procs, i, ex.Name(f), p, X[i][f], w)
+					}
+				}
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// TestColumnZeroAllocSteadyState pins the kernel's steady state: with the
+// run's postings built and the scratch warm, a column allocates nothing —
+// whether it walks, re-reads a shared walk, or falls back pair by pair.
+func TestColumnZeroAllocSteadyState(t *testing.T) {
+	ds, err := datagen.DatasetFor("products", 0.05, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := feature.NewExtractor(withEdgeRows(ds))
+	bs := allRows(ds.B.Len())
+	run := ex.NewRun(bs)
+	var rs feature.RunScratch
+	dst := make([]float64, len(bs))
+	sweep := func() {
+		for a := 0; a < ds.A.Len(); a++ {
+			for f := 0; f < ex.NumFeatures(); f++ {
+				if k := ex.Features()[f].Kind; k == "monge_elkan" || k == "edit" || k == "jaro_winkler" {
+					continue // their pair kernels have their own zero-alloc test
+				}
+				run.Column(f, int32(a), dst, 1, &rs)
+			}
+		}
+	}
+	sweep()
+	if n := testing.AllocsPerRun(3, sweep); n != 0 {
+		t.Errorf("a warm column sweep allocates %v times, want 0", n)
+	}
+}
+
+// FuzzColumnKernel scores random small token multisets: the input's bytes
+// spell the rows of both tables over a six-word alphabet (a zero length is
+// a missing value, a length of one a token-less one), table B long enough
+// for a column. Every feature with a column must equal the pair kernel.
+func FuzzColumnKernel(f *testing.F) {
+	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9})
+	f.Add([]byte{0, 0, 0, 1, 1, 1})
+	f.Add([]byte{7})
+	f.Add([]byte{2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 512 {
+			return
+		}
+		at := 0
+		next := func() int {
+			b := data[at%len(data)]
+			at++
+			return int(b) + at/len(data) // later passes over the input differ
+		}
+		value := func() string {
+			n := next() % 7
+			switch n {
+			case 0:
+				return ""
+			case 1:
+				return "…"
+			}
+			ws := make([]string, n-1)
+			for i := range ws {
+				ws[i] = string(rune('a'+next()%6)) + "x"
+			}
+			return strings.Join(ws, " ")
+		}
+		schema := record.Schema{{Name: "s", Type: record.AttrString}, {Name: "t", Type: record.AttrText}}
+		a, b := record.NewTable("a", schema), record.NewTable("b", schema)
+		for r := 0; r < 5; r++ {
+			a.Append(record.Tuple{value(), value()})
+		}
+		for r := 0; r < 70+len(data)%9; r++ {
+			b.Append(record.Tuple{value(), value()})
+		}
+		ex := feature.NewExtractor(&record.Dataset{Name: "fuzz", A: a, B: b, Truth: record.NewGroundTruth(nil)})
+		bs := allRows(b.Len())
+		all := make([]int, ex.NumFeatures())
+		for i := range all {
+			all[i] = i
+		}
+		checkColumns(t, "fuzz", ex, bs, all, 1)
+	})
+}

@@ -16,14 +16,21 @@
 // Monge-Elkan's inner score of two tokens, so a column that repeats its
 // operands often enough also gets a write-once table per distinct operand
 // pair (DESIGN.md "Operand dictionaries and write-once tables").
-// ComputeScratch is the only place a feature value is produced — the table's
-// cell if it is filled, else the profile kernel, whose result fills it; the
-// tests pin every feature bit for bit, first touch and second, to the string
-// measures of package similarity applied to the raw attribute values.
+//
+// A feature value has two producers, chosen by the shape of the request,
+// never by an option. ComputeScratch scores one pair — the table's cell if
+// it is filled, else the profile kernel, whose result fills it — for every
+// sparse request: probe candidates, the umbrella set, seeds. Run.Column
+// scores a row of table A against a run of table B rows, the set measures by
+// walking the run's postings instead of merging every pair (DESIGN.md
+// "Column kernels"), for Vectors over a cross product and the blocker's
+// scan. The tests pin ComputeScratch bit for bit, first touch and second, to
+// package similarity's string measures, and every column to ComputeScratch.
 package feature
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/corleone-em/corleone/internal/par"
@@ -64,7 +71,8 @@ type Feature struct {
 
 // Extractor binds a feature library to a dataset and computes vectors.
 // Construction precomputes the profiles of both tables' distinct values;
-// Compute, Vector, and Vectors all route through ComputeScratch.
+// Compute, Vector and sparse Vectors route through ComputeScratch, the runs
+// of a cross product through Run.Column.
 type Extractor struct {
 	A, B     *record.Table
 	features []Feature
@@ -341,10 +349,11 @@ func (e *Extractor) Compute(i int, p record.Pair) float64 {
 }
 
 // ComputeScratch evaluates a single feature with a caller-owned scratch —
-// the form the parallel scan loops use, one scratch per worker. Every
-// feature value in the system is produced here: the cell of the column's
-// value-pair table if it is filled, else the profile kernel, whose result
-// fills the cell. Workers racing on an empty cell compute and store the same
+// the form the parallel loops use, one scratch per worker. It is the
+// pair-at-a-time producer of feature values (Run.Column, the run-at-a-time
+// one, equals it bit for bit): the cell of the column's value-pair table if
+// it is filled, else the profile kernel, whose result fills the cell.
+// Workers racing on an empty cell compute and store the same
 // bits (similarity.Cell), so the output is the kernel's at every
 // GOMAXPROCS and in every call order.
 func (e *Extractor) ComputeScratch(i int, p record.Pair, s *similarity.Scratch) float64 {
@@ -388,19 +397,65 @@ func (e *Extractor) VectorScratch(p record.Pair, s *similarity.Scratch) []float6
 // array — one allocation instead of one per pair — each clipped to its own
 // capacity, so appending to a row reallocates instead of writing into the
 // next one.
+//
+// In a cross product — the blocker's sample, all of A×B below t_B — every
+// row of A meets the same list of B rows, and such a run is scored by
+// Run.Column; crossRun reads that shape off the input. A run cut by a
+// worker's chunk boundary, and any stretch that is not the list again, is
+// computed pair by pair. The values are the same bits either way.
 func (e *Extractor) Vectors(pairs []record.Pair) [][]float64 {
 	d := len(e.features)
 	flat := make([]float64, len(pairs)*d)
 	out := make([][]float64, len(pairs))
+	run := e.crossRun(pairs)
 	par.For(len(pairs), func(lo, hi int) {
 		s := similarity.NewScratch()
+		rs := RunScratch{Pair: s}
 		for i := lo; i < hi; i++ {
-			row := flat[i*d : (i+1)*d : (i+1)*d]
-			for f := range row {
-				row[f] = e.ComputeScratch(f, pairs[i], s)
+			out[i] = flat[i*d : (i+1)*d : (i+1)*d]
+		}
+		for i := lo; i < hi; {
+			if run != nil && run.leads(pairs[i:hi]) {
+				for f := range e.features {
+					run.Column(f, pairs[i].A, flat[i*d+f:], d, &rs)
+				}
+				i += len(run.bs)
+				continue
 			}
-			out[i] = row
+			for f := range out[i] {
+				out[i][f] = e.ComputeScratch(f, pairs[i], s)
+			}
+			i++
 		}
 	})
 	return out
+}
+
+// crossRun returns the Run of the B rows of pairs' first run — its leading
+// pairs with one row of A — when some feature has a column over it and the
+// input is long enough to hold it minReuse times over (what building its
+// postings takes to pay back); nil otherwise.
+func (e *Extractor) crossRun(pairs []record.Pair) *Run {
+	n := 0
+	for n < len(pairs) && pairs[n].A == pairs[0].A {
+		n++
+	}
+	if n < minRun || len(pairs) < minReuse*n {
+		return nil
+	}
+	bs := make([]int32, n)
+	for k := range bs {
+		bs[k] = pairs[k].B
+	}
+	if run := e.NewRun(bs); slices.ContainsFunc(run.view, func(v int8) bool { return v != noView }) {
+		return run
+	}
+	return nil
+}
+
+// leads reports whether pairs begins with one row of A against exactly the
+// run's list.
+func (r *Run) leads(pairs []record.Pair) bool {
+	return len(pairs) >= len(r.bs) && slices.EqualFunc(pairs[:len(r.bs)], r.bs,
+		func(p record.Pair, b int32) bool { return p.B == b && p.A == pairs[0].A })
 }

@@ -2,6 +2,7 @@ package feature
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/corleone-em/corleone/internal/datagen"
@@ -70,5 +71,40 @@ func BenchmarkNewExtractor(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ex := NewExtractor(ds)
 		sinkRows = [][]float64{ex.Vector(record.P(0, 0))}
+	}
+}
+
+// BenchmarkColumn measures one column kernel per measure kind on
+// Citations×0.1: every row of table A against all of table B (1.68M pairs
+// an iteration), postings built before the clock starts. title is the text
+// column, whose three measures share a view (each sub-benchmark walks it for
+// itself: one feature per row defeats the shared walk); authors is the
+// string column with the long 3-gram sets.
+func BenchmarkColumn(b *testing.B) {
+	ds, err := datagen.DatasetFor("citations", 0.1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ex := NewExtractor(ds)
+	for _, name := range []string{"title_jaccard_w", "title_overlap_w", "title_tfidf_cos", "authors_jaccard_3g"} {
+		f := slices.Index(ex.Names(), name)
+		kind := ex.features[f].Kind
+		b.Run(kind, func(b *testing.B) {
+			run := ex.NewRun(nil)
+			if !run.HasColumn(f) {
+				b.Fatalf("%s has no column over %d rows", name, ds.B.Len())
+			}
+			var rs RunScratch
+			dst := make([]float64, ds.B.Len())
+			run.Column(f, 0, dst, 1, &rs)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for a := 0; a < ds.A.Len(); a++ {
+					run.Column(f, int32(a), dst, 1, &rs)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ds.A.Len()*ds.B.Len()), "ns/pair")
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/corleone-em/corleone/internal/datagen"
@@ -8,6 +9,7 @@ import (
 	"github.com/corleone-em/corleone/internal/record"
 	"github.com/corleone-em/corleone/internal/similarity"
 	"github.com/corleone-em/corleone/internal/simindex"
+	"github.com/corleone-em/corleone/internal/tree"
 )
 
 // TestPartitionDisjointCovering pins the partitioner's contract: at every
@@ -161,5 +163,59 @@ func TestGroupCandidatesCompleteness(t *testing.T) {
 					k, g.MaxShardFootprint(), total)
 			}
 		}
+	}
+}
+
+// TestRowSurvivorsMatchesSurvives pins the Verifier's two entry points to
+// each other: a row of table A against a run — all of table B, then a
+// subset too short for columns — keeps exactly the pairs Survives keeps one
+// by one, under rules that mix set measures (read from columns), a tabled
+// and a character measure (computed per pair), both operators, and a
+// feature two rules share.
+func TestRowSurvivorsMatchesSurvives(t *testing.T) {
+	ds := datagen.Generate(datagen.Scaled(datagen.CitationsPaper, 0.02))
+	ex := feature.NewExtractor(ds)
+	feat := map[string]int{}
+	for i, n := range ex.Names() {
+		feat[n] = i
+	}
+	pred := func(name string, op tree.Op, thr float64) tree.Predicate {
+		f, ok := feat[name]
+		if !ok {
+			t.Fatalf("no feature %s", name)
+		}
+		return tree.Predicate{Feature: f, Op: op, Threshold: thr}
+	}
+	rules := []tree.Rule{
+		{Preds: []tree.Predicate{pred("title_jaccard_w", tree.LE, 0.2), pred("authors_jaccard_3g", tree.LE, 0.15)}},
+		{Preds: []tree.Predicate{pred("venue_jaccard_3g", tree.LE, 0.1), pred("title_tfidf_cos", tree.LE, 0.3), pred("authors_jaro_winkler", tree.LE, 0.6)}},
+		{Preds: []tree.Predicate{pred("title_overlap_w", tree.GT, 0.1), pred("title_jaccard_w", tree.LE, 0.05)}},
+	}
+	all := make([]int32, ds.B.Len())
+	for i := range all {
+		all[i] = int32(i)
+	}
+	ref := NewVerifier(ex, rules)
+	v := NewVerifier(ex, rules)
+	survivors := 0
+	for _, bs := range [][]int32{all, all[7:40]} {
+		run := ex.NewRun(bs)
+		var got []record.Pair
+		for a := 0; a < ds.A.Len(); a++ {
+			got = v.RowSurvivors(got[:0], int32(a), run)
+			var want []record.Pair
+			for _, b := range bs {
+				if p := (record.Pair{A: int32(a), B: b}); ref.Survives(p) {
+					want = append(want, p)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("row %d over %d rows: RowSurvivors %v, Survives %v", a, len(bs), got, want)
+			}
+			survivors += len(got)
+		}
+	}
+	if survivors == 0 {
+		t.Fatal("no pair survives: the rules exercise nothing")
 	}
 }

@@ -145,8 +145,13 @@ func jaccardSorted(sa, sb []uint64) float64 {
 	if len(sa) == 0 || len(sb) == 0 {
 		return 0
 	}
-	inter := intersectSorted(sa, sb)
-	return float64(inter) / float64(len(sa)+len(sb)-inter)
+	return JaccardOf(intersectSorted(sa, sb), len(sa), len(sb))
+}
+
+// JaccardOf finishes a Jaccard from the intersection's size and the two
+// non-empty sets' — for the merge above and for feature's column kernels.
+func JaccardOf(inter, na, nb int) float64 {
+	return float64(inter) / float64(na+nb-inter)
 }
 
 // intersectSorted counts common elements of two sorted distinct slices.
@@ -188,9 +193,10 @@ func overlapSorted(sa, sb []uint64) float64 {
 	if len(sa) == 0 || len(sb) == 0 {
 		return 0
 	}
-	small := len(sa)
-	if len(sb) < small {
-		small = len(sb)
-	}
-	return float64(intersectSorted(sa, sb)) / float64(small)
+	return OverlapOf(intersectSorted(sa, sb), len(sa), len(sb))
+}
+
+// OverlapOf finishes an overlap coefficient likewise.
+func OverlapOf(inter, na, nb int) float64 {
+	return float64(inter) / float64(min(na, nb))
 }

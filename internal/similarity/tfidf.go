@@ -180,11 +180,13 @@ func CosineProfiles(a, b *Profile) float64 {
 			j++
 		}
 	}
-	return cosine(dot, va.Norm, vb.Norm)
+	return CosineOf(dot, va.Norm, vb.Norm)
 }
 
-// cosine finishes a cosine from the dot product and the squared norms.
-func cosine(dot, na, nb float64) float64 {
+// CosineOf finishes a cosine from the dot product and the squared norms. A
+// dot product of +0 gives +0: two positive roots multiply to at least the
+// smallest subnormal (2⁻⁵³⁷ · 2⁻⁵³⁷), never to the 0 of a 0/0.
+func CosineOf(dot, na, nb float64) float64 {
 	if na == 0 || nb == 0 {
 		return 0
 	}
@@ -220,5 +222,5 @@ func (c *Corpus) Cosine(a, b string) float64 {
 			dot += w * float64(fb) * idf
 		}
 	}
-	return cosine(dot, na, nb)
+	return CosineOf(dot, na, nb)
 }

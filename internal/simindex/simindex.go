@@ -96,16 +96,11 @@ type Index struct {
 	// candidate ids and a Scratch's marks range over.
 	n int
 
-	// The set kinds keep an inverted index in compressed-row layout: toks
-	// holds the distinct token codes (vocabulary rank or packed 3-gram, as
-	// the profiles carry them) ascending, and the rows whose set contains
-	// toks[s] are rows[off[s]:off[s+1]], ascending. For CosineTFIDF,
-	// zero-weight tokens (IDF 0) are not indexed: they contribute nothing to
-	// any dot product, so a pair whose only shared tokens are zero-weight
-	// scores 0 and cannot exceed θ ≥ 0.
-	toks []uint64
-	off  []int32
-	rows []int32
+	// The set kinds keep an inverted index of the rows' sets (Postings). For
+	// CosineTFIDF, zero-weight tokens (IDF 0) are not indexed: they
+	// contribute nothing to any dot product, so a pair whose only shared
+	// tokens are zero-weight scores 0 and cannot exceed θ ≥ 0.
+	post Postings
 	// size[r] is the indexed-token (or distinct-gram) set size of row r; 0
 	// for rows with a missing value or an empty set.
 	size []int32
@@ -163,66 +158,91 @@ func Build(kind Kind, profs []*similarity.Profile) *Index {
 	return ix
 }
 
-// buildPostings fills the compressed-row inverted index in two passes over
-// the column. The first counts each token's rows in a map that lives only
-// for the build; its keys, sorted, are toks, and the counts in that order
-// are off. The second drops each row into its tokens' lists in row order,
-// so every list comes out ascending.
-func (ix *Index) buildPostings(profs []*similarity.Profile) {
-	kind := ix.kind
-	ix.size = make([]int32, len(profs))
+// Postings is an inverted index in compressed-row layout: Toks holds the
+// distinct token codes (vocabulary rank or packed 3-gram, as the profiles
+// carry them) ascending, and the rows whose set contains Toks[s] are
+// Rows[Off[s]:Off[s+1]], ascending. An Index probes one for candidates; the
+// feature package's column kernels walk one to count intersections.
+type Postings struct {
+	Toks      []uint64
+	Off, Rows []int32
+}
+
+// BuildPostings inverts rows 0..n-1 in two passes; set(r) is row r's
+// distinct codes (nil: not indexed), asked for once per pass and read only
+// until the next call. The first pass counts each token's rows in a map that
+// lives only for the build; its keys, sorted, are Toks, and the counts in
+// that order are Off. The second drops each row into its tokens' lists in
+// row order, so every list comes out ascending, and tells visit (if any)
+// which entry of Rows the i-th code of row r became.
+func BuildPostings(n int, set func(r int) []uint64, visit func(entry, r, i int)) Postings {
 	slot := make(map[uint64]int32) // token → postings length, then → slot
 	total := 0
-	for r, p := range profs {
-		ks, ok := keys(kind, p)
-		if !ok {
-			continue
-		}
-		if len(ks) == 0 {
-			ix.emptySet = append(ix.emptySet, int32(r))
-			continue
-		}
-		for i, t := range ks {
-			if weightless(kind, p, i) {
-				continue
-			}
+	for r := 0; r < n; r++ {
+		ks := set(r)
+		for _, t := range ks {
 			slot[t]++
-			ix.size[r]++
 		}
-		total += int(ix.size[r])
+		total += len(ks)
 	}
-	ix.toks = make([]uint64, 0, len(slot))
+	p := Postings{Toks: make([]uint64, 0, len(slot)), Rows: make([]int32, total)}
 	for t := range slot {
-		ix.toks = append(ix.toks, t)
+		p.Toks = append(p.Toks, t)
 	}
-	slices.Sort(ix.toks)
-	// off[s] starts as where token s's list begins; the fill below advances
+	slices.Sort(p.Toks)
+	// Off[s] starts as where token s's list begins; the fill below advances
 	// it to the list's end — the next token's start — and the shift after it
 	// puts every start back, one slot to the right of a leading 0.
-	ix.off = make([]int32, len(ix.toks), len(ix.toks)+1)
+	p.Off = make([]int32, len(p.Toks), len(p.Toks)+1)
 	at := int32(0)
-	for s, t := range ix.toks {
-		ix.off[s], at = at, at+slot[t]
+	for s, t := range p.Toks {
+		p.Off[s], at = at, at+slot[t]
 		slot[t] = int32(s)
 	}
-	ix.rows = make([]int32, total)
-	for r, p := range profs {
-		if ix.size[r] == 0 {
-			continue
-		}
-		ks, _ := keys(kind, p)
-		for i, t := range ks {
-			if weightless(kind, p, i) {
-				continue
-			}
+	for r := 0; r < n; r++ {
+		for i, t := range set(r) {
 			s := slot[t]
-			ix.rows[ix.off[s]] = int32(r)
-			ix.off[s]++
+			p.Rows[p.Off[s]] = int32(r)
+			if visit != nil {
+				visit(int(p.Off[s]), r, i)
+			}
+			p.Off[s]++
 		}
 	}
-	ix.off = append(ix.off, 0)
-	copy(ix.off[1:], ix.off)
-	ix.off[0] = 0
+	p.Off = append(p.Off, 0)
+	copy(p.Off[1:], p.Off)
+	p.Off[0] = 0
+	return p
+}
+
+// buildPostings indexes the column's sets, less the zero-weight cosine
+// terms, and records each row's indexed size and the token-less rows.
+func (ix *Index) buildPostings(profs []*similarity.Profile) {
+	ix.size = make([]int32, len(profs))
+	var buf []uint64
+	indexed := func(r int) []uint64 {
+		ks, ok := keys(ix.kind, profs[r])
+		if !ok {
+			return nil
+		}
+		if ix.kind != CosineTFIDF {
+			return ks
+		}
+		buf = buf[:0]
+		for i, t := range ks {
+			if !weightless(ix.kind, profs[r], i) {
+				buf = append(buf, t)
+			}
+		}
+		return buf
+	}
+	for r, p := range profs {
+		if ks, ok := keys(ix.kind, p); ok && len(ks) == 0 {
+			ix.emptySet = append(ix.emptySet, int32(r))
+		}
+		ix.size[r] = int32(len(indexed(r)))
+	}
+	ix.post = BuildPostings(len(profs), indexed, nil)
 }
 
 // buildBand sorts the rows holding a finite numeric by (value, row).
@@ -256,15 +276,15 @@ func (ix *Index) buildBand(profs []*similarity.Profile) {
 }
 
 // Tokens returns the number of distinct indexed tokens (diagnostics).
-func (ix *Index) Tokens() int { return len(ix.toks) }
+func (ix *Index) Tokens() int { return len(ix.post.Toks) }
 
 // Footprint returns the index's resident bytes, exactly: every slice it
 // holds at its element width. It is the quantity sharded execution bounds
 // per worker — at billions of candidate pairs the postings lists are the
 // dominant memory term of the blocking scan.
 func (ix *Index) Footprint() int64 {
-	return 8*int64(len(ix.toks)+len(ix.vals)) +
-		4*int64(len(ix.off)+len(ix.rows)+len(ix.size)+len(ix.emptySet)+len(ix.valRows)+len(ix.nonFinite))
+	return 8*int64(len(ix.post.Toks)+len(ix.vals)) +
+		4*int64(len(ix.post.Off)+len(ix.post.Rows)+len(ix.size)+len(ix.emptySet)+len(ix.valRows)+len(ix.nonFinite))
 }
 
 // Scratch carries one probe's reusable working state: an epoch-stamped
@@ -418,10 +438,10 @@ func (ix *Index) appendTo(s *Scratch, probe *similarity.Profile, theta float64) 
 	// giving up a single qualifying row.
 	ord, slot := s.order[:0], s.slot[:0]
 	for i, t := range ks {
-		sl, found := slices.BinarySearch(ix.toks, t)
+		sl, found := slices.BinarySearch(ix.post.Toks, t)
 		var n int32
 		if found {
-			n = ix.off[sl+1] - ix.off[sl]
+			n = ix.post.Off[sl+1] - ix.post.Off[sl]
 		} else {
 			sl = -1
 		}
@@ -438,7 +458,7 @@ func (ix *Index) appendTo(s *Scratch, probe *similarity.Profile, theta float64) 
 		if slot[i] < 0 || weightless(ix.kind, probe, int(i)) {
 			continue // a token no row has, or one that adds nothing
 		}
-		for _, r := range ix.rows[ix.off[slot[i]]:ix.off[slot[i]+1]] {
+		for _, r := range ix.post.Rows[ix.post.Off[slot[i]]:ix.post.Off[slot[i]+1]] {
 			if s.mark[r] == s.epoch {
 				continue
 			}

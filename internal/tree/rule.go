@@ -68,10 +68,11 @@ func (r Rule) Matches(v []float64) bool {
 	return true
 }
 
-// MatchesFunc evaluates coverage with a lazy feature accessor, computing
+// MatchesFunc evaluates coverage with a lazy feature accessor, asking for
 // features only until a predicate fails. Predicates are ordered cheapest
 // feature first by SortPredsByCost, so rule application over A×B
-// short-circuits on the cheap tests.
+// short-circuits on the cheap tests. (shard.Verifier's accessor reads some
+// features from a column it computed for the pair's whole row on first use.)
 func (r Rule) MatchesFunc(get func(feature int) float64) bool {
 	for _, p := range r.Preds {
 		if !p.Holds(get(p.Feature)) {
