@@ -75,7 +75,9 @@ shard:
 # "The journal"). Row sets: the bitset behind every post-blocking row set vs
 # a map[int]bool, including the two representation invariants that keep
 # reflect.DeepEqual on results meaningful (DESIGN.md "Row sets and the
-# post-blocking stages"). Job directory: the two remaining disk decoders
+# post-blocking stages"). Rule coverage: the forest leaf walk vs Rule.Matches
+# and MakeCandidates on forests trained on random small sets, rows of -1, -0,
+# ±Inf and values at the thresholds (DESIGN.md "Cover by leaf"). Job directory: the two remaining disk decoders
 # are total — a model file that loads re-saves to an identical scorer, a
 # spec.json that decodes builds or fails with an error. The job-directory targets
 # take whole files as inputs, so minimizing each interesting one would eat
@@ -92,6 +94,7 @@ fuzz:
 	$(FUZZ) -fuzz 'FuzzMongeElkanTable' ./internal/similarity
 	$(FUZZ) -fuzz 'FuzzColumnKernel' ./internal/feature
 	$(FUZZ) -fuzz 'FuzzRowSet' ./internal/ruleeval
+	$(FUZZ) -fuzz 'FuzzCover' ./internal/ruleeval
 	$(FUZZ) -fuzz 'FuzzJournalReplay' -fuzzminimizetime 0 ./internal/runsvc
 	$(FUZZ) -fuzz 'FuzzForestLoad' -fuzzminimizetime 0 ./internal/runsvc
 	$(FUZZ) -fuzz 'FuzzSpecRecord' -fuzzminimizetime 0 ./internal/runsvc

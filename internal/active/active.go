@@ -11,6 +11,7 @@ import (
 
 	"github.com/corleone-em/corleone/internal/crowd"
 	"github.com/corleone-em/corleone/internal/forest"
+	"github.com/corleone-em/corleone/internal/par"
 	"github.com/corleone-em/corleone/internal/record"
 	"github.com/corleone-em/corleone/internal/stats"
 )
@@ -331,22 +332,28 @@ func (c cand) before(d cand) bool {
 }
 
 // ranker is the reusable workspace for example selection (§5.2) and
-// monitoring-set scoring (§5.3). Its buffers — the batched forest scorer,
-// the eligible-pool collections, the entropy scratch, and the weighted
-// sampler — are sized to the pool on the first call and retained, so
-// ranking a candidate block is zero-alloc in steady state even though the
-// loop re-scores the entire pool after every retrain. The zero value is
-// ready to use.
+// monitoring-set scoring (§5.3). Its buffers — the forest scorer, the
+// entropy scratch, the top-p heap and the weighted sampler — are sized to
+// the pool on the first call and retained, so ranking is zero-alloc in
+// steady state even though the loop re-scores the entire pool after every
+// retrain. The zero value is ready to use.
 type ranker struct {
 	sc      forest.Scorer
 	sampler stats.WeightedSampler
-	pool    []int       // eligible pool indices, rebuilt each call
-	vecs    [][]float64 // feature vectors aligned with pool
-	ents    []float64   // batched entropies aligned with pool
-	top     []cand      // the p best candidates, best first
-	weights []float64   // top-p entropies for weighted sampling
-	perm    []int       // SampleIndicesInto scratch (random strategy)
-	out     []int       // selected pool indices, valid until next call
+	ents    []float64 // entropy per pool row; -1 on consumed and monitor rows
+	top     []cand    // the p best candidates, best first
+	weights []float64 // top-p entropies for weighted sampling
+	pool    []int     // eligible pool indices (random strategy)
+	perm    []int     // SampleIndicesInto scratch (random strategy)
+	out     []int     // selected pool indices, valid until next call
+
+	// score is the par.For body that fills ents, built once: like
+	// forest.Scorer's, it captures only the ranker and reads the call's
+	// arguments from the fields below, so a pass allocates no closure.
+	score               func(lo, hi int)
+	f                   *forest.Forest
+	X                   [][]float64
+	consumed, inMonitor []bool
 }
 
 // selectBatch returns pool indices for the next labeling batch. The result
@@ -354,11 +361,11 @@ type ranker struct {
 func (r *ranker) selectBatch(rng *rand.Rand, f *forest.Forest, X [][]float64,
 	consumed, inMonitor []bool, cfg Config) []int {
 
-	if cap(r.pool) < len(X) {
-		r.pool = make([]int, 0, len(X))
-	}
-	pool := r.pool[:0]
 	if cfg.Strategy == StrategyRandom {
+		if cap(r.pool) < len(X) {
+			r.pool = make([]int, 0, len(X))
+		}
+		pool := r.pool[:0]
 		for i := range X {
 			if !consumed[i] && !inMonitor[i] {
 				pool = append(pool, i)
@@ -376,32 +383,33 @@ func (r *ranker) selectBatch(rng *rand.Rand, f *forest.Forest, X [][]float64,
 		return out
 	}
 
-	// Collect the eligible pool serially (cheap, preserves index order),
-	// then score it through the batched SoA path: entropies land at their
-	// own slots, so the ranking input is identical to the per-vector loop
-	// this replaced, at a fraction of the walk cost and without per-call
-	// slices.
-	if cap(r.vecs) < len(X) {
-		r.vecs = make([][]float64, 0, len(X))
+	// Score X where it lies: each chunk skips its own consumed and monitor
+	// rows, so no eligible-row copy is built on the calling goroutine, and
+	// every entropy lands at its row's slot whatever the chunking.
+	if cap(r.ents) < len(X) {
+		r.ents = make([]float64, len(X))
 	}
-	vecs := r.vecs[:0]
-	for i := range X {
-		if consumed[i] || inMonitor[i] {
-			continue
+	r.ents = r.ents[:len(X)]
+	if r.score == nil {
+		r.score = func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				if r.consumed[i] || r.inMonitor[i] {
+					r.ents[i] = -1
+				} else {
+					r.ents[i] = r.f.Entropy(r.X[i])
+				}
+			}
 		}
-		pool = append(pool, i)
-		vecs = append(vecs, X[i])
 	}
-	r.pool, r.vecs = pool, vecs
-	if len(pool) == 0 {
+	r.f, r.X, r.consumed, r.inMonitor = f, X, consumed, inMonitor
+	par.For(len(X), r.score)
+	r.f, r.X, r.consumed, r.inMonitor = nil, nil, nil, nil
+
+	r.top = topP(r.ents, cfg.PoolP, r.top)
+	top := r.top
+	if len(top) == 0 {
 		return nil
 	}
-	if cap(r.ents) < len(pool) {
-		r.ents = make([]float64, cap(r.pool))
-	}
-	ents := r.sc.EntropiesInto(f, vecs, r.ents[:len(pool)])
-	r.top = topP(pool, ents, cfg.PoolP, r.top)
-	top := r.top
 	if cap(r.weights) < len(top) {
 		r.weights = make([]float64, len(top))
 	}
@@ -418,20 +426,25 @@ func (r *ranker) selectBatch(rng *rand.Rand, f *forest.Forest, X [][]float64,
 	return out
 }
 
-// topP returns the p highest-ranked candidates of the pool (all of them if
-// there are fewer), best first, reusing buf. The first p candidates form a
-// heap whose root is the worst of them; every later one costs a single
-// comparison with the root unless it enters the top p; a final heap sort
-// puts the survivors in rank order.
-func topP(pool []int, ents []float64, p int, buf []cand) []cand {
-	k := min(p, len(pool))
-	if k <= 0 {
-		return buf[:0]
-	}
+// topP returns the p highest-ranked rows of ents (all the eligible ones if
+// there are fewer), best first, reusing buf; a negative entry marks a row
+// that is not eligible. The first p eligible rows form a heap whose root is
+// the worst of them; every later row costs a single comparison with the
+// root unless it enters the top p (an ineligible row's -1 ranks after every
+// entropy, so it never does); a final heap sort puts the survivors in rank
+// order.
+func topP(ents []float64, p int, buf []cand) []cand {
 	h := buf[:0]
-	for j := 0; j < k; j++ {
-		h = append(h, cand{idx: pool[j], entropy: ents[j]})
+	if p <= 0 {
+		return h
 	}
+	i := 0
+	for ; i < len(ents) && len(h) < p; i++ {
+		if ents[i] >= 0 {
+			h = append(h, cand{idx: i, entropy: ents[i]})
+		}
+	}
+	k := len(h)
 	// down restores the heap order (every parent ranks after its children)
 	// below slot i within h[:n].
 	down := func(i, n int) {
@@ -449,11 +462,11 @@ func topP(pool []int, ents []float64, p int, buf []cand) []cand {
 			i = worst
 		}
 	}
-	for i := k/2 - 1; i >= 0; i-- {
-		down(i, k)
+	for j := k/2 - 1; j >= 0; j-- {
+		down(j, k)
 	}
-	for j := k; j < len(pool); j++ {
-		if c := (cand{idx: pool[j], entropy: ents[j]}); c.before(h[0]) {
+	for ; i < len(ents); i++ {
+		if c := (cand{idx: i, entropy: ents[i]}); c.before(h[0]) {
 			h[0] = c
 			down(0, k)
 		}

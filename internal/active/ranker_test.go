@@ -47,7 +47,7 @@ func partialSortByEntropy(cs []cand, k int) {
 // TestTopPMatchesSelectionSort compares the bounded heap with the
 // selection sort on pools full of entropy ties (a forest of T trees yields
 // at most T+1 distinct entropies), for p below, at and above the pool size,
-// p = 0, and pools of 0 and 1.
+// p = 0, and pools of 0 and 1; the rows between pool indices are ineligible.
 func TestTopPMatchesSelectionSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var buf []cand
@@ -55,20 +55,22 @@ func TestTopPMatchesSelectionSort(t *testing.T) {
 		n := []int{0, 1, 2, 7, 100, 101, 1000}[rng.Intn(7)]
 		p := []int{0, 1, 5, 100, 2000}[rng.Intn(5)]
 		levels := 1 + rng.Intn(6) // few distinct entropies: ties everywhere
-		pool := make([]int, n)
-		ents := make([]float64, n)
+		ents := make([]float64, 3*n)
+		for i := range ents {
+			ents[i] = -1
+		}
 		all := make([]cand, n)
-		for j := range pool {
-			pool[j] = 3*j + rng.Intn(3) // ascending, with gaps
-			ents[j] = float64(rng.Intn(levels)) / float64(levels)
-			all[j] = cand{idx: pool[j], entropy: ents[j]}
+		for j := range all {
+			idx := 3*j + rng.Intn(3) // ascending, with gaps
+			ents[idx] = float64(rng.Intn(levels)) / float64(levels)
+			all[j] = cand{idx: idx, entropy: ents[idx]}
 		}
 		k := p
 		if k > n {
 			k = n
 		}
 		partialSortByEntropy(all, k)
-		buf = topP(pool, ents, p, buf)
+		buf = topP(ents, p, buf)
 		if len(buf) != k {
 			t.Fatalf("n=%d p=%d: %d candidates, want %d", n, p, len(buf), k)
 		}
@@ -110,20 +112,37 @@ func TestRankerZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestRankerMatchesPointwiseScoring pins the batched ranking input: the
-// entropies the ranker feeds the partial sort are bit-identical to scoring
-// each eligible candidate through the single-vector path.
+// TestRankerMatchesPointwiseScoring pins the ranking input at GOMAXPROCS 1
+// and 4: the entropies the ranker feeds the partial sort are bit-identical
+// to scoring each eligible candidate through the single-vector path, every
+// consumed or monitor row is marked ineligible, and the batch holds none.
 func TestRankerMatchesPointwiseScoring(t *testing.T) {
 	f, X, consumed, inMonitor := rankerFixture(700)
+	for i := 5; i < len(X); i += 41 {
+		inMonitor[i] = true
+	}
 	cfg := Defaults()
-	var r ranker
-	r.selectBatch(rand.New(rand.NewSource(5)), f, X, consumed, inMonitor, cfg)
-	for j, i := range r.pool {
-		if consumed[i] || inMonitor[i] {
-			t.Fatalf("pool contains ineligible index %d", i)
+	for _, procs := range []int{1, 4} {
+		old := runtime.GOMAXPROCS(procs)
+		var r ranker
+		batch := r.selectBatch(rand.New(rand.NewSource(5)), f, X, consumed, inMonitor, cfg)
+		runtime.GOMAXPROCS(old)
+		if len(r.ents) != len(X) || len(batch) != cfg.BatchQ {
+			t.Fatalf("procs=%d: %d entropies for %d rows, batch of %d", procs, len(r.ents), len(X), len(batch))
 		}
-		if want := f.Entropy(X[i]); r.ents[j] != want {
-			t.Fatalf("batched entropy[%d] = %v, single-vector = %v", i, r.ents[j], want)
+		for i := range X {
+			want := f.Entropy(X[i])
+			if consumed[i] || inMonitor[i] {
+				want = -1
+			}
+			if r.ents[i] != want {
+				t.Fatalf("procs=%d: entropy[%d] = %v, want %v", procs, i, r.ents[i], want)
+			}
+		}
+		for _, i := range batch {
+			if consumed[i] || inMonitor[i] {
+				t.Fatalf("procs=%d: batch contains ineligible index %d", procs, i)
+			}
 		}
 	}
 }

@@ -160,16 +160,17 @@ func Run(ds *record.Dataset, ex *feature.Extractor, runner *crowd.Runner, cfg Co
 	res.Training = learned.Training
 	res.ALTrace = learned.Trace
 
-	// Step 4 (§4.1): extract candidate blocking rules (negative rules).
+	// Step 4 (§4.1): extract candidate blocking rules (negative rules),
+	// with their coverage of S from one walk of X through the forest.
 	negRules, _ := learned.Forest.Rules()
-	for i := range negRules {
-		negRules[i].SortPredsByCost(ex.Cost)
-	}
 	res.CandidateRuleCount = len(negRules)
+	cands, _ := ruleeval.CoverByLeaf(learned.Forest, X)
+	for i := range cands {
+		cands[i].Rule.SortPredsByCost(ex.Cost)
+	}
 
 	// §4.2 step 1: select the top k rules by the upper bound on precision,
 	// where T is the set of S-examples the crowd labeled positive.
-	cands := ruleeval.MakeCandidates(negRules, X)
 	top := ruleeval.SelectTopK(cands, ruleeval.Contradicting(S, learned.Training, true), cfg.TopK)
 
 	// §4.2 step 2: evaluate the selected rules jointly with the crowd.

@@ -206,13 +206,12 @@ func Estimate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 	// Candidate reduction rules: negative rules from the matcher's forest,
 	// ranked by the §4.2 precision upper bound (contradicted by known
 	// positives), top k kept — but NOT yet crowd-evaluated (§6.2 step 1).
-	negRules, _ := f.Rules()
 	contradicting := ruleeval.Contradicting(pairs, known, true)
 	// Rank ALL candidate rules by the §4.2 upper bound; the search below
 	// considers them in rank order, at most TopK at a time, pulling deeper
 	// into the ranking only when the earlier rules are used up and
 	// reduction still beats sampling (mid-execution re-optimization).
-	allCands := ruleeval.MakeCandidates(negRules, X)
+	allCands, _ := ruleeval.CoverByLeaf(f, X)
 	cands := ruleeval.SelectTopK(allCands, contradicting, len(allCands))
 
 	// State: alive examples (C'), accumulated uniform sample with labels.

@@ -366,3 +366,46 @@ func TestMemoisedFeaturesMatchStringMeasures(t *testing.T) {
 		}
 	}
 }
+
+// TestVectorsNeverNaN pins the property ruleeval.CoverByLeaf rests on: a
+// forest walk sends a NaN right while Rule.Matches fails it on both "<=" and
+// ">", so "the row reaches the rule's leaf" equals "the rule matches" only on
+// NaN-free rows. Every feature of every pair of the three datasets — and of
+// the hand-written one whose B row is all empty fields — is an ordered
+// number, with a missing input showing up as feature.Missing and nothing else.
+func TestVectorsNeverNaN(t *testing.T) {
+	sets := []*record.Dataset{testDataset()}
+	for _, c := range []struct {
+		name  string
+		scale float64
+	}{{"restaurants", 0.3}, {"citations", 0.03}, {"products", 0.05}} {
+		ds, err := datagen.DatasetFor(c.name, c.scale, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets = append(sets, ds)
+	}
+	for _, ds := range sets {
+		pairs := make([]record.Pair, 0, ds.A.Len()*ds.B.Len())
+		for a := 0; a < ds.A.Len(); a++ {
+			for b := 0; b < ds.B.Len(); b++ {
+				pairs = append(pairs, record.P(a, b))
+			}
+		}
+		ex := feature.NewExtractor(ds)
+		missing := 0
+		for i, v := range ex.Vectors(pairs) {
+			for f, x := range v {
+				if math.IsNaN(x) {
+					t.Fatalf("%s: %s of pair %v is NaN", ds.Name, ex.Name(f), pairs[i])
+				}
+				if x == feature.Missing {
+					missing++
+				}
+			}
+		}
+		if missing == 0 {
+			t.Errorf("%s: no feature of any pair is Missing; the dataset does not exercise missing values", ds.Name)
+		}
+	}
+}

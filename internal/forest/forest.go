@@ -190,9 +190,19 @@ func (f *Forest) Confidence(v []float64) float64 {
 // positive rules. Within each polarity, rules keep first-seen order, which
 // is deterministic given the training seed.
 func (f *Forest) Rules() (negative, positive []tree.Rule) {
+	negative, positive, _, _ = f.RuleLeaves()
+	return negative, positive
+}
+
+// RuleLeaves is Rules plus where each rule was read: negLeaf[i] (posLeaf[i])
+// is the packed node index of the leaf whose root path is negative[i]
+// (positive[i]). A later leaf with the same Key() — the key rounds
+// thresholds to nine digits, so its path may differ in the tenth — has no
+// entry: the rule kept is the first-seen leaf's, and so is its leaf.
+func (f *Forest) RuleLeaves() (negative, positive []tree.Rule, negLeaf, posLeaf []int32) {
 	seen := map[string]bool{}
 	for t := range f.roots {
-		f.treeRules(t, func(r tree.Rule) {
+		f.treeRules(t, func(r tree.Rule, leaf int32) {
 			// A rule with no predicates (single-leaf tree) covers
 			// everything and carries no information; skip it.
 			if len(r.Preds) == 0 {
@@ -204,19 +214,43 @@ func (f *Forest) Rules() (negative, positive []tree.Rule) {
 			}
 			seen[k] = true
 			if r.Positive {
-				positive = append(positive, r)
+				positive, posLeaf = append(positive, r), append(posLeaf, leaf)
 			} else {
-				negative = append(negative, r)
+				negative, negLeaf = append(negative, r), append(negLeaf, leaf)
 			}
 		})
 	}
-	return negative, positive
+	return negative, positive, negLeaf, posLeaf
 }
 
-// treeRules walks tree t root-to-leaf and emits each path as a rule, in
-// the same left-first order (and with the same predicate layout) as the
-// pointer-tree extraction it replaced.
-func (f *Forest) treeRules(t int, emit func(tree.Rule)) {
+// NumNodes returns the packed node count, the bound of every leaf index.
+func (f *Forest) NumNodes() int { return len(f.feature) }
+
+// LeavesInto writes the packed index of the leaf each vector of V reaches in
+// each tree, dst[i*NumTrees()+t] for vector i and tree t. The comparison is
+// posCount's: a NaN feature fails "<=" and goes right.
+func (f *Forest) LeavesInto(V [][]float64, dst []int32) {
+	feature, threshold := f.feature, f.threshold
+	left, right := f.left, f.right
+	k := len(f.roots)
+	for i, v := range V {
+		for t, n := range f.roots {
+			for feature[n] >= 0 {
+				if v[feature[n]] <= threshold[n] {
+					n = left[n]
+				} else {
+					n = right[n]
+				}
+			}
+			dst[i*k+t] = n
+		}
+	}
+}
+
+// treeRules walks tree t root-to-leaf and emits each path as a rule with
+// its leaf's packed index, in the same left-first order (and with the same
+// predicate layout) as the pointer-tree extraction it replaced.
+func (f *Forest) treeRules(t int, emit func(tree.Rule, int32)) {
 	var path []tree.Predicate
 	var walk func(n int32)
 	walk = func(n int32) {
@@ -228,7 +262,7 @@ func (f *Forest) treeRules(t int, emit func(tree.Rule)) {
 				Positive: f.label[n],
 				LeafPos:  int(f.pos[n]),
 				LeafNeg:  int(f.neg[n]),
-			})
+			}, n)
 			return
 		}
 		path = append(path, tree.Predicate{

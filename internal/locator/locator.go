@@ -84,15 +84,16 @@ func Locate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 	cfg = cfg.withDefaults()
 	res := &Result{}
 
-	negRules, posRules := f.Rules()
 	knownPos := ruleeval.Contradicting(pairs, known, true)
 	knownNeg := ruleeval.Contradicting(pairs, known, false)
 
 	// §7 step 1: certify top-k negative rules (contradicted by known
 	// positives) and top-k positive rules (contradicted by known
-	// negatives) exactly as in §4.2.
-	topNeg := ruleeval.SelectTopK(ruleeval.MakeCandidates(negRules, X), knownPos, cfg.TopK)
-	topPos := ruleeval.SelectTopK(ruleeval.MakeCandidates(posRules, X), knownNeg, cfg.TopK)
+	// negatives) exactly as in §4.2. One walk of X through the forest gives
+	// the coverages of both polarities.
+	negCands, posCands := ruleeval.CoverByLeaf(f, X)
+	topNeg := ruleeval.SelectTopK(negCands, knownPos, cfg.TopK)
+	topPos := ruleeval.SelectTopK(posCands, knownNeg, cfg.TopK)
 
 	evalNeg := ruleeval.EvaluateJoint(rng, runner, pairs, topNeg, cfg.RuleEval)
 	evalPos := ruleeval.EvaluateJoint(rng, runner, pairs, topPos, cfg.RuleEval)

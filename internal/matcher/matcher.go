@@ -9,6 +9,7 @@ import (
 	"github.com/corleone-em/corleone/internal/active"
 	"github.com/corleone-em/corleone/internal/crowd"
 	"github.com/corleone-em/corleone/internal/forest"
+	"github.com/corleone-em/corleone/internal/par"
 	"github.com/corleone-em/corleone/internal/record"
 )
 
@@ -50,9 +51,13 @@ func Run(runner *crowd.Runner, pairs []record.Pair, X [][]float64,
 		Training:    learned.Training,
 		Trace:       learned.Trace,
 	}
-	for i, v := range X {
-		if learned.Forest.Predict(v) {
-			res.Predictions[i] = true
+	par.For(len(X), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			res.Predictions[i] = learned.Forest.Predict(X[i])
+		}
+	})
+	for _, pos := range res.Predictions {
+		if pos {
 			res.PositiveCount++
 		}
 	}

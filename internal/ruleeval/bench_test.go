@@ -9,14 +9,13 @@ import (
 	"github.com/corleone-em/corleone/internal/feature"
 	"github.com/corleone-em/corleone/internal/forest"
 	"github.com/corleone-em/corleone/internal/record"
-	"github.com/corleone-em/corleone/internal/tree"
 )
 
 // restaurantsFixture is the post-blocking state of a Restaurants×1.0 run —
-// the 176k-pair candidate set, its feature matrix, and the rules of a
+// the 176k-pair candidate set, its feature matrix, and a
 // forest trained on it (the true matches plus every 200th pair) — so each
 // layer's number can be reproduced without the traced end-to-end run.
-func restaurantsFixture(b *testing.B) (ds *record.Dataset, pairs []record.Pair, X [][]float64, neg []tree.Rule) {
+func restaurantsFixture(b *testing.B) (ds *record.Dataset, pairs []record.Pair, X [][]float64, f *forest.Forest) {
 	b.Helper()
 	ds = datagen.Generate(datagen.RestaurantsPaper)
 	for a := 0; a < ds.A.Len(); a++ {
@@ -32,14 +31,14 @@ func restaurantsFixture(b *testing.B) (ds *record.Dataset, pairs []record.Pair, 
 			trainX, trainY = append(trainX, X[i]), append(trainY, m)
 		}
 	}
-	neg, _ = forest.Train(trainX, trainY, forest.Defaults()).Rules()
-	return ds, pairs, X, neg
+	return ds, pairs, X, forest.Train(trainX, trainY, forest.Defaults())
 }
 
 var sinkCands []Candidate
 
 func BenchmarkMakeCandidates(b *testing.B) {
-	_, _, X, neg := restaurantsFixture(b)
+	_, _, X, f := restaurantsFixture(b)
+	neg, _ := f.Rules()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -48,10 +47,24 @@ func BenchmarkMakeCandidates(b *testing.B) {
 	b.ReportMetric(float64(len(neg)), "rules/op")
 }
 
+// BenchmarkCover is the leaf walk over the same forest and rows; it fills
+// the positive rules' coverages too.
+func BenchmarkCover(b *testing.B) {
+	_, _, X, f := restaurantsFixture(b)
+	var pos []Candidate
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkCands, pos = CoverByLeaf(f, X)
+	}
+	b.ReportMetric(float64(len(sinkCands)+len(pos)), "rules/op")
+}
+
 // BenchmarkEvaluateJoint certifies the top 20 rules against an oracle crowd,
 // the call the locator makes twice and the estimator once per reduction.
 func BenchmarkEvaluateJoint(b *testing.B) {
-	ds, pairs, X, neg := restaurantsFixture(b)
+	ds, pairs, X, f := restaurantsFixture(b)
+	neg, _ := f.Rules()
 	top := SelectTopK(MakeCandidates(neg, X), Contradicting(pairs, nil, true), 20)
 	var res []Result
 	b.ReportAllocs()

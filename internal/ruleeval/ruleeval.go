@@ -16,6 +16,7 @@ import (
 	"sort"
 
 	"github.com/corleone-em/corleone/internal/crowd"
+	"github.com/corleone-em/corleone/internal/forest"
 	"github.com/corleone-em/corleone/internal/par"
 	"github.com/corleone-em/corleone/internal/record"
 	"github.com/corleone-em/corleone/internal/stats"
@@ -30,16 +31,16 @@ type Candidate struct {
 }
 
 // MakeCandidates computes coverages for all rules over X, dropping rules
-// with empty coverage (nothing to evaluate, nothing to gain). Coverage bits
-// are filled in parallel over 64-row blocks — one word of every rule per
-// block, so a block's rows are read once for all rules. Each bit is a pure
-// function of its own row, so the result is identical at every GOMAXPROCS.
+// with empty coverage (nothing to evaluate, nothing to gain), by testing
+// every rule's predicates on every row. It is the reference for rules that
+// have no forest to walk — hand-written rules, the differential tests; the
+// pipeline's rules are all leaves of a forest and go through CoverByLeaf.
+// Coverage bits are filled in parallel over 64-row blocks, and each bit is a
+// pure function of its own row, so the result is identical at every
+// GOMAXPROCS.
 func MakeCandidates(rules []tree.Rule, X [][]float64) []Candidate {
 	n := len(X)
-	covs := make([]*RowSet, len(rules))
-	for i := range covs {
-		covs[i] = NewRowSet(n)
-	}
+	covs := newCoverages(len(rules), n)
 	par.For((n+63)/64, func(lo, hi int) {
 		for w := lo; w < hi; w++ {
 			rows := X[w*64 : min(w*64+64, n)]
@@ -54,8 +55,79 @@ func MakeCandidates(rules []tree.Rule, X [][]float64) []Candidate {
 			}
 		}
 	})
+	return nonEmpty(rules, covs)
+}
+
+// CoverByLeaf computes what MakeCandidates does for both halves of
+// f.Rules(), in one walk of X through f instead of a predicate test per rule
+// and row. A rule of a forest is a root-to-leaf path, so on a row whose
+// features are ordered numbers it matches exactly when the row reaches its
+// leaf: the leaves of a tree partition the rows, each row sets at most one
+// bit per tree, and the cost is the k walks of Forest.Predict whatever the
+// number of rules. Rules() keeps one rule per Key(), the first-seen leaf's,
+// so only that leaf stands for the rule; a later leaf sharing the key may
+// differ past the key's nine digits and adds nothing. The candidates come in
+// Rules() order with empty coverages dropped, as MakeCandidates returns them.
+//
+// The equivalence needs NaN-free rows: the walk sends a NaN right, while
+// Rule.Matches fails it on both "<=" and ">". Extractor.Vectors never emits
+// one (feature.TestVectorsNeverNaN) and a trained threshold is the midpoint
+// of two feature values; Missing (-1), -0 and ±Inf are ordinary ordered
+// values.
+func CoverByLeaf(f *forest.Forest, X [][]float64) (negative, positive []Candidate) {
+	neg, pos, negLeaf, posLeaf := f.RuleLeaves()
+	ruleOf := make([]int32, f.NumNodes()) // leaf → index into neg ++ pos, -1 for none
+	for i := range ruleOf {
+		ruleOf[i] = -1
+	}
+	for i, leaf := range negLeaf {
+		ruleOf[leaf] = int32(i)
+	}
+	for i, leaf := range posLeaf {
+		ruleOf[leaf] = int32(len(neg) + i)
+	}
+	n, k := len(X), f.NumTrees()
+	covs := newCoverages(len(neg)+len(pos), n)
+	par.For((n+63)/64, func(lo, hi int) {
+		leaves := make([]int32, 64*k) // one block's leaves, reused down the chunk
+		for w := lo; w < hi; w++ {
+			coverBlock(f, X[w*64:min(w*64+64, n)], ruleOf, covs, w, leaves)
+		}
+	})
+	return nonEmpty(neg, covs[:len(neg)]), nonEmpty(pos, covs[len(neg):])
+}
+
+// coverBlock walks one 64-row block through every tree and sets each row's
+// bit in word w of the rule its leaf stands for. Word w of every coverage
+// belongs to this block alone, so blocks run concurrently.
+func coverBlock(f *forest.Forest, rows [][]float64, ruleOf []int32, covs []RowSet, w int, leaves []int32) {
+	f.LeavesInto(rows, leaves)
+	k := f.NumTrees()
+	for b := range rows {
+		for _, leaf := range leaves[b*k : b*k+k] {
+			if r := ruleOf[leaf]; r >= 0 {
+				covs[r].words[w] |= 1 << uint(b)
+			}
+		}
+	}
+}
+
+// newCoverages returns one empty coverage per rule. The headers share a
+// block — a kept candidate pins 40 bytes per sibling — the words do not.
+func newCoverages(rules, n int) []RowSet {
+	covs := make([]RowSet, rules)
+	for i := range covs {
+		covs[i] = *NewRowSet(n)
+	}
+	return covs
+}
+
+// nonEmpty counts the filled coverages and pairs the non-empty ones with
+// their rules.
+func nonEmpty(rules []tree.Rule, covs []RowSet) []Candidate {
 	var out []Candidate
-	for ri, cov := range covs {
+	for ri := range covs {
+		cov := &covs[ri]
 		for _, w := range cov.words {
 			cov.count += bits.OnesCount64(w)
 		}
@@ -69,28 +141,34 @@ func MakeCandidates(rules []tree.Rule, X [][]float64) []Candidate {
 // Contradicting builds §4.2's set T for rules that conclude !match: the
 // rows of pairs holding the known examples labeled match (positives
 // contradict a negative rule, negatives a positive one). Known examples
-// outside pairs are ignored; a pair listed twice counts at its last row.
-// Only the known labels are hashed, so the cost is one lookup per pair.
+// outside pairs are ignored. Ascending order is detected, not required: the
+// strictly ascending prefix of pairs — all of it for a candidate set or a
+// subset of one, all but the few user seeds appended to the blocker's sample
+// — is binary-searched, the rest scanned from the back. A pair listed twice
+// therefore still counts at its last row (the prefix holds no pair twice),
+// and the cost is one comparison per pair and a search per known example,
+// with no |pairs|-entry hashing.
 func Contradicting(pairs []record.Pair, known []record.Labeled, match bool) *RowSet {
-	at := make(map[record.Pair]int, len(known))
-	for _, l := range known {
-		if l.Match == match {
-			at[l.Pair] = -1
-		}
-	}
 	out := NewRowSet(len(pairs))
-	if len(at) == 0 {
-		return out
+	sorted := min(1, len(pairs))
+	for sorted < len(pairs) && pairs[sorted-1].Less(pairs[sorted]) {
+		sorted++
 	}
-	for i, p := range pairs {
-		if _, ok := at[p]; ok {
-			at[p] = i
+	for _, l := range known {
+		if l.Match != match {
+			continue
 		}
-	}
-	for _, i := range at {
-		if i >= 0 {
-			out.Add(i)
+		i := len(pairs) - 1
+		for i >= sorted && pairs[i] != l.Pair {
+			i--
 		}
+		if i < sorted {
+			i = sort.Search(sorted, func(j int) bool { return !pairs[j].Less(l.Pair) })
+			if i == sorted || pairs[i] != l.Pair {
+				continue
+			}
+		}
+		out.Add(i)
 	}
 	return out
 }

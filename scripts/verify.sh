@@ -53,6 +53,6 @@ go test -race ./...
 
 # Fuzz smoke: every target `make fuzz` lists (pair codec and merge, the
 # rel_diff band index, pair and column kernels, the token-pair table, row sets,
-# journal replay, model and spec decoders), 5 s each, so a change that breaks a decoder's totality or a
+# rule coverage by leaf, journal replay, model and spec decoders), 5 s each, so a change that breaks a decoder's totality or a
 # kernel's bit-identity fails here in seconds. The Makefile holds the list.
 make fuzz FUZZTIME=5s
