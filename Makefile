@@ -63,13 +63,16 @@ shard:
 # K-way merge vs its reference. Similarity-join index: the rel_diff band's
 # candidates hold every row the brute-force predicate keeps, ascending, no
 # row twice, on arbitrary float64 bit patterns (DESIGN.md §9.2). Pair
-# kernels: bit-parallel Jaro vs the greedy matcher, the integer-coded set
+# kernels: Myers' bit-parallel edit distance vs the matrix and two-row DPs,
+# Levenshtein's metric properties, every string measure's [0, 1] range,
+# bit-parallel Jaro vs the greedy matcher, the integer-coded set
 # measures vs the string merges, and the
 # Monge-Elkan token-pair table (fill, read-back and both directions of every
 # cell) vs the string measure, all to Float64bits equality (DESIGN.md "Pair
 # kernels", "Operand dictionaries and write-once tables"), and the column
-# kernels vs the pair kernels over random small token multisets (DESIGN.md
-# "Column kernels"). Journal: arbitrary
+# kernels vs the pair kernels: the edit column over a fuzzed pattern and
+# texts, every feature's column, whole and by position list, over random
+# small token multisets (DESIGN.md "Column kernels"). Journal: arbitrary
 # bytes as a log and as a snapshot never restore more than their longest
 # valid frame prefix, and one altered byte never goes unnoticed (DESIGN.md
 # "The journal"). Row sets: the bitset behind every post-blocking row set vs
@@ -89,7 +92,11 @@ fuzz:
 	$(FUZZ) -fuzz 'FuzzPairCodec' ./internal/shard
 	$(FUZZ) -fuzz 'FuzzMergePairs' ./internal/shard
 	$(FUZZ) -fuzz 'FuzzBandCandidates' ./internal/simindex
+	$(FUZZ) -fuzz 'FuzzMyersMatchesMatrixDP' ./internal/similarity
+	$(FUZZ) -fuzz 'FuzzLevenshteinMetricProperties' ./internal/similarity
+	$(FUZZ) -fuzz 'FuzzStringMeasuresStayInRange' ./internal/similarity
 	$(FUZZ) -fuzz 'FuzzJaroBitParallel' ./internal/similarity
+	$(FUZZ) -fuzz 'FuzzEditColumn' ./internal/similarity
 	$(FUZZ) -fuzz 'FuzzSetKernels' ./internal/similarity
 	$(FUZZ) -fuzz 'FuzzMongeElkanTable' ./internal/similarity
 	$(FUZZ) -fuzz 'FuzzColumnKernel' ./internal/feature

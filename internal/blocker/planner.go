@@ -197,7 +197,7 @@ func estimateCandidates(ix *shard.Index, colsA [][]*similarity.Profile, thetas [
 		for c, col := range colsA {
 			probes[c] = col[a]
 		}
-		total += ix.CountCandidates(probes, thetas, scratch)
+		total += len(ix.Candidates(probes, thetas, scratch))
 	}
 	return int64(total) * int64(na) / int64(m)
 }
@@ -247,8 +247,8 @@ func applyRulesTo(ds *record.Dataset, ex *feature.Extractor, rules []tree.Rule, 
 // applyRulesScanTo is the exhaustive §4.3 scan: every cell of A×B is
 // visited, in parallel, with features computed lazily and memoized across
 // rules. The unit of work is one row of table A against all of table B — a
-// feature.Run, so the Verifier reads the rules' set measures from per-row
-// columns — and rows are re-sequenced before emission, so the output order
+// feature.Run, which the Verifier walks rule by rule, a column of the
+// positions still alive at a time — and rows are re-sequenced before emission, so the output order
 // is (a, b)-lexicographic at every GOMAXPROCS. A row's survivors reach the
 // sink in chunks of at most blockPairs; peak memory is the reorder window's
 // rows of survivors, at most |B| pairs each, not the umbrella set.
@@ -289,7 +289,7 @@ func applyRulesScanTo(ds *record.Dataset, ex *feature.Extractor, rules []tree.Ru
 				case buf = <-free:
 				default:
 				}
-				q.Complete(a, v.RowSurvivors(buf[:0], int32(a), run))
+				q.Complete(a, v.RowSurvivors(buf[:0], int32(a), run, run.Positions()))
 			}
 		}()
 	}

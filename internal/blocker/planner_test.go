@@ -11,17 +11,21 @@ import (
 	"github.com/corleone-em/corleone/internal/feature"
 	"github.com/corleone-em/corleone/internal/record"
 	"github.com/corleone-em/corleone/internal/shard"
+	"github.com/corleone-em/corleone/internal/similarity"
 	"github.com/corleone-em/corleone/internal/tree"
 )
 
-// applyRulesRef is the sequential exhaustive scan — the order and content
-// ground truth both candidate-generation strategies must reproduce exactly.
+// applyRulesRef is the sequential exhaustive scan, one pair at a time through
+// the pair kernels and Rule.MatchesFunc — the order and content ground truth
+// both candidate-generation strategies must reproduce exactly.
 func applyRulesRef(ds *record.Dataset, ex *feature.Extractor, rules []tree.Rule) []record.Pair {
 	var out []record.Pair
-	v := shard.NewVerifier(ex, rules)
+	s := similarity.NewScratch()
 	for a := 0; a < ds.A.Len(); a++ {
 		for b := 0; b < ds.B.Len(); b++ {
-			if p := record.P(a, b); v.Survives(p) {
+			p := record.P(a, b)
+			get := func(f int) float64 { return ex.ComputeScratch(f, p, s) }
+			if !slices.ContainsFunc(rules, func(r tree.Rule) bool { return r.MatchesFunc(get) }) {
 				out = append(out, p)
 			}
 		}

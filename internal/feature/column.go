@@ -16,14 +16,21 @@ const (
 	// walkCost is how many merge steps (a compare-and-advance on two streams)
 	// one postings entry costs: a counter loaded, bumped and stored.
 	walkCost = 3
+	// sparseList: a set measure scores a position list under 1/sparseList of
+	// its run pair by pair, the run's token views neither read nor built — a
+	// walk visits every position's postings whatever the list (DESIGN.md
+	// "Column kernels").
+	sparseList = 16
 )
 
-// A set measure's token view: which of a profile's sorted code lists it
-// intersects. Every other measure has noView, and no column kernel.
+// The view of a profile a column kernel reads: for a set measure, which of
+// the sorted code lists it intersects; for edit, the runes. Every other
+// measure has noView, and no column kernel.
 const (
 	noView int8 = iota - 1
 	viewWords
 	viewGrams
+	viewRunes
 	numViews
 )
 
@@ -33,6 +40,8 @@ func viewOf(kind string) int8 {
 		return viewWords
 	case "jaccard_3g":
 		return viewGrams
+	case "edit":
+		return viewRunes
 	}
 	return noView
 }
@@ -45,41 +54,49 @@ func viewKeys(p *similarity.Profile, view int8) []uint64 {
 }
 
 // Run is a list of table B rows that rows of table A are scored against one
-// after the other — the b side of a cross product — with the list's
-// postings, one per (column, token view), each built by the first Column
-// call that needs it. Safe for concurrent use, a RunScratch per goroutine.
+// after the other — the b side of a cross product, a shard's rows — with the
+// list's views, one per (column, view), each built by the first Column or
+// ColumnAt call that needs it. Safe for concurrent use, a RunScratch per
+// goroutine.
 type Run struct {
 	ex    *Extractor
 	bs    []int32
-	view  []int8    // by feature: the view Column walks, noView for pair by pair
+	all   []int32   // 0..len(bs)-1: the position list that stands for the whole run
+	view  []int8    // by feature: the view its column kernel reads, noView for pair by pair
 	views []runView // [attrIdx*numViews + view]
 }
 
-// runView is one column's token view over the run. Its postings list
-// positions, not rows: position k stands for row bs[k].
+// runView is one column's view over the run. Its postings list positions,
+// not rows: position k stands for row bs[k].
 type runView struct {
 	once sync.Once
 	post simindex.Postings
-	// size[k] is the size of position k's set, -1 where its value is missing:
-	// a token-bearing row of A scores Missing against such a position and 0
-	// against any other it shares nothing with.
+	// size[k] is the size of position k's set (its rune count, for the rune
+	// view), -1 where its value is missing: a row of A with a value scores
+	// Missing against such a position.
 	size []int32
+	// The rune view has no postings: it is the positions' profiles, gathered.
+	profs []*similarity.Profile
 	// The word view of a TF/IDF column also has each postings entry's term
-	// frequency, parallel to post.Rows, and each position's squared norm.
-	tf, norm []float64
+	// frequency, parallel to post.Rows (kept an integer: half the bytes, the
+	// walk's conversion is exact), and each position's squared norm.
+	tf   []int32
+	norm []float64
 }
 
 // NewRun binds the list bs of table B rows (any order, repeats allowed) to
 // the extractor; nil stands for all of table B in row order. bs is not
 // copied and must not change.
 func (e *Extractor) NewRun(bs []int32) *Run {
+	all := make([]int32, len(bs))
 	if bs == nil {
-		bs = make([]int32, e.B.Len())
-		for b := range bs {
-			bs[b] = int32(b)
-		}
+		all = make([]int32, e.B.Len())
+		bs = all
 	}
-	r := &Run{ex: e, bs: bs, view: make([]int8, len(e.features)), views: make([]runView, len(e.cols)*int(numViews))}
+	for k := range all {
+		all[k] = int32(k)
+	}
+	r := &Run{ex: e, bs: bs, all: all, view: make([]int8, len(e.features)), views: make([]runView, len(e.cols)*int(numViews))}
 	for i, f := range e.features {
 		r.view[i] = noView
 		if len(bs) >= minRun && e.cols[f.AttrIdx].cells == nil {
@@ -92,14 +109,30 @@ func (e *Extractor) NewRun(bs []int32) *Run {
 // Rows returns the run's table B rows (read-only).
 func (r *Run) Rows() []int32 { return r.bs }
 
-// HasColumn reports whether Column walks postings for feature i: a set
-// measure, a run long enough, no value-pair table (a cell is read faster).
+// Positions returns 0..len(Rows())-1: the whole run as ColumnAt's list.
+func (r *Run) Positions() []int32 { return r.all }
+
+// HasColumn reports whether feature i has a column kernel over the run: a
+// set measure or edit, a run long enough, no value-pair table (a cell is
+// read faster).
 func (r *Run) HasColumn(i int) bool { return r.view[i] != noView }
 
-// build inverts the view over the run's positions.
+// build gathers the rune view's profiles, or inverts a token view over the
+// run's positions.
 func (v *runView) build(c *column, view int8, bs []int32) {
-	weighed := view == viewWords && c.profB[bs[0]].TFIDF != nil
 	v.size = make([]int32, len(bs))
+	if view == viewRunes {
+		v.profs = make([]*similarity.Profile, len(bs))
+		for k, b := range bs {
+			v.profs[k] = c.profB[b]
+			v.size[k] = int32(len(v.profs[k].Runes))
+			if v.size[k] == 0 { // no runes: the normalized value is empty
+				v.size[k] = -1
+			}
+		}
+		return
+	}
+	weighed := view == viewWords && c.profB[bs[0]].TFIDF != nil
 	if weighed {
 		v.norm = make([]float64, len(bs))
 	}
@@ -124,20 +157,21 @@ func (v *runView) build(c *column, view int8, bs []int32) {
 	}
 	var visit func(entry, k, i int)
 	if weighed {
-		v.tf = make([]float64, entries)
-		visit = func(entry, k, i int) { v.tf[entry] = float64(c.profB[bs[k]].TFIDF.TF[i]) }
+		v.tf = make([]int32, entries)
+		visit = func(entry, k, i int) { v.tf[entry] = int32(c.profB[bs[k]].TFIDF.TF[i]) }
 	}
 	v.post = simindex.BuildPostings(len(bs), set, visit)
 }
 
-// RunScratch is one goroutine's working state over one Run: per position
-// the intersection count and TF/IDF dot product of the last row of A walked,
-// and the nt positions that walk touched — kept until the next walk, so the
-// measures that share a view (jaccard_w, overlap_w, tfidf_cos) share one
-// walk per row. The zero value is ready; the first walk sizes it.
+// RunScratch is one goroutine's working state over the Runs it scores
+// against, one after the other: per position the intersection count and
+// TF/IDF dot product of the last row of A walked, and the nt positions that
+// walk touched — kept until the next walk, so the measures that share a view
+// (jaccard_w, overlap_w, tfidf_cos) share one walk per row. The zero value
+// is ready; the arrays grow to the longest run met (a prober alternates).
 type RunScratch struct {
-	// Pair is the scratch the pair kernels get where Column computes pair by
-	// pair; nil makes the character measures allocate per call.
+	// Pair is the scratch the character measures get; nil makes them
+	// allocate per call.
 	Pair *similarity.Scratch
 
 	cnt            []int32
@@ -150,47 +184,91 @@ type RunScratch struct {
 
 // Column writes feature i of (a, Rows()[k]) to dst[k*stride] for every
 // position k, each value math.Float64bits-identical to ComputeScratch's.
-// With HasColumn(i) it walks postings when a's value has tokens and the
-// walk is shorter than the merges it replaces; everything else — a missing
-// or token-less a, any other feature — is ComputeScratch pair by pair.
 func (r *Run) Column(i int, a int32, dst []float64, stride int, rs *RunScratch) {
+	r.column(i, a, r.all, dst, stride, rs)
+}
+
+// ColumnAt is Column for the positions in pos only — ascending, no repeats —
+// writing dst[k] for each k of them and nothing else.
+func (r *Run) ColumnAt(i int, a int32, pos []int32, dst []float64, rs *RunScratch) {
+	r.column(i, a, pos, dst, 1, rs)
+}
+
+// column has three kernels. With the rune view and an a of at most 64 runes
+// it is similarity.EditSimColumn, whatever the list: a's pattern is built
+// once for it. With a token view, an a that has tokens and a list of at least
+// 1/sparseList of the run it walks postings, if the walk is shorter than the
+// merges of the positions asked for. Everything else — a missing a, any other
+// feature — is ComputeScratch pair by pair.
+func (r *Run) column(i int, a int32, pos []int32, dst []float64, stride int, rs *RunScratch) {
 	f := &r.ex.features[i]
 	c := &r.ex.cols[f.AttrIdx]
-	if pa, view := c.profA[a], r.view[i]; view != noView && pa.Norm != "" {
+	pa, view := c.profA[a], r.view[i]
+	if view != noView && pa.Norm != "" && (view == viewRunes || len(pos)*sparseList >= len(r.bs)) {
 		v := &r.views[f.AttrIdx*int(numViews)+int(view)]
 		v.once.Do(func() { v.build(c, view, r.bs) })
-		if ka := viewKeys(pa, view); len(ka) > 0 && rs.walk(v, pa, ka) {
-			rs.finish(f.Kind, v, pa, len(ka), dst, stride)
+		if view == viewRunes {
+			if len(pa.Runes) <= 64 {
+				similarity.EditSimColumn(pa, v.profs, pos, dst, stride, rs.Pair)
+				for _, k := range pos {
+					if v.size[k] < 0 {
+						dst[int(k)*stride] = Missing
+					}
+				}
+				return
+			}
+		} else if ka := viewKeys(pa, view); len(ka) > 0 && rs.walk(v, pa, ka, pos) {
+			rs.finish(f.Kind, v, pa, len(ka), pos, dst, stride)
 			return
 		}
 	}
-	for k, b := range r.bs {
-		dst[k*stride] = r.ex.ComputeScratch(i, record.Pair{A: a, B: b}, rs.Pair)
+	for _, k := range pos {
+		dst[int(k)*stride] = r.ex.ComputeScratch(i, record.Pair{A: a, B: r.bs[k]}, rs.Pair)
 	}
 }
 
 // walk leaves in cnt[k] how many of ka's codes position k's set holds — and
 // in dot[k], for a weighed view, the TF/IDF dot product — for the positions
 // touched[:nt], all others zero. It reports false, walking nothing, when
-// ka's postings are longer than 1/walkCost of the merge steps they replace.
+// ka's postings are longer than 1/walkCost of the merge steps they replace:
+// those of the positions in pos, the only ones that would be merged.
 //
 // The dot product adds a's codes in ascending rank, each term W_a·TF_b·IDF
 // exactly as CosineProfiles forms it (IDF is the corpus's for the rank, the
 // same bits on both sides), so a position's partial sums occur in the
 // merge's order and round as the merge's do; positions do not interact.
-func (rs *RunScratch) walk(v *runView, pa *similarity.Profile, ka []uint64) bool {
+func (rs *RunScratch) walk(v *runView, pa *similarity.Profile, ka []uint64, pos []int32) bool {
 	if rs.view == v && rs.a == pa {
 		return true
 	}
-	if n := len(v.size); len(rs.cnt) != n {
-		rs.cnt, rs.dot, rs.touched, rs.nt = make([]int32, n), make([]float64, n), make([]int32, n+1), 0
-	}
+	// Clear the last walk's entries before reslicing for this run.
 	for _, k := range rs.touched[:rs.nt] {
-		rs.cnt[k], rs.dot[k] = 0, 0
+		rs.cnt[k] = 0
+	}
+	if rs.view != nil && rs.view.tf != nil {
+		for _, k := range rs.touched[:rs.nt] {
+			rs.dot[k] = 0
+		}
 	}
 	rs.nt, rs.view = 0, nil
+	n := len(v.size)
+	if cap(rs.cnt) < n {
+		rs.cnt, rs.touched = make([]int32, n), make([]int32, n+1)
+	}
+	if v.tf != nil && cap(rs.dot) < n {
+		rs.dot = make([]float64, n)
+	}
+	rs.cnt, rs.touched = rs.cnt[:n], rs.touched[:n+1]
 
-	post, entries := &v.post, 0
+	post := &v.post
+	steps := n*len(ka) + len(post.Rows)
+	if len(pos) < n {
+		steps = len(pos) * len(ka)
+		for _, k := range pos {
+			steps += int(v.size[k])
+		}
+	}
+	entries := 0
 	rs.slots = rs.slots[:0]
 	for _, t := range ka {
 		s, ok := slices.BinarySearch(post.Toks, t)
@@ -201,7 +279,7 @@ func (rs *RunScratch) walk(v *runView, pa *similarity.Profile, ka []uint64) bool
 		}
 		rs.slots = append(rs.slots, int32(s))
 	}
-	if walkCost*entries > len(v.size)*len(ka)+len(post.Rows) {
+	if walkCost*entries > steps {
 		return false
 	}
 	cnt, dot, touched, nt := rs.cnt, rs.dot, rs.touched, 0
@@ -227,33 +305,43 @@ func (rs *RunScratch) walk(v *runView, pa *similarity.Profile, ka []uint64) bool
 			touched[nt] = k
 			nt += int(uint32(c-1) >> 31)
 			cnt[k] = c + 1
-			dot[k] += w * tf[x] * idf
+			dot[k] += w * float64(tf[x]) * idf
 		}
 	}
 	rs.nt, rs.view, rs.a = nt, v, pa
 	return true
 }
 
-// finish writes the column of the walked row: 0 or Missing everywhere, then
-// the touched positions' measure from their counts.
-func (rs *RunScratch) finish(kind string, v *runView, pa *similarity.Profile, na int, dst []float64, stride int) {
+// finish writes the walked row's values at pos: 0 or Missing everywhere,
+// then the touched positions' measure from their counts — for the whole run
+// the touched list itself, for a shorter pos those of it that were counted.
+func (rs *RunScratch) finish(kind string, v *runView, pa *similarity.Profile, na int, pos []int32, dst []float64, stride int) {
 	untouched := [2]float64{0, Missing}
-	for k, n := range v.size {
-		dst[k*stride] = untouched[uint32(n)>>31]
+	for _, k := range pos {
+		dst[int(k)*stride] = untouched[uint32(v.size[k])>>31]
 	}
-	touched := rs.touched[:rs.nt]
+	if len(pos) == len(v.size) {
+		pos = rs.touched[:rs.nt]
+	}
+	cnt := rs.cnt
 	switch kind {
 	case "overlap_w":
-		for _, k := range touched {
-			dst[int(k)*stride] = similarity.OverlapOf(int(rs.cnt[k]), na, int(v.size[k]))
+		for _, k := range pos {
+			if c := cnt[k]; c > 0 {
+				dst[int(k)*stride] = similarity.OverlapOf(int(c), na, int(v.size[k]))
+			}
 		}
 	case "tfidf_cos":
-		for _, k := range touched {
-			dst[int(k)*stride] = similarity.CosineOf(rs.dot[k], pa.TFIDF.Norm, v.norm[k])
+		for _, k := range pos {
+			if cnt[k] > 0 {
+				dst[int(k)*stride] = similarity.CosineOf(rs.dot[k], pa.TFIDF.Norm, v.norm[k])
+			}
 		}
 	default: // jaccard_w, jaccard_3g
-		for _, k := range touched {
-			dst[int(k)*stride] = similarity.JaccardOf(int(rs.cnt[k]), na, int(v.size[k]))
+		for _, k := range pos {
+			if c := cnt[k]; c > 0 {
+				dst[int(k)*stride] = similarity.JaccardOf(int(c), na, int(v.size[k]))
+			}
 		}
 	}
 }

@@ -15,21 +15,38 @@ import (
 	"github.com/corleone-em/corleone/internal/similarity"
 )
 
+// edgeRows is how many rows withEdgeRows appends to each table.
+const edgeRows = 11
+
 // withEdgeRows returns ds with rows appended to both tables that the column
 // kernels' case analysis must get right: a row of missing values, a row of
 // present values without word tokens, a row whose text repeats tokens
-// (tf > 1), and two copies of an existing row (duplicate values share one
-// profile and, in table B, sit at several positions of a run).
+// (tf > 1), two copies of an existing row (duplicate values share one
+// profile and, in table B, sit at several positions of a run), and for the
+// edit column a value of one rune, of 64 (the longest pattern one word
+// holds), of 65 (a row of A that stays on the pair path) and one whose runes
+// lie beyond the ASCII mask table.
 func withEdgeRows(ds *record.Dataset) *record.Dataset {
 	for _, t := range []*record.Table{ds.A, ds.B} {
 		w := len(t.Schema)
-		missing, tokenless, repeats := make(record.Tuple, w), make(record.Tuple, w), make(record.Tuple, w)
+		same := func(v string) record.Tuple {
+			row := make(record.Tuple, w)
+			for i := range row {
+				row[i] = v
+			}
+			return row
+		}
+		missing, tokenless, repeats := same(""), same("?!"), make(record.Tuple, w)
 		for i := range t.Schema {
-			tokenless[i] = "?!"
 			repeats[i] = "kit the kit kit the " + t.Rows[1][i]
 		}
 		dup := append(record.Tuple(nil), t.Rows[0]...)
-		for _, row := range []record.Tuple{missing, tokenless, repeats, dup, dup, missing, tokenless} {
+		rows := []record.Tuple{missing, tokenless, repeats, dup, dup, missing, tokenless,
+			same("x"), same(strings.Repeat("abcdefgh", 8)), same(strings.Repeat("abcdefgh", 8) + "i"), same("añb ü東京 naïve café")}
+		if len(rows) != edgeRows {
+			panic("withEdgeRows: edgeRows is out of date")
+		}
+		for _, row := range rows {
 			t.Append(append(record.Tuple(nil), row...))
 		}
 	}
@@ -86,26 +103,73 @@ func columnFeatures(ex *feature.Extractor, run *feature.Run) []int {
 	return fs
 }
 
+// positionLists returns the shapes of list ColumnAt is asked for over a run
+// of n positions: all of them, a dense third (the postings walk's side of the
+// sparseList rule), one in forty (the set measures' pair-by-pair side; edit
+// is a column at any length), the odd positions up to the last, a single one,
+// and none.
+func positionLists(n int) [][]int32 {
+	lists := make([][]int32, 6)
+	for k := 0; k < n; k++ {
+		lists[0] = append(lists[0], int32(k))
+		if k%3 == 1 {
+			lists[1] = append(lists[1], int32(k))
+		}
+		if k%40 == 7 {
+			lists[2] = append(lists[2], int32(k))
+		}
+		if k%2 == 1 || k == n-1 {
+			lists[3] = append(lists[3], int32(k))
+		}
+	}
+	lists[4] = []int32{int32(n / 2)}
+	return lists
+}
+
 // checkColumns compares every feature in fs over the run bs, for every row
-// of table A, with ComputeScratch, bit for bit; the rows of A are fanned out
-// over GOMAXPROCS goroutines sharing the run, so the lazy postings builds
-// race the way they do in a scan.
+// of table A, with ComputeScratch, bit for bit: the whole column at the given
+// stride, then ColumnAt over each of positionLists, which must write the
+// listed positions and nothing else. The rows of A are fanned out over
+// GOMAXPROCS goroutines sharing the run, so the lazy view builds race the way
+// they do in a scan.
 func checkColumns(t *testing.T, label string, ex *feature.Extractor, bs []int32, fs []int, stride int) {
 	t.Helper()
 	run := ex.NewRun(bs)
+	lists := positionLists(len(bs))
+	untouched := math.Float64frombits(0x7ff8_0000_dead_beef)
 	par.For(ex.A.Len(), func(lo, hi int) {
 		s := similarity.NewScratch()
 		rs := feature.RunScratch{Pair: s}
-		dst := make([]float64, len(bs)*stride)
+		dst, at, want := make([]float64, len(bs)*stride), make([]float64, len(bs)), make([]float64, len(bs))
 		for a := lo; a < hi; a++ {
 			for _, f := range fs {
 				run.Column(f, int32(a), dst, stride, &rs)
 				for k, b := range bs {
-					want := ex.ComputeScratch(f, record.Pair{A: int32(a), B: b}, s)
-					if got := dst[k*stride]; math.Float64bits(got) != math.Float64bits(want) {
+					want[k] = ex.ComputeScratch(f, record.Pair{A: int32(a), B: b}, s)
+					if got := dst[k*stride]; math.Float64bits(got) != math.Float64bits(want[k]) {
 						t.Errorf("%s: %s(a=%d, b=%d at position %d) = %v (%#x), pair kernel %v (%#x)", label,
-							ex.Name(f), a, b, k, got, math.Float64bits(got), want, math.Float64bits(want))
+							ex.Name(f), a, b, k, got, math.Float64bits(got), want[k], math.Float64bits(want[k]))
 						return
+					}
+				}
+				for _, pos := range lists {
+					for k := range at {
+						at[k] = untouched
+					}
+					run.ColumnAt(f, int32(a), pos, at, &rs)
+					for _, k := range pos {
+						if math.Float64bits(at[k]) != math.Float64bits(want[k]) {
+							t.Errorf("%s: ColumnAt %s(a=%d, position %d of a list of %d) = %v (%#x), pair kernel %v (%#x)", label,
+								ex.Name(f), a, k, len(pos), at[k], math.Float64bits(at[k]), want[k], math.Float64bits(want[k]))
+							return
+						}
+						at[k] = untouched
+					}
+					for k, x := range at {
+						if math.Float64bits(x) != math.Float64bits(untouched) {
+							t.Errorf("%s: ColumnAt %s(a=%d, a list of %d) wrote position %d, which is not in the list", label, ex.Name(f), a, len(pos), k)
+							return
+						}
 					}
 				}
 			}
@@ -122,11 +186,14 @@ func allRows(n int) []int32 {
 }
 
 // TestColumnMatchesPair is the column kernels' differential test: every
-// feature with a column, on the three generated dataset families plus the
-// edge rows and on the zero-IDF dataset, over all of table B and over a
-// sorted subset of it, at GOMAXPROCS 1 and 4, equals ComputeScratch to the
-// bit. A feature without a column (a tabled or non-set one) and a run too
-// short for one go through the same call and must agree as well.
+// feature with a column — the set measures and edit — on the three generated
+// dataset families plus the edge rows and on the zero-IDF dataset, over all
+// of table B, over it less its last row (one of the two has an odd length, so
+// the edit column's single-text tail runs) and over a sorted subset of it, at
+// GOMAXPROCS 1 and 4 and strides 1 to 3, whole and by position list, equals
+// ComputeScratch to the bit. A feature without a column (a tabled one, a
+// character or numeric measure) and a run too short for one go through the
+// same calls and must agree as well.
 func TestColumnMatchesPair(t *testing.T) {
 	type tc struct {
 		name string
@@ -151,8 +218,8 @@ func TestColumnMatchesPair(t *testing.T) {
 		for b := 0; b < nb; b += 2 {
 			subset = append(subset, int32(b))
 		}
-		// The edge rows are the table's last seven; the subset keeps them.
-		subset = append(subset[:len(subset)-4], allRows(nb)[nb-7:]...)
+		// The edge rows are the table's last edgeRows; the subset keeps them all.
+		subset = append(subset[:len(subset)-(edgeRows+1)/2], allRows(nb)[nb-edgeRows:]...)
 		full := ex.NewRun(allRows(nb))
 		fs := columnFeatures(ex, full)
 		if len(fs) == 0 {
@@ -171,6 +238,7 @@ func TestColumnMatchesPair(t *testing.T) {
 			prev := runtime.GOMAXPROCS(procs)
 			label := fmt.Sprintf("%s GOMAXPROCS=%d", c.name, procs)
 			checkColumns(t, label+" all of B", ex, allRows(nb), fs, 1)
+			checkColumns(t, label+" all but the last", ex, allRows(nb-1), fs, 2)
 			checkColumns(t, label+" subset", ex, subset, fs, 3)
 			runtime.GOMAXPROCS(prev)
 		}
@@ -216,7 +284,8 @@ func TestColumnWalkCostRule(t *testing.T) {
 // missing from one run, shuffled, with pairs repeated, with one-row runs,
 // with a sparse tail — at GOMAXPROCS 1 to 4, where par.For's chunk
 // boundaries cut runs at different places, and expects each row to be the
-// pair's own Vector.
+// pair's own Vector, clipped to its own capacity: appending to a row
+// reallocates it and leaves its neighbour alone.
 func TestVectorsRunShapes(t *testing.T) {
 	ds, err := datagen.DatasetFor("restaurants", 0.5, 1)
 	if err != nil {
@@ -274,6 +343,9 @@ func TestVectorsRunShapes(t *testing.T) {
 				if len(X[i]) != len(want[p]) || cap(X[i]) != len(X[i]) {
 					t.Fatalf("%s GOMAXPROCS=%d: row %d has len %d cap %d", s.name, procs, i, len(X[i]), cap(X[i]))
 				}
+				if grown := append(X[i], -7); len(X[i]) > 0 && &grown[0] == &X[i][0] {
+					t.Fatalf("%s GOMAXPROCS=%d: appending to row %d wrote into the backing array", s.name, procs, i)
+				}
 				for f, w := range want[p] {
 					if math.Float64bits(X[i][f]) != math.Float64bits(w) {
 						t.Fatalf("%s GOMAXPROCS=%d: Vectors[%d][%s] of %v = %v, Vector gives %v",
@@ -286,9 +358,12 @@ func TestVectorsRunShapes(t *testing.T) {
 	}
 }
 
-// TestColumnZeroAllocSteadyState pins the kernel's steady state: with the
-// run's postings built and the scratch warm, a column allocates nothing —
-// whether it walks, re-reads a shared walk, or falls back pair by pair.
+// TestColumnZeroAllocSteadyState pins the kernels' steady state: with the
+// runs' views built and the scratch warm, a column allocates nothing —
+// whether it walks, re-reads a shared walk, runs the edit column or falls back
+// pair by pair, whole or by position list — and neither does one RunScratch
+// taken back and forth between two runs of different lengths, the way a
+// prober alternates shards: its arrays are sized once, by the longer.
 func TestColumnZeroAllocSteadyState(t *testing.T) {
 	ds, err := datagen.DatasetFor("products", 0.05, 1)
 	if err != nil {
@@ -296,16 +371,24 @@ func TestColumnZeroAllocSteadyState(t *testing.T) {
 	}
 	ex := feature.NewExtractor(withEdgeRows(ds))
 	bs := allRows(ds.B.Len())
-	run := ex.NewRun(bs)
-	var rs feature.RunScratch
+	runs := []*feature.Run{ex.NewRun(bs), ex.NewRun(bs[:len(bs)/3]), ex.NewRun(bs[len(bs)/2:])}
+	thirds := make([][]int32, len(runs))
+	for i, run := range runs {
+		thirds[i] = positionLists(len(run.Rows()))[1]
+	}
+	rs := feature.RunScratch{Pair: similarity.NewScratch()}
 	dst := make([]float64, len(bs))
 	sweep := func() {
 		for a := 0; a < ds.A.Len(); a++ {
-			for f := 0; f < ex.NumFeatures(); f++ {
-				if k := ex.Features()[f].Kind; k == "monge_elkan" || k == "edit" || k == "jaro_winkler" {
-					continue // their pair kernels have their own zero-alloc test
+			for i, run := range runs {
+				third := thirds[i]
+				for f := 0; f < ex.NumFeatures(); f++ {
+					if k := ex.Features()[f].Kind; k == "monge_elkan" {
+						continue // its pair kernel has its own zero-alloc test
+					}
+					run.Column(f, int32(a), dst, 1, &rs)
+					run.ColumnAt(f, int32(a), third, dst, &rs)
 				}
-				run.Column(f, int32(a), dst, 1, &rs)
 			}
 		}
 	}
@@ -317,8 +400,11 @@ func TestColumnZeroAllocSteadyState(t *testing.T) {
 
 // FuzzColumnKernel scores random small token multisets: the input's bytes
 // spell the rows of both tables over a six-word alphabet (a zero length is
-// a missing value, a length of one a token-less one), table B long enough
-// for a column. Every feature with a column must equal the pair kernel.
+// a missing value, a length of one a token-less one; two more draws make the
+// 64- and 65-rune values on either side of the edit column's pattern limit,
+// with a rune beyond the ASCII mask table in them), table B long enough for a
+// column and of odd or even length by the input's. Every feature, whole and
+// by position list, must equal the pair kernel.
 func FuzzColumnKernel(f *testing.F) {
 	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9})
 	f.Add([]byte{0, 0, 0, 1, 1, 1})
@@ -335,12 +421,18 @@ func FuzzColumnKernel(f *testing.F) {
 			return int(b) + at/len(data) // later passes over the input differ
 		}
 		value := func() string {
-			n := next() % 7
+			n := next() % 9
 			switch n {
 			case 0:
 				return ""
 			case 1:
 				return "…"
+			case 7, 8: // 64 and 65 runes, one word
+				rs := make([]rune, 57+n)
+				for i := range rs {
+					rs[i] = []rune("abcdeé")[next()%6]
+				}
+				return string(rs)
 			}
 			ws := make([]string, n-1)
 			for i := range ws {

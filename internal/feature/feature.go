@@ -20,12 +20,15 @@
 // A feature value has two producers, chosen by the shape of the request,
 // never by an option. ComputeScratch scores one pair — the table's cell if
 // it is filled, else the profile kernel, whose result fills it — for every
-// sparse request: probe candidates, the umbrella set, seeds. Run.Column
-// scores a row of table A against a run of table B rows, the set measures by
-// walking the run's postings instead of merging every pair (DESIGN.md
-// "Column kernels"), for Vectors over a cross product and the blocker's
-// scan. The tests pin ComputeScratch bit for bit, first touch and second, to
-// package similarity's string measures, and every column to ComputeScratch.
+// sparse request: the umbrella set, seeds, a handful of probe candidates.
+// A Run scores a row of table A against a list of table B rows: Column
+// against all of it (Vectors over a cross product), ColumnAt against an
+// ascending list of its positions (the blocker's verifier: the positions
+// still matching a rule, of all of table B or of a shard's candidates). The
+// set measures walk the run's postings instead of merging every pair, edit
+// builds the A row's pattern once (DESIGN.md "Column kernels"). The tests pin
+// ComputeScratch bit for bit, first touch and second, to package similarity's
+// string measures, and every column, whole or by position, to ComputeScratch.
 package feature
 
 import (
@@ -72,7 +75,7 @@ type Feature struct {
 // Extractor binds a feature library to a dataset and computes vectors.
 // Construction precomputes the profiles of both tables' distinct values;
 // Compute, Vector and sparse Vectors route through ComputeScratch, the runs
-// of a cross product through Run.Column.
+// of a cross product through Run.Column, the verifier through Run.ColumnAt.
 type Extractor struct {
 	A, B     *record.Table
 	features []Feature
@@ -339,8 +342,8 @@ func (e *Extractor) Profiles(i int) (a, b []*similarity.Profile) {
 	return c.profA, c.profB
 }
 
-// Compute evaluates a single feature for pair p. This is the lazy path the Blocker uses when applying rules to A×B: only
-// the features a rule actually references are computed.
+// Compute evaluates a single feature for pair p with a pooled scratch: the
+// convenience form of ComputeScratch for one-off calls (tests, examples).
 func (e *Extractor) Compute(i int, p record.Pair) float64 {
 	s := e.scratch.Get().(*similarity.Scratch)
 	v := e.ComputeScratch(i, p, s)
@@ -350,12 +353,12 @@ func (e *Extractor) Compute(i int, p record.Pair) float64 {
 
 // ComputeScratch evaluates a single feature with a caller-owned scratch —
 // the form the parallel loops use, one scratch per worker. It is the
-// pair-at-a-time producer of feature values (Run.Column, the run-at-a-time
-// one, equals it bit for bit): the cell of the column's value-pair table if
-// it is filled, else the profile kernel, whose result fills the cell.
-// Workers racing on an empty cell compute and store the same
-// bits (similarity.Cell), so the output is the kernel's at every
-// GOMAXPROCS and in every call order.
+// pair-at-a-time producer of feature values (Run.Column and ColumnAt, the
+// run-at-a-time ones, equal it bit for bit): the cell of the column's
+// value-pair table if it is filled, else the profile kernel, whose result
+// fills the cell. Workers racing on an empty cell compute and store the same
+// bits (similarity.Cell), so the output is the kernel's at every GOMAXPROCS
+// and in every call order.
 func (e *Extractor) ComputeScratch(i int, p record.Pair, s *similarity.Scratch) float64 {
 	f := &e.features[i]
 	c := &e.cols[f.AttrIdx]

@@ -7,6 +7,7 @@ import (
 
 	"github.com/corleone-em/corleone/internal/datagen"
 	"github.com/corleone-em/corleone/internal/record"
+	"github.com/corleone-em/corleone/internal/similarity"
 )
 
 func benchPairs(ds *record.Dataset, n int) []record.Pair {
@@ -79,14 +80,15 @@ func BenchmarkNewExtractor(b *testing.B) {
 // an iteration), postings built before the clock starts. title is the text
 // column, whose three measures share a view (each sub-benchmark walks it for
 // itself: one feature per row defeats the shared walk); authors is the
-// string column with the long 3-gram sets.
+// string column with the long 3-gram sets, and the one the edit column's
+// texts come from.
 func BenchmarkColumn(b *testing.B) {
 	ds, err := datagen.DatasetFor("citations", 0.1, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	ex := NewExtractor(ds)
-	for _, name := range []string{"title_jaccard_w", "title_overlap_w", "title_tfidf_cos", "authors_jaccard_3g"} {
+	for _, name := range []string{"title_jaccard_w", "title_overlap_w", "title_tfidf_cos", "authors_jaccard_3g", "authors_edit"} {
 		f := slices.Index(ex.Names(), name)
 		kind := ex.features[f].Kind
 		b.Run(kind, func(b *testing.B) {
@@ -94,7 +96,7 @@ func BenchmarkColumn(b *testing.B) {
 			if !run.HasColumn(f) {
 				b.Fatalf("%s has no column over %d rows", name, ds.B.Len())
 			}
-			var rs RunScratch
+			rs := RunScratch{Pair: similarity.NewScratch()}
 			dst := make([]float64, ds.B.Len())
 			run.Column(f, 0, dst, 1, &rs)
 			b.ReportAllocs()

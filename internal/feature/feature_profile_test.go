@@ -335,10 +335,13 @@ func TestMemoisedFeaturesMatchStringMeasures(t *testing.T) {
 				}()
 				go func() {
 					defer wg.Done()
-					par.For(len(pairs), func(lo, hi int) {
+					run, nb := ex.NewRun(nil), ds.B.Len()
+					par.For(ds.A.Len(), func(lo, hi int) {
 						v := shard.NewVerifier(ex, rules)
-						for i := lo; i < hi; i++ {
-							survives[i] = v.Survives(pairs[i])
+						for a := lo; a < hi; a++ {
+							for _, p := range v.RowSurvivors(nil, int32(a), run, run.Positions()) {
+								survives[a*nb+int(p.B)] = true
+							}
 						}
 					})
 				}()
@@ -358,7 +361,7 @@ func TestMemoisedFeaturesMatchStringMeasures(t *testing.T) {
 						}
 					}
 					if survives[i] == missing {
-						t.Fatalf("%s GOMAXPROCS %d: Verifier.Survives(%v) = %v, but a missing feature = %v",
+						t.Fatalf("%s GOMAXPROCS %d: Verifier.RowSurvivors keeps %v = %v, but a missing feature = %v",
 							c.name, procs, p, survives[i], missing)
 					}
 				}

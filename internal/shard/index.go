@@ -92,6 +92,11 @@ func BuildIndex(kinds []simindex.Kind, cols [][]*similarity.Profile, rows []int3
 // Rows returns the number of rows the shard covers.
 func (x *Index) Rows() int { return len(x.rows) }
 
+// NewRun returns the shard's rows as a run of the extractor — what a prober
+// verifies the shard's candidates against, Candidates' local ids being the
+// run's positions. The caller keeps it: one per (extractor, shard).
+func (x *Index) NewRun(ex *feature.Extractor) *feature.Run { return ex.NewRun(x.rows) }
+
 // Footprint returns the shard index's resident bytes (see
 // simindex.Footprint) plus its row map.
 func (x *Index) Footprint() int64 {
@@ -102,22 +107,12 @@ func (x *Index) Footprint() int64 {
 	return n
 }
 
-// Candidates appends to dst the ascending GLOBAL row ids of the shard's
-// rows that some probe keeps — probes[i] is the probing row's profile for
-// probe i, thetas[i] its threshold — the shard-local slice of the whole
-// table's candidate superset. The simindex scratch is reusable across
-// shards of any size.
-func (x *Index) Candidates(probes []*similarity.Profile, thetas []float64, s *simindex.Scratch, dst []int32) []int32 {
-	for _, lr := range simindex.Union(x.ixs, probes, thetas, s) {
-		dst = append(dst, x.rows[lr])
-	}
-	return dst
-}
-
-// CountCandidates returns how many rows Candidates would append, without
-// mapping them to global ids.
-func (x *Index) CountCandidates(probes []*similarity.Profile, thetas []float64, s *simindex.Scratch) int {
-	return len(simindex.Union(x.ixs, probes, thetas, s))
+// Candidates returns the ascending LOCAL ids — positions in the shard's row
+// list — of the shard's rows that some probe keeps (probes[i] the probing
+// row's profile for probe i, thetas[i] its threshold), aliasing the simindex
+// scratch: the shard's slice of the table's candidate superset.
+func (x *Index) Candidates(probes []*similarity.Profile, thetas []float64, s *simindex.Scratch) []int32 {
+	return simindex.Union(x.ixs, probes, thetas, s)
 }
 
 // Group is the full K-shard partition of one indexed table. Shards are

@@ -17,7 +17,6 @@ type prober struct {
 	v      *Verifier
 	is     *simindex.Scratch
 	probes []*similarity.Profile
-	cand   []int32
 	out    []record.Pair
 }
 
@@ -28,27 +27,20 @@ func newProber(ex *feature.Extractor, rules []tree.Rule, n int) *prober {
 
 // run executes one task against its shard: for each row in [ALo, AHi) the
 // union of the probes' candidates (profA[i] is table A's column for probe
-// i), every one of them verified against the full rule set. It returns the
-// survivors in (a, b) order as a fresh exact-size slice — the working
-// buffers stay with the prober — and how many candidates it verified.
-func (p *prober) run(ix *Index, profA [][]*similarity.Profile, thetas []float64, t Task) ([]record.Pair, int) {
+// i), verified against the full rule set as positions of run — the shard's
+// rows (Index.NewRun) under the extractor the rules' features are read from.
+// It returns the survivors in (a, b) order as a fresh exact-size slice — the
+// working buffers stay with the prober — and how many candidates it verified.
+func (p *prober) run(ix *Index, run *feature.Run, profA [][]*similarity.Profile, thetas []float64, t Task) ([]record.Pair, int) {
 	p.out = p.out[:0]
-	if cap(p.cand) < ix.Rows() {
-		p.cand = make([]int32, 0, ix.Rows()) // a row's candidates never outnumber the shard
-	}
 	generated := 0
 	for a := t.ALo; a < t.AHi; a++ {
 		for i, col := range profA {
 			p.probes[i] = col[a]
 		}
-		p.cand = ix.Candidates(p.probes, thetas, p.is, p.cand[:0])
-		generated += len(p.cand)
-		for _, b := range p.cand {
-			pair := record.Pair{A: a, B: b}
-			if p.v.Survives(pair) {
-				p.out = append(p.out, pair)
-			}
-		}
+		cand := ix.Candidates(p.probes, thetas, p.is)
+		generated += len(cand)
+		p.out = p.v.RowSurvivors(p.out, a, run, cand)
 	}
 	if len(p.out) == 0 {
 		return nil, generated
@@ -64,6 +56,7 @@ func (p *prober) run(ix *Index, profA [][]*similarity.Profile, thetas []float64,
 // concurrent Probe calls.
 type LocalExecutor struct {
 	group     *Group
+	runs      []*feature.Run // by shard: its rows under the executor's extractor
 	profA     [][]*similarity.Profile
 	thetas    []float64
 	pool      sync.Pool
@@ -85,7 +78,10 @@ func NewLocalExecutor(ex *feature.Extractor, group *Group, profA []*similarity.P
 // through JobSpec; the local executor takes them at construction instead —
 // same values, no wire.
 func NewUnionExecutor(ex *feature.Extractor, group *Group, profA [][]*similarity.Profile, rules []tree.Rule, thetas []float64) *LocalExecutor {
-	e := &LocalExecutor{group: group, profA: profA, thetas: thetas}
+	e := &LocalExecutor{group: group, runs: make([]*feature.Run, group.K()), profA: profA, thetas: thetas}
+	for s := range e.runs {
+		e.runs[s] = group.Shard(s).NewRun(ex)
+	}
 	e.pool.New = func() any { return newProber(ex, rules, len(profA)) }
 	return e
 }
@@ -99,7 +95,7 @@ func (e *LocalExecutor) Probe(tasks []Task, _ int) ([][]record.Pair, error) {
 	generated := 0
 	for i, t := range tasks {
 		var n int
-		results[i], n = p.run(e.group.Shard(t.Shard), e.profA, e.thetas, t)
+		results[i], n = p.run(e.group.Shard(t.Shard), e.runs[t.Shard], e.profA, e.thetas, t)
 		generated += n
 	}
 	e.generated.Add(int64(generated))

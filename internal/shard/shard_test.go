@@ -133,7 +133,11 @@ func TestGroupCandidatesCompleteness(t *testing.T) {
 		for a := 0; a < len(profA); a++ {
 			inCand := make(map[int32]bool)
 			for s := 0; s < k; s++ {
-				cand = g.Shard(s).Candidates([]*similarity.Profile{profA[a]}, []float64{theta}, is, cand[:0])
+				// The shard answers in local ids; its row map makes them global.
+				cand = cand[:0]
+				for _, l := range g.Shard(s).Candidates([]*similarity.Profile{profA[a]}, []float64{theta}, is) {
+					cand = append(cand, g.Shard(s).rows[l])
+				}
 				// Ascending within the shard, no row in two shards.
 				for i, b := range cand {
 					if i > 0 && b <= cand[i-1] {
@@ -166,12 +170,12 @@ func TestGroupCandidatesCompleteness(t *testing.T) {
 	}
 }
 
-// TestRowSurvivorsMatchesSurvives pins the Verifier's two entry points to
-// each other: a row of table A against a run — all of table B, then a
-// subset too short for columns — keeps exactly the pairs Survives keeps one
-// by one, under rules that mix set measures (read from columns), a tabled
-// and a character measure (computed per pair), both operators, and a
-// feature two rules share.
+// TestRowSurvivorsMatchesSurvives pins the Verifier to the per-pair oracle:
+// a row of table A against a run — all of table B, then a subset too short
+// for columns — keeps exactly the pairs pairWalk.Survives keeps one by one,
+// under rules that mix set measures (read from columns), a tabled and a
+// character measure (computed per pair), both operators, and a feature two
+// rules share.
 func TestRowSurvivorsMatchesSurvives(t *testing.T) {
 	ds := datagen.Generate(datagen.Scaled(datagen.CitationsPaper, 0.02))
 	ex := feature.NewExtractor(ds)
@@ -195,14 +199,14 @@ func TestRowSurvivorsMatchesSurvives(t *testing.T) {
 	for i := range all {
 		all[i] = int32(i)
 	}
-	ref := NewVerifier(ex, rules)
+	ref := newPairWalk(ex, rules)
 	v := NewVerifier(ex, rules)
 	survivors := 0
 	for _, bs := range [][]int32{all, all[7:40]} {
 		run := ex.NewRun(bs)
 		var got []record.Pair
 		for a := 0; a < ds.A.Len(); a++ {
-			got = v.RowSurvivors(got[:0], int32(a), run)
+			got = v.RowSurvivors(got[:0], int32(a), run, run.Positions())
 			var want []record.Pair
 			for _, b := range bs {
 				if p := (record.Pair{A: int32(a), B: b}); ref.Survives(p) {

@@ -10,105 +10,153 @@ import (
 // Verifier evaluates a full blocking-rule set with lazily computed,
 // memoized features — the exact §4.3 semantics every candidate-generation
 // strategy shares. The exhaustive scan, in-process shard workers, and
-// remote shard workers all verify through this one evaluator, which is why
+// remote shard workers all verify through its one entry point, which is why
 // their outputs are bit-identical: candidate generation only ever decides
 // which pairs get *checked*, never which pairs *survive*.
 //
-// Two entry points share one rule walk. Survives checks a lone pair with the
-// pair kernels: what a shard prober calls on its sparse candidate lists.
-// RowSurvivors checks a row of table A against a whole feature.Run — the
-// scan's unit of work — reading the features that have a column kernel from
-// a column computed over the run the first time a rule reaches the feature
-// in that row; the values are the pair kernels' to the bit. One Verifier
-// serves one goroutine.
+// RowSurvivors checks a row of table A against positions of a feature.Run —
+// all of them for the scan, a shard's candidates for a prober — rule by rule
+// and column by column: each predicate fetches its feature for exactly the
+// positions that still match its rule, so the cells computed are the ones a
+// pair-at-a-time walk with short-circuiting rules would compute, the values
+// the pair kernels' to the bit. One Verifier serves one goroutine.
 type Verifier struct {
-	ex      *feature.Extractor
-	rules   []tree.Rule
-	feats   []int // the features the rules reference: the memo entries to clear per pair
-	vals    []float64
-	have    []bool
-	scratch *similarity.Scratch
+	rules []tree.Rule
+	rs    feature.RunScratch
 
-	// Row state, bound to run by RowSurvivors: cols[f] is feature f's column
-	// over the run for row colRow[f] of A; nil unless f is in feats and the
-	// run has a column kernel for it.
-	run    *feature.Run
-	rs     feature.RunScratch
-	cols   [][]float64
-	colRow []int32
+	// A feature more than one predicate reads (shared lists them) keeps its
+	// values for the row: vals[f][k], valid where stamp[f][k] is the row's
+	// epoch; both nil for a feature read once. buf is where the others' go.
+	shared             []int
+	vals               [][]float64
+	stamp              [][]uint32
+	buf                []float64
+	epoch              uint32
+	alive, need, match []int32
 }
 
 // NewVerifier binds the rule set to the extractor.
 func NewVerifier(ex *feature.Extractor, rules []tree.Rule) *Verifier {
 	v := &Verifier{
-		ex:      ex,
-		rules:   rules,
-		vals:    make([]float64, ex.NumFeatures()),
-		have:    make([]bool, ex.NumFeatures()),
-		scratch: similarity.NewScratch(),
+		rules: rules,
+		rs:    feature.RunScratch{Pair: similarity.NewScratch()},
+		vals:  make([][]float64, ex.NumFeatures()),
+		stamp: make([][]uint32, ex.NumFeatures()),
 	}
+	reads := make([]int, ex.NumFeatures())
 	for _, r := range rules {
 		for _, p := range r.Preds {
-			if !v.have[p.Feature] {
-				v.have[p.Feature] = true
-				v.feats = append(v.feats, p.Feature)
+			if reads[p.Feature]++; reads[p.Feature] == 2 {
+				v.shared = append(v.shared, p.Feature)
 			}
 		}
 	}
 	return v
 }
 
-// Survives reports whether no rule eliminates p. Features are computed at
-// most once per pair and shared across rules.
-func (v *Verifier) Survives(p record.Pair) bool { return v.survives(p, -1) }
+// size readies the arrays for a new row, m positions of a run of n: the
+// lists hold m, the value arrays, indexed by position, n. All grow to the
+// longest met, and a stamp of an earlier row never equals the new epoch.
+func (v *Verifier) size(m, n int) {
+	if v.epoch++; v.epoch == 0 { // wrapped: forget every stamp
+		for _, f := range v.shared {
+			clear(v.stamp[f][:cap(v.stamp[f])])
+		}
+		v.epoch = 1
+	}
+	if cap(v.buf) < n {
+		v.buf = make([]float64, n)
+	}
+	if cap(v.alive) < m {
+		v.alive, v.need, v.match = make([]int32, m), make([]int32, m), make([]int32, m)
+	}
+	for _, f := range v.shared {
+		if v.stamp[f] == nil || cap(v.stamp[f]) < n {
+			v.vals[f], v.stamp[f] = make([]float64, n), make([]uint32, n)
+		}
+		v.vals[f], v.stamp[f] = v.vals[f][:n], v.stamp[f][:n]
+	}
+}
 
 // RowSurvivors appends to dst, in run order, the pairs of row a of table A
-// with the rows of run that no rule eliminates.
-func (v *Verifier) RowSurvivors(dst []record.Pair, a int32, run *feature.Run) []record.Pair {
-	if v.run != run {
-		v.run, v.rs = run, feature.RunScratch{Pair: v.scratch}
-		v.cols, v.colRow = make([][]float64, len(v.vals)), make([]int32, len(v.vals))
-		for _, f := range v.feats {
-			if run.HasColumn(f) {
-				v.cols[f], v.colRow[f] = make([]float64, len(run.Rows())), -1
+// with the run's rows at the ascending positions pos that no rule eliminates:
+// run.Positions() checks the whole run, an empty or nil list nothing.
+func (v *Verifier) RowSurvivors(dst []record.Pair, a int32, run *feature.Run, pos []int32) []record.Pair {
+	if len(pos) == 0 {
+		return dst
+	}
+	v.size(len(pos), len(run.Rows()))
+	alive := append(v.alive[:0], pos...)
+	for _, r := range v.rules {
+		// match: the alive positions the rule's predicates so far all hold on.
+		match := alive
+		for _, p := range r.Preds {
+			vals := v.fetch(p.Feature, a, run, match)
+			if match = filter(v.match[:len(match)], match, vals, p); len(match) == 0 {
+				break
 			}
 		}
-	}
-	for k, b := range run.Rows() {
-		if p := (record.Pair{A: a, B: b}); v.survives(p, k) {
-			dst = append(dst, p)
+		if len(match) == len(alive) {
+			return dst
 		}
+		if len(match) > 0 {
+			alive = subtract(alive, match)
+		}
+	}
+	rows := run.Rows()
+	for _, k := range alive {
+		dst = append(dst, record.Pair{A: a, B: rows[k]})
 	}
 	return dst
 }
 
-// survives is the rule walk; k is p.B's position in the bound run, or -1
-// for a lone pair.
-func (v *Verifier) survives(p record.Pair, k int) bool {
-	for _, f := range v.feats {
-		v.have[f] = false
-	}
-	get := func(f int) float64 {
-		if v.have[f] {
-			return v.vals[f]
+// fetch returns an array holding feature f of (a, position k) at every k of
+// pos, computing those no earlier predicate of this row fetched.
+func (v *Verifier) fetch(f int, a int32, run *feature.Run, pos []int32) []float64 {
+	vals, need := v.buf[:len(run.Rows())], pos
+	if stamp := v.stamp[f]; stamp != nil {
+		vals, need = v.vals[f], v.need[:len(pos)]
+		n := 0
+		for _, k := range pos {
+			need[n] = k
+			n += similarity.B2i(stamp[k] != v.epoch)
+			stamp[k] = v.epoch
 		}
-		var x float64
-		if k >= 0 && v.cols[f] != nil {
-			if v.colRow[f] != p.A {
-				v.run.Column(f, p.A, v.cols[f], 1, &v.rs)
-				v.colRow[f] = p.A
-			}
-			x = v.cols[f][k]
-		} else {
-			x = v.ex.ComputeScratch(f, p, v.scratch)
-		}
-		v.vals[f], v.have[f] = x, true
-		return x
+		need = need[:n]
 	}
-	for _, r := range v.rules {
-		if r.MatchesFunc(get) {
-			return false
+	if len(need) > 0 {
+		run.ColumnAt(f, a, need, vals, &v.rs)
+	}
+	return vals
+}
+
+// filter writes to dst the positions of src whose value the predicate holds
+// on, in order; dst may be src. Holding is a flag added to the length, not a
+// branch; a NaN fails both operators, as in Predicate.Holds.
+func filter(dst, src []int32, vals []float64, p tree.Predicate) []int32 {
+	n := 0
+	if p.Op == tree.LE {
+		for _, k := range src {
+			dst[n] = k
+			n += similarity.B2i(vals[k] <= p.Threshold)
+		}
+	} else {
+		for _, k := range src {
+			dst[n] = k
+			n += similarity.B2i(vals[k] > p.Threshold)
 		}
 	}
-	return true
+	return dst[:n]
+}
+
+// subtract removes match, a subsequence of alive, from it in place.
+func subtract(alive, match []int32) []int32 {
+	n, j := 0, 0
+	for _, k := range alive {
+		hit := similarity.B2i(j < len(match) && match[j] == k)
+		alive[n] = k
+		n += 1 - hit
+		j += hit
+	}
+	return alive[:n]
 }

@@ -7,6 +7,8 @@ import (
 	"github.com/corleone-em/corleone/internal/feature"
 	"github.com/corleone-em/corleone/internal/par"
 	"github.com/corleone-em/corleone/internal/record"
+	"github.com/corleone-em/corleone/internal/similarity"
+	"github.com/corleone-em/corleone/internal/simindex"
 	"github.com/corleone-em/corleone/internal/tree"
 )
 
@@ -18,9 +20,14 @@ var sinkSurvivors int
 // (2.25M pairs), predicates on the eight-value category column, served by
 // its value-pair table, with a text predicate behind them. citations-sets:
 // Citations×0.1 (1.68M pairs), one rule of set predicates that holds on
-// nearly every pair, so each row reads all three from columns. Every
-// iteration builds its own extractor, so filling the write-once tables and
-// building the run's postings are inside the figure.
+// nearly every pair, so each row reads all three from columns.
+// citations-edit: the same data under the shape of rule the cit-scan seeds
+// learn — an edit and a Jaro-Winkler predicate on authors behind a set
+// predicate. citations-probe: the first rule again, verified the way the
+// index path does it — prober.run over four shards, every row's
+// title_jaccard_w > 0.1 candidates as a position list of its shard's run.
+// Every iteration builds its own extractor, so filling the write-once tables
+// and building the runs' views are inside the figure.
 func BenchmarkScanVerifier(b *testing.B) {
 	type pred struct {
 		name string
@@ -37,6 +44,12 @@ func BenchmarkScanVerifier(b *testing.B) {
 			{{"category_jaccard_3g", 0.3}, {"description_jaccard_w", -0.5}},
 		}},
 		{"citations-sets", "citations", 0.1, [][]pred{
+			{{"title_jaccard_w", 0.45}, {"title_tfidf_cos", 0.4}, {"authors_jaccard_3g", 0.3}},
+		}},
+		{"citations-edit", "citations", 0.1, [][]pred{
+			{{"title_jaccard_w", 0.45}, {"authors_jaro_winkler", 0.72}, {"authors_edit", 0.47}},
+		}},
+		{"citations-probe", "citations", 0.1, [][]pred{
 			{{"title_jaccard_w", 0.45}, {"title_tfidf_cos", 0.4}, {"authors_jaccard_3g", 0.3}},
 		}},
 	} {
@@ -66,13 +79,38 @@ func BenchmarkScanVerifier(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ex := feature.NewExtractor(ds)
+				if c.name == "citations-probe" {
+					const k, theta = 4, 0.1
+					profA, profB := ex.Profiles(feat["title_jaccard_w"])
+					group := BuildGroup(simindex.JaccardWords, profB, k)
+					runs := make([]*feature.Run, k)
+					for s := range runs {
+						runs[s] = group.Shard(s).NewRun(ex)
+					}
+					counts := make([]int, nA)
+					par.For(nA, func(lo, hi int) {
+						p := newProber(ex, rules, 1)
+						for a := lo; a < hi; a++ {
+							for s := 0; s < k; s++ {
+								out, _ := p.run(group.Shard(s), runs[s], [][]*similarity.Profile{profA}, []float64{theta},
+									Task{Shard: s, Shards: k, ALo: int32(a), AHi: int32(a + 1)})
+								counts[a] += len(out)
+							}
+						}
+					})
+					sinkSurvivors = 0
+					for _, n := range counts {
+						sinkSurvivors += n
+					}
+					continue
+				}
 				run := ex.NewRun(nil)
 				counts := make([]int, nA)
 				par.For(nA, func(lo, hi int) {
 					v := NewVerifier(ex, rules)
 					var row []record.Pair
 					for a := lo; a < hi; a++ {
-						row = v.RowSurvivors(row[:0], int32(a), run)
+						row = v.RowSurvivors(row[:0], int32(a), run, run.Positions())
 						counts[a] = len(row)
 					}
 				})

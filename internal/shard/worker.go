@@ -71,6 +71,7 @@ var ErrUnknownJob = errors.New("shard: unknown job")
 // shards routed here, not the whole table.
 type workerJob struct {
 	spec  JobSpec
+	ex    *feature.Extractor
 	kinds []simindex.Kind
 	// profA[i] / profB[i] are probe i's table A and table B columns;
 	// thetas[i] its threshold.
@@ -81,20 +82,28 @@ type workerJob struct {
 	probers sync.Pool
 
 	mu     sync.Mutex
-	shards map[int]*Index
+	shards map[int]workerShard
 }
 
-// shardIndex returns shard s's index, building it on first use. s is in
-// range: validateTask checked it.
-func (j *workerJob) shardIndex(s int) *Index {
+// workerShard is one built shard: its index, and its rows as a run of the
+// job's extractor.
+type workerShard struct {
+	ix  *Index
+	run *feature.Run
+}
+
+// shard returns shard s, building it on first use. s is in range:
+// validateTask checked it.
+func (j *workerJob) shard(s int) workerShard {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if ix, ok := j.shards[s]; ok {
-		return ix
+	sh, ok := j.shards[s]
+	if !ok {
+		sh.ix = BuildIndex(j.kinds, j.profB, j.parts[s])
+		sh.run = sh.ix.NewRun(j.ex)
+		j.shards[s] = sh
 	}
-	ix := BuildIndex(j.kinds, j.profB, j.parts[s])
-	j.shards[s] = ix
-	return ix
+	return sh
 }
 
 // WorkerStats counts a worker's activity; read by its /metrics endpoint.
@@ -158,9 +167,10 @@ func (w *Worker) Load(spec JobSpec) error {
 	}
 	job := &workerJob{
 		spec:   spec,
+		ex:     ex,
 		kinds:  kinds,
 		parts:  Partition(ds.B.Len(), spec.Shards),
-		shards: make(map[int]*Index),
+		shards: make(map[int]workerShard),
 	}
 	job.profA, job.profB, job.thetas = ProbeColumns(ex, spec.Probes)
 	job.probers.New = func() any { return newProber(ex, spec.Rules, len(spec.Probes)) }
@@ -201,7 +211,8 @@ func validateTask(job *workerJob, t Task) error {
 // worker's own deterministic rebuild of the dataset.
 func (w *Worker) probeLoaded(job *workerJob, t Task) []record.Pair {
 	p := job.probers.Get().(*prober)
-	out, _ := p.run(job.shardIndex(t.Shard), job.profA, job.thetas, t)
+	sh := job.shard(t.Shard)
+	out, _ := p.run(sh.ix, sh.run, job.profA, job.thetas, t)
 	job.probers.Put(p)
 	w.stats.Probes.Add(1)
 	return out

@@ -83,6 +83,50 @@ func FuzzMyersMatchesMatrixDP(f *testing.F) {
 	})
 }
 
+// FuzzEditColumn differentially fuzzes the edit column against the pair
+// kernel: the pattern and a newline-separated list of texts come from the
+// fuzzer, the column is scored whole and over its odd positions, at strides 1
+// and 2, on one shared Scratch, and every value must equal EditSimProfiles'
+// to the bit — trim, swap and one text at a time on that side, none of them
+// and two at a time on this one. Seeds cover a pattern of 1 and of 64 runes,
+// runes beyond the ASCII table on either side, empty texts, texts longer
+// than the pattern's word, and odd and even text counts.
+func FuzzEditColumn(f *testing.F) {
+	f.Add("kitten", "sitting\nmitten\n\nkitten")
+	f.Add("x", "x\ny\n"+strings.Repeat("x", 70))
+	f.Add(strings.Repeat("abcdefgh", 8), strings.Repeat("abcdefgx", 8)+"\n"+strings.Repeat("abcdefgh", 9)+"\nabc")
+	f.Add("κόσμε naïve", "kosme naive\nκόσμε\n日本語\nnaïve κόσμε\nκ")
+	f.Add("prefix-mid-suffix", "prefix-x-suffix\nprefix-suffix")
+	s := NewScratch()
+	f.Fuzz(func(t *testing.T, pattern, texts string) {
+		a := NewProfile(pattern, FieldRunes)
+		if len(a.Runes) == 0 || len(a.Runes) > 64 || len(texts) > 2000 {
+			return
+		}
+		var bs []*Profile
+		var all, odd []int32
+		for k, line := range strings.Split(texts, "\n") {
+			bs = append(bs, NewProfile(line, FieldRunes))
+			all = append(all, int32(k))
+			if k%2 == 1 {
+				odd = append(odd, int32(k))
+			}
+		}
+		for stride := 1; stride <= 2; stride++ {
+			for _, pos := range [][]int32{all, odd} {
+				dst := make([]float64, len(bs)*stride)
+				EditSimColumn(a, bs, pos, dst, stride, s)
+				for _, k := range pos {
+					if got, want := dst[int(k)*stride], EditSimProfiles(a, bs[k], s); !bitsEqual(got, want) {
+						t.Fatalf("EditSimColumn(%q)[%d of %d, stride %d] = %v against %q, EditSimProfiles = %v",
+							a.Norm, k, len(pos), stride, got, bs[k].Norm, want)
+					}
+				}
+			}
+		}
+	})
+}
+
 func FuzzStringMeasuresStayInRange(f *testing.F) {
 	f.Add("kingston hyperx", "kingston fury")
 	f.Add("", "")

@@ -62,36 +62,37 @@ func jaroRunes(ra, rb []rune, s *Scratch) float64 {
 // holds the positions up to i+window, below those before i-window; both
 // saturate at all-ones (Go shifts of 64 or more yield 0), and mask bits at
 // or above len(rb) are never set, so neither edge needs a clamp to |b|.
+//
+// Whether a[i] finds a partner is data, not control flow (intersectSorted's
+// reasoning): every step stores its candidate's position at order[matches]
+// and matches advances by a flag. A step without one stores 64 in a slot the
+// next match overwrites — or, all 64 runes of b taken, in slot 64, never read.
 func jaroSingle(ra, rb []rune, window int, s *Scratch) (matches, trans int) {
 	peq, over := s.buildMasks(rb)
 	var matchedB uint64
-	var order [64]uint8 // order[k] is the position in b the k-th match took
+	var order [65]uint8 // order[k] is the position in b the k-th match took
 	inside := uint64(1)<<uint(window+1) - 1
 	var below uint64
 	for i, c := range ra {
-		if i > window {
-			below = below<<1 | 1
-		}
+		below = below<<1 | uint64(B2i(i > window))
 		var cand uint64
 		if c < asciiTableSize {
 			cand = peq[c]
 		} else if over != nil {
 			cand = over[c]
 		}
-		if cand &= inside &^ (below | matchedB); cand != 0 {
-			matchedB |= cand & -cand
-			order[matches] = uint8(bits.TrailingZeros64(cand))
-			matches++
-		}
+		cand &= inside &^ (below | matchedB)
+		matchedB |= cand & -cand
+		order[matches] = uint8(bits.TrailingZeros64(cand))
+		matches += B2i(cand != 0)
 		inside = inside<<1 | 1
 	}
 	s.wipeMasks(rb, over)
 	// The k-th matched rune of a is rb[order[k]]; its counterpart is the
 	// k-th matched position of b in ascending order.
 	for k := 0; matchedB != 0; k, matchedB = k+1, matchedB&(matchedB-1) {
-		if j := bits.TrailingZeros64(matchedB); int(order[k]) != j && rb[order[k]] != rb[j] {
-			trans++
-		}
+		j := bits.TrailingZeros64(matchedB)
+		trans += B2i(rb[order[k]] != rb[j])
 	}
 	return matches, trans
 }

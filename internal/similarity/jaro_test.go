@@ -54,6 +54,19 @@ func TestJaroBitParallelMatchesGreedy(t *testing.T) {
 		check(c[0], c[1])
 		check(c[1], c[0])
 	}
+	// Every position matching, around the one-word limit of b. jaroSingle
+	// stores a candidate position on every step, match or not: once all 64
+	// runes of b are taken, each further rune of a stores TrailingZeros64(0) =
+	// 64 at order[matches] = order[64] — a slot that has to exist, and that a
+	// six-bit index mask would fold onto order[0], sending the transposition
+	// count to rb[64]. The 65-against-64 row of jaroCases is the shortest such
+	// input; these are the rest of its neighbourhood.
+	for _, la := range []int{63, 64, 65, 128} {
+		for _, lb := range []int{1, 63, 64} {
+			check(strings.Repeat("x", la), strings.Repeat("x", lb))
+			check(strings.Repeat("xy", la)[:la], strings.Repeat("yx", lb)[:lb])
+		}
+	}
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 2000; i++ {
 		a := randRunes(rng, rng.Intn(201))

@@ -158,19 +158,21 @@ func JaccardOf(inter, na, nb int) float64 {
 // Which side advances is data, not control flow: a scan compares a fresh
 // pair of sets every call, so a compare-and-branch merge mispredicts about
 // every other step, while flag arithmetic (the compiler emits SETcc for
-// b2i) keeps the loop at its load-compare-add latency.
+// B2i) keeps the loop at its load-compare-add latency.
 func intersectSorted(sa, sb []uint64) int {
 	inter := 0
 	for i, j := 0, 0; i < len(sa) && j < len(sb); {
 		x, y := sa[i], sb[j]
-		inter += b2i(x == y)
-		i += b2i(x <= y)
-		j += b2i(y <= x)
+		inter += B2i(x == y)
+		i += B2i(x <= y)
+		j += B2i(y <= x)
 	}
 	return inter
 }
 
-func b2i(b bool) int {
+// B2i is b as 0 or 1 without a branch: the compiler emits SETcc, so a loop
+// that adds it keeps its latency where a compare-and-branch would mispredict.
+func B2i(b bool) int {
 	var v int
 	if b {
 		v = 1

@@ -70,9 +70,10 @@ func (r Rule) Matches(v []float64) bool {
 
 // MatchesFunc evaluates coverage with a lazy feature accessor, asking for
 // features only until a predicate fails. Predicates are ordered cheapest
-// feature first by SortPredsByCost, so rule application over A×B
-// short-circuits on the cheap tests. (shard.Verifier's accessor reads some
-// features from a column it computed for the pair's whole row on first use.)
+// feature first by SortPredsByCost, so a pair-at-a-time rule walk
+// short-circuits on the cheap tests. (The blocker's production walk,
+// shard.Verifier.RowSurvivors, makes the same requests a column at a time;
+// this is the form its test oracle and the reference scans use.)
 func (r Rule) MatchesFunc(get func(feature int) float64) bool {
 	for _, p := range r.Preds {
 		if !p.Holds(get(p.Feature)) {
@@ -138,7 +139,7 @@ func (r Rule) Key() string {
 
 // SortPredsByCost reorders the rule's predicates so that cheaper features
 // are tested first (ties broken by feature index), enabling maximal
-// short-circuiting in MatchesFunc.
+// short-circuiting in MatchesFunc and in the verifier's column walk.
 func (r *Rule) SortPredsByCost(cost func(feature int) float64) {
 	sort.SliceStable(r.Preds, func(i, j int) bool {
 		ci, cj := cost(r.Preds[i].Feature), cost(r.Preds[j].Feature)

@@ -52,7 +52,8 @@ go test -count=1 -run 'TestShardWorkerChaos/5xx-failover' ./internal/faultkit
 go test -race ./...
 
 # Fuzz smoke: every target `make fuzz` lists (pair codec and merge, the
-# rel_diff band index, pair and column kernels, the token-pair table, row sets,
+# rel_diff band index, pair and column kernels (Myers, Jaro, the set measures, the
+# edit column), the token-pair table, row sets,
 # rule coverage by leaf, journal replay, model and spec decoders), 5 s each, so a change that breaks a decoder's totality or a
 # kernel's bit-identity fails here in seconds. The Makefile holds the list.
 make fuzz FUZZTIME=5s
