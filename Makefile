@@ -72,7 +72,13 @@ shard:
 # kernels", "Operand dictionaries and write-once tables"), and the column
 # kernels vs the pair kernels: the edit column over a fuzzed pattern and
 # texts, every feature's column, whole and by position list, over random
-# small token multisets (DESIGN.md "Column kernels"). Journal: arbitrary
+# small token multisets (DESIGN.md "Column kernels"). Profiles: the column
+# build vs the per-value string functions over a fuzzed list of values at a
+# fuzzed chunk count, to the bit (DESIGN.md "Record profiles"), and the
+# string primitives under them — Normalize idempotent and lowered, Words
+# tokens alphanumeric and lowered, QGrams/Trigrams gram counts and packing.
+# Record I/O: a CSV written and read back is the table, and reading
+# arbitrary bytes never panics. Journal: arbitrary
 # bytes as a log and as a snapshot never restore more than their longest
 # valid frame prefix, and one altered byte never goes unnoticed (DESIGN.md
 # "The journal"). Row sets: the bitset behind every post-blocking row set vs
@@ -99,6 +105,12 @@ fuzz:
 	$(FUZZ) -fuzz 'FuzzEditColumn' ./internal/similarity
 	$(FUZZ) -fuzz 'FuzzSetKernels' ./internal/similarity
 	$(FUZZ) -fuzz 'FuzzMongeElkanTable' ./internal/similarity
+	$(FUZZ) -fuzz 'FuzzColumnProfiles' ./internal/similarity
+	$(FUZZ) -fuzz 'FuzzNormalize' ./internal/strutil
+	$(FUZZ) -fuzz 'FuzzQGrams' ./internal/strutil
+	$(FUZZ) -fuzz 'FuzzWords' ./internal/strutil
+	$(FUZZ) -fuzz 'FuzzCSVRoundTrip' ./internal/record
+	$(FUZZ) -fuzz 'FuzzReadCSVNeverPanics' ./internal/record
 	$(FUZZ) -fuzz 'FuzzColumnKernel' ./internal/feature
 	$(FUZZ) -fuzz 'FuzzRowSet' ./internal/ruleeval
 	$(FUZZ) -fuzz 'FuzzCover' ./internal/ruleeval

@@ -5,17 +5,17 @@
 // Blocker's greedy rule selection (§4.3), and supports lazy single-feature
 // evaluation so blocking rules can short-circuit over A×B.
 //
-// The extractor dictionary-encodes every attribute column of both tables at
-// construction and precomputes one similarity.Profile per distinct value:
-// tokenization, rune decoding, q-gram counting, TF/IDF weighing, and numeric
-// parsing happen once per value instead of once per comparison, so the
-// pair-scan inner loop — the O(|A|·|B|) hot path — is arithmetic over
-// prebuilt structures: bit masks for the character measures, sorted integer
-// codes (vocabulary ranks, packed 3-grams) for the set measures (DESIGN.md
-// "Pair kernels"). A feature is a pure function of its two raw values, and
-// Monge-Elkan's inner score of two tokens, so a column that repeats its
-// operands often enough also gets a write-once table per distinct operand
-// pair (DESIGN.md "Operand dictionaries and write-once tables").
+// The extractor dictionary-encodes every attribute column of both tables and
+// builds it with similarity.BuildColumn: one profile per distinct value,
+// carved from per-chunk slabs, and one pass over the column's tokens for its
+// ranks, IDFs and token dictionaries. Normalization, tokenization, q-grams,
+// TF/IDF weighing and numeric parsing happen once per value instead of once
+// per comparison, so the pair-scan inner loop — the O(|A|·|B|) hot path — is
+// arithmetic over prebuilt structures: bit masks for the character measures,
+// sorted integer codes for the set measures (DESIGN.md "Record profiles",
+// "Pair kernels"). A column that repeats its operands often enough also gets
+// a write-once table per distinct operand pair (DESIGN.md "Operand
+// dictionaries and write-once tables").
 //
 // A feature value has two producers, chosen by the shape of the request,
 // never by an option. ComputeScratch scores one pair — the table's cell if
@@ -147,21 +147,20 @@ func numericWrapP(f func(x, y float64) float64) profileFn {
 }
 
 // NewExtractor builds the feature library for the dataset's schema and
-// precomputes both tables' profiles (in parallel across distinct values).
-// Text attributes get TF/IDF features backed by a corpus built from the
-// values of that attribute across both tables, mirroring how EM systems fit
-// IDF on the data being matched.
+// precomputes both tables' profiles. Text attributes get TF/IDF features
+// whose IDFs count the attribute's rows across both tables, mirroring how EM
+// systems fit IDF on the data being matched.
 func NewExtractor(ds *record.Dataset) *Extractor {
 	e := &Extractor{A: ds.A, B: ds.B, cols: make([]column, len(ds.A.Schema))}
 	e.scratch.New = func() any { return similarity.NewScratch() }
 	pairs := int(ds.CartesianSize())
-	// One interner numbers every dictionary of the build in turn — each
-	// column's values, then its tokens — so its map grows once.
+	// One interner numbers every column's values in turn, so its map grows
+	// once; each column's tokens get their one map in BuildColumn.
 	var in strutil.Interner
 	for idx, attr := range ds.A.Schema {
 		col := &e.cols[idx]
 		// The Monge-Elkan closure reads col.tokens on every call; it is bound
-		// below, once the column's profiles exist to build dictionaries from.
+		// below, once the column's token dictionaries exist.
 		mongeElkan := func(a, b *similarity.Profile, s *similarity.Scratch) float64 {
 			return col.tokens.MongeElkan(a, b, s)
 		}
@@ -213,27 +212,11 @@ func NewExtractor(ds *record.Dataset) *Extractor {
 		}
 		ids := make([]uint32, ds.A.Len()+ds.B.Len())
 		valA, valB := ids[:ds.A.Len()], ids[ds.A.Len():]
-		var distA, distB []*similarity.Profile
-		col.profA, distA = buildProfiles(ds.A, idx, fields, valA, &in)
-		col.profB, distB = buildProfiles(ds.B, idx, fields, valB, &in)
-		if fields&(similarity.FieldWordSet|similarity.FieldTFIDF) != 0 {
-			// The attribute's word dictionary, built from the column's already
-			// tokenized profiles. Document frequencies count rows — the
-			// per-row columns go in, a repeated value once per row holding
-			// it — while each distinct profile is ranked and weighed once.
-			corpus := similarity.ProfileCorpus(col.profA, col.profB)
-			attach := corpus.RankProfile
-			if fields&similarity.FieldTFIDF != 0 {
-				attach = corpus.WeighProfile
-			}
-			for _, dist := range [][]*similarity.Profile{distA, distB} {
-				par.For(len(dist), func(lo, hi int) {
-					for _, p := range dist[lo:hi] {
-						attach(p)
-					}
-				})
-			}
-		}
+		valsA, rowsA := distinctValues(ds.A, idx, valA, &in)
+		valsB, rowsB := distinctValues(ds.B, idx, valB, &in)
+		dist, dicts := similarity.BuildColumn([][]string{valsA, valsB}, [][]int{rowsA, rowsB}, fields)
+		distA, distB := dist[0], dist[1]
+		col.profA, col.profB = perRow(distA, valA), perRow(distB, valB)
 		if worthTable(pairs, len(distA)*len(distB), len(ms)) {
 			col.valA, col.valB = valA, valB
 			col.nValB, col.width = len(distB), len(ms)
@@ -247,7 +230,7 @@ func NewExtractor(ds *record.Dataset) *Extractor {
 			if col.cells != nil {
 				opsA, opsB = distA, distB
 			}
-			dictA, dictB := similarity.NewTokenDict(distA, &in), similarity.NewTokenDict(distB, &in)
+			dictA, dictB := dicts[0], dicts[1]
 			col.tokens = similarity.NewTokenPairs(dictA, dictB,
 				worthTable(countTokens(opsA)*countTokens(opsB), dictA.Len()*dictB.Len(), 2))
 		}
@@ -255,27 +238,30 @@ func NewExtractor(ds *record.Dataset) *Extractor {
 	return e
 }
 
-// buildProfiles dictionary-encodes one attribute column: ids[row] receives
-// the row's value id — ids count up in first-seen row order — and every
-// distinct value gets one profile (its corpus-independent views, fanned out
-// across values), which all the rows holding the value share. in is reset
+// distinctValues dictionary-encodes one attribute column: ids[row] receives
+// the row's value id — ids count up in first-seen row order — and the
+// distinct values come back by id, with how many rows hold each. in is reset
 // first and holds the value → id map only for the duration of the call.
-func buildProfiles(t *record.Table, attrIdx int, fields similarity.Fields, ids []uint32, in *strutil.Interner) (rows, distinct []*similarity.Profile) {
+func distinctValues(t *record.Table, attrIdx int, ids []uint32, in *strutil.Interner) (values []string, rows []int) {
 	in.Reset()
 	for i, row := range t.Rows {
 		ids[i] = in.ID(row[attrIdx])
 	}
-	distinct = make([]*similarity.Profile, len(in.Values))
-	par.For(len(distinct), func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			distinct[k] = similarity.NewProfile(in.Values[k], fields)
-		}
-	})
-	rows = make([]*similarity.Profile, len(ids))
+	rows = make([]int, len(in.Values))
+	for _, k := range ids {
+		rows[k]++
+	}
+	return append([]string(nil), in.Values...), rows
+}
+
+// perRow is the per-row column over the distinct values' profiles: every
+// row holding a value shares its one profile.
+func perRow(distinct []*similarity.Profile, ids []uint32) []*similarity.Profile {
+	rows := make([]*similarity.Profile, len(ids))
 	for i, k := range ids {
 		rows[i] = distinct[k]
 	}
-	return rows, distinct
+	return rows
 }
 
 // countTokens sums the token counts of the given profiles.

@@ -1,7 +1,5 @@
 package similarity
 
-import "github.com/corleone-em/corleone/internal/strutil"
-
 // Fields selects which precomputed views a Profile carries. A record is
 // compared against thousands of counterparts during a pair scan, so
 // everything a measure would re-derive from the string on every call —
@@ -16,17 +14,17 @@ const (
 	FieldRunes Fields = 1 << iota
 	// FieldTokenIDs tokenizes for the token-id view (Monge-Elkan). Ids are
 	// relative to the column's token dictionary, so NewProfile only
-	// tokenizes; NewTokenDict attaches the view.
+	// tokenizes; BuildColumn attaches the view.
 	FieldTokenIDs
 	// FieldWordSet tokenizes for the sorted distinct word-rank view (word
 	// Jaccard, overlap). Ranks are relative to a vocabulary, so NewProfile
-	// only tokenizes; Corpus.RankProfile attaches the view.
+	// only tokenizes; BuildColumn attaches the view.
 	FieldWordSet
 	// FieldTFIDF adds the corpus-weighted vector over the word ranks
-	// (TF/IDF cosine); Corpus.WeighProfile attaches it.
+	// (TF/IDF cosine); BuildColumn attaches it.
 	FieldTFIDF
-	// FieldQGrams materializes the sorted packed 3-gram count vector
-	// (q-gram Jaccard).
+	// FieldQGrams materializes the sorted distinct packed 3-grams (q-gram
+	// Jaccard).
 	FieldQGrams
 	// FieldNumeric parses the raw value as a number (numeric diffs).
 	FieldNumeric
@@ -46,54 +44,35 @@ type Profile struct {
 	Raw, Norm string
 	// Runes is Norm decoded to runes (FieldRunes).
 	Runes []rune
-	// Tokens is strutil.Words(Norm); populated whenever any token-derived
-	// field is requested.
+	// Tokens is strutil.Words(Norm) — substrings of Norm when it is ASCII;
+	// populated whenever any token-derived field is requested.
 	Tokens []string
-	// TokenIDs is Tokens as ids in the column's token dictionary, which
-	// holds each distinct token's runes once; set by NewTokenDict
-	// (FieldTokenIDs).
+	// TokenIDs is Tokens as ids in the side's token dictionary, which holds
+	// each distinct token's runes once; set by BuildColumn (FieldTokenIDs).
 	TokenIDs []uint32
 	// WordIDs is the distinct Tokens as ascending ranks in the attribute's
-	// sorted vocabulary, set by Corpus.RankProfile (FieldWordSet). Rank
-	// order is string order, so merging WordIDs visits tokens exactly as
-	// merging the sorted strings would.
+	// sorted vocabulary, set by BuildColumn (FieldWordSet). Rank order is
+	// string order, so merging WordIDs visits tokens exactly as merging the
+	// sorted strings would.
 	WordIDs []uint64
-	// Grams / GramCounts are the sorted distinct padded 3-grams of Norm,
-	// packed by strutil.Trigrams, with multiplicities; GramNorm is
-	// Σ count² accumulated in sorted order (FieldQGrams).
-	Grams      []uint64
-	GramCounts []int
-	GramNorm   float64
+	// Grams are the sorted distinct padded 3-grams of Norm, packed by
+	// strutil.Trigrams (FieldQGrams).
+	Grams []uint64
 	// Numeric / NumericOK are strutil.ParseNumeric(Raw) (FieldNumeric).
 	Numeric   float64
 	NumericOK bool
 	// TFIDF is the corpus-weighted vector aligned with WordIDs, set by
-	// Corpus.WeighProfile (FieldTFIDF).
+	// BuildColumn (FieldTFIDF).
 	TFIDF *WeightedVector
 }
 
-// NewProfile precomputes the requested views of one attribute value, except
-// the dictionary-relative ones: WordIDs and TFIDF, which a Corpus built over
-// the whole column attaches afterwards, and TokenIDs, which a TokenDict does.
+// NewProfile precomputes the requested views of one attribute value except
+// the dictionary-relative ones (WordIDs, TFIDF, TokenIDs): the column build
+// over a column of one value, before its dictionary pass.
 func NewProfile(raw string, fields Fields) *Profile {
-	p := &Profile{Raw: raw, Norm: strutil.Normalize(raw)}
-	if fields&FieldRunes != 0 {
-		p.Runes = []rune(p.Norm)
-	}
-	if fields&(FieldTokenIDs|FieldWordSet|FieldTFIDF) != 0 {
-		p.Tokens = strutil.Words(p.Norm)
-	}
-	if fields&FieldQGrams != 0 {
-		p.Grams, p.GramCounts = strutil.SortedCounts(strutil.Trigrams(p.Norm))
-		for _, c := range p.GramCounts {
-			f := float64(c)
-			p.GramNorm += f * f
-		}
-	}
-	if fields&FieldNumeric != 0 {
-		p.Numeric, p.NumericOK = strutil.ParseNumeric(raw)
-	}
-	return p
+	p := make([]Profile, 1)
+	profileValues([]string{raw}, fields, p)
+	return &p[0]
 }
 
 // ExactMatchProfiles is the profile fast path of ExactMatch.

@@ -2,7 +2,6 @@ package similarity
 
 import (
 	"math"
-	"slices"
 	"sort"
 
 	"github.com/corleone-em/corleone/internal/strutil"
@@ -20,11 +19,10 @@ func sortedKeys(m map[string]int) []string {
 
 // Corpus is the token dictionary of a collection of documents (one
 // attribute's values across both tables): every distinct word token's rank
-// in the sorted vocabulary, and its inverse document frequency. The ranks
-// give the set measures an integer view of a record's tokens whose order is
-// the tokens' string order; TF/IDF cosine similarity weights rare tokens
-// (model numbers, distinctive words) more heavily than ubiquitous ones
-// ("the", "kit").
+// in the sorted vocabulary, and its inverse document frequency, by which
+// TF/IDF cosine similarity weights rare tokens (model numbers, distinctive
+// words) more heavily than ubiquitous ones ("the", "kit"). BuildColumn
+// gives profiles the same ranks and IDFs without one.
 type Corpus struct {
 	rank map[string]uint64
 	idf  []float64 // by rank
@@ -33,66 +31,15 @@ type Corpus struct {
 
 // NewCorpus builds the dictionary from the given documents.
 func NewCorpus(docs []string) *Corpus {
-	var b corpusBuilder
+	var v vocab
 	for _, d := range docs {
-		b.add(strutil.Words(d))
+		v.add(strutil.Words(d), nil, 1)
 	}
-	return b.corpus()
-}
-
-// ProfileCorpus builds the dictionary from already tokenized profile
-// columns (FieldWordSet), sparing a second tokenization pass.
-func ProfileCorpus(cols ...[]*Profile) *Corpus {
-	var b corpusBuilder
-	for _, col := range cols {
-		for _, p := range col {
-			b.add(p.Tokens)
-		}
+	rank, idf := v.rank()
+	for id, t := range v.words {
+		v.id[t] = rank[id] // the map keeps the ranks for values
 	}
-	return b.corpus()
-}
-
-// corpusBuilder counts document frequencies one document at a time, under
-// provisional first-seen ids; corpus() then ranks the vocabulary by sorting
-// it, so ranks depend on the set of tokens alone — never on document order
-// or on how callers fan out.
-type corpusBuilder struct {
-	id    map[string]uint64
-	vocab []string
-	df    []int
-	last  []int // 1 + the last document counted, per id
-	docs  int
-}
-
-func (b *corpusBuilder) add(tokens []string) {
-	if b.id == nil {
-		b.id = make(map[string]uint64)
-	}
-	b.docs++
-	for _, t := range tokens {
-		id, ok := b.id[t]
-		if !ok {
-			id = uint64(len(b.vocab))
-			b.id[t] = id
-			b.vocab = append(b.vocab, t)
-			b.df = append(b.df, 0)
-			b.last = append(b.last, 0)
-		}
-		if b.last[id] != b.docs {
-			b.last[id] = b.docs
-			b.df[id]++
-		}
-	}
-}
-
-func (b *corpusBuilder) corpus() *Corpus {
-	c := &Corpus{rank: b.id, idf: make([]float64, len(b.vocab)), docs: b.docs}
-	slices.Sort(b.vocab)
-	for r, t := range b.vocab {
-		c.idf[r] = math.Log(float64(b.docs+1) / float64(b.df[c.rank[t]]+1))
-		c.rank[t] = uint64(r)
-	}
-	return c
+	return &Corpus{rank: v.id, idf: idf, docs: v.docs}
 }
 
 // IDF returns the inverse document frequency of token t. Tokens absent from
@@ -102,29 +49,6 @@ func (c *Corpus) IDF(t string) float64 {
 		return c.idf[r]
 	}
 	return math.Log(float64(c.docs + 1))
-}
-
-// ranks maps p's tokens to their vocabulary ranks. Every token of a ranked
-// profile must be in the corpus: the extractor builds the corpus from the
-// very columns it ranks.
-func (c *Corpus) ranks(p *Profile) []uint64 {
-	ids := make([]uint64, len(p.Tokens))
-	for i, t := range p.Tokens {
-		r, ok := c.rank[t]
-		if !ok {
-			panic("similarity: token " + t + " is not in the corpus")
-		}
-		ids[i] = r
-	}
-	return ids
-}
-
-// RankProfile attaches p's sorted distinct word ranks (Profile.WordIDs),
-// enabling the word-set measures against profiles ranked by this corpus.
-func (c *Corpus) RankProfile(p *Profile) {
-	ids := c.ranks(p)
-	slices.Sort(ids)
-	p.WordIDs = slices.Compact(ids)
 }
 
 // WeightedVector is a record's TF/IDF view under one corpus, aligned with
@@ -139,23 +63,8 @@ type WeightedVector struct {
 	Norm float64
 }
 
-// WeighProfile attaches p's word ranks and their corpus-weighted vector,
-// enabling CosineProfiles (and the word-set measures) on it.
-func (c *Corpus) WeighProfile(p *Profile) {
-	ids, tf := strutil.SortedCounts(c.ranks(p))
-	v := &WeightedVector{TF: tf, IDF: make([]float64, len(ids)), W: make([]float64, len(ids))}
-	for i, id := range ids {
-		idf := c.idf[id]
-		w := float64(tf[i]) * idf
-		v.IDF[i] = idf
-		v.W[i] = w
-		v.Norm += w * w
-	}
-	p.WordIDs, p.TFIDF = ids, v
-}
-
 // CosineProfiles is the profile fast path of Corpus.Cosine: both profiles
-// must have been weighed under one corpus (WeighProfile). The dot product
+// must have been weighed under one corpus (BuildColumn). The dot product
 // merges the rank lists, visiting common tokens in ascending rank — which is
 // ascending token order, the string path's floating-point summation order,
 // so scores are bit-identical.

@@ -3,9 +3,6 @@ package similarity
 import (
 	"math"
 	"sync/atomic"
-	"unicode/utf8"
-
-	"github.com/corleone-em/corleone/internal/strutil"
 )
 
 // Cell is one slot of a write-once table of similarity scores. A score is a
@@ -31,43 +28,6 @@ func (c *Cell) Store(v float64) { c.w.Store(math.Float64bits(v) + 1) }
 // carry instead of their own copy of the runes (Profile.TokenIDs).
 type TokenDict struct {
 	runes [][]rune // by token id
-}
-
-// NewTokenDict numbers the distinct tokens of the given (tokenized)
-// profiles and attaches each profile's TokenIDs. Ids are handed out in
-// first-seen order — profile order, then token order — so they depend on
-// the column alone, never on map iteration or on how callers fan out. The
-// id lists are carved from one slab and the runes from another; in is
-// reset first and holds the token → id map only for the duration of the
-// call, so a caller building many dictionaries passes the same one.
-func NewTokenDict(profiles []*Profile, in *strutil.Interner) *TokenDict {
-	total := 0
-	for _, p := range profiles {
-		total += len(p.Tokens)
-	}
-	slab := make([]uint32, total)
-	in.Reset()
-	for _, p := range profiles {
-		n := len(p.Tokens)
-		p.TokenIDs, slab = slab[:n:n], slab[n:]
-		for i, t := range p.Tokens {
-			p.TokenIDs[i] = in.ID(t)
-		}
-	}
-	nRunes := 0
-	for _, t := range in.Values {
-		nRunes += utf8.RuneCountInString(t)
-	}
-	d := &TokenDict{runes: make([][]rune, len(in.Values))}
-	runes := make([]rune, 0, nRunes)
-	for k, t := range in.Values {
-		lo := len(runes)
-		for _, r := range t {
-			runes = append(runes, r)
-		}
-		d.runes[k] = runes[lo:len(runes):len(runes)]
-	}
-	return d
 }
 
 // Len returns the number of distinct tokens.

@@ -32,7 +32,9 @@ package simindex
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
+	"sort"
 
 	"github.com/corleone-em/corleone/internal/similarity"
 )
@@ -287,14 +289,17 @@ func (ix *Index) Footprint() int64 {
 		4*int64(len(ix.post.Off)+len(ix.post.Rows)+len(ix.size)+len(ix.emptySet)+len(ix.valRows)+len(ix.nonFinite))
 }
 
-// Scratch carries one probe's reusable working state: an epoch-stamped
-// seen-mark per indexed row (so candidate sets dedupe without clearing an
-// array per probe), the candidate accumulator, and the probe's tokens keyed
-// for ordering. One Scratch serves one goroutine.
+// Scratch carries one probe's reusable working state: a two-level bitmap
+// over the indexed rows (bit r%64 of words[r/64] marks row r, bit w%64 of
+// sum[w/64] a nonzero words[w]), the candidates collect emits from it, and
+// the probe's tokens keyed for ordering. Marking is two ORs, so a union
+// dedupes without a branch; collect walks the summary, emits ascending and
+// clears what it visits, so a probe costs O(n/4096 + touched words +
+// candidates) and leaves the bitmap empty. One Scratch serves one goroutine.
 type Scratch struct {
-	mark  []int32
-	epoch int32
-	cand  []int32
+	words, sum []uint64
+	n          int // rows of the index being probed
+	cand       []int32
 	// order holds one key per probe token, postings length in the high word
 	// and the token's position in the low one; slot[position] is the token's
 	// index into toks, or −1.
@@ -307,29 +312,40 @@ type Scratch struct {
 func NewScratch() *Scratch { return &Scratch{} }
 
 func (s *Scratch) reset(n int) {
-	if len(s.mark) < n {
-		// A probe has at most n candidates: sized once with the marks, the
-		// accumulator never grows.
-		s.mark = make([]int32, n)
+	if cap(s.cand) < n {
+		// A probe has at most n candidates: sized with the bitmap, the list
+		// never grows.
+		nw := (n + 63) >> 6
+		s.words = make([]uint64, nw)
+		s.sum = make([]uint64, (nw+63)>>6)
 		s.cand = make([]int32, 0, n)
-		s.epoch = 0
 	}
-	s.epoch++
-	if s.epoch == math.MaxInt32 { // wrapped: clear and restart
-		for i := range s.mark {
-			s.mark[i] = 0
-		}
-		s.epoch = 1
-	}
-	s.cand = s.cand[:0]
+	s.n = n
 }
 
-// add appends r to the candidates unless this probe already has it.
+// add marks row r as a candidate of this probe.
 func (s *Scratch) add(r int32) {
-	if s.mark[r] != s.epoch {
-		s.mark[r] = s.epoch
-		s.cand = append(s.cand, r)
+	w := uint32(r) >> 6
+	s.words[w] |= 1 << (uint32(r) & 63)
+	s.sum[w>>6] |= 1 << (w & 63)
+}
+
+// collect returns the marked rows, ascending, and clears their marks.
+func (s *Scratch) collect() []int32 {
+	cand := s.cand[:0]
+	sum := s.sum[:(s.n+4095)>>12]
+	for i, x := range sum {
+		for ; x != 0; x &= x - 1 {
+			w := i<<6 | bits.TrailingZeros64(x)
+			for y := s.words[w]; y != 0; y &= y - 1 {
+				cand = append(cand, int32(w<<6|bits.TrailingZeros64(y)))
+			}
+			s.words[w] = 0
+		}
+		sum[i] = 0
 	}
+	s.cand = cand
+	return cand
 }
 
 // Candidates returns the ascending row ids of every indexed row whose
@@ -365,18 +381,16 @@ func (s *Scratch) add(r int32) {
 // the Missing sentinel −1 ≤ θ); a probe with a missing value returns none
 // for the same reason.
 func (ix *Index) Candidates(probe *similarity.Profile, theta float64, s *Scratch) []int32 {
-	s.reset(ix.n)
-	ix.appendTo(s, probe, theta)
-	slices.Sort(s.cand)
-	return s.cand
+	return Union([]*Index{ix}, []*similarity.Profile{probe}, []float64{theta}, s)
 }
 
 // Union returns the ascending, duplicate-free union of the candidates of
 // probes[i] at thetas[i] in ixs[i] — a complete superset of the rows that
 // survive the rule sim(f₁) ≤ θ₁ ∧ … ∧ sim(f_k) ≤ θ_k, one index per
 // conjunct. The indexes must cover the same rows (one Build per feature
-// over one table or shard). The rows are collected in one epoch-marked pass
-// and sorted once; the returned slice aliases the scratch like Candidates'.
+// over one table or shard). Every term marks its rows in the scratch's
+// bitmap and one collect emits them in order, so there is nothing to sort;
+// the returned slice aliases the scratch like Candidates'.
 func Union(ixs []*Index, probes []*similarity.Profile, thetas []float64, s *Scratch) []int32 {
 	s.reset(ixs[0].n)
 	for i, ix := range ixs {
@@ -385,12 +399,11 @@ func Union(ixs []*Index, probes []*similarity.Profile, thetas []float64, s *Scra
 		}
 		ix.appendTo(s, probes[i], thetas[i])
 	}
-	slices.Sort(s.cand)
-	return s.cand
+	return s.collect()
 }
 
-// appendTo adds probe's candidates at theta to the scratch's accumulator,
-// unsorted, skipping rows an earlier term of the same union already added.
+// appendTo marks probe's candidates at theta in the scratch's bitmap; a row
+// an earlier term of the same union marked stays marked once.
 func (ix *Index) appendTo(s *Scratch, probe *similarity.Profile, theta float64) {
 	if theta < 0 {
 		// Callers gate on θ ≥ 0; below 0 the survivor set is "any pair with
@@ -459,16 +472,12 @@ func (ix *Index) appendTo(s *Scratch, probe *similarity.Profile, theta float64) 
 			continue // a token no row has, or one that adds nothing
 		}
 		for _, r := range ix.post.Rows[ix.post.Off[slot[i]]:ix.post.Off[slot[i]+1]] {
-			if s.mark[r] == s.epoch {
-				continue
-			}
 			if sb := float64(ix.size[r]); sb < sbLo || sb > sbHi {
 				// Outside the length bound for this term. Not marked: a
 				// later term of the union may still want the row.
 				continue
 			}
-			s.mark[r] = s.epoch
-			s.cand = append(s.cand, r)
+			s.add(r)
 		}
 	}
 }
@@ -501,7 +510,7 @@ func (ix *Index) appendBand(s *Scratch, probe *similarity.Profile, theta float64
 	lo, hi := 0, len(ix.vals)
 	if a, t := probe.Numeric, theta-eps; a > 0 && !math.IsInf(a, 1) && t > 0 {
 		lo, _ = slices.BinarySearch(ix.vals, t*a)
-		hi = lo + countLE(ix.vals[lo:], a/t)
+		hi = lo + sort.Search(len(ix.vals)-lo, func(i int) bool { return ix.vals[lo+i] > a/t })
 	}
 	for _, r := range ix.valRows[lo:hi] {
 		s.add(r)
@@ -509,18 +518,4 @@ func (ix *Index) appendBand(s *Scratch, probe *similarity.Profile, theta float64
 	for _, r := range ix.nonFinite {
 		s.add(r)
 	}
-}
-
-// countLE returns how many elements of the ascending vals are ≤ x.
-func countLE(vals []float64, x float64) int {
-	lo, hi := 0, len(vals)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if vals[mid] <= x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

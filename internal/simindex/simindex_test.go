@@ -46,23 +46,19 @@ func genValues(rng *rand.Rand, n int) []string {
 }
 
 // buildProfiles profiles each column of values and weighs them all under
-// one corpus — the word ranks the index keys on only compare within one
-// vocabulary, so probes are built together with the rows they probe.
+// one corpus, one document per value — the word ranks the index keys on
+// only compare within one vocabulary, so probes are built together with the
+// rows they probe.
 func buildProfiles(cols ...[]string) [][]*similarity.Profile {
-	out := make([][]*similarity.Profile, len(cols))
+	rows := make([][]int, len(cols))
 	for c, vals := range cols {
-		out[c] = make([]*similarity.Profile, len(vals))
-		for i, v := range vals {
-			out[c][i] = similarity.NewProfile(v, similarity.AllFields)
+		rows[c] = make([]int, len(vals))
+		for i := range rows[c] {
+			rows[c][i] = 1
 		}
 	}
-	corpus := similarity.ProfileCorpus(out...)
-	for _, col := range out {
-		for _, p := range col {
-			corpus.WeighProfile(p)
-		}
-	}
-	return out
+	profs, _ := similarity.BuildColumn(cols, rows, similarity.AllFields)
+	return profs
 }
 
 // exact computes the measure the index accelerates, mirroring the feature
@@ -429,32 +425,154 @@ func TestKindOf(t *testing.T) {
 	}
 }
 
-// TestScratchEpochWrap exercises the epoch-wrap clearing path.
-func TestScratchEpochWrap(t *testing.T) {
-	profs := buildProfiles([]string{"kingston kit", "kingston drive"}, []string{"kingston"})
-	ix := Build(JaccardWords, profs[0])
+// priceColumn draws n numeric profiles, log-uniform over 1 … ~1100 and
+// rounded so values repeat, one in eight missing.
+func priceColumn(rng *rand.Rand, n int) []*similarity.Profile {
+	col := make([]*similarity.Profile, n)
+	for r := range col {
+		col[r] = numeric(math.Round(math.Exp(rng.Float64()*7)), rng.Intn(8) > 0)
+	}
+	return col
+}
+
+// bandWant is the band's candidate set by brute force over a column of
+// finite values: every present row for θ ≤ ε, else the rows inside
+// [(θ−ε)·a, a/(θ−ε)] for a positive probe a; none for a missing probe.
+func bandWant(col []*similarity.Profile, probe *similarity.Profile, theta float64) []int32 {
+	var want []int32
+	if !probe.NumericOK {
+		return want
+	}
+	a, lo := probe.Numeric, theta-eps
+	for r, p := range col {
+		if p.NumericOK && (lo <= 0 || lo*a <= p.Numeric && p.Numeric <= a/lo) {
+			want = append(want, int32(r))
+		}
+	}
+	return want
+}
+
+// TestScratchReuseAcrossSizes drives one Scratch in alternation across
+// indexes of sizes on either side of the bitmap's word (64 rows) and summary
+// word (4096 rows) boundaries, the way a prober alternates shards. Every
+// Candidates and Union must equal its brute-force set; a probe with no
+// candidates right after a dense one proves collect left no mark behind.
+func TestScratchReuseAcrossSizes(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	sizes := []int{1, 63, 64, 65, 4095, 4096, 4097, 70000}
+	type table struct {
+		cols [2][]*similarity.Profile
+		ixs  []*Index
+	}
+	tables := make([]table, len(sizes))
+	for i, n := range sizes {
+		tb := &tables[i]
+		for c := range tb.cols {
+			tb.cols[c] = priceColumn(rng, n)
+			tb.ixs = append(tb.ixs, Build(BandRelDiff, tb.cols[c]))
+		}
+	}
+	probes := []struct {
+		p     *similarity.Profile
+		theta float64
+	}{
+		{numeric(50, true), 0},      // dense: every present row
+		{numeric(0, false), 0},      // missing: none
+		{numeric(50, true), 0.9},    // sparse: a band around 50
+		{numeric(1e9, true), 0.5},   // a band holding no row
+		{numeric(300, true), 1e-12}, // dense again
+		{numeric(7, true), 1},       // the rows equal to 7
+	}
 	s := NewScratch()
-	probe := profs[1][0]
-	_ = ix.Candidates(probe, 0, s)
-	s.epoch = 1<<31 - 2 // next reset wraps
-	got := ix.Candidates(probe, 0, s)
-	if len(got) != 2 {
-		t.Fatalf("post-wrap candidates = %v, want both rows", got)
+	order := []int{7, 0, 6, 1, 5, 2, 4, 3, 3, 4, 2, 5, 1, 6, 0, 7}
+	for _, i := range order {
+		tb := &tables[i]
+		for k, pr := range probes {
+			want := bandWant(tb.cols[0], pr.p, pr.theta)
+			if got := tb.ixs[0].Candidates(pr.p, pr.theta, s); !slices.Equal(got, want) {
+				t.Fatalf("n=%d probe %d: Candidates %d rows, want %d", sizes[i], k, len(got), len(want))
+			}
+			// The second term probes the other column with the next probe.
+			next := probes[(k+1)%len(probes)]
+			want = append(want, bandWant(tb.cols[1], next.p, next.theta)...)
+			slices.Sort(want)
+			want = slices.Compact(want)
+			got := Union(tb.ixs, []*similarity.Profile{pr.p, next.p}, []float64{pr.theta, next.theta}, s)
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d probe %d: Union %d rows, want %d", sizes[i], k, len(got), len(want))
+			}
+		}
+	}
+}
+
+// unionFixture is a word-Jaccard index and a band over the same 4000 rows,
+// and probes for them: dense (θ = 0 on common words and a wide band) or
+// sparse (a tight θ and band).
+func unionFixture(dense bool) ([]*Index, [][]*similarity.Profile, []float64) {
+	rng := rand.New(rand.NewSource(23))
+	const n, nProbes = 4000, 64
+	profs := buildProfiles(genValues(rng, n), genValues(rng, nProbes))
+	ixs := []*Index{Build(JaccardWords, profs[0]), Build(BandRelDiff, priceColumn(rng, n))}
+	prices := priceColumn(rng, nProbes)
+	probes := make([][]*similarity.Profile, nProbes)
+	for i := range probes {
+		probes[i] = []*similarity.Profile{profs[1][i], prices[i]}
+	}
+	if dense {
+		return ixs, probes, []float64{0, 0.75}
+	}
+	return ixs, probes, []float64{0.9, 0.999}
+}
+
+// TestUnionZeroAllocSteadyState pins the probe's steady state: with the
+// scratch warm, Union allocates nothing, dense or sparse.
+func TestUnionZeroAllocSteadyState(t *testing.T) {
+	for _, dense := range []bool{true, false} {
+		ixs, probes, thetas := unionFixture(dense)
+		s := NewScratch()
+		sweep := func() {
+			for _, p := range probes {
+				Union(ixs, p, thetas, s)
+			}
+		}
+		sweep()
+		if n := testing.AllocsPerRun(5, sweep); n != 0 {
+			t.Errorf("dense=%v: a warm Union sweep allocates %v times, want 0", dense, n)
+		}
+	}
+}
+
+// BenchmarkUnion measures one probe of a two-term union (word Jaccard and a
+// band) over 4000 rows. dense keeps about a third of the rows, as
+// cit-index's probes keep ~29% of a shard; sparse a handful.
+func BenchmarkUnion(b *testing.B) {
+	for _, dense := range []bool{true, false} {
+		name := "sparse"
+		if dense {
+			name = "dense"
+		}
+		b.Run(name, func(b *testing.B) {
+			ixs, probes, thetas := unionFixture(dense)
+			s := NewScratch()
+			cands := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cands += len(Union(ixs, probes[i%len(probes)], thetas, s))
+			}
+			b.ReportMetric(float64(cands)/float64(b.N), "candidates/op")
+		})
 	}
 }
 
 func Example() {
-	rows := []*similarity.Profile{
-		similarity.NewProfile("kingston hyperx 4gb kit", similarity.FieldWordSet),
-		similarity.NewProfile("seagate barracuda drive", similarity.FieldWordSet),
-	}
-	probe := similarity.NewProfile("kingston hyperx kit 8gb", similarity.FieldWordSet)
-	// Word sets compare as ranks in one vocabulary over rows and probes.
-	corpus := similarity.ProfileCorpus(rows, []*similarity.Profile{probe})
-	for _, p := range append(rows, probe) {
-		corpus.RankProfile(p)
-	}
-	ix := Build(JaccardWords, rows)
-	fmt.Println(ix.Candidates(probe, 0.4, NewScratch()))
+	// Word sets compare as ranks in one vocabulary over rows and probes, so
+	// both sides are profiled as one column.
+	profs, _ := similarity.BuildColumn([][]string{
+		{"kingston hyperx 4gb kit", "seagate barracuda drive"},
+		{"kingston hyperx kit 8gb"},
+	}, [][]int{{1, 1}, {1}}, similarity.FieldWordSet)
+	ix := Build(JaccardWords, profs[0])
+	fmt.Println(ix.Candidates(profs[1][0], 0.4, NewScratch()))
 	// Output: [0]
 }

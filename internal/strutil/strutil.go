@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Normalize lowercases s, collapses runs of whitespace, and trims the ends.
@@ -15,44 +16,78 @@ import (
 func Normalize(s string) string {
 	var b strings.Builder
 	b.Grow(len(s))
-	space := false
-	started := false
+	NormalizeTo(&b, s)
+	return b.String()
+}
+
+// NormalizeTo writes Normalize(s) to b — or, with b nil, only measures it —
+// and returns its length. ASCII is cased and spaced by comparisons, any
+// other rune by unicode.IsSpace and unicode.ToLower.
+func NormalizeTo(b *strings.Builder, s string) int {
+	n, space := 0, false
 	for _, r := range s {
-		if unicode.IsSpace(r) {
-			space = started
+		if r == ' ' || '\t' <= r && r <= '\r' || r >= utf8.RuneSelf && unicode.IsSpace(r) {
+			space = n > 0
 			continue
 		}
 		if space {
-			b.WriteByte(' ')
-			space = false
+			if b != nil {
+				b.WriteByte(' ')
+			}
+			n, space = n+1, false
 		}
-		b.WriteRune(unicode.ToLower(r))
-		started = true
+		switch {
+		case r >= utf8.RuneSelf:
+			r = unicode.ToLower(r)
+			if b != nil {
+				b.WriteRune(r)
+			}
+			n += utf8.RuneLen(r)
+			continue
+		case 'A' <= r && r <= 'Z':
+			r += 'a' - 'A'
+		}
+		if b != nil {
+			b.WriteByte(byte(r))
+		}
+		n++
 	}
-	return b.String()
+	return n
 }
 
 // Words splits s into lowercase alphanumeric tokens, treating every other
 // rune as a separator. "HyperX 4GB Kit (2 x 2GB)" -> ["hyperx" "4gb" "kit"
 // "2" "x" "2gb"].
-func Words(s string) []string {
-	var toks []string
-	var b strings.Builder
-	flush := func() {
-		if b.Len() > 0 {
-			toks = append(toks, b.String())
-			b.Reset()
-		}
-	}
-	for _, r := range s {
+func Words(s string) []string { return AppendWords(nil, s) }
+
+// AppendWords appends Words(s) to dst. A token lowering leaves as it is —
+// every token of a Normalize result, as unicode.ToLower is idempotent — is
+// a substring of s; only the others are built anew.
+func AppendWords(dst []string, s string) []string {
+	start, lower := -1, true
+	for i, r := range s {
 		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			b.WriteRune(unicode.ToLower(r))
-		} else {
-			flush()
+			if start < 0 {
+				start, lower = i, true
+			}
+			lower = lower && !('A' <= r && r <= 'Z') && (r < utf8.RuneSelf || unicode.ToLower(r) == r)
+			continue
 		}
+		dst, start = appendWord(dst, s, start, i, lower), -1
 	}
-	flush()
-	return toks
+	return appendWord(dst, s, start, len(s), lower)
+}
+
+// appendWord appends the token s[start:end], if start ≥ 0, lowered unless it
+// already is.
+func appendWord(dst []string, s string, start, end int, lower bool) []string {
+	switch {
+	case start < 0:
+		return dst
+	case lower:
+		return append(dst, s[start:end])
+	}
+	return append(dst, strings.ToLower(s[start:end]))
 }
 
 // QGrams returns the padded q-grams of s (q >= 1). The string is padded with
@@ -127,27 +162,29 @@ func (in *Interner) Reset() {
 	in.Values = in.Values[:0]
 }
 
-// Trigrams returns the padded 3-grams of s — the grams of QGrams(s, 3), in
-// the same order — each packed into one word: three runes of 21 bits (a
-// rune is at most 0x10FFFF), first rune highest. Numeric order of the
-// packed grams equals the string order of the grams they stand for, and no
-// per-gram string is built.
-func Trigrams(s string) []uint64 {
+// Trigrams appends the padded 3-grams of s — the grams of QGrams(s, 3), in
+// the same order — to dst, each packed into one word: three runes of 21
+// bits (a rune is at most 0x10FFFF), first rune highest. Numeric order of
+// the packed grams equals the string order of the grams they stand for, and
+// no per-gram string is built.
+func Trigrams(dst []uint64, s string) []uint64 {
 	if s == "" {
-		return nil
+		return dst
 	}
 	const mask = 1<<63 - 1 // drops the rune that leaves the 3-gram window
-	out := make([]uint64, 0, len(s)+2)
 	g := uint64('#')<<21 | '#'
 	for _, r := range s {
-		g = (g<<21 | uint64(unicode.ToLower(r))) & mask
-		out = append(out, g)
+		if r >= utf8.RuneSelf || 'A' <= r && r <= 'Z' {
+			r = unicode.ToLower(r)
+		}
+		g = (g<<21 | uint64(r)) & mask
+		dst = append(dst, g)
 	}
 	for i := 0; i < 2; i++ {
 		g = (g<<21 | '#') & mask
-		out = append(out, g)
+		dst = append(dst, g)
 	}
-	return out
+	return dst
 }
 
 // SortedCounts sorts xs in place and returns its distinct values in

@@ -89,12 +89,12 @@ func TestQGramsCount(t *testing.T) {
 	}
 }
 
-// checkTrigrams asserts Trigrams(s) is QGrams(s, 3) gram for gram — each
+// checkTrigrams asserts Trigrams(nil, s) is QGrams(s, 3) gram for gram — each
 // word unpacks to the gram's three runes — and that comparing two packed
 // grams orders them as comparing the gram strings does.
 func checkTrigrams(t *testing.T, s string) {
 	t.Helper()
-	grams, packed := QGrams(s, 3), Trigrams(s)
+	grams, packed := QGrams(s, 3), Trigrams(nil, s)
 	if len(packed) != len(grams) {
 		t.Fatalf("Trigrams(%q) has %d grams, QGrams has %d", s, len(packed), len(grams))
 	}

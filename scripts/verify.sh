@@ -53,7 +53,8 @@ go test -race ./...
 
 # Fuzz smoke: every target `make fuzz` lists (pair codec and merge, the
 # rel_diff band index, pair and column kernels (Myers, Jaro, the set measures, the
-# edit column), the token-pair table, row sets,
+# edit column), the token-pair table, the column profile build and the string
+# primitives under it, CSV round trip and reader totality, row sets,
 # rule coverage by leaf, journal replay, model and spec decoders), 5 s each, so a change that breaks a decoder's totality or a
 # kernel's bit-identity fails here in seconds. The Makefile holds the list.
 make fuzz FUZZTIME=5s
