@@ -40,12 +40,15 @@ verify:
 # one kill at every durability boundary the job crosses, plus a tear
 # inside every append (tier-1 runs every 8th). The runsvc journal tests
 # ride along: torn-tail repair at every byte offset, the corruption
-# fallback ladder, the bounded-replay cost assertion, and compaction
-# retention. -count=1 forces a fresh run past the test cache.
+# fallback ladder, the bounded-replay cost assertion, compaction
+# retention, and the resume tests — finished noisy-crowd jobs resumed to
+# an identical Result with no crowd call, and degraded killed jobs whose
+# journaled answers the resumed accounting must still hold. -count=1
+# forces a fresh run past the test cache.
 chaos:
 	$(GO) test -race -count=1 -v -run 'TestChaosSchedules' ./internal/faultkit
 	CORLEONE_SWEEP_FULL=1 $(GO) test -race -count=1 -v -run 'TestDurabilityBoundarySweep' ./internal/faultkit
-	$(GO) test -race -count=1 -run 'TestSnapshot|TestStoreOpen|TestKillAndResume' ./internal/runsvc
+	$(GO) test -race -count=1 -run 'TestSnapshot|TestStoreOpen|TestKillAndResume|TestResume' ./internal/runsvc
 
 # Sharded-execution gate under the race detector: the blocker-level
 # equivalence/determinism tests, the shard runtime's own suite, the

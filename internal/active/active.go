@@ -229,16 +229,9 @@ func Learn(runner *crowd.Runner, pairs []record.Pair, X [][]float64,
 		}
 	}
 	// rowOf finds the pool row of a pair the crowd just labeled: one of the
-	// rows asked (the crowd returns them reordered, cached answers first)
-	// or, for a replayed batch recorded by a run that asked differently,
-	// any row of the pool.
+	// rows asked (the crowd returns them reordered, cached answers first).
 	rowOf := func(p record.Pair, asked []int) int {
 		for _, i := range asked {
-			if pairs[i] == p {
-				return i
-			}
-		}
-		for i := len(pairs) - 1; i >= 0; i-- {
 			if pairs[i] == p {
 				return i
 			}
@@ -293,7 +286,7 @@ func Learn(runner *crowd.Runner, pairs []record.Pair, X [][]float64,
 		for _, l := range labeled {
 			row := rowOf(l.Pair, batch)
 			if row < 0 {
-				return nil, fmt.Errorf("active: crowd labeled %v, which is not in the pool", l.Pair)
+				return nil, fmt.Errorf("active: crowd labeled %v, which was not asked", l.Pair)
 			}
 			consumed[row] = true
 			addExample(l, X[row])

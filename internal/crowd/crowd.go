@@ -144,6 +144,11 @@ type entry struct {
 	hasSeed bool   // a user-supplied seed label: authoritative, never re-asked
 }
 
+// seedEntry is the cache entry of a user-supplied seed label.
+func seedEntry(label bool) *entry {
+	return &entry{label: label, settled: PolicyStrong, voted: true, hasSeed: true}
+}
+
 // Runner engages the crowd: it owns the label cache, voting, HIT packing,
 // and accounting. Not safe for concurrent use; Corleone's control flow is
 // sequential between crowd calls, as the paper's is. Concurrent pipelines
@@ -154,22 +159,23 @@ type Runner struct {
 	cache map[record.Pair]*entry
 	acct  Accounting
 
-	// dirty tracks cache entries mutated since the last AppendLabels, so a
-	// journal can flush incrementally instead of rewriting the whole cache.
+	// paid holds the answers a journal restored for each pair
+	// (LoadLabelEntry). solicit serves them in order before it asks the
+	// crowd, so a resumed run re-derives every vote, HIT and accounting
+	// field of the run it continues. prepaid is set once chargeRestored has
+	// charged all of them; serving one after that is free.
+	paid    map[record.Pair][]bool
+	prepaid bool
+
+	// dirty tracks pairs that gained a live answer (or a seed) since the
+	// last AppendLabels, so a journal can flush incrementally instead of
+	// rewriting the whole cache. Serving a restored answer does not dirty
+	// a pair: the journal already holds it.
 	dirty map[record.Pair]struct{}
-	// sinceFlush counts pairs settled outside training batches since the
-	// last flush; once it reaches HITSize the runner treats it as a batch
-	// boundary and fires AfterBatch.
+	// sinceFlush counts pairs settled since the last flush; once a Label
+	// call brings it to HITSize the runner treats it as a batch boundary
+	// and fires AfterBatch.
 	sinceFlush int
-	// replay is the queue of recorded training batches to serve instead of
-	// live packing (see QueueReplayBatches).
-	replay [][]record.Pair
-	// inBatch is true while LabelTrainingBatch is labeling; it suppresses
-	// the every-HITSize flush boundary inside Label so labels never become
-	// durable mid-batch without their batch record — a crash in that window
-	// would otherwise make a resumed run pack HITs differently than the
-	// journaled history.
-	inBatch bool
 
 	// Retry bounds re-solicitation when the crowd implements CrowdErr.
 	// Unset fields select the defaults: 3 attempts, 50ms base wait, 1s cap
@@ -177,18 +183,10 @@ type Runner struct {
 	Retry retry.Policy
 
 	// AfterBatch, when non-nil, is called at crowd batch boundaries — after
-	// each training batch, after each LabelAll, and after every HITSize
-	// labels settled by individual Label calls. A journal flushes settled
-	// labels here so a killed process re-pays at most one batch.
+	// each training batch, and after every HITSize labels settled by
+	// individual Label calls. A journal flushes settled labels here so a
+	// killed process re-pays at most one batch.
 	AfterBatch func()
-	// OnBatch, when non-nil, is called with each live training batch right
-	// before AfterBatch, in the exact composition LabelTrainingBatch
-	// returned. A journal records the batch so a resumed run can replay the
-	// identical packing decisions (batch packing depends on cache state,
-	// which differs on resume — see QueueReplayBatches). It runs before
-	// AfterBatch so the batch record is durable before the batch's labels
-	// are (see finishBatch for why the order matters).
-	OnBatch func(batch []Labeled)
 	// Cancel, when non-nil, makes the runner stop engaging the crowd as
 	// soon as the channel closes: no further questions are solicited, and an
 	// answer returned by a crowd that observed the same cancellation (e.g. a
@@ -198,9 +196,6 @@ type Runner struct {
 	// run tops them up instead of trusting a partial majority.
 	Cancel <-chan struct{}
 }
-
-// Labeled aliases record.Labeled for hook signatures.
-type Labeled = record.Labeled
 
 // HITSize is the number of questions per HIT (§8.1).
 const HITSize = 10
@@ -228,7 +223,7 @@ func (r *Runner) SeedLabels(seeds []record.Labeled) {
 		if e, ok := r.cache[s.Pair]; ok && e.hasSeed && e.label == s.Match {
 			continue
 		}
-		r.cache[s.Pair] = &entry{label: s.Match, settled: PolicyStrong, voted: true, hasSeed: true}
+		r.cache[s.Pair] = seedEntry(s.Match)
 		r.markDirty(s.Pair)
 	}
 }
@@ -347,17 +342,26 @@ func (r *Runner) askCrowd(p record.Pair) (bool, error) {
 	return false, err
 }
 
-// solicit asks the crowd for one more answer on p and records it. It
-// reports whether an answer was actually recorded: when the runner is
-// canceled it neither contacts the crowd nor records anything, and an
-// answer that arrives while cancellation is in effect is discarded — a
-// canceled crowd adapter (e.g. platform.RemoteCrowd) may return a
-// fabricated answer, and recording one would corrupt the label cache and
-// accounting. A crowd failure that survives the retry budget also records
-// nothing and marks the accounting Degraded: the caller leaves the entry
-// unsettled, the run continues with the labels it has, and a later round
-// or a resumed session settles the pair.
+// solicit records one more answer on p and reports whether it did. While
+// p has restored answers left (see LoadLabelEntry) it serves the next one,
+// charging it until chargeRestored has; past them it asks the crowd. Past
+// them, a canceled runner neither contacts the crowd nor records
+// anything, and an answer that arrives while cancellation is in effect is
+// discarded — a canceled crowd adapter (e.g. platform.RemoteCrowd) may
+// return a fabricated answer, and recording one would corrupt the label
+// cache and accounting. A crowd failure that survives the retry budget
+// also records nothing and marks the accounting Degraded: the caller
+// leaves the entry unsettled, the run continues with the labels it has,
+// and a later round or a resumed session settles the pair.
 func (r *Runner) solicit(p record.Pair, e *entry) bool {
+	if paid := r.paid[p]; len(e.answers) < len(paid) {
+		e.answers = append(e.answers, paid[len(e.answers)])
+		if !r.prepaid {
+			r.charge()
+		}
+		return true
+	}
+	r.chargeRestored()
 	if r.canceled() {
 		return false
 	}
@@ -372,9 +376,42 @@ func (r *Runner) solicit(p record.Pair, e *entry) bool {
 		return false
 	}
 	e.answers = append(e.answers, a)
+	r.markDirty(p)
+	r.charge()
+	return true
+}
+
+// charge pays for one answer. Cost accumulates per answer, so it is
+// bit-identical however a run's answers are split across sessions.
+func (r *Runner) charge() {
 	r.acct.Answers++
 	r.acct.Cost += r.price
-	return true
+}
+
+// chargeRestored runs at the first question a resumed run cannot serve
+// from its restored answers — asked live, or refused because the run was
+// canceled. Up to there the run has retraced the journaled one and paid
+// for each restored answer as it re-asked it; from there it may take a
+// different path and never re-ask the rest. So every restored answer not
+// yet re-asked is charged now, its pair counted if this run never labeled
+// it, and re-asking it later is free. Every answer costs the same, so the
+// order of the charges does not matter.
+func (r *Runner) chargeRestored() {
+	if r.prepaid {
+		return
+	}
+	r.prepaid = true
+	for p, paid := range r.paid {
+		e, ok := r.cache[p]
+		if !ok {
+			e = &entry{}
+			r.cache[p] = e
+			r.acct.Pairs++
+		}
+		for i := len(e.answers); i < len(paid); i++ {
+			r.charge()
+		}
+	}
 }
 
 // abortVoting ends a Label call interrupted by cancellation or by a crowd
@@ -407,16 +444,31 @@ func majority(answers []bool) (label bool, lead int) {
 
 // Label returns the crowd label for p under the given policy, soliciting
 // only as many new answers as the cache requires (§8.3). The first time a
-// pair is labeled it counts toward Accounting.Pairs.
+// pair is labeled it counts toward Accounting.Pairs. Individual Label
+// calls (rule evaluation, estimation sampling) have no explicit batch
+// structure, so every HITSize settles are a batch boundary: journals
+// flush at the same granularity as posted HITs.
 func (r *Runner) Label(p record.Pair, policy Policy) bool {
+	lbl := r.label(p, policy)
+	if r.sinceFlush >= HITSize {
+		r.batchBoundary()
+	}
+	return lbl
+}
+
+// label is Label without the boundary: it counts a settle in sinceFlush
+// and leaves the flush to its caller, so a training batch flushes once, at
+// its end.
+func (r *Runner) label(p record.Pair, policy Policy) bool {
 	e, ok := r.cache[p]
-	if ok && (e.hasSeed || r.satisfies(e, policy)) {
+	if ok && r.satisfies(e, policy) {
 		return e.label
 	}
 	if r.canceled() {
 		// A canceled run must not engage the crowd or record new state;
 		// return the best cached information. Callers discard results
 		// produced after cancellation anyway.
+		r.chargeRestored()
 		if ok {
 			return e.label
 		}
@@ -427,7 +479,6 @@ func (r *Runner) Label(p record.Pair, policy Policy) bool {
 		r.cache[p] = e
 		r.acct.Pairs++
 	}
-	r.markDirty(p)
 
 	// Phase 1: 2+1. Reuse cached answers; top up to two, then break ties.
 	for len(e.answers) < 2 {
@@ -457,31 +508,8 @@ func (r *Runner) Label(p record.Pair, policy Policy) bool {
 	}
 	e.label = lbl
 	e.voted = true
-	// Individual Label calls (rule evaluation, estimation sampling) have no
-	// explicit batch structure; treat every HITSize settles as a boundary so
-	// journals flush at the same granularity as posted HITs. Suppressed
-	// inside a training batch: its labels must not become durable before the
-	// batch record is (see finishBatch).
 	r.sinceFlush++
-	if r.sinceFlush >= HITSize && !r.inBatch {
-		r.batchBoundary()
-	}
 	return lbl
-}
-
-// LabelAll labels every pair under the policy and returns them in input
-// order, then closes a batch boundary (AfterBatch). No pipeline stage calls
-// it: rule evaluation and accuracy estimation label pair by pair through
-// Label.
-func (r *Runner) LabelAll(pairs []record.Pair, policy Policy) []record.Labeled {
-	out := make([]record.Labeled, len(pairs))
-	for i, p := range pairs {
-		out[i] = record.Labeled{Pair: p, Match: r.Label(p, policy)}
-	}
-	if len(pairs) > 0 {
-		r.batchBoundary()
-	}
-	return out
 }
 
 // LabelTrainingBatch implements the §8.3 HIT-packing semantics for an
@@ -493,25 +521,10 @@ func (r *Runner) LabelAll(pairs []record.Pair, policy Policy) []record.Labeled {
 //     them if fewer remain), label them, and return them plus the k cached.
 //   - k == 0 and len(pairs) == 20: the normal case — two full HITs.
 //
-// The returned batch is what the matcher trains on this iteration.
-//
-// When a replay queue is loaded (QueueReplayBatches), the recorded batch
-// composition is served instead: packing depends on which pairs are cached,
-// and a resumed run's cache holds labels the original run had not yet paid
-// for at the same point, so live packing would diverge from the journaled
-// trajectory.
+// The returned batch is what the matcher trains on this iteration. The
+// batch is one boundary (AfterBatch), fired after its last label.
 func (r *Runner) LabelTrainingBatch(pairs []record.Pair, policy Policy) []record.Labeled {
-	r.inBatch = true
-	defer func() { r.inBatch = false }()
-	if len(r.replay) > 0 {
-		rec := r.replay[0]
-		r.replay = r.replay[1:]
-		out := make([]record.Labeled, len(rec))
-		for i, p := range rec {
-			out[i] = record.Labeled{Pair: p, Match: r.Label(p, policy)}
-		}
-		return out
-	}
+	defer r.batchBoundary()
 	var cached []record.Labeled
 	var fresh []record.Pair
 	for _, p := range pairs {
@@ -522,7 +535,6 @@ func (r *Runner) LabelTrainingBatch(pairs []record.Pair, policy Policy) []record
 		}
 	}
 	if len(cached) > HITSize || len(fresh) == 0 {
-		r.finishBatch(cached)
 		return cached
 	}
 	// Pack complete HITs out of the uncached examples. With the nominal
@@ -533,37 +545,8 @@ func (r *Runner) LabelTrainingBatch(pairs []record.Pair, policy Policy) []record
 	}
 	out := cached
 	for i := 0; i < want; i++ {
-		out = append(out, record.Labeled{Pair: fresh[i], Match: r.Label(fresh[i], policy)})
+		out = append(out, record.Labeled{Pair: fresh[i], Match: r.label(fresh[i], policy)})
 	}
 	r.acct.HITs += (want + HITSize - 1) / HITSize
-	r.finishBatch(out)
 	return out
 }
-
-// finishBatch runs the batch-boundary hooks for a live training batch:
-// OnBatch first, with the batch composition (journals make the batch
-// record durable), then AfterBatch via batchBoundary (journals flush the
-// batch's labels). The order closes a crash window: were labels durable
-// before the batch record, a crash between the two would let a resumed run
-// find the pairs cached and pack HITs differently than the journaled
-// history. The inverse window — batch record durable, labels lost — is
-// harmless: the recorded batch replays through the queue and its
-// unjournaled answers are re-solicited live.
-func (r *Runner) finishBatch(out []record.Labeled) {
-	if r.OnBatch != nil {
-		r.OnBatch(out)
-	}
-	r.batchBoundary()
-}
-
-// QueueReplayBatches loads recorded training-batch compositions (oldest
-// first) to be served by the next LabelTrainingBatch calls in order. Used on
-// resume together with LoadLabelEntry: labels make replayed questions free,
-// the batch log makes replayed packing exact, so a resumed run retraces the
-// journaled trajectory deterministically before going live.
-func (r *Runner) QueueReplayBatches(batches [][]record.Pair) {
-	r.replay = append(r.replay, batches...)
-}
-
-// ReplayPending reports how many recorded batches have not been served yet.
-func (r *Runner) ReplayPending() int { return len(r.replay) }

@@ -278,18 +278,6 @@ func TestCachedQuery(t *testing.T) {
 	}
 }
 
-func TestLabelAll(t *testing.T) {
-	r := NewRunner(&Oracle{Truth: truth2()}, 0.01)
-	pairs := []record.Pair{record.P(0, 0), record.P(0, 1), record.P(1, 1)}
-	got := r.LabelAll(pairs, Policy21)
-	want := []bool{true, false, true}
-	for i := range pairs {
-		if got[i].Pair != pairs[i] || got[i].Match != want[i] {
-			t.Errorf("LabelAll[%d] = %+v", i, got[i])
-		}
-	}
-}
-
 func TestAllLabeledSortedAndComplete(t *testing.T) {
 	r := NewRunner(&Oracle{Truth: truth2()}, 0.01)
 	r.SeedLabels([]record.Labeled{{Pair: record.P(5, 5), Match: false}})

@@ -6,98 +6,32 @@ import (
 	"github.com/corleone-em/corleone/internal/record"
 )
 
-// TestBatchHooks verifies the journal hooks fire at batch boundaries: after
-// every live training batch (with its composition), and after every HITSize
-// labels settled by individual Label calls.
+// TestBatchHooks verifies the journal hook fires at batch boundaries: once
+// after every training batch, however many labels it settles, and after
+// every HITSize labels settled by individual Label calls.
 func TestBatchHooks(t *testing.T) {
 	truth := truth2()
 	r := NewRunner(&Oracle{Truth: truth}, 0.01)
 	var boundaries int
-	var batches [][]record.Labeled
 	r.AfterBatch = func() { boundaries++ }
-	r.OnBatch = func(b []Labeled) {
-		cp := make([]record.Labeled, len(b))
-		copy(cp, b)
-		batches = append(batches, cp)
+
+	// Two full HITs settle 2×HITSize labels: still one boundary, at the end.
+	var req []record.Pair
+	for b := 0; b < 2*HITSize; b++ {
+		req = append(req, record.P(0, b+2))
+	}
+	if out := r.LabelTrainingBatch(req, Policy21); len(out) != len(req) {
+		t.Fatalf("training batch labeled %d of %d", len(out), len(req))
+	}
+	if boundaries != 1 {
+		t.Fatalf("training batch fired %d boundaries, want 1", boundaries)
 	}
 
-	req := []record.Pair{record.P(0, 0), record.P(0, 1), record.P(1, 1)}
-	out := r.LabelTrainingBatch(req, Policy21)
-	if boundaries != 1 || len(batches) != 1 {
-		t.Fatalf("training batch fired %d boundaries, %d batch records; want 1, 1",
-			boundaries, len(batches))
-	}
-	if len(batches[0]) != len(out) {
-		t.Errorf("OnBatch saw %d labels, batch returned %d", len(batches[0]), len(out))
-	}
-
-	// HITSize individual settles count as one boundary (no batch record).
+	// HITSize individual settles count as one boundary.
 	for i := 0; i < HITSize; i++ {
 		r.Label(record.P(2, i), Policy21)
 	}
 	if boundaries != 2 {
 		t.Errorf("%d boundaries after %d individual labels, want 2", boundaries, HITSize)
-	}
-	if len(batches) != 1 {
-		t.Errorf("individual labels produced a batch record")
-	}
-
-	// LabelAll is a boundary of its own.
-	r.LabelAll([]record.Pair{record.P(3, 0), record.P(3, 1)}, Policy21)
-	if boundaries != 3 {
-		t.Errorf("%d boundaries after LabelAll, want 3", boundaries)
-	}
-}
-
-// TestReplayBatches verifies that queued batch records are served verbatim,
-// from cache, without consulting live packing — the resume path.
-func TestReplayBatches(t *testing.T) {
-	truth := truth2()
-
-	// Original session: label a batch, record its composition.
-	r1 := NewRunner(&Oracle{Truth: truth}, 0.01)
-	var recorded [][]record.Pair
-	r1.OnBatch = func(b []Labeled) {
-		ps := make([]record.Pair, len(b))
-		for i, l := range b {
-			ps[i] = l.Pair
-		}
-		recorded = append(recorded, ps)
-	}
-	req := []record.Pair{record.P(0, 0), record.P(0, 1), record.P(1, 0), record.P(1, 1)}
-	orig := r1.LabelTrainingBatch(req, Policy21)
-
-	// Resumed session: labels restored, batch queued for replay. The
-	// request deliberately differs (extra pair) — replay must ignore it and
-	// serve the recorded composition.
-	r2 := NewRunner(&Oracle{Truth: truth}, 0.01)
-	for _, l := range orig {
-		r2.cache[l.Pair] = r1.cache[l.Pair]
-	}
-	r2.QueueReplayBatches(recorded)
-	if r2.ReplayPending() != 1 {
-		t.Fatalf("ReplayPending = %d, want 1", r2.ReplayPending())
-	}
-	got := r2.LabelTrainingBatch(append(req, record.P(5, 5)), Policy21)
-	if r2.ReplayPending() != 0 {
-		t.Errorf("replay queue not consumed")
-	}
-	if len(got) != len(orig) {
-		t.Fatalf("replayed batch has %d labels, original %d", len(got), len(orig))
-	}
-	for i := range got {
-		if got[i] != orig[i] {
-			t.Errorf("replayed label %d = %+v, original %+v", i, got[i], orig[i])
-		}
-	}
-	if st := r2.Stats(); st.Answers != 0 || st.Cost != 0 {
-		t.Errorf("replaying a journaled batch cost money: %+v", st)
-	}
-
-	// After the queue drains, live packing resumes.
-	live := r2.LabelTrainingBatch([]record.Pair{record.P(6, 6)}, Policy21)
-	if len(live) != 1 || r2.Stats().Answers == 0 {
-		t.Errorf("live packing did not resume after replay: %d labels, %+v",
-			len(live), r2.Stats())
 	}
 }

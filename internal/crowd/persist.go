@@ -4,105 +4,67 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 
 	"github.com/corleone-em/corleone/internal/record"
 )
 
-// savedEntry is the serialized form of one cached labeling.
+// savedEntry is the journal form of one pair: every answer paid for it, in
+// the order it was asked, or, for a user-supplied seed, its label. No vote
+// state is stored — a resumed run re-derives the vote by re-asking the
+// pair (see LoadLabelEntry).
 type savedEntry struct {
 	A       int32  `json:"a"`
 	B       int32  `json:"b"`
 	Answers []bool `json:"answers,omitempty"`
-	Label   bool   `json:"label"`
-	Settled int    `json:"settled"`
 	Seed    bool   `json:"seed,omitempty"`
+	Label   bool   `json:"label,omitempty"`
 }
 
-// voteStateUnsettled is the Settled encoding for an entry whose votes are
-// still in flight: answers were collected but no stopping rule completed
-// (a cancel interrupted voting). Such entries never serve from cache; a
-// resumed run tops their votes up.
-const voteStateUnsettled = -1
-
-// voteState encodes an entry's settle state for serialization.
-func voteState(e *entry) int {
-	if !e.voted && !e.hasSeed {
-		return voteStateUnsettled
+// saved is the one entry codec behind the journal's incremental flush
+// (AppendLabels) and its compaction dump (DumpLabelLog). A pair's answers
+// are the longer of what this run asked and what the journal restored:
+// one is always a prefix of the other, because solicit serves every
+// restored answer before it asks the crowd.
+func (r *Runner) saved(p record.Pair) savedEntry {
+	s := savedEntry{A: p.A, B: p.B, Answers: r.paid[p]}
+	if e, ok := r.cache[p]; ok {
+		if e.hasSeed {
+			return savedEntry{A: p.A, B: p.B, Seed: true, Label: e.label}
+		}
+		if len(e.answers) > len(s.Answers) {
+			s.Answers = e.answers
+		}
 	}
-	return int(e.settled)
+	return s
 }
 
-// saved is the serialized form of one cache entry — the one entry codec
-// behind SaveLabels, the journal's incremental flush (AppendLabels) and
-// its compaction dump (DumpLabelLog).
-func saved(p record.Pair, e *entry) savedEntry {
-	return savedEntry{
-		A:       p.A,
-		B:       p.B,
-		Answers: e.answers,
-		Label:   e.label,
-		Settled: voteState(e),
-		Seed:    e.hasSeed,
-	}
-}
-
-// entry decodes the serialized form, rejecting vote states no writer
-// produces.
-func (s savedEntry) entry() (*entry, error) {
-	if s.Settled < voteStateUnsettled || s.Settled > int(PolicyHybrid) {
-		return nil, fmt.Errorf("crowd: entry %d:%d has invalid vote state %d", s.A, s.B, s.Settled)
-	}
-	settled := Policy(s.Settled)
-	if s.Settled == voteStateUnsettled {
-		settled = Policy21
-	}
-	return &entry{
-		answers: s.Answers,
-		label:   s.Label,
-		settled: settled,
-		voted:   s.Settled != voteStateUnsettled,
-		hasSeed: s.Seed,
-	}, nil
-}
-
-// SaveLabels serializes the runner's label cache (every answer collected,
-// vote states, seeds) as JSON. Crowd labels are paid for; persisting them
-// lets a resumed or re-configured run reuse them at zero cost — the §8.3
-// cache made durable.
-func (r *Runner) SaveLabels(w io.Writer) error {
-	var out []savedEntry
-	for _, l := range r.AllLabeled() {
-		out = append(out, saved(l.Pair, r.cache[l.Pair]))
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(out)
-}
-
-// emitEntries hands emit the encoding of each listed pair's cache entry,
-// one JSON object per call; the bytes are only valid during the call.
-// Callers pass the pairs sorted, so the output is deterministic.
-func (r *Runner) emitEntries(pairs []record.Pair, emit func(entry []byte)) {
+// emitEntries hands emit the encoding of each listed pair's entry, one
+// JSON object per call; the bytes are only valid during the call. Callers
+// pass the pairs sorted, so the output is deterministic. Returns the
+// number of answers emitted.
+func (r *Runner) emitEntries(pairs []record.Pair, emit func(entry []byte)) (answers int) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	for _, p := range pairs {
 		buf.Reset()
+		s := r.saved(p)
 		// savedEntry holds only integers, booleans and a bool slice, and a
 		// bytes.Buffer never fails a write, so Encode cannot fail here.
-		if err := enc.Encode(saved(p, r.cache[p])); err != nil {
+		if err := enc.Encode(s); err != nil {
 			panic(fmt.Sprintf("crowd: encode cache entry %v: %v", p, err))
 		}
 		emit(buf.Bytes()[:buf.Len()-1]) // without Encode's trailing newline
+		answers += len(s.Answers)
 	}
+	return answers
 }
 
-// AppendLabels emits every cache entry mutated since the last call — the
-// incremental form of SaveLabels for append-only journals — and clears
-// the dirty set. Unsettled in-flight entries (answers solicited but the
-// policy's stopping rule not yet met) are emitted too, so a resumed run
-// tops up their votes instead of re-paying from scratch. Returns the
-// number of entries emitted.
+// AppendLabels emits the entry of every pair that gained a live answer
+// (or a seed) since the last call — the incremental journal flush — and
+// clears the dirty set. Each entry carries the pair's cumulative answers,
+// unsettled in-flight votes included, so a resumed run tops them up
+// instead of re-paying from scratch. Returns the number of entries
+// emitted.
 func (r *Runner) AppendLabels(emit func(entry []byte)) int {
 	r.sinceFlush = 0
 	pairs := make([]record.Pair, 0, len(r.dirty))
@@ -115,111 +77,68 @@ func (r *Runner) AppendLabels(emit func(entry []byte)) int {
 	return len(pairs)
 }
 
-// DumpLabelLog emits the runner's entire label cache — every entry, not
-// just the dirty set — in the AppendLabels encoding. It is the compaction
-// form of the label log: feeding the dump back through LoadLabelEntry
-// restores the full cache and the full accounting (answers, pairs, cost)
-// bit-identically, so a snapshot built from it can replace an arbitrarily
-// long log prefix. The dirty set is left untouched: dumping is not
-// flushing, and entries mutated since the last append still belong to the
-// next incremental flush. Returns the number of entries emitted.
-func (r *Runner) DumpLabelLog(emit func(entry []byte)) int {
-	pairs := make([]record.Pair, 0, len(r.cache))
-	for p := range r.cache {
-		pairs = append(pairs, p)
+// DumpLabelLog emits every pair the runner holds answers for — asked this
+// run or restored and not yet re-asked — and every seed, in the
+// AppendLabels encoding. It is the compaction form of the label log:
+// feeding the dump back through LoadLabelEntry restores the same entries,
+// so a snapshot built from it can replace an arbitrarily long log prefix.
+// The dirty set is left untouched: dumping is not flushing. Returns the
+// number of entries and of answers emitted.
+func (r *Runner) DumpLabelLog(emit func(entry []byte)) (entries, answers int) {
+	pairs := make([]record.Pair, 0, len(r.cache)+len(r.paid))
+	for p, e := range r.cache {
+		if e.hasSeed || len(e.answers) > 0 {
+			pairs = append(pairs, p)
+		}
+	}
+	for p := range r.paid {
+		if e, ok := r.cache[p]; !ok || !e.hasSeed && len(e.answers) == 0 {
+			pairs = append(pairs, p)
+		}
 	}
 	record.SortPairs(pairs)
-	r.emitEntries(pairs, emit)
-	return len(pairs)
+	return len(pairs), r.emitEntries(pairs, emit)
 }
 
-// LoadLabelEntry replays one entry emitted by AppendLabels or
-// DumpLabelLog. A later entry supersedes an earlier one for the same pair
-// (an entry is re-emitted whenever it gains answers or settles harder).
-// Loaded entries do not count as dirty — they are already durable.
+// LoadLabelEntry restores one entry emitted by AppendLabels or
+// DumpLabelLog into a runner before its run starts. A seed enters the
+// cache. A pair's answers go to the runner's restored answers, not the
+// cache: the run re-asks the pair exactly when the journaled run did, and
+// solicit then serves the restored answers in order and charges each one
+// as it serves it. So the resumed run re-derives every vote, HIT packing,
+// Accounting field and phase count of the run it continues, and its
+// Config.Budget caps cumulative spend across kills. chargeRestored covers
+// the restored answers a resumed run never re-asks.
 //
-// Replay restores the full accounting, not just the cache: every journaled
-// answer was paid for by an earlier session of the SAME job, so Answers
-// and Cost (answers × the runner's price) resume where the killed process
-// left off — a resumed run's Config.Budget caps cumulative spend, not
-// per-process spend. (Cross-job label reuse goes through LoadLabels, which
-// deliberately adds no cost.)
-//
-// Replay is monotonic per pair: an entry carrying strictly fewer answers
-// than the cache already holds for its pair is skipped outright. Genuine
-// histories only ever grow a pair's answer set, so such an entry is stale
-// history replayed on top of state that already covers it; applying it
-// would regress the cache and let the pair's next cumulative entry
-// re-charge answers already restored. Skipping keeps every delta
-// non-negative, so over-replay of covered history charges exactly zero.
+// A later entry supersedes an earlier one for the same pair (an entry is
+// re-emitted whenever the pair gains answers); one carrying no more
+// answers than are already restored is stale history and skipped, so
+// over-replay of covered history restores nothing twice.
 func (r *Runner) LoadLabelEntry(buf []byte) error {
 	var s savedEntry
 	if err := json.Unmarshal(buf, &s); err != nil {
 		return fmt.Errorf("crowd: load label entry: %w", err)
 	}
-	e, err := s.entry()
-	if err != nil {
-		return err
-	}
 	p := record.Pair{A: s.A, B: s.B}
-	prev, exists := r.cache[p]
-	paid := len(e.answers)
 	switch {
-	case !exists:
-		// Seeds are excluded: a live run never counts them either.
-		if !e.hasSeed {
-			r.acct.Pairs++
+	case s.Seed && len(s.Answers) == 0:
+		r.cache[p] = seedEntry(s.Label)
+	case s.Seed || s.Label || len(s.Answers) == 0:
+		return fmt.Errorf("crowd: entry %d:%d is neither a seed label nor a list of answers", s.A, s.B)
+	case len(s.Answers) > len(r.paid[p]):
+		if r.paid == nil {
+			r.paid = make(map[record.Pair][]bool)
 		}
-	case paid < len(prev.answers):
-		return nil // stale: see the monotonicity note above
-	default:
-		// A superseding entry carries the pair's cumulative answers; only
-		// the delta beyond what is already restored is newly paid spend.
-		paid -= len(prev.answers)
+		r.paid[p] = s.Answers
 	}
-	r.acct.Answers += paid
-	// Accumulate per answer, exactly as solicit does, so a resumed run's
-	// Cost is bit-identical to the uninterrupted run's.
-	for i := 0; i < paid; i++ {
-		r.acct.Cost += r.price
-	}
-	r.cache[p] = e
 	return nil
 }
 
-// RestoreHITs raises the HIT counter to n, a journaled cumulative count.
-// Used on resume: replayed training batches serve from cache and never
-// re-post HITs, so the counter is restored from the journal instead of
-// recounted.
-func (r *Runner) RestoreHITs(n int) {
-	if n > r.acct.HITs {
-		r.acct.HITs = n
+// Restored reports the answers and pairs LoadLabelEntry has restored: the
+// journaled spend a resumed run is charged again as it re-asks them.
+func (r *Runner) Restored() (answers, pairs int) {
+	for _, a := range r.paid {
+		answers += len(a)
 	}
-}
-
-// LoadLabels merges previously saved labels into the cache. Existing
-// entries are kept (the live cache may have more answers than the file).
-// Returns the number of entries loaded.
-func (r *Runner) LoadLabels(rd io.Reader) (int, error) {
-	var in []savedEntry
-	if err := json.NewDecoder(rd).Decode(&in); err != nil {
-		return 0, fmt.Errorf("crowd: load labels: %w", err)
-	}
-	n := 0
-	for _, s := range in {
-		p := record.Pair{A: s.A, B: s.B}
-		if _, exists := r.cache[p]; exists {
-			continue
-		}
-		e, err := s.entry()
-		if err != nil {
-			return n, err
-		}
-		r.cache[p] = e
-		// Loaded labels were paid for in an earlier session; they count as
-		// labeled pairs for reporting but add no new cost.
-		r.acct.Pairs++
-		n++
-	}
-	return n, nil
+	return answers, len(r.paid)
 }

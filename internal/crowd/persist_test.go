@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 
 	"github.com/corleone-em/corleone/internal/record"
@@ -25,75 +24,40 @@ func (l entryLog) load(t *testing.T, r *Runner) {
 	}
 }
 
-func TestSaveLoadLabels(t *testing.T) {
-	truth := truth2()
-	r1 := NewRunner(&Oracle{Truth: truth}, 0.01)
-	r1.SeedLabels([]record.Labeled{{Pair: record.P(9, 9), Match: true}})
-	r1.Label(record.P(0, 0), PolicyHybrid) // positive, strong-settled
-	r1.Label(record.P(0, 1), Policy21)     // negative, 2+1-settled
-
-	var buf bytes.Buffer
-	if err := r1.SaveLabels(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	r2 := NewRunner(&Oracle{Truth: truth}, 0.01)
-	n, err := r2.LoadLabels(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("loaded %d entries, want 3", n)
-	}
-	// Cached labels must serve without soliciting new answers.
-	if lbl := r2.Label(record.P(0, 0), PolicyHybrid); !lbl {
-		t.Error("restored positive label lost")
-	}
-	if lbl := r2.Label(record.P(0, 1), Policy21); lbl {
-		t.Error("restored negative label lost")
-	}
-	if lbl := r2.Label(record.P(9, 9), PolicyStrong); !lbl {
-		t.Error("restored seed label lost")
-	}
-	if r2.Stats().Answers != 0 || r2.Stats().Cost != 0 {
-		t.Errorf("restored labels cost money: %+v", r2.Stats())
-	}
-	// A 2+1 negative does NOT satisfy strong; upgrading solicits answers.
-	r2.Label(record.P(0, 1), PolicyStrong)
-	if r2.Stats().Answers == 0 {
-		t.Error("strong upgrade of a 2+1 label should solicit answers")
-	}
+// callCounter is an oracle crowd that counts the questions it is asked.
+type callCounter struct {
+	Oracle
+	calls int
 }
 
-func TestLoadLabelsKeepsExisting(t *testing.T) {
-	truth := truth2()
-	r1 := NewRunner(&Oracle{Truth: truth}, 0.01)
-	r1.Label(record.P(0, 0), Policy21)
-	var buf bytes.Buffer
-	if err := r1.SaveLabels(&buf); err != nil {
-		t.Fatal(err)
+func (c *callCounter) Answer(p record.Pair) bool {
+	c.calls++
+	return c.Oracle.Answer(p)
+}
+
+// priceOf is the cost of n answers accumulated one at a time, as the
+// runner accumulates it.
+func priceOf(n int, price float64) float64 {
+	cost := 0.0
+	for i := 0; i < n; i++ {
+		cost += price
 	}
-	// r2 already has a conflicting (seed) label; load must not clobber it.
-	r2 := NewRunner(&Oracle{Truth: truth}, 0.01)
-	r2.SeedLabels([]record.Labeled{{Pair: record.P(0, 0), Match: false}})
-	if _, err := r2.LoadLabels(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if lbl := r2.Label(record.P(0, 0), Policy21); lbl {
-		t.Error("load clobbered an existing entry")
-	}
+	return cost
 }
 
 // TestAppendLabelsRoundTripInFlight covers the incremental journal path
-// with entries in every vote state, including unsettled in-flight votes —
-// answers solicited but the stopping rule not yet met — which SaveLabels'
-// settled-only snapshot never carries.
+// with a seed, settled entries and an unsettled in-flight vote, and the
+// resume contract on the replaying side: re-asking a restored pair makes
+// no crowd call and charges its answers in order at the runner's price; a
+// pair goes live only past its restored answers; and at that first live
+// question every restored answer not yet re-asked is charged at once and
+// served free afterwards.
 func TestAppendLabelsRoundTripInFlight(t *testing.T) {
 	truth := truth2()
 	r1 := NewRunner(&Oracle{Truth: truth}, 0.01)
 	r1.SeedLabels([]record.Labeled{{Pair: record.P(9, 9), Match: true}})
-	r1.Label(record.P(0, 0), PolicyHybrid) // positive, strong-settled
-	r1.Label(record.P(0, 1), Policy21)     // negative, 2+1-settled
+	r1.Label(record.P(0, 0), PolicyHybrid) // positive, strong-settled: 3 answers
+	r1.Label(record.P(0, 1), Policy21)     // negative, 2+1-settled: 2 answers
 	// An in-flight entry: one vote collected, crash before the second.
 	r1.cache[record.P(1, 2)] = &entry{answers: []bool{false}}
 	r1.markDirty(record.P(1, 2))
@@ -107,42 +71,54 @@ func TestAppendLabelsRoundTripInFlight(t *testing.T) {
 		t.Fatalf("re-append wrote %d entries, want 0", n)
 	}
 
-	r2 := NewRunner(&Oracle{Truth: truth}, 0.01)
+	c := &callCounter{Oracle: Oracle{Truth: truth}}
+	r2 := NewRunner(c, 0.01)
 	log.load(t, r2)
-	// Settled entries serve without re-soliciting, and replay restores the
-	// journaled spend (every logged answer was paid for by the same job):
-	// 6 answers across the three crowd-voted entries, none for the seed.
-	restored := r2.Stats()
-	if restored.Answers != 6 || math.Abs(restored.Cost-0.06) > 1e-9 {
-		t.Errorf("restored accounting = %+v, want 6 answers at $0.06", restored)
+	if answers, pairs := r2.Restored(); answers != 6 || pairs != 3 {
+		t.Errorf("restored %d answers over %d pairs, want 6 over 3 (seed excluded)", answers, pairs)
 	}
-	if restored.Pairs != 3 {
-		t.Errorf("restored Pairs = %d, want 3 (seed excluded)", restored.Pairs)
+	if st := r2.Stats(); st != (Accounting{}) {
+		t.Errorf("restore alone charged %+v; answers are charged as they are re-asked", st)
 	}
-	if lbl := r2.Label(record.P(0, 0), PolicyHybrid); !lbl {
-		t.Error("restored positive label lost")
+
+	// Re-asking a restored pair serves its answers in order and charges
+	// each at the runner's price; the seed stays free.
+	if !r2.Label(record.P(0, 0), PolicyHybrid) || !r2.Label(record.P(9, 9), PolicyStrong) {
+		t.Error("restored positive or seed label lost")
 	}
-	if lbl := r2.Label(record.P(9, 9), PolicyStrong); !lbl {
-		t.Error("restored seed label lost")
+	if st := r2.Stats(); c.calls != 0 || st.Answers != 3 || st.Pairs != 1 ||
+		math.Float64bits(st.Cost) != math.Float64bits(priceOf(3, 0.01)) {
+		t.Errorf("re-asking (0,0): %d crowd calls, accounting %+v; want 0 calls, 3 answers over 1 pair", c.calls, st)
 	}
-	if st := r2.Stats(); st.Answers != restored.Answers || st.Cost != restored.Cost {
-		t.Errorf("serving restored labels solicited new answers: %+v", st)
+
+	// The in-flight pair tops up from its surviving vote: one answer
+	// served, one asked live. That first live question charges the 2
+	// restored answers of (0,1), which this run has not re-asked yet.
+	if r2.Label(record.P(1, 2), Policy21) {
+		t.Error("in-flight negative settled positive")
 	}
-	// The in-flight entry must not satisfy any policy yet...
-	if _, ok := r2.Cached(record.P(1, 2), Policy21); ok {
-		t.Error("in-flight entry served as settled")
+	if st := r2.Stats(); c.calls != 1 || st.Answers != 7 || st.Pairs != 3 {
+		t.Errorf("after the first live question: %d crowd calls, accounting %+v; want 1 call, 7 answers over 3 pairs",
+			c.calls, st)
 	}
-	// ...and settling it tops up from the surviving vote instead of
-	// starting over: one more answer reaches the two 2+1 needs.
-	r2.Label(record.P(1, 2), Policy21)
-	if got := r2.Stats().Answers - restored.Answers; got != 1 {
-		t.Errorf("topping up an in-flight 1-vote entry took %d answers, want 1", got)
+	// ...and (0,1), already charged, is served free.
+	if r2.Label(record.P(0, 1), Policy21) {
+		t.Error("restored negative label lost")
+	}
+	if st := r2.Stats(); c.calls != 1 || st.Answers != 7 || st.Pairs != 3 ||
+		math.Float64bits(st.Cost) != math.Float64bits(priceOf(7, 0.01)) {
+		t.Errorf("re-asking a charged pair: %d crowd calls, accounting %+v; want it free", c.calls, st)
+	}
+	// Only the pair that gained a live answer is journaled again.
+	var again entryLog
+	if n := r2.AppendLabels(again.emit); n != 1 || string(again[0]) != `{"a":1,"b":2,"answers":[false,false]}` {
+		t.Errorf("resumed runner appended %d entries %q, want the topped-up in-flight pair alone", n, again)
 	}
 }
 
 // TestAppendLabelsSupersede verifies append-only update semantics: when an
 // entry gains answers and is re-appended, replaying the log keeps the
-// latest version.
+// latest version, and re-asking the pair charges each answer once.
 func TestAppendLabelsSupersede(t *testing.T) {
 	truth := truth2()
 	r1 := NewRunner(&Oracle{Truth: truth}, 0.01)
@@ -152,32 +128,27 @@ func TestAppendLabelsSupersede(t *testing.T) {
 	r1.Label(record.P(0, 1), PolicyStrong) // upgraded: more answers
 	r1.AppendLabels(log.emit)
 
-	r2 := NewRunner(&Oracle{Truth: truth}, 0.01)
+	c := &callCounter{Oracle: Oracle{Truth: truth}}
+	r2 := NewRunner(c, 0.01)
 	log.load(t, r2)
-	if _, ok := r2.Cached(record.P(0, 1), PolicyStrong); !ok {
-		t.Error("superseding log entry lost: strong settle not restored")
+	if answers, pairs := r2.Restored(); answers != r1.Stats().Answers || pairs != 1 {
+		t.Errorf("restored %d answers over %d pairs, original paid %d over 1", answers, pairs, r1.Stats().Answers)
 	}
-	if r2.Stats().Pairs != 1 {
-		t.Errorf("two log entries for one pair counted as %d pairs", r2.Stats().Pairs)
-	}
-	// Accounting restore is delta-based: the superseding entry repeats the
-	// pair's cumulative answers, which must not be double-counted.
-	if r2.Stats().Answers != r1.Stats().Answers {
-		t.Errorf("restored %d answers, original paid %d", r2.Stats().Answers, r1.Stats().Answers)
-	}
-	if r2.Stats().Cost != r1.Stats().Cost {
-		t.Errorf("restored cost %v, original paid %v", r2.Stats().Cost, r1.Stats().Cost)
+	// The superseding entry repeats the pair's cumulative answers, which
+	// must not be double-counted.
+	r2.Label(record.P(0, 1), PolicyStrong)
+	if c.calls != 0 || r2.Stats() != r1.Stats() {
+		t.Errorf("re-asking: %d crowd calls, accounting %+v; original %+v", c.calls, r2.Stats(), r1.Stats())
 	}
 }
 
 // TestLoadLabelLogOverlapMonotonic replays history a restored state
 // already covers: the full dump (the pair restored at its final answer
 // count) followed by the incremental log that led up to it, which still
-// holds the pair's earlier cumulative entries. The journal's layout no
-// longer produces this overlap, but LoadLabelEntry stays monotone per
-// pair regardless: a stale entry must neither regress the cache nor set up
-// the pair's later entry to re-charge answers already restored — the
-// over-replay must converge at exactly zero extra cost.
+// holds the pair's earlier cumulative entries. The journal's layout does
+// not produce this overlap, but LoadLabelEntry stays monotone per pair
+// regardless: a stale entry must neither shrink the restored answers nor
+// make re-asking the pair cost more.
 func TestLoadLabelLogOverlapMonotonic(t *testing.T) {
 	truth := truth2()
 	r1 := NewRunner(&Oracle{Truth: truth}, 0.01)
@@ -190,56 +161,54 @@ func TestLoadLabelLogOverlapMonotonic(t *testing.T) {
 	var snap entryLog
 	r1.DumpLabelLog(snap.emit)
 
-	r2 := NewRunner(&Oracle{Truth: truth}, 0.01)
+	c := &callCounter{Oracle: Oracle{Truth: truth}}
+	r2 := NewRunner(c, 0.01)
 	snap.load(t, r2)
-	afterSnap := r2.Stats()
-	if afterSnap.Answers != r1.Stats().Answers {
-		t.Fatalf("snapshot restore = %d answers, original paid %d",
-			afterSnap.Answers, r1.Stats().Answers)
-	}
 	// Replay the overlapping log on top: both cumulative entries, including
 	// the stale first one.
 	live.load(t, r2)
-	if got := r2.Stats(); got != afterSnap {
-		t.Errorf("overlap replay changed accounting: %+v, want %+v (zero extra cost)",
-			got, afterSnap)
+	if answers, _ := r2.Restored(); answers != r1.Stats().Answers {
+		t.Errorf("overlap replay restored %d answers, original paid %d", answers, r1.Stats().Answers)
 	}
-	if _, ok := r2.Cached(record.P(0, 1), PolicyStrong); !ok {
-		t.Error("overlap replay regressed the entry below its strong settle")
+	var dump entryLog
+	r2.DumpLabelLog(dump.emit)
+	if !reflect.DeepEqual(dump, snap) {
+		t.Errorf("overlap replay changed the restored state: dump %q, want %q", dump, snap)
+	}
+	r2.Label(record.P(0, 1), PolicyStrong)
+	if c.calls != 0 || r2.Stats() != r1.Stats() {
+		t.Errorf("re-asking after overlap replay: %d crowd calls, accounting %+v; original %+v",
+			c.calls, r2.Stats(), r1.Stats())
 	}
 }
 
 // TestLoadLabelLogRejectsGarbage: an entry that does not decode, or that
-// carries a vote state no writer produces, fails the load. (Torn tails
-// never reach LoadLabelEntry: the journal's frame decoder drops them.)
+// is neither a seed label nor a list of answers, fails the load and
+// restores nothing. (Torn tails never reach LoadLabelEntry: the journal's
+// frame decoder drops them.)
 func TestLoadLabelLogRejectsGarbage(t *testing.T) {
 	r := NewRunner(&Oracle{Truth: truth2()}, 0.01)
-	if err := r.LoadLabelEntry([]byte("not json")); err == nil {
-		t.Error("garbage entry accepted")
+	for _, bad := range []string{
+		`not json`,
+		`{"a":0,"b":0}`, // no answers
+		`{"a":0,"b":0,"answers":[true],"label":true}`,     // a vote record with a label
+		`{"a":0,"b":0,"seed":true,"answers":[true,true]}`, // a seed with answers
+	} {
+		if err := r.LoadLabelEntry([]byte(bad)); err == nil {
+			t.Errorf("entry %s accepted", bad)
+		}
 	}
-	if err := r.LoadLabelEntry([]byte(`{"a":0,"b":0,"settled":99}`)); err == nil {
-		t.Error("invalid vote state accepted")
-	}
-	if st := r.Stats(); st.Answers != 0 || st.Pairs != 0 {
-		t.Errorf("rejected entries changed accounting: %+v", st)
-	}
-}
-
-func TestLoadLabelsRejectsGarbage(t *testing.T) {
-	r := NewRunner(&Oracle{Truth: truth2()}, 0.01)
-	if _, err := r.LoadLabels(strings.NewReader("not json")); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := r.LoadLabels(strings.NewReader(`[{"a":0,"b":0,"settled":99}]`)); err == nil {
-		t.Error("invalid vote state accepted")
+	if answers, pairs := r.Restored(); answers != 0 || pairs != 0 || len(r.cache) != 0 {
+		t.Errorf("rejected entries restored %d answers over %d pairs, %d cache entries", answers, pairs, len(r.cache))
 	}
 }
 
 // TestDumpLabelLogSnapshot pins the snapshot writer's contract: DumpLabelLog
-// emits the whole cache (settled, in-flight, seed) in the AppendLabels entry
-// encoding, LoadLabelEntry over the dump alone restores labels and accounting
-// bit-identically, and the dirty set is untouched — a snapshot is a read,
-// not a flush.
+// emits every pair with answers (settled or in flight) and every seed in
+// the AppendLabels entry encoding, LoadLabelEntry over the dump alone
+// restores the same entries — a restored runner dumps identical bytes
+// before and after re-asking them — and the dirty set is untouched: a
+// snapshot is a read, not a flush.
 func TestDumpLabelLogSnapshot(t *testing.T) {
 	truth := truth2()
 	r1 := NewRunner(&Oracle{Truth: truth}, 0.01)
@@ -250,8 +219,8 @@ func TestDumpLabelLogSnapshot(t *testing.T) {
 	r1.markDirty(record.P(1, 2))
 
 	var snap entryLog
-	if n := r1.DumpLabelLog(snap.emit); n != 4 || len(snap) != 4 {
-		t.Fatalf("dumped %d entries (%d emitted), want 4 (3 crowd + 1 seed)", n, len(snap))
+	if n, answers := r1.DumpLabelLog(snap.emit); n != 4 || answers != 6 || len(snap) != 4 {
+		t.Fatalf("dumped %d entries with %d answers (%d emitted), want 4 (3 crowd + 1 seed) with 6", n, answers, len(snap))
 	}
 	// The dump is a snapshot, not a flush: the dirty in-flight entry still
 	// lands in the next incremental append.
@@ -259,38 +228,36 @@ func TestDumpLabelLogSnapshot(t *testing.T) {
 		t.Fatal("append after dump wrote nothing, want the dirty set intact")
 	}
 
-	r2 := NewRunner(&Oracle{Truth: truth}, 0.01)
+	c := &callCounter{Oracle: Oracle{Truth: truth}}
+	r2 := NewRunner(c, 0.01)
 	snap.load(t, r2)
-	// Replay pays for every logged answer: 6 across the three crowd-voted
-	// entries (the hand-injected in-flight vote included), seed free.
-	got := r2.Stats()
-	if got.Answers != 6 || got.Pairs != 3 || math.Abs(got.Cost-0.06) > 1e-9 {
-		t.Errorf("restored accounting = %+v, want 6 answers over 3 pairs at $0.06", got)
+	if answers, pairs := r2.Restored(); answers != 6 || pairs != 3 {
+		t.Errorf("restored %d answers over %d pairs, want 6 over 3", answers, pairs)
 	}
-	if lbl, ok := r2.Cached(record.P(0, 0), PolicyHybrid); !ok || !lbl {
-		t.Error("settled positive label lost in dump round-trip")
-	}
-	if lbl, ok := r2.Cached(record.P(9, 9), PolicyStrong); !ok || !lbl {
-		t.Error("seed label lost in dump round-trip")
-	}
-	if _, ok := r2.Cached(record.P(1, 2), Policy21); ok {
-		t.Error("in-flight entry served as settled after dump round-trip")
-	}
-	// Dumping the restored runner reproduces the identical bytes: the
-	// format is canonical (sorted by pair), so snapshot-of-snapshot is a
-	// fixed point.
+	// The format is canonical (sorted by pair), so snapshot-of-snapshot is
+	// a fixed point, and a second restore restores the same.
 	var snap2 entryLog
-	r2.DumpLabelLog(snap2.emit)
-	if !reflect.DeepEqual(snap, snap2) {
-		t.Error("dump of restored runner differs from original dump")
+	if n, answers := r2.DumpLabelLog(snap2.emit); n != 4 || answers != 6 || !reflect.DeepEqual(snap, snap2) {
+		t.Errorf("dump of restored runner (%d entries, %d answers) differs from original dump", n, answers)
 	}
-	// And a second restore lands on bit-identical accounting — the
-	// property the runsvc snapshot end-frame cross-check relies on.
 	r3 := NewRunner(&Oracle{Truth: truth}, 0.01)
 	snap2.load(t, r3)
-	st2, st3 := r2.Stats(), r3.Stats()
-	if st3.Answers != st2.Answers || st3.Pairs != st2.Pairs ||
-		math.Float64bits(st3.Cost) != math.Float64bits(st2.Cost) {
-		t.Errorf("second restore %+v not bit-identical to first %+v", st3, st2)
+	if a2, p2 := r2.Restored(); !reflect.DeepEqual(r3.paid, r2.paid) || a2 != 6 || p2 != 3 {
+		t.Error("second restore differs from the first")
+	}
+
+	// Re-asking the settled pairs retraces r1's spend bit for bit, and the
+	// dump still holds every entry, the in-flight vote not yet re-asked
+	// included.
+	if !r2.Label(record.P(0, 0), PolicyHybrid) || r2.Label(record.P(0, 1), Policy21) {
+		t.Error("settled labels lost in dump round-trip")
+	}
+	if c.calls != 0 || r2.Stats() != r1.Stats() {
+		t.Errorf("re-asking: %d crowd calls, accounting %+v; original %+v", c.calls, r2.Stats(), r1.Stats())
+	}
+	var snap3 entryLog
+	r2.DumpLabelLog(snap3.emit)
+	if !reflect.DeepEqual(snap, snap3) {
+		t.Error("dump after re-asking differs from the restored dump")
 	}
 }

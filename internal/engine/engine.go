@@ -59,8 +59,8 @@ type Config struct {
 	Cancel <-chan struct{}
 	// Runner, when non-nil, is used instead of constructing a fresh runner
 	// from the crowd argument — the resume path: a run service preloads it
-	// with journaled labels (and replay batches) so settled questions are
-	// never re-paid, and installs its journal hooks before the run starts.
+	// with journaled answers so no question is paid for twice, and installs
+	// its journal hooks before the run starts.
 	// PricePerQuestion is ignored in that case; the runner carries its own.
 	Runner *crowd.Runner
 	// Checkpoint, when non-nil, receives a durable-state snapshot at every

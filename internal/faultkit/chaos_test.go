@@ -6,13 +6,15 @@ package faultkit
 // of an unfaulted run. Each schedule is bounded (Limit), so every case
 // converges: transport faults are absorbed by retries, reissues, and the
 // breaker; journal faults kill the process and the next epoch resumes from
-// the journal. Invariants per epoch: pairs settled in the journal are
-// never re-asked (no double-pay). Invariants at the end: Accounting,
+// the journal. Invariants per epoch: no answer the journal holds is bought
+// again (no double-pay). Invariants at the end: Accounting,
 // Matches, estimates, and stop metadata are bit-identical to the baseline,
 // and Degraded is false — every lost answer was eventually re-bought
 // exactly once.
 
 import (
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -28,8 +30,9 @@ import (
 	"github.com/corleone-em/corleone/internal/runsvc"
 )
 
-// countingCrowdErr counts asks per pair so the suite can prove settled
-// pairs are never re-asked, failed attempts included.
+// countingCrowdErr counts the answers it returns per pair, so the suite
+// can prove no journaled answer is bought again. Failed asks are not
+// answers: nothing was paid for them.
 type countingCrowdErr struct {
 	inner crowd.CrowdErr
 
@@ -38,13 +41,16 @@ type countingCrowdErr struct {
 }
 
 func (c *countingCrowdErr) AnswerErr(p record.Pair) (bool, error) {
-	c.mu.Lock()
-	if c.counts == nil {
-		c.counts = make(map[record.Pair]int)
+	a, err := c.inner.AnswerErr(p)
+	if err == nil {
+		c.mu.Lock()
+		if c.counts == nil {
+			c.counts = make(map[record.Pair]int)
+		}
+		c.counts[p]++
+		c.mu.Unlock()
 	}
-	c.counts[p]++
-	c.mu.Unlock()
-	return c.inner.AnswerErr(p)
+	return a, err
 }
 
 func (c *countingCrowdErr) Answer(p record.Pair) bool {
@@ -52,10 +58,29 @@ func (c *countingCrowdErr) Answer(p record.Pair) bool {
 	return err == nil && a
 }
 
-func (c *countingCrowdErr) count(p record.Pair) int {
+// assertAnswersPerPair checks one epoch against the journal it started
+// from (before) and the one it left (after): the journal never loses an
+// answer, and the crowd answered each pair at least — or, for an epoch
+// that finished and flushed everything, exactly — as many times as the
+// journal gained answers for it. An answer the journal already held and
+// the crowd answered again is a double-pay, and breaks the count.
+func (c *countingCrowdErr) assertAnswersPerPair(t *testing.T, what string, before, after map[record.Pair]int, finished bool) {
+	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.counts[p]
+	pairs := make(map[record.Pair]bool)
+	for _, m := range []map[record.Pair]int{c.counts, before, after} {
+		for p := range m {
+			pairs[p] = true
+		}
+	}
+	for p := range pairs {
+		n, gained := c.counts[p], after[p]-before[p]
+		if gained < 0 || n < gained || finished && n != gained {
+			t.Errorf("%s: pair %v answered %d times; the journal went from %d answers to %d",
+				what, p, n, before[p], after[p])
+		}
+	}
 }
 
 func samePairs(a, b []record.Pair) bool {
@@ -89,13 +114,14 @@ func chaosClient(url string, seed int64) *platform.Client {
 	return c
 }
 
-// settledPairs replays the job's journal into a scratch runner and returns
-// the pairs whose votes already satisfy the hybrid stopping rule — the set
-// a resumed run must never pay for again.
-func settledPairs(t *testing.T, dir, jobID string) map[record.Pair]bool {
+// journaledAnswers replays the job's journal into a scratch runner and
+// decodes its dump: how many paid answers the journal holds per pair,
+// seeds excluded.
+func journaledAnswers(t *testing.T, dir, jobID string) map[record.Pair]int {
 	t.Helper()
+	out := make(map[record.Pair]int)
 	if jobID == "" {
-		return nil
+		return out
 	}
 	store, err := runsvc.NewStore(dir)
 	if err != nil {
@@ -110,12 +136,18 @@ func settledPairs(t *testing.T, dir, jobID string) map[record.Pair]bool {
 	if _, err := jl.Replay(scratch); err != nil {
 		t.Fatalf("replay journal %s: %v", jobID, err)
 	}
-	out := make(map[record.Pair]bool)
-	for _, l := range scratch.AllLabeled() {
-		if _, ok := scratch.Cached(l.Pair, crowd.PolicyHybrid); ok {
-			out[l.Pair] = true
+	scratch.DumpLabelLog(func(e []byte) {
+		var s struct {
+			A, B    int32
+			Answers []bool
 		}
-	}
+		if err := json.Unmarshal(e, &s); err != nil {
+			t.Fatalf("decode dumped entry %s: %v", e, err)
+		}
+		if len(s.Answers) > 0 {
+			out[record.Pair{A: s.A, B: s.B}] = len(s.Answers)
+		}
+	})
 	return out
 }
 
@@ -219,11 +251,13 @@ func runChaos(t *testing.T, tc chaosCase, meta runsvc.Meta, base *engine.Result,
 	dir := t.TempDir()
 	var jobID string
 	var fallbacks int64
+	resumedOverAnswers := false
 	for epoch := 0; ; epoch++ {
 		if epoch > 30 {
 			t.Fatalf("job not done after %d resumes; schedule never went quiet?", epoch)
 		}
-		settled := settledPairs(t, dir, jobID)
+		journaled := journaledAnswers(t, dir, jobID)
+		resumedOverAnswers = resumedOverAnswers || len(journaled) > 0
 
 		opts := runsvc.Options{Workers: 1, JournalDir: dir, SnapshotEvery: tc.snapshotEvery}
 		mgr, err := runsvc.NewManager(opts) //corlint:allow det-time — the journaling service stamps operator-facing submission times; replay correctness never reads them back
@@ -271,13 +305,11 @@ func runChaos(t *testing.T, tc chaosCase, meta runsvc.Meta, base *engine.Result,
 		fallbacks += mgr.Store().SnapshotFallbacks()
 		mgr.Close()
 
-		// No double-pay: pairs the journal had settled before this epoch
-		// must not have been asked again, not even as a failed attempt.
-		for p := range settled {
-			if n := counter.count(p); n != 0 {
-				t.Errorf("epoch %d: settled pair %v re-asked %d times", epoch, p, n)
-			}
-		}
+		// No double-pay: per pair, the crowd answered at least what the
+		// journal gained this epoch (a crash loses the answers after the
+		// last flush) and, once the run finished, exactly that.
+		counter.assertAnswersPerPair(t, fmt.Sprintf("epoch %d", epoch),
+			journaled, journaledAnswers(t, dir, jobID), state == runsvc.StateDone)
 
 		switch state {
 		case runsvc.StateDone:
@@ -292,6 +324,9 @@ func runChaos(t *testing.T, tc chaosCase, meta runsvc.Meta, base *engine.Result,
 			}
 			if tc.journal != nil && tc.journal.PFlip > 0 && fallbacks == 0 {
 				t.Error("no resume fell back past a flipped generation; case proved nothing")
+			}
+			if tc.journal != nil && !resumedOverAnswers {
+				t.Error("no epoch resumed from a journal holding answers; the double-pay check proved nothing")
 			}
 			assertChaosResult(t, res, base)
 			return

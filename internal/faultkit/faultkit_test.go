@@ -251,7 +251,7 @@ func TestJournalScheduleKillAfterWrite(t *testing.T) {
 	expectCrash(t, func() { _ = jl.FlushLabels(r) })
 
 	// The kill fired after the full append: a resumed process must recover
-	// the settled label and owe nothing for it.
+	// the paid answers and serve them instead of asking again.
 	store2, err := runsvc.NewStore(dir)
 	if err != nil {
 		t.Fatalf("NewStore (reopen): %v", err)
@@ -261,16 +261,20 @@ func TestJournalScheduleKillAfterWrite(t *testing.T) {
 		t.Fatalf("reopen after kill: %v", err)
 	}
 	defer jl2.Close()
-	scratch := crowd.NewRunner(nil, 0.01)
-	got, err := jl2.Replay(scratch)
+	counter := &countingCrowdErr{inner: &FlakyCrowd{Inner: &crowd.Oracle{Truth: truth}}}
+	resumed := crowd.NewRunner(counter, 0.01)
+	got, err := jl2.Replay(resumed)
 	if err != nil {
 		t.Fatalf("replay after kill: %v", err)
 	}
 	if got.Labels == 0 {
 		t.Fatal("kill-after-write lost the durable label")
 	}
-	if _, ok := scratch.Cached(pair, crowd.Policy21); !ok {
-		t.Error("durable label did not settle the pair on replay")
+	// Re-asking the pair makes no crowd call and charges its two answers
+	// at the runner's price, exactly what the killed process had paid.
+	if !resumed.Label(pair, crowd.Policy21) || len(counter.counts) != 0 || resumed.Stats() != r.Stats() {
+		t.Errorf("re-asking the durable pair: %d pairs asked, accounting %+v; the killed run paid %+v",
+			len(counter.counts), resumed.Stats(), r.Stats())
 	}
 }
 

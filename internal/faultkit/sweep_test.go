@@ -5,7 +5,7 @@ package faultkit
 // enumerates them: a recording pass counts every durability boundary one
 // journaled job crosses, then the job is killed at each boundary in turn
 // (and torn inside each append), resumed in a fresh manager, and held to
-// the unfaulted run's exact result with no settled pair re-asked.
+// the unfaulted run's exact result with no journaled answer bought again.
 
 import (
 	"fmt"
@@ -59,21 +59,6 @@ func (s *sweepSeam) install(store *runsvc.Store) {
 	}
 }
 
-// sweepResult strips the fields of a Result that legitimately depend on
-// where a run was interrupted: replay restores journaled labels before the
-// first phase, so the per-phase "new pairs labeled" split and the
-// after-blocking spend snapshot move, while every total, estimate, match
-// and model must not.
-func sweepResult(res *engine.Result) engine.Result {
-	out := *res
-	out.BlockingAccounting = crowd.Accounting{}
-	out.Phases = append([]engine.Phase(nil), res.Phases...)
-	for i := range out.Phases {
-		out.Phases[i].PairsLabeled = 0
-	}
-	return out
-}
-
 // assertModelsLoad checks that every per-iteration matcher file present
 // in the job directory is a complete, loadable forest — the name is
 // documented as directly loadable, so a kill must never leave a torn one.
@@ -109,7 +94,6 @@ func TestDurabilityBoundarySweep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("unfaulted run: %v", err)
 	}
-	want := sweepResult(base)
 
 	// run executes one epoch of the job in a fresh manager on dir: a new
 	// submission when id is empty, a resume otherwise.
@@ -142,7 +126,7 @@ func TestDurabilityBoundarySweep(t *testing.T) {
 	if job.State() != runsvc.StateDone {
 		t.Fatalf("recording pass ended %s", job.State())
 	}
-	if got := sweepResult(res); !reflect.DeepEqual(got, want) {
+	if !reflect.DeepEqual(res, base) {
 		t.Fatal("journaled run differs from the plain engine run")
 	}
 	if rec.n < 50 {
@@ -153,7 +137,7 @@ func TestDurabilityBoundarySweep(t *testing.T) {
 	if os.Getenv(sweepFullEnv) != "" {
 		stride = 1
 	}
-	kills := 0
+	kills, overAnswers := 0, 0
 	for i := 0; i < rec.n; i += stride {
 		for _, tear := range []bool{false, true} {
 			if tear && !rec.appends[i] {
@@ -168,30 +152,33 @@ func TestDurabilityBoundarySweep(t *testing.T) {
 			}
 			assertModelsLoad(t, filepath.Join(dir, job.ID))
 
-			settled := settledPairs(t, dir, job.ID)
+			journaled := journaledAnswers(t, dir, job.ID)
+			if len(journaled) > 0 {
+				overAnswers++
+			}
 			counter := &countingCrowdErr{inner: &FlakyCrowd{Inner: spec.Crowd}}
 			resumed, res := run(dir, job.ID, nil, counter)
 			if resumed.State() != runsvc.StateDone {
 				t.Fatalf("%s: resumed epoch ended %s", what, resumed.State())
 			}
-			for p := range settled {
-				if n := counter.count(p); n != 0 {
-					t.Errorf("%s: settled pair %v re-asked %d times", what, p, n)
-				}
-			}
+			counter.assertAnswersPerPair(t, what, journaled, journaledAnswers(t, dir, job.ID), true)
 			if res.Accounting != base.Accounting {
 				t.Errorf("%s: accounting %+v, unfaulted %+v", what, res.Accounting, base.Accounting)
 			}
 			if res.Accounting.Degraded {
 				t.Errorf("%s: resumed run flagged degraded", what)
 			}
-			if got := sweepResult(res); !reflect.DeepEqual(got, want) {
+			if !reflect.DeepEqual(res, base) {
 				t.Errorf("%s: resumed Result differs from the unfaulted run", what)
 			}
 			assertModelsLoad(t, filepath.Join(dir, job.ID))
 		}
 	}
-	t.Logf("%d boundaries (%s), %d kills at stride %d", rec.n, boundaryMix(rec.names), kills, stride)
+	if overAnswers == 0 {
+		t.Error("no kill left a journal holding answers; the double-pay check proved nothing")
+	}
+	t.Logf("%d boundaries (%s), %d kills at stride %d, %d over journaled answers",
+		rec.n, boundaryMix(rec.names), kills, stride, overAnswers)
 }
 
 // boundaryMix summarises the recorded boundaries by their first word.

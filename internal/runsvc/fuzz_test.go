@@ -39,13 +39,10 @@ func refValidPrefix(buf []byte) (valid, lastStart int, lastKind byte) {
 }
 
 // replayState is everything a replay restores, in comparable form: the
-// accounting with Cost by bit pattern, the canonical dump of the label
-// cache, and the number of queued replay batches.
+// restored answer and pair counts, and the canonical dump of the entries.
 type replayState struct {
-	acct    crowd.Accounting
-	cost    uint64
-	labels  [][]byte
-	batches int
+	answers, pairs int
+	labels         [][]byte
 }
 
 // replayFile opens and replays a job directory holding one journal file.
@@ -69,8 +66,8 @@ func replayFile(t *testing.T, name string, content []byte) (replayState, error) 
 	defer jl.Close()
 	r := crowd.NewRunner(nil, 0.01)
 	_, err = jl.Replay(r)
-	st := replayState{acct: r.Stats(), batches: r.ReplayPending()}
-	st.cost, st.acct.Cost = math.Float64bits(st.acct.Cost), 0
+	var st replayState
+	st.answers, st.pairs = r.Restored()
 	r.DumpLabelLog(func(e []byte) { st.labels = append(st.labels, bytes.Clone(e)) })
 	return st, err
 }
@@ -88,7 +85,7 @@ func checkLog(t *testing.T, data []byte) (valid int, ok bool) {
 		t.Fatalf("replay of %d bytes: err %v; of their %d-byte valid prefix: err %v", len(data), gotErr, valid, wantErr)
 	}
 	if gotErr == nil && !reflect.DeepEqual(got, want) {
-		t.Fatalf("replay of %d bytes restored %+v; their %d-byte valid prefix restores %+v", len(data), got.acct, valid, want.acct)
+		t.Fatalf("replay of %d bytes restored %+v; their %d-byte valid prefix restores %+v", len(data), got, valid, want)
 	}
 	return valid, gotErr == nil
 }
@@ -152,8 +149,7 @@ func FuzzJournalReplay(f *testing.F) {
 
 		// As a snapshot: it restores only if every byte is a valid frame and
 		// the last is the end frame, and then exactly what the frames before
-		// the end frame restore as a log (HITs aside, which the end frame
-		// may only raise).
+		// the end frame restore as a log.
 		got, err := replayFile(t, snapName(1), data)
 		if err != nil {
 			return
@@ -166,12 +162,8 @@ func FuzzJournalReplay(f *testing.F) {
 		if err != nil {
 			t.Fatalf("snapshot restored, but its frames fail as a log: %v", err)
 		}
-		if got.acct.HITs < want.acct.HITs {
-			t.Fatalf("snapshot restored %d HITs, its batch frames alone %d", got.acct.HITs, want.acct.HITs)
-		}
-		got.acct.HITs = want.acct.HITs
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("snapshot restored %+v; its frames as a log restore %+v", got.acct, want.acct)
+			t.Fatalf("snapshot restored %+v; its frames as a log restore %+v", got, want)
 		}
 	})
 }

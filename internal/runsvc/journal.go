@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -20,7 +19,6 @@ import (
 
 	"github.com/corleone-em/corleone/internal/crowd"
 	"github.com/corleone-em/corleone/internal/engine"
-	"github.com/corleone-em/corleone/internal/record"
 )
 
 // The journal (DESIGN.md §3d is its one full description). One directory
@@ -38,18 +36,17 @@ import (
 //	len uint32 LE | crc uint32 LE | kind byte | payload [len]byte
 //
 // with the CRC-32 (IEEE) over len, kind and payload. A snapshot is the
-// same frames, compacted — every label entry, every batch so far — closed
-// by an end frame carrying the accounting those frames must restore. A log
-// is named by the generation it follows and never renamed, so a job's
-// state is always "newest valid snap.gN, then every log.g>=N in order",
-// and no record is ever covered twice. Every write, fsync, rename and
-// removal crosses Store.Faults, which is how the boundary sweep kills the
-// job at each of them.
+// same frames, compacted — one label entry per pair — closed by an end
+// frame carrying the counts those frames must restore. A log is named by
+// the generation it follows and never renamed, so a job's state is always
+// "newest valid snap.gN, then every log.g>=N in order", and no record is
+// ever covered twice. Every write, fsync, rename and removal crosses
+// Store.Faults, which is how the boundary sweep kills the job at each of
+// them.
 
 // Frame kinds.
 const (
 	kindLabel      = 'L'
-	kindBatch      = 'B'
 	kindCheckpoint = 'C'
 	kindEnd        = 'E' // snapshots only, always last
 )
@@ -57,7 +54,7 @@ const (
 const (
 	frameHeader = 9 // len, crc, kind
 	// maxFramePayload rejects hostile or corrupt lengths before they are
-	// used; the largest real payload is one training batch's pair list.
+	// used; real payloads (one pair's answers, a checkpoint) are far below.
 	maxFramePayload = 64 << 20
 
 	logPrefix   = "log.g"
@@ -442,11 +439,8 @@ type Journal struct {
 	buf []byte
 	err error
 
-	// batchLog mirrors every batch record of the job's history in memory
-	// (replayed on resume, appended live) so each snapshot can embed it;
-	// dirty records that labels or batches were appended since the last
-	// snapshot, so an idle checkpoint doesn't rewrite identical state.
-	batchLog    []batchRecord
+	// dirty records that labels were appended since the last snapshot, so
+	// an idle checkpoint doesn't rewrite identical state.
 	dirty       bool
 	checkpoints int
 }
@@ -571,37 +565,6 @@ func (j *Journal) FlushLabels(r *crowd.Runner) error {
 	return j.flush()
 }
 
-// batchRecord is a batch frame's payload: a training batch's exact pair
-// composition plus the runner's cumulative HIT count at record time. The
-// HIT count lets Replay restore Accounting.HITs — replayed batches serve
-// from cache and never re-post HITs, so the counter cannot be recounted.
-type batchRecord struct {
-	Pairs [][2]int32 `json:"p"`
-	HITs  int        `json:"hits,omitempty"`
-}
-
-// AppendBatch records one training batch's composition followed by the
-// batch's labels, in one append and one fsync. A kill that tears the
-// append can keep the batch frame and lose labels, which replays
-// harmlessly — the batch is served by the replay queue and its lost
-// answers are re-solicited live — but never the inverse.
-func (j *Journal) AppendBatch(r *crowd.Runner, batch []crowd.Labeled) error {
-	rec := batchRecord{Pairs: make([][2]int32, len(batch)), HITs: r.Stats().HITs}
-	for i, l := range batch {
-		rec.Pairs[i] = [2]int32{l.Pair.A, l.Pair.B}
-	}
-	if err := j.frameJSON(kindBatch, rec); err != nil {
-		return err
-	}
-	j.frameLabels(r)
-	if err := j.flush(); err != nil {
-		return err
-	}
-	j.batchLog = append(j.batchLog, rec)
-	j.dirty = true
-	return nil
-}
-
 // checkpointRecord is a checkpoint frame's payload: where the run stood
 // and what it had spent, for whoever reads the log after the fact. It
 // carries no wall-clock time, so a job's log bytes are a function of its
@@ -617,10 +580,9 @@ type checkpointRecord struct {
 
 // SnapshotInfo describes one written snapshot generation.
 type SnapshotInfo struct {
-	Gen     uint64
-	Bytes   int64
-	Labels  int
-	Batches int
+	Gen    uint64
+	Bytes  int64
+	Labels int
 }
 
 // Checkpoint flushes labels with a phase/cost record; on iteration
@@ -664,19 +626,15 @@ func (j *Journal) Checkpoint(r *crowd.Runner, cp engine.Checkpoint) (SnapshotInf
 // a writer/loader divergence, failed loudly instead of resuming with
 // silently wrong spend.
 type endRecord struct {
-	Gen     uint64  `json:"gen"`
-	Labels  int     `json:"labels"`
-	Batches int     `json:"batches"`
-	Answers int     `json:"answers"`
-	Pairs   int     `json:"pairs"`
-	Cost    float64 `json:"cost"`
-	HITs    int     `json:"hits"`
+	Gen     uint64 `json:"gen"`
+	Labels  int    `json:"labels"`
+	Answers int    `json:"answers"`
 }
 
-// compact writes the next snapshot generation — the runner's full label
-// cache and the batch history, closed by the end frame — installs it
-// atomically, starts the generation's log and prunes what the two-deep
-// fallback ladder no longer needs.
+// compact writes the next snapshot generation — every label entry the
+// runner holds, closed by the end frame — installs it atomically, starts
+// the generation's log and prunes what the two-deep fallback ladder no
+// longer needs.
 func (j *Journal) compact(r *crowd.Runner) (SnapshotInfo, error) {
 	gen := j.gen + 1
 	// The snapshot is framed in the (empty, just flushed) log buffer and
@@ -685,15 +643,8 @@ func (j *Journal) compact(r *crowd.Runner) (SnapshotInfo, error) {
 	fail := func(err error) (SnapshotInfo, error) {
 		return SnapshotInfo{}, fmt.Errorf("runsvc: snapshot g%d: %w", gen, err)
 	}
-	st := r.Stats()
-	end := endRecord{Gen: gen, Batches: len(j.batchLog),
-		Answers: st.Answers, Pairs: st.Pairs, Cost: st.Cost, HITs: st.HITs}
-	end.Labels = r.DumpLabelLog(func(e []byte) { j.frame(kindLabel, e) })
-	for _, b := range j.batchLog {
-		if err := j.frameJSON(kindBatch, b); err != nil {
-			return fail(err)
-		}
-	}
+	end := endRecord{Gen: gen}
+	end.Labels, end.Answers = r.DumpLabelLog(func(e []byte) { j.frame(kindLabel, e) })
 	if err := j.frameJSON(kindEnd, end); err != nil {
 		return fail(err)
 	}
@@ -719,7 +670,7 @@ func (j *Journal) compact(r *crowd.Runner) (SnapshotInfo, error) {
 	if err := j.syncDir(); err != nil {
 		return fail(err)
 	}
-	info := SnapshotInfo{Gen: gen, Bytes: int64(n), Labels: end.Labels, Batches: end.Batches}
+	info := SnapshotInfo{Gen: gen, Bytes: int64(n), Labels: end.Labels}
 	return info, j.prune()
 }
 
@@ -769,10 +720,10 @@ func (j *Journal) prune() error {
 	return errors.Join(errs...)
 }
 
-// Replayed counts what Replay restored: label and batch frames applied,
-// and the checkpoint frames seen in the replayed logs.
+// Replayed counts what Replay restored: label frames applied, and the
+// checkpoint frames seen in the replayed logs.
 type Replayed struct {
-	Labels, Batches, Checkpoints int
+	Labels, Checkpoints int
 }
 
 // read loads one journal file, feeding the replay-cost counters.
@@ -787,8 +738,9 @@ func (j *Journal) read(name string, isLog bool) ([]byte, error) {
 
 // readSnapshot loads and structurally validates one generation without
 // touching any runner: every byte must decode as frames, the last frame
-// must be the end frame, and its generation and section counts must match
-// the file. That is what lets Replay fall back safely.
+// must be the end frame, every other frame a label entry, and the end
+// frame's generation and label count must match the file. That is what
+// lets Replay fall back safely.
 func (j *Journal) readSnapshot(gen uint64) ([]frame, endRecord, error) {
 	var end endRecord
 	buf, err := j.read(snapName(gen), false)
@@ -803,21 +755,19 @@ func (j *Journal) readSnapshot(gen uint64) ([]frame, endRecord, error) {
 	if err := json.Unmarshal(frames[n].payload, &end); err != nil {
 		return nil, end, fmt.Errorf("snapshot g%d: end frame: %w", gen, err)
 	}
-	labels := 0
 	for _, f := range frames[:n] {
-		if f.kind == kindLabel {
-			labels++
+		if f.kind != kindLabel {
+			return nil, end, fmt.Errorf("snapshot g%d: unexpected frame kind %q", gen, f.kind)
 		}
 	}
-	if end.Gen != gen || end.Labels != labels || end.Batches != n-labels {
-		return nil, end, fmt.Errorf("snapshot g%d: end frame %+v does not describe its %d label / %d other frames",
-			gen, end, labels, n-labels)
+	if end.Gen != gen || end.Labels != n {
+		return nil, end, fmt.Errorf("snapshot g%d: end frame %+v does not describe its %d label frames", gen, end, n)
 	}
 	return frames[:n], end, nil
 }
 
 // apply is the one replay loop: it feeds decoded frames, snapshot or log
-// alike, into the runner and the in-memory batch history.
+// alike, into the runner.
 func (j *Journal) apply(r *crowd.Runner, frames []frame, out *Replayed) error {
 	for _, f := range frames {
 		switch f.kind {
@@ -826,13 +776,6 @@ func (j *Journal) apply(r *crowd.Runner, frames []frame, out *Replayed) error {
 				return err
 			}
 			out.Labels++
-		case kindBatch:
-			var b batchRecord
-			if err := json.Unmarshal(f.payload, &b); err != nil {
-				return fmt.Errorf("batch frame: %w", err)
-			}
-			j.batchLog = append(j.batchLog, b)
-			out.Batches++
 		case kindCheckpoint:
 			out.Checkpoints++
 		default:
@@ -859,10 +802,8 @@ func (j *Journal) Replay(r *crowd.Runner) (Replayed, error) {
 	if err != nil {
 		return fail(err)
 	}
-	j.batchLog = nil
 
 	var from uint64
-	var hits int // newest journaled cumulative HIT count
 	var newestErr error
 	restored := len(files.snaps) == 0
 	for i := len(files.snaps) - 1; i >= 0 && !restored; i-- {
@@ -877,14 +818,11 @@ func (j *Journal) Replay(r *crowd.Runner) (Replayed, error) {
 		if err := j.apply(r, frames, &out); err != nil {
 			return fail(fmt.Errorf("snapshot g%d: %w", end.Gen, err))
 		}
-		// Cost compares by bit pattern — bit-identical restore is the
-		// contract.
-		if st := r.Stats(); st.Answers != end.Answers || st.Pairs != end.Pairs ||
-			math.Float64bits(st.Cost) != math.Float64bits(end.Cost) {
-			return fail(fmt.Errorf("snapshot g%d restored %d answers/%d pairs/%v cost, end frame says %d/%d/%v",
-				end.Gen, st.Answers, st.Pairs, st.Cost, end.Answers, end.Pairs, end.Cost))
+		if answers, _ := r.Restored(); answers != end.Answers {
+			return fail(fmt.Errorf("snapshot g%d restored %d answers, end frame says %d",
+				end.Gen, answers, end.Answers))
 		}
-		from, hits, restored = end.Gen, end.HITs, true
+		from, restored = end.Gen, true
 	}
 	if !restored {
 		return fail(fmt.Errorf("no valid snapshot generation (newest failure: %w); "+
@@ -908,20 +846,6 @@ func (j *Journal) Replay(r *crowd.Runner) (Replayed, error) {
 			return fail(fmt.Errorf("%s: %w", logName(g), err))
 		}
 	}
-
-	recs := make([][]record.Pair, len(j.batchLog))
-	for i, b := range j.batchLog {
-		ps := make([]record.Pair, len(b.Pairs))
-		for k, ab := range b.Pairs {
-			ps[k] = record.Pair{A: ab[0], B: ab[1]}
-		}
-		recs[i] = ps
-		if b.HITs > hits {
-			hits = b.HITs
-		}
-	}
-	r.QueueReplayBatches(recs)
-	r.RestoreHITs(hits)
 	return out, nil
 }
 

@@ -2,9 +2,11 @@ package runsvc
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +14,7 @@ import (
 	"github.com/corleone-em/corleone/internal/crowd"
 	"github.com/corleone-em/corleone/internal/engine"
 	"github.com/corleone-em/corleone/internal/record"
+	"github.com/corleone-em/corleone/internal/retry"
 )
 
 // samePairs reports whether two pair sets are equal regardless of order.
@@ -32,7 +35,7 @@ func samePairs(a, b []record.Pair) bool {
 }
 
 // countingCrowd wraps a crowd and counts answers solicited per pair, so
-// the resume test can prove settled pairs are never re-asked.
+// the resume tests can prove no journaled answer is bought again.
 type countingCrowd struct {
 	inner crowd.Crowd
 
@@ -53,24 +56,77 @@ func (c *countingCrowd) Answer(p record.Pair) bool {
 }
 
 // crashAfterBatches is the seam schedule for "the process dies right
-// after its nth training batch is durable": it counts log appends that
-// open with a batch frame and kills at the fsync following the nth.
+// after its nth crowd batch is durable": it counts log appends of label
+// frames alone — a batch-boundary flush, where a checkpoint's append ends
+// in its checkpoint frame — and kills at the fsync following the nth.
 func crashAfterBatches(n int) FaultFunc {
 	seen := 0
 	return func(op Op) Fault {
-		if op.Kind == OpAppend && strings.HasPrefix(op.File, logPrefix) &&
-			len(op.Data) > frameHeader && op.Data[frameHeader-1] == kindBatch {
-			seen++
+		if op.Kind == OpAppend && strings.HasPrefix(op.File, logPrefix) {
+			if frames, _ := decodeFrames(op.Data); len(frames) > 0 && frames[len(frames)-1].kind == kindLabel {
+				seen++
+			}
 		}
 		return Fault{Crash: op.Kind == OpSync && seen >= n}
+	}
+}
+
+// journaledAnswers replays a job's journal into a scratch runner and
+// decodes its dump: how many paid answers the journal holds per pair,
+// seeds excluded.
+func journaledAnswers(t *testing.T, store *Store, id string) (map[record.Pair]int, Replayed) {
+	t.Helper()
+	jl, err := store.Open(id)
+	if err != nil {
+		t.Fatalf("open journal %s: %v", id, err)
+	}
+	defer jl.Close()
+	r := crowd.NewRunner(nil, 0.01)
+	replayed, err := jl.Replay(r)
+	if err != nil {
+		t.Fatalf("replay journal %s: %v", id, err)
+	}
+	out := make(map[record.Pair]int)
+	r.DumpLabelLog(func(e []byte) {
+		var s struct {
+			A, B    int32
+			Answers []bool
+		}
+		if err := json.Unmarshal(e, &s); err != nil {
+			t.Fatalf("decode dumped entry %s: %v", e, err)
+		}
+		if len(s.Answers) > 0 {
+			out[record.Pair{A: s.A, B: s.B}] = len(s.Answers)
+		}
+	})
+	return out, replayed
+}
+
+// assertAsksPerPair holds a resumed run to the no-double-pay contract
+// pair by pair: the crowd was asked each pair exactly as many times as
+// the journal gained answers for it across the run.
+func assertAsksPerPair(t *testing.T, c *countingCrowd, before, after map[record.Pair]int) {
+	t.Helper()
+	pairs := make(map[record.Pair]bool)
+	for _, m := range []map[record.Pair]int{c.counts, before, after} {
+		for p := range m {
+			pairs[p] = true
+		}
+	}
+	for p := range pairs {
+		if n, want := c.counts[p], after[p]-before[p]; n != want {
+			t.Errorf("pair %v asked %d times on resume; the journal went from %d answers to %d",
+				p, n, before[p], after[p])
+		}
 	}
 }
 
 // TestKillAndResume is the crash-recovery acceptance test: a job is
 // hard-stopped mid-matching (simulated process kill right after a batch
 // flush), then resumed from the journal by a fresh manager. The resumed
-// run must pay nothing for already-settled pairs, spend in total exactly
-// what an uninterrupted run spends, and land on the identical result.
+// run must ask the crowd for no answer the journal holds, spend in total
+// exactly what an uninterrupted run spends, and land on the identical
+// result.
 func TestKillAndResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("kill-and-resume integration test in -short mode")
@@ -79,15 +135,15 @@ func TestKillAndResume(t *testing.T) {
 	meta := testMeta(7, 0.2, 0) // oracle crowd: answers are deterministic
 	const crashAfter = 3
 
-	// Baseline: an uninterrupted run, instrumented to count training
-	// batches so we know the injected crash lands mid-matching.
+	// Baseline: an uninterrupted run, instrumented to count crowd batch
+	// boundaries so we know the injected crash lands mid-run.
 	baseSpec, err := BuildSpec(meta)
 	if err != nil {
 		t.Fatalf("BuildSpec: %v", err)
 	}
 	baseRunner := crowd.NewRunner(baseSpec.Crowd, baseSpec.Config.PricePerQuestion)
 	baseBatches := 0
-	baseRunner.OnBatch = func([]crowd.Labeled) { baseBatches++ }
+	baseRunner.AfterBatch = func() { baseBatches++ }
 	baseCfg := baseSpec.Config
 	baseCfg.Runner = baseRunner
 	base, err := engine.Run(baseSpec.Dataset, baseSpec.Crowd, baseCfg)
@@ -95,12 +151,12 @@ func TestKillAndResume(t *testing.T) {
 		t.Fatalf("baseline run: %v", err)
 	}
 	if baseBatches <= crashAfter {
-		t.Fatalf("baseline posted %d training batches; crash after %d would not land mid-matching",
+		t.Fatalf("baseline crossed %d crowd batch boundaries; crash after %d would not land mid-run",
 			baseBatches, crashAfter)
 	}
 
 	// Phase 1: run with crash injection — the fault seam panics (simulating
-	// a kill) right after the 3rd training batch is flushed.
+	// a kill) right after the 3rd crowd batch is flushed.
 	m1, err := NewManager(Options{Workers: 1, JournalDir: dir})
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
@@ -131,38 +187,26 @@ func TestKillAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open journal: %v", err)
 	}
-	if st, ok := jl.ReadStatus(); !ok || st.State != StateCrashed {
+	st, ok := jl.ReadStatus()
+	jl.Close()
+	if !ok || st.State != StateCrashed {
 		t.Fatalf("journal status = %+v, %v; want crashed", st, ok)
 	}
-	// Replay it into a scratch runner: the paid answers it holds, and the
-	// settled set at crash time — pairs whose journaled votes satisfy the
-	// hybrid stopping rule (strong positives, 2+1 negatives). These must
-	// cost zero on resume.
-	scratch := crowd.NewRunner(nil, 0.01)
-	replayed, err := jl.Replay(scratch)
-	jl.Close()
-	if err != nil {
-		t.Fatalf("replay into scratch runner: %v", err)
+	// The paid answers it holds, per pair: none of them may be asked again.
+	journaled, replayed := journaledAnswers(t, store, j1.ID)
+	if len(journaled) == 0 {
+		t.Fatal("crash journal holds no non-seed answer; crash fired too early")
 	}
-	journalAnswers := scratch.Stats().Answers
-	if journalAnswers == 0 {
-		t.Fatal("crash journal holds no paid answers; crash fired too early")
+	journalAnswers := 0
+	for _, n := range journaled {
+		journalAnswers += n
 	}
 	if journalAnswers >= base.Accounting.Answers {
 		t.Fatalf("crash journal holds %d answers, baseline total is %d; crash fired too late",
 			journalAnswers, base.Accounting.Answers)
 	}
-	if replayed.Batches != crashAfter || replayed.Checkpoints == 0 {
-		t.Fatalf("crash journal replayed %+v; want %d batches and some checkpoints", replayed, crashAfter)
-	}
-	settled := make(map[record.Pair]bool)
-	for _, l := range scratch.AllLabeled() {
-		if _, ok := scratch.Cached(l.Pair, crowd.PolicyHybrid); ok {
-			settled[l.Pair] = true
-		}
-	}
-	if len(settled) == 0 {
-		t.Fatal("no settled pairs in crash journal")
+	if replayed.Checkpoints == 0 {
+		t.Fatalf("crash journal replayed %+v; want some checkpoints", replayed)
 	}
 
 	// Phase 2: a fresh manager (fresh process, in effect) resumes the job.
@@ -197,15 +241,13 @@ func TestKillAndResume(t *testing.T) {
 		t.Fatalf("resumed job state = %s, want done", j2.State())
 	}
 
-	// Zero additional crowd cost for already-settled pairs.
-	for p := range settled {
-		if n := counting.counts[p]; n != 0 {
-			t.Errorf("settled pair %v re-asked %d times on resume", p, n)
-		}
-	}
+	// No journaled answer bought again: per pair, the crowd was asked only
+	// for the answers the journal gained on resume.
+	final, _ := journaledAnswers(t, store, j1.ID)
+	assertAsksPerPair(t, counting, journaled, final)
 
-	// Total spend conservation: replay restores the crash-journaled
-	// accounting, so the resumed run's cumulative spend equals the
+	// Total spend conservation: re-asking a journaled answer charges it
+	// again, so the resumed run's cumulative spend equals the
 	// uninterrupted run's exactly — nothing re-paid, nothing skipped, and
 	// a budget cap would bite at the same cumulative dollar. The crowd
 	// itself is only asked the difference.
@@ -238,7 +280,7 @@ func TestKillAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen journal: %v", err)
 	}
-	st, ok := jl2.ReadStatus()
+	st, ok = jl2.ReadStatus()
 	jl2.Close()
 	if !ok || st.State != StateDone || st.Answers != res2.Accounting.Answers {
 		t.Fatalf("final journal status = %+v, %v", st, ok)
@@ -324,7 +366,7 @@ func TestBudgetEnforcedAcrossResume(t *testing.T) {
 	}
 	runner := crowd.NewRunner(spec.Crowd, spec.Config.PricePerQuestion)
 	batches := 0
-	runner.OnBatch = func([]crowd.Labeled) { batches++ }
+	runner.AfterBatch = func() { batches++ }
 	cfg := spec.Config
 	cfg.Runner = runner
 	base, err := engine.Run(spec.Dataset, spec.Crowd, cfg)
@@ -335,7 +377,7 @@ func TestBudgetEnforcedAcrossResume(t *testing.T) {
 		t.Fatalf("budgeted baseline stopped for %q, want budget exhausted", base.StopReason)
 	}
 	if batches <= crashAfter {
-		t.Fatalf("budgeted baseline posted %d batches; crash after %d would not land mid-run",
+		t.Fatalf("budgeted baseline crossed %d batch boundaries; crash after %d would not land mid-run",
 			batches, crashAfter)
 	}
 
@@ -380,6 +422,161 @@ func TestBudgetEnforcedAcrossResume(t *testing.T) {
 	if res.True.F1 != base.True.F1 || res.Iterations != base.Iterations {
 		t.Errorf("resumed F1 %.4f/%d iters, baseline %.4f/%d",
 			res.True.F1, res.Iterations, base.True.F1, base.Iterations)
+	}
+}
+
+// TestResumeNoisyFinishedJobExact resumes finished jobs under a noisy
+// crowd, where an answer asked again can differ from the journaled one:
+// the resumed run must re-derive the identical Result without asking the
+// crowd anything, with and without compaction.
+func TestResumeNoisyFinishedJobExact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("noisy resume sweep in -short mode")
+	}
+	const seeds = 30
+	for _, every := range []int{0, 1} {
+		dir := t.TempDir()
+		opts := Options{Workers: 2, JournalDir: dir, SnapshotEvery: every}
+		m1, err := NewManager(opts)
+		if err != nil {
+			t.Fatalf("NewManager: %v", err)
+		}
+		metas := make([]Meta, seeds)
+		jobs := make([]*Job, seeds)
+		for i := range jobs {
+			metas[i] = testMeta(int64(i+1), 0.1, 0.05)
+			if jobs[i], err = m1.Submit(Spec{Meta: &metas[i]}); err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+		}
+		results := make([]*engine.Result, seeds)
+		for i, j := range jobs {
+			if results[i], err = j.Wait(); err != nil || j.State() != StateDone {
+				t.Fatalf("seed %d: state %s, err %v", i+1, j.State(), err)
+			}
+		}
+		m1.Close()
+
+		m2, err := NewManager(opts)
+		if err != nil {
+			t.Fatalf("NewManager: %v", err)
+		}
+		crowds := make([]*countingCrowd, seeds)
+		resumed := make([]*Job, seeds)
+		for i, j := range jobs {
+			spec, err := BuildSpec(metas[i])
+			if err != nil {
+				t.Fatalf("BuildSpec: %v", err)
+			}
+			crowds[i] = &countingCrowd{inner: spec.Crowd}
+			spec.Crowd = crowds[i]
+			if resumed[i], err = m2.ResumeSpec(j.ID, spec); err != nil {
+				t.Fatalf("ResumeSpec: %v", err)
+			}
+		}
+		for i, j := range resumed {
+			res, err := j.Wait()
+			if err != nil || j.State() != StateDone {
+				t.Fatalf("seed %d resume: state %s, err %v", i+1, j.State(), err)
+			}
+			if !reflect.DeepEqual(res, results[i]) {
+				t.Errorf("SnapshotEvery %d, seed %d: resumed Result differs (accounting %+v, was %+v)",
+					every, i+1, res.Accounting, results[i].Accounting)
+			}
+			if crowds[i].total != 0 {
+				t.Errorf("SnapshotEvery %d, seed %d: resume of a finished job asked the crowd %d times",
+					every, i+1, crowds[i].total)
+			}
+		}
+		m2.Close()
+	}
+}
+
+// failEvery is an oracle that fails every nth ask as unavailable.
+type failEvery struct {
+	inner crowd.Crowd
+	n     int
+
+	mu   sync.Mutex
+	asks int
+}
+
+func (f *failEvery) AnswerErr(p record.Pair) (bool, error) {
+	f.mu.Lock()
+	f.asks++
+	fail := f.asks%f.n == 0
+	f.mu.Unlock()
+	if fail {
+		return false, crowd.ErrUnavailable
+	}
+	return f.inner.Answer(p), nil
+}
+
+func (f *failEvery) Answer(p record.Pair) bool {
+	a, err := f.AnswerErr(p)
+	return err == nil && a
+}
+
+// TestResumeDegradedChargesStranded kills a degraded job — crowd failures
+// past the retry budget left pairs short of answers, so the run took a
+// path an unfaulted run would not — and resumes it with a healthy crowd.
+// The resumed run leaves the journaled path at the first pair it must ask
+// live, and may never re-ask answers journaled after that point; the
+// accounting must still hold every one of them.
+func TestResumeDegradedChargesStranded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("degraded resume sweep in -short mode")
+	}
+	for seed := int64(1); seed <= 30; seed++ {
+		meta := testMeta(seed, 0.1, 0)
+		spec, err := BuildSpec(meta)
+		if err != nil {
+			t.Fatalf("BuildSpec: %v", err)
+		}
+		dir := t.TempDir()
+		m1, err := NewManager(Options{Workers: 1, JournalDir: dir})
+		if err != nil {
+			t.Fatalf("NewManager: %v", err)
+		}
+		m1.Store().Faults = crashAfterBatches(8)
+		flaky := spec
+		flaky.Crowd = &failEvery{inner: spec.Crowd, n: 37}
+		flaky.Retry = retry.Policy{Attempts: 1}
+		j1, err := m1.Submit(flaky)
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		j1.Wait()
+		m1.Close()
+		if j1.State() != StateCrashed {
+			t.Fatalf("seed %d: session 1 ended %s, want crashed", seed, j1.State())
+		}
+		journaled, _ := journaledAnswers(t, m1.Store(), j1.ID)
+		answers := 0
+		for _, n := range journaled {
+			answers += n
+		}
+
+		m2, err := NewManager(Options{Workers: 1, JournalDir: dir})
+		if err != nil {
+			t.Fatalf("NewManager: %v", err)
+		}
+		counting := &countingCrowd{inner: spec.Crowd}
+		healthy := spec
+		healthy.Crowd = counting
+		j2, err := m2.ResumeSpec(j1.ID, healthy)
+		if err != nil {
+			t.Fatalf("ResumeSpec: %v", err)
+		}
+		res, err := j2.Wait()
+		m2.Close()
+		if err != nil || j2.State() != StateDone {
+			t.Fatalf("seed %d: resume ended %s, err %v", seed, j2.State(), err)
+		}
+		if got, want := res.Accounting.Answers, answers+counting.total; got != want {
+			t.Errorf("seed %d: resumed run reports %d answers; %d journaled + %d asked live = %d",
+				seed, got, answers, counting.total, want)
+		}
 	}
 }
 
@@ -447,6 +644,12 @@ func TestSpecJournaledAtSubmit(t *testing.T) {
 	}
 }
 
+// oracleFor is the oracle crowd of a ground truth holding exactly the
+// given matches.
+func oracleFor(matches ...record.Pair) *countingCrowd {
+	return &countingCrowd{inner: &crowd.Oracle{Truth: record.NewGroundTruth(matches)}}
+}
+
 // TestStoreOpenRepairsTornTail cuts a log's final frame at every byte
 // offset — every torn append a hard kill can leave — and verifies
 // Store.Open truncates back to the last whole frame so replay restores
@@ -457,10 +660,10 @@ func TestStoreOpenRepairsTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
 	}
-	full := appendFrame(nil, kindBatch, []byte(`{"p":[[0,0]],"hits":1}`))
-	full = appendFrame(full, kindLabel, []byte(`{"a":0,"b":0,"answers":[true,true],"label":true,"settled":1}`))
+	full := appendFrame(nil, kindCheckpoint, []byte(`{"phase":"blocking"}`))
+	full = appendFrame(full, kindLabel, []byte(`{"a":0,"b":0,"answers":[true,true]}`))
 	intact := len(full)
-	full = appendFrame(full, kindLabel, []byte(`{"a":1,"b":1,"answers":[false,false],"label":false,"settled":0}`))
+	full = appendFrame(full, kindLabel, []byte(`{"a":1,"b":0,"answers":[false,false]}`))
 
 	logPath := filepath.Join(dir, "torn", logName(0))
 	if err := os.MkdirAll(filepath.Dir(logPath), 0o755); err != nil {
@@ -481,20 +684,24 @@ func TestStoreOpenRepairsTornTail(t *testing.T) {
 		if buf, _ := os.ReadFile(logPath); len(buf) != wantSize || !bytes.Equal(buf, full[:wantSize]) {
 			t.Fatalf("cut %d: log is %d bytes after Open, want the %d-byte frame prefix", cut, len(buf), wantSize)
 		}
-		r := crowd.NewRunner(nil, 0.01)
+		c := oracleFor(record.P(0, 0))
+		r := crowd.NewRunner(c, 0.01)
 		got, err := jl.Replay(r)
 		jl.Close()
 		if err != nil {
 			t.Fatalf("cut %d: replay after repair: %v", cut, err)
 		}
-		if got.Labels != wantLabels || got.Batches != 1 {
-			t.Errorf("cut %d: replayed %+v; want %d labels and 1 batch", cut, got, wantLabels)
+		if got.Labels != wantLabels || got.Checkpoints != 1 {
+			t.Errorf("cut %d: replayed %+v; want %d labels and 1 checkpoint", cut, got, wantLabels)
 		}
-		if _, ok := r.Cached(record.P(0, 0), crowd.PolicyStrong); !ok {
-			t.Errorf("cut %d: intact label before the tear was lost", cut)
+		if answers, _ := r.Restored(); answers != wantAnswers {
+			t.Errorf("cut %d: restored %d answers, want %d", cut, answers, wantAnswers)
 		}
-		if st := r.Stats(); st.Answers != wantAnswers || st.HITs != 1 {
-			t.Errorf("cut %d: restored accounting %+v, want %d answers and 1 HIT", cut, st, wantAnswers)
+		// Re-asking the intact pair is served from the journal: no crowd
+		// call, its two answers charged at the runner's price.
+		if !r.Label(record.P(0, 0), crowd.Policy21) || c.total != 0 || r.Stats().Answers != 2 ||
+			r.Stats().Cost != 0.02 {
+			t.Errorf("cut %d: re-asking the intact pair took %d crowd calls, accounting %+v", cut, c.total, r.Stats())
 		}
 	}
 }

@@ -285,9 +285,9 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 }
 
 // Resume re-runs a journaled job in a fresh (or the same) process,
-// reconstructing dataset and crowd from the stored spec. Settled labels
-// replay at zero cost. Only jobs submitted with a Meta can be resumed this
-// way; library jobs use ResumeSpec.
+// reconstructing dataset and crowd from the stored spec. Journaled answers
+// are served instead of asked again. Only jobs submitted with a Meta can be
+// resumed this way; library jobs use ResumeSpec.
 func (m *Manager) Resume(id string) (*Job, error) {
 	if m.store == nil {
 		return nil, fmt.Errorf("runsvc: resume %s: no journal store configured", id)
@@ -320,7 +320,7 @@ func (m *Manager) Resume(id string) (*Job, error) {
 
 // ResumeSpec resumes a journaled job with a caller-supplied spec (dataset,
 // crowd, and config must match the original submission for the replay to
-// be exact — only the labels and batch log come from the journal).
+// be exact — only the paid answers come from the journal).
 func (m *Manager) ResumeSpec(id string, spec Spec) (*Job, error) {
 	if m.store == nil {
 		return nil, fmt.Errorf("runsvc: resume %s: no journal store configured", id)
@@ -525,16 +525,15 @@ func (m *Manager) execute(j *Job) {
 				j.finish(StateFailed, nil, err, nil)
 				return
 			}
+			// The restored answers are charged as the run re-asks them, so
+			// the event's cost still reads 0; its detail carries them.
+			answers, pairs := runner.Restored()
 			j.publishProgress("resume", fmt.Sprintf(
-				"replayed %d journaled labels, %d batches", replayed.Labels, replayed.Batches), runner)
+				"replayed %d journaled labels: %d paid answers over %d pairs, charged as they are re-asked",
+				replayed.Labels, answers, pairs), runner)
 		}
 		runner.AfterBatch = func() {
 			if err := jl.FlushLabels(runner); err != nil {
-				j.journalFail(err)
-			}
-		}
-		runner.OnBatch = func(batch []crowd.Labeled) {
-			if err := jl.AppendBatch(runner, batch); err != nil {
 				j.journalFail(err)
 			}
 		}
@@ -578,8 +577,8 @@ func (m *Manager) execute(j *Job) {
 			// publishes a "compact" progress event with its shape.
 			if info.Gen > 0 {
 				j.publishProgress("compact", fmt.Sprintf(
-					"snapshot g%06d: %d labels, %d batches, %d bytes",
-					info.Gen, info.Labels, info.Batches, info.Bytes), runner)
+					"snapshot g%06d: %d labels, %d bytes",
+					info.Gen, info.Labels, info.Bytes), runner)
 			}
 		}
 		j.publishCheckpoint(cp)

@@ -1,10 +1,13 @@
 package runsvc
 
 import (
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/corleone-em/corleone/internal/crowd"
 	"github.com/corleone-em/corleone/internal/engine"
+	"github.com/corleone-em/corleone/internal/record"
 )
 
 func testMeta(seed int64, scale, errRate float64) Meta {
@@ -209,6 +212,23 @@ func TestManagerConcurrentJobs(t *testing.T) {
 	}
 }
 
+// gatedCrowd holds its first answer until release closes, announcing on
+// asked that the run is waiting on it, so a test can cancel a job at a
+// known point mid-pipeline.
+type gatedCrowd struct {
+	crowd.Crowd
+	asked, release chan struct{}
+	once           sync.Once
+}
+
+func (g *gatedCrowd) Answer(p record.Pair) bool {
+	g.once.Do(func() {
+		close(g.asked)
+		<-g.release
+	})
+	return g.Crowd.Answer(p)
+}
+
 // TestManagerIndependentCancellation runs four jobs concurrently and
 // cancels two of them mid-run; the other two must finish unaffected.
 func TestManagerIndependentCancellation(t *testing.T) {
@@ -221,27 +241,31 @@ func TestManagerIndependentCancellation(t *testing.T) {
 	}
 	defer m.Close()
 
+	// Jobs 1 and 3 are library specs whose crowd blocks on its first
+	// question, so each is canceled while it waits on the crowd.
 	jobs := make([]*Job, 4)
+	gates := make(map[int]*gatedCrowd)
 	for i := range jobs {
 		meta := testMeta(int64(100+i), 0.3, 0)
-		j, err := m.Submit(Spec{Meta: &meta})
+		spec := Spec{Meta: &meta}
+		if i == 1 || i == 3 {
+			built, err := BuildSpec(meta)
+			if err != nil {
+				t.Fatalf("BuildSpec: %v", err)
+			}
+			gates[i] = &gatedCrowd{Crowd: built.Crowd, asked: make(chan struct{}), release: make(chan struct{})}
+			spec = Spec{Name: built.Name, Dataset: built.Dataset, Crowd: gates[i], Config: built.Config}
+		}
+		j, err := m.Submit(spec)
 		if err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
 		}
 		jobs[i] = j
 	}
-
-	// Cancel jobs 1 and 3 once they are demonstrably running (first
-	// progress event seen), so cancellation lands mid-pipeline.
-	for _, i := range []int{1, 3} {
-		ch, stop := jobs[i].Subscribe()
-		for e := range ch {
-			if e.Kind == "progress" {
-				break
-			}
-		}
-		stop()
+	for i, g := range gates {
+		<-g.asked
 		jobs[i].Cancel()
+		close(g.release)
 	}
 
 	for i, j := range jobs {
@@ -254,8 +278,8 @@ func TestManagerIndependentCancellation(t *testing.T) {
 			if j.State() != StateCanceled {
 				t.Errorf("job %d state = %s, want canceled", i, j.State())
 			}
-			if res != nil && res.StopReason != "canceled" {
-				t.Errorf("job %d stop reason %q, want canceled", i, res.StopReason)
+			if res == nil || res.StopReason != "canceled" {
+				t.Errorf("job %d result %v, want one stopped as canceled", i, res)
 			}
 		default:
 			if j.State() != StateDone {

@@ -292,8 +292,8 @@ func TestSnapshotTornTmpSweep(t *testing.T) {
 	if err := os.MkdirAll(jdir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	log := appendFrame(nil, kindBatch, []byte(`{"p":[[0,0]],"hits":1}`))
-	log = appendFrame(log, kindLabel, []byte(`{"a":0,"b":0,"answers":[true,true],"label":true,"settled":1}`))
+	log := appendFrame(nil, kindCheckpoint, []byte(`{"phase":"blocking"}`))
+	log = appendFrame(log, kindLabel, []byte(`{"a":0,"b":0,"answers":[true,true]}`))
 	if err := os.WriteFile(filepath.Join(jdir, logName(0)), log, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -312,19 +312,26 @@ func TestSnapshotTornTmpSweep(t *testing.T) {
 	if _, err := os.Stat(torn); !os.IsNotExist(err) {
 		t.Errorf("torn snapshot tmp survived Open (stat err %v)", err)
 	}
-	r := crowd.NewRunner(nil, 0.01)
+	c := oracleFor(record.P(0, 0))
+	r := crowd.NewRunner(c, 0.01)
 	got, err := jl.Replay(r)
 	if err != nil {
 		t.Fatalf("replay after sweep: %v", err)
 	}
-	if got.Labels != 1 || got.Batches != 1 {
-		t.Errorf("replayed %+v; want 1 label and 1 batch", got)
+	if got.Labels != 1 || got.Checkpoints != 1 {
+		t.Errorf("replayed %+v; want 1 label and 1 checkpoint", got)
 	}
-	if st := r.Stats(); st.Answers != 2 || st.HITs != 1 {
-		t.Errorf("restored accounting %+v, want 2 answers and 1 HIT", st)
+	if answers, pairs := r.Restored(); answers != 2 || pairs != 1 {
+		t.Errorf("restored %d answers over %d pairs, want 2 over 1", answers, pairs)
 	}
-	if _, ok := r.Cached(record.P(0, 0), crowd.PolicyStrong); !ok {
-		t.Error("label lost across the sweep")
+	// Re-asking the pair serves its two answers and charges them; a strong
+	// label needs a third, asked live only past them.
+	if !r.Label(record.P(0, 0), crowd.Policy21) || c.total != 0 || r.Stats().Answers != 2 {
+		t.Errorf("re-asking the restored pair took %d crowd calls, accounting %+v", c.total, r.Stats())
+	}
+	if !r.Label(record.P(0, 0), crowd.PolicyStrong) || c.total != 1 || r.Stats().Answers != 3 {
+		t.Errorf("topping the pair up to strong took %d crowd calls, accounting %+v; want 1 and 3 answers",
+			c.total, r.Stats())
 	}
 }
 

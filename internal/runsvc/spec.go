@@ -2,20 +2,19 @@
 // concurrent Corleone jobs end-to-end. A bounded executor pool runs
 // engine.Run instances in parallel, each wired through the engine's
 // Listener/Cancel/Checkpoint hooks for live status, prompt cancellation,
-// and journaling. Every job appends its durable state — crowd labels,
-// training-batch compositions, phase/cost checkpoints, per-iteration model
-// snapshots — to an on-disk journal, flushed at crowd batch boundaries, so
-// a killed process resumes without re-paying for any settled label.
+// and journaling. Every job appends its durable state — every crowd answer
+// paid for, phase/cost checkpoints, per-iteration model snapshots — to an
+// on-disk journal, flushed at crowd batch boundaries, so a killed process
+// resumes without buying any journaled answer again.
 //
-// Resume is replay-based, matching the paper's §8.3 label-reuse semantics:
-// computation is cheap and deterministic under a fixed seed, crowd labels
-// are the expensive state. A resumed job re-executes the pipeline from the
-// start; journaled labels serve every already-settled question at zero
-// cost, and the journaled batch log makes the active-learning HIT packing
-// retrace the original trajectory exactly (packing otherwise depends on
-// cache state, which a resumed run has more of). An unbudgeted resumed run
-// therefore completes with the same result as an uninterrupted run with
-// the same seed, paying only for questions the crash lost.
+// Resume is answer replay, matching the paper's §8.3 label-reuse
+// semantics: computation is cheap and deterministic under a fixed seed,
+// crowd answers are the expensive state. A resumed job re-executes the
+// pipeline from the start, and each time it asks about a pair the journal
+// holds answers for, it is served those answers in order instead of asking
+// the crowd. So it re-derives every vote, HIT packing and accounting field
+// of the run it continues, under a noisy crowd as under a perfect one,
+// and asks the crowd only for the answers the crash lost.
 package runsvc
 
 import (
