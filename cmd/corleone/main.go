@@ -97,17 +97,7 @@ func main() {
 	res, err := corleone.Run(ds, crowd, cfg)
 	check(err)
 
-	fmt.Fprintf(os.Stderr, "matches: %d\n", len(res.Matches))
-	fmt.Fprintf(os.Stderr, "estimated: P=%.1f%%±%.1f R=%.1f%%±%.1f F1=%.1f%%\n",
-		100*res.EstimatedPrecision.Point, 100*res.EstimatedPrecision.Margin,
-		100*res.EstimatedRecall.Point, 100*res.EstimatedRecall.Margin,
-		res.EstimatedF1)
-	if res.HasTrue {
-		fmt.Fprintf(os.Stderr, "true:      %v\n", res.True)
-	}
-	fmt.Fprintf(os.Stderr, "cost: $%.2f over %d pairs (%d answers), %d iterations, stopped: %s\n",
-		res.Accounting.Cost, res.Accounting.Pairs, res.Accounting.Answers,
-		res.Iterations, res.StopReason)
+	fmt.Fprint(os.Stderr, res.Summary())
 
 	var w io.Writer = os.Stdout
 	if *out != "" {

@@ -44,9 +44,6 @@ type Config struct {
 	Policy crowd.Policy
 	// Seed drives example selection and the monitor split.
 	Seed int64
-	// StopEarly, when non-nil, is polled each iteration; returning true
-	// aborts training (used by budget-capped runs).
-	StopEarly func() bool
 	// Strategy selects examples for labeling: StrategyEntropy (default)
 	// is the paper's §5.2 informativeness sampling; StrategyRandom is the
 	// ablation baseline that draws uniformly from the pool.
@@ -140,7 +137,7 @@ const (
 	StopPoolExhausted StopReason = "pool-exhausted"
 	// StopMaxIterations: the safety cap was reached.
 	StopMaxIterations StopReason = "max-iterations"
-	// StopBudget: the caller's StopEarly hook fired.
+	// StopBudget: the runner's Stop hook fired.
 	StopBudget StopReason = "budget"
 )
 
@@ -258,7 +255,7 @@ func Learn(runner *crowd.Runner, pairs []record.Pair, X [][]float64,
 			trace.Reason = reason
 			break
 		}
-		if cfg.StopEarly != nil && cfg.StopEarly() {
+		if runner.Stopped() {
 			trace.Reason = StopBudget
 			break
 		}

@@ -83,10 +83,9 @@ func TestLearnErrors(t *testing.T) {
 func TestLearnStopEarly(t *testing.T) {
 	pairs, X, seeds, seedX, truth := pool(2000, 0.05, 3)
 	runner := crowd.NewRunner(&crowd.Oracle{Truth: truth}, 0.01)
-	cfg := Defaults()
 	calls := 0
-	cfg.StopEarly = func() bool { calls++; return calls > 2 }
-	res, err := Learn(runner, pairs, X, seeds, seedX, cfg)
+	runner.Stop = func() bool { calls++; return calls > 2 }
+	res, err := Learn(runner, pairs, X, seeds, seedX, Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,10 +161,11 @@ func Run(ds *record.Dataset, ex *feature.Extractor, runner *crowd.Runner, cfg Co
 	res.ALTrace = learned.Trace
 
 	// Step 4 (§4.1): extract candidate blocking rules (negative rules),
-	// with their coverage of S from one walk of X through the forest.
-	negRules, _ := learned.Forest.Rules()
-	res.CandidateRuleCount = len(negRules)
+	// with their coverage of S from one walk of X through the forest. Every
+	// leaf holds a bootstrapped training row, and every training row is in
+	// S, so no rule's coverage is empty and the candidates are all of them.
 	cands, _ := ruleeval.CoverByLeaf(learned.Forest, X)
+	res.CandidateRuleCount = len(cands)
 	for i := range cands {
 		cands[i].Rule.SortPredsByCost(ex.Cost)
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/corleone-em/corleone/internal/active"
 	"github.com/corleone-em/corleone/internal/crowd"
 	"github.com/corleone-em/corleone/internal/datagen"
 	"github.com/corleone-em/corleone/internal/feature"
@@ -85,6 +86,23 @@ func TestRunBlockingEndToEnd(t *testing.T) {
 	}
 	if res.CandidateRuleCount == 0 || len(res.Evaluated) == 0 {
 		t.Error("missing rule bookkeeping")
+	}
+	// CandidateRuleCount counts the rules with coverage over S; relearning
+	// the same forest must find no negative rule without it.
+	seedX := make([][]float64, len(ds.Seeds))
+	for i, s := range ds.Seeds {
+		seedX[i] = ex.Vector(s.Pair)
+	}
+	acfg := cfg.Active
+	acfg.Seed = cfg.Seed
+	relearner := crowd.NewRunner(&crowd.Oracle{Truth: ds.Truth}, 0.01)
+	relearner.SeedLabels(ds.Seeds)
+	learned, err := active.Learn(relearner, res.Sample, ex.Vectors(res.Sample), ds.Seeds, seedX, acfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if neg, _ := learned.Forest.Rules(); len(neg) != res.CandidateRuleCount {
+		t.Errorf("CandidateRuleCount = %d, but the forest has %d negative rules", res.CandidateRuleCount, len(neg))
 	}
 	// Seeds must be in the sample.
 	inS := record.NewPairSet(res.Sample...)

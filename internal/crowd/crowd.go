@@ -195,6 +195,11 @@ type Runner struct {
 	// mid-vote keep their genuine answers but stay unsettled, so a resumed
 	// run tops them up instead of trusting a partial majority.
 	Cancel <-chan struct{}
+	// Stop, when non-nil, is polled by the crowd-spending loops (active
+	// learning, rule evaluation, estimation) at their batch boundaries
+	// through Stopped; returning true ends the loop with what it has.
+	// engine.Run installs its budget checks here.
+	Stop func() bool
 }
 
 // HITSize is the number of questions per HIT (§8.1).
@@ -212,6 +217,9 @@ func NewRunner(c Crowd, pricePerQuestion float64) *Runner {
 
 // Stats returns a copy of the accounting so far.
 func (r *Runner) Stats() Accounting { return r.acct }
+
+// Stopped reports whether the Stop hook asks the crowd loops to end.
+func (r *Runner) Stopped() bool { return r.Stop != nil && r.Stop() }
 
 // SeedLabels installs the user-supplied labeled examples (§3's two positive
 // and two negative seeds) into the cache as authoritative labels that never

@@ -361,28 +361,6 @@ func TestRenderQuestion(t *testing.T) {
 	}
 }
 
-func TestRenderHITCapsQuestions(t *testing.T) {
-	schema := record.Schema{{Name: "n", Type: record.AttrString}}
-	a := record.NewTable("a", schema)
-	b := record.NewTable("b", schema)
-	for i := 0; i < 15; i++ {
-		a.Append(record.Tuple{"x"})
-		b.Append(record.Tuple{"y"})
-	}
-	ds := &record.Dataset{Name: "t", A: a, B: b}
-	var pairs []record.Pair
-	for i := 0; i < 15; i++ {
-		pairs = append(pairs, record.P(i, i))
-	}
-	h := RenderHIT(ds, pairs)
-	if strings.Contains(h, "Question 11") {
-		t.Error("HIT should cap at 10 questions")
-	}
-	if !strings.Contains(h, "Question 10") {
-		t.Error("HIT should include 10 questions")
-	}
-}
-
 func TestResponseModelMonotonic(t *testing.T) {
 	m := DefaultResponseModel()
 	if m.WorkersPerHour(0) != 0 {

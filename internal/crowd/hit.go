@@ -7,13 +7,6 @@ import (
 	"github.com/corleone-em/corleone/internal/record"
 )
 
-// Question is one crowd question: a tuple pair rendered side by side with
-// the user's matching instruction (the paper's Figure 4).
-type Question struct {
-	Pair        record.Pair
-	Instruction string
-}
-
 // RenderQuestion renders pair p of the dataset as the side-by-side table a
 // worker would see on AMT, in plain text. Yes / No / Not sure are the answer
 // options in the paper's UI; "Not sure" answers are re-solicited, so the
@@ -52,18 +45,5 @@ func RenderQuestion(ds *record.Dataset, p record.Pair) string {
 	}
 	b.WriteString(sep)
 	b.WriteString("( ) Yes   ( ) No   ( ) Not sure\n")
-	return b.String()
-}
-
-// RenderHIT renders up to HITSize questions as one Human Intelligence Task.
-func RenderHIT(ds *record.Dataset, pairs []record.Pair) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "=== HIT (%d questions) ===\n", len(pairs))
-	for i, p := range pairs {
-		if i >= HITSize {
-			break
-		}
-		fmt.Fprintf(&b, "\nQuestion %d:\n%s", i+1, RenderQuestion(ds, p))
-	}
 	return b.String()
 }

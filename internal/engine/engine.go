@@ -62,6 +62,7 @@ type Config struct {
 	// with journaled answers so no question is paid for twice, and installs
 	// its journal hooks before the run starts.
 	// PricePerQuestion is ignored in that case; the runner carries its own.
+	// Run installs its budget checks as the runner's Stop hook.
 	Runner *crowd.Runner
 	// Checkpoint, when non-nil, receives a durable-state snapshot at every
 	// phase boundary (after blocking and after each iteration, estimation,
@@ -204,6 +205,11 @@ type Result struct {
 // Run executes the full hands-off pipeline on the dataset using the given
 // crowd. The dataset's ground truth, if present, is used only by simulated
 // crowds and for reporting true accuracy.
+//
+// The pipeline is a stage list over one run state: the blocking stage, then
+// matching, estimation and reduction each iteration. step wraps every stage
+// in the same bookkeeping, and the cancel and total-budget check runs once
+// before each iteration stage.
 func Run(ds *record.Dataset, c crowd.Crowd, cfg Config) (*Result, error) {
 	if err := ds.Validate(); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
@@ -214,314 +220,342 @@ func Run(ds *record.Dataset, c crowd.Crowd, cfg Config) (*Result, error) {
 	if cfg.PricePerQuestion <= 0 {
 		cfg.PricePerQuestion = 0.01
 	}
-	runner := cfg.Runner
-	if runner == nil {
-		runner = crowd.NewRunner(c, cfg.PricePerQuestion)
+	st := &run{cfg: cfg, ds: ds, runner: cfg.Runner, res: &Result{Dataset: ds.Name}, bestF1: -1,
+		caps: [...]float64{cfg.PhaseBudgets.Blocking, cfg.PhaseBudgets.Matching, cfg.PhaseBudgets.Estimation}}
+	if st.runner == nil {
+		st.runner = crowd.NewRunner(c, cfg.PricePerQuestion)
 	}
-	if runner.Cancel == nil {
+	if st.runner.Cancel == nil {
 		// Propagate cancellation below the batch level: the runner refuses
 		// to solicit (or record) answers once the channel closes, so a
 		// canceled crowd adapter's fabricated answers never enter the cache.
-		runner.Cancel = cfg.Cancel
+		st.runner.Cancel = cfg.Cancel
 	}
-	runner.SeedLabels(ds.Seeds)
-	ex := feature.NewExtractor(ds)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	res := &Result{Dataset: ds.Name}
-	emit := func(phase, detail string) {
-		if cfg.Listener == nil {
-			return
-		}
-		st := runner.Stats()
-		cfg.Listener(Event{Phase: phase, Detail: detail, Cost: st.Cost, Pairs: st.Pairs})
-	}
-	checkpoint := func(phase string, iter int, f *forest.Forest) {
-		if cfg.Checkpoint == nil {
-			return
-		}
-		cp := Checkpoint{Phase: phase, Iteration: iter,
-			Accounting: runner.Stats(), Forest: f}
-		if f != nil {
-			cp.FeatureNames = ex.Names()
-		}
-		cfg.Checkpoint(cp)
-	}
+	st.runner.Stop = st.stopped
+	st.runner.SeedLabels(ds.Seeds)
+	st.ex = feature.NewExtractor(ds)
+	st.rng = rand.New(rand.NewSource(cfg.Seed))
 
-	canceled := func() bool {
-		select {
-		case <-cfg.Cancel:
-			return true
-		default:
-			return false
+	stop, err := st.step(blocking)
+	for err == nil && stop == "" {
+		st.iter++
+		for _, s := range iteration {
+			if st.overBudget() {
+				stop = "budget exhausted"
+				break
+			}
+			if stop, err = st.step(s); err != nil || stop != "" {
+				break
+			}
 		}
 	}
-	overBudget := func() bool {
-		if cfg.Cancel != nil && canceled() {
-			return true
-		}
-		return cfg.Budget > 0 && runner.Stats().Cost >= cfg.Budget
+	if err != nil {
+		return nil, err
 	}
-	// Per-phase spend tracking for PhaseBudgets: bucketStart is the cost
-	// when the current phase (re-)entered its bucket; the accumulators
-	// carry spend from earlier visits (matching and estimation recur).
-	var bucketStart, matchSpent, estSpent float64
-	blockingStop := func() bool {
-		if overBudget() {
-			return true
-		}
-		return cfg.PhaseBudgets.Blocking > 0 &&
-			runner.Stats().Cost >= cfg.PhaseBudgets.Blocking
-	}
-	matchingStop := func() bool {
-		if overBudget() {
-			return true
-		}
-		return cfg.PhaseBudgets.Matching > 0 &&
-			matchSpent+(runner.Stats().Cost-bucketStart) >= cfg.PhaseBudgets.Matching
-	}
-	estimationStop := func() bool {
-		if overBudget() {
-			return true
-		}
-		return cfg.PhaseBudgets.Estimation > 0 &&
-			estSpent+(runner.Stats().Cost-bucketStart) >= cfg.PhaseBudgets.Estimation
-	}
-	// Propagate the budget checks into every crowd-spending loop.
-	cfg.Blocker.Active.StopEarly = blockingStop
-	cfg.Blocker.RuleEval.StopEarly = blockingStop
-	cfg.Matcher.Active.StopEarly = matchingStop
-	cfg.Estimator.StopEarly = estimationStop
-	cfg.Locator.RuleEval.StopEarly = matchingStop
+	return st.finish(stop), nil
+}
 
-	// ---- Blocker (§4) ----
-	emit("blocking", fmt.Sprintf("scanning %d pairs (t_B = %d)", ds.CartesianSize(), cfg.Blocker.TB))
-	bcfg := cfg.Blocker
-	bcfg.Seed = cfg.Seed
+// The PhaseBudgets buckets, as indices into run.caps and run.spent.
+const (
+	blockingBucket = iota
+	matchingBucket
+	estimationBucket
+)
+
+// stage is one box of Figure 1. do runs it and returns its Table 4 row
+// (blocking has none) and, when the loop must end after it, a stop reason.
+type stage struct {
+	phase  string // Checkpoint.Phase
+	bucket int    // the PhaseBudgets bucket it spends from
+	do     func(*run) (Phase, string, error)
+}
+
+var (
+	blocking  = stage{"blocking", blockingBucket, (*run).block}
+	iteration = [...]stage{
+		{"iteration", matchingBucket, (*run).match},
+		{"estimation", estimationBucket, (*run).estimate},
+		{"reduction", matchingBucket, (*run).reduce},
+	}
+)
+
+// noGain is the stop reason of an iteration the estimator rejected.
+const noGain = "estimated accuracy did not improve"
+
+// run is the state the stages of one Run share.
+type run struct {
+	cfg    Config
+	ds     *record.Dataset
+	runner *crowd.Runner
+	ex     *feature.Extractor
+	rng    *rand.Rand
+	res    *Result
+
+	// C is the umbrella set and X its vectors.
+	C []record.Pair
+	X [][]float64
+	// training is every labeled example so far, deduplicated by pair (§5.1
+	// trains on "all labeled examples available"); seen holds its pairs.
+	training []record.Labeled
+	seen     record.PairSet
+	// pred is the combined prediction over C: later iterations overwrite
+	// only their difficult subset (§7 step 3 routes each pair to the matcher
+	// trained for it). cur indexes C for the current iteration's set, and
+	// sub and subX are that set and its vectors.
+	pred []bool
+	cur  []int
+	sub  []record.Pair
+	subX [][]float64
+
+	iter   int
+	m      *matcher.Result // this iteration's matcher
+	bestF1 float64         // best estimated F1 so far
+	best   []record.Pair   // the combined matching it was estimated on
+
+	// caps are the PhaseBudgets by bucket, spent the spend of each bucket's
+	// finished stages, and bucket and bucketStart the running stage's bucket
+	// and the cost when it started.
+	caps        [3]float64
+	spent       [3]float64
+	bucket      int
+	bucketStart float64
+}
+
+// step runs one stage inside the bookkeeping every stage shares: it points
+// the Stop hook at the stage's bucket, runs the stage, charges the bucket,
+// appends the stage's Table 4 row with the pairs it labeled, and hands
+// Config.Checkpoint the boundary.
+func (st *run) step(s stage) (string, error) {
+	before := st.runner.Stats()
+	st.bucket, st.bucketStart = s.bucket, before.Cost
+	row, stop, err := s.do(st)
+	if err != nil {
+		return "", err
+	}
+	after := st.runner.Stats()
+	st.spent[s.bucket] += after.Cost - before.Cost
+	if row.Name != "" {
+		row.PairsLabeled = after.Pairs - before.Pairs
+		st.res.Phases = append(st.res.Phases, row)
+	}
+	if st.cfg.Checkpoint != nil {
+		cp := Checkpoint{Phase: s.phase, Iteration: st.iter, Accounting: after}
+		if s.phase == "iteration" {
+			cp.Forest, cp.FeatureNames = st.m.Forest, st.ex.Names()
+		}
+		st.cfg.Checkpoint(cp)
+	}
+	return stop, nil
+}
+
+// stopped is the runner's Stop hook, polled by every crowd loop: it fires
+// once the run is canceled, the total budget is spent, or the running
+// stage's bucket has spent its PhaseBudgets cap.
+func (st *run) stopped() bool {
+	if st.overBudget() {
+		return true
+	}
+	c := st.caps[st.bucket]
+	return c > 0 && st.spent[st.bucket]+(st.runner.Stats().Cost-st.bucketStart) >= c
+}
+
+// overBudget reports a canceled run or a spent total budget.
+func (st *run) overBudget() bool {
+	select {
+	case <-st.cfg.Cancel:
+		return true
+	default:
+	}
+	return st.cfg.Budget > 0 && st.runner.Stats().Cost >= st.cfg.Budget
+}
+
+func (st *run) emit(phase, detail string) {
+	if st.cfg.Listener == nil {
+		return
+	}
+	a := st.runner.Stats()
+	st.cfg.Listener(Event{Phase: phase, Detail: detail, Cost: a.Cost, Pairs: a.Pairs})
+}
+
+// block runs the Blocker (§4) and vectorises the umbrella set it streams.
+func (st *run) block() (Phase, string, error) {
+	ds, bcfg := st.ds, st.cfg.Blocker
+	st.emit("blocking", fmt.Sprintf("scanning %d pairs (t_B = %d)", ds.CartesianSize(), bcfg.TB))
+	bcfg.Seed = st.cfg.Seed
 	// Consume the umbrella set as a stream: the blocker's planner emits
 	// bounded chunks in deterministic order, and the engine materializes C
 	// exactly once here (the matcher needs random access to it).
 	// Below t_B blocking passes all of A×B through, so C's size is known:
 	// one allocation instead of append's doubling. A triggered run's
 	// umbrella set is a small, unknown fraction and keeps growing by chunk.
-	var C []record.Pair
 	if n := ds.CartesianSize(); n <= int64(bcfg.TB) {
-		C = make([]record.Pair, 0, n)
+		st.C = make([]record.Pair, 0, n)
 	}
-	bcfg.Sink = func(chunk []record.Pair) { C = append(C, chunk...) }
-	blk, err := blocker.Run(ds, ex, runner, bcfg)
+	bcfg.Sink = func(chunk []record.Pair) { st.C = append(st.C, chunk...) }
+	blk, err := blocker.Run(ds, st.ex, st.runner, bcfg)
 	if err != nil {
-		return nil, err
+		return Phase{}, "", err
 	}
 	// Re-attach the collected umbrella set so Result.Blocking.Candidates
 	// keeps its documented meaning for reports, experiments, and tests.
-	blk.Candidates = C
-	res.Blocking = blk
-	res.BlockingAccounting = runner.Stats()
+	blk.Candidates = st.C
+	st.res.Blocking = blk
+	st.res.BlockingAccounting = st.runner.Stats()
 	if blk.Triggered {
-		emit("blocking", fmt.Sprintf("%d rules applied by %s, umbrella set %d pairs",
+		st.emit("blocking", fmt.Sprintf("%d rules applied by %s, umbrella set %d pairs",
 			len(blk.Selected), blk.Plan, len(blk.Candidates)))
 	} else {
-		emit("blocking", "skipped (Cartesian product below t_B)")
+		st.emit("blocking", "skipped (Cartesian product below t_B)")
 	}
-	checkpoint("blocking", 0, nil)
-	X := ex.Vectors(C)
-
-	// All labeled examples accumulated so far, deduplicated by pair (§5.1
-	// trains on "all labeled examples available"). Their vectors are looked
-	// up, not indexed: C arrives in (a, b) order (the Sink contract), so a
-	// training pair inside C is a binary search away, and one outside it —
-	// a seed or blocking-sample pair the rules removed — is computed afresh.
-	// A vector is a pure function of its pair, so a miss costs time only.
-	lookupVec := func(p record.Pair) []float64 {
-		i := sort.Search(len(C), func(i int) bool { return !C[i].Less(p) })
-		if i < len(C) && C[i] == p {
-			return X[i]
-		}
-		return ex.Vector(p)
+	st.X = st.ex.Vectors(st.C)
+	st.seen = record.NewPairSet()
+	st.addTraining(ds.Seeds)
+	st.addTraining(blk.Training)
+	st.pred = make([]bool, len(st.C))
+	st.cur = make([]int, len(st.C))
+	for i := range st.cur {
+		st.cur[i] = i
 	}
-	var training []record.Labeled
-	seen := record.NewPairSet()
-	addTraining := func(ls []record.Labeled) {
-		for _, l := range ls {
-			if seen.Has(l.Pair) {
-				continue
-			}
-			seen.Add(l.Pair)
-			training = append(training, l)
-		}
+	st.sub, st.subX = st.C, st.X // iteration 1 runs over all of C
+	return Phase{}, "", nil
+}
+
+// match trains this iteration's matcher (§5) over the current set and
+// routes its predictions into the combined ones.
+func (st *run) match() (Phase, string, error) {
+	cfg, iter, res := st.cfg, st.iter, st.res
+	initX := make([][]float64, len(st.training))
+	for i, l := range st.training {
+		initX[i] = st.vector(l.Pair)
 	}
-	addTraining(ds.Seeds)
-	addTraining(blk.Training)
-
-	// Combined predictions over C: later iterations overwrite only their
-	// difficult subset (§7 step 3 routes each pair to the matcher trained
-	// for it).
-	finalPred := make([]bool, len(C))
-	cur := make([]int, len(C)) // indices into C for the current iteration's set
-	for i := range cur {
-		cur[i] = i
+	st.emit("matching", fmt.Sprintf("iteration %d over %d candidates", iter, len(st.cur)))
+	mcfg := cfg.Matcher
+	mcfg.Active.Seed = cfg.Seed + int64(iter)*104729
+	m, err := matcher.Run(st.runner, st.sub, st.subX, st.training, initX, mcfg)
+	if err != nil {
+		return Phase{}, "", err
 	}
-
-	bestEstF1 := -1.0
-	var bestMatches []record.Pair
-	pairsBefore := func() int { return runner.Stats().Pairs }
-
-	for iter := 1; iter <= cfg.MaxIterations; iter++ {
-		if cfg.Cancel != nil && canceled() {
-			res.StopReason = "canceled"
-			break
-		}
-		if overBudget() {
-			res.StopReason = "budget exhausted"
-			break
-		}
-		// ---- Matcher (§5) ----
-		start := pairsBefore()
-		subPairs, subX := C, X // iteration 1 runs over all of C
-		if iter > 1 {
-			subPairs = make([]record.Pair, len(cur))
-			subX = make([][]float64, len(cur))
-			for i, ci := range cur {
-				subPairs[i] = C[ci]
-				subX[i] = X[ci]
-			}
-		}
-		initX := make([][]float64, len(training))
-		for i, l := range training {
-			initX[i] = lookupVec(l.Pair)
-		}
-		emit("matching", fmt.Sprintf("iteration %d over %d candidates", iter, len(cur)))
-		mcfg := cfg.Matcher
-		mcfg.Active.Seed = cfg.Seed + int64(iter)*104729
-		bucketStart = runner.Stats().Cost
-		m, err := matcher.Run(runner, subPairs, subX, training, initX, mcfg)
-		matchSpent += runner.Stats().Cost - bucketStart
-		if err != nil {
-			return nil, err
-		}
-		addTraining(m.Training)
-		if iter == 1 {
-			res.Model = m.Forest
-			res.FeatureNames = ex.Names()
-		}
-		for i, ci := range cur {
-			finalPred[ci] = m.Predictions[i]
-		}
-		res.Iterations = iter
-		res.IterationMatches = append(res.IterationMatches, collect(C, finalPred))
-		res.ConfidenceTraces = append(res.ConfidenceTraces, m.Trace)
-
-		iterPhase := Phase{
-			Name:         fmt.Sprintf("Iteration %d", iter),
-			PairsLabeled: runner.Stats().Pairs - start,
-		}
-		if ds.Truth != nil {
-			iterPhase.True = metrics.Evaluate(collect(C, finalPred), ds.Truth)
-			iterPhase.HasTrue = true
-		}
-		res.Phases = append(res.Phases, iterPhase)
-		emit("matching", fmt.Sprintf("iteration %d done: %d predicted matches (AL stopped: %s)",
-			iter, m.PositiveCount, m.Trace.Reason))
-		checkpoint("iteration", iter, m.Forest)
-
-		if cfg.SkipEstimator {
-			res.StopReason = "estimator skipped"
-			bestMatches = collect(C, finalPred)
-			break
-		}
-		if overBudget() {
-			res.StopReason = "budget exhausted"
-			bestMatches = collect(C, finalPred)
-			break
-		}
-
-		// ---- Accuracy Estimator (§6) ----
-		start = pairsBefore()
-		ecfg := cfg.Estimator
-		ecfg.Seed = cfg.Seed + int64(iter)*7
-		bucketStart = runner.Stats().Cost
-		est := estimator.Estimate(rng, runner, m.Forest, C, X, finalPred, training, ecfg)
-		estSpent += runner.Stats().Cost - bucketStart
-		res.EstimatorRuns = append(res.EstimatorRuns, est)
-		emit("estimation", fmt.Sprintf("P=%.1f%%±%.1f R=%.1f%%±%.1f (%d reduction rules)",
-			100*est.Precision.Point, 100*est.Precision.Margin,
-			100*est.Recall.Point, 100*est.Recall.Margin, len(est.RulesApplied)))
-		res.EstimatedPrecision = est.Precision
-		res.EstimatedRecall = est.Recall
-		res.EstimatedF1 = est.F1
-		res.Phases = append(res.Phases, Phase{
-			Name:         fmt.Sprintf("Estimation %d", iter),
-			PairsLabeled: runner.Stats().Pairs - start,
-			Estimated: metrics.PRF{P: 100 * est.Precision.Point,
-				R: 100 * est.Recall.Point, F1: est.F1},
-			HasEst: true,
-		})
-		checkpoint("estimation", iter, nil)
-
-		// Keep the best matching seen so far (by estimated F1); stop when
-		// the estimate no longer improves (§6 intro, §7).
-		if est.F1 > bestEstF1 {
-			bestEstF1 = est.F1
-			bestMatches = collect(C, finalPred)
-		} else {
-			res.StopReason = "estimated accuracy did not improve"
-			break
-		}
-		if iter == cfg.MaxIterations {
-			res.StopReason = "max iterations"
-			break
-		}
-		if overBudget() {
-			res.StopReason = "budget exhausted"
-			break
-		}
-
-		// ---- Difficult Pairs' Locator (§7) ----
-		start = pairsBefore()
-		lcfg := cfg.Locator
-		lcfg.Seed = cfg.Seed + int64(iter)*13
-		bucketStart = runner.Stats().Cost
-		loc := locator.Locate(rng, runner, m.Forest, subPairs, subX, training, lcfg)
-		matchSpent += runner.Stats().Cost - bucketStart
-		res.LocatorRuns = append(res.LocatorRuns, loc)
-		next := make([]int, len(loc.DifficultIdx))
-		diff := make([]record.Pair, len(loc.DifficultIdx))
-		for i, di := range loc.DifficultIdx {
-			next[i] = cur[di]
-			diff[i] = C[cur[di]]
-		}
-		res.DifficultSets = append(res.DifficultSets, diff)
-		emit("reduction", fmt.Sprintf("%d difficult pairs located (proceed: %v)",
-			len(diff), loc.Proceed))
-		res.Phases = append(res.Phases, Phase{
-			Name:           fmt.Sprintf("Reduction %d", iter),
-			PairsLabeled:   runner.Stats().Pairs - start,
-			ReducedSetSize: len(next),
-		})
-		checkpoint("reduction", iter, nil)
-		if !loc.Proceed {
-			res.StopReason = "locator: " + loc.Reason
-			break
-		}
-		cur = next
+	st.m = m
+	st.addTraining(m.Training)
+	if iter == 1 {
+		res.Model = m.Forest
+		res.FeatureNames = st.ex.Names()
 	}
+	for i, ci := range st.cur {
+		st.pred[ci] = m.Predictions[i]
+	}
+	res.Iterations = iter
+	res.IterationMatches = append(res.IterationMatches, collect(st.C, st.pred))
+	res.ConfidenceTraces = append(res.ConfidenceTraces, m.Trace)
+	row := Phase{Name: fmt.Sprintf("Iteration %d", iter)}
+	if st.ds.Truth != nil {
+		row.True = metrics.Evaluate(collect(st.C, st.pred), st.ds.Truth)
+		row.HasTrue = true
+	}
+	st.emit("matching", fmt.Sprintf("iteration %d done: %d predicted matches (AL stopped: %s)",
+		iter, m.PositiveCount, m.Trace.Reason))
+	if cfg.SkipEstimator {
+		return row, "estimator skipped", nil
+	}
+	return row, "", nil
+}
 
-	if cfg.Cancel != nil && canceled() {
-		res.StopReason = "canceled"
+// estimate estimates the combined matching's accuracy (§6). The run keeps
+// the best matching seen so far by estimated F1, and stops when the
+// estimate no longer improves (§6 intro, §7).
+func (st *run) estimate() (Phase, string, error) {
+	ecfg := st.cfg.Estimator
+	ecfg.Seed = st.cfg.Seed + int64(st.iter)*7
+	est := estimator.Estimate(st.rng, st.runner, st.m.Forest, st.C, st.X, st.pred, st.training, ecfg)
+	st.res.EstimatorRuns = append(st.res.EstimatorRuns, est)
+	st.emit("estimation", fmt.Sprintf("P=%.1f%%±%.1f R=%.1f%%±%.1f (%d reduction rules)",
+		100*est.Precision.Point, 100*est.Precision.Margin,
+		100*est.Recall.Point, 100*est.Recall.Margin, len(est.RulesApplied)))
+	st.res.EstimatedPrecision, st.res.EstimatedRecall, st.res.EstimatedF1 = est.Precision, est.Recall, est.F1
+	row := Phase{
+		Name:      fmt.Sprintf("Estimation %d", st.iter),
+		Estimated: metrics.PRF{P: 100 * est.Precision.Point, R: 100 * est.Recall.Point, F1: est.F1},
+		HasEst:    true,
 	}
-	if bestMatches == nil {
-		bestMatches = collect(C, finalPred)
+	if est.F1 <= st.bestF1 {
+		return row, noGain, nil
 	}
-	res.Matches = bestMatches
-	if ds.Truth != nil {
-		res.True = metrics.Evaluate(res.Matches, ds.Truth)
+	st.bestF1, st.best = est.F1, collect(st.C, st.pred)
+	if st.iter == st.cfg.MaxIterations {
+		return row, "max iterations", nil
+	}
+	return row, "", nil
+}
+
+// reduce locates the current set's difficult pairs (§7) and makes them
+// the set the next iteration matches.
+func (st *run) reduce() (Phase, string, error) {
+	lcfg := st.cfg.Locator
+	lcfg.Seed = st.cfg.Seed + int64(st.iter)*13
+	loc := locator.Locate(st.rng, st.runner, st.m.Forest, st.sub, st.subX, st.training, lcfg)
+	next := make([]int, len(loc.DifficultIdx))
+	diff := make([]record.Pair, len(loc.DifficultIdx))
+	diffX := make([][]float64, len(loc.DifficultIdx))
+	for i, di := range loc.DifficultIdx {
+		next[i] = st.cur[di]
+		diff[i], diffX[i] = st.C[next[i]], st.X[next[i]]
+	}
+	st.cur, st.sub, st.subX = next, diff, diffX
+	st.res.LocatorRuns = append(st.res.LocatorRuns, loc)
+	st.res.DifficultSets = append(st.res.DifficultSets, diff)
+	st.emit("reduction", fmt.Sprintf("%d difficult pairs located (proceed: %v)", len(diff), loc.Proceed))
+	row := Phase{Name: fmt.Sprintf("Reduction %d", st.iter), ReducedSetSize: len(next)}
+	if !loc.Proceed {
+		return row, "locator: " + loc.Reason, nil
+	}
+	return row, "", nil
+}
+
+// finish fills in the result of a run that stopped for the given reason.
+// A run returns its latest combined matching, which at every stop is the
+// best estimated one or not yet estimated, except when the estimator
+// rejected it; then it returns the best one, unless that one was empty (a
+// nil best). Cancellation outranks every other reason.
+func (st *run) finish(stop string) *Result {
+	res := st.res
+	res.Matches = collect(st.C, st.pred)
+	if stop == noGain && st.best != nil {
+		res.Matches = st.best
+	}
+	select {
+	case <-st.cfg.Cancel:
+		stop = "canceled"
+	default:
+	}
+	res.StopReason = stop
+	if st.ds.Truth != nil {
+		res.True = metrics.Evaluate(res.Matches, st.ds.Truth)
 		res.HasTrue = true
 	}
-	res.Accounting = runner.Stats()
-	if res.StopReason == "" {
-		res.StopReason = "completed"
+	res.Accounting = st.runner.Stats()
+	return res
+}
+
+func (st *run) addTraining(ls []record.Labeled) {
+	for _, l := range ls {
+		if !st.seen.Has(l.Pair) {
+			st.seen.Add(l.Pair)
+			st.training = append(st.training, l)
+		}
 	}
-	return res, nil
+}
+
+// vector returns a training pair's vector. C arrives in (a, b) order (the
+// Sink contract), so a pair inside C is a binary search away, and one
+// outside it — a seed or blocking-sample pair the rules removed — is
+// computed afresh. A vector is a pure function of its pair, so a miss costs
+// time only.
+func (st *run) vector(p record.Pair) []float64 {
+	i := sort.Search(len(st.C), func(i int) bool { return !st.C[i].Less(p) })
+	if i < len(st.C) && st.C[i] == p {
+		return st.X[i]
+	}
+	return st.ex.Vector(p)
 }
 
 func collect(pairs []record.Pair, pred []bool) []record.Pair {

@@ -40,9 +40,6 @@ type Config struct {
 	// Policy is the voting scheme for sample labels; estimation is
 	// sensitive to false positives, so hybrid is the default (§8.2).
 	Policy crowd.Policy
-	// StopEarly, when non-nil, is polled between probes; returning true
-	// ends estimation with the margins achieved so far (budget cap).
-	StopEarly func() bool
 	// Seed drives sampling.
 	Seed int64
 }
@@ -144,7 +141,7 @@ func EstimateBaseline(rng *rand.Rand, runner *crowd.Runner, pairs []record.Pair,
 		if cfg.MaxLabels > 0 && res.LabelsUsed >= cfg.MaxLabels {
 			break
 		}
-		if cfg.StopEarly != nil && n%cfg.LabelBatch == 0 && cfg.StopEarly() {
+		if n%cfg.LabelBatch == 0 && runner.Stopped() {
 			break
 		}
 		if n%cfg.LabelBatch != 0 {
@@ -341,7 +338,6 @@ func Estimate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 
 	recfg := cfg.RuleEval
 	recfg.Policy = cfg.Policy
-	recfg.StopEarly = cfg.StopEarly
 
 	// Probe workspace, reused across probes: the unsampled alive rows and
 	// the sampler's buffers.
@@ -382,8 +378,8 @@ func Estimate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 		if cfg.MaxLabels > 0 && res.LabelsUsed >= cfg.MaxLabels {
 			return finish(pIv, rIv)
 		}
-		if cfg.StopEarly != nil && cfg.StopEarly() {
-			return finish(pIv, rIv)
+		if runner.Stopped() {
+			return finish(pIv, rIv) // the margins achieved so far (budget cap)
 		}
 
 		// Density of positives in C' from the uniform sample.

@@ -99,10 +99,6 @@ type Config struct {
 	// may use ==/!= on floats: the one place exact comparison is written
 	// deliberately, reviewed, and documented.
 	FloatCmpApproved map[string]bool
-	// CtxPkgSubstrings lists import-path fragments marking the service
-	// paths (cross-process calls, cancellation-sensitive) where a
-	// function holding a context.Context must thread it.
-	CtxPkgSubstrings []string
 	// DetSeamIfaces lists interface methods ("pkgname.Iface.Method")
 	// that are audited determinism seams: dispatch through them may
 	// reach a live, wall-clock-bound implementation by design, and the
@@ -137,11 +133,6 @@ func DefaultConfig() *Config {
 			// greedySelect a total, deterministic rule order.
 			"blocker.keyLess": true,
 		},
-		CtxPkgSubstrings: []string{
-			"internal/runsvc",
-			"internal/shard",
-			"internal/platform",
-		},
 		DetSeamIfaces: map[string]bool{
 			// The crowd abstraction is the system's one deliberate
 			// determinism boundary: the same engine code drives either
@@ -165,7 +156,6 @@ func Rules() []Rule {
 		durIgnoredWrite{},
 		concNoJoin{},
 		concUnlockPath{},
-		ctxPropagate{},
 	}
 }
 

@@ -18,7 +18,6 @@ func fixtureConfig() *Config {
 		TimeAllowedPkgs:         map[string]bool{"platform": true, "runsvc": true},
 		DurabilityPkgSubstrings: []string{"internal/runsvc", "internal/crowd"},
 		FloatCmpApproved:        map[string]bool{"floateq.approxEq": true},
-		CtxPkgSubstrings:        []string{"internal/runsvc", "internal/shard", "internal/platform"},
 		DetSeamIfaces:           map[string]bool{"flowtime.Seam.Stamp": true},
 	}
 }
@@ -69,7 +68,6 @@ func TestFixtures(t *testing.T) {
 		{name: "clean", importPath: "fixture/clean"},
 		{name: "unlockpath", importPath: "fixture/unlockpath"},
 		{name: "lockorder", importPath: "fixture/lockorder"},
-		{name: "ctxpropagate", importPath: "fixture/internal/shard/ctxdemo"},
 		{name: "flowrand", importPath: "fixture/flowrand"},
 		{name: "flowtime", importPath: "fixture/flowtime",
 			deps: [][2]string{{"platform", "fixture/flowtime/platform"}}},
@@ -137,7 +135,7 @@ func renderFindings(findings []Finding) string {
 func TestRuleIDsStable(t *testing.T) {
 	want := []string{
 		"det-rand", "det-time", "det-maprange", "float-eq",
-		"dur-ignored-write", "conc-nojoin", "conc-unlockpath", "ctx-propagate",
+		"dur-ignored-write", "conc-nojoin", "conc-unlockpath",
 	}
 	var got []string
 	for _, r := range Rules() {

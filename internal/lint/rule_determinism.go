@@ -174,7 +174,7 @@ func typeUnderlying[T types.Type](u *Unit, e ast.Expr) (T, bool) {
 
 // containsSortCall reports sorting evidence: a call into sort/slices or
 // to any function whose name mentions sorting — the repo's own helpers
-// (record.SortPairs, intsSort) count the same as the stdlib.
+// (record.SortPairs) count the same as the stdlib.
 func containsSortCall(u *Unit, body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {

@@ -131,7 +131,7 @@ func evaluateJointRef(rng *rand.Rand, runner *crowd.Runner, pairs []record.Pair,
 		if active == 0 {
 			break
 		}
-		if cfg.StopEarly != nil && cfg.StopEarly() {
+		if runner.Stopped() {
 			break
 		}
 	}
@@ -166,7 +166,7 @@ func (c *scriptedCrowd) Answer(p record.Pair) bool {
 // TestEvaluateJointMatchesReference drives the bitset EvaluateJoint and the
 // retained map-based one through the same random rule sets — empty,
 // overlapping and universe-sized coverages, both polarities, every voting
-// policy, StopEarly firing part-way — and requires identical results, an
+// policy, the runner's Stop hook firing part-way — and requires identical results, an
 // identical sequence of crowd questions, and an identical RNG position
 // afterwards.
 func TestEvaluateJointMatchesReference(t *testing.T) {
@@ -212,12 +212,12 @@ func TestEvaluateJointMatchesReference(t *testing.T) {
 		run := func(eval func(*rand.Rand, *crowd.Runner, Config) []refResult) ([]refResult, []record.Pair, int64) {
 			c := &scriptedCrowd{seed: seed, times: map[record.Pair]int{}}
 			rng := rand.New(rand.NewSource(seed * 17))
-			cfg := cfg
+			runner := crowd.NewRunner(c, 0.01)
 			if stopAfter > 0 {
 				polls := 0
-				cfg.StopEarly = func() bool { polls++; return polls >= stopAfter }
+				runner.Stop = func() bool { polls++; return polls >= stopAfter }
 			}
-			out := eval(rng, crowd.NewRunner(c, 0.01), cfg)
+			out := eval(rng, runner, cfg)
 			return out, c.asked, rng.Int63()
 		}
 		want, wantAsked, wantRNG := run(func(rng *rand.Rand, r *crowd.Runner, cfg Config) []refResult {

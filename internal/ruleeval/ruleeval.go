@@ -218,9 +218,6 @@ type Config struct {
 	// Policy is the voting scheme for crowd labels; rule evaluation is
 	// sensitive to false positives, so the hybrid scheme is the default.
 	Policy crowd.Policy
-	// StopEarly, when non-nil, is polled between batches; returning true
-	// aborts evaluation, dropping any undecided rules (budget cap).
-	StopEarly func() bool
 }
 
 // Defaults returns the paper's parameters.
@@ -349,8 +346,8 @@ func EvaluateJoint(rng *rand.Rand, runner *crowd.Runner, pairs []record.Pair,
 		if active == 0 {
 			break
 		}
-		if cfg.StopEarly != nil && cfg.StopEarly() {
-			break
+		if runner.Stopped() {
+			break // undecided rules are dropped (budget cap)
 		}
 	}
 	// Finalize estimates for any rule decided on the last pass.
