@@ -91,7 +91,10 @@ shard:
 # and MakeCandidates on forests trained on random small sets, rows of -1, -0,
 # ±Inf and values at the thresholds (DESIGN.md "Cover by leaf"). Job directory: the two remaining disk decoders
 # are total — a model file that loads re-saves to an identical scorer, a
-# spec.json that decodes builds or fails with an error. The job-directory targets
+# spec.json that decodes builds or fails with an error. Submit body: the
+# POST /jobs decoder and its range check never panic on arbitrary bytes, and
+# every Meta they accept is in range and survives the spec record the journal
+# keeps (DESIGN.md "Run service"). The job-directory targets
 # take whole files as inputs, so minimizing each interesting one would eat
 # the run — hence -fuzzminimizetime 0. `go test -fuzz` accepts one target
 # per invocation, hence one run each, FUZZTIME apiece.
@@ -120,6 +123,7 @@ fuzz:
 	$(FUZZ) -fuzz 'FuzzJournalReplay' -fuzzminimizetime 0 ./internal/runsvc
 	$(FUZZ) -fuzz 'FuzzForestLoad' -fuzzminimizetime 0 ./internal/runsvc
 	$(FUZZ) -fuzz 'FuzzSpecRecord' -fuzzminimizetime 0 ./internal/runsvc
+	$(FUZZ) -fuzz 'FuzzSubmitMeta' ./internal/runsvc
 
 # The end-to-end benchmark (bench/README.md, BENCHMARK.json): pairs/s,
 # job latency, bytes and allocations per pair, F1 and crowd cost on five

@@ -6,16 +6,19 @@
 // evaluation so blocking rules can short-circuit over A×B.
 //
 // The extractor dictionary-encodes every attribute column of both tables and
-// builds it with similarity.BuildColumn: one profile per distinct value,
-// carved from per-chunk slabs, and one pass over the column's tokens for its
-// ranks, IDFs and token dictionaries. Normalization, tokenization, q-grams,
-// TF/IDF weighing and numeric parsing happen once per value instead of once
-// per comparison, so the pair-scan inner loop — the O(|A|·|B|) hot path — is
-// arithmetic over prebuilt structures: bit masks for the character measures,
-// sorted integer codes for the set measures (DESIGN.md "Record profiles",
-// "Pair kernels"). A column that repeats its operands often enough also gets
-// a write-once table per distinct operand pair (DESIGN.md "Operand
-// dictionaries and write-once tables").
+// builds the columns side by side, one task per attribute, each with
+// similarity.BuildColumn: one profile per distinct value, carved from
+// per-chunk slabs in one pass over the values, and one serial pass over the
+// column's tokens for their ids, from which ranks, IDFs, word views and
+// token dictionaries follow through arrays (DESIGN.md "The column build").
+// Normalization, tokenization, q-grams, TF/IDF weighing and numeric parsing
+// happen once per value instead of once per comparison, so the pair-scan
+// inner loop — the O(|A|·|B|) hot path — is arithmetic over prebuilt
+// structures: bit masks for the character measures, sorted integer codes
+// for the set measures (DESIGN.md "Record profiles", "Pair kernels"). A
+// column that repeats its operands often enough also gets a write-once table
+// per distinct operand pair (DESIGN.md "Operand dictionaries and write-once
+// tables").
 //
 // A feature value has two producers, chosen by the shape of the request,
 // never by an option. ComputeScratch scores one pair — the table's cell if
@@ -96,14 +99,15 @@ type column struct {
 	// dictionaries; nil for columns without one.
 	tokens *similarity.TokenPairs
 
+	// width is the attribute's feature count.
+	width int
 	// The value-pair table, for columns worth one (worthTable): the cell of
 	// feature f on a pair of rows is
 	// cells[(valA[p.A]*nValB+valB[p.B])*width+f.slot], valA / valB being the
-	// rows' value ids and width the attribute's feature count. All nil
-	// and zero otherwise.
-	valA, valB   []uint32
-	nValB, width int
-	cells        []similarity.Cell
+	// rows' value ids. All nil and zero otherwise.
+	valA, valB []uint32
+	nValB      int
+	cells      []similarity.Cell
 }
 
 // minReuse is how often, on average, the full product A×B must come back to
@@ -150,56 +154,27 @@ func numericWrapP(f func(x, y float64) float64) profileFn {
 // precomputes both tables' profiles. Text attributes get TF/IDF features
 // whose IDFs count the attribute's rows across both tables, mirroring how EM
 // systems fit IDF on the data being matched.
+//
+// The feature list is laid out first, in schema order; then the columns build
+// side by side, one par.Each task per attribute with features, claimed as a
+// goroutine frees up. The columns share nothing but one interner, which
+// numbers each column's values in turn: a task interns its column under the
+// interner's lock and builds it outside, so interning runs ahead of the
+// builds as a pipeline and the interner's map grows once, to the largest
+// column. Each column's tokens get their one map in BuildColumn.
 func NewExtractor(ds *record.Dataset) *Extractor {
 	e := &Extractor{A: ds.A, B: ds.B, cols: make([]column, len(ds.A.Schema))}
 	e.scratch.New = func() any { return similarity.NewScratch() }
-	pairs := int(ds.CartesianSize())
-	// One interner numbers every column's values in turn, so its map grows
-	// once; each column's tokens get their one map in BuildColumn.
-	var in strutil.Interner
+	var attrs []int                                  // the attributes with features
+	fields := make([]similarity.Fields, len(e.cols)) // by attribute: the views its measures read
 	for idx, attr := range ds.A.Schema {
-		col := &e.cols[idx]
-		// The Monge-Elkan closure reads col.tokens on every call; it is bound
-		// below, once the column's token dictionaries exist.
-		mongeElkan := func(a, b *similarity.Profile, s *similarity.Scratch) float64 {
-			return col.tokens.MongeElkan(a, b, s)
-		}
-		var ms []measure
-		switch attr.Type {
-		case record.AttrString:
-			ms = []measure{
-				{"exact", 1, exactP, 0},
-				{"jaro_winkler", 2, normWrapP(similarity.JaroWinklerProfiles), similarity.FieldRunes},
-				{"edit", 5, normWrapP(similarity.EditSimProfiles), similarity.FieldRunes},
-				{"jaccard_w", 3, normWrapP(noScratch(similarity.JaccardWordsProfiles)), similarity.FieldWordSet},
-				{"jaccard_3g", 4, normWrapP(noScratch(similarity.JaccardQGramsProfiles)), similarity.FieldQGrams},
-				{"monge_elkan", 8, normWrapP(mongeElkan), similarity.FieldTokenIDs},
-			}
-		case record.AttrText:
-			ms = []measure{
-				{"jaccard_w", 3, normWrapP(noScratch(similarity.JaccardWordsProfiles)), similarity.FieldWordSet},
-				{"overlap_w", 3, normWrapP(noScratch(similarity.OverlapWordsProfiles)), similarity.FieldWordSet},
-				{"tfidf_cos", 4, normWrapP(noScratch(similarity.CosineProfiles)), similarity.FieldTFIDF},
-			}
-		case record.AttrNumeric:
-			ms = []measure{
-				{"exact", 1, exactP, 0},
-				{"rel_diff", 1, numericWrapP(similarity.RelativeDiff), similarity.FieldNumeric},
-				{"abs_diff", 1, numericWrapP(similarity.AbsDiff), similarity.FieldNumeric},
-			}
-		case record.AttrCategorical:
-			ms = []measure{
-				{"exact", 1, exactP, 0},
-				{"jaccard_3g", 4, normWrapP(noScratch(similarity.JaccardQGramsProfiles)), similarity.FieldQGrams},
-				{"jaro_winkler", 2, normWrapP(similarity.JaroWinklerProfiles), similarity.FieldRunes},
-			}
-		}
+		ms := e.measures(idx, attr.Type)
 		if len(ms) == 0 {
 			continue
 		}
-		var fields similarity.Fields
+		attrs = append(attrs, idx)
 		for slot, m := range ms {
-			fields |= m.fields
+			fields[idx] |= m.fields
 			e.features = append(e.features, Feature{
 				Name:    fmt.Sprintf("%s_%s", attr.Name, m.kind),
 				Attr:    attr.Name,
@@ -210,32 +185,88 @@ func NewExtractor(ds *record.Dataset) *Extractor {
 				slot:    slot,
 			})
 		}
+		e.cols[idx].width = len(ms)
+	}
+	pairs := int(ds.CartesianSize())
+	var mu sync.Mutex
+	var in strutil.Interner
+	par.Each(len(attrs), func(k int) {
+		idx := attrs[k]
 		ids := make([]uint32, ds.A.Len()+ds.B.Len())
 		valA, valB := ids[:ds.A.Len()], ids[ds.A.Len():]
+		mu.Lock()
 		valsA, rowsA := distinctValues(ds.A, idx, valA, &in)
 		valsB, rowsB := distinctValues(ds.B, idx, valB, &in)
-		dist, dicts := similarity.BuildColumn([][]string{valsA, valsB}, [][]int{rowsA, rowsB}, fields)
-		distA, distB := dist[0], dist[1]
-		col.profA, col.profB = perRow(distA, valA), perRow(distB, valB)
-		if worthTable(pairs, len(distA)*len(distB), len(ms)) {
-			col.valA, col.valB = valA, valB
-			col.nValB, col.width = len(distB), len(ms)
-			col.cells = make([]similarity.Cell, len(distA)*len(distB)*len(ms))
+		mu.Unlock()
+		e.cols[idx].build([][]string{valsA, valsB}, [][]int{rowsA, rowsB}, valA, valB, fields[idx], pairs)
+	})
+	return e
+}
+
+// measures returns the measures of attribute idx, by its type; nil for a type
+// without any.
+func (e *Extractor) measures(idx int, typ record.AttrType) []measure {
+	col := &e.cols[idx]
+	// The Monge-Elkan closure reads col.tokens on every call; the column's
+	// build binds it, once the column's token dictionaries exist.
+	mongeElkan := func(a, b *similarity.Profile, s *similarity.Scratch) float64 {
+		return col.tokens.MongeElkan(a, b, s)
+	}
+	switch typ {
+	case record.AttrString:
+		return []measure{
+			{"exact", 1, exactP, 0},
+			{"jaro_winkler", 2, normWrapP(similarity.JaroWinklerProfiles), similarity.FieldRunes},
+			{"edit", 5, normWrapP(similarity.EditSimProfiles), similarity.FieldRunes},
+			{"jaccard_w", 3, normWrapP(noScratch(similarity.JaccardWordsProfiles)), similarity.FieldWordSet},
+			{"jaccard_3g", 4, normWrapP(noScratch(similarity.JaccardQGramsProfiles)), similarity.FieldQGrams},
+			{"monge_elkan", 8, normWrapP(mongeElkan), similarity.FieldTokenIDs},
 		}
-		if fields&similarity.FieldTokenIDs != 0 {
-			// With a value table the kernel sees each distinct value pair
-			// once, so that — not the rows — is what its token pairs recur
-			// over.
-			opsA, opsB := col.profA, col.profB
-			if col.cells != nil {
-				opsA, opsB = distA, distB
-			}
-			dictA, dictB := dicts[0], dicts[1]
-			col.tokens = similarity.NewTokenPairs(dictA, dictB,
-				worthTable(countTokens(opsA)*countTokens(opsB), dictA.Len()*dictB.Len(), 2))
+	case record.AttrText:
+		return []measure{
+			{"jaccard_w", 3, normWrapP(noScratch(similarity.JaccardWordsProfiles)), similarity.FieldWordSet},
+			{"overlap_w", 3, normWrapP(noScratch(similarity.OverlapWordsProfiles)), similarity.FieldWordSet},
+			{"tfidf_cos", 4, normWrapP(noScratch(similarity.CosineProfiles)), similarity.FieldTFIDF},
+		}
+	case record.AttrNumeric:
+		return []measure{
+			{"exact", 1, exactP, 0},
+			{"rel_diff", 1, numericWrapP(similarity.RelativeDiff), similarity.FieldNumeric},
+			{"abs_diff", 1, numericWrapP(similarity.AbsDiff), similarity.FieldNumeric},
+		}
+	case record.AttrCategorical:
+		return []measure{
+			{"exact", 1, exactP, 0},
+			{"jaccard_3g", 4, normWrapP(noScratch(similarity.JaccardQGramsProfiles)), similarity.FieldQGrams},
+			{"jaro_winkler", 2, normWrapP(similarity.JaroWinklerProfiles), similarity.FieldRunes},
 		}
 	}
-	return e
+	return nil
+}
+
+// build profiles the column — values[s] are side s's distinct values, held
+// by rows[s][k] rows each, and valA / valB the rows' value ids — and gives
+// it the value-pair table and Monge-Elkan token pairs it is worth, judged
+// against the full product of pairs pairs. c.width is already set.
+func (c *column) build(values [][]string, rows [][]int, valA, valB []uint32, fields similarity.Fields, pairs int) {
+	dist, dicts := similarity.BuildColumn(values, rows, fields)
+	distA, distB := dist[0], dist[1]
+	c.profA, c.profB = perRow(distA, valA), perRow(distB, valB)
+	if worthTable(pairs, len(distA)*len(distB), c.width) {
+		c.valA, c.valB, c.nValB = valA, valB, len(distB)
+		c.cells = make([]similarity.Cell, len(distA)*len(distB)*c.width)
+	}
+	if fields&similarity.FieldTokenIDs != 0 {
+		// With a value table the kernel sees each distinct value pair once,
+		// so that — not the rows — is what its token pairs recur over.
+		opsA, opsB := c.profA, c.profB
+		if c.cells != nil {
+			opsA, opsB = distA, distB
+		}
+		dictA, dictB := dicts[0], dicts[1]
+		c.tokens = similarity.NewTokenPairs(dictA, dictB,
+			worthTable(countTokens(opsA)*countTokens(opsB), dictA.Len()*dictB.Len(), 2))
+	}
 }
 
 // distinctValues dictionary-encodes one attribute column: ids[row] receives

@@ -2,6 +2,7 @@ package par
 
 import (
 	"runtime"
+	"sync/atomic"
 	"testing"
 )
 
@@ -45,4 +46,39 @@ func TestForSingleCore(t *testing.T) {
 			t.Fatalf("order[%d] = %d", i, v)
 		}
 	}
+}
+
+func TestEachCoversEveryIndexExactlyOnce(t *testing.T) {
+	for _, procs := range []int{1, 2, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for _, n := range []int{-1, 0, 1, 2, 3, 7, 100} {
+				hits := make([]atomic.Int32, max(n, 0))
+				Each(n, func(i int) { hits[i].Add(1) })
+				for i := range hits {
+					if h := hits[i].Load(); h != 1 {
+						t.Fatalf("GOMAXPROCS %d, n=%d: index %d visited %d times", procs, n, i, h)
+					}
+				}
+			}
+		}()
+	}
+}
+
+// TestEachClaimsDynamically holds Each to its point: with two workers, a
+// long task at index 0 must not hold up the short ones behind it, which the
+// other worker claims and finishes while it runs.
+func TestEachClaimsDynamically(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	release := make(chan struct{})
+	var done atomic.Int32
+	Each(4, func(i int) {
+		if i == 0 {
+			<-release
+			return
+		}
+		if done.Add(1) == 3 {
+			close(release)
+		}
+	})
 }

@@ -223,6 +223,49 @@ func FuzzSpecRecord(f *testing.F) {
 	})
 }
 
+// FuzzSubmitMeta feeds arbitrary bytes to the POST /jobs handler's JSON
+// decode and the range check BuildSpec makes first — the handler's path up
+// to the build, no dataset built. Neither panics; a Meta both accept has an
+// error rate in [0, 1] and no negative number, and survives the round trip
+// through the spec record the journal stores it in, field for field.
+func FuzzSubmitMeta(f *testing.F) {
+	f.Add([]byte(`{"profile":"restaurants","scale":0.15,"seed":5}`))
+	f.Add([]byte(`{"profile":"citations","scale":0.1,"seed":5,"tb":1,"shards":4,"shard_workers":2}`))
+	f.Add([]byte(`{"profile":"restaurants","scale":0.05,"seed":1,"error_rate":3}`))
+	f.Add([]byte(`{"profile":"products","error_rate":1,"budget":-1,"price":-0.01,"max_iterations":-7}`))
+	f.Add([]byte(`{"profile":"x","noise":-0,"scale":1e308,"seed":-9223372036854775808}`))
+	f.Add([]byte(`{"error_rate":0.05} trailing`))
+	f.Add([]byte(`[1,2,3]`))
+	f.Add([]byte(`{"scale":"1"}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var meta Meta
+		if json.NewDecoder(bytes.NewReader(data)).Decode(&meta) != nil || meta.validate() != nil {
+			return
+		}
+		if !(meta.ErrorRate >= 0 && meta.ErrorRate <= 1) {
+			t.Fatalf("accepted error_rate %v", meta.ErrorRate)
+		}
+		for _, v := range []float64{meta.Scale, meta.Noise, meta.Budget, meta.Price,
+			float64(meta.MaxIterations), float64(meta.TB), float64(meta.Shards), float64(meta.ShardWorkers)} {
+			if !(v >= 0) {
+				t.Fatalf("accepted a negative number: %+v", meta)
+			}
+		}
+		buf, err := json.Marshal(specRecord{Name: "job", Meta: &meta})
+		if err != nil {
+			t.Fatalf("accepted %+v does not encode: %v", meta, err)
+		}
+		var rec specRecord
+		if err := json.Unmarshal(buf, &rec); err != nil || rec.Meta == nil || *rec.Meta != meta {
+			t.Fatalf("%+v does not survive the spec record %s: %v", meta, buf, err)
+		}
+		if err := rec.Meta.validate(); err != nil {
+			t.Fatalf("%+v is refused after the spec record: %v", meta, err)
+		}
+	})
+}
+
 // FuzzForestLoad feeds arbitrary bytes to the model decoder behind the
 // job directory's model_iterNN.json files. forest.Load must never panic; a
 // model it accepts under the job's feature names must score a matrix of

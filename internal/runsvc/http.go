@@ -36,7 +36,9 @@ const retryAfterSeconds = "5"
 // back off and retry the identical request. A draining manager rejects
 // with 503 Service Unavailable + Retry-After, and /healthz flips to 503
 // "draining" so load balancers stop routing here before the pool stops.
-// Oversized submit bodies get 413.
+// Oversized submit bodies get 413; a body that is not one JSON Meta, or
+// holds a number out of range — an error_rate outside [0, 1], any other
+// negative number — gets 400 before any dataset is built.
 //
 // Styled after internal/platform: stdlib mux, JSON in/out, no deps.
 func Handler(m *Manager) http.Handler {

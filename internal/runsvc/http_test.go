@@ -4,11 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/corleone-em/corleone/internal/crowd"
+	"github.com/corleone-em/corleone/internal/record"
 )
 
 func postJSON(t *testing.T, url string, body interface{}) *http.Response {
@@ -232,6 +236,71 @@ func TestHTTPOverload(t *testing.T) {
 	hr.Body.Close()
 	if hr.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized submit: status %d, want 413", hr.StatusCode)
+	}
+}
+
+// TestHTTPSubmitRejectsOutOfRangeMeta: POST /jobs answers 400 to a Meta
+// with an error rate outside [0, 1] or any other negative number — each of
+// which used to run, as a crowd that flips every answer or as the field's
+// default — and Spec.normalize, which a resumed job goes through, refuses
+// the same Meta whether or not its dataset is already built. The bounds
+// themselves are accepted.
+func TestHTTPSubmitRejectsOutOfRangeMeta(t *testing.T) {
+	m := &Manager{
+		jobs:  make(map[string]*Job),
+		queue: make(chan *Job, 1),
+		quit:  make(chan struct{}),
+	}
+	srv := httptest.NewServer(Handler(m))
+	defer srv.Close()
+
+	base := Meta{Profile: "restaurants", Scale: 0.05, Seed: 1}
+	for _, c := range []struct {
+		field string
+		set   func(*Meta)
+	}{
+		{"error_rate", func(m *Meta) { m.ErrorRate = 3 }},
+		{"error_rate", func(m *Meta) { m.ErrorRate = 1.0000001 }},
+		{"error_rate", func(m *Meta) { m.ErrorRate = -0.1 }},
+		{"scale", func(m *Meta) { m.Scale = -1 }},
+		{"noise", func(m *Meta) { m.Noise = -0.5 }},
+		{"budget", func(m *Meta) { m.Budget = -10 }},
+		{"price", func(m *Meta) { m.Price = -0.01 }},
+		{"max_iterations", func(m *Meta) { m.MaxIterations = -1 }},
+		{"tb", func(m *Meta) { m.TB = -1 }},
+		{"shards", func(m *Meta) { m.Shards = -3 }},
+		{"shard_workers", func(m *Meta) { m.ShardWorkers = -2 }},
+	} {
+		meta := base
+		c.set(&meta)
+		resp := postJSON(t, srv.URL+"/jobs", meta)
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), c.field) {
+			t.Errorf("%+v: status %d %q, want 400 naming %s", meta, resp.StatusCode, body, c.field)
+		}
+		for _, spec := range []Spec{
+			{Meta: &meta},
+			{Meta: &meta, Dataset: &record.Dataset{}, Crowd: &crowd.Oracle{}},
+		} {
+			if err := spec.normalize(); err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Errorf("%+v: normalize = %v, want an error naming %s", meta, err, c.field)
+			}
+		}
+	}
+	if n := len(m.Jobs()); n != 0 {
+		t.Fatalf("%d jobs admitted from out-of-range submits", n)
+	}
+
+	for _, rate := range []float64{0, 1} {
+		meta := base
+		meta.ErrorRate = rate
+		if err := meta.validate(); err != nil {
+			t.Errorf("error_rate %v refused: %v", rate, err)
+		}
+	}
+	if r := postJSON(t, srv.URL+"/jobs", base); r.StatusCode != http.StatusAccepted {
+		t.Fatalf("in-range submit: status %d, want 202", r.StatusCode)
 	}
 }
 

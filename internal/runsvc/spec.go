@@ -84,11 +84,38 @@ type Meta struct {
 	ShardWorkers int `json:"shard_workers,omitempty"`
 }
 
-// BuildSpec reconstructs a full Spec from its serializable description.
-// The dataset resolves through datagen.DatasetFor — the same constructor
-// remote shard workers use — so a job's coordinator and its workers can
-// never disagree about the data.
+// validate refuses a Meta with a number out of range: an ErrorRate outside
+// [0, 1] — above 1 the simulated crowd would flip every answer — or any
+// other negative number, which would run as its default without a word.
+// Seed is exempt: every int64 is a seed. The comparisons are written so
+// that NaN fails them too.
+func (m Meta) validate() error {
+	if !(m.ErrorRate >= 0 && m.ErrorRate <= 1) {
+		return fmt.Errorf("runsvc: error_rate %v is outside [0, 1]", m.ErrorRate)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"scale", m.Scale}, {"noise", m.Noise}, {"budget", m.Budget}, {"price", m.Price},
+		{"max_iterations", float64(m.MaxIterations)}, {"tb", float64(m.TB)},
+		{"shards", float64(m.Shards)}, {"shard_workers", float64(m.ShardWorkers)},
+	} {
+		if !(f.v >= 0) {
+			return fmt.Errorf("runsvc: %s %v is negative", f.name, f.v)
+		}
+	}
+	return nil
+}
+
+// BuildSpec reconstructs a full Spec from its serializable description,
+// once validate accepts it. The dataset resolves through
+// datagen.DatasetFor — the same constructor remote shard workers use — so a
+// job's coordinator and its workers can never disagree about the data.
 func BuildSpec(meta Meta) (Spec, error) {
+	if err := meta.validate(); err != nil {
+		return Spec{}, err
+	}
 	ds, err := datagen.DatasetFor(meta.Profile, meta.Scale, meta.Noise)
 	if err != nil {
 		return Spec{}, fmt.Errorf("runsvc: %w", err)
@@ -130,12 +157,19 @@ func BuildSpec(meta Meta) (Spec, error) {
 }
 
 // normalize fills a Spec's Dataset/Crowd from Meta when absent and
-// validates it is runnable.
+// validates it is runnable: a Meta out of range is refused whether or not
+// it is built from (BuildSpec validates what it builds).
 func (s *Spec) normalize() error {
-	if s.Dataset == nil || s.Crowd == nil {
-		if s.Meta == nil {
-			return fmt.Errorf("runsvc: spec has neither dataset+crowd nor meta")
+	switch {
+	case s.Dataset != nil && s.Crowd != nil:
+		if s.Meta != nil {
+			if err := s.Meta.validate(); err != nil {
+				return err
+			}
 		}
+	case s.Meta == nil:
+		return fmt.Errorf("runsvc: spec has neither dataset+crowd nor meta")
+	default:
 		built, err := BuildSpec(*s.Meta)
 		if err != nil {
 			return err

@@ -20,13 +20,16 @@ const (
 // are side s's distinct values, held by rows[s][k] rows each — with every
 // requested view, and with FieldTokenIDs a token dictionary per side. After
 // profileValues, one serial pass numbers the column's tokens in first-seen
-// order under the build's only token map; document frequencies (counting
-// rows, as NewCorpus over every row's value would), ranks, IDFs, word views
-// and dictionaries then come from those ids through arrays.
+// order under the build's only token map, and counts each value's distinct
+// tokens; document frequencies (counting rows, as NewCorpus over every row's
+// value would), ranks and IDFs then come from those ids through arrays. The
+// counts place every value's word views in its side's slabs, so attachWords
+// fills them chunk by chunk in parallel; the dictionaries, numbered in
+// first-seen order, are the one pass left serial.
 func BuildColumn(values [][]string, rows [][]int, fields Fields) ([][]*Profile, []*TokenDict) {
 	profs := make([][]*Profile, len(values))
+	at := make([][]int32, len(values)) // at[s][k]: where value k's word views start in side s's slabs
 	var v vocab
-	nWords := make([]int, len(values)) // distinct tokens summed over values, by side
 	for s, vals := range values {
 		ps := make([]Profile, len(vals))
 		par.For(len(vals), func(lo, hi int) { profileValues(vals[lo:hi], fields, ps[lo:hi]) })
@@ -35,90 +38,129 @@ func BuildColumn(values [][]string, rows [][]int, fields Fields) ([][]*Profile, 
 			n += len(ps[k].Tokens)
 		}
 		ids := make([]uint32, n) // the column's ids, on TokenIDs until the ranks are read
-		profs[s] = make([]*Profile, len(ps))
+		profs[s], at[s] = make([]*Profile, len(ps)), make([]int32, len(ps)+1)
 		for k := range ps {
 			p := &ps[k]
 			profs[s][k], p.TokenIDs = p, carve(&ids, len(p.Tokens))
-			nWords[s] += v.add(p.Tokens, p.TokenIDs, rows[s][k])
+			at[s][k+1] = at[s][k] + int32(v.add(p.Tokens, p.TokenIDs, rows[s][k]))
 		}
 	}
 	rank, idf := v.rank()
 	var dicts []*TokenDict
-	var ranks []uint64
-	local := make([]uint32, len(v.words)) // 1 + the side's id; 0: unseen
+	words := v.in.Values
+	local := make([]uint32, len(words)) // 1 + the side's id; 0: unseen
 	for s, ps := range profs {
-		w := wordSlabs{ids: make([]uint64, nWords[s])}
-		if fields&FieldTFIDF != 0 {
-			w.vs, w.tf, w.fl = make([]WeightedVector, len(ps)), make([]int, nWords[s]), make([]float64, 2*nWords[s])
+		if fields&wordFields != 0 {
+			attachWords(ps, at[s], rank, idf, fields&FieldTFIDF != 0)
+		}
+		if fields&FieldTokenIDs == 0 {
+			for _, p := range ps {
+				p.TokenIDs = nil
+			}
+			continue
 		}
 		clear(local)
 		dict, nRunes := []string(nil), 0
 		for _, p := range ps {
-			if fields&wordFields != 0 {
-				ranks = ranks[:0]
-				for _, id := range p.TokenIDs {
-					ranks = append(ranks, rank[id])
-				}
-				w.attach(p, ranks, idf)
-			}
-			if fields&FieldTokenIDs == 0 {
-				p.TokenIDs = nil
-				continue
-			}
 			for i, id := range p.TokenIDs {
 				if local[id] == 0 {
-					dict = append(dict, v.words[id])
-					nRunes += utf8.RuneCountInString(v.words[id])
+					dict = append(dict, words[id])
+					nRunes += utf8.RuneCountInString(words[id])
 					local[id] = uint32(len(dict))
 				}
 				p.TokenIDs[i] = local[id] - 1
 			}
 		}
-		if fields&FieldTokenIDs != 0 {
-			d, slab := &TokenDict{runes: make([][]rune, len(dict))}, make([]rune, nRunes)
-			for k, t := range dict {
-				d.runes[k] = carve(&slab, decodeRunes(slab, t))
-			}
-			dicts = append(dicts, d)
+		d, slab := &TokenDict{runes: make([][]rune, len(dict))}, make([]rune, nRunes)
+		for k, t := range dict {
+			d.runes[k] = carve(&slab, decodeRunes(slab, t))
 		}
+		dicts = append(dicts, d)
 	}
 	return profs, dicts
 }
 
-// profileValues builds the corpus-independent views of values into out: a
-// counting pass sizes one string for the Norms and one array each for the
-// runes, tokens and grams exactly, and a second pass carves them. Tokens are
-// substrings of Norm, appended into the slab (strutil.AppendWords).
-func profileValues(values []string, fields Fields, out []Profile) {
-	size := 0
-	for _, raw := range values {
-		size += strutil.NormalizeTo(nil, raw)
+// attachWords gives one side's profiles, their TokenIDs the column's ids,
+// their word views under the ranks and IDFs, weighed or not: one par.For
+// chunk at a time, each carving from its own stretch of slabs sized exactly
+// for the side — value k's views start at word at[k], the side's end at
+// at[len(ps)].
+func attachWords(ps []*Profile, at []int32, rank []uint64, idf []float64, weighed bool) {
+	n := int(at[len(ps)])
+	all := wordSlabs{ids: make([]uint64, n)}
+	if weighed {
+		all.vs, all.tf, all.fl = make([]WeightedVector, len(ps)), make([]int, n), make([]float64, 2*n)
 	}
-	var b strings.Builder
-	b.Grow(size)
+	par.For(len(ps), func(lo, hi int) {
+		w := all.from(lo, int(at[lo]))
+		var ranks []uint64
+		for _, p := range ps[lo:hi] {
+			ranks = ranks[:0]
+			for _, id := range p.TokenIDs {
+				ranks = append(ranks, rank[id])
+			}
+			w.attach(p, ranks, idf)
+		}
+	})
+}
+
+// profileValues builds the corpus-independent views of values into out.
+// Each value is normalized once, its runes and words counted as it goes and
+// its distinct 3-grams through a stamped hash set, without sorting: a value
+// that already is its normalization (strutil.NormalASCII, one table read a
+// byte) is its own Norm, neither measured nor copied; the others are
+// measured, then written to one strings.Builder grown to their exact total,
+// each Norm a substring of the string it becomes. The counts size one array
+// each for the runes, tokens and grams exactly, and a last pass fills them:
+// runes decoded from Norm, tokens appended straight into the slab as
+// substrings of Norm (strutil.AppendWords), grams taken from Norm, sorted
+// and deduplicated into it.
+func profileValues(values []string, fields Fields, out []Profile) {
 	var nRunes, nTokens, nGrams int
-	var tokens []string // one value's
-	var grams []uint64  // one value's
+	var grams []uint64 // one value's
 	var set gramSet
-	for k, raw := range values {
-		p := &out[k]
-		lo := b.Len() // b never regrows: every Norm is a substring of one string
-		strutil.NormalizeTo(&b, raw)
-		p.Raw, p.Norm = raw, b.String()[lo:]
-		if fields&FieldRunes != 0 {
-			nRunes += utf8.RuneCountInString(p.Norm)
-		}
-		if fields&tokenFields != 0 {
-			tokens = strutil.AppendWords(tokens[:0], p.Norm)
-			nTokens += len(tokens)
-		}
+	count := func(p *Profile, runes, words int) {
+		nRunes += runes
+		nTokens += words
 		if fields&FieldQGrams != 0 {
 			grams = strutil.Trigrams(grams[:0], p.Norm)
 			nGrams += set.count(grams)
 		}
+	}
+	size := 0 // the Norms that are not their Raw
+	for k, raw := range values {
+		p := &out[k]
+		*p = Profile{Raw: raw}
 		if fields&FieldNumeric != 0 {
 			p.Numeric, p.NumericOK = strutil.ParseNumeric(raw)
 		}
+		if words, ok := strutil.NormalASCII(raw); ok {
+			p.Norm = raw
+			count(p, len(raw), words)
+		} else {
+			n, _, _ := strutil.NormalizeTo(nil, raw)
+			size += n
+		}
+	}
+	if size > 0 {
+		var b strings.Builder
+		b.Grow(size)
+		for k, raw := range values {
+			p := &out[k]
+			if p.Norm != "" || raw == "" {
+				continue
+			}
+			lo := b.Len() // b never regrows: every Norm is a substring of one string
+			_, runes, words := strutil.NormalizeTo(&b, raw)
+			p.Norm = b.String()[lo:]
+			count(p, runes, words)
+		}
+	}
+	if fields&FieldRunes == 0 {
+		nRunes = 0
+	}
+	if fields&tokenFields == 0 {
+		nTokens = 0
 	}
 	runeSlab, tokenSlab, gramSlab := make([]rune, nRunes), make([]string, nTokens), make([]uint64, nGrams)
 	for k := range out {
@@ -201,9 +243,8 @@ func decodeRunes(dst []rune, s string) int {
 // vocab numbers the distinct tokens of a run of documents in first-seen
 // order and counts the documents holding each.
 type vocab struct {
-	id         map[string]uint64
-	words      []string // by id
-	df, last   []int    // by id; last is the add that counted it last
+	in         strutil.Interner // the tokens by id: in.Values
+	df, last   []int            // by id; last is the add that counted it last
 	adds, docs int
 }
 
@@ -213,17 +254,12 @@ func (v *vocab) add(tokens []string, ids []uint32, weight int) int {
 	v.adds, v.docs = v.adds+1, v.docs+weight
 	d := 0
 	for i, t := range tokens {
-		id, ok := v.id[t]
-		if !ok {
-			if v.id == nil {
-				v.id = make(map[string]uint64)
-			}
-			id = uint64(len(v.words))
-			v.id[t] = id
-			v.words, v.df, v.last = append(v.words, t), append(v.df, 0), append(v.last, 0)
+		id := v.in.ID(t)
+		if int(id) == len(v.df) {
+			v.df, v.last = append(v.df, 0), append(v.last, 0)
 		}
 		if ids != nil {
-			ids[i] = uint32(id)
+			ids[i] = id
 		}
 		if v.last[id] != v.adds {
 			v.last[id] = v.adds
@@ -237,11 +273,14 @@ func (v *vocab) add(tokens []string, ids []uint32, weight int) int {
 // rank returns each id's rank in the sorted vocabulary — a function of the
 // token set alone — and the IDFs log((docs+1)/(df+1)) by rank.
 func (v *vocab) rank() (rank []uint64, idf []float64) {
-	sorted := append([]string(nil), v.words...)
-	slices.Sort(sorted)
-	rank, idf = make([]uint64, len(sorted)), make([]float64, len(sorted))
-	for r, t := range sorted {
-		id := v.id[t]
+	words := v.in.Values
+	byRank := make([]uint32, len(words))
+	for id := range byRank {
+		byRank[id] = uint32(id)
+	}
+	slices.SortFunc(byRank, func(x, y uint32) int { return strings.Compare(words[x], words[y]) })
+	rank, idf = make([]uint64, len(words)), make([]float64, len(words))
+	for r, id := range byRank {
 		rank[id], idf[r] = uint64(r), math.Log(float64(v.docs+1)/float64(v.df[id]+1))
 	}
 	return rank, idf
@@ -254,6 +293,16 @@ type wordSlabs struct {
 	vs  []WeightedVector
 	tf  []int
 	fl  []float64
+}
+
+// from returns the slabs left for the values from the k-th on, whose word
+// views start at word off.
+func (w wordSlabs) from(k, off int) wordSlabs {
+	w.ids = w.ids[off:]
+	if w.vs != nil {
+		w.vs, w.tf, w.fl = w.vs[k:], w.tf[off:], w.fl[2*off:]
+	}
+	return w
 }
 
 // attach gives p its word views from ranks, its tokens' vocabulary ranks

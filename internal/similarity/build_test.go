@@ -40,11 +40,7 @@ func ProfileCorpus(cols ...[]*Profile) *Corpus {
 			v.add(p.Tokens, nil, 1)
 		}
 	}
-	rank, idf := v.rank()
-	for id, t := range v.words {
-		v.id[t] = rank[id]
-	}
-	return &Corpus{rank: v.id, idf: idf, docs: v.docs}
+	return v.corpus()
 }
 
 // RankProfile attaches p's sorted distinct word ranks (Profile.WordIDs) under

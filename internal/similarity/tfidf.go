@@ -35,11 +35,17 @@ func NewCorpus(docs []string) *Corpus {
 	for _, d := range docs {
 		v.add(strutil.Words(d), nil, 1)
 	}
+	return v.corpus()
+}
+
+// corpus is the dictionary of the documents added to v.
+func (v *vocab) corpus() *Corpus {
 	rank, idf := v.rank()
-	for id, t := range v.words {
-		v.id[t] = rank[id] // the map keeps the ranks for values
+	c := &Corpus{rank: make(map[string]uint64, len(rank)), idf: idf, docs: v.docs}
+	for id, t := range v.in.Values {
+		c.rank[t] = rank[id]
 	}
-	return &Corpus{rank: v.id, idf: idf, docs: v.docs}
+	return c
 }
 
 // IDF returns the inverse document frequency of token t. Tokens absent from

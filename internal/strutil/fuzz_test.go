@@ -7,7 +7,7 @@ import (
 )
 
 func FuzzNormalize(f *testing.F) {
-	for _, seed := range []string{"", "Hello  World", "  a ", "ÜNÏ  cøde", "\t\n", "a b c"} {
+	for _, seed := range append([]string{"", "Hello  World", "  a ", "ÜNÏ  cøde", "\t\n", "a b c"}, boundaryInputs()...) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
@@ -65,7 +65,7 @@ func FuzzQGrams(f *testing.F) {
 }
 
 func FuzzWords(f *testing.F) {
-	for _, seed := range []string{"", "a-b_c", "Kingston 4GB (2x2)", "日本 語"} {
+	for _, seed := range append([]string{"", "a-b_c", "Kingston 4GB (2x2)", "日本 語"}, boundaryInputs()...) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {

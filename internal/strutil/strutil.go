@@ -10,6 +10,35 @@ import (
 	"unicode/utf8"
 )
 
+// The byte classes of the byte-table paths. A byte at or above
+// utf8.RuneSelf is cNonASCII and decoded as part of a rune; an ASCII byte's
+// class says all the paths need to know of it.
+const (
+	cWord      = 1 << iota // a letter or a digit: part of a word
+	cUpper                 // 'A'..'Z': Normalize and Words lower it
+	cSpace                 // ' ' and '\t'..'\r': Normalize collapses it
+	cCtrlSpace             // '\t'..'\r': never left as it is
+	cNonASCII
+)
+
+var class = func() (t [256]uint8) {
+	for c := range t {
+		switch {
+		case c >= utf8.RuneSelf:
+			t[c] = cNonASCII
+		case 'A' <= c && c <= 'Z':
+			t[c] = cWord | cUpper
+		case 'a' <= c && c <= 'z', '0' <= c && c <= '9':
+			t[c] = cWord
+		case c == ' ':
+			t[c] = cSpace
+		case '\t' <= c && c <= '\r':
+			t[c] = cSpace | cCtrlSpace
+		}
+	}
+	return t
+}()
+
 // Normalize lowercases s, collapses runs of whitespace, and trims the ends.
 // All similarity functions operate on normalized strings so that case and
 // spacing differences do not masquerade as real differences.
@@ -20,13 +49,49 @@ func Normalize(s string) string {
 	return b.String()
 }
 
+// NormalASCII reports whether s is ASCII and its own normalization — no
+// upper-case letter, no whitespace but single spaces between other bytes —
+// and, if it is, how many words it holds (len(Words(s))). It is one pass of
+// table reads over the bytes, and the test the column build makes first:
+// most attribute values already are their normalization.
+func NormalASCII(s string) (words int, ok bool) {
+	prev := uint8(cSpace) // a leading space fails as a double one does
+	for i := 0; i < len(s); i++ {
+		k := class[s[i]]
+		if k&(cUpper|cCtrlSpace|cNonASCII)|k&prev&cSpace != 0 {
+			return 0, false
+		}
+		words += int(k &^ prev & cWord)
+		prev = k
+	}
+	return words, prev&cSpace == 0 || s == ""
+}
+
 // NormalizeTo writes Normalize(s) to b — or, with b nil, only measures it —
-// and returns its length. ASCII is cased and spaced by comparisons, any
-// other rune by unicode.IsSpace and unicode.ToLower.
-func NormalizeTo(b *strings.Builder, s string) int {
-	n, space := 0, false
-	for _, r := range s {
-		if r == ' ' || '\t' <= r && r <= '\r' || r >= utf8.RuneSelf && unicode.IsSpace(r) {
+// and returns its length in bytes and in runes, and how many words it holds
+// (len(Words(Normalize(s)))). ASCII bytes are cased, spaced and classed by
+// one table read; any other rune goes through unicode.IsSpace,
+// unicode.ToLower, unicode.IsLetter and unicode.IsDigit, an invalid byte as
+// U+FFFD, as a range loop decodes it.
+func NormalizeTo(b *strings.Builder, s string) (n, runes, words int) {
+	space, word := false, uint8(0)
+	for i := 0; i < len(s); {
+		r, k, size := rune(s[i]), class[s[i]], 1
+		switch {
+		case k&cNonASCII != 0:
+			r, size = utf8.DecodeRuneInString(s[i:])
+			k = cSpace
+			if !unicode.IsSpace(r) {
+				r, k = unicode.ToLower(r), 0
+				if unicode.IsLetter(r) || unicode.IsDigit(r) {
+					k = cWord
+				}
+			}
+		case k&cUpper != 0:
+			r += 'a' - 'A'
+		}
+		i += size
+		if k&cSpace != 0 {
 			space = n > 0
 			continue
 		}
@@ -34,25 +99,23 @@ func NormalizeTo(b *strings.Builder, s string) int {
 			if b != nil {
 				b.WriteByte(' ')
 			}
-			n, space = n+1, false
+			n, runes, space, word = n+1, runes+1, false, 0
 		}
-		switch {
-		case r >= utf8.RuneSelf:
-			r = unicode.ToLower(r)
+		words += int(k &^ word & cWord)
+		word = k & cWord
+		if r < utf8.RuneSelf {
 			if b != nil {
-				b.WriteRune(r)
+				b.WriteByte(byte(r))
 			}
-			n += utf8.RuneLen(r)
+			n, runes = n+1, runes+1
 			continue
-		case 'A' <= r && r <= 'Z':
-			r += 'a' - 'A'
 		}
 		if b != nil {
-			b.WriteByte(byte(r))
+			b.WriteRune(r)
 		}
-		n++
+		n, runes = n+utf8.RuneLen(r), runes+1
 	}
-	return n
+	return n, runes, words
 }
 
 // Words splits s into lowercase alphanumeric tokens, treating every other
@@ -62,18 +125,32 @@ func Words(s string) []string { return AppendWords(nil, s) }
 
 // AppendWords appends Words(s) to dst. A token lowering leaves as it is —
 // every token of a Normalize result, as unicode.ToLower is idempotent — is
-// a substring of s; only the others are built anew.
+// a substring of s; only the others are built anew. ASCII bytes are classed
+// by one table read, any other rune by unicode.IsLetter and unicode.IsDigit.
 func AppendWords(dst []string, s string) []string {
 	start, lower := -1, true
-	for i, r := range s {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			if start < 0 {
-				start, lower = i, true
+	for i := 0; i < len(s); {
+		k, size := class[s[i]], 1
+		if k&cNonASCII != 0 {
+			var r rune
+			r, size = utf8.DecodeRuneInString(s[i:])
+			k = 0
+			if unicode.IsLetter(r) || unicode.IsDigit(r) {
+				k = cWord
+				if unicode.ToLower(r) != r {
+					k |= cUpper
+				}
 			}
-			lower = lower && !('A' <= r && r <= 'Z') && (r < utf8.RuneSelf || unicode.ToLower(r) == r)
-			continue
 		}
-		dst, start = appendWord(dst, s, start, i, lower), -1
+		switch {
+		case k&cWord == 0:
+			dst, start = appendWord(dst, s, start, i, lower), -1
+		case start < 0:
+			start, lower = i, k&cUpper == 0
+		default:
+			lower = lower && k&cUpper == 0
+		}
+		i += size
 	}
 	return appendWord(dst, s, start, len(s), lower)
 }
@@ -166,17 +243,24 @@ func (in *Interner) Reset() {
 // the same order — to dst, each packed into one word: three runes of 21
 // bits (a rune is at most 0x10FFFF), first rune highest. Numeric order of
 // the packed grams equals the string order of the grams they stand for, and
-// no per-gram string is built.
+// no per-gram string is built. An ASCII byte is lowered by its table class,
+// any other rune decoded and lowered by unicode.ToLower.
 func Trigrams(dst []uint64, s string) []uint64 {
 	if s == "" {
 		return dst
 	}
 	const mask = 1<<63 - 1 // drops the rune that leaves the 3-gram window
 	g := uint64('#')<<21 | '#'
-	for _, r := range s {
-		if r >= utf8.RuneSelf || 'A' <= r && r <= 'Z' {
+	for i := 0; i < len(s); {
+		r, k, size := rune(s[i]), class[s[i]], 1
+		switch {
+		case k&cNonASCII != 0:
+			r, size = utf8.DecodeRuneInString(s[i:])
 			r = unicode.ToLower(r)
+		case k&cUpper != 0:
+			r += 'a' - 'A'
 		}
+		i += size
 		g = (g<<21 | uint64(r)) & mask
 		dst = append(dst, g)
 	}

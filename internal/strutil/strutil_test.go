@@ -123,6 +123,11 @@ func TestTrigramsMirrorQGrams(t *testing.T) {
 	} {
 		checkTrigrams(t, s)
 	}
+	// Trigrams lowers ASCII by its byte table: the same crossings as
+	// TestNormalizeAndWordsMatchReference.
+	for _, s := range boundaryInputs() {
+		checkTrigrams(t, s)
+	}
 }
 
 func TestSortedCounts(t *testing.T) {

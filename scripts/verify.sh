@@ -55,6 +55,7 @@ go test -race ./...
 # rel_diff band index, pair and column kernels (Myers, Jaro, the set measures, the
 # edit column), the token-pair table, the column profile build and the string
 # primitives under it, CSV round trip and reader totality, row sets,
-# rule coverage by leaf, journal replay, model and spec decoders), 5 s each, so a change that breaks a decoder's totality or a
+# rule coverage by leaf, journal replay, model and spec decoders, the submit
+# body), 5 s each, so a change that breaks a decoder's totality or a
 # kernel's bit-identity fails here in seconds. The Makefile holds the list.
 make fuzz FUZZTIME=5s
