@@ -94,7 +94,9 @@ shard:
 # spec.json that decodes builds or fails with an error. Submit body: the
 # POST /jobs decoder and its range check never panic on arbitrary bytes, and
 # every Meta they accept is in range and survives the spec record the journal
-# keeps (DESIGN.md "Run service"). The job-directory targets
+# keeps (DESIGN.md "Run service"). Shard worker: the POST /shard/load decoder
+# never panics on arbitrary bytes, and every job spec Load accepts serves a
+# probe. The job-directory targets
 # take whole files as inputs, so minimizing each interesting one would eat
 # the run — hence -fuzzminimizetime 0. `go test -fuzz` accepts one target
 # per invocation, hence one run each, FUZZTIME apiece.
@@ -103,6 +105,7 @@ FUZZ = $(GO) test -count=1 -run '^$$' -fuzztime $(FUZZTIME)
 fuzz:
 	$(FUZZ) -fuzz 'FuzzPairCodec' ./internal/shard
 	$(FUZZ) -fuzz 'FuzzMergePairs' ./internal/shard
+	$(FUZZ) -fuzz 'FuzzWorkerLoad' ./internal/shard
 	$(FUZZ) -fuzz 'FuzzBandCandidates' ./internal/simindex
 	$(FUZZ) -fuzz 'FuzzMyersMatchesMatrixDP' ./internal/similarity
 	$(FUZZ) -fuzz 'FuzzLevenshteinMetricProperties' ./internal/similarity

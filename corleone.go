@@ -76,9 +76,12 @@ const (
 	AttrCategorical = record.AttrCategorical
 )
 
-// DefaultConfig returns the paper's parameter defaults: t_B = 3M, 10-tree
-// random forests, q = 20 labels per iteration, Pmin = 0.95, εmax = 0.05,
-// hybrid voting, $0.01 per question.
+// DefaultConfig returns the paper's defaults for the parameters a run may
+// vary: t_B = 3M, k = 20 blocking rules, 10-tree random forests, Pmin =
+// 0.95, $0.01 per question. The ones the paper fixes — q = 20 labels per
+// iteration, εmax = 0.05, δ = 0.95, hybrid voting and the rest — are
+// constants of the internal packages, not Config fields; DESIGN.md §4
+// lists each with its value.
 func DefaultConfig() Config { return engine.Defaults() }
 
 // Run executes the hands-off pipeline on the dataset with the given crowd.

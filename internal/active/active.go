@@ -16,22 +16,30 @@ import (
 	"github.com/corleone-em/corleone/internal/stats"
 )
 
-// Config carries the §5 parameters.
+// The §5 parameters the paper fixes.
+const (
+	// BatchQ is q, the examples labeled per iteration (paper: 20).
+	BatchQ = 20
+	// PoolP is p, the entropy-ranked pool the batch is sampled from
+	// (paper: 100).
+	PoolP = 100
+	// MonitorFrac is the fraction of C set aside as the monitoring set V
+	// (paper: 3%).
+	MonitorFrac = 0.03
+	// SmoothW is the smoothing window w over confidence values (paper: 5).
+	SmoothW = 5
+	// Eps is the ε of the stopping patterns (paper: 0.01).
+	Eps = 0.01
+	// Policy is the voting scheme for training labels. The paper found
+	// 2+1 adequate for training data (§8.2).
+	Policy = crowd.Policy21
+)
+
+// Config carries the §5 settings a caller may set; the ablations vary the
+// stopping windows and the selection strategy.
 type Config struct {
 	// Forest configures the underlying random forest learner.
 	Forest forest.Config
-	// BatchQ is q, the examples labeled per iteration (paper: 20).
-	BatchQ int
-	// PoolP is p, the entropy-ranked pool the batch is sampled from
-	// (paper: 100).
-	PoolP int
-	// MonitorFrac is the fraction of C set aside as the monitoring set V
-	// (paper: 3%).
-	MonitorFrac float64
-	// SmoothW is the smoothing window w over confidence values (paper: 5).
-	SmoothW int
-	// Eps is the ε of the stopping patterns (paper: 0.01).
-	Eps float64
 	// NConverged, NHigh, NDegrade are the pattern window lengths
 	// (paper: 20, 3, 15).
 	NConverged int
@@ -39,9 +47,6 @@ type Config struct {
 	NDegrade   int
 	// MaxIterations is a safety cap on training iterations.
 	MaxIterations int
-	// Policy is the voting scheme for training labels. The paper found
-	// 2+1 adequate for training data (§8.2).
-	Policy crowd.Policy
 	// Seed drives example selection and the monitor split.
 	Seed int64
 	// Strategy selects examples for labeling: StrategyEntropy (default)
@@ -74,37 +79,16 @@ func (s Strategy) String() string {
 func Defaults() Config {
 	return Config{
 		Forest:        forest.Defaults(),
-		BatchQ:        20,
-		PoolP:         100,
-		MonitorFrac:   0.03,
-		SmoothW:       5,
-		Eps:           0.01,
 		NConverged:    20,
 		NHigh:         3,
 		NDegrade:      15,
 		MaxIterations: 150,
-		Policy:        crowd.Policy21,
 		Seed:          1,
 	}
 }
 
 func (c Config) withDefaults() Config {
 	d := Defaults()
-	if c.BatchQ <= 0 {
-		c.BatchQ = d.BatchQ
-	}
-	if c.PoolP <= 0 {
-		c.PoolP = d.PoolP
-	}
-	if c.MonitorFrac <= 0 {
-		c.MonitorFrac = d.MonitorFrac
-	}
-	if c.SmoothW <= 0 {
-		c.SmoothW = d.SmoothW
-	}
-	if c.Eps <= 0 {
-		c.Eps = d.Eps
-	}
 	if c.NConverged <= 0 {
 		c.NConverged = d.NConverged
 	}
@@ -188,7 +172,7 @@ func Learn(runner *crowd.Runner, pairs []record.Pair, X [][]float64,
 
 	// Set aside the monitoring set V (§5.3): a random MonitorFrac of C,
 	// excluded from example selection.
-	nMon := int(float64(len(pairs)) * cfg.MonitorFrac)
+	nMon := int(float64(len(pairs)) * MonitorFrac)
 	if nMon < 1 {
 		nMon = 1
 	}
@@ -206,7 +190,7 @@ func Learn(runner *crowd.Runner, pairs []record.Pair, X [][]float64,
 	// Training state. Seeds that belong to the pool are consumed from the
 	// start; only the seeds are hashed, so this costs one lookup per pool
 	// pair and no |C|-entry map.
-	trainX := make([][]float64, 0, len(seeds)+cfg.MaxIterations*cfg.BatchQ)
+	trainX := make([][]float64, 0, len(seeds)+cfg.MaxIterations*BatchQ)
 	trainY := make([]bool, 0, cap(trainX))
 	training := make([]record.Labeled, 0, cap(trainX))
 	addExample := func(l record.Labeled, v []float64) {
@@ -275,7 +259,7 @@ func Learn(runner *crowd.Runner, pairs []record.Pair, X [][]float64,
 		for i, bi := range batch {
 			req[i] = pairs[bi]
 		}
-		labeled := runner.LabelTrainingBatch(req, cfg.Policy)
+		labeled := runner.LabelTrainingBatch(req, Policy)
 		if len(labeled) == 0 {
 			trace.Reason = StopPoolExhausted
 			break
@@ -291,7 +275,7 @@ func Learn(runner *crowd.Runner, pairs []record.Pair, X [][]float64,
 		}
 	}
 
-	trace.Smoothed = stats.SmoothWindow(trace.Confidence, cfg.SmoothW)
+	trace.Smoothed = stats.SmoothWindow(trace.Confidence, SmoothW)
 	picked := len(forests) - 1
 	if trace.Reason == StopDegrading {
 		// §5.3: select the last classifier before the degrade — the one at
@@ -366,7 +350,7 @@ func (r *ranker) selectBatch(rng *rand.Rand, f *forest.Forest, X [][]float64,
 			r.perm = make([]int, len(pool))
 		}
 		out := r.out[:0]
-		for _, j := range stats.SampleIndicesInto(rng, len(pool), cfg.BatchQ, r.perm) {
+		for _, j := range stats.SampleIndicesInto(rng, len(pool), BatchQ, r.perm) {
 			out = append(out, pool[j])
 		}
 		r.out = out
@@ -395,7 +379,7 @@ func (r *ranker) selectBatch(rng *rand.Rand, f *forest.Forest, X [][]float64,
 	par.For(len(X), r.score)
 	r.f, r.X, r.consumed, r.inMonitor = nil, nil, nil, nil
 
-	r.top = topP(r.ents, cfg.PoolP, r.top)
+	r.top = topP(r.ents, PoolP, r.top)
 	top := r.top
 	if len(top) == 0 {
 		return nil
@@ -407,7 +391,7 @@ func (r *ranker) selectBatch(rng *rand.Rand, f *forest.Forest, X [][]float64,
 	for i, c := range top {
 		weights[i] = c.entropy
 	}
-	picked := r.sampler.Sample(rng, weights, cfg.BatchQ)
+	picked := r.sampler.Sample(rng, weights, BatchQ)
 	out := r.out[:0]
 	for _, j := range picked {
 		out = append(out, top[j].idx)
@@ -471,14 +455,14 @@ func topP(ents []float64, p int, buf []cand) []cand {
 // shouldStop checks the three §5.3 stopping patterns over the smoothed
 // confidence series.
 func shouldStop(confidence []float64, cfg Config) (StopReason, bool) {
-	s := stats.SmoothWindow(confidence, cfg.SmoothW)
+	s := stats.SmoothWindow(confidence, SmoothW)
 	n := len(s)
 
 	// Near-absolute confidence: last NHigh values >= 1-ε.
 	if n >= cfg.NHigh {
 		high := true
 		for _, v := range s[n-cfg.NHigh:] {
-			if v < 1-cfg.Eps {
+			if v < 1-Eps {
 				high = false
 				break
 			}
@@ -500,7 +484,7 @@ func shouldStop(confidence []float64, cfg Config) (StopReason, bool) {
 				hi = v
 			}
 		}
-		if hi-lo <= 2*cfg.Eps {
+		if hi-lo <= 2*Eps {
 			return StopConverged, true
 		}
 	}
@@ -510,7 +494,7 @@ func shouldStop(confidence []float64, cfg Config) (StopReason, bool) {
 	if n >= 2*cfg.NDegrade {
 		w1 := s[n-2*cfg.NDegrade : n-cfg.NDegrade]
 		w2 := s[n-cfg.NDegrade:]
-		if stats.Max(w1) > stats.Max(w2)+cfg.Eps {
+		if stats.Max(w1) > stats.Max(w2)+Eps {
 			return StopDegrading, true
 		}
 	}

@@ -223,10 +223,8 @@ func TestSelectBatchPrefersHighEntropy(t *testing.T) {
 	// Use Learn for one iteration instead of exposing internals: just
 	// verify the batch has no duplicates and respects q via the public
 	// trace after a full run.
-	cfg := Defaults()
-	cfg.BatchQ = 5
 	res, err := Learn(crowd.NewRunner(&crowd.Oracle{Truth: truth}, 0.01),
-		pairs, X, seeds, seedX, cfg)
+		pairs, X, seeds, seedX, Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}

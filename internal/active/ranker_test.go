@@ -127,7 +127,7 @@ func TestRankerMatchesPointwiseScoring(t *testing.T) {
 		var r ranker
 		batch := r.selectBatch(rand.New(rand.NewSource(5)), f, X, consumed, inMonitor, cfg)
 		runtime.GOMAXPROCS(old)
-		if len(r.ents) != len(X) || len(batch) != cfg.BatchQ {
+		if len(r.ents) != len(X) || len(batch) != BatchQ {
 			t.Fatalf("procs=%d: %d entropies for %d rows, batch of %d", procs, len(r.ents), len(X), len(batch))
 		}
 		for i := range X {

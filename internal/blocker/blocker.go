@@ -26,7 +26,7 @@ type Config struct {
 	// set is steered toward it (paper: 3,000,000; scaled runs override).
 	TB int
 	// TopK is the number of candidate rules sent to crowd evaluation
-	// (paper: 20).
+	// (paper: ruleeval.TopK; the §9.4 sweep varies it).
 	TopK int
 	// Active configures the active learning run over S.
 	Active active.Config
@@ -71,7 +71,7 @@ type Config struct {
 func Defaults() Config {
 	return Config{
 		TB:       3_000_000,
-		TopK:     20,
+		TopK:     ruleeval.TopK,
 		Active:   active.Defaults(),
 		RuleEval: ruleeval.Defaults(),
 		Seed:     1,
@@ -113,7 +113,7 @@ func Run(ds *record.Dataset, ex *feature.Extractor, runner *crowd.Runner, cfg Co
 		cfg.TB = 3_000_000
 	}
 	if cfg.TopK <= 0 {
-		cfg.TopK = 20
+		cfg.TopK = ruleeval.TopK
 	}
 	res := &Result{CartesianSize: ds.CartesianSize()}
 

@@ -41,11 +41,10 @@ func BenchmarkChooseOption(b *testing.B) {
 	alive := ruleeval.FullRowSet(len(pairs))
 	density := float64(ds.Truth.NumMatches()) / float64(len(pairs))
 	rIv := stats.Interval{Point: 0.9, Margin: 0.1}
-	cfg := Defaults()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkChoice = chooseOption(cands, used, alive, density, rIv, cfg)
+		sinkChoice = chooseOption(cands, used, alive, density, rIv)
 	}
 	b.ReportMetric(float64(len(cands)), "rules/op")
 }

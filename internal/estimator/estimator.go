@@ -20,58 +20,25 @@ import (
 	"github.com/corleone-em/corleone/internal/tree"
 )
 
-// Config carries the §6 parameters.
+// LabelBatch is b, the examples labeled per probe (paper: 50). The target
+// margin, confidence, k and voting policy are rule evaluation's (ruleeval's
+// EpsMax, Confidence, TopK and Policy).
+const LabelBatch = 50
+
+// Config carries the §6 settings a caller may set.
 type Config struct {
-	// EpsMax is the target error margin for both precision and recall
-	// (paper: 0.05).
-	EpsMax float64
-	// Confidence is the interval confidence (paper: 0.95).
-	Confidence float64
-	// LabelBatch is b, the examples labeled per probe (paper: 50).
-	LabelBatch int
-	// TopK is the number of candidate reduction rules considered
-	// (paper: 20, as in blocking).
-	TopK int
 	// RuleEval configures crowd evaluation of chosen reduction rules.
 	RuleEval ruleeval.Config
 	// MaxLabels caps total labels spent by the estimator (safety valve;
 	// 0 means unlimited).
 	MaxLabels int
-	// Policy is the voting scheme for sample labels; estimation is
-	// sensitive to false positives, so hybrid is the default (§8.2).
-	Policy crowd.Policy
 	// Seed drives sampling.
 	Seed int64
 }
 
 // Defaults returns the paper's configuration.
 func Defaults() Config {
-	return Config{
-		EpsMax:     0.05,
-		Confidence: 0.95,
-		LabelBatch: 50,
-		TopK:       20,
-		RuleEval:   ruleeval.Defaults(),
-		Policy:     crowd.PolicyHybrid,
-		Seed:       1,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	d := Defaults()
-	if c.EpsMax <= 0 {
-		c.EpsMax = d.EpsMax
-	}
-	if c.Confidence <= 0 {
-		c.Confidence = d.Confidence
-	}
-	if c.LabelBatch <= 0 {
-		c.LabelBatch = d.LabelBatch
-	}
-	if c.TopK <= 0 {
-		c.TopK = d.TopK
-	}
-	return c
+	return Config{RuleEval: ruleeval.Defaults(), Seed: 1}
 }
 
 // Result is the estimator's output.
@@ -109,12 +76,11 @@ type TraceStep struct {
 
 // EstimateBaseline implements the §6.1 method: plain incremental random
 // sampling of C with no reduction, stopping when both margins reach
-// EpsMax (or the set is exhausted). It exists as the comparison point for
-// the §9.3 sample-efficiency experiment.
+// ruleeval.EpsMax (or the set is exhausted). It exists as the comparison
+// point for the §9.3 sample-efficiency experiment.
 func EstimateBaseline(rng *rand.Rand, runner *crowd.Runner, pairs []record.Pair,
 	predictions []bool, cfg Config) *Result {
 
-	cfg = cfg.withDefaults()
 	res := &Result{}
 	order := rng.Perm(len(pairs))
 	var nPP, nAP, nTP, n int
@@ -126,7 +92,7 @@ func EstimateBaseline(rng *rand.Rand, runner *crowd.Runner, pairs []record.Pair,
 	}
 	for i := 0; i < len(order); i++ {
 		idx := order[i]
-		match := runner.Label(pairs[idx], cfg.Policy)
+		match := runner.Label(pairs[idx], ruleeval.Policy)
 		res.LabelsUsed++
 		n++
 		if predictions[idx] {
@@ -141,15 +107,15 @@ func EstimateBaseline(rng *rand.Rand, runner *crowd.Runner, pairs []record.Pair,
 		if cfg.MaxLabels > 0 && res.LabelsUsed >= cfg.MaxLabels {
 			break
 		}
-		if n%cfg.LabelBatch == 0 && runner.Stopped() {
+		if n%LabelBatch == 0 && runner.Stopped() {
 			break
 		}
-		if n%cfg.LabelBatch != 0 {
+		if n%LabelBatch != 0 {
 			continue
 		}
-		p, ep := prf(nTP, nPP, totalPP, cfg.Confidence)
-		r, er := prf(nTP, nAP, 0, cfg.Confidence)
-		if ep <= cfg.EpsMax && er <= cfg.EpsMax {
+		p, ep := prf(nTP, nPP, totalPP, ruleeval.Confidence)
+		r, er := prf(nTP, nAP, 0, ruleeval.Confidence)
+		if ep <= ruleeval.EpsMax && er <= ruleeval.EpsMax {
 			res.Precision = stats.Interval{Point: p, Margin: ep}
 			res.Recall = stats.Interval{Point: r, Margin: er}
 			res.F1 = 100 * stats.F1(p, r)
@@ -157,8 +123,8 @@ func EstimateBaseline(rng *rand.Rand, runner *crowd.Runner, pairs []record.Pair,
 			return res
 		}
 	}
-	p, ep := prf(nTP, nPP, totalPP, cfg.Confidence)
-	r, er := prf(nTP, nAP, 0, cfg.Confidence)
+	p, ep := prf(nTP, nPP, totalPP, ruleeval.Confidence)
+	r, er := prf(nTP, nAP, 0, ruleeval.Confidence)
 	res.Precision = stats.Interval{Point: p, Margin: ep}
 	res.Recall = stats.Interval{Point: r, Margin: er}
 	res.F1 = 100 * stats.F1(p, r)
@@ -197,7 +163,6 @@ func Estimate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 	pairs []record.Pair, X [][]float64, predictions []bool,
 	known []record.Labeled, cfg Config) *Result {
 
-	cfg = cfg.withDefaults()
 	res := &Result{}
 
 	// Candidate reduction rules: negative rules from the matcher's forest,
@@ -314,18 +279,18 @@ func Estimate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 				}
 			}
 		}
-		pAlive, epAlive := prf(ptp, pn, alive.AndCount(pp), cfg.Confidence)
+		pAlive, epAlive := prf(ptp, pn, alive.AndCount(pp), ruleeval.Confidence)
 		pIv = stats.Interval{Point: pAlive, Margin: epAlive}
 		// Recall: all actual positives are in C', so the uniform-sample
 		// ratio estimates it directly (Eq. 3, no FPC — the positive
 		// population size is unknown).
-		r, er := prf(nTP, nAP, 0, cfg.Confidence)
+		r, er := prf(nTP, nAP, 0, ruleeval.Confidence)
 		rIv = stats.Interval{Point: r, Margin: er}
 		return
 	}
 
 	done := func(pIv, rIv stats.Interval) bool {
-		return pIv.Margin <= cfg.EpsMax && rIv.Margin <= cfg.EpsMax
+		return pIv.Margin <= ruleeval.EpsMax && rIv.Margin <= ruleeval.EpsMax
 	}
 
 	finish := func(pIv, rIv stats.Interval) *Result {
@@ -335,9 +300,6 @@ func Estimate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 		res.FinalSetSize = alive.Len()
 		return res
 	}
-
-	recfg := cfg.RuleEval
-	recfg.Policy = cfg.Policy
 
 	// Probe workspace, reused across probes: the unsampled alive rows and
 	// the sampler's buffers.
@@ -351,10 +313,10 @@ func Estimate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 		free.Set(alive)
 		free.AndNot(sampled)
 		free.And(pp)
-		bS := min(cfg.LabelBatch/2, free.Len())
+		bS := min(LabelBatch/2, free.Len())
 		for _, idx := range sampler.Draw(rng, free, bS) {
 			sampled.Add(idx)
-			match := runner.Label(pairs[idx], cfg.Policy)
+			match := runner.Label(pairs[idx], ruleeval.Policy)
 			res.LabelsUsed++
 			sampleS = append(sampleS, obs{idx: idx, match: match})
 		}
@@ -363,9 +325,9 @@ func Estimate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 		if free.Len() == 0 && bS == 0 {
 			return finish(estimate())
 		}
-		for _, idx := range sampler.Draw(rng, free, cfg.LabelBatch-bS) {
+		for _, idx := range sampler.Draw(rng, free, LabelBatch-bS) {
 			sampled.Add(idx)
-			match := runner.Label(pairs[idx], cfg.Policy)
+			match := runner.Label(pairs[idx], ruleeval.Policy)
 			res.LabelsUsed++
 			sampleU = append(sampleU, obs{idx: idx, match: match})
 		}
@@ -399,7 +361,7 @@ func Estimate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 
 		// Enumerate options (§6.2 step 2): prefixes of the remaining rules
 		// in greedy max-marginal-coverage order, plus the empty option.
-		choice := chooseOption(cands, ruleUsed, alive, density, rIv, cfg)
+		choice := chooseOption(cands, ruleUsed, alive, density, rIv)
 		step := TraceStep{Alive: alive.Len(), Density: density,
 			ChoseRules: len(choice), PMargin: pIv.Margin, RMargin: rIv.Margin}
 		if len(choice) == 0 {
@@ -414,7 +376,7 @@ func Estimate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 			ruleUsed[ci] = true
 			chosen = append(chosen, restrict(cands[ci], alive))
 		}
-		evals := ruleeval.EvaluateJoint(rng, runner, pairs, chosen, recfg)
+		evals := ruleeval.EvaluateJoint(rng, runner, pairs, chosen, cfg.RuleEval)
 		res.RulesEvaluated += len(evals)
 		for _, ev := range evals {
 			if !ev.Kept {
@@ -445,7 +407,7 @@ func restrict(c ruleeval.Candidate, alive *ruleeval.RowSet) ruleeval.Candidate {
 // max-marginal-coverage ordering of the unused rules, plus the empty
 // option; the cheapest is returned (empty slice = sample-only).
 func chooseOption(cands []ruleeval.Candidate, used []bool, alive *ruleeval.RowSet,
-	density float64, rIv stats.Interval, cfg Config) []int {
+	density float64, rIv stats.Interval) []int {
 
 	// Greedy ordering by marginal coverage over alive examples. An entry's
 	// gain is fixed when it is picked: the alive rows it covers that no
@@ -465,7 +427,7 @@ func chooseOption(cands []ruleeval.Candidate, used []bool, alive *ruleeval.RowSe
 			continue
 		}
 		avail = append(avail, entry{ci: ci, size: size})
-		if len(avail) >= cfg.TopK {
+		if len(avail) >= ruleeval.TopK {
 			break // per-round rule budget (§6.2's k)
 		}
 	}
@@ -513,15 +475,17 @@ func chooseOption(cands []ruleeval.Candidate, used []bool, alive *ruleeval.RowSe
 		if estPos < 1 {
 			estPos = 1
 		}
-		needPos := stats.SampleSizeForMargin(rEst, cfg.EpsMax, estPos, cfg.Confidence)
+		needPos := stats.SampleSizeForMargin(rEst, ruleeval.EpsMax, estPos, ruleeval.Confidence)
 		need := float64(needPos) / dens
 		if need > float64(size) {
 			need = float64(size)
 		}
 		return need
 	}
+	// evalCost is the labels that certify a rule at precision 0.95 — a rule
+	// the option assumes passes — to margin εmax.
 	evalCost := func(covSize int) float64 {
-		return float64(stats.SampleSizeForMargin(0.95, cfg.EpsMax, covSize, cfg.Confidence))
+		return float64(stats.SampleSizeForMargin(0.95, ruleeval.EpsMax, covSize, ruleeval.Confidence))
 	}
 
 	bestCost := sampleCost(aliveCount, density) // empty option

@@ -12,6 +12,7 @@ import (
 	"github.com/corleone-em/corleone/internal/matcher"
 	"github.com/corleone-em/corleone/internal/metrics"
 	"github.com/corleone-em/corleone/internal/record"
+	"github.com/corleone-em/corleone/internal/ruleeval"
 	"github.com/corleone-em/corleone/internal/tree"
 )
 
@@ -350,7 +351,7 @@ func ParamSensitivity(name string, scale float64, seed int64) ([]ParamRow, strin
 	var rows []ParamRow
 	run := func(param, value string, mutate func(*Setup, *ruleCfg)) {
 		s := NewSetup(name, scale, DefaultErrorRate, seed)
-		rc := &ruleCfg{topK: 20, pmin: 0.95, tbScale: 1}
+		rc := &ruleCfg{topK: ruleeval.TopK, pmin: ruleeval.Defaults().PMin, tbScale: 1}
 		mutate(&s, rc)
 		ds := s.Dataset()
 		cfg := s.EngineConfig()

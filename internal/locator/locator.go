@@ -16,17 +16,19 @@ import (
 	"github.com/corleone-em/corleone/internal/tree"
 )
 
-// Config carries the §7 parameters.
-type Config struct {
-	// TopK is the number of rules of each polarity sent to crowd
-	// evaluation (paper: 20, as elsewhere).
-	TopK int
+// The §7 size tests the paper fixes.
+const (
 	// MinDifficult is the smallest difficult set worth iterating on
 	// (paper: 200).
-	MinDifficult int
+	MinDifficult = 200
 	// MaxFraction: if |C'| >= MaxFraction * |C| no meaningful reduction
 	// happened and iteration stops (paper: 0.9).
-	MaxFraction float64
+	MaxFraction = 0.9
+)
+
+// Config carries the §7 settings a caller may set. The number of
+// rules of each polarity sent to crowd evaluation is ruleeval.TopK.
+type Config struct {
 	// RuleEval configures crowd certification of the extracted rules.
 	RuleEval ruleeval.Config
 	// Seed drives rule-evaluation sampling.
@@ -35,27 +37,7 @@ type Config struct {
 
 // Defaults returns the paper's configuration.
 func Defaults() Config {
-	return Config{
-		TopK:         20,
-		MinDifficult: 200,
-		MaxFraction:  0.9,
-		RuleEval:     ruleeval.Defaults(),
-		Seed:         1,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	d := Defaults()
-	if c.TopK <= 0 {
-		c.TopK = d.TopK
-	}
-	if c.MinDifficult <= 0 {
-		c.MinDifficult = d.MinDifficult
-	}
-	if c.MaxFraction <= 0 {
-		c.MaxFraction = d.MaxFraction
-	}
-	return c
+	return Config{RuleEval: ruleeval.Defaults(), Seed: 1}
 }
 
 // Result reports the located difficult set.
@@ -81,7 +63,6 @@ type Result struct {
 func Locate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 	pairs []record.Pair, X [][]float64, known []record.Labeled, cfg Config) *Result {
 
-	cfg = cfg.withDefaults()
 	res := &Result{}
 
 	knownPos := ruleeval.Contradicting(pairs, known, true)
@@ -92,8 +73,8 @@ func Locate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 	// negatives) exactly as in §4.2. One walk of X through the forest gives
 	// the coverages of both polarities.
 	negCands, posCands := ruleeval.CoverByLeaf(f, X)
-	topNeg := ruleeval.SelectTopK(negCands, knownPos, cfg.TopK)
-	topPos := ruleeval.SelectTopK(posCands, knownNeg, cfg.TopK)
+	topNeg := ruleeval.SelectTopK(negCands, knownPos, ruleeval.TopK)
+	topPos := ruleeval.SelectTopK(posCands, knownNeg, ruleeval.TopK)
 
 	evalNeg := ruleeval.EvaluateJoint(rng, runner, pairs, topNeg, cfg.RuleEval)
 	evalPos := ruleeval.EvaluateJoint(rng, runner, pairs, topPos, cfg.RuleEval)
@@ -119,9 +100,9 @@ func Locate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 
 	// §7 termination tests.
 	switch {
-	case len(res.DifficultIdx) < cfg.MinDifficult:
+	case len(res.DifficultIdx) < MinDifficult:
 		res.Reason = "difficult set too small"
-	case float64(len(res.DifficultIdx)) >= cfg.MaxFraction*float64(len(pairs)):
+	case float64(len(res.DifficultIdx)) >= MaxFraction*float64(len(pairs)):
 		res.Reason = "no significant reduction"
 	default:
 		res.Proceed = true

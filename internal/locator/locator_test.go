@@ -88,14 +88,13 @@ func TestLocateTerminationSmallSet(t *testing.T) {
 	pairs, X, truth, f, known, _ := build(300, 3)
 	runner := crowd.NewRunner(&crowd.Oracle{Truth: truth}, 0.01)
 	rng := rand.New(rand.NewSource(4))
-	cfg := Defaults()
-	cfg.MinDifficult = 100000 // force the "too small" branch
-	res := Locate(rng, runner, f, pairs, X, known, cfg)
-	if res.Proceed {
-		t.Error("should not proceed when difficult set is below MinDifficult")
+	res := Locate(rng, runner, f, pairs, X, known, Defaults())
+	if len(res.DifficultIdx) >= MinDifficult {
+		t.Fatalf("%d difficult pairs of %d, want fewer than MinDifficult", len(res.DifficultIdx), len(pairs))
 	}
-	if res.Reason == "" {
-		t.Error("missing reason")
+	if res.Proceed || res.Reason != "difficult set too small" {
+		t.Errorf("proceed %v, reason %q; want a stop because the difficult set is too small",
+			res.Proceed, res.Reason)
 	}
 }
 
@@ -125,9 +124,7 @@ func TestLocateTerminationNoReduction(t *testing.T) {
 	fcfg.Seed = 6
 	f := forest.Train(tx, ty, fcfg)
 	runner := crowd.NewRunner(&crowd.Oracle{Truth: truth}, 0.01)
-	cfg := Defaults()
-	cfg.MinDifficult = 10
-	res := Locate(rand.New(rand.NewSource(7)), runner, f, pairs, X, nil, cfg)
+	res := Locate(rand.New(rand.NewSource(7)), runner, f, pairs, X, nil, Defaults())
 	// On unlearnable data, certification must reject nearly every rule:
 	// only tiny exhaustively-verified lucky rules can pass, so the bulk of
 	// the set stays difficult.
@@ -139,9 +136,7 @@ func TestLocateTerminationNoReduction(t *testing.T) {
 func TestLocateProceedPath(t *testing.T) {
 	pairs, X, truth, f, known, _ := build(5000, 8)
 	runner := crowd.NewRunner(&crowd.Oracle{Truth: truth}, 0.01)
-	cfg := Defaults()
-	cfg.MinDifficult = 10
-	res := Locate(rand.New(rand.NewSource(9)), runner, f, pairs, X, known, cfg)
+	res := Locate(rand.New(rand.NewSource(9)), runner, f, pairs, X, known, Defaults())
 	if !res.Proceed {
 		t.Errorf("expected Proceed, got reason %q (|difficult|=%d of %d)",
 			res.Reason, len(res.DifficultIdx), len(pairs))

@@ -74,16 +74,16 @@ func evaluateJointRef(rng *rand.Rand, runner *crowd.Runner, pairs []record.Pair,
 	decide := func(ci int) bool {
 		st := &states[ci]
 		m := len(cands[ci].Coverage)
-		iv := stats.EstimateProportion(st.correct, st.n, m, cfg.Confidence)
+		iv := stats.EstimateProportion(st.correct, st.n, m, Confidence)
 		results[ci].Precision = iv
 		results[ci].Sampled = st.n
 		switch {
-		case iv.Point >= cfg.PMin && iv.Margin <= cfg.EpsMax:
+		case iv.Point >= cfg.PMin && iv.Margin <= EpsMax:
 			results[ci].Kept = true
 			st.done = true
 		case iv.Point+iv.Margin < cfg.PMin:
 			st.done = true
-		case iv.Margin <= cfg.EpsMax && iv.Point < cfg.PMin:
+		case iv.Margin <= EpsMax && iv.Point < cfg.PMin:
 			st.done = true
 		case st.n >= m:
 			results[ci].Kept = iv.Point >= cfg.PMin
@@ -114,9 +114,9 @@ func evaluateJointRef(rng *rand.Rand, runner *crowd.Runner, pairs []record.Pair,
 			pool = append(pool, idx)
 		}
 		sort.Ints(pool)
-		for _, j := range stats.SampleIndices(rng, len(pool), cfg.Batch) {
+		for _, j := range stats.SampleIndices(rng, len(pool), Batch) {
 			idx := pool[j]
-			match := runner.Label(pairs[idx], cfg.Policy)
+			match := runner.Label(pairs[idx], Policy)
 			absorb(idx, match)
 		}
 		active := 0
@@ -144,7 +144,7 @@ func evaluateJointRef(rng *rand.Rand, runner *crowd.Runner, pairs []record.Pair,
 }
 
 // scriptedCrowd answers from a fixed per-pair script that errs on some
-// pairs' first answers (so the voting policies escalate), and records every
+// pairs' first answers (so the hybrid policy escalates), and records every
 // question in order.
 type scriptedCrowd struct {
 	seed  int64
@@ -165,8 +165,9 @@ func (c *scriptedCrowd) Answer(p record.Pair) bool {
 
 // TestEvaluateJointMatchesReference drives the bitset EvaluateJoint and the
 // retained map-based one through the same random rule sets — empty,
-// overlapping and universe-sized coverages, both polarities, every voting
-// policy, the runner's Stop hook firing part-way — and requires identical results, an
+// overlapping and universe-sized coverages, coverages of one batch less,
+// exactly and one more than a multiple of Batch, both polarities, the
+// runner's Stop hook firing part-way — and requires identical results, an
 // identical sequence of crowd questions, and an identical RNG position
 // afterwards.
 func TestEvaluateJointMatchesReference(t *testing.T) {
@@ -181,7 +182,7 @@ func TestEvaluateJointMatchesReference(t *testing.T) {
 		var cands []Candidate
 		for k := 1 + gen.Intn(8); k > 0; k-- {
 			var cov []int
-			switch gen.Intn(5) {
+			switch gen.Intn(6) {
 			case 0: // empty
 			case 1: // the whole universe
 				for i := 0; i < n; i++ {
@@ -190,6 +191,11 @@ func TestEvaluateJointMatchesReference(t *testing.T) {
 			case 2: // a contiguous band, overlapping its neighbours
 				lo := gen.Intn(n)
 				for i, hi := lo, lo+1+gen.Intn(n); i < n && i < hi; i++ {
+					cov = append(cov, i)
+				}
+			case 3: // a band one row short of, at or past a multiple of Batch
+				size := Batch*(1+gen.Intn(3)) + gen.Intn(3) - 1
+				for i := gen.Intn(max(1, n-size+1)); i < n && len(cov) < size; i++ {
 					cov = append(cov, i)
 				}
 			default: // a random subset of random density
@@ -205,8 +211,6 @@ func TestEvaluateJointMatchesReference(t *testing.T) {
 			cands = append(cands, Candidate{Rule: rule, Coverage: rowsOf(n, cov...)})
 		}
 		cfg := Defaults()
-		cfg.Batch = []int{1, 7, 20}[gen.Intn(3)]
-		cfg.Policy = []crowd.Policy{crowd.Policy21, crowd.PolicyStrong, crowd.PolicyHybrid}[gen.Intn(3)]
 		stopAfter := gen.Intn(6) // 0: never
 
 		run := func(eval func(*rand.Rand, *crowd.Runner, Config) []refResult) ([]refResult, []record.Pair, int64) {

@@ -205,38 +205,39 @@ func SelectTopK(cands []Candidate, contradicting *RowSet, k int) []Candidate {
 	return out
 }
 
-// Config carries the §4.2 evaluation parameters.
-type Config struct {
+// The §4.2 evaluation parameters the paper fixes. Estimation (§6) and the
+// Difficult Pairs' Locator (§7) certify rules with the same ones, and
+// estimation targets the same margin and confidence for precision and
+// recall.
+const (
 	// Batch is b, the number of examples labeled per round (paper: 20).
-	Batch int
+	Batch = 20
+	// EpsMax is εmax, the maximum tolerated error margin (paper: 0.05).
+	EpsMax = 0.05
+	// Confidence is δ, the interval confidence level (paper: 0.95).
+	Confidence = 0.95
+	// Policy is the voting scheme for crowd labels; rule evaluation and
+	// estimation are sensitive to false positives, so they use the hybrid
+	// scheme (§8.2).
+	Policy = crowd.PolicyHybrid
+	// TopK is k, the number of candidate rules sent to crowd evaluation
+	// per step — in blocking, estimation and the locator alike (paper: 20).
+	TopK = 20
+)
+
+// Config carries the §4.2 evaluation parameter a caller may set; the §9.4
+// sweep varies it.
+type Config struct {
 	// PMin is the precision threshold for keeping a rule (paper: 0.95).
 	PMin float64
-	// EpsMax is the maximum tolerated error margin (paper: 0.05).
-	EpsMax float64
-	// Confidence is the interval confidence level (paper: 0.95).
-	Confidence float64
-	// Policy is the voting scheme for crowd labels; rule evaluation is
-	// sensitive to false positives, so the hybrid scheme is the default.
-	Policy crowd.Policy
 }
 
 // Defaults returns the paper's parameters.
-func Defaults() Config {
-	return Config{Batch: 20, PMin: 0.95, EpsMax: 0.05, Confidence: 0.95, Policy: crowd.PolicyHybrid}
-}
+func Defaults() Config { return Config{PMin: 0.95} }
 
 func (c Config) withDefaults() Config {
-	if c.Batch <= 0 {
-		c.Batch = 20
-	}
 	if c.PMin <= 0 {
-		c.PMin = 0.95
-	}
-	if c.EpsMax <= 0 {
-		c.EpsMax = 0.05
-	}
-	if c.Confidence <= 0 {
-		c.Confidence = 0.95
+		c.PMin = Defaults().PMin
 	}
 	return c
 }
@@ -291,16 +292,16 @@ func EvaluateJoint(rng *rand.Rand, runner *crowd.Runner, pairs []record.Pair,
 	decide := func(ci int) bool {
 		st := &states[ci]
 		m := cands[ci].Coverage.Len()
-		iv := stats.EstimateProportion(st.correct, st.n, m, cfg.Confidence)
+		iv := stats.EstimateProportion(st.correct, st.n, m, Confidence)
 		results[ci].Precision = iv
 		results[ci].Sampled = st.n
 		switch {
-		case iv.Point >= cfg.PMin && iv.Margin <= cfg.EpsMax:
+		case iv.Point >= cfg.PMin && iv.Margin <= EpsMax:
 			results[ci].Kept = true
 			st.done = true
 		case iv.Point+iv.Margin < cfg.PMin:
 			st.done = true
-		case iv.Margin <= cfg.EpsMax && iv.Point < cfg.PMin:
+		case iv.Margin <= EpsMax && iv.Point < cfg.PMin:
 			st.done = true
 		case st.n >= m:
 			// Coverage exhausted: the estimate is exact (margin 0 via the
@@ -331,8 +332,8 @@ func EvaluateJoint(rng *rand.Rand, runner *crowd.Runner, pairs []record.Pair,
 		if pool.Len() == 0 {
 			break
 		}
-		for _, idx := range sampler.Draw(rng, pool, cfg.Batch) {
-			absorb(idx, runner.Label(pairs[idx], cfg.Policy))
+		for _, idx := range sampler.Draw(rng, pool, Batch) {
+			absorb(idx, runner.Label(pairs[idx], Policy))
 		}
 		active := 0
 		for ci := range cands {

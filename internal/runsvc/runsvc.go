@@ -57,6 +57,10 @@ func (s State) Terminal() bool {
 	return false
 }
 
+// queueDepth bounds jobs accepted but not yet running; a submit past it is
+// shed with ErrQueueFull.
+const queueDepth = 1024
+
 // Options configures a Manager.
 type Options struct {
 	// Workers bounds concurrent engine.Run executions (default 4).
@@ -65,8 +69,6 @@ type Options struct {
 	// directory. Empty means in-memory only: jobs run but cannot be
 	// resumed across processes.
 	JournalDir string
-	// QueueDepth bounds jobs accepted but not yet running (default 1024).
-	QueueDepth int
 	// ShardEndpoints, when non-empty, fans each Meta-carrying job's sharded
 	// blocking tasks out to these shard-worker base URLs (cmd/shardworker
 	// processes) over the platform HTTP transport. Empty means shard tasks
@@ -124,12 +126,9 @@ func NewManager(opts Options) (*Manager, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = 4
 	}
-	if opts.QueueDepth <= 0 {
-		opts.QueueDepth = 1024
-	}
 	m := &Manager{
 		jobs:            make(map[string]*Job),
-		queue:           make(chan *Job, opts.QueueDepth),
+		queue:           make(chan *Job, queueDepth),
 		quit:            make(chan struct{}),
 		shardEndpoints:  opts.ShardEndpoints,
 		shardBatch:      opts.ShardBatch,

@@ -162,6 +162,9 @@ func (w *Worker) Load(spec JobSpec) error {
 	}
 	ex := feature.NewExtractor(ds)
 	kinds, err := probeKinds(ex, spec.Probes)
+	if err == nil {
+		err = checkRules(ex, spec.Rules)
+	}
 	if err != nil {
 		return fmt.Errorf("shard: job %q: %w", spec.Job, err)
 	}
@@ -176,6 +179,20 @@ func (w *Worker) Load(spec JobSpec) error {
 	job.probers.New = func() any { return newProber(ex, spec.Rules, len(spec.Probes)) }
 	w.jobs[spec.Job] = job
 	w.stats.JobsLoaded.Add(1)
+	return nil
+}
+
+// checkRules refuses a rule set that reads a feature the extractor does not
+// have, as probeKinds does a probe: the verifier indexes its per-feature
+// arrays by the predicates' features.
+func checkRules(ex *feature.Extractor, rules []tree.Rule) error {
+	for i, r := range rules {
+		for _, p := range r.Preds {
+			if p.Feature < 0 || p.Feature >= ex.NumFeatures() {
+				return fmt.Errorf("rule %d: feature %d out of range [0,%d)", i, p.Feature, ex.NumFeatures())
+			}
+		}
+	}
 	return nil
 }
 
@@ -224,7 +241,8 @@ func (w *Worker) probeLoaded(job *workerJob, t Task) []record.Pair {
 //	GET  /metrics     → worker counters as JSON
 //	POST /shard/load  → body JobSpec ("probes": [{feature, theta}, ...],
 //	                    or a lone "feature"/"theta" for one probe); 200
-//	                    when the job is probeable
+//	                    when the job is probeable, 400 when Load refuses
+//	                    it (the job stays unloaded)
 //	POST /shard/probe → body [Task, ...] (one task is an array of one);
 //	                    412 when the job is not loaded (client should
 //	                    load + retry)
@@ -256,8 +274,8 @@ func (w *Worker) Handler() http.Handler {
 			http.Error(rw, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
-		var spec JobSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+		spec, err := decodeSpec(r.Body)
+		if err != nil {
 			http.Error(rw, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -269,6 +287,16 @@ func (w *Worker) Handler() http.Handler {
 	})
 	mux.HandleFunc("/shard/probe", w.serveProbe)
 	return mux
+}
+
+// maxBody bounds the bytes read from a /shard/load or /shard/probe body.
+const maxBody = 64 << 20
+
+// decodeSpec decodes a /shard/load body.
+func decodeSpec(body io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	err := json.NewDecoder(io.LimitReader(body, maxBody)).Decode(&spec)
+	return spec, err
 }
 
 // serveProbe answers a run of tasks as a per-task result stream. Every task
@@ -283,7 +311,7 @@ func (w *Worker) serveProbe(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody))
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -28,7 +29,7 @@ func leRule(f int, theta float64) tree.Rule {
 
 // testJob builds the shared fixture: a small Restaurants dataset, its
 // extractor, an indexable anchor, rules, and the matching JobSpec.
-func testJob(t *testing.T, k int) (spec JobSpec, ex *feature.Extractor, rules []tree.Rule) {
+func testJob(t testing.TB, k int) (spec JobSpec, ex *feature.Extractor, rules []tree.Rule) {
 	t.Helper()
 	const scale = 0.3
 	ds, err := datagen.DatasetFor("restaurants", scale, 0)
@@ -154,8 +155,9 @@ func TestWorkerLoadIdempotent(t *testing.T) {
 // TestWorkerLoadSpecSpellings pins /shard/load's two spellings of a job's
 // probes over HTTP: a spec with only "feature"/"theta" — every spec before
 // probe lists — is the probe list of one, so the "probes" spelling of the
-// same job is a re-load, not a conflict; a spec with both, or with a probe
-// no index serves, is a 400.
+// same job is a re-load, not a conflict; a spec with both, with a probe no
+// index serves, or with a rule on a feature the extractor does not have is
+// a 400, and the job stays unloaded, so a probe of it is the 412 handshake.
 func TestWorkerLoadSpecSpellings(t *testing.T) {
 	spec, ex, rules := testJob(t, 2)
 	w := NewWorker()
@@ -195,9 +197,31 @@ func TestWorkerLoadSpecSpellings(t *testing.T) {
 		"unindexable": fmt.Sprintf(`[{"feature":%d,"theta":0.3}]`, featureByKind(ex, "edit")),
 		"negative":    fmt.Sprintf(`[{"feature":%d,"theta":-0.1}]`, spec.Feature),
 		"range":       `[{"feature":9999,"theta":0.3}]`,
+		"below":       `[{"feature":-1,"theta":0.3}]`,
+		"past":        fmt.Sprintf(`[{"feature":%d,"theta":0.3}]`, ex.NumFeatures()),
 	} {
 		if code := load(fmt.Sprintf(`{"job":%q,%s,"probes":%s}`, name, head, probes)); code != http.StatusBadRequest {
 			t.Errorf("%s probe: status %d, want 400", name, code)
+		}
+	}
+	for name, f := range map[string]int{"rule-below": -1, "rule-past": ex.NumFeatures(), "rule-range": 9999} {
+		bad, err := json.Marshal([]tree.Rule{rules[0], leRule(f, 0.3)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := fmt.Sprintf(`{"job":%q,"dataset":"restaurants","scale":%v,"shards":2,"rules":%s,"feature":%d,"theta":0.3}`,
+			name, spec.Scale, bad, spec.Feature)
+		if code := load(body); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, code)
+		}
+		resp, err := srv.Client().Post(srv.URL+"/shard/probe", JSONContentType,
+			strings.NewReader(fmt.Sprintf(`[{"job":%q,"a_hi":1,"shards":2}]`, name)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusPreconditionFailed {
+			t.Errorf("%s: probe after the refused load: status %d, want 412", name, resp.StatusCode)
 		}
 	}
 
@@ -212,6 +236,48 @@ func TestWorkerLoadSpecSpellings(t *testing.T) {
 	if want := localBaseline(t, spec, ex, rules); !reflect.DeepEqual(got, want) {
 		t.Errorf("legacy-spec job emitted %d pairs, local baseline %d", len(got), len(want))
 	}
+}
+
+// FuzzWorkerLoad holds /shard/load to totality on hostile bytes: a body
+// decodes as the handler decodes it, and a spec Load accepts serves a probe
+// without panicking. The dataset and the shard count are resource bounds,
+// not decoder totality, so every spec runs on testJob's dataset with at most
+// 8 shards.
+func FuzzWorkerLoad(f *testing.F) {
+	spec, ex, rules := testJob(f, 2)
+	bad := spec
+	bad.Rules = []tree.Rule{leRule(9999, 0.3)}
+	wide := JobSpec{Job: "wide", Shards: 8, Rules: append(rules,
+		tree.Rule{Preds: []tree.Predicate{{Feature: featureByKind(ex, "exact"), Op: tree.GT, Threshold: 0.5}}}),
+		Probes: []Probe{{Feature: spec.Feature, Theta: 0.3}, {Feature: featureByKind(ex, "jaccard_3g"), Theta: 0.5}}}
+	for _, s := range []JobSpec{spec, bad, wide} {
+		body, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		got, err := decodeSpec(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		got.Dataset, got.Scale, got.Noise = spec.Dataset, spec.Scale, spec.Noise
+		got.Shards = min(got.Shards, 8)
+		w := NewWorker()
+		if w.Load(got) != nil {
+			return
+		}
+		job, err := w.job(got.Job)
+		if err != nil {
+			t.Fatalf("accepted job %q is not loaded: %v", got.Job, err)
+		}
+		task := Task{Job: got.Job, AHi: int32(min(len(job.profA[0]), TaskBlockRows)), Shards: got.Shards}
+		if err := validateTask(job, task); err != nil {
+			t.Fatalf("accepted job %q refuses its first task: %v", got.Job, err)
+		}
+		w.probeLoaded(job, task)
+	})
 }
 
 // TestWorkerUnknownJob pins the 412 protocol at both layers: the job

@@ -49,6 +49,10 @@ go test -count=1 -run 'TestStoreOpen|TestSnapshotCorruptionFallback|TestSnapshot
 go test -count=1 -run 'TestShardedBlockingEquivalence|TestShardedMergeDeterminism' ./internal/blocker
 go test -count=1 -run 'TestShardWorkerChaos/5xx-failover' ./internal/faultkit
 
+# GOMAXPROCS invariance: the pinned outputs and golden fingerprints must
+# hold bit for bit at one and at four procs, not only at this box's default.
+go test -count=1 -cpu 1,4 -run 'TestRunPinned|TestRunGoldenFingerprints' ./internal/engine
+
 go test -race ./...
 
 # Fuzz smoke: every target `make fuzz` lists (pair codec and merge, the
@@ -56,6 +60,7 @@ go test -race ./...
 # edit column), the token-pair table, the column profile build and the string
 # primitives under it, CSV round trip and reader totality, row sets,
 # rule coverage by leaf, journal replay, model and spec decoders, the submit
-# body), 5 s each, so a change that breaks a decoder's totality or a
-# kernel's bit-identity fails here in seconds. The Makefile holds the list.
+# body, the shard worker's job-spec load), 5 s each, so a change that breaks
+# a decoder's totality or a kernel's bit-identity fails here in seconds. The
+# Makefile holds the list.
 make fuzz FUZZTIME=5s
