@@ -68,14 +68,17 @@ shard:
 # row twice, on arbitrary float64 bit patterns (DESIGN.md §9.2). Pair
 # kernels: Myers' bit-parallel edit distance vs the matrix and two-row DPs,
 # Levenshtein's metric properties, every string measure's [0, 1] range,
-# bit-parallel Jaro vs the greedy matcher, the integer-coded set
+# bit-parallel Jaro vs the greedy matcher (and b's masks built once for a
+# tile of a vs one pair at a time), the integer-coded set
 # measures vs the string merges, and the
 # Monge-Elkan token-pair table (fill, read-back and both directions of every
-# cell) vs the string measure, all to Float64bits equality (DESIGN.md "Pair
+# cell) and its column, with and without a table, vs the string measure and
+# the pair path, all to Float64bits equality (DESIGN.md "Pair
 # kernels", "Operand dictionaries and write-once tables"), and the column
 # kernels vs the pair kernels: the edit column over a fuzzed pattern and
-# texts, every feature's column, whole and by position list, over random
-# small token multisets (DESIGN.md "Column kernels"). Profiles: the column
+# texts, every feature's column, whole and by position list, and Vectors over
+# a cross product of several tiles of rows, over random small token multisets
+# (DESIGN.md "Column kernels"). Profiles: the column
 # build vs the per-value string functions over a fuzzed list of values at a
 # fuzzed chunk count, to the bit (DESIGN.md "Record profiles"), and the
 # string primitives under them — Normalize idempotent and lowered, Words

@@ -309,7 +309,9 @@ func Estimate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 	for {
 		// Probe (§6.2's limited sampling, b = 50): up to half the batch
 		// labels unsampled predicted positives (the precision stratum);
-		// the rest is a fresh uniform draw from C'.
+		// the rest is a uniform draw from the unsampled rows of C' — once
+		// the precision stratum has run, mostly predicted negatives, so
+		// not a uniform draw from C' (DESIGN.md §3b item 4).
 		free.Set(alive)
 		free.AndNot(sampled)
 		free.And(pp)

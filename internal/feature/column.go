@@ -24,13 +24,15 @@ const (
 )
 
 // The view of a profile a column kernel reads: for a set measure, which of
-// the sorted code lists it intersects; for edit, the runes. Every other
-// measure has noView, and no column kernel.
+// the sorted code lists it intersects; for edit, the runes; for Monge-Elkan,
+// the token ids. Every other measure has noView, and no column kernel over
+// the run's views.
 const (
 	noView int8 = iota - 1
 	viewWords
 	viewGrams
 	viewRunes
+	viewTokens
 	numViews
 )
 
@@ -42,6 +44,8 @@ func viewOf(kind string) int8 {
 		return viewGrams
 	case "edit":
 		return viewRunes
+	case "monge_elkan":
+		return viewTokens
 	}
 	return noView
 }
@@ -64,6 +68,9 @@ type Run struct {
 	all   []int32   // 0..len(bs)-1: the position list that stands for the whole run
 	view  []int8    // by feature: the view its column kernel reads, noView for pair by pair
 	views []runView // [attrIdx*numViews + view]
+	// tiled[i]: feature i is an untabled jaro_winkler, which Vectors scores
+	// a tile of rows of A at a time over a run long enough.
+	tiled []bool
 }
 
 // runView is one column's view over the run. Its postings list positions,
@@ -77,6 +84,9 @@ type runView struct {
 	size []int32
 	// The rune view has no postings: it is the positions' profiles, gathered.
 	profs []*similarity.Profile
+	// The token view is the positions' token ids over the run's distinct
+	// tokens.
+	tokens *similarity.TokenRun
 	// The word view of a TF/IDF column also has each postings entry's term
 	// frequency, parallel to post.Rows (kept an integer: half the bytes, the
 	// walk's conversion is exact), and each position's squared norm.
@@ -96,11 +106,13 @@ func (e *Extractor) NewRun(bs []int32) *Run {
 	for k := range all {
 		all[k] = int32(k)
 	}
-	r := &Run{ex: e, bs: bs, all: all, view: make([]int8, len(e.features)), views: make([]runView, len(e.cols)*int(numViews))}
+	r := &Run{ex: e, bs: bs, all: all, view: make([]int8, len(e.features)),
+		views: make([]runView, len(e.cols)*int(numViews)), tiled: make([]bool, len(e.features))}
 	for i, f := range e.features {
 		r.view[i] = noView
 		if len(bs) >= minRun && e.cols[f.AttrIdx].cells == nil {
 			r.view[i] = viewOf(f.Kind)
+			r.tiled[i] = f.Kind == "jaro_winkler"
 		}
 	}
 	return r
@@ -112,16 +124,17 @@ func (r *Run) Rows() []int32 { return r.bs }
 // Positions returns 0..len(Rows())-1: the whole run as ColumnAt's list.
 func (r *Run) Positions() []int32 { return r.all }
 
-// HasColumn reports whether feature i has a column kernel over the run: a
-// set measure or edit, a run long enough, no value-pair table (a cell is
-// read faster).
+// HasColumn reports whether feature i has a column kernel over the run's
+// views: a set measure, edit or Monge-Elkan, a run long enough, no value-pair
+// table (a tabled feature's column reads its cells).
 func (r *Run) HasColumn(i int) bool { return r.view[i] != noView }
 
-// build gathers the rune view's profiles, or inverts a token view over the
-// run's positions.
+// build gathers the rune view's profiles, collects the token view's tokens,
+// or inverts a set view over the run's positions.
 func (v *runView) build(c *column, view int8, bs []int32) {
 	v.size = make([]int32, len(bs))
-	if view == viewRunes {
+	switch view {
+	case viewRunes:
 		v.profs = make([]*similarity.Profile, len(bs))
 		for k, b := range bs {
 			v.profs[k] = c.profB[b]
@@ -130,6 +143,15 @@ func (v *runView) build(c *column, view int8, bs []int32) {
 				v.size[k] = -1
 			}
 		}
+		return
+	case viewTokens:
+		for k, b := range bs {
+			v.size[k] = int32(len(c.profB[b].TokenIDs))
+			if c.profB[b].Norm == "" {
+				v.size[k] = -1
+			}
+		}
+		v.tokens = c.tokens.NewTokenRun(c.profB, bs)
 		return
 	}
 	weighed := view == viewWords && c.profB[bs[0]].TFIDF != nil
@@ -180,6 +202,8 @@ type RunScratch struct {
 	nt             int
 	view           *runView // whose walk, of which row's profile, the above
 	a              *similarity.Profile
+
+	tileA []*similarity.Profile // the profiles of a tile's rows of A (tile)
 }
 
 // Column writes feature i of (a, Rows()[k]) to dst[k*stride] for every
@@ -194,31 +218,111 @@ func (r *Run) ColumnAt(i int, a int32, pos []int32, dst []float64, rs *RunScratc
 	r.column(i, a, pos, dst, 1, rs)
 }
 
-// column has three kernels. With the rune view and an a of at most 64 runes
-// it is similarity.EditSimColumn, whatever the list: a's pattern is built
-// once for it. With a token view, an a that has tokens and a list of at least
-// 1/sparseList of the run it walks postings, if the walk is shorter than the
-// merges of the positions asked for. Everything else — a missing a, any other
-// feature — is ComputeScratch pair by pair.
+// jaroTile is how many whole runs Vectors scores as one tile: the most rows
+// of A a B row's Jaro masks are built once for (DESIGN.md "Pair kernels",
+// the sweep that set it).
+const jaroTile = 16
+
+// tile writes the feature vectors of rows whole runs in a row — pairs[t*n:
+// (t+1)*n] for t < rows, one row of A each against the run's list — to flat,
+// d values a pair. A row's features go through Column, except the tiled
+// ones: those are scored B-major, each B row's masks built once for all of
+// the tile's rows of A (similarity.JaroWinklerTile), Missing written where
+// either side's value is missing, as normWrapP does.
+func (r *Run) tile(pairs []record.Pair, rows int, flat []float64, d int, rs *RunScratch) {
+	n := len(r.bs)
+	for t := 0; t < rows; t++ {
+		for f, tiled := range r.tiled {
+			if !tiled {
+				r.Column(f, pairs[t*n].A, flat[t*n*d+f:], d, rs)
+			}
+		}
+	}
+	if cap(rs.tileA) < jaroTile {
+		rs.tileA = make([]*similarity.Profile, 0, jaroTile)
+	}
+	for f, tiled := range r.tiled {
+		if !tiled {
+			continue
+		}
+		c := &r.ex.cols[r.ex.features[f].AttrIdx]
+		as := rs.tileA[:0]
+		for t := 0; t < rows; t++ {
+			as = append(as, c.profA[pairs[t*n].A])
+		}
+		rs.tileA = as
+		for k, b := range r.bs {
+			pb, dst := c.profB[b], flat[k*d+f:]
+			if pb.Norm == "" {
+				for t := range as {
+					dst[t*n*d] = Missing
+				}
+				continue
+			}
+			similarity.JaroWinklerTile(as, pb, dst, n*d, rs.Pair)
+		}
+		for t, pa := range as {
+			if pa.Norm == "" {
+				for k := range r.bs {
+					flat[(t*n+k)*d+f] = Missing
+				}
+			}
+		}
+	}
+}
+
+// column has four kernels. A feature whose attribute has a value-pair table
+// reads each position's cell in place, filling an empty one from the profile
+// kernel as ComputeScratch does. With the rune view and an a of at most 64
+// runes it is similarity.EditSimColumn, whatever the list: a's pattern is
+// built once for it. With the token view it is
+// similarity.TokenPairs.MongeElkanColumn, if a has tokens, the list is at
+// least 1/sparseList of the run and the slab is cheaper than the pairs. With a
+// set view, an a that has tokens and such a list it walks postings, if the
+// walk is shorter than the merges of the positions asked for. Everything else
+// — a missing a, any other feature — is ComputeScratch pair by pair.
 func (r *Run) column(i int, a int32, pos []int32, dst []float64, stride int, rs *RunScratch) {
 	f := &r.ex.features[i]
 	c := &r.ex.cols[f.AttrIdx]
 	pa, view := c.profA[a], r.view[i]
+	if c.cells != nil {
+		// a's value's row of the table, from the feature's slot on: the
+		// cell of b's value is width cells per value further.
+		cells := c.cells[int(c.valA[a])*c.nValB*c.width+f.slot:]
+		for _, k := range pos {
+			b := r.bs[k]
+			cell := &cells[int(c.valB[b])*c.width]
+			v, ok := cell.Load()
+			if !ok {
+				v = f.fill(cell, pa, c.profB[b], rs.Pair)
+			}
+			dst[int(k)*stride] = v
+		}
+		return
+	}
 	if view != noView && pa.Norm != "" && (view == viewRunes || len(pos)*sparseList >= len(r.bs)) {
 		v := &r.views[f.AttrIdx*int(numViews)+int(view)]
 		v.once.Do(func() { v.build(c, view, r.bs) })
-		if view == viewRunes {
-			if len(pa.Runes) <= 64 {
+		done := false
+		switch view {
+		case viewRunes:
+			if done = len(pa.Runes) <= 64; done {
 				similarity.EditSimColumn(pa, v.profs, pos, dst, stride, rs.Pair)
-				for _, k := range pos {
-					if v.size[k] < 0 {
-						dst[int(k)*stride] = Missing
-					}
-				}
+			}
+		case viewTokens:
+			done = c.tokens.MongeElkanColumn(pa, v.tokens, pos, dst, stride, rs.Pair)
+		default:
+			if ka := viewKeys(pa, view); len(ka) > 0 && rs.walk(v, pa, ka, pos) {
+				rs.finish(f.Kind, v, pa, len(ka), pos, dst, stride)
 				return
 			}
-		} else if ka := viewKeys(pa, view); len(ka) > 0 && rs.walk(v, pa, ka, pos) {
-			rs.finish(f.Kind, v, pa, len(ka), pos, dst, stride)
+		}
+		if done {
+			for _, k := range pos {
+				if v.size[k] < 0 {
+					dst[int(k)*stride] = Missing
+				}
+			}
 			return
 		}
 	}

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
@@ -279,13 +281,32 @@ func TestColumnWalkCostRule(t *testing.T) {
 	checkColumns(t, "identical rows", ex, bs, fs, 1)
 }
 
+// maxTile is the largest tile of rows of A the sweep behind Vectors'
+// jaro_winkler tile tried (DESIGN.md "Pair kernels": 8, 16, 32 or 64). A
+// table of 2·maxTile+7 rows holds two whole tiles and part of a third, or
+// more, whichever jaroTile is; maxTile rows are whole tiles.
+const maxTile = 64
+
+// tabled reports whether attribute attr has a value-pair table: the only
+// reason a string attribute's set measure, over a run of at least minRun
+// rows, has no column.
+func tabled(ex *feature.Extractor, run *feature.Run, attr int) bool {
+	for f, ft := range ex.Features() {
+		if ft.AttrIdx == attr && ft.Kind == "jaccard_3g" {
+			return !run.HasColumn(f)
+		}
+	}
+	return false
+}
+
 // TestVectorsRunShapes feeds Vectors every arrangement of pairs its run
-// detection has to classify — a clean cross product, one with a pair
-// missing from one run, shuffled, with pairs repeated, with one-row runs,
-// with a sparse tail — at GOMAXPROCS 1 to 4, where par.For's chunk
-// boundaries cut runs at different places, and expects each row to be the
-// pair's own Vector, clipped to its own capacity: appending to a row
-// reallocates it and leaves its neighbour alone.
+// detection has to classify — a clean cross product of two whole tiles of
+// rows of A and part of a third, whole tiles only, whole tiles and one run, one
+// with a pair missing from one run, shuffled, with pairs repeated, with
+// one-row runs, with a sparse tail — at GOMAXPROCS 1 to 4, where par.For's
+// chunk boundaries cut runs and tiles at different places, and expects each
+// row to be the pair's own Vector, clipped to its own capacity: appending to
+// a row reallocates it and leaves its neighbour alone.
 func TestVectorsRunShapes(t *testing.T) {
 	ds, err := datagen.DatasetFor("restaurants", 0.5, 1)
 	if err != nil {
@@ -293,7 +314,12 @@ func TestVectorsRunShapes(t *testing.T) {
 	}
 	ds = withEdgeRows(ds)
 	ex := feature.NewExtractor(ds)
-	na, nb := 23, ds.B.Len()
+	na, nb := 2*maxTile+7, ds.B.Len()
+	if !slices.ContainsFunc(ex.Features(), func(ft feature.Feature) bool {
+		return ft.Kind == "jaro_winkler" && !tabled(ex, ex.NewRun(allRows(nb)), ft.AttrIdx)
+	}) {
+		t.Fatal("no untabled jaro_winkler feature: the tile is not exercised")
+	}
 	var cross []record.Pair
 	for a := 0; a < na; a++ {
 		for b := 0; b < nb; b += 2 {
@@ -318,6 +344,8 @@ func TestVectorsRunShapes(t *testing.T) {
 		pairs []record.Pair
 	}{
 		{"cross product", cross},
+		{"whole tiles", cross[:maxTile*run]},
+		{"whole tiles and one run", cross[:(maxTile+1)*run]},
 		{"one pair deleted", append(append([]record.Pair(nil), cross[:5*run+7]...), cross[5*run+8:]...)},
 		{"first run short", cross[3:]},
 		{"shuffled", shuffled},
@@ -360,41 +388,81 @@ func TestVectorsRunShapes(t *testing.T) {
 
 // TestColumnZeroAllocSteadyState pins the kernels' steady state: with the
 // runs' views built and the scratch warm, a column allocates nothing —
-// whether it walks, re-reads a shared walk, runs the edit column or falls back
-// pair by pair, whole or by position list — and neither does one RunScratch
-// taken back and forth between two runs of different lengths, the way a
-// prober alternates shards: its arrays are sized once, by the longer.
+// whether it walks, re-reads a shared walk, runs the edit or the Monge-Elkan
+// column, reads a value-pair table's cells or falls back pair by pair, whole
+// or by position list — and neither does one RunScratch taken back and forth
+// between two runs of different lengths, the way a prober alternates shards:
+// its arrays are sized once, by the longer. A warm Vectors over a cross
+// product allocates per call — its output, the run and its views, a scratch
+// per worker — and nothing per row of A, per tile or per pair
+// (checkVectorsAllocs).
 func TestColumnZeroAllocSteadyState(t *testing.T) {
-	ds, err := datagen.DatasetFor("products", 0.05, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := feature.NewExtractor(withEdgeRows(ds))
-	bs := allRows(ds.B.Len())
-	runs := []*feature.Run{ex.NewRun(bs), ex.NewRun(bs[:len(bs)/3]), ex.NewRun(bs[len(bs)/2:])}
-	thirds := make([][]int32, len(runs))
-	for i, run := range runs {
-		thirds[i] = positionLists(len(run.Rows()))[1]
-	}
-	rs := feature.RunScratch{Pair: similarity.NewScratch()}
-	dst := make([]float64, len(bs))
-	sweep := func() {
-		for a := 0; a < ds.A.Len(); a++ {
-			for i, run := range runs {
-				third := thirds[i]
-				for f := 0; f < ex.NumFeatures(); f++ {
-					if k := ex.Features()[f].Kind; k == "monge_elkan" {
-						continue // its pair kernel has its own zero-alloc test
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var mongeElkan, anyTabled bool
+	for _, c := range []struct {
+		name  string
+		scale float64
+	}{{"products", 0.05}, {"restaurants", 0.5}} {
+		ds, err := datagen.DatasetFor(c.name, c.scale, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := feature.NewExtractor(withEdgeRows(ds))
+		bs := allRows(ds.B.Len())
+		runs := []*feature.Run{ex.NewRun(bs), ex.NewRun(bs[:len(bs)/3]), ex.NewRun(bs[len(bs)/2:])}
+		thirds := make([][]int32, len(runs))
+		for i, run := range runs {
+			thirds[i] = positionLists(len(run.Rows()))[1]
+		}
+		for f, ft := range ex.Features() {
+			mongeElkan = mongeElkan || ft.Kind == "monge_elkan" && runs[0].HasColumn(f)
+			anyTabled = anyTabled || tabled(ex, runs[0], ft.AttrIdx)
+		}
+		rs := feature.RunScratch{Pair: similarity.NewScratch()}
+		dst := make([]float64, len(bs))
+		sweep := func() {
+			for a := 0; a < ds.A.Len(); a++ {
+				for i, run := range runs {
+					third := thirds[i]
+					for f := 0; f < ex.NumFeatures(); f++ {
+						run.Column(f, int32(a), dst, 1, &rs)
+						run.ColumnAt(f, int32(a), third, dst, &rs)
 					}
-					run.Column(f, int32(a), dst, 1, &rs)
-					run.ColumnAt(f, int32(a), third, dst, &rs)
 				}
 			}
 		}
+		sweep()
+		if n := testing.AllocsPerRun(3, sweep); n != 0 {
+			t.Errorf("%s: a warm column sweep allocates %v times, want 0", c.name, n)
+		}
+
+		if c.name == "restaurants" {
+			checkVectorsAllocs(t, ex, bs)
+		}
 	}
-	sweep()
-	if n := testing.AllocsPerRun(3, sweep); n != 0 {
-		t.Errorf("a warm column sweep allocates %v times, want 0", n)
+	if !mongeElkan || !anyTabled {
+		t.Errorf("the sweeps cover a Monge-Elkan column %v and a value-pair table %v, want both", mongeElkan, anyTabled)
+	}
+}
+
+// checkVectorsAllocs compares a warm Vectors over maxTile+7 rows of A against
+// the run bs with one over the same rows twice — whole tiles more — with the collector off, whose own mallocs would land in either count
+// as the output grows.
+func checkVectorsAllocs(t *testing.T, ex *feature.Extractor, bs []int32) {
+	t.Helper()
+	var once []record.Pair
+	for a := 0; a < maxTile+7; a++ {
+		for _, b := range bs {
+			once = append(once, record.P(a, int(b)))
+		}
+	}
+	twice := append(append([]record.Pair(nil), once...), once...)
+	ex.Vectors(twice)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	perCall := testing.AllocsPerRun(3, func() { ex.Vectors(once) })
+	if n := testing.AllocsPerRun(3, func() { ex.Vectors(twice) }); n != perCall {
+		t.Errorf("a warm Vectors allocates %v times over %d rows of A and %v over each of them twice, want the same",
+			perCall, maxTile+7, n)
 	}
 }
 
@@ -402,14 +470,18 @@ func TestColumnZeroAllocSteadyState(t *testing.T) {
 // spell the rows of both tables over a six-word alphabet (a zero length is
 // a missing value, a length of one a token-less one; two more draws make the
 // 64- and 65-rune values on either side of the edit column's pattern limit,
-// with a rune beyond the ASCII mask table in them), table B long enough for a
-// column and of odd or even length by the input's. Every feature, whole and
-// by position list, must equal the pair kernel.
+// with a rune beyond the ASCII mask table in them, and one a value that
+// repeats its tokens), table B long enough for a column and of odd or even
+// length by the input's. Every feature of the first rows of A, whole and by
+// position list, must equal the pair kernel; and Vectors over the cross
+// product of all of A — two whole tiles of rows and part of a third — and B
+// must equal ComputeScratch in every cell.
 func FuzzColumnKernel(f *testing.F) {
 	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9})
 	f.Add([]byte{0, 0, 0, 1, 1, 1})
 	f.Add([]byte{7})
 	f.Add([]byte{2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2})
+	f.Add([]byte{9, 0, 4, 9, 1, 8, 9, 7})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 512 {
 			return
@@ -420,8 +492,9 @@ func FuzzColumnKernel(f *testing.F) {
 			at++
 			return int(b) + at/len(data) // later passes over the input differ
 		}
+		word := func() string { return string(rune('a'+next()%6)) + "x" }
 		value := func() string {
-			n := next() % 9
+			n := next() % 10
 			switch n {
 			case 0:
 				return ""
@@ -433,27 +506,50 @@ func FuzzColumnKernel(f *testing.F) {
 					rs[i] = []rune("abcdeé")[next()%6]
 				}
 				return string(rs)
+			case 9: // repeated tokens
+				x, y := word(), word()
+				return strings.Join([]string{x, y, x, x, y}, " ")
 			}
 			ws := make([]string, n-1)
 			for i := range ws {
-				ws[i] = string(rune('a'+next()%6)) + "x"
+				ws[i] = word()
 			}
 			return strings.Join(ws, " ")
 		}
 		schema := record.Schema{{Name: "s", Type: record.AttrString}, {Name: "t", Type: record.AttrText}}
-		a, b := record.NewTable("a", schema), record.NewTable("b", schema)
-		for r := 0; r < 5; r++ {
-			a.Append(record.Tuple{value(), value()})
+		few, a, b := record.NewTable("a", schema), record.NewTable("a", schema), record.NewTable("b", schema)
+		for r := 0; r < 2*maxTile+1+len(data)%maxTile; r++ {
+			row := record.Tuple{value(), value()}
+			a.Append(row)
+			if r < 5 {
+				few.Append(row)
+			}
 		}
 		for r := 0; r < 70+len(data)%9; r++ {
 			b.Append(record.Tuple{value(), value()})
 		}
-		ex := feature.NewExtractor(&record.Dataset{Name: "fuzz", A: a, B: b, Truth: record.NewGroundTruth(nil)})
 		bs := allRows(b.Len())
+		ex := feature.NewExtractor(&record.Dataset{Name: "fuzz", A: few, B: b, Truth: record.NewGroundTruth(nil)})
 		all := make([]int, ex.NumFeatures())
 		for i := range all {
 			all[i] = i
 		}
 		checkColumns(t, "fuzz", ex, bs, all, 1)
+
+		ex = feature.NewExtractor(&record.Dataset{Name: "fuzz", A: a, B: b, Truth: record.NewGroundTruth(nil)})
+		var pairs []record.Pair
+		for r := 0; r < a.Len(); r++ {
+			for _, k := range bs {
+				pairs = append(pairs, record.P(r, int(k)))
+			}
+		}
+		s := similarity.NewScratch()
+		for i, x := range ex.Vectors(pairs) {
+			for f, got := range x {
+				if want := ex.ComputeScratch(f, pairs[i], s); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("Vectors: %s of %v = %v, ComputeScratch %v", ex.Name(f), pairs[i], got, want)
+				}
+			}
+		}
 	})
 }

@@ -20,18 +20,22 @@
 // per distinct operand pair (DESIGN.md "Operand dictionaries and write-once
 // tables").
 //
-// A feature value has two producers, chosen by the shape of the request,
+// A feature value has three producers, chosen by the shape of the request,
 // never by an option. ComputeScratch scores one pair — the table's cell if
 // it is filled, else the profile kernel, whose result fills it — for every
 // sparse request: the umbrella set, seeds, a handful of probe candidates.
 // A Run scores a row of table A against a list of table B rows: Column
-// against all of it (Vectors over a cross product), ColumnAt against an
-// ascending list of its positions (the blocker's verifier: the positions
-// still matching a rule, of all of table B or of a shard's candidates). The
-// set measures walk the run's postings instead of merging every pair, edit
-// builds the A row's pattern once (DESIGN.md "Column kernels"). The tests pin
-// ComputeScratch bit for bit, first touch and second, to package similarity's
-// string measures, and every column, whole or by position, to ComputeScratch.
+// against all of it, ColumnAt against an ascending list of its positions
+// (the blocker's verifier: the positions still matching a rule, of all of
+// table B or of a shard's candidates). A tabled feature reads its cells in
+// place, the set measures walk the run's postings instead of merging every
+// pair, edit builds the A row's pattern once, and Monge-Elkan scores the A
+// row's tokens against the run's once (DESIGN.md "Column kernels"). Vectors
+// over a cross product scores a tile of rows of A at a time: Column for each
+// row, and Jaro-Winkler with each B row's masks built once for the whole
+// tile. The tests pin ComputeScratch bit for bit, first touch and second, to
+// package similarity's string measures, and every column, whole or by
+// position, and every tile to ComputeScratch.
 package feature
 
 import (
@@ -78,7 +82,7 @@ type Feature struct {
 // Extractor binds a feature library to a dataset and computes vectors.
 // Construction precomputes the profiles of both tables' distinct values;
 // Compute, Vector and sparse Vectors route through ComputeScratch, the runs
-// of a cross product through Run.Column, the verifier through Run.ColumnAt.
+// of a cross product through Run.tile, the verifier through Run.ColumnAt.
 type Extractor struct {
 	A, B     *record.Table
 	features []Feature
@@ -379,17 +383,21 @@ func (e *Extractor) Compute(i int, p record.Pair) float64 {
 func (e *Extractor) ComputeScratch(i int, p record.Pair, s *similarity.Scratch) float64 {
 	f := &e.features[i]
 	c := &e.cols[f.AttrIdx]
-	var cell *similarity.Cell
 	if c.cells != nil {
-		cell = &c.cells[(int(c.valA[p.A])*c.nValB+int(c.valB[p.B]))*c.width+f.slot]
+		cell := &c.cells[(int(c.valA[p.A])*c.nValB+int(c.valB[p.B]))*c.width+f.slot]
 		if v, ok := cell.Load(); ok {
 			return v
 		}
+		return f.fill(cell, c.profA[p.A], c.profB[p.B], s)
 	}
-	v := f.pfn(c.profA[p.A], c.profB[p.B], s)
-	if cell != nil {
-		cell.Store(v)
-	}
+	return f.pfn(c.profA[p.A], c.profB[p.B], s)
+}
+
+// fill fills an empty cell of the feature's value-pair table: the profile
+// kernel's value on the pair's profiles, stored and returned.
+func (f *Feature) fill(cell *similarity.Cell, pa, pb *similarity.Profile, s *similarity.Scratch) float64 {
+	v := f.pfn(pa, pb, s)
+	cell.Store(v)
 	return v
 }
 
@@ -419,8 +427,10 @@ func (e *Extractor) VectorScratch(p record.Pair, s *similarity.Scratch) []float6
 // next one.
 //
 // In a cross product — the blocker's sample, all of A×B below t_B — every
-// row of A meets the same list of B rows, and such a run is scored by
-// Run.Column; crossRun reads that shape off the input. A run cut by a
+// row of A meets the same list of B rows; crossRun reads that shape off the
+// input. Up to jaroTile such runs in a row within a worker's chunk are scored
+// as one tile (Run.tile): each row's features by Run.Column, the untabled
+// jaro_winkler ones B row by B row for the whole tile. A run cut by a
 // worker's chunk boundary, and any stretch that is not the list again, is
 // computed pair by pair. The values are the same bits either way.
 func (e *Extractor) Vectors(pairs []record.Pair) [][]float64 {
@@ -436,10 +446,12 @@ func (e *Extractor) Vectors(pairs []record.Pair) [][]float64 {
 		}
 		for i := lo; i < hi; {
 			if run != nil && run.leads(pairs[i:hi]) {
-				for f := range e.features {
-					run.Column(f, pairs[i].A, flat[i*d+f:], d, &rs)
+				n, rows := len(run.bs), 1
+				for rows < jaroTile && run.leads(pairs[min(i+rows*n, hi):hi]) {
+					rows++
 				}
-				i += len(run.bs)
+				run.tile(pairs[i:], rows, flat[i*d:], d, &rs)
+				i += rows * n
 				continue
 			}
 			for f := range out[i] {

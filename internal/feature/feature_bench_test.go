@@ -1,6 +1,7 @@
 package feature
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -100,15 +101,15 @@ func BenchmarkNewExtractor(b *testing.B) {
 // an iteration), postings built before the clock starts. title is the text
 // column, whose three measures share a view (each sub-benchmark walks it for
 // itself: one feature per row defeats the shared walk); authors is the
-// string column with the long 3-gram sets, and the one the edit column's
-// texts come from.
+// string column with the long 3-gram sets, and the one the edit and
+// Monge-Elkan columns' texts come from.
 func BenchmarkColumn(b *testing.B) {
 	ds, err := datagen.DatasetFor("citations", 0.1, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	ex := NewExtractor(ds)
-	for _, name := range []string{"title_jaccard_w", "title_overlap_w", "title_tfidf_cos", "authors_jaccard_3g", "authors_edit"} {
+	for _, name := range []string{"title_jaccard_w", "title_overlap_w", "title_tfidf_cos", "authors_jaccard_3g", "authors_edit", "authors_monge_elkan"} {
 		f := slices.Index(ex.Names(), name)
 		kind := ex.features[f].Kind
 		b.Run(kind, func(b *testing.B) {
@@ -128,5 +129,65 @@ func BenchmarkColumn(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ds.A.Len()*ds.B.Len()), "ns/pair")
 		})
+	}
+}
+
+// BenchmarkJaroTile is the sweep that set jaroTile: each jaro_winkler feature
+// of Restaurants×1.0 against all of B, and Citations×0.1 authors against 300
+// rows of B (a sample run's size), scored by tiles of T rows of A into an
+// output laid out as Vectors lays it out — pairs a feature vector apart, tile
+// rows a run apart — and, as T=0, by the pair kernel. The extractor is warm
+// and neither column has a value-pair table.
+func BenchmarkJaroTile(b *testing.B) {
+	for _, c := range []struct {
+		dataset string
+		scale   float64
+		nb      int // rows of B in the run, evenly spaced; 0: all
+		names   []string
+	}{
+		{"restaurants", 1.0, 0, []string{"name_jaro_winkler", "addr_jaro_winkler", "phone_jaro_winkler"}},
+		{"citations", 0.1, 300, []string{"authors_jaro_winkler"}},
+	} {
+		ds, err := datagen.DatasetFor(c.dataset, c.scale, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ex := NewExtractor(ds)
+		nb, na, d := ds.B.Len(), ds.A.Len(), ex.NumFeatures()
+		if c.nb > 0 {
+			nb = c.nb
+		}
+		for _, name := range c.names {
+			f := slices.Index(ex.Names(), name)
+			col := &ex.cols[ex.features[f].AttrIdx]
+			pbs := make([]*similarity.Profile, nb)
+			for k := range pbs {
+				pbs[k] = col.profB[k*(ds.B.Len()/nb)]
+			}
+			for _, T := range []int{0, 8, 16, 32, 64} {
+				b.Run(fmt.Sprintf("%s/T=%d", name, T), func(b *testing.B) {
+					s := similarity.NewScratch()
+					dst := make([]float64, max(T, 1)*nb*d)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if T == 0 {
+							for a := 0; a < na; a++ {
+								for k, pb := range pbs {
+									dst[k*d+f] = ex.features[f].pfn(col.profA[a], pb, s)
+								}
+							}
+							continue
+						}
+						for a := 0; a < na; a += T {
+							as := col.profA[a:min(a+T, na)]
+							for k, pb := range pbs {
+								similarity.JaroWinklerTile(as, pb, dst[k*d+f:], nb*d, s)
+							}
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(na*nb), "ns/pair")
+				})
+			}
+		}
 	}
 }

@@ -158,7 +158,10 @@ func FuzzStringMeasuresStayInRange(f *testing.F) {
 // own case) on one shared Scratch, so a mask left behind by one call
 // corrupts the next. The seed corpus is jaroCases: both sides at 0, 1, 63,
 // 64, 65 and 129 runes, repeated characters, transposed near-duplicates,
-// and runes beyond the ASCII table.
+// and runes beyond the ASCII table. Then the masks are built once for many
+// a: against b rotated and cut or cycled to 0, 1, 63, 64 and 65 runes, a
+// tile of a, b, their prefixes and the empty string must score as
+// jaroWinklerRunes does pair by pair, and jaroAgainst as jaroRunes.
 func FuzzJaroBitParallel(f *testing.F) {
 	for _, c := range jaroCases {
 		f.Add(c[0], c[1])
@@ -177,6 +180,44 @@ func FuzzJaroBitParallel(f *testing.F) {
 		}
 		if got, want := JaroWinkler(a, b), jaroWinklerGreedy(a, b); !bitsEqual(got, want) {
 			t.Fatalf("JaroWinkler(%q, %q) = %v, greedy = %v", a, b, got, want)
+		}
+
+		var as []*Profile
+		for _, r := range [][]rune{ra, rb, ra[:len(ra)/2], rb[:len(rb)/3], nil} {
+			as = append(as, &Profile{Runes: r})
+		}
+		// The tiles run back to back on the shared scratch, each b a
+		// different rotation of b, so masks one left behind would show in
+		// the next; the references use a scratch of their own.
+		sizes := []int{0, 1, 63, 64, 65}
+		cuts, dst := make([][]rune, len(sizes)), make([][]float64, len(sizes))
+		for c, n := range sizes {
+			cuts[c] = make([]rune, n)
+			for i := range cuts[c] {
+				cuts[c][i] = 'x'
+				if len(rb) > 0 {
+					cuts[c][i] = rb[(i+c)%len(rb)]
+				}
+			}
+			dst[c] = make([]float64, 2*len(as))
+			JaroWinklerTile(as, &Profile{Runes: cuts[c]}, dst[c], 2, s)
+		}
+		ref := NewScratch()
+		for c, cut := range cuts {
+			for i, pa := range as {
+				if want := jaroWinklerRunes(pa.Runes, cut, ref); !bitsEqual(dst[c][2*i], want) {
+					t.Fatalf("JaroWinklerTile(%q against %q) = %v, pair by pair %v", string(pa.Runes), string(cut), dst[c][2*i], want)
+				}
+				if len(cut) == 0 || len(cut) > 64 {
+					continue
+				}
+				peq, over := s.buildMasks(cut)
+				got := jaroAgainst(pa.Runes, cut, peq, over)
+				s.wipeMasks(cut, over)
+				if want := jaroRunes(pa.Runes, cut, ref); !bitsEqual(got, want) {
+					t.Fatalf("jaroAgainst(%q, %q) = %v, jaroRunes %v", string(pa.Runes), string(cut), got, want)
+				}
+			}
 		}
 	})
 }
@@ -235,7 +276,10 @@ func FuzzSetKernels(f *testing.F) {
 // MongeElkan on the strings bit for bit. Both directions of every token
 // pair are checked cell against kernel as well, so a table that kept one
 // direction and served it for the other would have to be right about
-// JW(y, x) = JW(x, y) for every pair the fuzzer finds.
+// JW(y, x) = JW(x, y) for every pair the fuzzer finds. The column — every a
+// against the whole b side, then against its odd positions — must equal
+// TokenPairs.MongeElkan too, through a cold table, a warm one and none: past
+// its cost rule for every a with tokens, and through it.
 func FuzzMongeElkanTable(f *testing.F) {
 	f.Add([]byte("abca abd\nabd abca\ndcba\nabca"))
 	f.Add([]byte("a\nb\nab ba\nba ab\naabb bbaa abab\nbaba abba"))
@@ -274,6 +318,40 @@ func FuzzMongeElkanTable(f *testing.F) {
 				fwd, back := tabled.jaroWinkler(uint32(x), uint32(y), 0, s), tabled.jaroWinkler(uint32(x), uint32(y), 1, s)
 				if !bitsEqual(fwd, JaroWinkler(string(rx), string(ry))) || !bitsEqual(back, JaroWinkler(string(ry), string(rx))) {
 					t.Fatalf("cells of (%q, %q) hold %v / %v", string(rx), string(ry), fwd, back)
+				}
+			}
+		}
+
+		rows := make([]int32, len(sides[1]))
+		var odd []int32
+		for k := range rows {
+			rows[k] = int32(k)
+			if k%2 == 1 {
+				odd = append(odd, int32(k))
+			}
+		}
+		cold := NewTokenPairs(da, db, true)
+		dst := make([]float64, len(rows))
+		for _, tp := range []*TokenPairs{cold, cold, computed} {
+			run := tp.NewTokenRun(sides[1], rows)
+			for _, pa := range sides[0] {
+				if len(pa.TokenIDs) == 0 {
+					continue
+				}
+				for _, pos := range [][]int32{rows, odd} {
+					s.distinctTokens(pa.TokenIDs)
+					tp.slabColumn(len(pa.TokenIDs), run, pos, dst, 1, s)
+					ruled := append([]float64(nil), dst...)
+					if !tp.MongeElkanColumn(pa, run, pos, ruled, 1, s) {
+						copy(ruled, dst)
+					}
+					for _, k := range pos {
+						want := tp.MongeElkan(pa, sides[1][k], s)
+						if !bitsEqual(dst[k], want) || !bitsEqual(ruled[k], want) {
+							t.Fatalf("MongeElkanColumn(%q) at %q = %v (cost rule applied: %v), pair path %v",
+								pa.Norm, sides[1][k].Norm, dst[k], ruled[k], want)
+						}
+					}
 				}
 			}
 		}

@@ -19,6 +19,10 @@ import "math/bits"
 //
 // b of up to 64 runes fits one word (jaroSingle); longer b uses ⌈|b|/64⌉
 // words per rune (jaroBlocks), touching only the words the window covers.
+// The one-word matcher has two halves, b's masks built (buildMasks) and an a
+// matched against them (jaroAgainst): jaroRunes joins them for one pair, a
+// tile of rows (JaroWinklerTile) and the Monge-Elkan column build once for
+// many a.
 
 // Jaro returns the Jaro similarity of a and b.
 func Jaro(a, b string) float64 {
@@ -33,23 +37,26 @@ func jaroRunes(ra, rb []rune, s *Scratch) float64 {
 	if la == 0 || lb == 0 {
 		return 0
 	}
-	window := la
-	if lb > window {
-		window = lb
-	}
-	window = window/2 - 1
-	if window < 0 {
-		window = 0
-	}
 	if s == nil {
 		s = new(Scratch)
 	}
-	var matches, trans int
-	if lb <= 64 {
-		matches, trans = jaroSingle(ra, rb, window, s)
-	} else {
-		matches, trans = jaroBlocks(ra, rb, window, s)
+	if lb > 64 {
+		matches, trans := jaroBlocks(ra, rb, jaroWindow(la, lb), s)
+		return jaroOf(matches, trans, la, lb)
 	}
+	peq, over := s.buildMasks(rb)
+	j := jaroAgainst(ra, rb, peq, over)
+	s.wipeMasks(rb, over)
+	return j
+}
+
+// jaroWindow is how far from a[i] the matcher looks for its partner in b.
+func jaroWindow(la, lb int) int {
+	return max(max(la, lb)/2-1, 0)
+}
+
+// jaroOf is Jaro's formula over the matcher's two counts.
+func jaroOf(matches, trans, la, lb int) float64 {
 	if matches == 0 {
 		return 0
 	}
@@ -57,18 +64,28 @@ func jaroRunes(ra, rb []rune, s *Scratch) float64 {
 	return (m/float64(la) + m/float64(lb) + (m-float64(trans)/2)/m) / 3
 }
 
-// jaroSingle matches a against a b of 1..64 runes and returns the match and
-// transposition counts. The window is two masks that slide with i: inside
-// holds the positions up to i+window, below those before i-window; both
-// saturate at all-ones (Go shifts of 64 or more yield 0), and mask bits at
-// or above len(rb) are never set, so neither edge needs a clamp to |b|.
+// jaroAgainst is the Jaro of a against a b of 1..64 runes whose masks
+// buildMasks has set (an empty a scores 0). It is the second half of the one
+// single-word matcher: jaroRunes builds b's masks for one a, the tile and
+// Monge-Elkan's column (JaroWinklerTile, TokenPairs.MongeElkanColumn) once
+// for many.
+func jaroAgainst(ra, rb []rune, peq *[asciiTableSize]uint64, over map[rune]uint64) float64 {
+	matches, trans := jaroSingle(ra, rb, jaroWindow(len(ra), len(rb)), peq, over)
+	return jaroOf(matches, trans, len(ra), len(rb))
+}
+
+// jaroSingle matches a against a b of 1..64 runes, given b's masks, and
+// returns the match and transposition counts. The window is two masks that
+// slide with i: inside holds the positions up to i+window, below those before
+// i-window; both saturate at all-ones (Go shifts of 64 or more yield 0), and
+// mask bits at or above len(rb) are never set, so neither edge needs a clamp
+// to |b|.
 //
 // Whether a[i] finds a partner is data, not control flow (intersectSorted's
 // reasoning): every step stores its candidate's position at order[matches]
 // and matches advances by a flag. A step without one stores 64 in a slot the
 // next match overwrites — or, all 64 runes of b taken, in slot 64, never read.
-func jaroSingle(ra, rb []rune, window int, s *Scratch) (matches, trans int) {
-	peq, over := s.buildMasks(rb)
+func jaroSingle(ra, rb []rune, window int, peq *[asciiTableSize]uint64, over map[rune]uint64) (matches, trans int) {
 	var matchedB uint64
 	var order [65]uint8 // order[k] is the position in b the k-th match took
 	inside := uint64(1)<<uint(window+1) - 1
@@ -87,7 +104,6 @@ func jaroSingle(ra, rb []rune, window int, s *Scratch) (matches, trans int) {
 		matches += B2i(cand != 0)
 		inside = inside<<1 | 1
 	}
-	s.wipeMasks(rb, over)
 	// The k-th matched rune of a is rb[order[k]]; its counterpart is the
 	// k-th matched position of b in ascending order.
 	for k := 0; matchedB != 0; k, matchedB = k+1, matchedB&(matchedB-1) {
@@ -95,6 +111,28 @@ func jaroSingle(ra, rb []rune, window int, s *Scratch) (matches, trans int) {
 		trans += B2i(rb[order[k]] != rb[j])
 	}
 	return matches, trans
+}
+
+// JaroWinklerTile writes JaroWinklerProfiles(as[t], b) to dst[t*stride] for
+// every t — the same bits — with b's masks built once for the whole tile
+// instead of once per pair (DESIGN.md "Pair kernels"). A b of no runes or of
+// more than 64 is scored pair by pair.
+func JaroWinklerTile(as []*Profile, b *Profile, dst []float64, stride int, s *Scratch) {
+	if s == nil {
+		s = new(Scratch)
+	}
+	rb := b.Runes
+	if len(rb) == 0 || len(rb) > 64 {
+		for t, a := range as {
+			dst[t*stride] = jaroWinklerRunes(a.Runes, rb, s)
+		}
+		return
+	}
+	peq, over := s.buildMasks(rb)
+	for t, a := range as {
+		dst[t*stride] = winkler(jaroAgainst(a.Runes, rb, peq, over), a.Runes, rb)
+	}
+	s.wipeMasks(rb, over)
 }
 
 // jaroBlocks is jaroSingle for b longer than 64 runes: mask rows of

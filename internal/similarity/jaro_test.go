@@ -83,6 +83,46 @@ func TestJaroBitParallelMatchesGreedy(t *testing.T) {
 	}
 }
 
+// TestMaxIsTheGreaterLoop pins the premise under TokenPairs.MongeElkan's
+// builtin max: Jaro-Winkler is in [0, 1], never NaN and never −0 — on the
+// boundary table and on random strings — so folding any list of its scores
+// from +0 with max keeps the bits of the string measure's `if v > best`
+// loop, in any order.
+func TestMaxIsTheGreaterLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var scores []float64
+	add := func(a, b string) {
+		v := JaroWinkler(a, b)
+		if math.IsNaN(v) || math.Signbit(v) || v > 1 {
+			t.Fatalf("JaroWinkler(%q, %q) = %v (%#x), outside [+0, 1]", a, b, v, math.Float64bits(v))
+		}
+		scores = append(scores, v)
+	}
+	for _, c := range jaroCases {
+		add(c[0], c[1])
+		add(c[1], c[0])
+	}
+	for i := 0; i < 500; i++ {
+		add(randRunes(rng, rng.Intn(12)), randRunes(rng, rng.Intn(12)))
+	}
+	for i := 0; i < 200; i++ {
+		list := make([]float64, rng.Intn(8))
+		for k := range list {
+			list[k] = scores[rng.Intn(len(scores))]
+		}
+		loop, builtin := 0.0, 0.0
+		for _, v := range list {
+			if v > loop {
+				loop = v
+			}
+			builtin = max(builtin, v)
+		}
+		if !bitsEqual(loop, builtin) {
+			t.Fatalf("max over %v = %v, the > loop %v", list, builtin, loop)
+		}
+	}
+}
+
 // TestBitKernelsZeroAllocSteadyState pins the satellite fix to
 // Scratch.carveRow (the arena used to be clamped to its length, so every
 // carve reallocated): on a warm scratch the multi-block Myers core and both

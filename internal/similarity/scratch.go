@@ -20,6 +20,24 @@ type Scratch struct {
 	// peqArena backs the multi-word kernels: the mask rows, then the
 	// per-call state rows (Myers' VP/VN, Jaro's matched bits).
 	peqArena []uint64
+
+	// Monge-Elkan's column (TokenPairs.MongeElkanColumn): a's distinct
+	// tokens, a's tokens as indexes into them, the token-pair slab, the best
+	// score of each run token, one token's scores against the run's, and a
+	// position's best score of each of a's tokens.
+	meXs                       []uint32
+	meXa                       []int32
+	meSlab, meG, meCol, meBest []float64
+}
+
+// grow reslices *buf to n, reallocating — to at least twice its capacity —
+// only when it is short: a warm scratch grows nothing.
+func grow(buf *[]float64, n int) []float64 {
+	if cap(*buf) < n {
+		*buf = make([]float64, n, max(n, 2*cap(*buf)))
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // asciiTableSize bounds the direct-indexed mask table; runes at or above it

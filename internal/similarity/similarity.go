@@ -84,7 +84,11 @@ func JaroWinkler(a, b string) float64 {
 }
 
 func jaroWinklerRunes(ra, rb []rune, s *Scratch) float64 {
-	j := jaroRunes(ra, rb, s)
+	return winkler(jaroRunes(ra, rb, s), ra, rb)
+}
+
+// winkler boosts the Jaro similarity j of a and b by their common prefix.
+func winkler(j float64, ra, rb []rune) float64 {
 	l := 0
 	for l < len(ra) && l < len(rb) && ra[l] == rb[l] && l < 4 {
 		l++

@@ -53,11 +53,16 @@ go test -count=1 -run 'TestShardWorkerChaos/5xx-failover' ./internal/faultkit
 # hold bit for bit at one and at four procs, not only at this box's default.
 go test -count=1 -cpu 1,4 -run 'TestRunPinned|TestRunGoldenFingerprints' ./internal/engine
 
+# Vectors' tiles of rows of A are cut where par.For cuts the pairs into
+# chunks, one per GOMAXPROCS: the run shapes must hold at one and four procs.
+go test -count=1 -cpu 1,4 -run 'TestVectorsRunShapes|TestVectorsParallelMatchesSequential' ./internal/feature
+
 go test -race ./...
 
 # Fuzz smoke: every target `make fuzz` lists (pair codec and merge, the
-# rel_diff band index, pair and column kernels (Myers, Jaro, the set measures, the
-# edit column), the token-pair table, the column profile build and the string
+# rel_diff band index, pair and column kernels (Myers, Jaro and its masks built
+# once for many a, the set measures, the edit column, the Monge-Elkan column,
+# Vectors' tiles), the token-pair table, the column profile build and the string
 # primitives under it, CSV round trip and reader totality, row sets,
 # rule coverage by leaf, journal replay, model and spec decoders, the submit
 # body, the shard worker's job-spec load), 5 s each, so a change that breaks
