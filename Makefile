@@ -3,6 +3,10 @@
 
 GO ?= go
 
+# Every named -run gate goes through scripts/runtests.sh, which fails when an
+# alternative of the pattern matches no test (go test only warns).
+RUNTESTS = GO=$(GO) sh scripts/runtests.sh
+
 .PHONY: build test lint lint-alloc verify bench-e2e bench-e2e-trace chaos shard fuzz
 
 build:
@@ -46,19 +50,21 @@ verify:
 # journaled answers the resumed accounting must still hold. -count=1
 # forces a fresh run past the test cache.
 chaos:
-	$(GO) test -race -count=1 -v -run 'TestChaosSchedules' ./internal/faultkit
-	CORLEONE_SWEEP_FULL=1 $(GO) test -race -count=1 -v -run 'TestDurabilityBoundarySweep' ./internal/faultkit
-	$(GO) test -race -count=1 -run 'TestSnapshot|TestStoreOpen|TestKillAndResume|TestResume' ./internal/runsvc
+	$(RUNTESTS) -race -count=1 -v -run 'TestChaosSchedules' ./internal/faultkit
+	CORLEONE_SWEEP_FULL=1 $(RUNTESTS) -race -count=1 -v -run 'TestDurabilityBoundarySweep' ./internal/faultkit
+	$(RUNTESTS) -race -count=1 -run 'TestSnapshot|TestStoreOpen|TestKillAndResume|TestResume' ./internal/runsvc
 
 # Sharded-execution gate under the race detector: the blocker-level
-# equivalence/determinism tests, the shard runtime's own suite, the
-# service-level remote fan-out test, and the shard-worker chaos schedules
-# (worker crash + 5xx failover converging bit-identically).
+# equivalence/determinism tests, the shard runtime's own suite (the remote
+# executor against the in-process one over K x batch included), the
+# service's shard counters, the shard-count cap, and the shard-worker chaos
+# schedules (5xx failover, worker crash, a batch cut mid-stream: the
+# survivor stream equals the in-process one).
 shard:
 	$(GO) test -race -count=1 ./internal/shard
-	$(GO) test -race -count=1 -run 'TestSharded' ./internal/blocker
-	$(GO) test -race -count=1 -run 'TestManagerRemoteShardExecution|TestHealthzAndMetrics' ./internal/runsvc
-	$(GO) test -race -count=1 -v -run 'TestShardWorkerChaos' ./internal/faultkit
+	$(RUNTESTS) -race -count=1 -run 'TestSharded' ./internal/blocker
+	$(RUNTESTS) -race -count=1 -run 'TestHealthzAndMetrics|TestShardCountCapped' ./internal/runsvc
+	$(RUNTESTS) -race -count=1 -v -run 'TestShardWorkerChaos' ./internal/faultkit
 
 # Differential fuzz smoke — the one list of fuzz targets (`make verify`
 # and CI call this). Wire format: the pair codec (exact round trip,

@@ -5,7 +5,6 @@
 // Usage:
 //
 //	runsvc -addr :8090 -workers 4 -journal ./journal
-//	runsvc -addr :8090 -shard-endpoints http://w1:9301,http://w2:9301
 //	runsvc -snapshot-every 1 -max-journal-bytes 1073741824
 //
 // API:
@@ -33,10 +32,9 @@
 // the previous one automatically; with 0 the whole history stays in one
 // log, read by the same replay (DESIGN.md §3d).
 //
-// With -shard-endpoints set, each job's sharded blocking tasks fan out to
-// those shardworker processes over HTTP. On startup the service lists any
-// journaled jobs left unfinished by a previous process (no terminal
-// status.json) so the operator can POST /jobs/{id}/resume to pick them up.
+// On startup the service lists any journaled jobs left unfinished by a
+// previous process (no terminal status.json) so the operator can POST
+// /jobs/{id}/resume to pick them up.
 //
 // SIGINT/SIGTERM shut down gracefully: running jobs are canceled and stop
 // at their next crowd batch with every paid label flushed to the journal,
@@ -52,7 +50,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -74,7 +71,6 @@ func run(args []string, sigs <-chan os.Signal) error {
 	addr := fs.String("addr", ":8090", "listen address")
 	workers := fs.Int("workers", 4, "concurrent job executors")
 	journal := fs.String("journal", "./journal", "journal root directory (empty = in-memory only)")
-	endpoints := fs.String("shard-endpoints", "", "comma-separated shardworker base URLs (empty = in-process sharding)")
 	snapEvery := fs.Int("snapshot-every", 1, "compact each job's journal every N checkpoints (0 = never)")
 	maxJournal := fs.Int64("max-journal-bytes", 0, "shed new submissions once the journal root holds this many bytes (0 = unlimited; resumes are exempt)")
 	if err := fs.Parse(args); err != nil {
@@ -84,7 +80,6 @@ func run(args []string, sigs <-chan os.Signal) error {
 	m, err := runsvc.NewManager(runsvc.Options{
 		Workers:         *workers,
 		JournalDir:      *journal,
-		ShardEndpoints:  splitEndpoints(*endpoints),
 		SnapshotEvery:   *snapEvery,
 		MaxJournalBytes: *maxJournal,
 	})
@@ -136,17 +131,6 @@ func serve(lis net.Listener, h http.Handler, m *runsvc.Manager, sigs <-chan os.S
 		return err
 	}
 	return nil
-}
-
-// splitEndpoints parses the -shard-endpoints flag.
-func splitEndpoints(s string) []string {
-	var out []string
-	for _, e := range strings.Split(s, ",") {
-		if e = strings.TrimSpace(e); e != "" {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // unfinished lists journaled jobs a previous process left without a clean

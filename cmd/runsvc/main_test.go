@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"reflect"
 	"syscall"
 	"testing"
 	"time"
@@ -76,18 +75,6 @@ func TestGracefulShutdownDrainsJobs(t *testing.T) {
 	}
 	if _, err := http.Get(base + "/healthz"); err == nil {
 		t.Error("listener still accepting connections after shutdown")
-	}
-}
-
-// TestSplitEndpoints pins the -shard-endpoints flag parser.
-func TestSplitEndpoints(t *testing.T) {
-	got := splitEndpoints(" http://a:1 ,, http://b:2,")
-	want := []string{"http://a:1", "http://b:2"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("splitEndpoints = %v, want %v", got, want)
-	}
-	if splitEndpoints("") != nil {
-		t.Fatal("empty flag should parse to nil")
 	}
 }
 

@@ -42,29 +42,18 @@ type Config struct {
 	// Shards is how many shards of table B an indexable rule set is probed
 	// through: n >= 1 means n shards (1 is one shard through the same
 	// coordinator; negative counts as 1), and 0 — the default — chooses by
-	// indexed-table size (shard.Choose). A rule set the planner does not
-	// index (Result.Plan) runs the exhaustive scan whatever the value. The
-	// emitted umbrella set is bit-identical at every setting, and ShardStats
-	// counts tasks at every setting, K=1 included.
+	// indexed-table size; shard.Choose caps either at 64. A rule set the
+	// planner does not index (Result.Plan) runs the exhaustive scan
+	// whatever the value. The emitted umbrella set is bit-identical at
+	// every setting, and ShardStats counts tasks at every setting, K=1
+	// included.
 	Shards int
 	// ShardWorkers bounds the shard coordinator's fan-out width (<=0 means
-	// GOMAXPROCS locally; for remote execution, set it to the worker
-	// process count).
+	// GOMAXPROCS).
 	ShardWorkers int
-	// Exec, when non-nil, runs shard tasks — e.g. a shard.RemoteExecutor
-	// over worker processes. Nil means in-process execution.
-	Exec shard.Executor
-	// Job names the job in shard tasks (remote workers key their loaded
-	// state on it); empty defaults to the dataset name.
-	Job string
-	// ShardStats, when non-nil, accumulates shard dispatch/retry counts and
-	// transport byte totals (runsvc's /metrics reads them live).
+	// ShardStats, when non-nil, accumulates shard dispatch counts (runsvc's
+	// /metrics reads them live).
 	ShardStats *shard.Stats
-	// ShardBatch caps how many consecutive tasks one coordinator worker
-	// claims per iteration when Exec supports batched probes (<=0 picks a
-	// remote default; ignored for in-process execution). Output is
-	// bit-identical at every setting.
-	ShardBatch int
 }
 
 // Defaults returns the paper's configuration.
@@ -200,9 +189,6 @@ func Run(ds *record.Dataset, ex *feature.Extractor, runner *crowd.Runner, cfg Co
 	ec := execConfig{
 		shards:  cfg.Shards,
 		workers: cfg.ShardWorkers,
-		batch:   cfg.ShardBatch,
-		exec:    cfg.Exec,
-		job:     cfg.Job,
 		stats:   cfg.ShardStats,
 	}
 	sink := cfg.Sink

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"time"
 
 	"github.com/corleone-em/corleone/internal/feature"
 	"github.com/corleone-em/corleone/internal/par"
@@ -203,15 +202,13 @@ func estimateCandidates(ix *shard.Index, colsA [][]*similarity.Profile, thetas [
 }
 
 // execConfig carries the execution-strategy knobs from Config into the
-// planner: shard count (0 = automatic), fan-out width, an optional
-// executor override (the remote worker path), the job id shard tasks carry,
-// and an optional stats sink.
+// planner: shard count (0 = automatic), fan-out width and an optional stats
+// sink. exec, when non-nil, replaces the in-process executor; it is the
+// seam tests use to scramble task completion order.
 type execConfig struct {
 	shards  int
 	workers int
-	batch   int
 	exec    shard.Executor
-	job     string
 	stats   *shard.Stats
 }
 
@@ -220,12 +217,11 @@ type execConfig struct {
 // There are two strategies: when a selected rule can anchor index probes
 // narrow enough to pay, candidates come from shard probes driven by the
 // coordinator (one shard for a small table, more when the table is large or
-// the count is configured; in-process or on remote workers); otherwise every
-// cell is visited by the parallel exhaustive scan. The emitted pair stream
-// is identical either way (every candidate is verified against all rules by
-// the same evaluator); only the number of pairs visited and where the work
-// runs differ. The returned error is always nil for in-process execution;
-// only a remote executor can fail.
+// the count is configured); otherwise every cell is visited by the parallel
+// exhaustive scan. The emitted pair stream is identical either way (every
+// candidate is verified against all rules by the same evaluator); only the
+// number of pairs visited differs. The returned error is the coordinator's,
+// nil unless an executor fails.
 func applyRulesTo(ds *record.Dataset, ex *feature.Extractor, rules []tree.Rule, ec execConfig, sink Sink) (Plan, error) {
 	p := planRules(ex, rules)
 	counted := func(chunk []record.Pair) {
@@ -298,9 +294,8 @@ func applyRulesScanTo(ds *record.Dataset, ex *feature.Extractor, rules []tree.Ru
 
 // applyRulesShardedTo generates candidates through k independent shard
 // indexes driven by the shard coordinator: the probe space is cut into
-// (A-row-block × shard) tasks, executed in-process (goroutine workers over a
-// prebuilt shard group) or on remote worker processes when an executor
-// override is configured. For each A row a task unites the plan's probes
+// (A-row-block × shard) tasks, executed by goroutine workers over a
+// prebuilt shard group. For each A row a task unites the plan's probes
 // over its shard of table B, then verifies every candidate against the full
 // rule set with the same evaluator the scan uses. Index completeness (see
 // simindex.Candidates) guarantees the candidates are a superset of the
@@ -323,7 +318,6 @@ func applyRulesShardedTo(ds *record.Dataset, ex *feature.Extractor, rules []tree
 		return nil
 	}
 	exec := ec.exec
-	c := &shard.Coordinator{Workers: ec.workers, Stats: ec.stats, Batch: ec.batch}
 	var local *shard.LocalExecutor
 	if exec == nil {
 		group := p.group
@@ -332,32 +326,9 @@ func applyRulesShardedTo(ds *record.Dataset, ex *feature.Extractor, rules []tree
 		}
 		local = shard.NewUnionExecutor(ex, group, p.colsA, rules, p.thetas)
 		exec = local
-	} else {
-		// Remote attempts pace retries so a restarting worker process gets
-		// a window to come back before its breaker trips again.
-		c.Backoff = 50 * time.Millisecond
-		if c.Batch <= 0 {
-			// Batched pipelined probes are the remote path's default: one
-			// round trip per run of same-shard tasks instead of one per
-			// task. Local execution pays no per-task transport, so it keeps
-			// claims of one.
-			c.Batch = 16 * k
-		}
 	}
-	job := ec.job
-	if job == "" {
-		job = ds.Name
-	}
-	// Bind the per-job constants to executors that need them before tasks
-	// flow: the remote executor stamps them into its /shard/load spec (and
-	// wires the byte counters), keeping every probe request lean.
-	if jb, ok := exec.(shard.JobBinder); ok {
-		jb.BindJob(shard.JobParams{
-			Job: job, Shards: k, Probes: p.probes,
-			Rules: rules, Stats: ec.stats,
-		})
-	}
-	tasks := shard.BlockTasks(job, na, k)
+	c := &shard.Coordinator{Workers: ec.workers, Stats: ec.stats}
+	tasks := shard.BlockTasks(ds.Name, na, k)
 
 	// Results arrive in Seq order, and the emit callback is serialized by
 	// the coordinator, so no locking here. At k > 1 the k per-shard lists of

@@ -2,7 +2,6 @@ package blocker
 
 import (
 	"fmt"
-	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
@@ -21,7 +20,9 @@ import (
 // K ∈ {1, 2, 3, 8} (K=1 runs through the same coordinator as every other
 // K) and GOMAXPROCS ∈ {1, 4}, on two datasets and two rule shapes, with
 // exactly the task grid dispatched and nothing retried; then for the union
-// anchors the benchmark instances learn, in-process and over the wire.
+// anchors the benchmark instances learn. The remote executor's stream is
+// pinned against the in-process one in package shard
+// (TestShardedRemoteTransportEquivalence).
 func TestShardedBlockingEquivalence(t *testing.T) {
 	datasets := []struct {
 		name string
@@ -75,20 +76,10 @@ func TestShardedBlockingEquivalence(t *testing.T) {
 	// The same invariant for union anchors, on the rule sets the default
 	// benchmark instances select (measuredRuleSets): their probes forced —
 	// at this scale the estimate might prefer the scan — through K ∈ {1, 4}
-	// shards and GOMAXPROCS ∈ {1, 2, 4}, in-process and on shard workers
-	// behind httptest servers that rebuild the dataset from its recipe and
-	// receive the probe list in their /shard/load spec.
-	w1, w2 := shard.NewWorker(), shard.NewWorker()
-	srv1 := httptest.NewServer(w1.Handler())
-	defer srv1.Close()
-	srv2 := httptest.NewServer(w2.Handler())
-	defer srv2.Close()
-	endpoints := []string{srv1.URL, srv2.URL}
-
+	// shards and GOMAXPROCS ∈ {1, 2, 4}.
 	scales := map[string]float64{"Products": 0.02, "Citations": 0.01}
 	for _, set := range measuredRuleSets {
-		recipe := shard.JobSpec{Dataset: strings.ToLower(set.dataset), Scale: scales[set.dataset]}
-		ds, err := datagen.DatasetFor(recipe.Dataset, recipe.Scale, 0)
+		ds, err := datagen.DatasetFor(strings.ToLower(set.dataset), scales[set.dataset], 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,74 +91,14 @@ func TestShardedBlockingEquivalence(t *testing.T) {
 			for _, procs := range []int{1, 2, 4} {
 				name := fmt.Sprintf("%s/k=%d/procs=%d", set.name, k, procs)
 				prev := runtime.GOMAXPROCS(procs)
-				var local, remote []record.Pair
-				errLocal := applyRulesShardedTo(ds, ex, rules, p, k,
-					execConfig{workers: procs}, collectSink(&local))
-				errRemote := applyRulesShardedTo(ds, ex, rules, p, k, execConfig{
-					workers: procs, job: name,
-					exec: shard.NewRemoteExecutor(endpoints, recipe, nil),
-				}, collectSink(&remote))
+				var got []record.Pair
+				err := applyRulesShardedTo(ds, ex, rules, p, k,
+					execConfig{workers: procs}, collectSink(&got))
 				runtime.GOMAXPROCS(prev)
-				if errLocal != nil || errRemote != nil {
-					t.Fatalf("%s: local %v, remote %v", name, errLocal, errRemote)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
-				samePairs(t, name+"/local", local, want)
-				samePairs(t, name+"/remote", remote, want)
-			}
-		}
-	}
-}
-
-// TestShardedRemoteTransportEquivalence extends the tentpole invariant
-// over the wire-protocol axes: against real shard-worker HTTP servers, the
-// emitted stream stays byte-identical across batch size (singleton, small,
-// default), K (1 included), and worker count.
-func TestShardedRemoteTransportEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("remote transport matrix in -short mode")
-	}
-	const scale = 0.01
-	ds := datagen.Generate(datagen.Scaled(datagen.CitationsPaper, scale))
-	ex := feature.NewExtractor(ds)
-	jw := featureByKind(ex, "jaccard_w")
-	rules := []tree.Rule{le(jw, 0.3)}
-	want := applyRulesRef(ds, ex, rules)
-	p := planRules(ex, rules)
-	if !p.Indexed {
-		t.Fatal("rule should anchor an index")
-	}
-
-	w1, w2 := shard.NewWorker(), shard.NewWorker()
-	srv1 := httptest.NewServer(w1.Handler())
-	defer srv1.Close()
-	srv2 := httptest.NewServer(w2.Handler())
-	defer srv2.Close()
-	endpoints := []string{srv1.URL, srv2.URL}
-	spec := shard.JobSpec{Dataset: "citations", Scale: scale}
-
-	run := 0
-	for _, k := range []int{1, 2, 3} {
-		for _, batch := range []int{1, 4, 0} {
-			run++
-			exec := shard.NewRemoteExecutor(endpoints, spec, nil)
-			var stats shard.Stats
-			var got []record.Pair
-			err := applyRulesShardedTo(ds, ex, rules, p, k, execConfig{
-				workers: 2, batch: batch, exec: exec,
-				job:   fmt.Sprintf("transport-eq-%d", run),
-				stats: &stats,
-			}, collectSink(&got))
-			name := fmt.Sprintf("k=%d/batch=%d", k, batch)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			samePairs(t, name, got, want)
-			if stats.Retried.Load() != 0 {
-				t.Errorf("%s: %d retries against healthy workers", name, stats.Retried.Load())
-			}
-			if stats.BytesSent.Load() == 0 || stats.BytesReceived.Load() == 0 {
-				t.Errorf("%s: transport byte counters empty (sent %d, received %d)",
-					name, stats.BytesSent.Load(), stats.BytesReceived.Load())
+				samePairs(t, name, got, want)
 			}
 		}
 	}

@@ -464,9 +464,7 @@ func (st *run) match() (Phase, string, error) {
 // the best matching seen so far by estimated F1, and stops when the
 // estimate no longer improves (§6 intro, §7).
 func (st *run) estimate() (Phase, string, error) {
-	ecfg := st.cfg.Estimator
-	ecfg.Seed = st.cfg.Seed + int64(st.iter)*7
-	est := estimator.Estimate(st.rng, st.runner, st.m.Forest, st.C, st.X, st.pred, st.training, ecfg)
+	est := estimator.Estimate(st.rng, st.runner, st.m.Forest, st.C, st.X, st.pred, st.training, st.cfg.Estimator)
 	st.res.EstimatorRuns = append(st.res.EstimatorRuns, est)
 	st.emit("estimation", fmt.Sprintf("P=%.1f%%±%.1f R=%.1f%%±%.1f (%d reduction rules)",
 		100*est.Precision.Point, 100*est.Precision.Margin,
@@ -490,9 +488,7 @@ func (st *run) estimate() (Phase, string, error) {
 // reduce locates the current set's difficult pairs (§7) and makes them
 // the set the next iteration matches.
 func (st *run) reduce() (Phase, string, error) {
-	lcfg := st.cfg.Locator
-	lcfg.Seed = st.cfg.Seed + int64(st.iter)*13
-	loc := locator.Locate(st.rng, st.runner, st.m.Forest, st.sub, st.subX, st.training, lcfg)
+	loc := locator.Locate(st.rng, st.runner, st.m.Forest, st.sub, st.subX, st.training, st.cfg.Locator)
 	next := make([]int, len(loc.DifficultIdx))
 	diff := make([]record.Pair, len(loc.DifficultIdx))
 	diffX := make([][]float64, len(loc.DifficultIdx))

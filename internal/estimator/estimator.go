@@ -32,7 +32,8 @@ type Config struct {
 	// MaxLabels caps total labels spent by the estimator (safety valve;
 	// 0 means unlimited).
 	MaxLabels int
-	// Seed drives sampling.
+	// Seed is read by nothing: Estimate draws from the caller's rng. It
+	// stays because the benchmark's staged replay writes it (DESIGN.md §4).
 	Seed int64
 }
 

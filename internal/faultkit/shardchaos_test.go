@@ -1,13 +1,14 @@
 package faultkit
 
-// The shard chaos suite proves the tentpole's distributed claim under
-// fire: sharded blocking fanned out to shard-worker HTTP processes must
-// produce a job result bit-identical to the in-process run even when the
-// transport injects 5xx faults and a worker process crashes mid-run,
-// losing all loaded state. Failover rides the coordinator's retry loop
-// (attempt n of a shard's task rotates endpoints); a restarted worker
-// rejoins through the 412 lazy-load handshake with zero state transfer,
-// because a job spec plus the deterministic generator is the state.
+// The shard chaos suite drives the remote shard executor under fire: the
+// survivor stream a Coordinator emits over shard-worker HTTP servers must
+// equal the in-process executor's even when the transport injects 5xx
+// faults, a worker process crashes mid-run losing all loaded state, or a
+// batched response is cut mid-stream. Failover rides the coordinator's
+// retry loop (attempt n of a shard's task rotates endpoints); a restarted
+// worker rejoins through the 412 lazy-load handshake with zero state
+// transfer, because a job spec plus the deterministic generator is the
+// state.
 
 import (
 	"net/http"
@@ -16,67 +17,103 @@ import (
 	"testing"
 	"time"
 
-	"github.com/corleone-em/corleone/internal/engine"
+	"github.com/corleone-em/corleone/internal/datagen"
+	"github.com/corleone-em/corleone/internal/feature"
+	"github.com/corleone-em/corleone/internal/record"
 	"github.com/corleone-em/corleone/internal/runsvc"
 	"github.com/corleone-em/corleone/internal/shard"
+	"github.com/corleone-em/corleone/internal/simindex"
+	"github.com/corleone-em/corleone/internal/tree"
 )
 
-// shardChaosMeta mirrors the runsvc shard tests: a profile/seed whose
-// learned rules anchor an indexable feature (so the sharded strategy
-// actually runs), t_B forced low enough that blocking engages at this
-// scale, and K=2 shards.
+// shardChaosMeta is a job whose blocking runs the sharded strategy: a
+// profile/seed whose learned rules anchor an indexable feature, t_B forced
+// low enough that blocking engages at this scale, and K=2 shards (runsvc's
+// shardedMeta(6)). The chaos schedules probe its dataset at its K.
 func shardChaosMeta() runsvc.Meta {
 	return runsvc.Meta{Profile: "citations", Scale: 0.15, Seed: 6, TB: 1, Shards: 2}
 }
 
-// runSharded runs one Meta job through a manager — remotely when
-// endpoints are given, in-process otherwise — and returns the result plus
-// the manager's final metrics. batch pins the coordinator's claim size on
-// the remote path: 1 forces one round trip per task (the deterministic
-// request counts the fault schedules below assume), 0 takes the batched
-// default.
-func runSharded(t *testing.T, meta runsvc.Meta, endpoints []string, batch int) (*engine.Result, runsvc.Metrics) {
-	t.Helper()
-	m, err := runsvc.NewManager(runsvc.Options{Workers: 1, ShardEndpoints: endpoints, ShardBatch: batch}) //corlint:allow det-time — the journaling service stamps operator-facing submission times; replay correctness never reads them back
-	if err != nil {
-		t.Fatalf("NewManager: %v", err)
-	}
-	defer m.Close()
-	j, err := m.Submit(runsvc.Spec{Meta: &meta})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	res, err := j.Wait()
-	if err != nil {
-		t.Fatalf("job: %v", err)
-	}
-	return res, m.Metrics()
+// shardJob is shardChaosMeta's dataset at its K, probed at the coordinator
+// level the way the benchmark's transport probe does it: the developer rule
+// for Citations (title word-Jaccard <= 0.12 → no match) as the one rule and
+// its anchor.
+type shardJob struct {
+	recipe shard.JobSpec
+	params shard.JobParams
+	tasks  []shard.Task
+	local  shard.Executor
 }
 
-// assertShardResult asserts bit-identical convergence with the baseline.
-func assertShardResult(t *testing.T, res, base *engine.Result) {
+func newShardJob(t *testing.T) *shardJob {
 	t.Helper()
-	if res.Accounting != base.Accounting {
-		t.Errorf("accounting diverged:\n got  %+v\n want %+v", res.Accounting, base.Accounting)
+	const theta = 0.12
+	meta := shardChaosMeta()
+	recipe := shard.JobSpec{Dataset: meta.Profile, Scale: meta.Scale, Noise: meta.Noise}
+	ds, err := datagen.DatasetFor(recipe.Dataset, recipe.Scale, recipe.Noise)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.True != base.True {
-		t.Errorf("true accuracy = %+v, want %+v", res.True, base.True)
+	ex := feature.NewExtractor(ds)
+	feat := -1
+	for i, f := range ex.Features() {
+		if f.Name == "title_jaccard_w" {
+			feat = i
+		}
 	}
-	if res.EstimatedF1 != base.EstimatedF1 {
-		t.Errorf("estimated F1 = %v, want %v", res.EstimatedF1, base.EstimatedF1)
+	if feat < 0 {
+		t.Fatal("no title_jaccard_w feature")
 	}
-	if res.StopReason != base.StopReason {
-		t.Errorf("stop reason = %q, want %q", res.StopReason, base.StopReason)
+	rules := []tree.Rule{{Preds: []tree.Predicate{{Feature: feat, Op: tree.LE, Threshold: theta}}}}
+	kind, _ := simindex.KindOf("jaccard_w")
+	profA, profB := ex.Profiles(feat)
+	return &shardJob{
+		recipe: recipe,
+		params: shard.JobParams{Job: "shard-chaos", Shards: meta.Shards, Feature: feat, Theta: theta, Rules: rules},
+		tasks:  shard.BlockTasks("shard-chaos", len(profA), meta.Shards),
+		local:  shard.NewLocalExecutor(ex, shard.BuildGroup(kind, profB, meta.Shards), profA, rules, theta),
 	}
-	if res.Iterations != base.Iterations {
-		t.Errorf("iterations = %d, want %d", res.Iterations, base.Iterations)
+}
+
+// run drives the job's tasks through a coordinator over exec, claiming runs
+// of at most batch tasks, and returns the survivor lists in emission order
+// with the run's counters.
+func (j *shardJob) run(t *testing.T, exec shard.Executor, stats *shard.Stats, batch int) [][]record.Pair {
+	t.Helper()
+	coord := &shard.Coordinator{Workers: 2, Batch: batch, Backoff: 50 * time.Millisecond, Stats: stats}
+	var out [][]record.Pair
+	if err := coord.Run(j.tasks, exec, func(_ int, pairs []record.Pair) { out = append(out, pairs) }); err != nil {
+		t.Fatalf("coordinator: %v", err)
 	}
-	if len(res.Matches) != len(base.Matches) {
-		t.Fatalf("%d matches, want %d", len(res.Matches), len(base.Matches))
+	return out
+}
+
+// runRemote runs the job over the given worker endpoints.
+func (j *shardJob) runRemote(t *testing.T, endpoints []string, batch int) ([][]record.Pair, *shard.Stats) {
+	t.Helper()
+	stats := &shard.Stats{}
+	remote := shard.NewRemoteExecutor(endpoints, j.recipe, nil)
+	params := j.params
+	params.Stats = stats
+	remote.BindJob(params)
+	return j.run(t, remote, stats, batch), stats
+}
+
+// assertSameStream asserts list-for-list equality with the baseline stream
+// (an empty list equals a nil one).
+func assertSameStream(t *testing.T, got, want [][]record.Pair) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d survivor lists, want %d", len(got), len(want))
 	}
-	for i := range base.Matches {
-		if res.Matches[i] != base.Matches[i] {
-			t.Fatalf("match %d = %v, want %v (order must be identical)", i, res.Matches[i], base.Matches[i])
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("task %d kept %d pairs, want %d", i, len(got[i]), len(want[i]))
+		}
+		for k := range want[i] {
+			if got[i][k] != want[i][k] {
+				t.Fatalf("task %d pair %d = %v, want %v (order must be identical)", i, k, got[i][k], want[i][k])
+			}
 		}
 	}
 }
@@ -126,11 +163,19 @@ func TestShardWorkerChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shard chaos suite in -short mode")
 	}
-	meta := shardChaosMeta()
-	base, baseMetrics := runSharded(t, meta, nil, 0)
-	if baseMetrics.ShardTasksDispatched == 0 {
-		t.Fatal("baseline never dispatched a shard task; the sharded strategy did not run")
+	job := newShardJob(t)
+	baseStats := &shard.Stats{}
+	base := job.run(t, job.local, baseStats, 1)
+	baseDispatched := baseStats.Dispatched.Load()
+	survivors := 0
+	for _, pairs := range base {
+		survivors += len(pairs)
 	}
+	if baseDispatched == 0 || survivors == 0 {
+		t.Fatalf("baseline dispatched %d tasks and kept %d pairs; the suite would check nothing",
+			baseDispatched, survivors)
+	}
+	batched := 16 * job.params.Shards // the benchmark's claim size
 
 	// Every probe routed to worker 0 answers 503 until the schedule's
 	// budget is spent; each faulted task fails over to worker 1, which
@@ -147,17 +192,17 @@ func TestShardWorkerChaos(t *testing.T) {
 		srv1 := httptest.NewServer(slow.Handler(w1.Handler()))
 		defer srv1.Close()
 
-		res, mm := runSharded(t, meta, []string{srv0.URL, srv1.URL}, 1)
-		assertShardResult(t, res, base)
+		got, stats := job.runRemote(t, []string{srv0.URL, srv1.URL}, 1)
+		assertSameStream(t, got, base)
 		if got := bad.Injected(); got != 2 {
 			t.Errorf("5xx schedule injected %d faults, want exactly its limit of 2", got)
 		}
-		if mm.ShardTasksRetried < 2 {
-			t.Errorf("%d task retries, want >= 2 (one per injected 503)", mm.ShardTasksRetried)
+		if r := stats.Retried.Load(); r < 2 {
+			t.Errorf("%d task retries, want >= 2 (one per injected 503)", r)
 		}
-		if mm.ShardTasksDispatched != baseMetrics.ShardTasksDispatched {
+		if d := stats.Dispatched.Load(); d != baseDispatched {
 			t.Errorf("dispatched %d tasks, baseline dispatched %d — task plan must not depend on faults",
-				mm.ShardTasksDispatched, baseMetrics.ShardTasksDispatched)
+				d, baseDispatched)
 		}
 	})
 
@@ -173,8 +218,8 @@ func TestShardWorkerChaos(t *testing.T) {
 		srv1 := httptest.NewServer(w1.Handler())
 		defer srv1.Close()
 
-		res, mm := runSharded(t, meta, []string{srv0.URL, srv1.URL}, 1)
-		assertShardResult(t, res, base)
+		got, stats := job.runRemote(t, []string{srv0.URL, srv1.URL}, 1)
+		assertSameStream(t, got, base)
 		gens := rw.generations()
 		if len(gens) != 2 {
 			t.Fatalf("worker restarted %d times, want exactly 1", len(gens)-1)
@@ -190,9 +235,9 @@ func TestShardWorkerChaos(t *testing.T) {
 		// itself before the coordinator ever sees an error — the crash is
 		// absorbed below the retry loop. The 5xx case above pins the
 		// coordinator-level retry path deterministically.
-		if mm.ShardTasksDispatched != baseMetrics.ShardTasksDispatched {
+		if d := stats.Dispatched.Load(); d != baseDispatched {
 			t.Errorf("dispatched %d tasks, baseline dispatched %d — task plan must not depend on crashes",
-				mm.ShardTasksDispatched, baseMetrics.ShardTasksDispatched)
+				d, baseDispatched)
 		}
 	})
 
@@ -201,8 +246,7 @@ func TestShardWorkerChaos(t *testing.T) {
 	// the connection. The executor must keep the delivered prefix (no
 	// completed task is re-paid: dispatched stays at the baseline count) and
 	// re-run only the undelivered tail as groups of one, where failover
-	// routes it to worker 1. Runs at the default batch size — the
-	// production wire path.
+	// routes it to worker 1. Runs at the benchmark's batch size.
 	t.Run("mid-batch-stream-kill", func(t *testing.T) {
 		mk := newMidStreamKiller(shard.NewWorker().Handler(), 2)
 		srv0 := httptest.NewServer(mk)
@@ -211,21 +255,21 @@ func TestShardWorkerChaos(t *testing.T) {
 		srv1 := httptest.NewServer(w1.Handler())
 		defer srv1.Close()
 
-		res, mm := runSharded(t, meta, []string{srv0.URL, srv1.URL}, 0)
-		assertShardResult(t, res, base)
+		got, stats := job.runRemote(t, []string{srv0.URL, srv1.URL}, batched)
+		assertSameStream(t, got, base)
 		if mk.kills() != 1 {
 			t.Errorf("kill schedule fired %d times, want exactly 1", mk.kills())
 		}
-		if mm.ShardTasksRetried == 0 {
+		if stats.Retried.Load() == 0 {
 			t.Error("a torn batch retried nothing — the lost tail was never re-run")
 		}
-		if mm.ShardTasksDispatched != baseMetrics.ShardTasksDispatched {
+		if d := stats.Dispatched.Load(); d != baseDispatched {
 			t.Errorf("dispatched %d tasks, baseline dispatched %d — a torn batch must not re-pay completed work",
-				mm.ShardTasksDispatched, baseMetrics.ShardTasksDispatched)
+				d, baseDispatched)
 		}
-		if mm.ShardBytesSent == 0 || mm.ShardBytesReceived == 0 {
+		if stats.BytesSent.Load() == 0 || stats.BytesReceived.Load() == 0 {
 			t.Errorf("transport byte accounting empty: sent %d, received %d",
-				mm.ShardBytesSent, mm.ShardBytesReceived)
+				stats.BytesSent.Load(), stats.BytesReceived.Load())
 		}
 	})
 }

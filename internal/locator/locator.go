@@ -31,7 +31,8 @@ const (
 type Config struct {
 	// RuleEval configures crowd certification of the extracted rules.
 	RuleEval ruleeval.Config
-	// Seed drives rule-evaluation sampling.
+	// Seed is read by nothing: Locate draws from the caller's rng. It stays
+	// because the benchmark's staged replay writes it (DESIGN.md §4).
 	Seed int64
 }
 

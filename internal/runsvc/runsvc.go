@@ -69,15 +69,6 @@ type Options struct {
 	// directory. Empty means in-memory only: jobs run but cannot be
 	// resumed across processes.
 	JournalDir string
-	// ShardEndpoints, when non-empty, fans each Meta-carrying job's sharded
-	// blocking tasks out to these shard-worker base URLs (cmd/shardworker
-	// processes) over the platform HTTP transport. Empty means shard tasks
-	// run in-process.
-	ShardEndpoints []string
-	// ShardBatch caps the coordinator's batched task claims on the remote
-	// path (0 = automatic; 1 = one round trip per task, the PR 6 wire
-	// behavior). Output is bit-identical at every setting.
-	ShardBatch int
 	// SnapshotEvery enables journal compaction: every Nth checkpoint each
 	// job's journal is folded into a snapshot generation and a new log is
 	// started, bounding replay cost and directory size. 0 never compacts.
@@ -113,12 +104,9 @@ type Manager struct {
 	maxJournalBytes int64
 	submitsShed     atomic.Int64
 
-	// shardEndpoints is Options.ShardEndpoints; shardBatch is
-	// Options.ShardBatch; shardStats accumulates shard task dispatch/retry
-	// counts and transport byte totals across all jobs for /metrics.
-	shardEndpoints []string
-	shardBatch     int
-	shardStats     shard.Stats
+	// shardStats accumulates shard task dispatches across all jobs for
+	// /metrics.
+	shardStats shard.Stats
 }
 
 // NewManager starts a manager and its executor pool.
@@ -130,8 +118,6 @@ func NewManager(opts Options) (*Manager, error) {
 		jobs:            make(map[string]*Job),
 		queue:           make(chan *Job, queueDepth),
 		quit:            make(chan struct{}),
-		shardEndpoints:  opts.ShardEndpoints,
-		shardBatch:      opts.ShardBatch,
 		maxJournalBytes: opts.MaxJournalBytes,
 	}
 	if opts.JournalDir != "" {
@@ -219,11 +205,6 @@ type Metrics struct {
 	// Shard task counters, accumulated across every job whose blocking
 	// rules anchored an index probe — one-shard (K=1) jobs included.
 	ShardTasksDispatched int64 `json:"shard_tasks_dispatched"`
-	ShardTasksRetried    int64 `json:"shard_tasks_retried"`
-	// Shard transport payload bytes (HTTP bodies, not headers) across every
-	// job's remote blocking run; zero when execution stays in-process.
-	ShardBytesSent     int64 `json:"shard_bytes_sent"`
-	ShardBytesReceived int64 `json:"shard_bytes_received"`
 	// BytesJournaled counts bytes appended across all journal files (0
 	// when journaling is disabled).
 	BytesJournaled int64 `json:"bytes_journaled"`
@@ -260,9 +241,6 @@ func (m *Manager) Metrics() Metrics {
 	}
 	m.mu.Unlock()
 	out.ShardTasksDispatched = m.shardStats.Dispatched.Load()
-	out.ShardTasksRetried = m.shardStats.Retried.Load()
-	out.ShardBytesSent = m.shardStats.BytesSent.Load()
-	out.ShardBytesReceived = m.shardStats.BytesReceived.Load()
 	if m.store != nil {
 		out.BytesJournaled = m.store.BytesWritten()
 		out.SnapshotsWritten = m.store.SnapshotsWritten()
@@ -541,24 +519,8 @@ func (m *Manager) execute(j *Job) {
 	cfg := j.spec.Config
 	cfg.Runner = runner
 	cfg.Cancel = j.cancel
-	// Sharded blocking: every job feeds the manager-wide shard counters,
-	// and Meta-carrying jobs fan their blocking tasks out to the configured
-	// shard-worker processes — the Meta's dataset recipe is exactly what a
-	// worker (even one restarted after a crash) needs to rebuild the job's
-	// inputs deterministically.
-	cfg.Blocker.Job = j.ID
+	// Every job's sharded blocking feeds the manager-wide shard counters.
 	cfg.Blocker.ShardStats = &m.shardStats
-	if len(m.shardEndpoints) > 0 && cfg.Blocker.Exec == nil && j.spec.Meta != nil {
-		cfg.Blocker.Exec = shard.NewRemoteExecutor(m.shardEndpoints, shard.JobSpec{
-			Dataset: j.spec.Meta.Profile,
-			Scale:   j.spec.Meta.Scale,
-			Noise:   j.spec.Meta.Noise,
-		}, nil)
-		cfg.Blocker.ShardBatch = m.shardBatch
-		if cfg.Blocker.ShardWorkers <= 0 {
-			cfg.Blocker.ShardWorkers = len(m.shardEndpoints)
-		}
-	}
 	userListener := cfg.Listener
 	cfg.Listener = func(e engine.Event) {
 		j.publishEngineEvent(e)

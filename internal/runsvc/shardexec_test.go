@@ -5,11 +5,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
-	"github.com/corleone-em/corleone/internal/shard"
+	"github.com/corleone-em/corleone/internal/engine"
 )
 
 // shardedMeta is a job whose blocking step actually runs the sharded
@@ -87,9 +88,6 @@ func TestHealthzAndMetrics(t *testing.T) {
 	if mm.ShardTasksDispatched == 0 {
 		t.Error("sharded blocking ran but no shard tasks were counted")
 	}
-	if mm.ShardTasksRetried != 0 {
-		t.Errorf("%d retries on an in-process run", mm.ShardTasksRetried)
-	}
 	if mm.BytesJournaled == 0 {
 		t.Error("journaled job reported 0 bytes journaled")
 	}
@@ -105,69 +103,43 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 }
 
-// TestManagerRemoteShardExecution is the tentpole's service-level check: a
-// manager configured with shard-worker endpoints fans the job's blocking
-// tasks out to worker processes (here: two shard.Worker HTTP servers), and
-// the job's result — matches, F1, accounting — is identical to the same
-// spec run serially in-process. The workers rebuild the dataset from the
-// job spec via the 412 lazy-load handshake; nothing is shipped to them.
-func TestManagerRemoteShardExecution(t *testing.T) {
+// TestShardCountCapped submits shardedMeta(6) — the job faultkit's
+// shardChaosMeta describes — with an absurd shard count. shard.Choose caps
+// every K, so the job ends with the Result of the K=2 run instead of
+// partitioning table B 2²⁸ ways: an allocation that, uncapped, killed the
+// process and every job in it.
+func TestShardCountCapped(t *testing.T) {
 	if testing.Short() {
-		t.Skip("remote shard execution in -short mode")
+		t.Skip("two full pipeline runs in -short mode")
 	}
-	w1, w2 := shard.NewWorker(), shard.NewWorker()
-	srv1 := httptest.NewServer(w1.Handler())
-	defer srv1.Close()
-	srv2 := httptest.NewServer(w2.Handler())
-	defer srv2.Close()
-
-	m, err := NewManager(Options{
-		Workers:        1,
-		ShardEndpoints: []string{srv1.URL, srv2.URL},
-	})
-	if err != nil {
-		t.Fatalf("NewManager: %v", err)
-	}
-	defer m.Close()
-
-	meta := shardedMeta(6)
-	j, err := m.Submit(Spec{Meta: &meta})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	res, err := j.Wait()
-	if err != nil {
-		t.Fatalf("remote-sharded job: %v", err)
-	}
-
-	want := serialRun(t, meta)
-	if res.True.F1 != want.True.F1 {
-		t.Errorf("remote F1 = %.4f, serial = %.4f", res.True.F1, want.True.F1)
-	}
-	if res.Accounting != want.Accounting {
-		t.Errorf("remote accounting %+v != serial %+v", res.Accounting, want.Accounting)
-	}
-	if len(res.Matches) != len(want.Matches) {
-		t.Fatalf("remote %d matches, serial %d", len(res.Matches), len(want.Matches))
-	}
-	for i := range want.Matches {
-		if res.Matches[i] != want.Matches[i] {
-			t.Fatalf("match %d differs: %v vs %v", i, res.Matches[i], want.Matches[i])
+	run := func(meta Meta) (*engine.Result, int64) {
+		t.Helper()
+		m, err := NewManager(Options{Workers: 1})
+		if err != nil {
+			t.Fatalf("NewManager: %v", err)
 		}
+		defer m.Close()
+		j, err := m.Submit(Spec{Meta: &meta})
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		res, err := j.Wait()
+		if err != nil {
+			t.Fatalf("Shards=%d: %v", meta.Shards, err)
+		}
+		return res, m.Metrics().ShardTasksDispatched
 	}
-
-	// The work actually left the process: both workers lazily loaded the
-	// job and served probes.
-	probes := w1.Stats().Probes.Load() + w2.Stats().Probes.Load()
-	if probes == 0 {
-		t.Fatal("no probes reached the shard workers")
+	meta := shardedMeta(6)
+	want, tasks := run(meta)
+	meta.Shards = 1 << 28
+	got, capped := run(meta)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Shards=2^28: Result differs from Shards=2 (matches %d vs %d, cost %v vs %v)",
+			len(got.Matches), len(want.Matches), got.Accounting.Cost, want.Accounting.Cost)
 	}
-	if w1.Stats().JobsLoaded.Load() == 0 || w2.Stats().JobsLoaded.Load() == 0 {
-		t.Errorf("lazy-load did not reach both workers (%d, %d)",
-			w1.Stats().JobsLoaded.Load(), w2.Stats().JobsLoaded.Load())
-	}
-	if got := m.Metrics().ShardTasksDispatched; got != probes {
-		t.Errorf("manager dispatched %d tasks, workers served %d probes", got, probes)
+	if tasks == 0 || capped != tasks*64/2 {
+		t.Errorf("dispatched %d tasks at Shards=2 and %d at Shards=2^28, want the second 32× the first (K capped at 64)",
+			tasks, capped)
 	}
 }
 

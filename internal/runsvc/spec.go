@@ -77,9 +77,9 @@ type Meta struct {
 	// runs lower it so blocking still engages on small tables).
 	TB int `json:"tb,omitempty"`
 	// Shards is the blocking shard count (blocker.Config.Shards semantics:
-	// 0 = choose by table size, n >= 1 = that many shards); ShardWorkers
-	// bounds the shard coordinator's fan-out width.
-	// The umbrella set is bit-identical at every setting.
+	// 0 = choose by table size, n >= 1 = that many, capped at 64);
+	// ShardWorkers bounds the shard coordinator's fan-out width. The
+	// umbrella set is bit-identical at every setting.
 	Shards       int `json:"shards,omitempty"`
 	ShardWorkers int `json:"shard_workers,omitempty"`
 }
@@ -110,8 +110,7 @@ func (m Meta) validate() error {
 
 // BuildSpec reconstructs a full Spec from its serializable description,
 // once validate accepts it. The dataset resolves through
-// datagen.DatasetFor — the same constructor remote shard workers use — so a
-// job's coordinator and its workers can never disagree about the data.
+// datagen.DatasetFor, so a Meta names its data exactly.
 func BuildSpec(meta Meta) (Spec, error) {
 	if err := meta.validate(); err != nil {
 		return Spec{}, err

@@ -56,8 +56,8 @@ type Task struct {
 // JobParams are the per-job constants every task of one blocking job
 // shares: the id tasks carry, the partition width, the probe list whose
 // union generates the candidates, and the full rule set candidates are
-// verified against. The planner binds them to the executor once per run
-// (see JobBinder); tasks then stay lean on the wire.
+// verified against. The caller binds them to a RemoteExecutor once per
+// run (RemoteExecutor.BindJob); tasks then stay lean on the wire.
 type JobParams struct {
 	Job    string
 	Shards int
@@ -70,15 +70,6 @@ type JobParams struct {
 	// Stats, when non-nil, receives the executor's transport accounting
 	// (bytes sent/received) in addition to the coordinator's task counts.
 	Stats *Stats
-}
-
-// JobBinder is implemented by executors that need the job's parameters
-// before tasks flow — the remote executor stamps them into its /shard/load
-// spec. The coordinator's caller binds once, before Run; executors that
-// carry their bindings from construction (LocalExecutor) don't implement
-// it.
-type JobBinder interface {
-	BindJob(p JobParams)
 }
 
 // Executor probes a run of tasks that share a shard (and so an endpoint)

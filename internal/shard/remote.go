@@ -65,9 +65,9 @@ const maxBatchTasks = 64
 // NewRemoteExecutor targets the given worker base URLs (e.g.
 // "http://127.0.0.1:9301"). spec seeds the lazy-load handshake: only the
 // dataset recipe (Dataset, Scale, Noise) must be filled in — the job id,
-// shard count, probe list, and rules arrive via BindJob once the planner
-// has chosen them. client nil means a default with a
-// generous per-call timeout (a batch covers at most maxBatchTasks probes).
+// shard count, probe list, and rules arrive via BindJob. client nil means a
+// default with a generous per-call timeout (a batch covers at most
+// maxBatchTasks probes).
 func NewRemoteExecutor(endpoints []string, spec JobSpec, client *http.Client) *RemoteExecutor {
 	if client == nil {
 		client = &http.Client{Timeout: 120 * time.Second}
@@ -80,9 +80,9 @@ func NewRemoteExecutor(endpoints []string, spec JobSpec, client *http.Client) *R
 	}
 }
 
-// BindJob implements JobBinder: it stamps the job's per-run constants into
-// the /shard/load spec and wires the transport byte counters. The planner
-// calls it exactly once per run, before any task flows.
+// BindJob stamps the job's per-run constants into the /shard/load spec and
+// wires the transport byte counters. Call it once per run, before any task
+// flows.
 func (e *RemoteExecutor) BindJob(p JobParams) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

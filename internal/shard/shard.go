@@ -87,27 +87,26 @@ const AutoThresholdRows = 200_000
 // the table grows.
 const targetRowsPerShard = 100_000
 
-// maxAutoShards caps automatic shard counts; beyond this, per-probe merge
-// overhead dominates and the operator should size K explicitly.
-const maxAutoShards = 64
+// maxShards caps every shard count, configured or automatic: beyond it the
+// per-probe merge overhead dominates, and Partition allocates per shard, so
+// an unbounded K would exhaust memory before a task runs. Output is
+// bit-identical at every K, so the cap never changes a result.
+const maxShards = 64
 
 // Choose resolves a configured shard count against the indexed table's
-// size: n >= 1 is honored verbatim (1 is one shard through the same
-// coordinator, not a separate path; negative counts as 1), and 0 means
-// automatic — one shard up to AutoThresholdRows, then about
-// targetRowsPerShard rows per shard.
+// size: n >= 1 means n shards (1 is one shard through the same coordinator,
+// not a separate path; negative counts as 1), and 0 means automatic — one
+// shard up to AutoThresholdRows, then about targetRowsPerShard rows per
+// shard. Either way the count is capped at maxShards.
 func Choose(configured, indexedRows int) int {
+	k := configured
 	switch {
-	case configured >= 1:
-		return configured
 	case configured < 0:
 		return 1
-	case indexedRows < AutoThresholdRows:
+	case configured == 0 && indexedRows < AutoThresholdRows:
 		return 1
+	case configured == 0:
+		k = (indexedRows + targetRowsPerShard - 1) / targetRowsPerShard
 	}
-	k := (indexedRows + targetRowsPerShard - 1) / targetRowsPerShard
-	if k > maxAutoShards {
-		k = maxAutoShards
-	}
-	return k
+	return min(k, maxShards)
 }

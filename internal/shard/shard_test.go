@@ -69,8 +69,9 @@ func TestChoose(t *testing.T) {
 		{4, 10, 4},          // explicit K honored even when tiny
 		{0, 1000, 1},        // auto, small table
 		{0, AutoThresholdRows - 1, 1},
-		{0, 400_000, 4},      // auto: ~100k rows per shard
-		{0, 100_000_000, 64}, // auto capped
+		{0, 400_000, 4},       // auto: ~100k rows per shard
+		{0, 100_000_000, 64},  // auto capped
+		{1 << 28, 10_000, 64}, // explicit K capped too
 	}
 	for _, c := range cases {
 		if got := Choose(c.configured, c.rows); got != c.want {

@@ -32,30 +32,35 @@ go test -run '^$' -bench . -benchtime 1x ./internal/...
 # cache hits).
 go run ./cmd/corlint -alloc
 
+# Every named -run gate below goes through scripts/runtests.sh, which fails
+# when an alternative of the pattern matches no test (go test only warns).
+
 # Chaos smoke: one transport schedule and one kill-point schedule run
 # first, without -race, so a resilience regression surfaces in seconds
 # instead of at the end of the long race run. The race run that follows
 # covers the full schedule matrix (chaos suite included).
-go test -count=1 -run 'TestChaosSchedules/(5xx-burst|kill-points|snap-kill-points)' ./internal/faultkit
+sh scripts/runtests.sh -count=1 -run 'TestChaosSchedules/(5xx-burst|kill-points|snap-kill-points)' ./internal/faultkit
 
 # Journal smoke: the strided boundary sweep, torn-tail repair, the
 # corruption fallback ladder and the bounded-replay cost bound, without
 # -race for fast signal.
-go test -count=1 -run 'TestDurabilityBoundarySweep' ./internal/faultkit
-go test -count=1 -run 'TestStoreOpen|TestSnapshotCorruptionFallback|TestSnapshotBoundedReplay' ./internal/runsvc
+sh scripts/runtests.sh -count=1 -run 'TestDurabilityBoundarySweep' ./internal/faultkit
+sh scripts/runtests.sh -count=1 -run 'TestStoreOpen|TestSnapshotCorruptionFallback|TestSnapshotBoundedReplay' ./internal/runsvc
 
-# Sharded smoke: the bit-identical equivalence sweep (K x GOMAXPROCS) and
-# one shard-worker failover schedule, again without -race for fast signal.
-go test -count=1 -run 'TestShardedBlockingEquivalence|TestShardedMergeDeterminism' ./internal/blocker
-go test -count=1 -run 'TestShardWorkerChaos/5xx-failover' ./internal/faultkit
+# Sharded smoke: the bit-identical equivalence sweep (K x GOMAXPROCS), the
+# remote executor against the in-process one (K x batch), and one
+# shard-worker failover schedule, again without -race for fast signal.
+sh scripts/runtests.sh -count=1 -run 'TestShardedBlockingEquivalence|TestShardedMergeDeterminism' ./internal/blocker
+sh scripts/runtests.sh -count=1 -run 'TestShardedRemoteTransportEquivalence' ./internal/shard
+sh scripts/runtests.sh -count=1 -run 'TestShardWorkerChaos/5xx-failover' ./internal/faultkit
 
 # GOMAXPROCS invariance: the pinned outputs and golden fingerprints must
 # hold bit for bit at one and at four procs, not only at this box's default.
-go test -count=1 -cpu 1,4 -run 'TestRunPinned|TestRunGoldenFingerprints' ./internal/engine
+sh scripts/runtests.sh -count=1 -cpu 1,4 -run 'TestRunPinned|TestRunGoldenFingerprints' ./internal/engine
 
 # Vectors' tiles of rows of A are cut where par.For cuts the pairs into
 # chunks, one per GOMAXPROCS: the run shapes must hold at one and four procs.
-go test -count=1 -cpu 1,4 -run 'TestVectorsRunShapes|TestVectorsParallelMatchesSequential' ./internal/feature
+sh scripts/runtests.sh -count=1 -cpu 1,4 -run 'TestVectorsRunShapes|TestVectorsParallelMatchesSequential' ./internal/feature
 
 go test -race ./...
 
