@@ -81,8 +81,10 @@ func sameStream(t *testing.T, name string, got, want [][]record.Pair) {
 // anchors are a single jaccard_w probe and the union anchors of the rule
 // sets the default benchmark instances learn (a word/3-gram union, a
 // rel_diff band, a band/3-gram union and a band/tfidf/3-gram union), each
-// verified against its rule set. The job is bound the way the benchmark's transport probe
-// binds it; nothing is retried and both byte counters move.
+// verified against every rule of its set — the same lists as blocker's
+// measuredRuleSets, > predicates and unindexed measures included. The job
+// is bound the way the benchmark's transport probe binds it; nothing is
+// retried and both byte counters move.
 func TestShardedRemoteTransportEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("remote transport matrix in -short mode")
@@ -108,6 +110,7 @@ func TestShardedRemoteTransportEquivalence(t *testing.T) {
 			[]string{
 				"category_exact <= 0.5 & category_jaro_winkler > 0.4511",
 				"name_overlap_w <= 0.9 & category_jaccard_3g <= 0.5385",
+				"modelno_exact <= 0.5 & name_overlap_w <= 0.9 & description_overlap_w > 0.6667 & category_jaccard_3g > 0.5385",
 				"price_rel_diff <= 0.9539",
 			}},
 		{"products-band+3g", JobSpec{Dataset: "products", Scale: 0.02},
@@ -115,6 +118,8 @@ func TestShardedRemoteTransportEquivalence(t *testing.T) {
 			[]string{
 				"modelno_exact <= 0.5 & modelno_jaro_winkler > -0.3426",
 				"modelno_exact <= 0.5 & name_jaccard_w <= 0.8333 & description_jaccard_w <= -0.5",
+				"modelno_exact <= 0.5 & price_rel_diff > 0.984 & brand_jaro_winkler <= 0.7881 & description_jaccard_w > -0.5",
+				"modelno_jaro_winkler <= 0.9222 & description_jaccard_w <= 0.95 & brand_jaccard_3g > 0.5714 & name_tfidf_cos <= 0.8824",
 				"price_rel_diff <= 0.9677 & modelno_jaccard_3g <= 0.7857",
 			}},
 		{"citations-year+cos+3g", JobSpec{Dataset: "citations", Scale: 0.01},

@@ -45,7 +45,7 @@ alternatives="$(printf '%s\n' "$pattern" | awk '{
 for alt in $alternatives; do
 	# -list takes the test binary's flags and packages as the run does, so
 	# it compiles the same binary; its output is one matching name a line.
-	if ! "$GO" test "$@" -list "$alt" | grep -q '^\(Test\|Example\|Fuzz\)'; then
+	if ! "$GO" test "$@" -list "$alt" | grep -Eq '^(Test|Example|Fuzz)'; then
 		echo "runtests.sh: -run alternative '$alt' of '$pattern' matches no test" >&2
 		exit 1
 	fi
