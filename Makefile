@@ -80,7 +80,10 @@ shard:
 # Monge-Elkan token-pair table (fill, read-back and both directions of every
 # cell) and its column, with and without a table, vs the string measure and
 # the pair path, all to Float64bits equality (DESIGN.md "Pair
-# kernels", "Operand dictionaries and write-once tables"), and the column
+# kernels", "Operand dictionaries and write-once tables"); the character-bag
+# bounds at least the edit and Jaro-Winkler kernels' float64, and their SWAR
+# common count equal to a per-rune count (DESIGN.md "Bounds before
+# kernels"); and the column
 # kernels vs the pair kernels: the edit column over a fuzzed pattern and
 # texts, every feature's column, whole and by position list, and Vectors over
 # a cross product of several tiles of rows, over random small token multisets
@@ -120,6 +123,7 @@ fuzz:
 	$(FUZZ) -fuzz 'FuzzLevenshteinMetricProperties' ./internal/similarity
 	$(FUZZ) -fuzz 'FuzzStringMeasuresStayInRange' ./internal/similarity
 	$(FUZZ) -fuzz 'FuzzJaroBitParallel' ./internal/similarity
+	$(FUZZ) -fuzz 'FuzzBagBound' ./internal/similarity
 	$(FUZZ) -fuzz 'FuzzEditColumn' ./internal/similarity
 	$(FUZZ) -fuzz 'FuzzSetKernels' ./internal/similarity
 	$(FUZZ) -fuzz 'FuzzMongeElkanTable' ./internal/similarity

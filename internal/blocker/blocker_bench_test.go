@@ -167,3 +167,29 @@ func benchUnion(b *testing.B, scan bool) {
 		})
 	}
 }
+
+// BenchmarkApplyRulesScan measures the exhaustive scan on the rule sets that
+// force it (scanRuleSets), at the instances' own scale and dataset, where
+// the verifier's bounds decide most edit and Jaro-Winkler predicates. Every
+// iteration gets a fresh extractor, as in benchUnion, so no iteration is
+// handed an earlier one's bags or table cells.
+func BenchmarkApplyRulesScan(b *testing.B) {
+	for _, set := range scanRuleSets {
+		b.Run(set.name, func(b *testing.B) {
+			p := datagen.Scaled(datagen.CitationsPaper, 0.1)
+			p.Seed = datagen.CitationsPaper.Seed + set.seed
+			ds := datagen.Generate(p)
+			rules := parseRules(feature.NewExtractor(ds), set.rules)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				ex := feature.NewExtractor(ds)
+				b.StartTimer()
+				sinkPairs = sinkPairs[:0]
+				applyRulesScanTo(ds, ex, rules, collectSink(&sinkPairs))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ds.CartesianSize()), "ns/pair")
+		})
+	}
+}

@@ -50,6 +50,17 @@ func viewOf(kind string) int8 {
 	return noView
 }
 
+// boundOf is the bound Run.BoundAt gives a measure, nil for none.
+func boundOf(kind string) func(a, b *similarity.Bag) float64 {
+	switch kind {
+	case "edit":
+		return similarity.EditSimBound
+	case "jaro_winkler":
+		return similarity.JaroWinklerBound
+	}
+	return nil
+}
+
 func viewKeys(p *similarity.Profile, view int8) []uint64 {
 	if view == viewGrams {
 		return p.Grams
@@ -216,6 +227,38 @@ func (r *Run) Column(i int, a int32, dst []float64, stride int, rs *RunScratch) 
 // writing dst[k] for each k of them and nothing else.
 func (r *Run) ColumnAt(i int, a int32, pos []int32, dst []float64, rs *RunScratch) {
 	r.column(i, a, pos, dst, 1, rs)
+}
+
+// HasBound reports whether feature i has BoundAt: edit or Jaro-Winkler on a
+// column without a value-pair table (a tabled feature reads its cells).
+func (r *Run) HasBound(i int) bool {
+	f := &r.ex.features[i]
+	return boundOf(f.Kind) != nil && r.ex.cols[f.AttrIdx].cells == nil
+}
+
+// BoundAt writes to dst[k], for every k of pos, a value no less than the one
+// ColumnAt writes there, from the two values' character bags alone
+// (similarity.EditSimBound, JaroWinklerBound): where a value is missing, the
+// bound of its empty runes, above ColumnAt's Missing; +Inf for a bag without
+// a bound. HasBound(i) must hold. The column's bags are built on first use,
+// one per row of both sides.
+func (r *Run) BoundAt(i int, a int32, pos []int32, dst []float64) {
+	f := &r.ex.features[i]
+	c, set := &r.ex.cols[f.AttrIdx], &r.ex.bags[f.AttrIdx]
+	set.once.Do(func() { set.a, set.b = bagsOf(c.profA), bagsOf(c.profB) })
+	bound, ba := boundOf(f.Kind), &set.a[a]
+	for _, k := range pos {
+		dst[k] = bound(ba, &set.b[r.bs[k]])
+	}
+}
+
+// bagsOf is the character bags of a side's rows.
+func bagsOf(ps []*similarity.Profile) []similarity.Bag {
+	bags := make([]similarity.Bag, len(ps))
+	for row, p := range ps {
+		bags[row] = similarity.NewBag(p.Runes)
+	}
+	return bags
 }
 
 // jaroTile is how many whole runs Vectors scores as one tile: the most rows

@@ -30,7 +30,10 @@
 // table B or of a shard's candidates). A tabled feature reads its cells in
 // place, the set measures walk the run's postings instead of merging every
 // pair, edit builds the A row's pattern once, and Monge-Elkan scores the A
-// row's tokens against the run's once (DESIGN.md "Column kernels"). Vectors
+// row's tokens against the run's once (DESIGN.md "Column kernels"). For edit
+// and Jaro-Winkler a Run also gives BoundAt, an upper bound from the two
+// values' character bags, with which the verifier settles most predicates
+// without the kernel (DESIGN.md "Bounds before kernels"). Vectors
 // over a cross product scores a tile of rows of A at a time: Column for each
 // row, and Jaro-Winkler with each B row's masks built once for the whole
 // tile. The tests pin ComputeScratch bit for bit, first touch and second, to
@@ -89,6 +92,8 @@ type Extractor struct {
 	// cols[attrIdx] is the attribute's encoded column; zero for attributes
 	// without features.
 	cols []column
+	// bags[attrIdx] is the column's character bags (Run.BoundAt).
+	bags []bagSet
 	// scratch pools per-goroutine DP buffers for callers that do not
 	// thread their own (single Compute/Vector calls).
 	scratch sync.Pool
@@ -112,6 +117,13 @@ type column struct {
 	valA, valB []uint32
 	nValB      int
 	cells      []similarity.Cell
+}
+
+// bagSet is one column's character bags, a[row] / b[row] for the rows of
+// either table, built by the first Run.BoundAt over the column.
+type bagSet struct {
+	once sync.Once
+	a, b []similarity.Bag
 }
 
 // minReuse is how often, on average, the full product A×B must come back to
@@ -167,7 +179,7 @@ func numericWrapP(f func(x, y float64) float64) profileFn {
 // builds as a pipeline and the interner's map grows once, to the largest
 // column. Each column's tokens get their one map in BuildColumn.
 func NewExtractor(ds *record.Dataset) *Extractor {
-	e := &Extractor{A: ds.A, B: ds.B, cols: make([]column, len(ds.A.Schema))}
+	e := &Extractor{A: ds.A, B: ds.B, cols: make([]column, len(ds.A.Schema)), bags: make([]bagSet, len(ds.A.Schema))}
 	e.scratch.New = func() any { return similarity.NewScratch() }
 	var attrs []int                                  // the attributes with features
 	fields := make([]similarity.Fields, len(e.cols)) // by attribute: the views its measures read

@@ -20,6 +20,16 @@ import (
 // positions that still match its rule, so the cells computed are the ones a
 // pair-at-a-time walk with short-circuiting rules would compute, the values
 // the pair kernels' to the bit. One Verifier serves one goroutine.
+//
+// An edit or Jaro-Winkler predicate with 0 ≤ θ < 1 bounds before it
+// computes (feature.Run.BoundAt): a position whose bound is at most θ has a
+// value at most θ, so the predicate holds there for ≤ and fails for >, and
+// only the others are computed. The bound stands in the value array for the
+// decided positions and is never stamped, so a later predicate on the
+// feature bounds them again against its own θ (DESIGN.md §6.1 "Bounds
+// before kernels"). Outside that range — below 0 a bound decides only a
+// missing value, and a learned θ stays below 1 — the predicate computes as
+// it would without one.
 type Verifier struct {
 	rules []tree.Rule
 	rs    feature.RunScratch
@@ -91,7 +101,7 @@ func (v *Verifier) RowSurvivors(dst []record.Pair, a int32, run *feature.Run, po
 		// match: the alive positions the rule's predicates so far all hold on.
 		match := alive
 		for _, p := range r.Preds {
-			vals := v.fetch(p.Feature, a, run, match)
+			vals := v.fetch(p, a, run, match)
 			if match = filter(v.match[:len(match)], match, vals, p); len(match) == 0 {
 				break
 			}
@@ -110,19 +120,35 @@ func (v *Verifier) RowSurvivors(dst []record.Pair, a int32, run *feature.Run, po
 	return dst
 }
 
-// fetch returns an array holding feature f of (a, position k) at every k of
-// pos, computing those no earlier predicate of this row fetched.
-func (v *Verifier) fetch(f int, a int32, run *feature.Run, pos []int32) []float64 {
-	vals, need := v.buf[:len(run.Rows())], pos
-	if stamp := v.stamp[f]; stamp != nil {
+// fetch returns an array holding, at every k of pos, the predicate's
+// feature of (a, position k) — or a bound of it that decides the predicate —
+// computing those no earlier predicate of this row fetched and no bound
+// decides.
+func (v *Verifier) fetch(p tree.Predicate, a int32, run *feature.Run, pos []int32) []float64 {
+	f := p.Feature
+	vals, need, stamp := v.buf[:len(run.Rows())], pos, v.stamp[f]
+	if stamp != nil {
 		vals, need = v.vals[f], v.need[:len(pos)]
 		n := 0
 		for _, k := range pos {
 			need[n] = k
 			n += similarity.B2i(stamp[k] != v.epoch)
-			stamp[k] = v.epoch
 		}
 		need = need[:n]
+	}
+	if len(need) > 0 && 0 <= p.Threshold && p.Threshold < 1 && run.HasBound(f) {
+		run.BoundAt(f, a, need, vals)
+		undecided, n := v.need[:len(need)], 0
+		for _, k := range need {
+			undecided[n] = k
+			n += similarity.B2i(vals[k] > p.Threshold)
+		}
+		need = undecided[:n]
+	}
+	if stamp != nil {
+		for _, k := range need {
+			stamp[k] = v.epoch
+		}
 	}
 	if len(need) > 0 {
 		run.ColumnAt(f, a, need, vals, &v.rs)

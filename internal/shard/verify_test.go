@@ -20,9 +20,18 @@ import (
 // features (so rules share features, and a later rule meets values an
 // earlier one computed for some positions only), both operators, and
 // thresholds at, just above and just below a score some pair attains — or at
-// and around Missing.
-func randomRules(rng *rand.Rand, ex *feature.Extractor, na, nb int) []tree.Rule {
+// and around Missing. The pool holds the features must names, the rest
+// drawn.
+func randomRules(rng *rand.Rand, ex *feature.Extractor, na, nb int, must []string) []tree.Rule {
 	pool := rng.Perm(ex.NumFeatures())[:5]
+	for i, name := range must {
+		f := slices.Index(ex.Names(), name)
+		if j := slices.Index(pool, f); j >= 0 {
+			pool[i], pool[j] = pool[j], pool[i]
+		} else {
+			pool[i] = f
+		}
+	}
 	rules := make([]tree.Rule, 1+rng.Intn(4))
 	for i := range rules {
 		for n := 1 + rng.Intn(3); n > 0; n-- {
@@ -87,15 +96,24 @@ func (v *Verifier) fetched(pos []int32, cells []int) {
 // and so must the number of cells fetched per feature, read off a second
 // verifier's stamps: for every measure but the set measures (whose walk
 // scores a whole run at once) a fetched cell is one pair-kernel evaluation,
-// so the column walk is exactly as lazy as the pair walk was. GOMAXPROCS 1
-// and 4: at 4 the goroutines race to build the runs' views.
+// so the column walk is exactly as lazy as the pair walk that bounds before
+// it computes. GOMAXPROCS 1 and 4: at 4 the goroutines race to build the
+// runs' views and the columns' bags. The citations-authors case always puts
+// the two bounded measures of Citations' authors in the pool, and must see
+// bounds decide pairs.
 func TestRowSurvivorsAtMatchesPairWalk(t *testing.T) {
 	for _, c := range []struct {
-		name   string
-		scale  float64
-		trials int
-	}{{"citations", 0.03, 12}, {"products", 0.04, 12}, {"restaurants", 0.4, 12}} {
-		ds, err := datagen.DatasetFor(c.name, c.scale, 1)
+		name, profile string
+		scale         float64
+		trials        int
+		must          []string
+	}{
+		{"citations", "citations", 0.03, 12, nil},
+		{"citations-authors", "citations", 0.03, 12, []string{"authors_edit", "authors_jaro_winkler"}},
+		{"products", "products", 0.04, 12, nil},
+		{"restaurants", "restaurants", 0.4, 12, nil},
+	} {
+		ds, err := datagen.DatasetFor(c.profile, c.scale, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +133,7 @@ func TestRowSurvivorsAtMatchesPairWalk(t *testing.T) {
 			}
 			nans++
 		}
-		if nans == 0 && c.name != "restaurants" {
+		if nans == 0 && c.profile != "restaurants" {
 			t.Fatalf("%s: no rel_diff feature to doctor", c.name)
 		}
 		rng := rand.New(rand.NewSource(int64(len(c.name))))
@@ -126,9 +144,9 @@ func TestRowSurvivorsAtMatchesPairWalk(t *testing.T) {
 			}
 		}
 		runs := []*feature.Run{ex.NewRun(nil), ex.NewRun(half), ex.NewRun(half[len(half)-40:])}
-		survivors, eliminated := 0, 0
+		survivors, eliminated, decided := 0, 0, 0
 		for trial := 0; trial < c.trials; trial++ {
-			rules := randomRules(rng, ex, na, nb)
+			rules := randomRules(rng, ex, na, nb, c.must)
 			if trial == 0 {
 				rules = append(rules, tree.Rule{}) // no predicate: matches every pair
 			}
@@ -177,6 +195,13 @@ func TestRowSurvivorsAtMatchesPairWalk(t *testing.T) {
 						t.Errorf("%s trial %d GOMAXPROCS %d: cells fetched per feature %v, the pair walk computed %v\nrules: %v",
 							c.name, trial, procs, cells, ref.computed, rules)
 					}
+					if ref.unsound > 0 {
+						t.Errorf("%s trial %d GOMAXPROCS %d: %d pairs decided by a bound their value exceeds\nrules: %v",
+							c.name, trial, procs, ref.unsound, rules)
+					}
+					if lo == 0 {
+						decided += ref.decided
+					}
 				})
 				runtime.GOMAXPROCS(prev)
 			}
@@ -186,6 +211,9 @@ func TestRowSurvivorsAtMatchesPairWalk(t *testing.T) {
 		}
 		if survivors == 0 || eliminated == 0 {
 			t.Errorf("%s: %d pairs survive and %d are eliminated over all trials: the rules exercise nothing", c.name, survivors, eliminated)
+		}
+		if c.must != nil && decided == 0 {
+			t.Errorf("%s: no bound decided a predicate over all trials", c.name)
 		}
 	}
 }

@@ -93,6 +93,11 @@ func winkler(j float64, ra, rb []rune) float64 {
 	for l < len(ra) && l < len(rb) && ra[l] == rb[l] && l < 4 {
 		l++
 	}
+	return boost(j, l)
+}
+
+// boost is Winkler's formula for a common prefix of l ≤ 4 runes.
+func boost(j float64, l int) float64 {
 	return j + float64(l)*0.1*(1-j)
 }
 
