@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -56,5 +57,42 @@ func TestRenderPair(t *testing.T) {
 	out := renderPair(ds, corleone.P(0, 0))
 	if !strings.Contains(out, "name") || !strings.Contains(out, "|") {
 		t.Errorf("renderPair = %q", out)
+	}
+}
+
+// TestCheckNumbers: the numeric flags are range-checked as POST /jobs checks
+// a job's Meta, and a refusal names the flag.
+func TestCheckNumbers(t *testing.T) {
+	type flags struct {
+		errRate, price, budget float64
+		shards, shardWorkers   int
+	}
+	ok := flags{errRate: 0.05, price: 0.01}
+	for _, c := range []struct {
+		name string
+		f    flags
+		flag string // empty: accepted
+	}{
+		{"defaults", ok, ""},
+		{"oracle, free, capped budget, sharded", flags{0, 0, 500, 64, 4}, ""},
+		{"every answer wrong", flags{1, 0.01, 0, 0, 0}, ""},
+		{"error above 1", flags{1.5, 0.01, 0, 0, 0}, "-error"},
+		{"negative error", flags{-0.1, 0.01, 0, 0, 0}, "-error"},
+		{"NaN error", flags{math.NaN(), 0.01, 0, 0, 0}, "-error"},
+		{"negative price", flags{0.05, -0.01, 0, 0, 0}, "-price"},
+		{"NaN price", flags{0.05, math.NaN(), 0, 0, 0}, "-price"},
+		{"negative budget", flags{0.05, 0.01, -1, 0, 0}, "-budget"},
+		{"negative shards", flags{0.05, 0.01, 0, -2, 0}, "-shards"},
+		{"negative shard workers", flags{0.05, 0.01, 0, 0, -1}, "-shard-workers"},
+	} {
+		err := checkNumbers(c.f.errRate, c.f.price, c.f.budget, c.f.shards, c.f.shardWorkers)
+		switch {
+		case c.flag == "" && err != nil:
+			t.Errorf("%s: refused: %v", c.name, err)
+		case c.flag != "" && err == nil:
+			t.Errorf("%s: accepted", c.name)
+		case c.flag != "" && !strings.HasPrefix(err.Error(), c.flag+" "):
+			t.Errorf("%s: %q does not name %s", c.name, err, c.flag)
+		}
 	}
 }

@@ -40,13 +40,12 @@ type Config struct {
 	// nil. See Sink's contract for chunk-reuse rules.
 	Sink Sink
 	// Shards is how many shards of table B an indexable rule set is probed
-	// through: n >= 1 means n shards (1 is one shard through the same
-	// coordinator; negative counts as 1), and 0 — the default — chooses by
-	// indexed-table size; shard.Choose caps either at 64. A rule set the
-	// planner does not index (Result.Plan) runs the exhaustive scan
-	// whatever the value. The emitted umbrella set is bit-identical at
-	// every setting, and ShardStats counts tasks at every setting, K=1
-	// included.
+	// through: n >= 1 means n shards, capped at 64 (shard.Choose), and 0 —
+	// the default — or a negative count means one shard, through the same
+	// coordinator as any other count. A rule set the planner does not index
+	// (Result.Plan) runs the exhaustive scan whatever the value. The emitted
+	// umbrella set is bit-identical at every setting, and ShardStats counts
+	// tasks at every setting, K=1 included.
 	Shards int
 	// ShardWorkers bounds the shard coordinator's fan-out width (<=0 means
 	// GOMAXPROCS).

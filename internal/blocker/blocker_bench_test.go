@@ -123,9 +123,12 @@ func BenchmarkUmbrellaStreaming(b *testing.B) {
 // BenchmarkApplyRulesUnion measures the planner end to end — anchor choice,
 // estimate, index build, union probes, verification — on rule sets the
 // default benchmark instances select (measuredRuleSets), at those instances'
-// scales. Every iteration plans and builds its indexes afresh, as a job does.
+// scales, and on one wide anchor: year_rel_diff ≤ 0.99 on Citations×0.1,
+// estimated at over half of A×B, beside the Jaro-Winkler rule of seed 1's
+// set. Every iteration plans and builds its indexes afresh, as a job does.
 // BenchmarkApplyRulesUnionScan is the same rule sets through the exhaustive
-// scan, the path they took before union anchors.
+// scan, the path they took before union anchors; est/pairs is the share of
+// A×B the plan's anchor was estimated to generate.
 func BenchmarkApplyRulesUnion(b *testing.B) { benchUnion(b, false) }
 
 func BenchmarkApplyRulesUnionScan(b *testing.B) { benchUnion(b, true) }
@@ -135,17 +138,28 @@ func benchUnion(b *testing.B, scan bool) {
 		name    string
 		profile datagen.Profile
 		scale   float64
+		rules   []string // nil: the measured rule set of the name
 	}{
-		{"products-band", datagen.ProductsPaper, 0.2},
-		{"products-band+3g", datagen.ProductsPaper, 0.2},
-		{"citations-venue", datagen.CitationsPaper, 0.1},
+		{"products-band", datagen.ProductsPaper, 0.2, nil},
+		{"products-band+3g", datagen.ProductsPaper, 0.2, nil},
+		{"citations-venue", datagen.CitationsPaper, 0.1, nil},
+		{"citations-wide-year", datagen.CitationsPaper, 0.1, []string{
+			"year_rel_diff <= 0.99",
+			"authors_jaro_winkler <= 0.759",
+		}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			ds := datagen.Generate(datagen.Scaled(c.profile, c.scale))
 			ex := feature.NewExtractor(ds)
-			rules := measuredRules(ex, c.name)
-			if !planRules(ex, rules).Indexed {
-				b.Fatal("measured rule set should plan index probes")
+			var rules []tree.Rule
+			if c.rules != nil {
+				rules = parseRules(ex, c.rules)
+			} else {
+				rules = measuredRules(ex, c.name)
+			}
+			p := planRules(ex, rules)
+			if !p.Indexed {
+				b.Fatalf("the rule set should plan index probes: %s", p.Plan)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -164,6 +178,7 @@ func benchUnion(b *testing.B, scan bool) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ds.CartesianSize()), "ns/pair")
+			b.ReportMetric(float64(p.Estimated)/float64(ds.CartesianSize()), "est/pairs")
 		})
 	}
 }

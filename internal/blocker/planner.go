@@ -29,8 +29,7 @@ type Plan struct {
 	Rule   string
 	Probes []PlanProbe
 	// Estimated is how many candidate pairs the anchor was expected to
-	// generate, scaled up from a stride sample of table A. When the scan
-	// ran because every anchor looked too wide, it is the narrowest one's.
+	// generate, scaled up from a stride sample of table A; 0 for a scan.
 	Estimated int64
 	// Survivors is how many pairs the full rule set kept: the umbrella set.
 	Survivors int64
@@ -87,13 +86,6 @@ type plan struct {
 // confused, few enough to cost under a hundredth of the probes that follow.
 const estimateRows = 64
 
-// scanCutNum / scanCutDen is the fraction of |A×B| above which an anchor's
-// estimated candidates are not worth generating: the scan visits cells in
-// order with no index to build, no union to sort and no cache misses, so an
-// index that hands most of the product to the verifier anyway only adds
-// cost. DESIGN.md §9.2 has the per-instance measurements behind the value.
-const scanCutNum, scanCutDen = 1, 2
-
 // anchorOf reads one rule as a probe list: every predicate must be ≤ on an
 // indexable feature; several predicates on one feature fold to the smallest
 // threshold, which must be ≥ 0 (below 0 the probe keeps every pair with a
@@ -126,15 +118,13 @@ func anchorOf(ex *feature.Extractor, r tree.Rule) (probes []shard.Probe, kinds [
 
 // planRules picks the anchor expected to generate the fewest candidates
 // among the selected rules that have the shape (rule order breaking ties),
-// or the scan when none has it or the best still covers more than the cut
-// fraction of A×B. The expectation is measured, not modelled: each
-// anchorable rule's indexes are built over all of table B — one shard, so
-// the number does not depend on the run's shard count — and probed for
+// or the scan when none has it. The expectation is measured, not modelled:
+// each anchorable rule's indexes are built over all of table B — one shard,
+// so the number does not depend on the run's shard count — and probed for
 // estimateRows rows of table A at a fixed stride; the count scales by
 // |A|/rows. The winner's indexes are kept for the run.
 func planRules(ex *feature.Extractor, rules []tree.Rule) plan {
-	na, nb := ex.A.Len(), ex.B.Len()
-	if len(rules) == 0 || na <= 0 || nb <= 0 {
+	if len(rules) == 0 || ex.A.Len() <= 0 || ex.B.Len() <= 0 {
 		return plan{Plan: Plan{Reason: "no rules to apply"}}
 	}
 	var best plan
@@ -151,16 +141,11 @@ func planRules(ex *feature.Extractor, rules []tree.Rule) plan {
 			best = p
 		}
 	}
-	cut := int64(na) * int64(nb) * scanCutNum / scanCutDen
-	switch {
-	case best.group != nil && best.Estimated <= cut:
-	case best.group != nil:
-		return plan{Plan: Plan{Estimated: best.Estimated,
-			Reason: fmt.Sprintf("estimate %d > cut %d", best.Estimated, cut)}}
-	case reason != "":
+	if best.group == nil {
+		if reason == "" {
+			reason = "no all-≤ rule"
+		}
 		return plan{Plan: Plan{Reason: reason}}
-	default:
-		return plan{Plan: Plan{Reason: "no all-≤ rule"}}
 	}
 	best.Indexed = true
 	best.Rule = best.rule.Render(ex.Name)
@@ -202,7 +187,7 @@ func estimateCandidates(ix *shard.Index, colsA [][]*similarity.Profile, thetas [
 }
 
 // execConfig carries the execution-strategy knobs from Config into the
-// planner: shard count (0 = automatic), fan-out width and an optional stats
+// planner: shard count (0 or less = one), fan-out width and an optional stats
 // sink. exec, when non-nil, replaces the in-process executor; it is the
 // seam tests use to scramble task completion order.
 type execConfig struct {
@@ -214,10 +199,9 @@ type execConfig struct {
 
 // applyRulesTo streams the survivors of the selected rules over A×B to
 // sink, in (a, b)-lexicographic order, and returns the plan it followed.
-// There are two strategies: when a selected rule can anchor index probes
-// narrow enough to pay, candidates come from shard probes driven by the
-// coordinator (one shard for a small table, more when the table is large or
-// the count is configured); otherwise every cell is visited by the parallel
+// There are two strategies: when a selected rule can anchor index probes,
+// candidates come from shard probes driven by the coordinator (one shard
+// unless more are configured); otherwise every cell is visited by the parallel
 // exhaustive scan. The emitted pair stream is identical either way (every
 // candidate is verified against all rules by the same evaluator); only the
 // number of pairs visited differs. The returned error is the coordinator's,
@@ -235,7 +219,7 @@ func applyRulesTo(ds *record.Dataset, ex *feature.Extractor, rules []tree.Rule, 
 	case !p.Indexed:
 		applyRulesScanTo(ds, ex, rules, counted)
 	default:
-		err = applyRulesShardedTo(ds, ex, rules, p, shard.Choose(ec.shards, ds.B.Len()), ec, counted)
+		err = applyRulesShardedTo(ds, ex, rules, p, shard.Choose(ec.shards), ec, counted)
 	}
 	return p.Plan, err
 }

@@ -75,8 +75,8 @@ func TestShardedBlockingEquivalence(t *testing.T) {
 
 	// The same invariant for union anchors, on the rule sets the default
 	// benchmark instances select (measuredRuleSets): their probes forced —
-	// at this scale the estimate might prefer the scan — through K ∈ {1, 4}
-	// shards and GOMAXPROCS ∈ {1, 2, 4}.
+	// at this scale the estimate might prefer another anchor — through
+	// K ∈ {1, 4} shards and GOMAXPROCS ∈ {1, 2, 4}.
 	scales := map[string]float64{"Products": 0.02, "Citations": 0.01}
 	for _, set := range measuredRuleSets {
 		ds, err := datagen.DatasetFor(strings.ToLower(set.dataset), scales[set.dataset], 0)

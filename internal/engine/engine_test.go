@@ -325,8 +325,8 @@ func TestCancel(t *testing.T) {
 // TestRunIdenticalAcrossShardCounts pins the planner's one-path contract
 // end to end: on a Citations instance whose learned blocking rules anchor
 // an index, engine.Run returns the same Result — every field, not just the
-// matches — whether the probe runs through the automatic shard count, one
-// shard, or four, and every setting dispatches exactly its task grid.
+// matches — whether the shard count is left at 0 (one shard), set to one,
+// or set to four, and every setting dispatches exactly its task grid.
 func TestRunIdenticalAcrossShardCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three full pipeline runs")
@@ -356,7 +356,7 @@ func TestRunIdenticalAcrossShardCounts(t *testing.T) {
 	want, k := run(0)
 	if k != 1 {
 		t.Fatalf("Shards=0 dispatched %d tasks per probe block, want 1: the instance's rules "+
-			"no longer anchor an index (pick another seed) or auto sharding changed", k)
+			"no longer anchor an index (pick another seed) or Shards=0 is no longer one shard", k)
 	}
 	for _, shards := range []int{1, 4} {
 		got, k := run(shards)

@@ -13,9 +13,6 @@ const (
 	// minRun is the shortest run a column is computed over: below it a's
 	// token lookups and the postings build are not paid back.
 	minRun = 64
-	// walkCost is how many merge steps (a compare-and-advance on two streams)
-	// one postings entry costs: a counter loaded, bumped and stored.
-	walkCost = 3
 	// sparseList: a set measure scores a position list under 1/sparseList of
 	// its run pair by pair, the run's token views neither read nor built — a
 	// walk visits every position's postings whatever the list (DESIGN.md
@@ -321,9 +318,9 @@ func (r *Run) tile(pairs []record.Pair, rows int, flat []float64, d int, rs *Run
 // built once for it. With the token view it is
 // similarity.TokenPairs.MongeElkanColumn, if a has tokens, the list is at
 // least 1/sparseList of the run and the slab is cheaper than the pairs. With a
-// set view, an a that has tokens and such a list it walks postings, if the
-// walk is shorter than the merges of the positions asked for. Everything else
-// — a missing a, any other feature — is ComputeScratch pair by pair.
+// set view, an a that has tokens and such a list it walks postings.
+// Everything else — a missing a, any other feature — is ComputeScratch pair
+// by pair.
 func (r *Run) column(i int, a int32, pos []int32, dst []float64, stride int, rs *RunScratch) {
 	f := &r.ex.features[i]
 	c := &r.ex.cols[f.AttrIdx]
@@ -355,7 +352,8 @@ func (r *Run) column(i int, a int32, pos []int32, dst []float64, stride int, rs 
 		case viewTokens:
 			done = c.tokens.MongeElkanColumn(pa, v.tokens, pos, dst, stride, rs.Pair)
 		default:
-			if ka := viewKeys(pa, view); len(ka) > 0 && rs.walk(v, pa, ka, pos) {
+			if ka := viewKeys(pa, view); len(ka) > 0 {
+				rs.walk(v, pa, ka)
 				rs.finish(f.Kind, v, pa, len(ka), pos, dst, stride)
 				return
 			}
@@ -376,17 +374,16 @@ func (r *Run) column(i int, a int32, pos []int32, dst []float64, stride int, rs 
 
 // walk leaves in cnt[k] how many of ka's codes position k's set holds — and
 // in dot[k], for a weighed view, the TF/IDF dot product — for the positions
-// touched[:nt], all others zero. It reports false, walking nothing, when
-// ka's postings are longer than 1/walkCost of the merge steps they replace:
-// those of the positions in pos, the only ones that would be merged.
+// touched[:nt], all others zero. A walk done for one request is read by the
+// later requests for the same row and view.
 //
 // The dot product adds a's codes in ascending rank, each term W_a·TF_b·IDF
 // exactly as CosineProfiles forms it (IDF is the corpus's for the rank, the
 // same bits on both sides), so a position's partial sums occur in the
 // merge's order and round as the merge's do; positions do not interact.
-func (rs *RunScratch) walk(v *runView, pa *similarity.Profile, ka []uint64, pos []int32) bool {
+func (rs *RunScratch) walk(v *runView, pa *similarity.Profile, ka []uint64) {
 	if rs.view == v && rs.a == pa {
-		return true
+		return
 	}
 	// Clear the last walk's entries before reslicing for this run.
 	for _, k := range rs.touched[:rs.nt] {
@@ -408,26 +405,13 @@ func (rs *RunScratch) walk(v *runView, pa *similarity.Profile, ka []uint64, pos 
 	rs.cnt, rs.touched = rs.cnt[:n], rs.touched[:n+1]
 
 	post := &v.post
-	steps := n*len(ka) + len(post.Rows)
-	if len(pos) < n {
-		steps = len(pos) * len(ka)
-		for _, k := range pos {
-			steps += int(v.size[k])
-		}
-	}
-	entries := 0
 	rs.slots = rs.slots[:0]
 	for _, t := range ka {
 		s, ok := slices.BinarySearch(post.Toks, t)
-		if ok {
-			entries += int(post.Off[s+1] - post.Off[s])
-		} else {
+		if !ok {
 			s = -1
 		}
 		rs.slots = append(rs.slots, int32(s))
-	}
-	if walkCost*entries > steps {
-		return false
 	}
 	cnt, dot, touched, nt := rs.cnt, rs.dot, rs.touched, 0
 	for j, s := range rs.slots {
@@ -456,7 +440,6 @@ func (rs *RunScratch) walk(v *runView, pa *similarity.Profile, ka []uint64, pos 
 		}
 	}
 	rs.nt, rs.view, rs.a = nt, v, pa
-	return true
 }
 
 // finish writes the walked row's values at pos: 0 or Missing everywhere,

@@ -257,11 +257,11 @@ func TestColumnMatchesPair(t *testing.T) {
 	}
 }
 
-// TestColumnWalkCostRule drives the rule that sends a row of A back to the
-// pair kernel when its tokens' postings are longer than the merges they
-// replace: in a table of identical rows every token's list is the whole
-// run. The values must not care.
-func TestColumnWalkCostRule(t *testing.T) {
+// TestColumnWalksCommonTokens walks postings that every row of the run
+// holds: in a table of near-identical rows four of each row's five tokens
+// have the whole run as their list, so every position is touched by several
+// lists and counts up past one. The values must still be the pair kernel's.
+func TestColumnWalksCommonTokens(t *testing.T) {
 	schema := record.Schema{{Name: "name", Type: record.AttrString}, {Name: "n", Type: record.AttrNumeric}}
 	a, b := record.NewTable("a", schema), record.NewTable("b", schema)
 	// The trailing number keeps the names distinct enough that the column

@@ -25,19 +25,26 @@ var sinkRows [][]float64
 // BenchmarkVectors measures the parallel vectorisation of a batch on the
 // benchmark's three dataset shapes: all of Restaurants×1.0's A×B (what
 // rest-match vectorises), and a 200k-pair seeded sample of Citations×0.1 and
-// of Products×0.2 (the size of the blocker's sample S). Every iteration
-// builds its own extractor, so dictionary construction and the filling of
-// the write-once tables are inside the figure, as they are inside a run.
+// of Products×0.2 (the size of the blocker's sample S). Two cross products
+// sit on the per-pair side of a path choice (DESIGN.md §6 "Path choices"):
+// all of Restaurants×0.1's 53×33 (a svc-journal job's C; runs of 33 rows,
+// under minRun) and three rows of Citations×0.1 against all of B (the list
+// comes back three times, under minReuse). Every iteration builds its own
+// extractor, so dictionary construction and the filling of the write-once
+// tables are inside the figure, as they are inside a run.
 func BenchmarkVectors(b *testing.B) {
 	for _, c := range []struct {
 		name    string
 		dataset string
 		scale   float64
 		sample  int // 0: all of A×B
+		rows    int // rows of A in the cross product; 0: all
 	}{
-		{"restaurants-full", "restaurants", 1.0, 0},
-		{"citations-sample", "citations", 0.1, 200000},
-		{"products-sample", "products", 0.2, 200000},
+		{"restaurants-full", "restaurants", 1.0, 0, 0},
+		{"citations-sample", "citations", 0.1, 200000, 0},
+		{"products-sample", "products", 0.2, 200000, 0},
+		{"restaurants-0.1-full", "restaurants", 0.1, 0, 0},
+		{"citations-3-rows", "citations", 0.1, 0, 3},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			ds, err := datagen.DatasetFor(c.dataset, c.scale, 1)
@@ -48,7 +55,11 @@ func BenchmarkVectors(b *testing.B) {
 			if c.sample > 0 {
 				pairs = benchPairs(ds, c.sample)
 			} else {
-				for i := 0; i < ds.A.Len(); i++ {
+				na := ds.A.Len()
+				if c.rows > 0 {
+					na = c.rows
+				}
+				for i := 0; i < na; i++ {
 					for j := 0; j < ds.B.Len(); j++ {
 						pairs = append(pairs, record.P(i, j))
 					}
@@ -96,39 +107,89 @@ func BenchmarkNewExtractor(b *testing.B) {
 	}
 }
 
-// BenchmarkColumn measures one column kernel per measure kind on
-// Citations×0.1: every row of table A against all of table B (1.68M pairs
-// an iteration), postings built before the clock starts. title is the text
-// column, whose three measures share a view (each sub-benchmark walks it for
-// itself: one feature per row defeats the shared walk); authors is the
-// string column with the long 3-gram sets, and the one the edit and
-// Monge-Elkan columns' texts come from.
+// BenchmarkColumn measures the column kernels against the pair kernel at
+// the list densities a run is asked for: every row of table A against every
+// position, and every 16th, 64th and 256th position, of a run over all of
+// table B — Citations×0.1 (1.68M pairs at density 1) and Restaurants×1.0
+// (176k). The extractor is warm: each run's views are built, and each path
+// runs once, before the clock starts. A density has up to three paths, and
+// ns/position divides by the positions scored:
+//   - column: Run.ColumnAt, whatever it picks — a set measure's or
+//     Monge-Elkan's list under 1/16 of the run goes to the pair kernel
+//     (sparseList), and Monge-Elkan's slab rule may send a longer one too;
+//   - pairs: ComputeScratch position by position;
+//   - walk (set measures only): the postings walk at every density.
+//
+// walk against pairs is the sparseList crossover (DESIGN.md §6 "Path
+// choices"). title's three measures share a view, but each sub-benchmark
+// walks it for itself: one feature per row defeats the shared walk.
 func BenchmarkColumn(b *testing.B) {
-	ds, err := datagen.DatasetFor("citations", 0.1, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ex := NewExtractor(ds)
-	for _, name := range []string{"title_jaccard_w", "title_overlap_w", "title_tfidf_cos", "authors_jaccard_3g", "authors_edit", "authors_monge_elkan"} {
-		f := slices.Index(ex.Names(), name)
-		kind := ex.features[f].Kind
-		b.Run(kind, func(b *testing.B) {
-			run := ex.NewRun(nil)
+	for _, c := range []struct {
+		dataset string
+		scale   float64
+		names   []string
+	}{
+		{"citations", 0.1, []string{"title_jaccard_w", "title_overlap_w", "title_tfidf_cos",
+			"authors_jaccard_3g", "authors_edit", "authors_monge_elkan"}},
+		{"restaurants", 1.0, []string{"name_jaccard_3g", "name_monge_elkan", "addr_jaccard_3g", "addr_monge_elkan"}},
+	} {
+		ds, err := datagen.DatasetFor(c.dataset, c.scale, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ex := NewExtractor(ds)
+		na, nb := ds.A.Len(), ds.B.Len()
+		run := ex.NewRun(nil)
+		for _, name := range c.names {
+			f := slices.Index(ex.Names(), name)
 			if !run.HasColumn(f) {
-				b.Fatalf("%s has no column over %d rows", name, ds.B.Len())
+				b.Fatalf("%s has no column over %d rows", name, nb)
 			}
-			rs := RunScratch{Pair: similarity.NewScratch()}
-			dst := make([]float64, ds.B.Len())
-			run.Column(f, 0, dst, 1, &rs)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for a := 0; a < ds.A.Len(); a++ {
-					run.Column(f, int32(a), dst, 1, &rs)
+			ft, col := &ex.features[f], &ex.cols[ex.features[f].AttrIdx]
+			view := viewOf(ft.Kind)
+			paths := []string{"column", "pairs"}
+			if view == viewWords || view == viewGrams {
+				paths = append(paths, "walk")
+			}
+			for _, every := range []int{1, 16, 64, 256} {
+				var pos []int32
+				for k := 0; k < nb; k += every {
+					pos = append(pos, int32(k))
+				}
+				for _, path := range paths {
+					b.Run(fmt.Sprintf("%s/%s/1:%d/%s", c.dataset, name, every, path), func(b *testing.B) {
+						rs := RunScratch{Pair: similarity.NewScratch()}
+						dst := make([]float64, nb)
+						v := &run.views[ft.AttrIdx*int(numViews)+int(view)]
+						v.once.Do(func() { v.build(col, view, run.bs) })
+						pass := func() {
+							for a := int32(0); a < int32(na); a++ {
+								pa := col.profA[a]
+								ka := viewKeys(pa, view)
+								switch {
+								case path == "column":
+									run.ColumnAt(f, a, pos, dst, &rs)
+								case path == "walk" && pa.Norm != "" && len(ka) > 0:
+									rs.walk(v, pa, ka)
+									rs.finish(ft.Kind, v, pa, len(ka), pos, dst, 1)
+								default:
+									for _, k := range pos {
+										dst[k] = ex.ComputeScratch(f, record.Pair{A: a, B: int32(k)}, rs.Pair)
+									}
+								}
+							}
+						}
+						pass() // fills the token-pair table, whichever path runs first
+						b.ReportAllocs()
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							pass()
+						}
+						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(na*len(pos)), "ns/position")
+					})
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ds.A.Len()*ds.B.Len()), "ns/pair")
-		})
+		}
 	}
 }
 

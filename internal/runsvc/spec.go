@@ -77,7 +77,7 @@ type Meta struct {
 	// runs lower it so blocking still engages on small tables).
 	TB int `json:"tb,omitempty"`
 	// Shards is the blocking shard count (blocker.Config.Shards semantics:
-	// 0 = choose by table size, n >= 1 = that many, capped at 64);
+	// 0 = one shard, n >= 1 = that many, capped at 64);
 	// ShardWorkers bounds the shard coordinator's fan-out width. The
 	// umbrella set is bit-identical at every setting.
 	Shards       int `json:"shards,omitempty"`

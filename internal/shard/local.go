@@ -49,7 +49,7 @@ func (p *prober) run(ix *Index, run *feature.Run, profA [][]*similarity.Profile,
 }
 
 // LocalExecutor runs shard tasks in-process against a prebuilt Group —
-// the executor the blocker uses when no worker endpoints are configured.
+// the executor every indexed blocking run uses.
 // It is the reference implementation of the task semantics: probe the
 // task's shard for each row in [ALo, AHi), verify every candidate with the
 // shared memoized evaluator, return survivors in (a, b) order. Safe for

@@ -15,45 +15,14 @@ func pairLess(x, y record.Pair) bool {
 // contract is total) resolve to the lower list index, matching the
 // linear-scan reference merge it is fuzzed against (merge_test.go).
 //
-// The hot shapes get dedicated paths: K ≤ 2 covers the small shard counts
-// the planner picks automatically (a two-pointer merge with bulk tail
-// copies), and K > 2 runs a loser tree — one comparison per level per
-// emitted pair, O(log K) instead of the reference's O(K) head scan.
+// It is a loser tree: a tournament tree over the list heads. Internal
+// nodes hold the loser of their subtree's match; the overall winner sits at
+// the root. Emitting the winner and re-playing its leaf's path to the root
+// costs one comparison per level — log2(K) work per pair, where the
+// reference's head scan costs K. Exhausted lists compete as +infinity and
+// sink out of the tree.
 func MergePairs(dst []record.Pair, lists [][]record.Pair) []record.Pair {
-	switch len(lists) {
-	case 0:
-		return dst[:0]
-	case 1:
-		return append(dst[:0], lists[0]...)
-	case 2:
-		return mergeTwo(dst[:0], lists[0], lists[1])
-	}
-	return mergeLoserTree(dst[:0], lists)
-}
-
-// mergeTwo is the two-list fast path: advance the smaller head, then bulk-
-// append whichever tail survives.
-func mergeTwo(dst []record.Pair, a, b []record.Pair) []record.Pair {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if pairLess(b[j], a[i]) {
-			dst = append(dst, b[j])
-			j++
-		} else {
-			dst = append(dst, a[i])
-			i++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	return append(dst, b[j:]...)
-}
-
-// mergeLoserTree is the K>2 path: a tournament tree over the list heads.
-// Internal nodes hold the loser of their subtree's match; the overall
-// winner sits at the root. Emitting the winner and re-playing its leaf's
-// path to the root costs one comparison per level — log2(K) work per pair.
-// Exhausted lists compete as +infinity and sink out of the tree.
-func mergeLoserTree(dst []record.Pair, lists [][]record.Pair) []record.Pair {
+	dst = dst[:0]
 	k := len(lists)
 	n := 1
 	for n < k {

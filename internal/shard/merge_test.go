@@ -65,9 +65,9 @@ func assertSameMerge(t *testing.T, name string, lists [][]record.Pair) {
 	}
 }
 
-// TestMergePairsMatchesRef drives every dispatch path (K=0..9, including
-// the two-pointer fast path and the loser tree) against the retained
-// reference merge over seeded random inputs.
+// TestMergePairsMatchesRef drives the loser tree at K = 0..9 — an empty
+// tree, a single leaf, and every tree shape up to 16 leaves — against the
+// retained reference merge over seeded random inputs.
 func TestMergePairsMatchesRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for k := 0; k <= 9; k++ {
@@ -96,7 +96,7 @@ func TestMergePairsReusesDst(t *testing.T) {
 	}
 }
 
-// FuzzMergePairs compares the dispatching merge against the reference on
+// FuzzMergePairs compares the loser-tree merge against the reference on
 // lists decoded from fuzz bytes. Lists are sorted first — the merge's
 // input contract — but lengths, K, duplicates, and value ranges are all
 // fuzz-chosen.

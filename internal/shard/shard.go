@@ -77,36 +77,15 @@ func Partition(n, k int) [][]int32 {
 	return out
 }
 
-// AutoThresholdRows is the indexed-table size above which the planner
-// splits the index when the shard count is left on automatic: below it one
-// shard's index fits comfortably and the K-way merge would be pure loss.
-const AutoThresholdRows = 200_000
-
-// targetRowsPerShard sizes automatic shard counts: each shard's inverted
-// index covers about this many rows, keeping per-shard peak memory flat as
-// the table grows.
-const targetRowsPerShard = 100_000
-
-// maxShards caps every shard count, configured or automatic: beyond it the
-// per-probe merge overhead dominates, and Partition allocates per shard, so
-// an unbounded K would exhaust memory before a task runs. Output is
-// bit-identical at every K, so the cap never changes a result.
+// maxShards caps every shard count: beyond it the per-probe merge overhead
+// dominates, and Partition allocates per shard, so an unbounded K would
+// exhaust memory before a task runs. Output is bit-identical at every K, so
+// the cap never changes a result.
 const maxShards = 64
 
-// Choose resolves a configured shard count against the indexed table's
-// size: n >= 1 means n shards (1 is one shard through the same coordinator,
-// not a separate path; negative counts as 1), and 0 means automatic — one
-// shard up to AutoThresholdRows, then about targetRowsPerShard rows per
-// shard. Either way the count is capped at maxShards.
-func Choose(configured, indexedRows int) int {
-	k := configured
-	switch {
-	case configured < 0:
-		return 1
-	case configured == 0 && indexedRows < AutoThresholdRows:
-		return 1
-	case configured == 0:
-		k = (indexedRows + targetRowsPerShard - 1) / targetRowsPerShard
-	}
-	return min(k, maxShards)
+// Choose resolves a configured shard count: n >= 1 means n shards, capped
+// at maxShards, and 0 or less means one shard (1 is one shard through the
+// same coordinator, not a separate path).
+func Choose(configured int) int {
+	return min(max(configured, 1), maxShards)
 }

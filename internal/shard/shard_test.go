@@ -60,22 +60,21 @@ func TestAssignStable(t *testing.T) {
 	}
 }
 
+// TestChoose: a configured count is honoured up to the cap, and 0 or a
+// negative count is one shard.
 func TestChoose(t *testing.T) {
-	cases := []struct {
-		configured, rows, want int
-	}{
-		{1, 10_000_000, 1},  // explicit single
-		{-3, 10_000_000, 1}, // negative = single
-		{4, 10, 4},          // explicit K honored even when tiny
-		{0, 1000, 1},        // auto, small table
-		{0, AutoThresholdRows - 1, 1},
-		{0, 400_000, 4},       // auto: ~100k rows per shard
-		{0, 100_000_000, 64},  // auto capped
-		{1 << 28, 10_000, 64}, // explicit K capped too
+	cases := []struct{ configured, want int }{
+		{1, 1},
+		{0, 1},
+		{-3, 1},
+		{4, 4},
+		{maxShards, maxShards},
+		{maxShards + 1, maxShards},
+		{1 << 28, maxShards},
 	}
 	for _, c := range cases {
-		if got := Choose(c.configured, c.rows); got != c.want {
-			t.Errorf("Choose(%d, %d) = %d, want %d", c.configured, c.rows, got, c.want)
+		if got := Choose(c.configured); got != c.want {
+			t.Errorf("Choose(%d) = %d, want %d", c.configured, got, c.want)
 		}
 	}
 }
