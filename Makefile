@@ -7,7 +7,7 @@ GO ?= go
 # alternative of the pattern matches no test (go test only warns).
 RUNTESTS = GO=$(GO) sh scripts/runtests.sh
 
-.PHONY: build test lint lint-alloc verify bench-e2e bench-e2e-trace chaos shard fuzz
+.PHONY: build test lint verify bench-e2e bench-e2e-trace chaos shard fuzz
 
 build:
 	$(GO) build ./...
@@ -21,14 +21,6 @@ test:
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/corlint ./...
-
-# Compiler-backed allocation gate: diff `go build -gcflags=-m=1` escape
-# and inlining diagnostics for the hot-path packages against the
-# checked-in lint/allocbaseline.json. A new heap escape or lost inlining
-# in a guarded function fails; after a reviewed tradeoff, re-baseline
-# with `go run ./cmd/corlint -allocupdate`.
-lint-alloc:
-	$(GO) run ./cmd/corlint -alloc
 
 # gofmt gate + lint + build + full suite under the race detector.
 verify:

@@ -1,20 +1,18 @@
 // Command corlint runs the repo's invariant linters (internal/lint) over
 // the module and exits nonzero on any unsuppressed finding. It is wired
 // into `make lint`, scripts/verify.sh, and CI; see DESIGN.md "Enforced
-// invariants" for the rule table.
+// invariants" for the rule table. Allocation properties of the hot
+// kernels are not corlint's: testing.AllocsPerRun tests beside the
+// kernels pin them.
 //
 // Usage:
 //
 //	corlint [./... | dir ...]     lint the module (default ./...)
-//	corlint -format=json ./...    machine-readable findings
 //	corlint -format=github ./...  GitHub Actions error annotations
 //	corlint -rules                print the rule tables
-//	corlint -alloc                compiler-backed allocation/escape gate
-//	corlint -allocupdate          regenerate the alloc baseline
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -33,10 +31,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("corlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	rules := fs.Bool("rules", false, "print the rule tables and exit")
-	format := fs.String("format", "text", "findings output: text, json, or github (Actions annotations)")
-	alloc := fs.Bool("alloc", false, "run the compiler-backed allocation gate instead of the rule pipeline")
-	allocUpdate := fs.Bool("allocupdate", false, "regenerate the alloc baseline from current compiler output")
-	allocBaseline := fs.String("allocbaseline", "lint/allocbaseline.json", "alloc baseline `path`, relative to the module root")
+	format := fs.String("format", "text", "findings output: text or github (Actions annotations)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -50,9 +45,9 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 0
 	}
 	switch *format {
-	case "text", "json", "github":
+	case "text", "github":
 	default:
-		fmt.Fprintf(stderr, "corlint: unknown -format %q (want text, json, or github)\n", *format)
+		fmt.Fprintf(stderr, "corlint: unknown -format %q (want text or github)\n", *format)
 		return 2
 	}
 
@@ -60,9 +55,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	if err != nil {
 		fmt.Fprintf(stderr, "corlint: %v\n", err)
 		return 2
-	}
-	if *alloc || *allocUpdate {
-		return runAllocGate(root, *allocBaseline, *allocUpdate, stdout, stderr)
 	}
 	loader, err := lint.NewLoader(root)
 	if err != nil {
@@ -95,33 +87,11 @@ func run(args []string, stdout, stderr *os.File) int {
 	return 0
 }
 
-// emitFindings renders the findings in the selected format. The json
-// form is one object with a findings array (stable field names, easy to
-// consume from CI); the github form is one ::error annotation per
-// finding, which Actions turns into inline PR comments.
+// emitFindings renders the findings in the selected format. The github
+// form is one ::error annotation per finding, which Actions turns into
+// inline PR comments.
 func emitFindings(out io.Writer, format string, findings []lint.Finding) {
 	switch format {
-	case "json":
-		type jsonFinding struct {
-			File string `json:"file"`
-			Line int    `json:"line"`
-			Col  int    `json:"col"`
-			Rule string `json:"rule"`
-			Msg  string `json:"msg"`
-			Hint string `json:"hint,omitempty"`
-		}
-		payload := struct {
-			Findings []jsonFinding `json:"findings"`
-		}{Findings: []jsonFinding{}}
-		for _, f := range findings {
-			payload.Findings = append(payload.Findings, jsonFinding{
-				File: f.Pos.Filename, Line: f.Pos.Line, Col: f.Pos.Column,
-				Rule: f.Rule, Msg: f.Msg, Hint: f.Hint,
-			})
-		}
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		enc.Encode(&payload)
 	case "github":
 		for _, f := range findings {
 			msg := f.Msg
@@ -145,48 +115,6 @@ func escapeAnnotation(s string) string {
 	s = strings.ReplaceAll(s, "\r", "%0D")
 	s = strings.ReplaceAll(s, "\n", "%0A")
 	return s
-}
-
-// runAllocGate drives the compiler-backed stage: analyze the hot-path
-// packages, then either rewrite the baseline (-allocupdate) or diff
-// against it and fail on regressions.
-func runAllocGate(root, baselineRel string, update bool, stdout, stderr *os.File) int {
-	loader, err := lint.NewLoader(root) // cheap: only reads go.mod for the module path
-	if err != nil {
-		fmt.Fprintf(stderr, "corlint: %v\n", err)
-		return 2
-	}
-	current, err := lint.RunAllocAnalysis(root, loader.ModPath, lint.AllocPackages)
-	if err != nil {
-		fmt.Fprintf(stderr, "corlint: %v\n", err)
-		return 2
-	}
-	baselinePath := filepath.Join(root, filepath.FromSlash(baselineRel))
-	if update {
-		if err := lint.WriteAllocBaseline(baselinePath, current); err != nil {
-			fmt.Fprintf(stderr, "corlint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "corlint: alloc baseline written to %s (%d packages)\n", baselineRel, len(current))
-		return 0
-	}
-	baseline, err := lint.ReadAllocBaseline(baselinePath)
-	if err != nil {
-		fmt.Fprintf(stderr, "corlint: %v\n", err)
-		return 2
-	}
-	failures, notices := lint.DiffAllocBaseline(baseline, current)
-	for _, n := range notices {
-		fmt.Fprintf(stdout, "corlint: alloc notice: %s\n", n)
-	}
-	for _, f := range failures {
-		fmt.Fprintln(stdout, f.String())
-	}
-	if len(failures) > 0 {
-		fmt.Fprintf(stderr, "corlint: alloc gate: %d regression(s) vs %s\n", len(failures), baselineRel)
-		return 1
-	}
-	return 0
 }
 
 // filterUnits restricts analysis to the requested directories. "./..."

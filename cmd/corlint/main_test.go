@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"go/token"
 	"path/filepath"
 	"strings"
@@ -24,38 +23,6 @@ func sampleFindings() []lint.Finding {
 			Rule: "conc-lockorder",
 			Msg:  "50% of runs deadlock\nsecond line",
 		},
-	}
-}
-
-func TestEmitFindingsJSON(t *testing.T) {
-	var buf bytes.Buffer
-	emitFindings(&buf, "json", sampleFindings())
-	var payload struct {
-		Findings []struct {
-			File string `json:"file"`
-			Line int    `json:"line"`
-			Col  int    `json:"col"`
-			Rule string `json:"rule"`
-			Msg  string `json:"msg"`
-			Hint string `json:"hint"`
-		} `json:"findings"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &payload); err != nil {
-		t.Fatalf("emitted JSON does not parse: %v\n%s", err, buf.String())
-	}
-	if len(payload.Findings) != 2 {
-		t.Fatalf("got %d findings, want 2", len(payload.Findings))
-	}
-	f := payload.Findings[0]
-	if f.File != "internal/x/y.go" || f.Line != 12 || f.Col != 3 || f.Rule != "det-time" || f.Hint != "inject the clock" {
-		t.Errorf("first finding mismatch: %+v", f)
-	}
-
-	// No findings still emits a parseable document with an empty array.
-	buf.Reset()
-	emitFindings(&buf, "json", nil)
-	if !strings.Contains(buf.String(), `"findings": []`) {
-		t.Errorf("empty run must emit an empty findings array, got %s", buf.String())
 	}
 }
 

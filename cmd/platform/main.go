@@ -52,7 +52,8 @@ func main() {
 		// The workers poll through the HTTP API like external processes
 		// would, keeping the service honest.
 		client := platform.NewClient("http://localhost" + normalizeAddr(*addr))
-		//corlint:allow conc-nojoin — deliberate fire-and-forget: the worker pool lives for the whole process, and main blocks in ListenAndServe below
+		// Fire and forget: the worker pool lives for the whole process, and
+		// main blocks in ListenAndServe below.
 		go func() {
 			// Give the listener a moment to come up before polling starts.
 			time.Sleep(200 * time.Millisecond)

@@ -392,13 +392,14 @@ func TestVectorsRunShapes(t *testing.T) {
 // column, reads a value-pair table's cells or falls back pair by pair, whole
 // or by position list — and neither does one RunScratch taken back and forth
 // between two runs of different lengths, the way a prober alternates shards:
-// its arrays are sized once, by the longer. A warm Vectors over a cross
+// its arrays are sized once, by the longer. Nor does a bounded feature's
+// BoundAt once the column's bags are built. A warm Vectors over a cross
 // product allocates per call — its output, the run and its views, a scratch
 // per worker — and nothing per row of A, per tile or per pair
 // (checkVectorsAllocs).
 func TestColumnZeroAllocSteadyState(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var mongeElkan, anyTabled bool
+	var mongeElkan, anyTabled, anyBound bool
 	for _, c := range []struct {
 		name  string
 		scale float64
@@ -417,6 +418,7 @@ func TestColumnZeroAllocSteadyState(t *testing.T) {
 		for f, ft := range ex.Features() {
 			mongeElkan = mongeElkan || ft.Kind == "monge_elkan" && runs[0].HasColumn(f)
 			anyTabled = anyTabled || tabled(ex, runs[0], ft.AttrIdx)
+			anyBound = anyBound || runs[0].HasBound(f)
 		}
 		rs := feature.RunScratch{Pair: similarity.NewScratch()}
 		dst := make([]float64, len(bs))
@@ -427,6 +429,9 @@ func TestColumnZeroAllocSteadyState(t *testing.T) {
 					for f := 0; f < ex.NumFeatures(); f++ {
 						run.Column(f, int32(a), dst, 1, &rs)
 						run.ColumnAt(f, int32(a), third, dst, &rs)
+						if run.HasBound(f) {
+							run.BoundAt(f, int32(a), third, dst)
+						}
 					}
 				}
 			}
@@ -440,8 +445,9 @@ func TestColumnZeroAllocSteadyState(t *testing.T) {
 			checkVectorsAllocs(t, ex, bs)
 		}
 	}
-	if !mongeElkan || !anyTabled {
-		t.Errorf("the sweeps cover a Monge-Elkan column %v and a value-pair table %v, want both", mongeElkan, anyTabled)
+	if !mongeElkan || !anyTabled || !anyBound {
+		t.Errorf("the sweeps cover a Monge-Elkan column %v, a value-pair table %v and a bound %v, want all three",
+			mongeElkan, anyTabled, anyBound)
 	}
 }
 

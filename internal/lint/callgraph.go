@@ -407,7 +407,9 @@ func (t *Taint) Tainted(key string) bool { return t.chains[key] != nil }
 // PropagateTaint runs a BFS from every external source of the given
 // family ("time" or "rand") over reverse edges, producing shortest
 // chains. Ties break lexicographically so output is deterministic.
-func (p *Program) PropagateTaint(family string) *Taint {
+// Taint stops at the interface methods in seams (Config.DetSeamIfaces):
+// a dispatch through an audited seam is quiet, so it taints no caller.
+func (p *Program) PropagateTaint(family string, seams map[string]bool) *Taint {
 	// Reverse adjacency: callee key -> caller node keys.
 	rev := make(map[string][]string)
 	sourceSet := make(map[string]bool)
@@ -438,6 +440,9 @@ func (p *Program) PropagateTaint(family string) *Taint {
 					continue
 				}
 				node := p.Nodes[caller]
+				if node.Iface && seams[node.Display] {
+					continue
+				}
 				chain := make([]string, 0, len(base)+1)
 				chain = append(chain, node.Display)
 				chain = append(chain, base...)

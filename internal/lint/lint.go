@@ -9,8 +9,8 @@
 // Analysis is staged: per-unit rules run in parallel over every analysis
 // unit, then a module-wide call graph (callgraph.go) is built once and
 // the program rules (taint flows, cross-function lock ordering) run over
-// it, and finally cmd/corlint's -alloc mode diffs compiler escape and
-// inlining diagnostics against a checked-in baseline (alloc.go).
+// it. Allocations are not linted: testing.AllocsPerRun tests beside the
+// hot kernels pin their steady state.
 //
 // Findings are suppressible only with an explicit, reasoned annotation on
 // the offending line (see allow.go); the driver exits nonzero on any
@@ -154,7 +154,6 @@ func Rules() []Rule {
 		detMapRange{},
 		floatEq{},
 		durIgnoredWrite{},
-		concNoJoin{},
 		concUnlockPath{},
 	}
 }

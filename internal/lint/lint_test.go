@@ -18,7 +18,7 @@ func fixtureConfig() *Config {
 		TimeAllowedPkgs:         map[string]bool{"platform": true, "runsvc": true},
 		DurabilityPkgSubstrings: []string{"internal/runsvc", "internal/crowd"},
 		FloatCmpApproved:        map[string]bool{"floateq.approxEq": true},
-		DetSeamIfaces:           map[string]bool{"flowtime.Seam.Stamp": true},
+		DetSeamIfaces:           map[string]bool{"seam.Seam.Stamp": true},
 	}
 }
 
@@ -61,7 +61,6 @@ func TestFixtures(t *testing.T) {
 		{name: "detmaprange", importPath: "fixture/detmaprange"},
 		{name: "floateq", importPath: "fixture/floateq"},
 		{name: "durwrite", importPath: "fixture/internal/runsvc/durwrite"},
-		{name: "concjoin", importPath: "fixture/concjoin"},
 		{name: "allowok", importPath: "fixture/allowok"},
 		{name: "allowbad", importPath: "fixture/allowbad"},
 		{name: "multifile", importPath: "fixture/multifile"},
@@ -70,7 +69,7 @@ func TestFixtures(t *testing.T) {
 		{name: "lockorder", importPath: "fixture/lockorder"},
 		{name: "flowrand", importPath: "fixture/flowrand"},
 		{name: "flowtime", importPath: "fixture/flowtime",
-			deps: [][2]string{{"platform", "fixture/flowtime/platform"}}},
+			deps: [][2]string{{"seam", "fixture/flowtime/seam"}, {"platform", "fixture/flowtime/platform"}}},
 	}
 	root := moduleRoot(t)
 	for _, tc := range cases {
@@ -135,7 +134,7 @@ func renderFindings(findings []Finding) string {
 func TestRuleIDsStable(t *testing.T) {
 	want := []string{
 		"det-rand", "det-time", "det-maprange", "float-eq",
-		"dur-ignored-write", "conc-nojoin", "conc-unlockpath",
+		"dur-ignored-write", "conc-unlockpath",
 	}
 	var got []string
 	for _, r := range Rules() {

@@ -51,7 +51,7 @@ func (r flowRule) exemptLocation(n *FuncNode, cfg *Config) bool {
 }
 
 func (r flowRule) CheckProgram(p *Program, cfg *Config) []Finding {
-	taint := p.PropagateTaint(r.family)
+	taint := p.PropagateTaint(r.family, cfg.DetSeamIfaces)
 	var out []Finding
 	for _, node := range p.SortedNodes() {
 		if node.Iface || node.Decl == nil {

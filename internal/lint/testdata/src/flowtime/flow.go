@@ -4,7 +4,10 @@
 // such an implementation.
 package flowtime
 
-import "fixture/flowtime/platform"
+import (
+	"fixture/flowtime/platform"
+	"fixture/flowtime/seam"
+)
 
 // run crosses the frontier: platform.Stamp is clean to the unit rule
 // (its package may read the clock) but poisons this caller.
@@ -16,11 +19,12 @@ type Clock interface{ Stamp() int64 }
 
 func measure(c Clock) int64 { return c.Stamp() }
 
-// Seam is registered as an audited determinism seam in the config, so
-// dispatching through it is quiet even though SysClock implements it.
-type Seam interface{ Stamp() int64 }
+// Dispatching through the audited seam is quiet.
+func measureSeam(s seam.Seam) int64 { return s.Stamp() }
 
-func measureSeam(s Seam) int64 { return s.Stamp() }
+// platform.Relay reaches the clock only through the seam, so it carries no
+// taint across it and this call is quiet too.
+func relayed(s seam.Seam) int64 { return platform.Relay(s) }
 
 // journal crosses the frontier deliberately.
 func journal() int64 {

@@ -3,7 +3,11 @@
 // hides from the per-unit rule.
 package platform
 
-import "time"
+import (
+	"time"
+
+	"fixture/flowtime/seam"
+)
 
 // Stamp reaches the clock through a local helper, so callers elsewhere
 // see a two-hop chain.
@@ -11,7 +15,10 @@ func Stamp() int64 { return now().UnixNano() }
 
 func now() time.Time { return time.Now() }
 
-// SysClock implements the main fixture's Clock and Seam interfaces with
+// Relay reads the clock only through the audited seam.
+func Relay(s seam.Seam) int64 { return s.Stamp() }
+
+// SysClock implements the main fixture's Clock interface and the seam with
 // a wall-clock read.
 type SysClock struct{}
 

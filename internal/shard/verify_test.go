@@ -247,3 +247,58 @@ func TestVerifierEpochWrap(t *testing.T) {
 		t.Fatalf("epoch %d after the wrap and one more row, want 2", v.epoch)
 	}
 }
+
+// TestRowSurvivorsZeroAllocSteadyState pins the verifier's steady state: once
+// a pass over every row of table A has sized its arrays and built the run's
+// views and bags, another pass allocates nothing. One rule set bounds before
+// it computes (an edit and a Jaro-Winkler predicate on authors behind a set
+// predicate, the cit-scan shape); the other reads a feature from two rules,
+// so its values are kept and stamped per row.
+func TestRowSurvivorsZeroAllocSteadyState(t *testing.T) {
+	ds, err := datagen.DatasetFor("citations", 0.03, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := feature.NewExtractor(ds)
+	run := ex.NewRun(nil)
+	feat := func(name string) int {
+		f := slices.Index(ex.Names(), name)
+		if f < 0 {
+			t.Fatalf("no feature %s", name)
+		}
+		return f
+	}
+	le := func(name string, thr float64) tree.Predicate {
+		return tree.Predicate{Feature: feat(name), Op: tree.LE, Threshold: thr}
+	}
+	if !run.HasBound(feat("authors_edit")) || !run.HasBound(feat("authors_jaro_winkler")) {
+		t.Fatal("the authors edit and Jaro-Winkler features have no bound")
+	}
+	for _, c := range []struct {
+		name  string
+		rules []tree.Rule
+	}{
+		{"bounds", []tree.Rule{
+			{Preds: []tree.Predicate{le("title_jaccard_w", 0.45), le("authors_jaro_winkler", 0.72), le("authors_edit", 0.47)}},
+		}},
+		{"stamps", []tree.Rule{
+			{Preds: []tree.Predicate{le("title_jaccard_w", 0.45), le("authors_jaccard_3g", 0.3)}},
+			{Preds: []tree.Predicate{le("title_jaccard_w", 0.6), le("title_tfidf_cos", 0.4)}},
+		}},
+	} {
+		v := NewVerifier(ex, c.rules)
+		if c.name == "stamps" && len(v.shared) == 0 {
+			t.Fatalf("%s: no feature is read by two predicates", c.name)
+		}
+		var row []record.Pair
+		pass := func() {
+			for a := 0; a < ds.A.Len(); a++ {
+				row = v.RowSurvivors(row[:0], int32(a), run, run.Positions())
+			}
+		}
+		pass()
+		if n := testing.AllocsPerRun(3, pass); n != 0 {
+			t.Errorf("%s: a warm pass over table A allocates %v times, want 0", c.name, n)
+		}
+	}
+}

@@ -26,12 +26,6 @@ go build ./...
 # is read — timing a change is the end-to-end benchmark's job (bench/).
 go test -run '^$' -bench . -benchtime 1x ./internal/...
 
-# Allocation gate: compiler escape/inlining diagnostics for the hot-path
-# packages vs the checked-in baseline. Runs right after the build so it
-# rides the warm build cache (the compiler replays -m diagnostics on
-# cache hits).
-go run ./cmd/corlint -alloc
-
 # Every named -run gate below goes through scripts/runtests.sh, which fails
 # when an alternative of the pattern matches no test (go test only warns).
 
