@@ -50,7 +50,7 @@ sh scripts/runtests.sh -count=1 -run 'TestShardWorkerChaos/5xx-failover' ./inter
 
 # GOMAXPROCS invariance: the pinned outputs and golden fingerprints must
 # hold bit for bit at one and at four procs, not only at this box's default.
-sh scripts/runtests.sh -count=1 -cpu 1,4 -run 'TestRunPinned|TestRunGoldenFingerprints' ./internal/engine
+sh scripts/runtests.sh -count=1 -cpu 1,4 -run 'TestRunPinned|TestRunGoldenFingerprints|TestEstimatePinned' ./internal/engine ./internal/estimator
 
 # Vectors' tiles of rows of A are cut where par.For cuts the pairs into
 # chunks, one per GOMAXPROCS: the run shapes must hold at one and four procs.
