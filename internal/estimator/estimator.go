@@ -83,54 +83,27 @@ func EstimateBaseline(rng *rand.Rand, runner *crowd.Runner, pairs []record.Pair,
 	predictions []bool, cfg Config) *Result {
 
 	res := &Result{}
-	order := rng.Perm(len(pairs))
-	var nPP, nAP, nTP, n int
 	totalPP := 0
 	for _, p := range predictions {
 		if p {
 			totalPP++
 		}
 	}
-	for i := 0; i < len(order); i++ {
-		idx := order[i]
-		match := runner.Label(pairs[idx], ruleeval.Policy)
+	var t tally
+	for _, idx := range rng.Perm(len(pairs)) {
+		t.add(predictions[idx], runner.Label(pairs[idx], ruleeval.Policy))
 		res.LabelsUsed++
-		n++
-		if predictions[idx] {
-			nPP++
-		}
-		if match {
-			nAP++
-		}
-		if predictions[idx] && match {
-			nTP++
-		}
 		if cfg.MaxLabels > 0 && res.LabelsUsed >= cfg.MaxLabels {
 			break
 		}
-		if n%LabelBatch == 0 && runner.Stopped() {
-			break
-		}
-		if n%LabelBatch != 0 {
+		if t.n%LabelBatch != 0 {
 			continue
 		}
-		p, ep := prf(nTP, nPP, totalPP, ruleeval.Confidence)
-		r, er := prf(nTP, nAP, 0, ruleeval.Confidence)
-		if ep <= ruleeval.EpsMax && er <= ruleeval.EpsMax {
-			res.Precision = stats.Interval{Point: p, Margin: ep}
-			res.Recall = stats.Interval{Point: r, Margin: er}
-			res.F1 = 100 * stats.F1(p, r)
-			res.FinalSetSize = len(pairs)
-			return res
+		if runner.Stopped() || converged(prf(t.tp, t.pred, totalPP), prf(t.tp, t.pos, 0)) {
+			break
 		}
 	}
-	p, ep := prf(nTP, nPP, totalPP, ruleeval.Confidence)
-	r, er := prf(nTP, nAP, 0, ruleeval.Confidence)
-	res.Precision = stats.Interval{Point: p, Margin: ep}
-	res.Recall = stats.Interval{Point: r, Margin: er}
-	res.F1 = 100 * stats.F1(p, r)
-	res.FinalSetSize = len(pairs)
-	return res
+	return res.finish(prf(t.tp, t.pred, totalPP), prf(t.tp, t.pos, 0), len(pairs))
 }
 
 // minDenominator is the smallest sample count (of predicted or actual
@@ -141,19 +114,73 @@ func EstimateBaseline(rng *rand.Rand, runner *crowd.Runner, pairs []record.Pair,
 // exact by enumeration.
 const minDenominator = 5
 
-// prf computes a ratio k/n with its §6.1 margin; population 0 disables the
-// finite-population correction. Margins from fewer than minDenominator
-// observations are reported as +Inf unless the sample exhausts the
-// population.
-func prf(k, n, population int, conf float64) (float64, float64) {
-	if n == 0 {
-		return 0, math.Inf(1)
-	}
-	p := float64(k) / float64(n)
+// prf is the §6.1 interval for a ratio k/n, stats.EstimateProportion at
+// ruleeval.Confidence; population 0 disables the finite-population
+// correction. Margins from fewer than minDenominator observations are
+// reported as +Inf unless the sample exhausts the population.
+func prf(k, n, population int) stats.Interval {
+	iv := stats.EstimateProportion(k, n, population, ruleeval.Confidence)
 	if n < minDenominator && (population <= 0 || n < population) {
-		return p, math.Inf(1)
+		iv.Margin = math.Inf(1)
 	}
-	return p, stats.ProportionMargin(p, n, population, conf)
+	return iv
+}
+
+// converged reports whether both margins reached the target.
+func converged(p, r stats.Interval) bool {
+	return p.Margin <= ruleeval.EpsMax && r.Margin <= ruleeval.EpsMax
+}
+
+// finish records the final intervals over a set of the given size.
+func (res *Result) finish(p, r stats.Interval, size int) *Result {
+	res.Precision, res.Recall = p, r
+	res.F1 = 100 * stats.F1(p.Point, r.Point)
+	res.FinalSetSize = size
+	return res
+}
+
+// obs is one labeled example of a sampling pool.
+type obs struct {
+	idx   int
+	match bool
+}
+
+// tally counts labeled examples: n in all, pos labeled match, pred
+// predicted match, and tp both.
+type tally struct{ n, pos, pred, tp int }
+
+func (t *tally) add(pred, match bool) {
+	t.n++
+	if match {
+		t.pos++
+	}
+	if pred {
+		t.pred++
+		if match {
+			t.tp++
+		}
+	}
+}
+
+// count tallies the observations of pool that are still alive. A uniform
+// sample of an earlier C' stays uniform when conditioned on the current
+// one, so observations survive reductions; dead ones are dropped.
+func count(pool []obs, alive *ruleeval.RowSet, predictions []bool) tally {
+	var t tally
+	for _, o := range pool {
+		if alive.Has(o.idx) {
+			t.add(predictions[o.idx], o.match)
+		}
+	}
+	return t
+}
+
+// ratio is k/n, or 0 when n is 0.
+func ratio(k, n int) float64 {
+	if n == 0 {
+		return 0
+	}
+	return float64(k) / float64(n)
 }
 
 // Estimate runs Corleone's probe-eval-reduce estimator (§6.2) for matcher
@@ -176,11 +203,12 @@ func Estimate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 	// reduction still beats sampling (mid-execution re-optimization).
 	allCands, _ := ruleeval.CoverByLeaf(f, X)
 	cands := ruleeval.SelectTopK(allCands, contradicting, len(allCands))
+	ruleUsed := make([]bool, len(cands))
 
-	// State: alive examples (C'), accumulated uniform sample with labels.
+	// State: alive examples (C') and the predicted positives.
 	n := len(pairs)
 	alive := ruleeval.FullRowSet(n)
-	pp := ruleeval.NewRowSet(n) // predicted positives
+	pp := ruleeval.NewRowSet(n)
 	for i, pred := range predictions {
 		if pred {
 			pp.Add(i)
@@ -195,204 +223,88 @@ func Estimate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 	// uniform sample almost never hits one and the precision margin pins
 	// the label budget. Both pools draw without replacement, and uniform
 	// draws that happen to be predicted positives also feed precision.
+	var sampleU, sampleS []obs // uniform over C'; stratified over predicted positives
 	sampled := ruleeval.NewRowSet(n)
-	type obs struct {
-		idx   int
-		match bool
-	}
-	var sampleU []obs // uniform over C'
-	var sampleS []obs // stratified over predicted positives
-	ruleUsed := make([]bool, len(cands))
-
-	// exhausted reports whether every alive example has been labeled, in
-	// which case both estimates are exact by enumeration.
-	exhausted := func() bool { return alive.AndCount(sampled) == alive.Len() }
-
-	// estimate computes the current P/R intervals. A uniform sample of an
-	// earlier C stays uniform when conditioned on the current alive set,
-	// so observations survive reductions (dead ones are dropped).
-	estimate := func() (pIv, rIv stats.Interval) {
-		if exhausted() {
-			// Census of C': exact precision and recall (margins 0) under
-			// the standing assumption that reduction eliminated only
-			// negatives.
-			var ap, tp, pp int
-			count := func(os []obs) {
-				for _, o := range os {
-					if !alive.Has(o.idx) {
-						continue
-					}
-					if predictions[o.idx] {
-						pp++
-					}
-					if o.match {
-						ap++
-					}
-					if predictions[o.idx] && o.match {
-						tp++
-					}
-				}
-			}
-			count(sampleU)
-			count(sampleS)
-			p, r := 0.0, 0.0
-			if pp > 0 {
-				p = float64(tp) / float64(pp)
-			}
-			if ap > 0 {
-				r = float64(tp) / float64(ap)
-			}
-			return stats.Interval{Point: p}, stats.Interval{Point: r}
-		}
-		var nAP, nTP int
-		for _, o := range sampleU {
-			if !alive.Has(o.idx) {
-				continue
-			}
-			if o.match {
-				nAP++
-			}
-			if predictions[o.idx] && o.match {
-				nTP++
-			}
-		}
-		// Precision among the predicted positives of the reduced set C':
-		// every sampled predicted positive (from either pool) is a uniform
-		// without-replacement draw from that stratum, so the §4.2 margin
-		// with finite-population correction over |pp ∩ C'| applies. Under
-		// the paper's working assumption that certified reduction rules
-		// are (near-)100% precise, eliminated examples carry no true
-		// positives and precision over C' tracks precision over C.
-		var pn, ptp int
-		for _, o := range sampleU {
-			if alive.Has(o.idx) && predictions[o.idx] {
-				pn++
-				if o.match {
-					ptp++
-				}
-			}
-		}
-		for _, o := range sampleS {
-			if alive.Has(o.idx) {
-				pn++
-				if o.match {
-					ptp++
-				}
-			}
-		}
-		pAlive, epAlive := prf(ptp, pn, alive.AndCount(pp), ruleeval.Confidence)
-		pIv = stats.Interval{Point: pAlive, Margin: epAlive}
-		// Recall: all actual positives are in C', so the uniform-sample
-		// ratio estimates it directly (Eq. 3, no FPC — the positive
-		// population size is unknown).
-		r, er := prf(nTP, nAP, 0, ruleeval.Confidence)
-		rIv = stats.Interval{Point: r, Margin: er}
-		return
-	}
-
-	done := func(pIv, rIv stats.Interval) bool {
-		return pIv.Margin <= ruleeval.EpsMax && rIv.Margin <= ruleeval.EpsMax
-	}
-
-	finish := func(pIv, rIv stats.Interval) *Result {
-		res.Precision = pIv
-		res.Recall = rIv
-		res.F1 = 100 * stats.F1(pIv.Point, rIv.Point)
-		res.FinalSetSize = alive.Len()
-		return res
-	}
-
-	// Probe workspace, reused across probes: the unsampled alive rows and
-	// the sampler's buffers.
+	// free is the probe's workspace: the unsampled rows draw picks from.
 	free := ruleeval.NewRowSet(n)
 	var sampler ruleeval.RowSampler
+	// draw labels up to k rows drawn uniformly from free into pool and
+	// returns how many it labeled.
+	draw := func(pool *[]obs, k int) int {
+		rows := sampler.Draw(rng, free, k)
+		for _, idx := range rows {
+			sampled.Add(idx)
+			*pool = append(*pool, obs{idx: idx, match: runner.Label(pairs[idx], ruleeval.Policy)})
+		}
+		res.LabelsUsed += len(rows)
+		return len(rows)
+	}
 
 	for {
 		// Probe (§6.2's limited sampling, b = 50): up to half the batch
 		// labels unsampled predicted positives (the precision stratum);
 		// the rest is a uniform draw from the unsampled rows of C' — once
 		// the precision stratum has run, mostly predicted negatives, so
-		// not a uniform draw from C' (DESIGN.md §3b item 4).
+		// not a uniform draw from C' (DESIGN.md §3b item 4). A probe that
+		// finds nothing left to label ends in the census below.
 		free.Set(alive)
 		free.AndNot(sampled)
 		free.And(pp)
-		bS := min(LabelBatch/2, free.Len())
-		for _, idx := range sampler.Draw(rng, free, bS) {
-			sampled.Add(idx)
-			match := runner.Label(pairs[idx], ruleeval.Policy)
-			res.LabelsUsed++
-			sampleS = append(sampleS, obs{idx: idx, match: match})
-		}
+		bS := draw(&sampleS, LabelBatch/2)
 		free.Set(alive)
 		free.AndNot(sampled)
-		if free.Len() == 0 && bS == 0 {
-			return finish(estimate())
-		}
-		for _, idx := range sampler.Draw(rng, free, LabelBatch-bS) {
-			sampled.Add(idx)
-			match := runner.Label(pairs[idx], ruleeval.Policy)
-			res.LabelsUsed++
-			sampleU = append(sampleU, obs{idx: idx, match: match})
-		}
-		res.Probes++
-
-		pIv, rIv := estimate()
-		if done(pIv, rIv) {
-			return finish(pIv, rIv)
-		}
-		if cfg.MaxLabels > 0 && res.LabelsUsed >= cfg.MaxLabels {
-			return finish(pIv, rIv)
-		}
-		if runner.Stopped() {
-			return finish(pIv, rIv) // the margins achieved so far (budget cap)
+		if bS+draw(&sampleU, LabelBatch-bS) > 0 {
+			res.Probes++
 		}
 
-		// Density of positives in C' from the uniform sample.
-		nAlive, nPos := 0, 0
-		for _, o := range sampleU {
-			if alive.Has(o.idx) {
-				nAlive++
-				if o.match {
-					nPos++
-				}
-			}
+		u, s := count(sampleU, alive, predictions), count(sampleS, alive, predictions)
+		var pIv, rIv stats.Interval
+		if alive.AndCount(sampled) == alive.Len() {
+			// Census of C': exact precision and recall (margins 0) under
+			// the standing assumption that reduction eliminated only
+			// negatives.
+			pIv.Point, rIv.Point = ratio(u.tp+s.tp, u.pred+s.pred), ratio(u.tp+s.tp, u.pos+s.pos)
+		} else {
+			// Precision among the predicted positives of the reduced set
+			// C': every sampled predicted positive (from either pool) is a
+			// uniform without-replacement draw from that stratum, so the
+			// §4.2 margin with finite-population correction over
+			// |pp ∩ C'| applies. Under the paper's working assumption that
+			// certified reduction rules are (near-)100% precise,
+			// eliminated examples carry no true positives and precision
+			// over C' tracks precision over C. Recall: all actual
+			// positives are in C', so the uniform-sample ratio estimates
+			// it directly (Eq. 3, no FPC — the positive population size is
+			// unknown).
+			pIv, rIv = prf(u.tp+s.tp, u.pred+s.pred, alive.AndCount(pp)), prf(u.tp, u.pos, 0)
 		}
-		density := 0.0
-		if nAlive > 0 {
-			density = float64(nPos) / float64(nAlive)
+		// A capped run returns the margins achieved so far.
+		if converged(pIv, rIv) || cfg.MaxLabels > 0 && res.LabelsUsed >= cfg.MaxLabels || runner.Stopped() {
+			return res.finish(pIv, rIv, alive.Len())
 		}
 
 		// Enumerate options (§6.2 step 2): prefixes of the remaining rules
 		// in greedy max-marginal-coverage order, plus the empty option.
+		// The density of positives in C' comes from the uniform sample.
+		density := ratio(u.pos, u.n)
 		choice := chooseOption(cands, ruleUsed, alive, density, rIv)
 		step := TraceStep{Alive: alive.Len(), Density: density,
 			ChoseRules: len(choice), PMargin: pIv.Margin, RMargin: rIv.Margin}
-		if len(choice) == 0 {
-			res.Trace = append(res.Trace, step)
-			continue // cheapest plan is plain sampling; probe again
-		}
-
-		// Partial evaluation (§6.2 step 3): crowd-certify the chosen
-		// rules, apply the good ones, then re-optimize.
-		var chosen []ruleeval.Candidate
-		for _, ci := range choice {
-			ruleUsed[ci] = true
-			chosen = append(chosen, restrict(cands[ci], alive))
-		}
-		evals := ruleeval.EvaluateJoint(rng, runner, pairs, chosen, cfg.RuleEval)
-		res.RulesEvaluated += len(evals)
-		for _, ev := range evals {
-			if !ev.Kept {
-				continue
+		if len(choice) > 0 {
+			// Partial evaluation (§6.2 step 3): crowd-certify the chosen
+			// rules, apply the good ones, then re-optimize.
+			var chosen []ruleeval.Candidate
+			for _, ci := range choice {
+				ruleUsed[ci] = true
+				chosen = append(chosen, restrict(cands[ci], alive))
 			}
-			step.RulesKept++
-			res.RulesApplied = append(res.RulesApplied, ev.Candidate.Rule)
-			alive.AndNot(ev.Candidate.Coverage)
+			evals := ruleeval.EvaluateJoint(rng, runner, pairs, chosen, cfg.RuleEval)
+			res.RulesEvaluated += len(evals)
+			kept := ruleeval.ApplyKept(evals, alive)
+			step.RulesKept = len(kept)
+			res.RulesApplied = append(res.RulesApplied, kept...)
 		}
 		res.Trace = append(res.Trace, step)
-		// Labels spent during rule evaluation also inform the estimates on
-		// the next probe via the runner's cache when re-sampled; the loop
-		// continues until the margins close.
 	}
 }
 

@@ -187,11 +187,10 @@ func TestEstimateTinySet(t *testing.T) {
 }
 
 func TestPrfHelper(t *testing.T) {
-	p, e := prf(5, 10, 0, 0.95)
-	if p != 0.5 || e <= 0 {
-		t.Errorf("prf = %v, %v", p, e)
+	if iv := prf(5, 10, 0); iv.Point != 0.5 || iv.Margin <= 0 {
+		t.Errorf("prf = %+v", iv)
 	}
-	if _, e := prf(0, 0, 0, 0.95); !math.IsInf(e, 1) {
+	if iv := prf(0, 0, 0); !math.IsInf(iv.Margin, 1) {
 		t.Error("empty sample margin should be +Inf")
 	}
 }

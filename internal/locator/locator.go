@@ -83,20 +83,8 @@ func Locate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 
 	// §7 step 2: the pairs no certified rule covers are the difficult set.
 	difficult := ruleeval.FullRowSet(len(pairs))
-	for _, ev := range evalNeg {
-		if !ev.Kept {
-			continue
-		}
-		res.NegativeRules = append(res.NegativeRules, ev.Candidate.Rule)
-		difficult.AndNot(ev.Candidate.Coverage)
-	}
-	for _, ev := range evalPos {
-		if !ev.Kept {
-			continue
-		}
-		res.PositiveRules = append(res.PositiveRules, ev.Candidate.Rule)
-		difficult.AndNot(ev.Candidate.Coverage)
-	}
+	res.NegativeRules = ruleeval.ApplyKept(evalNeg, difficult)
+	res.PositiveRules = ruleeval.ApplyKept(evalPos, difficult)
 	res.DifficultIdx = difficult.AppendTo(nil)
 
 	// §7 termination tests.

@@ -360,13 +360,16 @@ func EvaluateJoint(rng *rand.Rand, runner *crowd.Runner, pairs []record.Pair,
 	return results
 }
 
-// Kept filters the evaluation results down to the rules that passed.
-func Kept(results []Result) []tree.Rule {
-	var out []tree.Rule
+// ApplyKept applies the certified rules of results to s: it removes from s
+// the coverage of every rule that passed and returns those rules, in result
+// order.
+func ApplyKept(results []Result, s *RowSet) []tree.Rule {
+	var kept []tree.Rule
 	for _, r := range results {
 		if r.Kept {
-			out = append(out, r.Candidate.Rule)
+			kept = append(kept, r.Candidate.Rule)
+			s.AndNot(r.Candidate.Coverage)
 		}
 	}
-	return out
+	return kept
 }

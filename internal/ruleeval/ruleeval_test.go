@@ -212,12 +212,25 @@ func TestEvaluateJointBorderlineDropCaseB(t *testing.T) {
 	}
 }
 
-func TestKept(t *testing.T) {
-	rs := []Result{
-		{Kept: true, Candidate: Candidate{Rule: negRule(1)}},
-		{Kept: false, Candidate: Candidate{Rule: negRule(2)}},
+func TestApplyKept(t *testing.T) {
+	cov := func(rows ...int) *RowSet {
+		s := NewRowSet(8)
+		for _, r := range rows {
+			s.Add(r)
+		}
+		return s
 	}
-	if got := Kept(rs); len(got) != 1 {
-		t.Errorf("Kept = %d rules, want 1", len(got))
+	rs := []Result{
+		{Kept: true, Candidate: Candidate{Rule: negRule(1), Coverage: cov(0, 1)}},
+		{Kept: false, Candidate: Candidate{Rule: negRule(2), Coverage: cov(2, 3)}},
+		{Kept: true, Candidate: Candidate{Rule: negRule(3), Coverage: cov(1, 4)}},
+	}
+	s := FullRowSet(8)
+	got := ApplyKept(rs, s)
+	if len(got) != 2 || got[0].Preds[0].Threshold != 1 || got[1].Preds[0].Threshold != 3 {
+		t.Errorf("ApplyKept = %v, want the rules at thresholds 1 and 3", got)
+	}
+	if rows := s.AppendTo(nil); !reflect.DeepEqual(rows, []int{2, 3, 5, 6, 7}) {
+		t.Errorf("rows left = %v, want [2 3 5 6 7]", rows)
 	}
 }
