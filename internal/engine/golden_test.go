@@ -110,19 +110,19 @@ func TestRunPinned(t *testing.T) {
 		{name: "Restaurants#1", su: rest(1), want: `result=be87f4587fa0ab86 events=6:2da7eec9b2a99d51 checkpoints=4:a96f38542023075e stop="locator: difficult set too small"`},
 		{name: "Citations#1", su: cit(1), want: `result=45b22c2c9016fdb3 events=6:7533c93203f5a42d checkpoints=4:96912258fd692591 stop="locator: difficult set too small"`},
 		{name: "Products#1", su: experiments.NewSetup("Products", 0.05, experiments.DefaultErrorRate, 1), want: `result=9cd72c02214b5ad1 events=6:7685ade2eef5b1df checkpoints=4:0aded9fa5230fdd9 stop="locator: difficult set too small"`},
-		{name: "Restaurants#4", su: rest(4), want: `result=76673bc6ce8044e3 events=9:901cdb75a8087ad2 checkpoints=6:e4a63ddf7f6ebfdf stop="estimated accuracy did not improve"`},
+		{name: "Restaurants#4", su: rest(4), want: `result=c14de53cf1cfcd49 events=9:901cdb75a8087ad2 checkpoints=6:e4a63ddf7f6ebfdf stop="estimated accuracy did not improve"`},
 		{name: "Restaurants#2", su: rest(2), want: `result=2f1d19fd7aa75cac events=6:17735ef139e2693b checkpoints=4:43fb6175da4e04c2 stop="locator: difficult set too small"`},
 		{name: "Citations#3", su: cit(3), want: `result=1078cf4bbfbdae3a events=6:2320bb7033016842 checkpoints=4:28e9ce9b2c7c2463 stop="locator: difficult set too small"`},
 		{name: "Restaurants#4/budget2", su: rest(4), tweak: budget(2), want: `result=b418c148e129ef68 events=4:c3da6efc12ec2a20 checkpoints=2:e2a8b1d1feaded27 stop="budget exhausted"`},
 		{name: "Restaurants#4/budget30", su: rest(4), tweak: budget(30), want: `result=5c4e1029d03419a0 events=5:8873d781eb72ad94 checkpoints=3:a57a4808c5c31135 stop="budget exhausted"`},
 		{name: "Citations#1/budget8", su: cit(1), tweak: budget(8), want: `result=687726cbf2111381 events=4:b50a25cb34f89cfc checkpoints=2:1c7fe1017581079f stop="budget exhausted"`},
 		{name: "Restaurants#4/allocate3", su: rest(4), tweak: phases(3), want: `result=c34354e4dfec876f events=6:c0a72e706a2a91bd checkpoints=4:4468d502c318b915 stop="locator: difficult set too small"`},
-		{name: "Restaurants#4/allocate60", su: rest(4), tweak: phases(60), want: `result=b11f72977bf0c2fd events=9:0b787dcb24d27e75 checkpoints=6:dc9c329c7c33bfdd stop="estimated accuracy did not improve"`},
+		{name: "Restaurants#4/allocate60", su: rest(4), tweak: phases(60), want: `result=d4739f1a20d307b7 events=9:0b787dcb24d27e75 checkpoints=6:dc9c329c7c33bfdd stop="estimated accuracy did not improve"`},
 		{name: "Citations#1/allocate10", su: cit(1), tweak: phases(10), want: `result=ed46d38b22b5fb5b events=6:482765061e9cb8e7 checkpoints=4:89f26e5e0e3b02a8 stop="locator: difficult set too small"`},
 		{name: "Restaurants#4/skip", su: rest(4), tweak: skip, want: `result=d0bcf689f500ffca events=4:8bd32a014defaba1 checkpoints=2:fbecd87a1c3abc58 stop="estimator skipped"`},
 		{name: "Citations#1/skip", su: cit(1), tweak: skip, want: `result=5fc1f96810716f75 events=4:29a5771494589e1b checkpoints=2:64ea0c35b93be04f stop="estimator skipped"`},
 		{name: "Restaurants#4/iters1", su: rest(4), tweak: iters(1), want: `result=0d53c5bd35a7a3fb events=5:3812aa75439a251b checkpoints=3:2120fe6e03178943 stop="max iterations"`},
-		{name: "Restaurants#4/iters2", su: rest(4), tweak: iters(2), want: `result=76673bc6ce8044e3 events=9:901cdb75a8087ad2 checkpoints=6:e4a63ddf7f6ebfdf stop="estimated accuracy did not improve"`},
+		{name: "Restaurants#4/iters2", su: rest(4), tweak: iters(2), want: `result=c14de53cf1cfcd49 events=9:901cdb75a8087ad2 checkpoints=6:e4a63ddf7f6ebfdf stop="estimated accuracy did not improve"`},
 		{name: "Restaurants#4/oracle", su: oracle, want: `result=145a6ad64975454d events=6:202efca086a5ddf2 checkpoints=4:2d0d3f0c21ef3766 stop="locator: difficult set too small"`},
 		{name: "Restaurants#4/cancel1", su: rest(4), cancelAt: 1, want: `result=14553f0f0c4e4d3e events=2:e8755c53437568e4 checkpoints=1:7cbeffb97b1d8c96 stop="canceled"`},
 		{name: "Restaurants#4/cancel3", su: rest(4), cancelAt: 3, want: `result=c58a10ef4c2faea4 events=4:6d8155a9d93f93a1 checkpoints=2:18ae9f2e9bfd86a8 stop="canceled"`},
@@ -165,6 +165,36 @@ func TestRunPinned(t *testing.T) {
 				t.Errorf("run moved\n got: %s\nwant: %s", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestNoGainReportsBestEstimate checks that a run the estimator stopped
+// reports the estimate of the matching it returns, the best iteration's,
+// while EstimatorRuns keeps the rejected one.
+func TestNoGainReportsBestEstimate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full pipeline run")
+	}
+	_, res, err := experiments.NewSetup("Restaurants", 0.3, experiments.DefaultErrorRate, 4).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.StopReason != "estimated accuracy did not improve" || len(res.EstimatorRuns) < 2 {
+		t.Fatalf("stop %q after %d estimates, want a rejected second estimate", res.StopReason, len(res.EstimatorRuns))
+	}
+	best := 0
+	for i, est := range res.EstimatorRuns {
+		if est.F1 > res.EstimatorRuns[best].F1 {
+			best = i
+		}
+	}
+	want := res.EstimatorRuns[best]
+	if res.EstimatedF1 != want.F1 || res.EstimatedPrecision != want.Precision || res.EstimatedRecall != want.Recall {
+		t.Errorf("reported P=%+v R=%+v F1=%v, want iteration %d's P=%+v R=%+v F1=%v",
+			res.EstimatedPrecision, res.EstimatedRecall, res.EstimatedF1, best+1, want.Precision, want.Recall, want.F1)
+	}
+	if !reflect.DeepEqual(res.Matches, res.IterationMatches[best]) {
+		t.Errorf("returned %d matches, not iteration %d's %d", len(res.Matches), best+1, len(res.IterationMatches[best]))
 	}
 }
 
