@@ -191,13 +191,14 @@ type Model struct {
 	names  []string
 }
 
-// LoadModel deserializes a model written by Result.SaveModel.
+// LoadModel deserializes a model written by Result.SaveModel, with the
+// feature names it was saved with as its contract.
 func LoadModel(r io.Reader) (*Model, error) {
-	f, err := forest.Load(r, nil)
+	f, names, err := forest.LoadNamed(r)
 	if err != nil {
 		return nil, err
 	}
-	return &Model{forest: f}, nil
+	return &Model{forest: f, names: names}, nil
 }
 
 // Match applies the model to every pair of the dataset and returns the
@@ -207,16 +208,14 @@ func LoadModel(r io.Reader) (*Model, error) {
 // product — run it on blocked or modest-sized inputs.
 func (m *Model) Match(ds *Dataset) ([]Pair, error) {
 	ex := feature.NewExtractor(ds)
-	if m.names != nil {
-		if len(m.names) != ex.NumFeatures() {
-			return nil, fmt.Errorf("model expects %d features, dataset produces %d",
-				len(m.names), ex.NumFeatures())
-		}
-		for i, n := range ex.Names() {
-			if m.names[i] != n {
-				return nil, fmt.Errorf("feature %d is %q in the model but %q in the dataset",
-					i, m.names[i], n)
-			}
+	if len(m.names) != ex.NumFeatures() {
+		return nil, fmt.Errorf("model expects %d features, dataset produces %d",
+			len(m.names), ex.NumFeatures())
+	}
+	for i, n := range ex.Names() {
+		if m.names[i] != n {
+			return nil, fmt.Errorf("feature %d is %q in the model but %q in the dataset",
+				i, m.names[i], n)
 		}
 	}
 	var out []Pair

@@ -120,4 +120,17 @@ func TestModelSaveLoadMatch(t *testing.T) {
 	if m.F1 < 80 {
 		t.Errorf("reused model F1 = %.1f on fresh data", m.F1)
 	}
+
+	// The names the model was saved with are its contract: a renamed
+	// attribute and another schema are errors, not mispredictions.
+	renamed := GenerateDataset(fresh)
+	schema := append(Schema(nil), renamed.A.Schema...)
+	schema[0].Name += "_renamed"
+	renamed.A.Schema, renamed.B.Schema = schema, schema
+	if _, err := model.Match(renamed); err == nil {
+		t.Error("model applied to a renamed attribute without an error")
+	}
+	if _, err := model.Match(GenerateDataset(ScaledProfile(CitationsProfile, 0.02))); err == nil {
+		t.Error("Restaurants model applied to Citations without an error")
+	}
 }

@@ -83,42 +83,51 @@ func (f *Forest) Save(w io.Writer, featureNames []string) error {
 // earlier one; the wire format has not changed. featureNames, when non-nil,
 // must match the names recorded at save time — applying a model to a
 // different featurization silently produces garbage, so it is an error.
+func Load(r io.Reader, featureNames []string) (*Forest, error) {
+	f, names, err := LoadNamed(r)
+	if err != nil || featureNames == nil {
+		return f, err
+	}
+	if len(featureNames) != len(names) {
+		return nil, fmt.Errorf("forest: model has %d features, extractor %d",
+			len(names), len(featureNames))
+	}
+	for i := range featureNames {
+		if featureNames[i] != names[i] {
+			return nil, fmt.Errorf("forest: feature %d is %q in the model but %q here",
+				i, names[i], featureNames[i])
+		}
+	}
+	return f, nil
+}
+
+// LoadNamed deserializes a forest saved with Save and returns the feature
+// names recorded at save time, for a caller that has no extractor yet to
+// hold the model to.
 //
 // Decoding goes through pointer nodes (the natural shape for validating
 // arbitrary child indices) and then packs them into the SoA layout with
 // fromTrees.
-func Load(r io.Reader, featureNames []string) (*Forest, error) {
+func LoadNamed(r io.Reader) (*Forest, []string, error) {
 	var in savedForest
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("forest: load: %w", err)
-	}
-	if featureNames != nil {
-		if len(featureNames) != len(in.FeatureNames) {
-			return nil, fmt.Errorf("forest: model has %d features, extractor %d",
-				len(in.FeatureNames), len(featureNames))
-		}
-		for i := range featureNames {
-			if featureNames[i] != in.FeatureNames[i] {
-				return nil, fmt.Errorf("forest: feature %d is %q in the model but %q here",
-					i, in.FeatureNames[i], featureNames[i])
-			}
-		}
+		return nil, nil, fmt.Errorf("forest: load: %w", err)
 	}
 	if len(in.Trees) > math.MaxInt16 {
 		// Scoring tallies a vector's positive votes in an int16.
-		return nil, fmt.Errorf("forest: model has %d trees, at most %d are supported", len(in.Trees), math.MaxInt16)
+		return nil, nil, fmt.Errorf("forest: model has %d trees, at most %d are supported", len(in.Trees), math.MaxInt16)
 	}
 	trees := make([]*tree.Tree, 0, len(in.Trees))
 	for ti, st := range in.Trees {
 		if len(st.Nodes) == 0 {
-			return nil, fmt.Errorf("forest: tree %d is empty", ti)
+			return nil, nil, fmt.Errorf("forest: tree %d is empty", ti)
 		}
 		nodes := make([]*tree.Node, len(st.Nodes))
 		for i, sn := range st.Nodes {
 			// A model that names its features cannot test one beyond them:
 			// scoring would index past the end of every vector.
 			if n := len(in.FeatureNames); n > 0 && sn.Feature >= n {
-				return nil, fmt.Errorf("forest: tree %d node %d tests feature %d of %d", ti, i, sn.Feature, n)
+				return nil, nil, fmt.Errorf("forest: tree %d node %d tests feature %d of %d", ti, i, sn.Feature, n)
 			}
 			nodes[i] = &tree.Node{
 				Feature:   sn.Feature,
@@ -141,7 +150,7 @@ func Load(r io.Reader, featureNames []string) (*Forest, error) {
 			if sn.Left <= i || sn.Left >= len(nodes) ||
 				sn.Right <= i || sn.Right >= len(nodes) ||
 				sn.Left == sn.Right || isChild[sn.Left] || isChild[sn.Right] {
-				return nil, fmt.Errorf("forest: tree %d node %d has invalid children", ti, i)
+				return nil, nil, fmt.Errorf("forest: tree %d node %d has invalid children", ti, i)
 			}
 			isChild[sn.Left], isChild[sn.Right] = true, true
 			nodes[i].Left = nodes[sn.Left]
@@ -149,5 +158,5 @@ func Load(r io.Reader, featureNames []string) (*Forest, error) {
 		}
 		trees = append(trees, &tree.Tree{Root: nodes[0]})
 	}
-	return fromTrees(trees, in.Config), nil
+	return fromTrees(trees, in.Config), in.FeatureNames, nil
 }
