@@ -3,6 +3,8 @@ package record
 import (
 	"strings"
 	"unicode"
+
+	"github.com/corleone-em/corleone/internal/strutil"
 )
 
 // InferSchema assigns attribute types by inspecting the values of both
@@ -47,7 +49,7 @@ func inferColumn(a, b []string) AttrType {
 	seen := make(map[string]struct{}, len(values))
 	for _, v := range values {
 		v = strings.TrimSpace(v)
-		if isNumericValue(v) {
+		if strutil.IsNumericString(v) {
 			numeric++
 		}
 		if isCodeLike(v) {
@@ -68,30 +70,6 @@ func inferColumn(a, b []string) AttrType {
 	default:
 		return AttrString
 	}
-}
-
-// isNumericValue accepts plain numbers with optional $, commas, sign.
-func isNumericValue(v string) bool {
-	v = strings.TrimPrefix(strings.TrimSpace(v), "$")
-	v = strings.ReplaceAll(v, ",", "")
-	if v == "" {
-		return false
-	}
-	if v[0] == '-' || v[0] == '+' {
-		v = v[1:]
-	}
-	digits, dots := 0, 0
-	for _, r := range v {
-		switch {
-		case unicode.IsDigit(r):
-			digits++
-		case r == '.':
-			dots++
-		default:
-			return false
-		}
-	}
-	return digits > 0 && dots <= 1
 }
 
 // isCodeLike reports identifier-shaped values: single token, contains a

@@ -1,6 +1,10 @@
 package record
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/corleone-em/corleone/internal/strutil"
+)
 
 func TestInferSchema(t *testing.T) {
 	schema := Schema{
@@ -56,17 +60,32 @@ func TestIsCodeLike(t *testing.T) {
 	}
 }
 
-func TestIsNumericValue(t *testing.T) {
-	yes := []string{"42", "$19.99", "1,234", "-3.5"}
-	no := []string{"", "12a", "1.2.3", "abc", "$"}
-	for _, v := range yes {
-		if !isNumericValue(v) {
-			t.Errorf("isNumericValue(%q) = false", v)
-		}
+// TestInferNumericColumn checks that a column infers as numeric exactly
+// when strutil.ParseNumeric, which the numeric features read values with,
+// can read it.
+func TestInferNumericColumn(t *testing.T) {
+	cases := []struct {
+		column []string
+		want   bool
+	}{
+		{[]string{"42", "$19.99", "1,234", "-3.5"}, true},
+		{[]string{"2013", "2012", "+2011"}, true},
+		{[]string{"12a"}, false},
+		{[]string{"1.2.3"}, false},
+		{[]string{"abc"}, false},
+		{[]string{"$"}, false},
+		// Arabic-Indic years: as a numeric column, year_rel_diff and
+		// year_abs_diff would read Missing on every pair.
+		{[]string{"٢٠١٣", "٢٠١٢", "٢٠١١"}, false},
 	}
-	for _, v := range no {
-		if isNumericValue(v) {
-			t.Errorf("isNumericValue(%q) = true", v)
+	for _, tc := range cases {
+		if got := inferColumn(tc.column, nil) == AttrNumeric; got != tc.want {
+			t.Errorf("column %q numeric = %v, want %v", tc.column, got, tc.want)
+		}
+		for _, v := range tc.column {
+			if _, ok := strutil.ParseNumeric(v); ok != tc.want {
+				t.Errorf("strutil.ParseNumeric(%q) ok = %v, want %v", v, ok, tc.want)
+			}
 		}
 	}
 }
