@@ -197,7 +197,7 @@ func (c *Client) Submit(assignmentID string, answers []bool) error {
 // answering with the supplied crowd model. Call Stop to shut down.
 type WorkerPool struct {
 	stop chan struct{}
-	done chan struct{}
+	wg   sync.WaitGroup
 }
 
 // StartWorkers launches the pool. Each worker polls for assignments and
@@ -207,13 +207,11 @@ func StartWorkers(client *Client, n int, model crowd.Crowd, poll time.Duration) 
 	if poll <= 0 {
 		poll = time.Millisecond
 	}
-	wp := &WorkerPool{stop: make(chan struct{}), done: make(chan struct{})}
-	var running int
-	finished := make(chan struct{}, n)
+	wp := &WorkerPool{stop: make(chan struct{})}
 	for i := 0; i < n; i++ {
-		running++
+		wp.wg.Add(1)
 		go func(worker string) {
-			defer func() { finished <- struct{}{} }()
+			defer wp.wg.Done()
 			for {
 				select {
 				case <-wp.stop:
@@ -240,19 +238,13 @@ func StartWorkers(client *Client, n int, model crowd.Crowd, poll time.Duration) 
 			}
 		}(fmt.Sprintf("worker-%d", i))
 	}
-	go func() {
-		for i := 0; i < running; i++ {
-			<-finished
-		}
-		close(wp.done)
-	}()
 	return wp
 }
 
 // Stop shuts the pool down and waits for the workers to exit.
 func (wp *WorkerPool) Stop() {
 	close(wp.stop)
-	<-wp.done
+	wp.wg.Wait()
 }
 
 // EncodeQuestionID packs a pair into a question id ("a:b").

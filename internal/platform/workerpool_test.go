@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -73,5 +74,41 @@ func TestWorkerPoolStopJoinsAll(t *testing.T) {
 	// matter how the shutdown raced the in-flight claims and retries.
 	if paid := server.TotalPaidCents(); paid > 2*2 {
 		t.Errorf("paid %d cents, want <= 4 (2 assignments x 2 cents)", paid)
+	}
+}
+
+// TestWorkerPoolStopWaits checks that Stop waits for a worker that is
+// still inside a claim: the claim handler blocks until released, and Stop
+// must not return before that.
+func TestWorkerPoolStopWaits(t *testing.T) {
+	claimed := make(chan struct{}, 1)
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	free := func() { releaseOnce.Do(func() { close(release) }) }
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case claimed <- struct{}{}:
+		default:
+		}
+		<-release
+		w.WriteHeader(http.StatusNoContent) // no work available
+	}))
+	defer srv.Close()
+	defer free() // before srv.Close, which waits for the blocked handler
+
+	pool := StartWorkers(NewClient(srv.URL), 1, &crowd.Oracle{}, time.Millisecond)
+	<-claimed
+	stopped := make(chan struct{})
+	go func() { pool.Stop(); close(stopped) }()
+	select {
+	case <-stopped:
+		t.Fatal("Stop returned while a worker was still in a claim")
+	case <-time.After(100 * time.Millisecond):
+	}
+	free()
+	select {
+	case <-stopped:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Stop did not return after the claim was released")
 	}
 }
