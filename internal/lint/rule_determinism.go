@@ -114,15 +114,18 @@ func isBenchFile(name string) bool {
 
 // ---- det-maprange: Go randomizes map iteration order, so a map range
 // whose body appends, sends, or writes publishes that randomness. The
-// rule accepts the loop when the enclosing function shows sorting
-// evidence (a sort/slices call) — the repo idiom is "collect keys, sort,
-// iterate" or "collect results, sort, emit".
+// rule accepts the loop when the enclosing function sorts what the loop
+// publishes: a sort call whose first argument names a slice the loop
+// appends to — the repo idioms "collect keys, sort, iterate" and "collect
+// results, sort, emit". A sort of anything else in the function is no
+// evidence, and a loop that sends or writes has nothing a later sort can
+// put in order.
 
 type detMapRange struct{}
 
 func (detMapRange) ID() string { return "det-maprange" }
 func (detMapRange) Doc() string {
-	return "forbid emitting (append/send/write) from a map range without a sort in the same function"
+	return "forbid emitting (append/send/write) from a map range unless the function sorts the slice it appends to"
 }
 
 func (detMapRange) Check(u *Unit, cfg *Config) []Finding {
@@ -133,10 +136,6 @@ func (detMapRange) Check(u *Unit, cfg *Config) []Finding {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			// Sorting anywhere in the function (including nested
-			// literals) counts: the dominant repo shapes are sort-then-
-			// range and range-append-then-sort, both deterministic.
-			sorted := containsSortCall(u, fd.Body)
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				rs, ok := n.(*ast.RangeStmt)
 				if !ok {
@@ -145,7 +144,7 @@ func (detMapRange) Check(u *Unit, cfg *Config) []Finding {
 				if _, isMap := typeUnderlying[*types.Map](u, rs.X); !isMap {
 					return true
 				}
-				if sorted || !emitsInBody(u, rs.Body) {
+				if !emitsInBody(u, rs.Body) || sortsOutput(u, fd.Body, rs) {
 					return true
 				}
 				out = append(out, Finding{
@@ -172,37 +171,86 @@ func typeUnderlying[T types.Type](u *Unit, e ast.Expr) (T, bool) {
 	return v, ok
 }
 
-// containsSortCall reports sorting evidence: a call into sort/slices or
-// to any function whose name mentions sorting — the repo's own helpers
-// (record.SortPairs) count the same as the stdlib.
-func containsSortCall(u *Unit, body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if fn := pkgFunc(u, call.Fun); fn != nil {
-			switch fn.Pkg().Path() {
-			case "sort", "slices":
-				found = true
-				return false
+// sortsOutput reports whether body, anywhere (nested literals included),
+// makes a sort call whose first argument mentions a slice the map range rs
+// appends to.
+func sortsOutput(u *Unit, body *ast.BlockStmt, rs *ast.RangeStmt) bool {
+	want := map[types.Object]bool{}
+	ast.Inspect(rs.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && isAppend(u, call) && len(call.Args) > 0 {
+			if obj := named(u, call.Args[0]); obj != nil {
+				want[obj] = true
 			}
-		}
-		var name string
-		switch fun := call.Fun.(type) {
-		case *ast.Ident:
-			name = fun.Name
-		case *ast.SelectorExpr:
-			name = fun.Sel.Name
-		}
-		if strings.Contains(strings.ToLower(name), "sort") {
-			found = true
-			return false
 		}
 		return true
 	})
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && len(call.Args) > 0 && isSortCall(u, call) {
+			ast.Inspect(call.Args[0], func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && want[u.Info.ObjectOf(id)] {
+					found = true
+				}
+				return !found
+			})
+		}
+		return !found
+	})
 	return found
+}
+
+// named returns the variable or field an expression stands for: x, p.x,
+// x[i], x[i:j] and *x all name x. Anything else names nothing.
+func named(u *Unit, e ast.Expr) types.Object {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return u.Info.ObjectOf(x)
+		case *ast.SelectorExpr:
+			return u.Info.ObjectOf(x.Sel)
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
+}
+
+// isSortCall reports a call that sorts: any call into package sort, a
+// slices function with "Sort" in its name, or any other function whose
+// name mentions sorting — the repo's own helpers (record.SortPairs) count
+// the same as the stdlib.
+func isSortCall(u *Unit, call *ast.CallExpr) bool {
+	if fn := pkgFunc(u, call.Fun); fn != nil {
+		switch fn.Pkg().Path() {
+		case "sort":
+			return true
+		case "slices":
+			return strings.Contains(fn.Name(), "Sort")
+		}
+	}
+	var name string
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		name = fun.Name
+	case *ast.SelectorExpr:
+		name = fun.Sel.Name
+	}
+	return strings.Contains(strings.ToLower(name), "sort")
+}
+
+// isAppend reports a call of the append builtin.
+func isAppend(u *Unit, call *ast.CallExpr) bool {
+	id, ok := call.Fun.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := u.Info.Uses[id].(*types.Builtin)
+	return ok && b.Name() == "append"
 }
 
 // emitMethods are receiver methods that publish data in map-range bodies.
@@ -225,11 +273,9 @@ func emitsInBody(u *Unit, body *ast.BlockStmt) bool {
 			emits = true
 			return false
 		case *ast.CallExpr:
-			if id, ok := x.Fun.(*ast.Ident); ok {
-				if b, ok := u.Info.Uses[id].(*types.Builtin); ok && b.Name() == "append" {
-					emits = true
-					return false
-				}
+			if isAppend(u, x) {
+				emits = true
+				return false
 			}
 			if fn := pkgFunc(u, x.Fun); fn != nil && emitFuncs[fn.Name()] {
 				emits = true
