@@ -107,17 +107,20 @@ func Train(X [][]float64, y []bool, cfg Config) *Forest {
 	for t := range seeds {
 		seeds[t] = rng.Int63()
 	}
-	// Each par chunk owns one grower — bootstrap buffer, feature marks,
+	// Each par chunk owns one grower — RNG, bootstrap buffer, feature marks,
 	// sort and partition scratch — reused across its trees, so goroutines
 	// do meaningfully independent work: no shared mutable state, and near
 	// zero allocation past the emitted trees themselves (the old path
 	// allocated fresh index slices and sort closures at every node, which
-	// serialized concurrent growth on the allocator).
+	// serialized concurrent growth on the allocator). Reseeding the chunk's
+	// RNG with Rand.Seed gives tree t the stream rand.NewSource(seeds[t])
+	// would, without a 4.9 KB source per tree.
 	parts := make([]soaTree, cfg.NumTrees)
 	par.For(cfg.NumTrees, func(lo, hi int) {
 		g := newGrower(X, y, m, cfg.MinLeaf, cfg.MaxDepth)
+		g.rng = rand.New(rand.NewSource(0))
 		for t := lo; t < hi; t++ {
-			g.rng = rand.New(rand.NewSource(seeds[t]))
+			g.rng.Seed(seeds[t])
 			idx := stats.SampleIndicesInto(g.rng, len(X), bag, g.sample)
 			parts[t] = g.growTree(idx)
 		}

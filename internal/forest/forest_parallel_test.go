@@ -296,3 +296,27 @@ func TestScorerZeroAllocSteadyState(t *testing.T) {
 		t.Errorf("MeanConfidence steady state allocates %.1f per op, want 0", allocs)
 	}
 }
+
+// TestTrainBytesPerTree pins Train's per-tree allocation to the tree it
+// emits: a chunk's grower reseeds one RNG per tree instead of allocating a
+// 4.9 KB rand source each time. On a training set whose trees are a handful
+// of nodes, 64 more trees may cost well under a source per tree.
+func TestTrainBytesPerTree(t *testing.T) {
+	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(old)
+	X, y := randomTraining(5, 8, 3)
+	bytesOf := func(trees int) uint64 {
+		cfg := Defaults()
+		cfg.NumTrees = trees
+		Train(X, y, cfg) // warm
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		Train(X, y, cfg)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	few, many := bytesOf(8), bytesOf(72)
+	if perTree := (float64(many) - float64(few)) / 64; perTree > 2048 {
+		t.Errorf("Train allocates %.0f B per extra tree (%d B at 8 trees, %d B at 72), want under 2 KiB", perTree, few, many)
+	}
+}
