@@ -67,10 +67,11 @@ shard:
 # kernels: Myers' bit-parallel edit distance vs the matrix and two-row DPs,
 # Levenshtein's metric properties, every string measure's [0, 1] range,
 # bit-parallel Jaro vs the greedy matcher (and b's masks built once for a
-# tile of a vs one pair at a time), the integer-coded set
-# measures vs the string merges, and the
-# Monge-Elkan token-pair table (fill, read-back and both directions of every
-# cell) and its column, with and without a table, vs the string measure and
+# tile of a vs one pair at a time), Jaro and Jaro-Winkler the same bits in
+# both argument orders, the integer-coded set measures vs the string merges,
+# and the Monge-Elkan token-pair table (fill, read-back, and each pair's one
+# cell vs the kernel in both argument orders) and its column, with and
+# without a table, vs the string measure and
 # the pair path, all to Float64bits equality (DESIGN.md "Pair
 # kernels", "Operand dictionaries and write-once tables"); the character-bag
 # bounds at least the edit and Jaro-Winkler kernels' float64, and their SWAR
@@ -115,6 +116,7 @@ fuzz:
 	$(FUZZ) -fuzz 'FuzzLevenshteinMetricProperties' ./internal/similarity
 	$(FUZZ) -fuzz 'FuzzStringMeasuresStayInRange' ./internal/similarity
 	$(FUZZ) -fuzz 'FuzzJaroBitParallel' ./internal/similarity
+	$(FUZZ) -fuzz 'FuzzJaroWinklerSymmetric' ./internal/similarity
 	$(FUZZ) -fuzz 'FuzzBagBound' ./internal/similarity
 	$(FUZZ) -fuzz 'FuzzEditColumn' ./internal/similarity
 	$(FUZZ) -fuzz 'FuzzSetKernels' ./internal/similarity

@@ -9,16 +9,11 @@ import (
 	"github.com/corleone-em/corleone/internal/simindex"
 )
 
-const (
-	// minRun is the shortest run a column is computed over: below it a's
-	// token lookups and the postings build are not paid back.
-	minRun = 64
-	// sparseList: a set measure scores a position list under 1/sparseList of
-	// its run pair by pair, the run's token views neither read nor built — a
-	// walk visits every position's postings whatever the list (DESIGN.md
-	// "Column kernels").
-	sparseList = 16
-)
+// sparseList: a set measure scores a position list under 1/sparseList of
+// its run pair by pair, the run's token views neither read nor built — a
+// walk visits every position's postings whatever the list (DESIGN.md
+// "Column kernels").
+const sparseList = 16
 
 // The view of a profile a column kernel reads: for a set measure, which of
 // the sorted code lists it intersects; for edit, the runes; for Monge-Elkan,
@@ -77,7 +72,7 @@ type Run struct {
 	view  []int8    // by feature: the view its column kernel reads, noView for pair by pair
 	views []runView // [attrIdx*numViews + view]
 	// tiled[i]: feature i is an untabled jaro_winkler, which Vectors scores
-	// a tile of rows of A at a time over a run long enough.
+	// a tile of rows of A at a time.
 	tiled []bool
 }
 
@@ -118,7 +113,7 @@ func (e *Extractor) NewRun(bs []int32) *Run {
 		views: make([]runView, len(e.cols)*int(numViews)), tiled: make([]bool, len(e.features))}
 	for i, f := range e.features {
 		r.view[i] = noView
-		if len(bs) >= minRun && e.cols[f.AttrIdx].cells == nil {
+		if e.cols[f.AttrIdx].cells == nil {
 			r.view[i] = viewOf(f.Kind)
 			r.tiled[i] = f.Kind == "jaro_winkler"
 		}
@@ -133,8 +128,8 @@ func (r *Run) Rows() []int32 { return r.bs }
 func (r *Run) Positions() []int32 { return r.all }
 
 // HasColumn reports whether feature i has a column kernel over the run's
-// views: a set measure, edit or Monge-Elkan, a run long enough, no value-pair
-// table (a tabled feature's column reads its cells).
+// views: a set measure, edit or Monge-Elkan, no value-pair table (a tabled
+// feature's column reads its cells).
 func (r *Run) HasColumn(i int) bool { return r.view[i] != noView }
 
 // build gathers the rune view's profiles, collects the token view's tokens,

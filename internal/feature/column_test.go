@@ -288,8 +288,7 @@ func TestColumnWalksCommonTokens(t *testing.T) {
 const maxTile = 64
 
 // tabled reports whether attribute attr has a value-pair table: the only
-// reason a string attribute's set measure, over a run of at least minRun
-// rows, has no column.
+// reason a string attribute's set measure has no column over a run.
 func tabled(ex *feature.Extractor, run *feature.Run, attr int) bool {
 	for f, ft := range ex.Features() {
 		if ft.AttrIdx == attr && ft.Kind == "jaccard_3g" {
@@ -303,10 +302,11 @@ func tabled(ex *feature.Extractor, run *feature.Run, attr int) bool {
 // detection has to classify — a clean cross product of two whole tiles of
 // rows of A and part of a third, whole tiles only, whole tiles and one run, one
 // with a pair missing from one run, shuffled, with pairs repeated, with
-// one-row runs, with a sparse tail — at GOMAXPROCS 1 to 4, where par.For's
-// chunk boundaries cut runs and tiles at different places, and expects each
-// row to be the pair's own Vector, clipped to its own capacity: appending to
-// a row reallocates it and leaves its neighbour alone.
+// one-row runs, with runs of five rows, with a sparse tail — at GOMAXPROCS 1
+// to 4, where par.For's chunk boundaries cut runs and tiles at different
+// places, and expects each row to be the pair's own Vector, clipped to its
+// own capacity: appending to a row reallocates it and leaves its neighbour
+// alone.
 func TestVectorsRunShapes(t *testing.T) {
 	ds, err := datagen.DatasetFor("restaurants", 0.5, 1)
 	if err != nil {
@@ -330,9 +330,12 @@ func TestVectorsRunShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	shuffled := append([]record.Pair(nil), cross...)
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	var doubled, oneRow []record.Pair
+	var doubled, oneRow, short []record.Pair
 	for _, p := range cross {
 		doubled = append(doubled, p, p)
+		if p.B < 10 {
+			short = append(short, p)
+		}
 	}
 	for b := 0; b < nb; b++ {
 		for a := 0; a < na; a++ {
@@ -352,6 +355,7 @@ func TestVectorsRunShapes(t *testing.T) {
 		{"pairs doubled", doubled},
 		{"runs repeated", append(append([]record.Pair(nil), cross...), cross[2*run:4*run]...)},
 		{"one-row runs", oneRow},
+		{"runs of five rows", short},
 		{"sparse tail", append(append([]record.Pair(nil), cross...), shuffled[:50]...)},
 		{"one run", cross[:run]},
 		{"empty", nil},
@@ -477,8 +481,8 @@ func checkVectorsAllocs(t *testing.T, ex *feature.Extractor, bs []int32) {
 // a missing value, a length of one a token-less one; two more draws make the
 // 64- and 65-rune values on either side of the edit column's pattern limit,
 // with a rune beyond the ASCII mask table in them, and one a value that
-// repeats its tokens), table B long enough for a column and of odd or even
-// length by the input's. Every feature of the first rows of A, whole and by
+// repeats its tokens), table B of 70 to 78 rows, of odd or even length by
+// the input's. Every feature of the first rows of A, whole and by
 // position list, must equal the pair kernel; and Vectors over the cross
 // product of all of A — two whole tiles of rows and part of a third — and B
 // must equal ComputeScratch in every cell.

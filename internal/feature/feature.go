@@ -281,7 +281,7 @@ func (c *column) build(values [][]string, rows [][]int, valA, valB []uint32, fie
 		}
 		dictA, dictB := dicts[0], dicts[1]
 		c.tokens = similarity.NewTokenPairs(dictA, dictB,
-			worthTable(countTokens(opsA)*countTokens(opsB), dictA.Len()*dictB.Len(), 2))
+			worthTable(countTokens(opsA)*countTokens(opsB), dictA.Len()*dictB.Len(), 1))
 	}
 }
 
@@ -476,15 +476,17 @@ func (e *Extractor) Vectors(pairs []record.Pair) [][]float64 {
 }
 
 // crossRun returns the Run of the B rows of pairs' first run — its leading
-// pairs with one row of A — when some feature has a column over it and the
+// pairs with one row of A — when the next row of A repeats that list, the
 // input is long enough to hold it minReuse times over (what building its
-// postings takes to pay back); nil otherwise.
+// views takes to pay back), and some feature has a column over it; nil
+// otherwise.
 func (e *Extractor) crossRun(pairs []record.Pair) *Run {
 	n := 0
 	for n < len(pairs) && pairs[n].A == pairs[0].A {
 		n++
 	}
-	if n < minRun || len(pairs) < minReuse*n {
+	if n == 0 || len(pairs) < minReuse*n || !slices.EqualFunc(pairs[:n], pairs[n:2*n],
+		func(p, q record.Pair) bool { return p.B == q.B && q.A == pairs[n].A }) {
 		return nil
 	}
 	bs := make([]int32, n)

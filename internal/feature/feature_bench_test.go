@@ -26,10 +26,11 @@ var sinkRows [][]float64
 // benchmark's three dataset shapes: all of Restaurants×1.0's A×B (what
 // rest-match vectorises), and a 200k-pair seeded sample of Citations×0.1 and
 // of Products×0.2 (the size of the blocker's sample S). Two cross products
-// sit on the per-pair side of a path choice (DESIGN.md §6 "Path choices"):
-// all of Restaurants×0.1's 53×33 (a svc-journal job's C; runs of 33 rows,
-// under minRun) and three rows of Citations×0.1 against all of B (the list
-// comes back three times, under minReuse). Every iteration builds its own
+// sit on either side of crossRun's rule (DESIGN.md §6 "Path choices"): all
+// of Restaurants×0.1's 53×33 (a svc-journal job's C; runs of 33 rows, the
+// list repeated 53 times, so the column kernels take it) and three rows of
+// Citations×0.1 against all of B (the list comes back three times, under
+// minReuse, so every pair is scored on its own). Every iteration builds its own
 // extractor, so dictionary construction and the filling of the write-once
 // tables are inside the figure, as they are inside a run.
 func BenchmarkVectors(b *testing.B) {

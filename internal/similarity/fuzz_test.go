@@ -222,6 +222,34 @@ func FuzzJaroBitParallel(f *testing.F) {
 	})
 }
 
+// FuzzJaroWinklerSymmetric checks that Jaro and Jaro-Winkler score the same
+// bits in both argument orders, through both matchers: the one-word kernel
+// when the second argument has at most 64 runes, the block kernel past it.
+// The seeds reach past one word on either side and beyond the ASCII table,
+// where the masks spill into the map.
+func FuzzJaroWinklerSymmetric(f *testing.F) {
+	for _, c := range jaroCases {
+		f.Add(c[0], c[1])
+	}
+	f.Add(strings.Repeat("abcab", 14), strings.Repeat("bacba", 13)+"c") // 70 and 66
+	f.Add(strings.Repeat("aab", 30), strings.Repeat("ab", 20))          // 90 and 40
+	f.Add("é日éa日", "日éé日a")
+	f.Add(strings.Repeat("日é", 40), strings.Repeat("é日x", 25)) // 80 and 75, non-ASCII
+	s := NewScratch()
+	f.Fuzz(func(t *testing.T, a, b string) {
+		if len(a) > 600 || len(b) > 600 {
+			return
+		}
+		ra, rb := []rune(a), []rune(b)
+		if ab, ba := jaroRunes(ra, rb, s), jaroRunes(rb, ra, s); !bitsEqual(ab, ba) {
+			t.Fatalf("Jaro(%q, %q) = %v, reversed %v", a, b, ab, ba)
+		}
+		if ab, ba := JaroWinkler(a, b), JaroWinkler(b, a); !bitsEqual(ab, ba) {
+			t.Fatalf("JaroWinkler(%q, %q) = %v, reversed %v", a, b, ab, ba)
+		}
+	})
+}
+
 // FuzzSetKernels differentially fuzzes the integer-coded set measures —
 // word ranks for Jaccard / overlap / TF-IDF cosine, packed 3-grams for
 // q-gram Jaccard — against the retained string merges, demanding
@@ -273,13 +301,14 @@ func FuzzSetKernels(f *testing.F) {
 // again and again — dealt alternately to the two sides of a column; every
 // a×b pair is scored through a tabled TokenPairs twice (the fill, then the
 // read-back) and through an untabled one, and all three must equal
-// MongeElkan on the strings bit for bit. Both directions of every token
-// pair are checked cell against kernel as well, so a table that kept one
-// direction and served it for the other would have to be right about
-// JW(y, x) = JW(x, y) for every pair the fuzzer finds. The column — every a
-// against the whole b side, then against its odd positions — must equal
-// TokenPairs.MongeElkan too, through a cold table, a warm one and none: past
-// its cost rule for every a with tokens, and through it.
+// MongeElkan on the strings bit for bit. Every token pair's one cell is
+// checked against the kernel in both argument orders as well: the table
+// keeps one direction and serves it for the other, which is right only
+// while JW(y, x) = JW(x, y) bit for bit (FuzzJaroWinklerSymmetric). The
+// column — every a against the whole b side, then against its odd
+// positions — must equal TokenPairs.MongeElkan too, through a cold table, a
+// warm one and none: past its cost rule for every a with tokens, and
+// through it.
 func FuzzMongeElkanTable(f *testing.F) {
 	f.Add([]byte("abca abd\nabd abca\ndcba\nabca"))
 	f.Add([]byte("a\nb\nab ba\nba ab\naabb bbaa abab\nbaba abba"))
@@ -315,9 +344,10 @@ func FuzzMongeElkanTable(f *testing.F) {
 		}
 		for x, rx := range da.runes {
 			for y, ry := range db.runes {
-				fwd, back := tabled.jaroWinkler(uint32(x), uint32(y), 0, s), tabled.jaroWinkler(uint32(x), uint32(y), 1, s)
-				if !bitsEqual(fwd, JaroWinkler(string(rx), string(ry))) || !bitsEqual(back, JaroWinkler(string(ry), string(rx))) {
-					t.Fatalf("cells of (%q, %q) hold %v / %v", string(rx), string(ry), fwd, back)
+				cell := tabled.jaroWinkler(uint32(x), uint32(y), s)
+				if !bitsEqual(cell, JaroWinkler(string(rx), string(ry))) || !bitsEqual(cell, JaroWinkler(string(ry), string(rx))) {
+					t.Fatalf("cell of (%q, %q) holds %v; kernel %v / %v", string(rx), string(ry), cell,
+						JaroWinkler(string(rx), string(ry)), JaroWinkler(string(ry), string(rx)))
 				}
 			}
 		}

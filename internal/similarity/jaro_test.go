@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -80,6 +81,33 @@ func TestJaroBitParallelMatchesGreedy(t *testing.T) {
 			b = string(rb)
 		}
 		check(a, b)
+	}
+}
+
+// TestJaroWinklerSymmetric checks, exhaustively over every ordered pair of
+// strings of up to five runes from {a, b, c}, that Jaro-Winkler scores the
+// same bits in both argument orders — the fact the Monge-Elkan token-pair
+// table and its column rest on (one cell per token pair, g[y] read off the
+// slab). DESIGN.md "Why the masks sit on b" has the proof;
+// FuzzJaroWinklerSymmetric takes it past one word and beyond ASCII.
+func TestJaroWinklerSymmetric(t *testing.T) {
+	words := [][]rune{nil}
+	for n, last := 1, words; n <= 5; n++ {
+		var next [][]rune
+		for _, w := range last {
+			for _, c := range "abc" {
+				next = append(next, append(slices.Clip(w), c))
+			}
+		}
+		words, last = append(words, next...), next
+	}
+	s := NewScratch()
+	for _, a := range words {
+		for _, b := range words {
+			if ab, ba := jaroWinklerRunes(a, b, s), jaroWinklerRunes(b, a, s); !bitsEqual(ab, ba) {
+				t.Fatalf("JaroWinkler(%q, %q) = %v, reversed %v", string(a), string(b), ab, ba)
+			}
+		}
 	}
 }
 

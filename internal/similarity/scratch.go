@@ -21,13 +21,13 @@ type Scratch struct {
 	// per-call state rows (Myers' VP/VN, Jaro's matched bits).
 	peqArena []uint64
 
-	// Monge-Elkan's column (TokenPairs.MongeElkanColumn): a's distinct
+	// Monge-Elkan (TokenPairs.MongeElkan, MongeElkanColumn): a's distinct
 	// tokens, a's tokens as indexes into them, the token-pair slab, the best
-	// score of each run token, one token's scores against the run's, and a
-	// position's best score of each of a's tokens.
-	meXs                       []uint32
-	meXa                       []int32
-	meSlab, meG, meCol, meBest []float64
+	// score of each b-side token over a's tokens, and a position's best
+	// score of each of a's tokens.
+	meXs                []uint32
+	meXa                []int32
+	meSlab, meG, meBest []float64
 }
 
 // grow reslices *buf to n, reallocating — to at least twice its capacity —

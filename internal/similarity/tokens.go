@@ -37,51 +37,46 @@ func (d *TokenDict) Len() int { return len(d.runes) }
 // TokenPairs scores Monge-Elkan between profiles of two token dictionaries
 // (requires FieldTokenIDs, the a-side profiles numbered by the first
 // dictionary and the b-side ones by the second). The inner Jaro-Winkler is
-// a function of two tokens, so with a table it runs once per distinct
-// directed token pair instead of once per occurrence. Both directions have
-// their own cell: Jaro's first-fit matcher is not symmetric in its
-// arguments (jaro.go), and nothing proves its score is, so JW(x, y) may not
-// stand in for JW(y, x). A TokenPairs is safe for concurrent use.
+// a function of two tokens, so with a table it runs once per distinct token
+// pair instead of once per occurrence. Jaro-Winkler is symmetric in its
+// arguments, bit for bit (jaro.go, DESIGN.md "Why the masks sit on b"), so
+// one cell serves both directions: JW(a[x], b[y]) is JW(b[y], a[x]). A
+// TokenPairs is safe for concurrent use.
 type TokenPairs struct {
 	a, b *TokenDict
-	// jw[2*(x*b.Len()+y)] holds JW(a[x], b[y]), the next cell JW(b[y], a[x]);
-	// nil when the column is not worth a table, and every score is computed.
+	// jw[x*b.Len()+y] holds JW(a[x], b[y]); nil when the column is not
+	// worth a table, and every score is computed.
 	jw []Cell
 }
 
 // NewTokenPairs binds the two dictionaries; table says whether to memoise
-// the token-pair scores (2·|a|·|b| cells, filled on first use).
+// the token-pair scores (|a|·|b| cells, filled on first use).
 func NewTokenPairs(a, b *TokenDict, table bool) *TokenPairs {
 	t := &TokenPairs{a: a, b: b}
 	if table {
-		t.jw = make([]Cell, 2*a.Len()*b.Len())
+		t.jw = make([]Cell, a.Len()*b.Len())
 	}
 	return t
 }
 
-// cell is the table's cell of JW(a[x], b[y]), or of JW(b[y], a[x]) when
-// back is 1; nil without a table.
-func (t *TokenPairs) cell(x, y uint32, back int) *Cell {
+// cell is the table's cell of JW(a[x], b[y]); nil without a table.
+func (t *TokenPairs) cell(x, y uint32) *Cell {
 	if t.jw == nil {
 		return nil
 	}
-	return &t.jw[2*(int(x)*len(t.b.runes)+int(y))+back]
+	return &t.jw[int(x)*len(t.b.runes)+int(y)]
 }
 
-// jaroWinkler returns JW(a[x], b[y]), or JW(b[y], a[x]) when back is 1:
-// the table's cell if it is filled, else the kernel's score, stored.
-func (t *TokenPairs) jaroWinkler(x, y uint32, back int, s *Scratch) float64 {
-	cell := t.cell(x, y, back)
+// jaroWinkler returns JW(a[x], b[y]): the table's cell if it is filled,
+// else the kernel's score, stored.
+func (t *TokenPairs) jaroWinkler(x, y uint32, s *Scratch) float64 {
+	cell := t.cell(x, y)
 	if cell != nil {
 		if v, ok := cell.Load(); ok {
 			return v
 		}
 	}
-	ra, rb := t.a.runes[x], t.b.runes[y]
-	if back != 0 {
-		ra, rb = rb, ra
-	}
-	v := jaroWinklerRunes(ra, rb, s)
+	v := jaroWinklerRunes(t.a.runes[x], t.b.runes[y], s)
 	if cell != nil {
 		cell.Store(v)
 	}
@@ -90,10 +85,13 @@ func (t *TokenPairs) jaroWinkler(x, y uint32, back int, s *Scratch) float64 {
 
 // MongeElkan is the profile fast path of MongeElkan: for each token of a the
 // best Jaro-Winkler among the tokens of b, averaged, and the same from b's
-// side, in the string measure's evaluation order. The builtin max stands for
-// the string measure's `if v > best` loop: Jaro-Winkler is in [0, 1], never
-// NaN and never −0, and best starts at +0, so the two keep the same bits
-// (TestMaxIsTheGreaterLoop).
+// side, in the string measure's evaluation order. Each of the |a|·|b| token
+// pairs is scored once: JW(y, x) is JW(x, y), so one pass over a's tokens
+// keeps both a's row maxima, summed in a's order, and b's column maxima in
+// s, summed afterwards in b's order. The builtin max stands for the string
+// measure's `if v > best` loop: Jaro-Winkler is in [0, 1], never NaN and
+// never −0, and best starts at +0, so the two keep the same bits whatever
+// order the maximum is taken in (TestMaxIsTheGreaterLoop).
 func (t *TokenPairs) MongeElkan(a, b *Profile, s *Scratch) float64 {
 	ta, tb := a.TokenIDs, b.TokenIDs
 	if len(ta) == 0 && len(tb) == 0 {
@@ -102,21 +100,24 @@ func (t *TokenPairs) MongeElkan(a, b *Profile, s *Scratch) float64 {
 	if len(ta) == 0 || len(tb) == 0 {
 		return 0
 	}
+	if s == nil {
+		s = new(Scratch)
+	}
+	g := grow(&s.meG, len(tb))
+	clear(g)
 	sumA := 0.0
 	for _, x := range ta {
 		best := 0.0
-		for _, y := range tb {
-			best = max(best, t.jaroWinkler(x, y, 0, s))
+		for j, y := range tb {
+			v := t.jaroWinkler(x, y, s)
+			best = max(best, v)
+			g[j] = max(g[j], v)
 		}
 		sumA += best
 	}
 	sumB := 0.0
-	for _, y := range tb {
-		best := 0.0
-		for _, x := range ta {
-			best = max(best, t.jaroWinkler(x, y, 1, s))
-		}
-		sumB += best
+	for _, v := range g {
+		sumB += v
 	}
 	return (sumA/float64(len(ta)) + sumB/float64(len(tb))) / 2
 }
@@ -164,14 +165,14 @@ func (t *TokenPairs) NewTokenRun(ps []*Profile, rows []int32) *TokenRun {
 // no tokens or the pair path reads fewer Jaro-Winkler scores.
 //
 // The column scores a's distinct tokens xs against the run's ys once: a slab
-// of JW(x, y) for every pair, and g[y], the best JW(y, x) over xs — each read
-// from the token-pair table where it has the cell, else computed B-major
-// (jwAgainst: one side's masks built once for all of the other's tokens).
-// That is 2·|xs|·|ys| scores against the pair path's 2·|a|·Σ|b| over pos.
-// A position then sums, over a's tokens in order, the best slab entry among
-// its own tokens, and over its tokens in order g: the pair path's two sums
-// term by term, since a max over values in [0, 1] does not depend on the
-// order it is taken in, and the same divisions.
+// of JW(x, y) for every pair — each read from the token-pair table where it
+// has the cell, else computed B-major (jwAgainst: a run token's masks built
+// once for all of xs) — and g[y], the best slab entry over xs, which is the
+// best JW(y, x) by symmetry. That is |xs|·|ys| scores against the pair
+// path's |a|·Σ|b| over pos. A position then sums, over a's tokens in order,
+// the best slab entry among its own tokens, and over its tokens in order g:
+// the pair path's two sums term by term, since a max over values in [0, 1]
+// does not depend on the order it is taken in, and the same divisions.
 func (t *TokenPairs) MongeElkanColumn(a *Profile, run *TokenRun, pos []int32, dst []float64, stride int, s *Scratch) bool {
 	ta := a.TokenIDs
 	if len(ta) == 0 {
@@ -222,16 +223,15 @@ func (r *TokenRun) tokensAt(pos []int32) int {
 func (t *TokenPairs) slabColumn(na int, run *TokenRun, pos []int32, dst []float64, stride int, s *Scratch) {
 	xs, xa := s.meXs, s.meXa
 	nx, ny := len(xs), len(run.ys)
-	slab, g, col := grow(&s.meSlab, nx*ny), grow(&s.meG, ny), grow(&s.meCol, ny)
+	slab, g := grow(&s.meSlab, nx*ny), grow(&s.meG, ny)
 	for yi, y := range run.ys {
-		t.jwAgainst(xs, y, 0, slab[yi*nx:yi*nx+nx], s)
-	}
-	clear(g)
-	for _, x := range xs {
-		t.jwAgainst(run.ys, x, 1, col, s)
-		for yi, v := range col {
-			g[yi] = max(g[yi], v)
+		row := slab[yi*nx : yi*nx+nx]
+		t.jwAgainst(xs, y, row, s)
+		best := 0.0
+		for _, v := range row {
+			best = max(best, v)
 		}
+		g[yi] = best
 	}
 	best := grow(&s.meBest, nx)
 	for _, k := range pos {
@@ -256,39 +256,30 @@ func (t *TokenPairs) slabColumn(na int, run *TokenRun, pos []int32, dst []float6
 	}
 }
 
-// jwAgainst writes to out[i] the score of the i-th token of us against the
-// token w — with back 0, JW(a[us[i]], b[w]); with back 1, JW(b[us[i]], a[w])
-// — each the table's cell if it is filled, else computed against w's masks,
-// built on the first miss and kept for the rest, and stored.
-func (t *TokenPairs) jwAgainst(us []uint32, w uint32, back int, out []float64, s *Scratch) {
-	du, dw := t.a, t.b
-	if back != 0 {
-		du, dw = t.b, t.a
-	}
-	rw := dw.runes[w]
+// jwAgainst writes JW(a[xs[i]], b[y]) to out[i]: the table's cell if it is
+// filled, else computed against y's masks, built on the first miss and kept
+// for the rest, and stored.
+func (t *TokenPairs) jwAgainst(xs []uint32, y uint32, out []float64, s *Scratch) {
+	rb := t.b.runes[y]
 	var peq *[asciiTableSize]uint64
 	var over map[rune]uint64
-	for i, u := range us {
-		x, y := u, w
-		if back != 0 {
-			x, y = w, u
-		}
-		cell := t.cell(x, y, back)
+	for i, x := range xs {
+		cell := t.cell(x, y)
 		if cell != nil {
 			if v, ok := cell.Load(); ok {
 				out[i] = v
 				continue
 			}
 		}
-		ru := du.runes[u]
+		ra := t.a.runes[x]
 		var v float64
-		if len(rw) == 0 || len(rw) > 64 {
-			v = jaroWinklerRunes(ru, rw, s)
+		if len(rb) == 0 || len(rb) > 64 {
+			v = jaroWinklerRunes(ra, rb, s)
 		} else {
 			if peq == nil {
-				peq, over = s.buildMasks(rw)
+				peq, over = s.buildMasks(rb)
 			}
-			v = winkler(jaroAgainst(ru, rw, peq, over), ru, rw)
+			v = winkler(jaroAgainst(ra, rb, peq, over), ra, rb)
 		}
 		if cell != nil {
 			cell.Store(v)
@@ -296,7 +287,7 @@ func (t *TokenPairs) jwAgainst(us []uint32, w uint32, back int, out []float64, s
 		out[i] = v
 	}
 	if peq != nil {
-		s.wipeMasks(rw, over)
+		s.wipeMasks(rb, over)
 	}
 }
 
