@@ -14,8 +14,19 @@ import "math/bits"
 // bit is the first of them. The matched set after step i is therefore the
 // loop's matched set after step i, by induction, and the transposition
 // count — the k-th matched rune of a against the k-th matched position of
-// b — reads off the same bits. The masks must index b: the matcher scans a
-// in order and b by first fit, which is not symmetric in its arguments.
+// b — reads off the same bits. The masks index b, the side the loop
+// searches.
+//
+// The score is symmetric, bit for bit: Jaro(a, b) = Jaro(b, a). Runes never
+// compete, since cand is masked to one rune's positions; and for one rune,
+// first fit over a's positions P against b's positions Q is a merge — a q
+// below p−window is dead for every later p and is dropped, a p with no q up
+// to p+window has no partner and is dropped, else the two pair — whose cases
+// mirror when P and Q swap. So both orders pair the same positions, with
+// the same match and transposition counts; jaroWindow takes a max,
+// m/la + m/lb is one commutative IEEE addition, and the Winkler prefix is
+// common to both. TokenPairs relies on it (DESIGN.md "Why the masks sit on
+// b"; TestJaroWinklerSymmetric, FuzzJaroWinklerSymmetric).
 //
 // b of up to 64 runes fits one word (jaroSingle); longer b uses ⌈|b|/64⌉
 // words per rune (jaroBlocks), touching only the words the window covers.

@@ -60,7 +60,8 @@ go test -race ./...
 
 # Fuzz smoke: every target `make fuzz` lists (pair codec and merge, the
 # rel_diff band index, pair and column kernels (Myers, Jaro and its masks built
-# once for many a, the set measures, the edit column, the Monge-Elkan column,
+# once for many a, Jaro-Winkler's symmetry, the set measures, the edit column,
+# the Monge-Elkan column,
 # Vectors' tiles), the character-bag bounds the verifier decides edit and
 # Jaro-Winkler predicates with, the token-pair table, the column profile build and the string
 # primitives under it, CSV round trip and reader totality, row sets,
