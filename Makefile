@@ -95,7 +95,7 @@ shard:
 # post-blocking stages"). Rule coverage: the forest leaf walk vs Rule.Matches
 # and MakeCandidates on forests trained on random small sets, rows of -1, -0,
 # ±Inf and values at the thresholds (DESIGN.md "Cover by leaf"). Job directory: the two remaining disk decoders
-# are total — a model file that loads re-saves to an identical scorer, a
+# are total — a model file that loads re-saves to an identical forest, a
 # spec.json that decodes builds or fails with an error. Submit body: the
 # POST /jobs decoder and its range check never panic on arbitrary bytes, and
 # every Meta they accept is in range and survives the spec record the journal

@@ -5,14 +5,15 @@
 // drives active learning, and extraction of deduplicated positive and
 // negative rules across trees (§4.1, §7).
 //
-// The trained forest lives in a structure-of-arrays layout: every tree's
-// nodes are flat feature/threshold/left/right/label slices packed
-// contiguously across trees (soa.go), so scoring walks dense arrays
-// instead of chasing per-node heap pointers; one walk (posCount) serves
-// every scoring entry point, and a Scorer fans it out over a pool of
-// vectors with reused buffers. Training grows trees directly into that
-// layout with per-goroutine scratch (grow.go), bit-identical to the
-// retained pointer-tree reference.
+// The trained forest lives in a structure-of-arrays layout, the only tree
+// form: every tree's nodes are flat feature/threshold/left/right/label
+// slices packed contiguously across trees (soa.go), so scoring walks dense
+// arrays instead of chasing per-node heap pointers. One walk (posCount)
+// scores a vector for every entry point, and a Scorer fans it out over a
+// pool of vectors with reused buffers; LeavesInto is the same loop
+// reporting the leaves. Train grows trees directly into that layout with
+// per-goroutine scratch (grow.go), bit-identical to the pointer-tree CART
+// reference the tests keep, and Load packs saved nodes into it.
 package forest
 
 import (
@@ -66,10 +67,6 @@ type Forest struct {
 	cfg Config
 	soa
 }
-
-// TrainConfig returns the hyperparameters the forest was trained with
-// (defaults applied). Round-tripped by Save/Load.
-func (f *Forest) TrainConfig() Config { return f.cfg }
 
 // NumTrees returns k, the number of component trees.
 func (f *Forest) NumTrees() int { return len(f.roots) }
@@ -125,10 +122,7 @@ func Train(X [][]float64, y []bool, cfg Config) *Forest {
 			parts[t] = g.growTree(idx)
 		}
 	})
-	f := &Forest{cfg: cfg}
-	f.soa = packTrees(parts)
-	f.buildTables()
-	return f
+	return pack(cfg, parts)
 }
 
 // posCount walks every tree and counts "match" votes for v.
@@ -181,11 +175,6 @@ func EntropyOf(pPos float64) float64 {
 		h -= pNeg * math.Log(pNeg)
 	}
 	return h
-}
-
-// Confidence returns conf(e) = 1 - entropy(e) (§5.3).
-func (f *Forest) Confidence(v []float64) float64 {
-	return f.confTab[f.posCount(v)]
 }
 
 // Rules extracts every decision rule from every tree, deduplicated by
@@ -251,8 +240,8 @@ func (f *Forest) LeavesInto(V [][]float64, dst []int32) {
 }
 
 // treeRules walks tree t root-to-leaf and emits each path as a rule with
-// its leaf's packed index, in the same left-first order (and with the same
-// predicate layout) as the pointer-tree extraction it replaced.
+// its leaf's packed index, left subtree first, each rule's predicates in
+// path order from the root.
 func (f *Forest) treeRules(t int, emit func(tree.Rule, int32)) {
 	var path []tree.Predicate
 	var walk func(n int32)
@@ -279,18 +268,6 @@ func (f *Forest) treeRules(t int, emit func(tree.Rule, int32)) {
 		path = path[:len(path)-1]
 	}
 	walk(f.roots[t])
-}
-
-// NumLeaves returns the total leaf count across trees (the paper reports
-// 8–655 leaves per tree on its datasets).
-func (f *Forest) NumLeaves() int {
-	n := 0
-	for _, feat := range f.feature {
-		if feat < 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // String renders all trees with the given feature-name resolver, in the

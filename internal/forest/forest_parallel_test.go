@@ -12,14 +12,13 @@ import (
 	"github.com/corleone-em/corleone/internal/feature"
 	"github.com/corleone-em/corleone/internal/record"
 	"github.com/corleone-em/corleone/internal/stats"
-	"github.com/corleone-em/corleone/internal/tree"
 )
 
 // trainSerialTrees is the pre-parallelization, pre-SoA reference
 // implementation: one RNG, pointer trees grown one after another through
 // growReference, each consuming the forest RNG directly. Train must produce
 // exactly this forest for every seed.
-func trainSerialTrees(X [][]float64, y []bool, cfg Config) []*tree.Tree {
+func trainSerialTrees(X [][]float64, y []bool, cfg Config) []*refNode {
 	cfg = cfg.withDefaults()
 	nf := len(X[0])
 	m := cfg.FeaturesPerSplit
@@ -34,7 +33,7 @@ func trainSerialTrees(X [][]float64, y []bool, cfg Config) []*tree.Tree {
 	if bag < 1 {
 		bag = 1
 	}
-	trees := make([]*tree.Tree, 0, cfg.NumTrees)
+	trees := make([]*refNode, 0, cfg.NumTrees)
 	for t := 0; t < cfg.NumTrees; t++ {
 		treeRng := rand.New(rand.NewSource(rng.Int63()))
 		idx := stats.SampleIndices(treeRng, len(X), bag)
@@ -98,22 +97,27 @@ func TestTrainParallelMatchesSerial(t *testing.T) {
 					t.Errorf("seed %d: parallel Train differs from serial reference", seed)
 				}
 			}
-			// Also with non-default tree counts and depth bounds.
-			cfg := Config{NumTrees: 23, BagFraction: 0.5, MaxDepth: 4, Seed: 5}
-			if !reflect.DeepEqual(Train(X, y, cfg), trainSerial(X, y, cfg)) {
-				t.Error("parallel Train differs from serial reference (custom config)")
+			// Also with non-default tree counts, depth and leaf bounds and
+			// split widths.
+			for _, cfg := range []Config{
+				{NumTrees: 23, BagFraction: 0.5, MaxDepth: 4, Seed: 5},
+				{MinLeaf: 5, FeaturesPerSplit: 2, Seed: 7},
+			} {
+				if !reflect.DeepEqual(Train(X, y, cfg), trainSerial(X, y, cfg)) {
+					t.Errorf("parallel Train differs from serial reference (%+v)", cfg)
+				}
 			}
 		})
 	}
 }
 
 // referenceScores computes per-vector positive fraction, entropy, and
-// confidence by walking the retained pointer trees one vector at a time —
+// confidence by walking the reference pointer trees one vector at a time —
 // the pre-SoA scoring semantics, transcendentals and all.
-func referenceScores(trees []*tree.Tree, v []float64) (frac, ent, conf float64) {
+func referenceScores(trees []*refNode, v []float64) (frac, ent, conf float64) {
 	pos := 0
 	for _, tr := range trees {
-		if tr.Predict(v) {
+		if tr.predict(v) {
 			pos++
 		}
 	}
@@ -148,15 +152,15 @@ func withSpecials(seed int64, X [][]float64, nans bool) [][]float64 {
 // thresholds: the negatives a column holding feature.Missing gives ordinary
 // training (-1, -0.5), and -0.0, ±Inf and NaN, which only Load of an edited
 // model file could bring.
-func thresholdStumps(nf int) []*tree.Tree {
-	var trees []*tree.Tree
+func thresholdStumps(nf int) []*refNode {
+	var trees []*refNode
 	for i, thr := range []float64{-1, -0.5, math.Copysign(0, -1), 0, math.Inf(-1), math.Inf(1),
 		math.NaN(), -math.SmallestNonzeroFloat64, 0.5} {
-		trees = append(trees, &tree.Tree{Root: &tree.Node{
+		trees = append(trees, &refNode{
 			Feature: i % nf, Threshold: thr, Pos: 1, Neg: 1,
-			Left:  &tree.Node{Feature: -1, Label: true, Pos: 1},
-			Right: &tree.Node{Feature: -1, Neg: 1},
-		}})
+			Left:  &refNode{Feature: -1, Label: true, Pos: 1},
+			Right: &refNode{Feature: -1, Neg: 1},
+		})
 	}
 	return trees
 }
@@ -192,8 +196,8 @@ func realPool(name string, scale float64) (V, X [][]float64, y []bool) {
 }
 
 // TestScoringParallelMatchesSerial pins every scoring entry point — the
-// per-vector PosFraction/Entropy/Confidence and the Scorer's
-// ConfidencesInto/EntropiesInto/MeanConfidence — bit-identical to
+// per-vector PosFraction/Entropy and the Scorer's
+// ConfidencesInto/MeanConfidence — bit-identical to
 // per-vector pointer-tree scoring, across GOMAXPROCS: on similarity-like
 // values in [0, 1); on vectors and trained thresholds full of -1, -0.0,
 // ±Inf and NaN; on hand-built negative, infinite and NaN thresholds; and on
@@ -210,7 +214,7 @@ func TestScoringParallelMatchesSerial(t *testing.T) {
 	cfg := Defaults()
 	cases := []struct {
 		name     string
-		refTrees []*tree.Tree
+		refTrees []*refNode
 		train    func() *Forest
 		V        [][]float64
 	}{
@@ -237,20 +241,17 @@ func TestScoringParallelMatchesSerial(t *testing.T) {
 				refTrees, V := c.refTrees, c.V
 				f := c.train()
 				confs := sc.ConfidencesInto(f, V, make([]float64, len(V)))
-				ents := sc.EntropiesInto(f, V, make([]float64, len(V)))
 				sum := 0.0
 				for i, v := range V {
 					frac, ent, conf := referenceScores(refTrees, v)
 					if got := f.PosFraction(v); got != frac {
 						t.Fatalf("%s: PosFraction[%d] = %v, reference = %v", c.name, i, got, frac)
 					}
-					if confs[i] != conf || f.Confidence(v) != conf {
-						t.Fatalf("%s: confidence[%d] of %v: scorer %v / single %v, reference %v",
-							c.name, i, v, confs[i], f.Confidence(v), conf)
+					if confs[i] != conf {
+						t.Fatalf("%s: confidence[%d] of %v: scorer %v, reference %v", c.name, i, v, confs[i], conf)
 					}
-					if ents[i] != ent || f.Entropy(v) != ent {
-						t.Fatalf("%s: entropy[%d]: scorer %v / single %v, reference %v",
-							c.name, i, ents[i], f.Entropy(v), ent)
+					if got := f.Entropy(v); got != ent {
+						t.Fatalf("%s: Entropy[%d] = %v, reference = %v", c.name, i, got, ent)
 					}
 					sum += conf
 				}
@@ -284,11 +285,6 @@ func TestScorerZeroAllocSteadyState(t *testing.T) {
 		sc.ConfidencesInto(f, V, dst)
 	}); allocs != 0 {
 		t.Errorf("ConfidencesInto steady state allocates %.1f per op, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		sc.EntropiesInto(f, V, dst)
-	}); allocs != 0 {
-		t.Errorf("EntropiesInto steady state allocates %.1f per op, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		sinkFloat = sc.MeanConfidence(f, V)

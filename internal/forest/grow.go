@@ -9,8 +9,8 @@ import (
 // grower grows one tree at a time directly into the SoA layout. All of its
 // scratch — bootstrap indices, feature marks, split-candidate list, sort
 // buffer, partition buffer — is allocated once per par.For chunk and reused
-// across trees and nodes, where the classic pointer-tree grower (retained
-// as the test oracle growReference) allocated fresh index slices, value
+// across trees and nodes, where the classic pointer-tree grower (now only
+// the test oracle growReference) allocated fresh index slices, value
 // buffers, and sort closures at every node. That per-node garbage is what
 // kept concurrent tree growth serialized on the allocator; with it gone,
 // goroutines share nothing but the read-only training data.
@@ -69,8 +69,8 @@ func (g *grower) counts(idx []int) (pos, neg int) {
 }
 
 // growNode emits the subtree over idx in pre-order — the node itself, then
-// the whole left subtree, then the right — matching both flattenTree and
-// the Save wire order, and returns the node's tree-local index.
+// the whole left subtree, then the right — matching the Save wire order
+// and Load's walk, and returns the node's tree-local index.
 func (g *grower) growNode(idx []int, depth int) int32 {
 	pos, neg := g.counts(idx)
 	id := g.st.emit()

@@ -4,17 +4,76 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-
-	"github.com/corleone-em/corleone/internal/tree"
 )
 
 // The pre-SoA reference grower: the classic pointer-tree CART (Gini
 // impurity, each split chosen from a random subset of features) that
 // shipped before grow.go. For a given RNG, grower (grow.go) must consume
 // exactly the same draw sequence and produce exactly the same tree; the
-// equivalence tests pin that for every seed they try. It is a copy of
-// internal/tree/grow_test.go — _test.go code cannot be shared across
-// packages — with the tree types qualified.
+// equivalence tests pin that for every seed they try. The pointer tree it
+// grows exists only here: flattenTree packs it into the shipping layout.
+
+// refNode is one pointer-tree node. Leaves have Feature == -1.
+type refNode struct {
+	// Feature is the feature index tested at an internal node, -1 at a leaf.
+	Feature int
+	// Threshold routes vectors: value <= Threshold goes Left, else Right.
+	Threshold   float64
+	Left, Right *refNode
+	// Label is the leaf prediction (true = match).
+	Label bool
+	// Pos and Neg are the training example counts that reached this node.
+	Pos, Neg int
+}
+
+func (n *refNode) isLeaf() bool { return n.Feature < 0 }
+
+// predict routes v down the tree rooted at n and returns the leaf label.
+func (n *refNode) predict(v []float64) bool {
+	for !n.isLeaf() {
+		if v[n.Feature] <= n.Threshold {
+			n = n.Left
+		} else {
+			n = n.Right
+		}
+	}
+	return n.Label
+}
+
+// flattenTree lays a pointer tree out in pre-order — the same emission
+// order the grower uses — so a flattened reference tree is structurally
+// identical to a directly grown one.
+func flattenTree(root *refNode) soaTree {
+	var st soaTree
+	var walk func(n *refNode) int32
+	walk = func(n *refNode) int32 {
+		id := st.emit()
+		st.pos[id] = int32(n.Pos)
+		st.neg[id] = int32(n.Neg)
+		if n.isLeaf() {
+			st.feature[id] = -1
+			st.label[id] = n.Label
+			return id
+		}
+		st.feature[id] = int32(n.Feature)
+		st.threshold[id] = n.Threshold
+		l := walk(n.Left)
+		r := walk(n.Right)
+		st.left[id], st.right[id] = l, r
+		return id
+	}
+	walk(root)
+	return st
+}
+
+// fromTrees packs pointer trees into a forest.
+func fromTrees(trees []*refNode, cfg Config) *Forest {
+	parts := make([]soaTree, len(trees))
+	for i, t := range trees {
+		parts[i] = flattenTree(t)
+	}
+	return pack(cfg, parts)
+}
 
 // refConfig controls reference tree growth.
 type refConfig struct {
@@ -34,7 +93,7 @@ type refConfig struct {
 // growReference trains a tree on the rows of X selected by idx (labels in y). X rows
 // are feature vectors; idx lets the forest pass bootstrap samples without
 // copying. If idx is nil, all rows are used.
-func growReference(X [][]float64, y []bool, idx []int, cfg refConfig) *tree.Tree {
+func growReference(X [][]float64, y []bool, idx []int, cfg refConfig) *refNode {
 	if cfg.MinLeaf < 1 {
 		cfg.MinLeaf = 1
 	}
@@ -47,7 +106,7 @@ func growReference(X [][]float64, y []bool, idx []int, cfg refConfig) *tree.Tree
 	own := make([]int, len(idx))
 	copy(own, idx)
 	g := &refGrower{X: X, y: y, cfg: cfg}
-	return &tree.Tree{Root: g.grow(own, 0)}
+	return g.grow(own, 0)
 }
 
 type refGrower struct {
@@ -67,10 +126,10 @@ func (g *refGrower) counts(idx []int) (pos, neg int) {
 	return
 }
 
-func (g *refGrower) grow(idx []int, depth int) *tree.Node {
+func (g *refGrower) grow(idx []int, depth int) *refNode {
 	pos, neg := g.counts(idx)
-	leaf := func() *tree.Node {
-		return &tree.Node{Feature: -1, Label: pos > neg, Pos: pos, Neg: neg}
+	leaf := func() *refNode {
+		return &refNode{Feature: -1, Label: pos > neg, Pos: pos, Neg: neg}
 	}
 	if pos == 0 || neg == 0 || len(idx) < 2*g.cfg.MinLeaf ||
 		(g.cfg.MaxDepth > 0 && depth >= g.cfg.MaxDepth) {
@@ -91,7 +150,7 @@ func (g *refGrower) grow(idx []int, depth int) *tree.Node {
 	if len(left) < g.cfg.MinLeaf || len(right) < g.cfg.MinLeaf {
 		return leaf()
 	}
-	return &tree.Node{
+	return &refNode{
 		Feature:   feat,
 		Threshold: thr,
 		Left:      g.grow(left, depth+1),

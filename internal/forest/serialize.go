@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"github.com/corleone-em/corleone/internal/tree"
 )
 
 // savedNode is the JSON form of a tree node, flattened pre-order.
@@ -45,8 +43,9 @@ type savedForest struct {
 // in pre-order with tree-local child indices. The packed SoA layout stores
 // each tree's span in exactly that order, so emission is a linear scan of
 // the span with indices rebased by the span start, and the bytes written
-// for a given forest are identical to what the old walker produced —
-// runsvc journal snapshots replay across versions in both directions.
+// for a given forest are identical to what the old walker produced — a
+// model file (runsvc's model_iterNN.json) written by either loads in the
+// other.
 func (f *Forest) Save(w io.Writer, featureNames []string) error {
 	out := savedForest{FeatureNames: featureNames, Config: f.cfg}
 	for t := range f.roots {
@@ -104,10 +103,6 @@ func Load(r io.Reader, featureNames []string) (*Forest, error) {
 // LoadNamed deserializes a forest saved with Save and returns the feature
 // names recorded at save time, for a caller that has no extractor yet to
 // hold the model to.
-//
-// Decoding goes through pointer nodes (the natural shape for validating
-// arbitrary child indices) and then packs them into the SoA layout with
-// fromTrees.
 func LoadNamed(r io.Reader) (*Forest, []string, error) {
 	var in savedForest
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -117,46 +112,67 @@ func LoadNamed(r io.Reader) (*Forest, []string, error) {
 		// Scoring tallies a vector's positive votes in an int16.
 		return nil, nil, fmt.Errorf("forest: model has %d trees, at most %d are supported", len(in.Trees), math.MaxInt16)
 	}
-	trees := make([]*tree.Tree, 0, len(in.Trees))
+	parts := make([]soaTree, len(in.Trees))
 	for ti, st := range in.Trees {
 		if len(st.Nodes) == 0 {
 			return nil, nil, fmt.Errorf("forest: tree %d is empty", ti)
 		}
-		nodes := make([]*tree.Node, len(st.Nodes))
+		isChild := make([]bool, len(st.Nodes))
 		for i, sn := range st.Nodes {
+			// The layout holds features and counts in int32s: a wider value
+			// would wrap into another feature, or turn a split into a leaf.
+			if !fitsInt32(sn.Feature) || !fitsInt32(sn.Pos) || !fitsInt32(sn.Neg) {
+				return nil, nil, fmt.Errorf("forest: tree %d node %d has a field outside int32", ti, i)
+			}
 			// A model that names its features cannot test one beyond them:
 			// scoring would index past the end of every vector.
 			if n := len(in.FeatureNames); n > 0 && sn.Feature >= n {
 				return nil, nil, fmt.Errorf("forest: tree %d node %d tests feature %d of %d", ti, i, sn.Feature, n)
 			}
-			nodes[i] = &tree.Node{
-				Feature:   sn.Feature,
-				Threshold: sn.Threshold,
-				Label:     sn.Label,
-				Pos:       sn.Pos,
-				Neg:       sn.Neg,
-			}
-		}
-		// A child index must point forward in the array — Save emits
-		// pre-order, where children always follow their parent — and no
-		// node may be the child of two. That rules out cycles and shared
-		// subtrees, which the flattener below would otherwise chase forever
-		// or duplicate (exponentially, for a chain of shared children).
-		isChild := make([]bool, len(nodes))
-		for i, sn := range st.Nodes {
 			if sn.Feature < 0 {
 				continue // leaf
 			}
-			if sn.Left <= i || sn.Left >= len(nodes) ||
-				sn.Right <= i || sn.Right >= len(nodes) ||
+			// A child index must point forward in the array — Save emits
+			// pre-order, where children always follow their parent — and no
+			// node may be the child of two. That rules out cycles and shared
+			// subtrees, which packSaved would otherwise chase forever or
+			// duplicate (exponentially, for a chain of shared children).
+			if sn.Left <= i || sn.Left >= len(st.Nodes) ||
+				sn.Right <= i || sn.Right >= len(st.Nodes) ||
 				sn.Left == sn.Right || isChild[sn.Left] || isChild[sn.Right] {
 				return nil, nil, fmt.Errorf("forest: tree %d node %d has invalid children", ti, i)
 			}
 			isChild[sn.Left], isChild[sn.Right] = true, true
-			nodes[i].Left = nodes[sn.Left]
-			nodes[i].Right = nodes[sn.Right]
 		}
-		trees = append(trees, &tree.Tree{Root: nodes[0]})
+		parts[ti] = packSaved(st.Nodes)
 	}
-	return fromTrees(trees, in.Config), in.FeatureNames, nil
+	return pack(in.Config, parts), in.FeatureNames, nil
+}
+
+func fitsInt32(v int) bool { return int(int32(v)) == v }
+
+// packSaved lays a validated saved tree out in pre-order from node 0, the
+// grower's emission order, so a saved forest loads back into the forest
+// that was saved. A node no path from the root reaches is dropped.
+func packSaved(nodes []savedNode) soaTree {
+	var st soaTree
+	var walk func(i int) int32
+	walk = func(i int) int32 {
+		sn := &nodes[i]
+		id := st.emit()
+		st.pos[id], st.neg[id] = int32(sn.Pos), int32(sn.Neg)
+		if sn.Feature < 0 {
+			st.feature[id] = -1
+			st.label[id] = sn.Label
+			return id
+		}
+		st.feature[id] = int32(sn.Feature)
+		st.threshold[id] = sn.Threshold
+		l := walk(sn.Left)
+		r := walk(sn.Right)
+		st.left[id], st.right[id] = l, r
+		return id
+	}
+	walk(0)
+	return st
 }

@@ -1,9 +1,6 @@
 package forest
 
-import (
-	"github.com/corleone-em/corleone/internal/par"
-	"github.com/corleone-em/corleone/internal/tree"
-)
+import "github.com/corleone-em/corleone/internal/par"
 
 // soa is the structure-of-arrays forest layout: node fields live in flat
 // parallel slices instead of per-node heap structs, with every tree's
@@ -30,8 +27,7 @@ type soa struct {
 }
 
 // soaTree is one tree's slice of the layout, with tree-local child
-// indices, produced by the grower or the pointer-tree flattener and packed
-// by packTrees.
+// indices, produced by the grower or by Load and packed by pack.
 type soaTree struct {
 	feature   []int32
 	threshold []float64
@@ -54,9 +50,10 @@ func (st *soaTree) emit() int32 {
 	return id
 }
 
-// packTrees concatenates per-tree layouts into one contiguous soa,
-// rebasing child indices from tree-local to packed positions.
-func packTrees(parts []soaTree) soa {
+// pack concatenates per-tree layouts into one contiguous forest, rebasing
+// child indices from tree-local to packed positions, and derives the k+1
+// entropy/confidence values from the tree count.
+func pack(cfg Config, parts []soaTree) *Forest {
 	total := 0
 	for i := range parts {
 		total += len(parts[i].feature)
@@ -93,58 +90,15 @@ func packTrees(parts []soaTree) soa {
 			s.right = append(s.right, r)
 		}
 	}
-	return s
-}
-
-// flattenTree lays a pointer tree out in pre-order — the same emission
-// order the grower uses — so a flattened reference forest is structurally
-// identical to a directly grown one. Load and the equivalence tests use it.
-func flattenTree(root *tree.Node) soaTree {
-	var st soaTree
-	var walk func(n *tree.Node) int32
-	walk = func(n *tree.Node) int32 {
-		id := st.emit()
-		st.pos[id] = int32(n.Pos)
-		st.neg[id] = int32(n.Neg)
-		if n.IsLeaf() {
-			st.feature[id] = -1
-			st.label[id] = n.Label
-			return id
-		}
-		st.feature[id] = int32(n.Feature)
-		st.threshold[id] = n.Threshold
-		st.left[id] = walk(n.Left)
-		st.right[id] = walk(n.Right)
-		return id
-	}
-	walk(root)
-	return st
-}
-
-// fromTrees builds a packed forest from pointer trees (deserialization and
-// the retained reference path).
-func fromTrees(trees []*tree.Tree, cfg Config) *Forest {
-	parts := make([]soaTree, len(trees))
-	for i, t := range trees {
-		parts[i] = flattenTree(t.Root)
-	}
-	f := &Forest{cfg: cfg}
-	f.soa = packTrees(parts)
-	f.buildTables()
-	return f
-}
-
-// buildTables derives the k+1 entropy/confidence values from the tree
-// count.
-func (f *Forest) buildTables() {
-	k := len(f.roots)
-	f.entTab = make([]float64, k+1)
-	f.confTab = make([]float64, k+1)
+	k := len(parts)
+	s.entTab = make([]float64, k+1)
+	s.confTab = make([]float64, k+1)
 	for p := 0; p <= k; p++ {
 		h := EntropyOf(float64(p) / float64(k))
-		f.entTab[p] = h
-		f.confTab[p] = 1 - h
+		s.entTab[p] = h
+		s.confTab[p] = 1 - h
 	}
+	return &Forest{cfg: cfg, soa: s}
 }
 
 // countVotes tallies each vector's positive votes into votes (len(V)
@@ -172,24 +126,18 @@ type Scorer struct {
 	run func(lo, hi int)
 	f   *Forest
 	V   [][]float64
-	tab []float64
 	dst []float64
 }
 
 // NewScorer returns an empty scorer; buffers grow on demand.
 func NewScorer() *Scorer { return &Scorer{} }
 
-func (sc *Scorer) voteBuf(n int) []int16 {
-	if cap(sc.votes) < n {
-		sc.votes = make([]int16, n)
-	}
-	return sc.votes[:n]
-}
-
-// scoreInto tallies votes in parallel and maps them through tab into dst.
-// Chunks only ever touch their own index range, so the output is identical
-// at any GOMAXPROCS.
-func (sc *Scorer) scoreInto(f *Forest, V [][]float64, tab []float64, dst []float64) []float64 {
+// ConfidencesInto fills dst (len(V)) with conf(e) per vector and returns
+// it: votes are tallied in parallel and mapped through the confidence
+// table. Chunks only ever touch their own index range, so the output is
+// identical at any GOMAXPROCS. Zero-alloc once the scorer's buffers have
+// grown.
+func (sc *Scorer) ConfidencesInto(f *Forest, V [][]float64, dst []float64) []float64 {
 	if len(dst) != len(V) {
 		panic("forest: scorer dst length != vector count")
 	}
@@ -197,29 +145,19 @@ func (sc *Scorer) scoreInto(f *Forest, V [][]float64, tab []float64, dst []float
 		sc.run = func(lo, hi int) {
 			sc.f.countVotes(sc.V[lo:hi], sc.votes[lo:hi])
 			for i := lo; i < hi; i++ {
-				sc.dst[i] = sc.tab[sc.votes[i]]
+				sc.dst[i] = sc.f.confTab[sc.votes[i]]
 			}
 		}
 	}
-	sc.voteBuf(len(V))
-	sc.f, sc.V, sc.tab, sc.dst = f, V, tab, dst
+	if cap(sc.votes) < len(V) {
+		sc.votes = make([]int16, len(V))
+	}
+	sc.f, sc.V, sc.dst = f, V, dst
 	par.For(len(V), sc.run)
 	// Drop the staged references so the scorer does not pin the caller's
 	// pool or forest beyond the call.
-	sc.f, sc.V, sc.tab, sc.dst = nil, nil, nil, nil
+	sc.f, sc.V, sc.dst = nil, nil, nil
 	return dst
-}
-
-// ConfidencesInto fills dst (len(V)) with conf(e) per vector and returns
-// it. Zero-alloc once the scorer's buffers have grown.
-func (sc *Scorer) ConfidencesInto(f *Forest, V [][]float64, dst []float64) []float64 {
-	return sc.scoreInto(f, V, f.confTab, dst)
-}
-
-// EntropiesInto fills dst (len(V)) with Entropy(e) per vector and returns
-// it. Zero-alloc once the scorer's buffers have grown.
-func (sc *Scorer) EntropiesInto(f *Forest, V [][]float64, dst []float64) []float64 {
-	return sc.scoreInto(f, V, f.entTab, dst)
 }
 
 // MeanConfidence returns conf(V) averaged over a monitoring set (§5.3),

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -267,11 +266,13 @@ func FuzzSubmitMeta(f *testing.F) {
 }
 
 // FuzzForestLoad feeds arbitrary bytes to the model decoder behind the
-// job directory's model_iterNN.json files. forest.Load must never panic; a
-// model it accepts under the job's feature names must score a matrix of
-// that width without panicking, and must re-Save to bytes that Load to an
-// identical scorer — the same confidence, bit for bit, on every row. The
-// corpus is seeded with the model files a real journaled job left behind.
+// job directory's model_iterNN.json files. forest.Load must never panic;
+// every model it accepts must re-Save to bytes that Load to an identical
+// forest — every node array, span, table and config field — and a model it
+// accepts under the job's feature names must score a matrix of that width
+// without panicking. The corpus is seeded with the model files a real
+// journaled job left behind, and with features beyond int32 that a decoder
+// could wrap.
 func FuzzForestLoad(f *testing.F) {
 	models, _ := filepath.Glob(filepath.Join(seedJobDir(f, 0, 0), modelPrefix+"*.json"))
 	if len(models) == 0 {
@@ -294,6 +295,9 @@ func FuzzForestLoad(f *testing.F) {
 	}
 	f.Add([]byte(`{"trees":[]}`))
 	f.Add([]byte(`{"feature_names":["a"],"trees":[{"nodes":[{"f":0,"t":0.5,"l":1,"r":1},{"f":-1,"l":-1,"r":-1}]}]}`))
+	for _, feat := range []string{"4294967296", "2147483648"} {
+		f.Add([]byte(`{"trees":[{"nodes":[{"f":` + feat + `,"l":1,"r":2},{"f":-1,"l":-1,"r":-1},{"f":-1,"l":-1,"r":-1}]}]}`))
+	}
 
 	// The fixed matrix: one row per vector, as wide as the job's
 	// featurization, similarity-like values with the exact ends included.
@@ -312,30 +316,22 @@ func FuzzForestLoad(f *testing.F) {
 			}
 		}
 	}
-	score := func(g *forest.Forest) []float64 {
-		return forest.NewScorer().ConfidencesInto(g, V, make([]float64, len(V)))
-	}
-
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Without names to hold the model to, only the decode is in scope.
-		forest.Load(bytes.NewReader(data), nil)
-		g, err := forest.Load(bytes.NewReader(data), names)
-		if err != nil {
-			return
-		}
-		want := score(g)
-		var buf bytes.Buffer
-		if err := g.Save(&buf, names); err != nil {
-			t.Fatalf("re-save of a loaded model: %v", err)
-		}
-		h, err := forest.Load(bytes.NewReader(buf.Bytes()), names)
-		if err != nil {
-			t.Fatalf("a loaded model's own re-save does not load: %v", err)
-		}
-		for i, c := range score(h) {
-			if math.Float64bits(c) != math.Float64bits(want[i]) {
-				t.Fatalf("row %d: confidence %v before the round trip, %v after", i, want[i], c)
+		if g, err := forest.Load(bytes.NewReader(data), nil); err == nil {
+			var buf bytes.Buffer
+			if err := g.Save(&buf, nil); err != nil {
+				t.Fatalf("re-save of a loaded model: %v", err)
 			}
+			h, err := forest.Load(bytes.NewReader(buf.Bytes()), nil)
+			if err != nil {
+				t.Fatalf("a loaded model's own re-save does not load: %v", err)
+			}
+			if !reflect.DeepEqual(g, h) {
+				t.Fatalf("Save → Load changed the forest; re-saved as %s", buf.Bytes())
+			}
+		}
+		if g, err := forest.Load(bytes.NewReader(data), names); err == nil {
+			forest.NewScorer().ConfidencesInto(g, V, make([]float64, len(V)))
 		}
 	})
 }

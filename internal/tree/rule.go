@@ -1,3 +1,10 @@
+// Package tree holds the rule algebra of Corleone's decision trees: a rule
+// is a root-to-leaf path of one of the forest's trees, a conjunction of
+// "feature <= threshold" / "feature > threshold" predicates ending in a
+// match or no-match conclusion. Rules power blocking (§4.1 step 4),
+// reduction (§6.2) and difficult-pair location (§7). The trees themselves
+// are grown, scored, rendered and read for rules by package forest, in its
+// packed layout.
 package tree
 
 import (
@@ -159,29 +166,4 @@ func (r Rule) EvalCost(cost func(feature int) float64) float64 {
 		sum += cost(f)
 	}
 	return sum
-}
-
-// Rules extracts every root-to-leaf decision rule from the tree (§4.1 step
-// 4 generalized to both polarities). Each returned rule's predicate list
-// follows the path order from root to leaf.
-func (t *Tree) Rules() []Rule {
-	var out []Rule
-	var walk func(n *Node, path []Predicate)
-	walk = func(n *Node, path []Predicate) {
-		if n.IsLeaf() {
-			preds := make([]Predicate, len(path))
-			copy(preds, path)
-			out = append(out, Rule{
-				Preds:    preds,
-				Positive: n.Label,
-				LeafPos:  n.Pos,
-				LeafNeg:  n.Neg,
-			})
-			return
-		}
-		walk(n.Left, append(path, Predicate{Feature: n.Feature, Op: LE, Threshold: n.Threshold}))
-		walk(n.Right, append(path, Predicate{Feature: n.Feature, Op: GT, Threshold: n.Threshold}))
-	}
-	walk(t.Root, nil)
-	return out
 }

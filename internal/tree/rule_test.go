@@ -1,7 +1,6 @@
 package tree
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 )
@@ -20,48 +19,6 @@ func TestPredicateHolds(t *testing.T) {
 	}
 	if gt.Holds(0.5) || !gt.Holds(0.6) {
 		t.Error("GT boundary wrong")
-	}
-}
-
-func TestRulesPartitionInputSpace(t *testing.T) {
-	// Every vector is covered by exactly one rule of a tree — the rules
-	// are the root-to-leaf paths, which partition the space.
-	X, y := andData()
-	tr := Grow(X, y, nil, Config{})
-	rules := tr.Rules()
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 200; i++ {
-		v := []float64{rng.Float64() * 1.5, rng.Float64() * 1.5}
-		covered := 0
-		for _, r := range rules {
-			if r.Matches(v) {
-				covered++
-				// The covering rule's conclusion is the tree's prediction.
-				if r.Positive != tr.Predict(v) {
-					t.Fatalf("rule conclusion disagrees with tree on %v", v)
-				}
-			}
-		}
-		if covered != 1 {
-			t.Fatalf("vector %v covered by %d rules, want 1", v, covered)
-		}
-	}
-}
-
-func TestRulesLeafCounts(t *testing.T) {
-	X, y := andData()
-	tr := Grow(X, y, nil, Config{})
-	rules := tr.Rules()
-	if len(rules) != tr.NumLeaves() {
-		t.Errorf("got %d rules for %d leaves", len(rules), tr.NumLeaves())
-	}
-	totalPos, totalNeg := 0, 0
-	for _, r := range rules {
-		totalPos += r.LeafPos
-		totalNeg += r.LeafNeg
-	}
-	if totalPos != 5 || totalNeg != 15 {
-		t.Errorf("leaf counts sum to %d+/%d-, want 5+/15-", totalPos, totalNeg)
 	}
 }
 
