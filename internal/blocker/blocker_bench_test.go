@@ -1,8 +1,10 @@
 package blocker
 
 import (
+	"fmt"
 	"testing"
 
+	"github.com/corleone-em/corleone/internal/crowd"
 	"github.com/corleone-em/corleone/internal/datagen"
 	"github.com/corleone-em/corleone/internal/feature"
 	"github.com/corleone-em/corleone/internal/record"
@@ -205,6 +207,30 @@ func BenchmarkApplyRulesScan(b *testing.B) {
 				applyRulesScanTo(ds, ex, rules, collectSink(&sinkPairs))
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ds.CartesianSize()), "ns/pair")
+		})
+	}
+}
+
+// BenchmarkTBScaling checks the §9.4 claim that blocking time grows only
+// linearly with t_B (the sample S is proportional to t_B, and active
+// learning over it dominates). Sub-benchmarks double t_B; ns/op should
+// roughly double, not square.
+func BenchmarkTBScaling(b *testing.B) {
+	ds := datagen.Generate(datagen.Scaled(datagen.CitationsPaper, 0.05))
+	for _, tb := range []int{10000, 20000, 40000} {
+		b.Run(fmt.Sprintf("tB=%d", tb), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				runner := crowd.NewRunner(crowd.NewSimulated(ds.Truth, 0.05, 71), 0.01)
+				runner.SeedLabels(ds.Seeds)
+				cfg := Defaults()
+				cfg.TB = tb
+				cfg.Seed = 72
+				res, err := Run(ds, feature.NewExtractor(ds), runner, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(res.SampleSize), "sample_size")
+			}
 		})
 	}
 }

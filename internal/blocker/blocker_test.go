@@ -372,4 +372,8 @@ func TestDeveloperRulesUnknownDataset(t *testing.T) {
 	if len(rules) == 0 {
 		t.Error("unknown dataset should get the generic rule")
 	}
+	ds.A.Rows = nil
+	if cands := ApplyDevRules(ds, rules); len(cands) != 0 {
+		t.Errorf("empty table A: %d candidates", len(cands))
+	}
 }

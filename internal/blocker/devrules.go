@@ -1,9 +1,9 @@
 package blocker
 
 import (
-	"runtime"
-	"sync"
+	"slices"
 
+	"github.com/corleone-em/corleone/internal/par"
 	"github.com/corleone-em/corleone/internal/record"
 	"github.com/corleone-em/corleone/internal/similarity"
 	"github.com/corleone-em/corleone/internal/strutil"
@@ -51,54 +51,26 @@ func DeveloperRules(ds *record.Dataset) ([]DevRule, string) {
 }
 
 // ApplyDevRules scans A×B with the hand-written rules in parallel and
-// returns the surviving candidate pairs.
+// returns the surviving candidate pairs in row order of A.
 func ApplyDevRules(ds *record.Dataset, rules []DevRule) []record.Pair {
-	na, nb := ds.A.Len(), ds.B.Len()
 	if len(rules) == 0 {
 		return allPairs(ds)
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > na {
-		workers = na
-	}
-	parts := make([][]record.Pair, workers)
-	var wg sync.WaitGroup
-	chunk := (na + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > na {
-			hi = na
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			var out []record.Pair
-			for a := lo; a < hi; a++ {
-				rowA := ds.A.Rows[a]
-				for b := 0; b < nb; b++ {
-					rowB := ds.B.Rows[b]
-					blocked := false
-					for _, r := range rules {
-						if r(rowA, rowB) {
-							blocked = true
-							break
-						}
-					}
-					if !blocked {
-						out = append(out, record.P(a, b))
+	nb := ds.B.Len()
+	rows := make([][]record.Pair, ds.A.Len())
+	par.For(len(rows), func(lo, hi int) {
+		for a := lo; a < hi; a++ {
+			rowA := ds.A.Rows[a]
+		pairs:
+			for b := 0; b < nb; b++ {
+				for _, r := range rules {
+					if r(rowA, ds.B.Rows[b]) {
+						continue pairs
 					}
 				}
+				rows[a] = append(rows[a], record.P(a, b))
 			}
-			parts[w] = out
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var out []record.Pair
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
+		}
+	})
+	return slices.Concat(rows...)
 }

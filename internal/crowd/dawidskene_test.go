@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/corleone-em/corleone/internal/datagen"
 	"github.com/corleone-em/corleone/internal/record"
 )
 
@@ -162,5 +163,18 @@ func TestDawidSkenePosteriorRange(t *testing.T) {
 		if post < 0 || post > 1 {
 			t.Fatalf("posterior[%v] = %v", pr, post)
 		}
+	}
+}
+
+var sinkDawidSkene *DawidSkeneResult
+
+// BenchmarkDawidSkene measures EM aggregation throughput.
+func BenchmarkDawidSkene(b *testing.B) {
+	ds := datagen.Generate(datagen.Scaled(datagen.RestaurantsPaper, 0.5))
+	panel := MixedPanel(ds.Truth, 8, 0.85, 2, 47)
+	votes := CollectVotes(panel, ds.Truth.Matches(), 5)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkDawidSkene = DawidSkene(votes, panel.NumWorkers(), 100, 1e-7)
 	}
 }

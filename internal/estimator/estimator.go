@@ -21,8 +21,8 @@ import (
 )
 
 // LabelBatch is b, the examples labeled per probe (paper: 50). The target
-// margin, confidence, k and voting policy are rule evaluation's (ruleeval's
-// EpsMax, Confidence, TopK and Policy).
+// margin, k and voting policy are rule evaluation's (ruleeval's EpsMax,
+// TopK and Policy); the confidence δ is fixed in stats.
 const LabelBatch = 50
 
 // Config carries the §6 settings a caller may set.
@@ -114,12 +114,12 @@ func EstimateBaseline(rng *rand.Rand, runner *crowd.Runner, pairs []record.Pair,
 // exact by enumeration.
 const minDenominator = 5
 
-// prf is the §6.1 interval for a ratio k/n, stats.EstimateProportion at
-// ruleeval.Confidence; population 0 disables the finite-population
-// correction. Margins from fewer than minDenominator observations are
-// reported as +Inf unless the sample exhausts the population.
+// prf is the §6.1 interval for a ratio k/n, stats.EstimateProportion at the
+// paper's δ; population 0 disables the finite-population correction.
+// Margins from fewer than minDenominator observations are reported as +Inf
+// unless the sample exhausts the population.
 func prf(k, n, population int) stats.Interval {
-	iv := stats.EstimateProportion(k, n, population, ruleeval.Confidence)
+	iv := stats.EstimateProportion(k, n, population)
 	if n < minDenominator && (population <= 0 || n < population) {
 		iv.Margin = math.Inf(1)
 	}
@@ -390,7 +390,7 @@ func chooseOption(cands []ruleeval.Candidate, used []bool, alive *ruleeval.RowSe
 		if estPos < 1 {
 			estPos = 1
 		}
-		needPos := stats.SampleSizeForMargin(rEst, ruleeval.EpsMax, estPos, ruleeval.Confidence)
+		needPos := stats.SampleSizeForMargin(rEst, ruleeval.EpsMax, estPos)
 		need := float64(needPos) / dens
 		if need > float64(size) {
 			need = float64(size)
@@ -400,7 +400,7 @@ func chooseOption(cands []ruleeval.Candidate, used []bool, alive *ruleeval.RowSe
 	// evalCost is the labels that certify a rule at precision 0.95 — a rule
 	// the option assumes passes — to margin εmax.
 	evalCost := func(covSize int) float64 {
-		return float64(stats.SampleSizeForMargin(0.95, ruleeval.EpsMax, covSize, ruleeval.Confidence))
+		return float64(stats.SampleSizeForMargin(0.95, ruleeval.EpsMax, covSize))
 	}
 
 	bestCost := sampleCost(aliveCount, density) // empty option

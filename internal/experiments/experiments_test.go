@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -355,5 +356,33 @@ func TestDifficultySweep(t *testing.T) {
 	}
 	if !strings.Contains(txt, "difficulty") {
 		t.Error("missing rendering")
+	}
+}
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+func TestCrowdNoiseSensitivity(t *testing.T) {
+	rows, text := CrowdNoiseSensitivity([]string{"Restaurants"}, map[string]float64{"Restaurants": 0.1}, 7)
+	if len(rows) != 3 || !strings.Contains(text, "§9.3") {
+		t.Fatalf("%d rows, want one per error rate (3):\n%s", len(rows), text)
+	}
+	for i, r := range rows {
+		if r.Dataset != "Restaurants" || r.ErrorRate != []float64{0, 0.10, 0.20}[i] || !finite(r.F1) || !finite(r.Cost) {
+			t.Errorf("row %d = %+v", i, r)
+		}
+	}
+}
+
+// TestParamSensitivity runs on Citations, where blocking triggers, so k,
+// Pmin and t_B each reach the run.
+func TestParamSensitivity(t *testing.T) {
+	rows, text := ParamSensitivity("Citations", 0.03, 7)
+	if len(rows) != 8 || !strings.Contains(text, "§9.4") {
+		t.Fatalf("%d rows, want one per setting (8):\n%s", len(rows), text)
+	}
+	for i, r := range rows {
+		if r.Param == "" || r.Value == "" || !finite(r.F1) || !finite(r.Cost) {
+			t.Errorf("row %d = %+v", i, r)
+		}
 	}
 }

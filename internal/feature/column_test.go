@@ -302,11 +302,11 @@ func tabled(ex *feature.Extractor, run *feature.Run, attr int) bool {
 // detection has to classify — a clean cross product of two whole tiles of
 // rows of A and part of a third, whole tiles only, whole tiles and one run, one
 // with a pair missing from one run, shuffled, with pairs repeated, with
-// one-row runs, with runs of five rows, with a sparse tail — at GOMAXPROCS 1
-// to 4, where par.For's chunk boundaries cut runs and tiles at different
-// places, and expects each row to be the pair's own Vector, clipped to its
-// own capacity: appending to a row reallocates it and leaves its neighbour
-// alone.
+// one-row runs, A × one B row alone, with runs of five rows, with a sparse
+// tail — at GOMAXPROCS 1 to 4, where par.For's chunk boundaries cut runs and
+// tiles at different places, and expects each row to be the pair's own
+// Vector, clipped to its own capacity: appending to a row reallocates it and
+// leaves its neighbour alone.
 func TestVectorsRunShapes(t *testing.T) {
 	ds, err := datagen.DatasetFor("restaurants", 0.5, 1)
 	if err != nil {
@@ -355,6 +355,7 @@ func TestVectorsRunShapes(t *testing.T) {
 		{"pairs doubled", doubled},
 		{"runs repeated", append(append([]record.Pair(nil), cross...), cross[2*run:4*run]...)},
 		{"one-row runs", oneRow},
+		{"A × one B row", oneRow[:na]},
 		{"runs of five rows", short},
 		{"sparse tail", append(append([]record.Pair(nil), cross...), shuffled[:50]...)},
 		{"one run", cross[:run]},

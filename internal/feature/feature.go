@@ -476,16 +476,17 @@ func (e *Extractor) Vectors(pairs []record.Pair) [][]float64 {
 }
 
 // crossRun returns the Run of the B rows of pairs' first run — its leading
-// pairs with one row of A — when the next row of A repeats that list, the
-// input is long enough to hold it minReuse times over (what building its
-// views takes to pay back), and some feature has a column over it; nil
-// otherwise.
+// pairs with one row of A — when that list holds at least two B rows (over
+// one, a walk's binary searches cost more than one pair's merge), the next
+// row of A repeats it, the input is long enough to hold it minReuse times
+// over (what building its views takes to pay back), and some feature has a
+// column over it; nil otherwise.
 func (e *Extractor) crossRun(pairs []record.Pair) *Run {
 	n := 0
 	for n < len(pairs) && pairs[n].A == pairs[0].A {
 		n++
 	}
-	if n == 0 || len(pairs) < minReuse*n || !slices.EqualFunc(pairs[:n], pairs[n:2*n],
+	if n < 2 || len(pairs) < minReuse*n || !slices.EqualFunc(pairs[:n], pairs[n:2*n],
 		func(p, q record.Pair) bool { return p.B == q.B && q.A == pairs[n].A }) {
 		return nil
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/corleone-em/corleone/internal/datagen"
+	"github.com/corleone-em/corleone/internal/record"
 )
 
 // TestReuseRule pins which columns of the benchmark's datasets get a table:
@@ -66,6 +67,28 @@ func TestReuseRule(t *testing.T) {
 	} {
 		if got := worthTable(c.evals, c.operands, c.cells); got != c.want {
 			t.Errorf("worthTable(%d, %d, %d) = %v, want %v", c.evals, c.operands, c.cells, got, c.want)
+		}
+	}
+}
+
+// TestCrossRunRefusesOneRow pins the low end of crossRun's rule: A × one B
+// row (the blocker's sample S at t_B = 1) is scored pair by pair, and from
+// two B rows on the cross product gets a run.
+func TestCrossRunRefusesOneRow(t *testing.T) {
+	ds, err := datagen.DatasetFor("restaurants", 0.1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := NewExtractor(ds)
+	for rows, want := range []bool{false, false, true} {
+		var pairs []record.Pair
+		for a := 0; a < ds.A.Len(); a++ {
+			for b := 0; b < rows; b++ {
+				pairs = append(pairs, record.P(a, b))
+			}
+		}
+		if got := ex.crossRun(pairs) != nil; got != want {
+			t.Errorf("A × %d B rows: run = %v, want %v", rows, got, want)
 		}
 	}
 }

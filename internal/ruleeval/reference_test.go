@@ -74,7 +74,7 @@ func evaluateJointRef(rng *rand.Rand, runner *crowd.Runner, pairs []record.Pair,
 	decide := func(ci int) bool {
 		st := &states[ci]
 		m := len(cands[ci].Coverage)
-		iv := stats.EstimateProportion(st.correct, st.n, m, Confidence)
+		iv := stats.EstimateProportion(st.correct, st.n, m)
 		results[ci].Precision = iv
 		results[ci].Sampled = st.n
 		switch {

@@ -207,15 +207,13 @@ func SelectTopK(cands []Candidate, contradicting *RowSet, k int) []Candidate {
 
 // The §4.2 evaluation parameters the paper fixes. Estimation (§6) and the
 // Difficult Pairs' Locator (§7) certify rules with the same ones, and
-// estimation targets the same margin and confidence for precision and
-// recall.
+// estimation targets the same margin for precision and recall. The
+// confidence δ = 0.95 of every interval is fixed in stats.
 const (
 	// Batch is b, the number of examples labeled per round (paper: 20).
 	Batch = 20
 	// EpsMax is εmax, the maximum tolerated error margin (paper: 0.05).
 	EpsMax = 0.05
-	// Confidence is δ, the interval confidence level (paper: 0.95).
-	Confidence = 0.95
 	// Policy is the voting scheme for crowd labels; rule evaluation and
 	// estimation are sensitive to false positives, so they use the hybrid
 	// scheme (§8.2).
@@ -292,7 +290,7 @@ func EvaluateJoint(rng *rand.Rand, runner *crowd.Runner, pairs []record.Pair,
 	decide := func(ci int) bool {
 		st := &states[ci]
 		m := cands[ci].Coverage.Len()
-		iv := stats.EstimateProportion(st.correct, st.n, m, Confidence)
+		iv := stats.EstimateProportion(st.correct, st.n, m)
 		results[ci].Precision = iv
 		results[ci].Sampled = st.n
 		switch {

@@ -294,9 +294,6 @@ func NewStore(dir string) (*Store, error) {
 	return &Store{root: dir}, nil
 }
 
-// Root returns the store's root directory.
-func (s *Store) Root() string { return s.root }
-
 // Exists reports whether a journal directory exists for the job id.
 func (s *Store) Exists(id string) bool {
 	st, err := os.Stat(filepath.Join(s.root, id))

@@ -1,5 +1,5 @@
 // Package stats implements the sampling statistics Corleone leans on:
-// normal quantiles, proportion confidence intervals with finite-population
+// proportion confidence intervals at the paper's δ with finite-population
 // correction (the error-margin formulas of §4.2 and Eqs. 2–3 in §6.1), the
 // sample-size solver behind the Estimator's cost model, and deterministic
 // sampling utilities (uniform and weighted, without replacement).
@@ -11,76 +11,28 @@ import (
 	"sort"
 )
 
-// NormalQuantile returns the p-quantile of the standard normal distribution
-// (the Z_p of the paper). It uses the Acklam rational approximation, whose
-// absolute error is below 1.15e-9 over (0,1) — far tighter than anything the
-// sampling loops can resolve.
-func NormalQuantile(p float64) float64 {
-	if p <= 0 {
-		return math.Inf(-1)
-	}
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	// Coefficients for the central and tail regions.
-	a := [6]float64{-3.969683028665376e+01, 2.209460984245205e+02,
-		-2.759285104469687e+02, 1.383577518672690e+02,
-		-3.066479806614716e+01, 2.506628277459239e+00}
-	b := [5]float64{-5.447609879822406e+01, 1.615858368580409e+02,
-		-1.556989798598866e+02, 6.680131188771972e+01,
-		-1.328068155288572e+01}
-	c := [6]float64{-7.784894002430293e-03, -3.223964580411365e-01,
-		-2.400758277161838e+00, -2.549732539343734e+00,
-		4.374664141464968e+00, 2.938163982698783e+00}
-	d := [4]float64{7.784695709041462e-03, 3.224671290700398e-01,
-		2.445134137142996e+00, 3.754408661907416e+00}
-	const plow = 0.02425
-	switch {
-	case p < plow:
-		q := math.Sqrt(-2 * math.Log(p))
-		return (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	case p <= 1-plow:
-		q := p - 0.5
-		r := q * q
-		return (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
-	default:
-		q := math.Sqrt(-2 * math.Log(1-p))
-		return -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	}
-}
-
-// ZForConfidence returns Z_{1-δ/2} for a two-sided interval at confidence
-// level conf (e.g. conf = 0.95 gives ≈ 1.96). The paper writes the level as
-// δ = 0.95, i.e. conf here matches the paper's δ.
-func ZForConfidence(conf float64) float64 {
-	if conf <= 0 {
-		return 0
-	}
-	if conf >= 1 {
-		return math.Inf(1)
-	}
-	alpha := 1 - conf
-	return NormalQuantile(1 - alpha/2)
-}
+// z is Z_{1-(1-δ)/2}, the two-sided normal quantile at the confidence
+// level δ = 0.95 the paper fixes for every rule-precision and accuracy
+// interval (§4.2; Eqs. 2–3 of §6.1). It is the double Acklam's rational
+// approximation gives at 0.975 (bits 0x3fff5c03325b95a6), not the true
+// quantile 1.959963984540054: the pinned run outputs were recorded with it.
+// It is typed, so z*z rounds as a float64 product does.
+const z float64 = 1.959963986120195
 
 // ProportionMargin returns the error margin ε of §4.2 for an estimated
 // proportion p from a sample of size n drawn without replacement from a
 // population of size population:
 //
-//	ε = Z * sqrt( p(1-p)/n * (N-n)/(N-1) )
+//	ε = z * sqrt( p(1-p)/n * (N-n)/(N-1) )
 //
 // The second factor is the finite-population correction; it vanishes when
 // the sample exhausts the population (n = N) and approaches 1 when N ≫ n.
 // A population of 0 or negative means "effectively infinite" (no
 // correction). n <= 0 yields +Inf (no information).
-func ProportionMargin(p float64, n, population int, conf float64) float64 {
+func ProportionMargin(p float64, n, population int) float64 {
 	if n <= 0 {
 		return math.Inf(1)
 	}
-	z := ZForConfidence(conf)
 	v := p * (1 - p) / float64(n)
 	if population > 1 {
 		if n >= population {
@@ -101,14 +53,13 @@ func ProportionMargin(p float64, n, population int, conf float64) float64 {
 // A conservative caller that does not know p should pass p = 0.5, which
 // maximizes p(1-p). Returns at least 1, and never more than the population
 // when the population is finite.
-func SampleSizeForMargin(p, eps float64, population int, conf float64) int {
+func SampleSizeForMargin(p, eps float64, population int) int {
 	if eps <= 0 {
 		if population > 0 {
 			return population
 		}
 		return math.MaxInt32
 	}
-	z := ZForConfidence(conf)
 	pq := p * (1 - p)
 	if pq == 0 {
 		return 1
@@ -152,12 +103,12 @@ func (iv Interval) Contains(x float64) bool {
 
 // EstimateProportion builds the §4.2 interval for k successes out of n
 // sampled from a finite population.
-func EstimateProportion(k, n, population int, conf float64) Interval {
+func EstimateProportion(k, n, population int) Interval {
 	if n == 0 {
 		return Interval{Point: 0, Margin: math.Inf(1)}
 	}
 	p := float64(k) / float64(n)
-	return Interval{Point: p, Margin: ProportionMargin(p, n, population, conf)}
+	return Interval{Point: p, Margin: ProportionMargin(p, n, population)}
 }
 
 // SampleIndices returns k distinct indices drawn uniformly from [0, n) using

@@ -7,97 +7,52 @@ import (
 	"testing/quick"
 )
 
-func TestNormalQuantileKnownValues(t *testing.T) {
-	cases := []struct{ p, want float64 }{
-		{0.5, 0},
-		{0.975, 1.959964},
-		{0.025, -1.959964},
-		{0.95, 1.644854},
-		{0.999, 3.090232},
-	}
-	for _, c := range cases {
-		if got := NormalQuantile(c.p); math.Abs(got-c.want) > 1e-4 {
-			t.Errorf("NormalQuantile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if !math.IsInf(NormalQuantile(0), -1) || !math.IsInf(NormalQuantile(1), 1) {
-		t.Error("extremes should be infinite")
-	}
-}
-
-func TestNormalQuantileSymmetry(t *testing.T) {
-	f := func(x float64) bool {
-		p := math.Mod(math.Abs(x), 1)
-		if p == 0 || p == 0.5 {
-			return true
-		}
-		return math.Abs(NormalQuantile(p)+NormalQuantile(1-p)) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestNormalQuantileMonotone(t *testing.T) {
-	prev := math.Inf(-1)
-	for p := 0.001; p < 1; p += 0.001 {
-		q := NormalQuantile(p)
-		if q < prev {
-			t.Fatalf("not monotone at p=%v", p)
-		}
-		prev = q
-	}
-}
-
-func TestZForConfidence(t *testing.T) {
-	if z := ZForConfidence(0.95); math.Abs(z-1.96) > 0.01 {
-		t.Errorf("Z(0.95) = %v, want ~1.96", z)
-	}
-	if z := ZForConfidence(0); z != 0 {
-		t.Errorf("Z(0) = %v, want 0", z)
-	}
-	if !math.IsInf(ZForConfidence(1), 1) {
-		t.Error("Z(1) should be +Inf")
+// TestZBits pins z to the double the deleted Acklam approximation returned
+// at 0.975: every margin and sample size, hence every pinned output, rests
+// on these bits.
+func TestZBits(t *testing.T) {
+	if got := math.Float64bits(z); got != 0x3fff5c03325b95a6 {
+		t.Errorf("z = %v (bits %#x), want bits 0x3fff5c03325b95a6", z, got)
 	}
 }
 
 func TestProportionMargin(t *testing.T) {
 	// Infinite population: ε = z*sqrt(pq/n).
-	got := ProportionMargin(0.5, 100, 0, 0.95)
+	got := ProportionMargin(0.5, 100, 0)
 	want := 1.959964 * math.Sqrt(0.25/100)
 	if math.Abs(got-want) > 1e-6 {
 		t.Errorf("margin = %v, want %v", got, want)
 	}
 	// Exhausted population: margin 0.
-	if m := ProportionMargin(0.5, 50, 50, 0.95); m != 0 {
+	if m := ProportionMargin(0.5, 50, 50); m != 0 {
 		t.Errorf("exhausted-population margin = %v, want 0", m)
 	}
 	// FPC shrinks the margin.
-	if ProportionMargin(0.5, 100, 200, 0.95) >= got {
+	if ProportionMargin(0.5, 100, 200) >= got {
 		t.Error("finite-population margin should be smaller")
 	}
 	// No sample: infinite margin.
-	if !math.IsInf(ProportionMargin(0.5, 0, 100, 0.95), 1) {
+	if !math.IsInf(ProportionMargin(0.5, 0, 100), 1) {
 		t.Error("n=0 margin should be +Inf")
 	}
 }
 
 func TestSampleSizeForMargin(t *testing.T) {
 	// The paper's example (§6.1): R = 0.8, ε = 0.025 needs n >= 984.
-	n := SampleSizeForMargin(0.8, 0.025, 0, 0.95)
+	n := SampleSizeForMargin(0.8, 0.025, 0)
 	if n < 980 || n > 990 {
 		t.Errorf("sample size = %d, want ~984", n)
 	}
 	// Verify the round trip: the returned n actually achieves the margin.
-	if m := ProportionMargin(0.8, n, 0, 0.95); m > 0.025+1e-9 {
+	if m := ProportionMargin(0.8, n, 0); m > 0.025+1e-9 {
 		t.Errorf("margin at n=%d is %v > 0.025", n, m)
 	}
 	// Finite population never needs more than the population.
-	if got := SampleSizeForMargin(0.5, 0.001, 100, 0.95); got > 100 {
+	if got := SampleSizeForMargin(0.5, 0.001, 100); got > 100 {
 		t.Errorf("finite sample size %d exceeds population", got)
 	}
 	// Degenerate proportion needs one example.
-	if got := SampleSizeForMargin(0, 0.05, 0, 0.95); got != 1 {
+	if got := SampleSizeForMargin(0, 0.05, 0); got != 1 {
 		t.Errorf("p=0 sample size = %d, want 1", got)
 	}
 }
@@ -110,11 +65,11 @@ func TestSampleSizeRoundTripProperty(t *testing.T) {
 		if pop < 0 {
 			pop = -pop
 		}
-		n := SampleSizeForMargin(p, eps, pop, 0.95)
+		n := SampleSizeForMargin(p, eps, pop)
 		if pop > 1 && n >= pop {
 			return true // exhausting the population always works
 		}
-		return ProportionMargin(p, n, pop, 0.95) <= eps+1e-9
+		return ProportionMargin(p, n, pop) <= eps+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -135,14 +90,14 @@ func TestInterval(t *testing.T) {
 }
 
 func TestEstimateProportion(t *testing.T) {
-	iv := EstimateProportion(3, 10, 100, 0.95)
+	iv := EstimateProportion(3, 10, 100)
 	if iv.Point != 0.3 {
 		t.Errorf("Point = %v", iv.Point)
 	}
 	if iv.Margin <= 0 {
 		t.Errorf("Margin = %v", iv.Margin)
 	}
-	if !math.IsInf(EstimateProportion(0, 0, 100, 0.95).Margin, 1) {
+	if !math.IsInf(EstimateProportion(0, 0, 100).Margin, 1) {
 		t.Error("empty sample should have infinite margin")
 	}
 }

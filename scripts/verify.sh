@@ -1,6 +1,6 @@
 #!/bin/sh
 # Full verification: format gate, vet, corlint, build, one iteration of
-# every in-package benchmark, and the complete test suite under the race
+# every benchmark in the module, and the complete test suite under the race
 # detector. Tier-1 (go build && go test) is a subset; this is the bar for
 # changes touching concurrency — the run service executes many engine
 # pipelines in parallel.
@@ -21,10 +21,10 @@ go vet ./...
 go run ./cmd/corlint ./...
 go build ./...
 
-# Benchmark smoke: every in-package Benchmark* runs once, so one that
+# Benchmark smoke: every Benchmark* in the module runs once, so one that
 # panics or no longer compiles against its fixtures fails here. No number
 # is read — timing a change is the end-to-end benchmark's job (bench/).
-go test -run '^$' -bench . -benchtime 1x ./internal/...
+go test -run '^$' -bench . -benchtime 1x ./...
 
 # Every named -run gate below goes through scripts/runtests.sh, which fails
 # when an alternative of the pattern matches no test (go test only warns).
