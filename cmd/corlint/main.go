@@ -5,9 +5,14 @@
 // kernels are not corlint's: testing.AllocsPerRun tests beside the
 // kernels pin them.
 //
+// corlint always lints the whole module: the det-rand/det-time chains and
+// the lock order are whole-program facts, so a subset of packages would
+// report a different, wrong set of findings. Any package argument other
+// than ./... is refused.
+//
 // Usage:
 //
-//	corlint [./... | dir ...]     lint the module (default ./...)
+//	corlint [./...]               lint the module
 //	corlint -format=github ./...  GitHub Actions error annotations
 //	corlint -rules                print the rule tables
 package main
@@ -50,6 +55,12 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintf(stderr, "corlint: unknown -format %q (want text or github)\n", *format)
 		return 2
 	}
+	for _, a := range fs.Args() {
+		if a != "./..." {
+			fmt.Fprintf(stderr, "corlint: package argument %q refused: corlint lints the whole module; give ./... or nothing\n", a)
+			return 2
+		}
+	}
 
 	root, err := findModuleRoot()
 	if err != nil {
@@ -65,13 +76,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	if err != nil {
 		fmt.Fprintf(stderr, "corlint: %v\n", err)
 		return 2
-	}
-	// A pattern matching nothing exits 1, not 2: in CI a typo'd path is a
-	// failed lint run, not a usage error to be ignored.
-	units, err = filterUnits(units, fs.Args(), root, loader)
-	if err != nil {
-		fmt.Fprintf(stderr, "corlint: %v\n", err)
-		return 1
 	}
 	findings := lint.Run(units, loader.Srcs, lint.DefaultConfig())
 	for i, f := range findings {
@@ -115,50 +119,6 @@ func escapeAnnotation(s string) string {
 	s = strings.ReplaceAll(s, "\r", "%0D")
 	s = strings.ReplaceAll(s, "\n", "%0A")
 	return s
-}
-
-// filterUnits restricts analysis to the requested directories. "./..."
-// (or no argument) means the whole module. A pattern that matches no
-// loaded package is an error: a typo'd path silently linting nothing
-// would look exactly like a clean run.
-func filterUnits(units []*lint.Unit, args []string, root string, loader *lint.Loader) ([]*lint.Unit, error) {
-	var dirs []string
-	var pats []string
-	for _, a := range args {
-		if a == "./..." || a == "..." {
-			return units, nil
-		}
-		pats = append(pats, a)
-		a = strings.TrimSuffix(a, "/...")
-		abs, err := filepath.Abs(a)
-		if err != nil {
-			return nil, err
-		}
-		dirs = append(dirs, abs)
-	}
-	if len(dirs) == 0 {
-		return units, nil
-	}
-	modPath := loader.ModPath
-	matched := make([]bool, len(dirs))
-	var out []*lint.Unit
-	for _, u := range units {
-		rel := strings.TrimPrefix(strings.TrimPrefix(u.Path, modPath), "/")
-		dir := filepath.Join(root, filepath.FromSlash(rel))
-		for i, want := range dirs {
-			if dir == want || strings.HasPrefix(dir, want+string(filepath.Separator)) {
-				matched[i] = true
-				out = append(out, u)
-				break
-			}
-		}
-	}
-	for i, ok := range matched {
-		if !ok {
-			return nil, fmt.Errorf("pattern %q matches no packages in the module", pats[i])
-		}
-	}
-	return out, nil
 }
 
 func findModuleRoot() (string, error) {

@@ -3,7 +3,7 @@ package main
 import (
 	"bytes"
 	"go/token"
-	"path/filepath"
+	"os"
 	"strings"
 	"testing"
 
@@ -43,21 +43,23 @@ func TestEmitFindingsGitHub(t *testing.T) {
 	}
 }
 
-func TestFilterUnitsRejectsEmptyMatch(t *testing.T) {
-	root, err := findModuleRoot()
+// TestRunRefusesPackagePattern pins that corlint lints the whole module or
+// nothing: the flow and lock-order rules need every package, so a single
+// package would report a different set of findings.
+func TestRunRefusesPackagePattern(t *testing.T) {
+	stderr, err := os.CreateTemp(t.TempDir(), "stderr")
 	if err != nil {
 		t.Fatal(err)
 	}
-	loader, err := lint.NewLoader(root)
+	defer stderr.Close()
+	if code := run([]string{"./internal/faultkit"}, os.Stdout, stderr); code != 2 {
+		t.Errorf("corlint ./internal/faultkit exited %d, want 2", code)
+	}
+	msg, err := os.ReadFile(stderr.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
-	units := []*lint.Unit{{Path: loader.ModPath + "/internal/par"}}
-	if _, err := filterUnits(units, []string{filepath.Join(root, "internal", "par")}, root, loader); err != nil {
-		t.Errorf("matching dir rejected: %v", err)
-	}
-	_, err = filterUnits(units, []string{filepath.Join(root, "internal", "no-such-pkg")}, root, loader)
-	if err == nil || !strings.Contains(err.Error(), "matches no packages") {
-		t.Errorf("zero-match pattern must error, got %v", err)
+	if !strings.Contains(string(msg), "./...") {
+		t.Errorf("usage error does not name ./...: %q", msg)
 	}
 }

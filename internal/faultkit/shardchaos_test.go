@@ -327,12 +327,13 @@ func (w *killingWriter) Flush() {
 		return
 	}
 	w.killer.mu.Lock()
-	if w.killer.fired {
-		w.killer.mu.Unlock()
-		return
+	fire := !w.killer.fired
+	if fire {
+		w.killer.fired = true
+		w.killer.nkills++
 	}
-	w.killer.fired = true
-	w.killer.nkills++
 	w.killer.mu.Unlock()
-	panic(http.ErrAbortHandler)
+	if fire {
+		panic(http.ErrAbortHandler)
+	}
 }

@@ -9,12 +9,13 @@ import (
 )
 
 // This file builds corlint's whole-program view: one node per function
-// declaration in the module, synthetic nodes for named-interface methods
-// (edges to every in-repo implementer, conservatively), and taint
-// propagation from nondeterminism sources. The per-unit rules see one
-// package at a time; the Program is what lets det-rand/det-time say
-// "transitively reaches" instead of "directly calls", and what gives
-// conc-lockorder its cross-function lock sets.
+// declaration in the module, one per file's package-level var
+// initializers, synthetic nodes for named-interface methods (edges to
+// every in-repo implementer, conservatively), and taint propagation from
+// nondeterminism sources. The per-unit rules see one package at a time;
+// the Program is what lets det-rand/det-time say "transitively reaches"
+// as well as "directly calls", and what gives conc-lockorder its
+// cross-function lock sets.
 //
 // Object-identity note: every base unit is type-checked against the same
 // loader memo, so *types.Func objects from different base packages live
@@ -39,8 +40,11 @@ type FuncNode struct {
 	// which are exempt from the determinism contract.
 	Filename string
 	Bench    bool
-	Decl     *ast.FuncDecl
-	Unit     *Unit
+	// Decl is nil for interface nodes and for a file's initializer node
+	// (keyed "init:<filename>"), whose edges are the references in the
+	// file's package-level var initializers.
+	Decl *ast.FuncDecl
+	Unit *Unit
 	// Edges are outgoing references in source order: calls, method
 	// values, and function values alike (a stored `f := time.Now` is as
 	// much a leak as a call). Callee keys name module nodes, interface
@@ -137,9 +141,19 @@ func displayName(fn *types.Func) string {
 	return pkg + "." + fn.Name()
 }
 
-// taintSources maps external functions that inject nondeterminism to the
-// rule family they poison. Constructors of seeded generators are not
-// sources — they are the fix.
+// clockFuncs are the time functions that read the wall clock.
+var clockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
+
+// randConstructors build seeded generators; they are the fix, not a source.
+var randConstructors = map[string]bool{
+	"New": true, "NewSource": true, "NewZipf": true,
+	"NewPCG": true, "NewChaCha8": true,
+}
+
+func isBenchFile(name string) bool { return strings.HasSuffix(name, "bench_test.go") }
+
+// taintSource maps an external function that injects nondeterminism to
+// its source key and the rule family it poisons.
 func taintSource(fn *types.Func) (source, family string) {
 	if fn.Pkg() == nil {
 		return "", ""
@@ -176,45 +190,33 @@ func BuildProgram(units []*Unit) *Program {
 		p.pkgs[u.Path+"_test"] = true
 	}
 
-	// Pass 1: declaration nodes.
-	type declSite struct {
-		u    *Unit
-		file *ast.File
-		decl *ast.FuncDecl
-	}
-	var decls []declSite
 	for _, u := range units {
 		for _, f := range u.reportFiles() {
+			filename := u.filename(f)
+			var inits []Edge
 			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok {
-					continue
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					p.addDecl(u, filename, d)
+				case *ast.GenDecl:
+					if d.Tok == token.VAR {
+						inits = append(inits, p.edgesOf(u, d)...)
+					}
 				}
-				decls = append(decls, declSite{u, f, fd})
+			}
+			if len(inits) > 0 {
+				key := "init:" + filename
+				p.Nodes[key] = &FuncNode{
+					Key:      key,
+					Display:  f.Name.Name + ".init",
+					UnitPath: u.Path,
+					Filename: filename,
+					Bench:    isBenchFile(filename),
+					Unit:     u,
+					Edges:    inits,
+				}
 			}
 		}
-	}
-	for _, ds := range decls {
-		fn, ok := ds.u.Info.Defs[ds.decl.Name].(*types.Func)
-		if !ok {
-			continue
-		}
-		key := funcKey(fn)
-		node := p.Nodes[key]
-		if node == nil {
-			filename := ds.u.filename(ds.file)
-			node = &FuncNode{
-				Key:      key,
-				Display:  displayName(fn),
-				UnitPath: ds.u.Path,
-				Filename: filename,
-				Bench:    isBenchFile(filename),
-				Decl:     ds.decl,
-				Unit:     ds.u,
-			}
-			p.Nodes[key] = node
-		}
-		node.Edges = append(node.Edges, p.edgesOf(ds.u, ds.decl)...)
 	}
 
 	p.buildInterfaceNodes(units)
@@ -227,14 +229,37 @@ func BuildProgram(units []*Unit) *Program {
 	return p
 }
 
-// edgesOf resolves every function reference in one declaration, in
-// source order. References inside nested function literals are
-// attributed to the enclosing declaration — the literal runs with the
-// declaration's obligations.
-func (p *Program) edgesOf(u *Unit, decl *ast.FuncDecl) []Edge {
-	if decl.Body == nil {
-		return nil
+// addDecl adds one function declaration's node, or its edges to the node
+// already under the same key.
+func (p *Program) addDecl(u *Unit, filename string, decl *ast.FuncDecl) {
+	fn, ok := u.Info.Defs[decl.Name].(*types.Func)
+	if !ok {
+		return
 	}
+	key := funcKey(fn)
+	node := p.Nodes[key]
+	if node == nil {
+		node = &FuncNode{
+			Key:      key,
+			Display:  displayName(fn),
+			UnitPath: u.Path,
+			Filename: filename,
+			Bench:    isBenchFile(filename),
+			Decl:     decl,
+			Unit:     u,
+		}
+		p.Nodes[key] = node
+	}
+	if decl.Body != nil {
+		node.Edges = append(node.Edges, p.edgesOf(u, decl.Body)...)
+	}
+}
+
+// edgesOf resolves every function reference under root, in source order.
+// References inside nested function literals are attributed to the
+// enclosing declaration — the literal runs with the declaration's
+// obligations.
+func (p *Program) edgesOf(u *Unit, root ast.Node) []Edge {
 	type edgeKey struct {
 		pos    token.Pos
 		callee string
@@ -242,7 +267,7 @@ func (p *Program) edgesOf(u *Unit, decl *ast.FuncDecl) []Edge {
 	var edges []Edge
 	seen := make(map[edgeKey]bool)
 	callFuns := make(map[ast.Expr]bool)
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
+	ast.Inspect(root, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
 			callFuns[call.Fun] = true
 		}

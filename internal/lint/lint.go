@@ -8,8 +8,8 @@
 //
 // Analysis is staged: per-unit rules run in parallel over every analysis
 // unit, then a module-wide call graph (callgraph.go) is built once and
-// the program rules (taint flows, cross-function lock ordering) run over
-// it. Allocations are not linted: testing.AllocsPerRun tests beside the
+// the program rules (det-rand/det-time, cross-function lock ordering) run
+// over it. Allocations are not linted: testing.AllocsPerRun tests beside the
 // hot kernels pin their steady state.
 //
 // Findings are suppressible only with an explicit, reasoned annotation on
@@ -23,6 +23,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 
@@ -149,8 +150,6 @@ func DefaultConfig() *Config {
 // Rules returns the per-unit analyzer table in reporting order.
 func Rules() []Rule {
 	return []Rule{
-		detRand{},
-		detTime{},
 		detMapRange{},
 		floatEq{},
 		durIgnoredWrite{},
@@ -159,10 +158,8 @@ func Rules() []Rule {
 }
 
 // ProgramRules returns the whole-program analyzers — the stages that
-// need the module call graph. det-rand and det-time appear here a
-// second time: the unit rule reports direct uses, the program rule the
-// transitive chains the unit view cannot see; both report under one ID
-// so one allow grammar covers them.
+// need the module call graph. det-rand and det-time report direct source
+// references and transitive chains alike, each under one ID.
 func ProgramRules() []ProgramRule {
 	return []ProgramRule{
 		detRandFlow(),
@@ -184,8 +181,8 @@ func KnownRuleIDs() map[string]bool {
 }
 
 // Run executes the staged pipeline over the loaded units — per-unit
-// rules fanned out in parallel, then the call-graph stage (taint flows,
-// lock order) over the whole program — applies //corlint:allow
+// rules fanned out in parallel, then the call-graph stage (det-rand,
+// det-time, lock order) over the whole program — applies //corlint:allow
 // suppressions, and returns the surviving findings sorted by position.
 // srcs maps file names (as recorded in the fset) to raw source bytes;
 // it is used to distinguish trailing from standalone allow comments.
@@ -214,25 +211,10 @@ func Run(units []*Unit, srcs map[string][]byte, cfg *Config) []Finding {
 		programFindings = append(programFindings, r.CheckProgram(prog, cfg)...)
 	}
 
-	seen := make(map[string]bool)
-	keep := func(f Finding) {
-		key := fmt.Sprintf("%s:%d:%d:%s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Rule)
-		if seen[key] {
-			return
+	for _, f := range append(slices.Concat(perUnit...), programFindings...) {
+		if !allows.suppress(f) {
+			findings = append(findings, f)
 		}
-		seen[key] = true
-		if allows.suppress(f) {
-			return
-		}
-		findings = append(findings, f)
-	}
-	for _, fs := range perUnit {
-		for _, f := range fs {
-			keep(f)
-		}
-	}
-	for _, f := range programFindings {
-		keep(f)
 	}
 	findings = append(findings, allows.unused()...)
 	sort.Slice(findings, func(i, j int) bool {

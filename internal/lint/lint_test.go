@@ -129,13 +129,9 @@ func renderFindings(findings []Finding) string {
 
 // TestRuleIDsStable pins both rule tables: a rule silently vanishing
 // from a registry would disable enforcement without failing anything
-// else. det-rand/det-time appear in both on purpose — the unit rule
-// reports direct uses, the program rule transitive chains.
+// else. Each ID appears once: det-rand/det-time are program rules only.
 func TestRuleIDsStable(t *testing.T) {
-	want := []string{
-		"det-rand", "det-time", "det-maprange", "float-eq",
-		"dur-ignored-write", "conc-unlockpath",
-	}
+	want := []string{"det-maprange", "float-eq", "dur-ignored-write", "conc-unlockpath"}
 	var got []string
 	for _, r := range Rules() {
 		got = append(got, r.ID())

@@ -1,116 +1,10 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 	"strings"
 )
-
-// ---- det-rand: package-level math/rand draws from the process-global,
-// time-seeded source, so two identical runs diverge. Every sampling path
-// in the engine threads an explicit *rand.Rand built from Config.Seed;
-// this rule keeps it that way.
-
-type detRand struct{}
-
-func (detRand) ID() string { return "det-rand" }
-func (detRand) Doc() string {
-	return "forbid the process-global math/rand source outside benchmarks; all randomness must flow from an explicit seed"
-}
-
-// Constructors are fine — they are how seeded generators get built.
-var randConstructors = map[string]bool{
-	"New": true, "NewSource": true, "NewZipf": true,
-	"NewPCG": true, "NewChaCha8": true,
-}
-
-func (detRand) Check(u *Unit, cfg *Config) []Finding {
-	var out []Finding
-	for _, f := range u.reportFiles() {
-		// Benchmarks generate load, not results; like det-time they sit
-		// outside the bit-identical contract. The det-rand *flow* rule
-		// guards the other direction: deterministic code calling into a
-		// bench helper that leans on the global source.
-		if isBenchFile(u.filename(f)) {
-			continue
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			fn := pkgFunc(u, sel)
-			if fn == nil {
-				return true
-			}
-			path := fn.Pkg().Path()
-			if path != "math/rand" && path != "math/rand/v2" {
-				return true
-			}
-			if randConstructors[fn.Name()] {
-				return true
-			}
-			out = append(out, Finding{
-				Pos:  u.position(sel.Pos()),
-				Rule: "det-rand",
-				Msg:  fmt.Sprintf("rand.%s uses the process-global random source; runs are not reproducible", fn.Name()),
-				Hint: "thread a seeded *rand.Rand (rand.New(rand.NewSource(seed))) from Config.Seed",
-			})
-			return true
-		})
-	}
-	return out
-}
-
-// ---- det-time: wall-clock reads make output depend on when the run
-// happened. Only the live-platform client and the journaling service
-// (operator-facing timestamps) may read the clock; benchmarks measure
-// time by nature and are exempt by file suffix.
-
-type detTime struct{}
-
-func (detTime) ID() string { return "det-time" }
-func (detTime) Doc() string {
-	return "forbid wall-clock reads (time.Now/Since/Until) outside the allowlisted platform/runsvc packages and benchmarks"
-}
-
-var clockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
-
-func (detTime) Check(u *Unit, cfg *Config) []Finding {
-	if cfg.TimeAllowedPkgs[pkgBase(u.Path)] {
-		return nil
-	}
-	var out []Finding
-	for _, f := range u.reportFiles() {
-		if isBenchFile(u.filename(f)) {
-			continue
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			fn := pkgFunc(u, sel)
-			if fn == nil || fn.Pkg().Path() != "time" || !clockFuncs[fn.Name()] {
-				return true
-			}
-			out = append(out, Finding{
-				Pos:  u.position(sel.Pos()),
-				Rule: "det-time",
-				Msg:  fmt.Sprintf("time.%s reads the wall clock in a deterministic package", fn.Name()),
-				Hint: "inject the clock (or move the timing into platform/runsvc/benchmarks)",
-			})
-			return true
-		})
-	}
-	return out
-}
-
-func isBenchFile(name string) bool {
-	const suffix = "bench_test.go"
-	return len(name) >= len(suffix) && name[len(name)-len(suffix):] == suffix
-}
 
 // ---- det-maprange: Go randomizes map iteration order, so a map range
 // whose body appends, sends, or writes publishes that randomness. The

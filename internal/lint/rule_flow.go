@@ -5,19 +5,21 @@ import (
 	"strings"
 )
 
-// The flow rules are the interprocedural upgrade of det-rand and
-// det-time: instead of only flagging direct calls, they flag a call (or
-// stored function value) whose target *transitively* reaches a
-// nondeterminism source through a chain the per-unit rules cannot see.
+// det-rand and det-time run once, over the call graph. The process-global
+// math/rand source makes two identical runs diverge, and a wall-clock read
+// makes output depend on when the run happened; every sampling path
+// threads a seeded *rand.Rand and every timing enters through an injected
+// clock. A finding fires at a reference from reportable code that either
+// names a source itself (`rand.Intn`, `time.Now`, in a function body or
+// a package-level initializer) or reaches one through a chain.
 //
 // To avoid cascading one root cause into a finding at every caller up
-// the tree, a flow finding fires only at the taint *frontier*: a
-// reference from reportable code into a tainted function whose own
-// location is exempt (an allowlisted package for det-time, a
-// *bench_test.go file for either family), or an interface dispatch that
-// can land on such an implementer. A tainted function in reportable
-// code gets its own finding — direct or frontier — so its callers stay
-// quiet and the fix lands at the root.
+// the tree, a chain finding fires only at the taint *frontier*: a
+// reference into a tainted function whose own location is exempt (an
+// allowlisted package for det-time, a *bench_test.go file for either
+// family), or an interface dispatch that can land on such an implementer.
+// A tainted function in reportable code gets its own finding — direct or
+// frontier — so its callers stay quiet and the fix lands at the root.
 
 // ProgramRule is an analyzer that needs the whole-module call graph.
 type ProgramRule interface {
@@ -26,12 +28,15 @@ type ProgramRule interface {
 	CheckProgram(p *Program, cfg *Config) []Finding
 }
 
-// flowRule implements both families; only the source set and the
-// location-exemption predicate differ.
+// flowRule implements both families; only the source set, the
+// location-exemption predicate and the wording differ.
 type flowRule struct {
 	id     string
 	family string // "time" or "rand"
 	doc    string
+	direct string // message for a direct reference; %s is the source
+	fix    string // hint for a direct reference
+	unwind string // hint for a chain
 }
 
 func (r flowRule) ID() string  { return r.id }
@@ -54,16 +59,19 @@ func (r flowRule) CheckProgram(p *Program, cfg *Config) []Finding {
 	taint := p.PropagateTaint(r.family, cfg.DetSeamIfaces)
 	var out []Finding
 	for _, node := range p.SortedNodes() {
-		if node.Iface || node.Decl == nil {
-			continue
-		}
 		// The caller itself must be in reportable territory.
-		if r.exemptLocation(node, cfg) {
+		if node.Iface || r.exemptLocation(node, cfg) {
 			continue
 		}
 		for _, e := range node.Edges {
 			if isSourceKey(e.Callee, r.family) {
-				continue // the per-unit rule reports direct uses
+				out = append(out, Finding{
+					Pos:  p.Fset.Position(e.Pos),
+					Rule: r.id,
+					Msg:  fmt.Sprintf(r.direct, e.Callee),
+					Hint: r.fix,
+				})
+				continue
 			}
 			callee := p.Nodes[e.Callee]
 			if callee == nil {
@@ -85,7 +93,7 @@ func (r flowRule) CheckProgram(p *Program, cfg *Config) []Finding {
 				Rule: r.id,
 				Msg: fmt.Sprintf("%s transitively reaches %s (chain: %s)",
 					callee.Display, chain[len(chain)-1], strings.Join(full, " → ")),
-				Hint: r.hint(),
+				Hint: r.unwind,
 			})
 		}
 	}
@@ -110,18 +118,14 @@ func (r flowRule) ifaceChain(p *Program, taint *Taint, iface *FuncNode, cfg *Con
 	return nil
 }
 
-func (r flowRule) hint() string {
-	if r.family == "time" {
-		return "inject the clock at the boundary instead of calling through to a wall-clock read"
-	}
-	return "thread a seeded *rand.Rand through the helper instead of reaching the global source"
-}
-
 func detTimeFlow() ProgramRule {
 	return flowRule{
 		id:     "det-time",
 		family: "time",
-		doc:    "forbid call chains from deterministic packages that transitively reach a wall-clock read",
+		doc:    "forbid wall-clock reads (time.Now/Since/Until), direct or through a call chain, outside the allowlisted platform/runsvc packages and benchmarks",
+		direct: "%s reads the wall clock in a deterministic package",
+		fix:    "inject the clock (or move the timing into platform/runsvc/benchmarks)",
+		unwind: "inject the clock at the boundary instead of calling through to a wall-clock read",
 	}
 }
 
@@ -129,6 +133,9 @@ func detRandFlow() ProgramRule {
 	return flowRule{
 		id:     "det-rand",
 		family: "rand",
-		doc:    "forbid call chains that transitively reach the process-global math/rand source",
+		doc:    "forbid the process-global math/rand source, direct or through a call chain, outside benchmarks; all randomness must flow from an explicit seed",
+		direct: "%s uses the process-global random source; runs are not reproducible",
+		fix:    "thread a seeded *rand.Rand (rand.New(rand.NewSource(seed))) from Config.Seed",
+		unwind: "thread a seeded *rand.Rand through the helper instead of reaching the global source",
 	}
 }

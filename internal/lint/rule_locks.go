@@ -85,7 +85,7 @@ func lockIDOf(u *Unit, e ast.Expr) lockID {
 
 // stmtMutexOp matches a *direct* statement form — ExprStmt or DeferStmt
 // wrapping a mutex call — without descending into nested statements or
-// function literals, which live in their own CFG blocks or scopes.
+// function literals.
 func stmtMutexOp(u *Unit, s ast.Stmt) (mutexOp, bool, bool) {
 	switch x := s.(type) {
 	case *ast.ExprStmt:
@@ -100,79 +100,104 @@ func stmtMutexOp(u *Unit, s ast.Stmt) (mutexOp, bool, bool) {
 	return mutexOp{}, false, false
 }
 
-// ---- conc-unlockpath: a Lock (or RLock) must be balanced on every path
-// to the function exit — either by the idiomatic `defer mu.Unlock()` or
-// by an explicit release on each return path. A path that terminates in
-// panic/Fatal is exempt: no code runs after it on that path anyway.
+// ---- conc-unlockpath: a Lock (or RLock) statement must be released
+// later in its own statement list — by `defer mu.Unlock()` or a plain
+// `mu.Unlock()` — with nothing between the two that can leave the list:
+// no return, goto or labeled branch, and no break or continue aimed
+// outside it. A release per return path, or a defer under an if, is a
+// finding: the rule reads one statement list, not every path. A panic
+// between the two is not a leak; nothing after it runs.
 
 type concUnlockPath struct{}
 
 func (concUnlockPath) ID() string { return "conc-unlockpath" }
 func (concUnlockPath) Doc() string {
-	return "forbid Lock/RLock calls that can reach a return path without the matching Unlock (defer or per-path)"
+	return "forbid Lock/RLock calls whose Unlock (deferred or plain) does not follow in the same block before any return or jump"
 }
 
 func (concUnlockPath) Check(u *Unit, cfg *Config) []Finding {
 	var out []Finding
 	for _, f := range u.reportFiles() {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+		ast.Inspect(f, func(n ast.Node) bool {
+			var list []ast.Stmt
+			switch x := n.(type) {
+			case *ast.BlockStmt:
+				list = x.List
+			case *ast.CaseClause:
+				list = x.Body
+			case *ast.CommClause:
+				list = x.Body
 			}
-			out = append(out, checkUnlockPaths(u, fd)...)
-		}
+			for i, s := range list {
+				op, isDefer, ok := stmtMutexOp(u, s)
+				if !ok || isDefer || unlockFor[op.name] == "" || releasedLater(u, op, list[i+1:]) {
+					continue
+				}
+				out = append(out, Finding{
+					Pos:  u.position(op.pos),
+					Rule: "conc-unlockpath",
+					Msg:  fmt.Sprintf("%s of %s is not released later in its block before a return or jump", op.name, op.id.short()),
+					Hint: "defer the matching " + unlockFor[op.name] + " right after acquiring, or release it in the same block before any return",
+				})
+			}
+			return true
+		})
 	}
 	return out
 }
 
-func checkUnlockPaths(u *Unit, fd *ast.FuncDecl) []Finding {
-	// Deferred releases anywhere in the function body (function
-	// literals excluded — their defers run at the literal's return).
-	deferred := make(map[string]bool) // id.key + "." + op name
-	walkSkippingFuncLits(fd.Body, func(n ast.Node) {
-		d, ok := n.(*ast.DeferStmt)
-		if !ok {
-			return
+// releasedLater reports whether rest holds op's release as a statement of
+// its own, deferred or plain, before any statement that can leave rest.
+func releasedLater(u *Unit, op mutexOp, rest []ast.Stmt) bool {
+	for _, s := range rest {
+		if rop, _, ok := stmtMutexOp(u, s); ok && rop.name == unlockFor[op.name] && rop.id == op.id {
+			return true
 		}
-		if op, ok := mutexOpOf(u, d.Call); ok {
-			deferred[op.id.key+"."+op.name] = true
+		if jumpsOut(s, false, false) {
+			return false
 		}
-	})
+	}
+	return false
+}
 
-	c := buildCFG(u, fd.Body)
-	if !c.ok {
-		return nil // goto/labels: not modeled, skip the function
-	}
-	var out []Finding
-	for _, blk := range c.blocks {
-		for i, s := range blk.stmts {
-			op, isDefer, ok := stmtMutexOp(u, s)
-			if !ok || isDefer {
-				continue
-			}
-			release := unlockFor[op.name]
-			if release == "" {
-				continue // an Unlock, not an acquire
-			}
-			if deferred[op.id.key+"."+release] {
-				continue
-			}
-			id := op.id
-			leak := c.reachesExitWithout(blk, i+1, func(s ast.Stmt) bool {
-				rop, _, ok := stmtMutexOp(u, s)
-				return ok && rop.name == release && rop.id == id
-			})
-			if leak {
-				out = append(out, Finding{
-					Pos:  u.position(op.pos),
-					Rule: "conc-unlockpath",
-					Msg:  fmt.Sprintf("%s of %s can reach a return path with the lock still held", op.name, id.short()),
-					Hint: "defer the matching " + release + " right after acquiring, or release on every return path",
-				})
-			}
+// jumpsOut reports whether n can move control out of the statement list
+// it sits in: a return, any labeled branch (goto included), or a break or
+// continue whose loop or switch lies outside n. inLoop and inBreakable
+// say whether a loop, or a loop/switch/select, inside the list encloses n.
+// Loop and switch headers hold no branches, so only their bodies are
+// walked; function literals are skipped, as their returns leave only the
+// literal.
+func jumpsOut(n ast.Node, inLoop, inBreakable bool) bool {
+	out := false
+	ast.Inspect(n, func(c ast.Node) bool {
+		if out || c == nil {
+			return false
 		}
-	}
+		switch x := c.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.ForStmt:
+			out = jumpsOut(x.Body, true, true)
+			return false
+		case *ast.RangeStmt:
+			out = jumpsOut(x.Body, true, true)
+			return false
+		case *ast.SwitchStmt:
+			out = jumpsOut(x.Body, inLoop, true)
+			return false
+		case *ast.TypeSwitchStmt:
+			out = jumpsOut(x.Body, inLoop, true)
+			return false
+		case *ast.SelectStmt:
+			out = jumpsOut(x.Body, inLoop, true)
+			return false
+		case *ast.ReturnStmt:
+			out = true
+		case *ast.BranchStmt:
+			out = x.Label != nil || x.Tok == token.BREAK && !inBreakable || x.Tok == token.CONTINUE && !inLoop
+		}
+		return !out
+	})
 	return out
 }
 

@@ -11,6 +11,10 @@ func Global() int {
 	return n + int(f*10)
 }
 
+// draw reads the global source in a package-level initializer; it must
+// be flagged.
+var draw = rand.Int63() // want det-rand
+
 // Seeded is the sanctioned pattern and must not be flagged.
 func Seeded(seed int64) int {
 	rng := rand.New(rand.NewSource(seed))

@@ -11,6 +11,9 @@ func Stamp() string {
 	return elapsed.String()
 }
 
+// t0 reads the clock in a package-level initializer; it must be flagged.
+var t0 = time.Now() // want det-time
+
 // Duration arithmetic without reading the clock is fine.
 func Fine(d time.Duration) time.Duration {
 	return d * 2

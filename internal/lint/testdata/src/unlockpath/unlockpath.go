@@ -1,5 +1,5 @@
-// Fixture for conc-unlockpath: every acquire must be balanced on every
-// path to the exit — by defer or by an explicit release per path.
+// Fixture for conc-unlockpath: every acquire must be released later in its
+// own block — deferred or plain — before any return or jump.
 package unlockpath
 
 import "sync"
@@ -37,7 +37,8 @@ func (c *counter) incr() {
 	c.n++
 }
 
-// swap releases explicitly on every path — also fine.
+// swap releases explicitly on every path, but the early return sits
+// between the Lock and the release in its block: a finding.
 func (c *counter) swap(v int) int {
 	c.mu.Lock()
 	if v < 0 {
@@ -48,6 +49,54 @@ func (c *counter) swap(v int) int {
 	c.n = v
 	c.mu.Unlock()
 	return old
+}
+
+// maybe defers the release only when c.n is positive; on the other path
+// it returns with the lock held.
+func (c *counter) maybe() int {
+	c.mu.Lock()
+	if c.n > 0 {
+		defer c.mu.Unlock()
+	}
+	return c.n
+}
+
+// find returns from inside a labeled loop with the lock held.
+func (c *counter) find(xs []int) int {
+	c.mu.Lock()
+outer:
+	for _, x := range xs {
+		for y := 0; y < x; y++ {
+			if y == c.n {
+				return y
+			}
+			if y > c.n {
+				continue outer
+			}
+		}
+	}
+	c.mu.Unlock()
+	return -1
+}
+
+// drain breaks and continues only inside the loop it owns, between the
+// Lock and the Unlock: fine.
+func (c *counter) drain(xs []int) {
+	c.mu.Lock()
+	for _, x := range xs {
+		if x < 0 {
+			continue
+		}
+		if x > c.n {
+			break
+		}
+		switch x {
+		case 0:
+			break
+		}
+		c.n -= x
+	}
+	c.mu.Unlock()
 }
 
 // must panics on the empty path; a terminated path is not a leak.

@@ -154,12 +154,12 @@ func (m *Manager) worker() {
 // need ResumeSpec).
 func (m *Manager) Close() {
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
+	wasClosed := m.closed
 	m.closed = true
 	m.mu.Unlock()
+	if wasClosed {
+		return
+	}
 	close(m.quit)
 	m.wg.Wait()
 }
@@ -313,11 +313,12 @@ func (m *Manager) ResumeSpec(id string, spec Spec) (*Job, error) {
 
 func (m *Manager) resumeSpec(id string, spec Spec) (*Job, error) {
 	m.mu.Lock()
-	if j, ok := m.jobs[id]; ok && !j.State().Terminal() {
-		m.mu.Unlock()
+	j, ok := m.jobs[id]
+	busy := ok && !j.State().Terminal()
+	m.mu.Unlock()
+	if busy {
 		return nil, fmt.Errorf("runsvc: job %s is %s; cancel or wait before resuming", id, j.State())
 	}
-	m.mu.Unlock()
 	return m.enqueue(spec, id, true)
 }
 
@@ -343,37 +344,12 @@ func (m *Manager) enqueue(spec Spec, id string, resume bool) (*Job, error) {
 			return nil, fmt.Errorf("%w: %d of %d bytes used", ErrDiskBudget, usage, m.maxJournalBytes)
 		}
 	}
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
+	j, prev, existed := m.register(spec, id, resume)
+	if j == nil {
 		m.submitsShed.Add(1)
 		return nil, fmt.Errorf("manager closed: %w", ErrDraining)
 	}
-	if id == "" {
-		for {
-			m.nextID++
-			id = fmt.Sprintf("%s-%04d", spec.Name, m.nextID)
-			_, taken := m.jobs[id]
-			if !taken && (m.store == nil || !m.store.Exists(id)) {
-				break
-			}
-		}
-	}
-	j := &Job{
-		ID:     id,
-		spec:   spec,
-		resume: resume,
-		state:  StateQueued,
-		cancel: make(chan struct{}),
-		done:   make(chan struct{}),
-		events: newBroker(),
-	}
-	prev, existed := m.jobs[id]
-	if !existed {
-		m.order = append(m.order, id)
-	}
-	m.jobs[id] = j
-	m.mu.Unlock()
+	id = j.ID
 
 	// rollback undoes the registration: a resume attempt that fails must
 	// leave the prior (terminal) job's record visible, not erase it.
@@ -422,6 +398,42 @@ func (m *Manager) enqueue(spec Spec, id string, resume bool) (*Job, error) {
 		m.submitsShed.Add(1)
 		return nil, ErrQueueFull
 	}
+}
+
+// register records a new queued job under id, allocating an id when it is
+// empty, and returns the job it replaced. It returns a nil job when the
+// manager is closed.
+func (m *Manager) register(spec Spec, id string, resume bool) (j, prev *Job, existed bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return nil, nil, false
+	}
+	if id == "" {
+		for {
+			m.nextID++
+			id = fmt.Sprintf("%s-%04d", spec.Name, m.nextID)
+			_, taken := m.jobs[id]
+			if !taken && (m.store == nil || !m.store.Exists(id)) {
+				break
+			}
+		}
+	}
+	j = &Job{
+		ID:     id,
+		spec:   spec,
+		resume: resume,
+		state:  StateQueued,
+		cancel: make(chan struct{}),
+		done:   make(chan struct{}),
+		events: newBroker(),
+	}
+	prev, existed = m.jobs[id]
+	if !existed {
+		m.order = append(m.order, id)
+	}
+	m.jobs[id] = j
+	return j, prev, existed
 }
 
 // Job returns a job by id.

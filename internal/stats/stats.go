@@ -242,18 +242,6 @@ func SmoothWindow(xs []float64, w int) []float64 {
 	return out
 }
 
-// Mean returns the arithmetic mean of xs (0 for an empty slice).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
 // Max returns the maximum of xs (-Inf for an empty slice).
 func Max(xs []float64) float64 {
 	m := math.Inf(-1)

@@ -219,12 +219,6 @@ func TestSmoothWindowPreservesConstant(t *testing.T) {
 }
 
 func TestMeanMax(t *testing.T) {
-	if Mean([]float64{1, 2, 3}) != 2 {
-		t.Error("Mean wrong")
-	}
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) should be 0")
-	}
 	if Max([]float64{1, 5, 3}) != 5 {
 		t.Error("Max wrong")
 	}

@@ -3,7 +3,6 @@
 package strutil
 
 import (
-	"slices"
 	"strconv"
 	"strings"
 	"unicode"
@@ -269,31 +268,6 @@ func Trigrams(dst []uint64, s string) []uint64 {
 		dst = append(dst, g)
 	}
 	return dst
-}
-
-// SortedCounts sorts xs in place and returns its distinct values in
-// ascending order (aliasing xs) alongside their multiplicities. For
-// order-preserving codes — Trigrams, vocabulary ranks — iterating the
-// result reproduces the summation order of a sortedKeys(TokenCounts(...))
-// loop over the strings exactly, which keeps profile-based cosine measures
-// bit-identical to their string-based counterparts.
-func SortedCounts(xs []uint64) ([]uint64, []int) {
-	if len(xs) == 0 {
-		return nil, nil
-	}
-	slices.Sort(xs)
-	counts := make([]int, 0, len(xs))
-	w := 0
-	for i, x := range xs {
-		if i > 0 && x == xs[w-1] {
-			counts[w-1]++
-			continue
-		}
-		xs[w] = x
-		counts = append(counts, 1)
-		w++
-	}
-	return xs[:w], counts
 }
 
 // ParseNumeric parses s as a float after trimming spaces, a leading '$',

@@ -130,16 +130,6 @@ func TestTrigramsMirrorQGrams(t *testing.T) {
 	}
 }
 
-func TestSortedCounts(t *testing.T) {
-	if keys, counts := SortedCounts(nil); keys != nil || counts != nil {
-		t.Errorf("SortedCounts(nil) = %v, %v", keys, counts)
-	}
-	keys, counts := SortedCounts([]uint64{7, 3, 7, 1 << 62, 3, 7})
-	if !reflect.DeepEqual(keys, []uint64{3, 7, 1 << 62}) || !reflect.DeepEqual(counts, []int{2, 3, 1}) {
-		t.Errorf("SortedCounts = %v, %v", keys, counts)
-	}
-}
-
 func TestTokenSetAndCounts(t *testing.T) {
 	toks := []string{"a", "b", "a"}
 	set := TokenSet(toks)
