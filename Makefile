@@ -91,9 +91,11 @@ shard:
 # valid frame prefix, and one altered byte never goes unnoticed (DESIGN.md
 # "The journal"). Row sets: the bitset behind every post-blocking row set vs
 # a map[int]bool, including the two representation invariants that keep
-# reflect.DeepEqual on results meaningful (DESIGN.md "Row sets and the
-# post-blocking stages"). Rule coverage: the forest leaf walk vs Rule.Matches
-# and MakeCandidates on forests trained on random small sets, rows of -1, -0,
+# reflect.DeepEqual on results meaningful, and RowSampler's sparse draw vs
+# the dense draw over the set's ascending enumeration (DESIGN.md "Row sets
+# and the post-blocking stages"). Rule coverage: the forest leaf walk vs
+# Rule.Matches and MakeCandidates, and its majority votes vs Forest.Predict
+# (NaN rows too), on forests trained on random small sets, rows of -1, -0,
 # ±Inf and values at the thresholds (DESIGN.md "Cover by leaf"). Job directory: the two remaining disk decoders
 # are total — a model file that loads re-saves to an identical forest, a
 # spec.json that decodes builds or fails with an error. Submit body: the

@@ -152,7 +152,7 @@ func Run(ds *record.Dataset, ex *feature.Extractor, runner *crowd.Runner, cfg Co
 	// with their coverage of S from one walk of X through the forest. Every
 	// leaf holds a bootstrapped training row, and every training row is in
 	// S, so no rule's coverage is empty and the candidates are all of them.
-	cands, _ := ruleeval.CoverByLeaf(learned.Forest, X)
+	cands, _, _ := ruleeval.CoverByLeaf(learned.Forest, X)
 	res.CandidateRuleCount = len(cands)
 	for i := range cands {
 		cands[i].Rule.SortPredsByCost(ex.Cost)

@@ -21,6 +21,7 @@ import (
 	"github.com/corleone-em/corleone/internal/matcher"
 	"github.com/corleone-em/corleone/internal/metrics"
 	"github.com/corleone-em/corleone/internal/record"
+	"github.com/corleone-em/corleone/internal/ruleeval"
 	"github.com/corleone-em/corleone/internal/stats"
 )
 
@@ -464,7 +465,12 @@ func (st *run) match() (Phase, string, error) {
 // the best matching seen so far by estimated F1, and stops when the
 // estimate no longer improves (§6 intro, §7).
 func (st *run) estimate() (Phase, string, error) {
-	est := estimator.Estimate(st.rng, st.runner, st.m.Forest, st.C, st.X, st.pred, st.training, st.cfg.Estimator)
+	// Reduction rules: the matcher's negatives over C, from its walk if over C.
+	negative := st.m.Negative
+	if len(st.sub) < len(st.C) {
+		negative, _, _ = ruleeval.CoverByLeaf(st.m.Forest, st.X)
+	}
+	est := estimator.EstimateFrom(st.rng, st.runner, negative, st.C, st.pred, st.training, st.cfg.Estimator)
 	st.res.EstimatorRuns = append(st.res.EstimatorRuns, est)
 	st.emit("estimation", fmt.Sprintf("P=%.1f%%±%.1f R=%.1f%%±%.1f (%d reduction rules)",
 		100*est.Precision.Point, 100*est.Precision.Margin,
@@ -487,7 +493,7 @@ func (st *run) estimate() (Phase, string, error) {
 // reduce locates the current set's difficult pairs (§7) and makes them
 // the set the next iteration matches.
 func (st *run) reduce() (Phase, string, error) {
-	loc := locator.Locate(st.rng, st.runner, st.m.Forest, st.sub, st.subX, st.training, st.cfg.Locator)
+	loc := locator.LocateFrom(st.rng, st.runner, st.m.Negative, st.m.Positive, st.sub, st.training, st.cfg.Locator)
 	next := make([]int, len(loc.DifficultIdx))
 	diff := make([]record.Pair, len(loc.DifficultIdx))
 	diffX := make([][]float64, len(loc.DifficultIdx))

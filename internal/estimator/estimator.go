@@ -183,26 +183,30 @@ func ratio(k, n int) float64 {
 	return float64(k) / float64(n)
 }
 
-// Estimate runs Corleone's probe-eval-reduce estimator (§6.2) for matcher
-// f applied to candidate set (pairs, X) with the given predictions. known
-// supplies already-labeled examples whose positives seed the rule ranking's
-// contradiction set.
-func Estimate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
-	pairs []record.Pair, X [][]float64, predictions []bool,
-	known []record.Labeled, cfg Config) *Result {
+// Estimate is EstimateFrom with the negative rules of matcher f over X.
+func Estimate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest, pairs []record.Pair,
+	X [][]float64, predictions []bool, known []record.Labeled, cfg Config) *Result {
+	negative, _, _ := ruleeval.CoverByLeaf(f, X)
+	return EstimateFrom(rng, runner, negative, pairs, predictions, known, cfg)
+}
+
+// EstimateFrom runs Corleone's probe-eval-reduce estimator (§6.2) for a
+// matcher with the given predictions over candidate set pairs, whose
+// negative rules cover pairs as in negative. known supplies already-labeled
+// examples whose positives seed the rule ranking's contradiction set.
+func EstimateFrom(rng *rand.Rand, runner *crowd.Runner, negative []ruleeval.Candidate,
+	pairs []record.Pair, predictions []bool, known []record.Labeled, cfg Config) *Result {
 
 	res := &Result{}
 
 	// Candidate reduction rules: negative rules from the matcher's forest,
 	// ranked by the §4.2 precision upper bound (contradicted by known
 	// positives), top k kept — but NOT yet crowd-evaluated (§6.2 step 1).
-	contradicting := ruleeval.Contradicting(pairs, known, true)
 	// Rank ALL candidate rules by the §4.2 upper bound; the search below
 	// considers them in rank order, at most TopK at a time, pulling deeper
 	// into the ranking only when the earlier rules are used up and
 	// reduction still beats sampling (mid-execution re-optimization).
-	allCands, _ := ruleeval.CoverByLeaf(f, X)
-	cands := ruleeval.SelectTopK(allCands, contradicting, len(allCands))
+	cands := ruleeval.SelectTopK(negative, ruleeval.Contradicting(pairs, known, true), len(negative))
 	ruleUsed := make([]bool, len(cands))
 
 	// State: alive examples (C') and the predicted positives.

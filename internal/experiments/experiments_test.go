@@ -183,6 +183,13 @@ func TestEstimatorEfficiencyExperiment(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	r := rows[0]
+	// Pinned: the §6.2 estimator reads its reduction rules off the
+	// matcher's own walk, and the row is the one a fresh walk gave.
+	want := EstimatorEfficiencyRow{Dataset: "Restaurants", BaselineLabels: 2900, CorleoneLabels: 106,
+		SavingsPct: 96.34482758620689, TrueF1: 99.09909909909909, BaselineF1: 100, OurEstF1: 99.08256880733944}
+	if r != want {
+		t.Errorf("row %+v, want %+v", r, want)
+	}
 	if r.CorleoneLabels >= r.BaselineLabels {
 		t.Errorf("no savings: ours %d vs baseline %d", r.CorleoneLabels, r.BaselineLabels)
 	}

@@ -83,8 +83,7 @@ func EstimatorEfficiency(setups []Setup) ([]EstimatorEfficiencyRow, string) {
 		rngC := rand.New(rand.NewSource(s.Seed))
 		runnerC := crowd.NewRunner(c, s.Price)
 		runnerC.SeedLabels(ds.Seeds)
-		ours := estimator.Estimate(rngC, runnerC, m.Forest, C, X, m.Predictions,
-			training, ecfg)
+		ours := estimator.EstimateFrom(rngC, runnerC, m.Negative, C, m.Predictions, training, ecfg)
 		oursLabels := runnerC.Stats().Pairs // includes rule-evaluation labels
 
 		savings := 0.0

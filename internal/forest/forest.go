@@ -218,6 +218,9 @@ func (f *Forest) RuleLeaves() (negative, positive []tree.Rule, negLeaf, posLeaf 
 // NumNodes returns the packed node count, the bound of every leaf index.
 func (f *Forest) NumNodes() int { return len(f.feature) }
 
+// LeafMatch reports whether the leaf at packed index n votes "match".
+func (f *Forest) LeafMatch(n int32) bool { return f.label[n] }
+
 // LeavesInto writes the packed index of the leaf each vector of V reaches in
 // each tree, dst[i*NumTrees()+t] for vector i and tree t. The comparison is
 // posCount's: a NaN feature fails "<=" and goes right.

@@ -58,24 +58,26 @@ type Result struct {
 	Reason string
 }
 
-// Locate runs the Difficult Pairs' Locator for matcher f over the candidate
-// set (pairs, X). known supplies already-labeled examples for the §4.2
-// upper-bound ranking.
+// Locate is LocateFrom with the rules of matcher f over X.
 func Locate(rng *rand.Rand, runner *crowd.Runner, f *forest.Forest,
 	pairs []record.Pair, X [][]float64, known []record.Labeled, cfg Config) *Result {
+	negative, positive, _ := ruleeval.CoverByLeaf(f, X)
+	return LocateFrom(rng, runner, negative, positive, pairs, known, cfg)
+}
+
+// LocateFrom runs the Difficult Pairs' Locator over the candidate set pairs,
+// whose matcher's rules cover pairs as in negative and positive. known
+// supplies already-labeled examples for the §4.2 upper-bound ranking.
+func LocateFrom(rng *rand.Rand, runner *crowd.Runner, negative, positive []ruleeval.Candidate,
+	pairs []record.Pair, known []record.Labeled, cfg Config) *Result {
 
 	res := &Result{}
 
-	knownPos := ruleeval.Contradicting(pairs, known, true)
-	knownNeg := ruleeval.Contradicting(pairs, known, false)
-
 	// §7 step 1: certify top-k negative rules (contradicted by known
 	// positives) and top-k positive rules (contradicted by known
-	// negatives) exactly as in §4.2. One walk of X through the forest gives
-	// the coverages of both polarities.
-	negCands, posCands := ruleeval.CoverByLeaf(f, X)
-	topNeg := ruleeval.SelectTopK(negCands, knownPos, ruleeval.TopK)
-	topPos := ruleeval.SelectTopK(posCands, knownNeg, ruleeval.TopK)
+	// negatives) exactly as in §4.2.
+	topNeg := ruleeval.SelectTopK(negative, ruleeval.Contradicting(pairs, known, true), ruleeval.TopK)
+	topPos := ruleeval.SelectTopK(positive, ruleeval.Contradicting(pairs, known, false), ruleeval.TopK)
 
 	evalNeg := ruleeval.EvaluateJoint(rng, runner, pairs, topNeg, cfg.RuleEval)
 	evalPos := ruleeval.EvaluateJoint(rng, runner, pairs, topPos, cfg.RuleEval)

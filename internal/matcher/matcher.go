@@ -9,8 +9,8 @@ import (
 	"github.com/corleone-em/corleone/internal/active"
 	"github.com/corleone-em/corleone/internal/crowd"
 	"github.com/corleone-em/corleone/internal/forest"
-	"github.com/corleone-em/corleone/internal/par"
 	"github.com/corleone-em/corleone/internal/record"
+	"github.com/corleone-em/corleone/internal/ruleeval"
 )
 
 // Config wraps the active-learning configuration.
@@ -29,6 +29,8 @@ type Result struct {
 	Predictions []bool
 	// PositiveCount is the number of predicted matches.
 	PositiveCount int
+	// Negative and Positive are Forest's rules covering the candidates.
+	Negative, Positive []ruleeval.Candidate
 	// Training is every labeled example the matcher trained on.
 	Training []record.Labeled
 	// Trace is the active-learning diagnostic trace (Figure 3 series).
@@ -37,7 +39,7 @@ type Result struct {
 
 // Run trains a matcher on the candidate pool (pairs, X) starting from the
 // given labeled examples (user seeds plus anything the crowd has already
-// labeled, per §5.1), then applies it to every candidate.
+// labeled, per §5.1), then applies it to every candidate in one walk.
 func Run(runner *crowd.Runner, pairs []record.Pair, X [][]float64,
 	initial []record.Labeled, initialX [][]float64, cfg Config) (*Result, error) {
 
@@ -45,17 +47,8 @@ func Run(runner *crowd.Runner, pairs []record.Pair, X [][]float64,
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Forest:      learned.Forest,
-		Predictions: make([]bool, len(pairs)),
-		Training:    learned.Training,
-		Trace:       learned.Trace,
-	}
-	par.For(len(X), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			res.Predictions[i] = learned.Forest.Predict(X[i])
-		}
-	})
+	res := &Result{Forest: learned.Forest, Training: learned.Training, Trace: learned.Trace}
+	res.Negative, res.Positive, res.Predictions = ruleeval.CoverByLeaf(learned.Forest, X)
 	for _, pos := range res.Predictions {
 		if pos {
 			res.PositiveCount++

@@ -2,10 +2,12 @@ package matcher
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/corleone-em/corleone/internal/crowd"
 	"github.com/corleone-em/corleone/internal/record"
+	"github.com/corleone-em/corleone/internal/ruleeval"
 )
 
 func makePool(n int, seed int64) (pairs []record.Pair, X [][]float64,
@@ -66,7 +68,19 @@ func TestRunTrainsAndPredicts(t *testing.T) {
 		t.Errorf("PositiveCount = %d, counted %d", res.PositiveCount, count)
 	}
 	if res.Forest == nil || res.Trace.Iterations == 0 {
-		t.Error("missing forest or trace")
+		t.Fatal("missing forest or trace")
+	}
+	// One walk: the predictions are Predict's, and the candidates are a
+	// fresh walk's over the same pool.
+	for i, v := range X {
+		if res.Predictions[i] != res.Forest.Predict(v) {
+			t.Fatalf("row %d: prediction %v, Predict %v", i, res.Predictions[i], res.Forest.Predict(v))
+		}
+	}
+	neg, pos, _ := ruleeval.CoverByLeaf(res.Forest, X)
+	if len(neg) == 0 || len(pos) == 0 || !reflect.DeepEqual(res.Negative, neg) || !reflect.DeepEqual(res.Positive, pos) {
+		t.Errorf("candidates: %d negative, %d positive; want %d and %d from a fresh walk",
+			len(res.Negative), len(res.Positive), len(neg), len(pos))
 	}
 }
 

@@ -48,14 +48,14 @@ func BenchmarkMakeCandidates(b *testing.B) {
 }
 
 // BenchmarkCover is the leaf walk over the same forest and rows; it fills
-// the positive rules' coverages too.
+// the positive rules' coverages and the votes too.
 func BenchmarkCover(b *testing.B) {
 	_, _, X, f := restaurantsFixture(b)
 	var pos []Candidate
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkCands, pos = CoverByLeaf(f, X)
+		sinkCands, pos, _ = CoverByLeaf(f, X)
 	}
 	b.ReportMetric(float64(len(sinkCands)+len(pos)), "rules/op")
 }

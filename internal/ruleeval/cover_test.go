@@ -23,15 +23,17 @@ var edgeValues = []float64{feature.Missing, math.Copysign(0, -1), 0, math.Inf(1)
 	-0.25, 0.5, 1, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64}
 
 // checkCover compares CoverByLeaf with Rule.Matches row by row for every
-// rule of both polarities, and its candidate lists — order, dropped empties,
-// representation — with MakeCandidates over f.Rules(), at GOMAXPROCS 1 and 4.
+// rule of both polarities, its candidate lists — order, dropped empties,
+// representation — with MakeCandidates over f.Rules(), and its votes with
+// Forest.Predict (checkVotes), at GOMAXPROCS 1 and 4.
 func checkCover(t testing.TB, what string, f *forest.Forest, X [][]float64) (negative, positive []Candidate) {
 	t.Helper()
 	negRules, posRules := f.Rules()
 	wantNeg, wantPos := MakeCandidates(negRules, X), MakeCandidates(posRules, X)
+	checkVotes(t, what, f, X)
 	for _, procs := range []int{1, 4} {
 		old := runtime.GOMAXPROCS(procs)
-		negative, positive = CoverByLeaf(f, X)
+		negative, positive, _ = CoverByLeaf(f, X)
 		runtime.GOMAXPROCS(old)
 		for _, c := range append(append([]Candidate{}, negative...), positive...) {
 			for i, v := range X {
@@ -47,6 +49,92 @@ func checkCover(t testing.TB, what string, f *forest.Forest, X [][]float64) (neg
 		}
 	}
 	return negative, positive
+}
+
+// checkVotes compares the votes of CoverByLeaf's walk with Forest.Predict
+// row by row at GOMAXPROCS 1 and 4. Unlike the coverages, the votes hold on
+// NaN rows: the walk and Predict both send a NaN right. It returns how many
+// rows tie at exactly half the trees voting "match".
+func checkVotes(t testing.TB, what string, f *forest.Forest, X [][]float64) (ties int) {
+	t.Helper()
+	for _, procs := range []int{1, 4} {
+		old := runtime.GOMAXPROCS(procs)
+		_, _, match := CoverByLeaf(f, X)
+		runtime.GOMAXPROCS(old)
+		if len(match) != len(X) {
+			t.Fatalf("%s procs=%d: %d votes for %d rows", what, procs, len(match), len(X))
+		}
+		for i, v := range X {
+			if match[i] != f.Predict(v) {
+				t.Fatalf("%s procs=%d: row %d %v: walk votes %v, Predict %v", what, procs, i, v, match[i], f.Predict(v))
+			}
+		}
+	}
+	for _, v := range X {
+		if math.Abs(f.PosFraction(v)-0.5) < 1e-9 {
+			ties++
+		}
+	}
+	return ties
+}
+
+// TestCoverVotesMatchPredict checks the walk's majority vote against
+// Forest.Predict on forests of odd and even k, whose rows include ties at
+// k/2 (Predict says no match), NaN features and every edge value, over a row
+// count that is not a multiple of 64; and on the hand-built colliding
+// forest, whose four trees tie on known rows.
+func TestCoverVotesMatchPredict(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	row := func(nf int) []float64 {
+		v := make([]float64, nf)
+		for j := range v {
+			switch rng.Intn(4) {
+			case 0:
+				v[j] = edgeValues[rng.Intn(len(edgeValues))]
+			case 1:
+				v[j] = math.NaN()
+			default:
+				v[j] = float64(rng.Intn(8)) / 8
+			}
+		}
+		return v
+	}
+	for _, k := range []int{1, 2, 3, 4, 5, 10} {
+		const nf = 3
+		var trainX [][]float64
+		var trainY []bool
+		for i := 0; i < 60; i++ {
+			v := make([]float64, nf)
+			for j := range v {
+				v[j] = float64(rng.Intn(8)) / 8
+			}
+			trainX, trainY = append(trainX, v), append(trainY, rng.Intn(3) == 0)
+		}
+		cfg := forest.Defaults()
+		cfg.NumTrees, cfg.Seed = k, int64(k)
+		f := forest.Train(trainX, trainY, cfg)
+		var X [][]float64
+		for i := 0; i < 64*3+7; i++ {
+			X = append(X, row(nf))
+		}
+		ties := checkVotes(t, fmt.Sprintf("k=%d", k), f, X)
+		if k%2 == 0 && ties == 0 {
+			t.Fatalf("k=%d: no row ties at k/2; the case is vacuous", k)
+		}
+	}
+
+	f := collidingForest(t)
+	nan := math.NaN()
+	var X [][]float64
+	for _, a := range append([]float64{0.3, 0.7, nan}, edgeValues...) {
+		for _, b := range []float64{-6, feature.Missing, 0.4, nan} {
+			X = append(X, []float64{a, b})
+		}
+	}
+	// Row (0.3, 0.4): trees 1 and 2 vote no, trees 3 and 4 match.
+	if checkVotes(t, "colliding", f, X) == 0 {
+		t.Fatal("colliding: no row ties at k/2; the case is vacuous")
+	}
 }
 
 // atThresholds returns, for every predicate of every rule of f, a copy of
@@ -209,8 +297,9 @@ func TestCoverMatchesRuleMatches(t *testing.T) {
 // FuzzCover trains a forest on a random small training set drawn from the
 // finite edgeValues and a few ordinary fractions — so thresholds land on and
 // between the edge values, and none is the NaN midpoint of -Inf and +Inf —
-// and compares the leaf walk with Rule.Matches and MakeCandidates over random
-// rows of all the edge values.
+// and compares the leaf walk with Rule.Matches, MakeCandidates and
+// Forest.Predict over random rows of all the edge values, then its votes
+// with Predict once more after a NaN is written into some of the rows.
 func FuzzCover(f *testing.F) {
 	f.Add(int64(1), uint8(40), uint8(3), uint8(100))
 	f.Add(int64(2), uint8(4), uint8(1), uint8(65))
@@ -239,7 +328,14 @@ func FuzzCover(f *testing.F) {
 		cfg := forest.Defaults()
 		cfg.NumTrees = 1 + rng.Intn(5)
 		cfg.Seed = seed
-		checkCover(t, fmt.Sprintf("seed %d", seed), forest.Train(trainX, trainY, cfg), rows(int(nRows), false))
+		g, X := forest.Train(trainX, trainY, cfg), rows(int(nRows), false)
+		checkCover(t, fmt.Sprintf("seed %d", seed), g, X)
+		for i := range X {
+			if rng.Intn(4) == 0 {
+				X[i][rng.Intn(nf)] = math.NaN()
+			}
+		}
+		checkVotes(t, fmt.Sprintf("seed %d with NaN", seed), g, X)
 	})
 }
 

@@ -3,6 +3,8 @@ package ruleeval
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
+	"sort"
 
 	"github.com/corleone-em/corleone/internal/stats"
 )
@@ -131,12 +133,7 @@ func (s *RowSet) AndCount(t *RowSet) int {
 
 // AppendTo appends the set's rows to dst in ascending order.
 func (s *RowSet) AppendTo(dst []int) []int {
-	if s.count == 0 {
-		return dst
-	}
-	if need := len(dst) + s.count; need > cap(dst) {
-		dst = append(make([]int, 0, need), dst...)
-	}
+	dst = slices.Grow(dst, s.count)
 	for wi, w := range s.words {
 		for base := wi << 6; w != 0; w &= w - 1 {
 			dst = append(dst, base+bits.TrailingZeros64(w))
@@ -149,22 +146,28 @@ func (s *RowSet) AppendTo(dst []int) []int {
 // one draw to the next (the loops that sample run once per round or probe
 // over sets as large as the candidate set).
 type RowSampler struct {
-	rows, perm []int
+	ranks stats.Sampler
+	cum   []int // cum[w] is the number of rows in the words before w
 }
 
 // Draw returns k rows of s drawn uniformly without replacement (all of
 // them, shuffled, if s has fewer; none if k <= 0). The base order is the
 // set's ascending enumeration and the draws are stats.SampleIndices', so a
-// seeded rng yields the rows a sorted []int pool would. The result is valid
-// until the next Draw.
+// seeded rng yields the rows a sorted []int pool would, for O(k) work and
+// one popcount sweep over the words. The result is valid until the next Draw.
 func (d *RowSampler) Draw(rng *rand.Rand, s *RowSet, k int) []int {
-	d.rows = s.AppendTo(d.rows[:0])
-	if cap(d.perm) < len(d.rows) {
-		d.perm = make([]int, len(d.rows))
+	out := d.ranks.Draw(rng, s.count, k)
+	d.cum = append(slices.Grow(d.cum[:0], len(s.words)+1), 0)
+	for i, w := range s.words {
+		d.cum = append(d.cum, d.cum[i]+bits.OnesCount64(w))
 	}
-	out := stats.SampleIndicesInto(rng, len(d.rows), k, d.perm)
-	for i, j := range out {
-		out[i] = d.rows[j]
+	for i, r := range out {
+		wi := sort.SearchInts(d.cum, r+1) - 1 // cum[wi] <= r < cum[wi+1]
+		w := s.words[wi]
+		for skip := r - d.cum[wi]; skip > 0; skip-- {
+			w &= w - 1
+		}
+		out[i] = wi<<6 + bits.TrailingZeros64(w)
 	}
 	return out
 }

@@ -2,9 +2,13 @@ package ruleeval
 
 import (
 	"math/bits"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
+
+	"github.com/corleone-em/corleone/internal/stats"
 )
 
 // checkRowSet compares s with its map reference and checks the two
@@ -46,7 +50,9 @@ func checkRowSet(t *testing.T, what string, s *RowSet, ref map[int]bool, n int) 
 // FuzzRowSet drives two row sets through a byte-coded program of
 // add/or/and/and-not/set/clear/clone steps beside map[int]bool references,
 // checking every observable (count, membership, ascending iteration,
-// intersection count) and the representation invariants after each step.
+// intersection count) and the representation invariants after each step,
+// then RowSampler.Draw on the final set against the dense draw over its
+// ascending enumeration.
 func FuzzRowSet(f *testing.F) {
 	for _, n := range []uint8{0, 1, 63, 64, 65, 200} {
 		f.Add(n, []byte{0, 3, 1, 7, 2, 0, 0, 62, 3, 0, 4, 0, 1, 64, 5, 0, 6, 0, 7, 0})
@@ -133,7 +139,78 @@ func FuzzRowSet(f *testing.F) {
 		if !reflect.DeepEqual(c, a) {
 			t.Fatal("same rows, different representation")
 		}
+		// Draw is the dense draw over the ascending enumeration.
+		var d RowSampler
+		for _, k := range []int{0, 1, a.Len() / 2, a.Len(), a.Len() + 1} {
+			checkDraw(t, &d, int64(len(prog)), a, k)
+		}
 	})
+}
+
+// checkDraw compares d.Draw with its definition — the set's ascending
+// enumeration sampled by the dense stats.SampleIndicesInto — on a fresh rng
+// of the given seed: the same rows in the same order, and the rng left at
+// the same state.
+func checkDraw(t *testing.T, d *RowSampler, seed int64, s *RowSet, k int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	rows := s.AppendTo(nil)
+	want := stats.SampleIndicesInto(rng, len(rows), k, make([]int, len(rows)))
+	for i, j := range want {
+		want[i] = rows[j]
+	}
+	next := rng.Int63()
+	rng = rand.New(rand.NewSource(seed))
+	if got := d.Draw(rng, s, k); !slices.Equal(got, want) || rng.Int63() != next {
+		t.Fatalf("%d of %d rows over %d: Draw gives %v, want %v (or the rng is left elsewhere)",
+			k, s.Len(), s.Universe(), got, want)
+	}
+}
+
+// TestRowSamplerMatchesDense draws every k up to 70 from sets over every
+// universe up to 70 rows, at three densities, and random batches from large
+// sets, with one sampler throughout so its reused buffers are tested too.
+func TestRowSamplerMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	var d RowSampler
+	for n := 0; n <= 70; n++ {
+		for _, density := range []int{1, 2, 5} {
+			s := NewRowSet(n)
+			for i := 0; i < n; i++ {
+				if rng.Intn(density) == 0 {
+					s.Add(i)
+				}
+			}
+			for k := 0; k <= 70; k++ {
+				checkDraw(t, &d, int64(n*71+k), s, k)
+			}
+		}
+	}
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(300000)
+		s := NewRowSet(n)
+		for i := rng.Intn(7); i < n; i += 1 + rng.Intn(1+trial) {
+			s.Add(i)
+		}
+		checkDraw(t, &d, int64(trial), s, rng.Intn(120))
+	}
+}
+
+// TestRowSamplerDrawZeroAllocs pins the sampler's steady state: once its
+// buffers have grown, a draw from a 200k-row set allocates nothing.
+func TestRowSamplerDrawZeroAllocs(t *testing.T) {
+	s := NewRowSet(200000)
+	for i := 0; i < s.Universe(); i += 3 {
+		s.Add(i)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var d RowSampler
+	d.Draw(rng, s, 50) // grow the buffers
+	for _, k := range []int{Batch, 50} {
+		if n := testing.AllocsPerRun(100, func() { d.Draw(rng, s, k) }); n != 0 {
+			t.Errorf("Draw of %d rows allocates %.1f per call in steady state, want 0", k, n)
+		}
+	}
 }
 
 func TestRowSetRejectsForeignRows(t *testing.T) {

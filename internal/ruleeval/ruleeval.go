@@ -68,13 +68,14 @@ func MakeCandidates(rules []tree.Rule, X [][]float64) []Candidate {
 // so only that leaf stands for the rule; a later leaf sharing the key may
 // differ past the key's nine digits and adds nothing. The candidates come in
 // Rules() order with empty coverages dropped, as MakeCandidates returns them.
+// match[i] is f.Predict(X[i]): over half of row i's k leaves vote "match".
 //
-// The equivalence needs NaN-free rows: the walk sends a NaN right, while
-// Rule.Matches fails it on both "<=" and ">". Extractor.Vectors never emits
-// one (feature.TestVectorsNeverNaN) and a trained threshold is the midpoint
-// of two feature values; Missing (-1), -0 and ±Inf are ordinary ordered
-// values.
-func CoverByLeaf(f *forest.Forest, X [][]float64) (negative, positive []Candidate) {
+// The equivalence needs NaN-free rows: the walk sends a NaN right, as
+// Predict does, while Rule.Matches fails it on both "<=" and ">".
+// Extractor.Vectors never emits one (feature.TestVectorsNeverNaN) and a
+// trained threshold is the midpoint of two feature values; Missing (-1), -0
+// and ±Inf are ordinary ordered values.
+func CoverByLeaf(f *forest.Forest, X [][]float64) (negative, positive []Candidate, match []bool) {
 	neg, pos, negLeaf, posLeaf := f.RuleLeaves()
 	ruleOf := make([]int32, f.NumNodes()) // leaf → index into neg ++ pos, -1 for none
 	for i := range ruleOf {
@@ -88,27 +89,33 @@ func CoverByLeaf(f *forest.Forest, X [][]float64) (negative, positive []Candidat
 	}
 	n, k := len(X), f.NumTrees()
 	covs := newCoverages(len(neg)+len(pos), n)
+	match = make([]bool, n)
 	par.For((n+63)/64, func(lo, hi int) {
 		leaves := make([]int32, 64*k) // one block's leaves, reused down the chunk
 		for w := lo; w < hi; w++ {
-			coverBlock(f, X[w*64:min(w*64+64, n)], ruleOf, covs, w, leaves)
+			coverBlock(f, X[w*64:min(w*64+64, n)], ruleOf, covs, w, leaves, match[w*64:])
 		}
 	})
-	return nonEmpty(neg, covs[:len(neg)]), nonEmpty(pos, covs[len(neg):])
+	return nonEmpty(neg, covs[:len(neg)]), nonEmpty(pos, covs[len(neg):]), match
 }
 
-// coverBlock walks one 64-row block through every tree and sets each row's
-// bit in word w of the rule its leaf stands for. Word w of every coverage
-// belongs to this block alone, so blocks run concurrently.
-func coverBlock(f *forest.Forest, rows [][]float64, ruleOf []int32, covs []RowSet, w int, leaves []int32) {
+// coverBlock walks one 64-row block through every tree, sets each row's bit
+// in word w of the rule its leaf stands for and each row's vote in match.
+// Both belong to this block alone, so blocks run concurrently.
+func coverBlock(f *forest.Forest, rows [][]float64, ruleOf []int32, covs []RowSet, w int, leaves []int32, match []bool) {
 	f.LeavesInto(rows, leaves)
 	k := f.NumTrees()
 	for b := range rows {
+		votes := 0
 		for _, leaf := range leaves[b*k : b*k+k] {
 			if r := ruleOf[leaf]; r >= 0 {
 				covs[r].words[w] |= 1 << uint(b)
 			}
+			if f.LeafMatch(leaf) {
+				votes++
+			}
 		}
+		match[b] = 2*votes > k
 	}
 }
 

@@ -7,7 +7,9 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -116,17 +118,47 @@ func EstimateProportion(k, n, population int) Interval {
 // shuffled order. The result order is random; callers needing determinism
 // beyond the seed should sort.
 func SampleIndices(rng *rand.Rand, n, k int) []int {
-	if n <= 0 || k <= 0 {
+	return new(Sampler).Draw(rng, n, k)
+}
+
+// Sampler draws what SampleIndicesInto does — the same rng.Intn calls and
+// indices — in O(k): an open-addressed table of (position+1, value) pairs
+// holds the positions the shuffle moved, an absent one holding itself. One
+// reused buffer holds the table and the result, valid until the next draw.
+type Sampler struct{ buf []int }
+
+// Draw returns k distinct indices of [0, n) as SampleIndices does.
+func (s *Sampler) Draw(rng *rand.Rand, n, k int) []int {
+	if k = min(k, n); k <= 0 {
 		return nil
 	}
-	return SampleIndicesInto(rng, n, k, make([]int, n))
+	mask := 2<<bits.Len(uint(k)) - 1 // over 2k slots for at most k positions
+	s.buf = slices.Grow(s.buf[:0], 2*mask+2+k)
+	table, out := s.buf[:2*mask+2], s.buf[2*mask+2:2*mask+2]
+	clear(table)
+	at := func(p int) (slot, v int) {
+		for slot = p & mask; table[2*slot] != 0; slot = (slot + 1) & mask {
+			if table[2*slot] == p+1 {
+				return slot, table[2*slot+1]
+			}
+		}
+		return slot, p
+	}
+	for i := 0; i < k; i++ {
+		j := i + rng.Intn(n-i)
+		_, vi := at(i)
+		hj, vj := at(j)
+		out = append(out, vj)
+		table[2*hj], table[2*hj+1] = j+1, vi // position i is never read again
+	}
+	return out
 }
 
 // SampleIndicesInto is SampleIndices with a caller-provided buffer of
-// capacity >= n, for hot paths (forest training draws a bootstrap per tree)
-// that would otherwise allocate a fresh n-slot buffer each call. The RNG
-// draw sequence and the result are identical to SampleIndices; the returned
-// slice aliases buf.
+// capacity >= n, for draws of most of [0, n) (forest training draws a 60%
+// bootstrap per tree), where Sampler's table would outgrow the dense
+// permutation. The RNG draw sequence and the result are identical to
+// SampleIndices; the returned slice aliases buf.
 func SampleIndicesInto(rng *rand.Rand, n, k int, buf []int) []int {
 	if n <= 0 || k <= 0 {
 		return nil

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -120,6 +121,46 @@ func TestSampleIndices(t *testing.T) {
 	}
 	if SampleIndices(rng, 0, 5) != nil {
 		t.Error("n=0 should give nil")
+	}
+}
+
+// TestSamplerMatchesDense is the sparse shuffle's differential test
+// against the dense one, SampleIndicesInto: every (n, k) up to 70, k > n
+// included, and random large n with k both far below n and up to n. One
+// Sampler serves every draw, so its reused table is tested too; each draw
+// must give the same indices in the same order, SampleIndices must give
+// them again, and each rng must be left at the same state.
+func TestSamplerMatchesDense(t *testing.T) {
+	var s Sampler
+	check := func(seed int64, n, k int) {
+		t.Helper()
+		rng := rand.New(rand.NewSource(seed))
+		want := SampleIndicesInto(rng, n, k, make([]int, n))
+		next := rng.Int63()
+		for _, draw := range []func(*rand.Rand) []int{
+			func(rng *rand.Rand) []int { return s.Draw(rng, n, k) },
+			func(rng *rand.Rand) []int { return SampleIndices(rng, n, k) },
+		} {
+			rng := rand.New(rand.NewSource(seed))
+			if got := draw(rng); !slices.Equal(got, want) || rng.Int63() != next {
+				t.Fatalf("n=%d k=%d: %v, want %v (or the rng is left elsewhere)", n, k, got, want)
+			}
+		}
+	}
+	for n := 0; n <= 70; n++ {
+		for k := 0; k <= 70; k++ {
+			check(int64(n*71+k), n, k)
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(1<<20)
+		k := rng.Intn(300)
+		if trial%2 == 1 {
+			n = 1 + rng.Intn(5000)
+			k = rng.Intn(n + 2)
+		}
+		check(int64(trial), n, k)
 	}
 }
 

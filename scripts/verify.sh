@@ -64,9 +64,9 @@ go test -race ./...
 # the Monge-Elkan column,
 # Vectors' tiles), the character-bag bounds the verifier decides edit and
 # Jaro-Winkler predicates with, the token-pair table, the column profile build and the string
-# primitives under it, CSV round trip and reader totality, row sets,
-# rule coverage by leaf, journal replay, model and spec decoders, the submit
-# body, the shard worker's job-spec load), 5 s each, so a change that breaks
-# a decoder's totality or a kernel's bit-identity fails here in seconds. The
-# Makefile holds the list.
+# primitives under it, CSV round trip and reader totality, row sets and
+# their sparse sampler, rule coverage and votes by leaf, journal replay,
+# model and spec decoders, the submit body, the shard worker's job-spec
+# load), 5 s each, so a change that breaks a decoder's totality or a
+# kernel's bit-identity fails here in seconds. The Makefile holds the list.
 make fuzz FUZZTIME=5s
