@@ -1,5 +1,6 @@
 # Corleone build targets. `make verify` is the pre-merge bar (ROADMAP.md);
-# tier-1 is the build+test subset.
+# tier-1 is the build+test subset. The test lists that scripts/verify.sh and
+# CI both run are written once, here: `procs` (the -cpu 1,4 runs) and `fuzz`.
 
 GO ?= go
 
@@ -7,7 +8,7 @@ GO ?= go
 # alternative of the pattern matches no test (go test only warns).
 RUNTESTS = GO=$(GO) sh scripts/runtests.sh
 
-.PHONY: build test lint verify bench-e2e bench-e2e-trace chaos shard fuzz
+.PHONY: build test lint verify bench-e2e bench-e2e-trace chaos shard procs fuzz
 
 build:
 	$(GO) build ./...
@@ -46,24 +47,33 @@ chaos:
 	CORLEONE_SWEEP_FULL=1 $(RUNTESTS) -race -count=1 -v -run 'TestDurabilityBoundarySweep' ./internal/faultkit
 	$(RUNTESTS) -race -count=1 -run 'TestSnapshot|TestStoreOpen|TestKillAndResume|TestResume' ./internal/runsvc
 
-# Sharded-execution gate under the race detector: the blocker-level
-# equivalence/determinism tests, the shard runtime's own suite (the remote
-# executor against the in-process one over K x batch included), the
-# service's shard counters, the shard-count cap, and the shard-worker chaos
-# schedules (5xx failover, worker crash, a batch cut mid-stream: the
-# survivor stream equals the in-process one).
+# Shard-library gate under the race detector: the shard runtime's own suite
+# (the remote executor against the in-process one over K x batch included),
+# the service's index-probe counters, and the shard-worker chaos schedules
+# (5xx failover, worker crash, a batch cut mid-stream: the survivor stream
+# equals the in-process one). Blocking itself probes one index in-process;
+# its equivalence with the scan is TestApplyRulesEquivalence, in tier-1.
 shard:
 	$(GO) test -race -count=1 ./internal/shard
-	$(RUNTESTS) -race -count=1 -run 'TestSharded' ./internal/blocker
-	$(RUNTESTS) -race -count=1 -run 'TestHealthzAndMetrics|TestShardCountCapped' ./internal/runsvc
+	$(RUNTESTS) -race -count=1 -run 'TestHealthzAndMetrics' ./internal/runsvc
 	$(RUNTESTS) -race -count=1 -v -run 'TestShardWorkerChaos' ./internal/faultkit
+
+# GOMAXPROCS invariance — the one list of -cpu 1,4 runs (`make verify` and
+# CI call this): the pinned engine and estimator outputs and the golden
+# fingerprints must hold bit for bit at one and at four procs, not only at
+# the box's default; and Vectors' tiles of rows of A are cut where par.For
+# cuts the pairs into chunks, one per GOMAXPROCS, so its run shapes must
+# hold at both.
+procs:
+	$(RUNTESTS) -count=1 -cpu 1,4 -run 'TestRunPinned|TestRunGoldenFingerprints|TestEstimatePinned' ./internal/engine ./internal/estimator
+	$(RUNTESTS) -count=1 -cpu 1,4 -run 'TestVectorsRunShapes|TestVectorsParallelMatchesSequential' ./internal/feature
 
 # Differential fuzz smoke — the one list of fuzz targets (`make verify`
 # and CI call this). Wire format: the pair codec (exact round trip,
 # canonical re-encoding, decoder totality over arbitrary bytes) and the
 # K-way merge vs its reference. Similarity-join index: the rel_diff band's
 # candidates hold every row the brute-force predicate keeps, ascending, no
-# row twice, on arbitrary float64 bit patterns (DESIGN.md §9.2). Pair
+# row twice, on arbitrary float64 bit patterns (DESIGN.md §9.1). Pair
 # kernels: Myers' bit-parallel edit distance vs the matrix and two-row DPs,
 # Levenshtein's metric properties, every string measure's [0, 1] range,
 # bit-parallel Jaro vs the greedy matcher (and b's masks built once for a

@@ -44,8 +44,6 @@ func main() {
 	budget := flag.Float64("budget", 0, "stop after spending this many dollars (0 = no budget)")
 	out := flag.String("out", "", "write matches to this CSV (default stdout)")
 	seed := flag.Int64("seed", 1, "random seed")
-	shards := flag.Int("shards", 0, "blocking shards: 0 = one shard, n >= 1 = that many shards (at most 64)")
-	shardWorkers := flag.Int("shard-workers", 0, "concurrent shard workers during blocking (0 = GOMAXPROCS)")
 	verbose := flag.Bool("v", false, "print pipeline progress")
 	flag.Parse()
 
@@ -54,7 +52,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := checkNumbers(*errRate, *price, *budget, *shards, *shardWorkers); err != nil {
+	if err := checkNumbers(*errRate, *price, *budget); err != nil {
 		fmt.Fprintln(os.Stderr, "corleone:", err)
 		os.Exit(2)
 	}
@@ -75,8 +73,6 @@ func main() {
 	cfg.PricePerQuestion = *price
 	cfg.Budget = *budget
 	cfg.Seed = *seed
-	cfg.Blocker.Shards = *shards
-	cfg.Blocker.ShardWorkers = *shardWorkers
 	if *verbose || *crowdKind == "self" {
 		cfg.Listener = func(e corleone.Event) {
 			fmt.Fprintf(os.Stderr, "[%s] %s ($%.2f spent, %d pairs)\n",
@@ -121,20 +117,17 @@ func main() {
 
 // checkNumbers refuses the numeric flags POST /jobs refuses: an -error
 // outside [0, 1] — above 1 the simulated crowd would flip every answer, and
-// NaN would run as an oracle — or a negative -price, -budget, -shards or
-// -shard-workers, which would make spend negative or run as the default
-// without a word. The comparisons are written so that NaN fails them too.
-func checkNumbers(errRate, price, budget float64, shards, shardWorkers int) error {
+// NaN would run as an oracle — or a negative -price or -budget, which would
+// make spend negative or run as the default without a word. The comparisons
+// are written so that NaN fails them too.
+func checkNumbers(errRate, price, budget float64) error {
 	if !(errRate >= 0 && errRate <= 1) {
 		return fmt.Errorf("-error %v is outside [0, 1]", errRate)
 	}
 	for _, f := range []struct {
 		name string
 		v    float64
-	}{
-		{"price", price}, {"budget", budget},
-		{"shards", float64(shards)}, {"shard-workers", float64(shardWorkers)},
-	} {
+	}{{"price", price}, {"budget", budget}} {
 		if !(f.v >= 0) {
 			return fmt.Errorf("-%s %v is negative", f.name, f.v)
 		}

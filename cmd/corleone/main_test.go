@@ -65,7 +65,6 @@ func TestRenderPair(t *testing.T) {
 func TestCheckNumbers(t *testing.T) {
 	type flags struct {
 		errRate, price, budget float64
-		shards, shardWorkers   int
 	}
 	ok := flags{errRate: 0.05, price: 0.01}
 	for _, c := range []struct {
@@ -74,18 +73,16 @@ func TestCheckNumbers(t *testing.T) {
 		flag string // empty: accepted
 	}{
 		{"defaults", ok, ""},
-		{"oracle, free, capped budget, sharded", flags{0, 0, 500, 64, 4}, ""},
-		{"every answer wrong", flags{1, 0.01, 0, 0, 0}, ""},
-		{"error above 1", flags{1.5, 0.01, 0, 0, 0}, "-error"},
-		{"negative error", flags{-0.1, 0.01, 0, 0, 0}, "-error"},
-		{"NaN error", flags{math.NaN(), 0.01, 0, 0, 0}, "-error"},
-		{"negative price", flags{0.05, -0.01, 0, 0, 0}, "-price"},
-		{"NaN price", flags{0.05, math.NaN(), 0, 0, 0}, "-price"},
-		{"negative budget", flags{0.05, 0.01, -1, 0, 0}, "-budget"},
-		{"negative shards", flags{0.05, 0.01, 0, -2, 0}, "-shards"},
-		{"negative shard workers", flags{0.05, 0.01, 0, 0, -1}, "-shard-workers"},
+		{"oracle, free, capped budget", flags{0, 0, 500}, ""},
+		{"every answer wrong", flags{1, 0.01, 0}, ""},
+		{"error above 1", flags{1.5, 0.01, 0}, "-error"},
+		{"negative error", flags{-0.1, 0.01, 0}, "-error"},
+		{"NaN error", flags{math.NaN(), 0.01, 0}, "-error"},
+		{"negative price", flags{0.05, -0.01, 0}, "-price"},
+		{"NaN price", flags{0.05, math.NaN(), 0}, "-price"},
+		{"negative budget", flags{0.05, 0.01, -1}, "-budget"},
 	} {
-		err := checkNumbers(c.f.errRate, c.f.price, c.f.budget, c.f.shards, c.f.shardWorkers)
+		err := checkNumbers(c.f.errRate, c.f.price, c.f.budget)
 		switch {
 		case c.flag == "" && err != nil:
 			t.Errorf("%s: refused: %v", c.name, err)

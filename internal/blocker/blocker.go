@@ -39,19 +39,10 @@ type Config struct {
 	// instead of a materialized Result.Candidates slice, which is then left
 	// nil. See Sink's contract for chunk-reuse rules.
 	Sink Sink
-	// Shards is how many shards of table B an indexable rule set is probed
-	// through: n >= 1 means n shards, capped at 64 (shard.Choose), and 0 —
-	// the default — or a negative count means one shard, through the same
-	// coordinator as any other count. A rule set the planner does not index
-	// (Result.Plan) runs the exhaustive scan whatever the value. The emitted
-	// umbrella set is bit-identical at every setting, and ShardStats counts
-	// tasks at every setting, K=1 included.
-	Shards int
-	// ShardWorkers bounds the shard coordinator's fan-out width (<=0 means
-	// GOMAXPROCS).
-	ShardWorkers int
-	// ShardStats, when non-nil, accumulates shard dispatch counts (runsvc's
-	// /metrics reads them live).
+	// ShardStats, when non-nil, accumulates an index plan's probe counts:
+	// Dispatched gains one per shard.TaskBlockRows rows of table A probed,
+	// Candidates the pairs the index handed the verifier. A scan counts
+	// nothing. runsvc's /metrics reads them live.
 	ShardStats *shard.Stats
 }
 
@@ -97,11 +88,12 @@ type Result struct {
 
 // Run executes the blocking step for the dataset.
 func Run(ds *record.Dataset, ex *feature.Extractor, runner *crowd.Runner, cfg Config) (*Result, error) {
+	d := Defaults()
 	if cfg.TB <= 0 {
-		cfg.TB = 3_000_000
+		cfg.TB = d.TB
 	}
 	if cfg.TopK <= 0 {
-		cfg.TopK = ruleeval.TopK
+		cfg.TopK = d.TopK
 	}
 	res := &Result{CartesianSize: ds.CartesianSize()}
 
@@ -183,21 +175,13 @@ func Run(ds *record.Dataset, ex *feature.Extractor, runner *crowd.Runner, cfg Co
 	res.Selected = greedySelect(kept, X, len(ds.A.Rows), len(ds.B.Rows), cfg.TB, ex.Cost)
 
 	// Apply the selected rules to A×B: the planner generates candidates
-	// through shard probes when a selected rule can anchor indexes narrow
-	// enough to pay, and through the parallel exhaustive scan otherwise.
-	ec := execConfig{
-		shards:  cfg.Shards,
-		workers: cfg.ShardWorkers,
-		stats:   cfg.ShardStats,
-	}
+	// through index probes when a selected rule can anchor them, and visits
+	// every cell otherwise.
 	sink := cfg.Sink
 	if sink == nil {
 		sink = collectSink(&res.Candidates)
 	}
-	res.Plan, err = applyRulesTo(ds, ex, res.Selected, ec, sink)
-	if err != nil {
-		return nil, fmt.Errorf("blocker: applying rules: %w", err)
-	}
+	res.Plan = applyRulesTo(ds, ex, res.Selected, cfg.ShardStats, sink)
 	return res, nil
 }
 

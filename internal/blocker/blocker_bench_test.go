@@ -38,8 +38,8 @@ var sinkPairs []record.Pair
 
 // BenchmarkApplyRules measures the exhaustive scan: profile-backed features
 // with per-worker scratch buffers, every A×B cell visited. It is pinned to
-// applyRulesScanTo (not the planner) so it stays the baseline the probe
-// path is compared against.
+// the scan plan (not the planner's choice) so it stays the baseline the
+// probe path is compared against.
 func BenchmarkApplyRules(b *testing.B) {
 	ds := datagen.Generate(datagen.Scaled(datagen.CitationsPaper, 0.015))
 	ex := feature.NewExtractor(ds)
@@ -48,15 +48,15 @@ func BenchmarkApplyRules(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkPairs = sinkPairs[:0]
-		applyRulesScanTo(ds, ex, rules, collectSink(&sinkPairs))
+		applyPlanTo(ds, ex, rules, plan{}, nil, collectSink(&sinkPairs))
 	}
 	b.ReportMetric(float64(ds.CartesianSize()), "pairs/op")
 }
 
-// BenchmarkApplyRulesIndexed measures the planner's probe path (one shard)
-// on the same dataset and rules: candidates come from the inverted index
-// over the title_jaccard_w anchor (θ = 0.2) instead of the full scan, then
-// verify against all rules. Output is bit-identical to BenchmarkApplyRules
+// BenchmarkApplyRulesIndexed measures the planner's probe path on the same
+// dataset and rules: candidates come from the inverted index over the
+// title_jaccard_w anchor (θ = 0.2) instead of the full scan, then verify
+// against all rules. Output is bit-identical to BenchmarkApplyRules
 // (pinned by TestApplyRulesEquivalence); only the visited-pair count drops.
 func BenchmarkApplyRulesIndexed(b *testing.B) {
 	ds := datagen.Generate(datagen.Scaled(datagen.CitationsPaper, 0.015))
@@ -174,9 +174,9 @@ func benchUnion(b *testing.B, scan bool) {
 				b.StartTimer()
 				sinkPairs = sinkPairs[:0]
 				if scan {
-					applyRulesScanTo(ds, ex, rules, collectSink(&sinkPairs))
-				} else if _, err := applyRulesTo(ds, ex, rules, execConfig{}, collectSink(&sinkPairs)); err != nil {
-					b.Fatal(err)
+					applyPlanTo(ds, ex, rules, plan{}, nil, collectSink(&sinkPairs))
+				} else {
+					applyRulesTo(ds, ex, rules, nil, collectSink(&sinkPairs))
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ds.CartesianSize()), "ns/pair")
@@ -204,7 +204,7 @@ func BenchmarkApplyRulesScan(b *testing.B) {
 				ex := feature.NewExtractor(ds)
 				b.StartTimer()
 				sinkPairs = sinkPairs[:0]
-				applyRulesScanTo(ds, ex, rules, collectSink(&sinkPairs))
+				applyPlanTo(ds, ex, rules, plan{}, nil, collectSink(&sinkPairs))
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ds.CartesianSize()), "ns/pair")
 		})

@@ -18,8 +18,8 @@ import (
 
 // Plan is the blocker's explain record: how the selected rules were applied
 // to A×B and why. It is a pure function of the dataset, the extractor and
-// the rules — the same at every GOMAXPROCS, shard count and transport — and
-// holds no clock, so a Result carrying it stays deterministic.
+// the rules — the same at every GOMAXPROCS — and holds no clock, so a Result
+// carrying it stays deterministic.
 type Plan struct {
 	// Indexed is true when candidates came from index probes, false when
 	// every cell of A×B was visited (Reason says why).
@@ -71,14 +71,12 @@ type plan struct {
 	Plan
 	rule   tree.Rule
 	probes []shard.Probe
-	kinds  []simindex.Kind
-	// colsA[i] / colsB[i] are probe i's table A and table B profile columns,
-	// thetas[i] its threshold.
-	colsA, colsB [][]*similarity.Profile
-	thetas       []float64
-	// group is the one-shard index group the estimate ran through; a
-	// one-shard in-process run probes it as is.
-	group *shard.Group
+	// colsA[i] is probe i's table A profile column, thetas[i] its threshold.
+	colsA  [][]*similarity.Profile
+	thetas []float64
+	// ix indexes every probe's table B column over all of B, so its local
+	// ids are B rows; the estimate ran through it and the run probes it.
+	ix *shard.Index
 }
 
 // estimateRows is how many table A rows the planner probes to estimate an
@@ -119,9 +117,8 @@ func anchorOf(ex *feature.Extractor, r tree.Rule) (probes []shard.Probe, kinds [
 // planRules picks the anchor expected to generate the fewest candidates
 // among the selected rules that have the shape (rule order breaking ties),
 // or the scan when none has it. The expectation is measured, not modelled:
-// each anchorable rule's indexes are built over all of table B — one shard,
-// so the number does not depend on the run's shard count — and probed for
-// estimateRows rows of table A at a fixed stride; the count scales by
+// each anchorable rule's indexes are built over all of table B and probed
+// for estimateRows rows of table A at a fixed stride; the count scales by
 // |A|/rows. The winner's indexes are kept for the run.
 func planRules(ex *feature.Extractor, rules []tree.Rule) plan {
 	if len(rules) == 0 || ex.A.Len() <= 0 || ex.B.Len() <= 0 {
@@ -137,11 +134,11 @@ func planRules(ex *feature.Extractor, rules []tree.Rule) plan {
 			}
 			continue
 		}
-		if p := anchorPlan(ex, r, probes, kinds); best.group == nil || p.Estimated < best.Estimated {
+		if p := anchorPlan(ex, r, probes, kinds); best.ix == nil || p.Estimated < best.Estimated {
 			best = p
 		}
 	}
-	if best.group == nil {
+	if best.ix == nil {
 		if reason == "" {
 			reason = "no all-≤ rule"
 		}
@@ -157,13 +154,14 @@ func planRules(ex *feature.Extractor, rules []tree.Rule) plan {
 }
 
 // anchorPlan builds the plan that generates candidates from rule r's probes
-// (anchorOf's): its indexes over all of table B, as one shard, and the
-// candidate count they are expected to produce.
+// (anchorOf's): its indexes over all of table B and the candidate count they
+// are expected to produce.
 func anchorPlan(ex *feature.Extractor, r tree.Rule, probes []shard.Probe, kinds []simindex.Kind) plan {
-	p := plan{rule: r, probes: probes, kinds: kinds}
-	p.colsA, p.colsB, p.thetas = shard.ProbeColumns(ex, probes)
-	p.group = shard.BuildUnionGroup(kinds, p.colsB, 1)
-	p.Estimated = estimateCandidates(p.group.Shard(0), p.colsA, p.thetas)
+	p := plan{rule: r, probes: probes}
+	var colsB [][]*similarity.Profile
+	p.colsA, colsB, p.thetas = shard.ProbeColumns(ex, probes)
+	p.ix = shard.BuildUnionGroup(kinds, colsB, 1).Shard(0)
+	p.Estimated = estimateCandidates(p.ix, p.colsA, p.thetas)
 	return p
 }
 
@@ -186,56 +184,47 @@ func estimateCandidates(ix *shard.Index, colsA [][]*similarity.Profile, thetas [
 	return int64(total) * int64(na) / int64(m)
 }
 
-// execConfig carries the execution-strategy knobs from Config into the
-// planner: shard count (0 or less = one), fan-out width and an optional stats
-// sink. exec, when non-nil, replaces the in-process executor; it is the
-// seam tests use to scramble task completion order.
-type execConfig struct {
-	shards  int
-	workers int
-	exec    shard.Executor
-	stats   *shard.Stats
-}
-
 // applyRulesTo streams the survivors of the selected rules over A×B to
-// sink, in (a, b)-lexicographic order, and returns the plan it followed.
-// There are two strategies: when a selected rule can anchor index probes,
-// candidates come from shard probes driven by the coordinator (one shard
-// unless more are configured); otherwise every cell is visited by the parallel
-// exhaustive scan. The emitted pair stream is identical either way (every
-// candidate is verified against all rules by the same evaluator); only the
-// number of pairs visited differs. The returned error is the coordinator's,
-// nil unless an executor fails.
-func applyRulesTo(ds *record.Dataset, ex *feature.Extractor, rules []tree.Rule, ec execConfig, sink Sink) (Plan, error) {
+// sink, in (a, b)-lexicographic order, and returns the plan it followed:
+// index probes when a selected rule can anchor them, the exhaustive scan
+// otherwise (planRules). stats, when non-nil, counts an index plan's probe
+// blocks and verified candidates.
+func applyRulesTo(ds *record.Dataset, ex *feature.Extractor, rules []tree.Rule, stats *shard.Stats, sink Sink) Plan {
 	p := planRules(ex, rules)
 	counted := func(chunk []record.Pair) {
 		p.Survivors += int64(len(chunk))
 		sink(chunk)
 	}
-	var err error
-	switch {
-	case len(rules) == 0:
+	if len(rules) == 0 {
 		emitAllPairs(ds, counted)
-	case !p.Indexed:
-		applyRulesScanTo(ds, ex, rules, counted)
-	default:
-		err = applyRulesShardedTo(ds, ex, rules, p, shard.Choose(ec.shards), ec, counted)
+	} else {
+		applyPlanTo(ds, ex, rules, p, stats, counted)
 	}
-	return p.Plan, err
+	return p.Plan
 }
 
-// applyRulesScanTo is the exhaustive §4.3 scan: every cell of A×B is
-// visited, in parallel, with features computed lazily and memoized across
-// rules. The unit of work is one row of table A against all of table B — a
-// feature.Run, which the Verifier walks rule by rule, a column of the
-// positions still alive at a time — and rows are re-sequenced before emission, so the output order
-// is (a, b)-lexicographic at every GOMAXPROCS. A row's survivors reach the
-// sink in chunks of at most blockPairs; peak memory is the reorder window's
-// rows of survivors, at most |B| pairs each, not the umbrella set.
-func applyRulesScanTo(ds *record.Dataset, ex *feature.Extractor, rules []tree.Rule, sink Sink) {
+// applyPlanTo is §4.3's rule application, for both plans: every row of
+// table A is checked against the positions of one feature.Run over all of
+// table B — all of them in a scan, the row's candidates from the plan's
+// index when it is Indexed, whose local ids are B rows — by the Verifier,
+// rule by rule and a column of the positions still alive at a time. Index
+// completeness (simindex.Candidates) makes the candidates a superset of the
+// anchor rule's survivors, which contain the full rule set's, so both plans
+// emit the same stream; only the number of pairs verified differs.
+//
+// Rows run in parallel and are re-sequenced before emission, so the output
+// order is (a, b)-lexicographic at every GOMAXPROCS. A row's survivors reach
+// the sink in chunks of at most blockPairs; peak memory is the reorder
+// window's rows of survivors, at most |B| pairs each, not the umbrella set.
+// stats, when non-nil and the plan Indexed, gains one Dispatched per
+// shard.TaskBlockRows rows of A and the candidates verified.
+func applyPlanTo(ds *record.Dataset, ex *feature.Extractor, rules []tree.Rule, p plan, stats *shard.Stats, sink Sink) {
 	na, nb := ds.A.Len(), ds.B.Len()
 	if na <= 0 || nb <= 0 {
 		return
+	}
+	if p.Indexed && stats != nil {
+		stats.Dispatched.Add(int64((na + shard.TaskBlockRows - 1) / shard.TaskBlockRows))
 	}
 	workers := min(runtime.GOMAXPROCS(0), na)
 	run := ex.NewRun(nil) // all of table B
@@ -259,86 +248,33 @@ func applyRulesScanTo(ds *record.Dataset, ex *feature.Extractor, rules []tree.Ru
 		go func() {
 			defer wg.Done()
 			v := shard.NewVerifier(ex, rules)
+			is := simindex.NewScratch()
+			probes := make([]*similarity.Profile, len(p.colsA))
+			verified := 0
 			for {
 				a, _, ok := q.Claim(1)
 				if !ok {
-					return
+					break
+				}
+				pos := run.Positions()
+				if p.Indexed {
+					for i, col := range p.colsA {
+						probes[i] = col[a]
+					}
+					pos = p.ix.Candidates(probes, p.thetas, is)
+					verified += len(pos)
 				}
 				var buf []record.Pair
 				select {
 				case buf = <-free:
 				default:
 				}
-				q.Complete(a, v.RowSurvivors(buf[:0], int32(a), run, run.Positions()))
+				q.Complete(a, v.RowSurvivors(buf[:0], int32(a), run, pos))
+			}
+			if p.Indexed && stats != nil {
+				stats.Candidates.Add(int64(verified))
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-// applyRulesShardedTo generates candidates through k independent shard
-// indexes driven by the shard coordinator: the probe space is cut into
-// (A-row-block × shard) tasks, executed by goroutine workers over a
-// prebuilt shard group. For each A row a task unites the plan's probes
-// over its shard of table B, then verifies every candidate against the full
-// rule set with the same evaluator the scan uses. Index completeness (see
-// simindex.Candidates) guarantees the candidates are a superset of the
-// anchor rule's survivors, which contain the full rule set's survivors;
-// exact verification then yields the scan's stream.
-//
-// The coordinator delivers results in task order — block-major,
-// shard-minor — so the k consecutive survivor lists of one probe block are
-// k-way merged by (a, b) and emitted; at k == 1 a task's list already is
-// the block's chunk. The stream is byte-identical at every k, worker count,
-// and completion order. Per-shard candidate SUPERSETS do differ with k
-// (prefix-filter token order depends on per-index postings lengths), but
-// supersets only decide which pairs get verified; the shared exact Verifier
-// decides who survives.
-func applyRulesShardedTo(ds *record.Dataset, ex *feature.Extractor, rules []tree.Rule,
-	p plan, k int, ec execConfig, sink Sink) error {
-
-	na := ds.A.Len()
-	if na <= 0 || ds.B.Len() <= 0 {
-		return nil
-	}
-	exec := ec.exec
-	var local *shard.LocalExecutor
-	if exec == nil {
-		group := p.group
-		if k != 1 {
-			group = shard.BuildUnionGroup(p.kinds, p.colsB, k)
-		}
-		local = shard.NewUnionExecutor(ex, group, p.colsA, rules, p.thetas)
-		exec = local
-	}
-	c := &shard.Coordinator{Workers: ec.workers, Stats: ec.stats}
-	tasks := shard.BlockTasks(ds.Name, na, k)
-
-	// Results arrive in Seq order, and the emit callback is serialized by
-	// the coordinator, so no locking here. At k > 1 the k per-shard lists of
-	// each probe block are consecutive: collect k, merge by (a, b), emit. At
-	// k == 1 a task's list is the block's chunk as is — freshly allocated
-	// and never reused, which satisfies the Sink contract without a copy.
-	per := make([][]record.Pair, k)
-	var merged []record.Pair
-	filled := 0
-	err := c.Run(tasks, exec, func(_ int, pairs []record.Pair) {
-		if k > 1 {
-			per[filled] = pairs
-			filled++
-			if filled < k {
-				return
-			}
-			filled = 0
-			merged = shard.MergePairs(merged, per)
-			pairs = merged
-		}
-		if len(pairs) > 0 {
-			sink(pairs)
-		}
-	})
-	if local != nil && ec.stats != nil {
-		ec.stats.Candidates.Add(local.Generated())
-	}
-	return err
 }

@@ -33,13 +33,10 @@ func applyRulesRef(ds *record.Dataset, ex *feature.Extractor, rules []tree.Rule)
 	return out
 }
 
-// applyRules materializes the planner's survivor stream at one in-process
-// shard, where nothing can fail.
+// applyRules materializes the planner's survivor stream.
 func applyRules(ds *record.Dataset, ex *feature.Extractor, rules []tree.Rule) []record.Pair {
 	var out []record.Pair
-	if _, err := applyRulesTo(ds, ex, rules, execConfig{shards: 1}, collectSink(&out)); err != nil {
-		panic("blocker: in-process applyRules failed: " + err.Error())
-	}
+	applyRulesTo(ds, ex, rules, nil, collectSink(&out))
 	return out
 }
 
@@ -147,7 +144,7 @@ var measuredRuleSets = []struct {
 }
 
 // scanRuleSets are the rule sets of the cit-scan instances that have no
-// anchor (DESIGN.md §9.2 "What the scan spends"; thresholds as the engine
+// anchor (DESIGN.md §9.1 "What the scan spends"; thresholds as the engine
 // prints them), on the dataset of their seed: an edit or Jaro-Winkler
 // predicate in every rule, so the scan is all they run, and bounds decide
 // most of its pairs. They stay out of measuredRuleSets, whose users expect
@@ -278,18 +275,13 @@ func TestApplyRulesEquivalence(t *testing.T) {
 				prev := runtime.GOMAXPROCS(procs)
 				got := applyRules(d.ds, ex, c.rules)
 				var forced []record.Pair
-				var err error
 				if c.anchor >= 0 {
-					err = applyRulesShardedTo(d.ds, ex, c.rules, forcedPlan(t, ex, c.rules[c.anchor]), 1,
-						execConfig{}, collectSink(&forced))
+					applyPlanTo(d.ds, ex, c.rules, forcedPlan(t, ex, c.rules[c.anchor]), nil, collectSink(&forced))
 				}
 				runtime.GOMAXPROCS(prev)
 				label := fmt.Sprintf("%s/%s/GOMAXPROCS=%d", d.name, c.name, procs)
 				samePairs(t, label, got, want)
 				if c.anchor >= 0 {
-					if err != nil {
-						t.Fatalf("%s: forced probes: %v", label, err)
-					}
 					samePairs(t, label+"/forced", forced, want)
 				}
 			}
@@ -381,7 +373,7 @@ func TestPlanRules(t *testing.T) {
 			{Feature: edit, Op: tree.LE, Threshold: 0.4},
 		}}}, fmt.Sprintf("predicate on %s (edit) not indexable", ex.Name(edit))},
 	} {
-		if p := planRules(ex, c.rules); p.Indexed || p.Reason != c.reason || p.group != nil {
+		if p := planRules(ex, c.rules); p.Indexed || p.Reason != c.reason || p.ix != nil {
 			t.Errorf("%s: got indexed=%v reason %q, want a scan with reason %q", c.name, p.Indexed, p.Reason, c.reason)
 		}
 	}
@@ -423,7 +415,7 @@ func TestApplyRulesToChunks(t *testing.T) {
 			prev := runtime.GOMAXPROCS(procs)
 			var got []record.Pair
 			chunks, full := 0, 0
-			_, err := applyRulesTo(ds, ex, rules, execConfig{shards: 1}, func(chunk []record.Pair) {
+			applyRulesTo(ds, ex, rules, nil, func(chunk []record.Pair) {
 				if len(chunk) == 0 {
 					t.Error("sink received an empty chunk")
 				}
@@ -436,9 +428,6 @@ func TestApplyRulesToChunks(t *testing.T) {
 				chunks++
 				got = append(got, chunk...)
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			runtime.GOMAXPROCS(prev)
 			samePairs(t, fmt.Sprintf("stream |B|=%d GOMAXPROCS=%d", ds.B.Len(), procs), got, want)
 			if chunks == 0 && len(want) > 0 {

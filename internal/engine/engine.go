@@ -215,11 +215,12 @@ func Run(ds *record.Dataset, c crowd.Crowd, cfg Config) (*Result, error) {
 	if err := ds.Validate(); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
+	d := Defaults()
 	if cfg.MaxIterations <= 0 {
-		cfg.MaxIterations = 3
+		cfg.MaxIterations = d.MaxIterations
 	}
 	if cfg.PricePerQuestion <= 0 {
-		cfg.PricePerQuestion = 0.01
+		cfg.PricePerQuestion = d.PricePerQuestion
 	}
 	st := &run{cfg: cfg, ds: ds, runner: cfg.Runner, res: &Result{Dataset: ds.Name},
 		caps: [...]float64{cfg.PhaseBudgets.Blocking, cfg.PhaseBudgets.Matching, cfg.PhaseBudgets.Estimation}}

@@ -1,14 +1,12 @@
 package engine
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/corleone-em/corleone/internal/crowd"
 	"github.com/corleone-em/corleone/internal/datagen"
 	"github.com/corleone-em/corleone/internal/record"
-	"github.com/corleone-em/corleone/internal/shard"
 )
 
 // TestRunRestaurantsOracle runs the full pipeline on a small Restaurants
@@ -319,54 +317,5 @@ func TestCancel(t *testing.T) {
 	}
 	if res.StopReason != "canceled" {
 		t.Errorf("stop reason = %q", res.StopReason)
-	}
-}
-
-// TestRunIdenticalAcrossShardCounts pins the planner's one-path contract
-// end to end: on a Citations instance whose learned blocking rules anchor
-// an index, engine.Run returns the same Result — every field, not just the
-// matches — whether the shard count is left at 0 (one shard), set to one,
-// or set to four, and every setting dispatches exactly its task grid.
-func TestRunIdenticalAcrossShardCounts(t *testing.T) {
-	if testing.Short() {
-		t.Skip("three full pipeline runs")
-	}
-	const scale, seed = 0.15, 3
-	run := func(shards int) (*Result, int64) {
-		ds, err := datagen.DatasetFor("citations", scale, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var stats shard.Stats
-		cfg := Defaults()
-		cfg.Seed = seed
-		cfg.Blocker.TB = 1
-		cfg.Blocker.Shards = shards
-		cfg.Blocker.ShardStats = &stats
-		res, err := Run(ds, &crowd.Oracle{Truth: ds.Truth}, cfg)
-		if err != nil {
-			t.Fatalf("Shards=%d: %v", shards, err)
-		}
-		if r := stats.Retried.Load(); r != 0 {
-			t.Errorf("Shards=%d: %d retries on an in-process run", shards, r)
-		}
-		blocks := (ds.A.Len() + shard.TaskBlockRows - 1) / shard.TaskBlockRows
-		return res, stats.Dispatched.Load() / int64(blocks)
-	}
-	want, k := run(0)
-	if k != 1 {
-		t.Fatalf("Shards=0 dispatched %d tasks per probe block, want 1: the instance's rules "+
-			"no longer anchor an index (pick another seed) or Shards=0 is no longer one shard", k)
-	}
-	for _, shards := range []int{1, 4} {
-		got, k := run(shards)
-		if k != int64(shards) {
-			t.Errorf("Shards=%d dispatched %d tasks per probe block", shards, k)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("Shards=%d: Result differs from Shards=0 (matches %d vs %d, cost %v vs %v, stop %q vs %q)",
-				shards, len(got.Matches), len(want.Matches),
-				got.Accounting.Cost, want.Accounting.Cost, got.StopReason, want.StopReason)
-		}
 	}
 }

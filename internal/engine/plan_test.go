@@ -14,7 +14,7 @@ import (
 // TestDefaultInstancesPlan pins what the blocking planner decides on default
 // runs — the benchmark's cit-scan and prod-learn instances plus prod-learn's
 // -shift 1 newcomer: which learn a rule whose probes reach the index path,
-// with which probes, and why the others scan (DESIGN.md §9.2). A change to
+// with which probes, and why the others scan (DESIGN.md §9.1). A change to
 // rule learning moves these legitimately; a change to the planner must not.
 func TestDefaultInstancesPlan(t *testing.T) {
 	if testing.Short() {

@@ -26,10 +26,11 @@ import (
 	"github.com/corleone-em/corleone/internal/tree"
 )
 
-// shardChaosMeta is a job whose blocking runs the sharded strategy: a
+// shardChaosMeta names the chaos schedules' dataset and shard count: a
 // profile/seed whose learned rules anchor an indexable feature, t_B forced
-// low enough that blocking engages at this scale, and K=2 shards (runsvc's
-// shardedMeta(6)). The chaos schedules probe its dataset at its K.
+// low enough that blocking engages at this scale, and K=2 shards. runsvc
+// ignores the count (blocking probes one index); the schedules probe the
+// dataset at its K through the shard library directly.
 func shardChaosMeta() runsvc.Meta {
 	return runsvc.Meta{Profile: "citations", Scale: 0.15, Seed: 6, TB: 1, Shards: 2}
 }

@@ -60,7 +60,7 @@ func boundCovers(t *testing.T, name string, ds *record.Dataset, attr string, the
 // seed 6), and of every bounded feature on Citations×0.01 with the edge rows
 // (missing values, 64 and 65 runes, runes past ASCII). It logs how much of
 // each instance the bounds decide at the thresholds its selected rules put
-// on authors (DESIGN.md §9.2).
+// on authors (DESIGN.md §9.1).
 func TestBoundAtCoversColumnAt(t *testing.T) {
 	boundCovers(t, "citations×0.01+edge", withEdgeRows(datagen.Generate(datagen.Scaled(datagen.CitationsPaper, 0.01))), "", nil)
 	seeds := []int64{1, 2, 6}

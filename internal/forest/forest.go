@@ -50,14 +50,15 @@ func Defaults() Config {
 }
 
 func (c Config) withDefaults() Config {
+	d := Defaults()
 	if c.NumTrees <= 0 {
-		c.NumTrees = 10
+		c.NumTrees = d.NumTrees
 	}
 	if c.BagFraction <= 0 || c.BagFraction > 1 {
-		c.BagFraction = 0.6
+		c.BagFraction = d.BagFraction
 	}
 	if c.MinLeaf < 1 {
-		c.MinLeaf = 1
+		c.MinLeaf = d.MinLeaf
 	}
 	return c
 }

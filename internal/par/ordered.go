@@ -9,8 +9,8 @@ import "sync"
 // bounds the reorder buffer whatever the completion order; a failure stops
 // further claims and freezes emission at the last contiguous prefix.
 //
-// It is the one reorder window in the repo: the blocker's exhaustive scan
-// (claims of one block) and the shard coordinator (claims of a batch of
+// It is the one reorder window in the repo: the blocker's rule application
+// (claims of one row of table A) and the shard coordinator (claims of a batch of
 // tasks) both sit on it. Callers start their own worker goroutines — each
 // keeps per-worker state — and loop Claim → work → Complete until Claim
 // reports done.

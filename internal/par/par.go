@@ -5,8 +5,8 @@
 // sibling for a few tasks of uneven size (the extractor's columns), claimed
 // one at a time. Ordered is the ordered fan-out for work whose results
 // stream out instead: workers claim indexes a bounded window ahead and
-// results are delivered in index order (the blocker's A×B scan, the shard
-// coordinator). Centralizing them keeps the chunking policy, the reorder
+// results are delivered in index order (the blocker's rule application, the
+// shard coordinator). Centralizing them keeps the chunking policy, the reorder
 // window, and the guarantee of a deterministic output order in one place.
 package par
 

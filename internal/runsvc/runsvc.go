@@ -202,8 +202,8 @@ type Metrics struct {
 	JobsDone     int `json:"jobs_done"`
 	JobsCanceled int `json:"jobs_canceled"`
 	JobsFailed   int `json:"jobs_failed"`
-	// Shard task counters, accumulated across every job whose blocking
-	// rules anchored an index probe — one-shard (K=1) jobs included.
+	// Index probe blocks (one per 64 rows of table A), accumulated across
+	// every job whose blocking took an index plan.
 	ShardTasksDispatched int64 `json:"shard_tasks_dispatched"`
 	// BytesJournaled counts bytes appended across all journal files (0
 	// when journaling is disabled).
@@ -587,7 +587,7 @@ func price(cfg engine.Config) float64 {
 	if cfg.PricePerQuestion > 0 {
 		return cfg.PricePerQuestion
 	}
-	return 0.01
+	return engine.Defaults().PricePerQuestion
 }
 
 // Job is one managed Corleone run.

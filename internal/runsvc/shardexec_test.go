@@ -10,28 +10,26 @@ import (
 	"testing"
 	"time"
 
-	"github.com/corleone-em/corleone/internal/engine"
+	"github.com/corleone-em/corleone/internal/shard"
 )
 
-// shardedMeta is a job whose blocking step actually runs the sharded
-// strategy: t_B is forced below the scaled Cartesian product, K=2 shards
-// are requested explicitly, and the profile/seed are ones whose learned
-// blocking rules anchor an indexable feature (a rule set anchored only on
-// non-indexable features falls back to the exhaustive scan, which shards
-// cannot accelerate).
-func shardedMeta(seed int64) Meta {
+// indexedMeta is a job whose blocking step takes an index plan: t_B is
+// forced below the scaled Cartesian product, and the profile/seed are ones
+// whose learned blocking rules anchor an indexable feature (a rule set
+// anchored only on non-indexable features falls back to the exhaustive
+// scan, which counts no probe blocks).
+func indexedMeta(seed int64) Meta {
 	return Meta{
 		Profile: "citations",
 		Scale:   0.15,
 		Seed:    seed,
 		TB:      1,
-		Shards:  2,
 	}
 }
 
 // TestHealthzAndMetrics pins the observability surface: /healthz answers
-// while the service is up, and /metrics reflects job states, shard task
-// dispatches, and journal bytes as work flows through the manager.
+// while the service is up, and /metrics reflects job states, index probe
+// blocks, and journal bytes as work flows through the manager.
 func TestHealthzAndMetrics(t *testing.T) {
 	m, err := NewManager(Options{Workers: 1, JournalDir: t.TempDir()})
 	if err != nil {
@@ -72,7 +70,12 @@ func TestHealthzAndMetrics(t *testing.T) {
 		t.Fatalf("fresh manager metrics %+v, want zeros", mm)
 	}
 
-	meta := shardedMeta(5)
+	meta := indexedMeta(5)
+	spec, err := BuildSpec(meta)
+	if err != nil {
+		t.Fatalf("BuildSpec: %v", err)
+	}
+	blocks := int64((spec.Dataset.A.Len() + shard.TaskBlockRows - 1) / shard.TaskBlockRows)
 	j, err := m.Submit(Spec{Meta: &meta})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -85,8 +88,9 @@ func TestHealthzAndMetrics(t *testing.T) {
 	if mm.JobsDone != 1 || mm.JobsQueued != 0 || mm.JobsRunning != 0 {
 		t.Errorf("job counts %+v, want exactly one done", mm)
 	}
-	if mm.ShardTasksDispatched == 0 {
-		t.Error("sharded blocking ran but no shard tasks were counted")
+	if mm.ShardTasksDispatched != blocks {
+		t.Errorf("an index plan over %d rows of A counted %d probe blocks, want %d",
+			spec.Dataset.A.Len(), mm.ShardTasksDispatched, blocks)
 	}
 	if mm.BytesJournaled == 0 {
 		t.Error("journaled job reported 0 bytes journaled")
@@ -103,43 +107,77 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 }
 
-// TestShardCountCapped submits shardedMeta(6) — the job faultkit's
-// shardChaosMeta describes — with an absurd shard count. shard.Choose caps
-// every K, so the job ends with the Result of the K=2 run instead of
-// partitioning table B 2²⁸ ways: an allocation that, uncapped, killed the
-// process and every job in it.
-func TestShardCountCapped(t *testing.T) {
+// TestResumeJournalWithShardCounts: a journal written when runsvc still
+// took a blocking shard count carries "shards" and "shard_workers" in its
+// spec.json. Such a job must still decode and resume, to the Result of the
+// same Meta without the two fields, and resuming it finished must ask the
+// crowd nothing. The job is the benchmark's cit-index shape at a small
+// scale, so its blocking takes an index plan.
+func TestResumeJournalWithShardCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full pipeline runs in -short mode")
 	}
-	run := func(meta Meta) (*engine.Result, int64) {
-		t.Helper()
-		m, err := NewManager(Options{Workers: 1})
-		if err != nil {
-			t.Fatalf("NewManager: %v", err)
-		}
-		defer m.Close()
-		j, err := m.Submit(Spec{Meta: &meta})
-		if err != nil {
-			t.Fatalf("Submit: %v", err)
-		}
-		res, err := j.Wait()
-		if err != nil {
-			t.Fatalf("Shards=%d: %v", meta.Shards, err)
-		}
-		return res, m.Metrics().ShardTasksDispatched
+	plain := Meta{Profile: "citations", Scale: 0.05, Seed: 5, TB: 1}
+	want := serialRun(t, plain)
+	if !want.Blocking.Plan.Indexed {
+		t.Fatalf("blocking ran %s; the fixture must take an index plan", want.Blocking.Plan)
 	}
-	meta := shardedMeta(6)
-	want, tasks := run(meta)
-	meta.Shards = 1 << 28
-	got, capped := run(meta)
+	dir := t.TempDir()
+	sharded := plain
+	sharded.Shards, sharded.ShardWorkers = 4, 2
+	m1, err := NewManager(Options{Workers: 1, JournalDir: dir})
+	if err != nil {
+		t.Fatalf("NewManager: %v", err)
+	}
+	j1, err := m1.Submit(Spec{Meta: &sharded})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	_, err = j1.Wait()
+	m1.Close()
+	if err != nil || j1.State() != StateDone {
+		t.Fatalf("first run: state %s, err %v", j1.State(), err)
+	}
+
+	m2, err := NewManager(Options{Workers: 1, JournalDir: dir})
+	if err != nil {
+		t.Fatalf("NewManager: %v", err)
+	}
+	defer m2.Close()
+	jl, err := m2.Store().Open(j1.ID)
+	if err != nil {
+		t.Fatalf("open journal: %v", err)
+	}
+	rec, err := jl.ReadSpec()
+	jl.Close()
+	if err != nil {
+		t.Fatalf("ReadSpec: %v", err)
+	}
+	if rec.Meta == nil || *rec.Meta != sharded {
+		t.Fatalf("journaled spec = %+v, want meta %+v", rec, sharded)
+	}
+	// Resume builds the spec from the journaled Meta the same way; the
+	// crowd is wrapped here so that a question would be counted.
+	spec, err := BuildSpec(*rec.Meta)
+	if err != nil {
+		t.Fatalf("BuildSpec: %v", err)
+	}
+	c := &countingCrowd{inner: spec.Crowd}
+	spec.Crowd = c
+	j2, err := m2.ResumeSpec(j1.ID, spec)
+	if err != nil {
+		t.Fatalf("ResumeSpec: %v", err)
+	}
+	got, err := j2.Wait()
+	if err != nil || j2.State() != StateDone {
+		t.Fatalf("resumed run: state %s, err %v", j2.State(), err)
+	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Shards=2^28: Result differs from Shards=2 (matches %d vs %d, cost %v vs %v)",
+		t.Errorf("resumed Result differs from the run without shard counts (matches %d vs %d, cost %v vs %v)",
 			len(got.Matches), len(want.Matches), got.Accounting.Cost, want.Accounting.Cost)
 	}
-	if tasks == 0 || capped != tasks*64/2 {
-		t.Errorf("dispatched %d tasks at Shards=2 and %d at Shards=2^28, want the second 32× the first (K capped at 64)",
-			tasks, capped)
+	if c.total != 0 {
+		t.Errorf("resume of a finished job asked the crowd %d times", c.total)
 	}
 }
 

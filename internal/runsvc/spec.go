@@ -76,10 +76,9 @@ type Meta struct {
 	// TB overrides the blocking trigger threshold t_B when > 0 (scaled-down
 	// runs lower it so blocking still engages on small tables).
 	TB int `json:"tb,omitempty"`
-	// Shards is the blocking shard count (blocker.Config.Shards semantics:
-	// 0 = one shard, n >= 1 = that many, capped at 64);
-	// ShardWorkers bounds the shard coordinator's fan-out width. The
-	// umbrella set is bit-identical at every setting.
+	// Shards and ShardWorkers are accepted and ignored: blocking probes one
+	// index in-process, and the umbrella set was bit-identical at every
+	// shard count, so journals that carry them resume to the same Result.
 	Shards       int `json:"shards,omitempty"`
 	ShardWorkers int `json:"shard_workers,omitempty"`
 }
@@ -143,8 +142,6 @@ func BuildSpec(meta Meta) (Spec, error) {
 	if meta.TB > 0 {
 		cfg.Blocker.TB = meta.TB
 	}
-	cfg.Blocker.Shards = meta.Shards
-	cfg.Blocker.ShardWorkers = meta.ShardWorkers
 	m := meta
 	return Spec{
 		Name:    strings.ToLower(meta.Profile),

@@ -49,7 +49,8 @@ func (p *prober) run(ix *Index, run *feature.Run, profA [][]*similarity.Profile,
 }
 
 // LocalExecutor runs shard tasks in-process against a prebuilt Group —
-// the executor every indexed blocking run uses.
+// the stream the remote executor is held to. (Blocking itself probes one
+// Index directly; it runs no tasks.)
 // It is the reference implementation of the task semantics: probe the
 // task's shard for each row in [ALo, AHi), verify every candidate with the
 // shared memoized evaluator, return survivors in (a, b) order. Safe for

@@ -1,6 +1,7 @@
-// Package shard implements sharded, distributable blocking execution —
-// the replacement for the Hadoop cluster the paper leaned on for its A×B
-// throughput (§4.3). It splits the indexed table into K shards with a
+// Package shard holds the similarity Index and the rule Verifier that
+// blocking's rule application (§4.3) runs on, and a sharded, distributable
+// execution library around them that only the benchmark's probes and the
+// tests drive. The library splits the indexed table into K shards with a
 // stable hash on the record id, builds an independent inverted similarity
 // index per shard with bounded memory, and fans probe-and-verify tasks out
 // to workers — goroutines in this process or worker processes over HTTP —

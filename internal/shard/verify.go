@@ -9,10 +9,10 @@ import (
 
 // Verifier evaluates a full blocking-rule set with lazily computed,
 // memoized features — the exact §4.3 semantics every candidate-generation
-// strategy shares. The exhaustive scan, in-process shard workers, and
-// remote shard workers all verify through its one entry point, which is why
-// their outputs are bit-identical: candidate generation only ever decides
-// which pairs get *checked*, never which pairs *survive*.
+// strategy shares. Blocking's scan and index plans, in-process shard
+// workers, and remote shard workers all verify through its one entry point,
+// which is why their outputs are bit-identical: candidate generation only
+// ever decides which pairs get *checked*, never which pairs *survive*.
 //
 // RowSurvivors checks a row of table A against positions of a feature.Run —
 // all of them for the scan, a shard's candidates for a prober — rule by rule

@@ -41,20 +41,15 @@ sh scripts/runtests.sh -count=1 -run 'TestChaosSchedules/(5xx-burst|kill-points|
 sh scripts/runtests.sh -count=1 -run 'TestDurabilityBoundarySweep' ./internal/faultkit
 sh scripts/runtests.sh -count=1 -run 'TestStoreOpen|TestSnapshotCorruptionFallback|TestSnapshotBoundedReplay' ./internal/runsvc
 
-# Sharded smoke: the bit-identical equivalence sweep (K x GOMAXPROCS), the
-# remote executor against the in-process one (K x batch), and one
-# shard-worker failover schedule, again without -race for fast signal.
-sh scripts/runtests.sh -count=1 -run 'TestShardedBlockingEquivalence|TestShardedMergeDeterminism' ./internal/blocker
+# Shard-library smoke: the remote executor against the in-process one
+# (K x batch), and one shard-worker failover schedule, again without -race
+# for fast signal.
 sh scripts/runtests.sh -count=1 -run 'TestShardedRemoteTransportEquivalence' ./internal/shard
 sh scripts/runtests.sh -count=1 -run 'TestShardWorkerChaos/5xx-failover' ./internal/faultkit
 
-# GOMAXPROCS invariance: the pinned outputs and golden fingerprints must
-# hold bit for bit at one and at four procs, not only at this box's default.
-sh scripts/runtests.sh -count=1 -cpu 1,4 -run 'TestRunPinned|TestRunGoldenFingerprints|TestEstimatePinned' ./internal/engine ./internal/estimator
-
-# Vectors' tiles of rows of A are cut where par.For cuts the pairs into
-# chunks, one per GOMAXPROCS: the run shapes must hold at one and four procs.
-sh scripts/runtests.sh -count=1 -cpu 1,4 -run 'TestVectorsRunShapes|TestVectorsParallelMatchesSequential' ./internal/feature
+# GOMAXPROCS invariance: the pinned outputs, golden fingerprints and
+# Vectors' run shapes at one and at four procs. The Makefile holds the list.
+make procs
 
 go test -race ./...
 
