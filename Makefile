@@ -38,7 +38,10 @@ verify:
 # inside every append (tier-1 runs every 8th). The runsvc journal tests
 # ride along: torn-tail repair at every byte offset, the corruption
 # fallback ladder, the bounded-replay cost assertion, compaction
-# retention, and the resume tests — finished noisy-crowd jobs resumed to
+# retention, the size rule's bounds (a non-idle checkpoint leaves the log
+# no larger than the newest snapshot; snapshots total under twice the
+# log) and its recovery across a kill and resume (TestSnapshotSize*), and
+# the resume tests — finished noisy-crowd jobs resumed to
 # an identical Result with no crowd call, and degraded killed jobs whose
 # journaled answers the resumed accounting must still hold. -count=1
 # forces a fresh run past the test cache.

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	runsvc -addr :8090 -workers 4 -journal ./journal
-//	runsvc -snapshot-every 1 -max-journal-bytes 1073741824
+//	runsvc -max-journal-bytes 1073741824
 //
 // API:
 //
@@ -25,12 +25,11 @@
 // plus Retry-After; once draining begins, submits get 503 + Retry-After
 // and /healthz flips to 503 so load balancers stop routing here.
 //
-// With -snapshot-every N > 0, each job's journal is compacted every Nth
-// checkpoint: a checksummed snapshot generation replaces the log prefix,
-// so resume cost is bounded by records since the last snapshot rather
-// than the run's whole history. A corrupt newest generation falls back to
-// the previous one automatically; with 0 the whole history stays in one
-// log, read by the same replay (DESIGN.md §3d).
+// Each job's journal is compacted once its log outgrows its newest
+// snapshot: a checksummed snapshot generation replaces the log prefix, so
+// resume reads one snapshot and a log of about its size rather than the
+// run's whole history. A corrupt newest generation falls back to the
+// previous one automatically (DESIGN.md §3d).
 //
 // On startup the service lists any journaled jobs left unfinished by a
 // previous process (no terminal status.json) so the operator can POST
@@ -71,7 +70,6 @@ func run(args []string, sigs <-chan os.Signal) error {
 	addr := fs.String("addr", ":8090", "listen address")
 	workers := fs.Int("workers", 4, "concurrent job executors")
 	journal := fs.String("journal", "./journal", "journal root directory (empty = in-memory only)")
-	snapEvery := fs.Int("snapshot-every", 1, "compact each job's journal every N checkpoints (0 = never)")
 	maxJournal := fs.Int64("max-journal-bytes", 0, "shed new submissions once the journal root holds this many bytes (0 = unlimited; resumes are exempt)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -80,7 +78,6 @@ func run(args []string, sigs <-chan os.Signal) error {
 	m, err := runsvc.NewManager(runsvc.Options{
 		Workers:         *workers,
 		JournalDir:      *journal,
-		SnapshotEvery:   *snapEvery,
 		MaxJournalBytes: *maxJournal,
 	})
 	if err != nil {

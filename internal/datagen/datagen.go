@@ -83,8 +83,6 @@ func (pt *perturber) maybe(prob float64) bool {
 	return pt.rng.Float64() < p
 }
 
-func (pt *perturber) pick(pool []string) string { return pool[pt.rng.Intn(len(pool))] }
-
 // typo applies one random character edit (substitute, delete, insert,
 // transpose) to s, leaving very short strings alone.
 func (pt *perturber) typo(s string) string {

@@ -155,30 +155,36 @@ type chaosCase struct {
 	name      string
 	transport *Schedule
 	journal   *JournalSchedule
-	// snapshotEvery is the job's Options.SnapshotEvery: 1 for the
-	// compaction cases, so every checkpoint exercises snapshot + prune.
-	snapshotEvery int
+	// meta, when set, replaces the suite's job with a shape that writes the
+	// snapshot generations the case needs.
+	meta *runsvc.Meta
+}
+
+// chaosBaseline runs meta's job unfaulted. Oracle crowd (ErrorRate 0):
+// answers are a pure function of the pair, so every re-bought answer
+// matches the lost one and the faulted runs can converge bit-identically
+// to this baseline.
+func chaosBaseline(t *testing.T, meta runsvc.Meta) *engine.Result {
+	t.Helper()
+	spec, err := runsvc.BuildSpec(meta)
+	if err != nil {
+		t.Fatalf("BuildSpec: %v", err)
+	}
+	cfg := spec.Config
+	cfg.Runner = crowd.NewRunner(spec.Crowd, spec.Config.PricePerQuestion)
+	base, err := engine.Run(spec.Dataset, spec.Crowd, cfg)
+	if err != nil {
+		t.Fatalf("baseline run: %v", err)
+	}
+	return base
 }
 
 func TestChaosSchedules(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos suite in -short mode")
 	}
-	// Oracle crowd (ErrorRate 0): answers are a pure function of the pair,
-	// so every re-bought answer matches the lost one and the faulted runs
-	// can converge bit-identically to this baseline.
 	meta := runsvc.Meta{Profile: "restaurants", Scale: 0.12, Seed: 11}
-	spec, err := runsvc.BuildSpec(meta)
-	if err != nil {
-		t.Fatalf("BuildSpec: %v", err)
-	}
-	baseRunner := crowd.NewRunner(spec.Crowd, spec.Config.PricePerQuestion)
-	baseCfg := spec.Config
-	baseCfg.Runner = baseRunner
-	base, err := engine.Run(spec.Dataset, spec.Crowd, baseCfg)
-	if err != nil {
-		t.Fatalf("baseline run: %v", err)
-	}
+	base := chaosBaseline(t, meta)
 
 	cases := []chaosCase{
 		{name: "5xx-burst", transport: &Schedule{Seed: 101, P5xx: 0.05, Burst: 4, Limit: 40}},
@@ -200,29 +206,34 @@ func TestChaosSchedules(t *testing.T) {
 			journal: &JournalSchedule{Seed: 109, PTear: 0.04, PKill: 0.04, Limit: 3}},
 		// Compaction chaos: kills restricted to the snapshot lifecycle's
 		// boundaries (tmp written, installed, directory synced, pruned) and
-		// CRC-detectable bit rot, with SnapshotEvery 1 so every checkpoint
-		// exercises the snapshot/prune path.
-		{name: "snap-kill-points", snapshotEvery: 1,
+		// CRC-detectable bit rot.
+		{name: "snap-kill-points",
 			journal: &JournalSchedule{Seed: 110, PKill: 0.3, Only: SnapshotOps, Limit: 3}},
 		// Every kill lands right after a generation's rename, before its
 		// log exists: the next epoch must restore from snap.gN alone.
-		{name: "snap-kill-installed", snapshotEvery: 1,
+		{name: "snap-kill-installed",
 			journal: &JournalSchedule{Seed: 111, PKill: 1, Limit: 2, Only: func(op runsvc.Op) bool {
 				return op.Kind == runsvc.OpRename && SnapshotOps(op)
 			}}},
 		// Generation 1 is spared: rot there leaves no older generation to
-		// fall back to, and replay refuses outright (runsvc pins that).
-		{name: "snap-corrupt-fallback", snapshotEvery: 1,
+		// fall back to, and replay refuses outright (runsvc pins that). The
+		// suite's job writes two generations, the first holding only its
+		// seeds, so the case runs a job that writes three.
+		{name: "snap-corrupt-fallback", meta: &runsvc.Meta{Profile: "restaurants", Scale: 0.2, Seed: 3},
 			journal: &JournalSchedule{Seed: 116, PFlip: 0.35, PKill: 0.25, Limit: 4, Only: func(op runsvc.Op) bool {
 				return SnapshotOps(op) && !strings.HasSuffix(op.File, "snap.g000001")
 			}}},
-		{name: "snapshot-plus-journal", snapshotEvery: 1,
+		{name: "snapshot-plus-journal",
 			journal: &JournalSchedule{Seed: 113, PTear: 0.015, PKill: 0.03, Limit: 4}},
 	}
 	for i, tc := range cases {
 		tc, caseSeed := tc, int64(i+1)
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
+			if tc.meta != nil {
+				runChaos(t, tc, *tc.meta, chaosBaseline(t, *tc.meta), caseSeed)
+				return
+			}
 			runChaos(t, tc, meta, base, caseSeed)
 		})
 	}
@@ -259,8 +270,7 @@ func runChaos(t *testing.T, tc chaosCase, meta runsvc.Meta, base *engine.Result,
 		journaled := journaledAnswers(t, dir, jobID)
 		resumedOverAnswers = resumedOverAnswers || len(journaled) > 0
 
-		opts := runsvc.Options{Workers: 1, JournalDir: dir, SnapshotEvery: tc.snapshotEvery}
-		mgr, err := runsvc.NewManager(opts) //corlint:allow det-time — the journaling service stamps operator-facing submission times; replay correctness never reads them back
+		mgr, err := runsvc.NewManager(runsvc.Options{Workers: 1, JournalDir: dir}) //corlint:allow det-time — the journaling service stamps operator-facing submission times; replay correctness never reads them back
 		if err != nil {
 			t.Fatalf("NewManager: %v", err)
 		}

@@ -303,9 +303,9 @@ func TestJournalScheduleFileFilter(t *testing.T) {
 	if js.Injected() != 0 {
 		t.Errorf("Injected() = %d, want 0 (log operations are filtered out)", js.Injected())
 	}
-	// The first checkpoint compacts, and the first compaction boundary — the
-	// snapshot tmp's append — is inside the filter.
-	store.SnapshotEvery = 1
+	// The first checkpoint compacts (the log has outgrown the absent
+	// snapshot), and the first compaction boundary — the snapshot tmp's
+	// append — is inside the filter.
 	expectCrash(t, func() { _, _ = jl.Checkpoint(r, engine.Checkpoint{}) })
 	if js.Injected() != 1 {
 		t.Errorf("Injected() = %d after a compaction, want 1", js.Injected())
@@ -322,7 +322,6 @@ func TestJournalScheduleFlip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
 	}
-	store.SnapshotEvery = 1
 	js := &JournalSchedule{Seed: 1, PFlip: 1, Limit: 1}
 	store.Faults = js.FaultFunc()
 	jl, err := store.Open("job-flip")

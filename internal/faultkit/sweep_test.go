@@ -98,7 +98,7 @@ func TestDurabilityBoundarySweep(t *testing.T) {
 	// run executes one epoch of the job in a fresh manager on dir: a new
 	// submission when id is empty, a resume otherwise.
 	run := func(dir, id string, seam *sweepSeam, c crowd.Crowd) (*runsvc.Job, *engine.Result) {
-		mgr, err := runsvc.NewManager(runsvc.Options{Workers: 1, JournalDir: dir, SnapshotEvery: 1}) //corlint:allow det-time — the journaling service stamps operator-facing times; the sweep compares results, never clocks
+		mgr, err := runsvc.NewManager(runsvc.Options{Workers: 1, JournalDir: dir}) //corlint:allow det-time — the journaling service stamps operator-facing times; the sweep compares results, never clocks
 		if err != nil {
 			t.Fatalf("NewManager: %v", err)
 		}
@@ -137,7 +137,7 @@ func TestDurabilityBoundarySweep(t *testing.T) {
 	if os.Getenv(sweepFullEnv) != "" {
 		stride = 1
 	}
-	kills, overAnswers := 0, 0
+	kills, overAnswers, logOnly := 0, 0, 0
 	for i := 0; i < rec.n; i += stride {
 		for _, tear := range []bool{false, true} {
 			if tear && !rec.appends[i] {
@@ -151,6 +151,9 @@ func TestDurabilityBoundarySweep(t *testing.T) {
 				t.Fatalf("%s: killed epoch ended %s, want crashed", what, job.State())
 			}
 			assertModelsLoad(t, filepath.Join(dir, job.ID))
+			if snaps, _ := filepath.Glob(filepath.Join(dir, job.ID, "snap.g*")); len(snaps) == 0 {
+				logOnly++
+			}
 
 			journaled := journaledAnswers(t, dir, job.ID)
 			if len(journaled) > 0 {
@@ -177,8 +180,11 @@ func TestDurabilityBoundarySweep(t *testing.T) {
 	if overAnswers == 0 {
 		t.Error("no kill left a journal holding answers; the double-pay check proved nothing")
 	}
-	t.Logf("%d boundaries (%s), %d kills at stride %d, %d over journaled answers",
-		rec.n, boundaryMix(rec.names), kills, stride, overAnswers)
+	if logOnly == 0 {
+		t.Error("every kill left a snapshot; the replay of a log alone proved nothing")
+	}
+	t.Logf("%d boundaries (%s), %d kills at stride %d, %d over journaled answers, %d before the first snapshot",
+		rec.n, boundaryMix(rec.names), kills, stride, overAnswers, logOnly)
 }
 
 // boundaryMix summarises the recorded boundaries by their first word.

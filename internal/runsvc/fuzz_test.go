@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/corleone-em/corleone/internal/crowd"
@@ -90,13 +91,22 @@ func checkLog(t *testing.T, data []byte) (valid int, ok bool) {
 }
 
 // seedJobDir runs one small journaled job to completion and returns its
-// directory — the real files the fuzz corpora are seeded from.
-func seedJobDir(f *testing.F, errRate float64, snapshotEvery int) string {
+// directory — the real files the fuzz corpora are seeded from — and every
+// byte appended to its logs, in order: the one log the job would have left
+// had it never compacted.
+func seedJobDir(f *testing.F, errRate float64) (string, []byte) {
 	f.Helper()
 	dir := f.TempDir()
-	m, err := NewManager(Options{Workers: 1, JournalDir: dir, SnapshotEvery: snapshotEvery})
+	m, err := NewManager(Options{Workers: 1, JournalDir: dir})
 	if err != nil {
 		f.Fatal(err)
+	}
+	var history []byte
+	m.Store().Faults = func(op Op) Fault {
+		if op.Kind == OpAppend && strings.HasPrefix(op.File, logPrefix) {
+			history = append(history, op.Data...)
+		}
+		return Fault{}
 	}
 	meta := testMeta(3, 0.1, errRate)
 	j, err := m.Submit(Spec{Meta: &meta})
@@ -108,7 +118,7 @@ func seedJobDir(f *testing.F, errRate float64, snapshotEvery int) string {
 	if err != nil {
 		f.Fatal(err)
 	}
-	return filepath.Join(dir, j.ID)
+	return filepath.Join(dir, j.ID), history
 }
 
 // FuzzJournalReplay feeds arbitrary bytes to the one decoder and the one
@@ -117,19 +127,20 @@ func seedJobDir(f *testing.F, errRate float64, snapshotEvery int) string {
 // all or nothing; and a valid log with one byte altered is rejected or
 // cut back to a strict prefix, never replayed as something else.
 func FuzzJournalReplay(f *testing.F) {
-	// Seed corpus: the logs and snapshots of a real job, compacting and not.
-	for _, every := range []int{0, 1} {
-		seeds, _ := filepath.Glob(filepath.Join(seedJobDir(f, 0, every), "*.g*"))
-		if len(seeds) == 0 {
-			f.Fatal("seed job left no journal files")
+	// Seed corpus: the logs and snapshots of a real job, and its whole
+	// append history as one log from record zero.
+	dir, history := seedJobDir(f, 0)
+	seeds, _ := filepath.Glob(filepath.Join(dir, "*.g*"))
+	if len(seeds) == 0 {
+		f.Fatal("seed job left no journal files")
+	}
+	f.Add(history, uint(0), byte(1))
+	for i, path := range seeds {
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
 		}
-		for i, path := range seeds {
-			buf, err := os.ReadFile(path)
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(buf, uint(i*37), byte(1<<(i%8)))
-		}
+		f.Add(buf, uint((i+1)*37), byte(1<<((i+1)%8)))
 	}
 	f.Add([]byte{}, uint(0), byte(1))
 	f.Add(appendFrame(nil, kindEnd, []byte(`{}`)), uint(3), byte(0x80))
@@ -172,7 +183,8 @@ func FuzzJournalReplay(f *testing.F) {
 // fails BuildSpec with an error or builds a runnable spec, never a panic.
 // The corpus is seeded with the spec.json a real journaled job left behind.
 func FuzzSpecRecord(f *testing.F) {
-	seed, err := os.ReadFile(filepath.Join(seedJobDir(f, 0.05, 0), "spec.json"))
+	dir, _ := seedJobDir(f, 0.05)
+	seed, err := os.ReadFile(filepath.Join(dir, "spec.json"))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -274,7 +286,8 @@ func FuzzSubmitMeta(f *testing.F) {
 // journaled job left behind, and with features beyond int32 that a decoder
 // could wrap.
 func FuzzForestLoad(f *testing.F) {
-	models, _ := filepath.Glob(filepath.Join(seedJobDir(f, 0, 0), modelPrefix+"*.json"))
+	dir, _ := seedJobDir(f, 0)
+	models, _ := filepath.Glob(filepath.Join(dir, modelPrefix+"*.json"))
 	if len(models) == 0 {
 		f.Fatal("seed job left no model files")
 	}

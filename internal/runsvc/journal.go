@@ -166,12 +166,6 @@ type Store struct {
 	// production stores leave it nil. Set it before jobs run.
 	Faults FaultFunc
 
-	// SnapshotEvery enables compaction: every Nth checkpoint a journal
-	// writes a snapshot generation and starts a new log. 0 never compacts —
-	// the job's whole history stays in log.g000000, read by the same
-	// replay. Set before Open.
-	SnapshotEvery int
-
 	// bytes counts log bytes appended across all jobs since the store was
 	// opened (served by /metrics); snaps and snapBytes count snapshot
 	// generations and their bytes.
@@ -210,8 +204,8 @@ func (s *Store) BytesWritten() int64 { return s.bytes.Load() }
 // store's journals this process — snapshots plus log suffixes.
 func (s *Store) BytesRead() int64 { return s.bytesRead.Load() }
 
-// LogBytesRead reports only the log bytes consumed by Replay: with
-// compaction enabled, O(records since the last snapshot).
+// LogBytesRead reports only the log bytes consumed by Replay:
+// O(records since the last snapshot).
 func (s *Store) LogBytesRead() int64 { return s.logBytesRead.Load() }
 
 // SnapshotsWritten reports snapshot generations written this process.
@@ -381,7 +375,8 @@ func scanJob(dir string) (jobFiles, error) {
 // the longest valid frame prefix so replay sees only whole frames and new
 // appends never fuse with a torn tail. Older logs cannot be torn: a torn
 // append kills the process, and the next Open repairs it before any newer
-// log exists.
+// log exists. Open also recovers the two sizes Checkpoint's compaction rule
+// compares: the repaired log's and the newest snapshot's.
 func (s *Store) Open(id string) (*Journal, error) {
 	dir := filepath.Join(s.root, id)
 	fail := func(err error) (*Journal, error) {
@@ -402,13 +397,22 @@ func (s *Store) Open(id string) (*Journal, error) {
 			return fail(err)
 		}
 	}
+	var snapBytes int64
+	if n := len(files.snaps); n > 0 {
+		st, err := os.Stat(filepath.Join(dir, snapName(files.snaps[n-1])))
+		if err != nil {
+			return fail(err)
+		}
+		snapBytes = st.Size()
+	}
 	gen := files.gen()
 	log, err := os.OpenFile(filepath.Join(dir, logName(gen)), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return fail(err)
 	}
 	buf, err := io.ReadAll(log)
-	if _, valid := decodeFrames(buf); err == nil && valid < len(buf) {
+	_, valid := decodeFrames(buf)
+	if err == nil && valid < len(buf) {
 		if err = log.Truncate(int64(valid)); err == nil {
 			err = log.Sync()
 		}
@@ -418,7 +422,7 @@ func (s *Store) Open(id string) (*Journal, error) {
 		log.Close()
 		return fail(fmt.Errorf("repair %s: %w", logName(gen), err))
 	}
-	return &Journal{dir: dir, store: s, log: log, gen: gen}, nil
+	return &Journal{dir: dir, store: s, log: log, gen: gen, logBytes: int64(valid), snapBytes: snapBytes}, nil
 }
 
 // Journal is one job's durable state. Methods are called from the single
@@ -437,9 +441,11 @@ type Journal struct {
 	err error
 
 	// dirty records that labels were appended since the last snapshot, so
-	// an idle checkpoint doesn't rewrite identical state.
-	dirty       bool
-	checkpoints int
+	// an idle checkpoint doesn't rewrite identical state. logBytes is the
+	// size of the open log, snapBytes that of the newest snapshot (0 with
+	// none); Store.Open recovers both from disk.
+	dirty               bool
+	logBytes, snapBytes int64
 }
 
 // Close closes the journal's log. Every append is synced at its batch
@@ -540,6 +546,7 @@ func (j *Journal) flush() error {
 	name := logName(j.gen)
 	n, err := j.write(j.log, name, data)
 	j.store.bytes.Add(int64(n))
+	j.logBytes += int64(n)
 	if err == nil {
 		err = j.sync(j.log, name)
 	}
@@ -584,9 +591,13 @@ type SnapshotInfo struct {
 
 // Checkpoint flushes labels with a phase/cost record; on iteration
 // boundaries it also saves the matcher with forest serialization, so the
-// best model so far survives a crash in a directly loadable form. Every
-// Store.SnapshotEvery-th checkpoint additionally compacts the journal
-// into the next snapshot generation, returned with a non-zero Gen.
+// best model so far survives a crash in a directly loadable form. A
+// checkpoint that follows new labels, once the open log has outgrown the
+// newest snapshot, also compacts the journal into the next snapshot
+// generation, returned with a non-zero Gen. So the log a replay reads after
+// the newest snapshot is no larger than it as of the last checkpoint, and
+// since each snapshot is at most its predecessor plus the (larger) log that
+// triggered it, snapshot bytes stay under twice the log bytes.
 func (j *Journal) Checkpoint(r *crowd.Runner, cp engine.Checkpoint) (SnapshotInfo, error) {
 	j.frameLabels(r)
 	if err := j.frameJSON(kindCheckpoint, checkpointRecord{
@@ -611,8 +622,7 @@ func (j *Journal) Checkpoint(r *crowd.Runner, cp engine.Checkpoint) (SnapshotInf
 			return SnapshotInfo{}, err
 		}
 	}
-	j.checkpoints++
-	if every := j.store.SnapshotEvery; every > 0 && j.checkpoints%every == 0 && j.dirty {
+	if j.dirty && j.logBytes > j.snapBytes {
 		return j.compact(r)
 	}
 	return SnapshotInfo{}, nil
@@ -661,6 +671,7 @@ func (j *Journal) compact(r *crowd.Runner) (SnapshotInfo, error) {
 	}
 	old := j.log
 	j.log, j.gen, j.dirty = log, gen, false
+	j.logBytes, j.snapBytes = 0, int64(n)
 	if err := old.Close(); err != nil {
 		return fail(err)
 	}

@@ -133,7 +133,10 @@ func TestKillAndResume(t *testing.T) {
 	}
 	dir := t.TempDir()
 	meta := testMeta(7, 0.2, 0) // oracle crowd: answers are deterministic
-	const crashAfter = 3
+	// The 14th flush lands after the last compaction's log took a
+	// checkpoint frame, so the kill leaves a snapshot, then labels and a
+	// checkpoint in the log, then labels: every replay stage has work.
+	const crashAfter = 14
 
 	// Baseline: an uninterrupted run, instrumented to count crowd batch
 	// boundaries so we know the injected crash lands mid-run.
@@ -156,7 +159,7 @@ func TestKillAndResume(t *testing.T) {
 	}
 
 	// Phase 1: run with crash injection — the fault seam panics (simulating
-	// a kill) right after the 3rd crowd batch is flushed.
+	// a kill) right after the crashAfter-th crowd batch is flushed.
 	m1, err := NewManager(Options{Workers: 1, JournalDir: dir})
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
@@ -428,67 +431,63 @@ func TestBudgetEnforcedAcrossResume(t *testing.T) {
 // TestResumeNoisyFinishedJobExact resumes finished jobs under a noisy
 // crowd, where an answer asked again can differ from the journaled one:
 // the resumed run must re-derive the identical Result without asking the
-// crowd anything, with and without compaction.
+// crowd anything.
 func TestResumeNoisyFinishedJobExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("noisy resume sweep in -short mode")
 	}
 	const seeds = 30
-	for _, every := range []int{0, 1} {
-		dir := t.TempDir()
-		opts := Options{Workers: 2, JournalDir: dir, SnapshotEvery: every}
-		m1, err := NewManager(opts)
-		if err != nil {
-			t.Fatalf("NewManager: %v", err)
+	opts := Options{Workers: 2, JournalDir: t.TempDir()}
+	m1, err := NewManager(opts)
+	if err != nil {
+		t.Fatalf("NewManager: %v", err)
+	}
+	metas := make([]Meta, seeds)
+	jobs := make([]*Job, seeds)
+	for i := range jobs {
+		metas[i] = testMeta(int64(i+1), 0.1, 0.05)
+		if jobs[i], err = m1.Submit(Spec{Meta: &metas[i]}); err != nil {
+			t.Fatalf("Submit: %v", err)
 		}
-		metas := make([]Meta, seeds)
-		jobs := make([]*Job, seeds)
-		for i := range jobs {
-			metas[i] = testMeta(int64(i+1), 0.1, 0.05)
-			if jobs[i], err = m1.Submit(Spec{Meta: &metas[i]}); err != nil {
-				t.Fatalf("Submit: %v", err)
-			}
+	}
+	results := make([]*engine.Result, seeds)
+	for i, j := range jobs {
+		if results[i], err = j.Wait(); err != nil || j.State() != StateDone {
+			t.Fatalf("seed %d: state %s, err %v", i+1, j.State(), err)
 		}
-		results := make([]*engine.Result, seeds)
-		for i, j := range jobs {
-			if results[i], err = j.Wait(); err != nil || j.State() != StateDone {
-				t.Fatalf("seed %d: state %s, err %v", i+1, j.State(), err)
-			}
-		}
-		m1.Close()
+	}
+	m1.Close()
 
-		m2, err := NewManager(opts)
+	m2, err := NewManager(opts)
+	if err != nil {
+		t.Fatalf("NewManager: %v", err)
+	}
+	defer m2.Close()
+	crowds := make([]*countingCrowd, seeds)
+	resumed := make([]*Job, seeds)
+	for i, j := range jobs {
+		spec, err := BuildSpec(metas[i])
 		if err != nil {
-			t.Fatalf("NewManager: %v", err)
+			t.Fatalf("BuildSpec: %v", err)
 		}
-		crowds := make([]*countingCrowd, seeds)
-		resumed := make([]*Job, seeds)
-		for i, j := range jobs {
-			spec, err := BuildSpec(metas[i])
-			if err != nil {
-				t.Fatalf("BuildSpec: %v", err)
-			}
-			crowds[i] = &countingCrowd{inner: spec.Crowd}
-			spec.Crowd = crowds[i]
-			if resumed[i], err = m2.ResumeSpec(j.ID, spec); err != nil {
-				t.Fatalf("ResumeSpec: %v", err)
-			}
+		crowds[i] = &countingCrowd{inner: spec.Crowd}
+		spec.Crowd = crowds[i]
+		if resumed[i], err = m2.ResumeSpec(j.ID, spec); err != nil {
+			t.Fatalf("ResumeSpec: %v", err)
 		}
-		for i, j := range resumed {
-			res, err := j.Wait()
-			if err != nil || j.State() != StateDone {
-				t.Fatalf("seed %d resume: state %s, err %v", i+1, j.State(), err)
-			}
-			if !reflect.DeepEqual(res, results[i]) {
-				t.Errorf("SnapshotEvery %d, seed %d: resumed Result differs (accounting %+v, was %+v)",
-					every, i+1, res.Accounting, results[i].Accounting)
-			}
-			if crowds[i].total != 0 {
-				t.Errorf("SnapshotEvery %d, seed %d: resume of a finished job asked the crowd %d times",
-					every, i+1, crowds[i].total)
-			}
+	}
+	for i, j := range resumed {
+		res, err := j.Wait()
+		if err != nil || j.State() != StateDone {
+			t.Fatalf("seed %d resume: state %s, err %v", i+1, j.State(), err)
 		}
-		m2.Close()
+		if !reflect.DeepEqual(res, results[i]) {
+			t.Errorf("seed %d: resumed Result differs (accounting %+v, was %+v)",
+				i+1, res.Accounting, results[i].Accounting)
+		}
+		if crowds[i].total != 0 {
+			t.Errorf("seed %d: resume of a finished job asked the crowd %d times", i+1, crowds[i].total)
+		}
 	}
 }
 

@@ -69,9 +69,9 @@ type Options struct {
 	// directory. Empty means in-memory only: jobs run but cannot be
 	// resumed across processes.
 	JournalDir string
-	// SnapshotEvery enables journal compaction: every Nth checkpoint each
-	// job's journal is folded into a snapshot generation and a new log is
-	// started, bounding replay cost and directory size. 0 never compacts.
+	// SnapshotEvery is read by nothing: a journal compacts once its log
+	// outgrows its newest snapshot. It stays because the benchmark's
+	// service workload sets it (ROADMAP item 17).
 	SnapshotEvery int
 	// MaxJournalBytes, when positive, sheds new submissions (ErrDiskBudget)
 	// once the journal store's on-disk size reaches this budget. Resumes
@@ -125,7 +125,6 @@ func NewManager(opts Options) (*Manager, error) {
 		if err != nil {
 			return nil, err
 		}
-		store.SnapshotEvery = opts.SnapshotEvery
 		m.store = store
 	}
 	for i := 0; i < opts.Workers; i++ {

@@ -50,15 +50,14 @@ func flipMiddleByte(t *testing.T, path string) {
 	}
 }
 
-// crashWithSnapshots runs a job with compaction enabled and a kill
-// injected after crashAfter batch flushes, returning the journal root and
-// the crashed job's id. It fails the test unless at least one snapshot
-// generation was written before the crash — the precondition every
-// snapshot-resume test needs.
+// crashWithSnapshots runs a job with a kill injected after crashAfter
+// batch flushes, returning the journal root and the crashed job's id. It
+// fails the test unless at least one snapshot generation was written
+// before the crash — the precondition every snapshot-resume test needs.
 func crashWithSnapshots(t *testing.T, meta Meta, crashAfter int) (dir, id string) {
 	t.Helper()
 	dir = t.TempDir()
-	m, err := NewManager(Options{Workers: 1, JournalDir: dir, SnapshotEvery: 1})
+	m, err := NewManager(Options{Workers: 1, JournalDir: dir})
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
@@ -79,12 +78,11 @@ func crashWithSnapshots(t *testing.T, meta Meta, crashAfter int) (dir, id string
 	return dir, j.ID
 }
 
-// resumeAndWait resumes the job on a fresh compaction-enabled manager
-// with a counting crowd, returning the manager, the result, and the
-// per-pair answer counter.
+// resumeAndWait resumes the job on a fresh manager with a counting crowd,
+// returning the manager, the result, and the per-pair answer counter.
 func resumeAndWait(t *testing.T, dir, id string, meta Meta) (*Manager, *Job, *countingCrowd) {
 	t.Helper()
-	m, err := NewManager(Options{Workers: 1, JournalDir: dir, SnapshotEvery: 1})
+	m, err := NewManager(Options{Workers: 1, JournalDir: dir})
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
@@ -150,10 +148,9 @@ func TestSnapshotResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSnapshotBoundedReplay pins the tentpole's cost bound: with
-// compaction enabled, resuming after many checkpoints reads only the log
-// records written since the last snapshot,
-// not the job's whole append history.
+// TestSnapshotBoundedReplay pins the compaction cost bound: resuming
+// after many checkpoints reads only the log records written since the
+// last snapshot, not the job's whole append history.
 func TestSnapshotBoundedReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bounded replay integration test in -short mode")
@@ -203,10 +200,10 @@ func TestSnapshotCorruptionFallback(t *testing.T) {
 	meta := testMeta(7, 0.2, 0)
 	base := serialRun(t, meta)
 
-	// Run to completion with compaction: retention keeps the newest two
+	// Run to completion: retention keeps the newest two
 	// generations, exactly the ladder the corruption must exercise.
 	dir := t.TempDir()
-	m1, err := NewManager(Options{Workers: 1, JournalDir: dir, SnapshotEvery: 1})
+	m1, err := NewManager(Options{Workers: 1, JournalDir: dir})
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
@@ -261,7 +258,7 @@ func TestSnapshotAllGenerationsCorrupt(t *testing.T) {
 		flipMiddleByte(t, path)
 	}
 
-	m, err := NewManager(Options{Workers: 1, JournalDir: dir, SnapshotEvery: 1})
+	m, err := NewManager(Options{Workers: 1, JournalDir: dir})
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
@@ -343,9 +340,10 @@ func TestSnapshotDirBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compaction retention integration test in -short mode")
 	}
-	meta := testMeta(7, 0.2, 0)
+	// Seed 4 writes three generations; the suite's seed 7 writes two.
+	meta := testMeta(4, 0.2, 0)
 	dir := t.TempDir()
-	m, err := NewManager(Options{Workers: 1, JournalDir: dir, SnapshotEvery: 1})
+	m, err := NewManager(Options{Workers: 1, JournalDir: dir})
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
@@ -400,7 +398,7 @@ func TestResumeFinishedJobWritesNothing(t *testing.T) {
 	}
 	dir := t.TempDir()
 	meta := testMeta(7, 0.2, 0) // oracle crowd: resume of a finished job is exact
-	m1, err := NewManager(Options{Workers: 1, JournalDir: dir, SnapshotEvery: 1})
+	m1, err := NewManager(Options{Workers: 1, JournalDir: dir})
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
@@ -427,7 +425,7 @@ func TestResumeFinishedJobWritesNothing(t *testing.T) {
 		logsBefore[path] = buf
 	}
 
-	m2, err := NewManager(Options{Workers: 1, JournalDir: dir, SnapshotEvery: 1})
+	m2, err := NewManager(Options{Workers: 1, JournalDir: dir})
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
@@ -478,5 +476,198 @@ func TestResumeFinishedJobWritesNothing(t *testing.T) {
 				t.Errorf("%s: resume appended a %q frame; only checkpoint frames may be written", filepath.Base(path), f.kind)
 			}
 		}
+	}
+}
+
+// sizeEvent is one step of a journal as its fault seam sees it: a log
+// append (its bytes, whether it carried label frames, whether it closed
+// with a checkpoint frame) or an installed snapshot (its bytes).
+type sizeEvent struct {
+	snap       bool
+	bytes      int64
+	labels     bool
+	checkpoint bool
+}
+
+// recordSizes is a fault seam that faults nothing and logs the journal's
+// log appends and snapshot installs, in order.
+func recordSizes(events *[]sizeEvent) FaultFunc {
+	var pending int64
+	return func(op Op) Fault {
+		switch {
+		case op.Kind == OpAppend && strings.HasPrefix(op.File, logPrefix):
+			frames, _ := decodeFrames(op.Data)
+			e := sizeEvent{bytes: int64(len(op.Data))}
+			for _, f := range frames {
+				e.labels = e.labels || f.kind == kindLabel
+			}
+			e.checkpoint = len(frames) > 0 && frames[len(frames)-1].kind == kindCheckpoint
+			*events = append(*events, e)
+		case op.Kind == OpAppend && strings.HasPrefix(op.File, tmpPrefix+snapPrefix):
+			pending = int64(len(op.Data))
+		case op.Kind == OpRename && strings.HasPrefix(op.File, snapPrefix):
+			*events = append(*events, sizeEvent{snap: true, bytes: pending})
+		}
+		return Fault{}
+	}
+}
+
+// sizeDecision is the compaction rule's input and outcome at one
+// checkpoint: the live log with the checkpoint's frames, the newest
+// snapshot, whether labels were appended since it, and whether the
+// checkpoint compacted. found marks a checkpoint still under the snapshot
+// the journal was opened with; sinceOpen is the log bytes appended since
+// the open.
+type sizeDecision struct {
+	log, snap, sinceOpen int64
+	dirty, compacted     bool
+	found                bool
+}
+
+// sizeDecisions replays recorded events from a journal opened with a
+// live log of log bytes and a newest snapshot of snap bytes.
+func sizeDecisions(events []sizeEvent, log, snap int64) []sizeDecision {
+	var out []sizeDecision
+	var sinceOpen int64
+	dirty, found := false, true
+	for i, e := range events {
+		if e.snap {
+			log, snap, dirty, found = 0, e.bytes, false, false
+			continue
+		}
+		log += e.bytes
+		sinceOpen += e.bytes
+		dirty = dirty || e.labels
+		if e.checkpoint {
+			out = append(out, sizeDecision{
+				log: log, snap: snap, sinceOpen: sinceOpen,
+				dirty: dirty, compacted: i+1 < len(events) && events[i+1].snap, found: found,
+			})
+		}
+	}
+	return out
+}
+
+// TestSnapshotSizeBounds pins the compaction rule's two bounds on
+// finished jobs: after every checkpoint that followed new labels the live
+// log is no larger than the newest snapshot, and the snapshots written
+// total under twice the log bytes — each snapshot is at most its
+// predecessor plus the log that triggered it, and that log was larger
+// than the predecessor.
+func TestSnapshotSizeBounds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compaction bound integration test in -short mode")
+	}
+	held := 0
+	for _, seed := range []int64{3, 7} {
+		meta := testMeta(seed, 0.2, 0)
+		m, err := NewManager(Options{Workers: 1, JournalDir: t.TempDir()})
+		if err != nil {
+			t.Fatalf("NewManager: %v", err)
+		}
+		var events []sizeEvent
+		m.Store().Faults = recordSizes(&events)
+		j, err := m.Submit(Spec{Meta: &meta})
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		if _, err := j.Wait(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		snaps, snapBytes, logBytes := m.Store().SnapshotsWritten(), m.Store().SnapshotBytes(), m.Store().BytesWritten()
+		m.Close()
+
+		if snaps < 2 {
+			t.Fatalf("seed %d wrote %d snapshot generations, need >= 2 to bound one by another", seed, snaps)
+		}
+		for i, d := range sizeDecisions(events, 0, 0) {
+			if !d.dirty {
+				continue
+			}
+			live := d.log
+			if d.compacted {
+				live = 0
+			} else {
+				held++
+			}
+			if live > d.snap {
+				t.Errorf("seed %d, checkpoint %d: live log %d bytes after the checkpoint, newest snapshot %d",
+					seed, i, live, d.snap)
+			}
+		}
+		if snapBytes >= 2*logBytes {
+			t.Errorf("seed %d: %d snapshot bytes against %d log bytes, want under twice", seed, snapBytes, logBytes)
+		}
+	}
+	if held == 0 {
+		t.Error("every checkpoint that followed labels compacted; the log bound proved nothing")
+	}
+}
+
+// TestSnapshotSizeRuleSurvivesResume kills jobs after their first
+// snapshot and resumes them: the resumed journal must compact exactly when
+// its live log, counted from the bytes Store.Open found on disk, passes
+// the snapshot Open found. The cases hold both ways a forgetful Open
+// would err: a checkpoint the found log keeps under the found snapshot
+// (an Open that started both sizes at zero compacts there), and one
+// whose appends alone stay under it (an Open that started the log at zero
+// does not compact there).
+func TestSnapshotSizeRuleSurvivesResume(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compaction resume integration test in -short mode")
+	}
+	held, passed := 0, 0
+	for _, tc := range []struct {
+		seed       int64
+		crashAfter int
+	}{{7, 9}, {3, 12}} {
+		meta := testMeta(tc.seed, 0.2, 0)
+		dir, id := crashWithSnapshots(t, meta, tc.crashAfter)
+		jdir := filepath.Join(dir, id)
+		var openLog, openSnap int64
+		for prefix, size := range map[string]*int64{logPrefix: &openLog, snapPrefix: &openSnap} {
+			files := journalFiles(t, jdir, prefix)
+			fi, err := os.Stat(files[len(files)-1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			*size = fi.Size()
+		}
+
+		m, err := NewManager(Options{Workers: 1, JournalDir: dir})
+		if err != nil {
+			t.Fatalf("NewManager: %v", err)
+		}
+		var events []sizeEvent
+		m.Store().Faults = recordSizes(&events)
+		j, err := m.Resume(id)
+		if err != nil {
+			t.Fatalf("Resume: %v", err)
+		}
+		_, err = j.Wait()
+		m.Close()
+		if err != nil || j.State() != StateDone {
+			t.Fatalf("seed %d: resumed job %s, err %v", tc.seed, j.State(), err)
+		}
+
+		for i, d := range sizeDecisions(events, openLog, openSnap) {
+			if want := d.dirty && d.log > d.snap; d.compacted != want {
+				t.Errorf("seed %d, checkpoint %d: compacted=%v with a %d-byte log (%d since Open) against a %d-byte snapshot, dirty=%v",
+					tc.seed, i, d.compacted, d.log, d.sinceOpen, d.snap, d.dirty)
+			}
+			switch {
+			case !d.found || !d.dirty:
+			case !d.compacted:
+				held++
+			case d.sinceOpen <= d.snap:
+				passed++
+			}
+		}
+	}
+	if held == 0 {
+		t.Error("no resumed checkpoint stayed under the snapshot Open found; a zero snapshot size would pass")
+	}
+	if passed == 0 {
+		t.Error("no resumed compaction needed the log bytes Open found; a zero log size would pass")
 	}
 }

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"github.com/corleone-em/corleone/internal/feature"
 	"github.com/corleone-em/corleone/internal/record"
@@ -30,22 +29,19 @@ func newProber(ex *feature.Extractor, rules []tree.Rule, n int) *prober {
 // i), verified against the full rule set as positions of run — the shard's
 // rows (Index.NewRun) under the extractor the rules' features are read from.
 // It returns the survivors in (a, b) order as a fresh exact-size slice — the
-// working buffers stay with the prober — and how many candidates it verified.
-func (p *prober) run(ix *Index, run *feature.Run, profA [][]*similarity.Profile, thetas []float64, t Task) ([]record.Pair, int) {
+// working buffers stay with the prober.
+func (p *prober) run(ix *Index, run *feature.Run, profA [][]*similarity.Profile, thetas []float64, t Task) []record.Pair {
 	p.out = p.out[:0]
-	generated := 0
 	for a := t.ALo; a < t.AHi; a++ {
 		for i, col := range profA {
 			p.probes[i] = col[a]
 		}
-		cand := ix.Candidates(p.probes, thetas, p.is)
-		generated += len(cand)
-		p.out = p.v.RowSurvivors(p.out, a, run, cand)
+		p.out = p.v.RowSurvivors(p.out, a, run, ix.Candidates(p.probes, thetas, p.is))
 	}
 	if len(p.out) == 0 {
-		return nil, generated
+		return nil
 	}
-	return append(make([]record.Pair, 0, len(p.out)), p.out...), generated
+	return append(make([]record.Pair, 0, len(p.out)), p.out...)
 }
 
 // LocalExecutor runs shard tasks in-process against a prebuilt Group —
@@ -56,12 +52,11 @@ func (p *prober) run(ix *Index, run *feature.Run, profA [][]*similarity.Profile,
 // shared memoized evaluator, return survivors in (a, b) order. Safe for
 // concurrent Probe calls.
 type LocalExecutor struct {
-	group     *Group
-	runs      []*feature.Run // by shard: its rows under the executor's extractor
-	profA     [][]*similarity.Profile
-	thetas    []float64
-	pool      sync.Pool
-	generated atomic.Int64
+	group  *Group
+	runs   []*feature.Run // by shard: its rows under the executor's extractor
+	profA  [][]*similarity.Profile
+	thetas []float64
+	pool   sync.Pool
 }
 
 // NewLocalExecutor binds the executor to a single-probe shard group over
@@ -93,18 +88,8 @@ func (e *LocalExecutor) Probe(tasks []Task, _ int) ([][]record.Pair, error) {
 	p := e.pool.Get().(*prober)
 	defer e.pool.Put(p)
 	results := make([][]record.Pair, len(tasks))
-	generated := 0
 	for i, t := range tasks {
-		var n int
-		results[i], n = p.run(e.group.Shard(t.Shard), e.runs[t.Shard], e.profA, e.thetas, t)
-		generated += n
+		results[i] = p.run(e.group.Shard(t.Shard), e.runs[t.Shard], e.profA, e.thetas, t)
 	}
-	e.generated.Add(int64(generated))
 	return results, nil
 }
-
-// Generated returns how many candidate pairs the executor has verified so
-// far — what the plan's estimate predicted. It depends on the shard count
-// (Jaccard prefix filters order tokens by per-shard postings lengths), so it
-// is a diagnostic and never part of a Result.
-func (e *LocalExecutor) Generated() int64 { return e.generated.Load() }

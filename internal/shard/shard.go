@@ -77,16 +77,3 @@ func Partition(n, k int) [][]int32 {
 	}
 	return out
 }
-
-// maxShards caps every shard count: beyond it the per-probe merge overhead
-// dominates, and Partition allocates per shard, so an unbounded K would
-// exhaust memory before a task runs. Output is bit-identical at every K, so
-// the cap never changes a result.
-const maxShards = 64
-
-// Choose resolves a configured shard count: n >= 1 means n shards, capped
-// at maxShards, and 0 or less means one shard (1 is one shard through the
-// same coordinator, not a separate path).
-func Choose(configured int) int {
-	return min(max(configured, 1), maxShards)
-}

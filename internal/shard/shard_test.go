@@ -60,25 +60,6 @@ func TestAssignStable(t *testing.T) {
 	}
 }
 
-// TestChoose: a configured count is honoured up to the cap, and 0 or a
-// negative count is one shard.
-func TestChoose(t *testing.T) {
-	cases := []struct{ configured, want int }{
-		{1, 1},
-		{0, 1},
-		{-3, 1},
-		{4, 4},
-		{maxShards, maxShards},
-		{maxShards + 1, maxShards},
-		{1 << 28, maxShards},
-	}
-	for _, c := range cases {
-		if got := Choose(c.configured); got != c.want {
-			t.Errorf("Choose(%d) = %d, want %d", c.configured, got, c.want)
-		}
-	}
-}
-
 func TestMergePairs(t *testing.T) {
 	lists := [][]record.Pair{
 		{record.P(0, 1), record.P(1, 0)},

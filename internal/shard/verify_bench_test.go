@@ -92,7 +92,7 @@ func BenchmarkScanVerifier(b *testing.B) {
 						p := newProber(ex, rules, 1)
 						for a := lo; a < hi; a++ {
 							for s := 0; s < k; s++ {
-								out, _ := p.run(group.Shard(s), runs[s], [][]*similarity.Profile{profA}, []float64{theta},
+								out := p.run(group.Shard(s), runs[s], [][]*similarity.Profile{profA}, []float64{theta},
 									Task{Shard: s, Shards: k, ALo: int32(a), AHi: int32(a + 1)})
 								counts[a] += len(out)
 							}

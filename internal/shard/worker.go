@@ -229,7 +229,7 @@ func validateTask(job *workerJob, t Task) error {
 func (w *Worker) probeLoaded(job *workerJob, t Task) []record.Pair {
 	p := job.probers.Get().(*prober)
 	sh := job.shard(t.Shard)
-	out, _ := p.run(sh.ix, sh.run, job.profA, job.thetas, t)
+	out := p.run(sh.ix, sh.run, job.profA, job.thetas, t)
 	job.probers.Put(p)
 	w.stats.Probes.Add(1)
 	return out

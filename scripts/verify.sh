@@ -36,10 +36,10 @@ go test -run '^$' -bench . -benchtime 1x ./...
 sh scripts/runtests.sh -count=1 -run 'TestChaosSchedules/(5xx-burst|kill-points|snap-kill-points)' ./internal/faultkit
 
 # Journal smoke: the strided boundary sweep, torn-tail repair, the
-# corruption fallback ladder and the bounded-replay cost bound, without
-# -race for fast signal.
+# corruption fallback ladder, the bounded-replay cost bound and the
+# compaction size rule, without -race for fast signal.
 sh scripts/runtests.sh -count=1 -run 'TestDurabilityBoundarySweep' ./internal/faultkit
-sh scripts/runtests.sh -count=1 -run 'TestStoreOpen|TestSnapshotCorruptionFallback|TestSnapshotBoundedReplay' ./internal/runsvc
+sh scripts/runtests.sh -count=1 -run 'TestStoreOpen|TestSnapshotCorruptionFallback|TestSnapshotBoundedReplay|TestSnapshotSize' ./internal/runsvc
 
 # Shard-library smoke: the remote executor against the in-process one
 # (K x batch), and one shard-worker failover schedule, again without -race
